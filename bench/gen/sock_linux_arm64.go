@@ -1,0 +1,7 @@
+//go:build linux && arm64
+
+package gen
+
+// sendmmsg's syscall number; the stdlib syscall table for this architecture
+// predates the call.
+const sysSENDMMSG = 269
