@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race api-check fuzz-smoke metrics-smoke bench-smoke crash-restart-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race bench-check api-check fuzz-smoke metrics-smoke bench-smoke crash-restart-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -17,8 +17,17 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The dataplane packages run again at 1, 2 and 4 Ps: their liveness bugs have
+# been ones a single core cannot show.
 race:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/engine ./internal/guard ./internal/fleet
+
+# bench/ is its own module, so `go build ./...` and `go test ./...` never
+# see it: this is what notices an internal/ change breaking the benchmark.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Short deterministic-ish smoke on each fuzz target; regressions in the
 # checked-in corpus (testdata/fuzz/...) fail `make test` already, this adds
@@ -135,7 +144,7 @@ crash-restart-smoke:
 		|| { echo "pre-crash cookie did not verify after restart"; exit 1; }; \
 	echo "crash-restart-smoke: ok"
 
-check: vet race api-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke metrics-smoke bench-smoke crash-restart-smoke
+check: vet race bench-check api-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke metrics-smoke bench-smoke crash-restart-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

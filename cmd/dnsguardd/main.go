@@ -26,9 +26,10 @@
 //
 // With -shards N > 1 the guard runs N dataplane workers, each fed by its own
 // SO_REUSEPORT socket on the public address (kernel-hashed per flow; falls
-// back to a shared socket where SO_REUSEPORT is unavailable). With -batch
-// M > 1 each worker moves up to M datagrams per syscall (recvmmsg/sendmmsg
-// on Linux, a read loop elsewhere); -batch 1 keeps per-packet I/O.
+// back to a shared socket where SO_REUSEPORT is unavailable). -batch M
+// lets each read and write syscall move up to M datagrams (recvmmsg/sendmmsg
+// on Linux, a read loop elsewhere); -batch 1 is the same loop taking one
+// datagram per read.
 package main
 
 import (
@@ -62,7 +63,7 @@ func run() error {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket)")
-	batch := flag.Int("batch", 1, "datagrams read/written per syscall batch (1 = per-packet I/O)")
+	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
 	queueDepth := flag.Int("queue-depth", 0, "per-shard ingress queue depth (0 = default)")
 	ingest := flag.String("ingest", "auto", "shard ingest mode: auto (affine when each shard has its own flow-stable socket), hash (central fan-out), or affine (require per-shard sockets)")
 	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source fast-path cache TTL (0 = default 1m, negative = off)")

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+	"time"
 
 	"dnsguard/internal/realnet"
 )
@@ -74,6 +75,49 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	}
 	if handled != 32 {
 		t.Errorf("handled %d packets, want 32", handled)
+	}
+}
+
+// A packet handed to a shard whose socket never delivers anything must still
+// be handled, within a small multiple of handoffPoll: the liveness half of
+// the Handoff contract. (Before the bounded read, the ring was drained only
+// between datagrams and this packet waited forever.)
+func TestHandoffIdleSocket(t *testing.T) {
+	rg := &rig{bySrc: make(map[netip.Addr][]int)}
+	ios, _ := newFSFakeIOs(2, 0)
+	e, err := New(Config{
+		Env:        realnet.New(),
+		IOs:        ios,
+		Shards:     2,
+		NewHandler: rg.newHandler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Close()
+	// Let both loops park in their reads before the packet is handed over.
+	time.Sleep(2 * handoffPoll)
+
+	start := time.Now()
+	migrant := srcAP(7)
+	if !e.Handoff(1, Packet{Src: migrant, Payload: []byte{42}}) {
+		t.Fatal("Handoff refused on an affine engine")
+	}
+	waitCount(t, &rg.count, 1)
+	if d := time.Since(start); d > 100*handoffPoll {
+		t.Errorf("handoff to an idle shard took %v, want within a few × %v", d, handoffPoll)
+	}
+	rg.mu.Lock()
+	if got := rg.bySrc[migrant.Addr()]; len(got) != 1 || got[0] != 1 {
+		t.Errorf("handoff packet handled by shards %v, want [1]", got)
+	}
+	rg.mu.Unlock()
+	if st := e.Stats(1); st.Handoff != 1 || st.Handled != 1 {
+		t.Errorf("shard 1 stats = %+v, want Handoff=1 Handled=1", st)
+	}
+	if ing := e.Ingest(); ing.Reads != 0 || ing.Packets != 0 {
+		t.Errorf("ingest = %+v on silent sockets; timed-out reads must not count", ing)
 	}
 }
 

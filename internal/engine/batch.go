@@ -1,15 +1,13 @@
-// Batch ingest for the dataplane. With Config.Batch > 1 and a capture
-// interface that can fill a slab (BatchReader), each reader pulls whole
-// batches. In hash mode the reader groups them by destination shard and
-// enqueues one pooled batch slice per shard-group — one queue operation and
-// one lock where the single-packet path pays one per packet. In affine mode
-// the whole batch already belongs to the reader's shard and is dispatched in
-// place. Dispatch stays per-packet (Observer, supervision recover boundary,
-// quarantine all keep their exact semantics); handlers that want per-batch
-// amortization opt in through BatchHandler's BeginBatch/EndBatch bracket.
+// The datagram path. Every read fills a Config.Batch-slot slab — one slot
+// when Batch is 1 — and everything above the capture interface moves slices
+// of that slab: the shard loop dispatches the slice in place, the hash-mode
+// reader splits it into per-shard groups that cross the ingress queues as
+// one item each, and the worker dispatches a group as it would a slab. A
+// single datagram is a batch of one; there is no second path for it.
 package engine
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +19,8 @@ import (
 // packets per call, blocking per netapi timeout rules for the first and
 // taking only what is already buffered after it (netapi.BatchConn
 // semantics; n >= 1 when err is nil). Payloads must be caller-owned, like
-// Read's. The engine uses it when Config.Batch > 1.
+// Read's. An interface without it is read one datagram per call through
+// Read.
 type BatchReader interface {
 	ReadBatch(pkts []Packet, timeout time.Duration) (int, error)
 }
@@ -33,22 +32,47 @@ type BatchWriter interface {
 	WriteBatch(pkts []Packet) error
 }
 
-// BatchHandler is an optional Handler capability. When a worker dequeues a
-// batch it calls BeginBatch(n), dispatches the n packets one by one exactly
-// as in single-packet mode, then calls EndBatch — the bracket lets a handler
-// amortize per-batch work (one cookie-keyring snapshot, one coalesced
-// egress flush) without changing per-packet semantics. Both calls run in
-// the owning worker's context. A supervised mid-batch restart keeps the
-// bracket on the shard object that opened it, which is the same object a
-// Resetter restart reuses.
+// BatchHandler is an optional Handler capability. The engine never calls
+// HandlePacket on a BatchHandler outside a BeginBatch(n)/EndBatch pair:
+// socket reads, handoff-ring packets and queue groups all arrive bracketed,
+// n >= 1, with the n packets dispatched one by one in between. The bracket
+// lets a handler amortize per-batch work (one cookie-keyring snapshot, one
+// coalesced egress flush) and lets it defer work to EndBatch knowing
+// EndBatch will come. Both calls run in the owning shard's context. A
+// supervised restart that reuses the handler (Resetter) leaves its bracket
+// open; one that replaces the handler mid-batch closes the bracket on the
+// old handler and opens one on its replacement before the next packet.
 type BatchHandler interface {
 	Handler
 	BeginBatch(n int)
 	EndBatch()
 }
 
-// qbatch is one queued shard-group of a read batch: the packets plus their
-// shared enqueue time. Pooled like qitem.
+// readOne adapts a PacketIO without ReadBatch: each call is one Read into
+// the first slot.
+type readOne struct{ PacketIO }
+
+func (r readOne) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	pkt, err := r.Read(timeout)
+	if err != nil {
+		return 0, err
+	}
+	pkts[0] = pkt
+	return 1, nil
+}
+
+// batchReader returns io's own ReadBatch when it has one.
+func batchReader(io PacketIO) BatchReader {
+	if br, ok := io.(BatchReader); ok {
+		return br
+	}
+	return readOne{io}
+}
+
+// qbatch is what ingress queues and handoff rings carry: packets bound for
+// one shard plus their shared enqueue time (for the wait histogram). Pooled,
+// so boxing the pointer into the queue's `any` slot costs no allocation
+// steady-state.
 type qbatch struct {
 	pkts     []Packet
 	enqueued time.Duration
@@ -64,22 +88,65 @@ func putQBatch(b *qbatch) {
 	qbatchPool.Put(b)
 }
 
-// batchReader reports the BatchReader to use for io, nil when the engine
-// should run the single-packet path (Batch <= 1 or io cannot batch).
-func (e *Engine) batchReader(io PacketIO) BatchReader {
-	if e.cfg.Batch <= 1 {
-		return nil
+// handoffPoll bounds how long a shard that owns a handoff ring blocks in a
+// read: a packet parked by Handoff is handled within handoffPoll even if the
+// shard's socket never delivers another datagram.
+const handoffPoll = 10 * time.Millisecond
+
+// runShard is the reader-is-the-worker loop of inline and affine ingest:
+// every packet interface i delivers belongs to shard i by definition, so the
+// slab is dispatched in place with no queue hop and no admission
+// classification (the kernel socket buffer is the backpressure). An affine
+// shard also drains its handoff ring before each read and bounds the read by
+// handoffPoll; inline has no ring and blocks indefinitely, so no timer event
+// enters a simulated schedule.
+func (e *Engine) runShard(i int, br BatchReader) {
+	sh := e.shards[i]
+	ing := &e.ingest[i].IngestStats
+	h := e.handlers[i]
+	pkts := make([]Packet, e.cfg.Batch)
+	timeout := netapi.NoTimeout
+	if sh.handoff != nil {
+		timeout = handoffPoll
 	}
-	br, _ := io.(BatchReader)
-	return br
+	for {
+		e.drainHandoff(i, h)
+		n, err := br.ReadBatch(pkts, timeout)
+		if errors.Is(err, netapi.ErrTimeout) {
+			continue
+		}
+		if err != nil {
+			return
+		}
+		atomic.AddUint64(&ing.Reads, 1)
+		atomic.AddUint64(&ing.Packets, uint64(n))
+		atomic.AddUint64(&sh.stats.Handled, uint64(n))
+		e.dispatchBatch(i, h, pkts[:n])
+	}
 }
 
-// runReaderBatch is runReader over slabs: one ReadBatch per wakeup, packets
-// grouped by (shard, admission class) so the per-packet policy is preserved
-// — verified-source groups evict oldest on a saturated queue, unverified
-// groups are tail-dropped whole (batch-granularity shedding; counters move
-// by group size). reader indexes this proc's private ingest sink.
-func (e *Engine) runReaderBatch(reader int, br BatchReader) {
+// drainHandoff handles every group currently parked in shard i's migration
+// ring, if it has one. Runs in the owning shard's loop, so handoff packets
+// get the same single-writer guarantees as socket packets.
+func (e *Engine) drainHandoff(i int, h Handler) {
+	sh := e.shards[i]
+	for sh.handoff != nil {
+		v, err := sh.handoff.Get(0)
+		if err != nil {
+			return // empty or closed; the read loop notices close itself
+		}
+		b := v.(*qbatch)
+		atomic.AddUint64(&sh.stats.Handoff, uint64(len(b.pkts)))
+		e.handleGroup(i, h, b)
+	}
+}
+
+// runReader is the hash-mode reader: one ReadBatch per wakeup, packets
+// grouped by (shard, admission class) and each group enqueued as one item.
+// Verified-source groups evict the oldest queued group on a saturated queue,
+// unverified groups are tail-dropped whole; counters move by group size.
+// reader indexes this proc's private ingest sink.
+func (e *Engine) runReader(reader int, br BatchReader) {
 	ing := &e.ingest[reader].IngestStats
 	pkts := make([]Packet, e.cfg.Batch)
 	// groups[2*shard] collects the read's verified-class packets for that
@@ -112,8 +179,7 @@ func (e *Engine) runReaderBatch(reader int, br BatchReader) {
 				continue
 			}
 			groups[slot] = nil
-			shard := slot / 2
-			sh := e.shards[shard]
+			sh := e.shards[slot/2]
 			st := &sh.stats
 			m := uint64(len(b.pkts))
 			if slot%2 == 0 {
@@ -124,12 +190,14 @@ func (e *Engine) runReaderBatch(reader int, br BatchReader) {
 						putQBatch(b)
 						continue
 					}
-					e.recycleEvicted(st, ev)
+					old := ev.(*qbatch)
+					atomic.AddUint64(&st.ShedOld, uint64(len(old.pkts)))
+					putQBatch(old)
 				}
 				atomic.AddUint64(&st.Enqueued, m)
 			} else if e.draining.Load() {
-				// Draining: unverified groups are refused whole, same
-				// policy as the single-packet path.
+				// Draining: no new unverified flows; in-flight verified
+				// traffic keeps its admission path until the queues flush.
 				atomic.AddUint64(&st.DrainShed, m)
 				putQBatch(b)
 			} else if sh.queue.Put(b) {
@@ -142,47 +210,36 @@ func (e *Engine) runReaderBatch(reader int, br BatchReader) {
 	}
 }
 
-// runAffineBatch is runAffine over slabs: the whole read already belongs to
-// this shard, so it is dispatched in place with no grouping, no queue hop,
-// and no cross-shard classification.
-func (e *Engine) runAffineBatch(shard int, br BatchReader) {
-	sh := e.shards[shard]
-	ing := &e.ingest[shard].IngestStats
-	h := e.handlers[shard]
-	supervised := e.cfg.Supervisor.Enabled
-	pkts := make([]Packet, e.cfg.Batch)
+// runWorker drains shard i's ingress queue into its handler.
+func (e *Engine) runWorker(i int) {
+	h := e.handlers[i]
+	queue := e.shards[i].queue
 	for {
-		e.drainHandoff(shard, sh, h, supervised)
-		n, err := br.ReadBatch(pkts, netapi.NoTimeout)
+		v, err := queue.Get(netapi.NoTimeout)
 		if err != nil {
 			return
 		}
-		atomic.AddUint64(&ing.Reads, 1)
-		atomic.AddUint64(&ing.Packets, uint64(n))
-		atomic.AddUint64(&sh.stats.Handled, uint64(n))
-		e.dispatchBatch(shard, h, supervised, pkts[:n])
+		e.handleGroup(i, h, v.(*qbatch))
 	}
 }
 
-// recycleEvicted accounts and pools an item displaced by PutEvict; in batch
-// mode a queue can hold both qitems and qbatches only transiently (one
-// engine uses one mode), but eviction handles both for safety.
-func (e *Engine) recycleEvicted(st *ShardStats, ev any) {
-	switch it := ev.(type) {
-	case *qitem:
-		atomic.AddUint64(&st.ShedOld, 1)
-		putQItem(it)
-	case *qbatch:
-		atomic.AddUint64(&st.ShedOld, uint64(len(it.pkts)))
-		putQBatch(it)
-	}
+// handleGroup accounts and dispatches one dequeued group on shard i, then
+// returns it to the pool.
+func (e *Engine) handleGroup(i int, h Handler, b *qbatch) {
+	sh := e.shards[i]
+	sh.wait.Observe(e.cfg.Env.Now() - b.enqueued)
+	atomic.AddUint64(&sh.stats.Handled, uint64(len(b.pkts)))
+	e.dispatchBatch(i, h, b.pkts)
+	putQBatch(b)
 }
 
-// dispatchBatch hands a dequeued batch to shard i's handler packet by
-// packet, bracketed by BeginBatch/EndBatch when the handler opts in. h is
-// the worker's cached handler; under supervision the current handler is
-// re-read so a restarted shard is honored mid-stream.
-func (e *Engine) dispatchBatch(i int, h Handler, supervised bool, pkts []Packet) {
+// dispatchBatch hands pkts to shard i's handler one by one inside the
+// handler's batch bracket (see BatchHandler). h is the loop's cached
+// handler; under supervision the current handler is re-read so a restarted
+// shard is honored, each packet runs inside the recover boundary, and a
+// restart that replaced the handler moves the bracket onto the replacement.
+func (e *Engine) dispatchBatch(i int, h Handler, pkts []Packet) {
+	supervised := e.cfg.Supervisor.Enabled
 	if supervised {
 		h = e.Handler(i)
 	}
@@ -190,30 +247,26 @@ func (e *Engine) dispatchBatch(i int, h Handler, supervised bool, pkts []Packet)
 	if bh != nil {
 		bh.BeginBatch(len(pkts))
 	}
-	for _, pkt := range pkts {
-		e.dispatch(i, h, supervised, pkt)
+	for k, pkt := range pkts {
+		if !supervised {
+			if e.cfg.Observer != nil {
+				e.cfg.Observer(i, pkt)
+			}
+			h.HandlePacket(pkt)
+			continue
+		}
+		replaced := e.dispatchSupervised(i, h, pkt)
+		if rest := len(pkts) - k - 1; replaced && rest > 0 {
+			if bh != nil {
+				bh.EndBatch()
+			}
+			h = e.Handler(i)
+			if bh, _ = h.(BatchHandler); bh != nil {
+				bh.BeginBatch(rest)
+			}
+		}
 	}
 	if bh != nil {
 		bh.EndBatch()
-	}
-}
-
-// runInlineBatch is the Shards=1 single-IO loop over slabs: no queue hop,
-// batches dispatched in read order.
-func (e *Engine) runInlineBatch(br BatchReader) {
-	h := e.handlers[0]
-	st := &e.shards[0].stats
-	ing := &e.ingest[0].IngestStats
-	supervised := e.cfg.Supervisor.Enabled
-	pkts := make([]Packet, e.cfg.Batch)
-	for {
-		n, err := br.ReadBatch(pkts, netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		atomic.AddUint64(&ing.Reads, 1)
-		atomic.AddUint64(&ing.Packets, uint64(n))
-		atomic.AddUint64(&st.Handled, uint64(n))
-		e.dispatchBatch(0, h, supervised, pkts[:n])
 	}
 }

@@ -71,7 +71,7 @@ func (flowStableFloodIO) FlowStable() bool { return true }
 
 // TestCloseUnderBatchIngest closes the engine while batch readers are
 // mid-slab and shard queues are full of pooled groups. Run under -race this
-// pins the shutdown ownership contract the qitem/qbatch pools rely on: a
+// pins the shutdown ownership contract the qbatch pool relies on: a
 // group the closed queue bounced must be recycled exactly once, never
 // handed to a worker afterwards, and Close must join every proc instead of
 // racing their final pool puts. Regression test for the closed-queue

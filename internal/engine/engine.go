@@ -30,9 +30,14 @@
 //     hot path writes a cacheline another shard writes; engine-wide totals
 //     are aggregated only at metrics-scrape time.
 //
-// With Shards == 1 and a single IO the engine collapses to an inline loop —
-// one proc, no queue hop — preserving the exact event ordering of the
-// pre-engine guard so deterministic simulations reproduce byte-for-byte.
+// Three loops carry every datagram (batch.go). The shard loop reads an
+// interface and handles what it reads in place; affine ingest runs one per
+// shard, and Shards == 1 with a single IO ("inline") is that same loop with
+// no handoff ring — one proc, no queue hop, the event ordering of a direct
+// capture loop, so deterministic simulations reproduce byte-for-byte. Hash
+// ingest pairs a reader loop per interface with a worker loop per shard.
+// All three move Config.Batch-slot slabs; a single datagram is a slab of
+// one, not a separate path.
 package engine
 
 import (
@@ -139,12 +144,11 @@ type Config struct {
 	Ingest IngestMode
 	// QueueDepth bounds each shard's ingress queue. 0 means 512.
 	QueueDepth int
-	// Batch caps the datagrams moved per I/O call when the capture
-	// interface supports batch reads (BatchReader). 0 and 1 mean
-	// single-packet I/O — the exact historical dataplane, event-for-event.
-	// Larger values read whole batches into a reusable slab and carry
-	// shard-grouped batch slices on the ingress queues, amortizing one
-	// queue operation and one lock per group instead of per packet.
+	// Batch is the slab size: the most datagrams one read may return (an
+	// interface without BatchReader returns one regardless). 0 and 1 mean
+	// one datagram per read. The loops are the same at every value; larger
+	// slabs amortize the read call, and in hash mode the queue operation
+	// and its lock, over the packets that were already waiting.
 	Batch int
 	// FastPathTTL enables the verified-source cache and bounds how long an
 	// entry stays valid. 0 disables the cache (MarkVerified is a no-op and
@@ -163,8 +167,7 @@ type Config struct {
 	// panic-injection hook too.
 	Observer func(shard int, pkt Packet)
 	// Supervisor gates shard supervision (recover boundary, packet
-	// quarantine, restart budget, trip policy). The zero value disables it,
-	// preserving the historical dispatch path exactly.
+	// quarantine, restart budget, trip policy). The zero value disables it.
 	Supervisor SupervisorConfig
 	// HashSeed, when non-zero, replaces the per-engine random shard hash
 	// with a fixed FNV-1a keyed by this value, so the source→shard mapping
@@ -237,28 +240,11 @@ type shardState struct {
 	_ [64]byte // tail pad: next allocation's hot fields get their own line
 }
 
-// ingestSink is one reader's batch-read counters, padded to a full cacheline
-// so two readers never share one.
+// ingestSink is one reader's read counters, padded to a full cacheline so
+// two readers never share one.
 type ingestSink struct {
 	IngestStats
 	_ [48]byte
-}
-
-// qitem is one queued packet plus its admission classification and enqueue
-// time (for the per-shard wait histogram). Items are pooled: boxing a
-// pointer into the queue's `any` slot costs no allocation steady-state.
-type qitem struct {
-	pkt      Packet
-	enqueued time.Duration
-}
-
-var qitemPool = sync.Pool{New: func() any { return new(qitem) }}
-
-// putQItem drops the payload reference before pooling so a parked item never
-// pins a packet buffer (symmetric with putQBatch).
-func putQItem(it *qitem) {
-	it.pkt = Packet{}
-	qitemPool.Put(it)
 }
 
 // Engine is the running dataplane. Create with New, then Start.
@@ -278,8 +264,9 @@ type Engine struct {
 	wg       sync.WaitGroup // tracks reader and worker procs for Close
 }
 
-// IngestStats counts batch reads. Reads is I/O calls, Packets datagrams —
-// Packets/Reads is the achieved batch fill.
+// IngestStats counts capture reads. Reads is I/O calls that returned
+// datagrams, Packets the datagrams — Packets/Reads is the achieved slab
+// fill, exactly 1 at Batch 1.
 type IngestStats struct {
 	Reads   uint64
 	Packets uint64
@@ -412,28 +399,19 @@ func (e *Engine) ShardOf(src netip.Addr) int {
 	return int(h.Sum64() % uint64(e.cfg.Shards))
 }
 
-// Start spawns the reader and worker procs. With one shard and one IO the
-// reader invokes the handler inline — no queue hop, preserving the exact
-// proc and event ordering of a direct capture loop. In affine mode each
-// shard gets its own reader-is-the-worker loop on its own interface.
+// Start spawns the engine's procs. Inline and affine ingest run one shard
+// loop per interface (inline's is named "<name>-capture", the proc name of a
+// direct capture loop); hash ingest runs a worker per shard and a reader per
+// interface.
 func (e *Engine) Start() {
-	if e.inline {
-		if br := e.batchReader(e.cfg.IOs[0]); br != nil {
-			e.spawn(e.cfg.Name+"-capture", func() { e.runInlineBatch(br) })
-		} else {
-			e.spawn(e.cfg.Name+"-capture", func() { e.runInline() })
-		}
-		return
-	}
-	if e.affine {
+	if e.inline || e.affine {
 		for i, io := range e.cfg.IOs {
-			i, io := i, io
+			i, br := i, batchReader(io)
 			name := fmt.Sprintf("%s-shard-%d", e.cfg.Name, i)
-			if br := e.batchReader(io); br != nil {
-				e.spawn(name, func() { e.runAffineBatch(i, br) })
-			} else {
-				e.spawn(name, func() { e.runAffine(i, io) })
+			if e.inline {
+				name = e.cfg.Name + "-capture"
 			}
+			e.spawn(name, func() { e.runShard(i, br) })
 		}
 		return
 	}
@@ -444,16 +422,12 @@ func (e *Engine) Start() {
 		e.spawn(fmt.Sprintf("%s-worker-%d", e.cfg.Name, i), func() { e.runWorker(i) })
 	}
 	for i, io := range e.cfg.IOs {
-		i, io := i, io
+		i, br := i, batchReader(io)
 		name := fmt.Sprintf("%s-reader-%d", e.cfg.Name, i)
 		if len(e.cfg.IOs) == 1 {
 			name = e.cfg.Name + "-capture"
 		}
-		if br := e.batchReader(io); br != nil {
-			e.spawn(name, func() { e.runReaderBatch(i, br) })
-		} else {
-			e.spawn(name, func() { e.runReader(io) })
-		}
+		e.spawn(name, func() { e.runReader(i, br) })
 	}
 }
 
@@ -467,163 +441,25 @@ func (e *Engine) spawn(name string, fn func()) {
 	})
 }
 
-// dispatch runs one packet through the observer/supervision/handler path in
-// the owning shard's context. h is the caller's cached handler (ignored under
-// supervision, which re-reads it so restarts are honored).
-func (e *Engine) dispatch(shard int, h Handler, supervised bool, pkt Packet) {
-	if supervised {
-		e.dispatchSupervised(shard, pkt)
-		return
-	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer(shard, pkt)
-	}
-	h.HandlePacket(pkt)
-}
-
-// runInline is the Shards=1 fast path: the pre-engine capture loop.
-func (e *Engine) runInline() {
-	io := e.cfg.IOs[0]
-	h := e.handlers[0]
-	st := &e.shards[0].stats
-	supervised := e.cfg.Supervisor.Enabled
-	for {
-		pkt, err := io.Read(netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		atomic.AddUint64(&st.Handled, 1)
-		e.dispatch(0, h, supervised, pkt)
-	}
-}
-
-// runAffine is one shard's reader-is-the-worker loop: every packet this
-// interface delivers belongs to this shard by definition, so it is handled
-// inline with no queue hop and no admission classification (the kernel
-// socket buffer is the backpressure). The handoff ring is drained before
-// each blocking read, so a migrated packet waits at most until the next
-// datagram arrives on the shard's socket.
-func (e *Engine) runAffine(shard int, io PacketIO) {
-	sh := e.shards[shard]
-	h := e.handlers[shard]
-	supervised := e.cfg.Supervisor.Enabled
-	for {
-		e.drainHandoff(shard, sh, h, supervised)
-		pkt, err := io.Read(netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		atomic.AddUint64(&sh.stats.Handled, 1)
-		e.dispatch(shard, h, supervised, pkt)
-	}
-}
-
-// drainHandoff dispatches every packet currently parked in shard's migration
-// ring. Runs in the owning shard's loop, so handoff packets get the same
-// single-writer guarantees as socket packets.
-func (e *Engine) drainHandoff(shard int, sh *shardState, h Handler, supervised bool) {
-	for {
-		v, err := sh.handoff.Get(0)
-		if err != nil {
-			return // empty or closed; the read loop notices close itself
-		}
-		it := v.(*qitem)
-		pkt := it.pkt
-		sh.wait.Observe(e.cfg.Env.Now() - it.enqueued)
-		putQItem(it)
-		atomic.AddUint64(&sh.stats.Handoff, 1)
-		atomic.AddUint64(&sh.stats.Handled, 1)
-		e.dispatch(shard, h, supervised, pkt)
-	}
-}
-
 // Handoff parks pkt on shard's migration ring, to be handled by that shard's
 // own loop — the escape hatch for the rare affine-mode packet that must move
 // between shards (e.g. re-homing a flow after a shard restart, or an
-// operator-driven drain). It reports false when the engine is not in affine
-// mode or the ring is full; the caller keeps ownership of a refused packet.
-// Handoff is not a data path: the ring is small and drained opportunistically.
+// operator-driven drain). The owning loop handles it before its next read,
+// and within handoffPoll even if its socket stays silent. It reports false
+// when the engine is not in affine mode or the ring is full; the caller
+// keeps ownership of a refused packet. Handoff is not a data path: the ring
+// is small.
 func (e *Engine) Handoff(shard int, pkt Packet) bool {
 	if !e.affine || shard < 0 || shard >= len(e.shards) {
 		return false
 	}
-	qi := qitemPool.Get().(*qitem)
-	qi.pkt, qi.enqueued = pkt, e.cfg.Env.Now()
-	if !e.shards[shard].handoff.Put(qi) {
-		putQItem(qi)
+	b := qbatchPool.Get().(*qbatch)
+	b.pkts, b.enqueued = append(b.pkts, pkt), e.cfg.Env.Now()
+	if !e.shards[shard].handoff.Put(b) {
+		putQBatch(b)
 		return false
 	}
 	return true
-}
-
-// runReader pulls from one capture interface and dispatches by source shard,
-// applying the admission policy: verified sources evict the oldest queued
-// packet when the shard is saturated, unverified sources are tail-dropped.
-func (e *Engine) runReader(io PacketIO) {
-	for {
-		pkt, err := io.Read(netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		shard := e.ShardOf(pkt.Src.Addr())
-		sh := e.shards[shard]
-		st := &sh.stats
-		now := e.cfg.Env.Now()
-		verified := sh.verified.has(pkt.Src.Addr(), now)
-		if !verified && e.draining.Load() {
-			// Draining: no new unverified flows; in-flight verified
-			// traffic keeps its admission path until the queues flush.
-			atomic.AddUint64(&st.DrainShed, 1)
-			continue
-		}
-		qi := qitemPool.Get().(*qitem)
-		qi.pkt, qi.enqueued = pkt, now
-		if verified {
-			if ev, did := sh.queue.PutEvict(qi); did {
-				if ev == any(qi) {
-					// Closed queue: the item bounced back unbuffered.
-					atomic.AddUint64(&st.ShedNew, 1)
-					putQItem(qi)
-					continue
-				}
-				atomic.AddUint64(&st.ShedOld, 1)
-				putQItem(ev.(*qitem))
-			}
-			atomic.AddUint64(&st.Enqueued, 1)
-		} else if sh.queue.Put(qi) {
-			atomic.AddUint64(&st.Enqueued, 1)
-		} else {
-			atomic.AddUint64(&st.ShedNew, 1)
-			putQItem(qi)
-		}
-	}
-}
-
-// runWorker drains shard i's queue into its handler.
-func (e *Engine) runWorker(i int) {
-	h := e.handlers[i]
-	sh := e.shards[i]
-	st := &sh.stats
-	supervised := e.cfg.Supervisor.Enabled
-	for {
-		v, err := sh.queue.Get(netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		switch it := v.(type) {
-		case *qitem:
-			pkt := it.pkt
-			sh.wait.Observe(e.cfg.Env.Now() - it.enqueued)
-			putQItem(it)
-			atomic.AddUint64(&st.Handled, 1)
-			e.dispatch(i, h, supervised, pkt)
-		case *qbatch:
-			sh.wait.Observe(e.cfg.Env.Now() - it.enqueued)
-			atomic.AddUint64(&st.Handled, uint64(len(it.pkts)))
-			e.dispatchBatch(i, h, supervised, it.pkts)
-			putQBatch(it)
-		}
-	}
 }
 
 // drainPollInterval paces Drain's backlog polls. Small against the
@@ -731,9 +567,8 @@ func (e *Engine) FastPath() FastPathStats {
 	return t
 }
 
-// Ingest returns the engine-wide batch-read counters, summed across the
-// per-reader sinks at call time; zero when the engine runs the single-packet
-// path.
+// Ingest returns the engine-wide capture-read counters, summed across the
+// per-reader sinks at call time.
 func (e *Engine) Ingest() IngestStats {
 	var t IngestStats
 	for _, s := range e.ingest {

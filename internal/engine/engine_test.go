@@ -27,12 +27,26 @@ func newFakeIO(buf int) *fakeIO {
 	return &fakeIO{ch: make(chan Packet, buf), closed: make(chan struct{})}
 }
 
+// expiry returns a channel that fires once a netapi read timeout elapses —
+// nil, which never fires, under NoTimeout — and the func that releases it.
+func expiry(timeout time.Duration) (<-chan time.Time, func()) {
+	if timeout < 0 {
+		return nil, func() {}
+	}
+	tm := time.NewTimer(timeout)
+	return tm.C, func() { tm.Stop() }
+}
+
 func (f *fakeIO) Read(timeout time.Duration) (Packet, error) {
+	expired, stop := expiry(timeout)
+	defer stop()
 	select {
 	case p := <-f.ch:
 		return p, nil
 	case <-f.closed:
 		return Packet{}, netapi.ErrClosed
+	case <-expired:
+		return Packet{}, netapi.ErrTimeout
 	}
 }
 

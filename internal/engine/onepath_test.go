@@ -1,0 +1,319 @@
+package engine
+
+import (
+	"fmt"
+	"net/netip"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/realnet"
+)
+
+// scriptIO delivers a fixed packet sequence and then blocks until closed.
+// ReadBatch hands out as many of the remaining packets as the slab holds, so
+// the split into reads is a function of the slab size alone.
+type scriptIO struct {
+	mu     sync.Mutex
+	pkts   []Packet
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newScriptIO(pkts []Packet) *scriptIO {
+	return &scriptIO{pkts: pkts, closed: make(chan struct{})}
+}
+
+func (s *scriptIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	s.mu.Lock()
+	n := copy(pkts, s.pkts)
+	s.pkts = s.pkts[n:]
+	s.mu.Unlock()
+	if n > 0 {
+		return n, nil
+	}
+	expired, stop := expiry(timeout)
+	defer stop()
+	select {
+	case <-s.closed:
+		return 0, netapi.ErrClosed
+	case <-expired:
+		return 0, netapi.ErrTimeout
+	}
+}
+
+func (s *scriptIO) Read(timeout time.Duration) (Packet, error) {
+	var one [1]Packet
+	_, err := s.ReadBatch(one[:], timeout)
+	return one[0], err
+}
+
+func (s *scriptIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error { return nil }
+
+func (s *scriptIO) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return nil
+}
+
+// readOnlyIO hides scriptIO's ReadBatch, leaving the bare PacketIO surface.
+type readOnlyIO struct{ s *scriptIO }
+
+func (r readOnlyIO) Read(timeout time.Duration) (Packet, error) { return r.s.Read(timeout) }
+func (r readOnlyIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
+	return nil
+}
+func (r readOnlyIO) Close() error { return r.s.Close() }
+
+// ingestModes is one engine topology per ingest discipline: which loops run.
+var ingestModes = []struct {
+	name   string
+	shards int
+	ios    int
+	ingest IngestMode
+}{
+	{"inline", 1, 1, IngestAuto},   // one shard loop, no ring
+	{"affine", 2, 2, IngestAffine}, // a shard loop and a ring per shard
+	{"hash", 3, 1, IngestHash},     // one reader loop, a worker loop per shard
+}
+
+// orderHandler appends each handled packet's sequence number (its payload
+// byte) to its shard's list.
+type orderHandler struct {
+	order *[]byte
+	count *atomic.Uint64
+}
+
+func (h orderHandler) HandlePacket(pkt Packet) {
+	*h.order = append(*h.order, pkt.Payload[0])
+	h.count.Add(1)
+}
+
+// One scripted sequence through a Read-only interface and through a
+// BatchReader at slab sizes 1 and 8 must reach the handlers in the same
+// per-shard order with the same shard counters, in every ingest mode: the
+// slab size changes how many datagrams a read returns and nothing else.
+// Every source is unverified, so hash mode's (shard, class) grouping cannot
+// reorder packets of different classes within a read.
+func TestOnePathDifferential(t *testing.T) {
+	const total = 96
+	variants := []struct {
+		name     string
+		readOnly bool
+		batch    int
+	}{
+		{"read-only/1", true, 1},
+		{"read-only/8", true, 8},
+		{"batch-reader/1", false, 1},
+		{"batch-reader/8", false, 8},
+	}
+	type outcome struct {
+		order [][]byte
+		stats []ShardStats
+	}
+	for _, m := range ingestModes {
+		t.Run(m.name, func(t *testing.T) {
+			var ref outcome
+			for vi, v := range variants {
+				scripts := make([][]Packet, m.ios)
+				for i := 0; i < total; i++ {
+					scripts[i%m.ios] = append(scripts[i%m.ios],
+						Packet{Src: srcAP(i % 17), Payload: []byte{byte(i)}})
+				}
+				ios := make([]PacketIO, m.ios)
+				for i := range ios {
+					if s := newScriptIO(scripts[i]); v.readOnly {
+						ios[i] = readOnlyIO{s}
+					} else {
+						ios[i] = s
+					}
+				}
+				order := make([][]byte, m.shards)
+				var count atomic.Uint64
+				e, err := New(Config{
+					Env:        realnet.New(),
+					IOs:        ios,
+					Shards:     m.shards,
+					Ingest:     m.ingest,
+					Batch:      v.batch,
+					HashSeed:   7,
+					NewHandler: func(i int) Handler { return orderHandler{&order[i], &count} },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.inline != (m.name == "inline") || e.Affine() != (m.name == "affine") {
+					t.Fatalf("%s: resolved inline=%v affine=%v", v.name, e.inline, e.Affine())
+				}
+				e.Start()
+				waitCount(t, &count, total)
+				e.Close() // joins the procs: order and stats are final
+
+				ing := e.Ingest()
+				if ing.Packets != total || ing.Reads == 0 || ing.Reads > ing.Packets {
+					t.Errorf("%s: ingest = %+v, want %d packets", v.name, ing, total)
+				}
+				if (v.readOnly || v.batch == 1) && ing.Reads != ing.Packets {
+					t.Errorf("%s: %d reads for %d packets, want one datagram per read", v.name, ing.Reads, ing.Packets)
+				}
+				if !v.readOnly && v.batch == 8 && ing.Reads != uint64(m.ios*(total/m.ios/8)) {
+					t.Errorf("%s: %d reads, want full slabs", v.name, ing.Reads)
+				}
+				got := outcome{order, e.StatsAll()}
+				if vi == 0 {
+					ref = got
+					continue
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s diverges from %s:\ngot  %+v\nwant %+v", v.name, variants[0].name, got, ref)
+				}
+			}
+		})
+	}
+}
+
+// bracketHandler enforces the BatchHandler contract from the handler's side:
+// HandlePacket only inside a BeginBatch/EndBatch pair, at most n packets per
+// bracket, no nesting, every bracket closed, and no packet after a restart
+// replaced it. Its fields are touched only in the owning shard's context
+// (a replacement is constructed there too); violations are reported through
+// the rig.
+type bracketHandler struct {
+	rig     *bracketRig
+	shard   int
+	open    bool
+	want    int
+	seen    int
+	retired bool
+}
+
+type bracketRig struct {
+	t       *testing.T
+	handled atomic.Uint64
+	mu      sync.Mutex
+	all     []*bracketHandler
+	cur     map[int]*bracketHandler
+}
+
+func (r *bracketRig) newHandler(resetter bool) func(int) Handler {
+	return func(shard int) Handler {
+		h := &bracketHandler{rig: r, shard: shard}
+		r.mu.Lock()
+		r.all = append(r.all, h)
+		if old := r.cur[shard]; old != nil {
+			old.retired = true
+		}
+		r.cur[shard] = h
+		r.mu.Unlock()
+		if resetter {
+			return resettableBracket{h}
+		}
+		return h
+	}
+}
+
+func (h *bracketHandler) BeginBatch(n int) {
+	if h.open || n < 1 {
+		h.rig.t.Errorf("shard %d: BeginBatch(%d) with open=%v", h.shard, n, h.open)
+	}
+	h.open, h.want, h.seen = true, n, 0
+}
+
+func (h *bracketHandler) HandlePacket(Packet) {
+	h.seen++
+	if !h.open || h.seen > h.want || h.retired {
+		h.rig.t.Errorf("shard %d: HandlePacket #%d with open=%v retired=%v, bracket of %d",
+			h.shard, h.seen, h.open, h.retired, h.want)
+	}
+	h.rig.handled.Add(1)
+}
+
+func (h *bracketHandler) EndBatch() {
+	if !h.open {
+		h.rig.t.Errorf("shard %d: EndBatch without BeginBatch", h.shard)
+	}
+	h.open = false
+}
+
+// resettableBracket is a bracketHandler that survives supervised restarts.
+type resettableBracket struct{ *bracketHandler }
+
+func (resettableBracket) ResetShard() {}
+
+// Every HandlePacket runs inside a bracket — packets off the socket, packets
+// off the handoff ring, queue groups — and a supervised restart in the
+// middle of a slab keeps it so, whether the restart reuses the handler
+// (Resetter) or replaces it.
+func TestBatchBracketContract(t *testing.T) {
+	for _, m := range ingestModes {
+		for _, resetter := range []bool{false, true} {
+			for _, batch := range []int{1, 8} {
+				name := fmt.Sprintf("%s/resetter=%v/batch=%d", m.name, resetter, batch)
+				t.Run(name, func(t *testing.T) {
+					const perIO, poisonEvery = 64, 5
+					clean := 0
+					ios := make([]PacketIO, m.ios)
+					for i := range ios {
+						var script []Packet
+						for k := 0; k < perIO; k++ {
+							p := Packet{Src: srcAP(k % 9), Dst: srcAP(0), Payload: []byte{byte(k)}}
+							if k%poisonEvery == 2 { // mid-slab at batch 8
+								p.Payload = poison
+							} else {
+								clean++
+							}
+							script = append(script, p)
+						}
+						ios[i] = newScriptIO(script)
+					}
+					rg := &bracketRig{t: t, cur: make(map[int]*bracketHandler)}
+					e, err := New(Config{
+						Env:        realnet.New(),
+						IOs:        ios,
+						Shards:     m.shards,
+						Ingest:     m.ingest,
+						Batch:      batch,
+						NewHandler: rg.newHandler(resetter),
+						Observer:   panicOnPoison,
+						Supervisor: SupervisorConfig{Enabled: true, MaxRestarts: 1000},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Start()
+					if e.Affine() {
+						for i := 0; i < 8; i++ {
+							if e.Handoff(i%m.shards, Packet{Src: srcAP(100 + i), Payload: []byte{1}}) {
+								clean++
+							}
+						}
+					}
+					waitCount(t, &rg.handled, uint64(clean))
+					e.Close() // joins the procs: handler fields are safe to read
+
+					if got := rg.handled.Load(); got != uint64(clean) {
+						t.Errorf("handled %d packets, want %d", got, clean)
+					}
+					restarts := e.Supervision().ShardRestarts
+					if restarts == 0 {
+						t.Error("poison packets caused no restarts")
+					}
+					wantHandlers := m.shards
+					if !resetter {
+						wantHandlers += int(restarts)
+					}
+					if len(rg.all) != wantHandlers {
+						t.Errorf("%d handlers constructed over %d restarts, want %d", len(rg.all), restarts, wantHandlers)
+					}
+					for _, h := range rg.all {
+						if h.open {
+							t.Errorf("shard %d: a bracket was left open", h.shard)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -161,25 +161,27 @@ func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 }
 
 // dispatchSupervised is the supervised analogue of the direct
-// Observer+HandlePacket call: panics are contained to this one packet.
-// The Observer runs inside the recover boundary, which doubles as the
-// panic-injection hook for tests.
-func (e *Engine) dispatchSupervised(shard int, pkt Packet) {
+// Observer+HandlePacket call on shard's current handler h: panics are
+// contained to this one packet. The Observer runs inside the recover
+// boundary, which doubles as the panic-injection hook for tests. It reports
+// whether a restart replaced h, so the caller can move its batch bracket.
+func (e *Engine) dispatchSupervised(shard int, h Handler, pkt Packet) (replaced bool) {
 	ss := &e.sup.shards[shard]
 	if ss.tripped.Load() {
 		e.dispatchTripped(shard, pkt)
-		return
+		return false
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			e.quarantinePacket(shard, pkt, r)
-			e.restartShard(shard)
+			replaced = e.restartShard(shard)
 		}
 	}()
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(shard, pkt)
 	}
-	e.Handler(shard).HandlePacket(pkt)
+	h.HandlePacket(pkt)
+	return false
 }
 
 // dispatchTripped applies the trip policy to one packet.
@@ -203,8 +205,9 @@ func (e *Engine) dispatchTripped(shard int, pkt Packet) {
 // slice of the verified-source cache is flushed — a panic mid-update could
 // have left either inconsistent. Exhausting the restart budget inside the
 // rolling window trips the shard instead. Runs in the owning worker's
-// context, inside the dispatch recover.
-func (e *Engine) restartShard(shard int) {
+// context, inside the dispatch recover. It reports whether the shard now has
+// a new handler object (false for a Resetter, and for a trip).
+func (e *Engine) restartShard(shard int) (replaced bool) {
 	sc := &e.cfg.Supervisor
 	ss := &e.sup.shards[shard]
 	now := e.cfg.Env.Now()
@@ -220,7 +223,7 @@ func (e *Engine) restartShard(shard int) {
 	ss.recent = append(keep, now)
 	if len(ss.recent) > sc.MaxRestarts {
 		e.tripShard(shard)
-		return
+		return false
 	}
 
 	// Fresh state. A panic during reset means the handler cannot recover
@@ -233,9 +236,10 @@ func (e *Engine) restartShard(shard int) {
 	e.shards[shard].verified.flush()
 	if r, ok := e.Handler(shard).(Resetter); ok {
 		r.ResetShard()
-	} else {
-		e.setHandler(shard, e.cfg.NewHandler(shard))
+		return false
 	}
+	e.setHandler(shard, e.cfg.NewHandler(shard))
+	return true
 }
 
 func (e *Engine) tripShard(shard int) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsguard/internal/netapi"
 	"dnsguard/internal/realnet"
 )
 
@@ -246,13 +247,33 @@ func TestCloseJoinsProcsNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// freezableEnv is an Env whose clock a test can stop.
+type freezableEnv struct {
+	netapi.Env
+	frozen atomic.Bool
+	at     time.Duration // Now() once frozen; written before frozen is set
+}
+
+func (f *freezableEnv) Now() time.Duration {
+	if f.frozen.Load() {
+		return f.at
+	}
+	return f.Env.Now()
+}
+
+func (f *freezableEnv) freeze() {
+	f.at = f.Env.Now()
+	f.frozen.Store(true)
+}
+
 // TTL expiry deletes cache entries from inside VerifiedCred while other
 // procs concurrently promote the same sources (MarkVerified) and classify
 // admissions (has). Run under -race this pins down the locking contract.
 func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
+	env := &freezableEnv{Env: realnet.New()}
 	e, err := New(Config{
-		Env:             realnet.New(),
+		Env:             env,
 		IOs:             []PacketIO{newFakeIO(1)},
 		Shards:          2,
 		FastPathTTL:     50 * time.Microsecond, // expire constantly mid-race
@@ -286,6 +307,9 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	}
 	wg.Wait()
 	// Coherence after the storm: a fresh promotion is immediately visible.
+	// The clock is stopped so the 50 µs TTL cannot lapse between the two
+	// calls when the scheduler preempts this goroutine.
+	env.freeze()
 	e.MarkVerified(addrs[0], "final")
 	if cred, ok := e.VerifiedCred(addrs[0]); !ok || cred != "final" {
 		t.Fatalf("VerifiedCred = (%q, %v) after race storm", cred, ok)

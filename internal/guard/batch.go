@@ -1,18 +1,14 @@
-// Per-shard batch bracket. When the engine dispatches a dequeued batch it
-// wraps the per-packet HandlePacket calls in BeginBatch/EndBatch; the shard
-// uses the bracket to amortize two hot-path costs across the batch: the
-// cookie keyring read-lock (one BatchVerifier snapshot instead of one lock
-// per verification) and the egress write path (worker-context replies are
-// coalesced and flushed in one BatchWriter call). Outside a bracket — in
-// particular whenever Config.Batch <= 1 — every helper falls through to the
-// exact single-packet code path, so per-packet runs are untouched.
+// Per-shard batch bracket. The engine wraps every run of HandlePacket calls
+// in BeginBatch/EndBatch — a slab off the socket, a queue group, a handed-off
+// packet; one packet at Batch 1 — and the shard amortizes two hot-path costs
+// over the bracket: the cookie keyring is snapshotted once, and the replies
+// its packets produce leave in one coalesced BatchWriter call.
 package guard
 
 import (
 	"net/netip"
 	"sync/atomic"
 
-	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 )
@@ -22,45 +18,12 @@ var _ engine.BatchHandler = (*remoteShard)(nil)
 // BeginBatch implements engine.BatchHandler: snapshot the cookie keyring
 // once for the whole batch. A rotation landing mid-batch takes effect at the
 // next batch, indistinguishable from it landing a few packets later.
-func (s *remoteShard) BeginBatch(int) {
-	if s.bv == nil {
-		s.bv = cookie.NewBatchVerifier()
-	}
-	s.bv.Reset(s.g.cfg.Auth)
-	s.inBatch = true
-}
+func (s *remoteShard) BeginBatch(int) { s.bv.Reset(s.g.cfg.Auth) }
 
-// EndBatch implements engine.BatchHandler: close the bracket and flush the
-// replies the batch's packets produced.
+// EndBatch implements engine.BatchHandler: flush the replies the batch's
+// packets produced, in arrival order, through the capture interface's batch
+// writer when it has one.
 func (s *remoteShard) EndBatch() {
-	s.inBatch = false
-	s.flushReplies()
-}
-
-// reply emits a guard-originated response from a worker-context handler.
-// Inside a batch bracket the packed reply is buffered for EndBatch's
-// coalesced flush; otherwise it goes straight out, exactly as g.reply does.
-// Stats and CPU charges accrue here either way, keeping per-packet
-// accounting identical across modes. Reply sites that run outside worker
-// context (the upstream loops) must keep calling g.reply.
-func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
-	g := s.g
-	if !s.inBatch {
-		g.reply(from, to, msg)
-		return
-	}
-	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return
-	}
-	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
-	g.charge(g.cfg.Costs.PacketOp)
-	s.outbuf = append(s.outbuf, Packet{Src: from, Dst: to, Payload: wire})
-}
-
-// flushReplies writes the batch's buffered replies in arrival order, through
-// the capture interface's batch writer when it has one.
-func (s *remoteShard) flushReplies() {
 	if len(s.outbuf) == 0 {
 		return
 	}
@@ -78,35 +41,17 @@ func (s *remoteShard) flushReplies() {
 	s.outbuf = s.outbuf[:0]
 }
 
-// mint returns the cookie for src: from the batch snapshot inside a bracket,
-// from the live authenticator otherwise.
-func (s *remoteShard) mint(src netip.Addr) cookie.Cookie {
-	if s.inBatch {
-		return s.bv.Mint(src)
+// reply emits a guard-originated response from a worker-context handler: the
+// packed reply is buffered for EndBatch's flush. Stats and CPU charges accrue
+// here, exactly as in g.reply. Reply sites that run outside worker context
+// (the upstream loop) have no bracket and must keep calling g.reply.
+func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
+	g := s.g
+	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
+	if err != nil {
+		return
 	}
-	return s.g.cfg.Auth.Mint(src)
-}
-
-// verifyCookie is Authenticator.Verify routed through the batch snapshot.
-func (s *remoteShard) verifyCookie(src netip.Addr, c cookie.Cookie) bool {
-	if s.inBatch {
-		return s.bv.Verify(src, c)
-	}
-	return s.g.cfg.Auth.Verify(src, c)
-}
-
-// verifyLabel is NSCodec.VerifyLabel routed through the batch snapshot.
-func (s *remoteShard) verifyLabel(src netip.Addr, label string) bool {
-	if s.inBatch {
-		return s.bv.VerifyLabel(s.g.nsc, src, label)
-	}
-	return s.g.nsc.VerifyLabel(s.g.cfg.Auth, src, label)
-}
-
-// verifyIP is IPCodec.Verify routed through the batch snapshot.
-func (s *remoteShard) verifyIP(src, addr netip.Addr) bool {
-	if s.inBatch {
-		return s.bv.VerifyIP(s.g.ipc, src, addr)
-	}
-	return s.g.ipc.Verify(s.g.cfg.Auth, src, addr)
+	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
+	g.charge(g.cfg.Costs.PacketOp)
+	s.outbuf = append(s.outbuf, Packet{Src: from, Dst: to, Payload: wire})
 }

@@ -1,8 +1,9 @@
 // Batch capture adapters. TapIO and SocketIO implement the engine's
-// optional BatchReader/BatchWriter capabilities so a guard configured with
-// Batch > 1 moves whole slabs per wakeup. Scratch state (netsim packet
-// slices, Datagram slabs) is pooled — the engine calls ReadBatch on a value
-// receiver, so per-call reuse has to live outside the adapter.
+// optional BatchReader/BatchWriter capabilities, so the engine reads both
+// through ReadBatch at every Batch setting (a one-slot slab at Batch 1).
+// Scratch state (netsim packet slices, Datagram slabs) is pooled — the
+// engine calls ReadBatch on a value receiver, so per-call reuse has to live
+// outside the adapter.
 package guard
 
 import (

@@ -96,6 +96,14 @@ func newFastHarness(t *testing.T, mutate func(*RemoteConfig)) *fastHarness {
 	return &fastHarness{g: g, s: g.shards[0], io: io, up: up}
 }
 
+// handle runs one packet through the shard as the engine does: inside a
+// batch bracket of one.
+func (h *fastHarness) handle(pkt Packet) {
+	h.s.BeginBatch(1)
+	h.s.HandlePacket(pkt)
+	h.s.EndBatch()
+}
+
 // nsQueryWire packs a query for the fabricated name carrying src's cookie.
 func (h *fastHarness) nsQueryWire(t *testing.T, src netip.Addr, child string, id uint16) []byte {
 	t.Helper()
@@ -131,7 +139,7 @@ func TestFastNSMatchesSlowPath(t *testing.T) {
 	ans := h.g.cfg.ANSAddr
 
 	exchange := func() (fwd, reply []byte) {
-		h.s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
 		if h.up.n == 0 {
 			t.Fatal("no forward emitted")
 		}
@@ -183,13 +191,13 @@ func TestFastEntryMaterializes(t *testing.T) {
 	query := h.nsQueryWire(t, src.Addr(), "www.foo.com", 0x77)
 
 	// Warm the cache (slow exchange), then forward the same query fast.
-	h.s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
+	h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
 	warm := append([]byte(nil), h.up.buf[:h.up.n]...)
 	warm[2] |= 0x80
 	h.s.handleUpstream(warm, h.g.cfg.ANSAddr)
 
 	before := h.g.Stats.Load()
-	h.s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
+	h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), query...)})
 	if h.g.Stats.Load().FastPathHits != before.FastPathHits+1 {
 		t.Fatal("query did not take the fast path")
 	}
@@ -247,7 +255,7 @@ func TestFastPassthroughRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := append([]byte(nil), query...)
-	h.s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: payload})
+	h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: payload})
 	st := h.g.Stats.Load()
 	if st.Passthrough != 1 || st.ForwardedToANS != 1 {
 		t.Fatalf("passthrough counters %+v", st)
@@ -287,7 +295,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 
 	// Warm: one slow exchange installs the verified entry and sizes the
 	// entry-pool buffers.
-	h.s.HandlePacket(pkt)
+	h.handle(pkt)
 	resp := make([]byte, 0, dnswire.MaxUDPSize)
 	consume := func() {
 		resp = append(resp[:0], h.up.buf[:h.up.n]...)
@@ -298,7 +306,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	consume()
 
 	if n := testing.AllocsPerRun(200, func() {
-		h.s.HandlePacket(pkt)
+		h.handle(pkt)
 		consume()
 	}); n != 0 {
 		t.Errorf("verified NS cycle allocates %.1f/op, want 0", n)
@@ -312,7 +320,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ppkt := Packet{Src: src, Dst: hp.g.cfg.PublicAddr, Payload: plain}
-	hp.s.HandlePacket(ppkt)
+	hp.handle(ppkt)
 	presp := make([]byte, 0, dnswire.MaxUDPSize)
 	pconsume := func() {
 		presp = append(presp[:0], hp.up.buf[:hp.up.n]...)
@@ -321,7 +329,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	}
 	pconsume()
 	if n := testing.AllocsPerRun(200, func() {
-		hp.s.HandlePacket(ppkt)
+		hp.handle(ppkt)
 		pconsume()
 	}); n != 0 {
 		t.Errorf("passthrough relay cycle allocates %.1f/op, want 0", n)

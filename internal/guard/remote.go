@@ -62,19 +62,19 @@ type RemoteConfig struct {
 	IOs []PacketIO
 	// Shards is the dataplane worker count; every per-source structure
 	// (pending NAT table, rate limiters, verifier) is owned by the shard
-	// the source address hashes to. 0 and 1 mean one shard, which runs the
-	// pre-engine inline pipeline and reproduces it exactly.
+	// the source address hashes to. 0 and 1 mean one shard, which handles
+	// packets in its capture loop with no queue hop.
 	Shards int
 	// QueueDepth bounds each shard's ingress queue (multi-shard only).
 	// 0 means the engine default.
 	QueueDepth int
-	// Batch is the number of datagrams the dataplane moves per read when the
-	// capture interface supports it (TapIO and SocketIO both do). 0 and 1
-	// mean per-packet I/O, which reproduces the pre-batching dataplane
-	// event for event. Larger values amortize the read syscall, the shard
-	// queue hop, the cookie-keyring lock, and the egress writes across the
-	// batch; per-packet semantics (admission policy, supervision, observer,
-	// all counters) are unchanged.
+	// Batch is the most datagrams one read may return, on the capture
+	// interface and on each shard's upstream socket. 0 and 1 mean one
+	// datagram per read. The loops are the same at every value; larger
+	// values amortize the read syscall, the shard queue hop, the keyring
+	// snapshot, and the egress writes over the packets that were already
+	// waiting. Per-packet semantics (admission policy, supervision,
+	// observer, all counters) do not depend on it.
 	Batch int
 	// Ingest selects how packets reach shard workers (see engine.IngestMode).
 	// The zero value (engine.IngestAuto) picks shard-affine ingest — one read
@@ -325,21 +325,21 @@ type pendEntry struct {
 // locks. With Shards == 1 the engine runs inline and the guard behaves —
 // event for event — like the original single-loop implementation.
 type Remote struct {
-	cfg    RemoteConfig
-	nsc    cookie.NSCodec
-	ipc    cookie.IPCodec
+	cfg RemoteConfig
+	nsc cookie.NSCodec
+	ipc cookie.IPCodec
 
 	// nsPrefix/nsPrefixLen cache the NS codec's label geometry for the wire
 	// fast path: the effective (lowercase) label prefix and the full cookie
 	// label length it implies.
 	nsPrefix    string
 	nsPrefixLen int
-	eng    *engine.Engine
-	shards []*remoteShard
-	rate   *ratelimit.RateEstimator
-	rateMu sync.Mutex // serializes the rate estimator across shard workers
-	active atomic.Bool
-	closed atomic.Bool
+	eng         *engine.Engine
+	shards      []*remoteShard
+	rate        *ratelimit.RateEstimator
+	rateMu      sync.Mutex // serializes the rate estimator across shard workers
+	active      atomic.Bool
+	closed      atomic.Bool
 
 	// Planned-change lifecycle (lifecycle.go): the state machine gauge and
 	// its counters. Zero value = serving, so guards that never drain are
@@ -389,9 +389,8 @@ type remoteShard struct {
 	// Batch-bracket state, touched only by the shard's worker between
 	// BeginBatch and EndBatch (see batch.go): the keyring snapshot and the
 	// coalesced-egress reply buffer.
-	bv      *cookie.BatchVerifier
-	inBatch bool
-	outbuf  []Packet
+	bv     *cookie.BatchVerifier
+	outbuf []Packet
 
 	// Fast-path scratch (fastpath.go). entryPool is the pendEntry free list
 	// (under mu); credBuf and wireBuf are worker-context scratch for the
@@ -512,6 +511,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl1:     ratelimit.NewLimiter1(cfg.RL1, now),
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				pending: make(map[uint16]*pendEntry),
+				bv:      cookie.NewBatchVerifier(),
 				credBuf: append(make([]byte, 0, 3+g.nsPrefixLen), "ns:"...)[:3+g.nsPrefixLen],
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, dnswire.MaxUDPSize),
@@ -813,7 +813,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, msg *dnswire.Message) {
 	// DNS-based: fabricate "child NS <cookie+label>" with a long TTL and
 	// no glue, so the LRS must come back through us to resolve it.
 	g.charge(g.cfg.Costs.CookieGrant)
-	c := s.mint(pkt.Src.Addr())
+	c := s.bv.Mint(pkt.Src.Addr())
 	fabName, err := FabricateNSName(g.nsc, c, child)
 	if err != nil {
 		// Label too long to carry a cookie; fall back to TCP.
@@ -867,7 +867,7 @@ func (s *remoteShard) handleNSCookie(pkt Packet, msg *dnswire.Message, label str
 	g := s.g
 	if cred := "ns:" + label; !s.fastPath(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.verifyLabel(pkt.Src.Addr(), label) {
+		if !s.bv.VerifyLabel(g.nsc, pkt.Src.Addr(), label) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
@@ -899,7 +899,7 @@ func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 	dst16 := pkt.Dst.Addr().As16()
 	if cred := "ip:" + string(dst16[:]); !s.fastPath(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.verifyIP(pkt.Src.Addr(), pkt.Dst.Addr()) {
+		if !s.bv.VerifyIP(g.ipc, pkt.Src.Addr(), pkt.Dst.Addr()) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
@@ -943,13 +943,13 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.
 		g.charge(g.cfg.Costs.CookieGrant)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		resp := msg.Response()
-		AttachCookie(resp, s.mint(pkt.Src.Addr()), g.cfg.NSTTL)
+		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), g.cfg.NSTTL)
 		s.reply(pkt.Dst, pkt.Src, resp)
 		return
 	}
 	if cred := "ck:" + string(c[:]); !s.fastPath(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.verifyCookie(pkt.Src.Addr(), c) {
+		if !s.bv.Verify(pkt.Src.Addr(), c) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
