@@ -17,6 +17,7 @@ import (
 	"dnsguard"
 	"dnsguard/internal/daemon"
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/metrics"
 )
 
 func main() {
@@ -73,6 +74,7 @@ func run() error {
 	if *metricsAddr != "" {
 		reg := dnsguard.NewMetrics()
 		srv.Stats.MetricsInto(reg)
+		metrics.RuntimeInto(reg)
 		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
 			return fmt.Errorf("serving metrics: %w", err)

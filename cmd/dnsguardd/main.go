@@ -44,6 +44,7 @@ import (
 	"dnsguard"
 	"dnsguard/internal/daemon"
 	"dnsguard/internal/guard"
+	"dnsguard/internal/metrics"
 )
 
 func main() {
@@ -206,7 +207,7 @@ func run() error {
 	}
 	cfg.IOs = make([]guard.PacketIO, len(conns))
 	for i, c := range conns {
-		cfg.IOs[i] = guard.SocketIO{Conn: c}
+		cfg.IOs[i] = &guard.SocketIO{Conn: c}
 	}
 	cfg.PublicAddr = conns[0].LocalAddr()
 	if err := cfg.Validate(); err != nil {
@@ -255,6 +256,7 @@ func run() error {
 		// The metrics listener doubles as the health endpoint: /healthz is
 		// process liveness, /readyz the catchment-readmission gate (guard
 		// lifecycle serving, ingress backlog under threshold).
+		metrics.RuntimeInto(reg)
 		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg,
 			g.Healthz,
 			func() error { return g.Ready(0) })

@@ -19,6 +19,7 @@ import (
 import (
 	"dnsguard"
 	"dnsguard/internal/daemon"
+	"dnsguard/internal/metrics"
 )
 
 func main() {
@@ -106,6 +107,7 @@ func run() error {
 	srv.Stats.MetricsInto(reg)
 	var hooks daemon.Hooks
 	if *metricsAddr != "" {
+		metrics.RuntimeInto(reg)
 		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
 			return fmt.Errorf("serving metrics: %w", err)

@@ -149,7 +149,7 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	}
 	g, err := NewRemoteGuard(RemoteGuardConfig{
 		Env:        env,
-		IO:         guard.SocketIO{Conn: guardSock},
+		IO:         &guard.SocketIO{Conn: guardSock},
 		PublicAddr: guardSock.LocalAddr(),
 		ANSAddr:    srv.Addr(),
 		Zone:       MustName("example.com"),

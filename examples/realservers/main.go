@@ -69,7 +69,7 @@ func run() error {
 	}
 	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 		Env:        env,
-		IO:         guard.SocketIO{Conn: guardSock},
+		IO:         &guard.SocketIO{Conn: guardSock},
 		PublicAddr: guardSock.LocalAddr(),
 		ANSAddr:    srv.Addr(),
 		Zone:       dnsguard.MustName("foo.com"),

@@ -111,6 +111,11 @@ const (
 	// MaxUDPSize is the classic RFC 1035 UDP payload limit; larger
 	// responses must be truncated with the TC flag set.
 	MaxUDPSize = 512
+	// MaxDatagram is the largest UDP datagram any component accepts (the
+	// common EDNS0 ceiling). Receive slots are sized MaxDatagram+1, so a
+	// datagram that fills its slot is known to be over the limit without
+	// the socket layer having to report truncation.
+	MaxDatagram = 4096
 	// MaxMessageSize bounds any DNS message (the TCP length prefix is 16
 	// bits).
 	MaxMessageSize = 65535

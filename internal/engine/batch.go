@@ -4,6 +4,15 @@
 // reader splits it into per-shard groups that cross the ingress queues as
 // one item each, and the worker dispatches a group as it would a slab. A
 // single datagram is a batch of one; there is no second path for it.
+//
+// Payload ownership: a capture interface lends the payloads it returns
+// until the next read on it (PacketIO.Read, BatchReader). The shard loop
+// finishes with a slab before it reads again, so it dispatches the lent
+// bytes as they are. A qbatch outlives the read that produced its packets —
+// it waits in a queue or a ring — so qbatch.add copies each payload into
+// the group's own buffer; that and Handoff, which parks a caller's packet
+// the same way, are the only copies on the ingress side. Handlers in turn
+// only borrow what HandlePacket is given.
 package engine
 
 import (
@@ -18,9 +27,9 @@ import (
 // BatchReader is an optional PacketIO capability: fill up to len(pkts)
 // packets per call, blocking per netapi timeout rules for the first and
 // taking only what is already buffered after it (netapi.BatchConn
-// semantics; n >= 1 when err is nil). Payloads must be caller-owned, like
-// Read's. An interface without it is read one datagram per call through
-// Read.
+// semantics; n >= 1 when err is nil). Payloads are lent like Read's: valid
+// until the next Read or ReadBatch on the interface, which may overwrite
+// them. An interface without it is read one datagram per call through Read.
 type BatchReader interface {
 	ReadBatch(pkts []Packet, timeout time.Duration) (int, error)
 }
@@ -70,21 +79,33 @@ func batchReader(io PacketIO) BatchReader {
 }
 
 // qbatch is what ingress queues and handoff rings carry: packets bound for
-// one shard plus their shared enqueue time (for the wait histogram). Pooled,
-// so boxing the pointer into the queue's `any` slot costs no allocation
-// steady-state.
+// one shard, the buffer holding their payloads, and their shared enqueue
+// time (for the wait histogram). Pooled, so boxing the pointer into the
+// queue's `any` slot costs no allocation steady-state and the buffer is
+// reused from group to group.
 type qbatch struct {
 	pkts     []Packet
+	buf      []byte
 	enqueued time.Duration
 }
 
 var qbatchPool = sync.Pool{New: func() any { return new(qbatch) }}
 
+// add appends pkt with its payload copied into the group's buffer. When the
+// buffer grows, packets added earlier keep pointing into the array it
+// outgrew, which stays intact until the group is recycled.
+func (b *qbatch) add(pkt Packet) {
+	off := len(b.buf)
+	b.buf = append(b.buf, pkt.Payload...)
+	pkt.Payload = b.buf[off:len(b.buf):len(b.buf)]
+	b.pkts = append(b.pkts, pkt)
+}
+
 func putQBatch(b *qbatch) {
 	for i := range b.pkts {
-		b.pkts[i] = Packet{} // drop payload refs so the pool pins no buffers
+		b.pkts[i] = Packet{} // drop refs to arrays the buffer outgrew
 	}
-	b.pkts = b.pkts[:0]
+	b.pkts, b.buf = b.pkts[:0], b.buf[:0]
 	qbatchPool.Put(b)
 }
 
@@ -172,7 +193,7 @@ func (e *Engine) runReader(reader int, br BatchReader) {
 				b.enqueued = now
 				groups[slot] = b
 			}
-			b.pkts = append(b.pkts, pkts[i])
+			b.add(pkts[i])
 		}
 		for slot, b := range groups {
 			if b == nil {

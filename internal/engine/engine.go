@@ -67,7 +67,8 @@ type Packet struct {
 // sockets both adapt to it.
 type PacketIO interface {
 	// Read blocks until a packet arrives, the timeout elapses, or the
-	// interface closes.
+	// interface closes. The payload is lent: it is valid until the next
+	// read on the interface, and a caller that keeps it longer copies it.
 	Read(timeout time.Duration) (Packet, error)
 	// WriteFromTo emits a datagram with an explicit source.
 	WriteFromTo(src, dst netip.AddrPort, payload []byte) error
@@ -86,6 +87,8 @@ type FlowStable interface {
 
 // Handler consumes packets on one shard. HandlePacket is called from that
 // shard's worker only, so a handler may keep per-shard state without locks.
+// pkt.Payload is borrowed for the call: the handler may patch it in place
+// but copies whatever it keeps.
 type Handler interface {
 	HandlePacket(pkt Packet)
 }
@@ -446,15 +449,16 @@ func (e *Engine) spawn(name string, fn func()) {
 // between shards (e.g. re-homing a flow after a shard restart, or an
 // operator-driven drain). The owning loop handles it before its next read,
 // and within handoffPoll even if its socket stays silent. It reports false
-// when the engine is not in affine mode or the ring is full; the caller
-// keeps ownership of a refused packet. Handoff is not a data path: the ring
-// is small.
+// when the engine is not in affine mode or the ring is full. The payload is
+// copied, so the caller's buffer is its own again as soon as Handoff
+// returns, parked or refused. Handoff is not a data path: the ring is small.
 func (e *Engine) Handoff(shard int, pkt Packet) bool {
 	if !e.affine || shard < 0 || shard >= len(e.shards) {
 		return false
 	}
 	b := qbatchPool.Get().(*qbatch)
-	b.pkts, b.enqueued = append(b.pkts, pkt), e.cfg.Env.Now()
+	b.add(pkt)
+	b.enqueued = e.cfg.Env.Now()
 	if !e.shards[shard].handoff.Put(b) {
 		putQBatch(b)
 		return false

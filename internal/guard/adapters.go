@@ -40,13 +40,19 @@ func (t TapIO) Close() error { return t.Tap.Close() }
 // destination is the socket's own address and replies always originate from
 // it. The fabricated-IP variant (which needs a whole subnet) is therefore
 // unavailable over SocketIO; use the NS-name, TCP, or modified schemes.
+//
+// Use it by pointer (&SocketIO{Conn: c}): the adapter owns the slab its
+// reader fills (batchio.go), so it serves one reading proc at a time — the
+// engine runs exactly one per interface. Writes may come from any proc.
 type SocketIO struct {
 	Conn netapi.UDPConn
+
+	slab []netapi.Datagram // ingest slab, allocated by the first read
 }
 
 var (
-	_ PacketIO          = SocketIO{}
-	_ engine.FlowStable = SocketIO{}
+	_ PacketIO          = (*SocketIO)(nil)
+	_ engine.FlowStable = (*SocketIO)(nil)
 )
 
 // FlowStable bridges the engine's ingest-eligibility probe to the
@@ -55,25 +61,25 @@ var (
 // qualify, shared-fd handles and netsim shims do not). TapIO deliberately
 // lacks this method: taps fan out from a central queue, so affine ingest
 // would break source→shard determinism there.
-func (s SocketIO) FlowStable() bool {
+func (s *SocketIO) FlowStable() bool {
 	fs, ok := s.Conn.(netapi.FlowStableConn)
 	return ok && fs.FlowStable()
 }
 
-// Read implements PacketIO.
-func (s SocketIO) Read(timeout time.Duration) (Packet, error) {
-	payload, src, err := s.Conn.ReadFrom(timeout)
-	if err != nil {
+// Read implements PacketIO: a one-slot ReadBatch, under the same borrow rule.
+func (s *SocketIO) Read(timeout time.Duration) (Packet, error) {
+	var one [1]Packet
+	if _, err := s.ReadBatch(one[:], timeout); err != nil {
 		return Packet{}, err
 	}
-	return Packet{Src: src, Dst: s.Conn.LocalAddr(), Payload: payload}, nil
+	return one[0], nil
 }
 
 // WriteFromTo implements PacketIO; src must be the socket's own address
 // (userspace cannot spoof), so it is ignored.
-func (s SocketIO) WriteFromTo(_, dst netip.AddrPort, payload []byte) error {
+func (s *SocketIO) WriteFromTo(_, dst netip.AddrPort, payload []byte) error {
 	return s.Conn.WriteTo(payload, dst)
 }
 
 // Close implements PacketIO.
-func (s SocketIO) Close() error { return s.Conn.Close() }
+func (s *SocketIO) Close() error { return s.Conn.Close() }

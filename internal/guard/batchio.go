@@ -1,15 +1,21 @@
 // Batch capture adapters. TapIO and SocketIO implement the engine's
 // optional BatchReader/BatchWriter capabilities, so the engine reads both
 // through ReadBatch at every Batch setting (a one-slot slab at Batch 1).
-// Scratch state (netsim packet slices, Datagram slabs) is pooled — the
-// engine calls ReadBatch on a value receiver, so per-call reuse has to live
-// outside the adapter.
+//
+// Payloads are lent, not given (engine.BatchReader): what ReadBatch returns
+// is valid until the next read on the same adapter. SocketIO hands out its
+// own ingest slab in place — Batch slots of dnswire.MaxDatagram+1 bytes, the
+// one packet buffer a shard owns on the ingress side — so a read copies
+// nothing and allocates nothing. A tap's payloads happen to be the
+// simulator's per-delivery clones, which outlive the rule. Write-side
+// scratch is pooled, because several procs write through one adapter.
 package guard
 
 import (
 	"sync"
 	"time"
 
+	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
@@ -18,15 +24,14 @@ import (
 var (
 	_ engine.BatchReader = TapIO{}
 	_ engine.BatchWriter = TapIO{}
-	_ engine.BatchReader = SocketIO{}
-	_ engine.BatchWriter = SocketIO{}
+	_ engine.BatchReader = (*SocketIO)(nil)
+	_ engine.BatchWriter = (*SocketIO)(nil)
 )
 
 // tapScratch pools the netsim.Packet slices ReadBatch converts from.
 var tapScratch = sync.Pool{New: func() any { return new([]netsim.Packet) }}
 
-// ReadBatch implements engine.BatchReader over the tap's batch read.
-// Payloads arrive caller-owned from the simulator, so the conversion is a
+// ReadBatch implements engine.BatchReader over the tap's batch read: a
 // per-packet header copy, no payload copy.
 func (t TapIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	sp := tapScratch.Get().(*[]netsim.Packet)
@@ -58,55 +63,34 @@ func (t TapIO) WriteBatch(pkts []Packet) error {
 	return nil
 }
 
-// socketSlot sizes read-slab buffers: 64 KiB covers any UDP payload, the
-// same bound the single-packet ReadFrom path uses, so batching never
-// introduces truncation the per-packet path would not have.
-const socketSlot = 65536
+// socketViews pools write-side Datagram slices (slot buffers grown on demand
+// by Datagram.Set).
+var socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
 
-// socketSlabs pools read slabs (slot buffers reused across batches) and
-// socketViews pools write-side Datagram slices (slot buffers grown on
-// demand by Datagram.Set).
-var (
-	socketSlabs = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
-	socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
-)
-
-// ReadBatch implements engine.BatchReader: one BatchConn read into a pooled
-// slab, then one arena allocation sized to the batch's total payload bytes —
-// the handed-out packets are caller-owned (the engine queues them past this
-// call) while the slab's 64 KiB slots stay hot for the next read.
-func (s SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
-	sp := socketSlabs.Get().(*[]netapi.Datagram)
-	if cap(*sp) < len(pkts) {
-		*sp = netapi.NewSlab(len(pkts), socketSlot)
+// ReadBatch implements engine.BatchReader: one BatchConn read into the
+// adapter's slab, handed out in place. A slot is one byte larger than the
+// largest datagram the guard accepts, so a longer datagram arrives with
+// len(Payload) > dnswire.MaxDatagram and the handlers drop it as oversize.
+func (s *SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	if len(s.slab) < len(pkts) {
+		s.slab = netapi.NewSlab(len(pkts), dnswire.MaxDatagram+1)
 	}
-	slab := (*sp)[:len(pkts)]
+	slab := s.slab[:len(pkts)]
 	n, err := netapi.AsBatch(s.Conn).ReadBatch(slab, timeout)
 	if err != nil {
-		socketSlabs.Put(sp)
 		return 0, err
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += slab[i].N
-	}
-	arena := make([]byte, total)
 	local := s.Conn.LocalAddr()
-	off := 0
 	for i := 0; i < n; i++ {
-		p := arena[off : off+slab[i].N : off+slab[i].N]
-		copy(p, slab[i].Payload())
-		off += slab[i].N
-		pkts[i] = Packet{Src: slab[i].Addr, Dst: local, Payload: p}
+		pkts[i] = Packet{Src: slab[i].Addr, Dst: local, Payload: slab[i].Payload()}
 	}
-	socketSlabs.Put(sp)
 	return n, nil
 }
 
 // WriteBatch implements engine.BatchWriter; as with WriteFromTo, the source
 // address is the socket's own and cannot be spoofed from userspace, so only
 // each packet's destination is used.
-func (s SocketIO) WriteBatch(pkts []Packet) error {
+func (s *SocketIO) WriteBatch(pkts []Packet) error {
 	vp := socketViews.Get().(*[]netapi.Datagram)
 	if cap(*vp) < len(pkts) {
 		*vp = make([]netapi.Datagram, len(pkts))

@@ -1,0 +1,609 @@
+package guard
+
+import (
+	"bytes"
+	"fmt"
+	"net/netip"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"dnsguard/internal/cookie"
+	"dnsguard/internal/dnswire"
+	"dnsguard/internal/engine"
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/realnet"
+)
+
+// The borrow contract (engine.BatchReader, netapi.Datagram): a payload a
+// read returns is valid until the next read on the same interface. The tests
+// here make "next read" as hostile as the contract allows — every slot of
+// the previous read is overwritten before the next one fills any — and
+// require the guard to behave exactly as it does when nothing is overwritten.
+
+const poisonByte = 0xA5
+
+// poisonIO wraps a capture interface and scribbles over everything the
+// previous read lent out before it reads again.
+type poisonIO struct {
+	PacketIO
+	lent [][]byte
+}
+
+func (p *poisonIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	for _, b := range p.lent {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	p.lent = p.lent[:0]
+	n, err := p.PacketIO.(engine.BatchReader).ReadBatch(pkts, timeout)
+	for i := 0; i < n; i++ {
+		p.lent = append(p.lent, pkts[i].Payload)
+	}
+	return n, err
+}
+
+func (p *poisonIO) Read(timeout time.Duration) (Packet, error) {
+	var one [1]Packet
+	_, err := p.ReadBatch(one[:], timeout)
+	return one[0], err
+}
+
+func (p *poisonIO) WriteBatch(pkts []Packet) error {
+	return p.PacketIO.(engine.BatchWriter).WriteBatch(pkts)
+}
+
+type memDgram struct {
+	b    []byte
+	addr netip.AddrPort
+}
+
+// memConn is an in-memory datagram socket with netapi.BatchConn slab
+// semantics: reads copy queued datagrams into the caller's slots (cut to the
+// slot's capacity), writes are recorded. With poison set it overwrites the
+// whole slab it is handed before filling it, as a kernel reusing the slots
+// would. answer, when set, plays the peer: called on every write, what it
+// returns is queued for reading.
+type memConn struct {
+	addr   netip.AddrPort
+	poison bool
+	answer func(b []byte) []byte
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	in     []memDgram
+	parked bool // a reader found nothing queued and is waiting
+	out    []memDgram
+	closed bool
+}
+
+func newMemConn(addr string) *memConn {
+	c := &memConn{addr: mustAP(addr)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+// push queues datagrams for the next read; a parked reader takes them all in
+// one ReadBatch (up to its slab size).
+func (c *memConn) push(ds ...memDgram) {
+	c.mu.Lock()
+	c.in = append(c.in, ds...)
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
+// waitParked blocks until the reader has consumed everything queued and come
+// back for more: whatever the last read returned is fully handled.
+func (c *memConn) waitParked(t *testing.T) {
+	t.Helper()
+	deadline := time.AfterFunc(5*time.Second, c.cond.Broadcast)
+	defer deadline.Stop()
+	start := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !(c.parked && len(c.in) == 0) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("reader of %v never came back for more (%d queued)", c.addr, len(c.in))
+		}
+		c.cond.Wait()
+	}
+}
+
+// takeOut returns and clears what was written since the last call.
+func (c *memConn) takeOut() []memDgram {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.out
+	c.out = nil
+	return out
+}
+
+func (c *memConn) ReadBatch(msgs []netapi.Datagram, _ time.Duration) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.in) == 0 && !c.closed {
+		c.parked = true
+		c.cond.Broadcast()
+		c.cond.Wait()
+	}
+	c.parked = false
+	if c.closed {
+		return 0, netapi.ErrClosed
+	}
+	if c.poison {
+		for i := range msgs {
+			b := msgs[i].Buf[:cap(msgs[i].Buf)]
+			for k := range b {
+				b[k] = poisonByte
+			}
+		}
+	}
+	n := 0
+	for n < len(msgs) && len(c.in) > 0 {
+		d := c.in[0]
+		c.in = c.in[1:]
+		if len(d.b) > cap(msgs[n].Buf) {
+			d.b = d.b[:cap(msgs[n].Buf)]
+		}
+		msgs[n].Set(d.b, d.addr)
+		n++
+	}
+	return n, nil
+}
+
+func (c *memConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
+	one := make([]netapi.Datagram, 1)
+	one[0].Buf = make([]byte, 0, dnswire.MaxDatagram+1)
+	if _, err := c.ReadBatch(one, timeout); err != nil {
+		return nil, netip.AddrPort{}, err
+	}
+	return one[0].Payload(), one[0].Addr, nil
+}
+
+func (c *memConn) WriteTo(b []byte, to netip.AddrPort) error {
+	d := memDgram{append([]byte(nil), b...), to}
+	c.mu.Lock()
+	c.out = append(c.out, d)
+	if c.answer != nil {
+		if resp := c.answer(d.b); resp != nil {
+			c.in = append(c.in, memDgram{resp, to})
+		}
+	}
+	c.mu.Unlock()
+	c.cond.Broadcast()
+	return nil
+}
+
+func (c *memConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
+	for i := range msgs {
+		_ = c.WriteTo(msgs[i].Payload(), msgs[i].Addr)
+	}
+	return len(msgs), nil
+}
+
+func (c *memConn) LocalAddr() netip.AddrPort { return c.addr }
+
+func (c *memConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
+	return nil
+}
+
+// memEnv is the real clock and real goroutines with a memConn where the
+// guard would bind its upstream socket.
+type memEnv struct {
+	*realnet.Env
+	up *memConn
+}
+
+func (e memEnv) ListenUDP(netip.AddrPort) (netapi.UDPConn, error) { return e.up, nil }
+
+// ansAnswer plays the ANS behind the guard. The first label of the question
+// picks the behaviour: "mute…" never answers (the entry stays pending),
+// "ref…" gets a referral with glue (the materializing upstream path), and
+// anything else an empty NXDOMAIN (the shape the fast upstream path takes).
+func ansAnswer(b []byte) []byte {
+	q, err := dnswire.Unpack(b)
+	if err != nil || len(q.Questions) == 0 {
+		return nil
+	}
+	name := q.Questions[0].Name
+	resp := q.Response()
+	switch first := name.FirstLabel(); {
+	case len(first) >= 4 && first[:4] == "mute":
+		return nil
+	case len(first) >= 3 && first[:3] == "ref":
+		ns := dnswire.MustName("ns1.child.test")
+		resp.Authority = []dnswire.RR{dnswire.NewRR(name, 300, &dnswire.NSData{Host: ns})}
+		resp.Additional = []dnswire.RR{dnswire.NewRR(ns, 300, &dnswire.AData{Addr: mustAddr("198.51.100.7")})}
+	default:
+		resp.Flags.RCode = dnswire.RCodeNXDomain
+	}
+	wire, err := resp.Pack()
+	if err != nil {
+		return nil
+	}
+	return wire
+}
+
+// borrowOutcome is everything a run is compared on.
+type borrowOutcome struct {
+	egress  [][]string // per step: datagrams written to clients, sorted
+	forward [][]string // per step: datagrams written upstream, transaction ID zeroed, sorted
+	stats   RemoteStats
+	fast    engine.FastPathStats
+	pending []string // NAT-table entries without their transaction IDs, sorted
+}
+
+func sortedDgrams(ds []memDgram, zeroID bool) []string {
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		b := d.b
+		if zeroID && len(b) >= 2 {
+			b = append([]byte{0, 0}, b[2:]...)
+		}
+		out[i] = fmt.Sprintf("%v %x", d.addr, b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// runBorrowScript boots a one-shard guard over a real SocketIO on an
+// in-memory socket and feeds it the steps one read at a time, waiting after
+// each for the worker and the upstream loop to come back for more.
+func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]memDgram) borrowOutcome {
+	t.Helper()
+	pub := newMemConn("192.0.2.1:53")
+	up := newMemConn("192.0.2.1:40000")
+	up.poison = poison
+	up.answer = ansAnswer
+	var io PacketIO = &SocketIO{Conn: pub}
+	if poison {
+		io = &poisonIO{PacketIO: io}
+	}
+	g, err := NewRemote(RemoteConfig{
+		Env:                 memEnv{Env: realnet.New(), up: up},
+		IO:                  io,
+		Batch:               8,
+		FastPathTTL:         time.Hour,
+		PublicAddr:          pub.addr,
+		ANSAddr:             mustAP("10.99.0.2:53"),
+		Zone:                dnswire.MustName("foo.com"),
+		Fallback:            SchemeDNS,
+		Auth:                testAuth(),
+		ActivationThreshold: threshold,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	var o borrowOutcome
+	for _, step := range steps {
+		pub.waitParked(t)
+		pub.push(step...)
+		pub.waitParked(t) // the batch is dispatched and its replies flushed,
+		up.waitParked(t)  // and every answer it drew has been relayed
+		o.egress = append(o.egress, sortedDgrams(pub.takeOut(), false))
+		o.forward = append(o.forward, sortedDgrams(up.takeOut(), true))
+	}
+	o.stats = g.Stats.Load()
+	o.fast = g.Engine().FastPath()
+	s := g.shards[0]
+	s.mu.Lock()
+	for _, e := range s.pending {
+		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d fast=%v q=%v child=%v fwdQ=%v qwire=%x fwdWire=%x up=%v",
+			e.kind, e.clientSrc, e.replyFrom, e.origID, e.fast, e.question, e.child, e.fwdQ, e.qwire, e.fwdWire, e.upstream))
+	}
+	s.mu.Unlock()
+	sort.Strings(o.pending)
+	return o
+}
+
+// TestBorrowedPayloadPoison drives every handler shape — newcomer grant,
+// first NS-cookie verification, verified repeat, the modified scheme's TXT
+// cookie request and cookie query, forged cookies, malformed and oversize
+// datagrams, and the inactive guard's raw relay — through a guard whose
+// ingress and upstream slabs are overwritten before every read, and requires
+// the bytes it emits, its counters and its NAT table to equal those of a
+// twin nobody scribbles on. A handler or pending entry that keeps a slice
+// of a lent payload shows up as a 0xA5 run in a forward or a reply.
+func TestBorrowedPayloadPoison(t *testing.T) {
+	auth := testAuth()
+	zone := "foo.com"
+	src := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, 0, byte(i)}), uint16(4000+i))
+	}
+	pack := func(m *dnswire.Message) []byte {
+		t.Helper()
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	plain := func(i int, name string) memDgram {
+		return memDgram{pack(dnswire.NewQuery(uint16(0x100+i), dnswire.MustName(name+"."+zone), dnswire.TypeA)), src(i)}
+	}
+	nsCookie := func(i int, child string, c cookie.Cookie) memDgram {
+		t.Helper()
+		fab, err := FabricateNSName(cookie.NSCodec{}, c, dnswire.MustName(child+"."+zone))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return memDgram{pack(dnswire.NewQuery(uint16(0x200+i), fab, dnswire.TypeA)), src(i)}
+	}
+	txtCookie := func(i int, name string, c cookie.Cookie) memDgram {
+		m := dnswire.NewQuery(uint16(0x300+i), dnswire.MustName(name+"."+zone), dnswire.TypeA)
+		AttachCookie(m, c, 0)
+		return memDgram{pack(m), src(i)}
+	}
+	upper := func(d memDgram) memDgram {
+		b := append([]byte(nil), d.b...)
+		for i := 12; i < len(b)-4; i++ {
+			if b[i] >= 'a' && b[i] <= 'z' {
+				b[i] -= 'a' - 'A'
+			}
+		}
+		return memDgram{b, d.addr}
+	}
+	garbage := memDgram{[]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}, src(90)}
+	response := plain(91, "www")
+	response.b[2] |= 0x80 // QR set: not a query
+	oversize := plain(92, "www")
+	oversize.b = append(oversize.b, make([]byte, dnswire.MaxDatagram+1-len(oversize.b))...)
+	var forged cookie.Cookie
+	for i := range forged {
+		forged[i] = byte(0x40 + i)
+	}
+	mint := func(i int) cookie.Cookie { return auth.Mint(src(i).Addr()) }
+
+	active := [][]memDgram{
+		// Newcomers, with the unparseable in between so every slot of the
+		// slab holds a different shape.
+		{plain(1, "www"), garbage, plain(2, "ref"), oversize, plain(3, "mute"), response, txtCookie(4, "www", cookie.Cookie{})},
+		// First verification of each credential; forged ones beside them.
+		{nsCookie(1, "www", mint(1)), nsCookie(5, "www", forged), nsCookie(2, "ref", mint(2)), txtCookie(4, "www", mint(4)),
+			txtCookie(6, "www", forged), nsCookie(3, "mute", mint(3))},
+		// Verified repeats: the wire fast path, mixed case included, the
+		// materializing referral, one left pending, the TXT repeat.
+		{nsCookie(1, "www", mint(1)), upper(nsCookie(1, "www", mint(1))), nsCookie(2, "ref", mint(2)), nsCookie(3, "mute", mint(3)),
+			txtCookie(4, "www", mint(4)), nsCookie(1, "mute", mint(1))},
+		{nsCookie(2, "www", mint(2)), plain(7, "www")},
+	}
+	relay := [][]memDgram{
+		{plain(1, "www"), upper(plain(2, "www")), garbage, plain(3, "mute"), oversize, plain(4, "ref")},
+		{plain(1, "www"), response, plain(5, "mute"), plain(2, "ref")},
+	}
+	for _, tc := range []struct {
+		name      string
+		threshold float64
+		steps     [][]memDgram
+	}{
+		{"active", 0, active},
+		{"passthrough", 1e12, relay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runBorrowScript(t, false, tc.threshold, tc.steps)
+			got := runBorrowScript(t, true, tc.threshold, tc.steps)
+			for i := range tc.steps {
+				if fmt.Sprint(got.egress[i]) != fmt.Sprint(want.egress[i]) {
+					t.Errorf("step %d: replies differ under poison:\ngot  %v\nwant %v", i, got.egress[i], want.egress[i])
+				}
+				if fmt.Sprint(got.forward[i]) != fmt.Sprint(want.forward[i]) {
+					t.Errorf("step %d: forwards differ under poison:\ngot  %v\nwant %v", i, got.forward[i], want.forward[i])
+				}
+			}
+			if got.stats != want.stats {
+				t.Errorf("counters differ under poison:\ngot  %+v\nwant %+v", got.stats, want.stats)
+			}
+			if got.fast != want.fast {
+				t.Errorf("verified-cache counters differ under poison: got %+v, want %+v", got.fast, want.fast)
+			}
+			if fmt.Sprint(got.pending) != fmt.Sprint(want.pending) {
+				t.Errorf("NAT table differs under poison:\ngot  %v\nwant %v", got.pending, want.pending)
+			}
+
+			// The script must have reached the shapes it names, or the
+			// comparison above proves nothing.
+			st := want.stats
+			if st.Malformed == 0 || st.ForwardedToANS == 0 || st.RepliesToClient == 0 || len(want.pending) == 0 {
+				t.Errorf("script too tame: %+v, %d pending", st, len(want.pending))
+			}
+			if tc.threshold == 0 {
+				if st.NewcomerGrants < 4 || st.CookieValid < 8 || st.CookieInvalid != 2 || st.FastPathHits < 5 || want.fast.Inserts < 4 {
+					t.Errorf("active script missed a shape: %+v, cache %+v", st, want.fast)
+				}
+			} else if st.Passthrough < 7 {
+				t.Errorf("relay script relayed %d", st.Passthrough)
+			}
+		})
+	}
+}
+
+// padTo packs m as a well-formed message of exactly size bytes, with as
+// many TXT records added to its additional section as that takes.
+func padTo(t *testing.T, m *dnswire.Message, size int) []byte {
+	t.Helper()
+	pack := func() []byte {
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	pad := func(n int) {
+		m.Additional = append(m.Additional, dnswire.NewRR(dnswire.MustName("pad.test"), 0,
+			&dnswire.TXTData{Strings: [][]byte{bytes.Repeat([]byte{'x'}, n)}}))
+	}
+	pad(0) // the first record spells the owner name out; later ones point at it
+	first := len(pack())
+	pad(0)
+	perRecord := len(pack()) - first
+	for {
+		missing := size - len(pack())
+		if missing == 0 {
+			break
+		}
+		// Full records while two more still fit, then one that lands
+		// exactly (a record's fixed cost is a few tens of bytes).
+		if n := missing - perRecord; missing >= 2*perRecord+200 {
+			pad(200)
+		} else if n >= 0 && n <= 255 {
+			pad(n)
+		} else {
+			t.Fatalf("cannot land on %d bytes: %d missing", size, missing)
+		}
+	}
+	wire := pack()
+	if _, err := dnswire.Unpack(wire); err != nil {
+		t.Fatalf("the padded message must be well-formed: %v", err)
+	}
+	return wire
+}
+
+// TestOversizeIngressDropped: a datagram over dnswire.MaxDatagram is counted
+// malformed before any parse — this one would parse and be served if it were
+// looked at, as its twin one byte shorter is — and nothing reaches the ANS,
+// active guard or not.
+func TestOversizeIngressDropped(t *testing.T) {
+	query := func(size int) []byte {
+		return padTo(t, dnswire.NewQuery(0x99, dnswire.MustName("www.foo.com"), dnswire.TypeA), size)
+	}
+	over, atLimit := query(dnswire.MaxDatagram+1), query(dnswire.MaxDatagram)
+	for _, threshold := range []float64{0, 1e12} {
+		h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = threshold })
+		src := mustAP("10.0.0.53:4444")
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: over})
+		st := h.g.Stats.Load()
+		if want := (RemoteStats{Received: 1, Malformed: 1}); st != want {
+			t.Errorf("threshold %g: oversize datagram: stats %+v, want %+v", threshold, st, want)
+		}
+		if h.up.wrote != 0 || h.io.wrote != 0 || h.g.PendingEntries() != 0 {
+			t.Errorf("threshold %g: an oversize datagram drew %d forwards, %d replies", threshold, h.up.wrote, h.io.wrote)
+		}
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: atLimit})
+		st = h.g.Stats.Load()
+		if st.Malformed != 1 || st.Passthrough+st.NewcomerGrants != 1 || h.up.wrote+h.io.wrote != 1 {
+			t.Errorf("threshold %g: a %d-byte datagram is inside the limit and must be served: %+v", threshold, dnswire.MaxDatagram, st)
+		}
+	}
+}
+
+// TestOversizeUpstreamDropped: an upstream datagram over the limit — even a
+// well-formed answer to the pending question from the right address — is
+// dropped unparsed and leaves the pending entry for an answer that fits.
+func TestOversizeUpstreamDropped(t *testing.T) {
+	h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 })
+	src := mustAP("10.0.0.53:5555")
+	query, err := dnswire.NewQuery(0xBEEF, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: query})
+	if h.g.PendingEntries() != 1 {
+		t.Fatalf("pending = %d after one relay", h.g.PendingEntries())
+	}
+	fwd, err := dnswire.Unpack(h.up.buf[:h.up.n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.g.Stats.Load()
+	h.s.handleUpstream(padTo(t, fwd.Response(), dnswire.MaxDatagram+1), h.g.cfg.ANSAddr)
+	if h.g.PendingEntries() != 1 || h.io.wrote != 0 || h.g.Stats.Load() != before {
+		t.Fatalf("oversize upstream datagram was acted on: pending %d, replies %d, stats %+v",
+			h.g.PendingEntries(), h.io.wrote, h.g.Stats.Load())
+	}
+	h.s.handleUpstream(padTo(t, fwd.Response(), dnswire.MaxDatagram), h.g.cfg.ANSAddr)
+	if h.g.PendingEntries() != 0 || h.io.wrote != 1 {
+		t.Errorf("answer of %d bytes after the oversize one: pending %d, replies %d", dnswire.MaxDatagram, h.g.PendingEntries(), h.io.wrote)
+	}
+}
+
+// TestRemoteFootprint bounds what running a one-shard, Batch-32 guard on
+// real loopback sockets adds to the heap once both of its packet slabs
+// exist: 2 × 32 slots of MaxDatagram+1 bytes are ≈ 256 KiB, where 64 KiB
+// slots were 4 MiB. The baseline is the constructed guard: its limiter
+// tables are presized for their tracked-source bounds (≈ 1 MiB) and are not
+// packet memory.
+func TestRemoteFootprint(t *testing.T) {
+	env := realnet.New()
+	lo := netip.MustParseAddrPort("127.0.0.1:0")
+	listen := func() netapi.UDPConn {
+		c, err := env.ListenUDP(lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ansConn, client, guardSock := listen(), listen(), listen()
+	defer ansConn.Close()
+	defer client.Close()
+	go func() {
+		for {
+			b, from, err := ansConn.ReadFrom(netapi.NoTimeout)
+			if err != nil {
+				return
+			}
+			b[2] |= 0x80
+			_ = ansConn.WriteTo(b, from)
+		}
+	}()
+	query, err := dnswire.NewQuery(7, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	g, err := NewRemote(RemoteConfig{
+		Env:                 env,
+		IO:                  &SocketIO{Conn: guardSock},
+		Batch:               32,
+		FastPathTTL:         time.Minute,
+		PublicAddr:          guardSock.LocalAddr(),
+		ANSAddr:             ansConn.LocalAddr(),
+		Zone:                dnswire.MustName("foo.com"),
+		Auth:                testAuth(),
+		ActivationThreshold: 1e12, // relay: one packet each way through both slabs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := client.WriteTo(query, guardSock.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.ReadFrom(5 * time.Second); err != nil {
+		t.Fatalf("no reply through the guard: %v (stats %+v)", err, g.Stats.Load())
+	}
+	if st := g.Stats.Load(); st.ForwardedToANS != 1 || st.RepliesToClient != 1 {
+		t.Fatalf("the packet did not cross both slabs: %+v", st)
+	}
+	after := heap()
+	const limit = 1 << 20
+	if grown := int64(after) - int64(before); grown > limit {
+		t.Errorf("running the guard added %d KiB of heap, want <= %d KiB", grown>>10, limit>>10)
+	} else {
+		t.Logf("running the guard added %d KiB of heap", grown>>10)
+	}
+	runtime.KeepAlive(g)
+}

@@ -9,6 +9,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/realnet"
 	"dnsguard/internal/vclock"
 )
 
@@ -284,8 +285,9 @@ func TestFastPassthroughRelay(t *testing.T) {
 // TestFastPathWireAllocs pins the whole verified cycle — cookie query in,
 // rewritten forward out, empty response in, fabricated reply out — at zero
 // allocations against stub I/O, and the inactive passthrough relay likewise.
-// Real transports add their own syscall-side cost; the bench harness gates
-// the end-to-end figure (≤ 2 allocs/packet) separately.
+// The last case replaces the stub capture interface with a real SocketIO on
+// a loopback socket, so the count includes the ingest read and the reply
+// write a deployed guard makes.
 func TestFastPathWireAllocs(t *testing.T) {
 	h := newFastHarness(t, nil)
 	src := mustAP("10.0.0.53:4444")
@@ -333,5 +335,52 @@ func TestFastPathWireAllocs(t *testing.T) {
 		pconsume()
 	}); n != 0 {
 		t.Errorf("passthrough relay cycle allocates %.1f/op, want 0", n)
+	}
+
+	env := realnet.New()
+	lo := netip.MustParseAddrPort("127.0.0.1:0")
+	guardSock, err := env.ListenUDP(lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer guardSock.Close()
+	client, err := env.ListenUDP(lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sio := &SocketIO{Conn: guardSock}
+	hs := newFastHarness(t, func(cfg *RemoteConfig) {
+		cfg.IO = sio
+		cfg.PublicAddr = guardSock.LocalAddr()
+	})
+	squery := hs.nsQueryWire(t, client.LocalAddr().Addr(), "www.foo.com", 0x44)
+	slab := make([]Packet, 8)
+	replies := netapi.NewSlab(1, dnswire.MaxUDPSize)
+	cycle := func() {
+		if err := client.WriteTo(squery, guardSock.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		n, err := sio.ReadBatch(slab, time.Second)
+		if n != 1 || err != nil {
+			t.Fatalf("SocketIO.ReadBatch = (%d, %v)", n, err)
+		}
+		hs.handle(slab[0])
+		resp = append(resp[:0], hs.up.buf[:hs.up.n]...)
+		resp[2] |= 0x80
+		resp[3] |= byte(dnswire.RCodeNXDomain)
+		hs.s.handleUpstream(resp, hs.g.cfg.ANSAddr)
+		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
+			t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
+		}
+	}
+	cycle() // slow exchange: installs the verified entry, allocates the slab
+	cycle()
+	hits := hs.g.Stats.Load().FastPathHits
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("verified NS cycle through SocketIO on loopback allocates %.1f/op, want 0", n)
+	}
+	if got := hs.g.Stats.Load().FastPathHits - hits; got != 201 {
+		t.Errorf("%d of 201 socket cycles took the fast path", got)
 	}
 }

@@ -725,6 +725,9 @@ func (s *remoteShard) handle(pkt Packet) {
 		s.passthrough(pkt)
 		return
 	}
+	if s.oversize(pkt.Payload) {
+		return
+	}
 	if s.tryFastNS(pkt) {
 		return
 	}
@@ -751,9 +754,24 @@ func (s *remoteShard) handle(pkt Packet) {
 	s.handleNewcomer(pkt, msg)
 }
 
+// oversize reports whether an ingress datagram is over the UDP ceiling,
+// counting it malformed. It runs before any parse. A socket's receive slot
+// is dnswire.MaxDatagram+1 bytes, so a longer datagram arrives cut to
+// exactly that; a tap delivers it whole. Either way it is over the limit.
+func (s *remoteShard) oversize(payload []byte) bool {
+	if len(payload) <= dnswire.MaxDatagram {
+		return false
+	}
+	atomic.AddUint64(&s.g.Stats.Malformed, 1)
+	return true
+}
+
 // passthrough relays traffic unmodified while spoof detection is inactive.
 func (s *remoteShard) passthrough(pkt Packet) {
 	g := s.g
+	if s.oversize(pkt.Payload) {
+		return
+	}
 	if s.tryFastPassthrough(pkt) {
 		return
 	}
@@ -1061,16 +1079,17 @@ const maxPending = 4096
 // off-path attacker who learns the upstream port.
 func (s *remoteShard) upstreamLoop() {
 	g := s.g
-	// One slab reused for every read: the per-datagram buffer churn of a
-	// ReadFrom loop disappears and on Linux the reads collapse into
-	// recvmmsg. With Batch == 1 the slab has a single slot, and a full slab
-	// makes ReadBatch exactly one blocking read per call (the zero-timeout
-	// drain never runs), so the historical per-packet event sequence is
-	// preserved. handleUpstream only borrows the payload — slab slots are
-	// the loop's to overwrite on the next read — and may patch it in place
-	// (the fast relay rewrites the transaction ID before writing out).
+	// One slab reused for every read — the one packet buffer the shard owns
+	// on the upstream side, Batch slots of MaxDatagram+1 bytes. On Linux
+	// the reads collapse into recvmmsg. With Batch == 1 the slab has a
+	// single slot, and a full slab makes ReadBatch exactly one blocking
+	// read per call (the zero-timeout drain never runs), so the per-packet
+	// event sequence of a ReadFrom loop is preserved. handleUpstream only
+	// borrows the payload — slab slots are the loop's to overwrite on the
+	// next read — and may patch it in place (the fast relay rewrites the
+	// transaction ID before writing out).
 	bc := netapi.AsBatch(s.upstream)
-	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxMessageSize)
+	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxDatagram+1)
 	for {
 		n, err := bc.ReadBatch(slab, netapi.NoTimeout)
 		if err != nil {
@@ -1091,6 +1110,9 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// Off-path datagram: only configured upstreams send here.
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
+	}
+	if len(payload) > dnswire.MaxDatagram {
+		return // over the UDP ceiling (a full receive slot): not parsed
 	}
 	if s.tryFastUpstream(payload, src) {
 		return

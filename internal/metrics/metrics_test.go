@@ -284,3 +284,19 @@ func TestDumpEvery(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+func TestRuntimeInto(t *testing.T) {
+	r := NewRegistry()
+	RuntimeInto(r)
+	for _, name := range []string{
+		"runtime_heap_objects_bytes", "runtime_gc_heap_goal_bytes", "runtime_memory_total_bytes",
+		"runtime_gc_cycles", "runtime_gc_cpu_seconds",
+	} {
+		v, ok := r.Get(name)
+		if !ok {
+			t.Errorf("%s is not exported", name)
+		} else if v < 0 || (name != "runtime_gc_cycles" && name != "runtime_gc_cpu_seconds" && v == 0) {
+			t.Errorf("%s = %v", name, v)
+		}
+	}
+}

@@ -8,17 +8,19 @@ import (
 // Datagram is one slot of a reusable batch slab: a payload buffer, the number
 // of payload bytes it holds, and the peer address. A caller allocates a slab
 // once (see NewSlab), hands it to ReadBatch over and over, and reads each
-// filled slot's Buf[:N] — the slab amortizes buffer allocation across the
-// life of the connection.
+// filled slot's Buf[:N] in place. The slab's owner lends those bytes to
+// whatever it calls: they are valid until the owner's next ReadBatch on the
+// slab, and code that keeps a payload past that point copies it.
 type Datagram struct {
 	// Buf holds the payload. ReadBatch fills Buf[:N] in place, reusing the
 	// slot's existing capacity; when cap(Buf) is zero the implementation
 	// allocates. Real-socket backends scatter datagrams straight into Buf
 	// and therefore cannot grow it mid-syscall: a datagram longer than
 	// cap(Buf) is silently truncated to cap(Buf), exactly as a plain
-	// recvfrom with a short buffer would (size slots for the largest
-	// datagram you expect; 64 KiB covers any UDP payload). The simulator
-	// applies the same truncation rule so both backends agree.
+	// recvfrom with a short buffer would, and the simulator applies the
+	// same rule. Truncation is not reported separately, so N == cap(Buf)
+	// means "at least cap(Buf) bytes arrived": size slots one byte above
+	// the largest datagram you accept and treat a full slot as oversize.
 	Buf []byte
 	// N is the payload length: bytes received for a read, bytes to send
 	// for a write.

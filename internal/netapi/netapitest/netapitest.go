@@ -334,19 +334,31 @@ func testBatchSlab(t *testing.T, b Backend, env netapi.Env, mode batchMode) {
 	}
 
 	// A datagram longer than the slot's capacity is truncated to cap — the
-	// same thing a plain recvfrom with a short buffer does.
-	if err := sender.WriteTo(payload, receiver.LocalAddr()); err != nil {
-		t.Errorf("WriteTo: %v", err)
-		return
+	// same thing a plain recvfrom with a short buffer does — and nothing
+	// else reports it: a slot of capacity L holding L bytes means "L or
+	// more arrived". The guard sizes slots one byte over its datagram limit
+	// and reads a full slot as oversize, so every backend must agree on all
+	// three sides of L.
+	const L = 4097
+	big := make([]byte, L+1)
+	for i := range big {
+		big[i] = byte(i)
 	}
-	env.Sleep(settle)
-	short := netapi.NewSlab(1, 4)
-	if n, err := bc.ReadBatch(short, 5*time.Second); n != 1 || err != nil {
-		t.Errorf("ReadBatch into short slot = (%d, %v)", n, err)
-		return
-	}
-	if short[0].N != 4 || !bytes.Equal(short[0].Payload(), payload[:4]) {
-		t.Errorf("short slot = %d bytes %q, want 4 bytes %q", short[0].N, short[0].Payload(), payload[:4])
+	slot := netapi.NewSlab(1, L)
+	for _, size := range []int{L - 1, L, L + 1} {
+		if err := sender.WriteTo(big[:size], receiver.LocalAddr()); err != nil {
+			t.Errorf("WriteTo %d bytes: %v", size, err)
+			return
+		}
+		env.Sleep(settle)
+		if n, err := bc.ReadBatch(slot, 5*time.Second); n != 1 || err != nil {
+			t.Errorf("ReadBatch of %d bytes into a %d-byte slot = (%d, %v)", size, L, n, err)
+			return
+		}
+		want := big[:min(size, L)]
+		if slot[0].N != len(want) || !bytes.Equal(slot[0].Payload(), want) {
+			t.Errorf("%d bytes into a %d-byte slot: N = %d, want %d with the leading bytes intact", size, L, slot[0].N, len(want))
+		}
 	}
 }
 

@@ -26,10 +26,15 @@ type TokenBucket struct {
 
 // NewTokenBucket returns a bucket that starts full.
 func NewTokenBucket(ratePerSec, burst float64, now time.Duration) *TokenBucket {
+	b := fullBucket(ratePerSec, burst, now)
+	return &b
+}
+
+func fullBucket(ratePerSec, burst float64, now time.Duration) TokenBucket {
 	if burst < 1 {
 		burst = 1
 	}
-	return &TokenBucket{rate: ratePerSec, burst: burst, tokens: burst, last: now}
+	return TokenBucket{rate: ratePerSec, burst: burst, tokens: burst, last: now}
 }
 
 func (b *TokenBucket) refill(now time.Duration) {

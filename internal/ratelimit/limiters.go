@@ -20,7 +20,7 @@ type lruBuckets struct {
 
 type lruEntry struct {
 	key        netip.Addr
-	bucket     *TokenBucket
+	bucket     TokenBucket
 	prev, next *lruEntry
 }
 
@@ -56,21 +56,28 @@ func (l *lruBuckets) pushFront(e *lruEntry) {
 	}
 }
 
+// get returns key's bucket, starting a full one for a source not tracked.
+// A full table gives the new source the least recently used entry, so a
+// flood of never-seen sources — every spoofed packet, once the table is
+// full — costs no allocation.
 func (l *lruBuckets) get(key netip.Addr, now time.Duration) *TokenBucket {
-	if e, ok := l.m[key]; ok {
+	e, ok := l.m[key]
+	if ok {
 		l.unlink(e)
 		l.pushFront(e)
-		return e.bucket
+		return &e.bucket
 	}
 	if len(l.m) >= l.max {
-		evict := l.tail
-		l.unlink(evict)
-		delete(l.m, evict.key)
+		e = l.tail
+		l.unlink(e)
+		delete(l.m, e.key)
+	} else {
+		e = new(lruEntry)
 	}
-	e := &lruEntry{key: key, bucket: NewTokenBucket(l.rate, l.burst, now)}
+	e.key, e.bucket = key, fullBucket(l.rate, l.burst, now)
 	l.m[key] = e
 	l.pushFront(e)
-	return e.bucket
+	return &e.bucket
 }
 
 func (l *lruBuckets) len() int { return len(l.m) }

@@ -314,3 +314,29 @@ func TestTopKEvictionsCounter(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", tk.Evictions())
 	}
 }
+
+// TestLRUColdGetAllocs: once the table is full, a never-seen source — every
+// spoofed packet of a flood — takes over the least recently used entry, so
+// the cold path allocates nothing, and the bucket it gets is as fresh as a
+// newly built one.
+func TestLRUColdGetAllocs(t *testing.T) {
+	const tracked = 256
+	l := newLRUBuckets(100, 20, tracked)
+	next := uint32(0)
+	cold := func() netip.Addr {
+		next++
+		return netip.AddrFrom4([4]byte{10, byte(next >> 16), byte(next >> 8), byte(next)})
+	}
+	for i := 0; i < tracked; i++ {
+		l.get(cold(), 0).Allow(0)
+	}
+	if n := testing.AllocsPerRun(10*tracked, func() { l.get(cold(), time.Second) }); n != 0 {
+		t.Errorf("at-capacity get of an unseen source allocates %.1f/op, want 0", n)
+	}
+	if l.len() != tracked {
+		t.Errorf("table holds %d sources, want %d", l.len(), tracked)
+	}
+	if got, want := *l.get(cold(), 2*time.Second), *NewTokenBucket(100, 20, 2*time.Second); got != want {
+		t.Errorf("recycled entry's bucket = %+v, want a fresh %+v", got, want)
+	}
+}

@@ -33,21 +33,53 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// mmsgState is the per-call scratch recvmmsg/sendmmsg point the kernel at:
-// header array, sockaddr array, one iovec per message. Pooled because
-// every ReadBatch needs the full set and they are invariant in shape.
+// mmsgState is what one direction of a socket points the kernel at: header
+// array, sockaddr array, one iovec per message, plus the RawConn callback
+// and the fields it communicates through. The callback is built once, so a
+// steady-state batch call allocates nothing.
 type mmsgState struct {
+	mu    sync.Mutex
 	hdrs  []mmsghdr
 	names []syscall.RawSockaddrAny
 	iovs  []syscall.Iovec
+
+	call  func(fd uintptr) bool // recvmmsg or sendmmsg, bound on first use
+	n     int                   // messages in this call
+	poll  bool                  // recv: the first EAGAIN is the answer
+	done  int                   // messages the kernel moved
+	opErr error
 }
 
-var mmsgPool sync.Pool
+// osBatch is the socket's cached syscall state: the RawConn, the family its
+// sockaddrs are written in, and one mmsgState per direction.
+type osBatch struct {
+	rc         syscall.RawConn
+	is6        bool
+	recv, send mmsgState
+}
 
-func getMMsg(n int) *mmsgState {
-	st, _ := mmsgPool.Get().(*mmsgState)
-	if st == nil {
-		st = &mmsgState{}
+func (c *udpConn) initOS() error {
+	rc, err := c.conn.SyscallConn()
+	if err != nil {
+		return err
+	}
+	c.os.rc = rc
+	// A socket bound over IPv6 (incl. the dual-stack wildcard) takes
+	// 4-in-6 mapped sockaddrs for IPv4 destinations, exactly as the net
+	// package arranges internally.
+	c.os.is6 = c.conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil
+	return nil
+}
+
+// acquire locks the socket's cached state for one call, sized for n
+// messages. A second caller on the same socket and direction at the same
+// time (handles of the shared-fd fallback, shards flushing replies through
+// one socket) gets a private state instead of waiting for the first one's
+// call, which may be parked in the netpoller, to end.
+func (st *mmsgState) acquire(n int) *mmsgState {
+	if !st.mu.TryLock() {
+		st = new(mmsgState)
+		st.mu.Lock()
 	}
 	if cap(st.hdrs) < n {
 		st.hdrs = make([]mmsghdr, n)
@@ -55,19 +87,70 @@ func getMMsg(n int) *mmsgState {
 		st.iovs = make([]syscall.Iovec, n)
 	}
 	st.hdrs, st.names, st.iovs = st.hdrs[:n], st.names[:n], st.iovs[:n]
+	st.n, st.done, st.opErr = n, 0, nil
 	return st
+}
+
+// recvmmsg is the RawConn.Read callback. MSG_DONTWAIT keeps the syscall
+// non-blocking regardless of socket mode; blocking semantics come from the
+// netpoller (Read parks on EAGAIN until readable or deadline). A poll never
+// parks: the first EAGAIN is the answer.
+func (st *mmsgState) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(st.n),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			st.done = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			if st.poll {
+				st.opErr = netapi.ErrTimeout
+				return true
+			}
+			return false
+		default:
+			st.opErr = os.NewSyscallError("recvmmsg", errno)
+			return true
+		}
+	}
+}
+
+// sendmmsg is the RawConn.Write callback.
+func (st *mmsgState) sendmmsg(fd uintptr) bool {
+	for st.done < st.n {
+		r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[st.done])), uintptr(st.n-st.done),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			if r1 == 0 {
+				return false
+			}
+			st.done += int(r1)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			st.opErr = os.NewSyscallError("sendmmsg", errno)
+			return true
+		}
+	}
+	return true
 }
 
 func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	if err := c.setReadDeadline(timeout); err != nil {
 		return 0, err
 	}
-	rc, err := c.conn.SyscallConn()
-	if err != nil {
-		return 0, mapErr(err)
+	st := c.os.recv.acquire(len(msgs))
+	defer st.mu.Unlock()
+	if st.call == nil {
+		st.call = st.recvmmsg
 	}
-	st := getMMsg(len(msgs))
-	defer mmsgPool.Put(st)
 	for i := range msgs {
 		d := &msgs[i]
 		if cap(d.Buf) == 0 {
@@ -83,67 +166,32 @@ func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (in
 			Iovlen:  1,
 		}}
 	}
-	// MSG_DONTWAIT keeps the syscall non-blocking regardless of socket
-	// mode; blocking semantics come from the netpoller (rc.Read parks on
-	// EAGAIN until readable or deadline). A poll (timeout == 0) never
-	// parks: the first EAGAIN is the answer.
-	poll := timeout == 0
-	var got int
-	var opErr error
-	ioErr := rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(len(msgs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				got = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				if poll {
-					opErr = netapi.ErrTimeout
-					return true
-				}
-				return false
-			default:
-				opErr = os.NewSyscallError("recvmmsg", errno)
-				return true
-			}
-		}
-	})
-	if ioErr != nil {
-		return 0, mapErr(ioErr)
+	st.poll = timeout == 0
+	if err := c.os.rc.Read(st.call); err != nil {
+		return 0, mapErr(err)
 	}
-	if opErr != nil {
-		return 0, opErr
+	if st.opErr != nil {
+		return 0, st.opErr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < st.done; i++ {
 		d := &msgs[i]
 		n := int(st.hdrs[i].n)
 		d.Buf = d.Buf[:cap(d.Buf)][:n]
 		d.N = n
 		d.Addr = anyToAddrPort(&st.names[i])
 	}
-	return got, nil
+	return st.done, nil
 }
 
 func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
-	rc, err := c.conn.SyscallConn()
-	if err != nil {
-		return 0, mapErr(err)
+	st := c.os.send.acquire(len(msgs))
+	defer st.mu.Unlock()
+	if st.call == nil {
+		st.call = st.sendmmsg
 	}
-	// A socket bound over IPv6 (incl. the dual-stack wildcard) takes
-	// 4-in-6 mapped sockaddrs for IPv4 destinations, exactly as the net
-	// package arranges internally.
-	la := c.conn.LocalAddr().(*net.UDPAddr)
-	is6 := la.IP.To4() == nil
-	st := getMMsg(len(msgs))
-	defer mmsgPool.Put(st)
 	for i := range msgs {
 		d := &msgs[i]
-		nameLen, err := putSockaddr(&st.names[i], d.Addr, is6)
+		nameLen, err := putSockaddr(&st.names[i], d.Addr, c.os.is6)
 		if err != nil {
 			return 0, err
 		}
@@ -159,33 +207,10 @@ func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	sent := 0
-	var opErr error
-	ioErr := rc.Write(func(fd uintptr) bool {
-		for sent < len(msgs) {
-			r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[sent])), uintptr(len(msgs)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				if r1 == 0 {
-					return false
-				}
-				sent += int(r1)
-			case syscall.EINTR:
-			case syscall.EAGAIN:
-				return false
-			default:
-				opErr = os.NewSyscallError("sendmmsg", errno)
-				return true
-			}
-		}
-		return true
-	})
-	if ioErr != nil {
-		return sent, mapErr(ioErr)
+	if err := c.os.rc.Write(st.call); err != nil {
+		return st.done, mapErr(err)
 	}
-	return sent, opErr
+	return st.done, st.opErr
 }
 
 // putSockaddr renders dst into sa in the family the socket speaks and

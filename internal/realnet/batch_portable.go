@@ -10,6 +10,10 @@ import (
 
 const osBatchIO = false
 
+type osBatch struct{}
+
+func (c *udpConn) initOS() error { return nil }
+
 // The portable build has no native mmsg path; these stubs are never reached
 // (ReadBatch/WriteBatch branch on osBatchIO) but keep the call sites
 // compiling identically on every platform.

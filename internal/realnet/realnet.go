@@ -53,7 +53,7 @@ func (e *Env) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("realnet: %w", err)
 	}
-	return &udpConn{conn: conn}, nil
+	return newUDPConn(conn)
 }
 
 // DialTCP implements netapi.Env.
@@ -76,6 +76,16 @@ func (e *Env) ListenTCP(addr netip.AddrPort) (netapi.Listener, error) {
 
 type udpConn struct {
 	conn *net.UDPConn
+	os   osBatch // batch-syscall state cached for the socket's life
+}
+
+func newUDPConn(conn *net.UDPConn) (*udpConn, error) {
+	c := &udpConn{conn: conn}
+	if err := c.initOS(); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("realnet: %w", err)
+	}
+	return c, nil
 }
 
 var (

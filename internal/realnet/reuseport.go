@@ -4,7 +4,6 @@ package realnet
 
 import (
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"time"
@@ -129,9 +128,4 @@ func bindAddr(addr netip.AddrPort) string {
 		return fmt.Sprintf(":%d", addr.Port())
 	}
 	return addr.String()
-}
-
-// wrapUDP adapts a ListenConfig packet conn.
-func wrapUDP(pc net.PacketConn) netapi.UDPConn {
-	return &udpConn{conn: pc.(*net.UDPConn)}
 }

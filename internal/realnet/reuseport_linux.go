@@ -36,13 +36,17 @@ func listenReusePort(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
 	conns := make([]netapi.UDPConn, 0, n)
 	for i := 0; i < n; i++ {
 		pc, err := lc.ListenPacket(context.Background(), "udp", target)
+		var c *udpConn
+		if err == nil {
+			c, err = newUDPConn(pc.(*net.UDPConn))
+		}
 		if err != nil {
 			for _, c := range conns {
 				c.Close()
 			}
 			return nil, mapErr(err)
 		}
-		conns = append(conns, wrapUDP(pc))
+		conns = append(conns, c)
 		if i == 0 {
 			// Pin the ephemeral port the first bind chose.
 			target = pc.LocalAddr().String()
