@@ -1,5 +1,6 @@
 # dnsguard build/verify entry points. `make check` is the full local gate:
-# vet, the race-enabled suite, and a short fuzz smoke on both dnswire targets.
+# vet, the race-enabled suite, and a short fuzz smoke on the dnswire decoders
+# and the source table.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -35,6 +36,7 @@ bench-check:
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzNameRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/srctab -run='^$$' -fuzz='^FuzzSrcTable$$' -fuzztime=$(FUZZTIME)
 
 # Boot a guarded ANS with -metrics-addr, scrape /metrics once, and check the
 # guard's series are present. End-to-end proof the observability layer serves.

@@ -5,70 +5,71 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/srctab"
 )
 
 // The verified-source cache is the engine's admission fast path. It is NOT a
 // grant of trust by address — a source address is exactly what an attacker
-// forges. Each entry maps a source to the *credential* (fabricated NS label,
-// cookie bytes, fabricated IP) that source last proved knowledge of, and
-// VerifiedCred hands that credential back to the handler, which must still
-// compare it against what the packet presents. The saving is replacing an
-// MD5 computation with a byte compare; the security property (§III-D: a
-// cookie is bound to the requester's address) is unchanged. This mirrors the
-// paper's per-source cookie table, but bounded: TTL'd entries and a FIFO
-// capacity bound per shard keep a spoofed flood from growing it without
-// limit — an unverifiable source never gets an entry at all, because only
-// completed verifications insert.
+// forges. An entry maps a source to the *credential* (fabricated NS label,
+// cookie bytes, fabricated IP) it last proved knowledge of, and a probe
+// compares that against what the packet presents: an MD5 computation becomes
+// a byte compare, and the cookie stays bound to the requester's address
+// (§III-D). It is the paper's per-source cookie table, bounded: entries
+// expire, a shard holds at most FastPathSources of them, oldest insert
+// evicted first, and only a completed verification inserts.
 //
-// The cache is sharded alongside the workers, and a shard's slice lives on
-// that shard's private shardState (counters included), so marking or probing
-// a source never writes a cacheline another shard writes. In hash mode the
-// owning shard is ShardOf(src); in affine mode it is the shard whose
-// interface the flow is steered to — which is why handlers address the cache
-// through the *On variants with their own shard id rather than re-hashing
-// the source. Each shard's table is guarded by its own mutex because two
-// parties can touch it: the owning worker (marks and lookups) and, in hash
-// mode, any reader (queue-admission classification).
+// A shard's slice lives on that shard's private shardState, counters
+// included, so marking or probing never writes a cacheline another shard
+// writes. Handlers name the slice by their own shard id (the *On calls):
+// under affine ingest the delivering interface owns the source, not
+// ShardOf(src). The mutex is there because in hash mode readers classify
+// admissions (has) while the owning worker marks and probes.
 type verifiedShard struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[netip.Addr]verifiedEntry
-	order []netip.Addr // insertion order for FIFO capacity eviction
+	mu  sync.Mutex
+	tab *srctab.Table[verifiedEntry] // FIFO: a hit or a re-mark keeps its place
 }
 
+// maxCred is the longest credential the guard can form, "ns:" and a 63-byte
+// label; "ip:" and "ck:" carry 16 bytes. Stored inline, it leaves an entry
+// without a pointer.
+const maxCred = 3 + 63
+
 type verifiedEntry struct {
-	cred    string
 	expires time.Duration
+	n       uint8
+	cred    [maxCred]byte
 }
 
 func (v *verifiedShard) init(capacity int) {
-	v.cap = capacity
-	v.m = make(map[netip.Addr]verifiedEntry)
+	v.tab = srctab.New[verifiedEntry](capacity, srctab.FIFO)
 }
 
 // MarkVerifiedOn records on shard's slice of the cache that src just proved
 // knowledge of cred. Handlers call it with their own shard id — under affine
 // ingest the delivering interface, not the source hash, decides ownership.
-// A no-op when the fast path is disabled.
+// A full cache gives a new source the oldest entry, which counts as an
+// eviction only if it had not expired. A no-op when the fast path is
+// disabled; a credential longer than the guard can form is not cached.
 func (e *Engine) MarkVerifiedOn(shard int, src netip.Addr, cred string) {
-	if e.cfg.FastPathTTL <= 0 {
+	if e.cfg.FastPathTTL <= 0 || len(cred) > maxCred {
 		return
 	}
 	now := e.cfg.Env.Now()
 	sh := e.shards[shard]
 	v := &sh.verified
 	v.mu.Lock()
-	_, existed := v.m[src]
-	v.m[src] = verifiedEntry{cred: cred, expires: now + e.cfg.FastPathTTL}
-	if !existed {
-		v.order = append(v.order, src)
-		evictions := v.enforceCap(now)
-		v.mu.Unlock()
-		atomic.AddUint64(&sh.fast.Inserts, 1)
-		atomic.AddUint64(&sh.fast.Evictions, evictions)
-		return
-	}
+	ent, found, evicted := v.tab.Put(src.As16())
+	evicted = evicted && ent.expires > now // taking over a dead entry evicts no one
+	ent.expires, ent.n = now+e.cfg.FastPathTTL, uint8(copy(ent.cred[:], cred))
 	v.mu.Unlock()
+	if !found {
+		atomic.AddUint64(&sh.fast.Inserts, 1)
+	}
+	if evicted {
+		atomic.AddUint64(&sh.fast.Evictions, 1)
+	}
 }
 
 // MarkVerified is MarkVerifiedOn with hash-mode shard selection: the cache
@@ -79,50 +80,83 @@ func (e *Engine) MarkVerified(src netip.Addr, cred string) {
 	e.MarkVerifiedOn(e.ShardOf(src), src, cred)
 }
 
-// enforceCap evicts oldest-inserted entries until the shard is within its
-// capacity, skipping order entries whose map slot was already replaced or
-// expired. Called with v.mu held; returns capacity evictions (expired
-// entries cleaned up along the way are not "evictions" — they were dead).
-func (v *verifiedShard) enforceCap(now time.Duration) uint64 {
-	var evicted uint64
-	for len(v.m) > v.cap && len(v.order) > 0 {
-		src := v.order[0]
-		v.order = v.order[1:]
-		ent, ok := v.m[src]
-		if !ok {
-			continue
-		}
-		delete(v.m, src)
-		if ent.expires > now {
-			evicted++
-		}
+// live returns src's entry unless it has expired, in which case it deletes
+// it, which also takes it out of the eviction order. The clock is read only
+// for a source that has an entry: a spoofed source, which never has, costs
+// a probe and nothing more. Called with v.mu held.
+func (v *verifiedShard) live(src netip.Addr, clock netapi.Env) *verifiedEntry {
+	key := srctab.Key(src.As16())
+	ent := v.tab.Get(key)
+	if ent != nil && ent.expires <= clock.Now() {
+		v.tab.Delete(key)
+		return nil
 	}
-	return evicted
+	return ent
 }
 
-// VerifiedCredOn returns the credential src last verified on shard's slice
-// of the cache, if the entry is still live. Handlers call this on the hot
-// path with their own shard id; hit/miss counters feed the fast-path ratio.
-func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (string, bool) {
+// probe reports whether src has a live entry on shard's slice of the cache
+// and whether it holds cred, and counts what feeds the fast-path ratio: for
+// the materializing path a Hit for a live entry, matching or not, and a Miss
+// otherwise; for the wire path, which commits only on a match and otherwise
+// hands the packet to the materializing path and its probe, a Hit on a match
+// and nothing else — so the two shapes leave bit-identical counters. The
+// compare is constant-time: the presented credential is attacker-controlled,
+// and an early exit would leak the cached one byte by byte.
+func probe[T string | []byte](e *Engine, shard int, src netip.Addr, cred T, wire bool) (live, match bool) {
 	if e.cfg.FastPathTTL <= 0 {
-		return "", false
+		return false, false
 	}
-	now := e.cfg.Env.Now()
 	sh := e.shards[shard]
 	v := &sh.verified
 	v.mu.Lock()
-	ent, ok := v.m[src]
-	if ok && ent.expires <= now {
-		delete(v.m, src)
-		ok = false
+	if ent := v.live(src, e.cfg.Env); ent != nil {
+		live = true
+		if int(ent.n) == len(cred) {
+			var diff byte
+			for i, c := range ent.cred[:len(cred)] {
+				diff |= c ^ cred[i]
+			}
+			match = diff == 0
+		}
 	}
 	v.mu.Unlock()
-	if !ok {
+	switch {
+	case live && (match || !wire):
+		atomic.AddUint64(&sh.fast.Hits, 1)
+	case !wire:
 		atomic.AddUint64(&sh.fast.Misses, 1)
-		return "", false
 	}
-	atomic.AddUint64(&sh.fast.Hits, 1)
-	return ent.cred, true
+	return live, match
+}
+
+// VerifiedCredIsOn reports whether src's live entry on shard's cache slice
+// holds exactly cred. Handlers call it on the materializing path with their
+// own shard id.
+func (e *Engine) VerifiedCredIsOn(shard int, src netip.Addr, cred string) bool {
+	_, match := probe(e, shard, src, cred, false)
+	return match
+}
+
+// VerifiedCredMatchOn is VerifiedCredIsOn for the wire path, which holds the
+// presented credential as bytes.
+func (e *Engine) VerifiedCredMatchOn(shard int, src netip.Addr, cred []byte) bool {
+	_, match := probe(e, shard, src, cred, true)
+	return match
+}
+
+// VerifiedCredOn reports whether src has a live entry on shard's slice of
+// the cache, counted as VerifiedCredIsOn counts, and materializes its
+// credential; handlers, which only compare, use the calls above.
+func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool) {
+	if ok, _ = probe(e, shard, src, "", false); ok {
+		v := &e.shards[shard].verified
+		v.mu.Lock()
+		if ent := v.tab.Get(src.As16()); ent != nil {
+			cred = string(ent.cred[:ent.n])
+		}
+		v.mu.Unlock()
+	}
+	return cred, ok
 }
 
 // VerifiedCred is VerifiedCredOn with hash-mode shard selection (see
@@ -137,52 +171,13 @@ func (e *Engine) VerifiedCred(src netip.Addr) (string, bool) {
 // materializing path is the only one that runs.
 func (e *Engine) FastPathEnabled() bool { return e.cfg.FastPathTTL > 0 }
 
-// VerifiedCredMatchOn reports whether src holds a live entry on shard's
-// cache slice whose credential equals cred, compared constant-time without
-// materializing either side. This is the zero-allocation flavour of
-// VerifiedCredOn for handlers that already hold the presented credential as
-// wire bytes: a match counts one Hit (the handler commits to the fast
-// path); a miss, an expired entry, or a credential mismatch counts nothing
-// and the handler falls back to the materializing path, whose own
-// VerifiedCredOn probe does the Miss/Hit accounting exactly as before —
-// counters stay bit-identical between the two shapes.
-func (e *Engine) VerifiedCredMatchOn(shard int, src netip.Addr, cred []byte) bool {
-	if e.cfg.FastPathTTL <= 0 {
-		return false
-	}
-	now := e.cfg.Env.Now()
-	sh := e.shards[shard]
-	v := &sh.verified
-	v.mu.Lock()
-	ent, ok := v.m[src]
-	if ok && ent.expires <= now {
-		delete(v.m, src)
-		ok = false
-	}
-	v.mu.Unlock()
-	if !ok || len(ent.cred) != len(cred) {
-		return false
-	}
-	// Constant-time string-vs-bytes compare; subtle.ConstantTimeCompare
-	// would force a []byte(ent.cred) allocation.
-	var diff byte
-	for i := 0; i < len(cred); i++ {
-		diff |= ent.cred[i] ^ cred[i]
-	}
-	if diff != 0 {
-		return false
-	}
-	atomic.AddUint64(&sh.fast.Hits, 1)
-	return true
-}
-
 // has is the queue-admission classification: does src currently hold a live
 // verified entry? Called by readers; does not touch hit/miss counters.
 func (v *verifiedShard) has(src netip.Addr, now time.Duration) bool {
 	v.mu.Lock()
-	ent, ok := v.m[src]
-	v.mu.Unlock()
-	return ok && ent.expires > now
+	defer v.mu.Unlock()
+	ent := v.tab.Get(src.As16())
+	return ent != nil && ent.expires > now
 }
 
 // flush discards every entry, used when a supervised restart rebuilds the
@@ -190,15 +185,14 @@ func (v *verifiedShard) has(src netip.Addr, now time.Duration) bool {
 // half-written relative to the handler's own tables).
 func (v *verifiedShard) flush() {
 	v.mu.Lock()
-	v.m = make(map[netip.Addr]verifiedEntry)
-	v.order = nil
+	v.tab.Reset()
 	v.mu.Unlock()
 }
 
-// size reports the shard's live entry count (including not-yet-swept expired
+// size reports the shard's entry count (including not-yet-swept expired
 // entries; they disappear on next touch).
 func (v *verifiedShard) size() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.m)
+	return v.tab.Len()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	runtimemetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
 )
 
@@ -532,9 +534,9 @@ func TestOversizeUpstreamDropped(t *testing.T) {
 // TestRemoteFootprint bounds what running a one-shard, Batch-32 guard on
 // real loopback sockets adds to the heap once both of its packet slabs
 // exist: 2 × 32 slots of MaxDatagram+1 bytes are ≈ 256 KiB, where 64 KiB
-// slots were 4 MiB. The baseline is the constructed guard: its limiter
-// tables are presized for their tracked-source bounds (≈ 1 MiB) and are not
-// packet memory.
+// slots were 4 MiB. The baseline is the constructed guard: its source tables
+// are allocated whole at construction (TestSourceStateFootprint bounds them)
+// and are not packet memory.
 func TestRemoteFootprint(t *testing.T) {
 	env := realnet.New()
 	lo := netip.MustParseAddrPort("127.0.0.1:0")
@@ -606,4 +608,92 @@ func TestRemoteFootprint(t *testing.T) {
 		t.Logf("running the guard added %d KiB of heap", grown>>10)
 	}
 	runtime.KeepAlive(g)
+}
+
+// TestSourceStateFootprint bounds everything a one-shard guard keeps per
+// source, from before it is built to after 50 000 never-repeating newcomer
+// sessions (grant, cookie query, answer) have filled and churned all four
+// tables. With the default bounds the tables are, in bytes per entry plus 8
+// per index slot at two slots per entry rounded up to a power of two
+// (DESIGN.md, "Per-source state"):
+//
+//	RL1      4096 × 40 + 8192 × 8           = 224 KiB
+//	top-k    1024 × (40 + 4 + 28) + 2048 × 8 =  88 KiB
+//	RL2      8192 × 40 + 16384 × 8          = 448 KiB
+//	verified 4096 × 104 + 8192 × 8          = 480 KiB
+//
+// 1240 KiB, which the limit rounds up to 1.5 MiB to leave room for the rest
+// of the guard (the NAT table's map, scratch buffers, the keyring). As maps
+// of heap objects the same four held 3.5 MiB. None of it may be memory the
+// collector scans: that is bounded separately, at what the rest of the
+// guard accounts for.
+func TestSourceStateFootprint(t *testing.T) {
+	scan := []runtimemetrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	heap := func() (total, scannable int64) {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtimemetrics.Read(scan)
+		return int64(ms.HeapAlloc), int64(scan[0].Value.Uint64())
+	}
+	total0, scan0 := heap()
+	h := newFastHarness(t, func(cfg *RemoteConfig) {
+		cfg.FastPathTTL = time.Minute
+		// The harness clock stands still: lift the global ceiling so all
+		// 50 000 grants pass Rate-Limiter1 and reach its tables.
+		cfg.RL1 = ratelimit.DefaultLimiter1Config()
+		cfg.RL1.GlobalRate, cfg.RL1.GlobalBurst = 1e12, 1e12
+	})
+	plain, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 50000
+	resp := make([]byte, 0, dnswire.MaxUDPSize)
+	for i := 0; i < sessions; i++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 5353)
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: plain})
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 2)})
+		resp = append(resp[:0], h.up.buf[:h.up.n]...)
+		resp[2] |= 0x80
+		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+	}
+	st := h.g.Stats.Load()
+	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RepliesToClient != 2*sessions {
+		t.Fatalf("sessions did not run to completion: %+v", st)
+	}
+	if fp := h.g.eng.FastPath(); fp.Inserts != sessions || fp.Evictions != sessions-4096 {
+		t.Fatalf("verified cache: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
+	}
+	total1, scan1 := heap()
+	const limit, scanLimit = 3 << 19, 1 << 15
+	t.Logf("guard and %d sessions: %d KiB of heap, %d KiB of it scannable", sessions, (total1-total0)>>10, (scan1-scan0)>>10)
+	if grown := total1 - total0; grown > limit {
+		t.Errorf("guard and %d newcomer sessions added %d KiB of heap, want <= %d KiB", sessions, grown>>10, limit>>10)
+	}
+	if grown := scan1 - scan0; grown > scanLimit {
+		t.Errorf("%d KiB of the added heap is scannable, want <= %d KiB: a source table holds pointers", grown>>10, scanLimit>>10)
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch and
+// a supervised shard restart empty the limiters in place.
+func TestLimiterToggleAllocs(t *testing.T) {
+	h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.Mitigation.Enabled = true })
+	src := netip.MustParseAddr("10.0.0.53")
+	if n := testing.AllocsPerRun(10, func() {
+		h.s.rl2.AllowRequest(src, 0)
+		h.g.mitStrict.Store(!h.s.strict)
+		h.s.syncLimiters()
+		if h.s.rl2.Sources() != 0 {
+			t.Fatal("a strict/normal transition left sources in Rate-Limiter2")
+		}
+	}); n != 0 {
+		t.Errorf("strict/normal toggle allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, h.s.ResetShard); n != 0 {
+		t.Errorf("ResetShard allocates %.1f times, want 0", n)
+	}
 }

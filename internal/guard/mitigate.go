@@ -38,7 +38,6 @@ import (
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/metrics"
-	"dnsguard/internal/ratelimit"
 )
 
 // AttackClass is the selector's belief about what is hitting the guard.
@@ -486,9 +485,10 @@ func (g *Remote) effectiveFallback() Scheme {
 }
 
 // syncLimiters applies the selector's limiter-tightening control in worker
-// context — the limiters are worker-owned, so swapping them from the
+// context — the limiters are worker-owned, so resetting them from the
 // selector proc would race the hot path. One atomic load per packet when
-// nothing changed.
+// nothing changed. A transition empties both limiters in place, counters
+// included, and allocates nothing.
 func (s *remoteShard) syncLimiters() {
 	strict := s.g.mitStrict.Load()
 	if s.strict == strict {
@@ -505,11 +505,8 @@ func (s *remoteShard) syncLimiters() {
 		rl2.PerSourceRate /= f
 		rl2.PerSourceBurst /= f
 	}
-	now := s.g.now()
-	s.mu.Lock()
-	s.rl1 = ratelimit.NewLimiter1(rl1, now)
-	s.rl2 = ratelimit.NewLimiter2(rl2, now)
-	s.mu.Unlock()
+	s.rl1.Reset(rl1, s.g.now())
+	s.rl2.Reset(rl2)
 }
 
 // mitMetricsInto registers the guard_mitigation_* series. Registered

@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -373,17 +372,19 @@ type remoteShard struct {
 	upstream netapi.UDPConn
 	health   *shardHealth // nil unless cfg.Health.Enabled
 
-	// mu guards the NAT table, the ID pool, and the limiter pointers (the
-	// pointers are swapped by ResetShard and read by metrics closures; the
-	// limiters themselves are internally synchronized).
+	// rl1 and rl2 are the worker's: it alone charges and resets them (in
+	// place: ResetShard, syncLimiters); metrics closures read only their
+	// atomic counters.
+	rl1 *ratelimit.Limiter1
+	rl2 *ratelimit.Limiter2
+
+	// mu guards the NAT table and the ID pool.
 	mu      sync.Mutex
-	rl1     *ratelimit.Limiter1
-	rl2     *ratelimit.Limiter2
 	pending map[uint16]*pendEntry
 	ids     idPool
 
 	// strict mirrors the selector's mitStrict flag into worker context;
-	// syncLimiters compares and rebuilds the limiters on transitions.
+	// syncLimiters compares and resets the limiters on transitions.
 	strict bool
 
 	// Batch-bracket state, touched only by the shard's worker between
@@ -402,28 +403,18 @@ type remoteShard struct {
 	upBuf     []byte
 }
 
-// limiters returns the shard's current rate limiters; ResetShard may swap
-// them, so cross-proc readers (metrics) go through here.
-func (s *remoteShard) limiters() (*ratelimit.Limiter1, *ratelimit.Limiter2) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rl1, s.rl2
-}
-
 // ResetShard implements engine.Resetter: a supervised shard restart discards
 // every per-packet structure (NAT table, ID pool, rate limiters — any of
 // which the panic may have left mid-update) while keeping the upstream
 // socket, its reader proc, and the breaker state, whose lifetimes span
 // restarts. Runs in the owning worker's context.
 func (s *remoteShard) ResetShard() {
-	g := s.g
-	now := g.now()
 	s.mu.Lock()
-	s.pending = make(map[uint16]*pendEntry)
+	clear(s.pending)
 	s.ids = idPool{}
-	s.rl1 = ratelimit.NewLimiter1(g.cfg.RL1, now)
-	s.rl2 = ratelimit.NewLimiter2(g.cfg.RL2, now)
 	s.mu.Unlock()
+	s.rl1.Reset(s.g.cfg.RL1, s.g.now())
+	s.rl2.Reset(s.g.cfg.RL2)
 }
 
 // MetricsInto registers the guard's counters, rate-limiter counters, a live
@@ -432,9 +423,7 @@ func (s *remoteShard) ResetShard() {
 // shard they read the limiter directly, otherwise they sum across shards.
 func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.Stats.MetricsInto(r)
-	// Limiter series sum across shards and read the limiter pointers through
-	// the shard lock, so they stay live across supervised shard restarts
-	// (ResetShard swaps the limiters). With one shard the sum is the
+	// Limiter series sum across shards. With one shard the sum is the
 	// limiter itself, keeping the series names stable across shard counts.
 	sum := func(f func(*remoteShard) uint64) func() uint64 {
 		return func() uint64 {
@@ -445,11 +434,11 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 			return t
 		}
 	}
-	r.FuncUint("guard_rl1_allowed", sum(func(s *remoteShard) uint64 { rl1, _ := s.limiters(); a, _ := rl1.Stats(); return a }))
-	r.FuncUint("guard_rl1_denied", sum(func(s *remoteShard) uint64 { rl1, _ := s.limiters(); _, d := rl1.Stats(); return d }))
-	r.FuncUint("guard_rl1_topk_evictions", sum(func(s *remoteShard) uint64 { rl1, _ := s.limiters(); return rl1.TopKEvictions() }))
-	r.FuncUint("guard_rl2_allowed", sum(func(s *remoteShard) uint64 { _, rl2 := s.limiters(); a, _ := rl2.Stats(); return a }))
-	r.FuncUint("guard_rl2_denied", sum(func(s *remoteShard) uint64 { _, rl2 := s.limiters(); _, d := rl2.Stats(); return d }))
+	r.FuncUint("guard_rl1_allowed", sum(func(s *remoteShard) uint64 { a, _ := s.rl1.Stats(); return a }))
+	r.FuncUint("guard_rl1_denied", sum(func(s *remoteShard) uint64 { _, d := s.rl1.Stats(); return d }))
+	r.FuncUint("guard_rl1_topk_evictions", sum(func(s *remoteShard) uint64 { return s.rl1.TopKEvictions() }))
+	r.FuncUint("guard_rl2_allowed", sum(func(s *remoteShard) uint64 { a, _ := s.rl2.Stats(); return a }))
+	r.FuncUint("guard_rl2_denied", sum(func(s *remoteShard) uint64 { _, d := s.rl2.Stats(); return d }))
 	r.Func("guard_remote_pending", func() float64 {
 		return float64(g.PendingEntries())
 	})
@@ -871,8 +860,7 @@ func (g *Remote) isTCPClient(src netip.Addr) bool {
 // hash's, so the source-hashing VerifiedCred would consult (and promote
 // into) a cache partition a different worker owns.
 func (s *remoteShard) fastPath(src netip.Addr, cred string) bool {
-	got, ok := s.g.eng.VerifiedCredOn(s.id, src)
-	if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(cred)) != 1 {
+	if !s.g.eng.VerifiedCredIsOn(s.id, src, cred) {
 		return false
 	}
 	atomic.AddUint64(&s.g.Stats.FastPathHits, 1)

@@ -18,34 +18,42 @@ import "time"
 // is unusable; construct with NewTokenBucket. Time is supplied by the caller
 // as a monotonic offset so the same code runs under virtual and real clocks.
 type TokenBucket struct {
-	rate   float64 // tokens per second
-	burst  float64
+	rate  float64 // tokens per second
+	burst float64
+	level
+}
+
+// level is the part of a bucket that varies: what a per-source table keeps
+// for each source, with the rate and burst held once beside the table.
+type level struct {
 	tokens float64
 	last   time.Duration
 }
 
 // NewTokenBucket returns a bucket that starts full.
 func NewTokenBucket(ratePerSec, burst float64, now time.Duration) *TokenBucket {
-	b := fullBucket(ratePerSec, burst, now)
-	return &b
+	burst = max(burst, 1)
+	return &TokenBucket{rate: ratePerSec, burst: burst, level: level{burst, now}}
 }
 
-func fullBucket(ratePerSec, burst float64, now time.Duration) TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return TokenBucket{rate: ratePerSec, burst: burst, tokens: burst, last: now}
-}
-
-func (b *TokenBucket) refill(now time.Duration) {
-	if now <= b.last {
+func (l *level) refill(rate, burst float64, now time.Duration) {
+	if now <= l.last {
 		return
 	}
-	b.tokens += b.rate * (now - b.last).Seconds()
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	l.tokens += rate * (now - l.last).Seconds()
+	if l.tokens > burst {
+		l.tokens = burst
 	}
-	b.last = now
+	l.last = now
+}
+
+func (l *level) allowN(rate, burst float64, now time.Duration, n float64) bool {
+	l.refill(rate, burst, now)
+	if l.tokens < n {
+		return false
+	}
+	l.tokens -= n
+	return true
 }
 
 // Allow consumes one token if available and reports whether the event
@@ -54,17 +62,12 @@ func (b *TokenBucket) Allow(now time.Duration) bool { return b.AllowN(now, 1) }
 
 // AllowN consumes n tokens if available.
 func (b *TokenBucket) AllowN(now time.Duration, n float64) bool {
-	b.refill(now)
-	if b.tokens < n {
-		return false
-	}
-	b.tokens -= n
-	return true
+	return b.allowN(b.rate, b.burst, now, n)
 }
 
 // Tokens reports the current token count after refilling to now.
 func (b *TokenBucket) Tokens(now time.Duration) float64 {
-	b.refill(now)
+	b.refill(b.rate, b.burst, now)
 	return b.tokens
 }
 

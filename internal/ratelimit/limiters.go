@@ -5,82 +5,40 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnsguard/internal/metrics"
+	"dnsguard/internal/srctab"
 )
 
-// lruBuckets is a bounded map of per-source token buckets with
-// least-recently-used eviction, so an attacker spraying spoofed sources
-// cannot exhaust guard memory.
-type lruBuckets struct {
+// buckets is a bounded table of per-source token buckets with least-
+// recently-used eviction, so an attacker spraying spoofed sources cannot
+// exhaust guard memory. A source's entry is its level alone; the rate and
+// burst every source shares live here, once.
+type buckets struct {
 	rate, burst float64
-	max         int
-	m           map[netip.Addr]*lruEntry
-	head, tail  *lruEntry // head = most recent
+	tab         *srctab.Table[level]
 }
 
-type lruEntry struct {
-	key        netip.Addr
-	bucket     TokenBucket
-	prev, next *lruEntry
-}
-
-func newLRUBuckets(rate, burst float64, max int) *lruBuckets {
-	if max < 1 {
-		max = 1
-	}
-	return &lruBuckets{rate: rate, burst: burst, max: max, m: make(map[netip.Addr]*lruEntry, max)}
-}
-
-func (l *lruBuckets) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// reset empties the table (reusing it when the bound is unchanged) and sets
+// the shared rate and burst.
+func (l *buckets) reset(rate, burst float64, tracked int) {
+	l.rate, l.burst = rate, max(burst, 1)
+	if tracked = max(tracked, 1); l.tab == nil || l.tab.Cap() != tracked {
+		l.tab = srctab.New[level](tracked, srctab.LRU)
 	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (l *lruBuckets) pushFront(e *lruEntry) {
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
-	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
+		l.tab.Reset()
 	}
 }
 
-// get returns key's bucket, starting a full one for a source not tracked.
-// A full table gives the new source the least recently used entry, so a
-// flood of never-seen sources — every spoofed packet, once the table is
-// full — costs no allocation.
-func (l *lruBuckets) get(key netip.Addr, now time.Duration) *TokenBucket {
-	e, ok := l.m[key]
-	if ok {
-		l.unlink(e)
-		l.pushFront(e)
-		return &e.bucket
+// allow charges src one token, starting a full bucket for a source not
+// tracked. A full table gives the new source the least recently used entry,
+// so a flood of never-seen sources — every spoofed packet, once the table
+// is full — costs no allocation.
+func (l *buckets) allow(src netip.Addr, now time.Duration) bool {
+	b, found, _ := l.tab.Put(src.As16())
+	if !found {
+		*b = level{l.burst, now}
 	}
-	if len(l.m) >= l.max {
-		e = l.tail
-		l.unlink(e)
-		delete(l.m, e.key)
-	} else {
-		e = new(lruEntry)
-	}
-	e.key, e.bucket = key, fullBucket(l.rate, l.burst, now)
-	l.m[key] = e
-	l.pushFront(e)
-	return &e.bucket
+	return b.allowN(l.rate, l.burst, now, 1)
 }
-
-func (l *lruBuckets) len() int { return len(l.m) }
 
 // Limiter1Config parameterizes Limiter1.
 type Limiter1Config struct {
@@ -115,36 +73,39 @@ func DefaultLimiter1Config() Limiter1Config {
 // attack traffic: it tracks the top requesters and throttles responses to
 // them, plus a global ceiling (§III-F, §III-G).
 type Limiter1 struct {
-	cfg     Limiter1Config
-	global  *TokenBucket
-	perSrc  *lruBuckets
-	top     *TopK[netip.Addr]
-	allowed uint64
-	denied  uint64
+	global  TokenBucket
+	perSrc  buckets
+	top     TopK
+	allowed atomic.Uint64
+	denied  atomic.Uint64
 }
 
 // NewLimiter1 builds a Limiter1 starting at now.
 func NewLimiter1(cfg Limiter1Config, now time.Duration) *Limiter1 {
-	return &Limiter1{
-		cfg:    cfg,
-		global: NewTokenBucket(cfg.GlobalRate, cfg.GlobalBurst, now),
-		perSrc: newLRUBuckets(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources),
-		top:    NewTopK[netip.Addr](cfg.TrackedSources / 4),
-	}
+	l := new(Limiter1)
+	l.Reset(cfg, now)
+	return l
+}
+
+// Reset returns the limiter to what NewLimiter1(cfg, now) builds, counters
+// included, in place: its tables are reused unless cfg.TrackedSources
+// changed. Not safe concurrently with AllowResponse.
+func (l *Limiter1) Reset(cfg Limiter1Config, now time.Duration) {
+	l.global = *NewTokenBucket(cfg.GlobalRate, cfg.GlobalBurst, now)
+	l.perSrc.reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
+	l.top.reset(cfg.TrackedSources / 4)
+	l.allowed.Store(0)
+	l.denied.Store(0)
 }
 
 // AllowResponse reports whether a cookie response to src may be sent at now.
 func (l *Limiter1) AllowResponse(src netip.Addr, now time.Duration) bool {
 	l.top.Observe(src)
-	if !l.perSrc.get(src, now).Allow(now) {
-		atomic.AddUint64(&l.denied, 1)
+	if !l.perSrc.allow(src, now) || !l.global.Allow(now) {
+		l.denied.Add(1)
 		return false
 	}
-	if !l.global.Allow(now) {
-		atomic.AddUint64(&l.denied, 1)
-		return false
-	}
-	atomic.AddUint64(&l.allowed, 1)
+	l.allowed.Add(1)
 	return true
 }
 
@@ -154,21 +115,13 @@ func (l *Limiter1) TopRequesters(n int) []netip.Addr { return l.top.Top(n) }
 // Stats reports allowed and denied response counts. Safe to call from a
 // metrics scraper concurrent with AllowResponse.
 func (l *Limiter1) Stats() (allowed, denied uint64) {
-	return atomic.LoadUint64(&l.allowed), atomic.LoadUint64(&l.denied)
+	return l.allowed.Load(), l.denied.Load()
 }
 
 // TopKEvictions reports the top-k sketch's eviction count; callers that
 // aggregate several limiters (one per dataplane shard) sum these under a
 // single series.
 func (l *Limiter1) TopKEvictions() uint64 { return l.top.Evictions() }
-
-// MetricsInto registers the limiter's counters under prefix (e.g.
-// "guard_rl1_"): <prefix>allowed, <prefix>denied, <prefix>topk_evictions.
-func (l *Limiter1) MetricsInto(r *metrics.Registry, prefix string) {
-	r.FuncUint(prefix+"allowed", func() uint64 { return atomic.LoadUint64(&l.allowed) })
-	r.FuncUint(prefix+"denied", func() uint64 { return atomic.LoadUint64(&l.denied) })
-	r.FuncUint(prefix+"topk_evictions", l.top.Evictions)
-}
 
 // Limiter2Config parameterizes Limiter2.
 type Limiter2Config struct {
@@ -196,39 +149,41 @@ func DefaultLimiter2Config() Limiter2Config {
 // from non-spoofed DoS (attackers who legitimately obtained a cookie, or
 // zombie farms using their real addresses).
 type Limiter2 struct {
-	perSrc  *lruBuckets
-	allowed uint64
-	denied  uint64
+	perSrc  buckets
+	allowed atomic.Uint64
+	denied  atomic.Uint64
 }
 
 // NewLimiter2 builds a Limiter2 starting at now.
 func NewLimiter2(cfg Limiter2Config, now time.Duration) *Limiter2 {
-	return &Limiter2{perSrc: newLRUBuckets(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)}
+	l := new(Limiter2)
+	l.Reset(cfg)
+	return l
+}
+
+// Reset is Limiter1.Reset for Limiter2.
+func (l *Limiter2) Reset(cfg Limiter2Config) {
+	l.perSrc.reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
+	l.allowed.Store(0)
+	l.denied.Store(0)
 }
 
 // AllowRequest reports whether a verified request from src may be forwarded
 // to the ANS at now.
 func (l *Limiter2) AllowRequest(src netip.Addr, now time.Duration) bool {
-	if !l.perSrc.get(src, now).Allow(now) {
-		atomic.AddUint64(&l.denied, 1)
+	if !l.perSrc.allow(src, now) {
+		l.denied.Add(1)
 		return false
 	}
-	atomic.AddUint64(&l.allowed, 1)
+	l.allowed.Add(1)
 	return true
 }
 
 // Stats reports allowed and denied request counts. Safe to call from a
 // metrics scraper concurrent with AllowRequest.
 func (l *Limiter2) Stats() (allowed, denied uint64) {
-	return atomic.LoadUint64(&l.allowed), atomic.LoadUint64(&l.denied)
-}
-
-// MetricsInto registers the limiter's counters under prefix (e.g.
-// "guard_rl2_"): <prefix>allowed, <prefix>denied.
-func (l *Limiter2) MetricsInto(r *metrics.Registry, prefix string) {
-	r.FuncUint(prefix+"allowed", func() uint64 { return atomic.LoadUint64(&l.allowed) })
-	r.FuncUint(prefix+"denied", func() uint64 { return atomic.LoadUint64(&l.denied) })
+	return l.allowed.Load(), l.denied.Load()
 }
 
 // Sources reports how many per-source buckets are live.
-func (l *Limiter2) Sources() int { return l.perSrc.len() }
+func (l *Limiter2) Sources() int { return l.perSrc.tab.Len() }

@@ -1,6 +1,7 @@
 package ratelimit
 
 import (
+	"container/heap"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -95,61 +96,63 @@ func TestRateEstimatorDecaysToZero(t *testing.T) {
 }
 
 func TestTopKExactWhenUnderCapacity(t *testing.T) {
-	tk := NewTopK[string](10)
+	tk := NewTopK(10)
+	a, b := ip(1), ip(2)
 	for i := 0; i < 7; i++ {
-		tk.Observe("a")
+		tk.Observe(a)
 	}
 	for i := 0; i < 3; i++ {
-		tk.Observe("b")
+		tk.Observe(b)
 	}
-	if c, e := tk.Estimate("a"); c != 7 || e != 0 {
+	if c, e := tk.Estimate(a); c != 7 || e != 0 {
 		t.Fatalf("a = %d±%d, want 7±0", c, e)
 	}
-	if c, _ := tk.Estimate("b"); c != 3 {
+	if c, _ := tk.Estimate(b); c != 3 {
 		t.Fatalf("b = %d, want 3", c)
 	}
-	if c, _ := tk.Estimate("zzz"); c != 0 {
+	if c, _ := tk.Estimate(ip(99)); c != 0 {
 		t.Fatalf("missing key = %d, want 0", c)
 	}
 	top := tk.Top(2)
-	if len(top) != 2 || top[0] != "a" || top[1] != "b" {
+	if len(top) != 2 || top[0] != a || top[1] != b {
 		t.Fatalf("Top = %v", top)
 	}
 }
 
 func TestTopKHeavyHitterSurvivesNoise(t *testing.T) {
-	tk := NewTopK[int](16)
+	tk := NewTopK(16)
 	r := rand.New(rand.NewSource(3))
+	heavy := ip(1_000_000)
 	// One heavy hitter among a large stream of singletons.
 	for i := 0; i < 20000; i++ {
 		if i%4 == 0 {
-			tk.Observe(-1) // heavy: 25% of stream
+			tk.Observe(heavy) // 25% of stream
 		} else {
-			tk.Observe(r.Intn(1_000_000))
+			tk.Observe(ip(r.Intn(1_000_000)))
 		}
 	}
-	if !tk.Contains(-1) {
+	if !tk.Contains(heavy) {
 		t.Fatal("heavy hitter evicted")
 	}
 	top := tk.Top(1)
-	if len(top) != 1 || top[0] != -1 {
-		t.Fatalf("Top(1) = %v, want [-1]", top)
+	if len(top) != 1 || top[0] != heavy {
+		t.Fatalf("Top(1) = %v, want [%v]", top, heavy)
 	}
 }
 
 func TestTopKOverestimateBound(t *testing.T) {
 	// Space-saving invariant: estimate >= true count, and
 	// estimate - err <= true count.
-	tk := NewTopK[int](8)
+	tk := NewTopK(8)
 	truth := map[int]uint64{}
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 5000; i++ {
 		k := r.Intn(50)
 		truth[k]++
-		tk.Observe(k)
+		tk.Observe(ip(k))
 	}
 	for k, tc := range truth {
-		est, errB := tk.Estimate(k)
+		est, errB := tk.Estimate(ip(k))
 		if est == 0 {
 			continue // not tracked
 		}
@@ -303,15 +306,98 @@ func TestRateEstimatorRegressionDoesNotAdvanceWindow(t *testing.T) {
 }
 
 func TestTopKEvictionsCounter(t *testing.T) {
-	tk := NewTopK[int](2)
-	tk.Observe(1)
-	tk.Observe(2)
+	tk := NewTopK(2)
+	tk.Observe(ip(1))
+	tk.Observe(ip(2))
 	if tk.Evictions() != 0 {
 		t.Fatalf("evictions before saturation = %d, want 0", tk.Evictions())
 	}
-	tk.Observe(3) // third distinct key with k=2: space-saving eviction
+	tk.Observe(ip(3)) // third distinct key with k=2: space-saving eviction
 	if tk.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1", tk.Evictions())
+	}
+}
+
+// ip is test source number i.
+func ip(i int) netip.Addr {
+	return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+}
+
+// refTopK is the sketch as it was before it moved to flat storage — a map
+// of heap-allocated counters under container/heap — kept as the reference
+// for which of several equal counters an eviction takes.
+type refTopK struct {
+	k         int
+	entries   map[netip.Addr]*refEntry
+	heap      refHeap
+	evictions uint64
+}
+
+type refEntry struct {
+	key        netip.Addr
+	count, err uint64
+	idx        int
+}
+
+type refHeap []*refEntry
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].count < h[j].count }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
+func (h *refHeap) Push(x any)        { e := x.(*refEntry); e.idx = len(*h); *h = append(*h, e) }
+func (h *refHeap) Pop() any          { panic("unused") }
+
+func (t *refTopK) observe(key netip.Addr) {
+	if e, ok := t.entries[key]; ok {
+		e.count++
+		heap.Fix(&t.heap, e.idx)
+		return
+	}
+	if len(t.heap) < t.k {
+		e := &refEntry{key: key, count: 1}
+		t.entries[key] = e
+		heap.Push(&t.heap, e)
+		return
+	}
+	t.evictions++
+	min := t.heap[0]
+	delete(t.entries, min.key)
+	min.key, min.err = key, min.count
+	min.count++
+	t.entries[key] = min
+	heap.Fix(&t.heap, 0)
+}
+
+// TestTopKMatchesReference: on a stream with many ties — a few repeaters in
+// a flood of singletons, which is what Rate-Limiter1 sees — the flat sketch
+// holds the same sources in the same heap positions with the same counts as
+// the container/heap one after every observation, so rl1_topk_evictions and
+// everything downstream of who is evicted cannot move.
+func TestTopKMatchesReference(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7, 64} {
+		tk, ref := NewTopK(k), &refTopK{k: k, entries: map[netip.Addr]*refEntry{}}
+		r := rand.New(rand.NewSource(int64(k)))
+		for i := 0; i < 5000; i++ {
+			src := ip(1000 + i)
+			if r.Intn(3) == 0 {
+				src = ip(r.Intn(2 * k))
+			}
+			tk.Observe(src)
+			ref.observe(src)
+			if tk.Evictions() != ref.evictions || tk.Len() != len(ref.heap) {
+				t.Fatalf("k=%d step %d: evictions %d len %d, reference %d, %d", k, i, tk.Evictions(), tk.Len(), ref.evictions, len(ref.heap))
+			}
+			for pos, want := range ref.heap {
+				got := tk.entries[tk.heap[pos]]
+				if netip.AddrFrom16(got.key).Unmap() != want.key || got.count != want.count || got.err != want.err || int(got.pos) != pos {
+					t.Fatalf("k=%d step %d heap[%d]: %v count %d err %d pos %d, reference %v count %d err %d",
+						k, i, pos, netip.AddrFrom16(got.key).Unmap(), got.count, got.err, got.pos, want.key, want.count, want.err)
+				}
+				if c, _ := tk.Estimate(want.key); c != want.count {
+					t.Fatalf("k=%d step %d: Estimate(%v) = %d, reference %d", k, i, want.key, c, want.count)
+				}
+			}
+		}
 	}
 }
 
@@ -321,22 +407,66 @@ func TestTopKEvictionsCounter(t *testing.T) {
 // newly built one.
 func TestLRUColdGetAllocs(t *testing.T) {
 	const tracked = 256
-	l := newLRUBuckets(100, 20, tracked)
-	next := uint32(0)
-	cold := func() netip.Addr {
-		next++
-		return netip.AddrFrom4([4]byte{10, byte(next >> 16), byte(next >> 8), byte(next)})
-	}
+	var l buckets
+	l.reset(100, 20, tracked)
+	next := 0
+	cold := func() netip.Addr { next++; return ip(next) }
 	for i := 0; i < tracked; i++ {
-		l.get(cold(), 0).Allow(0)
+		l.allow(cold(), 0)
 	}
-	if n := testing.AllocsPerRun(10*tracked, func() { l.get(cold(), time.Second) }); n != 0 {
-		t.Errorf("at-capacity get of an unseen source allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(10*tracked, func() { l.allow(cold(), time.Second) }); n != 0 {
+		t.Errorf("at-capacity charge of an unseen source allocates %.1f/op, want 0", n)
 	}
-	if l.len() != tracked {
-		t.Errorf("table holds %d sources, want %d", l.len(), tracked)
+	if l.tab.Len() != tracked {
+		t.Errorf("table holds %d sources, want %d", l.tab.Len(), tracked)
 	}
-	if got, want := *l.get(cold(), 2*time.Second), *NewTokenBucket(100, 20, 2*time.Second); got != want {
-		t.Errorf("recycled entry's bucket = %+v, want a fresh %+v", got, want)
+	// A recycled entry's bucket is as fresh as a newly built one: it gives
+	// the whole burst and not one token more.
+	src := cold()
+	for i := 0; i < 20; i++ {
+		if !l.allow(src, 2*time.Second) {
+			t.Fatalf("recycled entry denied charge %d of a burst of 20", i+1)
+		}
+	}
+	if l.allow(src, 2*time.Second) {
+		t.Error("recycled entry allowed 21 charges on a burst of 20")
+	}
+}
+
+// TestLimiterResetInPlace: Reset leaves a limiter as NewLimiter builds it —
+// tables empty, counters zero, the new rates in force — and allocates
+// nothing while the tracked-source bound is unchanged, which is what a
+// strict/normal mitigation toggle and a supervised shard restart rely on.
+func TestLimiterResetInPlace(t *testing.T) {
+	c1, c2 := DefaultLimiter1Config(), DefaultLimiter2Config()
+	s1, s2 := c1, c2
+	s1.PerSourceBurst, s2.PerSourceBurst = 1, 1
+	l1, l2 := NewLimiter1(c1, 0), NewLimiter2(c2, 0)
+	for i := 0; i < 3*c2.TrackedSources; i++ {
+		l1.AllowResponse(ip(i), 0)
+		l2.AllowRequest(ip(i), 0)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		l1.Reset(s1, time.Second)
+		l2.Reset(s2)
+		l1.Reset(c1, time.Second)
+		l2.Reset(c2)
+	}); n != 0 {
+		t.Errorf("strict/normal toggle allocates %.1f times, want 0", n)
+	}
+	l1.Reset(s1, time.Second)
+	l2.Reset(s2)
+	a1, d1 := l1.Stats()
+	a2, d2 := l2.Stats()
+	if a1+d1+a2+d2+l1.TopKEvictions() != 0 || l2.Sources() != 0 || l1.perSrc.tab.Len() != 0 || l1.top.Len() != 0 {
+		t.Fatalf("after Reset: rl1 %d/%d evictions %d sources %d top %d, rl2 %d/%d sources %d, want all 0",
+			a1, d1, l1.TopKEvictions(), l1.perSrc.tab.Len(), l1.top.Len(), a2, d2, l2.Sources())
+	}
+	src := ip(7)
+	if !l1.AllowResponse(src, time.Second) || l1.AllowResponse(src, time.Second) {
+		t.Error("rl1 after Reset to burst 1: want exactly one response allowed")
+	}
+	if !l2.AllowRequest(src, time.Second) || l2.AllowRequest(src, time.Second) {
+		t.Error("rl2 after Reset to burst 1: want exactly one request allowed")
 	}
 }

@@ -1,122 +1,161 @@
 package ratelimit
 
 import (
-	"container/heap"
+	"net/netip"
 	"sync/atomic"
+
+	"dnsguard/internal/srctab"
 )
 
 // TopK is a space-saving heavy-hitter sketch (Metwally et al.) over a stream
-// of keys. It tracks at most k counters; when a new key arrives with all
-// counters occupied, the minimum counter is evicted and inherited, so counts
-// are overestimates bounded by the evicted minimum. The guard's
-// Rate-Limiter1 uses it to identify the top cookie requesters (§III-F).
-type TopK[K comparable] struct {
-	k         int
-	entries   map[K]*tkEntry[K]
-	heap      tkHeap[K]
-	evictions uint64
+// of source addresses. It tracks at most k counters; when a new source
+// arrives with all counters occupied, the minimum counter is evicted and
+// inherited, so counts are overestimates bounded by the evicted minimum. The
+// guard's Rate-Limiter1 uses it to identify the top cookie requesters
+// (§III-F). Sources are told apart by srctab.Key, so Top reports an IPv4
+// source unmapped whichever way it arrived.
+//
+// Storage is flat and pointer-free: counters by value in one slice, a
+// min-heap of their indices ordered as container/heap would order it, and a
+// source table from key to counter index.
+type TopK struct {
+	entries   []tkEntry
+	heap      []uint32 // entry indices, min count at the root
+	index     *srctab.Table[uint32]
+	evictions atomic.Uint64
 }
 
-type tkEntry[K comparable] struct {
-	key   K
+type tkEntry struct {
+	key   srctab.Key
 	count uint64
 	err   uint64 // overestimation bound inherited at eviction
-	idx   int
-}
-
-type tkHeap[K comparable] []*tkEntry[K]
-
-func (h tkHeap[K]) Len() int            { return len(h) }
-func (h tkHeap[K]) Less(i, j int) bool  { return h[i].count < h[j].count }
-func (h tkHeap[K]) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *tkHeap[K]) Push(x interface{}) { e := x.(*tkEntry[K]); e.idx = len(*h); *h = append(*h, e) }
-func (h *tkHeap[K]) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	pos   uint32 // where in heap this entry's index sits
 }
 
 // NewTopK creates a sketch with k counters.
-func NewTopK[K comparable](k int) *TopK[K] {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK[K]{k: k, entries: make(map[K]*tkEntry[K], k)}
+func NewTopK(k int) *TopK {
+	t := new(TopK)
+	t.reset(k)
+	return t
 }
 
-// Observe records one occurrence of key.
-func (t *TopK[K]) Observe(key K) {
-	if e, ok := t.entries[key]; ok {
+// reset empties the sketch and zeroes its eviction count, keeping its
+// storage when k is unchanged.
+func (t *TopK) reset(k int) {
+	if k = max(k, 1); cap(t.entries) != k {
+		t.entries, t.heap = make([]tkEntry, 0, k), make([]uint32, 0, k)
+		t.index = srctab.New[uint32](k, srctab.FIFO)
+	} else {
+		t.entries, t.heap = t.entries[:0], t.heap[:0]
+		t.index.Reset()
+	}
+	t.evictions.Store(0)
+}
+
+func (t *TopK) less(i, j int) bool {
+	return t.entries[t.heap[i]].count < t.entries[t.heap[j]].count
+}
+
+func (t *TopK) swap(i, j int) {
+	h := t.heap
+	h[i], h[j] = h[j], h[i]
+	t.entries[h[i]].pos, t.entries[h[j]].pos = uint32(i), uint32(j)
+}
+
+// up and down are container/heap's, comparison for comparison: which of two
+// equal counters an eviction takes is part of every golden. A counter that
+// grew only moves down, a new one (count 1) only up.
+func (t *TopK) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !t.less(j, i) {
+			break
+		}
+		t.swap(i, j)
+		j = i
+	}
+}
+
+func (t *TopK) down(i int) {
+	for n := len(t.heap); ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && t.less(j2, j) {
+			j = j2
+		}
+		if !t.less(j, i) {
+			break
+		}
+		t.swap(i, j)
+		i = j
+	}
+}
+
+// Observe records one occurrence of src.
+func (t *TopK) Observe(src netip.Addr) {
+	key := srctab.Key(src.As16())
+	if at := t.index.Get(key); at != nil {
+		e := &t.entries[*at]
 		e.count++
-		heap.Fix(&t.heap, e.idx)
+		t.down(int(e.pos))
 		return
 	}
-	if len(t.heap) < t.k {
-		e := &tkEntry[K]{key: key, count: 1}
-		t.entries[key] = e
-		heap.Push(&t.heap, e)
-		return
+	at := uint32(len(t.entries))
+	if len(t.entries) < cap(t.entries) {
+		t.entries = append(t.entries, tkEntry{key: key, count: 1, pos: at})
+		t.heap = append(t.heap, at)
+		t.up(int(at))
+	} else {
+		// Evict the minimum and inherit its count (space-saving step).
+		t.evictions.Add(1)
+		at = t.heap[0]
+		e := &t.entries[at]
+		t.index.Delete(e.key)
+		e.key, e.err = key, e.count
+		e.count++
+		t.down(0)
 	}
-	// Evict the minimum and inherit its count (space-saving step).
-	atomic.AddUint64(&t.evictions, 1)
-	min := t.heap[0]
-	delete(t.entries, min.key)
-	min.key = key
-	min.err = min.count
-	min.count++
-	t.entries[key] = min
-	heap.Fix(&t.heap, 0)
+	slot, _, _ := t.index.Put(key)
+	*slot = at
 }
 
-// Estimate returns the (over-)estimated count for key and the error bound.
-// Missing keys report 0, 0.
-func (t *TopK[K]) Estimate(key K) (count, errBound uint64) {
-	if e, ok := t.entries[key]; ok {
-		return e.count, e.err
+// Estimate returns the (over-)estimated count for src and the error bound.
+// Missing sources report 0, 0.
+func (t *TopK) Estimate(src netip.Addr) (count, errBound uint64) {
+	if at := t.index.Get(src.As16()); at != nil {
+		return t.entries[*at].count, t.entries[*at].err
 	}
 	return 0, 0
 }
 
-// Contains reports whether key currently holds a counter, i.e. is among the
+// Contains reports whether src currently holds a counter, i.e. is among the
 // tracked heavy hitters.
-func (t *TopK[K]) Contains(key K) bool {
-	_, ok := t.entries[key]
-	return ok
-}
+func (t *TopK) Contains(src netip.Addr) bool { return t.index.Get(src.As16()) != nil }
 
-// Top returns up to n tracked keys ordered by descending estimated count.
-func (t *TopK[K]) Top(n int) []K {
-	type kv struct {
-		key   K
-		count uint64
-	}
-	all := make([]kv, 0, len(t.heap))
-	for _, e := range t.heap {
-		all = append(all, kv{e.key, e.count})
-	}
+// Top returns up to n tracked sources ordered by descending estimated count.
+func (t *TopK) Top(n int) []netip.Addr {
+	all := make([]uint32, len(t.heap))
+	copy(all, t.heap)
 	// Insertion sort: k is small.
 	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].count > all[j-1].count; j-- {
+		for j := i; j > 0 && t.entries[all[j]].count > t.entries[all[j-1]].count; j-- {
 			all[j], all[j-1] = all[j-1], all[j]
 		}
 	}
-	if n > len(all) {
-		n = len(all)
+	srcs := make([]netip.Addr, min(n, len(all)))
+	for i := range srcs {
+		srcs[i] = netip.AddrFrom16(t.entries[all[i]].key).Unmap()
 	}
-	keys := make([]K, n)
-	for i := 0; i < n; i++ {
-		keys[i] = all[i].key
-	}
-	return keys
+	return srcs
 }
 
 // Len reports the number of occupied counters.
-func (t *TopK[K]) Len() int { return len(t.heap) }
+func (t *TopK) Len() int { return len(t.entries) }
 
 // Evictions reports how many space-saving evictions have occurred — a
 // saturation signal: nonzero means the sketch saw more distinct keys than
 // it has counters and estimates carry inherited error. Safe to call from a
 // metrics scraper concurrent with Observe.
-func (t *TopK[K]) Evictions() uint64 { return atomic.LoadUint64(&t.evictions) }
+func (t *TopK) Evictions() uint64 { return t.evictions.Load() }

@@ -1,0 +1,188 @@
+// Package srctab is the guard's one per-source table: a fixed-capacity,
+// open-addressed hash table from a source address to a small pointer-free
+// value, with an intrusive list that gives exact LRU or exact FIFO eviction.
+// Rate-Limiter1, Rate-Limiter2, the top-k sketch's key index and the
+// verified-source cache all sit on it (DESIGN.md, "Per-source state").
+//
+// A table is two allocations made by New — one []entry, one index array —
+// and with a pointer-free V neither holds a pointer, so the collector never
+// scans per-source state however many sources an attacker sprays. A table
+// is not synchronized.
+package srctab
+
+import "hash/maphash"
+
+// Key is a source's identity: netip.Addr.As16, the same bytes a cookie is
+// bound to (an IPv4 source and its 4-in-6 twin are one source; zones are
+// not part of it).
+type Key [16]byte
+
+// Order says what a hit through Put does to a source's place in the
+// eviction order: nothing (FIFO, oldest insert goes first) or make it the
+// newest (LRU).
+type Order bool
+
+const (
+	FIFO Order = false
+	LRU  Order = true
+)
+
+type entry[V any] struct {
+	key          Key
+	newer, older uint32 // list neighbours as entry numbers; 0 is the sentinel
+	val          V
+}
+
+// Table maps up to Cap sources to a V each.
+type Table[V any] struct {
+	// seed is per table and random: the attacker chooses the keys, so must
+	// not be able to choose their slots. Layout never shows — eviction order
+	// comes from the list — so no virtual-clock golden depends on it.
+	seed  maphash.Seed
+	order Order
+	// entries[0] is the list sentinel (.older is the newest source, .newer
+	// the oldest); sources live in entries[1:].
+	entries []entry[V]
+	// index is linear-probed and at most half full. A slot is hash<<32 |
+	// entry number, 0 when empty: a probe compares hashes before it touches
+	// an entry, and a deletion closes its gap by shifting later slots back
+	// (no tombstones) using the stored hashes alone.
+	index []uint64
+	mask  uint32
+	used  uint32 // entries[1:used+1] have held a source since the last Reset
+	free  uint32 // deleted entries, chained through older
+	n     int
+}
+
+// New returns an empty table for capacity sources (at least 1).
+func New[V any](capacity int, order Order) *Table[V] {
+	capacity = max(capacity, 1)
+	slots := 2
+	for slots < 2*capacity {
+		slots *= 2
+	}
+	return &Table[V]{
+		seed:    maphash.MakeSeed(),
+		order:   order,
+		entries: make([]entry[V], capacity+1),
+		index:   make([]uint64, slots),
+		mask:    uint32(slots - 1),
+	}
+}
+
+// Len reports how many sources the table holds; Cap, how many it can.
+func (t *Table[V]) Len() int { return t.n }
+func (t *Table[V]) Cap() int { return len(t.entries) - 1 }
+
+// Reset empties the table in place.
+func (t *Table[V]) Reset() {
+	clear(t.index)
+	t.entries[0] = entry[V]{}
+	t.used, t.free, t.n = 0, 0, 0
+}
+
+// find probes for k: its hash, and either its slot and entry number or the
+// empty slot that ends its probe run and 0.
+func (t *Table[V]) find(k Key) (h, slot, ref uint32) {
+	h = uint32(maphash.Bytes(t.seed, k[:]) >> 32)
+	for slot = h & t.mask; ; slot = (slot + 1) & t.mask {
+		s := t.index[slot]
+		if s == 0 {
+			return h, slot, 0
+		}
+		if uint32(s>>32) == h && t.entries[uint32(s)].key == k {
+			return h, slot, uint32(s)
+		}
+	}
+}
+
+// vacate empties slot and moves back every later slot of the run that the
+// gap would otherwise cut off from its home (Knuth 6.4, algorithm R).
+func (t *Table[V]) vacate(slot uint32) {
+	for j := slot; ; {
+		j = (j + 1) & t.mask
+		s := t.index[j]
+		if s == 0 {
+			break
+		}
+		if home := uint32(s>>32) & t.mask; (j-home)&t.mask >= (j-slot)&t.mask {
+			t.index[slot] = s
+			slot = j
+		}
+	}
+	t.index[slot] = 0
+}
+
+func (t *Table[V]) unlink(e *entry[V]) {
+	t.entries[e.newer].older = e.older
+	t.entries[e.older].newer = e.newer
+}
+
+func (t *Table[V]) linkNewest(ref uint32) {
+	s, e := &t.entries[0], &t.entries[ref]
+	e.newer, e.older = 0, s.older
+	t.entries[s.older].newer = ref
+	s.older = ref
+}
+
+// Get returns k's value, or nil. It never reorders.
+func (t *Table[V]) Get(k Key) *V {
+	if _, _, ref := t.find(k); ref != 0 {
+		return &t.entries[ref].val
+	}
+	return nil
+}
+
+// Put returns k's value, inserting k as the newest source if it was not
+// found. A full table evicts the oldest source for it, so a flood of
+// never-seen sources allocates nothing; the evicted value is left in place
+// for the caller to read before overwriting. Otherwise a new value is zero.
+func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
+	h, slot, ref := t.find(k)
+	if ref != 0 {
+		e := &t.entries[ref]
+		if t.order == LRU && e.newer != 0 {
+			t.unlink(e)
+			t.linkNewest(ref)
+		}
+		return &e.val, true, false
+	}
+	switch {
+	case t.n == t.Cap():
+		evicted, ref = true, t.entries[0].newer
+		_, old, _ := t.find(t.entries[ref].key)
+		t.vacate(old)
+		t.unlink(&t.entries[ref])
+		for slot = h & t.mask; t.index[slot] != 0; slot = (slot + 1) & t.mask {
+		}
+	case t.free != 0:
+		ref = t.free
+		t.free = t.entries[ref].older
+	default:
+		t.used++
+		ref = t.used
+	}
+	e := &t.entries[ref]
+	if !evicted {
+		t.n++
+		clear(t.entries[ref : ref+1]) // val may be left over from before a Delete or Reset
+	}
+	e.key = k
+	t.index[slot] = uint64(h)<<32 | uint64(ref)
+	t.linkNewest(ref)
+	return &e.val, false, evicted
+}
+
+// Delete removes k and reports whether it was present.
+func (t *Table[V]) Delete(k Key) bool {
+	_, slot, ref := t.find(k)
+	if ref == 0 {
+		return false
+	}
+	t.vacate(slot)
+	e := &t.entries[ref]
+	t.unlink(e)
+	e.older, t.free = t.free, ref
+	t.n--
+	return true
+}
