@@ -67,7 +67,7 @@ func run() error {
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
 	queueDepth := flag.Int("queue-depth", 0, "per-shard ingress queue depth (0 = default)")
 	ingest := flag.String("ingest", "auto", "shard ingest mode: auto (affine when each shard has its own flow-stable socket), hash (central fan-out), or affine (require per-shard sockets)")
-	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source fast-path cache TTL (0 = default 1m, negative = off)")
+	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source cache TTL (0 = default 1m, negative = no cache); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
 	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never); rotations are persisted to -state-file")

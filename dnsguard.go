@@ -124,8 +124,8 @@ type Message = dnswire.Message
 type Question = dnswire.Question
 
 // WireView is a zero-copy read of a DNS datagram's header and first question
-// over borrowed bytes — the guard's verified-source fast path parses with it
-// instead of materializing a Message. Neither a WireView nor any slice it
+// over borrowed bytes — the guard reads a lone question with it instead of
+// materializing a Message. Neither a WireView nor any slice it
 // returns may outlive the underlying buffer (see the dnswire view
 // invariants).
 type WireView = dnswire.View

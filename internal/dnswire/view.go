@@ -1,10 +1,10 @@
 package dnswire
 
 // Zero-copy message views. Unpack materializes a Message — name strings,
-// question and RR slices — which is exactly the per-packet garbage the
-// guard's verified-source fast path cannot afford. A View parses the header
-// and first question of a datagram in place over borrowed bytes: no copy,
-// no allocation, no escape.
+// question and RR slices — which is per-packet garbage the guard can do
+// without for a packet that is one question and no records. A View parses
+// the header and first question of a datagram in place over borrowed bytes:
+// no copy, no allocation, no escape.
 //
 // View invariants (the no-escape rule):
 //
@@ -137,12 +137,12 @@ func (v View) QClass() Class {
 func (v View) QuestionWire() []byte { return v.buf[headerLen:v.end] }
 
 // End returns the offset just past the first question. A query that is
-// exactly one question — the guard's fast-path shape — has End equal to the
-// datagram length and zero ANCount/NSCount/ARCount.
+// exactly one question — the shape the guard handles without a Message — has
+// End equal to the datagram length and zero ANCount/NSCount/ARCount.
 func (v View) End() int { return v.end }
 
 // Question materializes the first question as Unpack would decode it —
-// canonical lowercase Name. It allocates; the fast path never calls it.
+// canonical lowercase Name. It allocates.
 func (v View) Question() (Question, error) {
 	q, _, err := UnpackQuestion(v.QuestionWire())
 	return q, err

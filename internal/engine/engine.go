@@ -153,9 +153,8 @@ type Config struct {
 	// slabs amortize the read call, and in hash mode the queue operation
 	// and its lock, over the packets that were already waiting.
 	Batch int
-	// FastPathTTL enables the verified-source cache and bounds how long an
-	// entry stays valid. 0 disables the cache (MarkVerified is a no-op and
-	// VerifiedCred always misses).
+	// FastPathTTL is the verified-source cache's TTL. 0 means no cache
+	// (MarkVerified is a no-op and every probe misses, uncounted).
 	FastPathTTL time.Duration
 	// FastPathSources bounds the cache per shard. 0 means 4096.
 	FastPathSources int

@@ -50,8 +50,8 @@ func (v *verifiedShard) init(capacity int) {
 // knowledge of cred. Handlers call it with their own shard id — under affine
 // ingest the delivering interface, not the source hash, decides ownership.
 // A full cache gives a new source the oldest entry, which counts as an
-// eviction only if it had not expired. A no-op when the fast path is
-// disabled; a credential longer than the guard can form is not cached.
+// eviction only if it had not expired. A no-op when the cache is off
+// (FastPathTTL 0); a credential longer than the guard can form is not cached.
 func (e *Engine) MarkVerifiedOn(shard int, src netip.Addr, cred string) {
 	if e.cfg.FastPathTTL <= 0 || len(cred) > maxCred {
 		return
@@ -95,14 +95,11 @@ func (v *verifiedShard) live(src netip.Addr, clock netapi.Env) *verifiedEntry {
 }
 
 // probe reports whether src has a live entry on shard's slice of the cache
-// and whether it holds cred, and counts what feeds the fast-path ratio: for
-// the materializing path a Hit for a live entry, matching or not, and a Miss
-// otherwise; for the wire path, which commits only on a match and otherwise
-// hands the packet to the materializing path and its probe, a Hit on a match
-// and nothing else — so the two shapes leave bit-identical counters. The
-// compare is constant-time: the presented credential is attacker-controlled,
-// and an early exit would leak the cached one byte by byte.
-func probe[T string | []byte](e *Engine, shard int, src netip.Addr, cred T, wire bool) (live, match bool) {
+// and whether it holds cred, and counts what feeds the fast-path ratio: a Hit
+// for a live entry, matching or not, and a Miss otherwise. The compare is
+// constant-time: the presented credential is attacker-controlled, and an
+// early exit would leak the cached one byte by byte.
+func (e *Engine) probe(shard int, src netip.Addr, cred []byte) (live, match bool) {
 	if e.cfg.FastPathTTL <= 0 {
 		return false, false
 	}
@@ -120,35 +117,27 @@ func probe[T string | []byte](e *Engine, shard int, src netip.Addr, cred T, wire
 		}
 	}
 	v.mu.Unlock()
-	switch {
-	case live && (match || !wire):
+	if live {
 		atomic.AddUint64(&sh.fast.Hits, 1)
-	case !wire:
+	} else {
 		atomic.AddUint64(&sh.fast.Misses, 1)
 	}
 	return live, match
 }
 
-// VerifiedCredIsOn reports whether src's live entry on shard's cache slice
-// holds exactly cred. Handlers call it on the materializing path with their
-// own shard id.
-func (e *Engine) VerifiedCredIsOn(shard int, src netip.Addr, cred string) bool {
-	_, match := probe(e, shard, src, cred, false)
-	return match
-}
-
-// VerifiedCredMatchOn is VerifiedCredIsOn for the wire path, which holds the
-// presented credential as bytes.
+// VerifiedCredMatchOn reports whether src's live entry on shard's cache
+// slice holds exactly cred. Handlers call it with their own shard id and the
+// credential as the packet presents it.
 func (e *Engine) VerifiedCredMatchOn(shard int, src netip.Addr, cred []byte) bool {
-	_, match := probe(e, shard, src, cred, true)
+	_, match := e.probe(shard, src, cred)
 	return match
 }
 
 // VerifiedCredOn reports whether src has a live entry on shard's slice of
-// the cache, counted as VerifiedCredIsOn counts, and materializes its
-// credential; handlers, which only compare, use the calls above.
+// the cache, counted as VerifiedCredMatchOn counts, and materializes its
+// credential; handlers, which only compare, use the call above.
 func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool) {
-	if ok, _ = probe(e, shard, src, "", false); ok {
+	if ok, _ = e.probe(shard, src, nil); ok {
 		v := &e.shards[shard].verified
 		v.mu.Lock()
 		if ent := v.tab.Get(src.As16()); ent != nil {
@@ -164,12 +153,6 @@ func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool
 func (e *Engine) VerifiedCred(src netip.Addr) (string, bool) {
 	return e.VerifiedCredOn(e.ShardOf(src), src)
 }
-
-// FastPathEnabled reports whether the verified-source cache is live at all
-// (FastPathTTL > 0). Handlers consult it before committing to the zero-copy
-// wire path: with the cache off, every probe would miss and the historical
-// materializing path is the only one that runs.
-func (e *Engine) FastPathEnabled() bool { return e.cfg.FastPathTTL > 0 }
 
 // has is the queue-admission classification: does src currently hold a live
 // verified entry? Called by readers; does not touch hit/miss counters.

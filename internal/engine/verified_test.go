@@ -46,15 +46,15 @@ func TestVerifiedReinsertKeepsPlace(t *testing.T) {
 		e.MarkVerifiedOn(0, src, "cred")
 	}
 	env.now = time.Minute + time.Second
-	if e.VerifiedCredIsOn(0, a, "cred") {
+	if e.VerifiedCredMatchOn(0, a, []byte("cred")) {
 		t.Fatal("a is live a second after its TTL")
 	}
 	e.MarkVerifiedOn(0, a, "cred") // expire → re-insert
 	e.MarkVerifiedOn(0, d, "cred") // → overflow by one: takes b, dead and oldest
-	if !e.VerifiedCredIsOn(0, a, "cred") {
+	if !e.VerifiedCredMatchOn(0, a, []byte("cred")) {
 		t.Error("the re-verified source was evicted by the next insert")
 	}
-	if !e.VerifiedCredIsOn(0, d, "cred") {
+	if !e.VerifiedCredMatchOn(0, d, []byte("cred")) {
 		t.Error("the newest source is not cached")
 	}
 	if e.shards[0].verified.has(b, 0) {
@@ -73,14 +73,15 @@ func TestVerifiedReinsertKeepsPlace(t *testing.T) {
 func TestVerifiedSteadyPopulationAllocs(t *testing.T) {
 	const sources = 256
 	e, env := newCacheEngine(t, sources)
+	cred := []byte("ns:pr00000000")
 	round := func() {
 		env.now += time.Minute + time.Second
 		for i := 0; i < sources; i++ {
 			src := srcAP(i).Addr()
-			if e.VerifiedCredIsOn(0, src, "ns:pr00000000") {
+			if e.VerifiedCredMatchOn(0, src, cred) {
 				t.Fatalf("source %d live past its TTL", i)
 			}
-			e.MarkVerifiedOn(0, src, "ns:pr00000000")
+			e.MarkVerifiedOn(0, src, string(cred))
 		}
 	}
 	round()
@@ -113,11 +114,11 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 	for i := 0; i < sources; i++ {
 		e.MarkVerifiedOn(0, cold(), longest)
 	}
-	wire := []byte(longest)
+	wire, other := []byte(longest), []byte("ns:other")
 	if n := testing.AllocsPerRun(10*sources, func() {
 		src := cold()
 		e.MarkVerifiedOn(0, src, longest)
-		if !e.VerifiedCredMatchOn(0, src, wire) || !e.VerifiedCredIsOn(0, src, longest) || e.VerifiedCredIsOn(0, src, "ns:other") {
+		if !e.VerifiedCredMatchOn(0, src, wire) || e.VerifiedCredMatchOn(0, src, other) {
 			t.Fatal("the credential just cached does not match itself")
 		}
 	}); n != 0 {

@@ -39,7 +39,8 @@ type Config struct {
 	// Key seeds the fleet-shared keyring deterministically; the zero value
 	// generates a random ring.
 	Key [cookie.KeySize]byte
-	// FastPathTTL enables each guard's verified-source cache.
+	// FastPathTTL is each guard's verified-source cache TTL (0: no cache).
+	// It does not select a code path.
 	FastPathTTL time.Duration
 	// StateDir, when non-empty, gives every site a persisted keyring at
 	// StateDir/site<i>.keyring: rotations and adoptions are written through,

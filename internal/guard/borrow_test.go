@@ -208,8 +208,8 @@ func (e memEnv) ListenUDP(netip.AddrPort) (netapi.UDPConn, error) { return e.up,
 
 // ansAnswer plays the ANS behind the guard. The first label of the question
 // picks the behaviour: "mute…" never answers (the entry stays pending),
-// "ref…" gets a referral with glue (the materializing upstream path), and
-// anything else an empty NXDOMAIN (the shape the fast upstream path takes).
+// "ref…" gets a referral with glue (unpacked, message 6 built as a Message),
+// and anything else an empty NXDOMAIN (answered from the entry's spans).
 func ansAnswer(b []byte) []byte {
 	q, err := dnswire.Unpack(b)
 	if err != nil || len(q.Questions) == 0 {
@@ -295,6 +295,9 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 		pub.push(step...)
 		pub.waitParked(t) // the batch is dispatched and its replies flushed,
 		up.waitParked(t)  // and every answer it drew has been relayed
+		if poison {
+			scribblePool(g.shards[0]) // a recycled pending entry's spans are nobody's
+		}
 		o.egress = append(o.egress, sortedDgrams(pub.takeOut(), false))
 		o.forward = append(o.forward, sortedDgrams(up.takeOut(), true))
 	}
@@ -303,8 +306,8 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 	s := g.shards[0]
 	s.mu.Lock()
 	for _, e := range s.pending {
-		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d fast=%v q=%v child=%v fwdQ=%v qwire=%x fwdWire=%x up=%v",
-			e.kind, e.clientSrc, e.replyFrom, e.origID, e.fast, e.question, e.child, e.fwdQ, e.qwire, e.fwdWire, e.upstream))
+		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d qwire=%x fwdWire=%x up=%v",
+			e.kind, e.clientSrc, e.replyFrom, e.origID, e.qwire, e.fwdWire, e.upstream))
 	}
 	s.mu.Unlock()
 	sort.Strings(o.pending)
@@ -318,21 +321,16 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 // ingress and upstream slabs are overwritten before every read, and requires
 // the bytes it emits, its counters and its NAT table to equal those of a
 // twin nobody scribbles on. A handler or pending entry that keeps a slice
-// of a lent payload shows up as a 0xA5 run in a forward or a reply.
+// of a lent payload shows up as a 0xA5 run in a forward or a reply; so does
+// one that keeps a span of a pending entry it has returned to the pool,
+// which is overwritten between steps too.
 func TestBorrowedPayloadPoison(t *testing.T) {
 	auth := testAuth()
 	zone := "foo.com"
 	src := func(i int) netip.AddrPort {
 		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, 0, byte(i)}), uint16(4000+i))
 	}
-	pack := func(m *dnswire.Message) []byte {
-		t.Helper()
-		wire, err := m.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wire
-	}
+	pack := func(m *dnswire.Message) []byte { return mustPack(t, m) }
 	plain := func(i int, name string) memDgram {
 		return memDgram{pack(dnswire.NewQuery(uint16(0x100+i), dnswire.MustName(name+"."+zone), dnswire.TypeA)), src(i)}
 	}
@@ -349,15 +347,7 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 		AttachCookie(m, c, 0)
 		return memDgram{pack(m), src(i)}
 	}
-	upper := func(d memDgram) memDgram {
-		b := append([]byte(nil), d.b...)
-		for i := 12; i < len(b)-4; i++ {
-			if b[i] >= 'a' && b[i] <= 'z' {
-				b[i] -= 'a' - 'A'
-			}
-		}
-		return memDgram{b, d.addr}
-	}
+	upper := func(d memDgram) memDgram { return memDgram{upperName(append([]byte(nil), d.b...)), d.addr} }
 	garbage := memDgram{[]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}, src(90)}
 	response := plain(91, "www")
 	response.b[2] |= 0x80 // QR set: not a query
@@ -376,8 +366,8 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 		// First verification of each credential; forged ones beside them.
 		{nsCookie(1, "www", mint(1)), nsCookie(5, "www", forged), nsCookie(2, "ref", mint(2)), txtCookie(4, "www", mint(4)),
 			txtCookie(6, "www", forged), nsCookie(3, "mute", mint(3))},
-		// Verified repeats: the wire fast path, mixed case included, the
-		// materializing referral, one left pending, the TXT repeat.
+		// Verified repeats: cache hits, mixed case included, a referral, one
+		// left pending, the TXT repeat.
 		{nsCookie(1, "www", mint(1)), upper(nsCookie(1, "www", mint(1))), nsCookie(2, "ref", mint(2)), nsCookie(3, "mute", mint(3)),
 			txtCookie(4, "www", mint(4)), nsCookie(1, "mute", mint(1))},
 		{nsCookie(2, "www", mint(2)), plain(7, "www")},
@@ -483,7 +473,7 @@ func TestOversizeIngressDropped(t *testing.T) {
 	}
 	over, atLimit := query(dnswire.MaxDatagram+1), query(dnswire.MaxDatagram)
 	for _, threshold := range []float64{0, 1e12} {
-		h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = threshold })
+		h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = threshold })
 		src := mustAP("10.0.0.53:4444")
 		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: over})
 		st := h.g.Stats.Load()
@@ -505,7 +495,7 @@ func TestOversizeIngressDropped(t *testing.T) {
 // well-formed answer to the pending question from the right address — is
 // dropped unparsed and leaves the pending entry for an answer that fits.
 func TestOversizeUpstreamDropped(t *testing.T) {
-	h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 })
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 })
 	src := mustAP("10.0.0.53:5555")
 	query, err := dnswire.NewQuery(0xBEEF, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
 	if err != nil {
@@ -638,7 +628,7 @@ func TestSourceStateFootprint(t *testing.T) {
 		return int64(ms.HeapAlloc), int64(scan[0].Value.Uint64())
 	}
 	total0, scan0 := heap()
-	h := newFastHarness(t, func(cfg *RemoteConfig) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.FastPathTTL = time.Minute
 		// The harness clock stands still: lift the global ceiling so all
 		// 50 000 grants pass Rate-Limiter1 and reach its tables.
@@ -681,7 +671,7 @@ func TestSourceStateFootprint(t *testing.T) {
 // TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch and
 // a supervised shard restart empty the limiters in place.
 func TestLimiterToggleAllocs(t *testing.T) {
-	h := newFastHarness(t, func(cfg *RemoteConfig) { cfg.Mitigation.Enabled = true })
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Mitigation.Enabled = true })
 	src := netip.MustParseAddr("10.0.0.53")
 	if n := testing.AllocsPerRun(10, func() {
 		h.s.rl2.AllowRequest(src, 0)

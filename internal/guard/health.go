@@ -27,7 +27,7 @@ package guard
 // discover an outage independently within one threshold of timeouts each.
 //
 // Everything here is strictly opt-in: with HealthConfig.Enabled false no
-// sweeper proc is spawned and forwardMsg short-circuits to the single
+// sweeper proc is spawned and forward short-circuits to the single
 // configured ANSAddr, preserving the deterministic single-shard replay.
 
 import (
@@ -232,37 +232,43 @@ func (s *remoteShard) healthLoop() {
 		if g.closed.Load() {
 			return
 		}
-		now := g.now()
-		for _, e := range s.sweepPending(now) {
-			s.health.noteTimeout(e.upstream, now)
-		}
-		for _, addr := range s.health.dueProbes(now) {
-			s.sendProbe(addr)
-		}
+		s.healthTick(g.now())
 	}
 }
 
-// sweepPending removes and returns every expired pending entry. Without the
-// sweeper an expired entry lingered until its ID collided or the table
-// filled; the breaker needs the timeout signal promptly.
-func (s *remoteShard) sweepPending(now time.Duration) []*pendEntry {
+// healthTick is one pass of the sweeper: expired entries become timeout
+// signals, cooled-down breakers get their probe.
+func (s *remoteShard) healthTick(now time.Duration) {
+	for _, up := range s.sweepPending(now) {
+		s.health.noteTimeout(up, now)
+	}
+	for _, addr := range s.health.dueProbes(now) {
+		s.sendProbe(addr)
+	}
+}
+
+// sweepPending removes every expired pending entry and returns the upstream
+// each was waiting on. Without the sweeper an expired entry lingered until
+// its ID collided or the table filled; the breaker needs the timeout signal
+// promptly. The entries go back to the pool under the same lock that takes
+// them out of the table, so none is held outside it.
+func (s *remoteShard) sweepPending(now time.Duration) []netip.AddrPort {
 	g := s.g
-	var dead []*pendEntry
+	var dead []netip.AddrPort
 	s.mu.Lock()
 	for id, e := range s.pending {
 		if now >= e.expires {
 			delete(s.pending, id)
 			s.ids.release(id)
-			dead = append(dead, e)
+			dead = append(dead, e.upstream)
+			atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
+			if e.kind != pendProbe {
+				atomic.AddUint64(&g.Stats.PendingDropped, 1)
+			}
+			s.putEntryLocked(e)
 		}
 	}
 	s.mu.Unlock()
-	for _, e := range dead {
-		atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
-		if e.kind != pendProbe {
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		}
-	}
 	return dead
 }
 
@@ -276,5 +282,5 @@ func (s *remoteShard) sendProbe(upstream netip.AddrPort) {
 	probe := dnswire.NewQuery(0, g.cfg.Zone, dnswire.TypeSOA)
 	probe.Flags.RD = false
 	atomic.AddUint64(&g.Stats.ProbesSent, 1)
-	s.forwardTo(probe, &pendEntry{kind: pendProbe}, upstream)
+	s.forwardPacked(pendEntry{kind: pendProbe, upstream: upstream}, probe)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/ratelimit"
 )
 
 // mitCfg is the test tuning: small counts, short holds, explicit numbers so
@@ -282,4 +283,37 @@ func TestNameSketch(t *testing.T) {
 
 func labelName(i int) string {
 	return "a" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26)) + ".foo.com"
+}
+
+// TestResetShardKeepsStrictLimits: a shard restarted while the ladder sits at
+// source-limit comes back with the tightened limiters. ResetShard puts the
+// normal configuration into both; if it left the shard believing the strict
+// one was applied, syncLimiters saw no transition and the shard ran normal
+// limits until the ladder next moved.
+func TestResetShardKeepsStrictLimits(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Mitigation.Enabled = true
+		cfg.Mitigation.StrictFactor = 4
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 4, PerSourceBurst: 4, TrackedSources: 16}
+	})
+	h.g.mitMode.Store(mitForceActive)
+	h.g.mitStrict.Store(true)
+	src := mustAP("10.0.0.53:4444")
+	pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 1)}
+	// The harness clock stands still: of four verified requests a burst of
+	// 4/4 = 1 token forwards one, the normal burst of 4 all of them.
+	burst := func() uint64 {
+		before := h.g.Stats.Load().ForwardedToANS
+		for i := 0; i < 4; i++ {
+			h.handle(pkt)
+		}
+		return h.g.Stats.Load().ForwardedToANS - before
+	}
+	if got := burst(); got != 1 {
+		t.Fatalf("at source-limit %d of 4 verified requests passed Rate-Limiter2, want 1", got)
+	}
+	h.s.ResetShard()
+	if got := burst(); got != 1 {
+		t.Errorf("after a shard restart at source-limit %d of 4 verified requests passed Rate-Limiter2, want 1", got)
+	}
 }

@@ -1,0 +1,452 @@
+package guard
+
+// The NAT half of the pipeline: every query the guard sends to the ANS is
+// registered in its shard's pending table under a fresh transaction ID, and
+// every datagram the ANS sends back is matched against that table before it
+// becomes a reply. An entry holds questions the way the wire does — as spans
+// of bytes it owns — so forwarding and answering a question that needs no
+// records builds no Message and allocates nothing. A Message is built where
+// records are: Unpack validates a record-bearing response before any effect,
+// and answerChild fabricates message 6's records from it.
+
+import (
+	"net/netip"
+	"sync/atomic"
+	"time"
+
+	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi"
+)
+
+type pendKind int
+
+const (
+	pendPassthrough pendKind = iota + 1
+	pendChild                // rewritten cookie query (message 4); answer fabricates message 6
+	pendDirect               // verified request relayed as-is (messages 5/8)
+	pendProbe                // guard-minted half-open health probe; consumed internally
+)
+
+// pendEntry is one in-flight upstream query. Entries are pooled per shard;
+// qwire and fwdWire are the entry's own buffers, reused across lives.
+type pendEntry struct {
+	kind      pendKind
+	clientSrc netip.AddrPort
+	replyFrom netip.AddrPort // source address for our reply (public or cookie IP)
+	origID    uint16
+	upstream  netip.AddrPort // where the query went; the response must come from here
+	expires   time.Duration
+	qwire     []byte // pendChild: the client's question span, name in canonical case — message 6's question
+	fwdWire   []byte // the forwarded question span, canonical; responses must echo it. Empty: none sent, none accepted
+}
+
+// maxPending bounds each shard's NAT table (the pre-engine global bound,
+// now per shard).
+const maxPending = 4096
+
+// entryPoolCap bounds each shard's pendEntry free list. Entries beyond the
+// cap fall to the GC; the steady-state in-flight population is bounded by
+// maxPending anyway.
+const entryPoolCap = 512
+
+// flagsZMask covers the reserved Z bits, the one part of the flags word that
+// dnswire.Unpack→Pack does not round-trip (packFlags writes them as zero).
+const flagsZMask = 0x0070
+
+// putEntryLocked returns a consumed entry to the shard pool (caller holds
+// s.mu). Whoever took the entry out of the table owns it until this call
+// and must not touch it after.
+func (s *remoteShard) putEntryLocked(e *pendEntry) {
+	if len(s.entryPool) < entryPoolCap {
+		s.entryPool = append(s.entryPool, e)
+	}
+}
+
+// recycleEntry is putEntryLocked for callers not holding s.mu.
+func (s *remoteShard) recycleEntry(e *pendEntry) {
+	s.mu.Lock()
+	s.putEntryLocked(e)
+	s.mu.Unlock()
+}
+
+// appendFolded appends b to dst with ASCII uppercase folded to lowercase.
+// Length octets (< 64) and the terminator pass through unchanged, so folding
+// a whole name span yields the canonical wire encoding dnswire.Pack emits.
+func appendFolded(dst, b []byte) []byte {
+	for _, c := range b {
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// loneQuestion reports whether v covers the whole n-byte datagram with
+// exactly one question and no record.
+func loneQuestion(v dnswire.View, n int) bool {
+	return v.QDCount() == 1 && v.ANCount() == 0 && v.NSCount() == 0 &&
+		v.ARCount() == 0 && v.End() == n
+}
+
+// repackIsNoOp reports whether Unpack→PackUDP would give the n-byte datagram
+// under v back unchanged: a lone question, its name already in canonical
+// case, no reserved flag bit set.
+func repackIsNoOp(v dnswire.View, n int) bool {
+	if !loneQuestion(v, n) || v.RawFlags()&flagsZMask != 0 {
+		return false
+	}
+	for _, b := range v.QNameWire() {
+		if b >= 'A' && b <= 'Z' {
+			return false
+		}
+	}
+	return true
+}
+
+// questionWire packs q as a question span.
+func questionWire(q dnswire.Question) []byte {
+	wire, err := (&dnswire.Message{Questions: []dnswire.Question{q}}).Pack()
+	if err != nil {
+		return nil
+	}
+	return wire[12:]
+}
+
+// firstQuestion returns the first question span of wire, a message this
+// guard packed or one ParseView accepted — its first name is uncompressed
+// and in bounds — or nil if it has no question.
+func firstQuestion(wire []byte) []byte {
+	if wire[4]|wire[5] == 0 {
+		return nil
+	}
+	end := 12
+	for wire[end] != 0 {
+		end += 1 + int(wire[end])
+	}
+	return wire[12 : end+5]
+}
+
+// echoes reports whether q, the question span of an upstream response, is
+// the forwarded span want in any ASCII case of the name. Type and class
+// follow the name and compare as they are: 0x41 there is not a letter.
+func echoes(q, want []byte) bool {
+	if len(q) != len(want) || len(q) == 0 {
+		return false
+	}
+	for i, c := range q {
+		if c >= 'A' && c <= 'Z' && i < len(q)-4 {
+			c += 'a' - 'A'
+		}
+		if c != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// forwardPacked is forward for handlers that built their query as a Message.
+func (s *remoteShard) forwardPacked(entry pendEntry, msg *dnswire.Message) {
+	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
+	if err != nil {
+		return
+	}
+	s.forward(entry, wire, nil)
+}
+
+// forward sends wire, a packed query, to the current upstream — the
+// configured ANS, or whatever the shard's circuit breaker selects when
+// health tracking is on; a probe names its own — under a fresh transaction
+// ID, which it writes into wire, and registers a pending entry for the
+// response. entry is the template — the caller's kind, client, reply address
+// and original ID — and clientQ, for pendChild, the client's question span
+// in any case, which is copied, folded, into the registered entry.
+func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
+	g := s.g
+	if entry.kind != pendProbe {
+		entry.upstream = g.cfg.ANSAddr
+		if s.health != nil {
+			up, ok := s.health.pick()
+			if !ok {
+				// Every breaker open and the policy is fail-closed: shed.
+				atomic.AddUint64(&g.Stats.FailClosedDrops, 1)
+				return
+			}
+			if up != g.cfg.ANSAddr {
+				atomic.AddUint64(&g.Stats.Failovers, 1)
+			}
+			entry.upstream = up
+		}
+	}
+	entry.expires = g.now() + g.cfg.PendingTimeout
+	s.mu.Lock()
+	id, ok := s.allocID()
+	if !ok {
+		s.mu.Unlock()
+		atomic.AddUint64(&g.Stats.PendingDropped, 1)
+		return
+	}
+	var e *pendEntry
+	if n := len(s.entryPool); n > 0 {
+		e, s.entryPool = s.entryPool[n-1], s.entryPool[:n-1]
+	} else {
+		e = &pendEntry{}
+	}
+	// The entry's buffers are filled before it is published: the upstream
+	// loop may consume it the moment the lock is released.
+	qwire, fwdWire := e.qwire[:0], e.fwdWire[:0]
+	*e = entry
+	if nameLen := len(clientQ) - 4; nameLen > 0 {
+		qwire = append(appendFolded(qwire, clientQ[:nameLen]), clientQ[nameLen:]...)
+	}
+	e.qwire, e.fwdWire = qwire, append(fwdWire, firstQuestion(wire)...)
+	s.pending[id] = e
+	s.mu.Unlock()
+	wire[0], wire[1] = byte(id>>8), byte(id)
+	atomic.AddUint64(&g.Stats.ForwardedToANS, 1)
+	g.charge(g.cfg.Costs.PacketOp)
+	_ = s.upstream.WriteTo(wire, entry.upstream)
+}
+
+// allocID picks an unused transaction ID in O(1) via the shard's ID pool;
+// the caller must hold s.mu. When the NAT table is at capacity it first
+// reaps expired entries, refusing only if the table is genuinely full of
+// live queries.
+func (s *remoteShard) allocID() (uint16, bool) {
+	if len(s.pending) >= maxPending {
+		now := s.g.now()
+		for id, e := range s.pending {
+			if now >= e.expires {
+				delete(s.pending, id)
+				s.ids.release(id)
+				s.putEntryLocked(e)
+				atomic.AddUint64(&s.g.Stats.PendingDropped, 1)
+			}
+		}
+		if len(s.pending) >= maxPending {
+			return 0, false
+		}
+	}
+	return s.ids.get()
+}
+
+// upstreamLoop receives ANS responses for one shard and transforms them per
+// the pending entry's kind.
+func (s *remoteShard) upstreamLoop() {
+	g := s.g
+	// One slab reused for every read — the one packet buffer the shard owns
+	// on the upstream side, Batch slots of MaxDatagram+1 bytes. On Linux
+	// the reads collapse into recvmmsg. With Batch == 1 the slab has a
+	// single slot, and a full slab makes ReadBatch exactly one blocking
+	// read per call (the zero-timeout drain never runs), so the per-packet
+	// event sequence of a ReadFrom loop is preserved. handleUpstream only
+	// borrows the payload — slab slots are the loop's to overwrite on the
+	// next read — and may patch it in place (a relayed record-less response
+	// is rewritten where it lies).
+	bc := netapi.AsBatch(s.upstream)
+	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxDatagram+1)
+	for {
+		n, err := bc.ReadBatch(slab, netapi.NoTimeout)
+		if err != nil {
+			return
+		}
+		for i := 0; i < n; i++ {
+			s.handleUpstream(slab[i].Payload(), slab[i].Addr)
+		}
+	}
+}
+
+// handleUpstream validates and relays one ANS datagram. A datagram is
+// consumed only when it (a) comes from a configured upstream, (b) carries
+// the ID of a pending entry, (c) echoes the question the guard forwarded
+// under that ID — ID alone is 16 bits of entropy, trivially sweepable by an
+// off-path attacker who learns the upstream port — and (d) comes from the
+// upstream that entry was sent to. payload is borrowed: it is read, and
+// possibly patched, within the call, never retained.
+func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
+	g := s.g
+	g.charge(g.cfg.Costs.PacketOp)
+	if !g.isUpstreamAddr(src) {
+		// Off-path datagram: only configured upstreams send here.
+		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		return
+	}
+	if len(payload) > dnswire.MaxDatagram {
+		return // over the UDP ceiling (a full receive slot): not parsed
+	}
+	// A response that is one viewable question and nothing else needs no
+	// Message: resp stays nil and it is answered from spans. Anything with
+	// records, or a question only Unpack can read, is unpacked — and so
+	// validated whole — before the table is consulted.
+	v, viewable := dnswire.ParseView(payload)
+	var resp *dnswire.Message
+	var echo []byte
+	if viewable {
+		echo = v.QuestionWire()
+	}
+	if !viewable || !loneQuestion(v, len(payload)) {
+		var err error
+		if resp, err = dnswire.Unpack(payload); err != nil {
+			return
+		}
+		if !viewable && len(resp.Questions) > 0 {
+			echo = questionWire(resp.Questions[0])
+		}
+	}
+	if payload[2]&0x80 == 0 {
+		return // not a response
+	}
+	id := uint16(payload[0])<<8 | uint16(payload[1])
+	s.mu.Lock()
+	entry, ok := s.pending[id]
+	if !ok {
+		s.mu.Unlock()
+		// Duplicated or long-delayed ANS response whose entry was
+		// already consumed — the network, not the ANS, misbehaving.
+		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
+		return
+	}
+	if !echoes(echo, entry.fwdWire) || src != entry.upstream {
+		// Right ID but wrong question — or right everything from the
+		// wrong upstream (one configured ANS cannot vouch for another).
+		// Spoofed or corrupted either way; keep the entry so the
+		// genuine answer can still land.
+		s.mu.Unlock()
+		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		return
+	}
+	expired := g.now() >= entry.expires
+	delete(s.pending, id)
+	s.ids.release(id)
+	s.mu.Unlock()
+	if s.health != nil {
+		// Only a fully validated response feeds the breaker: source,
+		// ID, and question echo all checked above.
+		s.health.noteSuccess(src)
+	}
+	switch {
+	case expired:
+		atomic.AddUint64(&g.Stats.PendingDropped, 1)
+	case entry.kind == pendChild:
+		s.answerChild(entry, dnswire.RCode(payload[3]&0xF), resp)
+	case entry.kind == pendProbe:
+		// Half-open probe answered: the noteSuccess above already
+		// closed the breaker. Nothing to relay.
+	case resp != nil: // pendPassthrough, pendDirect
+		resp.ID = entry.origID
+		g.reply(entry.replyFrom, entry.clientSrc, resp)
+	default:
+		// What PackUDP would make of the lone question: the client's ID,
+		// no reserved bits, the name in the case it was forwarded in.
+		payload[0], payload[1] = byte(entry.origID>>8), byte(entry.origID)
+		payload[3] &^= flagsZMask
+		copy(payload[12:], entry.fwdWire)
+		g.replyWire(entry.replyFrom, entry.clientSrc, payload)
+	}
+	s.recycleEntry(entry)
+}
+
+// answerChild turns the ANS's answer for the restored child query (message
+// 5) into the response for the fabricated name (message 6). resp is nil for
+// a response without records, which can only be told no such name or that
+// the guard has nothing to fabricate from: header and the client's question,
+// straight from the entry.
+func (s *remoteShard) answerChild(entry *pendEntry, rcode dnswire.RCode, resp *dnswire.Message) {
+	g := s.g
+	if resp == nil {
+		if rcode != dnswire.RCodeNXDomain {
+			rcode = dnswire.RCodeServFail
+		}
+		buf := append(s.upBuf[:0],
+			byte(entry.origID>>8), byte(entry.origID),
+			0x84, byte(rcode), // QR|AA, opcode 0, rcode
+			0, 1, 0, 0, 0, 0, 0, 0)
+		buf = append(buf, entry.qwire...)
+		s.upBuf = buf[:0]
+		g.replyWire(entry.replyFrom, entry.clientSrc, buf)
+		return
+	}
+	question, _, _ := dnswire.UnpackQuestion(entry.qwire)
+	out := &dnswire.Message{
+		ID:        entry.origID,
+		Flags:     dnswire.Flags{QR: true, AA: true},
+		Questions: []dnswire.Question{question},
+	}
+	fabName := question.Name
+
+	switch {
+	case rcode == dnswire.RCodeNXDomain:
+		out.Flags.RCode = dnswire.RCodeNXDomain
+		out.Authority = resp.Authority
+	case len(resp.Answers) == 0 && hasNS(resp.Authority):
+		// Referral: the fabricated name's addresses are the real
+		// next-level servers' glue addresses (§III-B.1).
+		for _, rr := range resp.Additional {
+			if rr.Type == dnswire.TypeA {
+				out.Answers = append(out.Answers,
+					dnswire.NewRR(fabName, rr.TTL, rr.Data))
+			}
+		}
+		if len(out.Answers) == 0 {
+			out.Flags.RCode = dnswire.RCodeServFail
+		}
+	case len(resp.Answers) > 0:
+		// Non-referral: answer with the IP cookie (§III-B.2) and cache
+		// the real answer for message 7.
+		if !g.cfg.Subnet.IsValid() {
+			out.Flags.RCode = dnswire.RCodeServFail
+			break
+		}
+		g.charge(g.cfg.Costs.CookieCheck) // second cookie computation
+		c := g.cfg.Auth.Mint(entry.clientSrc.Addr())
+		addr, err := g.ipc.Encode(c)
+		if err != nil {
+			out.Flags.RCode = dnswire.RCodeServFail
+			break
+		}
+		if g.cfg.AnswerCacheTTL > 0 {
+			ttl := uint32(g.cfg.AnswerCacheTTL / time.Second)
+			cached := make([]dnswire.RR, len(resp.Answers))
+			copy(cached, resp.Answers)
+			for i := range cached {
+				if cached[i].TTL > ttl {
+					cached[i].TTL = ttl
+				}
+			}
+			child, _, _ := dnswire.UnpackQuestion(entry.fwdWire)
+			g.answers.Put(g.now(), child.Name, question.Type, cached)
+		}
+		out.Answers = []dnswire.RR{
+			dnswire.NewRR(fabName, g.cfg.NSTTL, &dnswire.AData{Addr: addr}),
+		}
+	default:
+		// NODATA for the child: nothing useful to fabricate.
+		out.Flags.RCode = dnswire.RCodeServFail
+	}
+	g.reply(entry.replyFrom, entry.clientSrc, out)
+}
+
+// reply packs and emits a guard-originated response.
+func (g *Remote) reply(from, to netip.AddrPort, msg *dnswire.Message) {
+	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
+	if err != nil {
+		return
+	}
+	g.replyWire(from, to, wire)
+}
+
+// replyWire emits an already-packed guard response.
+func (g *Remote) replyWire(from, to netip.AddrPort, wire []byte) {
+	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
+	g.charge(g.cfg.Costs.PacketOp)
+	_ = g.cfg.IO.WriteFromTo(from, to, wire)
+}
+
+func hasNS(rrs []dnswire.RR) bool {
+	for _, rr := range rrs {
+		if rr.Type == dnswire.TypeNS {
+			return true
+		}
+	}
+	return false
+}

@@ -83,13 +83,15 @@ type RemoteConfig struct {
 	// central source-hash fan-out runs, which netsim requires for
 	// deterministic replays.
 	Ingest engine.IngestMode
-	// FastPathTTL enables the verified-source cache: a source that just
+	// FastPathTTL is the verified-source cache's TTL: a source that just
 	// passed a cookie check is remembered with its credential for this
-	// long, replacing the next MD5 verification with a byte compare. The
+	// long, replacing the next MAC verification with a byte compare. The
 	// presented credential is still compared — a spoofed address alone
-	// gains nothing. 0 disables the cache (the deterministic-reproduction
-	// configuration). Keep it at or below the key-rotation grace period:
-	// a cached credential is honored until its TTL even across a Rotate.
+	// gains nothing. 0 means no cache: every request pays its MAC (the
+	// deterministic-reproduction configuration). It does not select a code
+	// path — every packet takes the same handlers at any value. Keep it at
+	// or below the key-rotation grace period: a cached credential is
+	// honored until its TTL even across a Rotate.
 	FastPathTTL time.Duration
 	// FastPathSources bounds the verified-source cache per shard.
 	// 0 means the engine default.
@@ -288,35 +290,6 @@ func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
 	metrics.RegisterUint64Fields(r, "guard_remote_", s)
 }
 
-type pendKind int
-
-const (
-	pendPassthrough pendKind = iota + 1
-	pendChild                // rewritten cookie query (message 4); answer fabricates message 6
-	pendDirect               // verified request relayed as-is (messages 5/8)
-	pendProbe                // guard-minted half-open health probe; consumed internally
-)
-
-type pendEntry struct {
-	kind      pendKind
-	clientSrc netip.AddrPort
-	replyFrom netip.AddrPort // source address for our reply (public or cookie IP)
-	origID    uint16
-	question  dnswire.Question // the client's question (fabricated name for pendChild)
-	child     dnswire.Name     // restored child name (pendChild)
-	fwdQ      dnswire.Question // question actually sent upstream; responses must echo it
-	upstream  netip.AddrPort   // where the query went; the response must come from here
-	expires   time.Duration
-
-	// Fast-path entries (fastpath.go) carry the forwarded and client question
-	// spans as reused wire bytes instead of decoded structures; the decoded
-	// fields above stay zero until materializeFastLocked fills them for the
-	// materializing upstream path. fast entries return to the shard pool.
-	fast    bool
-	qwire   []byte // client question span, name folded to canonical case (pendChild)
-	fwdWire []byte // forwarded question span; upstream responses must echo it
-}
-
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
 // internal/engine dataplane: source addresses hash to shards, and each shard
 // owns every per-source structure (rate limiters, pending NAT table,
@@ -328,9 +301,8 @@ type Remote struct {
 	nsc cookie.NSCodec
 	ipc cookie.IPCodec
 
-	// nsPrefix/nsPrefixLen cache the NS codec's label geometry for the wire
-	// fast path: the effective (lowercase) label prefix and the full cookie
-	// label length it implies.
+	// nsPrefix/nsPrefixLen cache the NS codec's label geometry: the effective
+	// label prefix and the full cookie label length it implies.
 	nsPrefix    string
 	nsPrefixLen int
 	eng         *engine.Engine
@@ -393,10 +365,10 @@ type remoteShard struct {
 	bv     *cookie.BatchVerifier
 	outbuf []Packet
 
-	// Fast-path scratch (fastpath.go). entryPool is the pendEntry free list
-	// (under mu); credBuf and wireBuf are worker-context scratch for the
-	// credential and the forwarded wire; upBuf is upstream-loop-context
-	// scratch for fabricated replies. The two contexts never share a buffer.
+	// entryPool is the pendEntry free list (under mu); credBuf and wireBuf
+	// are worker-context scratch for the presented credential and the
+	// rewritten forward; upBuf is upstream-loop-context scratch for
+	// fabricated replies. The two contexts never share a buffer.
 	entryPool []*pendEntry
 	credBuf   []byte
 	wireBuf   []byte
@@ -415,6 +387,10 @@ func (s *remoteShard) ResetShard() {
 	s.mu.Unlock()
 	s.rl1.Reset(s.g.cfg.RL1, s.g.now())
 	s.rl2.Reset(s.g.cfg.RL2)
+	// The limiters now hold the normal configuration whatever the ladder
+	// says: forget what was applied so the next packet's syncLimiters
+	// re-applies the strict one if the selector still asks for it.
+	s.strict = false
 }
 
 // MetricsInto registers the guard's counters, rate-limiter counters, a live
@@ -501,7 +477,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				pending: make(map[uint16]*pendEntry),
 				bv:      cookie.NewBatchVerifier(),
-				credBuf: append(make([]byte, 0, 3+g.nsPrefixLen), "ns:"...)[:3+g.nsPrefixLen],
+				credBuf: make([]byte, 0, 3+max(g.nsPrefixLen, 16)),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, dnswire.MaxUDPSize),
 			}
@@ -717,16 +693,24 @@ func (s *remoteShard) handle(pkt Packet) {
 	if s.oversize(pkt.Payload) {
 		return
 	}
-	if s.tryFastNS(pkt) {
-		return
+	// Scheme 1b: queries addressed to a cookie IP inside the guard subnet.
+	toCookieIP := g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr())
+	// A lone question carries no cookie record, so anywhere but at a cookie
+	// IP its first label decides: a cookie label is message 3, handled from
+	// the wire as it lies; anything else is a newcomer, and a newcomer's
+	// response is built from a Message.
+	if v, ok := dnswire.ParseView(pkt.Payload); ok && !toCookieIP && !v.QR() && loneQuestion(v, len(pkt.Payload)) {
+		if cred, ok := nsCred(s, v.FirstLabel()); ok {
+			s.handleNSCookie(pkt, v.ID(), v.QuestionWire(), cred)
+			return
+		}
 	}
 	msg, err := dnswire.Unpack(pkt.Payload)
 	if err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
 		atomic.AddUint64(&g.Stats.Malformed, 1)
 		return
 	}
-	// Scheme 1b: queries addressed to a cookie IP inside the guard subnet.
-	if g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr()) {
+	if toCookieIP {
 		s.handleIPCookie(pkt, msg)
 		return
 	}
@@ -735,9 +719,13 @@ func (s *remoteShard) handle(pkt Packet) {
 		s.handleModified(pkt, msg, c)
 		return
 	}
-	// DNS-based scheme: cookie embedded in the query name.
-	if label, child, ok := ParseFabricatedName(g.nsc, msg.Question().Name); ok {
-		s.handleNSCookie(pkt, msg, label, child)
+	// DNS-based scheme: cookie embedded in the query name, in a message the
+	// view could not vouch for (records after the question, a name that is
+	// not plain uncompressed ASCII). Its canonical question, packed, takes
+	// the path the lone question took.
+	q := msg.Question()
+	if cred, ok := nsCred(s, q.Name.FirstLabel()); ok {
+		s.handleNSCookie(pkt, msg.ID, questionWire(q), cred)
 		return
 	}
 	s.handleNewcomer(pkt, msg)
@@ -755,13 +743,20 @@ func (s *remoteShard) oversize(payload []byte) bool {
 	return true
 }
 
-// passthrough relays traffic unmodified while spoof detection is inactive.
+// passthrough relays traffic while spoof detection is inactive. What reaches
+// the ANS is what Unpack and PackUDP would make of the query: canonical case,
+// reserved bits clear, at most 512 bytes. A lone canonical question is that
+// already, and is relayed as it lies with only the transaction ID rewritten.
 func (s *remoteShard) passthrough(pkt Packet) {
 	g := s.g
 	if s.oversize(pkt.Payload) {
 		return
 	}
-	if s.tryFastPassthrough(pkt) {
+	entry := pendEntry{kind: pendPassthrough, clientSrc: pkt.Src, replyFrom: pkt.Dst}
+	if v, ok := dnswire.ParseView(pkt.Payload); ok && !v.QR() && repackIsNoOp(v, len(pkt.Payload)) {
+		atomic.AddUint64(&g.Stats.Passthrough, 1)
+		entry.origID = v.ID()
+		s.forward(entry, pkt.Payload, nil) // the ID is patched in the lent buffer; nothing reads it again
 		return
 	}
 	msg, err := dnswire.Unpack(pkt.Payload)
@@ -770,12 +765,8 @@ func (s *remoteShard) passthrough(pkt Packet) {
 		return
 	}
 	atomic.AddUint64(&g.Stats.Passthrough, 1)
-	s.forwardMsg(msg, &pendEntry{
-		kind:      pendPassthrough,
-		clientSrc: pkt.Src,
-		replyFrom: pkt.Dst,
-		origID:    msg.ID,
-	})
+	entry.origID = msg.ID
+	s.forwardPacked(entry, msg)
 }
 
 // handleNewcomer boots a cookie-less requester per the fallback scheme.
@@ -848,36 +839,63 @@ func (g *Remote) isTCPClient(src netip.Addr) bool {
 	return false
 }
 
-// fastPath consults the verified-source cache: true when src recently
-// verified exactly cred, in which case the MD5 check may be skipped. The
+// nsCred reports whether first, a name's first label, opens with a cookie
+// label (the codec's prefix and hex digits, in either case, with at least
+// one byte of the original label after them — NSCodec.IsCookieLabel's accept
+// set) and returns the credential it presents, "ns:" and the label in lower
+// case, in the shard's scratch.
+func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
+	g := s.g
+	if len(first) <= g.nsPrefixLen {
+		return nil, false
+	}
+	cred := append(s.credBuf[:0], "ns:"...)
+	for i := 0; i < g.nsPrefixLen; i++ {
+		c := first[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if i < len(g.nsPrefix) && c != g.nsPrefix[i] ||
+			i >= len(g.nsPrefix) && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return nil, false
+		}
+		cred = append(cred, c)
+	}
+	return cred, true
+}
+
+// verified consults the verified-source cache: true when src recently
+// verified exactly cred, in which case the MAC check may be skipped. The
 // credential compare is the security boundary — the cache never turns a
-// bare source address into trust — and it is constant-time: the presented
-// credential is attacker-controlled, and a byte-wise early exit would leak
-// the cached cookie one matching prefix byte at a time.
+// bare source address into trust — and it is constant-time (engine.probe).
+// With the cache off (FastPathTTL 0) every call is a miss and every request
+// pays its MAC; nothing else about the pipeline depends on the setting.
 //
 // The lookup is shard-explicit: this handler owns shard s.id, and under
 // affine ingest the owning shard is the delivering socket's, not the source
 // hash's, so the source-hashing VerifiedCred would consult (and promote
 // into) a cache partition a different worker owns.
-func (s *remoteShard) fastPath(src netip.Addr, cred string) bool {
-	if !s.g.eng.VerifiedCredIsOn(s.id, src, cred) {
+func (s *remoteShard) verified(src netip.Addr, cred []byte) bool {
+	if !s.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
 		return false
 	}
 	atomic.AddUint64(&s.g.Stats.FastPathHits, 1)
 	return true
 }
 
-// handleNSCookie processes a query for a fabricated name (message 3):
-// verify, restore, forward (message 4).
-func (s *remoteShard) handleNSCookie(pkt Packet, msg *dnswire.Message, label string, child dnswire.Name) {
+// handleNSCookie processes a query for a fabricated name (message 3): verify,
+// restore, forward (message 4). q is the question as sent — name, type,
+// class, the name in any case — and cred what nsCred made of its first label.
+// Nothing here allocates once the source is in the verified cache.
+func (s *remoteShard) handleNSCookie(pkt Packet, id uint16, q, cred []byte) {
 	g := s.g
-	if cred := "ns:" + label; !s.fastPath(pkt.Src.Addr(), cred) {
+	if !s.verified(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.VerifyLabel(g.nsc, pkt.Src.Addr(), label) {
+		if !s.bv.VerifyLabel(g.nsc, pkt.Src.Addr(), string(cred[3:])) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), cred)
+		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
@@ -885,17 +903,16 @@ func (s *remoteShard) handleNSCookie(pkt Packet, msg *dnswire.Message, label str
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)
-	q := msg.Question()
-	fwd := dnswire.NewQuery(0, child, q.Type)
-	fwd.Flags.RD = false
-	s.forwardMsg(fwd, &pendEntry{
-		kind:      pendChild,
-		clientSrc: pkt.Src,
-		replyFrom: pkt.Dst,
-		origID:    msg.ID,
-		question:  q,
-		child:     child,
-	})
+	// Message 4, as PackUDP(NewQuery(0, child, qtype)) with RD off would
+	// pack it: the first label without its cookie, the name in canonical
+	// case, the client's type, class IN whatever the client's class.
+	cookieLen, nameLen := len(cred)-3, len(q)-4
+	wire := append(s.wireBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+	wire = append(wire, q[0]-byte(cookieLen))
+	wire = appendFolded(wire, q[1+cookieLen:nameLen])
+	wire = append(wire, q[nameLen], q[nameLen+1], 0, 1)
+	s.wireBuf = wire[:0]
+	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: id}, wire, q)
 }
 
 // handleIPCookie processes a query addressed to a cookie address
@@ -903,13 +920,14 @@ func (s *remoteShard) handleNSCookie(pkt Packet, msg *dnswire.Message, label str
 func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 	g := s.g
 	dst16 := pkt.Dst.Addr().As16()
-	if cred := "ip:" + string(dst16[:]); !s.fastPath(pkt.Src.Addr(), cred) {
+	cred := append(append(s.credBuf[:0], "ip:"...), dst16[:]...)
+	if !s.verified(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
 		if !s.bv.VerifyIP(g.ipc, pkt.Src.Addr(), pkt.Dst.Addr()) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), cred)
+		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
@@ -928,13 +946,7 @@ func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 	}
 	fwd := dnswire.NewQuery(0, q.Name, q.Type)
 	fwd.Flags.RD = false
-	s.forwardMsg(fwd, &pendEntry{
-		kind:      pendDirect,
-		clientSrc: pkt.Src,
-		replyFrom: pkt.Dst,
-		origID:    msg.ID,
-		question:  q,
-	})
+	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, fwd)
 }
 
 // handleModified processes the explicit cookie extension (Figure 3).
@@ -953,13 +965,14 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.
 		s.reply(pkt.Dst, pkt.Src, resp)
 		return
 	}
-	if cred := "ck:" + string(c[:]); !s.fastPath(pkt.Src.Addr(), cred) {
+	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
+	if !s.verified(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
 		if !s.bv.Verify(pkt.Src.Addr(), c) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), cred)
+		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
@@ -970,256 +983,7 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
 	_, _ = StripCookie(&fwd)
-	s.forwardMsg(&fwd, &pendEntry{
-		kind:      pendDirect,
-		clientSrc: pkt.Src,
-		replyFrom: pkt.Dst,
-		origID:    msg.ID,
-		question:  msg.Question(),
-	})
-}
-
-// forwardMsg sends msg to the current upstream — the configured ANS, or
-// whatever the shard's circuit breaker selects when health tracking is on —
-// under a fresh transaction ID, registering the pending entry for the
-// response.
-func (s *remoteShard) forwardMsg(msg *dnswire.Message, entry *pendEntry) {
-	g := s.g
-	target := g.cfg.ANSAddr
-	if s.health != nil {
-		up, ok := s.health.pick()
-		if !ok {
-			// Every breaker open and the policy is fail-closed: shed.
-			atomic.AddUint64(&g.Stats.FailClosedDrops, 1)
-			return
-		}
-		if up != g.cfg.ANSAddr {
-			atomic.AddUint64(&g.Stats.Failovers, 1)
-		}
-		target = up
-	}
-	s.forwardTo(msg, entry, target)
-}
-
-// forwardTo is forwardMsg with an explicit upstream (health probes pick
-// their own target).
-func (s *remoteShard) forwardTo(msg *dnswire.Message, entry *pendEntry, target netip.AddrPort) {
-	g := s.g
-	entry.upstream = target
-	if len(msg.Questions) > 0 {
-		entry.fwdQ = msg.Questions[0]
-	}
-	entry.expires = g.now() + g.cfg.PendingTimeout
-	s.mu.Lock()
-	id, ok := s.allocID()
-	if !ok {
-		s.mu.Unlock()
-		atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		return
-	}
-	s.pending[id] = entry
-	s.mu.Unlock()
-	out := *msg
-	out.ID = id
-	wire, err := out.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.ids.release(id)
-		s.mu.Unlock()
-		return
-	}
-	atomic.AddUint64(&g.Stats.ForwardedToANS, 1)
-	g.charge(g.cfg.Costs.PacketOp)
-	_ = s.upstream.WriteTo(wire, target)
-}
-
-// allocID picks an unused transaction ID in O(1) via the shard's ID pool;
-// the caller must hold s.mu. When the NAT table is at capacity it first
-// reaps expired entries, refusing only if the table is genuinely full of
-// live queries.
-func (s *remoteShard) allocID() (uint16, bool) {
-	if len(s.pending) >= maxPending {
-		now := s.g.now()
-		for id, e := range s.pending {
-			if now >= e.expires {
-				delete(s.pending, id)
-				s.ids.release(id)
-				s.putEntryLocked(e)
-				atomic.AddUint64(&s.g.Stats.PendingDropped, 1)
-			}
-		}
-		if len(s.pending) >= maxPending {
-			return 0, false
-		}
-	}
-	return s.ids.get()
-}
-
-// maxPending bounds each shard's NAT table (the pre-engine global bound,
-// now per shard).
-const maxPending = 4096
-
-// upstreamLoop receives ANS responses for one shard and transforms them per
-// the pending entry's kind. A datagram is consumed only when it (a) comes
-// from the configured ANS address, and (b) echoes the question the guard
-// forwarded — ID alone is 16 bits of entropy, trivially sweepable by an
-// off-path attacker who learns the upstream port.
-func (s *remoteShard) upstreamLoop() {
-	g := s.g
-	// One slab reused for every read — the one packet buffer the shard owns
-	// on the upstream side, Batch slots of MaxDatagram+1 bytes. On Linux
-	// the reads collapse into recvmmsg. With Batch == 1 the slab has a
-	// single slot, and a full slab makes ReadBatch exactly one blocking
-	// read per call (the zero-timeout drain never runs), so the per-packet
-	// event sequence of a ReadFrom loop is preserved. handleUpstream only
-	// borrows the payload — slab slots are the loop's to overwrite on the
-	// next read — and may patch it in place (the fast relay rewrites the
-	// transaction ID before writing out).
-	bc := netapi.AsBatch(s.upstream)
-	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxDatagram+1)
-	for {
-		n, err := bc.ReadBatch(slab, netapi.NoTimeout)
-		if err != nil {
-			return
-		}
-		for i := 0; i < n; i++ {
-			s.handleUpstream(slab[i].Payload(), slab[i].Addr)
-		}
-	}
-}
-
-// handleUpstream validates and relays one ANS datagram. payload is borrowed:
-// it is only read within the call, never retained.
-func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
-	g := s.g
-	g.charge(g.cfg.Costs.PacketOp)
-	if !g.isUpstreamAddr(src) {
-		// Off-path datagram: only configured upstreams send here.
-		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
-		return
-	}
-	if len(payload) > dnswire.MaxDatagram {
-		return // over the UDP ceiling (a full receive slot): not parsed
-	}
-	if s.tryFastUpstream(payload, src) {
-		return
-	}
-	resp, err := dnswire.Unpack(payload)
-	if err != nil || !resp.Flags.QR {
-		return
-	}
-	s.mu.Lock()
-	entry, ok := s.pending[resp.ID]
-	if !ok {
-		s.mu.Unlock()
-		// Duplicated or long-delayed ANS response whose entry was
-		// already consumed — the network, not the ANS, misbehaving.
-		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
-		return
-	}
-	if entry.fast && entry.fwdQ == (dnswire.Question{}) {
-		// A fast entry whose response bailed to this path (answers,
-		// referral, case deviation): decode its wire spans once so the
-		// question-echo check and answerChild see the historical fields.
-		s.materializeFastLocked(entry)
-	}
-	if len(resp.Questions) == 0 || resp.Questions[0] != entry.fwdQ || src != entry.upstream {
-		// Right ID but wrong question — or right everything from the
-		// wrong upstream (one configured ANS cannot vouch for another).
-		// Spoofed or corrupted either way; keep the entry so the
-		// genuine answer can still land.
-		s.mu.Unlock()
-		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
-		return
-	}
-	expired := g.now() >= entry.expires
-	delete(s.pending, resp.ID)
-	s.ids.release(resp.ID)
-	s.mu.Unlock()
-	if s.health != nil {
-		// Only a fully validated response feeds the breaker: source,
-		// ID, and question echo all checked above.
-		s.health.noteSuccess(src)
-	}
-	if expired {
-		atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		s.recycleEntry(entry)
-		return
-	}
-	switch entry.kind {
-	case pendPassthrough, pendDirect:
-		resp.ID = entry.origID
-		g.reply(entry.replyFrom, entry.clientSrc, resp)
-	case pendChild:
-		s.answerChild(entry, resp)
-	case pendProbe:
-		// Half-open probe answered: the noteSuccess above already
-		// closed the breaker. Nothing to relay.
-	}
-	s.recycleEntry(entry)
-}
-
-// answerChild turns the ANS's answer for the restored child query (message
-// 5) into the response for the fabricated name (message 6).
-func (s *remoteShard) answerChild(entry *pendEntry, resp *dnswire.Message) {
-	g := s.g
-	out := &dnswire.Message{
-		ID:        entry.origID,
-		Flags:     dnswire.Flags{QR: true, AA: true},
-		Questions: []dnswire.Question{entry.question},
-	}
-	fabName := entry.question.Name
-
-	switch {
-	case resp.Flags.RCode == dnswire.RCodeNXDomain:
-		out.Flags.RCode = dnswire.RCodeNXDomain
-		out.Authority = resp.Authority
-	case len(resp.Answers) == 0 && hasNS(resp.Authority):
-		// Referral: the fabricated name's addresses are the real
-		// next-level servers' glue addresses (§III-B.1).
-		for _, rr := range resp.Additional {
-			if rr.Type == dnswire.TypeA {
-				out.Answers = append(out.Answers,
-					dnswire.NewRR(fabName, rr.TTL, rr.Data))
-			}
-		}
-		if len(out.Answers) == 0 {
-			out.Flags.RCode = dnswire.RCodeServFail
-		}
-	case len(resp.Answers) > 0:
-		// Non-referral: answer with the IP cookie (§III-B.2) and cache
-		// the real answer for message 7.
-		if !g.cfg.Subnet.IsValid() {
-			out.Flags.RCode = dnswire.RCodeServFail
-			break
-		}
-		g.charge(g.cfg.Costs.CookieCheck) // second cookie computation
-		c := g.cfg.Auth.Mint(entry.clientSrc.Addr())
-		addr, err := g.ipc.Encode(c)
-		if err != nil {
-			out.Flags.RCode = dnswire.RCodeServFail
-			break
-		}
-		if g.cfg.AnswerCacheTTL > 0 {
-			ttl := uint32(g.cfg.AnswerCacheTTL / time.Second)
-			cached := make([]dnswire.RR, len(resp.Answers))
-			copy(cached, resp.Answers)
-			for i := range cached {
-				if cached[i].TTL > ttl {
-					cached[i].TTL = ttl
-				}
-			}
-			g.answers.Put(g.now(), entry.child, entry.question.Type, cached)
-		}
-		out.Answers = []dnswire.RR{
-			dnswire.NewRR(fabName, g.cfg.NSTTL, &dnswire.AData{Addr: addr}),
-		}
-	default:
-		// NODATA for the child: nothing useful to fabricate.
-		out.Flags.RCode = dnswire.RCodeServFail
-	}
-	g.reply(entry.replyFrom, entry.clientSrc, out)
+	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
 }
 
 // answersGet consults the non-referral answer cache unless it is disabled.
@@ -1228,24 +992,4 @@ func (g *Remote) answersGet(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, dn
 		return nil, 0, false, false
 	}
 	return g.answers.Get(g.now(), name, t)
-}
-
-// reply packs and emits a guard-originated response.
-func (g *Remote) reply(from, to netip.AddrPort, msg *dnswire.Message) {
-	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return
-	}
-	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
-	g.charge(g.cfg.Costs.PacketOp)
-	_ = g.cfg.IO.WriteFromTo(from, to, wire)
-}
-
-func hasNS(rrs []dnswire.RR) bool {
-	for _, rr := range rrs {
-		if rr.Type == dnswire.TypeNS {
-			return true
-		}
-	}
-	return false
 }

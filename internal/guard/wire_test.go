@@ -1,6 +1,8 @@
 package guard
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"dnsguard/internal/cookie"
@@ -133,4 +135,57 @@ func TestFabricateNSNameRejectsOversizeLabel(t *testing.T) {
 	if _, err := FabricateNSName(nc, c, long); err == nil {
 		t.Fatal("oversize fabricated label accepted")
 	}
+}
+
+// TestNSCredMatchesParseFabricatedName: the pipeline classifies a first label
+// with nsCred, on wire bytes or on a decoded name; ParseFabricatedName is the
+// reference it must agree with, on the verdict and on the credential.
+func TestNSCredMatchesParseFabricatedName(t *testing.T) {
+	h := newShardHarness(t, nil)
+	valid := h.g.nsc.EncodeLabel(testAuth().Mint(mustAddr("10.0.0.53")))
+	labels := []string{
+		valid + "www", valid + "w", valid, valid[:len(valid)-1] + "gwww", valid[:len(valid)-1], "",
+		"www", "pr", "prwww", "qr" + valid[2:] + "www", valid[:5] + "-" + valid[6:] + "www",
+		valid + "\xe9", valid[:4] + "\xe9" + valid[5:] + "www", "p\xe2\x84\xaa" + valid[2:] + "www",
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := []byte(valid + "abc")[:rng.Intn(len(valid)+4)]
+		for n := rng.Intn(3); n > 0 && len(b) > 0; n-- {
+			b[rng.Intn(len(b))] = byte(rng.Intn(256))
+		}
+		labels = append(labels, string(b))
+	}
+	for _, wire := range labels {
+		if strings.ContainsAny(wire, ".\x00") {
+			continue // not a label Unpack hands on
+		}
+		for _, sent := range []string{wire, strings.ToUpper(wire)} {
+			qname, err := dnswire.ParseName(sent + ".foo.com")
+			if err != nil || qname.FirstLabel() == "" {
+				continue
+			}
+			label, _, want := ParseFabricatedName(h.g.nsc, qname)
+			cred, got := nsCred(h.s, qname.FirstLabel())
+			if got != want || got && string(cred) != "ns:"+label {
+				t.Errorf("%q: nsCred = (%q, %v), ParseFabricatedName = (%q, %v)", qname, cred, got, label, want)
+			}
+			// On the wire as sent, where it is ASCII: any case.
+			if isASCII(sent) {
+				cred, got = nsCred(h.s, []byte(sent))
+				if got != want || got && string(cred) != "ns:"+label {
+					t.Errorf("%q on the wire: nsCred = (%q, %v), want (%q, %v)", sent, cred, got, label, want)
+				}
+			}
+		}
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
