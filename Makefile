@@ -1,6 +1,6 @@
 # dnsguard build/verify entry points. `make check` is the full local gate:
-# vet, the race-enabled suite, and a short fuzz smoke on the dnswire decoders
-# and the source table.
+# vet, the race-enabled suite, and a short fuzz smoke on the dnswire decoders,
+# the source table and the guard's span-writing handlers.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -43,6 +43,9 @@ bench-check:
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzNameRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzViewAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzWalkAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/guard -run='^$$' -fuzz='^FuzzSpliceAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srctab -run='^$$' -fuzz='^FuzzSrcTable$$' -fuzztime=$(FUZZTIME)
 
 # Boot a guarded ANS with -metrics-addr, scrape /metrics once, and check the

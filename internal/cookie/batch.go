@@ -55,18 +55,12 @@ func (v *BatchVerifier) Verify(src netip.Addr, c Cookie) bool {
 
 // VerifyLabel is NSCodec.VerifyLabel against the snapshot.
 func (v *BatchVerifier) VerifyLabel(nc NSCodec, src netip.Addr, label string) bool {
-	got, err := nc.DecodeLabel(label)
-	if err != nil {
-		return false
-	}
-	for _, e := range [2]uint64{v.ring.epoch, v.ring.epoch - 1} {
-		if got[0]>>7 != uint8(e&1) {
-			continue
-		}
-		want := v.compute(e, src)
-		return subtle.ConstantTimeCompare(want[:4], got[:4]) == 1
-	}
-	return false
+	return verifyLabel(v.ring, nc, src, label)
+}
+
+// VerifyLabelBytes is VerifyLabel for a label read where it lies in a packet.
+func (v *BatchVerifier) VerifyLabelBytes(nc NSCodec, src netip.Addr, label []byte) bool {
+	return verifyLabel(v.ring, nc, src, label)
 }
 
 // VerifyIP is IPCodec.Verify against the snapshot.

@@ -2,6 +2,7 @@ package cookie
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -87,5 +88,40 @@ func TestVerifyBatchSlices(t *testing.T) {
 	}
 	if err := a.VerifyBatch(srcs, cookies, ok[:2]); err == nil {
 		t.Fatal("length mismatch not reported")
+	}
+}
+
+// TestVerifyLabelBytes: the []byte entry points read a label where it lies —
+// either case, no copy, nothing allocated, valid or forged — and agree with
+// the string ones on every label, including the ones that are not cookies.
+func TestVerifyLabelBytes(t *testing.T) {
+	a := NewAuthenticatorWithKey(testKey(3))
+	nc := NSCodec{}
+	v := NewBatchVerifier()
+	v.Reset(a)
+	src, other := netip.MustParseAddr("10.0.0.53"), netip.MustParseAddr("10.0.0.54")
+	good := nc.EncodeLabel(a.Mint(src))
+	if got := string(nc.AppendLabel([]byte("x"), a.Mint(src))); got != "x"+good {
+		t.Errorf("AppendLabel = %q, want %q", got, "x"+good)
+	}
+	labels := []string{good, strings.ToUpper(good), nc.EncodeLabel(a.Mint(other)), good[:len(good)-1], good + "0", "",
+		"pr0000000g", "qr" + good[2:], good[:3] + "\xe9" + good[4:], "p\xe2\x84\xaa" + good[4:], "PR" + good[2:], "pR" + strings.ToUpper(good[2:])}
+	for _, label := range labels {
+		b := []byte(label)
+		for _, s := range []netip.Addr{src, other} {
+			want := nc.VerifyLabel(a, s, label)
+			if got := [2]bool{v.VerifyLabel(nc, s, label), v.VerifyLabelBytes(nc, s, b)}; got != [2]bool{want, want} {
+				t.Errorf("label %q from %v: batch/batch-bytes = %v, VerifyLabel = %v", label, s, got, want)
+			}
+		}
+		if string(b) != label {
+			t.Errorf("label %q was rewritten to %q", label, b)
+		}
+		if wantOK := strings.EqualFold(label, good) || label == labels[2]; nc.IsCookieLabel(label) != wantOK {
+			t.Errorf("IsCookieLabel(%q) = %v", label, !wantOK)
+		}
+		if n := testing.AllocsPerRun(100, func() { v.VerifyLabelBytes(nc, src, b) }); n != 0 {
+			t.Errorf("VerifyLabelBytes(%q) allocates %.1f/op, want 0", label, n)
+		}
 	}
 }

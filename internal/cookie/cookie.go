@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,40 +255,66 @@ func (nc NSCodec) prefix() string {
 // label in the default configuration (the paper's "PRa1b2c3d4", cookie range
 // 2^32).
 func (nc NSCodec) EncodeLabel(c Cookie) string {
-	return nc.prefix() + hex.EncodeToString(c[:nsHexLen/2])
+	return string(nc.AppendLabel(nil, c))
+}
+
+// AppendLabel appends EncodeLabel(c) to dst.
+func (nc NSCodec) AppendLabel(dst []byte, c Cookie) []byte {
+	return hex.AppendEncode(append(dst, nc.prefix()...), c[:nsHexLen/2])
 }
 
 // DecodeLabel extracts the cookie prefix bytes from a label produced by
-// EncodeLabel. Only the first 4 bytes of the returned cookie are meaningful.
+// EncodeLabel, in either ASCII case. Only the first 4 bytes of the returned
+// cookie are meaningful.
 func (nc NSCodec) DecodeLabel(label string) (Cookie, error) {
-	p := nc.prefix()
-	if len(label) != len(p)+nsHexLen || !strings.HasPrefix(strings.ToLower(label), p) {
-		return Cookie{}, ErrNotCookieLabel
+	if c, ok := decodeLabel(nc.prefix(), label); ok {
+		return c, nil
 	}
-	raw, err := hex.DecodeString(strings.ToLower(label[len(p):]))
-	if err != nil {
-		return Cookie{}, fmt.Errorf("%w: %v", ErrNotCookieLabel, err)
+	return Cookie{}, ErrNotCookieLabel
+}
+
+// decodeLabel reads a label, a string or a packet's bytes, where it lies.
+func decodeLabel[T string | []byte](prefix string, label T) (c Cookie, ok bool) {
+	if len(label) != len(prefix)+nsHexLen {
+		return c, false
 	}
-	var c Cookie
-	copy(c[:], raw)
-	return c, nil
+	for i := 0; i < len(label); i++ {
+		x := label[i]
+		if x >= 'A' && x <= 'Z' {
+			x += 'a' - 'A'
+		}
+		switch h := i - len(prefix); {
+		case h < 0 && x == prefix[i]:
+		case h >= 0 && x >= '0' && x <= '9':
+			c[h/2] = c[h/2]<<4 | (x - '0')
+		case h >= 0 && x >= 'a' && x <= 'f':
+			c[h/2] = c[h/2]<<4 | (x - 'a' + 10)
+		default:
+			return c, false
+		}
+	}
+	return c, true
 }
 
 // IsCookieLabel reports whether label has the cookie shape.
 func (nc NSCodec) IsCookieLabel(label string) bool {
-	_, err := nc.DecodeLabel(label)
-	return err == nil
+	_, ok := decodeLabel(nc.prefix(), label)
+	return ok
 }
 
 // VerifyLabel checks that label carries the first 4 bytes of the cookie the
 // authenticator would mint for src, under the current or previous epoch.
 // The prefix comparison is constant-time.
 func (nc NSCodec) VerifyLabel(a *Authenticator, src netip.Addr, label string) bool {
-	got, err := nc.DecodeLabel(label)
-	if err != nil {
+	return verifyLabel(a.snapshot(), nc, src, label)
+}
+
+// verifyLabel is VerifyLabel against an explicit ring snapshot.
+func verifyLabel[T string | []byte](r *ringState, nc NSCodec, src netip.Addr, label T) bool {
+	got, ok := decodeLabel(nc.prefix(), label)
+	if !ok {
 		return false
 	}
-	r := a.snapshot()
 	for _, e := range [2]uint64{r.epoch, r.epoch - 1} {
 		if got[0]>>7 != uint8(e&1) {
 			continue // parity proves this epoch cannot have minted the label

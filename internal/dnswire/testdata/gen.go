@@ -129,6 +129,44 @@ func main() {
 			},
 		},
 	}
+	// The referral bench/testdata/bench.zone gives for c5.foo.com — the
+	// response the record walk exists for — and the same with an OPT.
+	ns := dnswire.RR{Name: "c5.foo.com", Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600,
+		Data: &dnswire.NSData{Host: "ns.c5.foo.com"}}
+	glue := dnswire.RR{Name: "ns.c5.foo.com", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 3600,
+		Data: &dnswire.AData{Addr: netip.MustParseAddr("198.51.100.6")}}
+	question := []dnswire.Question{{Name: "c5.foo.com", Type: dnswire.TypeA, Class: dnswire.ClassINET}}
+	seeds["referral_bench_zone.bin"] = &dnswire.Message{ID: 0x0c05, Flags: dnswire.Flags{QR: true},
+		Questions: question, Authority: []dnswire.RR{ns}, Additional: []dnswire.RR{glue}}
+	seeds["referral_opt.bin"] = &dnswire.Message{ID: 0x0c06, Flags: dnswire.Flags{QR: true},
+		Questions: question, Authority: []dnswire.RR{ns},
+		Additional: []dnswire.RR{glue, {Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}}}}
+	// Shapes Pack does not emit, record bytes by hand after the packed
+	// question (c5.foo.com at 12, foo.com at 15): names in upper case and
+	// written out, an owner that points into another record's rdata, an NS
+	// rdlength one short of its name.
+	head, err := (&dnswire.Message{ID: 0x0c07, Flags: dnswire.Flags{QR: true}, Questions: question}).Pack()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pack question: %v\n", err)
+		os.Exit(1)
+	}
+	raw := map[string]string{
+		"referral_raw_upper.bin": "\x02C5\x03FOO\x03COM\x00\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x08\x02NS\x02C5\xc0\x0f" +
+			"\x02Ns\x02c5\x03Foo\x03cOM\x00\x00\x01\x00\x03\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06",
+		"referral_raw_owner_in_rdata.bin": "\xc0\x0c\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x05\x02ns\xc0\x0c" +
+			"\xc0\x28\x00\x01\x00\x01\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06",
+		"referral_raw_rdlength_short.bin": "\xc0\x0c\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x04\x02ns\xc0\x0c" +
+			"\xc0\x28\x00\x01\x00\x01\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06",
+	}
+	for name, records := range raw {
+		b := append(append([]byte(nil), head...), records...)
+		b[9], b[11] = 1, 1 // NSCOUNT, ARCOUNT
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "write %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", name, len(b))
+	}
 	for name, m := range seeds {
 		b, err := m.Pack()
 		if err != nil {

@@ -21,11 +21,13 @@ package dnswire
 //     lowercasing). Everything else — compression, exotic label bytes,
 //     truncation — reports ok=false and the caller falls back to Unpack,
 //     which either materializes the message or classifies it malformed.
-//   - A View covers the header and first question only. End reports the
+//   - ParseView covers the header and first question only. End reports the
 //     offset past the question; callers that need "nothing but a question"
 //     (the guard's pass-through shape check) compare End to the datagram
 //     length and the three RR counts to zero rather than trusting the View
 //     to have seen the whole message.
+//   - Records walks the rest under the same contract: what it vouches for
+//     Unpack accepts, with the same records; a refusal means "unpack it".
 
 // headerLen is the fixed DNS message header size.
 const headerLen = 12
@@ -50,34 +52,9 @@ func ParseView(b []byte) (View, bool) {
 	if int(b[4])<<8|int(b[5]) == 0 { // QDCOUNT
 		return View{}, false
 	}
-	off := headerLen
-	total := 0
-	for {
-		if off >= len(b) {
-			return View{}, false
-		}
-		c := int(b[off])
-		if c == 0 {
-			off++
-			break
-		}
-		if c >= 64 {
-			// Compression pointer or reserved label type: not viewable.
-			return View{}, false
-		}
-		if off+1+c > len(b) {
-			return View{}, false
-		}
-		total += c + 1
-		if total+1 > MaxNameWireLen {
-			return View{}, false
-		}
-		for _, x := range b[off+1 : off+1+c] {
-			if x >= 0x80 || x == '.' {
-				return View{}, false
-			}
-		}
-		off += 1 + c
+	off, ok := skipName(b, headerLen, false)
+	if !ok {
+		return View{}, false
 	}
 	if off+4 > len(b) {
 		return View{}, false
@@ -158,4 +135,128 @@ func UnpackQuestion(b []byte) (Question, int, error) {
 		return Question{}, 0, err
 	}
 	return q, p.off, nil
+}
+
+// skipName checks the name at off by the decoder's rules — labels in bounds,
+// the 255-octet limit, with compressed set pointers that go strictly backward
+// — and the View's: every label plain ASCII without a '.' byte. It returns
+// the offset past the name where it lies (past its first pointer, if any).
+func skipName(b []byte, off int, compressed bool) (next int, ok bool) {
+	next, total, minPtr := -1, 0, off
+	for {
+		if off >= len(b) {
+			return 0, false
+		}
+		c := int(b[off])
+		switch {
+		case c == 0:
+			if next < 0 {
+				next = off + 1
+			}
+			return next, true
+		case c < 64:
+			if total += c + 1; off+1+c > len(b) || total+1 > MaxNameWireLen {
+				return 0, false
+			}
+			for _, x := range b[off+1 : off+1+c] {
+				if x >= 0x80 || x == '.' {
+					return 0, false
+				}
+			}
+			off += 1 + c
+		case c >= 0xC0 && compressed && off+1 < len(b):
+			ptr := (c&0x3F)<<8 | int(b[off+1])
+			if next < 0 {
+				next = off + 2
+			}
+			if ptr >= minPtr {
+				return 0, false // forward, or a loop
+			}
+			minPtr, off = ptr, ptr
+		default:
+			return 0, false // reserved label type, or a pointer where none may be
+		}
+	}
+}
+
+// The sections a Record can sit in.
+const (
+	SectionAnswer = iota
+	SectionAuthority
+	SectionAdditional
+)
+
+// Record is one resource record as Records found it. RData is borrowed from
+// the View's buffer, under the View's no-escape rule.
+type Record struct {
+	Section int
+	Type    Type
+	TTL     uint32
+	RData   []byte
+}
+
+// Records walks everything after the first question in place, showing visit
+// each record in turn, and reports whether it vouches for the whole message:
+// one question; every record's name within the View's rules, its header and
+// rdata in bounds, its rdata of the shape Unpack demands of its type (see
+// rdataShaped); the section counts honoured and no byte left over. On false,
+// what visit saw is void.
+func (v View) Records(visit func(Record)) bool {
+	b, off := v.buf, v.end
+	if v.QDCount() != 1 {
+		return false
+	}
+	for sec, n := range [...]uint16{v.ANCount(), v.NSCount(), v.ARCount()} {
+		for ; n > 0; n-- {
+			hdr, ok := skipName(b, off, true)
+			if !ok || hdr+10 > len(b) {
+				return false
+			}
+			r := Record{
+				Section: sec,
+				Type:    Type(uint16(b[hdr])<<8 | uint16(b[hdr+1])),
+				TTL:     uint32(b[hdr+4])<<24 | uint32(b[hdr+5])<<16 | uint32(b[hdr+6])<<8 | uint32(b[hdr+7]),
+			}
+			data := hdr + 10
+			if off = data + int(b[hdr+8])<<8 + int(b[hdr+9]); off > len(b) || !rdataShaped(b, r.Type, data, off) {
+				return false
+			}
+			r.RData = b[data:off]
+			visit(r)
+		}
+	}
+	return off == len(b)
+}
+
+// rdataShaped reports whether b[data:end] is rdata of the shape the decoder
+// demands of type t: A 4 octets, AAAA 16, the names and fields of NS, CNAME,
+// PTR, MX and SOA ending exactly at end, TXT strings tiling it, others opaque.
+func rdataShaped(b []byte, t Type, data, end int) bool {
+	names, fixed := 0, 0
+	switch t {
+	case TypeA:
+		return end-data == 4
+	case TypeAAAA:
+		return end-data == 16
+	case TypeNS, TypeCNAME, TypePTR:
+		names = 1
+	case TypeMX:
+		data, names = data+2, 1
+	case TypeSOA:
+		names, fixed = 2, 20
+	case TypeTXT:
+		for data < end {
+			data += 1 + int(b[data])
+		}
+		return data == end
+	default:
+		return true
+	}
+	for ; names > 0; names-- {
+		var ok bool
+		if data, ok = skipName(b, data, true); !ok {
+			return false
+		}
+	}
+	return data+fixed == end
 }

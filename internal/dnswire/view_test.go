@@ -3,6 +3,8 @@ package dnswire
 import (
 	"bytes"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -91,8 +93,8 @@ func TestViewRejects(t *testing.T) {
 		return f(b)
 	}
 	cases := map[string][]byte{
-		"short header":  base[:11],
-		"qdcount zero":  mutate(func(b []byte) []byte { b[4], b[5] = 0, 0; return b }),
+		"short header":   base[:11],
+		"qdcount zero":   mutate(func(b []byte) []byte { b[4], b[5] = 0, 0; return b }),
 		"truncated name": base[:14],
 		"truncated type": base[:len(base)-3],
 		"compressed name": mutate(func(b []byte) []byte {
@@ -203,4 +205,122 @@ func FuzzViewAgreement(f *testing.F) {
 			t.Fatalf("question disagreement: view %+v (%v) unpack %+v", q, err, m.Questions[0])
 		}
 	})
+}
+
+// checkWalkAgreement is the walk's accept-subset contract on one input: if
+// the walk vouches for b, Unpack accepts it, with the same section counts
+// and, record by record, the same section, type, TTL and — for an A
+// record — address. That the walk vouches at all says it ended where b does,
+// which is where Unpack must.
+func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
+	t.Helper()
+	v, ok := ParseView(b)
+	if !ok {
+		return false
+	}
+	var recs []Record
+	if !v.Records(func(r Record) { recs = append(recs, r) }) {
+		return false
+	}
+	m, err := Unpack(b)
+	if err != nil {
+		t.Fatalf("the walk vouches for a message Unpack rejects: %v\n%x", err, b)
+	}
+	sections := [][]RR{m.Answers, m.Authority, m.Additional}
+	if len(m.Questions) != 1 || len(sections[0]) != int(v.ANCount()) ||
+		len(sections[1]) != int(v.NSCount()) || len(sections[2]) != int(v.ARCount()) {
+		t.Fatalf("section counts: view 1/%d/%d/%d, Unpack %d/%d/%d/%d", v.ANCount(), v.NSCount(), v.ARCount(),
+			len(m.Questions), len(sections[0]), len(sections[1]), len(sections[2]))
+	}
+	i := 0
+	for sec, rrs := range sections {
+		for _, rr := range rrs {
+			r := recs[i]
+			i++
+			if r.Section != sec || r.Type != rr.Type || r.TTL != rr.TTL {
+				t.Fatalf("record %d: walk %+v, Unpack section %d %v", i, r, sec, rr)
+			}
+			if a, ok := rr.Data.(*AData); ok && (len(r.RData) != 4 || a.Addr != netip.AddrFrom4([4]byte(r.RData))) {
+				t.Fatalf("record %d: walk address %x, Unpack %v", i, r.RData, a.Addr)
+			}
+		}
+	}
+	if i != len(recs) {
+		t.Fatalf("the walk yielded %d records, Unpack %d", len(recs), i)
+	}
+	return true
+}
+
+// TestRecordWalk: the walk vouches for every capture of a well-formed
+// message with one question — the shapes servers send — agrees with Unpack
+// on each, allocates nothing, and refuses what its rules do not cover.
+func TestRecordWalk(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.bin"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no captures: %v", err)
+	}
+	refused := map[string]bool{"referral_raw_rdlength_short.bin": true}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checkWalkAgreement(t, b); got == refused[filepath.Base(p)] {
+			t.Errorf("%s: walked = %v", p, got)
+		}
+		var ttls uint32
+		if n := testing.AllocsPerRun(50, func() {
+			if v, ok := ParseView(b); ok {
+				v.Records(func(r Record) { ttls += r.TTL })
+			}
+		}); n != 0 {
+			t.Errorf("%s: the walk allocates %.1f/op, want 0", p, n)
+		}
+	}
+
+	ref, err := os.ReadFile(filepath.Join("testdata", "referral_bench_zone.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), ref...)) }
+	// The NS record is at 28, its rdlength at 38 and rdata at 40; the glue
+	// record is at 45, its rdlength at 55 and address at 57.
+	cases := map[string][]byte{
+		"two questions":           mutate(func(b []byte) []byte { b[5] = 2; return b }),
+		"trailing byte":           append(append([]byte(nil), ref...), 0),
+		"last record cut short":   ref[:len(ref)-1],
+		"arcount one over":        mutate(func(b []byte) []byte { b[11]++; return b }),
+		"arcount one under":       mutate(func(b []byte) []byte { b[11]--; return b }),
+		"ns rdlength one long":    mutate(func(b []byte) []byte { b[39]++; return b }),
+		"a rdlength 5":            mutate(func(b []byte) []byte { b[56] = 5; return append(b, 0) }),
+		"owner points forward":    mutate(func(b []byte) []byte { b[46] = 0x39; return b }),
+		"owner points at itself":  mutate(func(b []byte) []byte { b[46] = 45; return b }),
+		"non-ascii ns target":     mutate(func(b []byte) []byte { b[41] = 0xE9; return b }),
+		"dotted ns target":        mutate(func(b []byte) []byte { b[41] = '.'; return b }),
+		"reserved label type":     mutate(func(b []byte) []byte { b[40] = 0x42; return b }),
+		"txt string past rdata":   mutate(func(b []byte) []byte { b[47], b[48], b[57] = 0, byte(TypeTXT), 4; return b }),
+		"soa without its numbers": mutate(func(b []byte) []byte { b[30], b[31] = 0, byte(TypeSOA); return b }),
+	}
+	for name, b := range cases {
+		if checkWalkAgreement(t, b) {
+			t.Errorf("%s: the walk vouches for it", name)
+		}
+	}
+	// What the refusals above must not be mistaken for: shapes the walk does
+	// cover. A TXT whose strings tile the rdata, and a pointer into a header.
+	for name, b := range map[string][]byte{
+		"txt strings tile": mutate(func(b []byte) []byte { b[47], b[48], b[57] = 0, byte(TypeTXT), 3; return b }),
+		"owner in header":  mutate(func(b []byte) []byte { b[46] = 4; return b }),
+	} {
+		if !checkWalkAgreement(t, b) {
+			t.Errorf("%s: the walk refuses it", name)
+		}
+	}
+}
+
+// FuzzWalkAgreement holds the record walk to its contract on arbitrary
+// bytes: whatever it vouches for, Unpack accepts and reads the same.
+func FuzzWalkAgreement(f *testing.F) {
+	addWireSeeds(f)
+	f.Fuzz(func(t *testing.T, b []byte) { checkWalkAgreement(t, b) })
 }

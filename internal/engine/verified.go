@@ -46,13 +46,23 @@ func (v *verifiedShard) init(capacity int) {
 	v.tab = srctab.New[verifiedEntry](capacity, srctab.FIFO)
 }
 
-// MarkVerifiedOn records on shard's slice of the cache that src just proved
-// knowledge of cred. Handlers call it with their own shard id — under affine
-// ingest the delivering interface, not the source hash, decides ownership.
-// A full cache gives a new source the oldest entry, which counts as an
-// eviction only if it had not expired. A no-op when the cache is off
-// (FastPathTTL 0); a credential longer than the guard can form is not cached.
+// MarkVerifiedCredOn records on shard's slice of the cache that src just
+// proved knowledge of cred (copied: the caller's scratch stays its own).
+// Handlers call it with their own shard id — under affine ingest the
+// delivering interface, not the source hash, decides ownership. A full cache
+// gives a new source the oldest entry, which counts as an eviction only if it
+// had not expired. A no-op when the cache is off (FastPathTTL 0); a
+// credential longer than the guard can form is not cached.
+func (e *Engine) MarkVerifiedCredOn(shard int, src netip.Addr, cred []byte) {
+	markVerified(e, shard, src, cred)
+}
+
+// MarkVerifiedOn is MarkVerifiedCredOn for a credential held as a string.
 func (e *Engine) MarkVerifiedOn(shard int, src netip.Addr, cred string) {
+	markVerified(e, shard, src, cred)
+}
+
+func markVerified[T string | []byte](e *Engine, shard int, src netip.Addr, cred T) {
 	if e.cfg.FastPathTTL <= 0 || len(cred) > maxCred {
 		return
 	}

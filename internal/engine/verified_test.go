@@ -81,7 +81,7 @@ func TestVerifiedSteadyPopulationAllocs(t *testing.T) {
 			if e.VerifiedCredMatchOn(0, src, cred) {
 				t.Fatalf("source %d live past its TTL", i)
 			}
-			e.MarkVerifiedOn(0, src, string(cred))
+			e.MarkVerifiedCredOn(0, src, cred)
 		}
 	}
 	round()
@@ -114,10 +114,18 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 	for i := 0; i < sources; i++ {
 		e.MarkVerifiedOn(0, cold(), longest)
 	}
-	wire, other := []byte(longest), []byte("ns:other")
+	wire, other, scratch := []byte(longest), []byte("ns:other"), []byte(longest)
 	if n := testing.AllocsPerRun(10*sources, func() {
 		src := cold()
-		e.MarkVerifiedOn(0, src, longest)
+		if next%2 == 0 {
+			e.MarkVerifiedOn(0, src, longest)
+		} else {
+			// The handlers' call: the credential in scratch they reuse at
+			// once. The cache keeps a copy.
+			copy(scratch, longest)
+			e.MarkVerifiedCredOn(0, src, scratch)
+			clear(scratch)
+		}
 		if !e.VerifiedCredMatchOn(0, src, wire) || e.VerifiedCredMatchOn(0, src, other) {
 			t.Fatal("the credential just cached does not match itself")
 		}

@@ -38,20 +38,23 @@ func (s *remoteShard) EndBatch() {
 	for i := range s.outbuf {
 		s.outbuf[i] = Packet{} // drop payload refs between batches
 	}
-	s.outbuf = s.outbuf[:0]
+	s.outbuf, s.egress = s.outbuf[:0], s.egress[:0] // flushed: the slab's bytes are nobody's
 }
 
 // reply emits a guard-originated response from a worker-context handler: the
-// packed reply is buffered for EndBatch's flush. Stats and CPU charges accrue
-// here, exactly as in g.reply. Reply sites that run outside worker context
-// (the upstream loop) have no bracket and must keep calling g.reply.
+// packed reply is queued for EndBatch's flush. Reply sites that run outside
+// worker context (the upstream loop) have no bracket and must keep calling
+// g.reply.
 func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
-	g := s.g
-	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return
+	if wire, err := msg.PackUDP(dnswire.MaxUDPSize); err == nil {
+		s.queueReply(from, to, wire)
 	}
-	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
-	g.charge(g.cfg.Costs.PacketOp)
+}
+
+// queueReply buffers wire, which must stay untouched until EndBatch has
+// flushed it. Stats and CPU charges accrue here, exactly as in g.replyWire.
+func (s *remoteShard) queueReply(from, to netip.AddrPort, wire []byte) {
+	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
+	s.g.charge(s.g.cfg.Costs.PacketOp)
 	s.outbuf = append(s.outbuf, Packet{Src: from, Dst: to, Payload: wire})
 }

@@ -1,6 +1,9 @@
 package guard
 
 import (
+	"fmt"
+	"net/netip"
+	"strings"
 	"testing"
 
 	"dnsguard/internal/dnswire"
@@ -60,5 +63,53 @@ func TestGuardBatchedFloodDrops(t *testing.T) {
 	st := f.guard.Stats.Load()
 	if st.CookieValid != 1 || st.ForwardedToANS != 1 {
 		t.Errorf("valid=%d forwarded=%d, want 1/1", st.CookieValid, st.ForwardedToANS)
+	}
+}
+
+// recordIO keeps a copy of every reply written through it.
+type recordIO struct {
+	sinkIO
+	replies []string
+}
+
+func (io *recordIO) WriteFromTo(from, to netip.AddrPort, payload []byte) error {
+	io.replies = append(io.replies, fmt.Sprintf("%v %x", to, payload))
+	return nil
+}
+
+// TestEgressSlabHoldsABatch: replies written from spans wait for the flush in
+// the shard's egress slab, one after the other. A bracket of several
+// newcomers — more than the slab was sized for, so it grows under the queued
+// ones — must flush the replies the same packets draw one bracket each.
+func TestEgressSlabHoldsABatch(t *testing.T) {
+	run := func(bracket int) []string {
+		io := &recordIO{}
+		h := newShardHarness(t, func(cfg *RemoteConfig) {
+			cfg.IO = io
+			cfg.Zone = dnswire.MustName("foo.com")
+		})
+		if cap(h.s.egress) != dnswire.MaxUDPSize {
+			t.Fatalf("egress slab of a Batch-1 shard holds %d bytes, want %d", cap(h.s.egress), dnswire.MaxUDPSize)
+		}
+		names := []string{"www.c5.foo.com", "foo.com", "www.bar.com", strings.Repeat("x", 50) + ".foo.com"}
+		for i := 0; i < 12; i += bracket {
+			h.s.BeginBatch(bracket)
+			for k := i; k < i+bracket; k++ {
+				h.s.HandlePacket(Packet{
+					Src:     netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 1, byte(k)}), 5353),
+					Dst:     h.g.cfg.PublicAddr,
+					Payload: mustPack(t, dnswire.NewQuery(uint16(k), dnswire.MustName(names[k%len(names)]), dnswire.TypeA)),
+				})
+			}
+			h.s.EndBatch()
+			if len(h.s.egress) != 0 || len(h.s.outbuf) != 0 {
+				t.Fatalf("after the flush the slab holds %d bytes and the queue %d replies", len(h.s.egress), len(h.s.outbuf))
+			}
+		}
+		return io.replies
+	}
+	one, many := run(1), run(12)
+	if len(one) != 12 || fmt.Sprint(many) != fmt.Sprint(one) {
+		t.Errorf("a bracket of 12 flushed\n%v\none bracket each\n%v", many, one)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
 	"dnsguard/internal/vclock"
 )
@@ -63,7 +64,7 @@ type shardHarness struct {
 	up *sinkConn
 }
 
-func newShardHarness(t *testing.T, mutate func(*RemoteConfig)) *shardHarness {
+func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
 	t.Helper()
 	sched := vclock.New(1)
 	network := netsim.New(sched, time.Millisecond)
@@ -99,7 +100,7 @@ func (h *shardHarness) handle(pkt Packet) {
 }
 
 // nsQueryWire packs a query for the fabricated name carrying src's cookie.
-func (h *shardHarness) nsQueryWire(t *testing.T, src netip.Addr, child string, id uint16) []byte {
+func (h *shardHarness) nsQueryWire(t testing.TB, src netip.Addr, child string, id uint16) []byte {
 	t.Helper()
 	c := h.g.cfg.Auth.Mint(src)
 	fab, err := FabricateNSName(h.g.nsc, c, dnswire.MustName(child))
@@ -113,58 +114,118 @@ func (h *shardHarness) nsQueryWire(t *testing.T, src netip.Addr, child string, i
 	return wire
 }
 
-// TestFastPathWireAllocs pins the whole verified cycle — cookie query in,
-// rewritten forward out, empty response in, fabricated reply out — at zero
-// allocations against stub I/O, and the inactive passthrough relay likewise.
-// The last case replaces the stub capture interface with a real SocketIO on
-// a loopback socket, so the count includes the ingest read and the reply
-// write a deployed guard makes.
+// appendNXDomain and appendReferral turn fwd, a query the guard forwarded,
+// into what the ANS sends back, in dst: an empty NXDOMAIN, or the referral
+// real servers send — the question's NS record, its target's address as glue,
+// an AAAA beside it — by hand, so the tests that count allocations make none.
+func appendNXDomain(dst, fwd []byte) []byte {
+	dst = append(dst[:0], fwd...)
+	dst[2] |= 0x80
+	dst[3] |= byte(dnswire.RCodeNXDomain)
+	return dst
+}
+
+func appendReferral(dst, fwd []byte) []byte {
+	dst = append(dst[:0], fwd...)
+	dst[2] |= 0x80
+	dst[9], dst[11] = 1, 2
+	target := byte(len(dst) + 12) // the NS target, "ns" under the question's name
+	dst = append(dst, 0xC0, 12, 0, byte(dnswire.TypeNS), 0, 1, 0, 0, 0x0e, 0x10, 0, 5, 2, 'n', 's', 0xC0, 12)
+	dst = append(dst, 0xC0, target, 0, byte(dnswire.TypeA), 0, 1, 0, 0, 0x0e, 0x10, 0, 4, 198, 51, 100, 7)
+	dst = append(dst, 0xC0, target, 0, byte(dnswire.TypeAAAA), 0, 1, 0, 0, 0x0e, 0x10, 0, 16)
+	return append(dst, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7)
+}
+
+// TestFastPathWireAllocs pins everything legitimate traffic does at zero
+// allocations against stub I/O: the verified cycle — cookie query in,
+// rewritten forward out, response in, fabricated reply out — for an empty
+// response and for a referral with glue, the same cycle for a source the
+// cache has never seen (MAC, cache insert), the newcomer grant, and the
+// inactive passthrough relay. The last cases replace the stub capture
+// interface with a real SocketIO on a loopback socket, so the count includes
+// the ingest read and the reply write a deployed guard makes.
 func TestFastPathWireAllocs(t *testing.T) {
-	h := newShardHarness(t, nil)
+	// The harness clock stands still: a burst that covers every run.
+	roomy := func(cfg *RemoteConfig) {
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1e6, TrackedSources: 1024}
+	}
+	clean := func(name string, h *shardHarness) {
+		if st := h.g.Stats.Load(); st.RL2Dropped+st.RL1Dropped+st.UpstreamStrays+st.UpstreamSpoofed+st.Malformed != 0 {
+			t.Errorf("%s: not every run ran to its reply: %+v", name, st)
+		}
+	}
+	h := newShardHarness(t, roomy)
 	src := mustAP("10.0.0.53:4444")
-	query := h.nsQueryWire(t, src.Addr(), "www.foo.com", 0x42)
 	ans := h.g.cfg.ANSAddr
-	pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: query}
-
-	// Warm: the first exchange pays the MAC, installs the verified entry and
-	// sizes the entry-pool buffers.
-	h.handle(pkt)
+	pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 0x42)}
 	resp := make([]byte, 0, dnswire.MaxUDPSize)
-	consume := func() {
-		resp = append(resp[:0], h.up.buf[:h.up.n]...)
-		resp[2] |= 0x80
-		resp[3] |= byte(dnswire.RCodeNXDomain)
-		h.s.handleUpstream(resp, ans)
+	answers := []struct {
+		name   string
+		answer func(dst, fwd []byte) []byte
+		reply  int // message 6's length
+	}{
+		{"an empty NXDOMAIN", appendNXDomain, 12 + len(pkt.Payload[12:])},
+		{"a referral with glue", appendReferral, 12 + len(pkt.Payload[12:]) + 16},
 	}
-	consume()
-
-	if n := testing.AllocsPerRun(200, func() {
-		h.handle(pkt)
-		consume()
-	}); n != 0 {
-		t.Errorf("verified NS cycle allocates %.1f/op, want 0", n)
+	for _, a := range answers {
+		cycle := func() {
+			h.handle(pkt)
+			resp = a.answer(resp, h.up.buf[:h.up.n])
+			h.s.handleUpstream(resp, ans)
+		}
+		// Warm: the first exchange pays the MAC, installs the verified entry
+		// and sizes the entry-pool buffers.
+		cycle()
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("verified NS cycle answered %s allocates %.1f/op, want 0", a.name, n)
+		}
+		if h.io.n != a.reply {
+			t.Errorf("message 6 for %s is %d bytes, want %d", a.name, h.io.n, a.reply)
+		}
 	}
 
-	hp := newShardHarness(t, func(cfg *RemoteConfig) {
-		cfg.ActivationThreshold = 1e12
-	})
+	// Sources nobody has seen: each run is one's whole session — the grant,
+	// then its first cookie query, which pays the MAC and enters the cache.
+	const strangers = 201
 	plain, err := dnswire.NewQuery(0x43, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppkt := Packet{Src: src, Dst: hp.g.cfg.PublicAddr, Payload: plain}
-	hp.handle(ppkt)
-	presp := make([]byte, 0, dnswire.MaxUDPSize)
-	pconsume := func() {
-		presp = append(presp[:0], hp.up.buf[:hp.up.n]...)
-		presp[2] |= 0x80
-		hp.s.handleUpstream(presp, hp.g.cfg.ANSAddr)
+	var first [strangers]Packet
+	for i := range first {
+		s := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)}), 5353)
+		first[i] = Packet{Src: s, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, s.Addr(), "www.foo.com", 0x45)}
 	}
-	pconsume()
-	if n := testing.AllocsPerRun(200, func() {
-		hp.handle(ppkt)
-		pconsume()
+	before, fast, i := h.g.Stats.Load(), h.g.eng.FastPath(), 0
+	if n := testing.AllocsPerRun(strangers-1, func() {
+		h.handle(Packet{Src: first[i].Src, Dst: first[i].Dst, Payload: plain})
+		h.handle(first[i])
+		resp = appendReferral(resp, h.up.buf[:h.up.n])
+		h.s.handleUpstream(resp, ans)
+		i++
 	}); n != 0 {
+		t.Errorf("a newcomer's session (grant, first verification, referral) allocates %.1f/op, want 0", n)
+	}
+	st := h.g.Stats.Load()
+	if got := h.g.eng.FastPath().Inserts - fast.Inserts; st.NewcomerGrants-before.NewcomerGrants != strangers ||
+		st.CookieValid-before.CookieValid != strangers || st.FastPathHits != before.FastPathHits || got != strangers {
+		t.Errorf("the %d sessions were not each a grant and a first verification: %+v, %d cache inserts", strangers, st, got)
+	}
+
+	clean("stub I/O", h)
+
+	hp := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.ActivationThreshold = 1e12
+	})
+	ppkt := Packet{Src: src, Dst: hp.g.cfg.PublicAddr, Payload: plain}
+	pcycle := func() {
+		hp.handle(ppkt)
+		resp = append(resp[:0], hp.up.buf[:hp.up.n]...)
+		resp[2] |= 0x80
+		hp.s.handleUpstream(resp, hp.g.cfg.ANSAddr)
+	}
+	pcycle()
+	if n := testing.AllocsPerRun(200, pcycle); n != 0 {
 		t.Errorf("passthrough relay cycle allocates %.1f/op, want 0", n)
 	}
 
@@ -182,36 +243,41 @@ func TestFastPathWireAllocs(t *testing.T) {
 	defer client.Close()
 	sio := &SocketIO{Conn: guardSock}
 	hs := newShardHarness(t, func(cfg *RemoteConfig) {
+		roomy(cfg)
 		cfg.IO = sio
 		cfg.PublicAddr = guardSock.LocalAddr()
 	})
 	squery := hs.nsQueryWire(t, client.LocalAddr().Addr(), "www.foo.com", 0x44)
 	slab := make([]Packet, 8)
 	replies := netapi.NewSlab(1, dnswire.MaxUDPSize)
-	cycle := func() {
-		if err := client.WriteTo(squery, guardSock.LocalAddr()); err != nil {
-			t.Fatal(err)
+	for _, a := range answers {
+		cycle := func() {
+			if err := client.WriteTo(squery, guardSock.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+			n, err := sio.ReadBatch(slab, time.Second)
+			if n != 1 || err != nil {
+				t.Fatalf("SocketIO.ReadBatch = (%d, %v)", n, err)
+			}
+			hs.handle(slab[0])
+			resp = a.answer(resp, hs.up.buf[:hs.up.n])
+			hs.s.handleUpstream(resp, hs.g.cfg.ANSAddr)
+			if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
+				t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
+			}
+			if got := len(replies[0].Payload()); got != a.reply {
+				t.Fatalf("message 6 for %s is %d bytes on the client socket, want %d", a.name, got, a.reply)
+			}
 		}
-		n, err := sio.ReadBatch(slab, time.Second)
-		if n != 1 || err != nil {
-			t.Fatalf("SocketIO.ReadBatch = (%d, %v)", n, err)
+		cycle() // first exchange: installs the verified entry, allocates the slab
+		cycle()
+		hits := hs.g.Stats.Load().FastPathHits
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("verified NS cycle answered %s through SocketIO on loopback allocates %.1f/op, want 0", a.name, n)
 		}
-		hs.handle(slab[0])
-		resp = append(resp[:0], hs.up.buf[:hs.up.n]...)
-		resp[2] |= 0x80
-		resp[3] |= byte(dnswire.RCodeNXDomain)
-		hs.s.handleUpstream(resp, hs.g.cfg.ANSAddr)
-		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
-			t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
+		if got := hs.g.Stats.Load().FastPathHits - hits; got != 201 {
+			t.Errorf("%d of 201 socket cycles hit the verified cache", got)
 		}
 	}
-	cycle() // first exchange: installs the verified entry, allocates the slab
-	cycle()
-	hits := hs.g.Stats.Load().FastPathHits
-	if n := testing.AllocsPerRun(200, cycle); n != 0 {
-		t.Errorf("verified NS cycle through SocketIO on loopback allocates %.1f/op, want 0", n)
-	}
-	if got := hs.g.Stats.Load().FastPathHits - hits; got != 201 {
-		t.Errorf("%d of 201 socket cycles hit the verified cache", got)
-	}
+	clean("SocketIO", hs)
 }

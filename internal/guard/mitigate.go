@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnsguard/internal/dnswire"
 	"dnsguard/internal/metrics"
 )
 
@@ -367,11 +366,24 @@ type nameSketch struct {
 	words [16]atomic.Uint64
 }
 
-func (n *nameSketch) observe(name dnswire.Name) {
+func fnv1a(h uint64, c byte) uint64 { return (h ^ uint64(c)) * 1099511628211 }
+
+// observe counts name, a canonical wire name (labels and terminator), hashed
+// as the dotted name reads.
+func (n *nameSketch) observe(name []byte) {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+	if name[0] == 0 {
+		h = fnv1a(h, '.') // the root
+	}
+	for at := 0; name[at] != 0; {
+		if at > 0 {
+			h = fnv1a(h, '.')
+		}
+		end := at + 1 + int(name[at])
+		for _, c := range name[at+1 : end] {
+			h = fnv1a(h, c)
+		}
+		at = end
 	}
 	bit := h & 1023
 	w := &n.words[bit>>6]

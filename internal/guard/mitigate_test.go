@@ -263,7 +263,11 @@ func TestMitigatorFlapSuppression(t *testing.T) {
 // drain resets it.
 func TestNameSketch(t *testing.T) {
 	var sk nameSketch
-	one := dnswire.MustName("www.foo.com")
+	wire := func(name string) []byte {
+		q := questionsWire([]dnswire.Question{{Name: dnswire.MustName(name)}})
+		return q[:len(q)-4]
+	}
+	one := wire("www.foo.com")
 	for i := 0; i < 1000; i++ {
 		sk.observe(one)
 	}
@@ -271,7 +275,7 @@ func TestNameSketch(t *testing.T) {
 		t.Fatalf("single repeated name estimated at %.1f, want ~1", est)
 	}
 	for i := 0; i < 400; i++ {
-		sk.observe(dnswire.MustName(labelName(i)))
+		sk.observe(wire(labelName(i)))
 	}
 	if est := sk.drain(); est < 300 || est > 520 {
 		t.Fatalf("400 distinct names estimated at %.1f, want ~400", est)

@@ -5,9 +5,9 @@ package guard
 // every datagram the ANS sends back is matched against that table before it
 // becomes a reply. An entry holds questions the way the wire does — as spans
 // of bytes it owns — so forwarding and answering a question that needs no
-// records builds no Message and allocates nothing. A Message is built where
-// records are: Unpack validates a record-bearing response before any effect,
-// and answerChild fabricates message 6's records from it.
+// records builds no Message and allocates nothing, nor does a referral, whose
+// records dnswire's walk vouches for and message 6 takes only addresses from.
+// A Message is built where records are copied whole or only Unpack can read.
 
 import (
 	"net/netip"
@@ -104,9 +104,9 @@ func repackIsNoOp(v dnswire.View, n int) bool {
 	return true
 }
 
-// questionWire packs q as a question span.
-func questionWire(q dnswire.Question) []byte {
-	wire, err := (&dnswire.Message{Questions: []dnswire.Question{q}}).Pack()
+// questionsWire packs qs as Pack writes a message's question section.
+func questionsWire(qs []dnswire.Question) []byte {
+	wire, err := (&dnswire.Message{Questions: qs}).Pack()
 	if err != nil {
 		return nil
 	}
@@ -274,23 +274,37 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	if len(payload) > dnswire.MaxDatagram {
 		return // over the UDP ceiling (a full receive slot): not parsed
 	}
-	// A response that is one viewable question and nothing else needs no
-	// Message: resp stays nil and it is answered from spans. Anything with
-	// records, or a question only Unpack can read, is unpacked — and so
-	// validated whole — before the table is consulted.
+	// A response the walk vouches for — one viewable question, and records,
+	// if any, of the shapes Unpack demands — is well-formed without a
+	// Message: resp stays nil until a shape that needs records copied asks
+	// for one. In passing the walk notes all message 6 takes from a referral:
+	// once an NS record has named servers, their addresses, each as the
+	// record giving it to the question's name, class IN whatever the glue's.
+	// Anything else is unpacked — validated whole — before the table is read.
 	v, viewable := dnswire.ParseView(payload)
 	var resp *dnswire.Message
 	var echo []byte
 	if viewable {
 		echo = v.QuestionWire()
 	}
-	if !viewable || !loneQuestion(v, len(payload)) {
+	ns, glue := false, s.upBuf[dnswire.MaxUDPSize:dnswire.MaxUDPSize]
+	walked := viewable && v.Records(func(r dnswire.Record) {
+		switch {
+		case r.Section == dnswire.SectionAuthority && r.Type == dnswire.TypeNS:
+			ns = true
+		case r.Section == dnswire.SectionAdditional && r.Type == dnswire.TypeA && ns && len(glue) < dnswire.MaxUDPSize:
+			glue = append(glue, 0xC0, 12, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassINET),
+				byte(r.TTL>>24), byte(r.TTL>>16), byte(r.TTL>>8), byte(r.TTL), 0, 4)
+			glue = append(glue, r.RData...)
+		}
+	})
+	if !walked {
 		var err error
 		if resp, err = dnswire.Unpack(payload); err != nil {
 			return
 		}
 		if !viewable && len(resp.Questions) > 0 {
-			echo = questionWire(resp.Questions[0])
+			echo = questionsWire(resp.Questions[:1])
 		}
 	}
 	if payload[2]&0x80 == 0 {
@@ -324,48 +338,69 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// ID, and question echo all checked above.
 		s.health.noteSuccess(src)
 	}
+	rcode := dnswire.RCode(payload[3] & 0xF)
 	switch {
 	case expired:
 		atomic.AddUint64(&g.Stats.PendingDropped, 1)
-	case entry.kind == pendChild:
-		s.answerChild(entry, dnswire.RCode(payload[3]&0xF), resp)
 	case entry.kind == pendProbe:
 		// Half-open probe answered: the noteSuccess above already
 		// closed the breaker. Nothing to relay.
-	case resp != nil: // pendPassthrough, pendDirect
-		resp.ID = entry.origID
-		g.reply(entry.replyFrom, entry.clientSrc, resp)
-	default:
+	case walked && entry.kind == pendChild && s.spliceChild(entry, rcode, v, glue):
+	case walked && loneQuestion(v, len(payload)): // pendPassthrough, pendDirect
 		// What PackUDP would make of the lone question: the client's ID,
 		// no reserved bits, the name in the case it was forwarded in.
 		payload[0], payload[1] = byte(entry.origID>>8), byte(entry.origID)
 		payload[3] &^= flagsZMask
 		copy(payload[12:], entry.fwdWire)
 		g.replyWire(entry.replyFrom, entry.clientSrc, payload)
+	default:
+		if resp == nil { // records to copy: now the datagram is worth a Message
+			if resp, _ = dnswire.Unpack(payload); resp == nil {
+				break // not reached: the walk accepts nothing Unpack refuses
+			}
+		}
+		if entry.kind == pendChild {
+			s.answerChild(entry, rcode, resp)
+		} else {
+			resp.ID = entry.origID
+			g.reply(entry.replyFrom, entry.clientSrc, resp)
+		}
 	}
 	s.recycleEntry(entry)
 }
 
+// spliceChild is answerChild for a response the walk vouched for, when
+// message 6 copies no record of it whole: NXDOMAIN without an authority
+// section stays NXDOMAIN, and a response without answers is a referral — the
+// fabricated name's addresses are the real next-level servers' glue
+// addresses (§III-B.1) — or, without glue, SERVFAIL; the bytes are PackUDP's.
+// It reports false, nothing sent, for what needs answerChild's Message:
+// authority to copy, an answer to turn into an IP cookie, truncation.
+func (s *remoteShard) spliceChild(entry *pendEntry, rcode dnswire.RCode, v dnswire.View, glue []byte) bool {
+	switch {
+	case rcode == dnswire.RCodeNXDomain && v.NSCount() == 0:
+		glue = nil
+	case rcode == dnswire.RCodeNXDomain || v.ANCount() != 0 || 12+len(entry.qwire)+len(glue) > dnswire.MaxUDPSize:
+		return false
+	case len(glue) > 0:
+		rcode = dnswire.RCodeNoError
+	default:
+		rcode = dnswire.RCodeServFail
+	}
+	buf := append(s.upBuf[:0],
+		byte(entry.origID>>8), byte(entry.origID),
+		0x84, byte(rcode), // QR|AA, opcode 0, rcode
+		0, 1, 0, byte(len(glue)/16), 0, 0, 0, 0)
+	buf = append(append(buf, entry.qwire...), glue...)
+	s.g.replyWire(entry.replyFrom, entry.clientSrc, buf)
+	return true
+}
+
 // answerChild turns the ANS's answer for the restored child query (message
-// 5) into the response for the fabricated name (message 6). resp is nil for
-// a response without records, which can only be told no such name or that
-// the guard has nothing to fabricate from: header and the client's question,
-// straight from the entry.
+// 5) into the response for the fabricated name (message 6), as a Message:
+// for a response the walk refused, or whose records it copies.
 func (s *remoteShard) answerChild(entry *pendEntry, rcode dnswire.RCode, resp *dnswire.Message) {
 	g := s.g
-	if resp == nil {
-		if rcode != dnswire.RCodeNXDomain {
-			rcode = dnswire.RCodeServFail
-		}
-		buf := append(s.upBuf[:0],
-			byte(entry.origID>>8), byte(entry.origID),
-			0x84, byte(rcode), // QR|AA, opcode 0, rcode
-			0, 1, 0, 0, 0, 0, 0, 0)
-		buf = append(buf, entry.qwire...)
-		s.upBuf = buf[:0]
-		g.replyWire(entry.replyFrom, entry.clientSrc, buf)
-		return
-	}
 	question, _, _ := dnswire.UnpackQuestion(entry.qwire)
 	out := &dnswire.Message{
 		ID:        entry.origID,

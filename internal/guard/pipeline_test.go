@@ -23,8 +23,10 @@ import (
 // replies, its counters and its NAT table written out per row. The expected
 // text, testdata/pipeline_shapes.txt, was recorded from the materializing
 // handlers (Unpack → Message → PackUDP, FastPathTTL 0) of the last commit
-// that had them, 6962bd0, beside a wire fast path; it is not regenerated when
-// the pipeline changes, only when a row is added. The verified cache must not
+// that had them, 6962bd0, beside a wire fast path (the referral and newcomer
+// rows at the end of the table: 1f736d1, the last commit that built message 6
+// and the newcomer's reply as Messages); it is not regenerated when the
+// pipeline changes, only when a row is added. The verified cache must not
 // change a byte of it: the table is replayed with the cache off and with a
 // one-minute TTL. Only the cache's own counters differ, recorded per TTL.
 
@@ -43,12 +45,14 @@ type skewEnv struct {
 
 func (e skewEnv) Now() time.Duration { return e.Env.Now() + time.Duration(e.skew.Load()) }
 
-// shapeRun is one row's harness and transcript.
+// shapeRun is one row's harness and transcript. seen, when set, is shown
+// every datagram the row feeds the shard (the fuzz targets seed from it).
 type shapeRun struct {
-	t    *testing.T
+	t    testing.TB
 	h    *shardHarness
 	skew atomic.Int64
 	out  strings.Builder
+	seen func(upstream bool, wire []byte)
 }
 
 // step records what one call into the shard emitted: at most one forward
@@ -70,10 +74,16 @@ func (r *shapeRun) step(label string, call func()) {
 }
 
 func (r *shapeRun) query(label string, src netip.AddrPort, dst netip.AddrPort, wire []byte) {
+	if r.seen != nil {
+		r.seen(false, wire)
+	}
 	r.step(label, func() { r.h.handle(Packet{Src: src, Dst: dst, Payload: append([]byte(nil), wire...)}) })
 }
 
 func (r *shapeRun) upstream(label string, from netip.AddrPort, wire []byte) {
+	if r.seen != nil {
+		r.seen(true, wire)
+	}
 	r.step(label, func() { r.h.s.handleUpstream(append([]byte(nil), wire...), from) })
 }
 
@@ -95,7 +105,7 @@ func (r *shapeRun) echo(rcode dnswire.RCode) []byte {
 	return b
 }
 
-func mustPack(t *testing.T, m *dnswire.Message) []byte {
+func mustPack(t testing.TB, m *dnswire.Message) []byte {
 	t.Helper()
 	wire, err := m.Pack()
 	if err != nil {
@@ -117,6 +127,34 @@ func upperName(wire []byte) []byte {
 		}
 	}
 	return wire
+}
+
+// note adds a line to the row's transcript: state the counters do not show.
+func (r *shapeRun) note(format string, args ...any) {
+	fmt.Fprintf(&r.out, "  "+format+"\n", args...)
+}
+
+// rawRR is one record as bytes, for shapes Pack does not emit: owner is a
+// wire name or a pointer, written as given, and rdlength is whatever rdlen
+// says (-1: the length of rdata).
+func rawRR(owner string, typ dnswire.Type, class uint16, ttl uint32, rdlen int, rdata string) []byte {
+	if rdlen < 0 {
+		rdlen = len(rdata)
+	}
+	b := append([]byte(owner), byte(typ>>8), byte(typ), byte(class>>8), byte(class),
+		byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), byte(rdlen>>8), byte(rdlen))
+	return append(b, rdata...)
+}
+
+// rawResponse is the last forward turned into a response carrying the given
+// records, counted per section as an, ns and ar say.
+func (r *shapeRun) rawResponse(rcode dnswire.RCode, an, ns, ar int, records ...[]byte) []byte {
+	b := r.echo(rcode)
+	b[7], b[9], b[11] = byte(an), byte(ns), byte(ar)
+	for _, rec := range records {
+		b = append(b, rec...)
+	}
+	return b
 }
 
 // pendingDump renders the shard's NAT table in a form that does not depend
@@ -166,6 +204,7 @@ var (
 )
 
 func relayOnly(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 }
+func inFooCom(cfg *RemoteConfig)  { cfg.Zone = dnswire.MustName("foo.com") }
 
 func shapeRows() []shapeRow {
 	nsQuery := func(r *shapeRun, src netip.Addr, child string, id uint16) []byte {
@@ -504,6 +543,316 @@ func shapeRows() []shapeRow {
 			r.upstream("probe answered", ans(r), r.echo(dnswire.RCodeNoError))
 			r.query("breaker closed", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x1241))
 		}},
+		// Recorded at 1f736d1, the last commit whose message 6 and newcomer
+		// replies were all built as Messages. The forward for www.foo.com puts
+		// the question at 12 (c00c), foo.com at 16 (c010), com at 20 (c014),
+		// and the first record at 29.
+		{"upstream/referral-aaaa-only", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			resp := r.forwarded().Response()
+			ns1 := dnswire.MustName("ns1.foo.com")
+			resp.Authority = []dnswire.RR{dnswire.NewRR(resp.Questions[0].Name, 3600, &dnswire.NSData{Host: ns1})}
+			resp.Additional = []dnswire.RR{dnswire.NewRR(ns1, 600, &dnswire.AAAAData{Addr: mustAddr("2001:db8::7")})}
+			r.upstream("referral", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/referral-with-opt", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			opt := dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}}
+			resp.Additional = append([]dnswire.RR{opt}, resp.Additional...)
+			r.upstream("opt first", ans(r), mustPack(r.t, resp))
+			verifiedForward(r, "www.foo.com")
+			resp.Additional = append(resp.Additional[1:], opt)
+			r.upstream("opt last", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/referral-crossing-512", nil, func(r *shapeRun) {
+			// Message 6 here is 39 bytes and 16 per address: 29 fit, 30 do not.
+			glue := func(n int) []byte {
+				resp := r.forwarded().Response()
+				ns1 := dnswire.MustName("ns1.foo.com")
+				resp.Authority = []dnswire.RR{dnswire.NewRR(resp.Questions[0].Name, 3600, &dnswire.NSData{Host: ns1})}
+				for i := 0; i < n; i++ {
+					resp.Additional = append(resp.Additional, dnswire.NewRR(ns1, uint32(100+i),
+						&dnswire.AData{Addr: netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})}))
+				}
+				return mustPack(r.t, resp)
+			}
+			verifiedForward(r, "www.foo.com")
+			r.upstream("29 addresses", ans(r), glue(29))
+			verifiedForward(r, "www.foo.com")
+			r.upstream("30 addresses", ans(r), glue(30))
+		}},
+		{"upstream/referral-class-ch-glue", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			resp.Additional[0].Class = 3
+			resp.Authority[0].Class = 3
+			r.upstream("referral", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/referral-upper-case-records", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			r.upstream("referral", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1,
+				rawRR("\x03WWW\x03FOO\x03COM\x00", dnswire.TypeNS, 1, 3600, -1, "\x03NS1\xc0\x10"),
+				rawRR("\x03NS1\x03Foo\x03cOM\x00", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")))
+		}},
+		{"upstream/referral-owner-into-rdata", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			// The NS target sits at 41 (0x29), in the NS record's rdata; the
+			// first address, 1.97.0.9 at 59 (0x3b), reads as the name "a".
+			r.upstream("referral", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 2,
+				rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10"),
+				rawRR("\xc0\x29", dnswire.TypeA, 1, 600, -1, "\x01a\x00\x09"),
+				rawRR("\xc0\x3b", dnswire.TypeA, 1, 700, -1, "\xc6\x33\x64\x08")))
+		}},
+		{"upstream/referral-bad-rdlength", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			glue := rawRR("\xc0\x29", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")
+			ns := func(rdlen int, rdata string) []byte {
+				return rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, rdlen, rdata)
+			}
+			r.upstream("ns rdlength one short", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(5, "\x03ns1\xc0\x10"), glue))
+			r.upstream("ns rdlength one long", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(7, "\x03ns1\xc0\x10"), glue))
+			r.upstream("ns target, then a spare byte", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(7, "\x03ns1\xc0\x10\x00"), glue))
+			r.upstream("a rdlength 5", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(-1, "\x03ns1\xc0\x10"),
+				rawRR("\xc0\x29", dnswire.TypeA, 1, 600, 5, "\xc6\x33\x64\x07\x00")))
+			r.upstream("a rdlength 3", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(-1, "\x03ns1\xc0\x10"),
+				rawRR("\xc0\x29", dnswire.TypeA, 1, 600, 3, "\xc6\x33\x64")))
+			r.upstream("arcount one over", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 2, ns(-1, "\x03ns1\xc0\x10"), glue))
+			r.upstream("arcount one under", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 0, ns(-1, "\x03ns1\xc0\x10"), glue))
+			r.upstream("the genuine one", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns(-1, "\x03ns1\xc0\x10"), glue))
+		}},
+		{"upstream/referral-bad-pointers", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			ns := rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10")
+			glue := func(owner string) []byte { return rawRR(owner, dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07") }
+			// The glue record starts at 47 (0x2f).
+			r.upstream("forward pointer", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x40")))
+			r.upstream("pointer at itself", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x2f")))
+			r.upstream("pointer loop", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\x01a\xc0\x2f")))
+			r.upstream("pointer past the end", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xff\xff")))
+			r.upstream("reserved label type", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\x41a\x00")))
+			r.upstream("pointer into the header", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x05")))
+			verifiedForward(r, "www.foo.com")
+			r.upstream("the genuine one", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x29")))
+		}},
+		{"upstream/referral-names-only-unpack-reads", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			ns := rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10")
+			r.upstream("latin-1 glue owner", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns,
+				rawRR("\x03n\xe9s\xc0\x10", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")))
+			verifiedForward(r, "www.foo.com")
+			r.upstream("dotted glue owner", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns,
+				rawRR("\x03n.s\xc0\x10", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")))
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			resp.Questions = append(resp.Questions, dnswire.Question{Name: dnswire.MustName("second.foo.com"), Type: dnswire.TypeA, Class: dnswire.ClassINET})
+			r.upstream("two questions", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/nxdomain-with-ns", nil, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			resp.Flags.RCode = dnswire.RCodeNXDomain
+			r.upstream("nxdomain, referral records", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/referral-other-rcodes", withSubnet, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			resp.Flags.RCode = dnswire.RCodeServFail
+			resp.Flags.TC, resp.Flags.RA, resp.Flags.AA = true, true, true
+			r.upstream("servfail and flags, referral records", ans(r), mustPack(r.t, resp))
+			verifiedForward(r, "www.foo.com")
+			resp.Answers = []dnswire.RR{dnswire.NewRR(resp.Questions[0].Name, 300, &dnswire.AData{Addr: mustAddr("198.51.100.10")})}
+			r.upstream("answer and referral records", ans(r), mustPack(r.t, resp))
+			verifiedForward(r, "www.foo.com")
+			resp.Answers, resp.Authority = nil, nil
+			r.upstream("glue and no ns", ans(r), mustPack(r.t, resp))
+			verifiedForward(r, "www.foo.com")
+			resp.Answers = []dnswire.RR{dnswire.NewRR(resp.Questions[0].Name, 300, &dnswire.NSData{Host: dnswire.MustName("ns1.foo.com")})}
+			r.upstream("ns in the answer section", ans(r), mustPack(r.t, resp))
+		}},
+		{"upstream/referral-relayed", relayOnly, func(r *shapeRun) {
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xBEF8))
+			r.upstream("upper-case records", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1,
+				rawRR("\x03WWW\x03FOO\x03COM\x00", dnswire.TypeNS, 1, 3600, -1, "\x03NS1\xc0\x10"),
+				rawRR("\x03NS1\x03Foo\x03cOM\x00", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")))
+		}},
+
+		// Newcomers, zone foo.com unless the row says otherwise.
+		{"newcomer/child-two-labels-up", inFooCom, func(r *shapeRun) {
+			r.query("a.b.c5.foo.com", shapeClient, pub(r), plain(r, "a.b.c5.foo.com", 0x3100))
+			r.query("mixed case", shapeClient, pub(r), upperName(plain(r, "a.b.c5.foo.com", 0x3101)))
+			r.query("the child itself", shapeClient, pub(r), plain(r, "c5.foo.com", 0x3102))
+			r.query("another source", shapeOther, pub(r), plain(r, "a.b.c5.foo.com", 0x3103))
+		}},
+		{"newcomer/apex", inFooCom, func(r *shapeRun) {
+			r.query("foo.com", shapeClient, pub(r), plain(r, "foo.com", 0x3110))
+			r.query("mixed case", shapeClient, pub(r), upperName(plain(r, "foo.com", 0x3111)))
+		}},
+		{"newcomer/out-of-zone", inFooCom, func(r *shapeRun) {
+			r.query("www.bar.com", shapeClient, pub(r), plain(r, "www.bar.com", 0x3120))
+			r.query("a suffix off the label boundary", shapeClient, pub(r), plain(r, "www.xfoo.com", 0x3121))
+			r.query("a label that reads as the zone's tail", shapeClient, pub(r), plain(r, "a\x03foo\x03com", 0x3122))
+			r.query("above the zone", shapeClient, pub(r), plain(r, "com", 0x3123))
+			r.query("the root", shapeClient, pub(r), plain(r, ".", 0x3124))
+			r.query("mixed case", shapeClient, pub(r), upperName(plain(r, "www.bar.com", 0x3125)))
+		}},
+		{"newcomer/tcp-client", func(cfg *RemoteConfig) {
+			inFooCom(cfg)
+			cfg.TCPClients = []netip.Prefix{netip.PrefixFrom(shapeClient.Addr(), 32)}
+		}, func(r *shapeRun) {
+			r.query("configured for tcp", shapeClient, pub(r), plain(r, "www.foo.com", 0x3130))
+			r.query("not configured", shapeOther, pub(r), plain(r, "www.foo.com", 0x3131))
+			r.query("configured, out of zone", shapeClient, pub(r), plain(r, "www.bar.com", 0x3132))
+		}},
+		{"newcomer/tcp-fallback", func(cfg *RemoteConfig) {
+			inFooCom(cfg)
+			cfg.Fallback = SchemeTCP
+		}, func(r *shapeRun) {
+			r.query("first contact", shapeClient, pub(r), plain(r, "www.foo.com", 0x3140))
+		}},
+		{"newcomer/child-label-too-long", inFooCom, func(r *shapeRun) {
+			r.query("53 bytes and the cookie fit", shapeClient, pub(r), plain(r, "www."+strings.Repeat("x", 53)+".foo.com", 0x3150))
+			r.query("54 do not", shapeClient, pub(r), plain(r, "www."+strings.Repeat("x", 54)+".foo.com", 0x3151))
+			r.query("nor 63", shapeClient, pub(r), plain(r, strings.Repeat("x", 63)+".foo.com", 0x3152))
+		}},
+		{"newcomer/fabricated-name-too-long", func(cfg *RemoteConfig) {
+			cfg.Zone = dnswire.MustName(strings.Repeat(strings.Repeat("z", 59)+".", 3) + strings.Repeat("z", 59))
+		}, func(r *shapeRun) {
+			zone := string(r.h.g.cfg.Zone) // 241 bytes on the wire: a 3-byte child label and the cookie fit in 255, 4 do not
+			r.query("3-byte child label", shapeClient, pub(r), plain(r, "abc."+zone, 0x3160))
+			r.query("4-byte child label", shapeClient, pub(r), plain(r, "abcd."+zone, 0x3161))
+		}},
+		{"newcomer/header-bits", inFooCom, func(r *shapeRun) {
+			q := plain(r, "www.foo.com", 0x3170)
+			q[2] &^= 0x01
+			r.query("rd clear", shapeClient, pub(r), q)
+			q = plain(r, "www.foo.com", 0x3171)
+			q[2] |= 0x10
+			r.query("opcode 2", shapeClient, pub(r), q)
+			q = plain(r, "www.foo.com", 0x3172)
+			q[2], q[3] = 0x7e, 0xff
+			r.query("every bit but qr and rd", shapeClient, pub(r), q)
+			q = plain(r, "www.bar.com", 0x3173)
+			q[2], q[3] = 0x7f, 0xff
+			r.query("every bit but qr, out of zone", shapeClient, pub(r), q)
+			q = plain(r, "foo.com", 0x3174)
+			q[2], q[3] = 0x7e, 0xff
+			r.query("every bit but qr and rd, apex", shapeClient, pub(r), q)
+		}},
+		{"newcomer/class-and-type", inFooCom, func(r *shapeRun) {
+			q := plain(r, "www.foo.com", 0x3180)
+			q[len(q)-1] = 3
+			r.query("class CH", shapeClient, pub(r), q)
+			q = plain(r, "www.foo.com", 0x3181)
+			q[len(q)-4], q[len(q)-3], q[len(q)-2], q[len(q)-1] = 0x41, 0x5a, 0x41, 0x5a // letters, were they in a name
+			r.query("type and class 0x415a", shapeClient, pub(r), q)
+		}},
+		{"newcomer/two-questions", inFooCom, func(r *shapeRun) {
+			two := func(id uint16, first, second string) []byte {
+				m := dnswire.NewQuery(id, dnswire.MustName(first), dnswire.TypeA)
+				m.Questions = append(m.Questions, dnswire.Question{Name: dnswire.MustName(second), Type: dnswire.TypeMX, Class: dnswire.ClassINET})
+				return mustPack(r.t, m)
+			}
+			r.query("grant", shapeClient, pub(r), two(0x3190, "www.c5.foo.com", "second.c5.foo.com"))
+			r.query("apex", shapeClient, pub(r), two(0x3191, "foo.com", "www.foo.com"))
+			r.query("out of zone", shapeClient, pub(r), two(0x3192, "www.bar.com", "www.foo.com"))
+			r.query("the same twice", shapeClient, pub(r), two(0x3193, "www.c5.foo.com", "www.c5.foo.com"))
+		}},
+		{"newcomer/with-opt", inFooCom, func(r *shapeRun) {
+			withOPT := func(id uint16, name string) []byte {
+				m := dnswire.NewQuery(id, dnswire.MustName(name), dnswire.TypeA)
+				m.Additional = []dnswire.RR{{Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}}}
+				return mustPack(r.t, m)
+			}
+			r.query("grant", shapeClient, pub(r), withOPT(0x31a0, "www.foo.com"))
+			r.query("apex", shapeClient, pub(r), withOPT(0x31a1, "foo.com"))
+			r.query("out of zone", shapeClient, pub(r), withOPT(0x31a2, "www.bar.com"))
+		}},
+		{"newcomer/non-ascii-name", inFooCom, func(r *shapeRun) {
+			q := plain(r, "www.c5.foo.com", 0x31b0)
+			q[14] = 0xE9
+			r.query("latin-1 byte", shapeClient, pub(r), q)
+			q = plain(r, "www.c5.foo.com", 0x31b1)
+			q[17], q[18] = 0xC3, 0x89 // É in the child label: lowercased as Unicode
+			r.query("upper-case e acute for the child label", shapeClient, pub(r), q)
+			q = plain(r, "www.c5.foo.com", 0x31b2)
+			copy(q[12:], "\xc0\x0c") // a name that points at itself
+			r.query("compressed question", shapeClient, pub(r), q[:18])
+		}},
+		{"newcomer/draining", inFooCom, func(r *shapeRun) {
+			r.h.g.setLifecycle(LifecycleDraining)
+			r.query("first contact", shapeClient, pub(r), plain(r, "www.foo.com", 0x31c0))
+			r.query("with opt", shapeClient, pub(r), func() []byte {
+				m := dnswire.NewQuery(0x31c1, dnswire.MustName("www.foo.com"), dnswire.TypeA)
+				m.Additional = []dnswire.RR{{Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}}}
+				return mustPack(r.t, m)
+			}())
+			r.query("a verified source still gets through", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x31c2))
+			r.note("drain-dropped: %d", atomic.LoadUint64(&r.h.g.lc.DrainDropped))
+			r.h.g.setLifecycle(LifecycleWarming)
+			r.query("warming", shapeClient, pub(r), plain(r, "www.foo.com", 0x31c3))
+		}},
+		{"newcomer/rl1-dropped", func(cfg *RemoteConfig) {
+			inFooCom(cfg)
+			cfg.RL1 = ratelimit.DefaultLimiter1Config()
+			cfg.RL1.PerSourceRate, cfg.RL1.PerSourceBurst = 1, 2
+		}, func(r *shapeRun) {
+			for i, name := range []string{"www.foo.com", "foo.com", "www.bar.com", "www.foo.com"} {
+				r.query(name, shapeClient, pub(r), plain(r, name, uint16(0x31d0+i)))
+			}
+			r.query("another source", shapeOther, pub(r), plain(r, "www.foo.com", 0x31d4))
+		}},
+		{"newcomer/mitigation-sketch", func(cfg *RemoteConfig) {
+			inFooCom(cfg)
+			cfg.Mitigation.Enabled = true
+		}, func(r *shapeRun) {
+			sketch := func() {
+				var words []string
+				for i := range r.h.g.mit.sketch.words {
+					if w := r.h.g.mit.sketch.words[i].Load(); w != 0 {
+						words = append(words, fmt.Sprintf("%d:%016x", i, w))
+					}
+				}
+				r.note("sketch: %s", strings.Join(words, " "))
+			}
+			r.query("ladder bottom: relayed", shapeClient, pub(r), plain(r, "www.foo.com", 0x31e0))
+			sketch()
+			r.h.g.mitMode.Store(mitForceActive)
+			r.query("www.foo.com", shapeClient, pub(r), plain(r, "www.foo.com", 0x31e1))
+			sketch()
+			r.query("the same in upper case", shapeClient, pub(r), upperName(plain(r, "www.foo.com", 0x31e2)))
+			sketch()
+			r.query("out of zone", shapeClient, pub(r), plain(r, "www.bar.com", 0x31e3))
+			r.query("the root", shapeClient, pub(r), plain(r, ".", 0x31e4))
+			r.query("latin-1 byte", shapeClient, pub(r), func() []byte {
+				q := plain(r, "www.c5.foo.com", 0x31e5)
+				q[14] = 0xE9
+				return q
+			}())
+			sketch()
+			r.h.g.setLifecycle(LifecycleDraining)
+			r.query("draining: not observed", shapeClient, pub(r), plain(r, "ftp.foo.com", 0x31e6))
+			sketch()
+		}},
+		{"newcomer/root-zone", func(cfg *RemoteConfig) { cfg.Zone = dnswire.Root }, func(r *shapeRun) {
+			r.query("www.foo.com", shapeClient, pub(r), plain(r, "www.foo.com", 0x31f0))
+			r.query("a top-level name", shapeClient, pub(r), plain(r, "com", 0x31f1))
+			r.query("the root", shapeClient, pub(r), plain(r, ".", 0x31f2))
+		}},
 	}
 }
 
@@ -511,16 +860,7 @@ func shapeRows() []shapeRow {
 // the transcript that must not depend on the TTL and the cache's counters.
 func renderShapes(t *testing.T, ttl time.Duration) (bodies, caches []string) {
 	for _, row := range shapeRows() {
-		r := &shapeRun{t: t}
-		r.h = newShardHarness(t, func(cfg *RemoteConfig) {
-			cfg.Env = skewEnv{cfg.Env, &r.skew}
-			cfg.Zone = dnswire.MustName("com")
-			cfg.FastPathTTL = ttl
-			if row.cfg != nil {
-				row.cfg(cfg)
-			}
-		})
-		row.run(r)
+		r := runShapeRow(t, row, ttl, nil)
 		st := r.h.g.Stats.Load()
 		fmt.Fprintf(&r.out, "  stats: %s\n", nonZero(st, "FastPathHits"))
 		pend := pendingDump(r.h.s)
@@ -532,6 +872,21 @@ func renderShapes(t *testing.T, ttl time.Duration) (bodies, caches []string) {
 		caches = append(caches, strings.TrimSpace(fmt.Sprintf("FastPathHits=%d %s", st.FastPathHits, nonZero(r.h.g.eng.FastPath(), ""))))
 	}
 	return bodies, caches
+}
+
+// runShapeRow drives one row through a fresh shard at the given cache TTL.
+func runShapeRow(t testing.TB, row shapeRow, ttl time.Duration, seen func(upstream bool, wire []byte)) *shapeRun {
+	r := &shapeRun{t: t, seen: seen}
+	r.h = newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Env = skewEnv{cfg.Env, &r.skew}
+		cfg.Zone = dnswire.MustName("com")
+		cfg.FastPathTTL = ttl
+		if row.cfg != nil {
+			row.cfg(cfg)
+		}
+	})
+	row.run(r)
+	return r
 }
 
 func TestPipelineShapes(t *testing.T) {

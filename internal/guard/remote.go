@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -302,9 +303,11 @@ type Remote struct {
 	ipc cookie.IPCodec
 
 	// nsPrefix/nsPrefixLen cache the NS codec's label geometry: the effective
-	// label prefix and the full cookie label length it implies.
+	// label prefix and the full cookie label length it implies; zoneWire is
+	// cfg.Zone as a question carries it.
 	nsPrefix    string
 	nsPrefixLen int
+	zoneWire    []byte
 	eng         *engine.Engine
 	shards      []*remoteShard
 	rate        *ratelimit.RateEstimator
@@ -360,15 +363,18 @@ type remoteShard struct {
 	strict bool
 
 	// Batch-bracket state, touched only by the shard's worker between
-	// BeginBatch and EndBatch (see batch.go): the keyring snapshot and the
-	// coalesced-egress reply buffer.
+	// BeginBatch and EndBatch (see batch.go): the keyring snapshot, the
+	// coalesced-egress reply buffer, and the egress slab, which owns a reply
+	// written from spans until the flush.
 	bv     *cookie.BatchVerifier
 	outbuf []Packet
+	egress []byte
 
 	// entryPool is the pendEntry free list (under mu); credBuf and wireBuf
 	// are worker-context scratch for the presented credential and the
-	// rewritten forward; upBuf is upstream-loop-context scratch for
-	// fabricated replies. The two contexts never share a buffer.
+	// rewritten forward; upBuf is upstream-loop-context scratch for a
+	// fabricated reply, 512 bytes, and behind them the glue gathered for it.
+	// The two contexts never share a buffer.
 	entryPool []*pendEntry
 	credBuf   []byte
 	wireBuf   []byte
@@ -443,6 +449,8 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	}
 	g.nsPrefix = prefix
 	g.nsPrefixLen = len(g.nsc.EncodeLabel(cookie.Cookie{}))
+	zoneQ := questionsWire([]dnswire.Question{{Name: cfg.Zone}})
+	g.zoneWire = zoneQ[:len(zoneQ)-4]
 	if cfg.Mitigation.Enabled {
 		// Derive the initial control flags from the ladder bottom
 		// (passthrough) so the armed guard starts fully open and works its
@@ -477,9 +485,10 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				pending: make(map[uint16]*pendEntry),
 				bv:      cookie.NewBatchVerifier(),
+				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
 				credBuf: make([]byte, 0, 3+max(g.nsPrefixLen, 16)),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
-				upBuf:   make([]byte, 0, dnswire.MaxUDPSize),
+				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}
 			if cfg.Health.Enabled {
 				s.health = newShardHealth(g)
@@ -696,14 +705,15 @@ func (s *remoteShard) handle(pkt Packet) {
 	// Scheme 1b: queries addressed to a cookie IP inside the guard subnet.
 	toCookieIP := g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr())
 	// A lone question carries no cookie record, so anywhere but at a cookie
-	// IP its first label decides: a cookie label is message 3, handled from
-	// the wire as it lies; anything else is a newcomer, and a newcomer's
-	// response is built from a Message.
+	// IP its first label decides: a cookie label is message 3, anything else
+	// a newcomer. Both are handled from the wire as it lies.
 	if v, ok := dnswire.ParseView(pkt.Payload); ok && !toCookieIP && !v.QR() && loneQuestion(v, len(pkt.Payload)) {
 		if cred, ok := nsCred(s, v.FirstLabel()); ok {
-			s.handleNSCookie(pkt, v.ID(), v.QuestionWire(), cred)
-			return
+			s.handleNSCookie(pkt, v.QuestionWire(), cred)
+		} else {
+			s.handleNewcomer(pkt, 1, v.QuestionWire())
 		}
+		return
 	}
 	msg, err := dnswire.Unpack(pkt.Payload)
 	if err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
@@ -719,16 +729,15 @@ func (s *remoteShard) handle(pkt Packet) {
 		s.handleModified(pkt, msg, c)
 		return
 	}
-	// DNS-based scheme: cookie embedded in the query name, in a message the
-	// view could not vouch for (records after the question, a name that is
-	// not plain uncompressed ASCII). Its canonical question, packed, takes
-	// the path the lone question took.
-	q := msg.Question()
-	if cred, ok := nsCred(s, q.Name.FirstLabel()); ok {
-		s.handleNSCookie(pkt, msg.ID, questionWire(q), cred)
-		return
+	// A message the view could not vouch for (records after the question, a
+	// name that is not plain uncompressed ASCII): its canonical questions,
+	// packed, take the lone question's path — a cookie query's first, which
+	// alone is answered, a newcomer's all, which are echoed.
+	if cred, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
+		s.handleNSCookie(pkt, questionsWire(msg.Questions[:1]), cred)
+	} else if qs := questionsWire(msg.Questions); qs != nil {
+		s.handleNewcomer(pkt, len(msg.Questions), qs)
 	}
-	s.handleNewcomer(pkt, msg)
 }
 
 // oversize reports whether an ingress datagram is over the UDP ceiling,
@@ -769,8 +778,15 @@ func (s *remoteShard) passthrough(pkt Packet) {
 	s.forwardPacked(entry, msg)
 }
 
-// handleNewcomer boots a cookie-less requester per the fallback scheme.
-func (s *remoteShard) handleNewcomer(pkt Packet, msg *dnswire.Message) {
+// handleNewcomer boots a cookie-less requester per the fallback scheme. qs is
+// the query's question section, qd questions the first of which opens qs
+// uncompressed: one question as the view found it, its name in any case, or
+// a message's canonical questions as Pack writes them. The reply — grant, TC
+// redirect or REFUSED — is what PackUDP makes of Response() and the grant's
+// NS record: the query's ID and RD bit, qs with the first name folded, the
+// record's owner and target tail as pointers into that name. It is appended
+// to the egress slab; nothing here allocates.
+func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 	g := s.g
 	if g.drainGate() {
 		// Draining/quiesced: no new cookie exchanges — this instance may not
@@ -779,54 +795,77 @@ func (s *remoteShard) handleNewcomer(pkt Packet, msg *dnswire.Message) {
 		atomic.AddUint64(&g.lc.DrainDropped, 1)
 		return
 	}
-	qname := msg.Question().Name
+	nameLen := 1
+	for qs[nameLen-1] != 0 {
+		nameLen += 1 + int(qs[nameLen-1])
+	}
+	// The reply goes up at the slab's end — the ID, QR, RD as asked, the name
+	// folded — and is the slab's only once queued: a drop leaves it behind.
+	start := len(s.egress)
+	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, byte(qd>>8), byte(qd), 0, 0, 0, 0, 0, 0)
+	b = appendFolded(b, qs[:nameLen])
+	name := b[start+12:]
 	if g.cfg.Mitigation.Enabled {
 		// Feed the selector's name-diversity sketch before the limiter so
 		// it reflects offered newcomer load, not the post-RL1 residue.
-		g.mit.sketch.observe(qname)
+		g.mit.sketch.observe(name)
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
 		return
 	}
-	child, hasChild := qname.ChildOf(g.cfg.Zone)
-	useTCP := g.effectiveFallback() == SchemeTCP || !hasChild || g.isTCPClient(pkt.Src.Addr())
-	if !qname.IsSubdomainOf(g.cfg.Zone) && qname != g.cfg.Zone {
-		resp := msg.Response()
-		resp.Flags.RCode = dnswire.RCodeRefused
-		s.reply(pkt.Dst, pkt.Src, resp)
-		return
+	// The name is in the zone if the zone's labels end it, from a label
+	// boundary on; the label before that boundary opens the child zone.
+	zoneAt := nameLen - len(g.zoneWire)
+	child, at := 0, 0
+	for at < zoneAt {
+		child, at = at, at+1+int(name[at])
 	}
-	if useTCP {
+	switch n := int(name[child]); {
+	case at != zoneAt || !bytes.Equal(name[at:], g.zoneWire):
+		b[start+3] = byte(dnswire.RCodeRefused)
+	case zoneAt == 0 || g.effectiveFallback() == SchemeTCP || g.isTCPClient(pkt.Src.Addr()):
 		// TC redirect: also used for apex queries, which have no child
 		// name to fabricate.
 		g.charge(g.cfg.Costs.TCReply)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
-		resp := msg.Response()
-		resp.Flags.TC = true
-		s.reply(pkt.Dst, pkt.Src, resp)
-		return
-	}
-	// DNS-based: fabricate "child NS <cookie+label>" with a long TTL and
-	// no glue, so the LRS must come back through us to resolve it.
-	g.charge(g.cfg.Costs.CookieGrant)
-	c := s.bv.Mint(pkt.Src.Addr())
-	fabName, err := FabricateNSName(g.nsc, c, child)
-	if err != nil {
-		// Label too long to carry a cookie; fall back to TCP.
+		b[start+2] |= 2 // TC
+	case g.nsPrefixLen+n > dnswire.MaxLabelLen || g.nsPrefixLen+nameLen-child > dnswire.MaxNameWireLen:
+		// Label or name too long to carry a cookie; fall back to TCP.
+		g.charge(g.cfg.Costs.CookieGrant)
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
-		resp := msg.Response()
-		resp.Flags.TC = true
-		s.reply(pkt.Dst, pkt.Src, resp)
-		return
+		b[start+2] |= 2
+	default:
+		// DNS-based: fabricate "child NS <cookie+label>" with a long TTL and
+		// no glue, so the LRS must come back through us to resolve it.
+		g.charge(g.cfg.Costs.CookieGrant)
+		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+		b[start+9] = 1 // NSCOUNT: the record, below
 	}
-	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-	resp := msg.Response()
-	resp.Authority = []dnswire.RR{
-		dnswire.NewRR(child, g.cfg.NSTTL, &dnswire.NSData{Host: fabName}),
+	b = append(b, qs[nameLen:]...)
+	if record := len(b); b[start+9] != 0 {
+		label, ttl := name[child:child+1+int(name[child])], g.cfg.NSTTL
+		b = append(b, 0xC0|byte((12+child)>>8), byte(12+child), 0, byte(dnswire.TypeNS), 0, byte(dnswire.ClassINET),
+			byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 0, byte(g.nsPrefixLen)+label[0])
+		b = append(g.nsc.AppendLabel(b, s.bv.Mint(pkt.Src.Addr())), label[1:]...)
+		if len(g.zoneWire) == 1 {
+			b = append(b, 0) // the child is a top-level name: its parent is the root
+		} else {
+			b = append(b, 0xC0|byte((12+zoneAt)>>8), byte(12+zoneAt))
+		}
+		b[record+11] = byte(len(b) - record - 12) // RDLENGTH
+		// Questions enough to crowd the record out: truncated, as PackUDP would.
+		if len(b)-start > dnswire.MaxUDPSize {
+			b = b[:record]
+			b[start+2], b[start+9] = b[start+2]|2, 0
+		}
 	}
-	s.reply(pkt.Dst, pkt.Src, resp)
+	if len(b)-start > dnswire.MaxUDPSize {
+		return // the questions alone are over the limit: PackUDP refuses, nothing is sent
+	}
+	s.egress = b
+	s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
 }
 
 // isTCPClient reports whether src is configured for TCP redirection.
@@ -886,16 +925,16 @@ func (s *remoteShard) verified(src netip.Addr, cred []byte) bool {
 // handleNSCookie processes a query for a fabricated name (message 3): verify,
 // restore, forward (message 4). q is the question as sent — name, type,
 // class, the name in any case — and cred what nsCred made of its first label.
-// Nothing here allocates once the source is in the verified cache.
-func (s *remoteShard) handleNSCookie(pkt Packet, id uint16, q, cred []byte) {
+// Nothing here allocates, cache hit, miss or forged label.
+func (s *remoteShard) handleNSCookie(pkt Packet, q, cred []byte) {
 	g := s.g
 	if !s.verified(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.VerifyLabel(g.nsc, pkt.Src.Addr(), string(cred[3:])) {
+		if !s.bv.VerifyLabelBytes(g.nsc, pkt.Src.Addr(), cred[3:]) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
+		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
@@ -912,7 +951,7 @@ func (s *remoteShard) handleNSCookie(pkt Packet, id uint16, q, cred []byte) {
 	wire = appendFolded(wire, q[1+cookieLen:nameLen])
 	wire = append(wire, q[nameLen], q[nameLen+1], 0, 1)
 	s.wireBuf = wire[:0]
-	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: id}, wire, q)
+	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(pkt.Payload[0])<<8 | uint16(pkt.Payload[1])}, wire, q)
 }
 
 // handleIPCookie processes a query addressed to a cookie address
@@ -927,7 +966,7 @@ func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
+		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
@@ -972,7 +1011,7 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedOn(s.id, pkt.Src.Addr(), string(cred))
+		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {

@@ -1,0 +1,241 @@
+package guard
+
+import (
+	"fmt"
+	"net/netip"
+	"sync/atomic"
+	"testing"
+
+	"dnsguard/internal/dnswire"
+	"dnsguard/internal/ratelimit"
+)
+
+// The oracles: what the pipeline did with a newcomer and with an answer for a
+// rewritten cookie query when both were Messages — Unpack, the handler body
+// of 1f736d1, PackUDP. FuzzSpliceAgreement holds the span-writing handlers to
+// them, byte for byte and counter for counter.
+
+// oracleSketch is nameSketch.observe as it hashed a canonical Name.
+func oracleSketch(n *nameSketch, name dnswire.Name) {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = fnv1a(h, name[i])
+	}
+	w := &n.words[h&1023>>6]
+	w.Store(w.Load() | 1<<(h&63)) // one goroutine: no CAS needed
+}
+
+// oracleIngress is handle for a datagram to the public address of an active
+// guard without a cookie subnet, with the newcomer a Message. It reports
+// false, nothing done, for a query that is not a newcomer's: those shapes the
+// change did not touch.
+func oracleIngress(s *remoteShard, pkt Packet) bool {
+	g := s.g
+	msg, err := dnswire.Unpack(pkt.Payload)
+	if len(pkt.Payload) > dnswire.MaxDatagram || err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
+		atomic.AddUint64(&g.Stats.Malformed, 1)
+		return true
+	}
+	if _, _, _, ok := FindCookie(msg); ok {
+		return false
+	}
+	if _, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
+		return false
+	}
+	if g.drainGate() {
+		atomic.AddUint64(&g.lc.DrainDropped, 1)
+		return true
+	}
+	qname := msg.Question().Name
+	if g.cfg.Mitigation.Enabled {
+		oracleSketch(&g.mit.sketch, qname)
+	}
+	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
+		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+		return true
+	}
+	child, hasChild := qname.ChildOf(g.cfg.Zone)
+	useTCP := g.effectiveFallback() == SchemeTCP || !hasChild || g.isTCPClient(pkt.Src.Addr())
+	if !qname.IsSubdomainOf(g.cfg.Zone) && qname != g.cfg.Zone {
+		resp := msg.Response()
+		resp.Flags.RCode = dnswire.RCodeRefused
+		s.reply(pkt.Dst, pkt.Src, resp)
+		return true
+	}
+	if useTCP {
+		g.charge(g.cfg.Costs.TCReply)
+		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+		atomic.AddUint64(&g.Stats.TCRedirects, 1)
+		resp := msg.Response()
+		resp.Flags.TC = true
+		s.reply(pkt.Dst, pkt.Src, resp)
+		return true
+	}
+	g.charge(g.cfg.Costs.CookieGrant)
+	c := s.bv.Mint(pkt.Src.Addr())
+	fabName, err := FabricateNSName(g.nsc, c, child)
+	if err != nil {
+		atomic.AddUint64(&g.Stats.TCRedirects, 1)
+		resp := msg.Response()
+		resp.Flags.TC = true
+		s.reply(pkt.Dst, pkt.Src, resp)
+		return true
+	}
+	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+	resp := msg.Response()
+	resp.Authority = []dnswire.RR{
+		dnswire.NewRR(child, g.cfg.NSTTL, &dnswire.NSData{Host: fabName}),
+	}
+	s.reply(pkt.Dst, pkt.Src, resp)
+	return true
+}
+
+// oracleUpstream is handleUpstream for a datagram from the configured ANS
+// with every response unpacked and message 6 always answerChild's Message.
+func oracleUpstream(s *remoteShard, payload []byte) {
+	g := s.g
+	if len(payload) > dnswire.MaxDatagram {
+		return
+	}
+	resp, err := dnswire.Unpack(payload)
+	if err != nil || !resp.Flags.QR {
+		return
+	}
+	id := uint16(payload[0])<<8 | uint16(payload[1])
+	entry, ok := s.pending[id]
+	if !ok {
+		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
+		return
+	}
+	if len(resp.Questions) == 0 || !echoes(questionsWire(resp.Questions[:1]), entry.fwdWire) {
+		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		return
+	}
+	delete(s.pending, id)
+	s.ids.release(id)
+	if entry.kind == pendChild {
+		s.answerChild(entry, dnswire.RCode(payload[3]&0xF), resp)
+	}
+	s.recycleEntry(entry)
+}
+
+// spliceTwin is a guard under test and its oracle, fed the same packets.
+type spliceTwin struct {
+	t          testing.TB
+	got, want  *shardHarness
+	query, fwd []byte
+}
+
+func newSpliceTwin(t testing.TB) *spliceTwin {
+	cfg := func(cfg *RemoteConfig) {
+		cfg.Zone = dnswire.MustName("foo.com")
+		cfg.Subnet = shapeSubnet
+		cfg.TCPClients = []netip.Prefix{netip.MustParsePrefix("10.1.0.0/24")}
+		cfg.Mitigation.Enabled = true
+		// The harness clock stands still. Rate-Limiter1 keeps its per-source
+		// burst, so a source that keeps asking is dropped on both sides.
+		cfg.RL1 = ratelimit.DefaultLimiter1Config()
+		cfg.RL1.GlobalRate, cfg.RL1.GlobalBurst = 1e12, 1e12
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1e12, TrackedSources: 16}
+	}
+	tw := &spliceTwin{t: t, got: newShardHarness(t, cfg), want: newShardHarness(t, cfg)}
+	for _, h := range []*shardHarness{tw.got, tw.want} {
+		h.g.mitMode.Store(mitForceActive)
+	}
+	return tw
+}
+
+// compare requires the twins to have emitted the same bytes and to hold the
+// same counters, NAT table and sketch.
+func (tw *spliceTwin) compare(what string, input []byte) {
+	tw.t.Helper()
+	state := func(h *shardHarness) string {
+		var words [16]uint64
+		for i := range words {
+			words[i] = h.g.mit.sketch.words[i].Load()
+		}
+		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\npending %v\nsketch %x",
+			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
+			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), pendingDump(h.s), words)
+	}
+	if got, want := state(tw.got), state(tw.want); got != want {
+		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)
+	}
+}
+
+// newcomer feeds both twins data as a query from a source its ID picks
+// (10.1.0.x is configured for TCP), unless it is not a newcomer's.
+func (tw *spliceTwin) newcomer(data []byte) {
+	src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, 0, 0}), 5353)
+	if len(data) >= 2 {
+		src = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, data[0], data[1]}), 5353)
+	}
+	pkt := Packet{Src: src, Dst: tw.want.g.cfg.PublicAddr}
+	pkt.Payload = append([]byte(nil), data...)
+	tw.want.s.BeginBatch(1)
+	handled := oracleIngress(tw.want.s, pkt)
+	tw.want.s.EndBatch()
+	if !handled {
+		return
+	}
+	atomic.AddUint64(&tw.want.g.Stats.Received, 1)
+	pkt.Payload = append([]byte(nil), data...)
+	tw.got.handle(pkt)
+	tw.compare("newcomer query", data)
+}
+
+// upstream leaves each twin one pending rewritten cookie query — for the name
+// data asks about with the client's cookie before it, where that makes a
+// name, for www.foo.com otherwise — and answers it with data under the ID
+// the guard forwarded with.
+func (tw *spliceTwin) upstream(data []byte) {
+	client := shapeClient
+	name, qtype := []byte("\x03www\x03foo\x03com\x00"), []byte{0, 1}
+	if v, ok := dnswire.ParseView(data); ok && len(v.FirstLabel()) > 0 &&
+		len(v.FirstLabel())+tw.got.g.nsPrefixLen <= dnswire.MaxLabelLen && len(v.QNameWire())+tw.got.g.nsPrefixLen <= dnswire.MaxNameWireLen {
+		name, qtype = v.QNameWire(), v.QuestionWire()[len(v.QNameWire()):][:2]
+	}
+	q := append(tw.query[:0], 0x12, 0x34, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, name[0]+byte(tw.got.g.nsPrefixLen))
+	q = tw.got.g.nsc.AppendLabel(q, tw.got.g.cfg.Auth.Mint(client.Addr()))
+	q = append(append(append(q, name[1:]...), qtype...), 0, 1)
+	tw.query = q
+	for _, h := range []*shardHarness{tw.got, tw.want} {
+		clear(h.s.pending)
+		h.s.ids = idPool{}
+		h.handle(Packet{Src: client, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), q...)})
+	}
+	tw.compare("cookie query", q)
+	if tw.got.g.PendingEntries() != 1 {
+		return // a name the guard would not forward: nothing to answer
+	}
+	tw.fwd = append(tw.fwd[:0], data...)
+	if len(tw.fwd) >= 2 {
+		copy(tw.fwd, tw.got.up.buf[:2])
+	}
+	oracleUpstream(tw.want.s, append([]byte(nil), tw.fwd...))
+	tw.got.s.handleUpstream(append([]byte(nil), tw.fwd...), tw.got.g.cfg.ANSAddr)
+	tw.compare("upstream response", tw.fwd)
+}
+
+// FuzzSpliceAgreement: on arbitrary newcomer queries, and arbitrary upstream
+// datagrams against a pending rewritten cookie query, the handlers that write
+// replies from spans emit the bytes, and leave the counters and NAT table,
+// of the handlers that built a Message. The seeds are every datagram the
+// shape table feeds the pipeline and the referral bench/testdata/bench.zone
+// gives for c5.foo.com.
+func FuzzSpliceAgreement(f *testing.F) {
+	for _, row := range shapeRows() {
+		runShapeRow(f, row, 0, func(upstream bool, wire []byte) { f.Add(upstream, wire) })
+	}
+	f.Add(true, []byte("\x0c\x05\x80\x00\x00\x01\x00\x00\x00\x01\x00\x01\x02c5\x03foo\x03com\x00\x00\x01\x00\x01"+
+		"\xc0\x0c\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x05\x02ns\xc0\x0c\xc0\x28\x00\x01\x00\x01\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06"))
+	tw := newSpliceTwin(f)
+	f.Fuzz(func(t *testing.T, upstream bool, data []byte) {
+		tw.t = t
+		if upstream {
+			tw.upstream(data)
+		} else {
+			tw.newcomer(data)
+		}
+	})
+}

@@ -291,6 +291,7 @@ func TestRuntimeInto(t *testing.T) {
 	for _, name := range []string{
 		"runtime_heap_objects_bytes", "runtime_gc_heap_goal_bytes", "runtime_memory_total_bytes",
 		"runtime_gc_cycles", "runtime_gc_cpu_seconds",
+		"runtime_heap_allocs_bytes_total", "runtime_heap_allocs_objects_total",
 	} {
 		v, ok := r.Get(name)
 		if !ok {

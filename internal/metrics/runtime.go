@@ -5,13 +5,17 @@ import "runtime/metrics"
 // runtimeSeries maps the Go runtime figures that explain a daemon's resident
 // memory and collector cost to their exported names: live heap objects, the
 // heap size the collector is pacing toward, everything the runtime has
-// mapped, completed GC cycles, and CPU seconds spent in the collector.
+// mapped, completed GC cycles, CPU seconds spent in the collector, and the
+// bytes and objects ever allocated — divided by a daemon's packet counter
+// over the same interval, the garbage it makes per packet.
 var runtimeSeries = [...]struct{ key, name string }{
 	{"/memory/classes/heap/objects:bytes", "runtime_heap_objects_bytes"},
 	{"/gc/heap/goal:bytes", "runtime_gc_heap_goal_bytes"},
 	{"/memory/classes/total:bytes", "runtime_memory_total_bytes"},
 	{"/gc/cycles/total:gc-cycles", "runtime_gc_cycles"},
 	{"/cpu/classes/gc/total:cpu-seconds", "runtime_gc_cpu_seconds"},
+	{"/gc/heap/allocs:bytes", "runtime_heap_allocs_bytes_total"},
+	{"/gc/heap/allocs:objects", "runtime_heap_allocs_objects_total"},
 }
 
 // runtimeMetric reads every runtimeSeries entry in one runtime/metrics.Read
