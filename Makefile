@@ -39,8 +39,10 @@ bench-check:
 
 # Short deterministic-ish smoke on each fuzz target; regressions in the
 # checked-in corpus (testdata/fuzz/...) fail `make test` already, this adds
-# fresh mutation coverage.
+# fresh mutation coverage. Every target under internal/ has its line here: the
+# count is checked first, so one added without a line fails the gate.
 fuzz-smoke:
+	@test $$(grep -rh '^func Fuzz' internal | wc -l) -eq $$(grep -c '[-]fuzz=' Makefile) || { echo "fuzz-smoke: not one line here per Fuzz target under internal/"; exit 1; }
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzNameRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzViewAgreement$$' -fuzztime=$(FUZZTIME)

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -22,6 +23,19 @@ func addWireSeeds(f *F) {
 	}
 	for _, p := range paths {
 		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Every datagram the guard's shape table feeds its pipeline, in hex, one
+	// per line (internal/guard's TestPipelineShapes keeps the file current).
+	shapes, err := os.ReadFile(filepath.Join("testdata", "guard_shapes.hex"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Fields(shapes) {
+		b, err := hex.DecodeString(string(line))
 		if err != nil {
 			f.Fatal(err)
 		}

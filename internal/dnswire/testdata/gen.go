@@ -167,6 +167,33 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", name, len(b))
 	}
+	// Queries with records after the question (c5.foo.com ends at 23, where
+	// c017 points: the root), as clients write them: the TXT-cookie query of
+	// bench/gen.AppendTXTQuery, the same between two OPTs, and one whose
+	// cookie record's owner is a pointer to that 00 octet.
+	qhead, err := (&dnswire.Message{ID: 0x0c08, Questions: question}).Pack()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pack question: %v\n", err)
+		os.Exit(1)
+	}
+	const txt = "\x00\x10\x00\x01\x00\x00\x00\x00\x00\x11\x10@ABCDEFGHIJKLMNO"
+	for name, records := range map[string][]string{
+		"query_txt_cookie_bench.bin": {"\x00" + txt},
+		"query_opt_txt_opt.bin": {"\x00\x00\x29\x10\x00\x00\x00\x00\x00\x00\x00", "\x00" + txt,
+			"\x00\x00\x29\x04\xd0\x00\x00\x80\x00\x00\x0c\x00\x0a\x00\x08\x01\x02\x03\x04\x05\x06\x07\x08"},
+		"query_txt_pointer_owner.bin": {"\xc0\x17" + txt},
+	} {
+		b := append([]byte(nil), qhead...)
+		for _, r := range records {
+			b = append(b, r...)
+		}
+		b[11] = byte(len(records)) // ARCOUNT
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "write %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", name, len(b))
+	}
 	for name, m := range seeds {
 		b, err := m.Pack()
 		if err != nil {

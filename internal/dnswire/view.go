@@ -2,9 +2,10 @@ package dnswire
 
 // Zero-copy message views. Unpack materializes a Message — name strings,
 // question and RR slices — which is per-packet garbage the guard can do
-// without for a packet that is one question and no records. A View parses
-// the header and first question of a datagram in place over borrowed bytes:
-// no copy, no allocation, no escape.
+// without for any packet it judges or answers from the bytes as they lie. A
+// View parses the header and first question of a datagram in place over
+// borrowed bytes, and walks the records after it the same way: no copy, no
+// allocation, no escape.
 //
 // View invariants (the no-escape rule):
 //
@@ -186,13 +187,19 @@ const (
 	SectionAdditional
 )
 
-// Record is one resource record as Records found it. RData is borrowed from
-// the View's buffer, under the View's no-escape rule.
+// Record is one resource record as Records found it, Off to End of the
+// message. Owner is the owner name as it lies, through its terminator or its
+// first compression pointer: one that opens with the octet 00 is the root, one
+// that opens with a label is not, one that opens with a pointer may be either.
+// Owner and RData are borrowed from the View's buffer, under its no-escape
+// rule.
 type Record struct {
-	Section int
-	Type    Type
-	TTL     uint32
-	RData   []byte
+	Section  int
+	Type     Type
+	TTL      uint32
+	Owner    []byte
+	RData    []byte
+	Off, End int
 }
 
 // Records walks everything after the first question in place, showing visit
@@ -216,12 +223,14 @@ func (v View) Records(visit func(Record)) bool {
 				Section: sec,
 				Type:    Type(uint16(b[hdr])<<8 | uint16(b[hdr+1])),
 				TTL:     uint32(b[hdr+4])<<24 | uint32(b[hdr+5])<<16 | uint32(b[hdr+6])<<8 | uint32(b[hdr+7]),
+				Owner:   b[off:hdr],
+				Off:     off,
 			}
 			data := hdr + 10
 			if off = data + int(b[hdr+8])<<8 + int(b[hdr+9]); off > len(b) || !rdataShaped(b, r.Type, data, off) {
 				return false
 			}
-			r.RData = b[data:off]
+			r.RData, r.End = b[data:off], off
 			visit(r)
 		}
 	}

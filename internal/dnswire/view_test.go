@@ -211,7 +211,11 @@ func FuzzViewAgreement(f *testing.F) {
 // the walk vouches for b, Unpack accepts it, with the same section counts
 // and, record by record, the same section, type, TTL and — for an A
 // record — address. That the walk vouches at all says it ended where b does,
-// which is where Unpack must.
+// which is where Unpack must. The extents tile b from the question on; an
+// owner that opens with 00 is the root to Unpack and one that opens with a
+// label is not; and a record owned by the octet 00 of a type the codec does
+// not interpret is, repacked alone, the bytes of its extent: what lets the
+// guard forward an OPT as it lies.
 func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 	t.Helper()
 	v, ok := ParseView(b)
@@ -232,7 +236,7 @@ func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 		t.Fatalf("section counts: view 1/%d/%d/%d, Unpack %d/%d/%d/%d", v.ANCount(), v.NSCount(), v.ARCount(),
 			len(m.Questions), len(sections[0]), len(sections[1]), len(sections[2]))
 	}
-	i := 0
+	i, at := 0, v.End()
 	for sec, rrs := range sections {
 		for _, rr := range rrs {
 			r := recs[i]
@@ -240,13 +244,26 @@ func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 			if r.Section != sec || r.Type != rr.Type || r.TTL != rr.TTL {
 				t.Fatalf("record %d: walk %+v, Unpack section %d %v", i, r, sec, rr)
 			}
+			if r.Off != at || r.End != r.Off+len(r.Owner)+10+len(r.RData) || !bytes.Equal(b[r.Off:r.Off+len(r.Owner)], r.Owner) {
+				t.Fatalf("record %d: extent %d..%d with a %d-byte owner and %d of rdata, after a record ending at %d", i, r.Off, r.End, len(r.Owner), len(r.RData), at)
+			}
+			at = r.End
+			if first := r.Owner[0]; first < 0xC0 && (first == 0) != (rr.Name == Root) {
+				t.Fatalf("record %d: owner %x lies as root = %v, Unpack reads %q", i, r.Owner, first == 0, rr.Name)
+			}
+			if _, opaque := rr.Data.(*Raw); opaque && r.Owner[0] == 0 {
+				alone, err := (&Message{Additional: []RR{rr}}).Pack()
+				if err != nil || !bytes.Equal(alone[headerLen:], b[r.Off:r.End]) {
+					t.Fatalf("record %d: %x as it lies, %x repacked (%v)", i, b[r.Off:r.End], alone, err)
+				}
+			}
 			if a, ok := rr.Data.(*AData); ok && (len(r.RData) != 4 || a.Addr != netip.AddrFrom4([4]byte(r.RData))) {
 				t.Fatalf("record %d: walk address %x, Unpack %v", i, r.RData, a.Addr)
 			}
 		}
 	}
-	if i != len(recs) {
-		t.Fatalf("the walk yielded %d records, Unpack %d", len(recs), i)
+	if i != len(recs) || at != len(b) {
+		t.Fatalf("the walk yielded %d records ending at %d of %d, Unpack %d", len(recs), at, len(b), i)
 	}
 	return true
 }

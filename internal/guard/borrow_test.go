@@ -337,8 +337,9 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 
 // TestBorrowedPayloadPoison drives every handler shape — newcomer grant,
 // first NS-cookie verification, verified repeat, the modified scheme's TXT
-// cookie request and cookie query, forged cookies, malformed and oversize
-// datagrams, and the inactive guard's raw relay — through a guard whose
+// cookie request and cookie query, bare and between OPTs, forged cookies,
+// malformed and oversize datagrams, and the inactive guard's raw relay, OPT
+// and all — through a guard whose
 // ingress and upstream slabs are overwritten before every read, and requires
 // the bytes it emits, its counters and its NAT table to equal those of a
 // twin nobody scribbles on. A handler or pending entry that keeps a slice
@@ -370,6 +371,12 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 		AttachCookie(m, c, 0)
 		return memDgram{pack(m), src(i)}
 	}
+	// The same between two OPTs, as the record walk finds it: a zero cookie
+	// draws message 3 from the egress slab, a valid one a forward spliced from
+	// the ingest slot.
+	txtOPTs := func(i int, name string, c cookie.Cookie) memDgram {
+		return memDgram{withRecords(plain(i, name).b, 0, 0, 3, optRR, txtRR(c), optOptions), src(i)}
+	}
 	upper := func(d memDgram) memDgram { return memDgram{upperName(append([]byte(nil), d.b...)), d.addr} }
 	garbage := memDgram{[]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}, src(90)}
 	response := plain(91, "www")
@@ -385,19 +392,21 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 	active := [][]memDgram{
 		// Newcomers, with the unparseable in between so every slot of the
 		// slab holds a different shape.
-		{plain(1, "www"), garbage, plain(2, "ref"), oversize, plain(3, "mute"), response, txtCookie(4, "www", cookie.Cookie{})},
+		{plain(1, "www"), garbage, txtOPTs(8, "www", cookie.Cookie{}), plain(2, "ref"), oversize, plain(3, "mute"), response,
+			txtCookie(4, "www", cookie.Cookie{})},
 		// First verification of each credential; forged ones beside them.
 		{nsCookie(1, "www", mint(1)), nsCookie(5, "www", forged), nsCookie(2, "ref", mint(2)), txtCookie(4, "www", mint(4)),
-			txtCookie(6, "www", forged), nsCookie(3, "mute", mint(3))},
-		// Verified repeats: cache hits, mixed case included, a referral, one
-		// left pending, the TXT repeat.
+			txtCookie(6, "www", forged), nsCookie(3, "mute", mint(3)), upper(txtOPTs(8, "www", mint(8)))},
+		// Verified repeats: cache hits, mixed case included, a referral, some
+		// left pending, the TXT repeats.
 		{nsCookie(1, "www", mint(1)), upper(nsCookie(1, "www", mint(1))), nsCookie(2, "ref", mint(2)), nsCookie(3, "mute", mint(3)),
-			txtCookie(4, "www", mint(4)), nsCookie(1, "mute", mint(1))},
+			txtCookie(4, "www", mint(4)), nsCookie(1, "mute", mint(1)), txtOPTs(8, "mute", mint(8)), upper(txtCookie(4, "mute", mint(4)))},
 		{nsCookie(2, "www", mint(2)), plain(7, "www")},
 	}
+	withOPT := func(d memDgram) memDgram { return memDgram{withRecords(d.b, 0, 0, 1, optRR), d.addr} }
 	relay := [][]memDgram{
-		{plain(1, "www"), upper(plain(2, "www")), garbage, plain(3, "mute"), oversize, plain(4, "ref")},
-		{plain(1, "www"), response, plain(5, "mute"), plain(2, "ref")},
+		{plain(1, "www"), upper(plain(2, "www")), garbage, plain(3, "mute"), oversize, plain(4, "ref"), withOPT(plain(6, "mute"))},
+		{plain(1, "www"), response, plain(5, "mute"), plain(2, "ref"), withOPT(plain(6, "www"))},
 	}
 	for _, tc := range []struct {
 		name      string
@@ -692,6 +701,77 @@ func TestLegitTrafficHeapFlat(t *testing.T) {
 	t.Logf("%d packets, %d bytes allocated", packets, grown)
 	if grown >= packets {
 		t.Errorf("%d packets of legitimate traffic allocated %d bytes, want < 1 per packet", packets, grown)
+	}
+}
+
+// TestSpoofMixHeapFlat: an attack makes no garbage either. 300 000 packets in
+// the benchmark's spoof_flood thirds — forged cookie labels, cookie-less first
+// contacts, forged TXT cookies — each from a source never seen before, with a
+// verified cycle from one of 2048 legitimate sources after every ten, as that
+// workload's rates have it, and the bytes the process has ever allocated grow
+// by less than one per packet.
+func TestSpoofMixHeapFlat(t *testing.T) {
+	attack := 300000
+	if testing.Short() {
+		attack = 30000
+	}
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Zone = dnswire.MustName("foo.com")
+		cfg.FastPathTTL = time.Minute
+		// The harness clock stands still: every first contact is granted, the
+		// most a newcomer can cost, and no legitimate source runs dry.
+		cfg.RL1 = ratelimit.DefaultLimiter1Config()
+		cfg.RL1.GlobalRate, cfg.RL1.GlobalBurst = 1e12, 1e12
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1e9, TrackedSources: 8192}
+	})
+	stranger := mustAddr("10.66.0.1") // whose cookies the attack presents
+	plain := mustPack(t, dnswire.NewQuery(1, dnswire.MustName("www.c5.foo.com"), dnswire.TypeA))
+	thirds := [3][]byte{
+		h.nsQueryWire(t, stranger, "c5.foo.com", 2),
+		plain,
+		withRecords(plain, 0, 0, 1, txtRR(h.g.cfg.Auth.Mint(stranger))),
+	}
+	const repeaters = 2048
+	legit := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{11, 0, byte(i >> 8), byte(i)}), 5353)
+	}
+	queries := make([][]byte, repeaters)
+	for i := range queries {
+		queries[i] = h.nsQueryWire(t, legit(i).Addr(), "c5.foo.com", 3)
+	}
+	resp := make([]byte, 0, dnswire.MaxUDPSize)
+	cycle := func(i int) {
+		h.handle(Packet{Src: legit(i % repeaters), Dst: h.g.cfg.PublicAddr, Payload: queries[i%repeaters]})
+		resp = appendReferral(resp, h.up.buf[:h.up.n])
+		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+	}
+	for i := 0; i < repeaters; i++ {
+		cycle(i) // first verification: sizes the entry pool, fills the cache
+	}
+	h.handle(Packet{Src: legit(0), Dst: h.g.cfg.PublicAddr, Payload: plain}) // sizes the reply queue
+	warm := h.g.Stats.Load()
+	allocated := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	runtimemetrics.Read(allocated)
+	before := allocated[0].Value.Uint64()
+	for i := 0; i < attack; i++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 4444)
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: thirds[i%3]})
+		if i%10 == 9 {
+			cycle(i / 10)
+		}
+	}
+	runtimemetrics.Read(allocated)
+	grown := allocated[0].Value.Uint64() - before
+	packets := uint64(attack + 2*(attack/10))
+	st, third := h.g.Stats.Load(), uint64(attack/3)
+	if st.CookieInvalid != 2*third || st.NewcomerGrants-warm.NewcomerGrants != third ||
+		st.CookieValid-warm.CookieValid != uint64(attack/10) || st.FastPathHits-warm.FastPathHits != uint64(attack/10) ||
+		st.RepliesToClient-warm.RepliesToClient != third+uint64(attack/10) || st.Malformed+st.RL1Dropped+st.RL2Dropped != 0 {
+		t.Fatalf("the traffic did not run as meant: %+v", st)
+	}
+	t.Logf("%d packets, %d bytes allocated", packets, grown)
+	if grown >= packets {
+		t.Errorf("%d packets, %d of them attack, allocated %d bytes, want < 1 per packet", packets, attack, grown)
 	}
 }
 

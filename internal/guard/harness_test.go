@@ -2,9 +2,11 @@ package guard
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
+	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
@@ -136,17 +138,98 @@ func appendReferral(dst, fwd []byte) []byte {
 	return append(dst, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7)
 }
 
-// TestFastPathWireAllocs pins everything legitimate traffic does at zero
-// allocations against stub I/O: the verified cycle — cookie query in,
-// rewritten forward out, response in, fabricated reply out — for an empty
-// response and for a referral with glue, the same cycle for a source the
-// cache has never seen (MAC, cache insert), the newcomer grant, and the
-// inactive passthrough relay. The last cases replace the stub capture
-// interface with a real SocketIO on a loopback socket, so the count includes
-// the ingest read and the reply write a deployed guard makes.
+// recordQueryAllocs pins at zero allocations what the guard does with a query
+// that carries records, judged from the record walk: a forged TXT cookie
+// dropped, a valid one verified — by MAC and by the cache — and forwarded by
+// splice, bare and between OPTs, message 2 answered with message 3, and an
+// EDNS0 resolver's cookie-name query and first contact. send delivers a query
+// from src; replied is called wherever a reply has just left for it.
+func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.AddrPort, send func(wire []byte), replied func()) {
+	t.Helper()
+	plain := mustPack(t, dnswire.NewQuery(0x46, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	named := h.nsQueryWire(t, src.Addr(), "www.foo.com", 0x47)
+	own, other := txtRR(h.g.cfg.Auth.Mint(src.Addr())), txtRR(h.g.cfg.Auth.Mint(mustAddr("10.66.0.1")))
+	// Every query is built before anything is counted. The ANS answers a
+	// forward's question and leaves its OPTs out: an empty NXDOMAIN.
+	resp := make([]byte, 0, dnswire.MaxUDPSize)
+	cycle := func(wire []byte) func() {
+		return func() {
+			send(wire)
+			fwd := h.up.buf[:h.up.n]
+			resp = appendNXDomain(resp, fwd[:12+len(firstQuestion(fwd))])
+			resp[10], resp[11] = 0, 0
+			h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+			replied()
+		}
+	}
+	answered := func(wire []byte) func() {
+		return func() {
+			send(wire)
+			replied()
+		}
+	}
+	forged, forgedOPTs := withRecords(plain, 0, 0, 1, other), withRecords(plain, 0, 0, 3, optRR, other, optOptions)
+	valid, byLabel := cycle(withRecords(plain, 0, 0, 1, own)), cycle(named)
+	for _, c := range []struct {
+		name string
+		run  func()
+		ran  func(d RemoteStats) bool // what 201 runs must have added to the counters
+	}{
+		{"a forged TXT cookie", func() { send(forged) },
+			func(d RemoteStats) bool { return d.CookieInvalid == 201 && d.ForwardedToANS == 0 }},
+		{"a forged TXT cookie between OPTs", func() { send(forgedOPTs) },
+			func(d RemoteStats) bool { return d.CookieInvalid == 201 && d.ForwardedToANS == 0 }},
+		{"a valid TXT cookie the cache holds", valid,
+			func(d RemoteStats) bool {
+				return d.CookieValid == 201 && d.FastPathHits >= 200 && d.RepliesToClient == 201
+			}},
+		{"a valid TXT cookie between OPTs", cycle(withRecords(plain, 0, 0, 3, optRR, own, optOptions)),
+			func(d RemoteStats) bool {
+				return d.CookieValid == 201 && d.FastPathHits == 201 && d.RepliesToClient == 201
+			}},
+		// The cache holds one credential a source: presenting the label and the
+		// record in turn, each finds the other there and pays its MAC.
+		{"a valid TXT cookie the cache does not hold", func() { byLabel(); valid() },
+			func(d RemoteStats) bool {
+				return d.CookieValid == 402 && d.FastPathHits == 0 && d.RepliesToClient == 402
+			}},
+		{"message 2", answered(withRecords(plain, 0, 0, 1, txtRR(cookie.Cookie{}))),
+			func(d RemoteStats) bool { return d.NewcomerGrants == 201 && d.RepliesToClient == 201 }},
+		{"a cookie-name query with an OPT", cycle(withRecords(named, 0, 0, 1, optRR)),
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
+		{"a first contact with an OPT", answered(withRecords(plain, 0, 0, 1, optOptions)),
+			func(d RemoteStats) bool { return d.NewcomerGrants == 201 && d.RepliesToClient == 201 }},
+	} {
+		before := h.g.Stats.Load()
+		if n := testing.AllocsPerRun(200, c.run); n != 0 {
+			t.Errorf("%s: %s allocates %.1f/op, want 0", rig, c.name, n)
+		}
+		after := h.g.Stats.Load()
+		var d RemoteStats
+		dv, av, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(after), reflect.ValueOf(before)
+		for i := 0; i < dv.NumField(); i++ {
+			dv.Field(i).SetUint(av.Field(i).Uint() - bv.Field(i).Uint())
+		}
+		if !c.ran(d) {
+			t.Errorf("%s: %s did not run as meant: the runs added %+v", rig, c.name, d)
+		}
+	}
+}
+
+// TestFastPathWireAllocs pins everything legitimate traffic does, and every
+// reject, at zero allocations against stub I/O: the verified cycle — cookie
+// query in, rewritten forward out, response in, fabricated reply out — for an
+// empty response and for a referral with glue, the same cycle for a source
+// the cache has never seen (MAC, cache insert), the newcomer grant, the
+// queries with records of recordQueryAllocs, and the inactive passthrough
+// relay. The last cases replace the stub capture interface with a real
+// SocketIO on a loopback socket, so the count includes the ingest read and
+// the reply write a deployed guard makes.
 func TestFastPathWireAllocs(t *testing.T) {
-	// The harness clock stands still: a burst that covers every run.
+	// The harness clock stands still: bursts that cover every run.
 	roomy := func(cfg *RemoteConfig) {
+		cfg.RL1 = ratelimit.DefaultLimiter1Config()
+		cfg.RL1.PerSourceBurst = 1e6
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1e6, TrackedSources: 1024}
 	}
 	clean := func(name string, h *shardHarness) {
@@ -212,6 +295,9 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Errorf("the %d sessions were not each a grant and a first verification: %+v, %d cache inserts", strangers, st, got)
 	}
 
+	recordQueryAllocs(t, "stub I/O", h, src, func(wire []byte) {
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: wire})
+	}, func() {})
 	clean("stub I/O", h)
 
 	hp := newShardHarness(t, func(cfg *RemoteConfig) {
@@ -279,5 +365,18 @@ func TestFastPathWireAllocs(t *testing.T) {
 			t.Errorf("%d of 201 socket cycles hit the verified cache", got)
 		}
 	}
+	recordQueryAllocs(t, "SocketIO on loopback", hs, client.LocalAddr(), func(wire []byte) {
+		if err := client.WriteTo(wire, guardSock.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sio.ReadBatch(slab, time.Second); n != 1 || err != nil {
+			t.Fatalf("SocketIO.ReadBatch = (%d, %v)", n, err)
+		}
+		hs.handle(slab[0])
+	}, func() {
+		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
+			t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
+		}
+	})
 	clean("SocketIO", hs)
 }

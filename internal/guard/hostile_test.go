@@ -3,6 +3,9 @@ package guard
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,5 +209,143 @@ func TestAutomaticKeyRotation(t *testing.T) {
 	}
 	if f.guard.Stats.CookieInvalid == 0 {
 		t.Fatal("stale cookie not counted invalid")
+	}
+}
+
+// TestRotationDuringBatchVerify: key changes race batch brackets. One
+// goroutine changes the guard's keys 300 times, by Rotate and by AdoptKeys
+// in turn (the fleet controller rotating the shared ring and pushing it),
+// while the shard's worker runs brackets that present the client's cookie of
+// every recent epoch, as a TXT record and as a name's label, with the cache
+// off. BeginBatch snapshots the ring once, so within a bracket every verdict
+// on an epoch's cookie is the same, whichever form carries it and however the
+// rotations fall; a cookie minted under the snapshot's epoch or the one
+// before verifies, and no other does. The worker cannot see which ring a
+// bracket took, only the epochs before and after BeginBatch that bound it, so
+// the last two claims are checked for the epochs that bound decides. Run with
+// -race -cpu 1,2,4.
+func TestRotationDuringBatchVerify(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.FastPathTTL = 0 // every verdict is the MAC's
+		cfg.RL2.PerSourceRate, cfg.RL2.PerSourceBurst, cfg.RL2.TrackedSources = 1, 1e12, 16
+	})
+	g, s, auth := h.g, h.s, h.g.cfg.Auth
+	plain := mustPack(t, dnswire.NewQuery(9, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	// minted[e] is the client's cookie of epoch e in both forms. The rotator
+	// holds mu from before a key change until its cookie is recorded: whoever
+	// saw epoch e published finds minted[e] once it has mu.
+	var mu sync.Mutex
+	minted := map[uint64][2][]byte{}
+	record := func() {
+		st := auth.State()
+		c := cookie.RestoreAuthenticator(st).Mint(shapeClient.Addr())
+		fab, err := FabricateNSName(g.nsc, c, dnswire.MustName("www.foo.com"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		named, err := dnswire.NewQuery(9, fab, dnswire.TypeA).Pack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		minted[st.Epoch] = [2][]byte{withRecords(plain, 0, 0, 1, txtRR(c)), named}
+	}
+	rotate := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i%2 == 0 {
+			if err := auth.Rotate(); err != nil {
+				t.Error(err)
+			}
+		} else {
+			ctl := cookie.RestoreAuthenticator(auth.State())
+			if err := ctl.Rotate(); err != nil || !g.AdoptKeys(ctl.State()) {
+				t.Errorf("adopting epoch %d: %v", ctl.Epoch(), err)
+			}
+		}
+		record()
+	}
+	record()
+	for i := 0; i < 3; i++ {
+		rotate(i) // epochs 0 to 3: the checks below look three epochs back
+	}
+	// The worker paces the rotator, one key change a tick, so the 300 spread
+	// over its brackets whatever the scheduler does; they still run beside it.
+	tick, done := make(chan struct{}, 1), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 3; i < 303; i++ {
+			<-tick
+			rotate(i)
+		}
+	}()
+	nudge := func() {
+		select {
+		case tick <- struct{}{}:
+		default:
+		}
+		runtime.Gosched()
+	}
+	valid := func(wire []byte) bool {
+		before := atomic.LoadUint64(&g.Stats.CookieValid)
+		s.HandlePacket(Packet{Src: shapeClient, Dst: g.cfg.PublicAddr, Payload: append([]byte(nil), wire...)})
+		return atomic.LoadUint64(&g.Stats.CookieValid) != before
+	}
+	brackets, decided, raced := 0, 0, 0
+	for running := true; running; brackets++ {
+		select {
+		case <-done:
+			running = false // one more bracket, against the last ring
+		default:
+		}
+		nudge()
+		e0 := auth.Epoch()
+		s.BeginBatch(8)
+		e1 := auth.Epoch()
+		mu.Lock()
+		var epochs [][2][]byte
+		for e := e0 - 3; e <= e1; e++ {
+			epochs = append(epochs, minted[e])
+		}
+		mu.Unlock()
+		for i, forms := range epochs {
+			e := e0 - 3 + uint64(i)
+			verdict := valid(forms[0])
+			nudge()
+			if byLabel, again := valid(forms[1]), valid(forms[0]); byLabel != verdict || again != verdict {
+				t.Fatalf("bracket begun between epochs %d and %d: epoch %d's cookie verifies %v as a record, %v as a label, %v as a record again",
+					e0, e1, e, verdict, byLabel, again)
+			}
+			// The bracket's ring has an epoch in [e0, e1] and honours it and
+			// the one before.
+			switch {
+			case e+1 >= e1 && e <= e0:
+				decided++
+				if !verdict {
+					t.Fatalf("bracket begun between epochs %d and %d refuses epoch %d's cookie", e0, e1, e)
+				}
+			case e+1 < e0:
+				decided++
+				if verdict {
+					t.Fatalf("bracket begun between epochs %d and %d honours epoch %d's cookie", e0, e1, e)
+				}
+			}
+		}
+		s.EndBatch()
+		if auth.Epoch() != e0 {
+			raced++
+		}
+		s.mu.Lock()
+		clear(s.pending) // nobody answers: make room for the next bracket's forwards
+		s.ids = idPool{}
+		s.mu.Unlock()
+	}
+	if st := g.Stats.Load(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped+st.PendingDropped != 0 {
+		t.Errorf("after 303 key changes, 151 of them adopted: epoch %d, %+v", auth.Epoch(), st)
+	}
+	t.Logf("%d brackets, %d with a key change inside, %d verdicts decided by the epochs around them", brackets, raced, decided)
+	if raced == 0 {
+		t.Error("no key change landed inside a bracket: nothing raced")
 	}
 }

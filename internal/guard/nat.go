@@ -89,11 +89,18 @@ func loneQuestion(v dnswire.View, n int) bool {
 		v.ARCount() == 0 && v.End() == n
 }
 
+// rootOPT reports whether r is an OPT record owned by the root written as the
+// single octet 00. The codec does not interpret an OPT, so Unpack→Pack gives
+// such a record back byte for byte.
+func rootOPT(r dnswire.Record) bool { return r.Owner[0] == 0 && r.Type == dnswire.TypeOPT }
+
 // repackIsNoOp reports whether Unpack→PackUDP would give the n-byte datagram
-// under v back unchanged: a lone question, its name already in canonical
-// case, no reserved flag bit set.
+// under v back unchanged: one question, its name already in canonical case,
+// no reserved flag bit set, and after it nothing but root-owned OPT records
+// as they lie — an EDNS0 resolver's query — within the 512 bytes PackUDP
+// truncates at.
 func repackIsNoOp(v dnswire.View, n int) bool {
-	if !loneQuestion(v, n) || v.RawFlags()&flagsZMask != 0 {
+	if v.RawFlags()&flagsZMask != 0 || n > dnswire.MaxUDPSize {
 		return false
 	}
 	for _, b := range v.QNameWire() {
@@ -101,7 +108,8 @@ func repackIsNoOp(v dnswire.View, n int) bool {
 			return false
 		}
 	}
-	return true
+	opts := true
+	return loneQuestion(v, n) || v.Records(func(r dnswire.Record) { opts = opts && rootOPT(r) }) && opts
 }
 
 // questionsWire packs qs as Pack writes a message's question section.
@@ -113,18 +121,24 @@ func questionsWire(qs []dnswire.Question) []byte {
 	return wire[12:]
 }
 
-// firstQuestion returns the first question span of wire, a message this
-// guard packed or one ParseView accepted — its first name is uncompressed
-// and in bounds — or nil if it has no question.
+// wireNameLen returns the length of the name that opens b, terminator
+// included: a name this guard packed or one ParseView accepted, uncompressed
+// and in bounds.
+func wireNameLen(b []byte) int {
+	n := 1
+	for b[n-1] != 0 {
+		n += 1 + int(b[n-1])
+	}
+	return n
+}
+
+// firstQuestion returns the first question span of wire, a message whose
+// first name wireNameLen can measure, or nil if it has no question.
 func firstQuestion(wire []byte) []byte {
 	if wire[4]|wire[5] == 0 {
 		return nil
 	}
-	end := 12
-	for wire[end] != 0 {
-		end += 1 + int(wire[end])
-	}
-	return wire[12 : end+5]
+	return wire[12 : 12+wireNameLen(wire[12:])+4]
 }
 
 // echoes reports whether q, the question span of an upstream response, is

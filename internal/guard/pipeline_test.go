@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
@@ -31,6 +32,10 @@ import (
 // one-minute TTL. Only the cache's own counters differ, recorded per TTL.
 
 const shapesFile = "testdata/pipeline_shapes.txt"
+
+// shapeSeedsFile is every datagram the rows feed the shard, one in hex per
+// line: dnswire's fuzz targets seed from it, beside their own captures.
+const shapeSeedsFile = "../dnswire/testdata/guard_shapes.hex"
 
 // updateShapes is its own flag, apart from -update: the recording is a
 // reference, rewritten only to add a row, never to follow a handler change.
@@ -146,16 +151,37 @@ func rawRR(owner string, typ dnswire.Type, class uint16, ttl uint32, rdlen int, 
 	return append(b, rdata...)
 }
 
-// rawResponse is the last forward turned into a response carrying the given
-// records, counted per section as an, ns and ar say.
-func (r *shapeRun) rawResponse(rcode dnswire.RCode, an, ns, ar int, records ...[]byte) []byte {
-	b := r.echo(rcode)
+// withRecords is a copy of wire, a message that ends with its questions,
+// carrying the given records, counted per section as an, ns and ar say.
+func withRecords(wire []byte, an, ns, ar int, records ...[]byte) []byte {
+	b := append([]byte(nil), wire...)
 	b[7], b[9], b[11] = byte(an), byte(ns), byte(ar)
 	for _, rec := range records {
 		b = append(b, rec...)
 	}
 	return b
 }
+
+// rawResponse is the last forward turned into a response carrying the given
+// records.
+func (r *shapeRun) rawResponse(rcode dnswire.RCode, an, ns, ar int, records ...[]byte) []byte {
+	return withRecords(r.echo(rcode), an, ns, ar, records...)
+}
+
+// txtRR is the modified scheme's cookie record as a client writes it: owner
+// the single octet 00, TXT, class IN, TTL 0, one 16-byte string. optRR is a
+// bare EDNS0 OPT the same way, advertising 4096 bytes.
+func txtRR(c cookie.Cookie) []byte {
+	return rawRR("\x00", dnswire.TypeTXT, 1, 0, -1, "\x10"+string(c[:]))
+}
+
+var optRR = rawRR("\x00", dnswire.TypeOPT, 4096, 0, -1, "")
+
+// optOptions is an OPT with the DO bit set and one option in its rdata.
+var optOptions = rawRR("\x00", dnswire.TypeOPT, 1232, 0x8000, -1, "\x00\x0a\x00\x08\x01\x02\x03\x04\x05\x06\x07\x08")
+
+// mint is the shape client's cookie under the row's keys.
+func mint(r *shapeRun) cookie.Cookie { return r.h.g.cfg.Auth.Mint(shapeClient.Addr()) }
 
 // pendingDump renders the shard's NAT table in a form that does not depend
 // on how an entry stores its questions.
@@ -853,14 +879,245 @@ func shapeRows() []shapeRow {
 			r.query("a top-level name", shapeClient, pub(r), plain(r, "com", 0x31f1))
 			r.query("the root", shapeClient, pub(r), plain(r, ".", 0x31f2))
 		}},
+
+		// Recorded at 90e9534, the last commit that unpacked every query with a
+		// record after its question before judging it. The query for
+		// www.foo.com ends its name at 24 (c018 points at the root) and its
+		// question at 29, where the first record starts.
+		{"modified/mixed-case-and-opts", nil, func(r *shapeRun) {
+			ck := txtRR(mint(r))
+			q := func(id uint16, recs ...[]byte) []byte {
+				return withRecords(upperName(plain(r, "www.foo.com", id)), 0, 0, len(recs), recs...)
+			}
+			r.query("valid, mixed case", shapeClient, pub(r), q(0x4000, ck))
+			r.upstream("record-less", ans(r), r.echo(dnswire.RCodeNoError))
+			r.query("valid again", shapeClient, pub(r), q(0x4001, ck))
+			r.query("forged", shapeOther, pub(r), q(0x4002, ck))
+			r.query("opt before", shapeClient, pub(r), q(0x4003, optRR, ck))
+			r.query("opt after", shapeClient, pub(r), q(0x4004, ck, optRR))
+			r.query("opts around it, forged", shapeOther, pub(r), q(0x4005, optRR, ck, optOptions))
+			r.query("opts around it", shapeClient, pub(r), q(0x4006, optRR, ck, optOptions))
+			r.query("opts in the other sections", shapeClient, pub(r),
+				withRecords(plain(r, "www.foo.com", 0x4007), 1, 1, 1, optRR, optOptions, ck))
+		}},
+		{"modified/cookie-owner", nil, func(r *shapeRun) {
+			c := mint(r)
+			owned := func(id uint16, owner string) []byte {
+				return withRecords(plain(r, "www.foo.com", id), 0, 0, 1, rawRR(owner, dnswire.TypeTXT, 1, 0, -1, "\x10"+string(c[:])))
+			}
+			r.query("a pointer to a 00 octet", shapeClient, pub(r), owned(0x4010, "\xc0\x18"))
+			r.query("the same, forged", shapeOther, pub(r), owned(0x4011, "\xc0\x18"))
+			r.query("a pointer to the question's name", shapeClient, pub(r), owned(0x4012, "\xc0\x0c"))
+			r.query("a one-label name", shapeClient, pub(r), owned(0x4013, "\x01a\x00"))
+			r.query("a pointer-owned txt, then the cookie", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4014), 0, 0, 2,
+				rawRR("\xc0\x0c", dnswire.TypeTXT, 1, 0, -1, "\x10"+string(c[:])), txtRR(c)))
+			r.query("the cookie, then a pointer-owned txt", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4015), 0, 0, 2,
+				txtRR(c), rawRR("\xc0\x18", dnswire.TypeTXT, 1, 0, -1, "\x10"+string(c[:]))))
+		}},
+		{"modified/cookie-rdata", nil, func(r *shapeRun) {
+			c := mint(r)
+			txt := func(id uint16, class uint16, ttl uint32, rdata string) []byte {
+				return withRecords(plain(r, "www.foo.com", id), 0, 0, 1, rawRR("\x00", dnswire.TypeTXT, class, ttl, -1, rdata))
+			}
+			r.query("15-byte string", shapeClient, pub(r), txt(0x4020, 1, 0, "\x0f"+string(c[:15])))
+			r.query("17-byte string", shapeClient, pub(r), txt(0x4021, 1, 0, "\x11"+string(c[:])+"x"))
+			r.query("empty rdata", shapeClient, pub(r), txt(0x4022, 1, 0, ""))
+			r.query("an empty string, then the cookie", shapeClient, pub(r), txt(0x4023, 1, 0, "\x00\x10"+string(c[:])))
+			r.query("two strings", shapeClient, pub(r), txt(0x4024, 1, 0, "\x10"+string(c[:])+"\x03abc"))
+			r.query("two strings, forged", shapeOther, pub(r), txt(0x4025, 1, 0, "\x10"+string(c[:])+"\x03abc"))
+			r.query("class CH, a ttl", shapeClient, pub(r), txt(0x4026, 3, 86400, "\x10"+string(c[:])))
+		}},
+		{"modified/cookie-elsewhere", nil, func(r *shapeRun) {
+			c, other := mint(r), r.h.g.cfg.Auth.Mint(shapeOther.Addr())
+			r.query("in the answer section", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4030), 1, 0, 0, txtRR(c)))
+			r.query("in the authority section", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4031), 0, 1, 0, txtRR(c)))
+			r.query("in the answer section, on a cookie name", shapeClient, pub(r),
+				withRecords(nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x4032), 1, 0, 0, txtRR(c)))
+			r.query("two cookies, the first valid", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4033), 0, 0, 2, txtRR(c), txtRR(other)))
+			r.query("two cookies, the second valid", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4034), 0, 0, 2, txtRR(other), txtRR(c)))
+			r.query("a 15-byte txt, then the cookie", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4035), 0, 0, 2,
+				rawRR("\x00", dnswire.TypeTXT, 1, 0, -1, "\x0f"+string(c[:15])), txtRR(c)))
+			r.query("an address beside it", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4036), 0, 0, 2,
+				txtRR(c), rawRR("\x00", dnswire.TypeA, 1, 60, -1, "\xc6\x33\x64\x07")))
+			r.query("the same, forged", shapeOther, pub(r), withRecords(plain(r, "www.foo.com", 0x4037), 0, 0, 2,
+				txtRR(c), rawRR("\x00", dnswire.TypeA, 1, 60, -1, "\xc6\x33\x64\x07")))
+			r.query("an opt owned by a name beside it", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4038), 0, 0, 2,
+				rawRR("\x03FOO\xc0\x14", dnswire.TypeOPT, 4096, 0, -1, ""), txtRR(c)))
+			r.query("an opt owned by a pointer to 00 beside it", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4039), 0, 0, 2,
+				txtRR(c), rawRR("\xc0\x18", dnswire.TypeOPT, 4096, 0, -1, "")))
+		}},
+		{"modified/malformed", nil, func(r *shapeRun) {
+			c := mint(r)
+			q := func(id uint16) []byte { return withRecords(plain(r, "www.foo.com", id), 0, 0, 1, txtRR(c)) }
+			resp := q(0x4040)
+			resp[2] |= 0x80
+			r.query("qr set", shapeClient, pub(r), resp)
+			r.query("a trailing byte", shapeClient, pub(r), append(q(0x4041), 0))
+			r.query("cut short", shapeClient, pub(r), q(0x4042)[:29+27])
+			short, long := q(0x4043), q(0x4044)
+			short[29+10]--
+			long[29+10]++
+			r.query("rdlength one short", shapeClient, pub(r), short)
+			r.query("rdlength one long", shapeClient, pub(r), long)
+			r.query("a string past the rdata", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4045), 0, 0, 1,
+				rawRR("\x00", dnswire.TypeTXT, 1, 0, -1, "\x11"+string(c[:]))))
+			r.query("arcount one over", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4046), 0, 0, 2, txtRR(c)))
+			r.query("arcount one under", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4047), 0, 0, 0, txtRR(c)))
+			r.query("the genuine one", shapeClient, pub(r), q(0x4048))
+		}},
+		{"modified/two-questions", nil, func(r *shapeRun) {
+			two := func(id uint16, c cookie.Cookie) []byte {
+				m := dnswire.NewQuery(id, dnswire.MustName("www.foo.com"), dnswire.TypeA)
+				m.Questions = append(m.Questions, dnswire.Question{Name: dnswire.MustName("second.foo.com"), Type: dnswire.TypeMX, Class: dnswire.ClassINET})
+				return withRecords(mustPack(r.t, m), 0, 0, 1, txtRR(c))
+			}
+			r.query("valid", shapeClient, pub(r), two(0x4050, mint(r)))
+			r.query("forged", shapeOther, pub(r), two(0x4051, mint(r)))
+			r.query("cookie request", shapeOther, pub(r), two(0x4052, cookie.Cookie{}))
+		}},
+		{"modified/rl2-dropped", func(cfg *RemoteConfig) {
+			cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1, TrackedSources: 16}
+		}, func(r *shapeRun) {
+			r.query("valid", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4060), 0, 0, 1, txtRR(mint(r))))
+			r.query("over the rate", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4061), 0, 0, 1, txtRR(mint(r))))
+		}},
+		{"modified/header-bits", nil, func(r *shapeRun) {
+			q := withRecords(plain(r, "www.foo.com", 0x4070), 0, 0, 2, txtRR(mint(r)), optRR)
+			q[3] |= 0x70
+			r.query("z, ad and cd set", shapeClient, pub(r), q)
+			q = withRecords(plain(r, "www.foo.com", 0x4071), 0, 0, 1, txtRR(mint(r)))
+			q[2], q[3] = 0x7e, 0xff
+			r.query("every bit but qr and rd", shapeClient, pub(r), q)
+			q = withRecords(plain(r, "www.foo.com", 0x4072), 0, 0, 1, txtRR(cookie.Cookie{}))
+			q[2], q[3] = 0x7e, 0xff
+			r.query("cookie request, every bit but qr and rd", shapeClient, pub(r), q)
+		}},
+		{"modified/on-a-cookie-name", nil, func(r *shapeRun) {
+			// The TXT cookie wins over the label: the name is forwarded as sent.
+			r.query("both valid", shapeClient, pub(r), withRecords(nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x4080), 0, 0, 1, txtRR(mint(r))))
+			r.query("valid label, forged txt", shapeClient, pub(r),
+				withRecords(nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x4081), 0, 0, 1, txtRR(r.h.g.cfg.Auth.Mint(shapeOther.Addr()))))
+			r.query("cookie request", shapeOther, pub(r), withRecords(nsQuery(r, shapeOther.Addr(), "www.foo.com", 0x4082), 0, 0, 1, txtRR(cookie.Cookie{})))
+		}},
+		{"modified/to-a-cookie-ip", withSubnet, func(r *shapeRun) {
+			addr, err := r.h.g.ipc.Encode(mint(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			// The address is the credential there; the record is not looked at.
+			r.query("forged txt to the cookie address", shapeClient, netip.AddrPortFrom(addr, 53),
+				withRecords(plain(r, "www.foo.com", 0x4090), 0, 0, 1, txtRR(r.h.g.cfg.Auth.Mint(shapeOther.Addr()))))
+			r.query("valid txt to a wrong address", shapeClient, netip.AddrPortFrom(mustAddr("203.0.113.200"), 53),
+				withRecords(plain(r, "www.foo.com", 0x4091), 0, 0, 1, txtRR(mint(r))))
+		}},
+		{"modified/crossing-512", nil, func(r *shapeRun) {
+			// 29 bytes of query and 11 of OPT: 472 of options make 512.
+			big := func(n int) []byte { return rawRR("\x00", dnswire.TypeOPT, 4096, 0, -1, strings.Repeat("o", n)) }
+			r.query("512 bytes without the cookie", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x40a0), 0, 0, 2, txtRR(mint(r)), big(472)))
+			r.query("513", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x40a1), 0, 0, 2, txtRR(mint(r)), big(473)))
+			r.query("513, forged", shapeOther, pub(r), withRecords(plain(r, "www.foo.com", 0x40a2), 0, 0, 2, txtRR(mint(r)), big(473)))
+		}},
+		{"cookie-request/grant", nil, func(r *shapeRun) {
+			zero := txtRR(cookie.Cookie{})
+			r.query("message 2", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4100), 0, 0, 1, zero))
+			r.query("mixed case, from another source", shapeOther, pub(r), withRecords(upperName(plain(r, "www.foo.com", 0x4101)), 0, 0, 1, zero))
+			r.query("with opts", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4102), 0, 0, 3, optRR, zero, optOptions))
+			q := withRecords(plain(r, "www.foo.com", 0x4103), 0, 0, 1, zero)
+			q[2] &^= 1
+			q[27], q[28] = 0, 3
+			r.query("rd clear, class CH", shapeClient, pub(r), q)
+			r.query("out of zone", shapeClient, pub(r), withRecords(plain(r, "www.foo.org", 0x4104), 0, 0, 1, zero))
+			r.query("the root", shapeClient, pub(r), withRecords(plain(r, ".", 0x4105), 0, 0, 1, zero))
+			r.query("class CH, a ttl, a second string", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4106), 0, 0, 1,
+				rawRR("\x00", dnswire.TypeTXT, 3, 7, -1, "\x10"+string(make([]byte, 16))+"\x01x")))
+		}},
+		{"cookie-request/rl1-dropped", func(cfg *RemoteConfig) {
+			cfg.RL1 = ratelimit.DefaultLimiter1Config()
+			cfg.RL1.PerSourceRate, cfg.RL1.PerSourceBurst = 1, 2
+		}, func(r *shapeRun) {
+			for i := 0; i < 3; i++ {
+				r.query(fmt.Sprintf("message 2, #%d", i+1), shapeClient, pub(r), withRecords(plain(r, "www.foo.com", uint16(0x4110+i)), 0, 0, 1, txtRR(cookie.Cookie{})))
+			}
+			r.query("another source", shapeOther, pub(r), withRecords(plain(r, "www.foo.com", 0x4113), 0, 0, 1, txtRR(cookie.Cookie{})))
+		}},
+		{"cookie-request/draining", nil, func(r *shapeRun) {
+			// Message 2 is not drain-gated, unlike the newcomer's grant.
+			r.h.g.setLifecycle(LifecycleDraining)
+			r.query("message 2", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4120), 0, 0, 1, txtRR(cookie.Cookie{})))
+			r.query("valid cookie", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4121), 0, 0, 1, txtRR(mint(r))))
+			r.note("drain-dropped: %d", atomic.LoadUint64(&r.h.g.lc.DrainDropped))
+		}},
+		{"cookie-request/questions-crossing-512", nil, func(r *shapeRun) {
+			// Each name is 241 bytes on the wire: two questions are 502 bytes of
+			// message, 530 with the cookie record; three are over on their own.
+			long := func(c string) dnswire.Question {
+				return dnswire.Question{Name: dnswire.MustName(strings.Repeat(strings.Repeat(c, 59)+".", 3) + strings.Repeat(c, 59)), Type: dnswire.TypeA, Class: dnswire.ClassINET}
+			}
+			req := func(id uint16, qs ...dnswire.Question) []byte {
+				return withRecords(mustPack(r.t, &dnswire.Message{ID: id, Flags: dnswire.Flags{RD: true}, Questions: qs}), 0, 0, 1, txtRR(cookie.Cookie{}))
+			}
+			r.query("one long name", shapeClient, pub(r), req(0x4130, long("a")))
+			r.query("two", shapeClient, pub(r), req(0x4131, long("a"), long("b")))
+			r.query("three", shapeClient, pub(r), req(0x4132, long("a"), long("b"), long("c")))
+		}},
+		{"ns-cookie/opt-shapes", nil, func(r *shapeRun) {
+			q := func(src netip.Addr, id uint16, recs ...[]byte) []byte {
+				return withRecords(nsQuery(r, src, "www.foo.com", id), 0, 0, len(recs), recs...)
+			}
+			r.query("forged, with opt", shapeOther, pub(r), q(shapeClient.Addr(), 0x4200, optRR))
+			r.query("mixed case, opt with options", shapeClient, pub(r), upperName(q(shapeClient.Addr(), 0x4201, optOptions)))
+			r.upstream("nxdomain", ans(r), r.echo(dnswire.RCodeNXDomain))
+			r.query("two opts", shapeClient, pub(r), q(shapeClient.Addr(), 0x4202, optRR, optOptions))
+			r.query("an address after the question", shapeClient, pub(r), q(shapeClient.Addr(), 0x4203, rawRR("\xc0\x0c", dnswire.TypeA, 1, 60, -1, "\xc6\x33\x64\x07")))
+			r.query("a trailing byte", shapeClient, pub(r), append(q(shapeClient.Addr(), 0x4204, optRR), 0))
+		}},
+		{"newcomer/opt-shapes", inFooCom, func(r *shapeRun) {
+			q := func(name string, id uint16, recs ...[]byte) []byte {
+				return withRecords(plain(r, name, id), 0, 0, len(recs), recs...)
+			}
+			r.query("mixed case, opt with options", shapeClient, pub(r), upperName(q("www.c5.foo.com", 0x4210, optOptions)))
+			r.query("two opts", shapeOther, pub(r), q("www.c5.foo.com", 0x4211, optRR, optOptions))
+			r.query("apex, mixed case", shapeClient, pub(r), upperName(q("foo.com", 0x4212, optRR)))
+			r.query("out of zone, mixed case", shapeClient, pub(r), upperName(q("www.bar.com", 0x4213, optRR)))
+			r.query("opt owned by a pointer", shapeOther, pub(r), q("www.c5.foo.com", 0x4214, rawRR("\xc0\x0c", dnswire.TypeOPT, 4096, 0, -1, "")))
+			r.query("opt cut short", shapeOther, pub(r), q("www.c5.foo.com", 0x4215, optRR[:10]))
+		}},
+		{"passthrough/opt-shapes", relayOnly, func(r *shapeRun) {
+			q := func(id uint16, recs ...[]byte) []byte {
+				return withRecords(plain(r, "www.foo.com", id), 0, 0, len(recs), recs...)
+			}
+			big := func(n int) []byte { return rawRR("\x00", dnswire.TypeOPT, 4096, 0, -1, strings.Repeat("o", n)) }
+			r.query("upper-case name, opt", shapeClient, pub(r), upperName(q(0xBF00, optRR)))
+			r.query("opt owned by a pointer to 00", shapeClient, pub(r), q(0xBF01, rawRR("\xc0\x18", dnswire.TypeOPT, 4096, 0, -1, "")))
+			r.query("opt owned by a name", shapeClient, pub(r), q(0xBF02, rawRR("\x03FOO\xc0\x14", dnswire.TypeOPT, 4096, 0, -1, "")))
+			r.query("two opts, options", shapeClient, pub(r), q(0xBF03, optRR, optOptions))
+			r.query("512 bytes", shapeClient, pub(r), q(0xBF04, big(472)))
+			r.query("513 bytes", shapeClient, pub(r), q(0xBF05, big(473)))
+			z := q(0xBF06, optRR)
+			z[3] |= 0x10
+			r.query("cd set, opt", shapeClient, pub(r), z)
+			r.query("a root-owned address, not an opt", shapeClient, pub(r), q(0xBF07, rawRR("\x00", dnswire.TypeA, 1, 60, -1, "\xc6\x33\x64\x07")))
+			r.query("opts in the answer and authority sections", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0xBF08), 1, 1, 0, optRR, optOptions))
+			r.query("a trailing byte", shapeClient, pub(r), append(q(0xBF09, optRR), 0))
+		}},
+		{"upstream/at-max-datagram", relayOnly, func(r *shapeRun) {
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xBF10))
+			// An opaque record pads the echo: 29 bytes of message, 11 of record.
+			padded := func(size int) []byte {
+				return r.rawResponse(dnswire.RCodeNoError, 0, 0, 1, rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", size-40)))
+			}
+			r.upstream("one byte over", ans(r), padded(dnswire.MaxDatagram+1))
+			r.note("pending after it: %d", r.h.g.PendingEntries())
+			r.upstream("at the limit", ans(r), padded(dnswire.MaxDatagram))
+		}},
 	}
 }
 
 // renderShapes runs every row at the given cache TTL and returns, per row,
 // the transcript that must not depend on the TTL and the cache's counters.
-func renderShapes(t *testing.T, ttl time.Duration) (bodies, caches []string) {
+func renderShapes(t *testing.T, ttl time.Duration, seen func(upstream bool, wire []byte)) (bodies, caches []string) {
 	for _, row := range shapeRows() {
-		r := runShapeRow(t, row, ttl, nil)
+		r := runShapeRow(t, row, ttl, seen)
 		st := r.h.g.Stats.Load()
 		fmt.Fprintf(&r.out, "  stats: %s\n", nonZero(st, "FastPathHits"))
 		pend := pendingDump(r.h.s)
@@ -892,10 +1149,17 @@ func runShapeRow(t testing.TB, row shapeRow, ttl time.Duration, seen func(upstre
 func TestPipelineShapes(t *testing.T) {
 	ttls := []time.Duration{0, time.Minute}
 	var bodies, caches [][]string
+	fed := map[string]bool{}
 	for _, ttl := range ttls {
-		b, c := renderShapes(t, ttl)
+		b, c := renderShapes(t, ttl, func(_ bool, wire []byte) { fed[fmt.Sprintf("%x\n", wire)] = true })
 		bodies, caches = append(bodies, b), append(caches, c)
 	}
+	lines := make([]string, 0, len(fed))
+	for l := range fed {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	seeds := []byte(strings.Join(lines, ""))
 	var got bytes.Buffer
 	for i, row := range shapeRows() {
 		fmt.Fprintf(&got, "== %s\n%s", row.name, bodies[0][i])
@@ -911,7 +1175,13 @@ func TestPipelineShapes(t *testing.T) {
 		if err := os.WriteFile(shapesFile, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(shapeSeedsFile, seeds, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
+	}
+	if have, err := os.ReadFile(shapeSeedsFile); err != nil || !bytes.Equal(have, seeds) {
+		t.Errorf("%s is not what the rows feed the shard (%v): rewrite it with -update-shapes", shapeSeedsFile, err)
 	}
 	want, err := os.ReadFile(shapesFile)
 	if err != nil {

@@ -704,39 +704,50 @@ func (s *remoteShard) handle(pkt Packet) {
 	}
 	// Scheme 1b: queries addressed to a cookie IP inside the guard subnet.
 	toCookieIP := g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr())
-	// A lone question carries no cookie record, so anywhere but at a cookie
-	// IP its first label decides: a cookie label is message 3, anything else
-	// a newcomer. Both are handled from the wire as it lies.
-	if v, ok := dnswire.ParseView(pkt.Payload); ok && !toCookieIP && !v.QR() && loneQuestion(v, len(pkt.Payload)) {
-		if cred, ok := nsCred(s, v.FirstLabel()); ok {
-			s.handleNSCookie(pkt, v.QuestionWire(), cred)
-		} else {
-			s.handleNewcomer(pkt, 1, v.QuestionWire())
+	// Anywhere but at a cookie IP, a query the view and the record walk vouch
+	// for — a lone question has no record to walk — is judged and handled
+	// from its bytes as they lie; anything else is unpacked first — validated
+	// whole — and handled from its canonical questions, packed. Either way one
+	// body serves each decision.
+	var (
+		msg *dnswire.Message
+		qd  = 1
+		qs  []byte // the question section, its first name uncompressed
+		ck  = txtCookie{optsOnly: true}
+	)
+	if v, ok := dnswire.ParseView(pkt.Payload); ok && !toCookieIP && !v.QR() && (loneQuestion(v, len(pkt.Payload)) || ck.walk(v)) {
+		qs = v.QuestionWire()
+	} else {
+		var err error
+		if msg, err = dnswire.Unpack(pkt.Payload); err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
+			atomic.AddUint64(&g.Stats.Malformed, 1)
+			return
 		}
-		return
+		if toCookieIP {
+			s.handleIPCookie(pkt, msg)
+			return
+		}
+		ck = txtCookie{}
+		if ck.c, _, _, ck.found = FindCookie(msg); !ck.found || ck.c.IsZero() {
+			if qd, qs = len(msg.Questions), questionsWire(msg.Questions); qs == nil {
+				return
+			}
+		}
 	}
-	msg, err := dnswire.Unpack(pkt.Payload)
-	if err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
-		atomic.AddUint64(&g.Stats.Malformed, 1)
-		return
-	}
-	if toCookieIP {
-		s.handleIPCookie(pkt, msg)
-		return
-	}
-	// Modified-DNS scheme: explicit cookie extension.
-	if c, _, _, ok := FindCookie(msg); ok {
-		s.handleModified(pkt, msg, c)
-		return
-	}
-	// A message the view could not vouch for (records after the question, a
-	// name that is not plain uncompressed ASCII): its canonical questions,
-	// packed, take the lone question's path — a cookie query's first, which
-	// alone is answered, a newcomer's all, which are echoed.
-	if cred, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
-		s.handleNSCookie(pkt, questionsWire(msg.Questions[:1]), cred)
-	} else if qs := questionsWire(msg.Questions); qs != nil {
-		s.handleNewcomer(pkt, len(msg.Questions), qs)
+	switch {
+	case ck.found && !ck.c.IsZero():
+		s.handleModified(pkt, msg, ck)
+	case ck.found:
+		s.grantCookie(pkt, qd, qs) // message 2: cookie request
+	default:
+		// No cookie record, so the first label decides: a cookie label is
+		// message 3, of which the first question alone is answered, anything
+		// else a newcomer, whose questions are all echoed.
+		if cred, ok := nsCred(s, qs[1:1+int(qs[0])]); ok {
+			s.handleNSCookie(pkt, qs[:wireNameLen(qs)+4], cred)
+		} else {
+			s.handleNewcomer(pkt, qd, qs)
+		}
 	}
 }
 
@@ -795,10 +806,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 		atomic.AddUint64(&g.lc.DrainDropped, 1)
 		return
 	}
-	nameLen := 1
-	for qs[nameLen-1] != 0 {
-		nameLen += 1 + int(qs[nameLen-1])
-	}
+	nameLen := wireNameLen(qs)
 	// The reply goes up at the slab's end — the ID, QR, RD as asked, the name
 	// folded — and is the slab's only once queued: a drop leaves it behind.
 	start := len(s.egress)
@@ -988,26 +996,53 @@ func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, fwd)
 }
 
-// handleModified processes the explicit cookie extension (Figure 3).
-func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.Cookie) {
+// grantCookie answers message 2, a query whose cookie record holds the zero
+// cookie, with message 3, through Rate-Limiter1. qd and qs are the query's
+// questions as handleNewcomer takes them. The reply is what PackUDP makes of
+// Response() and AttachCookie's record — the query's ID and RD bit, qs with
+// the first name folded, the source's cookie — appended to the egress slab;
+// nothing here allocates. Unlike the newcomer's grant it is not drain-gated.
+func (s *remoteShard) grantCookie(pkt Packet, qd int, qs []byte) {
 	g := s.g
-	if c.IsZero() {
-		// Message 2: cookie request. Answer through Rate-Limiter1.
-		if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
-			atomic.AddUint64(&g.Stats.RL1Dropped, 1)
-			return
-		}
-		g.charge(g.cfg.Costs.CookieGrant)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-		resp := msg.Response()
-		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), g.cfg.NSTTL)
-		s.reply(pkt.Dst, pkt.Src, resp)
+	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
+		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
 		return
 	}
-	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
+	g.charge(g.cfg.Costs.CookieGrant)
+	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+	start, nameLen, ttl, c := len(s.egress), wireNameLen(qs), g.cfg.NSTTL, s.bv.Mint(pkt.Src.Addr())
+	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, byte(qd>>8), byte(qd), 0, 0, 0, 0, 0, 1)
+	b = append(appendFolded(b, qs[:nameLen]), qs[nameLen:]...)
+	record := len(b)
+	b = append(b, 0, 0, byte(dnswire.TypeTXT), 0, byte(dnswire.ClassINET),
+		byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 1+cookie.Size, cookie.Size)
+	b = append(b, c[:]...)
+	if len(b)-start > dnswire.MaxUDPSize {
+		// Questions enough to crowd the record out: truncated, as PackUDP would.
+		b = b[:record]
+		b[start+2], b[start+11] = b[start+2]|2, 0
+	}
+	if len(b)-start > dnswire.MaxUDPSize {
+		return // the questions alone are over the limit: PackUDP refuses, nothing is sent
+	}
+	s.egress = b
+	s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
+}
+
+// handleModified processes a query carrying its cookie in the explicit
+// extension (Figure 3): verify, then forward without the cookie record. msg
+// is the query if it had to be unpacked to be read, nil if the walk found ck;
+// a forgery ends here either way, and one the walk found has allocated
+// nothing. A verified query the walk found is forwarded by splice when what
+// remains is the question and root-owned OPTs within 512 bytes — byte for
+// byte what StripCookie → PackUDP writes — and is unpacked only then
+// otherwise.
+func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, ck txtCookie) {
+	g := s.g
+	cred := append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)
 	if !s.verified(pkt.Src.Addr(), cred) {
 		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.Verify(pkt.Src.Addr(), c) {
+		if !s.bv.Verify(pkt.Src.Addr(), ck.c) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
@@ -1019,10 +1054,29 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, c cookie.
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)
+	p := pkt.Payload
+	entry := pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(p[0])<<8 | uint16(p[1])}
+	if msg == nil && ck.optsOnly && len(p)-(ck.end-ck.off) <= dnswire.MaxUDPSize {
+		// The header with the reserved bits clear and one additional record
+		// fewer, the name folded, the other records as they lie.
+		nameEnd, ar := 12+wireNameLen(p[12:]), uint16(p[10])<<8|uint16(p[11])-1
+		wire := append(s.wireBuf[:0], p[:10]...)
+		wire = appendFolded(append(wire, byte(ar>>8), byte(ar)), p[12:nameEnd])
+		wire = append(append(wire, p[nameEnd:ck.off]...), p[ck.end:]...)
+		wire[3] &^= flagsZMask
+		s.wireBuf = wire[:0]
+		s.forward(entry, wire, nil)
+		return
+	}
+	if msg == nil {
+		if msg, _ = dnswire.Unpack(p); msg == nil {
+			return // not reached: the walk accepts nothing Unpack refuses
+		}
+	}
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
 	_, _ = StripCookie(&fwd)
-	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
+	s.forwardPacked(entry, &fwd)
 }
 
 // answersGet consults the non-referral answer cache unless it is disabled.

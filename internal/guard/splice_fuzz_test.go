@@ -1,19 +1,23 @@
 package guard
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"testing"
 
+	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/ratelimit"
 )
 
-// The oracles: what the pipeline did with a newcomer and with an answer for a
-// rewritten cookie query when both were Messages — Unpack, the handler body
-// of 1f736d1, PackUDP. FuzzSpliceAgreement holds the span-writing handlers to
-// them, byte for byte and counter for counter.
+// The oracles: what the pipeline did with a query, and with an answer for a
+// rewritten cookie query, when each was a Message — Unpack, the handler body
+// of the last commit that built one (1f736d1 for the newcomer and message 6,
+// 90e9534 for the modified scheme and for queries with records), PackUDP.
+// FuzzSpliceAgreement holds the span-writing handlers to them, byte for byte
+// and counter for counter.
 
 // oracleSketch is nameSketch.observe as it hashed a canonical Name.
 func oracleSketch(n *nameSketch, name dnswire.Name) {
@@ -25,26 +29,64 @@ func oracleSketch(n *nameSketch, name dnswire.Name) {
 	w.Store(w.Load() | 1<<(h&63)) // one goroutine: no CAS needed
 }
 
+// oracleModified is handleModified as 90e9534 had it: the query, message 3
+// and the forward all Messages.
+func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.Cookie) {
+	g := s.g
+	if c.IsZero() {
+		if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
+			atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+			return
+		}
+		g.charge(g.cfg.Costs.CookieGrant)
+		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+		resp := msg.Response()
+		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), g.cfg.NSTTL)
+		s.reply(pkt.Dst, pkt.Src, resp)
+		return
+	}
+	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
+	if !s.verified(pkt.Src.Addr(), cred) {
+		g.charge(g.cfg.Costs.CookieCheck)
+		if !s.bv.Verify(pkt.Src.Addr(), c) {
+			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+			return
+		}
+		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
+	}
+	atomic.AddUint64(&g.Stats.CookieValid, 1)
+	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
+		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+		return
+	}
+	g.charge(g.cfg.Costs.Rewrite)
+	fwd := *msg
+	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
+	_, _ = StripCookie(&fwd)
+	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
+}
+
 // oracleIngress is handle for a datagram to the public address of an active
-// guard without a cookie subnet, with the newcomer a Message. It reports
-// false, nothing done, for a query that is not a newcomer's: those shapes the
-// change did not touch.
-func oracleIngress(s *remoteShard, pkt Packet) bool {
+// guard, with every query unpacked before it is judged and the newcomer's
+// reply a Message.
+func oracleIngress(s *remoteShard, pkt Packet) {
 	g := s.g
 	msg, err := dnswire.Unpack(pkt.Payload)
 	if len(pkt.Payload) > dnswire.MaxDatagram || err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
 		atomic.AddUint64(&g.Stats.Malformed, 1)
-		return true
+		return
 	}
-	if _, _, _, ok := FindCookie(msg); ok {
-		return false
+	if c, _, _, ok := FindCookie(msg); ok {
+		oracleModified(s, pkt, msg, c)
+		return
 	}
-	if _, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
-		return false
+	if cred, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
+		s.handleNSCookie(pkt, questionsWire(msg.Questions[:1]), cred)
+		return
 	}
 	if g.drainGate() {
 		atomic.AddUint64(&g.lc.DrainDropped, 1)
-		return true
+		return
 	}
 	qname := msg.Question().Name
 	if g.cfg.Mitigation.Enabled {
@@ -52,7 +94,7 @@ func oracleIngress(s *remoteShard, pkt Packet) bool {
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
-		return true
+		return
 	}
 	child, hasChild := qname.ChildOf(g.cfg.Zone)
 	useTCP := g.effectiveFallback() == SchemeTCP || !hasChild || g.isTCPClient(pkt.Src.Addr())
@@ -60,7 +102,7 @@ func oracleIngress(s *remoteShard, pkt Packet) bool {
 		resp := msg.Response()
 		resp.Flags.RCode = dnswire.RCodeRefused
 		s.reply(pkt.Dst, pkt.Src, resp)
-		return true
+		return
 	}
 	if useTCP {
 		g.charge(g.cfg.Costs.TCReply)
@@ -69,7 +111,7 @@ func oracleIngress(s *remoteShard, pkt Packet) bool {
 		resp := msg.Response()
 		resp.Flags.TC = true
 		s.reply(pkt.Dst, pkt.Src, resp)
-		return true
+		return
 	}
 	g.charge(g.cfg.Costs.CookieGrant)
 	c := s.bv.Mint(pkt.Src.Addr())
@@ -79,7 +121,7 @@ func oracleIngress(s *remoteShard, pkt Packet) bool {
 		resp := msg.Response()
 		resp.Flags.TC = true
 		s.reply(pkt.Dst, pkt.Src, resp)
-		return true
+		return
 	}
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 	resp := msg.Response()
@@ -87,7 +129,7 @@ func oracleIngress(s *remoteShard, pkt Packet) bool {
 		dnswire.NewRR(child, g.cfg.NSTTL, &dnswire.NSData{Host: fabName}),
 	}
 	s.reply(pkt.Dst, pkt.Src, resp)
-	return true
+	return
 }
 
 // oracleUpstream is handleUpstream for a datagram from the configured ANS
@@ -154,34 +196,40 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 		for i := range words {
 			words[i] = h.g.mit.sketch.words[i].Load()
 		}
-		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\npending %v\nsketch %x",
+		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\ncache %+v\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
-			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), pendingDump(h.s), words)
+			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), h.g.eng.FastPath(), pendingDump(h.s), words)
 	}
 	if got, want := state(tw.got), state(tw.want); got != want {
 		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)
 	}
 }
 
-// newcomer feeds both twins data as a query from a source its ID picks
-// (10.1.0.x is configured for TCP), unless it is not a newcomer's.
-func (tw *spliceTwin) newcomer(data []byte) {
+// ingress feeds both twins data as a query from a source its ID picks
+// (10.1.0.x is configured for TCP). No mutation forges a MAC, so a cookie
+// record whose cookie opens with an odd byte gets the source's own written
+// over it: valid cookies are reached beside forged ones, whatever else the
+// query carries.
+func (tw *spliceTwin) ingress(data []byte) {
 	src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, 0, 0}), 5353)
 	if len(data) >= 2 {
 		src = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, data[0], data[1]}), 5353)
 	}
+	if msg, err := dnswire.Unpack(data); err == nil {
+		if c, _, _, ok := FindCookie(msg); ok && c[0]&1 == 1 {
+			valid := tw.want.g.cfg.Auth.Mint(src.Addr())
+			data = bytes.Replace(data, c[:], valid[:], 1)
+		}
+	}
 	pkt := Packet{Src: src, Dst: tw.want.g.cfg.PublicAddr}
 	pkt.Payload = append([]byte(nil), data...)
 	tw.want.s.BeginBatch(1)
-	handled := oracleIngress(tw.want.s, pkt)
+	oracleIngress(tw.want.s, pkt)
 	tw.want.s.EndBatch()
-	if !handled {
-		return
-	}
 	atomic.AddUint64(&tw.want.g.Stats.Received, 1)
 	pkt.Payload = append([]byte(nil), data...)
 	tw.got.handle(pkt)
-	tw.compare("newcomer query", data)
+	tw.compare("query", data)
 }
 
 // upstream leaves each twin one pending rewritten cookie query — for the name
@@ -217,25 +265,30 @@ func (tw *spliceTwin) upstream(data []byte) {
 	tw.compare("upstream response", tw.fwd)
 }
 
-// FuzzSpliceAgreement: on arbitrary newcomer queries, and arbitrary upstream
-// datagrams against a pending rewritten cookie query, the handlers that write
-// replies from spans emit the bytes, and leave the counters and NAT table,
-// of the handlers that built a Message. The seeds are every datagram the
-// shape table feeds the pipeline and the referral bench/testdata/bench.zone
-// gives for c5.foo.com.
+// FuzzSpliceAgreement: on arbitrary queries, and arbitrary upstream datagrams
+// against a pending rewritten cookie query, the handlers that judge, forward
+// and reply from spans emit the bytes, and leave the counters, verified cache
+// and NAT table, of the handlers that built a Message. The seeds are every
+// datagram the shape table feeds the pipeline, the referral
+// bench/testdata/bench.zone gives for c5.foo.com, and the TXT-cookie query
+// bench/gen writes for it, forged and (first byte odd) valid.
 func FuzzSpliceAgreement(f *testing.F) {
 	for _, row := range shapeRows() {
 		runShapeRow(f, row, 0, func(upstream bool, wire []byte) { f.Add(upstream, wire) })
 	}
 	f.Add(true, []byte("\x0c\x05\x80\x00\x00\x01\x00\x00\x00\x01\x00\x01\x02c5\x03foo\x03com\x00\x00\x01\x00\x01"+
 		"\xc0\x0c\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x05\x02ns\xc0\x0c\xc0\x28\x00\x01\x00\x01\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06"))
+	for _, first := range []string{"\x40", "\x41"} {
+		f.Add(false, []byte("\x0c\x06\x00\x00\x00\x01\x00\x00\x00\x00\x00\x01\x02c5\x03foo\x03com\x00\x00\x01\x00\x01"+
+			"\x00\x00\x10\x00\x01\x00\x00\x00\x00\x00\x11\x10"+first+"ABCDEFGHIJKLMNO"))
+	}
 	tw := newSpliceTwin(f)
 	f.Fuzz(func(t *testing.T, upstream bool, data []byte) {
 		tw.t = t
 		if upstream {
 			tw.upstream(data)
 		} else {
-			tw.newcomer(data)
+			tw.ingress(data)
 		}
 	})
 }
