@@ -70,10 +70,10 @@ func TestAPI(t *testing.T) {
 		// Removals are breaking: additions merely grow the surface, but a
 		// removed symbol strands downstream callers. The bar is higher —
 		// keep the old symbol as a deprecated wrapper over the replacement
-		// where possible (see the cookie constructors funneling into
-		// OpenKeyringWith), and when genuine removal is intended, name the
-		// replacement next to each removed line below in the commit that
-		// regenerates the golden.
+		// for a release where possible (as the cookie constructors were
+		// before OpenKeyringWith replaced them), and when genuine removal is
+		// intended, name the replacement next to each removed line below in
+		// the commit that regenerates the golden.
 		t.Errorf("public API symbols REMOVED — this breaks downstream code.\n"+
 			"Prefer a deprecated wrapper over removal; if removal is intentional, add a\n"+
 			"migration note (removed symbol -> replacement) to the commit regenerating\n"+

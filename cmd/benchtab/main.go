@@ -6,18 +6,14 @@
 //
 //	benchtab                  # everything (several minutes)
 //	benchtab -run tableII     # one experiment: tableI, tableII, tableIII,
-//	                          # fig5, fig6, fig7a, fig7b, engine, campaigns,
-//	                          # fleet
+//	                          # fig5, fig6, fig7a, fig7b, campaigns, fleet
 //	benchtab -quick           # abbreviated sweeps (~1 minute)
 //
-// The engine experiment (sharded-dataplane throughput on real loopback UDP)
-// and the fleet experiment (anycast tier under scripted catchment churn)
-// write machine-readable results to BENCH_engine.json in the working
-// directory, one section per family ({"engine": [...], "fleet": [...]}).
+// Everything here runs on the virtual clock. A performance number of the
+// implementation itself comes from `go run -C bench .` (bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +33,7 @@ func main() {
 }
 
 func run() error {
-	runSel := flag.String("run", "all", "experiment to run: all, tableI, tableII, tableIII, fig5, fig6, fig7a, fig7b, engine, campaigns, fleet")
+	runSel := flag.String("run", "all", "experiment to run: all, tableI, tableII, tableIII, fig5, fig6, fig7a, fig7b, campaigns, fleet")
 	quick := flag.Bool("quick", false, "abbreviated parameter sweeps")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments here (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile here at exit (go tool pprof)")
@@ -171,50 +167,6 @@ func run() error {
 		experiments.WriteCampaigns(out, rows)
 		fmt.Fprintf(out, "(measured in %v)\n", time.Since(start).Round(time.Millisecond))
 	}
-	doc := loadBenchDoc("BENCH_engine.json")
-	wroteBench := false
-	if want("engine") {
-		experiments.Rule(out, "Engine — sharded dataplane throughput (real time, real UDP upstream)")
-		shardSweep := []int{1, 2, 4, 8}
-		batchSweep := []int{1, 32}
-		packets := 24000
-		if *quick {
-			shardSweep = []int{1, 4}
-			batchSweep = []int{1}
-			packets = 6000
-		}
-		start := time.Now()
-		var rows []experiments.EngineThroughputResult
-		for _, mac := range []string{"md5", "siphash"} {
-			for _, shards := range shardSweep {
-				// The MAC scheme's cost is per-packet and shard-independent;
-				// one shard isolates it without doubling the whole sweep.
-				if mac != "md5" && shards != 1 {
-					continue
-				}
-				for _, spoof := range []float64{0, 0.5} {
-					for _, batch := range batchSweep {
-						res, err := experiments.EngineThroughput(experiments.EngineThroughputOptions{
-							Shards:        shards,
-							Batch:         batch,
-							SpoofFraction: spoof,
-							Packets:       packets,
-							MAC:           mac,
-						})
-						if err != nil {
-							return fmt.Errorf("engine (shards=%d spoof=%v batch=%d mac=%s): %w", shards, spoof, batch, mac, err)
-						}
-						rows = append(rows, res)
-					}
-				}
-			}
-		}
-		experiments.WriteEngineBench(out, rows)
-		fmt.Fprintf(out, "(measured in %v on GOMAXPROCS=%d; shard scaling needs >1 core)\n",
-			time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
-		doc.Engine = rows
-		wroteBench = true
-	}
 	if want("fleet") {
 		experiments.Rule(out, "Fleet — anycast guard fleet under scripted catchment churn")
 		start := time.Now()
@@ -224,44 +176,6 @@ func run() error {
 		}
 		experiments.WriteFleetBench(out, rows)
 		fmt.Fprintf(out, "(measured in %v)\n", time.Since(start).Round(time.Millisecond))
-		doc.Fleet = rows
-		wroteBench = true
-	}
-	if wroteBench {
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return fmt.Errorf("bench doc: marshal: %w", err)
-		}
-		if err := os.WriteFile("BENCH_engine.json", append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "wrote BENCH_engine.json")
 	}
 	return nil
-}
-
-// benchDoc is the BENCH_engine.json layout: one section per machine-readable
-// bench family.
-type benchDoc struct {
-	Engine []experiments.EngineThroughputResult `json:"engine"`
-	Fleet  []experiments.FleetBenchResult       `json:"fleet,omitempty"`
-}
-
-// loadBenchDoc reads an existing BENCH_engine.json so a partial run (-run
-// engine or -run fleet) updates only its own section. The pre-fleet layout —
-// a bare engine-row array — is accepted and migrated.
-func loadBenchDoc(path string) benchDoc {
-	var doc benchDoc
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return doc
-	}
-	if json.Unmarshal(blob, &doc) == nil {
-		return doc
-	}
-	var legacy []experiments.EngineThroughputResult
-	if json.Unmarshal(blob, &legacy) == nil {
-		doc.Engine = legacy
-	}
-	return doc
 }

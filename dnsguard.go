@@ -22,7 +22,7 @@
 // # Quick start (real sockets)
 //
 //	env := dnsguard.NewEnv()
-//	auth, _ := dnsguard.NewAuthenticator()
+//	auth, _ := dnsguard.OpenKeyringWith(dnsguard.KeyringOptions{})
 //	g, _ := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{ ... })
 //
 // The examples/ directory contains five runnable programs covering both
@@ -243,37 +243,21 @@ func MACSchemeByName(name string) (MACScheme, error) { return cookie.MACByName(n
 // state, persistent state file, follower mode, and MAC scheme in one struct.
 type KeyringOptions = cookie.Options
 
-// OpenKeyringWith is the unified authenticator constructor; every historical
-// entry point (NewAuthenticator, OpenKeyring, OpenKeyringHandle,
-// RestoreAuthenticator) is a special case of it.
+// OpenKeyringWith is the authenticator constructor. The zero options mint a
+// fresh random ring; StateFile loads or creates a persisted one, so a guard
+// restarted on the same file keeps verifying every cookie the LRS population
+// cached before the restart (DESIGN.md §11); StateFile with Follow opens a
+// read handle on a fleet-shared ring, which mints and verifies with the
+// owner's key material but cannot Rotate — the owner rotates, followers
+// Reload, and any site verifies a cookie minted by any other (DESIGN.md
+// §15); State restores a captured KeyState as an unbound in-memory handle.
 func OpenKeyringWith(opts KeyringOptions) (*Authenticator, error) { return cookie.Open(opts) }
-
-// NewAuthenticator creates an authenticator with a fresh random key.
-func NewAuthenticator() (*Authenticator, error) { return cookie.NewAuthenticator() }
-
-// OpenKeyring loads the epoch'd cookie keyring persisted at path, or creates
-// a fresh one there if the file does not exist, and binds the authenticator
-// so every later Rotate is persisted atomically. A guard restarted with the
-// same state file keeps verifying every cookie the LRS population cached
-// before the restart (DESIGN.md §11).
-func OpenKeyring(path string) (*Authenticator, error) { return cookie.OpenKeyring(path) }
-
-// OpenKeyringHandle opens a follower handle on an existing keyring state
-// file: the handle mints and verifies with the shared key material but
-// cannot Rotate (ErrKeyringFollower) — the owner rotates, followers Reload.
-// Fleet deployments give every site a handle on one ring so any guard
-// verifies a cookie minted by any other (DESIGN.md §15).
-func OpenKeyringHandle(path string) (*Authenticator, error) { return cookie.OpenKeyringHandle(path) }
 
 // ErrKeyringFollower is returned by Rotate on a follower handle.
 var ErrKeyringFollower = cookie.ErrFollowHandle
 
 // KeyState is the keyring's serializable state: epoch plus both epoch keys.
 type KeyState = cookie.KeyState
-
-// RestoreAuthenticator rebuilds an authenticator from a captured KeyState
-// (an unbound in-memory handle on the same ring).
-func RestoreAuthenticator(st KeyState) *Authenticator { return cookie.RestoreAuthenticator(st) }
 
 // Scheme selects how the guard bootstraps cookie-less requesters.
 type Scheme = guard.Scheme

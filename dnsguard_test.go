@@ -42,7 +42,7 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth, err := NewAuthenticator()
+	auth, err := OpenKeyringWith(KeyringOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth, err := NewAuthenticator()
+	auth, err := OpenKeyringWith(KeyringOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		auth, err := dnsguard.NewAuthenticator()
+		auth, err := dnsguard.OpenKeyringWith(dnsguard.KeyringOptions{})
 		if err != nil {
 			return 0, err
 		}

@@ -78,7 +78,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	auth, err := dnsguard.NewAuthenticator()
+	auth, err := dnsguard.OpenKeyringWith(dnsguard.KeyringOptions{})
 	if err != nil {
 		return err
 	}

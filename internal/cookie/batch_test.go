@@ -13,7 +13,7 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i * 7)
 	}
-	a := NewAuthenticatorWithKey(key)
+	a := keyed(key)
 	nc := NSCodec{}
 	ic := IPCodec{Subnet: netip.MustParsePrefix("1.2.3.0/24")}
 
@@ -71,7 +71,7 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 func TestVerifyBatchSlices(t *testing.T) {
 	var key [KeySize]byte
 	key[5] = 9
-	a := NewAuthenticatorWithKey(key)
+	a := keyed(key)
 	srcs := []netip.Addr{
 		netip.MustParseAddr("10.0.0.1"),
 		netip.MustParseAddr("10.0.0.2"),
@@ -95,7 +95,7 @@ func TestVerifyBatchSlices(t *testing.T) {
 // either case, no copy, nothing allocated, valid or forged — and agree with
 // the string ones on every label, including the ones that are not cookies.
 func TestVerifyLabelBytes(t *testing.T) {
-	a := NewAuthenticatorWithKey(testKey(3))
+	a := keyed(testKey(3))
 	nc := NSCodec{}
 	v := NewBatchVerifier()
 	v.Reset(a)

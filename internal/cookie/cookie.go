@@ -120,26 +120,6 @@ type Authenticator struct {
 	follow bool       // read handle: Rotate refuses, the owner rotates
 }
 
-// NewAuthenticator creates an authenticator with a fresh random key.
-//
-// Deprecated: use Open(Options{}).
-func NewAuthenticator() (*Authenticator, error) {
-	return Open(Options{})
-}
-
-// NewAuthenticatorWithKey creates an authenticator with a fixed key, for
-// tests and deterministic simulations.
-//
-// Deprecated: use Open(Options{Key: &key}).
-func NewAuthenticatorWithKey(key [KeySize]byte) *Authenticator {
-	a, err := Open(Options{Key: &key})
-	if err != nil {
-		// Unreachable: Open with a caller-supplied key has no failure path.
-		panic(err)
-	}
-	return a
-}
-
 // snapshot returns the live ring (one atomic load, no locks).
 func (a *Authenticator) snapshot() *ringState {
 	if r := a.ring.Load(); r != nil {

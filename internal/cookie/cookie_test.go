@@ -8,12 +8,24 @@ import (
 	"testing/quick"
 )
 
+// mustOpen is Open for options that have no failure path in a test (a fixed
+// key, a captured state).
+func mustOpen(opts Options) *Authenticator {
+	a, err := Open(opts)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+func keyed(key [KeySize]byte) *Authenticator { return mustOpen(Options{Key: &key}) }
+
 func testAuth() *Authenticator {
 	var key [KeySize]byte
 	for i := range key {
 		key[i] = byte(i * 7)
 	}
-	return NewAuthenticatorWithKey(key)
+	return keyed(key)
 }
 
 func TestMintVerify(t *testing.T) {
@@ -45,7 +57,7 @@ func TestDifferentKeysDifferentCookies(t *testing.T) {
 	a1 := testAuth()
 	var key2 [KeySize]byte
 	key2[0] = 0xAA
-	a2 := NewAuthenticatorWithKey(key2)
+	a2 := keyed(key2)
 	src := netip.MustParseAddr("10.1.2.3")
 	if a1.Mint(src) == a2.Mint(src) {
 		t.Fatal("different keys produced identical cookies")

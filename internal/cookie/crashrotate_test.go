@@ -5,7 +5,7 @@ package cookie
 // replica refresh) must come back with a monotone epoch and keep verifying
 // old-epoch cookies inside the grace window. These tests simulate each
 // crash point by manipulating the on-disk files directly, then reopen with
-// OpenKeyring exactly as a restarted daemon would.
+// Open exactly as a restarted daemon would.
 
 import (
 	"net/netip"
@@ -28,7 +28,7 @@ func TestRotatePersistFailureRollsBack(t *testing.T) {
 	if err := os.Mkdir(filepath.Dir(path), 0o700); err != nil {
 		t.Fatal(err)
 	}
-	a, err := OpenKeyring(path)
+	a, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRotatePersistFailureRollsBack(t *testing.T) {
 func TestCrashBetweenMainAndReplica(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "keyring")
-	a := NewAuthenticatorWithKey(detKey(0))
+	a := keyed(detKey(0))
 	if err := a.BindStateFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCrashBetweenMainAndReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := OpenKeyring(path)
+	b, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCrashBetweenMainAndReplica(t *testing.T) {
 
 // TestCorruptMainRecoversFromReplica torches the main file in several ways
 // (truncation, bit flip caught by the checksum, garbage) and checks
-// OpenKeyring recovers the ring from the replica instead of failing or —
+// Open recovers the ring from the replica instead of failing or —
 // worse — minting fresh keys. The replica trails by one rotation, so the
 // recovered epoch is N while the latest was N+1; cookies minted under N
 // (the population's grace-window credentials) must verify.
@@ -136,7 +136,7 @@ func TestCorruptMainRecoversFromReplica(t *testing.T) {
 	for name, breakIt := range corrupt {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "keyring")
-			a := NewAuthenticatorWithKey(detKey(3))
+			a := keyed(detKey(3))
 			if err := a.BindStateFile(path); err != nil {
 				t.Fatal(err)
 			}
@@ -156,9 +156,9 @@ func TestCorruptMainRecoversFromReplica(t *testing.T) {
 			}
 			breakIt(t, path)
 
-			b, err := OpenKeyring(path)
+			b, err := Open(Options{StateFile: path})
 			if err != nil {
-				t.Fatalf("OpenKeyring did not recover from replica: %v", err)
+				t.Fatalf("Open did not recover from replica: %v", err)
 			}
 			if b.Epoch() != 0 {
 				t.Fatalf("recovered epoch = %d, want 0 (replica)", b.Epoch())
@@ -182,11 +182,11 @@ func TestCorruptMainRecoversFromReplica(t *testing.T) {
 }
 
 // TestBothCopiesCorruptFailsClosed: with main and replica both unreadable
-// OpenKeyring must error rather than silently mint a fresh ring that
+// Open must error rather than silently mint a fresh ring that
 // orphans every cached cookie.
 func TestBothCopiesCorruptFailsClosed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	a := NewAuthenticatorWithKey(detKey(9))
+	a := keyed(detKey(9))
 	if err := a.BindStateFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestBothCopiesCorruptFailsClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenKeyring(path); err == nil {
-		t.Fatal("OpenKeyring minted a fresh ring over a corrupt one")
+	if _, err := Open(Options{StateFile: path}); err == nil {
+		t.Fatal("Open minted a fresh ring over a corrupt one")
 	}
 }
 
@@ -204,7 +204,7 @@ func TestBothCopiesCorruptFailsClosed(t *testing.T) {
 // parse error (pre-sum four-line files still load).
 func TestChecksumDetectsTamper(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	a := NewAuthenticatorWithKey(detKey(5))
+	a := keyed(detKey(5))
 	if err := a.SaveStateFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ func testKey(fill byte) (k [KeySize]byte) {
 
 func TestOpenKeyringHandleFollowsOwner(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	owner, err := OpenKeyring(path)
+	owner, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := OpenKeyringHandle(path)
+	follower, err := Open(Options{StateFile: path, Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestOpenKeyringHandleFollowsOwner(t *testing.T) {
 }
 
 func TestOpenKeyringHandleRequiresExistingFile(t *testing.T) {
-	if _, err := OpenKeyringHandle(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Fatal("OpenKeyringHandle created a missing keyring")
+	if _, err := Open(Options{StateFile: filepath.Join(t.TempDir(), "absent"), Follow: true}); err == nil {
+		t.Fatal("a follow handle created a missing keyring")
 	}
 }
 
 func TestAdoptNeverRegresses(t *testing.T) {
-	a := NewAuthenticatorWithKey(testKey(1))
+	a := keyed(testKey(1))
 	a.RotateWithKey(testKey(2))
 	a.RotateWithKey(testKey(3)) // epoch 2
 	stale := KeyState{Epoch: 1}
@@ -95,11 +95,11 @@ func TestAdoptNeverRegresses(t *testing.T) {
 // once it reloads, through every rotation in the schedule.
 func TestConcurrentVerifyDuringRotateAcrossHandles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	owner, err := OpenKeyring(path)
+	owner, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := OpenKeyringHandle(path)
+	follower, err := Open(Options{StateFile: path, Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}

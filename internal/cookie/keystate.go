@@ -23,7 +23,7 @@ package cookie
 // written atomically (tmp + fsync + rename) with 0600 permissions; it holds
 // the guard's only secret. The trailing sum line detects torn or bit-rotted
 // state (files written before the sum existed — exactly four lines — still
-// parse); every write also refreshes a `.bak` replica so OpenKeyring can
+// parse); every write also refreshes a `.bak` replica so Open can
 // recover a corrupt main file from the last durable ring instead of minting
 // fresh keys and orphaning every cookie the population has cached.
 
@@ -59,21 +59,6 @@ func (a *Authenticator) State() KeyState {
 	return a.snapshot().state()
 }
 
-// RestoreAuthenticator builds an authenticator from a previously captured
-// keyring state: cookies minted under st.Epoch and st.Epoch-1 verify. A
-// state naming an unknown scheme falls back to the default MD5.
-//
-// Deprecated: use Open(Options{State: &st}).
-func RestoreAuthenticator(st KeyState) *Authenticator {
-	a, err := Open(Options{State: &st})
-	if err != nil {
-		fallback := st
-		fallback.Scheme = ""
-		a, _ = Open(Options{State: &fallback})
-	}
-	return a
-}
-
 // BindStateFile makes path the authenticator's persistent home: the current
 // ring is written immediately and every subsequent Rotate rewrites it before
 // returning. Binding an empty path detaches.
@@ -93,35 +78,6 @@ func (a *Authenticator) SaveStateFile(path string) error {
 	return writeKeyState(path, a.State())
 }
 
-// LoadAuthenticator reads a keyring state file written by SaveStateFile or
-// BindStateFile and restores the authenticator it describes, under the
-// scheme the file's mac tag names.
-func LoadAuthenticator(path string) (*Authenticator, error) {
-	st, err := ReadKeyState(path)
-	if err != nil {
-		return nil, err
-	}
-	return Open(Options{State: &st})
-}
-
-// OpenKeyring is the load-or-create entry point daemons use: if path exists
-// its keyring is restored (cookies minted before the restart keep
-// verifying); otherwise a fresh authenticator is created and persisted.
-// Either way the authenticator is bound to path so rotations persist.
-//
-// A truncated or corrupt main file is not fatal and never silently replaced
-// with fresh keys: OpenKeyring falls back to the `.bak` replica written
-// alongside every state update. The replica may trail the main file by one
-// rotation, which the verifier's previous-epoch grace window absorbs. Only
-// when both copies are unreadable does OpenKeyring fail — deliberately
-// closed, because minting a new ring would orphan every cookie the
-// population has cached.
-//
-// Deprecated: use Open(Options{StateFile: path}).
-func OpenKeyring(path string) (*Authenticator, error) {
-	return Open(Options{StateFile: path})
-}
-
 // Fleet-shared keyrings. A guard fleet (anycast sites behind one service
 // address) must verify each other's cookies: a catchment shift hands a
 // verified client to a cold site, and the cold site can only re-admit it
@@ -131,7 +87,7 @@ func OpenKeyring(path string) (*Authenticator, error) {
 // holds a read handle that adopts the owner's published KeyState.
 
 // ErrFollowHandle is returned by Rotate on a read handle opened with
-// OpenKeyringHandle: the ring has exactly one writer, followers only adopt.
+// Options.Follow: the ring has exactly one writer, followers only adopt.
 var ErrFollowHandle = errors.New("cookie: keyring follow handle cannot rotate; the owner rotates")
 
 // Adopt installs a published keyring state, typically pushed by a fleet
@@ -163,7 +119,7 @@ func (a *Authenticator) Adopt(st KeyState) bool {
 	return true
 }
 
-// Reload re-reads the state file the authenticator follows (OpenKeyringHandle)
+// Reload re-reads the state file the authenticator follows (Options.Follow)
 // or is bound to, and adopts it. The shared-file flavour of fleet key
 // distribution: the owner rotates and rewrites the file, followers poll
 // Reload. A state whose epoch is behind the live one is ignored without
@@ -184,18 +140,6 @@ func (a *Authenticator) Reload() error {
 	}
 	a.Adopt(st)
 	return nil
-}
-
-// OpenKeyringHandle opens a read handle on an existing keyring state file:
-// the returned authenticator verifies (and mints) cookies under the file's
-// current ring, Reload picks up rotations written by the owner, and Rotate
-// refuses with ErrFollowHandle. Unlike OpenKeyring it never writes the file
-// and errors if it does not exist — a follower must not race the owner to
-// create the ring.
-//
-// Deprecated: use Open(Options{StateFile: path, Follow: true}).
-func OpenKeyringHandle(path string) (*Authenticator, error) {
-	return Open(Options{StateFile: path, Follow: true})
 }
 
 // ReadKeyState parses a keyring state file.
@@ -280,7 +224,7 @@ func keyStateBlob(st KeyState) string {
 }
 
 // writeKeyState atomically replaces path with st and refreshes the `.bak`
-// replica OpenKeyring recovers from. The replica write is best-effort: the
+// replica Open recovers from. The replica write is best-effort: the
 // main file is the ring's source of truth, and a replica that trails by one
 // epoch still verifies within the grace window.
 func writeKeyState(path string, st KeyState) error {

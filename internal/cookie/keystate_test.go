@@ -14,7 +14,7 @@ import (
 // regression the state file exists to fix).
 func TestKeyringSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	a := NewAuthenticatorWithKey(detKey(0))
+	a := keyed(detKey(0))
 	a.RotateWithKey(detKey(1)) // current ≠ previous
 	if err := a.SaveStateFile(path); err != nil {
 		t.Fatal(err)
@@ -27,12 +27,16 @@ func TestKeyringSurvivesRestart(t *testing.T) {
 		curEpoch[src] = a.Mint(src)
 	}
 	// Cookies from the previous epoch: mint with a ring one rotation back.
-	old := NewAuthenticatorWithKey(detKey(0))
+	old := keyed(detKey(0))
 	for _, src := range addrs {
 		prevEpoch[src] = old.Mint(src)
 	}
 
-	restored, err := LoadAuthenticator(path)
+	st, err := ReadKeyState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Open(Options{State: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestKeyringSurvivesRestart(t *testing.T) {
 	}
 
 	// Without persistence (fresh random key) the same cookies must die.
-	fresh, err := NewAuthenticator()
+	fresh, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestKeyringSurvivesRestart(t *testing.T) {
 
 func TestBoundRotatePersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	a, err := OpenKeyring(path)
+	a, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +81,9 @@ func TestBoundRotatePersists(t *testing.T) {
 	}
 	c1 := a.Mint(src)
 
-	// A second OpenKeyring (the restarted daemon) sees the post-rotation
+	// A second Open (the restarted daemon) sees the post-rotation
 	// ring: both live epochs verify without any explicit save call.
-	b, err := OpenKeyring(path)
+	b, err := Open(Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,7 @@ func TestReadKeyStateRejectsGarbage(t *testing.T) {
 
 func TestStateFileRoundTripsExactRing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	a := NewAuthenticatorWithKey(detKey(7))
+	a := keyed(detKey(7))
 	for i := 0; i < 5; i++ {
 		a.RotateWithKey(detKey(10 + i))
 	}

@@ -1,11 +1,8 @@
 package cookie
 
-// Open is the package's single constructor. The historical entry points
-// (NewAuthenticator, NewAuthenticatorWithKey, RestoreAuthenticator,
-// OpenKeyring, OpenKeyringHandle) grew one at a time as the keyring gained
-// persistence and fleet semantics; they all remain as thin deprecated
-// wrappers, but every combination of key material, state file, follower
-// mode, and MAC scheme now funnels through one Options struct.
+// Open is the package's single constructor: every combination of key
+// material, restored state, state file, follower mode and MAC scheme is one
+// Options value.
 
 import (
 	"crypto/rand"
@@ -15,7 +12,7 @@ import (
 )
 
 // Options configures Open. The zero value creates a fresh random keyring
-// under the default (MD5) scheme — equivalent to the old NewAuthenticator.
+// under the default (MD5) scheme.
 type Options struct {
 	// Key, when non-nil, seeds both epoch slots with this fixed key
 	// instead of fresh random material — deterministic tests and
@@ -25,15 +22,24 @@ type Options struct {
 	// State, when non-nil, restores a previously captured keyring state:
 	// cookies minted under State.Epoch and State.Epoch-1 verify.
 	State *KeyState
-	// StateFile, when non-empty, is the keyring's persistent home. Without
-	// Follow the file is loaded if present (falling back to its `.bak`
-	// replica when the main copy is corrupt or missing) or created, and
+	// StateFile, when non-empty, is the keyring's persistent home — what a
+	// daemon restarts on. Without Follow the file is loaded if present
+	// (cookies minted before the restart keep verifying) or created, and
 	// the authenticator is bound to it so every rotation persists before
 	// it is published. With State set, the restored ring is written there.
+	//
+	// A truncated or corrupt main file is not fatal and never silently
+	// replaced with fresh keys: Open falls back to the `.bak` replica
+	// written alongside every state update. The replica may trail the main
+	// file by one rotation, which the verifier's previous-epoch grace
+	// window absorbs. Only when both copies are unreadable does Open fail
+	// — deliberately closed, because minting a new ring would orphan every
+	// cookie the population has cached.
 	StateFile string
 	// Follow opens StateFile as a read-only handle on a fleet-shared
-	// keyring: the file must exist, Reload adopts the owner's rotations,
-	// and Rotate refuses with ErrFollowHandle.
+	// keyring: the file must exist and is never written — a follower must
+	// not race the owner to create the ring — Reload adopts the owner's
+	// rotations, and Rotate refuses with ErrFollowHandle.
 	Follow bool
 	// MAC selects the cookie MAC scheme for a newly created ring. nil
 	// means the default, MD5. A ring restored from State or StateFile
@@ -78,11 +84,7 @@ func Open(opts Options) (*Authenticator, error) {
 	case opts.StateFile != "":
 		return openKeyringFile(opts)
 	}
-	a, err := fresh(opts)
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return fresh(opts)
 }
 
 // fresh creates a brand-new ring from opts.Key (or random material) under
@@ -126,9 +128,8 @@ func restore(st KeyState, fallback MACScheme) (*Authenticator, error) {
 
 // openKeyringFile is the load-or-create path behind Open without Follow:
 // restore the ring at opts.StateFile (recovering from the `.bak` replica if
-// the main copy is corrupt or lost), or create a fresh persisted ring when
-// neither copy exists. Never silently replaces an unreadable ring with
-// fresh keys — that would orphan every cookie the population has cached.
+// the main copy is corrupt or lost, as Options.StateFile documents), or
+// create a fresh persisted ring when neither copy exists.
 func openKeyringFile(opts Options) (*Authenticator, error) {
 	path := opts.StateFile
 	if _, err := os.Stat(path); err == nil {

@@ -39,7 +39,7 @@ func detAddrs() []netip.Addr {
 }
 
 func TestRotationAcceptsExactlyTwoGenerations(t *testing.T) {
-	auth := NewAuthenticatorWithKey(detKey(0))
+	auth := keyed(detKey(0))
 	addrs := detAddrs()
 	const rotations = 6
 
@@ -78,7 +78,7 @@ func TestRotationAcceptsExactlyTwoGenerations(t *testing.T) {
 }
 
 func TestRotationRejectsForgeries(t *testing.T) {
-	auth := NewAuthenticatorWithKey(detKey(0))
+	auth := keyed(detKey(0))
 	auth.RotateWithKey(detKey(1)) // make current ≠ previous
 	addrs := detAddrs()
 	rng := rand.New(rand.NewSource(31337))
@@ -115,7 +115,7 @@ func TestRotationRejectsForgeries(t *testing.T) {
 func TestRotationNSLabelAcceptsBothGenerations(t *testing.T) {
 	// The fabricated-NS encoding carries only the first 4 cookie bytes; it
 	// must honour the same two-generation window.
-	auth := NewAuthenticatorWithKey(detKey(0))
+	auth := keyed(detKey(0))
 	nc := NSCodec{}
 	addrs := detAddrs()
 
@@ -152,7 +152,7 @@ func TestRotationNSLabelAcceptsBothGenerations(t *testing.T) {
 func TestRotationIPCookieAcceptsBothGenerations(t *testing.T) {
 	// COOKIE2 addresses carry no generation bit at all: Verify tries both
 	// keys explicitly. Same window property, smaller cookie space (R_y).
-	auth := NewAuthenticatorWithKey(detKey(0))
+	auth := keyed(detKey(0))
 	ic := IPCodec{Subnet: netip.MustParsePrefix("192.0.2.0/24")}
 	addrs := detAddrs()
 

@@ -237,3 +237,24 @@ func TestStateFileSchemeTag(t *testing.T) {
 		t.Error("Adopt accepted an unknown scheme")
 	}
 }
+
+// TestOpenRejectsUnknownScheme: a state naming a scheme this build does not
+// know opens nothing — never a ring under a guessed scheme, which would
+// verify none of the cookies the state's owner minted.
+func TestOpenRejectsUnknownScheme(t *testing.T) {
+	st := keyed(detKey(1)).State()
+	st.Scheme = "nope"
+	path := filepath.Join(t.TempDir(), "ring")
+	if err := writeKeyState(path, st); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"State":     {State: &st},
+		"StateFile": {StateFile: path},
+		"Follow":    {StateFile: path, Follow: true},
+	} {
+		if a, err := Open(opts); err == nil {
+			t.Errorf("%s: Open built a %s ring on a state naming scheme %q", name, a.MAC().Name(), st.Scheme)
+		}
+	}
+}

@@ -32,7 +32,7 @@ func TestDrainRefusesUnverifiedAdmitsVerified(t *testing.T) {
 	defer e.Close()
 
 	warm := srcAP(1)
-	e.MarkVerified(warm.Addr(), "cred")
+	e.MarkVerifiedOn(e.ShardOf(warm.Addr()), warm.Addr(), "cred")
 
 	if err := e.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain on an idle engine: %v", err)

@@ -154,7 +154,7 @@ type Config struct {
 	// and its lock, over the packets that were already waiting.
 	Batch int
 	// FastPathTTL is the verified-source cache's TTL. 0 means no cache
-	// (MarkVerified is a no-op and every probe misses, uncounted).
+	// (MarkVerifiedOn is a no-op and every probe misses, uncounted).
 	FastPathTTL time.Duration
 	// FastPathSources bounds the cache per shard. 0 means 4096.
 	FastPathSources int
@@ -281,7 +281,7 @@ func (s *IngestStats) add(o IngestStats) {
 
 // FastPathStats counts verified-source cache activity.
 type FastPathStats struct {
-	Hits      uint64 // VerifiedCred returned a live credential
+	Hits      uint64 // a probe found a live entry, matching or not
 	Misses    uint64 // no entry, expired entry, or cache disabled
 	Inserts   uint64
 	Evictions uint64 // capacity-bound evictions (TTL expiry not counted)
@@ -588,10 +588,6 @@ func (e *Engine) QueueDepth(i int) int {
 	}
 	return e.shards[i].queue.Len()
 }
-
-// WaitHistogram returns shard i's queue-wait histogram (empty in inline
-// mode; in affine mode it observes only handoff-ring waits).
-func (e *Engine) WaitHistogram(i int) *metrics.Histogram { return e.shards[i].wait }
 
 // MetricsInto registers the engine's series on r under prefix (e.g.
 // "guard_engine_"): aggregate enqueued/shed/handled/handoff/queue_depth

@@ -238,7 +238,7 @@ func TestBackpressureDropOldestForVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MarkVerified(srcAP(7).Addr(), "cred")
+	e.MarkVerifiedOn(e.ShardOf(srcAP(7).Addr()), srcAP(7).Addr(), "cred")
 	e.Start()
 	defer e.Close()
 
@@ -281,22 +281,22 @@ func TestVerifiedSourceCache(t *testing.T) {
 	}
 	a, b, c := srcAP(1).Addr(), srcAP(2).Addr(), srcAP(3).Addr()
 
-	if _, ok := e.VerifiedCred(a); ok {
+	if _, ok := e.VerifiedCredOn(e.ShardOf(a), a); ok {
 		t.Fatal("hit on empty cache")
 	}
-	e.MarkVerified(a, "cred-a")
-	if cred, ok := e.VerifiedCred(a); !ok || cred != "cred-a" {
+	e.MarkVerifiedOn(e.ShardOf(a), a, "cred-a")
+	if cred, ok := e.VerifiedCredOn(e.ShardOf(a), a); !ok || cred != "cred-a" {
 		t.Fatalf("VerifiedCred = (%q, %v), want (cred-a, true)", cred, ok)
 	}
 	// Re-verification replaces the credential (key rotation).
-	e.MarkVerified(a, "cred-a2")
-	if cred, _ := e.VerifiedCred(a); cred != "cred-a2" {
+	e.MarkVerifiedOn(e.ShardOf(a), a, "cred-a2")
+	if cred, _ := e.VerifiedCredOn(e.ShardOf(a), a); cred != "cred-a2" {
 		t.Fatalf("cred = %q, want cred-a2", cred)
 	}
 
 	// TTL expiry.
 	time.Sleep(60 * time.Millisecond)
-	if _, ok := e.VerifiedCred(a); ok {
+	if _, ok := e.VerifiedCredOn(e.ShardOf(a), a); ok {
 		t.Fatal("hit after TTL expiry")
 	}
 
@@ -312,12 +312,12 @@ func TestVerifiedSourceCache(t *testing.T) {
 	_ = b
 	_ = c
 	for i, addr := range same {
-		e.MarkVerified(addr, fmt.Sprintf("cred-%d", i))
+		e.MarkVerifiedOn(e.ShardOf(addr), addr, fmt.Sprintf("cred-%d", i))
 	}
-	if _, ok := e.VerifiedCred(same[0]); ok {
+	if _, ok := e.VerifiedCredOn(e.ShardOf(same[0]), same[0]); ok {
 		t.Fatal("oldest entry survived a full shard")
 	}
-	if _, ok := e.VerifiedCred(same[2]); !ok {
+	if _, ok := e.VerifiedCredOn(e.ShardOf(same[2]), same[2]); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	if got := e.FastPath().Evictions; got != 1 {
@@ -333,8 +333,8 @@ func TestVerifiedSourceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.MarkVerified(a, "x")
-	if _, ok := off.VerifiedCred(a); ok {
+	off.MarkVerifiedOn(off.ShardOf(a), a, "x")
+	if _, ok := off.VerifiedCredOn(off.ShardOf(a), a); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 }
@@ -421,8 +421,8 @@ func TestMetricsInto(t *testing.T) {
 	e.Start()
 	defer e.Close()
 
-	e.MarkVerified(srcAP(1).Addr(), "c")
-	e.VerifiedCred(srcAP(1).Addr())
+	e.MarkVerifiedOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr(), "c")
+	e.VerifiedCredOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr())
 	io.ch <- Packet{Src: srcAP(1), Payload: []byte{1}}
 	waitCount(t, &rg.count, 1)
 

@@ -134,7 +134,7 @@ func TestSupervisorPrefersResetterOverReplacement(t *testing.T) {
 	e.Start()
 	defer e.Close()
 
-	e.MarkVerified(srcAP(1).Addr(), "warm") // flushed by the restart below
+	e.MarkVerifiedOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr(), "warm") // flushed by the restart below
 	io.ch <- Packet{Src: srcAP(1), Payload: poison}
 	waitSup(t, e, func(s SupervisionStats) bool { return s.ShardRestarts == 1 })
 
@@ -266,8 +266,8 @@ func (f *freezableEnv) freeze() {
 	f.frozen.Store(true)
 }
 
-// TTL expiry deletes cache entries from inside VerifiedCred while other
-// procs concurrently promote the same sources (MarkVerified) and classify
+// TTL expiry deletes cache entries from inside VerifiedCredOn while other
+// procs concurrently promote the same sources (MarkVerifiedOn) and classify
 // admissions (has). Run under -race this pins down the locking contract.
 func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
@@ -296,9 +296,9 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 				a := addrs[(g+i)%len(addrs)]
 				switch i % 3 {
 				case 0:
-					e.MarkVerified(a, "cred")
+					e.MarkVerifiedOn(e.ShardOf(a), a, "cred")
 				case 1:
-					e.VerifiedCred(a) // expiry path deletes in place
+					e.VerifiedCredOn(e.ShardOf(a), a) // expiry path deletes in place
 				default:
 					e.shards[e.ShardOf(a)].verified.has(a, e.cfg.Env.Now())
 				}
@@ -310,8 +310,8 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	// The clock is stopped so the 50 µs TTL cannot lapse between the two
 	// calls when the scheduler preempts this goroutine.
 	env.freeze()
-	e.MarkVerified(addrs[0], "final")
-	if cred, ok := e.VerifiedCred(addrs[0]); !ok || cred != "final" {
+	e.MarkVerifiedOn(e.ShardOf(addrs[0]), addrs[0], "final")
+	if cred, ok := e.VerifiedCredOn(e.ShardOf(addrs[0]), addrs[0]); !ok || cred != "final" {
 		t.Fatalf("VerifiedCred = (%q, %v) after race storm", cred, ok)
 	}
 }

@@ -82,14 +82,6 @@ func markVerified[T string | []byte](e *Engine, shard int, src netip.Addr, cred 
 	}
 }
 
-// MarkVerified is MarkVerifiedOn with hash-mode shard selection: the cache
-// slice is the one src hashes to. Correct whenever the engine routes by
-// source hash (inline, queued, netsim); affine handlers must use
-// MarkVerifiedOn with their own shard id instead.
-func (e *Engine) MarkVerified(src netip.Addr, cred string) {
-	e.MarkVerifiedOn(e.ShardOf(src), src, cred)
-}
-
 // live returns src's entry unless it has expired, in which case it deletes
 // it, which also takes it out of the eviction order. The clock is read only
 // for a source that has an entry: a spoofed source, which never has, costs
@@ -156,12 +148,6 @@ func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool
 		v.mu.Unlock()
 	}
 	return cred, ok
-}
-
-// VerifiedCred is VerifiedCredOn with hash-mode shard selection (see
-// MarkVerified for when that is correct).
-func (e *Engine) VerifiedCred(src netip.Addr) (string, bool) {
-	return e.VerifiedCredOn(e.ShardOf(src), src)
 }
 
 // has is the queue-admission classification: does src currently hold a live

@@ -209,6 +209,10 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	var key [cookie.KeySize]byte
 	key[0] = byte(cfg.Seed)
+	auth, err := cookie.Open(cookie.Options{Key: &key})
+	if err != nil {
+		return nil, err
+	}
 	gcfg := guard.RemoteConfig{
 		Env:                 gh,
 		IO:                  guard.TapIO{Tap: tap},
@@ -217,7 +221,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		Zone:                dnswire.MustName("foo.com"),
 		Subnet:              guardSubnet,
 		Fallback:            cfg.Scheme,
-		Auth:                cookie.NewAuthenticatorWithKey(key),
+		Auth:                auth,
 		TCPClients:          cfg.TCPClientPrefixes,
 		ActivationThreshold: cfg.Threshold,
 		// The throughput experiments drive one LRS host at full speed;

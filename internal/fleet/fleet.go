@@ -141,15 +141,13 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.Zone = dnswire.MustName("foo.com")
 	}
 
-	var controller *cookie.Authenticator
-	if cfg.Key == ([cookie.KeySize]byte{}) {
-		a, err := cookie.NewAuthenticator()
-		if err != nil {
-			return nil, err
-		}
-		controller = a
-	} else {
-		controller = cookie.NewAuthenticatorWithKey(cfg.Key)
+	var key *[cookie.KeySize]byte // nil: random
+	if cfg.Key != ([cookie.KeySize]byte{}) {
+		key = &cfg.Key
+	}
+	controller, err := cookie.Open(cookie.Options{Key: key})
+	if err != nil {
+		return nil, err
 	}
 
 	f := &Fleet{
@@ -172,6 +170,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f.tap = tap
 
+	ring := controller.State()
 	for i := 0; i < cfg.Sites; i++ {
 		// Site addresses sit in 10.64/16, outside the population's claimed
 		// 10.128.0.0/9 pool: each guard's upstream socket binds the site
@@ -182,11 +181,13 @@ func New(cfg Config) (*Fleet, error) {
 		// Every guard holds an independent handle on the shared ring; with a
 		// StateDir that handle is persisted, so a site restart reopens the
 		// same ring instead of orphaning the population's cookies.
-		auth := cookie.RestoreAuthenticator(controller.State())
+		opts := cookie.Options{State: &ring}
 		if cfg.StateDir != "" {
-			if err := auth.BindStateFile(f.statePath(i)); err != nil {
-				return nil, fmt.Errorf("fleet: site %d keyring: %w", i, err)
-			}
+			opts.StateFile = f.statePath(i)
+		}
+		auth, err := cookie.Open(opts)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: site %d keyring: %w", i, err)
 		}
 		site := &Site{Host: host, auth: auth}
 		f.sites = append(f.sites, site)

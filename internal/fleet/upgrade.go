@@ -8,7 +8,7 @@ package fleet
 // pre-restart cookies keep verifying, and the front restores the site's
 // weight only after the readiness gate passes: lifecycle serving/warming,
 // keyring epoch caught up to the fleet's, ingress backlog settled. This is
-// the fleet-side composition of guard.Drain/Ready and cookie.OpenKeyring.
+// the fleet-side composition of guard.Drain/Ready and cookie.Open.
 
 import (
 	"context"
@@ -61,7 +61,7 @@ func (f *Fleet) upgradeSite(site int, downtime time.Duration) {
 	// 4. The replacement reopens the persisted keyring — cookies minted
 	// before the upgrade verify unchanged, including a ring the old instance
 	// adopted over gossip seconds before dying.
-	auth, err := cookie.OpenKeyring(f.statePath(site))
+	auth, err := cookie.Open(cookie.Options{StateFile: f.statePath(site)})
 	if err != nil {
 		f.fail(fmt.Errorf("fleet: site %d reopening keyring: %w", site, err))
 		return

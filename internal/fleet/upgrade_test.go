@@ -1,11 +1,17 @@
 package fleet
 
 import (
+	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dnsguard/internal/cookie"
+	"dnsguard/internal/netsim"
+	"dnsguard/internal/vclock"
 )
 
 // The full-scale rolling-upgrade lab is shared across tests, like the
@@ -170,5 +176,46 @@ func TestFleetUpgradeRequiresStateDir(t *testing.T) {
 	}
 	if _, err := RunLab(LabConfig{Pack: pack, Seed: 3}); err == nil {
 		t.Fatal("upgrade without Persist succeeded; want a StateDir error")
+	}
+}
+
+// TestFleetUpgradeRefusesUnknownScheme: a site whose persisted ring names a
+// cookie MAC this build does not know is not rebuilt on it — the restart is
+// an orchestration error and the site stays out of the catchment, where a
+// guessed scheme would have brought back a guard that verifies nothing.
+func TestFleetUpgradeRefusesUnknownScheme(t *testing.T) {
+	sched := vclock.New(5)
+	net := netsim.New(sched, 200*time.Microsecond)
+	f, err := New(Config{
+		Net:        net,
+		Sites:      2,
+		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
+		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
+		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
+		StateDir:   t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ring := "dnsguard-keyring v1\nepoch 0\nkey-even " + strings.Repeat("ab", cookie.KeySize) +
+		"\nkey-odd " + strings.Repeat("cd", cookie.KeySize) + "\nmac nope\n"
+	for _, p := range []string{f.statePath(0), f.statePath(0) + ".bak"} {
+		if err := os.WriteFile(p, []byte(ring), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := f.Site(0).Guard
+	f.Schedule([]Event{{At: 10 * time.Millisecond, Kind: EventUpgrade, Site: 0}})
+	sched.Run(time.Second)
+	if err := f.Err(); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("fleet error = %v, want the unknown scheme named", err)
+	}
+	if f.Upgrades() != 0 || f.Site(0).Guard != old || !f.down[0] {
+		t.Errorf("site 0 came back on an unreadable ring: upgrades=%d rebuilt=%v down=%v",
+			f.Upgrades(), f.Site(0).Guard != old, f.down[0])
 	}
 }

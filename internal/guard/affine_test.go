@@ -47,9 +47,9 @@ func (c *chanIO) Close() error {
 // verified-cache wiring: under affine ingest a source's owning shard is the
 // delivering socket's, which can disagree with the engine's source hash.
 // The handler must promote into and consult its own shard's cache partition
-// (MarkVerifiedOn/VerifiedCredOn with the handler's id) — the source-hashing
-// MarkVerified would store the credential in a partition the owning worker
-// never reads, silently disabling the fast path in exactly the deployment
+// (MarkVerifiedOn/VerifiedCredOn with the handler's id) — promoting by source
+// hash would store the credential in a partition the owning worker never
+// reads, silently disabling the fast path in exactly the deployment
 // (per-shard SO_REUSEPORT sockets) the sharded dataplane exists for.
 func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	env := realnet.New()

@@ -94,7 +94,7 @@ func TestGuardRestartRecovery(t *testing.T) {
 			Zone:       dnswire.MustName("foo.com"),
 			Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
 			Fallback:   SchemeDNS,
-			Auth:       cookie.NewAuthenticatorWithKey(key),
+			Auth:       mustOpen(cookie.Options{Key: &key}),
 		})
 		if err != nil {
 			t.Errorf("NewRemote: %v", err)
@@ -238,7 +238,7 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 	minted := map[uint64][2][]byte{}
 	record := func() {
 		st := auth.State()
-		c := cookie.RestoreAuthenticator(st).Mint(shapeClient.Addr())
+		c := mustOpen(cookie.Options{State: &st}).Mint(shapeClient.Addr())
 		fab, err := FabricateNSName(g.nsc, c, dnswire.MustName("www.foo.com"))
 		if err != nil {
 			t.Error(err)
@@ -259,7 +259,8 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 				t.Error(err)
 			}
 		} else {
-			ctl := cookie.RestoreAuthenticator(auth.State())
+			st := auth.State()
+			ctl := mustOpen(cookie.Options{State: &st})
 			if err := ctl.Rotate(); err != nil || !g.AdoptKeys(ctl.State()) {
 				t.Errorf("adopting epoch %d: %v", ctl.Epoch(), err)
 			}

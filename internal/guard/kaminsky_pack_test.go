@@ -80,6 +80,10 @@ func TestGuardRejectsSpoofedUpstreamAnswers(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i)
 	}
+	auth, err := cookie.Open(cookie.Options{Key: &key})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:        guardHost,
 		IO:         guard.TapIO{Tap: tap},
@@ -87,7 +91,7 @@ func TestGuardRejectsSpoofedUpstreamAnswers(t *testing.T) {
 		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
 		Zone:       dnswire.Root,
 		Fallback:   guard.SchemeDNS,
-		Auth:       cookie.NewAuthenticatorWithKey(key),
+		Auth:       auth,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -920,8 +920,7 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 //
 // The lookup is shard-explicit: this handler owns shard s.id, and under
 // affine ingest the owning shard is the delivering socket's, not the source
-// hash's, so the source-hashing VerifiedCred would consult (and promote
-// into) a cache partition a different worker owns.
+// hash's, whose cache partition a different worker owns.
 func (s *remoteShard) verified(src netip.Addr, cred []byte) bool {
 	if !s.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
 		return false

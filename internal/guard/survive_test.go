@@ -52,7 +52,7 @@ func fabricatedQuery(t *testing.T, id uint16, c cookie.Cookie, child dnswire.Nam
 
 func TestRestartWithKeyEpochsPreservesCookies(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
-	auth, err := cookie.OpenKeyring(path)
+	auth, err := cookie.Open(cookie.Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRestartWithKeyEpochsPreservesCookies(t *testing.T) {
 	// Restart with the state file: the restored ring must re-verify the
 	// whole population (the acceptance bar is ≥99%; epochs make it exact)
 	// with zero new cookie exchanges.
-	restored, err := cookie.OpenKeyring(path)
+	restored, err := cookie.Open(cookie.Options{StateFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRestartWithKeyEpochsPreservesCookies(t *testing.T) {
 
 	// Regression (epochs disabled / no state file): a restart onto a fresh
 	// random key silently invalidates the entire cached population.
-	fresh, err := cookie.NewAuthenticator()
+	fresh, err := cookie.Open(cookie.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,22 @@ import (
 	"dnsguard/internal/dnswire"
 )
 
+// mustOpen is cookie.Open for options with no failure path in a test: a
+// fixed key, a captured state.
+func mustOpen(opts cookie.Options) *cookie.Authenticator {
+	a, err := cookie.Open(opts)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func testAuth() *cookie.Authenticator {
 	var key [cookie.KeySize]byte
 	for i := range key {
 		key[i] = byte(i)
 	}
-	return cookie.NewAuthenticatorWithKey(key)
+	return mustOpen(cookie.Options{Key: &key})
 }
 
 func TestAttachFindStripCookie(t *testing.T) {

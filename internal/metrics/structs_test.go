@@ -7,7 +7,7 @@ import (
 
 // Every existing stats field name must keep producing the exact series
 // suffix the hand-written MetricsInto maps used, or scrape consumers
-// (metrics-smoke, benchtab annotations) silently lose series.
+// (TestMetricsSmoke, benchtab annotations) silently lose series.
 func TestSnakeCase(t *testing.T) {
 	cases := map[string]string{
 		// guard.RemoteStats

@@ -124,7 +124,11 @@ func newAuth() *cookie.Authenticator {
 	for i := range key {
 		key[i] = byte(i)
 	}
-	return cookie.NewAuthenticatorWithKey(key)
+	a, err := cookie.Open(cookie.Options{Key: &key})
+	if err != nil {
+		panic(err) // a caller-supplied key has no failure path
+	}
+	return a
 }
 
 func (f *fixture) run(t *testing.T, fn func()) {

@@ -99,6 +99,10 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	}
 	var key [cookie.KeySize]byte
 	key[0] = 0x6D
+	auth, err := cookie.Open(cookie.Options{Key: &key})
+	if err != nil {
+		return res, err
+	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:           guardHost,
 		IO:            guard.TapIO{Tap: tap},
@@ -109,7 +113,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 		Zone:          dnswire.MustName("foo.com"),
 		Subnet:        netip.MustParsePrefix("192.0.2.0/24"),
 		Fallback:      guard.SchemeDNS,
-		Auth:          cookie.NewAuthenticatorWithKey(key),
+		Auth:          auth,
 		// The threshold rung defers to this; lab attack rates sit well
 		// above it, the fleet's ~150 req/s well below.
 		ActivationThreshold: 800,

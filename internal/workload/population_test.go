@@ -26,7 +26,7 @@ func newTestPopulation(t *testing.T, seed int64) (*vclock.Scheduler, *netsim.Net
 		Sources: 50_000,
 		Rate:    4000,
 		Target:  netip.MustParseAddrPort("192.0.2.1:53"),
-		Auth:    cookie.NewAuthenticatorWithKey(key),
+		Auth:    mustOpen(cookie.Options{Key: &key}),
 		Seed:    uint64(seed) * 0x9E3779B97F4A7C15,
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestPopulationConfigValidation(t *testing.T) {
 	sched := vclock.New(1)
 	net := netsim.New(sched, time.Millisecond)
 	host := net.AddHost("p", netip.MustParseAddr("10.128.0.1"))
-	auth := cookie.NewAuthenticatorWithKey([cookie.KeySize]byte{1})
+	auth := mustOpen(cookie.Options{Key: &[cookie.KeySize]byte{1}})
 	base := PopulationConfig{
 		Host: host, Sources: 10, Rate: 100,
 		Target: netip.MustParseAddrPort("192.0.2.1:53"), Auth: auth,

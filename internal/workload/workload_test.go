@@ -15,6 +15,16 @@ import (
 func mustAddr(s string) netip.Addr   { return netip.MustParseAddr(s) }
 func mustAP(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
+// mustOpen is cookie.Open for options with no failure path in a test: a
+// fixed key, a captured state.
+func mustOpen(opts cookie.Options) *cookie.Authenticator {
+	a, err := cookie.Open(opts)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 type world struct {
 	sched *vclock.Scheduler
 	net   *netsim.Network
@@ -117,7 +127,7 @@ func guardedWorld(t *testing.T, fallback guard.Scheme, mode ANSSimMode) (*world,
 		Zone:       dnswire.MustName("foo.com"),
 		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
 		Fallback:   fallback,
-		Auth:       cookie.NewAuthenticatorWithKey(key),
+		Auth:       mustOpen(cookie.Options{Key: &key}),
 	})
 	if err != nil {
 		t.Fatal(err)
