@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzNameRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzViewAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzWalkAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzRepackAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guard -run='^$$' -fuzz='^FuzzSpliceAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srctab -run='^$$' -fuzz='^FuzzSrcTable$$' -fuzztime=$(FUZZTIME)
 

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// addWireSeeds feeds every wire capture under testdata/ to the fuzzer so
-// mutation starts from realistic message shapes (queries, CNAME chains,
-// referrals with glue, TXT cookies, negative responses) rather than random
-// bytes. Regenerate the captures with `go run internal/dnswire/testdata/gen.go`.
-func addWireSeeds(f *F) {
+// addWireSeeds feeds every wire capture under testdata/ to add — a fuzzer's
+// f.Add — so mutation starts from realistic message shapes (queries, CNAME
+// chains, referrals with glue, TXT cookies, negative responses) rather than
+// random bytes. Regenerate the captures with `go run internal/dnswire/testdata/gen.go`.
+func addWireSeeds(f testing.TB, add func([]byte)) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.bin"))
 	if err != nil {
 		f.Fatal(err)
@@ -26,7 +26,7 @@ func addWireSeeds(f *F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		add(b)
 	}
 	// Every datagram the guard's shape table feeds its pipeline, in hex, one
 	// per line (internal/guard's TestPipelineShapes keeps the file current).
@@ -39,13 +39,9 @@ func addWireSeeds(f *F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		add(b)
 	}
 }
-
-// F is the subset of *testing.F the seed loader needs; it keeps addWireSeeds
-// usable from both fuzz targets without repeating the glob boilerplate.
-type F = testing.F
 
 // decodeErrClassifiable reports whether err belongs to the documented decode
 // error family. Unpack promises hostile input is rejected with an error that
@@ -63,7 +59,7 @@ func decodeErrClassifiable(err error) bool {
 // any message that decodes successfully survives a Pack/Unpack round trip
 // with its header and section structure intact.
 func FuzzDecode(f *testing.F) {
-	addWireSeeds(f)
+	addWireSeeds(f, func(b []byte) { f.Add(b) })
 	// A few adversarial shapes the captures don't cover: empty input, bare
 	// header, self-pointing compression, pointer chain, reserved label type.
 	f.Add([]byte{})

@@ -53,7 +53,7 @@ func ParseView(b []byte) (View, bool) {
 	if int(b[4])<<8|int(b[5]) == 0 { // QDCOUNT
 		return View{}, false
 	}
-	off, ok := skipName(b, headerLen, false)
+	off, _, ok := skipName(b, headerLen, false)
 	if !ok {
 		return View{}, false
 	}
@@ -141,12 +141,13 @@ func UnpackQuestion(b []byte) (Question, int, error) {
 // skipName checks the name at off by the decoder's rules — labels in bounds,
 // the 255-octet limit, with compressed set pointers that go strictly backward
 // — and the View's: every label plain ASCII without a '.' byte. It returns
-// the offset past the name where it lies (past its first pointer, if any).
-func skipName(b []byte, off int, compressed bool) (next int, ok bool) {
-	next, total, minPtr := -1, 0, off
+// the offset past the name where it lies (past its first pointer, if any) and
+// the name's length on the wire written out in full, terminator included.
+func skipName(b []byte, off int, compressed bool) (next, wire int, ok bool) {
+	next, wire, minPtr := -1, 1, off
 	for {
 		if off >= len(b) {
-			return 0, false
+			return 0, 0, false
 		}
 		c := int(b[off])
 		switch {
@@ -154,14 +155,14 @@ func skipName(b []byte, off int, compressed bool) (next int, ok bool) {
 			if next < 0 {
 				next = off + 1
 			}
-			return next, true
+			return next, wire, true
 		case c < 64:
-			if total += c + 1; off+1+c > len(b) || total+1 > MaxNameWireLen {
-				return 0, false
+			if wire += c + 1; off+1+c > len(b) || wire > MaxNameWireLen {
+				return 0, 0, false
 			}
 			for _, x := range b[off+1 : off+1+c] {
 				if x >= 0x80 || x == '.' {
-					return 0, false
+					return 0, 0, false
 				}
 			}
 			off += 1 + c
@@ -171,11 +172,11 @@ func skipName(b []byte, off int, compressed bool) (next int, ok bool) {
 				next = off + 2
 			}
 			if ptr >= minPtr {
-				return 0, false // forward, or a loop
+				return 0, 0, false // forward, or a loop
 			}
 			minPtr, off = ptr, ptr
 		default:
-			return 0, false // reserved label type, or a pointer where none may be
+			return 0, 0, false // reserved label type, or a pointer where none may be
 		}
 	}
 }
@@ -215,7 +216,7 @@ func (v View) Records(visit func(Record)) bool {
 	}
 	for sec, n := range [...]uint16{v.ANCount(), v.NSCount(), v.ARCount()} {
 		for ; n > 0; n-- {
-			hdr, ok := skipName(b, off, true)
+			hdr, _, ok := skipName(b, off, true)
 			if !ok || hdr+10 > len(b) {
 				return false
 			}
@@ -237,35 +238,164 @@ func (v View) Records(visit func(Record)) bool {
 	return off == len(b)
 }
 
+// rdataNames is where the codec reads names in rdata of type t: after lead
+// octets, names of them, and fixed octets behind. No names: none anywhere.
+func rdataNames(t Type) (lead, names, fixed int) {
+	switch t {
+	case TypeNS, TypeCNAME, TypePTR:
+		return 0, 1, 0
+	case TypeMX:
+		return 2, 1, 0
+	case TypeSOA:
+		return 0, 2, 20
+	}
+	return 0, 0, 0
+}
+
 // rdataShaped reports whether b[data:end] is rdata of the shape the decoder
 // demands of type t: A 4 octets, AAAA 16, the names and fields of NS, CNAME,
 // PTR, MX and SOA ending exactly at end, TXT strings tiling it, others opaque.
 func rdataShaped(b []byte, t Type, data, end int) bool {
-	names, fixed := 0, 0
 	switch t {
 	case TypeA:
 		return end-data == 4
 	case TypeAAAA:
 		return end-data == 16
-	case TypeNS, TypeCNAME, TypePTR:
-		names = 1
-	case TypeMX:
-		data, names = data+2, 1
-	case TypeSOA:
-		names, fixed = 2, 20
 	case TypeTXT:
 		for data < end {
 			data += 1 + int(b[data])
 		}
 		return data == end
-	default:
+	}
+	lead, names, fixed := rdataNames(t)
+	if names == 0 {
 		return true
 	}
-	for ; names > 0; names-- {
+	for data += lead; names > 0; names-- {
 		var ok bool
-		if data, ok = skipName(b, data, true); !ok {
+		if data, _, ok = skipName(b, data, true); !ok {
 			return false
 		}
 	}
 	return data+fixed == end
+}
+
+const (
+	repackNames = 128                                                // the label starts one Repack remembers
+	v4mapped    = "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff" // opens an IPv4-mapped address, which AAAAData refuses to pack
+)
+
+// repacker is Repack's encoder. For builder's map of names to offsets it lists
+// the label starts it wrote: where, and the name's length in full from there on,
+// which keeps a lookup off the name being written, one without an end yet.
+type repacker struct {
+	src, dst  []byte
+	base, max int // the message's first octet in dst, and where it must end by
+	n         int
+	at        [repackNames]uint16
+	wire      [repackNames]uint8
+	ok        bool
+}
+
+// Repack appends to dst what Unpack → Pack write for the message under v: the
+// Z bits clear; every name — the question's, a record's owner, those in NS,
+// CNAME, PTR, MX and SOA rdata — in lower case and compressed by builder.name's
+// rule; other rdata as it lies; RDLENGTH to match. It builds no Message and,
+// given room for limit octets in dst, allocates nothing. It reports false,
+// "unpack it", dst void, when the walk refuses the message, an AAAA is
+// IPv4-mapped (Pack's error), over repackNames labels are written out, or the
+// result is over limit octets: truncation stays PackUDP's. It writes no octet
+// past the limit, which bounds its work on hostile input: a name costs two
+// octets of output or more, two walks of its 255 at most, and per label a scan
+// of the table's lengths and a compare with the entries of its own, names that
+// fit in the output together ("table scan": 20 µs, 230 comparing every entry).
+func (v View) Repack(dst []byte, limit int) ([]byte, bool) {
+	b := v.buf
+	p := repacker{src: b, dst: dst, base: len(dst), max: len(dst) + limit, ok: true}
+	p.put([]byte{b[0], b[1], b[2], b[3] &^ 0x70})
+	p.put(b[4:headerLen])
+	p.name(headerLen)
+	p.put(b[v.end-4 : v.end])
+	walked := v.Records(func(r Record) {
+		data := r.End - len(r.RData)
+		p.name(r.Off)
+		p.put(b[data-10 : data])
+		rdata := len(p.dst)
+		lead, names, _ := rdataNames(r.Type)
+		p.put(b[data : data+lead])
+		for data += lead; names > 0; names-- {
+			data = p.name(data)
+		}
+		p.put(b[data:r.End])
+		p.ok = p.ok && !(r.Type == TypeAAAA && string(r.RData[:12]) == v4mapped)
+		if n := len(p.dst) - rdata; p.ok {
+			p.dst[rdata-2], p.dst[rdata-1] = byte(n>>8), byte(n)
+		}
+	})
+	return p.dst, walked && p.ok
+}
+
+// put appends x, if the encoding is still good and x fits.
+func (p *repacker) put(x []byte) {
+	if p.ok = p.ok && len(p.dst)+len(x) <= p.max; p.ok {
+		p.dst = append(p.dst, x...)
+	}
+}
+
+// name appends the name at src[off:], one the walk vouched for, as builder.name
+// does — label by label, each registered as it is written, until what is left
+// is the root or a name written before, which a pointer stands for — and
+// returns the offset past the name where it lies.
+func (p *repacker) name(off int) (next int) {
+	next, wire, _ := skipName(p.src, off, true)
+	for p.ok {
+		c := int(p.src[off])
+		if c >= 0xC0 {
+			off = (c&0x3F)<<8 | int(p.src[off+1])
+			continue
+		}
+		for i := 0; i < p.n && c != 0; i++ {
+			if int(p.wire[i]) == wire && p.same(off, p.base+int(p.at[i])) {
+				p.put([]byte{0xC0 | byte(p.at[i]>>8), byte(p.at[i])})
+				return next
+			}
+		}
+		at := len(p.dst) - p.base // a label's needs room in the table, and a pointer's reach
+		p.ok = c == 0 || p.n < repackNames && at <= 0x3FFF
+		if p.put(p.src[off : off+1+c]); c == 0 || !p.ok {
+			break
+		}
+		p.at[p.n], p.wire[p.n], p.n = uint16(at), uint8(wire), p.n+1
+		for i := len(p.dst) - c; i < len(p.dst); i++ {
+			if x := p.dst[i]; x >= 'A' && x <= 'Z' {
+				p.dst[i] = x + ('a' - 'A')
+			}
+		}
+		off, wire = off+1+c, wire-1-c
+	}
+	return next
+}
+
+// same reports whether the name at src[i:], in lower case, is the one written
+// at dst[j:]. They are of one length on the wire.
+func (p *repacker) same(i, j int) bool {
+	for {
+		a, b := int(p.src[i]), int(p.dst[j])
+		switch {
+		case a >= 0xC0:
+			i = (a&0x3F)<<8 | int(p.src[i+1])
+		case b >= 0xC0:
+			j = p.base + ((b&0x3F)<<8 | int(p.dst[j+1]))
+		case a != b:
+			return false
+		case a == 0:
+			return true
+		default:
+			for i, j, a = i+1, j+1, a-1; a >= 0; i, j, a = i+1, j+1, a-1 {
+				if x := p.src[i]; x != p.dst[j] && (x < 'A' || x > 'Z' || x+('a'-'A') != p.dst[j]) {
+					return false
+				}
+			}
+		}
+	}
 }

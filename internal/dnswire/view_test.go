@@ -338,6 +338,6 @@ func TestRecordWalk(t *testing.T) {
 // FuzzWalkAgreement holds the record walk to its contract on arbitrary
 // bytes: whatever it vouches for, Unpack accepts and reads the same.
 func FuzzWalkAgreement(f *testing.F) {
-	addWireSeeds(f)
+	addWireSeeds(f, func(b []byte) { f.Add(b) })
 	f.Fuzz(func(t *testing.T, b []byte) { checkWalkAgreement(t, b) })
 }

@@ -141,26 +141,34 @@ func appendReferral(dst, fwd []byte) []byte {
 // recordQueryAllocs pins at zero allocations what the guard does with a query
 // that carries records, judged from the record walk: a forged TXT cookie
 // dropped, a valid one verified — by MAC and by the cache — and forwarded by
-// splice, bare and between OPTs, message 2 answered with message 3, and an
-// EDNS0 resolver's cookie-name query and first contact. send delivers a query
-// from src; replied is called wherever a reply has just left for it.
+// splice, bare and between OPTs, its answer — empty, or a referral relayed
+// whole — sent on, message 2 answered with message 3, and an EDNS0 resolver's
+// cookie-name query and first contact. send delivers a query from src; replied
+// is called wherever a reply has just left for it.
 func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.AddrPort, send func(wire []byte), replied func()) {
 	t.Helper()
 	plain := mustPack(t, dnswire.NewQuery(0x46, dnswire.MustName("www.foo.com"), dnswire.TypeA))
 	named := h.nsQueryWire(t, src.Addr(), "www.foo.com", 0x47)
 	own, other := txtRR(h.g.cfg.Auth.Mint(src.Addr())), txtRR(h.g.cfg.Auth.Mint(mustAddr("10.66.0.1")))
 	// Every query is built before anything is counted. The ANS answers a
-	// forward's question and leaves its OPTs out: an empty NXDOMAIN.
+	// forward's question and leaves its OPTs out: an empty NXDOMAIN, or for a
+	// verified request relayed as it is (pendDirect) a referral.
 	resp := make([]byte, 0, dnswire.MaxUDPSize)
-	cycle := func(wire []byte) func() {
+	answeredWith := func(answer func(dst, fwd []byte) []byte, wire []byte) func() {
 		return func() {
 			send(wire)
 			fwd := h.up.buf[:h.up.n]
-			resp = appendNXDomain(resp, fwd[:12+len(firstQuestion(fwd))])
-			resp[10], resp[11] = 0, 0
+			resp = answer(resp, fwd[:12+len(firstQuestion(fwd))])
 			h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
 			replied()
 		}
+	}
+	cycle := func(wire []byte) func() {
+		return answeredWith(func(dst, fwd []byte) []byte {
+			dst = appendNXDomain(dst, fwd)
+			dst[10], dst[11] = 0, 0 // the forward's OPTs are not echoed
+			return dst
+		}, wire)
 	}
 	answered := func(wire []byte) func() {
 		return func() {
@@ -184,6 +192,10 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 				return d.CookieValid == 201 && d.FastPathHits >= 200 && d.RepliesToClient == 201
 			}},
 		{"a valid TXT cookie between OPTs", cycle(withRecords(plain, 0, 0, 3, optRR, own, optOptions)),
+			func(d RemoteStats) bool {
+				return d.CookieValid == 201 && d.FastPathHits == 201 && d.RepliesToClient == 201
+			}},
+		{"a valid TXT cookie answered with a referral", answeredWith(appendReferral, withRecords(plain, 0, 0, 1, own)),
 			func(d RemoteStats) bool {
 				return d.CookieValid == 201 && d.FastPathHits == 201 && d.RepliesToClient == 201
 			}},
@@ -221,10 +233,10 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 // query in, rewritten forward out, response in, fabricated reply out — for an
 // empty response and for a referral with glue, the same cycle for a source
 // the cache has never seen (MAC, cache insert), the newcomer grant, the
-// queries with records of recordQueryAllocs, and the inactive passthrough
-// relay. The last cases replace the stub capture interface with a real
-// SocketIO on a loopback socket, so the count includes the ingest read and
-// the reply write a deployed guard makes.
+// queries with records of recordQueryAllocs, and the inactive guard's relay of
+// a query and the referral that answers it. The last cases replace the stub
+// capture interface with a real SocketIO on a loopback socket, so the count
+// includes the ingest read and the reply write a deployed guard makes.
 func TestFastPathWireAllocs(t *testing.T) {
 	// The harness clock stands still: bursts that cover every run.
 	roomy := func(cfg *RemoteConfig) {
@@ -304,15 +316,18 @@ func TestFastPathWireAllocs(t *testing.T) {
 		cfg.ActivationThreshold = 1e12
 	})
 	ppkt := Packet{Src: src, Dst: hp.g.cfg.PublicAddr, Payload: plain}
+	relayed := len(appendReferral(nil, plain))
 	pcycle := func() {
 		hp.handle(ppkt)
-		resp = append(resp[:0], hp.up.buf[:hp.up.n]...)
-		resp[2] |= 0x80
+		resp = appendReferral(resp, hp.up.buf[:hp.up.n])
 		hp.s.handleUpstream(resp, hp.g.cfg.ANSAddr)
 	}
 	pcycle()
 	if n := testing.AllocsPerRun(200, pcycle); n != 0 {
-		t.Errorf("passthrough relay cycle allocates %.1f/op, want 0", n)
+		t.Errorf("passthrough relay cycle answered a referral allocates %.1f/op, want 0", n)
+	}
+	if st := hp.g.Stats.Load(); hp.io.n != relayed || st.RepliesToClient != 202 {
+		t.Errorf("the relayed referral is %d bytes, want %d: %+v", hp.io.n, relayed, st)
 	}
 
 	env := realnet.New()
@@ -365,6 +380,33 @@ func TestFastPathWireAllocs(t *testing.T) {
 			t.Errorf("%d of 201 socket cycles hit the verified cache", got)
 		}
 	}
+	// The inactive guard on the same sockets: query in, re-encoded forward
+	// out, referral in, re-encoded reply out.
+	hps := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.ActivationThreshold = 1e12
+		cfg.IO = sio
+		cfg.PublicAddr = guardSock.LocalAddr()
+	})
+	spcycle := func() {
+		if err := client.WriteTo(plain, guardSock.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sio.ReadBatch(slab, time.Second); n != 1 || err != nil {
+			t.Fatalf("SocketIO.ReadBatch = (%d, %v)", n, err)
+		}
+		hps.handle(slab[0])
+		resp = appendReferral(resp, hps.up.buf[:hps.up.n])
+		hps.s.handleUpstream(resp, hps.g.cfg.ANSAddr)
+		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil || len(replies[0].Payload()) != relayed {
+			t.Fatalf("no relayed referral of %d bytes on the client socket: (%d, %v)", relayed, n, err)
+		}
+	}
+	spcycle()
+	if n := testing.AllocsPerRun(200, spcycle); n != 0 {
+		t.Errorf("passthrough relay cycle answered a referral through SocketIO on loopback allocates %.1f/op, want 0", n)
+	}
+	clean("SocketIO, inactive", hps)
+
 	recordQueryAllocs(t, "SocketIO on loopback", hs, client.LocalAddr(), func(wire []byte) {
 		if err := client.WriteTo(wire, guardSock.LocalAddr()); err != nil {
 			t.Fatal(err)

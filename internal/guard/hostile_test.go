@@ -64,6 +64,41 @@ func TestGuardSurvivesHostilePackets(t *testing.T) {
 	}
 }
 
+// TestUpstreamQueryDroppedUnparsed: a datagram from the upstream address with
+// QR clear is no response, whatever else it is — the pending question under
+// the pending ID, a referral's worth of records, a name only Unpack reads,
+// three bytes — and is dropped on the header bit alone: no counter moves, the
+// entry stays for the answer, and nothing is allocated, which unpacking the
+// last of them would.
+func TestUpstreamQueryDroppedUnparsed(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 })
+	query := mustPack(t, dnswire.NewQuery(0xBEEF, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	h.handle(Packet{Src: mustAP("10.0.0.53:5555"), Dst: h.g.cfg.PublicAddr, Payload: query})
+	fwd := append([]byte(nil), h.up.buf[:h.up.n]...)
+	referral := appendReferral(nil, fwd)
+	referral[2] &^= 0x80
+	latin := append([]byte(nil), referral...)
+	latin[13] = 0xE9
+	before := h.g.Stats.Load()
+	for name, wire := range map[string][]byte{
+		"the forward itself":       fwd,
+		"a referral with qr clear": referral,
+		"a name only unpack reads": latin,
+		"three bytes":              fwd[:3],
+	} {
+		if n := testing.AllocsPerRun(10, func() { h.s.handleUpstream(wire, h.g.cfg.ANSAddr) }); n != 0 {
+			t.Errorf("%s: dropping it allocates %.1f times, want 0", name, n)
+		}
+		if st := h.g.Stats.Load(); st != before || h.io.wrote != 0 || h.g.PendingEntries() != 1 {
+			t.Errorf("%s: acted on: stats %+v, %d replies, %d pending", name, st, h.io.wrote, h.g.PendingEntries())
+		}
+	}
+	h.s.handleUpstream(appendReferral(nil, fwd), h.g.cfg.ANSAddr)
+	if h.io.wrote != 1 || h.g.PendingEntries() != 0 {
+		t.Errorf("the response after them: %d replies, %d pending", h.io.wrote, h.g.PendingEntries())
+	}
+}
+
 // TestGuardRestartRecovery kills the guard (losing all cookie and pending
 // state) and brings up a replacement with a fresh key: clients recover by
 // fetching new cookies, exactly the incremental-deployment property §V

@@ -6,8 +6,10 @@ package guard
 // becomes a reply. An entry holds questions the way the wire does — as spans
 // of bytes it owns — so forwarding and answering a question that needs no
 // records builds no Message and allocates nothing, nor does a referral, whose
-// records dnswire's walk vouches for and message 6 takes only addresses from.
-// A Message is built where records are copied whole or only Unpack can read.
+// records dnswire's walk vouches for and message 6 takes only addresses from,
+// nor a response relayed whole, records and all, which View.Repack re-encodes
+// from wire to wire as Unpack → PackUDP would. A Message is built where message
+// 6 copies records or only Unpack can read.
 
 import (
 	"net/netip"
@@ -93,24 +95,6 @@ func loneQuestion(v dnswire.View, n int) bool {
 // single octet 00. The codec does not interpret an OPT, so Unpack→Pack gives
 // such a record back byte for byte.
 func rootOPT(r dnswire.Record) bool { return r.Owner[0] == 0 && r.Type == dnswire.TypeOPT }
-
-// repackIsNoOp reports whether Unpack→PackUDP would give the n-byte datagram
-// under v back unchanged: one question, its name already in canonical case,
-// no reserved flag bit set, and after it nothing but root-owned OPT records
-// as they lie — an EDNS0 resolver's query — within the 512 bytes PackUDP
-// truncates at.
-func repackIsNoOp(v dnswire.View, n int) bool {
-	if v.RawFlags()&flagsZMask != 0 || n > dnswire.MaxUDPSize {
-		return false
-	}
-	for _, b := range v.QNameWire() {
-		if b >= 'A' && b <= 'Z' {
-			return false
-		}
-	}
-	opts := true
-	return loneQuestion(v, n) || v.Records(func(r dnswire.Record) { opts = opts && rootOPT(r) }) && opts
-}
 
 // questionsWire packs qs as Pack writes a message's question section.
 func questionsWire(qs []dnswire.Question) []byte {
@@ -254,9 +238,8 @@ func (s *remoteShard) upstreamLoop() {
 	// single slot, and a full slab makes ReadBatch exactly one blocking
 	// read per call (the zero-timeout drain never runs), so the per-packet
 	// event sequence of a ReadFrom loop is preserved. handleUpstream only
-	// borrows the payload — slab slots are the loop's to overwrite on the
-	// next read — and may patch it in place (a relayed record-less response
-	// is rewritten where it lies).
+	// borrows the payload: slab slots are the loop's to overwrite on the
+	// next read.
 	bc := netapi.AsBatch(s.upstream)
 	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxDatagram+1)
 	for {
@@ -275,8 +258,10 @@ func (s *remoteShard) upstreamLoop() {
 // the ID of a pending entry, (c) echoes the question the guard forwarded
 // under that ID — ID alone is 16 bits of entropy, trivially sweepable by an
 // off-path attacker who learns the upstream port — and (d) comes from the
-// upstream that entry was sent to. payload is borrowed: it is read, and
-// possibly patched, within the call, never retained.
+// upstream that entry was sent to. payload is borrowed: it is read within the
+// call, never retained. What the checks cost is bounded whatever an upstream
+// sends: one walk of at most 4096 bytes, and for a response relayed whole a
+// re-encode that stops at the 512th byte it writes (see View.Repack).
 func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	g := s.g
 	g.charge(g.cfg.Costs.PacketOp)
@@ -285,8 +270,8 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
 	}
-	if len(payload) > dnswire.MaxDatagram {
-		return // over the UDP ceiling (a full receive slot): not parsed
+	if len(payload) > dnswire.MaxDatagram || len(payload) < 3 || payload[2]&0x80 == 0 {
+		return // over the UDP ceiling (a full receive slot), or not a response: not parsed
 	}
 	// A response the walk vouches for — one viewable question, and records,
 	// if any, of the shapes Unpack demands — is well-formed without a
@@ -320,9 +305,6 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		if !viewable && len(resp.Questions) > 0 {
 			echo = questionsWire(resp.Questions[:1])
 		}
-	}
-	if payload[2]&0x80 == 0 {
-		return // not a response
 	}
 	id := uint16(payload[0])<<8 | uint16(payload[1])
 	s.mu.Lock()
@@ -360,13 +342,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// Half-open probe answered: the noteSuccess above already
 		// closed the breaker. Nothing to relay.
 	case walked && entry.kind == pendChild && s.spliceChild(entry, rcode, v, glue):
-	case walked && loneQuestion(v, len(payload)): // pendPassthrough, pendDirect
-		// What PackUDP would make of the lone question: the client's ID,
-		// no reserved bits, the name in the case it was forwarded in.
-		payload[0], payload[1] = byte(entry.origID>>8), byte(entry.origID)
-		payload[3] &^= flagsZMask
-		copy(payload[12:], entry.fwdWire)
-		g.replyWire(entry.replyFrom, entry.clientSrc, payload)
+	case walked && entry.kind != pendChild && s.relay(entry, v): // pendPassthrough, pendDirect
 	default:
 		if resp == nil { // records to copy: now the datagram is worth a Message
 			if resp, _ = dnswire.Unpack(payload); resp == nil {
@@ -381,6 +357,19 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		}
 	}
 	s.recycleEntry(entry)
+}
+
+// relay is reply for a response the walk vouched for, relayed whole under the
+// client's ID: what Unpack → PackUDP make of it, re-encoded into the head of
+// upBuf. It reports false, nothing sent, where Repack does: over 512 bytes,
+// which PackUDP truncates, or a message only the codec can judge.
+func (s *remoteShard) relay(entry *pendEntry, v dnswire.View) bool {
+	wire, ok := v.Repack(s.upBuf[:0], dnswire.MaxUDPSize)
+	if ok {
+		wire[0], wire[1] = byte(entry.origID>>8), byte(entry.origID)
+		s.g.replyWire(entry.replyFrom, entry.clientSrc, wire)
+	}
+	return ok
 }
 
 // spliceChild is answerChild for a response the walk vouched for, when

@@ -1110,6 +1110,123 @@ func shapeRows() []shapeRow {
 			r.note("pending after it: %d", r.h.g.PendingEntries())
 			r.upstream("at the limit", ans(r), padded(dnswire.MaxDatagram))
 		}},
+
+		// Recorded at 41964ee, the last commit that relayed a response with
+		// records as a Message. The forward for www.foo.com puts the question
+		// at 12 (c00c), foo.com at 16 (c010), com at 20 (c014), the name's end
+		// at 24 (c018) and the first record at 29.
+		{"relay/referral", relayOnly, func(r *shapeRun) {
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC000))
+			r.upstream("as ansd packs it", ans(r), referral(r))
+			r.query("mixed-case query", shapeClient, pub(r), upperName(plain(r, "www.foo.com", 0xC001)))
+			r.upstream("mixed case, nothing compressed", ans(r), upperName(r.rawResponse(dnswire.RCodeNoError, 0, 2, 3,
+				rawRR("\x03WWW\x03foo\x03COM\x00", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\x03FOO\x03com\x00"),
+				rawRR("\x03www\x03foo\x03com\x00", dnswire.TypeNS, 1, 3600, -1, "\x03NS2\x03foo\x03com\x00"),
+				rawRR("\x03Ns1\x03foo\x03com\x00", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07"),
+				rawRR("\x03nS2\x03foo\x03com\x00", dnswire.TypeA, 1, 900, -1, "\xc6\x33\x64\x08"),
+				rawRR("\x03ns2\x03foo\x03CoM\x00", dnswire.TypeAAAA, 1, 900, -1, "\x20\x01\x0d\xb8\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x08"))))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC002))
+			// The first NS owner is spelled out again at 29 (foo.com at 33); its
+			// target, ns1 at 52, points at that second foo.com, and the pointer
+			// itself sits at 56. The second record's owner points at the second
+			// www.foo.com, its target, ns2 at 70, at the pointer at 56.
+			r.upstream("another encoder's compression", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 2, 2,
+				rawRR("\x03www\x03foo\x03com\x00", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x21"),
+				rawRR("\xc0\x1d", dnswire.TypeNS, 1, 3600, -1, "\x03ns2\xc0\x38"),
+				rawRR("\xc0\x34", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07"),
+				rawRR("\xc0\x46", dnswire.TypeA, 1, 900, -1, "\xc6\x33\x64\x08")))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC003))
+			z := referral(r)
+			z[3] |= 0x70
+			r.upstream("z, ad and cd set", ans(r), z)
+		}},
+		{"relay/nxdomain-with-soa", relayOnly, func(r *shapeRun) {
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC010))
+			resp := r.forwarded().Response()
+			resp.Flags.AA, resp.Flags.RCode = true, dnswire.RCodeNXDomain
+			resp.Authority = []dnswire.RR{dnswire.NewRR(dnswire.MustName("foo.com"), 60, &dnswire.SOAData{
+				MName: dnswire.MustName("ns1.foo.com"), RName: dnswire.MustName("host.foo.com"), Serial: 7, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: 60})}
+			r.upstream("as ansd packs it", ans(r), mustPack(r.t, resp))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC011))
+			soa := r.rawResponse(dnswire.RCodeNXDomain, 0, 1, 0, rawRR("\x03FOO\x03com\x00", dnswire.TypeSOA, 1, 60, -1,
+				"\x03ns1\x03foo\x03COM\x00\x04HOST\x03foo\x03com\x00\x00\x00\x00\x07\x00\x00\x0e\x10\x00\x00\x02\x58\x00\x01\x51\x80\x00\x00\x00\x3c"))
+			soa[2] |= 0x04
+			r.upstream("mixed case, nothing compressed", ans(r), soa)
+		}},
+		{"relay/direct-cname-and-address", withSubnet, func(r *shapeRun) {
+			verifiedForward(r, "www.foo.com")
+			r.upstream("answer", ans(r), answer(r))
+			reply, err := dnswire.Unpack(r.h.io.buf[:r.h.io.n])
+			if err != nil || len(reply.Answers) != 1 {
+				r.t.Fatalf("no IP cookie in message 6: %v %v", reply, err)
+			}
+			cookieIP := netip.AddrPortFrom(reply.Answers[0].Data.(*dnswire.AData).Addr, 53)
+			r.query("message 7", shapeClient, cookieIP, plain(r, "ftp.foo.com", 0xC020))
+			resp := r.forwarded().Response()
+			resp.Flags.AA = true
+			web := dnswire.MustName("web.foo.com")
+			resp.Answers = []dnswire.RR{
+				dnswire.NewRR(resp.Questions[0].Name, 300, &dnswire.CNAMEData{Target: web}),
+				dnswire.NewRR(web, 300, &dnswire.AData{Addr: mustAddr("198.51.100.10")}),
+			}
+			r.upstream("cname and address, as ansd packs them", ans(r), mustPack(r.t, resp))
+			r.query("message 7 again", shapeClient, cookieIP, upperName(plain(r, "ftp.foo.com", 0xC021)))
+			direct := r.rawResponse(dnswire.RCodeNoError, 2, 0, 0,
+				rawRR("\xc0\x0c", dnswire.TypeCNAME, 1, 300, -1, "\x03WEB\x03Foo\xc0\x14"),
+				rawRR("\x03web\x03foo\x03com\x00", dnswire.TypeA, 1, 300, -1, "\xc6\x33\x64\x0a"))
+			direct[2] |= 0x04
+			r.upstream("mixed case, half compressed", ans(r), direct)
+		}},
+		{"relay/crossing-512", relayOnly, func(r *shapeRun) {
+			// 29 bytes of message; the NS record packs into 18, spelled out it is
+			// 36; an opaque record of 11 and its rdata pads: 454 make 512 packed.
+			padded := func(n int) []byte {
+				return r.rawResponse(dnswire.RCodeNoError, 0, 1, 1,
+					rawRR("\x03www\x03foo\x03com\x00", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\x03foo\x03com\x00"),
+					rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", n)))
+			}
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC030))
+			r.upstream("530 bytes that pack into 512", ans(r), padded(454))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC031))
+			r.upstream("531 that pack into 513", ans(r), padded(455))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC032))
+			r.upstream("512 as they lie", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 0, 1, rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", 472))))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC033))
+			r.upstream("513 as they lie", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 0, 1, rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", 473))))
+		}},
+		{"relay/opt-and-other-types", relayOnly, func(r *shapeRun) {
+			r.query("query with opt", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0xC040), 0, 0, 1, optRR))
+			resp, err := dnswire.Unpack(referral(r))
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			resp.Additional = append(resp.Additional, dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}})
+			r.upstream("referral, opt last", ans(r), mustPack(r.t, resp))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC041))
+			r.upstream("opt with options first, owned by a pointer to 00", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 2,
+				rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10"),
+				rawRR("\xc0\x18", dnswire.TypeOPT, 1232, 0x8000, -1, "\x00\x0a\x00\x08\x01\x02\x03\x04\x05\x06\x07\x08"),
+				rawRR("\xc0\x29", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC042))
+			// The MX target, mail at 43, is the TXT record's owner; type 99 is
+			// opaque, and the letters in its rdata are not a name's.
+			r.upstream("mx, txt, ptr, an unknown type", ans(r), r.rawResponse(dnswire.RCodeNoError, 4, 0, 0,
+				rawRR("\xc0\x0c", dnswire.TypeMX, 1, 300, -1, "\x00\x0a\x04MAIL\xc0\x10"),
+				rawRR("\xc0\x2b", dnswire.TypeTXT, 1, 300, -1, "\x05Hello\x00\x03FOO"),
+				rawRR("\x04MAIL\x03foo\x03com\x00", dnswire.TypePTR, 1, 300, -1, "\x03WWW\xc0\x10"),
+				rawRR("\x03FOO\xc0\x14", 99, 1, 300, -1, "\x03WWW\xc0\x10")))
+		}},
+		{"passthrough/records-with-names", relayOnly, func(r *shapeRun) {
+			// A query is relayed whatever it carries: the names in its records
+			// are folded and compressed like a response's.
+			r.query("mixed case, nothing compressed", shapeClient, pub(r), withRecords(upperName(plain(r, "www.foo.com", 0xC050)), 1, 1, 1,
+				rawRR("\x03www\x03FOO\x03com\x00", dnswire.TypeCNAME, 1, 300, -1, "\x03WEB\x03foo\x03com\x00"),
+				rawRR("\x03foo\x03com\x00", dnswire.TypeNS, 1, 300, -1, "\x03ns1\x03foo\x03com\x00"),
+				rawRR("\x03FOO\xc0\x14", dnswire.TypeOPT, 4096, 0, -1, "")))
+			r.query("a pointer onto a pointer", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0xC051), 0, 2, 0,
+				rawRR("\xc0\x10", dnswire.TypeNS, 1, 300, -1, "\x03ns1\xc0\x1d"),
+				rawRR("\xc0\x1d", dnswire.TypeNS, 1, 300, -1, "\x03ns2\xc0\x2d")))
+		}},
 	}
 }
 

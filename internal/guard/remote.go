@@ -372,9 +372,9 @@ type remoteShard struct {
 
 	// entryPool is the pendEntry free list (under mu); credBuf and wireBuf
 	// are worker-context scratch for the presented credential and the
-	// rewritten forward; upBuf is upstream-loop-context scratch for a
-	// fabricated reply, 512 bytes, and behind them the glue gathered for it.
-	// The two contexts never share a buffer.
+	// rewritten or re-encoded forward; upBuf is upstream-loop-context scratch
+	// for a fabricated or re-encoded reply, 512 bytes, and behind them the
+	// glue gathered for message 6. The two contexts never share a buffer.
 	entryPool []*pendEntry
 	credBuf   []byte
 	wireBuf   []byte
@@ -765,19 +765,22 @@ func (s *remoteShard) oversize(payload []byte) bool {
 
 // passthrough relays traffic while spoof detection is inactive. What reaches
 // the ANS is what Unpack and PackUDP would make of the query: canonical case,
-// reserved bits clear, at most 512 bytes. A lone canonical question is that
-// already, and is relayed as it lies with only the transaction ID rewritten.
+// reserved bits clear, at most 512 bytes. A query the view takes is re-encoded
+// so from wire to wire, whatever records it carries; only one Repack refuses
+// is unpacked.
 func (s *remoteShard) passthrough(pkt Packet) {
 	g := s.g
 	if s.oversize(pkt.Payload) {
 		return
 	}
 	entry := pendEntry{kind: pendPassthrough, clientSrc: pkt.Src, replyFrom: pkt.Dst}
-	if v, ok := dnswire.ParseView(pkt.Payload); ok && !v.QR() && repackIsNoOp(v, len(pkt.Payload)) {
-		atomic.AddUint64(&g.Stats.Passthrough, 1)
-		entry.origID = v.ID()
-		s.forward(entry, pkt.Payload, nil) // the ID is patched in the lent buffer; nothing reads it again
-		return
+	if v, ok := dnswire.ParseView(pkt.Payload); ok && !v.QR() {
+		if wire, ok := v.Repack(s.wireBuf[:0], dnswire.MaxUDPSize); ok {
+			atomic.AddUint64(&g.Stats.Passthrough, 1)
+			entry.origID = v.ID()
+			s.forward(entry, wire, nil)
+			return
+		}
 	}
 	msg, err := dnswire.Unpack(pkt.Payload)
 	if err != nil || msg.Flags.QR {
