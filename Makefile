@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc bench-check api-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc bench-check api-check state-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -22,7 +22,7 @@ vet:
 # been ones a single core cannot show.
 race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/engine ./internal/guard ./internal/fleet
+	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/engine ./internal/guard ./internal/fleet ./internal/tcpproxy ./internal/ratelimit
 
 # Non-test Go lines per package, from the files git tracks: the figure a PR
 # that says it removed code reports in CHANGES.md, for its parent and itself.
@@ -84,7 +84,13 @@ upgrade-smoke:
 api-check:
 	$(GO) test -run='^TestAPI$$' .
 
-check: vet race bench-check api-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+# No table a peer can key is a Go map: on the real-socket paths what a
+# transaction ID or a source address indexes is a bounded, preallocated table
+# (DESIGN.md, "State budget").
+state-check:
+	@! grep -nE 'map\[(uint16|netip\.Addr(Port)?)\]' internal/guard/remote.go internal/guard/nat.go internal/guard/health.go internal/tcpproxy/*.go
+
+check: vet race bench-check api-check state-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

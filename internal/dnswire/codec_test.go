@@ -238,12 +238,7 @@ func randomRR(r *rand.Rand) RR {
 	case 5:
 		var a [16]byte
 		r.Read(a[:])
-		addr := netip.AddrFrom16(a)
-		if addr.Is4In6() {
-			a[0] = 0x20
-			addr = netip.AddrFrom16(a)
-		}
-		return NewRR(name, ttl, &AAAAData{Addr: addr})
+		return NewRR(name, ttl, &AAAAData{Addr: netip.AddrFrom16(a)})
 	default:
 		return NewRR(name, ttl, &SOAData{
 			MName: randomName(r), RName: randomName(r),

@@ -34,8 +34,11 @@ func (b *builder) addr4(a netip.Addr) {
 	b.bytes(v4[:])
 }
 
+// addr16 writes any address of 16 octets, an IPv4-mapped one
+// (::ffff:a.b.c.d) included: Unpack reads those from an AAAA, and what it
+// reads must pack.
 func (b *builder) addr16(a netip.Addr) {
-	if !a.Is6() || a.Is4In6() {
+	if !a.Is6() {
 		b.fail(fmt.Errorf("%w: %v is not IPv6", ErrBadAddress, a))
 		return
 	}

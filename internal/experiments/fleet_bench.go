@@ -39,20 +39,16 @@ type FleetBenchResult struct {
 
 // FleetBenchOptions parameterizes a FleetBench sweep.
 type FleetBenchOptions struct {
-	// Seed keys every run (default 42, the golden-snapshot seed).
-	Seed int64
 	// Quick scales the populations down ~10x for a fast smoke pass.
 	Quick bool
 }
 
-// FleetBench runs every shipped fleet pack and returns one row per pack.
+// FleetBench runs every shipped fleet pack under seed 42, the golden
+// snapshots', and returns one row per pack.
 func FleetBench(opts FleetBenchOptions) ([]FleetBenchResult, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 42
-	}
 	var rows []FleetBenchResult
 	for _, p := range fleet.Packs() {
-		cfg := fleet.LabConfig{Pack: p, Seed: opts.Seed}
+		cfg := fleet.LabConfig{Pack: p, Seed: 42}
 		if opts.Quick {
 			cfg.Sources = p.Sources / 10
 			cfg.Rate = p.Rate / 4

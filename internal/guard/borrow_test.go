@@ -330,12 +330,10 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 	o.stats = g.Stats.Load()
 	o.fast = g.Engine().FastPath()
 	s := g.shards[0]
-	s.mu.Lock()
-	for _, e := range s.pending {
+	s.inFlight(func(_ uint16, e *pendEntry) {
 		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d qwire=%x fwdWire=%x up=%v",
 			e.kind, e.clientSrc, e.replyFrom, e.origID, e.qwire, e.fwdWire, e.upstream))
-	}
-	s.mu.Unlock()
+	})
 	sort.Strings(o.pending)
 	return o
 }
@@ -835,10 +833,20 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 //	verified 4096 × 104 + 8192 × 8          = 480 KiB
 //
 // 1240 KiB, which the limit rounds up to 1.5 MiB to leave room for the rest
-// of the guard (the NAT table's map, scratch buffers, the keyring). As maps
-// of heap objects the same four held 3.5 MiB. None of it may be memory the
-// collector scans: that is bounded separately, at what the rest of the
+// of the guard (the NAT table's first chunk, scratch buffers, the keyring). As
+// maps of heap objects the same four held 3.5 MiB. None of it may be memory
+// the collector scans: that is bounded separately, at what the rest of the
 // guard accounts for.
+//
+// Then the ANS goes dark: 60 000 more verified queries, each from a source and
+// under an ID never seen before, none answered. The NAT table fills to
+// maxPending and refuses the rest, and what it adds is its other 64 chunks
+// and two question spans a slot (DESIGN.md, "State budget"):
+//
+//	NAT      4160 × 168 + 4096 × (48 + 32)  = 1003 KiB
+//
+// which the second limit rounds up to 1.25 MiB. That table holds pointers —
+// addresses, the spans — and is the one a collector scans.
 func TestSourceStateFootprint(t *testing.T) {
 	scan := []runtimemetrics.Sample{{Name: "/gc/scan/heap:bytes"}}
 	heap := func() (total, scannable int64) {
@@ -886,6 +894,18 @@ func TestSourceStateFootprint(t *testing.T) {
 	}
 	if grown := scan1 - scan0; grown > scanLimit {
 		t.Errorf("%d KiB of the added heap is scannable, want <= %d KiB: a source table holds pointers", grown>>10, scanLimit>>10)
+	}
+
+	const dark = 60000
+	fillPending(t, h, sessions, dark)
+	if st := h.g.Stats.Load(); h.g.PendingEntries() != maxPending || st.PendingDropped != dark-maxPending || st.CookieValid != sessions+dark {
+		t.Fatalf("%d pending after %d unanswered forwards: %+v", h.g.PendingEntries(), dark, st)
+	}
+	total2, _ := heap()
+	const darkLimit = 5 << 18
+	t.Logf("a dark ANS and %d more queries: %d KiB of heap", dark, (total2-total1)>>10)
+	if grown := total2 - total1; grown > darkLimit {
+		t.Errorf("%d unanswered forwards added %d KiB of heap, want <= %d KiB", dark, grown>>10, darkLimit>>10)
 	}
 	runtime.KeepAlive(h)
 }

@@ -93,6 +93,16 @@ func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
 	return &shardHarness{g: g, s: g.shards[0], io: io, up: up}
 }
 
+// inFlight shows visit the shard's pending entries, oldest first.
+func (s *remoteShard) inFlight(visit func(id uint16, e *pendEntry)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, n := uint16(0), s.pend.live; n > 0; n-- {
+		id = s.pend.slot(id).next
+		visit(id, &s.pend.slot(id).pendEntry)
+	}
+}
+
 // handle runs one packet through the shard as the engine does: inside a
 // batch bracket of one.
 func (h *shardHarness) handle(pkt Packet) {

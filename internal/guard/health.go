@@ -247,25 +247,19 @@ func (s *remoteShard) healthTick(now time.Duration) {
 	}
 }
 
-// sweepPending removes every expired pending entry and returns the upstream
-// each was waiting on. Without the sweeper an expired entry lingered until
-// its ID collided or the table filled; the breaker needs the timeout signal
-// promptly. The entries go back to the pool under the same lock that takes
-// them out of the table, so none is held outside it.
+// sweepPending removes every expired pending entry, oldest first, and
+// returns the upstream each was waiting on. Without the sweeper an expired
+// entry lingered until the table filled; the breaker needs the timeout
+// signal promptly.
 func (s *remoteShard) sweepPending(now time.Duration) []netip.AddrPort {
 	g := s.g
 	var dead []netip.AddrPort
 	s.mu.Lock()
-	for id, e := range s.pending {
-		if now >= e.expires {
-			delete(s.pending, id)
-			s.ids.release(id)
-			dead = append(dead, e.upstream)
-			atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
-			if e.kind != pendProbe {
-				atomic.AddUint64(&g.Stats.PendingDropped, 1)
-			}
-			s.putEntryLocked(e)
+	for e := s.pend.reap(now); e != nil; e = s.pend.reap(now) {
+		dead = append(dead, e.upstream)
+		atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
+		if e.kind != pendProbe {
+			atomic.AddUint64(&g.Stats.PendingDropped, 1)
 		}
 	}
 	s.mu.Unlock()

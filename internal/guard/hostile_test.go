@@ -372,10 +372,7 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 		if auth.Epoch() != e0 {
 			raced++
 		}
-		s.mu.Lock()
-		clear(s.pending) // nobody answers: make room for the next bracket's forwards
-		s.ids = idPool{}
-		s.mu.Unlock()
+		s.emptyPending() // nobody answers: make room for the next bracket's forwards
 	}
 	if st := g.Stats.Load(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped+st.PendingDropped != 0 {
 		t.Errorf("after 303 key changes, 151 of them adopted: epoch %d, %+v", auth.Epoch(), st)

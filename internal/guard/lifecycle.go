@@ -127,13 +127,7 @@ func (g *Remote) Drain(ctx context.Context) error {
 	// Stragglers past their window are dropped, same accounting as an
 	// upstream that never answered.
 	for _, s := range g.shards {
-		s.mu.Lock()
-		for id := range s.pending {
-			delete(s.pending, id)
-			s.ids.release(id)
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		}
-		s.mu.Unlock()
+		atomic.AddUint64(&g.Stats.PendingDropped, s.emptyPending())
 	}
 	g.setLifecycle(LifecycleQuiesced)
 	return nil

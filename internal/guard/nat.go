@@ -20,7 +20,7 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-type pendKind int
+type pendKind uint8
 
 const (
 	pendPassthrough pendKind = iota + 1
@@ -29,13 +29,13 @@ const (
 	pendProbe                // guard-minted half-open health probe; consumed internally
 )
 
-// pendEntry is one in-flight upstream query. Entries are pooled per shard;
-// qwire and fwdWire are the entry's own buffers, reused across lives.
+// pendEntry is one in-flight upstream query. qwire and fwdWire are buffers the
+// entry's slot owns, reused across its lives.
 type pendEntry struct {
 	kind      pendKind
+	origID    uint16
 	clientSrc netip.AddrPort
 	replyFrom netip.AddrPort // source address for our reply (public or cookie IP)
-	origID    uint16
 	upstream  netip.AddrPort // where the query went; the response must come from here
 	expires   time.Duration
 	qwire     []byte // pendChild: the client's question span, name in canonical case — message 6's question
@@ -46,29 +46,113 @@ type pendEntry struct {
 // now per shard).
 const maxPending = 4096
 
-// entryPoolCap bounds each shard's pendEntry free list. Entries beyond the
-// cap fall to the GC; the steady-state in-flight population is bounded by
-// maxPending anyway.
-const entryPoolCap = 512
-
 // flagsZMask covers the reserved Z bits, the one part of the flags word that
 // dnswire.Unpack→Pack does not round-trip (packFlags writes them as zero).
 const flagsZMask = 0x0070
 
-// putEntryLocked returns a consumed entry to the shard pool (caller holds
-// s.mu). Whoever took the entry out of the table owns it until this call
-// and must not touch it after.
-func (s *remoteShard) putEntryLocked(e *pendEntry) {
-	if len(s.entryPool) < entryPoolCap {
-		s.entryPool = append(s.entryPool, e)
-	}
+// pendChunk is how many slots the table grows by: what a shard that never
+// has more queries in flight pays for, 11 KiB, of the 0.7 MiB a full table is.
+const pendChunk = 64
+
+// pendSlot is an entry where it lives. Its ID is its index, so it is on
+// exactly one of: the in-flight list (live), the free stack, or loan to
+// whoever took it off the list and has yet to release it.
+type pendSlot struct {
+	pendEntry
+	next, prev uint16 // neighbours in flight; next alone, the slot below on the free stack
+	live       bool
 }
 
-// recycleEntry is putEntryLocked for callers not holding s.mu.
-func (s *remoteShard) recycleEntry(e *pendEntry) {
+// pendTable is a shard's NAT state: the transaction ID the guard writes on a
+// forward is the index of the slot that holds the entry. IDs are issued 1, 2,
+// 3 …, the last released first, so a table that drains to empty stays in the
+// slots it has touched; a slot is first written when first issued, in a chunk
+// allocated then, so a guard whose ANS answers never pays for maxPending.
+// Slot 0, never issued (an ID of 0 reads as "unset" in too many places),
+// closes the ring of in-flight entries, oldest first, which is soonest to
+// expire first — every entry of a guard lives PendingTimeout, stamped under
+// the lock that lists it — so finding the expired is looking at the head.
+// Nothing here depends on what a peer sends but the index in lookup, which is
+// bounds-checked; the caller's mutex guards all of it.
+type pendTable struct {
+	chunks []*[pendChunk]pendSlot
+	mark   uint16 // high-water: IDs 1..mark have been issued
+	free   uint16 // top of the released stack, 0 when empty
+	live   int    // entries in flight
+	steps  uint64 // slots reap has looked at: the tests' guard for O(expired)
+}
+
+func (t *pendTable) slot(id uint16) *pendSlot { return &t.chunks[id/pendChunk][id%pendChunk] }
+
+// insert issues an ID and lists its slot as the newest in flight; the caller
+// fills the entry in. With at most maxPending in flight and one slot on loan
+// to the upstream loop the mark stays far below 65535.
+func (t *pendTable) insert() (uint16, *pendEntry) {
+	id := t.free
+	if id != 0 {
+		t.free = t.slot(id).next
+	} else {
+		t.mark++
+		if id = t.mark; int(id/pendChunk) == len(t.chunks) {
+			t.chunks = append(t.chunks, new([pendChunk]pendSlot))
+		}
+	}
+	e, ring := t.slot(id), t.slot(0)
+	e.prev, e.next, e.live = ring.prev, 0, true
+	t.slot(ring.prev).next, ring.prev = id, id
+	t.live++
+	return id, &e.pendEntry
+}
+
+// lookup returns the entry in flight under id, or nil.
+func (t *pendTable) lookup(id uint16) *pendEntry {
+	if id == 0 || id > t.mark || !t.slot(id).live {
+		return nil
+	}
+	return &t.slot(id).pendEntry
+}
+
+// take unlists the entry in flight under id. Its slot, and so its ID, are the
+// caller's until release, which puts the ID on top of the free stack.
+func (t *pendTable) take(id uint16) {
+	e := t.slot(id)
+	t.slot(e.prev).next, t.slot(e.next).prev = e.next, e.prev
+	e.live = false
+	t.live--
+}
+
+func (t *pendTable) release(id uint16) {
+	t.slot(id).next = t.free
+	t.free = id
+}
+
+// reap frees the oldest entry in flight if it has expired by now and returns
+// it for the caller's accounting, readable until the lock is dropped; nil
+// when the oldest, and so every entry, has time left. Called until nil it
+// costs one step per expired entry and one more.
+func (t *pendTable) reap(now time.Duration) *pendEntry {
+	t.steps++
+	if t.live == 0 {
+		return nil
+	}
+	id := t.slot(0).next
+	if now < t.slot(id).expires {
+		return nil
+	}
+	t.take(id)
+	t.release(id)
+	return &t.slot(id).pendEntry
+}
+
+// emptyPending frees every entry in flight, whatever time it has left, and
+// returns how many there were. A slot on loan stays its holder's to release.
+func (s *remoteShard) emptyPending() (n uint64) {
 	s.mu.Lock()
-	s.putEntryLocked(e)
+	for s.pend.reap(1<<63-1) != nil {
+		n++
+	}
 	s.mu.Unlock()
+	return n
 }
 
 // appendFolded appends b to dst with ASCII uppercase folded to lowercase.
@@ -176,56 +260,34 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 			entry.upstream = up
 		}
 	}
-	entry.expires = g.now() + g.cfg.PendingTimeout
 	s.mu.Lock()
-	id, ok := s.allocID()
-	if !ok {
-		s.mu.Unlock()
-		atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		return
+	now := g.now()
+	if s.pend.live >= maxPending {
+		// At capacity: make room of what has expired, and refuse only if the
+		// table is full of live queries.
+		for s.pend.reap(now) != nil {
+			atomic.AddUint64(&g.Stats.PendingDropped, 1)
+		}
+		if s.pend.live >= maxPending {
+			s.mu.Unlock()
+			atomic.AddUint64(&g.Stats.PendingDropped, 1)
+			return
+		}
 	}
-	var e *pendEntry
-	if n := len(s.entryPool); n > 0 {
-		e, s.entryPool = s.entryPool[n-1], s.entryPool[:n-1]
-	} else {
-		e = &pendEntry{}
-	}
-	// The entry's buffers are filled before it is published: the upstream
-	// loop may consume it the moment the lock is released.
-	qwire, fwdWire := e.qwire[:0], e.fwdWire[:0]
-	*e = entry
+	entry.expires = now + g.cfg.PendingTimeout
+	id, e := s.pend.insert()
+	// The entry's buffers are filled before the lock is released: the
+	// upstream loop may take it the moment it is.
+	entry.qwire, entry.fwdWire = e.qwire[:0], append(e.fwdWire[:0], firstQuestion(wire)...)
 	if nameLen := len(clientQ) - 4; nameLen > 0 {
-		qwire = append(appendFolded(qwire, clientQ[:nameLen]), clientQ[nameLen:]...)
+		entry.qwire = append(appendFolded(entry.qwire, clientQ[:nameLen]), clientQ[nameLen:]...)
 	}
-	e.qwire, e.fwdWire = qwire, append(fwdWire, firstQuestion(wire)...)
-	s.pending[id] = e
+	*e = entry
 	s.mu.Unlock()
 	wire[0], wire[1] = byte(id>>8), byte(id)
 	atomic.AddUint64(&g.Stats.ForwardedToANS, 1)
 	g.charge(g.cfg.Costs.PacketOp)
 	_ = s.upstream.WriteTo(wire, entry.upstream)
-}
-
-// allocID picks an unused transaction ID in O(1) via the shard's ID pool;
-// the caller must hold s.mu. When the NAT table is at capacity it first
-// reaps expired entries, refusing only if the table is genuinely full of
-// live queries.
-func (s *remoteShard) allocID() (uint16, bool) {
-	if len(s.pending) >= maxPending {
-		now := s.g.now()
-		for id, e := range s.pending {
-			if now >= e.expires {
-				delete(s.pending, id)
-				s.ids.release(id)
-				s.putEntryLocked(e)
-				atomic.AddUint64(&s.g.Stats.PendingDropped, 1)
-			}
-		}
-		if len(s.pending) >= maxPending {
-			return 0, false
-		}
-	}
-	return s.ids.get()
 }
 
 // upstreamLoop receives ANS responses for one shard and transforms them per
@@ -308,8 +370,8 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	}
 	id := uint16(payload[0])<<8 | uint16(payload[1])
 	s.mu.Lock()
-	entry, ok := s.pending[id]
-	if !ok {
+	entry := s.pend.lookup(id)
+	if entry == nil {
 		s.mu.Unlock()
 		// Duplicated or long-delayed ANS response whose entry was
 		// already consumed — the network, not the ANS, misbehaving.
@@ -326,8 +388,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		return
 	}
 	expired := g.now() >= entry.expires
-	delete(s.pending, id)
-	s.ids.release(id)
+	s.pend.take(id)
 	s.mu.Unlock()
 	if s.health != nil {
 		// Only a fully validated response feeds the breaker: source,
@@ -356,7 +417,9 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 			g.reply(entry.replyFrom, entry.clientSrc, resp)
 		}
 	}
-	s.recycleEntry(entry)
+	s.mu.Lock()
+	s.pend.release(id)
+	s.mu.Unlock()
 }
 
 // relay is reply for a response the walk vouched for, relayed whole under the

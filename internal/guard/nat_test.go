@@ -1,7 +1,9 @@
 package guard
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"strconv"
@@ -15,14 +17,14 @@ import (
 	"dnsguard/internal/ratelimit"
 )
 
-// Hostile timing on the NAT table. Every pending entry comes from the
-// shard's pool and goes back to it, and four parties take entries out of the
-// table: the upstream handler (a response, in time or expired), the health
-// sweeper, allocID's reap when the table is full, and ResetShard. Whoever
-// takes an entry out owns it; the tests below run all of them against each
-// other on real goroutines (make race: -race -cpu 1,2,4) and check that each
-// forwarded query ends exactly once and that no reply is built from an entry
-// somebody else already has.
+// Hostile timing on the NAT table. Every pending entry lives in a slot of the
+// shard's table, and five parties take entries off its in-flight list: the
+// upstream handler (a response, in time or expired), the health sweeper,
+// forward's reap when the table is full, ResetShard and Drain. Whoever takes
+// an entry off owns its slot until it releases it; the tests below run all of
+// them against each other on real goroutines (make race: -race -cpu 1,2,4)
+// and check that each forwarded query ends exactly once and that no reply is
+// built from a slot somebody else already has.
 
 // raceConn is the shard's upstream socket: each forward is copied to the
 // hostile ANS's queue, or dropped when that is full (a query nobody answers).
@@ -92,11 +94,13 @@ func (io *raceIO) WriteFromTo(_, to netip.AddrPort, payload []byte) error {
 	return nil
 }
 
-// scribblePool overwrites the buffers of every pooled pending entry.
+// scribblePool overwrites the buffers of the table's released slots, the 512
+// to be issued next.
 func scribblePool(s *remoteShard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.entryPool {
+	for id, n := s.pend.free, 0; id != 0 && n < 512; id, n = s.pend.slot(id).next, n+1 {
+		e := s.pend.slot(id)
 		for _, b := range [][]byte{e.qwire[:cap(e.qwire)], e.fwdWire[:cap(e.fwdWire)]} {
 			for i := range b {
 				b[i] = poisonByte
@@ -105,24 +109,35 @@ func scribblePool(s *remoteShard) {
 	}
 }
 
+// raceEnv is a skewEnv a goroutine can sleep on: the clock moves, the
+// goroutine yields. Only Drain sleeps here.
+type raceEnv struct{ skewEnv }
+
+func (e raceEnv) Sleep(d time.Duration) {
+	e.skew.Add(int64(d))
+	runtime.Gosched()
+}
+
 func TestPendingLifecycleRaces(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		health, resets bool
+		name                   string
+		health, resets, drains bool
 	}{
-		// Without probes and restarts the counters close exactly.
-		{"exact", false, false},
-		{"health and restarts", true, true},
+		// Without probes and restarts the counters close exactly: every
+		// forwarded query is answered, expired or drained, once.
+		{"exact", false, false, false},
+		{"exact with drains", false, false, true},
+		{"health and restarts", true, true, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runPendingRace(t, tc.health, tc.resets) })
+		t.Run(tc.name, func(t *testing.T) { runPendingRace(t, tc.health, tc.resets, tc.drains) })
 	}
 }
 
-func runPendingRace(t *testing.T, health, resets bool) {
+func runPendingRace(t *testing.T, health, resets, drains bool) {
 	var skew atomic.Int64
 	rio := &raceIO{t: t, replied: make(map[uint32]bool)}
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
-		cfg.Env = skewEnv{cfg.Env, &skew}
+		cfg.Env = raceEnv{skewEnv{cfg.Env, &skew}}
 		cfg.IO = rio
 		cfg.PendingTimeout = time.Second
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1e12, PerSourceBurst: 1e12, TrackedSources: 16}
@@ -169,6 +184,16 @@ func runPendingRace(t *testing.T, health, resets bool) {
 	// notice its buffers being overwritten. A handler that still reads an
 	// entry it has recycled is a data race here, or 0xA5 in a reply.
 	background(func() { scribblePool(s) })
+	// The operator: a drain waits PendingTimeout out on the clock everybody
+	// reads, drops what is left, and serving resumes.
+	if drains {
+		background(func() {
+			if err := g.Drain(context.Background()); err != nil {
+				t.Errorf("Drain: %v", err)
+			}
+			g.Resume()
+		})
+	}
 	// The ANS, hostile in timing and in content.
 	ansDone := make(chan struct{})
 	go func() {
@@ -317,10 +342,170 @@ func runPendingRace(t *testing.T, health, resets bool) {
 	}
 	// The script must have reached what it names.
 	if st.RepliesToClient == 0 || st.UpstreamStrays == 0 || st.UpstreamSpoofed == 0 || st.UpstreamTimeouts == 0 ||
-		st.PendingDropped <= st.UpstreamTimeouts || (!health && refused == 0) || (health && st.ProbesSent == 0) ||
+		st.PendingDropped <= st.UpstreamTimeouts || (!health && !drains && refused == 0) || (health && st.ProbesSent == 0) ||
 		(resets && discardedAtMost == 0) {
 		t.Errorf("script too tame: %+v, refused %d, restarts discarded at most %d", st, refused, discardedAtMost)
 	}
 	t.Logf("%d sent: %d forwarded, %d replied, %d dropped (%d swept, %d refused), %d strays, %d spoofed",
 		sent, st.ForwardedToANS, st.RepliesToClient, st.PendingDropped, st.UpstreamTimeouts, refused, st.UpstreamStrays, st.UpstreamSpoofed)
+}
+
+// fillPending forwards n verified queries nobody answers, each from a source
+// of its own, numbered from first.
+func fillPending(t testing.TB, h *shardHarness, first, n int) {
+	t.Helper()
+	for i := first; i < first+n; i++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 5353)
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", uint16(i))})
+	}
+}
+
+// TestForwardAtCapacitySteps: what a dark ANS makes of the table — maxPending
+// live entries — makes the next forward no dearer: it looks at one slot, the
+// oldest, allocates nothing and is counted dropped. Once a prefix of the
+// table has expired the next forward frees exactly that prefix, one step an
+// entry and one to see the rest has time left, and takes a slot of it.
+func TestForwardAtCapacitySteps(t *testing.T) {
+	var skew atomic.Int64
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Env = skewEnv{cfg.Env, &skew} })
+	const early = 1000
+	fillPending(t, h, 0, early)
+	skew.Add(int64(h.g.cfg.PendingTimeout / 2))
+	fillPending(t, h, early, maxPending-early)
+	if n, st := h.g.PendingEntries(), h.g.Stats.Load(); n != maxPending || st.ForwardedToANS != maxPending || st.PendingDropped != 0 {
+		t.Fatalf("%d pending after %d forwards: %+v", n, maxPending, st)
+	}
+
+	late := mustAP("10.200.0.1:5353")
+	pkt := Packet{Src: late, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, late.Addr(), "www.foo.com", 7)}
+	const refused = 101 // AllocsPerRun's warm-up and its hundred
+	steps := h.s.pend.steps
+	if n := testing.AllocsPerRun(refused-1, func() { h.handle(pkt) }); n != 0 {
+		t.Errorf("a forward refused by a full table allocates %.1f times, want 0", n)
+	}
+	if got, st := h.s.pend.steps-steps, h.g.Stats.Load(); got != refused || st.PendingDropped != refused ||
+		st.ForwardedToANS != maxPending || h.g.PendingEntries() != maxPending {
+		t.Errorf("%d forwards into a full table looked at %d slots, want one each: %+v", refused, got, st)
+	}
+
+	skew.Add(int64(h.g.cfg.PendingTimeout / 2)) // the early ones expire, to the nanosecond
+	steps = h.s.pend.steps
+	h.handle(pkt)
+	if got, st := h.s.pend.steps-steps, h.g.Stats.Load(); got != early+1 || st.PendingDropped != refused+early ||
+		st.ForwardedToANS != maxPending+1 || h.g.PendingEntries() != maxPending-early+1 {
+		t.Errorf("the forward after %d entries expired took %d steps, want %d, and left %d pending: %+v",
+			early, got, early+1, h.g.PendingEntries(), st)
+	}
+	// The slot it took is the one released last: the newest of the expired.
+	if id := uint16(h.up.buf[0])<<8 | uint16(h.up.buf[1]); id != early {
+		t.Errorf("forwarded under ID %d, want %d", id, early)
+	}
+}
+
+// TestPendTableIDSequence pins the IDs the table issues to the ID pool's it
+// replaced, which every recorded forward carries: 1, 2, 3 … from a high-water
+// mark, a released ID reused before the mark moves, the last released first,
+// 0 never. The model is that pool; the table is driven beside it through
+// inserts, takes with the release delayed as the upstream loop delays it, and
+// reaps, and must list what is in flight oldest first throughout.
+func TestPendTableIDSequence(t *testing.T) {
+	var tab pendTable
+	var free, flying, loaned []uint16
+	mark := uint16(0)
+	drop := func(ids []uint16, i int) []uint16 { return append(ids[:i], ids[i+1:]...) }
+	rng := rand.New(rand.NewSource(21))
+	for op := 0; op < 20000; op++ {
+		switch k := rng.Intn(10); {
+		case op%400 == 399 && len(flying) > 0:
+			// Everything registered before some op has expired: a prefix.
+			now := tab.slot(flying[rng.Intn(len(flying))]).expires
+			for e := tab.reap(now); e != nil; e = tab.reap(now) {
+				if e.origID != flying[0] || e.expires > now {
+					t.Fatalf("op %d: reaped ID %d expiring %v at %v, oldest is %d", op, e.origID, e.expires, now, flying[0])
+				}
+				free, flying = append(free, flying[0]), flying[1:]
+			}
+			if len(flying) > 0 && tab.slot(flying[0]).expires <= now {
+				t.Fatalf("op %d: reap left ID %d, expired", op, flying[0])
+			}
+		case k < 6 && len(flying) < 300:
+			want := mark + 1
+			if n := len(free); n > 0 {
+				want, free = free[n-1], free[:n-1]
+			} else {
+				mark++
+			}
+			id, e := tab.insert()
+			if id != want || id == 0 {
+				t.Fatalf("op %d: issued ID %d, the pool issues %d", op, id, want)
+			}
+			e.origID, e.expires = id, time.Duration(op)
+			flying = append(flying, id)
+		case k < 8 && len(flying) > 0:
+			i := rng.Intn(len(flying))
+			id := flying[i]
+			if e := tab.lookup(id); e == nil || e.origID != id {
+				t.Fatalf("op %d: ID %d in flight, lookup finds %+v", op, id, e)
+			}
+			tab.take(id)
+			flying, loaned = drop(flying, i), append(loaned, id)
+		case len(loaned) > 0:
+			i := rng.Intn(len(loaned))
+			tab.release(loaned[i])
+			free, loaned = append(free, loaned[i]), drop(loaned, i)
+		}
+		if tab.live != len(flying) {
+			t.Fatalf("op %d: %d live, want %d", op, tab.live, len(flying))
+		}
+		for i, id := 0, uint16(0); i < len(flying); i++ {
+			if id = tab.slot(id).next; id != flying[i] || i == len(flying)-1 && (tab.slot(id).next != 0 || tab.slot(0).prev != id) {
+				t.Fatalf("op %d: in-flight list has %d at %d, or does not end there; want %v", op, id, i, flying)
+			}
+		}
+		for _, id := range append(append([]uint16{0, mark + 1}, free...), loaned...) {
+			if tab.lookup(id) != nil {
+				t.Fatalf("op %d: lookup finds ID %d, which is not in flight", op, id)
+			}
+		}
+	}
+	if mark < 200 || len(tab.chunks) != int(mark)/pendChunk+1 {
+		t.Errorf("mark %d, %d chunks: the table grows by what it has issued", mark, len(tab.chunks))
+	}
+}
+
+// BenchmarkForwardAtCapacity: a verified query forwarded into an empty table
+// and answered, and one refused by a table full of live entries — what every
+// query costs while the ANS is dark. The home of EXPERIMENTS.md's "State
+// budget" numbers.
+func BenchmarkForwardAtCapacity(b *testing.B) {
+	src := mustAP("10.200.0.1:5353")
+	for _, full := range []bool{false, true} {
+		name := "empty"
+		if full {
+			name = "full"
+		}
+		b.Run(name, func(b *testing.B) {
+			h := newShardHarness(b, func(cfg *RemoteConfig) {
+				cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1e12, PerSourceBurst: 1e12, TrackedSources: 8192}
+			})
+			if full {
+				fillPending(b, h, 0, maxPending)
+			}
+			pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(b, src.Addr(), "www.foo.com", 7)}
+			resp := make([]byte, 0, dnswire.MaxUDPSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.handle(pkt)
+				if !full {
+					resp = appendNXDomain(resp, h.up.buf[:h.up.n])
+					h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+				}
+			}
+			b.StopTimer()
+			if st := h.g.Stats.Load(); full && st.PendingDropped != uint64(b.N) || !full && st.RepliesToClient != uint64(b.N) {
+				b.Fatalf("the forwards did not end as meant: %+v", st)
+			}
+		})
+	}
 }

@@ -186,10 +186,8 @@ func mint(r *shapeRun) cookie.Cookie { return r.h.g.cfg.Auth.Mint(shapeClient.Ad
 // pendingDump renders the shard's NAT table in a form that does not depend
 // on how an entry stores its questions.
 func pendingDump(s *remoteShard) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []string
-	for id, e := range s.pending {
+	s.inFlight(func(id uint16, e *pendEntry) {
 		var fwdQ, q dnswire.Question
 		if len(e.fwdWire) > 0 {
 			fwdQ, _, _ = dnswire.UnpackQuestion(e.fwdWire)
@@ -199,7 +197,7 @@ func pendingDump(s *remoteShard) []string {
 		}
 		out = append(out, fmt.Sprintf("id=%d kind=%d client=%v from=%v orig=%#04x up=%v expires=%v fwd=%v client-q=%v",
 			id, e.kind, e.clientSrc, e.replyFrom, e.origID, e.upstream, e.expires, fwdQ, q))
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -1226,6 +1224,19 @@ func shapeRows() []shapeRow {
 			r.query("a pointer onto a pointer", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0xC051), 0, 2, 0,
 				rawRR("\xc0\x10", dnswire.TypeNS, 1, 300, -1, "\x03ns1\xc0\x1d"),
 				rawRR("\xc0\x1d", dnswire.TypeNS, 1, 300, -1, "\x03ns2\xc0\x2d")))
+		}},
+		{"relay/ipv4-mapped-aaaa", relayOnly, func(r *shapeRun) {
+			// ::ffff:198.51.100.7 is sixteen octets like any other: Unpack reads
+			// them and Pack writes them, so the walk's re-encode and the codec's
+			// (the second answer is over 512 bytes as it lies) both relay it.
+			// Recorded on the handlers that first did, with this row.
+			const mapped = "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xc6\x33\x64\x07"
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC060))
+			r.upstream("answer", ans(r), r.rawResponse(dnswire.RCodeNoError, 1, 0, 0, rawRR("\xc0\x0c", dnswire.TypeAAAA, 1, 300, -1, mapped)))
+			r.query("query", shapeClient, pub(r), plain(r, "www.foo.com", 0xC061))
+			r.upstream("answer the codec truncates", ans(r), r.rawResponse(dnswire.RCodeNoError, 1, 0, 1,
+				rawRR("\x03WWW\x03foo\x03com\x00", dnswire.TypeAAAA, 1, 300, -1, mapped),
+				rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", 500))))
 		}},
 	}
 }

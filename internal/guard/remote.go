@@ -338,9 +338,9 @@ type Remote struct {
 }
 
 // remoteShard is the engine handler for one shard: the slice of guard state
-// owned by the sources that hash there. Everything except pending/ids is
-// touched only by the shard's worker; the NAT table is shared with the
-// shard's upstream loop, hence mu.
+// owned by the sources that hash there. Everything except pend is touched
+// only by the shard's worker; the NAT table is shared with the shard's
+// upstream loop, hence mu.
 type remoteShard struct {
 	g        *Remote
 	id       int
@@ -353,10 +353,9 @@ type remoteShard struct {
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
 
-	// mu guards the NAT table and the ID pool.
-	mu      sync.Mutex
-	pending map[uint16]*pendEntry
-	ids     idPool
+	// mu guards the NAT table.
+	mu   sync.Mutex
+	pend pendTable
 
 	// strict mirrors the selector's mitStrict flag into worker context;
 	// syncLimiters compares and resets the limiters on transitions.
@@ -370,27 +369,23 @@ type remoteShard struct {
 	outbuf []Packet
 	egress []byte
 
-	// entryPool is the pendEntry free list (under mu); credBuf and wireBuf
-	// are worker-context scratch for the presented credential and the
-	// rewritten or re-encoded forward; upBuf is upstream-loop-context scratch
-	// for a fabricated or re-encoded reply, 512 bytes, and behind them the
-	// glue gathered for message 6. The two contexts never share a buffer.
-	entryPool []*pendEntry
-	credBuf   []byte
-	wireBuf   []byte
-	upBuf     []byte
+	// credBuf and wireBuf are worker-context scratch for the presented
+	// credential and the rewritten or re-encoded forward; upBuf is
+	// upstream-loop-context scratch for a fabricated or re-encoded reply, 512
+	// bytes, and behind them the glue gathered for message 6. The two
+	// contexts never share a buffer.
+	credBuf []byte
+	wireBuf []byte
+	upBuf   []byte
 }
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
-// every per-packet structure (NAT table, ID pool, rate limiters — any of
-// which the panic may have left mid-update) while keeping the upstream
-// socket, its reader proc, and the breaker state, whose lifetimes span
-// restarts. Runs in the owning worker's context.
+// every per-packet structure (NAT entries, rate limiters — any of which the
+// panic may have left mid-update) while keeping the upstream socket, its
+// reader proc, and the breaker state, whose lifetimes span restarts. Runs in
+// the owning worker's context.
 func (s *remoteShard) ResetShard() {
-	s.mu.Lock()
-	clear(s.pending)
-	s.ids = idPool{}
-	s.mu.Unlock()
+	s.emptyPending()
 	s.rl1.Reset(s.g.cfg.RL1, s.g.now())
 	s.rl2.Reset(s.g.cfg.RL2)
 	// The limiters now hold the normal configuration whatever the ladder
@@ -483,7 +478,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				id:      i,
 				rl1:     ratelimit.NewLimiter1(cfg.RL1, now),
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
-				pending: make(map[uint16]*pendEntry),
 				bv:      cookie.NewBatchVerifier(),
 				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
 				credBuf: make([]byte, 0, 3+max(g.nsPrefixLen, 16)),
@@ -567,7 +561,7 @@ func (g *Remote) PendingEntries() int {
 	total := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
-		total += len(s.pending)
+		total += s.pend.live
 		s.mu.Unlock()
 	}
 	return total

@@ -144,8 +144,8 @@ func oracleUpstream(s *remoteShard, payload []byte) {
 		return
 	}
 	id := uint16(payload[0])<<8 | uint16(payload[1])
-	entry, ok := s.pending[id]
-	if !ok {
+	entry := s.pend.lookup(id)
+	if entry == nil {
 		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
 		return
 	}
@@ -153,12 +153,11 @@ func oracleUpstream(s *remoteShard, payload []byte) {
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
 	}
-	delete(s.pending, id)
-	s.ids.release(id)
+	s.pend.take(id)
 	if entry.kind == pendChild {
 		s.answerChild(entry, dnswire.RCode(payload[3]&0xF), resp)
 	}
-	s.recycleEntry(entry)
+	s.pend.release(id)
 }
 
 // spliceTwin is a guard under test and its oracle, fed the same packets.
@@ -248,8 +247,7 @@ func (tw *spliceTwin) upstream(data []byte) {
 	q = append(append(append(q, name[1:]...), qtype...), 0, 1)
 	tw.query = q
 	for _, h := range []*shardHarness{tw.got, tw.want} {
-		clear(h.s.pending)
-		h.s.ids = idPool{}
+		h.s.emptyPending()
 		h.handle(Packet{Src: client, Dst: h.g.cfg.PublicAddr, Payload: append([]byte(nil), q...)})
 	}
 	tw.compare("cookie query", q)

@@ -8,18 +8,19 @@ import (
 	"dnsguard/internal/srctab"
 )
 
-// buckets is a bounded table of per-source token buckets with least-
+// Buckets is a bounded table of per-source token buckets with least-
 // recently-used eviction, so an attacker spraying spoofed sources cannot
 // exhaust guard memory. A source's entry is its level alone; the rate and
-// burst every source shares live here, once.
-type buckets struct {
+// burst every source shares live here, once. The zero value is unusable
+// until Reset; not safe for concurrent use.
+type Buckets struct {
 	rate, burst float64
 	tab         *srctab.Table[level]
 }
 
-// reset empties the table (reusing it when the bound is unchanged) and sets
+// Reset empties the table (reusing it when the bound is unchanged) and sets
 // the shared rate and burst.
-func (l *buckets) reset(rate, burst float64, tracked int) {
+func (l *Buckets) Reset(rate, burst float64, tracked int) {
 	l.rate, l.burst = rate, max(burst, 1)
 	if tracked = max(tracked, 1); l.tab == nil || l.tab.Cap() != tracked {
 		l.tab = srctab.New[level](tracked, srctab.LRU)
@@ -28,11 +29,11 @@ func (l *buckets) reset(rate, burst float64, tracked int) {
 	}
 }
 
-// allow charges src one token, starting a full bucket for a source not
+// Allow charges src one token, starting a full bucket for a source not
 // tracked. A full table gives the new source the least recently used entry,
 // so a flood of never-seen sources — every spoofed packet, once the table
 // is full — costs no allocation.
-func (l *buckets) allow(src netip.Addr, now time.Duration) bool {
+func (l *Buckets) Allow(src netip.Addr, now time.Duration) bool {
 	b, found, _ := l.tab.Put(src.As16())
 	if !found {
 		*b = level{l.burst, now}
@@ -74,7 +75,7 @@ func DefaultLimiter1Config() Limiter1Config {
 // them, plus a global ceiling (§III-F, §III-G).
 type Limiter1 struct {
 	global  TokenBucket
-	perSrc  buckets
+	perSrc  Buckets
 	top     TopK
 	allowed atomic.Uint64
 	denied  atomic.Uint64
@@ -92,7 +93,7 @@ func NewLimiter1(cfg Limiter1Config, now time.Duration) *Limiter1 {
 // changed. Not safe concurrently with AllowResponse.
 func (l *Limiter1) Reset(cfg Limiter1Config, now time.Duration) {
 	l.global = *NewTokenBucket(cfg.GlobalRate, cfg.GlobalBurst, now)
-	l.perSrc.reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
+	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
 	l.top.reset(cfg.TrackedSources / 4)
 	l.allowed.Store(0)
 	l.denied.Store(0)
@@ -101,7 +102,7 @@ func (l *Limiter1) Reset(cfg Limiter1Config, now time.Duration) {
 // AllowResponse reports whether a cookie response to src may be sent at now.
 func (l *Limiter1) AllowResponse(src netip.Addr, now time.Duration) bool {
 	l.top.Observe(src)
-	if !l.perSrc.allow(src, now) || !l.global.Allow(now) {
+	if !l.perSrc.Allow(src, now) || !l.global.Allow(now) {
 		l.denied.Add(1)
 		return false
 	}
@@ -149,7 +150,7 @@ func DefaultLimiter2Config() Limiter2Config {
 // from non-spoofed DoS (attackers who legitimately obtained a cookie, or
 // zombie farms using their real addresses).
 type Limiter2 struct {
-	perSrc  buckets
+	perSrc  Buckets
 	allowed atomic.Uint64
 	denied  atomic.Uint64
 }
@@ -163,7 +164,7 @@ func NewLimiter2(cfg Limiter2Config, now time.Duration) *Limiter2 {
 
 // Reset is Limiter1.Reset for Limiter2.
 func (l *Limiter2) Reset(cfg Limiter2Config) {
-	l.perSrc.reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
+	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
 	l.allowed.Store(0)
 	l.denied.Store(0)
 }
@@ -171,7 +172,7 @@ func (l *Limiter2) Reset(cfg Limiter2Config) {
 // AllowRequest reports whether a verified request from src may be forwarded
 // to the ANS at now.
 func (l *Limiter2) AllowRequest(src netip.Addr, now time.Duration) bool {
-	if !l.perSrc.allow(src, now) {
+	if !l.perSrc.Allow(src, now) {
 		l.denied.Add(1)
 		return false
 	}

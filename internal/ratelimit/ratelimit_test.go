@@ -407,14 +407,14 @@ func TestTopKMatchesReference(t *testing.T) {
 // newly built one.
 func TestLRUColdGetAllocs(t *testing.T) {
 	const tracked = 256
-	var l buckets
-	l.reset(100, 20, tracked)
+	var l Buckets
+	l.Reset(100, 20, tracked)
 	next := 0
 	cold := func() netip.Addr { next++; return ip(next) }
 	for i := 0; i < tracked; i++ {
-		l.allow(cold(), 0)
+		l.Allow(cold(), 0)
 	}
-	if n := testing.AllocsPerRun(10*tracked, func() { l.allow(cold(), time.Second) }); n != 0 {
+	if n := testing.AllocsPerRun(10*tracked, func() { l.Allow(cold(), time.Second) }); n != 0 {
 		t.Errorf("at-capacity charge of an unseen source allocates %.1f/op, want 0", n)
 	}
 	if l.tab.Len() != tracked {
@@ -424,11 +424,11 @@ func TestLRUColdGetAllocs(t *testing.T) {
 	// the whole burst and not one token more.
 	src := cold()
 	for i := 0; i < 20; i++ {
-		if !l.allow(src, 2*time.Second) {
+		if !l.Allow(src, 2*time.Second) {
 			t.Fatalf("recycled entry denied charge %d of a burst of 20", i+1)
 		}
 	}
-	if l.allow(src, 2*time.Second) {
+	if l.Allow(src, 2*time.Second) {
 		t.Error("recycled entry allowed 21 charges on a burst of 20")
 	}
 }

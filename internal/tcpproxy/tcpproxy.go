@@ -122,8 +122,8 @@ func (s *Stats) MetricsInto(r *metrics.Registry) {
 type Proxy struct {
 	cfg      Config
 	listener netapi.Listener
-	buckets  *clientBuckets
-	live     atomic.Int64 // mutated by acceptLoop and every conn proc
+	buckets  ratelimit.Buckets // per-client new-connection rate; acceptLoop's alone
+	live     atomic.Int64      // mutated by acceptLoop and every conn proc
 	closed   bool
 
 	// Stats is updated as the proxy runs (atomically; see Stats).
@@ -137,33 +137,19 @@ func (p *Proxy) MetricsInto(r *metrics.Registry) {
 	r.Func("tcpproxy_live", func() float64 { return float64(p.live.Load()) })
 }
 
-// clientBuckets is a small bounded map of per-client token buckets.
-type clientBuckets struct {
-	rate, burst float64
-	m           map[netip.Addr]*ratelimit.TokenBucket
-}
-
-func (cb *clientBuckets) allow(a netip.Addr, now time.Duration) bool {
-	b, ok := cb.m[a]
-	if !ok {
-		if len(cb.m) > 65536 {
-			cb.m = make(map[netip.Addr]*ratelimit.TokenBucket) // crude reset under spray
-		}
-		b = ratelimit.NewTokenBucket(cb.rate, cb.burst, now)
-		cb.m[a] = b
-	}
-	return b.Allow(now)
-}
+// clientsTracked bounds the per-client token buckets, least recently seen
+// evicted first: the limiters' default. A spray of client addresses costs no
+// memory, and resets nobody's bucket but the idlest client's.
+const clientsTracked = 4096
 
 // New validates cfg and creates a proxy (not yet started).
 func New(cfg Config) (*Proxy, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	return &Proxy{
-		cfg:     cfg,
-		buckets: &clientBuckets{rate: cfg.ConnRate, burst: cfg.ConnBurst, m: make(map[netip.Addr]*ratelimit.TokenBucket)},
-	}, nil
+	p := &Proxy{cfg: cfg}
+	p.buckets.Reset(cfg.ConnRate, cfg.ConnBurst, clientsTracked)
+	return p, nil
 }
 
 // Start binds the listener and spawns the accept proc.
@@ -199,7 +185,7 @@ func (p *Proxy) acceptLoop() {
 			return
 		}
 		now := p.cfg.Env.Now()
-		if !p.buckets.allow(conn.RemoteAddr().Addr(), now) {
+		if !p.buckets.Allow(conn.RemoteAddr().Addr(), now) {
 			atomic.AddUint64(&p.Stats.RateRejected, 1)
 			_ = conn.Close()
 			continue

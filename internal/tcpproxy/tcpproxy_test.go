@@ -2,6 +2,7 @@ package tcpproxy
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -339,4 +340,51 @@ func TestProxyMaxConcurrent(t *testing.T) {
 	if f.proxy.Stats.Accepted > 6 {
 		t.Errorf("accepted = %d with MaxConcurrent 5", f.proxy.Stats.Accepted)
 	}
+}
+
+// TestClientSprayFootprint: the per-client buckets are a table of
+// clientsTracked entries built with the proxy — 4096 × 40 bytes and 8192 index
+// slots of 8, 224 KiB — so connections from 100 000 client addresses, each its
+// first, add nothing to it, and a client that stays busy through the spray
+// keeps its bucket, spent: only the idlest are evicted.
+func TestClientSprayFootprint(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	host := netsim.New(vclock.New(1), time.Millisecond).AddHost("guard", mustAddr("10.99.0.1"))
+	before := heap()
+	p, err := New(Config{Env: host, Listen: mustAP("192.0.2.1:53"), ANSAddr: mustAP("10.99.0.2:53")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := mustAddr("10.9.9.9")
+	for i := 0; i < int(p.cfg.ConnBurst); i++ {
+		if !p.buckets.Allow(busy, 0) {
+			t.Fatalf("connection %d of the burst refused", i)
+		}
+	}
+	built := heap()
+	const clients = 100000
+	for i := 0; i < clients; i++ {
+		if !p.buckets.Allow(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), 0) {
+			t.Fatalf("client %d refused its first connection", i)
+		}
+		if i%1000 == 0 && p.buckets.Allow(busy, 0) {
+			t.Fatalf("after %d other clients the busy one has a fresh bucket", i)
+		}
+	}
+	after := heap()
+	const limit = 1 << 18
+	t.Logf("proxy: %d KiB of heap; %d clients: %d KiB more", (built-before)>>10, clients, (after-built)>>10)
+	if built-before > limit {
+		t.Errorf("a proxy is %d KiB of heap, want <= %d KiB", (built-before)>>10, limit>>10)
+	}
+	if after-built > 4<<10 {
+		t.Errorf("%d client addresses added %d KiB of heap, want none", clients, (after-built)>>10)
+	}
+	runtime.KeepAlive(p)
 }
