@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc bench-check api-check state-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc bench-check api-check state-check image-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -90,7 +90,21 @@ api-check:
 state-check:
 	@! grep -nE 'map\[(uint16|netip\.Addr(Port)?)\]' internal/guard/remote.go internal/guard/nat.go internal/guard/health.go internal/tcpproxy/*.go
 
-check: vet race bench-check api-check state-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+# Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
+# budget"): each one's size as bench/rig builds it, its dependency count and
+# its ten largest packages by symbol size, then the test that keeps net/http,
+# crypto/tls and encoding/json out of all three.
+image-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && for d in dnsguardd ansd lrsd; do \
+		$(GO) build -buildvcs=false -o "$$dir/" ./cmd/$$d || exit 1; \
+		echo "$$d: $$(wc -c < "$$dir/$$d") bytes, $$($(GO) list -deps ./cmd/$$d | wc -l) packages"; \
+		$(GO) tool nm -size "$$dir/$$d" | awk 'NF >= 4 { s = $$4; sub(/[\[(].*/, "", s); n = split(s, a, "/"); sub(/\..*/, "", a[n]); \
+			p = a[1]; for (i = 2; i <= n; i++) p = p "/" a[i]; size[p] += $$2 } \
+			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
+	done
+	$(GO) test ./cmd/dnsguardd -run='^TestImagePinned$$' -count=1 -v
+
+check: vet race bench-check api-check state-check image-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

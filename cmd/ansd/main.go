@@ -31,7 +31,7 @@ func run() error {
 	zonePath := flag.String("zone", "", "comma-separated zone master file(s) (required)")
 	listen := flag.String("listen", "127.0.0.1:5353", "UDP/TCP listen address")
 	enableTCP := flag.Bool("tcp", true, "also serve DNS over TCP")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address (empty = off)")
+	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
 	flag.Parse()
 
 	if *zonePath == "" {

@@ -62,7 +62,7 @@ func run() error {
 	threshold := flag.Float64("threshold", 0, "activation threshold in req/s (0 = always on)")
 	withProxy := flag.Bool("proxy", true, "run the TCP proxy for redirected/truncated requesters")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address (empty = off)")
+	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
 	queueDepth := flag.Int("queue-depth", 0, "per-shard ingress queue depth (0 = default)")

@@ -510,7 +510,8 @@ func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
 // ServeMetrics serves the registry over HTTP on addr: /metrics is the
 // deterministic "name value" text form, /debug/vars the expvar-style JSON
-// object. It returns the bound listener (close it to stop serving).
+// object. GET and HEAD only, one request per connection, no TLS. It returns
+// the bound listener (close it to stop serving).
 func ServeMetrics(addr string, r *Metrics) (net.Listener, error) {
 	return metrics.Serve(addr, r)
 }

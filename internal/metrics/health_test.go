@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// HealthHandler contract: /healthz and /readyz return 200 "ok" on a nil
+// ServeHealth contract: /healthz and /readyz return 200 "ok" on a nil
 // probe result, 503 with the error text otherwise, and the metrics
 // endpoints stay mounted alongside them.
 func TestHealthHandler(t *testing.T) {
@@ -63,9 +63,9 @@ func TestHealthHandler(t *testing.T) {
 		t.Fatalf("unhealthy /healthz = %d, want 503", code)
 	}
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "probe_series 3") {
-		t.Fatalf("/metrics missing under HealthHandler: %d %q", code, body)
+		t.Fatalf("/metrics missing under ServeHealth: %d %q", code, body)
 	}
-	// Nil probes always pass (plain-Handler semantics).
+	// Nil probes always pass.
 	lnNil, err := ServeHealth("127.0.0.1:0", r, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,102 +1,189 @@
 package metrics
 
 import (
+	"bytes"
+	"container/list"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
+	"strings"
+	"sync"
 	"time"
 )
 
-// Handler returns an http.Handler exposing the registry:
-//
-//	/metrics     sorted expvar-style "name value" text
-//	/debug/vars  the same snapshot as one JSON object
-//
-// Mount it on a daemon's -metrics-addr listener.
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = r.WriteText(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.WriteJSON(w)
-	})
-	return mux
+// The -metrics-addr listener answers a fixed table of GET endpoints, one
+// request per connection, and nothing else: no TLS, no keep-alive, no
+// chunking, no request body (a site that needs those fronts the port with a
+// sidecar, DESIGN.md §9). net/http's server would link crypto/tls, x509,
+// http2 and sixty more packages into every daemon and keep them resident.
+const (
+	connDeadline = 10 * time.Second // one connection, accept to close
+	maxHead      = 8 << 10          // request line + headers, bytes
+	maxConns     = 16               // connections open at once
+	textType     = "text/plain; charset=utf-8"
+)
+
+// endpoint is one row of the table. render writes the body and returns the
+// status, so a probe runs once and Content-Length is exact.
+type endpoint struct {
+	path, contentType string
+	render            func(body *bytes.Buffer) (status string)
 }
 
-// HealthHandler wraps Handler with the two Kubernetes-style probe
-// endpoints orchestrators and catchment fronts poll:
-//
-//	/healthz  liveness — 200 "ok" while the process can make progress
-//	/readyz   readiness — 200 "ok" only when the component should receive
-//	          traffic (e.g. guard lifecycle serving, keyring epoch current,
-//	          ingress backlog under threshold)
-//
-// healthz/readyz report the probe outcome: nil is healthy/ready, an error
-// is rendered as a 503 with the error text as the body (so an operator's
-// curl explains *why* the site is out of rotation). A nil func means the
-// probe always passes — Handler semantics for daemons with nothing to gate.
-func HealthHandler(r *Registry, healthz, readyz func() error) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", Handler(r))
-	probe := func(check func() error) http.HandlerFunc {
-		return func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			if check != nil {
-				if err := check(); err != nil {
-					w.WriteHeader(http.StatusServiceUnavailable)
-					fmt.Fprintln(w, err)
-					return
-				}
+// probe answers 200 "ok" when check is nil or passes, else 503 with the
+// error text, so an operator's curl says why the site is out of rotation.
+func probe(path string, check func() error) endpoint {
+	return endpoint{path, textType, func(b *bytes.Buffer) string {
+		if check != nil {
+			if err := check(); err != nil {
+				fmt.Fprintln(b, err)
+				return "503 Service Unavailable"
 			}
-			fmt.Fprintln(w, "ok")
 		}
-	}
-	mux.HandleFunc("/healthz", probe(healthz))
-	mux.HandleFunc("/readyz", probe(readyz))
-	return mux
+		b.WriteString("ok\n")
+		return "200 OK"
+	}}
 }
 
-// Serve listens on addr and serves the registry until the listener is
-// closed. It returns the bound listener (for its actual address and for
-// shutdown) and never blocks; the serve loop runs in a goroutine.
+// refuse is the page for a request the table has no answer to.
+func refuse(status string) endpoint {
+	return endpoint{"", textType, func(b *bytes.Buffer) string { b.WriteString(status + "\n"); return status }}
+}
+
+// Serve listens on addr and serves /metrics (sorted "name value" text) and
+// /debug/vars (the same snapshot as one JSON object) from a goroutine until
+// the returned listener is closed; its Close returns once that goroutine and
+// every connection it started are done.
 func Serve(addr string, r *Registry) (net.Listener, error) {
-	return serveHandler(addr, Handler(r))
+	return serve(addr, r)
 }
 
-// ServeHealth is Serve with the /healthz and /readyz probes mounted (see
-// HealthHandler).
+// ServeHealth is Serve plus the probes orchestrators and catchment fronts
+// poll: /healthz, liveness, and /readyz, 200 only when the component should
+// receive traffic (guard lifecycle serving, keyring epoch current, ingress
+// backlog under threshold). A nil func always passes.
 func ServeHealth(addr string, r *Registry, healthz, readyz func() error) (net.Listener, error) {
-	return serveHandler(addr, HealthHandler(r, healthz, readyz))
+	return serve(addr, r, probe("/healthz", healthz), probe("/readyz", readyz))
 }
 
-func serveHandler(addr string, h http.Handler) (net.Listener, error) {
+func serve(addr string, r *Registry, probes ...endpoint) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	return ln, nil
+	s := &responder{Listener: ln, deadline: connDeadline, table: append([]endpoint{
+		{"/metrics", textType, func(b *bytes.Buffer) string { _ = r.WriteText(b); return "200 OK" }},
+		{"/debug/vars", "application/json; charset=utf-8", func(b *bytes.Buffer) string { _ = r.WriteJSON(b); return "200 OK" }},
+	}, probes...)}
+	s.conns.Add(1)
+	go s.acceptLoop()
+	return s, nil
 }
 
-// DumpEvery writes the registry as text to w every interval until stop is
-// closed — the headless-run export path (point w at stderr). Each dump is
-// framed with a "-- metrics --" header line so interleaved logs stay
-// greppable.
-func DumpEvery(r *Registry, interval time.Duration, w io.Writer, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
+type responder struct {
+	net.Listener
+	table    []endpoint
+	deadline time.Duration
+	conns    sync.WaitGroup // the accept loop and the connections it started
+	mu       sync.Mutex
+	open     list.List // of net.Conn, longest open first, maxConns at most
+}
+
+func (s *responder) Close() error {
+	err := s.Listener.Close()
+	s.conns.Wait()
+	return err
+}
+
+// acceptLoop keeps at most maxConns connections open: one more closes the
+// one open longest. A peer that connects and says nothing holds maxConns
+// descriptors for connDeadline at most, and cannot keep a probe out: the
+// probe's connection displaces one of the peer's.
+func (s *responder) acceptLoop() {
+	defer s.conns.Done()
 	for {
-		select {
-		case <-t.C:
-			fmt.Fprintln(w, "-- metrics --")
-			_ = r.WriteText(w)
-		case <-stop:
+		c, err := s.Accept()
+		closed := errors.Is(err, net.ErrClosed)
+		if err != nil && !closed { // out of descriptors, most likely: let some close
+			time.Sleep(50 * time.Millisecond)
+			continue
+		}
+		s.mu.Lock()
+		// Closed: everyone out. Full: the one open longest makes way.
+		for s.open.Len() > 0 && (closed || s.open.Len() == maxConns) {
+			s.open.Remove(s.open.Front()).(net.Conn).Close()
+		}
+		if closed {
+			s.mu.Unlock()
 			return
 		}
+		seat := s.open.PushBack(c)
+		s.mu.Unlock()
+		s.conns.Add(1)
+		go s.handle(c, seat)
 	}
+}
+
+func (s *responder) handle(c net.Conn, seat *list.Element) {
+	defer s.conns.Done()
+	defer func() {
+		c.Close()
+		s.mu.Lock()
+		s.open.Remove(seat) // does nothing to a seat already taken away
+		s.mu.Unlock()
+	}()
+	_ = c.SetDeadline(time.Now().Add(s.deadline)) // a TCP connection takes one
+	method, path, refusal, err := readRequest(c)
+	if err != nil {
+		return // the peer stalled, hung up or was displaced: nothing to say
+	}
+	e := refuse(refusal)
+	for _, row := range s.table {
+		if row.path == path {
+			e = row
+		}
+	}
+	var body bytes.Buffer
+	status := e.render(&body)
+	head := fmt.Appendf(nil, "HTTP/1.1 %s\r\nDate: %s\r\nAllow: GET, HEAD\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
+		status, time.Now().UTC().Format("Mon, 02 Jan 2006 15:04:05 GMT"), e.contentType, body.Len())
+	if _, err := c.Write(head); err == nil && method != "HEAD" {
+		_, _ = c.Write(body.Bytes()) // a peer that left gets no answer
+	}
+}
+
+// readRequest reads a request head through its blank line, maxHead bytes at
+// most, and parses the request line. refusal is the answer when the table has
+// no row for path, which is "" (never a row's) for a request refused whatever
+// it asks for. err: the connection gave out before the head did.
+func readRequest(c io.Reader) (method, path, refusal string, err error) {
+	buf := make([]byte, maxHead/16) // room for what a client sends unprompted
+	for n := 0; ; {
+		if n == maxHead {
+			return "", "", "431 Request Header Fields Too Large", nil
+		}
+		if n == len(buf) {
+			buf = append(buf, buf...) // twice the room
+		}
+		m, err := c.Read(buf[n:])
+		tail := buf[max(n-2, 0) : n+m] // the blank line may straddle two reads
+		n += m
+		if bytes.Contains(tail, []byte("\n\r\n")) || bytes.Contains(tail, []byte("\n\n")) {
+			break
+		}
+		if err != nil {
+			return "", "", "", err
+		}
+	}
+	line, _, _ := bytes.Cut(buf, []byte("\n"))
+	f := strings.Split(strings.TrimSuffix(string(line), "\r"), " ")
+	if len(f) != 3 || f[0] == "" || !strings.HasPrefix(f[1], "/") || !strings.HasPrefix(f[2], "HTTP/1.") {
+		return "", "", "400 Bad Request", nil
+	}
+	if f[0] != "GET" && f[0] != "HEAD" {
+		return f[0], "", "405 Method Not Allowed", nil
+	}
+	path, _, _ = strings.Cut(f[1], "?")
+	return f[0], path, "404 Not Found", nil
 }

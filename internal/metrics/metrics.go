@@ -25,13 +25,15 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
@@ -219,15 +221,59 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteJSON writes the snapshot as a single JSON object keyed by series
-// name (keys are emitted in sorted order by encoding/json).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	obj := make(map[string]float64)
-	for _, s := range r.Snapshot() {
-		obj[s.Name] = s.Value
+// DumpEvery writes the registry as text to w every interval until stop is
+// closed — the headless-run export path (point w at stderr). Each dump is
+// framed with a "-- metrics --" header line so interleaved logs stay
+// greppable.
+func DumpEvery(r *Registry, interval time.Duration, w io.Writer, stop <-chan struct{}) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			fmt.Fprintln(w, "-- metrics --")
+			_ = r.WriteText(w)
+		case <-stop:
+			return
+		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(obj)
+}
+
+// WriteJSON writes the snapshot as a single JSON object keyed by series
+// name, keys in sorted order, a non-finite value as null (JSON has no NaN).
+func (r *Registry) WriteJSON(w io.Writer) error {
+	b := []byte{'{'}
+	for i, s := range r.Snapshot() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s.Name)
+		b = append(b, ':')
+		if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, formatValue(s.Value)...)
+		}
+	}
+	_, err := w.Write(append(b, '}', '\n'))
+	return err
+}
+
+// appendJSONString quotes s as encoding/json does, short of its HTML
+// escapes: series names are plain snake_case, but Func takes any string.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for _, c := range s { // an invalid byte ranges as U+FFFD
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', byte(c))
+		case c < 0x20:
+			b = fmt.Appendf(b, `\u%04x`, c)
+		default:
+			b = utf8.AppendRune(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 func formatValue(v float64) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -188,16 +189,37 @@ func TestWriteTextAndJSON(t *testing.T) {
 		t.Fatalf("WriteText = %q, want %q", text.String(), want)
 	}
 
-	var js bytes.Buffer
+	// encoding/json is the reference: byte-identical on finite values.
+	var js, ref bytes.Buffer
 	if err := r.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	var obj map[string]float64
-	if err := json.Unmarshal(js.Bytes(), &obj); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v", err)
+	if err := json.NewEncoder(&ref).Encode(map[string]float64{"a_gauge": -1, "b_counter": 2}); err != nil {
+		t.Fatal(err)
 	}
-	if obj["a_gauge"] != -1 || obj["b_counter"] != 2 {
-		t.Fatalf("WriteJSON = %v", obj)
+	if js.String() != ref.String() {
+		t.Fatalf("WriteJSON = %q, json.Encoder writes %q", js.String(), ref.String())
+	}
+
+	// A non-finite value, which json.Encoder refuses whole, is null, and a
+	// name is quoted whatever it holds.
+	odd := "q\"b\\n\nc\x01é\xff"
+	r.Func("nan", math.NaN)
+	r.Func("inf", func() float64 { return math.Inf(-1) })
+	r.Func(odd, func() float64 { return 0.25 })
+	js.Reset()
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]*float64
+	if err := json.Unmarshal(js.Bytes(), &obj); err != nil {
+		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, js.Bytes())
+	}
+	if len(obj) != 5 || obj["nan"] != nil || obj["inf"] != nil || *obj["a_gauge"] != -1 || *obj["b_counter"] != 2 {
+		t.Fatalf("WriteJSON = %s", js.Bytes())
+	}
+	if v := obj[strings.ToValidUTF8(odd, "\ufffd")]; v == nil || *v != 0.25 {
+		t.Fatalf("WriteJSON lost the series named %q: %s", odd, js.Bytes())
 	}
 }
 
