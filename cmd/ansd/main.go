@@ -37,7 +37,7 @@ func run() error {
 	if *zonePath == "" {
 		return fmt.Errorf("-zone is required")
 	}
-	zones := dnsguard.NewZoneSet()
+	zones := dnsguard.MustZoneSet()
 	for _, path := range strings.Split(*zonePath, ",") {
 		text, err := os.ReadFile(strings.TrimSpace(path))
 		if err != nil {

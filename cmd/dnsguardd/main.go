@@ -66,7 +66,6 @@ func run() error {
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
 	queueDepth := flag.Int("queue-depth", 0, "per-shard ingress queue depth (0 = default)")
-	ingest := flag.String("ingest", "auto", "shard ingest mode: auto (affine when each shard has its own flow-stable socket), hash (central fan-out), or affine (require per-shard sockets)")
 	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source cache TTL (0 = default 1m, negative = no cache); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
@@ -103,18 +102,6 @@ func run() error {
 		scheme = dnsguard.SchemeTCP
 	default:
 		return fmt.Errorf("unknown -scheme %q", *schemeName)
-	}
-
-	var ingestMode dnsguard.IngestMode
-	switch *ingest {
-	case "auto":
-		ingestMode = dnsguard.IngestAuto
-	case "hash":
-		ingestMode = dnsguard.IngestHash
-	case "affine":
-		ingestMode = dnsguard.IngestAffine
-	default:
-		return fmt.Errorf("unknown -ingest %q (want auto, hash, or affine)", *ingest)
 	}
 
 	var failOpen bool
@@ -171,16 +158,28 @@ func run() error {
 		trip = dnsguard.TripPass
 	}
 
-	// Build the config first and let Normalize resolve the effective shard
-	// and batch counts, then bind one SO_REUSEPORT socket per shard through
-	// the environment's capability set, and Validate the completed config
-	// before handing it to the guard.
-	cfg := dnsguard.RemoteGuardConfig{
+	// One SO_REUSEPORT socket per shard, bound through the environment's
+	// capability set; the guard reads each directly where the kernel steers
+	// flows stably and fans out from them where the sockets share an fd.
+	caps := dnsguard.Capabilities(env)
+	if caps.ListenUDPReuse == nil {
+		return fmt.Errorf("environment cannot bind sharded sockets")
+	}
+	conns, err := caps.ListenUDPReuse(pub, max(*shards, 1))
+	if err != nil {
+		return fmt.Errorf("binding %v: %w", pub, err)
+	}
+	ios := make([]guard.PacketIO, len(conns))
+	for i, c := range conns {
+		ios[i] = &guard.SocketIO{Conn: c}
+	}
+	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 		Env:                 env,
-		Shards:              *shards,
+		IOs:                 ios,
+		PublicAddr:          conns[0].LocalAddr(),
+		Shards:              len(conns),
 		Batch:               *batch,
 		QueueDepth:          *queueDepth,
-		Ingest:              ingestMode,
 		FastPathTTL:         effectiveFastPathTTL(*fastPathTTL),
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
@@ -195,39 +194,19 @@ func run() error {
 			Enabled:  *mitigate,
 			Interval: *mitigateInterval,
 		},
-	}
-	cfg.Normalize()
-	caps := dnsguard.Capabilities(env)
-	if caps.ListenUDPReuse == nil {
-		return fmt.Errorf("environment cannot bind sharded sockets")
-	}
-	conns, err := caps.ListenUDPReuse(pub, cfg.Shards)
-	if err != nil {
-		return fmt.Errorf("binding %v: %w", pub, err)
-	}
-	cfg.IOs = make([]guard.PacketIO, len(conns))
-	for i, c := range conns {
-		cfg.IOs[i] = &guard.SocketIO{Conn: c}
-	}
-	cfg.PublicAddr = conns[0].LocalAddr()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	g, err := dnsguard.NewRemoteGuard(cfg)
+	})
 	if err != nil {
 		return err
 	}
 	if err := g.Start(); err != nil {
 		return err
 	}
-	effIngest := "hash"
-	if g.Engine().Affine() {
-		effIngest = "affine"
-	} else if cfg.Shards == 1 {
-		effIngest = "inline"
+	ingest := "fan-out"
+	if g.Engine().Direct() {
+		ingest = "direct"
 	}
 	fmt.Printf("dnsguardd: guarding zone %s on %v → ANS %v (scheme %v, threshold %.0f, shards %d, batch %d, ingest %s)\n",
-		apex, conns[0].LocalAddr(), ans, scheme, *threshold, cfg.Shards, cfg.Batch, effIngest)
+		apex, conns[0].LocalAddr(), ans, scheme, *threshold, len(conns), max(*batch, 1), ingest)
 
 	var proxy *dnsguard.TCPProxy
 	if *withProxy {

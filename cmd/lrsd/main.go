@@ -62,9 +62,7 @@ func run() error {
 			allowed = append(allowed, pfx)
 		}
 	}
-	// Validate the flag-derived config before touching the network, then
-	// Normalize so the effective (defaulted) values can be reported.
-	rcfg := dnsguard.ResolverConfig{
+	res, err := dnsguard.NewResolver(dnsguard.ResolverConfig{
 		Env:           env,
 		RootHints:     roots,
 		Timeout:       *timeout,
@@ -74,12 +72,7 @@ func run() error {
 		QueryTimeout:  *queryTimeout,
 		TCPRetryAfter: *tcpRetryAfter,
 		Seed:          time.Now().UnixNano(),
-	}
-	if err := rcfg.Validate(); err != nil {
-		return err
-	}
-	rcfg.Normalize()
-	res, err := dnsguard.NewResolver(rcfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -99,8 +92,9 @@ func run() error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
+	eff := res.Config()
 	fmt.Printf("lrsd: recursive service on %v, %d root hints (timeout %v, %d retries)\n",
-		srv.Addr(), len(roots), rcfg.Timeout, rcfg.Retries)
+		srv.Addr(), len(roots), eff.Timeout, eff.Retries)
 
 	reg := dnsguard.NewMetrics()
 	res.MetricsInto(reg)

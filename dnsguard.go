@@ -40,7 +40,6 @@ import (
 	"dnsguard/internal/cpumodel"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
-	"dnsguard/internal/fleet"
 	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
@@ -51,7 +50,6 @@ import (
 	"dnsguard/internal/tcpproxy"
 	"dnsguard/internal/tcpsim"
 	"dnsguard/internal/vclock"
-	"dnsguard/internal/workload"
 	"dnsguard/internal/zone"
 )
 
@@ -123,23 +121,6 @@ type Message = dnswire.Message
 // Question is one question record of a DNS message.
 type Question = dnswire.Question
 
-// WireView is a zero-copy read of a DNS datagram's header and first question
-// over borrowed bytes — the guard reads a lone question with it instead of
-// materializing a Message. Neither a WireView nor any slice it
-// returns may outlive the underlying buffer (see the dnswire view
-// invariants).
-type WireView = dnswire.View
-
-// ParseWireView parses b's header and first question in place; ok is false
-// when b cannot be viewed zero-copy (the caller falls back to the
-// materializing codec, which decides between a parse and a malformed
-// verdict).
-func ParseWireView(b []byte) (WireView, bool) { return dnswire.ParseView(b) }
-
-// UnpackQuestion decodes one question record from the start of b — the flat
-// span WireView.QuestionWire returns — reporting how many bytes it consumed.
-func UnpackQuestion(b []byte) (Question, int, error) { return dnswire.UnpackQuestion(b) }
-
 // ParseName validates and canonicalizes a domain name.
 func ParseName(s string) (Name, error) { return dnswire.ParseName(s) }
 
@@ -171,14 +152,6 @@ func MustZoneSet(zones ...*Zone) *ZoneSet {
 		panic(err)
 	}
 	return zs
-}
-
-// NewZoneSet builds a zone set; add zones with Add or pass them here.
-//
-// Deprecated: NewZoneSet panics on duplicate zones. Use NewZoneSetErr for
-// error handling or MustZoneSet to make the panic explicit.
-func NewZoneSet(zones ...*Zone) *ZoneSet {
-	return MustZoneSet(zones...)
 }
 
 // Servers and resolvers ----------------------------------------------------
@@ -225,18 +198,9 @@ type Authenticator = cookie.Authenticator
 // switching schemes mid-ring would orphan every cookie the population holds.
 type MACScheme = cookie.MACScheme
 
-// Built-in cookie MAC schemes.
-var (
-	// CookieMD5 computes c = MD5(key76 ‖ source IP) — the paper's formula,
-	// byte-identical to every release before schemes were pluggable.
-	CookieMD5 = cookie.MD5
-	// CookieSipHash computes the cookie with SipHash-2-4-128 keyed from the
-	// ring key — far cheaper per packet than MD5 on modern CPUs.
-	CookieSipHash = cookie.SipHash
-)
-
 // MACSchemeByName resolves a scheme name from configuration: "" and "md5"
-// are CookieMD5, "siphash" is CookieSipHash.
+// are c = MD5(key76 ‖ source IP), the paper's formula; "siphash" is
+// SipHash-2-4-128 keyed from the ring key, far cheaper per packet.
 func MACSchemeByName(name string) (MACScheme, error) { return cookie.MACByName(name) }
 
 // KeyringOptions parameterizes OpenKeyringWith: key material, restored
@@ -252,9 +216,6 @@ type KeyringOptions = cookie.Options
 // Reload, and any site verifies a cookie minted by any other (DESIGN.md
 // §15); State restores a captured KeyState as an unbound in-memory handle.
 func OpenKeyringWith(opts KeyringOptions) (*Authenticator, error) { return cookie.Open(opts) }
-
-// ErrKeyringFollower is returned by Rotate on a follower handle.
-var ErrKeyringFollower = cookie.ErrFollowHandle
 
 // KeyState is the keyring's serializable state: epoch plus both epoch keys.
 type KeyState = cookie.KeyState
@@ -290,22 +251,6 @@ const (
 	TripPass = engine.TripPass
 )
 
-// IngestMode selects how packets reach dataplane shard workers.
-type IngestMode = engine.IngestMode
-
-// Ingest modes.
-const (
-	// IngestAuto picks affine ingest when every shard has its own
-	// flow-stable interface, hash fan-out otherwise.
-	IngestAuto = engine.IngestAuto
-	// IngestHash forces the central source-hash fan-out (deterministic
-	// replays; netsim).
-	IngestHash = engine.IngestHash
-	// IngestAffine forces one read loop per shard on its own interface;
-	// requires one interface per shard.
-	IngestAffine = engine.IngestAffine
-)
-
 // RemoteGuard is the ANS-side DNS guard: the cookie checker, both rate
 // limiters, and all three spoof-detection schemes (Figure 4).
 type RemoteGuard = guard.Remote
@@ -318,42 +263,6 @@ func NewRemoteGuard(cfg RemoteGuardConfig) (*RemoteGuard, error) { return guard.
 // of responses (passthrough → threshold → cookies → TCP fallback →
 // per-source limits) with hysteresis, and descends when the attack stops.
 type MitigationConfig = guard.MitigationConfig
-
-// MitigationLayer is one rung of the mitigation ladder.
-type MitigationLayer = guard.MitigationLayer
-
-// Mitigation ladder rungs, in escalation order.
-const (
-	// LayerPassthrough relays everything unverified (guard disarmed).
-	LayerPassthrough = guard.LayerPassthrough
-	// LayerThreshold arms the guard only above the activation threshold.
-	LayerThreshold = guard.LayerThreshold
-	// LayerCookies forces cookie verification on regardless of load.
-	LayerCookies = guard.LayerCookies
-	// LayerTCPFallback bootstraps newcomers over TCP truncation.
-	LayerTCPFallback = guard.LayerTCPFallback
-	// LayerSourceLimit tightens both rate limiters per source.
-	LayerSourceLimit = guard.LayerSourceLimit
-)
-
-// AttackClass is the selector's classification of the current interval.
-type AttackClass = guard.AttackClass
-
-// Attack classes the selector distinguishes.
-const (
-	// ClassNone: no attack evident.
-	ClassNone = guard.ClassNone
-	// ClassSpoofFlood: spoofed-source query flood (low name diversity).
-	ClassSpoofFlood = guard.ClassSpoofFlood
-	// ClassWaterTorture: random-subdomain flood (high name diversity).
-	ClassWaterTorture = guard.ClassWaterTorture
-	// ClassPoisoning: forged upstream answers racing NAT entries.
-	ClassPoisoning = guard.ClassPoisoning
-)
-
-// TerminalLayer is the documented rung the ladder stops climbing at for a
-// given attack class; see DESIGN.md §13.
-func TerminalLayer(c AttackClass) MitigationLayer { return guard.TerminalLayer(c) }
 
 // MitigationStats counts selector activity (escalations, de-escalations,
 // flap holds, per-class interval tallies).
@@ -378,101 +287,6 @@ type PacketIO = guard.PacketIO
 
 // TapIO adapts a simulated host's tap to PacketIO.
 type TapIO = guard.TapIO
-
-// The fleet (anycast tier) --------------------------------------------------
-
-// GuardFleetConfig configures a simulated anycast guard fleet: N guard
-// instances behind a deterministic ECMP front, sharing one cookie keyring.
-type GuardFleetConfig = fleet.Config
-
-// GuardFleet is N remote guards behind a catchment-hashed anycast front.
-type GuardFleet = fleet.Fleet
-
-// GuardFleetSite is one fleet site (host, guard, metrics registry).
-type GuardFleetSite = fleet.Site
-
-// NewGuardFleet builds a fleet in a simulated network; call Start to run it.
-func NewGuardFleet(cfg GuardFleetConfig) (*GuardFleet, error) { return fleet.New(cfg) }
-
-// Catchment deterministically maps client sources to fleet sites (weighted
-// rendezvous hashing plus BGP-flap overrides).
-type Catchment = fleet.Catchment
-
-// NewCatchment creates a catchment over len(weights) sites.
-func NewCatchment(seed uint64, weights ...float64) *Catchment {
-	return fleet.NewCatchment(seed, weights...)
-}
-
-// CatchmentEvent is one scripted routing change on the virtual clock.
-type CatchmentEvent = fleet.Event
-
-// CatchmentEventKind selects a scripted catchment event.
-type CatchmentEventKind = fleet.EventKind
-
-// Catchment event kinds.
-const (
-	// CatchmentFlap: a BGP flap routes a hash-selected population fraction
-	// to one site until flaps are cleared.
-	CatchmentFlap = fleet.EventFlap
-	// CatchmentDrain: zero one site's weight (rolling-upgrade drain).
-	CatchmentDrain = fleet.EventDrain
-	// CatchmentRestore: return a site to its configured weight.
-	CatchmentRestore = fleet.EventRestore
-	// CatchmentFail: kill a site; its catchment blackholes until the BGP
-	// withdrawal propagates.
-	CatchmentFail = fleet.EventFail
-	// CatchmentClearFlaps: withdraw every flap override.
-	CatchmentClearFlaps = fleet.EventClearFlaps
-	// CatchmentRotate: rotate the fleet-shared keyring.
-	CatchmentRotate = fleet.EventRotate
-	// CatchmentUpgrade: roll one site through a zero-downtime restart
-	// (catchment drain, guard drain, keyring reopen, health-gated
-	// re-admission). Requires GuardFleetConfig.StateDir.
-	CatchmentUpgrade = fleet.EventUpgrade
-	// CatchmentPartition: sever the Site-Peer link (gossip routes around it).
-	CatchmentPartition = fleet.EventPartition
-	// CatchmentHeal: restore a previously partitioned Site-Peer link.
-	CatchmentHeal = fleet.EventHeal
-	// CatchmentControllerDown: take the keyring controller out; push
-	// rotations fail, gossip-seeded rotations converge without it.
-	CatchmentControllerDown = fleet.EventControllerDown
-	// CatchmentControllerUp: bring the controller back; it anti-entropies
-	// to the fleet's best keyring on return.
-	CatchmentControllerUp = fleet.EventControllerUp
-)
-
-// FleetGossipConfig tunes the fleet's peer-to-peer keyring anti-entropy.
-type FleetGossipConfig = fleet.GossipConfig
-
-// FleetGossipStats aggregates a fleet's gossip counters.
-type FleetGossipStats = fleet.GossipStats
-
-// FleetPack is one shipped fleet scenario (population + attack + events).
-type FleetPack = fleet.Pack
-
-// FleetPacks returns the shipped fleet scenarios.
-func FleetPacks() []FleetPack { return fleet.Packs() }
-
-// FleetLabConfig parameterizes one fleet-pack run.
-type FleetLabConfig = fleet.LabConfig
-
-// FleetLabResult is a fleet-pack run reduced to assertable counters.
-type FleetLabResult = fleet.LabResult
-
-// RunFleetLab runs one fleet pack in a fresh simulated world; same config,
-// bit-identical result.
-func RunFleetLab(cfg FleetLabConfig) (FleetLabResult, error) { return fleet.RunLab(cfg) }
-
-// PopulationConfig configures the population-scale client model: Zipf source
-// popularity, Poisson flow arrivals, every source re-presenting a live
-// cookie from the fleet-shared keyring.
-type PopulationConfig = workload.PopulationConfig
-
-// Population is the aggregate population generator.
-type Population = workload.Population
-
-// NewPopulation creates a population generator; call Start to run it.
-func NewPopulation(cfg PopulationConfig) (*Population, error) { return workload.NewPopulation(cfg) }
 
 // TCPProxyConfig configures the guard's TCP proxy.
 type TCPProxyConfig = tcpproxy.Config
@@ -508,18 +322,13 @@ type MetricSample = metrics.Sample
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
-// ServeMetrics serves the registry over HTTP on addr: /metrics is the
+// ServeMetricsHealth serves the registry over HTTP on addr: /metrics is the
 // deterministic "name value" text form, /debug/vars the expvar-style JSON
-// object. GET and HEAD only, one request per connection, no TLS. It returns
-// the bound listener (close it to stop serving).
-func ServeMetrics(addr string, r *Metrics) (net.Listener, error) {
-	return metrics.Serve(addr, r)
-}
-
-// ServeMetricsHealth is ServeMetrics with Kubernetes-style /healthz and
-// /readyz probes mounted alongside the metrics endpoints: nil probe results
-// render as 200 "ok", errors as 503 with the error text (so curl explains
-// why a site is out of rotation). Nil funcs always pass.
+// object, and /healthz and /readyz are Kubernetes-style probes — nil probe
+// results render as 200 "ok", errors as 503 with the error text (so curl
+// explains why a site is out of rotation); nil funcs always pass. GET and HEAD
+// only, one request per connection, no TLS. It returns the bound listener
+// (close it to stop serving).
 func ServeMetricsHealth(addr string, r *Metrics, healthz, readyz func() error) (net.Listener, error) {
 	return metrics.ServeHealth(addr, r, healthz, readyz)
 }
@@ -528,23 +337,6 @@ func ServeMetricsHealth(addr string, r *Metrics, healthz, readyz func() error) (
 // until stop is closed; the cmd/ daemons use it for periodic stderr dumps.
 func DumpMetricsEvery(r *Metrics, interval time.Duration, w io.Writer, stop <-chan struct{}) {
 	metrics.DumpEvery(r, interval, w, stop)
-}
-
-// MetricsDelta returns after-minus-before for every series present in after;
-// benchmarks use it to report per-run counter movement.
-func MetricsDelta(before, after []MetricSample) []MetricSample {
-	return metrics.Delta(before, after)
-}
-
-// MergedMetrics snapshots several registries as one: same-named counters and
-// gauges sum, histograms merge bucket-wise. The fleet roll-up uses it to
-// aggregate per-guard registries; it works equally for multi-process export.
-func MergedMetrics(regs ...*Metrics) []MetricSample { return metrics.Merged(regs...) }
-
-// MergeMetricsInto registers a live merged view of regs on r, every series
-// prefixed with prefix.
-func MergeMetricsInto(r *Metrics, prefix string, regs ...*Metrics) {
-	metrics.MergedInto(r, prefix, regs...)
 }
 
 // Cost model ------------------------------------------------------------------

@@ -63,7 +63,31 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The LRS sits behind the LRS-side guard of the modified-DNS scheme
+	// (§III-D): its gateway outbound, the claimant of its address inbound, so
+	// the resolver's queries reach the remote guard carrying a cookie.
 	lrsHost := sim.AddHost("lrs", netip.MustParseAddr("10.0.0.53"))
+	lgHost := sim.AddHost("local-guard", netip.MustParseAddr("10.0.0.254"))
+	lrsHost.SetGateway(lgHost)
+	lgHost.ClaimAddr(lrsHost.Addr())
+	lgTap, err := lgHost.OpenTap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := NewLocalGuard(LocalGuardConfig{
+		Env:        lgHost,
+		IO:         TapIO{Tap: lgTap},
+		ClientAddr: lrsHost.Addr(),
+		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
+			return lgHost.InjectTo(lrsHost, src, dst, payload)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Start(); err != nil {
+		t.Fatal(err)
+	}
 	res, err := NewResolver(ResolverConfig{
 		Env:       lrsHost,
 		RootHints: []netip.AddrPort{netip.MustParseAddrPort("192.0.2.1:53")},
@@ -119,6 +143,9 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 
 	if g.Stats.CookieValid == 0 || srv.Stats.UDPQueries == 0 {
 		t.Fatalf("guard=%+v ans=%+v", g.Stats, srv.Stats)
+	}
+	if lg.Stats.CookiesLearned != 1 || lg.Stats.Stamped == 0 || lg.Stats.Delivered == 0 {
+		t.Fatalf("local guard=%+v, want one cookie learned, queries stamped, replies delivered", lg.Stats)
 	}
 }
 
@@ -213,7 +240,7 @@ func TestZoneSetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zs := NewZoneSet(z)
+	zs := MustZoneSet(z)
 	if got := zs.Match(MustName("www.example.com")); got == nil {
 		t.Fatal("Match failed")
 	}

@@ -47,8 +47,6 @@ type Config struct {
 	TTLOverride *uint32
 	// EnableTCP also serves DNS over TCP.
 	EnableTCP bool
-	// RecursionAvailable sets the RA bit (an ANS normally clears it).
-	RecursionAvailable bool
 }
 
 // Stats counts server activity. Fields are written atomically (the UDP
@@ -236,7 +234,6 @@ func (s *Server) HandleQuery(payload []byte) *dnswire.Message {
 		return nil
 	}
 	resp := q.Response()
-	resp.Flags.RA = s.cfg.RecursionAvailable
 	if q.Flags.Opcode != dnswire.OpcodeQuery {
 		resp.Flags.RCode = dnswire.RCodeNotImp
 		return resp

@@ -33,8 +33,7 @@
 // restart does not silently invalidate every cookie the LRS population has
 // cached.
 //
-// Construction goes through Open (see open.go); the historical constructors
-// remain as deprecated wrappers.
+// Construction goes through Open (see open.go), the only constructor.
 package cookie
 
 import (

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dnsguard/internal/netapi"
 	"dnsguard/internal/realnet"
 )
 
@@ -25,9 +28,9 @@ func newFSFakeIOs(n, buf int) ([]PacketIO, []*fakeIO) {
 	return ios, raw
 }
 
-// Affine mode's shard identity is the delivering socket, not the source
-// hash: a packet fed to socket k must be handled by shard k even when
-// ShardOf(src) disagrees, with no queue hop and no cross-shard handoff.
+// A direct shard's identity is the delivering socket, not the source hash: a
+// packet fed to socket k must be handled by shard k even when ShardOf(src)
+// disagrees, with no queue hop.
 func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	ios, raw := newFSFakeIOs(4, 16)
@@ -40,8 +43,8 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Affine() {
-		t.Fatal("IngestAuto with one flow-stable IO per shard must go affine")
+	if !e.Direct() {
+		t.Fatal("one flow-stable IO per shard must be read directly")
 	}
 	e.Start()
 	defer e.Close()
@@ -70,7 +73,7 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 		st := e.Stats(i)
 		handled += st.Handled
 		if st.Enqueued != 0 || st.ShedNew != 0 || st.ShedOld != 0 {
-			t.Errorf("shard %d has queue-path counts %+v in affine mode", i, st)
+			t.Errorf("shard %d has queue-path counts %+v on a direct engine", i, st)
 		}
 	}
 	if handled != 32 {
@@ -78,166 +81,104 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	}
 }
 
-// A packet handed to a shard whose socket never delivers anything must still
-// be handled, within a small multiple of handoffPoll: the liveness half of
-// the Handoff contract. (Before the bounded read, the ring was drained only
-// between datagrams and this packet waited forever.)
-func TestHandoffIdleSocket(t *testing.T) {
+// countingIO counts the reads a loop issues on an interface that never
+// delivers, and the ones that came back as timeouts.
+type countingIO struct {
+	fsFakeIO
+	reads, timeouts atomic.Uint64
+}
+
+func (c *countingIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	c.reads.Add(1)
+	pkt, err := c.Read(timeout)
+	if errors.Is(err, netapi.ErrTimeout) {
+		c.timeouts.Add(1)
+	}
+	pkts[0] = pkt
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// A direct shard whose interface is silent parks in one read and stays there:
+// no poll, no timer, nothing for an idle guard to wake up for.
+func TestDirectShardBlocksWhenIdle(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios, _ := newFSFakeIOs(2, 0)
+	ios := []*countingIO{{fsFakeIO: fsFakeIO{newFakeIO(0)}}, {fsFakeIO: fsFakeIO{newFakeIO(0)}}}
 	e, err := New(Config{
 		Env:        realnet.New(),
-		IOs:        ios,
+		IOs:        []PacketIO{ios[0], ios[1]},
 		Shards:     2,
 		NewHandler: rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	defer e.Close()
-	// Let both loops park in their reads before the packet is handed over.
-	time.Sleep(2 * handoffPoll)
-
-	start := time.Now()
-	migrant := srcAP(7)
-	if !e.Handoff(1, Packet{Src: migrant, Payload: []byte{42}}) {
-		t.Fatal("Handoff refused on an affine engine")
-	}
-	waitCount(t, &rg.count, 1)
-	if d := time.Since(start); d > 100*handoffPoll {
-		t.Errorf("handoff to an idle shard took %v, want within a few × %v", d, handoffPoll)
-	}
-	rg.mu.Lock()
-	if got := rg.bySrc[migrant.Addr()]; len(got) != 1 || got[0] != 1 {
-		t.Errorf("handoff packet handled by shards %v, want [1]", got)
-	}
-	rg.mu.Unlock()
-	if st := e.Stats(1); st.Handoff != 1 || st.Handled != 1 {
-		t.Errorf("shard 1 stats = %+v, want Handoff=1 Handled=1", st)
-	}
-	if ing := e.Ingest(); ing.Reads != 0 || ing.Packets != 0 {
-		t.Errorf("ingest = %+v on silent sockets; timed-out reads must not count", ing)
-	}
-}
-
-// Handoff parks a packet on another shard's migration ring; the owning loop
-// drains it before its next read, counts it, and observes its ring wait.
-func TestAffineHandoff(t *testing.T) {
-	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios, raw := newFSFakeIOs(2, 16)
-	e, err := New(Config{
-		Env:        realnet.New(),
-		IOs:        ios,
-		Shards:     2,
-		NewHandler: rg.newHandler,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !e.Direct() {
+		t.Fatal("one flow-stable IO per shard must be read directly")
 	}
 	e.Start()
 	defer e.Close()
-
-	migrant := srcAP(7)
-	if !e.Handoff(1, Packet{Src: migrant, Payload: []byte{42}}) {
-		t.Fatal("Handoff refused on an affine engine")
+	for _, io := range ios {
+		waitCount(t, &io.reads, 1)
 	}
-	// The ring drains before shard 1's next blocking read returns; feed it a
-	// wakeup packet so the loop cycles deterministically.
-	raw[1].ch <- Packet{Src: srcAP(8), Payload: []byte{1}}
-	waitCount(t, &rg.count, 2)
-
-	rg.mu.Lock()
-	if got := rg.bySrc[migrant.Addr()]; len(got) != 1 || got[0] != 1 {
-		t.Errorf("handoff packet handled by shards %v, want [1]", got)
-	}
-	rg.mu.Unlock()
-	if st := e.Stats(1); st.Handoff != 1 {
-		t.Errorf("shard 1 Handoff = %d, want 1", st.Handoff)
-	}
-	if st := e.Stats(0); st.Handoff != 0 {
-		t.Errorf("shard 0 Handoff = %d, want 0", st.Handoff)
-	}
-}
-
-// Handoff is affine-only: on a hash-mode engine the central fan-out already
-// routes every packet, so the API reports false rather than double-routing.
-func TestHandoffRefusedOutsideAffine(t *testing.T) {
-	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	e, err := New(Config{
-		Env:        realnet.New(),
-		IOs:        []PacketIO{newFakeIO(4), newFakeIO(4)},
-		Shards:     2,
-		NewHandler: rg.newHandler,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	defer e.Close()
-	if e.Affine() {
-		t.Fatal("non-flow-stable IOs must not select affine ingest")
-	}
-	if e.Handoff(0, Packet{Src: srcAP(1)}) {
-		t.Error("Handoff accepted on a hash-mode engine")
-	}
-}
-
-// IngestMode resolution: forced affine demands one IO per shard; auto falls
-// back to hash fan-out when the IO count or flow stability disqualifies the
-// topology; forced hash never goes affine even when eligible.
-func TestIngestModeResolution(t *testing.T) {
-	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	newCfg := func(ios []PacketIO, shards int, mode IngestMode) Config {
-		return Config{
-			Env:        realnet.New(),
-			IOs:        ios,
-			Shards:     shards,
-			Ingest:     mode,
-			NewHandler: rg.newHandler,
+	time.Sleep(100 * time.Millisecond)
+	for i, io := range ios {
+		if r, to := io.reads.Load(), io.timeouts.Load(); r != 1 || to != 0 {
+			t.Errorf("idle shard %d issued %d reads, %d timed out; want 1 blocking read", i, r, to)
 		}
 	}
+}
 
-	fs2, _ := newFSFakeIOs(2, 4)
-	if _, err := New(newCfg(fs2, 4, IngestAffine)); err == nil {
-		t.Error("IngestAffine with 2 IOs for 4 shards must error")
+// The topology is a function of the interfaces and the shard count: direct
+// with one interface per shard when there is a single shard or every interface
+// is flow-stable, the fan-out for everything else.
+func TestTopologyRule(t *testing.T) {
+	rg := &rig{bySrc: make(map[netip.Addr][]int)}
+	ios := func(stable, plain int) []PacketIO {
+		out, _ := newFSFakeIOs(stable, 4)
+		for i := 0; i < plain; i++ {
+			out = append(out, newFakeIO(4))
+		}
+		return out
 	}
-
-	fs4, _ := newFSFakeIOs(4, 4)
-	e, err := New(newCfg(fs4, 4, IngestHash))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Affine() {
-		t.Error("IngestHash engine reports affine")
-	}
-
-	// Auto + one non-flow-stable IO in the set: hash fan-out.
-	mixed, _ := newFSFakeIOs(3, 4)
-	mixed = append(mixed, newFakeIO(4))
-	e, err = New(newCfg(mixed, 4, IngestAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Affine() {
-		t.Error("auto ingest went affine over a non-flow-stable IO")
-	}
-
-	// Forced affine over flow-stable per-shard sockets: affine.
-	e, err = New(newCfg(fs4, 4, IngestAffine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Affine() {
-		t.Error("IngestAffine engine not affine")
+	for _, c := range []struct {
+		name   string
+		ios    []PacketIO
+		shards int
+		direct bool
+	}{
+		{"1 plain IO, 1 shard", ios(0, 1), 1, true},
+		{"1 plain IO, shards unset", ios(0, 1), 0, true},
+		{"1 stable IO, 1 shard", ios(1, 0), 1, true},
+		{"2 stable IOs, 2 shards", ios(2, 0), 2, true},
+		{"4 stable IOs, 4 shards", ios(4, 0), 4, true},
+		{"2 plain IOs, 2 shards", ios(0, 2), 2, false},
+		{"3 stable + 1 plain IO, 4 shards", ios(3, 1), 4, false},
+		{"1 stable IO, 2 shards", ios(1, 0), 2, false},
+		{"3 stable IOs, 2 shards", ios(3, 0), 2, false},
+		{"2 stable IOs, 1 shard", ios(2, 0), 1, false},
+	} {
+		e, err := New(Config{Env: realnet.New(), IOs: c.ios, Shards: c.shards, NewHandler: rg.newHandler})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if e.Direct() != c.direct {
+			t.Errorf("%s: direct = %v, want %v", c.name, e.Direct(), c.direct)
+		}
+		for i := 0; i < e.Shards(); i++ {
+			if hasQueue := e.shards[i].queue != nil; hasQueue == c.direct {
+				t.Errorf("%s: shard %d queue present = %v", c.name, i, hasQueue)
+			}
+		}
 	}
 }
 
 // TestAffineTorture is the per-shard-socket counterpart of the guard's
-// 8-shard netsim torture: 8 affine read loops under the real scheduler,
+// 8-shard netsim torture: 8 direct read loops under the real scheduler,
 // every source pinned to its delivering socket, poison packets restarting
-// individual shards mid-flood, and handoffs migrating packets between live
-// loops. Run under -race by `make check`.
+// individual shards mid-flood. Run under -race by `make check`.
 func TestAffineTorture(t *testing.T) {
 	const shards = 8
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
@@ -272,17 +213,9 @@ func TestAffineTorture(t *testing.T) {
 			}
 		}(s)
 	}
-	// Concurrent migrations onto every ring while the flood runs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 64; i++ {
-			e.Handoff(i%shards, Packet{Src: srcAP(100000 + i), Payload: []byte{byte(i)}})
-		}
-	}()
 	wg.Wait()
 
-	want := uint64(shards*(perSocket-4) + 64) // 4 poison packets per socket
+	want := uint64(shards * (perSocket - 4)) // 4 poison packets per socket
 	waitCount(t, &rg.count, want)
 
 	rg.mu.Lock()
@@ -299,22 +232,18 @@ func TestAffineTorture(t *testing.T) {
 	}
 	rg.mu.Unlock()
 
-	var handled, handoff uint64
+	var handled uint64
 	for i := 0; i < shards; i++ {
 		st := e.Stats(i)
 		handled += st.Handled
-		handoff += st.Handoff
 		if st.Handled == 0 {
 			t.Errorf("shard %d handled nothing", i)
 		}
 	}
-	if handoff != 64 {
-		t.Errorf("handoff sum = %d, want 64", handoff)
-	}
-	// Every non-poison packet plus every migration was handled; poison
-	// packets die in the recover boundary but still count as handled reads.
-	if handled != uint64(shards*perSocket+64) {
-		t.Errorf("handled sum = %d, want %d", handled, shards*perSocket+64)
+	// Poison packets die in the recover boundary but still count as handled
+	// reads.
+	if handled != shards*perSocket {
+		t.Errorf("handled sum = %d, want %d", handled, shards*perSocket)
 	}
 	if sup := e.Supervision(); sup.ShardRestarts == 0 {
 		t.Error("poison packets caused no shard restarts")

@@ -1,6 +1,6 @@
 // The datagram path. Every read fills a Config.Batch-slot slab — one slot
 // when Batch is 1 — and everything above the capture interface moves slices
-// of that slab: the shard loop dispatches the slice in place, the hash-mode
+// of that slab: the shard loop dispatches the slice in place, the fan-out
 // reader splits it into per-shard groups that cross the ingress queues as
 // one item each, and the worker dispatches a group as it would a slab. A
 // single datagram is a batch of one; there is no second path for it.
@@ -9,14 +9,12 @@
 // until the next read on it (PacketIO.Read, BatchReader). The shard loop
 // finishes with a slab before it reads again, so it dispatches the lent
 // bytes as they are. A qbatch outlives the read that produced its packets —
-// it waits in a queue or a ring — so qbatch.add copies each payload into
-// the group's own buffer; that and Handoff, which parks a caller's packet
-// the same way, are the only copies on the ingress side. Handlers in turn
-// only borrow what HandlePacket is given.
+// it waits in a queue — so qbatch.add copies each payload into the group's
+// own buffer, the only copy on the ingress side. Handlers in turn only
+// borrow what HandlePacket is given.
 package engine
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +41,8 @@ type BatchWriter interface {
 
 // BatchHandler is an optional Handler capability. The engine never calls
 // HandlePacket on a BatchHandler outside a BeginBatch(n)/EndBatch pair:
-// socket reads, handoff-ring packets and queue groups all arrive bracketed,
-// n >= 1, with the n packets dispatched one by one in between. The bracket
+// socket reads and queue groups both arrive bracketed, n >= 1, with the n
+// packets dispatched one by one in between. The bracket
 // lets a handler amortize per-batch work (one cookie-keyring snapshot, one
 // coalesced egress flush) and lets it defer work to EndBatch knowing
 // EndBatch will come. Both calls run in the owning shard's context. A
@@ -78,9 +76,9 @@ func batchReader(io PacketIO) BatchReader {
 	return readOne{io}
 }
 
-// qbatch is what ingress queues and handoff rings carry: packets bound for
-// one shard, the buffer holding their payloads, and their shared enqueue
-// time (for the wait histogram). Pooled, so boxing the pointer into the
+// qbatch is what ingress queues carry: packets bound for one shard, the
+// buffer holding their payloads, and their shared enqueue time (for the wait
+// histogram). Pooled, so boxing the pointer into the
 // queue's `any` slot costs no allocation steady-state and the buffer is
 // reused from group to group.
 type qbatch struct {
@@ -109,33 +107,19 @@ func putQBatch(b *qbatch) {
 	qbatchPool.Put(b)
 }
 
-// handoffPoll bounds how long a shard that owns a handoff ring blocks in a
-// read: a packet parked by Handoff is handled within handoffPoll even if the
-// shard's socket never delivers another datagram.
-const handoffPoll = 10 * time.Millisecond
-
-// runShard is the reader-is-the-worker loop of inline and affine ingest:
-// every packet interface i delivers belongs to shard i by definition, so the
-// slab is dispatched in place with no queue hop and no admission
-// classification (the kernel socket buffer is the backpressure). An affine
-// shard also drains its handoff ring before each read and bounds the read by
-// handoffPoll; inline has no ring and blocks indefinitely, so no timer event
-// enters a simulated schedule.
+// runShard is the reader-is-the-worker loop of a direct engine: every packet
+// interface i delivers belongs to shard i by definition, so the slab is
+// dispatched in place with no queue hop and no admission classification (the
+// kernel socket buffer is the backpressure). The read blocks until a datagram
+// or Close: an idle shard costs nothing, and no timer event enters a
+// simulated schedule.
 func (e *Engine) runShard(i int, br BatchReader) {
 	sh := e.shards[i]
 	ing := &e.ingest[i].IngestStats
 	h := e.handlers[i]
 	pkts := make([]Packet, e.cfg.Batch)
-	timeout := netapi.NoTimeout
-	if sh.handoff != nil {
-		timeout = handoffPoll
-	}
 	for {
-		e.drainHandoff(i, h)
-		n, err := br.ReadBatch(pkts, timeout)
-		if errors.Is(err, netapi.ErrTimeout) {
-			continue
-		}
+		n, err := br.ReadBatch(pkts, netapi.NoTimeout)
 		if err != nil {
 			return
 		}
@@ -146,23 +130,7 @@ func (e *Engine) runShard(i int, br BatchReader) {
 	}
 }
 
-// drainHandoff handles every group currently parked in shard i's migration
-// ring, if it has one. Runs in the owning shard's loop, so handoff packets
-// get the same single-writer guarantees as socket packets.
-func (e *Engine) drainHandoff(i int, h Handler) {
-	sh := e.shards[i]
-	for sh.handoff != nil {
-		v, err := sh.handoff.Get(0)
-		if err != nil {
-			return // empty or closed; the read loop notices close itself
-		}
-		b := v.(*qbatch)
-		atomic.AddUint64(&sh.stats.Handoff, uint64(len(b.pkts)))
-		e.handleGroup(i, h, b)
-	}
-}
-
-// runReader is the hash-mode reader: one ReadBatch per wakeup, packets
+// runReader is the fan-out reader: one ReadBatch per wakeup, packets
 // grouped by (shard, admission class) and each group enqueued as one item.
 // Verified-source groups evict the oldest queued group on a saturated queue,
 // unverified groups are tail-dropped whole; counters move by group size.

@@ -70,15 +70,14 @@ func (h intactHandler) HandlePacket(pkt Packet) {
 }
 
 // TestBorrowedPayloadIngest: with every lent payload overwritten before the
-// next read, each ingest discipline still hands its handlers the bytes that
-// arrived. The shard loop is done with a slab before it reads again; the
-// hash-mode reader is not — its groups wait in queues while it reads on, and
-// here the workers are held until it has read (and so poisoned) everything —
-// so the groups must own copies. Handoff parks a caller's packet the same
-// way: the caller overwrites its buffer the moment Handoff returns.
+// next read, each topology still hands its handlers the bytes that arrived.
+// The shard loop is done with a slab before it reads again; the fan-out
+// reader is not — its groups wait in queues while it reads on, and here the
+// workers are held until it has read (and so poisoned) everything — so the
+// groups must own copies.
 func TestBorrowedPayloadIngest(t *testing.T) {
 	const perIO, batch = 64, 8
-	for _, m := range ingestModes {
+	for _, m := range topologies {
 		t.Run(m.name, func(t *testing.T) {
 			ios := make([]PacketIO, m.ios)
 			pios := make([]*poisonIO, m.ios)
@@ -89,7 +88,7 @@ func TestBorrowedPayloadIngest(t *testing.T) {
 					script = append(script, Packet{Src: srcAP(total), Payload: borrowPayload(total)})
 					total++
 				}
-				pios[i] = &poisonIO{scriptIO: newScriptIO(script)}
+				pios[i] = &poisonIO{scriptIO: newScriptIO(script, m.stable)}
 				ios[i] = pios[i]
 			}
 			gate := make(chan struct{})
@@ -98,7 +97,6 @@ func TestBorrowedPayloadIngest(t *testing.T) {
 				Env:        realnet.New(),
 				IOs:        ios,
 				Shards:     m.shards,
-				Ingest:     m.ingest,
 				Batch:      batch,
 				HashSeed:   7,
 				NewHandler: func(int) Handler { return intactHandler{t, gate, &handled} },
@@ -120,17 +118,6 @@ func TestBorrowedPayloadIngest(t *testing.T) {
 			}
 			close(gate)
 			waitCount(t, &handled, uint64(total))
-
-			if e.Affine() {
-				buf := borrowPayload(total)
-				if !e.Handoff(1, Packet{Src: srcAP(total), Payload: buf}) {
-					t.Fatal("Handoff refused on an affine engine")
-				}
-				for i := range buf {
-					buf[i] = poisonByte
-				}
-				waitCount(t, &handled, uint64(total+1))
-			}
 		})
 	}
 }

@@ -63,8 +63,8 @@ func (f *floodIO) Close() error {
 	return nil
 }
 
-// flowStableFloodIO marks the flood as affine-eligible: each instance
-// stands in for one SO_REUSEPORT member socket.
+// flowStableFloodIO marks the flood as one a shard may read directly: each
+// instance stands in for one SO_REUSEPORT member socket.
 type flowStableFloodIO struct{ *floodIO }
 
 func (flowStableFloodIO) FlowStable() bool { return true }
@@ -118,8 +118,8 @@ func TestCloseUnderBatchIngest(t *testing.T) {
 	}
 }
 
-// TestCloseUnderAffineIngest is the same teardown storm on the affine
-// dataplane: per-shard read loops plus handoff rings, closed mid-flood.
+// TestCloseUnderAffineIngest is the same teardown storm on the direct
+// topology: per-shard read loops, closed mid-flood.
 func TestCloseUnderAffineIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
@@ -137,14 +137,10 @@ func TestCloseUnderAffineIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.Affine() {
-			t.Fatal("flow-stable IOs with len(IOs) == Shards must select affine ingest")
+		if !e.Direct() {
+			t.Fatal("flow-stable IOs with len(IOs) == Shards must be read directly")
 		}
 		e.Start()
-		// Park a few handoff packets so Close also tears down non-empty rings.
-		for i := 0; i < 4; i++ {
-			e.Handoff(i%2, Packet{Src: srcAP(i), Payload: []byte{byte(i)}})
-		}
 		deadline := time.Now().Add(time.Second)
 		for rg.count.Load() < 256 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)

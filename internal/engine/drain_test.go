@@ -2,8 +2,7 @@ package engine
 
 // Drain contract: once Drain is entered, unverified ingest is refused
 // (DrainShed), verified traffic keeps flowing, and Drain returns only after
-// every queue and handoff ring has flushed into its handler. Resume lifts
-// the gate.
+// every queue has flushed into its handler. Resume lifts the gate.
 
 import (
 	"context"
@@ -22,7 +21,6 @@ func TestDrainRefusesUnverifiedAdmitsVerified(t *testing.T) {
 		IOs:         []PacketIO{io},
 		NewHandler:  rg.newHandler,
 		Shards:      2,
-		Ingest:      IngestHash,
 		FastPathTTL: time.Minute,
 	})
 	if err != nil {
@@ -86,7 +84,6 @@ func TestDrainWaitsForBacklog(t *testing.T) {
 		IOs:        []PacketIO{io},
 		NewHandler: rg.newHandler,
 		Shards:     2,
-		Ingest:     IngestHash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +125,6 @@ func TestDrainHonorsContext(t *testing.T) {
 		IOs:        []PacketIO{io},
 		NewHandler: rg.newHandler,
 		Shards:     2,
-		Ingest:     IngestHash,
 	})
 	if err != nil {
 		t.Fatal(err)

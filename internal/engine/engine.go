@@ -10,17 +10,18 @@
 //   - N worker shards, each owning all per-source guard state (pending-NAT
 //     table, cookie verifier, rate limiters), so the hot path takes no
 //     cross-shard locks;
-//   - two ingest disciplines (see IngestMode): classic source-hash fan-out
-//     through bounded per-shard ingress queues, and shard-affine ingest
-//     where each shard runs its own read loop on its own flow-stable socket
-//     and dispatches inline — no queue hop, no cross-shard handoff on the
-//     hot path;
-//   - explicit backpressure in queued mode: traffic from unverified sources
+//   - two ingest topologies, picked from what the capture interfaces report
+//     and from nothing else (see direct): direct, where interface i is shard
+//     i and each shard runs one blocking read loop on its own flow-stable
+//     socket and dispatches in place — no queue hop, nothing crosses shards;
+//     and source-hash fan-out through bounded per-shard ingress queues,
+//     for every other set of interfaces;
+//   - explicit backpressure in the fan-out: traffic from unverified sources
 //     is tail-dropped when a queue fills (drop-newest — a spoofed flood
 //     sheds itself), while traffic from recently-verified sources evicts
 //     the oldest queued packet instead (drop-oldest — legitimate retries
 //     supersede their own stale predecessors), each policy with its own
-//     counter; in affine mode the kernel socket buffer is the backpressure;
+//     counter; a direct shard's backpressure is the kernel socket buffer;
 //   - a TTL'd, capacity-bounded verified-source cache mapping a source
 //     address to the credential it last verified, so handlers can replace
 //     the full MD5 verification with a byte compare for warm sources (the
@@ -31,13 +32,12 @@
 //     are aggregated only at metrics-scrape time.
 //
 // Three loops carry every datagram (batch.go). The shard loop reads an
-// interface and handles what it reads in place; affine ingest runs one per
-// shard, and Shards == 1 with a single IO ("inline") is that same loop with
-// no handoff ring — one proc, no queue hop, the event ordering of a direct
-// capture loop, so deterministic simulations reproduce byte-for-byte. Hash
-// ingest pairs a reader loop per interface with a worker loop per shard.
-// All three move Config.Batch-slot slabs; a single datagram is a slab of
-// one, not a separate path.
+// interface and handles what it reads in place: the direct topology runs one
+// per shard, and with one shard on one interface that is one proc with the
+// event ordering of a plain capture loop, so deterministic simulations
+// reproduce byte-for-byte. The fan-out pairs a reader loop per interface
+// with a worker loop per shard. All three move Config.Batch-slot slabs; a
+// single datagram is a slab of one, not a separate path.
 package engine
 
 import (
@@ -79,8 +79,8 @@ type PacketIO interface {
 // environment delivers all datagrams of one flow to this same interface for
 // the interface's lifetime. Kernel SO_REUSEPORT steering is per-flow stable
 // (the 4-tuple hash pins a flow to one socket); a single socket read by many
-// handles, or a userspace fan-out over one receive queue, is not. IngestAuto
-// selects affine ingest only when every capture interface reports true.
+// handles, or a userspace fan-out over one receive queue, is not. Several
+// shards read their interfaces directly only when every one reports true.
 type FlowStable interface {
 	FlowStable() bool
 }
@@ -93,42 +93,6 @@ type Handler interface {
 	HandlePacket(pkt Packet)
 }
 
-// IngestMode selects how packets reach their shard.
-type IngestMode int
-
-const (
-	// IngestAuto picks IngestAffine when the topology is eligible — one
-	// capture interface per shard, every interface flow-stable — and
-	// IngestHash otherwise. The default.
-	IngestAuto IngestMode = iota
-	// IngestHash is the classic fan-out: any reader may receive any flow,
-	// hashes the source address to its shard, and crosses a bounded ingress
-	// queue to that shard's worker. The only mode that is correct on
-	// non-flow-stable interfaces, and the one deterministic netsim replays
-	// use (shard identity = source hash, independent of delivery).
-	IngestHash
-	// IngestAffine runs one read loop per shard on that shard's own
-	// interface and dispatches inline: shard identity IS the delivering
-	// interface (in realnet, the SO_REUSEPORT socket the kernel steered the
-	// flow to). No queue hop, no cross-shard cacheline on the hot path. A
-	// per-shard handoff ring (see Handoff) covers the rare packet that must
-	// migrate. Requires len(IOs) == Shards; forcing it onto interfaces that
-	// are not flow-stable silently breaks per-source shard affinity.
-	IngestAffine
-)
-
-func (m IngestMode) String() string {
-	switch m {
-	case IngestAuto:
-		return "auto"
-	case IngestHash:
-		return "hash"
-	case IngestAffine:
-		return "affine"
-	}
-	return fmt.Sprintf("IngestMode(%d)", int(m))
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Env supplies clock, procs, and (optionally) netapi.QueueEnv.
@@ -138,19 +102,16 @@ type Config struct {
 	// NewHandler constructs the handler for shard i (called once per shard
 	// before Start returns).
 	NewHandler func(shard int) Handler
-	// Shards is the worker count. 0 and 1 mean one shard; with a single IO
-	// that runs inline (no queue hop).
+	// Shards is the worker count. 0 and 1 mean one shard. How packets reach a
+	// shard follows from IOs and Shards (see direct); nothing selects it.
 	Shards int
-	// Ingest selects the ingest discipline (see IngestMode). The zero value
-	// IngestAuto uses affine ingest when the IOs allow it and the hash
-	// fan-out otherwise, so existing configurations keep their behavior.
-	Ingest IngestMode
-	// QueueDepth bounds each shard's ingress queue. 0 means 512.
+	// QueueDepth bounds each shard's ingress queue in the fan-out. 0 means
+	// 512.
 	QueueDepth int
 	// Batch is the slab size: the most datagrams one read may return (an
 	// interface without BatchReader returns one regardless). 0 and 1 mean
 	// one datagram per read. The loops are the same at every value; larger
-	// slabs amortize the read call, and in hash mode the queue operation
+	// slabs amortize the read call, and in the fan-out the queue operation
 	// and its lock, over the packets that were already waiting.
 	Batch int
 	// FastPathTTL is the verified-source cache's TTL. 0 means no cache
@@ -162,11 +123,11 @@ type Config struct {
 	// Empty means "engine". The single-IO single-shard reader is named
 	// "<name>-capture" to match the pre-engine guard's proc name exactly.
 	Name string
-	// Observer, when non-nil, is called in worker context (inline/affine:
-	// reader context) right before the handler sees each packet. Test hook
-	// for affinity assertions; keep it cheap. With supervision enabled it
-	// runs inside the shard's recover boundary, which makes it the
-	// panic-injection hook too.
+	// Observer, when non-nil, is called in the shard's context (the worker,
+	// or the direct shard loop) right before the handler sees each packet.
+	// Test hook for affinity assertions; keep it cheap. With supervision
+	// enabled it runs inside the shard's recover boundary, which makes it
+	// the panic-injection hook too.
 	Observer func(shard int, pkt Packet)
 	// Supervisor gates shard supervision (recover boundary, packet
 	// quarantine, restart budget, trip policy). The zero value disables it.
@@ -213,18 +174,12 @@ func (c *Config) fillDefaults() error {
 // ShardStats counts one shard's dataplane activity. Fields are written
 // atomically (readers and the shard worker race under real clocks).
 type ShardStats struct {
-	Enqueued  uint64 // packets accepted onto the shard queue (queued mode)
+	Enqueued  uint64 // packets accepted onto the shard queue (fan-out)
 	ShedNew   uint64 // unverified packets tail-dropped at a full queue
 	ShedOld   uint64 // stale packets evicted to admit verified traffic
 	Handled   uint64 // packets the shard handler consumed
-	Handoff   uint64 // packets that arrived through the migration ring
 	DrainShed uint64 // unverified packets refused while the engine drains
 }
-
-// handoffDepth bounds each shard's migration ring (affine mode). Handoff is
-// for rare control-plane moves, not a data path; a small fixed bound keeps a
-// misbehaving caller from buffering unboundedly.
-const handoffDepth = 128
 
 // shardState is everything one shard touches on the packet hot path, one
 // heap allocation per shard so no two shards write the same cacheline. The
@@ -235,8 +190,7 @@ type shardState struct {
 	fast  FastPathStats // this shard's verified-cache counters
 
 	verified verifiedShard
-	queue    netapi.Queue // ingress queue (hash mode; nil in inline/affine)
-	handoff  netapi.Queue // migration ring (affine mode; nil otherwise)
+	queue    netapi.Queue // ingress queue (fan-out; nil on a direct shard)
 	wait     *metrics.Histogram
 
 	_ [64]byte // tail pad: next allocation's hot fields get their own line
@@ -258,8 +212,7 @@ type Engine struct {
 	ingest   []*ingestSink // one per reader proc, likewise isolated
 	sup      supervisor
 	seed     maphash.Seed
-	inline   bool
-	affine   bool
+	direct   bool // interface i is shard i: one shard loop each, no queues
 	coop     bool // Env schedules cooperatively: Close must not OS-join procs
 	closed   atomic.Bool
 	draining atomic.Bool
@@ -306,31 +259,16 @@ func New(cfg Config) (*Engine, error) {
 		shards:   make([]*shardState, cfg.Shards),
 		ingest:   make([]*ingestSink, len(cfg.IOs)),
 		seed:     maphash.MakeSeed(),
-		inline:   cfg.Shards == 1 && len(cfg.IOs) == 1,
+		direct:   direct(cfg.IOs, cfg.Shards),
 	}
 	caps := netapi.Capabilities(cfg.Env)
 	e.coop = caps.Cooperative
 	e.sup.shards = make([]supShard, cfg.Shards)
-	if !e.inline {
-		switch cfg.Ingest {
-		case IngestAffine:
-			if len(cfg.IOs) != cfg.Shards {
-				return nil, fmt.Errorf("engine: IngestAffine needs one IO per shard, got %d IOs for %d shards",
-					len(cfg.IOs), cfg.Shards)
-			}
-			e.affine = true
-		case IngestAuto:
-			e.affine = len(cfg.IOs) == cfg.Shards && allFlowStable(cfg.IOs)
-		}
-	}
 	for i := range e.handlers {
 		e.handlers[i] = cfg.NewHandler(i)
 		sh := &shardState{wait: metrics.NewHistogram()}
 		sh.verified.init(cfg.FastPathSources)
-		switch {
-		case e.affine:
-			sh.handoff = caps.NewQueue(handoffDepth)
-		case !e.inline:
+		if !e.direct {
 			sh.queue = caps.NewQueue(cfg.QueueDepth)
 		}
 		e.shards[i] = sh
@@ -341,12 +279,23 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// allFlowStable reports whether every capture interface advertises per-flow
-// stable delivery (the IngestAuto eligibility probe).
-func allFlowStable(ios []PacketIO) bool {
+// direct is the topology rule, a function of the capture interfaces and the
+// shard count: interface i is shard i when there is one interface per shard
+// and either a single shard (everything the interface delivers is its own) or
+// every interface reports per-flow stable delivery (a source stays on the
+// shard the environment steered it to). Anything else — netsim taps, handles
+// sharing one socket, more or fewer interfaces than shards — is the
+// source-hash fan-out, the only arrangement that keeps one source on one
+// shard there.
+func direct(ios []PacketIO, shards int) bool {
+	if len(ios) != shards {
+		return false
+	}
+	if shards == 1 {
+		return true
+	}
 	for _, io := range ios {
-		fs, ok := io.(FlowStable)
-		if !ok || !fs.FlowStable() {
+		if fs, ok := io.(FlowStable); !ok || !fs.FlowStable() {
 			return false
 		}
 	}
@@ -356,9 +305,9 @@ func allFlowStable(ios []PacketIO) bool {
 // Shards reports the configured shard count.
 func (e *Engine) Shards() int { return e.cfg.Shards }
 
-// Affine reports whether the engine resolved to shard-affine ingest (shard
-// identity = delivering interface) rather than the source-hash fan-out.
-func (e *Engine) Affine() bool { return e.affine }
+// Direct reports whether each shard reads its own interface (shard identity =
+// delivering interface) rather than sitting behind the source-hash fan-out.
+func (e *Engine) Direct() bool { return e.direct }
 
 // Handler returns shard i's current handler: the value cfg.NewHandler
 // returned, unless a supervised restart has since replaced it.
@@ -375,12 +324,10 @@ func (e *Engine) setHandler(i int, h Handler) {
 	e.hmu.Unlock()
 }
 
-// ShardOf maps a source address to its owning shard under the source-hash
-// discipline. In hash mode affinity is the correctness contract: every packet
-// from one source is handled by one shard, so per-source guard state never
-// crosses workers. In affine mode the delivering interface — not this hash —
-// decides ownership; ShardOf then only names the shard a migrating packet
-// would hash to.
+// ShardOf maps a source address to its owning shard in the fan-out, where
+// affinity is the correctness contract: every packet from one source is
+// handled by one shard, so per-source guard state never crosses workers. On a
+// direct engine the delivering interface — not this hash — decides ownership.
 func (e *Engine) ShardOf(src netip.Addr) int {
 	if e.cfg.Shards == 1 {
 		return 0
@@ -401,16 +348,16 @@ func (e *Engine) ShardOf(src netip.Addr) int {
 	return int(h.Sum64() % uint64(e.cfg.Shards))
 }
 
-// Start spawns the engine's procs. Inline and affine ingest run one shard
-// loop per interface (inline's is named "<name>-capture", the proc name of a
-// direct capture loop); hash ingest runs a worker per shard and a reader per
-// interface.
+// Start spawns the engine's procs. A direct engine runs one shard loop per
+// interface (a lone one keeps the historical proc name "<name>-capture", which
+// recorded simulations replay against); the fan-out runs a worker per shard
+// and a reader per interface.
 func (e *Engine) Start() {
-	if e.inline || e.affine {
+	if e.direct {
 		for i, io := range e.cfg.IOs {
 			i, br := i, batchReader(io)
 			name := fmt.Sprintf("%s-shard-%d", e.cfg.Name, i)
-			if e.inline {
+			if e.cfg.Shards == 1 {
 				name = e.cfg.Name + "-capture"
 			}
 			e.spawn(name, func() { e.runShard(i, br) })
@@ -443,28 +390,6 @@ func (e *Engine) spawn(name string, fn func()) {
 	})
 }
 
-// Handoff parks pkt on shard's migration ring, to be handled by that shard's
-// own loop — the escape hatch for the rare affine-mode packet that must move
-// between shards (e.g. re-homing a flow after a shard restart, or an
-// operator-driven drain). The owning loop handles it before its next read,
-// and within handoffPoll even if its socket stays silent. It reports false
-// when the engine is not in affine mode or the ring is full. The payload is
-// copied, so the caller's buffer is its own again as soon as Handoff
-// returns, parked or refused. Handoff is not a data path: the ring is small.
-func (e *Engine) Handoff(shard int, pkt Packet) bool {
-	if !e.affine || shard < 0 || shard >= len(e.shards) {
-		return false
-	}
-	b := qbatchPool.Get().(*qbatch)
-	b.add(pkt)
-	b.enqueued = e.cfg.Env.Now()
-	if !e.shards[shard].handoff.Put(b) {
-		putQBatch(b)
-		return false
-	}
-	return true
-}
-
 // drainPollInterval paces Drain's backlog polls. Small against the
 // millisecond-scale event timelines the simulator runs, invisible against a
 // real restart.
@@ -475,12 +400,12 @@ func (e *Engine) Draining() bool { return e.draining.Load() }
 
 // Drain quiesces the dataplane without closing it: new unverified flows are
 // refused at ingest (counted per shard as DrainShed) while verified traffic
-// keeps flowing, then Drain blocks until every shard's ingress queue and
-// handoff ring is empty — the moment the last queued packet has reached its
-// handler. It returns nil once the backlog is flushed (or the engine is
-// closed) and ctx.Err() if the context expires first; either way the engine
-// stays in the draining state until Resume or Close. Call from a proc
-// context: Drain paces itself with Env.Sleep.
+// keeps flowing, then Drain blocks until every shard's ingress queue is
+// empty — the moment the last queued packet has reached its handler. It
+// returns nil once the backlog is flushed (or the engine is closed) and
+// ctx.Err() if the context expires first; either way the engine stays in the
+// draining state until Resume or Close. Call from a proc context: Drain paces
+// itself with Env.Sleep.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.draining.Store(true)
 	for {
@@ -499,16 +424,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 // aborted upgrade does.
 func (e *Engine) Resume() { e.draining.Store(false) }
 
-// backlog totals the packets parked in ingress queues and handoff rings.
+// backlog totals the packets parked in ingress queues.
 func (e *Engine) backlog() int {
 	t := 0
-	for _, sh := range e.shards {
-		if sh.queue != nil {
-			t += sh.queue.Len()
-		}
-		if sh.handoff != nil {
-			t += sh.handoff.Len()
-		}
+	for i := range e.shards {
+		t += e.QueueDepth(i)
 	}
 	return t
 }
@@ -531,9 +451,6 @@ func (e *Engine) Close() {
 	for _, sh := range e.shards {
 		if sh.queue != nil {
 			sh.queue.Close()
-		}
-		if sh.handoff != nil {
-			sh.handoff.Close()
 		}
 	}
 	if !e.coop {
@@ -580,8 +497,8 @@ func (e *Engine) Ingest() IngestStats {
 	return t
 }
 
-// QueueDepth reports the current backlog of shard i (0 in inline and affine
-// modes, which have no ingress queue).
+// QueueDepth reports the current backlog of shard i (0 on a direct engine,
+// which has no ingress queue).
 func (e *Engine) QueueDepth(i int) int {
 	if e.shards[i].queue == nil {
 		return 0
@@ -590,15 +507,17 @@ func (e *Engine) QueueDepth(i int) int {
 }
 
 // MetricsInto registers the engine's series on r under prefix (e.g.
-// "guard_engine_"): aggregate enqueued/shed/handled/handoff/queue_depth
+// "guard_engine_"): aggregate enqueued/shed/handled/queue_depth
 // counters, verified-source cache counters, and per-shard shard<i>_* series
 // including the queue-wait histogram. Aggregates sum the per-shard and
 // per-reader sinks at scrape time — the hot path never writes a shared
 // counter.
 func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	r.FuncUint(prefix+"shards", func() uint64 { return uint64(e.cfg.Shards) })
+	// 1 when several shards each read their own interface; the name predates
+	// the topology rule and recorded exports carry it.
 	r.FuncUint(prefix+"ingest_affine", func() uint64 {
-		if e.affine {
+		if e.direct && e.cfg.Shards > 1 {
 			return 1
 		}
 		return 0
@@ -616,7 +535,6 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	r.FuncUint(prefix+"shed_new", sum(func(s *ShardStats) *uint64 { return &s.ShedNew }))
 	r.FuncUint(prefix+"shed_old", sum(func(s *ShardStats) *uint64 { return &s.ShedOld }))
 	r.FuncUint(prefix+"handled", sum(func(s *ShardStats) *uint64 { return &s.Handled }))
-	r.FuncUint(prefix+"handoff", sum(func(s *ShardStats) *uint64 { return &s.Handoff }))
 	r.FuncUint(prefix+"drain_shed", sum(func(s *ShardStats) *uint64 { return &s.DrainShed }))
 	r.FuncUint(prefix+"draining", func() uint64 {
 		if e.draining.Load() {

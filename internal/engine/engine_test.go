@@ -126,8 +126,8 @@ func TestInlineModeHandlesDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.inline {
-		t.Fatal("single shard single IO did not select inline mode")
+	if !e.Direct() {
+		t.Fatal("a single shard does not read its single IO directly")
 	}
 	e.Start()
 	defer e.Close()
@@ -142,7 +142,7 @@ func TestInlineModeHandlesDirectly(t *testing.T) {
 		t.Fatalf("observer saw %d, want 5", observed.Load())
 	}
 	if e.QueueDepth(0) != 0 {
-		t.Fatal("inline mode reported a queue depth")
+		t.Fatal("a direct shard reported a queue depth")
 	}
 }
 

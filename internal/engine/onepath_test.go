@@ -15,17 +15,21 @@ import (
 
 // scriptIO delivers a fixed packet sequence and then blocks until closed.
 // ReadBatch hands out as many of the remaining packets as the slab holds, so
-// the split into reads is a function of the slab size alone.
+// the split into reads is a function of the slab size alone. stable is what
+// it reports as FlowStable, which is what picks the engine's topology.
 type scriptIO struct {
 	mu     sync.Mutex
 	pkts   []Packet
+	stable bool
 	closed chan struct{}
 	once   sync.Once
 }
 
-func newScriptIO(pkts []Packet) *scriptIO {
-	return &scriptIO{pkts: pkts, closed: make(chan struct{})}
+func newScriptIO(pkts []Packet, stable bool) *scriptIO {
+	return &scriptIO{pkts: pkts, stable: stable, closed: make(chan struct{})}
 }
+
+func (s *scriptIO) FlowStable() bool { return s.stable }
 
 func (s *scriptIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	s.mu.Lock()
@@ -65,18 +69,21 @@ func (r readOnlyIO) Read(timeout time.Duration) (Packet, error) { return r.s.Rea
 func (r readOnlyIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
 	return nil
 }
-func (r readOnlyIO) Close() error { return r.s.Close() }
+func (r readOnlyIO) Close() error     { return r.s.Close() }
+func (r readOnlyIO) FlowStable() bool { return r.s.stable }
 
-// ingestModes is one engine topology per ingest discipline: which loops run.
-var ingestModes = []struct {
+// topologies is one set of interfaces per arrangement of loops; the engine
+// picks the arrangement from the set.
+var topologies = []struct {
 	name   string
 	shards int
 	ios    int
-	ingest IngestMode
+	stable bool // the interfaces report FlowStable
+	direct bool
 }{
-	{"inline", 1, 1, IngestAuto},   // one shard loop, no ring
-	{"affine", 2, 2, IngestAffine}, // a shard loop and a ring per shard
-	{"hash", 3, 1, IngestHash},     // one reader loop, a worker loop per shard
+	{"inline", 1, 1, false, true}, // direct: the one shard loop on a plain interface
+	{"affine", 2, 2, true, true},  // direct: a shard loop per flow-stable interface
+	{"hash", 3, 1, false, false},  // fan-out: one reader loop, a worker loop per shard
 }
 
 // orderHandler appends each handled packet's sequence number (its payload
@@ -93,9 +100,9 @@ func (h orderHandler) HandlePacket(pkt Packet) {
 
 // One scripted sequence through a Read-only interface and through a
 // BatchReader at slab sizes 1 and 8 must reach the handlers in the same
-// per-shard order with the same shard counters, in every ingest mode: the
+// per-shard order with the same shard counters, direct and fanned out: the
 // slab size changes how many datagrams a read returns and nothing else.
-// Every source is unverified, so hash mode's (shard, class) grouping cannot
+// Every source is unverified, so the fan-out's (shard, class) grouping cannot
 // reorder packets of different classes within a read.
 func TestOnePathDifferential(t *testing.T) {
 	const total = 96
@@ -113,7 +120,7 @@ func TestOnePathDifferential(t *testing.T) {
 		order [][]byte
 		stats []ShardStats
 	}
-	for _, m := range ingestModes {
+	for _, m := range topologies {
 		t.Run(m.name, func(t *testing.T) {
 			var ref outcome
 			for vi, v := range variants {
@@ -124,7 +131,7 @@ func TestOnePathDifferential(t *testing.T) {
 				}
 				ios := make([]PacketIO, m.ios)
 				for i := range ios {
-					if s := newScriptIO(scripts[i]); v.readOnly {
+					if s := newScriptIO(scripts[i], m.stable); v.readOnly {
 						ios[i] = readOnlyIO{s}
 					} else {
 						ios[i] = s
@@ -136,7 +143,6 @@ func TestOnePathDifferential(t *testing.T) {
 					Env:        realnet.New(),
 					IOs:        ios,
 					Shards:     m.shards,
-					Ingest:     m.ingest,
 					Batch:      v.batch,
 					HashSeed:   7,
 					NewHandler: func(i int) Handler { return orderHandler{&order[i], &count} },
@@ -144,8 +150,8 @@ func TestOnePathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.inline != (m.name == "inline") || e.Affine() != (m.name == "affine") {
-					t.Fatalf("%s: resolved inline=%v affine=%v", v.name, e.inline, e.Affine())
+				if e.Direct() != m.direct {
+					t.Fatalf("%s: direct = %v", v.name, e.Direct())
 				}
 				e.Start()
 				waitCount(t, &count, total)
@@ -242,12 +248,11 @@ type resettableBracket struct{ *bracketHandler }
 
 func (resettableBracket) ResetShard() {}
 
-// Every HandlePacket runs inside a bracket — packets off the socket, packets
-// off the handoff ring, queue groups — and a supervised restart in the
-// middle of a slab keeps it so, whether the restart reuses the handler
-// (Resetter) or replaces it.
+// Every HandlePacket runs inside a bracket — packets off the socket, queue
+// groups — and a supervised restart in the middle of a slab keeps it so,
+// whether the restart reuses the handler (Resetter) or replaces it.
 func TestBatchBracketContract(t *testing.T) {
-	for _, m := range ingestModes {
+	for _, m := range topologies {
 		for _, resetter := range []bool{false, true} {
 			for _, batch := range []int{1, 8} {
 				name := fmt.Sprintf("%s/resetter=%v/batch=%d", m.name, resetter, batch)
@@ -266,14 +271,13 @@ func TestBatchBracketContract(t *testing.T) {
 							}
 							script = append(script, p)
 						}
-						ios[i] = newScriptIO(script)
+						ios[i] = newScriptIO(script, m.stable)
 					}
 					rg := &bracketRig{t: t, cur: make(map[int]*bracketHandler)}
 					e, err := New(Config{
 						Env:        realnet.New(),
 						IOs:        ios,
 						Shards:     m.shards,
-						Ingest:     m.ingest,
 						Batch:      batch,
 						NewHandler: rg.newHandler(resetter),
 						Observer:   panicOnPoison,
@@ -283,13 +287,6 @@ func TestBatchBracketContract(t *testing.T) {
 						t.Fatal(err)
 					}
 					e.Start()
-					if e.Affine() {
-						for i := 0; i < 8; i++ {
-							if e.Handoff(i%m.shards, Packet{Src: srcAP(100 + i), Payload: []byte{1}}) {
-								clean++
-							}
-						}
-					}
 					waitCount(t, &rg.handled, uint64(clean))
 					e.Close() // joins the procs: handler fields are safe to read
 

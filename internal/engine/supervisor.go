@@ -58,10 +58,10 @@ type SupervisorConfig struct {
 	// worker context inside its own recover boundary; nil degrades TripPass
 	// to dropping.
 	OnPass func(shard int, pkt Packet)
-	// QuarantineCap bounds the quarantined-packet ring (oldest evicted
-	// first). 0 means 32.
-	QuarantineCap int
 }
+
+// quarantineCap bounds the quarantined-packet ring (oldest evicted first).
+const quarantineCap = 32
 
 func (sc *SupervisorConfig) fillDefaults() {
 	if sc.MaxRestarts <= 0 {
@@ -69,9 +69,6 @@ func (sc *SupervisorConfig) fillDefaults() {
 	}
 	if sc.RestartWindow <= 0 {
 		sc.RestartWindow = time.Minute
-	}
-	if sc.QuarantineCap <= 0 {
-		sc.QuarantineCap = 32
 	}
 }
 
@@ -120,7 +117,7 @@ type supervisor struct {
 	shards []supShard
 
 	qmu  sync.Mutex
-	ring []QuarantinedPacket // bounded by cfg.Supervisor.QuarantineCap
+	ring []QuarantinedPacket // bounded by quarantineCap
 }
 
 // Supervision returns an atomically-read copy of the supervision counters.
@@ -152,7 +149,7 @@ func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 		Dump:       hex.Dump(pkt.Payload),
 	}
 	e.sup.qmu.Lock()
-	if len(e.sup.ring) >= e.cfg.Supervisor.QuarantineCap {
+	if len(e.sup.ring) >= quarantineCap {
 		e.sup.ring = e.sup.ring[1:]
 	}
 	e.sup.ring = append(e.sup.ring, qp)

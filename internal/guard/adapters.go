@@ -55,12 +55,12 @@ var (
 	_ engine.FlowStable = (*SocketIO)(nil)
 )
 
-// FlowStable bridges the engine's ingest-eligibility probe to the
-// underlying socket: true only when the conn itself guarantees stable
-// kernel flow steering (netapi.FlowStableConn — SO_REUSEPORT members
-// qualify, shared-fd handles and netsim shims do not). TapIO deliberately
-// lacks this method: taps fan out from a central queue, so affine ingest
-// would break source→shard determinism there.
+// FlowStable bridges the engine's topology rule to the underlying socket:
+// true only when the conn itself guarantees stable kernel flow steering
+// (netapi.FlowStableConn — SO_REUSEPORT members qualify, shared-fd handles
+// and netsim shims do not). TapIO deliberately lacks this method: taps fan
+// out from a central queue, so shards reading them directly would break
+// source→shard determinism there.
 func (s *SocketIO) FlowStable() bool {
 	fs, ok := s.Conn.(netapi.FlowStableConn)
 	return ok && fs.FlowStable()

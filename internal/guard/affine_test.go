@@ -44,7 +44,7 @@ func (c *chanIO) Close() error {
 }
 
 // TestAffineGuardShardExplicitFastPath pins the guard's shard-explicit
-// verified-cache wiring: under affine ingest a source's owning shard is the
+// verified-cache wiring: on a direct engine a source's owning shard is the
 // delivering socket's, which can disagree with the engine's source hash.
 // The handler must promote into and consult its own shard's cache partition
 // (MarkVerifiedOn/VerifiedCredOn with the handler's id) — promoting by source
@@ -91,8 +91,8 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	}
 	defer g.Close()
 	eng := g.Engine()
-	if !eng.Affine() {
-		t.Fatal("two flow-stable sockets for two shards must select affine ingest")
+	if !eng.Direct() {
+		t.Fatal("two flow-stable sockets for two shards must be read directly")
 	}
 
 	// A source whose hash shard disagrees with its delivering socket.

@@ -31,26 +31,29 @@ type LocalConfig struct {
 	// Deliver hands an inbound packet on to the real LRS (the guard
 	// intercepts its address).
 	Deliver func(src, dst netip.AddrPort, payload []byte) error
-	// ExchangePort is the source port the guard uses for cookie
-	// exchanges on behalf of the LRS. 0 means 49876.
-	ExchangePort uint16
-	// CookieTTLCap bounds how long a learned cookie is cached regardless
-	// of the advertised TTL. 0 means one week.
-	CookieTTLCap time.Duration
-	// NotCapableTTL is how long a server that did not answer the cookie
-	// exchange is remembered as legacy (queries pass through unmodified).
-	// 0 means 60s.
-	NotCapableTTL time.Duration
 	// ExchangeTimeout bounds the cookie exchange (message 2/3) before
 	// held queries are released unstamped. 0 means 500ms.
 	ExchangeTimeout time.Duration
-	// MaxHeld bounds queries buffered per destination during an exchange.
-	MaxHeld int
 }
 
-// Validate reports the first missing required field, without touching the
-// config.
-func (c *LocalConfig) Validate() error {
+const (
+	// exchangePort is the source port the guard uses for cookie exchanges on
+	// behalf of the LRS.
+	exchangePort = 49876
+	// cookieTTLCap bounds how long a learned cookie is cached regardless of
+	// the advertised TTL.
+	cookieTTLCap = cookie.DefaultTTL
+	// notCapableTTL is how long a server that did not answer the cookie
+	// exchange is remembered as legacy (queries pass through unmodified).
+	notCapableTTL = 60 * time.Second
+	// maxHeld bounds queries buffered per destination during an exchange.
+	maxHeld = 64
+)
+
+// resolve is the one pass over a config: it reports the first missing
+// required field, then fills the defaulted one. NewLocal runs it on its own
+// copy and nothing else does.
+func (c *LocalConfig) resolve() error {
 	switch {
 	case c.Env == nil || c.IO == nil:
 		return errors.New("guard: LocalConfig.Env and IO are required")
@@ -59,34 +62,9 @@ func (c *LocalConfig) Validate() error {
 	case c.Deliver == nil:
 		return errors.New("guard: LocalConfig.Deliver is required")
 	}
-	return nil
-}
-
-// Normalize fills every defaulted field in place; idempotent, and usable on
-// a partially built config before Validate.
-func (c *LocalConfig) Normalize() {
-	if c.ExchangePort == 0 {
-		c.ExchangePort = 49876
-	}
-	if c.CookieTTLCap <= 0 {
-		c.CookieTTLCap = cookie.DefaultTTL
-	}
-	if c.NotCapableTTL <= 0 {
-		c.NotCapableTTL = 60 * time.Second
-	}
 	if c.ExchangeTimeout <= 0 {
 		c.ExchangeTimeout = 500 * time.Millisecond
 	}
-	if c.MaxHeld <= 0 {
-		c.MaxHeld = 64
-	}
-}
-
-func (c *LocalConfig) fillDefaults() error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	c.Normalize()
 	return nil
 }
 
@@ -157,7 +135,7 @@ func (l *Local) MetricsInto(r *metrics.Registry) { l.Stats.MetricsInto(r) }
 
 // NewLocal validates cfg and creates the guard.
 func NewLocal(cfg LocalConfig) (*Local, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	return &Local{
@@ -212,7 +190,7 @@ func (l *Local) captureLoop() {
 // handleInbound processes traffic addressed to the LRS: cookie-exchange
 // responses are consumed, everything else is delivered untouched.
 func (l *Local) handleInbound(pkt Packet) {
-	if pkt.Dst.Port() == l.cfg.ExchangePort {
+	if pkt.Dst.Port() == exchangePort {
 		l.handleExchangeResponse(pkt)
 		return
 	}
@@ -255,7 +233,7 @@ func (l *Local) handleOutbound(pkt Packet) {
 		l.exchanges[dst] = ex
 		l.sendCookieRequest(dst, msg, ex)
 	}
-	if len(ex.held) >= l.cfg.MaxHeld {
+	if len(ex.held) >= maxHeld {
 		atomic.AddUint64(&l.Stats.HeldOverflow, 1)
 		l.passthrough(pkt)
 		return
@@ -294,7 +272,7 @@ func (l *Local) sendCookieRequest(dst netip.AddrPort, template *dnswire.Message,
 		return
 	}
 	atomic.AddUint64(&l.Stats.Exchanges, 1)
-	src := netip.AddrPortFrom(l.cfg.ClientAddr, l.cfg.ExchangePort)
+	src := netip.AddrPortFrom(l.cfg.ClientAddr, exchangePort)
 	_ = l.cfg.IO.WriteFromTo(src, dst, wire)
 	l.cfg.Env.Go("localguard-timeout", func() {
 		l.cfg.Env.Sleep(l.cfg.ExchangeTimeout)
@@ -328,7 +306,7 @@ func (l *Local) expireExchange(dst netip.AddrPort, ex *exchangeState) {
 		}
 	})
 	atomic.AddUint64(&l.Stats.LegacyServers, 1)
-	l.notCapable[dst] = l.now() + l.cfg.NotCapableTTL
+	l.notCapable[dst] = l.now() + notCapableTTL
 	for _, pkt := range ex.held {
 		l.passthrough(pkt)
 	}
@@ -360,15 +338,15 @@ func (l *Local) handleExchangeResponse(pkt Packet) {
 		// A legacy server answered the bare question: it is not
 		// cookie-capable.
 		atomic.AddUint64(&l.Stats.LegacyServers, 1)
-		l.notCapable[dst] = l.now() + l.cfg.NotCapableTTL
+		l.notCapable[dst] = l.now() + notCapableTTL
 		for _, held := range ex.held {
 			l.passthrough(held)
 		}
 		return
 	}
 	life := time.Duration(ttl) * time.Second
-	if life <= 0 || life > l.cfg.CookieTTLCap {
-		life = l.cfg.CookieTTLCap
+	if life <= 0 || life > cookieTTLCap {
+		life = cookieTTLCap
 	}
 	l.cookies[dst] = learnedCookie{c: c, expires: l.now() + life}
 	atomic.AddUint64(&l.Stats.CookiesLearned, 1)
@@ -383,7 +361,7 @@ func (l *Local) handleExchangeResponse(pkt Packet) {
 // exchange timed out: the held queries are long gone (released unstamped),
 // but the cookie is still good, and the premature legacy verdict must be
 // reversed so the next query is stamped instead of passed through for
-// NotCapableTTL (up to a minute of degraded service). The caller must hold
+// notCapableTTL (up to a minute of degraded service). The caller must hold
 // l.mu.
 func (l *Local) handleLateExchangeResponse(dst netip.AddrPort, resp *dnswire.Message) {
 	le, ok := l.late[resp.ID]
@@ -398,8 +376,8 @@ func (l *Local) handleLateExchangeResponse(dst netip.AddrPort, resp *dnswire.Mes
 		return // legacy verdict was correct after all
 	}
 	life := time.Duration(ttl) * time.Second
-	if life <= 0 || life > l.cfg.CookieTTLCap {
-		life = l.cfg.CookieTTLCap
+	if life <= 0 || life > cookieTTLCap {
+		life = cookieTTLCap
 	}
 	l.cookies[dst] = learnedCookie{c: c, expires: l.now() + life}
 	delete(l.notCapable, dst)

@@ -518,7 +518,7 @@ func (s *remoteShard) answerChild(entry *pendEntry, rcode dnswire.RCode, resp *d
 			g.answers.Put(g.now(), child.Name, question.Type, cached)
 		}
 		out.Answers = []dnswire.RR{
-			dnswire.NewRR(fabName, g.cfg.NSTTL, &dnswire.AData{Addr: addr}),
+			dnswire.NewRR(fabName, nsTTL, &dnswire.AData{Addr: addr}),
 		}
 	default:
 		// NODATA for the child: nothing useful to fabricate.

@@ -61,12 +61,16 @@ type RemoteConfig struct {
 	// always leave through IOs[0].
 	IOs []PacketIO
 	// Shards is the dataplane worker count; every per-source structure
-	// (pending NAT table, rate limiters, verifier) is owned by the shard
-	// the source address hashes to. 0 and 1 mean one shard, which handles
-	// packets in its capture loop with no queue hop.
+	// (pending NAT table, rate limiters, verifier) is owned by one shard. 0
+	// and 1 mean one shard. With one interface per shard, each reporting
+	// stable kernel flow steering (netapi.FlowStableConn, e.g. SO_REUSEPORT
+	// siblings) or there being only one, a shard reads its own interface and
+	// handles packets in that loop with no queue hop; otherwise a source-hash
+	// fan-out feeds the shards, which is what netsim gets and what keeps its
+	// replays deterministic (engine package comment).
 	Shards int
-	// QueueDepth bounds each shard's ingress queue (multi-shard only).
-	// 0 means the engine default.
+	// QueueDepth bounds each shard's ingress queue (fan-out only). 0 means
+	// the engine default.
 	QueueDepth int
 	// Batch is the most datagrams one read may return, on the capture
 	// interface and on each shard's upstream socket. 0 and 1 mean one
@@ -76,14 +80,6 @@ type RemoteConfig struct {
 	// waiting. Per-packet semantics (admission policy, supervision,
 	// observer, all counters) do not depend on it.
 	Batch int
-	// Ingest selects how packets reach shard workers (see engine.IngestMode).
-	// The zero value (engine.IngestAuto) picks shard-affine ingest — one read
-	// loop per shard on its own interface, no queue hop — when len(IOs) ==
-	// Shards and every interface reports stable kernel flow steering
-	// (netapi.FlowStableConn, e.g. SO_REUSEPORT siblings); otherwise the
-	// central source-hash fan-out runs, which netsim requires for
-	// deterministic replays.
-	Ingest engine.IngestMode
 	// FastPathTTL is the verified-source cache's TTL: a source that just
 	// passed a cookie check is remembered with its credential for this
 	// long, replacing the next MAC verification with a byte compare. The
@@ -134,17 +130,13 @@ type RemoteConfig struct {
 	TCPClients []netip.Prefix
 	// Auth computes cookies; required.
 	Auth *cookie.Authenticator
-	// NSPrefix overrides the fabricated-label prefix.
-	NSPrefix string
-	// NSTTL is the TTL (seconds) of fabricated records and wire cookies;
-	// 0 means one week (§III-E).
-	NSTTL uint32
 	// RL1 configures Rate-Limiter1 (cookie responses). Zero-value fields
-	// take defaults. Each shard runs its own limiter over the sources it
-	// owns, so per-source limits are exact and global budgets are split
-	// per shard.
+	// take the defaults of ratelimit.DefaultLimiter1Config, each on its own.
+	// Each shard runs its own limiter over the sources it owns, so per-source
+	// limits are exact and global budgets are split per shard.
 	RL1 ratelimit.Limiter1Config
-	// RL2 configures Rate-Limiter2 (verified requests).
+	// RL2 configures Rate-Limiter2 (verified requests); zero-value fields
+	// take the defaults of ratelimit.DefaultLimiter2Config likewise.
 	RL2 ratelimit.Limiter2Config
 	// ActivationThreshold is the input rate (req/s) above which spoof
 	// detection engages; 0 means always on (§IV-C uses the ANS capacity).
@@ -174,11 +166,17 @@ type RemoteConfig struct {
 	Mitigation MitigationConfig
 }
 
-// Validate reports the first missing required field, without touching the
-// config. NewRemote calls it; flag plumbing can call it directly after
-// assembling a config (typically after Normalize, once the I/O fields are
-// bound).
-func (c *RemoteConfig) Validate() error {
+// nsTTL is the TTL (seconds) of fabricated records and wire cookies: one week
+// (§III-E). nsPrefix is the fabricated-label prefix the ingress walk matches.
+const (
+	nsTTL    = uint32(cookie.DefaultTTL / time.Second)
+	nsPrefix = cookie.DefaultNSPrefix
+)
+
+// resolve is the one pass over a config: it reports the first missing
+// required field, then fills every defaulted one in place. NewRemote runs it
+// on its own copy and nothing else does.
+func (c *RemoteConfig) resolve() error {
 	switch {
 	case c.Env == nil:
 		return errors.New("guard: RemoteConfig.Env is required")
@@ -189,18 +187,10 @@ func (c *RemoteConfig) Validate() error {
 	case !c.PublicAddr.IsValid() || !c.ANSAddr.IsValid():
 		return errors.New("guard: PublicAddr and ANSAddr are required")
 	}
-	return nil
-}
-
-// Normalize fills every defaulted field in place. It is idempotent and
-// independent of Validate — flag plumbing can Normalize a partially built
-// config first (for example to learn the effective Shards before binding
-// that many sockets), then set the I/O fields and Validate.
-func (c *RemoteConfig) Normalize() {
-	if len(c.IOs) == 0 && c.IO != nil {
+	if len(c.IOs) == 0 {
 		c.IOs = []PacketIO{c.IO}
 	}
-	if c.IO == nil && len(c.IOs) > 0 {
+	if c.IO == nil {
 		c.IO = c.IOs[0]
 	}
 	if c.Shards <= 0 {
@@ -212,15 +202,15 @@ func (c *RemoteConfig) Normalize() {
 	if c.Fallback == 0 {
 		c.Fallback = SchemeDNS
 	}
-	if c.NSTTL == 0 {
-		c.NSTTL = uint32(cookie.DefaultTTL / time.Second)
-	}
-	if c.RL1.PerSourceRate == 0 {
-		c.RL1 = ratelimit.DefaultLimiter1Config()
-	}
-	if c.RL2.PerSourceRate == 0 {
-		c.RL2 = ratelimit.DefaultLimiter2Config()
-	}
+	d1, d2 := ratelimit.DefaultLimiter1Config(), ratelimit.DefaultLimiter2Config()
+	orDefault(&c.RL1.PerSourceRate, d1.PerSourceRate)
+	orDefault(&c.RL1.PerSourceBurst, d1.PerSourceBurst)
+	orDefault(&c.RL1.GlobalRate, d1.GlobalRate)
+	orDefault(&c.RL1.GlobalBurst, d1.GlobalBurst)
+	orDefault(&c.RL1.TrackedSources, d1.TrackedSources)
+	orDefault(&c.RL2.PerSourceRate, d2.PerSourceRate)
+	orDefault(&c.RL2.PerSourceBurst, d2.PerSourceBurst)
+	orDefault(&c.RL2.TrackedSources, d2.TrackedSources)
 	if c.PendingTimeout <= 0 {
 		c.PendingTimeout = 3 * time.Second
 	}
@@ -236,14 +226,15 @@ func (c *RemoteConfig) Normalize() {
 	if c.Mitigation.Enabled {
 		c.Mitigation.normalize()
 	}
+	return nil
 }
 
-func (c *RemoteConfig) fillDefaults() error {
-	if err := c.Validate(); err != nil {
-		return err
+// orDefault gives a field left at its zero value its default.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
 	}
-	c.Normalize()
-	return nil
 }
 
 // RemoteStats counts guard activity; the experiment harness reads these.
@@ -302,10 +293,8 @@ type Remote struct {
 	nsc cookie.NSCodec
 	ipc cookie.IPCodec
 
-	// nsPrefix/nsPrefixLen cache the NS codec's label geometry: the effective
-	// label prefix and the full cookie label length it implies; zoneWire is
-	// cfg.Zone as a question carries it.
-	nsPrefix    string
+	// nsPrefixLen is the full cookie label length the NS codec writes;
+	// zoneWire is cfg.Zone as a question carries it.
 	nsPrefixLen int
 	zoneWire    []byte
 	eng         *engine.Engine
@@ -426,23 +415,17 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 
 // NewRemote validates cfg and creates the guard (not yet started).
 func NewRemote(cfg RemoteConfig) (*Remote, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	now := cfg.Env.Now()
 	g := &Remote{
 		cfg:     cfg,
-		nsc:     cookie.NSCodec{Prefix: cfg.NSPrefix},
 		ipc:     cookie.IPCodec{Subnet: cfg.Subnet},
 		rate:    ratelimit.NewRateEstimator(10, 100*time.Millisecond),
 		answers: resolver.NewCache(4096),
 		mit:     newMitigator(cfg.Mitigation),
 	}
-	prefix := cfg.NSPrefix
-	if prefix == "" {
-		prefix = cookie.DefaultNSPrefix
-	}
-	g.nsPrefix = prefix
 	g.nsPrefixLen = len(g.nsc.EncodeLabel(cookie.Cookie{}))
 	zoneQ := questionsWire([]dnswire.Question{{Name: cfg.Zone}})
 	g.zoneWire = zoneQ[:len(zoneQ)-4]
@@ -465,7 +448,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		Shards:          cfg.Shards,
 		QueueDepth:      cfg.QueueDepth,
 		Batch:           cfg.Batch,
-		Ingest:          cfg.Ingest,
 		FastPathTTL:     cfg.FastPathTTL,
 		FastPathSources: cfg.FastPathSources,
 		Name:            "guard",
@@ -503,9 +485,13 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 // upstream bind, "guard-capture", "guard-upstream", "guard-rotate" — so
 // deterministic simulations replay unchanged.
 func (g *Remote) Start() error {
-	for _, s := range g.shards {
+	for k, s := range g.shards {
 		up, err := g.cfg.Env.ListenUDP(netip.AddrPort{})
 		if err != nil {
+			for _, bound := range g.shards[:k] {
+				_ = bound.upstream.Close()
+				bound.upstream = nil
+			}
 			return fmt.Errorf("guard: binding upstream socket: %w", err)
 		}
 		// Best-effort: widen the kernel receive buffer where the conn
@@ -850,7 +836,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 	}
 	b = append(b, qs[nameLen:]...)
 	if record := len(b); b[start+9] != 0 {
-		label, ttl := name[child:child+1+int(name[child])], g.cfg.NSTTL
+		label, ttl := name[child:child+1+int(name[child])], nsTTL
 		b = append(b, 0xC0|byte((12+child)>>8), byte(12+child), 0, byte(dnswire.TypeNS), 0, byte(dnswire.ClassINET),
 			byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 0, byte(g.nsPrefixLen)+label[0])
 		b = append(g.nsc.AppendLabel(b, s.bv.Mint(pkt.Src.Addr())), label[1:]...)
@@ -899,8 +885,8 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		if i < len(g.nsPrefix) && c != g.nsPrefix[i] ||
-			i >= len(g.nsPrefix) && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+		if i < len(nsPrefix) && c != nsPrefix[i] ||
+			i >= len(nsPrefix) && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return nil, false
 		}
 		cred = append(cred, c)
@@ -915,9 +901,9 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 // With the cache off (FastPathTTL 0) every call is a miss and every request
 // pays its MAC; nothing else about the pipeline depends on the setting.
 //
-// The lookup is shard-explicit: this handler owns shard s.id, and under
-// affine ingest the owning shard is the delivering socket's, not the source
-// hash's, whose cache partition a different worker owns.
+// The lookup is shard-explicit: this handler owns shard s.id, and on a direct
+// engine the owning shard is the delivering socket's, not the source hash's,
+// whose cache partition a different worker owns.
 func (s *remoteShard) verified(src netip.Addr, cred []byte) bool {
 	if !s.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
 		return false
@@ -1006,7 +992,7 @@ func (s *remoteShard) grantCookie(pkt Packet, qd int, qs []byte) {
 	}
 	g.charge(g.cfg.Costs.CookieGrant)
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-	start, nameLen, ttl, c := len(s.egress), wireNameLen(qs), g.cfg.NSTTL, s.bv.Mint(pkt.Src.Addr())
+	start, nameLen, ttl, c := len(s.egress), wireNameLen(qs), nsTTL, s.bv.Mint(pkt.Src.Addr())
 	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, byte(qd>>8), byte(qd), 0, 0, 0, 0, 0, 1)
 	b = append(appendFolded(b, qs[:nameLen]), qs[nameLen:]...)
 	record := len(b)

@@ -41,7 +41,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		g.charge(g.cfg.Costs.CookieGrant)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		resp := msg.Response()
-		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), g.cfg.NSTTL)
+		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), nsTTL)
 		s.reply(pkt.Dst, pkt.Src, resp)
 		return
 	}
@@ -126,7 +126,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 	resp := msg.Response()
 	resp.Authority = []dnswire.RR{
-		dnswire.NewRR(child, g.cfg.NSTTL, &dnswire.NSData{Host: fabName}),
+		dnswire.NewRR(child, nsTTL, &dnswire.NSData{Host: fabName}),
 	}
 	s.reply(pkt.Dst, pkt.Src, resp)
 	return

@@ -131,9 +131,9 @@ type UDPReuseEnv interface {
 // flow to one socket of the group (realnet marks those conns true). A single
 // socket read through several refcounted handles, or a userspace fan-out
 // over one receive queue (netsim's reuse shim), does not: any handle can
-// observe any flow. Shard-affine ingest (engine.IngestAuto) engages only on
-// conns that report true; a conn that does not implement the interface is
-// treated as not flow-stable.
+// observe any flow. Several engine shards each read their own conn directly
+// only when every conn reports true; a conn that does not implement the
+// interface is treated as not flow-stable.
 type FlowStableConn interface {
 	FlowStable() bool
 }

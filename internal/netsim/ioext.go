@@ -89,9 +89,9 @@ var (
 )
 
 // FlowStable reports false: the fan-out shim hands each datagram to whichever
-// handle is blocked, so a flow wanders across handles. Affine ingest must not
-// engage here — netsim keeps the source-hash mapping, which is also what
-// makes multi-shard replays deterministic (see engine.IngestMode).
+// handle is blocked, so a flow wanders across handles. Shards must not read
+// these handles directly — netsim keeps the engine's source-hash fan-out,
+// which is also what makes multi-shard replays deterministic.
 func (c *reuseConn) FlowStable() bool { return false }
 
 func (c *reuseConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {

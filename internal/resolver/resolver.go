@@ -52,12 +52,6 @@ type Config struct {
 	// policy) makes UDP unusable but the path still carries streams.
 	// Zero disables UDP-failure TCP retry (truncation fallback is always on).
 	TCPRetryAfter int
-	// MaxSteps bounds delegation-following iterations per query.
-	MaxSteps int
-	// MaxDepth bounds sub-resolutions (NS target addresses, CNAME chains).
-	MaxDepth int
-	// CacheSize bounds the cache entry count.
-	CacheSize int
 	// DisableCache turns the cache off entirely (the paper's cache-miss
 	// throughput experiments disable cookie caching this way).
 	DisableCache bool
@@ -65,21 +59,25 @@ type Config struct {
 	Seed int64
 }
 
-// Validate reports the first missing required field, without touching the
-// config.
-func (c *Config) Validate() error {
+const (
+	// maxSteps bounds delegation-following iterations per query.
+	maxSteps = 24
+	// maxDepth bounds sub-resolutions (NS target addresses, CNAME chains).
+	maxDepth = 8
+	// cacheSize bounds the cache entry count.
+	cacheSize = 1 << 16
+)
+
+// resolve is the one pass over a config: it reports the first missing
+// required field, then fills every defaulted one in place. New runs it on its
+// own copy and nothing else does.
+func (c *Config) resolve() error {
 	if c.Env == nil {
 		return errors.New("resolver: Config.Env is required")
 	}
 	if len(c.RootHints) == 0 {
 		return errors.New("resolver: Config.RootHints is required")
 	}
-	return nil
-}
-
-// Normalize fills every defaulted field in place; idempotent, and usable on
-// a partially built config before Validate (flag plumbing).
-func (c *Config) Normalize() {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
@@ -91,18 +89,10 @@ func (c *Config) Normalize() {
 	if c.Backoff > 0 && c.MaxBackoff <= 0 {
 		c.MaxBackoff = 8 * c.Backoff
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 24
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 8
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 1 << 16
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	return nil
 }
 
 // Stats counts resolver activity. Fields are written atomically (the real
@@ -184,16 +174,18 @@ func (r *Resolver) randInt63n(n int64) int64 {
 
 // New builds a resolver.
 func New(cfg Config) (*Resolver, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	cfg.Normalize()
 	return &Resolver{
 		cfg:   cfg,
-		cache: NewCache(cfg.CacheSize),
+		cache: NewCache(cacheSize),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
+
+// Config returns the configuration in effect, defaults filled in.
+func (r *Resolver) Config() Config { return r.cfg }
 
 // Cache exposes the resolver's cache (for tests and cache-priming).
 func (r *Resolver) Cache() *Cache { return r.cache }
@@ -240,7 +232,7 @@ func (r *Resolver) cachePut(name dnswire.Name, t dnswire.Type, rrs []dnswire.RR)
 }
 
 func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, depth int) ([]dnswire.RR, dnswire.RCode, error) {
-	if depth > r.cfg.MaxDepth {
+	if depth > maxDepth {
 		return nil, dnswire.RCodeServFail, ErrLoop
 	}
 	// Cache: direct answer.
@@ -263,7 +255,7 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, depth int) ([
 	}
 
 	zoneName, servers := r.bestServers(qname)
-	for step := 0; step < r.cfg.MaxSteps; step++ {
+	for step := 0; step < maxSteps; step++ {
 		resp, err := r.querySet(servers, qname, qtype, depth)
 		if err != nil {
 			return nil, dnswire.RCodeServFail, err
@@ -305,7 +297,7 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, depth int) ([
 			return nil, resp.Flags.RCode, fmt.Errorf("%w: rcode %v from zone %s", ErrServFail, resp.Flags.RCode, zoneName)
 		}
 	}
-	return nil, dnswire.RCodeServFail, fmt.Errorf("%w: exceeded %d steps", ErrLoop, r.cfg.MaxSteps)
+	return nil, dnswire.RCodeServFail, fmt.Errorf("%w: exceeded %d steps", ErrLoop, maxSteps)
 }
 
 // acceptAnswer caches the answer rrsets and follows a dangling CNAME chain.

@@ -38,8 +38,6 @@ type Config struct {
 	RTT time.Duration
 	// MaxDuration overrides the 5×RTT duration cap when positive.
 	MaxDuration time.Duration
-	// UpstreamTimeout bounds the ANS's answer time. 0 means 2s.
-	UpstreamTimeout time.Duration
 	// ConnRate and ConnBurst bound per-client new-connection rates.
 	// Zero means 50/s with burst 20.
 	ConnRate  float64
@@ -55,6 +53,9 @@ type Config struct {
 	// with concurrency (Figure 7a).
 	CostPerRequest func(live int) time.Duration
 }
+
+// upstreamTimeout bounds the ANS's answer time.
+const upstreamTimeout = 2 * time.Second
 
 // CPUWorker charges simulated CPU time; netsim.(*CPU) implements it.
 type CPUWorker interface {
@@ -73,9 +74,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxDuration <= 0 {
 		c.MaxDuration = 5 * c.RTT
-	}
-	if c.UpstreamTimeout <= 0 {
-		c.UpstreamTimeout = 2 * time.Second
 	}
 	if c.ConnRate <= 0 {
 		c.ConnRate = 50
@@ -259,7 +257,7 @@ func (p *Proxy) relay(conn netapi.Conn, frame []byte) bool {
 	if err := udp.WriteTo(frame, p.cfg.ANSAddr); err != nil {
 		return false
 	}
-	deadline := p.cfg.Env.Now() + p.cfg.UpstreamTimeout
+	deadline := p.cfg.Env.Now() + upstreamTimeout
 	for {
 		remain := deadline - p.cfg.Env.Now()
 		if remain <= 0 {

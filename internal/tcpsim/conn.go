@@ -152,7 +152,7 @@ func (c *Conn) Close() error {
 	} else {
 		c.state = stateFinWait
 		// Keep state briefly to retransmit data; reap on timer.
-		c.stack.sched.After(2*c.stack.cfg.RTO, func() { c.teardown(nil) })
+		c.stack.sched.After(2*rto, func() { c.teardown(nil) })
 	}
 	return nil
 }
@@ -301,7 +301,7 @@ func (c *Conn) ensureRetransmit() {
 }
 
 func (c *Conn) armRetransmit(pick func() *Segment) {
-	c.rtTimer = c.stack.sched.After(c.stack.cfg.RTO, func() {
+	c.rtTimer = c.stack.sched.After(rto, func() {
 		c.rtTimer = nil
 		if c.state == stateClosed {
 			return
@@ -311,7 +311,7 @@ func (c *Conn) armRetransmit(pick func() *Segment) {
 			return
 		}
 		c.retries++
-		if c.retries > c.stack.cfg.MaxRetries {
+		if c.retries > maxRetries {
 			c.teardown(netapi.ErrTimeout)
 			return
 		}

@@ -42,33 +42,21 @@ type Config struct {
 	// connection state exists until the handshake-completing ACK arrives
 	// with a valid cookie, defeating SYN floods (§III-C).
 	SYNCookies bool
-	// RTO is the retransmission timeout. Zero means 200ms.
-	RTO time.Duration
-	// MaxRetries bounds retransmissions before the connection aborts.
-	MaxRetries int
-	// ConnectTimeout bounds Dial. Zero means 1s.
-	ConnectTimeout time.Duration
-	// AcceptBacklog bounds the pending-accept queue.
-	AcceptBacklog int
 	// OnSegment, when non-nil, observes every segment the stack sends or
 	// receives; experiments hook CPU cost accounting here.
 	OnSegment func(dataLen int)
 }
 
-func (c *Config) fillDefaults() {
-	if c.RTO <= 0 {
-		c.RTO = 200 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
-	}
-	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = time.Second
-	}
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 1024
-	}
-}
+const (
+	// rto is the retransmission timeout.
+	rto = 200 * time.Millisecond
+	// maxRetries bounds retransmissions before the connection aborts.
+	maxRetries = 5
+	// connectTimeout bounds Dial.
+	connectTimeout = time.Second
+	// acceptBacklog bounds the pending-accept queue.
+	acceptBacklog = 1024
+)
 
 // Stats counts stack activity.
 type Stats struct {
@@ -105,7 +93,6 @@ type Stack struct {
 
 // Install attaches a TCP stack to h.
 func Install(h *netsim.Host, cfg Config) *Stack {
-	cfg.fillDefaults()
 	st := &Stack{
 		host:      h,
 		sched:     h.Network().Scheduler(),
@@ -232,7 +219,7 @@ func (st *Stack) Dial(h *netsim.Host, raddr netip.AddrPort) (netapi.Conn, error)
 	// Retransmit SYN on timeout.
 	c.armRetransmit(func() *Segment { return syn })
 
-	if _, err := c.established.Get(st.cfg.ConnectTimeout); err != nil {
+	if _, err := c.established.Get(connectTimeout); err != nil {
 		c.abort(netapi.ErrTimeout)
 		if c.err != nil && !errors.Is(c.err, netapi.ErrTimeout) {
 			return nil, c.err
@@ -253,7 +240,7 @@ func (st *Stack) Listen(h *netsim.Host, laddr netip.AddrPort) (netapi.Listener, 
 	l := &Listener{
 		stack:    st,
 		addr:     laddr,
-		backlog:  vclock.NewBoundedQueue[*Conn](st.sched, st.cfg.AcceptBacklog),
+		backlog:  vclock.NewBoundedQueue[*Conn](st.sched, acceptBacklog),
 		halfOpen: make(map[connKey]*Segment),
 	}
 	st.listeners[laddr] = l

@@ -58,9 +58,6 @@ type PopulationConfig struct {
 	// keyring, modeling clients that completed the bootstrap dance against
 	// any site earlier. Required.
 	Auth *cookie.Authenticator
-	// NSPrefix is the fabricated-name label prefix (cookie.DefaultNSPrefix
-	// when empty); it must match the guard's codec.
-	NSPrefix string
 	// Seed keys the population's PRNG.
 	Seed uint64
 	// Tick batches flow emission (one wakeup per tick). Default 5ms.
@@ -87,7 +84,6 @@ type PopulationStats struct {
 type Population struct {
 	cfg     PopulationConfig
 	tap     *netsim.Tap
-	nsc     cookie.NSCodec
 	base    uint32    // first host address in Prefix
 	harm    []float64 // harm[k] = sum_{i=1..k} 1/i; Zipf(θ=1) CDF numerator
 	expNegL float64   // e^-λ for the per-tick Poisson draw
@@ -135,7 +131,6 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 	}
 	p := &Population{
 		cfg:  cfg,
-		nsc:  cookie.NSCodec{Prefix: cfg.NSPrefix},
 		rng:  cfg.Seed,
 		tmpl: make(map[int]*popTemplate),
 	}
@@ -247,7 +242,7 @@ func (p *Population) emit(r int) {
 	t := p.tmpl[r]
 	if epoch := p.cfg.Auth.Epoch(); t == nil || epoch-t.epoch > 1 {
 		src := p.Addr(r)
-		fab, err := guard.FabricateNSName(p.nsc, p.cfg.Auth.Mint(src), p.cfg.QName)
+		fab, err := guard.FabricateNSName(cookie.NSCodec{}, p.cfg.Auth.Mint(src), p.cfg.QName)
 		if err != nil {
 			return
 		}
