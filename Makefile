@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc bench-check api-check state-check image-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc bench-check api-check state-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -104,7 +104,16 @@ image-check:
 	done
 	$(GO) test ./cmd/dnsguardd -run='^TestImagePinned$$' -count=1 -v
 
-check: vet race bench-check api-check state-check image-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+# What a daemon runs differently off Linux — one socket for all shards
+# (realnet/reuseport_other.go), the read-loop batch I/O
+# (realnet/batch_portable.go) — no other target compiles: vet it for one
+# such platform and build it for two more. Cross-compiling needs no network.
+portable-check:
+	GOOS=darwin GOARCH=arm64 CGO_ENABLED=0 $(GO) vet ./...
+	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
+
+check: vet race bench-check api-check state-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

@@ -25,8 +25,8 @@
 // -keyring-reload polls the file and adopts newer epochs.
 //
 // With -shards N > 1 the guard runs N dataplane workers, each fed by its own
-// SO_REUSEPORT socket on the public address (kernel-hashed per flow; falls
-// back to a shared socket where SO_REUSEPORT is unavailable). -batch M
+// SO_REUSEPORT socket on the public address (kernel-hashed per flow); where
+// SO_REUSEPORT is unavailable one socket's reader feeds all N. -batch M
 // lets each read and write syscall move up to M datagrams (recvmmsg/sendmmsg
 // on Linux, a read loop elsewhere); -batch 1 is the same loop taking one
 // datagram per read.
@@ -63,9 +63,8 @@ func run() error {
 	withProxy := flag.Bool("proxy", true, "run the TCP proxy for redirected/truncated requesters")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
-	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket)")
+	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
-	queueDepth := flag.Int("queue-depth", 0, "per-shard ingress queue depth (0 = default)")
 	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source cache TTL (0 = default 1m, negative = no cache); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
@@ -158,14 +157,15 @@ func run() error {
 		trip = dnsguard.TripPass
 	}
 
-	// One SO_REUSEPORT socket per shard, bound through the environment's
-	// capability set; the guard reads each directly where the kernel steers
-	// flows stably and fans out from them where the sockets share an fd.
+	// One SO_REUSEPORT socket per shard where the environment can bind them,
+	// each read by its own shard; one socket otherwise, whose reader fans out
+	// to the shards.
 	caps := dnsguard.Capabilities(env)
 	if caps.ListenUDPReuse == nil {
 		return fmt.Errorf("environment cannot bind sharded sockets")
 	}
-	conns, err := caps.ListenUDPReuse(pub, max(*shards, 1))
+	nShards := max(*shards, 1)
+	conns, err := caps.ListenUDPReuse(pub, nShards)
 	if err != nil {
 		return fmt.Errorf("binding %v: %w", pub, err)
 	}
@@ -177,9 +177,8 @@ func run() error {
 		Env:                 env,
 		IOs:                 ios,
 		PublicAddr:          conns[0].LocalAddr(),
-		Shards:              len(conns),
+		Shards:              nShards,
 		Batch:               *batch,
-		QueueDepth:          *queueDepth,
 		FastPathTTL:         effectiveFastPathTTL(*fastPathTTL),
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
@@ -206,7 +205,7 @@ func run() error {
 		ingest = "direct"
 	}
 	fmt.Printf("dnsguardd: guarding zone %s on %v → ANS %v (scheme %v, threshold %.0f, shards %d, batch %d, ingest %s)\n",
-		apex, conns[0].LocalAddr(), ans, scheme, *threshold, len(conns), max(*batch, 1), ingest)
+		apex, conns[0].LocalAddr(), ans, scheme, *threshold, nShards, max(*batch, 1), ingest)
 
 	var proxy *dnsguard.TCPProxy
 	if *withProxy {

@@ -10,7 +10,6 @@ package cookie
 
 import (
 	"crypto/subtle"
-	"fmt"
 	"net/netip"
 )
 
@@ -80,18 +79,4 @@ func (v *BatchVerifier) VerifyIP(ic IPCodec, src netip.Addr, addr netip.Addr) bo
 		}
 	}
 	return false
-}
-
-// VerifyBatch verifies cookies[i] for srcs[i] into ok[i] under one keyring
-// snapshot. The three slices must be equal length.
-func (a *Authenticator) VerifyBatch(srcs []netip.Addr, cookies []Cookie, ok []bool) error {
-	if len(srcs) != len(cookies) || len(srcs) != len(ok) {
-		return fmt.Errorf("cookie: VerifyBatch length mismatch: %d srcs, %d cookies, %d results",
-			len(srcs), len(cookies), len(ok))
-	}
-	r := a.snapshot()
-	for i := range srcs {
-		ok[i] = verifyRing(r, srcs[i], cookies[i])
-	}
-	return nil
 }

@@ -68,29 +68,6 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestVerifyBatchSlices(t *testing.T) {
-	var key [KeySize]byte
-	key[5] = 9
-	a := keyed(key)
-	srcs := []netip.Addr{
-		netip.MustParseAddr("10.0.0.1"),
-		netip.MustParseAddr("10.0.0.2"),
-		netip.MustParseAddr("10.0.0.3"),
-	}
-	cookies := []Cookie{a.Mint(srcs[0]), {}, a.Mint(srcs[2])}
-	cookies[1][3] = 0xFF // forged
-	ok := make([]bool, 3)
-	if err := a.VerifyBatch(srcs, cookies, ok); err != nil {
-		t.Fatal(err)
-	}
-	if !ok[0] || ok[1] || !ok[2] {
-		t.Fatalf("VerifyBatch = %v, want [true false true]", ok)
-	}
-	if err := a.VerifyBatch(srcs, cookies, ok[:2]); err == nil {
-		t.Fatal("length mismatch not reported")
-	}
-}
-
 // TestVerifyLabelBytes: the []byte entry points read a label where it lies —
 // either case, no copy, nothing allocated, valid or forged — and agree with
 // the string ones on every label, including the ones that are not cookies.

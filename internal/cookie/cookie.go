@@ -210,11 +210,8 @@ func (c Cookie) IsZero() bool { return c == Cookie{} }
 
 // NS-name encoding ----------------------------------------------------------
 
-// Errors returned by the encodings.
-var (
-	ErrNotCookieLabel = errors.New("cookie: label does not carry a cookie")
-	ErrBadSubnet      = errors.New("cookie: subnet too small for IP cookies")
-)
+// ErrBadSubnet is returned by the IP encoding.
+var ErrBadSubnet = errors.New("cookie: subnet too small for IP cookies")
 
 // NSCodec encodes cookies into DNS labels for the DNS-based scheme.
 type NSCodec struct {
@@ -240,16 +237,6 @@ func (nc NSCodec) EncodeLabel(c Cookie) string {
 // AppendLabel appends EncodeLabel(c) to dst.
 func (nc NSCodec) AppendLabel(dst []byte, c Cookie) []byte {
 	return hex.AppendEncode(append(dst, nc.prefix()...), c[:nsHexLen/2])
-}
-
-// DecodeLabel extracts the cookie prefix bytes from a label produced by
-// EncodeLabel, in either ASCII case. Only the first 4 bytes of the returned
-// cookie are meaningful.
-func (nc NSCodec) DecodeLabel(label string) (Cookie, error) {
-	if c, ok := decodeLabel(nc.prefix(), label); ok {
-		return c, nil
-	}
-	return Cookie{}, ErrNotCookieLabel
 }
 
 // decodeLabel reads a label, a string or a packet's bytes, where it lies.

@@ -28,9 +28,6 @@ type FrameScanner struct {
 // Add appends stream bytes to the scanner's buffer.
 func (s *FrameScanner) Add(b []byte) { s.buf = append(s.buf, b...) }
 
-// Buffered reports how many unconsumed bytes the scanner holds.
-func (s *FrameScanner) Buffered() int { return len(s.buf) }
-
 // Next returns the next complete message payload, or ok=false when more
 // stream bytes are needed. The returned slice is a copy owned by the caller.
 func (s *FrameScanner) Next() (msg []byte, ok bool, err error) {

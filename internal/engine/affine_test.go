@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,18 +14,14 @@ import (
 	"dnsguard/internal/realnet"
 )
 
-// fsFakeIO is a channel-backed PacketIO claiming stable kernel flow
-// steering — the test stand-in for one SO_REUSEPORT member socket.
-type fsFakeIO struct{ *fakeIO }
-
-func (fsFakeIO) FlowStable() bool { return true }
-
-func newFSFakeIOs(n, buf int) ([]PacketIO, []*fakeIO) {
+// newFakeIOs returns n channel-backed interfaces, each the test stand-in for
+// one SO_REUSEPORT member socket, as PacketIOs and as themselves.
+func newFakeIOs(n, buf int) ([]PacketIO, []*fakeIO) {
 	ios := make([]PacketIO, n)
 	raw := make([]*fakeIO, n)
 	for i := range ios {
 		raw[i] = newFakeIO(buf)
-		ios[i] = fsFakeIO{raw[i]}
+		ios[i] = raw[i]
 	}
 	return ios, raw
 }
@@ -33,7 +31,7 @@ func newFSFakeIOs(n, buf int) ([]PacketIO, []*fakeIO) {
 // disagrees, with no queue hop.
 func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios, raw := newFSFakeIOs(4, 16)
+	ios, raw := newFakeIOs(4, 16)
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        ios,
@@ -44,7 +42,7 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Direct() {
-		t.Fatal("one flow-stable IO per shard must be read directly")
+		t.Fatal("one IO per shard must be read directly")
 	}
 	e.Start()
 	defer e.Close()
@@ -84,7 +82,7 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 // countingIO counts the reads a loop issues on an interface that never
 // delivers, and the ones that came back as timeouts.
 type countingIO struct {
-	fsFakeIO
+	*fakeIO
 	reads, timeouts atomic.Uint64
 }
 
@@ -105,7 +103,7 @@ func (c *countingIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error
 // no poll, no timer, nothing for an idle guard to wake up for.
 func TestDirectShardBlocksWhenIdle(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios := []*countingIO{{fsFakeIO: fsFakeIO{newFakeIO(0)}}, {fsFakeIO: fsFakeIO{newFakeIO(0)}}}
+	ios := []*countingIO{{fakeIO: newFakeIO(0)}, {fakeIO: newFakeIO(0)}}
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        []PacketIO{ios[0], ios[1]},
@@ -116,7 +114,7 @@ func TestDirectShardBlocksWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Direct() {
-		t.Fatal("one flow-stable IO per shard must be read directly")
+		t.Fatal("one IO per shard must be read directly")
 	}
 	e.Start()
 	defer e.Close()
@@ -131,48 +129,78 @@ func TestDirectShardBlocksWhenIdle(t *testing.T) {
 	}
 }
 
-// The topology is a function of the interfaces and the shard count: direct
-// with one interface per shard when there is a single shard or every interface
-// is flow-stable, the fan-out for everything else.
+// The topology is a function of two counts: direct with one interface per
+// shard, fan-out from exactly one reader with one interface for several
+// shards, and an error for any other shape.
 func TestTopologyRule(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios := func(stable, plain int) []PacketIO {
-		out, _ := newFSFakeIOs(stable, 4)
-		for i := 0; i < plain; i++ {
-			out = append(out, newFakeIO(4))
-		}
-		return out
-	}
+	env := &procCountEnv{Env: realnet.New()}
 	for _, c := range []struct {
-		name   string
-		ios    []PacketIO
-		shards int
-		direct bool
+		ios, shards int
+		direct, ok  bool
 	}{
-		{"1 plain IO, 1 shard", ios(0, 1), 1, true},
-		{"1 plain IO, shards unset", ios(0, 1), 0, true},
-		{"1 stable IO, 1 shard", ios(1, 0), 1, true},
-		{"2 stable IOs, 2 shards", ios(2, 0), 2, true},
-		{"4 stable IOs, 4 shards", ios(4, 0), 4, true},
-		{"2 plain IOs, 2 shards", ios(0, 2), 2, false},
-		{"3 stable + 1 plain IO, 4 shards", ios(3, 1), 4, false},
-		{"1 stable IO, 2 shards", ios(1, 0), 2, false},
-		{"3 stable IOs, 2 shards", ios(3, 0), 2, false},
-		{"2 stable IOs, 1 shard", ios(2, 0), 1, false},
+		{1, 0, true, true},
+		{1, 1, true, true},
+		{2, 2, true, true},
+		{1, 2, false, true},
+		{1, 8, false, true},
+		{3, 2, false, false},
+		{2, 1, false, false},
+		{2, 4, false, false},
 	} {
-		e, err := New(Config{Env: realnet.New(), IOs: c.ios, Shards: c.shards, NewHandler: rg.newHandler})
+		name := fmt.Sprintf("%d IOs, %d shards", c.ios, c.shards)
+		ios, _ := newFakeIOs(c.ios, 4)
+		e, err := New(Config{Env: env, IOs: ios, Shards: c.shards, NewHandler: rg.newHandler})
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d interfaces for %d shards", c.ios, c.shards)) {
+				t.Errorf("%s: New error = %v, want one naming both counts", name, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if e.Direct() != c.direct {
-			t.Errorf("%s: direct = %v, want %v", c.name, e.Direct(), c.direct)
+			t.Errorf("%s: direct = %v, want %v", name, e.Direct(), c.direct)
 		}
 		for i := 0; i < e.Shards(); i++ {
 			if hasQueue := e.shards[i].queue != nil; hasQueue == c.direct {
-				t.Errorf("%s: shard %d queue present = %v", c.name, i, hasQueue)
+				t.Errorf("%s: shard %d queue present = %v", name, i, hasQueue)
 			}
 		}
+		env.names = nil
+		e.Start()
+		e.Close()
+		readers, workers := 0, 0
+		for _, n := range env.names {
+			if strings.Contains(n, "-worker-") {
+				workers++
+			} else {
+				readers++
+			}
+		}
+		wantWorkers := 0
+		if !c.direct {
+			wantWorkers = e.Shards()
+		}
+		if readers != c.ios || workers != wantWorkers {
+			t.Errorf("%s: procs %v, want %d reading and %d workers", name, env.names, c.ios, wantWorkers)
+		}
 	}
+}
+
+// procCountEnv records the name of every proc the engine spawns.
+type procCountEnv struct {
+	netapi.Env
+	mu    sync.Mutex
+	names []string
+}
+
+func (p *procCountEnv) Go(name string, fn func()) {
+	p.mu.Lock()
+	p.names = append(p.names, name)
+	p.mu.Unlock()
+	p.Env.Go(name, fn)
 }
 
 // TestAffineTorture is the per-shard-socket counterpart of the guard's
@@ -182,7 +210,7 @@ func TestTopologyRule(t *testing.T) {
 func TestAffineTorture(t *testing.T) {
 	const shards = 8
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios, raw := newFSFakeIOs(shards, 64)
+	ios, raw := newFakeIOs(shards, 64)
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        ios,

@@ -134,9 +134,8 @@ func (e *Engine) runShard(i int, br BatchReader) {
 // grouped by (shard, admission class) and each group enqueued as one item.
 // Verified-source groups evict the oldest queued group on a saturated queue,
 // unverified groups are tail-dropped whole; counters move by group size.
-// reader indexes this proc's private ingest sink.
-func (e *Engine) runReader(reader int, br BatchReader) {
-	ing := &e.ingest[reader].IngestStats
+func (e *Engine) runReader(br BatchReader) {
+	ing := &e.ingest[0].IngestStats
 	pkts := make([]Packet, e.cfg.Batch)
 	// groups[2*shard] collects the read's verified-class packets for that
 	// shard, groups[2*shard+1] the unverified class.

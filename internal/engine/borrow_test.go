@@ -88,7 +88,7 @@ func TestBorrowedPayloadIngest(t *testing.T) {
 					script = append(script, Packet{Src: srcAP(total), Payload: borrowPayload(total)})
 					total++
 				}
-				pios[i] = &poisonIO{scriptIO: newScriptIO(script, m.stable)}
+				pios[i] = &poisonIO{scriptIO: newScriptIO(script)}
 				ios[i] = pios[i]
 			}
 			gate := make(chan struct{})

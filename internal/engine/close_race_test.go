@@ -63,13 +63,7 @@ func (f *floodIO) Close() error {
 	return nil
 }
 
-// flowStableFloodIO marks the flood as one a shard may read directly: each
-// instance stands in for one SO_REUSEPORT member socket.
-type flowStableFloodIO struct{ *floodIO }
-
-func (flowStableFloodIO) FlowStable() bool { return true }
-
-// TestCloseUnderBatchIngest closes the engine while batch readers are
+// TestCloseUnderBatchIngest closes the engine while the batch reader is
 // mid-slab and shard queues are full of pooled groups. Run under -race this
 // pins the shutdown ownership contract the qbatch pool relies on: a
 // group the closed queue bounced must be recycled exactly once, never
@@ -79,10 +73,9 @@ func (flowStableFloodIO) FlowStable() bool { return true }
 func TestCloseUnderBatchIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
-		ios := []PacketIO{newFloodIO(), newFloodIO()}
 		e, err := New(Config{
 			Env:        realnet.New(),
-			IOs:        ios,
+			IOs:        []PacketIO{newFloodIO()},
 			Shards:     4,
 			Batch:      8,
 			QueueDepth: 16,
@@ -123,13 +116,9 @@ func TestCloseUnderBatchIngest(t *testing.T) {
 func TestCloseUnderAffineIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
-		ios := []PacketIO{
-			flowStableFloodIO{newFloodIO()},
-			flowStableFloodIO{newFloodIO()},
-		}
 		e, err := New(Config{
 			Env:        realnet.New(),
-			IOs:        ios,
+			IOs:        []PacketIO{newFloodIO(), newFloodIO()},
 			Shards:     2,
 			Batch:      8,
 			NewHandler: rg.newHandler,
@@ -138,7 +127,7 @@ func TestCloseUnderAffineIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !e.Direct() {
-			t.Fatal("flow-stable IOs with len(IOs) == Shards must be read directly")
+			t.Fatal("one IO per shard must be read directly")
 		}
 		e.Start()
 		deadline := time.Now().Add(time.Second)

@@ -10,12 +10,12 @@
 //   - N worker shards, each owning all per-source guard state (pending-NAT
 //     table, cookie verifier, rate limiters), so the hot path takes no
 //     cross-shard locks;
-//   - two ingest topologies, picked from what the capture interfaces report
-//     and from nothing else (see direct): direct, where interface i is shard
-//     i and each shard runs one blocking read loop on its own flow-stable
-//     socket and dispatches in place — no queue hop, nothing crosses shards;
-//     and source-hash fan-out through bounded per-shard ingress queues,
-//     for every other set of interfaces;
+//   - two ingest arrangements, told apart by counting what the caller hands
+//     over (Config.IOs): direct, one interface per shard, where interface i is
+//     shard i and each shard runs one blocking read loop on its own socket
+//     and dispatches in place — no queue hop, nothing crosses shards; and
+//     fan-out, one interface for several shards, where its one reader hashes
+//     each source onto a bounded per-shard ingress queue;
 //   - explicit backpressure in the fan-out: traffic from unverified sources
 //     is tail-dropped when a queue fills (drop-newest — a spoofed flood
 //     sheds itself), while traffic from recently-verified sources evicts
@@ -35,8 +35,8 @@
 // interface and handles what it reads in place: the direct topology runs one
 // per shard, and with one shard on one interface that is one proc with the
 // event ordering of a plain capture loop, so deterministic simulations
-// reproduce byte-for-byte. The fan-out pairs a reader loop per interface
-// with a worker loop per shard. All three move Config.Batch-slot slabs; a
+// reproduce byte-for-byte. The fan-out pairs one reader loop with a worker
+// loop per shard. All three move Config.Batch-slot slabs; a
 // single datagram is a slab of one, not a separate path.
 package engine
 
@@ -54,13 +54,8 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-// Packet is a raw datagram as the dataplane sees it: a middlebox knows both
-// addresses.
-type Packet struct {
-	Src     netip.AddrPort
-	Dst     netip.AddrPort
-	Payload []byte
-}
+// Packet is a raw datagram as the dataplane sees it.
+type Packet = netapi.Packet
 
 // PacketIO is a capture interface: read intercepted datagrams, write
 // datagrams with arbitrary (owned) source addresses. netsim taps and realnet
@@ -75,16 +70,6 @@ type PacketIO interface {
 	Close() error
 }
 
-// FlowStable is an optional PacketIO capability: it reports whether the
-// environment delivers all datagrams of one flow to this same interface for
-// the interface's lifetime. Kernel SO_REUSEPORT steering is per-flow stable
-// (the 4-tuple hash pins a flow to one socket); a single socket read by many
-// handles, or a userspace fan-out over one receive queue, is not. Several
-// shards read their interfaces directly only when every one reports true.
-type FlowStable interface {
-	FlowStable() bool
-}
-
 // Handler consumes packets on one shard. HandlePacket is called from that
 // shard's worker only, so a handler may keep per-shard state without locks.
 // pkt.Payload is borrowed for the call: the handler may patch it in place
@@ -97,13 +82,17 @@ type Handler interface {
 type Config struct {
 	// Env supplies clock, procs, and (optionally) netapi.QueueEnv.
 	Env netapi.Env
-	// IOs are the capture interfaces; one reader proc runs per entry.
+	// IOs are the capture interfaces: one per shard (direct — interface i
+	// is shard i) or exactly one for all of them (fan-out from its reader);
+	// New refuses any other count. One interface per shard asserts that the
+	// environment steers every datagram of a source to the same interface,
+	// as SO_REUSEPORT siblings do; the engine does not check.
 	IOs []PacketIO
 	// NewHandler constructs the handler for shard i (called once per shard
 	// before Start returns).
 	NewHandler func(shard int) Handler
 	// Shards is the worker count. 0 and 1 mean one shard. How packets reach a
-	// shard follows from IOs and Shards (see direct); nothing selects it.
+	// shard follows from len(IOs) and Shards; nothing selects it.
 	Shards int
 	// QueueDepth bounds each shard's ingress queue in the fan-out. 0 means
 	// 512.
@@ -120,7 +109,7 @@ type Config struct {
 	// FastPathSources bounds the cache per shard. 0 means 4096.
 	FastPathSources int
 	// Name prefixes proc names ("<name>-capture", "<name>-worker-3").
-	// Empty means "engine". The single-IO single-shard reader is named
+	// Empty means "engine". The proc reading a lone interface is named
 	// "<name>-capture" to match the pre-engine guard's proc name exactly.
 	Name string
 	// Observer, when non-nil, is called in the shard's context (the worker,
@@ -152,6 +141,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
+	}
+	if n := len(c.IOs); n != 1 && n != c.Shards {
+		return fmt.Errorf("engine: %d interfaces for %d shards: want one per shard or one for all", n, c.Shards)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 512
@@ -196,8 +188,8 @@ type shardState struct {
 	_ [64]byte // tail pad: next allocation's hot fields get their own line
 }
 
-// ingestSink is one reader's read counters, padded to a full cacheline so
-// two readers never share one.
+// ingestSink is one reading proc's read counters, padded to a full cacheline
+// so two direct shards never share one.
 type ingestSink struct {
 	IngestStats
 	_ [48]byte
@@ -209,7 +201,7 @@ type Engine struct {
 	handlers []Handler
 	hmu      sync.RWMutex  // guards handlers; written only by shard restarts
 	shards   []*shardState // one allocation per shard: no shared cachelines
-	ingest   []*ingestSink // one per reader proc, likewise isolated
+	ingest   []*ingestSink // one per interface, likewise isolated
 	sup      supervisor
 	seed     maphash.Seed
 	direct   bool // interface i is shard i: one shard loop each, no queues
@@ -259,7 +251,7 @@ func New(cfg Config) (*Engine, error) {
 		shards:   make([]*shardState, cfg.Shards),
 		ingest:   make([]*ingestSink, len(cfg.IOs)),
 		seed:     maphash.MakeSeed(),
-		direct:   direct(cfg.IOs, cfg.Shards),
+		direct:   len(cfg.IOs) == cfg.Shards,
 	}
 	caps := netapi.Capabilities(cfg.Env)
 	e.coop = caps.Cooperative
@@ -277,29 +269,6 @@ func New(cfg Config) (*Engine, error) {
 		e.ingest[i] = new(ingestSink)
 	}
 	return e, nil
-}
-
-// direct is the topology rule, a function of the capture interfaces and the
-// shard count: interface i is shard i when there is one interface per shard
-// and either a single shard (everything the interface delivers is its own) or
-// every interface reports per-flow stable delivery (a source stays on the
-// shard the environment steered it to). Anything else — netsim taps, handles
-// sharing one socket, more or fewer interfaces than shards — is the
-// source-hash fan-out, the only arrangement that keeps one source on one
-// shard there.
-func direct(ios []PacketIO, shards int) bool {
-	if len(ios) != shards {
-		return false
-	}
-	if shards == 1 {
-		return true
-	}
-	for _, io := range ios {
-		if fs, ok := io.(FlowStable); !ok || !fs.FlowStable() {
-			return false
-		}
-	}
-	return true
 }
 
 // Shards reports the configured shard count.
@@ -351,7 +320,7 @@ func (e *Engine) ShardOf(src netip.Addr) int {
 // Start spawns the engine's procs. A direct engine runs one shard loop per
 // interface (a lone one keeps the historical proc name "<name>-capture", which
 // recorded simulations replay against); the fan-out runs a worker per shard
-// and a reader per interface.
+// and the one reader, under that same name.
 func (e *Engine) Start() {
 	if e.direct {
 		for i, io := range e.cfg.IOs {
@@ -364,20 +333,14 @@ func (e *Engine) Start() {
 		}
 		return
 	}
-	// Workers first, then readers: under the simulator this spawn order is
-	// deterministic, and workers must exist before a reader can enqueue.
+	// Workers first, then the reader: under the simulator this spawn order
+	// is deterministic, and workers must exist before the reader can enqueue.
 	for i := range e.shards {
 		i := i
 		e.spawn(fmt.Sprintf("%s-worker-%d", e.cfg.Name, i), func() { e.runWorker(i) })
 	}
-	for i, io := range e.cfg.IOs {
-		i, br := i, batchReader(io)
-		name := fmt.Sprintf("%s-reader-%d", e.cfg.Name, i)
-		if len(e.cfg.IOs) == 1 {
-			name = e.cfg.Name + "-capture"
-		}
-		e.spawn(name, func() { e.runReader(i, br) })
-	}
+	br := batchReader(e.cfg.IOs[0])
+	e.spawn(e.cfg.Name+"-capture", func() { e.runReader(br) })
 }
 
 // spawn launches a tracked engine proc so Close can join it on preemptive
@@ -488,7 +451,7 @@ func (e *Engine) FastPath() FastPathStats {
 }
 
 // Ingest returns the engine-wide capture-read counters, summed across the
-// per-reader sinks at call time.
+// per-interface sinks at call time.
 func (e *Engine) Ingest() IngestStats {
 	var t IngestStats
 	for _, s := range e.ingest {
@@ -506,11 +469,15 @@ func (e *Engine) QueueDepth(i int) int {
 	return e.shards[i].queue.Len()
 }
 
+// QueueBound reports the depth each shard's ingress queue is bounded at:
+// Config.QueueDepth, or the default it left to the engine.
+func (e *Engine) QueueBound() int { return e.cfg.QueueDepth }
+
 // MetricsInto registers the engine's series on r under prefix (e.g.
 // "guard_engine_"): aggregate enqueued/shed/handled/queue_depth
 // counters, verified-source cache counters, and per-shard shard<i>_* series
 // including the queue-wait histogram. Aggregates sum the per-shard and
-// per-reader sinks at scrape time — the hot path never writes a shared
+// per-interface sinks at scrape time — the hot path never writes a shared
 // counter.
 func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	r.FuncUint(prefix+"shards", func() uint64 { return uint64(e.cfg.Shards) })

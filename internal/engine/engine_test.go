@@ -102,12 +102,12 @@ func waitCount(t *testing.T, c *atomic.Uint64, want uint64) {
 	}
 }
 
-func waitShard(t *testing.T, e *Engine, ok func(ShardStats) bool) {
+func waitShard(t *testing.T, e *Engine, shard int, ok func(ShardStats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !ok(e.Stats(0)) {
+	for !ok(e.Stats(shard)) {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 stats = %+v", e.Stats(0))
+			t.Fatalf("shard %d stats = %+v", shard, e.Stats(shard))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -148,10 +148,10 @@ func TestInlineModeHandlesDirectly(t *testing.T) {
 
 func TestShardAffinityAndCoverage(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios := []PacketIO{newFakeIO(64), newFakeIO(64)}
+	io := newFakeIO(64)
 	e, err := New(Config{
 		Env:        realnet.New(),
-		IOs:        ios,
+		IOs:        []PacketIO{io},
 		Shards:     4,
 		NewHandler: rg.newHandler,
 	})
@@ -164,9 +164,7 @@ func TestShardAffinityAndCoverage(t *testing.T) {
 	const sources, perSource = 64, 8
 	for round := 0; round < perSource; round++ {
 		for i := 0; i < sources; i++ {
-			// Interleave across both readers so shard selection, not
-			// reader identity, determines placement.
-			ios[(round+i)%2].(*fakeIO).ch <- Packet{Src: srcAP(i), Payload: []byte{byte(i)}}
+			io.ch <- Packet{Src: srcAP(i), Payload: []byte{byte(i)}}
 		}
 	}
 	waitCount(t, &rg.count, sources*perSource)
@@ -196,8 +194,8 @@ func TestBackpressureDropNewestForUnverified(t *testing.T) {
 	io := newFakeIO(0)
 	e, err := New(Config{
 		Env:        realnet.New(),
-		IOs:        []PacketIO{io, newFakeIO(0)}, // 2 IOs forces queued mode
-		Shards:     1,
+		IOs:        []PacketIO{io},
+		Shards:     2, // one interface, two shards: the fan-out
 		QueueDepth: 2,
 		NewHandler: rg.newHandler,
 	})
@@ -206,19 +204,20 @@ func TestBackpressureDropNewestForUnverified(t *testing.T) {
 	}
 	e.Start()
 	defer e.Close()
+	sh := e.ShardOf(srcAP(7).Addr())
 
 	// First packet occupies the (blocked) worker — wait for it to be
 	// dequeued so the flood below deterministically fills the queue — then
 	// two fill the queue and the rest must tail-drop.
 	io.ch <- Packet{Src: srcAP(7), Payload: []byte{0}}
-	waitShard(t, e, func(st ShardStats) bool { return st.Handled == 1 })
+	waitShard(t, e, sh, func(st ShardStats) bool { return st.Handled == 1 })
 	for i := 1; i < 6; i++ {
 		io.ch <- Packet{Src: srcAP(7), Payload: []byte{byte(i)}}
 	}
-	waitShard(t, e, func(st ShardStats) bool { return st.ShedNew == 3 })
+	waitShard(t, e, sh, func(st ShardStats) bool { return st.ShedNew == 3 })
 	close(rg.block)
 	waitCount(t, &rg.count, 3)
-	st := e.Stats(0)
+	st := e.Stats(sh)
 	if st.Enqueued != 3 || st.ShedOld != 0 {
 		t.Fatalf("stats = %+v, want Enqueued=3 ShedOld=0", st)
 	}
@@ -229,8 +228,8 @@ func TestBackpressureDropOldestForVerified(t *testing.T) {
 	io := newFakeIO(0)
 	e, err := New(Config{
 		Env:         realnet.New(),
-		IOs:         []PacketIO{io, newFakeIO(0)},
-		Shards:      1,
+		IOs:         []PacketIO{io},
+		Shards:      2,
 		QueueDepth:  2,
 		FastPathTTL: time.Hour,
 		NewHandler:  rg.newHandler,
@@ -238,21 +237,22 @@ func TestBackpressureDropOldestForVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MarkVerifiedOn(e.ShardOf(srcAP(7).Addr()), srcAP(7).Addr(), "cred")
+	sh := e.ShardOf(srcAP(7).Addr())
+	e.MarkVerifiedOn(sh, srcAP(7).Addr(), "cred")
 	e.Start()
 	defer e.Close()
 
 	io.ch <- Packet{Src: srcAP(7), Payload: []byte{0}}
-	waitShard(t, e, func(st ShardStats) bool { return st.Handled == 1 })
+	waitShard(t, e, sh, func(st ShardStats) bool { return st.Handled == 1 })
 	for i := 1; i < 6; i++ {
 		io.ch <- Packet{Src: srcAP(7), Payload: []byte{byte(i)}}
 	}
-	waitShard(t, e, func(st ShardStats) bool { return st.ShedOld == 3 })
+	waitShard(t, e, sh, func(st ShardStats) bool { return st.ShedOld == 3 })
 	close(rg.block)
 	// Worker consumes its in-flight packet plus the 2 queue survivors; the
 	// evicted 3 never reach the handler.
 	waitCount(t, &rg.count, 3)
-	st := e.Stats(0)
+	st := e.Stats(sh)
 	if st.Enqueued != 6 || st.ShedNew != 0 {
 		t.Fatalf("stats = %+v, want Enqueued=6 ShedNew=0", st)
 	}
@@ -365,10 +365,10 @@ func TestEngineUnderNetsim(t *testing.T) {
 	h := n.AddHost("guard", netip.MustParseAddr("10.0.0.1"))
 
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
-	ios := []PacketIO{&simIO{q: h.NewQueue(64)}, &simIO{q: h.NewQueue(64)}}
+	io := &simIO{q: h.NewQueue(64)}
 	e, err := New(Config{
 		Env:        h,
-		IOs:        ios,
+		IOs:        []PacketIO{io},
 		Shards:     4,
 		NewHandler: rg.newHandler,
 	})
@@ -381,7 +381,7 @@ func TestEngineUnderNetsim(t *testing.T) {
 	sched.Go("producer", func() {
 		for round := 0; round < perSource; round++ {
 			for i := 0; i < sources; i++ {
-				ios[i%2].(*simIO).q.Put(Packet{Src: srcAP(i), Payload: []byte{byte(i)}})
+				io.q.Put(Packet{Src: srcAP(i), Payload: []byte{byte(i)}})
 				h.Sleep(10 * time.Microsecond)
 			}
 		}
@@ -408,7 +408,7 @@ func TestMetricsInto(t *testing.T) {
 	io := newFakeIO(8)
 	e, err := New(Config{
 		Env:         realnet.New(),
-		IOs:         []PacketIO{io, newFakeIO(8)},
+		IOs:         []PacketIO{io},
 		Shards:      2,
 		FastPathTTL: time.Hour,
 		NewHandler:  rg.newHandler,

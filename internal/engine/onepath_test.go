@@ -15,21 +15,17 @@ import (
 
 // scriptIO delivers a fixed packet sequence and then blocks until closed.
 // ReadBatch hands out as many of the remaining packets as the slab holds, so
-// the split into reads is a function of the slab size alone. stable is what
-// it reports as FlowStable, which is what picks the engine's topology.
+// the split into reads is a function of the slab size alone.
 type scriptIO struct {
 	mu     sync.Mutex
 	pkts   []Packet
-	stable bool
 	closed chan struct{}
 	once   sync.Once
 }
 
-func newScriptIO(pkts []Packet, stable bool) *scriptIO {
-	return &scriptIO{pkts: pkts, stable: stable, closed: make(chan struct{})}
+func newScriptIO(pkts []Packet) *scriptIO {
+	return &scriptIO{pkts: pkts, closed: make(chan struct{})}
 }
-
-func (s *scriptIO) FlowStable() bool { return s.stable }
 
 func (s *scriptIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	s.mu.Lock()
@@ -69,21 +65,19 @@ func (r readOnlyIO) Read(timeout time.Duration) (Packet, error) { return r.s.Rea
 func (r readOnlyIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
 	return nil
 }
-func (r readOnlyIO) Close() error     { return r.s.Close() }
-func (r readOnlyIO) FlowStable() bool { return r.s.stable }
+func (r readOnlyIO) Close() error { return r.s.Close() }
 
 // topologies is one set of interfaces per arrangement of loops; the engine
-// picks the arrangement from the set.
+// picks the arrangement from the counts.
 var topologies = []struct {
 	name   string
 	shards int
 	ios    int
-	stable bool // the interfaces report FlowStable
 	direct bool
 }{
-	{"inline", 1, 1, false, true}, // direct: the one shard loop on a plain interface
-	{"affine", 2, 2, true, true},  // direct: a shard loop per flow-stable interface
-	{"hash", 3, 1, false, false},  // fan-out: one reader loop, a worker loop per shard
+	{"inline", 1, 1, true}, // direct: the one shard loop on the one interface
+	{"affine", 2, 2, true}, // direct: a shard loop per interface
+	{"hash", 3, 1, false},  // fan-out: one reader loop, a worker loop per shard
 }
 
 // orderHandler appends each handled packet's sequence number (its payload
@@ -131,7 +125,7 @@ func TestOnePathDifferential(t *testing.T) {
 				}
 				ios := make([]PacketIO, m.ios)
 				for i := range ios {
-					if s := newScriptIO(scripts[i], m.stable); v.readOnly {
+					if s := newScriptIO(scripts[i]); v.readOnly {
 						ios[i] = readOnlyIO{s}
 					} else {
 						ios[i] = s
@@ -271,7 +265,7 @@ func TestBatchBracketContract(t *testing.T) {
 							}
 							script = append(script, p)
 						}
-						ios[i] = newScriptIO(script, m.stable)
+						ios[i] = newScriptIO(script)
 					}
 					rg := &bracketRig{t: t, cur: make(map[int]*bracketHandler)}
 					e, err := New(Config{

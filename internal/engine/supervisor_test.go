@@ -41,10 +41,10 @@ func waitSup(t *testing.T, e *Engine, ok func(SupervisionStats) bool) {
 func TestSupervisorPanicIsolatesShard(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	var newCalls atomic.Uint64
-	ios := []PacketIO{newFakeIO(64), newFakeIO(64)}
+	io := newFakeIO(64)
 	e, err := New(Config{
 		Env:    realnet.New(),
-		IOs:    ios,
+		IOs:    []PacketIO{io},
 		Shards: 4,
 		NewHandler: func(shard int) Handler {
 			newCalls.Add(1)
@@ -66,12 +66,12 @@ func TestSupervisorPanicIsolatesShard(t *testing.T) {
 		other = srcAP(i)
 	}
 
-	ios[0].(*fakeIO).ch <- Packet{Src: victim, Dst: srcAP(100), Payload: poison}
+	io.ch <- Packet{Src: victim, Dst: srcAP(100), Payload: poison}
 	waitSup(t, e, func(s SupervisionStats) bool { return s.ShardRestarts == 1 })
 
 	// Both shards — including the restarted one — keep serving.
-	ios[0].(*fakeIO).ch <- Packet{Src: victim, Payload: []byte{1}}
-	ios[1].(*fakeIO).ch <- Packet{Src: other, Payload: []byte{2}}
+	io.ch <- Packet{Src: victim, Payload: []byte{1}}
+	io.ch <- Packet{Src: other, Payload: []byte{2}}
 	waitCount(t, &rg.count, 2)
 
 	if e.ShardTripped(e.ShardOf(victim.Addr())) {
@@ -216,15 +216,15 @@ func TestSupervisorTripPolicies(t *testing.T) {
 
 // Close must join every engine proc on preemptive environments: repeated
 // start/close cycles leave no goroutines behind. Regression test for the
-// fire-and-forget Close that leaked readers and workers.
+// fire-and-forget Close that leaked the reader and workers.
 func TestCloseJoinsProcsNoGoroutineLeak(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	before := runtime.NumGoroutine()
 	for iter := 0; iter < 10; iter++ {
-		ios := []PacketIO{newFakeIO(8), newFakeIO(8)}
+		io := newFakeIO(8)
 		e, err := New(Config{
 			Env:        realnet.New(),
-			IOs:        ios,
+			IOs:        []PacketIO{io},
 			Shards:     4,
 			NewHandler: rg.newHandler,
 		})
@@ -232,7 +232,7 @@ func TestCloseJoinsProcsNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Start()
-		ios[0].(*fakeIO).ch <- Packet{Src: srcAP(iter), Payload: []byte{1}}
+		io.ch <- Packet{Src: srcAP(iter), Payload: []byte{1}}
 		e.Close()
 	}
 	// Close returns after wg.Wait, but the goroutines' final teardown can

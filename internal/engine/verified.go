@@ -23,9 +23,9 @@ import (
 // A shard's slice lives on that shard's private shardState, counters
 // included, so marking or probing never writes a cacheline another shard
 // writes. Handlers name the slice by their own shard id (the *On calls):
-// under affine ingest the delivering interface owns the source, not
-// ShardOf(src). The mutex is there because in hash mode readers classify
-// admissions (has) while the owning worker marks and probes.
+// on a direct engine the delivering interface owns the source, not
+// ShardOf(src). The mutex is there because in the fan-out the reader
+// classifies admissions (has) while the owning worker marks and probes.
 type verifiedShard struct {
 	mu  sync.Mutex
 	tab *srctab.Table[verifiedEntry] // FIFO: a hit or a re-mark keeps its place
@@ -151,7 +151,7 @@ func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool
 }
 
 // has is the queue-admission classification: does src currently hold a live
-// verified entry? Called by readers; does not touch hit/miss counters.
+// verified entry? Called by the fan-out reader; does not touch hit/miss counters.
 func (v *verifiedShard) has(src netip.Addr, now time.Duration) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -111,14 +111,6 @@ func (c *Catchment) SetWeight(site int, w float64) {
 	c.gen++
 }
 
-// Weight returns site's current routing weight.
-func (c *Catchment) Weight(site int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mustSite(site)
-	return c.weights[site]
-}
-
 // Flap registers a BGP-flap override: the hash-selected frac of all sources
 // routes to site to, regardless of weights, until ClearFlaps or Restore.
 // Each call uses a fresh hash (derived from the catchment seed and the

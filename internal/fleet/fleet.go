@@ -303,12 +303,6 @@ func (f *Fleet) Sites() int { return len(f.sites) }
 // Site returns site i.
 func (f *Fleet) Site(i int) *Site { return f.sites[i] }
 
-// SetDown marks a site dead (its catchment blackholes) or alive. Fail
-// events use it for the window between the failure and the BGP withdrawal.
-func (f *Fleet) SetDown(site int, down bool) {
-	f.down[site] = down
-}
-
 // Rotate advances the fleet-shared keyring. Under controller push the
 // controller rotates once and every guard adopts the published state, so the
 // fleet's epoch schedule stays in lockstep and cross-site verification keeps

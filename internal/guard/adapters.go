@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"time"
 
-	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
 )
@@ -20,11 +19,7 @@ var _ PacketIO = TapIO{}
 
 // Read implements PacketIO.
 func (t TapIO) Read(timeout time.Duration) (Packet, error) {
-	pkt, err := t.Tap.Read(timeout)
-	if err != nil {
-		return Packet{}, err
-	}
-	return Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: pkt.Payload}, nil
+	return t.Tap.Read(timeout)
 }
 
 // WriteFromTo implements PacketIO.
@@ -50,21 +45,7 @@ type SocketIO struct {
 	slab []netapi.Datagram // ingest slab, allocated by the first read
 }
 
-var (
-	_ PacketIO          = (*SocketIO)(nil)
-	_ engine.FlowStable = (*SocketIO)(nil)
-)
-
-// FlowStable bridges the engine's topology rule to the underlying socket:
-// true only when the conn itself guarantees stable kernel flow steering
-// (netapi.FlowStableConn — SO_REUSEPORT members qualify, shared-fd handles
-// and netsim shims do not). TapIO deliberately lacks this method: taps fan
-// out from a central queue, so shards reading them directly would break
-// source→shard determinism there.
-func (s *SocketIO) FlowStable() bool {
-	fs, ok := s.Conn.(netapi.FlowStableConn)
-	return ok && fs.FlowStable()
-}
+var _ PacketIO = (*SocketIO)(nil)
 
 // Read implements PacketIO: a one-slot ReadBatch, under the same borrow rule.
 func (s *SocketIO) Read(timeout time.Duration) (Packet, error) {

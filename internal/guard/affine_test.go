@@ -13,8 +13,8 @@ import (
 	"dnsguard/internal/realnet"
 )
 
-// chanIO is a channel-backed, flow-stable PacketIO: the real-scheduler test
-// stand-in for one SO_REUSEPORT member socket feeding one affine shard.
+// chanIO is a channel-backed PacketIO: the real-scheduler test stand-in for
+// one SO_REUSEPORT member socket feeding one direct shard.
 type chanIO struct {
 	ch     chan Packet
 	closed chan struct{}
@@ -24,8 +24,6 @@ type chanIO struct {
 func newChanIO() *chanIO {
 	return &chanIO{ch: make(chan Packet, 16), closed: make(chan struct{})}
 }
-
-func (c *chanIO) FlowStable() bool { return true }
 
 func (c *chanIO) Read(timeout time.Duration) (Packet, error) {
 	select {
@@ -43,6 +41,30 @@ func (c *chanIO) Close() error {
 	return nil
 }
 
+// echoANS is a stand-in ANS on a loopback socket: it answers every query
+// with the query itself, QR set. Closed with the test.
+func echoANS(t *testing.T, env *realnet.Env) netapi.UDPConn {
+	t.Helper()
+	conn, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	go func() {
+		for {
+			b, src, err := conn.ReadFrom(netapi.NoTimeout)
+			if err != nil {
+				return
+			}
+			if len(b) > 2 {
+				b[2] |= 0x80
+				_ = conn.WriteTo(b, src)
+			}
+		}
+	}()
+	return conn
+}
+
 // TestAffineGuardShardExplicitFastPath pins the guard's shard-explicit
 // verified-cache wiring: on a direct engine a source's owning shard is the
 // delivering socket's, which can disagree with the engine's source hash.
@@ -53,23 +75,7 @@ func (c *chanIO) Close() error {
 // (per-shard SO_REUSEPORT sockets) the sharded dataplane exists for.
 func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	env := realnet.New()
-	ansConn, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ansConn.Close()
-	go func() {
-		for {
-			b, src, err := ansConn.ReadFrom(netapi.NoTimeout)
-			if err != nil {
-				return
-			}
-			if len(b) > 2 {
-				b[2] |= 0x80
-				_ = ansConn.WriteTo(b, src)
-			}
-		}
-	}()
+	ansConn := echoANS(t, env)
 
 	ios := []*chanIO{newChanIO(), newChanIO()}
 	g, err := NewRemote(RemoteConfig{
@@ -92,7 +98,7 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	defer g.Close()
 	eng := g.Engine()
 	if !eng.Direct() {
-		t.Fatal("two flow-stable sockets for two shards must be read directly")
+		t.Fatal("two sockets for two shards must be read directly")
 	}
 
 	// A source whose hash shard disagrees with its delivering socket.
@@ -140,5 +146,86 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	waitStat("CookieValid", &g.Stats.CookieValid, 2)
 	if hits := atomic.LoadUint64(&g.Stats.FastPathHits); hits != 1 {
 		t.Errorf("FastPathHits = %d, want 1", hits)
+	}
+}
+
+// TestFanOutGuardOverOneSocket is the arrangement a multi-shard guard gets
+// where sockets cannot be steered: one real socket, two shards. Its one
+// reader must hash every source onto one shard and keep it there, and every
+// query must still be answered.
+func TestFanOutGuardOverOneSocket(t *testing.T) {
+	env := realnet.New()
+	ansConn := echoANS(t, env)
+	sock, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := make(map[netip.Addr]map[int]bool)
+	g, err := NewRemote(RemoteConfig{
+		Env:                 env,
+		IOs:                 []PacketIO{&SocketIO{Conn: sock}},
+		Shards:              2,
+		PublicAddr:          sock.LocalAddr(),
+		ANSAddr:             ansConn.LocalAddr(),
+		Zone:                dnswire.MustName("foo.com"),
+		Auth:                testAuth(),
+		ActivationThreshold: 1e6, // never active: every query is relayed
+		ShardHashSeed:       7,   // 127.0.0.1–8 land on both shards
+		Observer: func(shard int, pkt Packet) {
+			mu.Lock()
+			defer mu.Unlock()
+			if seen[pkt.Src.Addr()] == nil {
+				seen[pkt.Src.Addr()] = make(map[int]bool)
+			}
+			seen[pkt.Src.Addr()][shard] = true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.Engine().Direct() {
+		t.Fatal("one socket for two shards must fan out")
+	}
+
+	wire, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).PackUDP(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make(map[int]bool)
+	for i := 1; i <= 8; i++ {
+		addr := netip.AddrFrom4([4]byte{127, 0, 0, byte(i)})
+		c, err := env.ListenUDP(netip.AddrPortFrom(addr, 0))
+		if err != nil {
+			continue // a host whose loopback is 127.0.0.1 alone
+		}
+		defer c.Close()
+		covered[g.Engine().ShardOf(addr)] = true
+		for q := 0; q < 3; q++ {
+			if err := c.WriteTo(wire, sock.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := c.ReadFrom(5 * time.Second)
+			if err != nil || len(b) < 3 || b[2]&0x80 == 0 {
+				t.Fatalf("source %v query %d: answer %x, err %v", addr, q, b, err)
+			}
+		}
+	}
+	if len(covered) < 2 {
+		t.Skip("this host binds too few loopback addresses to reach both shards")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for addr, shards := range seen {
+		if len(shards) != 1 || !shards[g.Engine().ShardOf(addr)] {
+			t.Errorf("source %v seen by shards %v, want only %d", addr, shards, g.Engine().ShardOf(addr))
+		}
+	}
+	if len(seen) < 2 {
+		t.Errorf("observer saw %d sources", len(seen))
 	}
 }

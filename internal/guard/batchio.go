@@ -18,7 +18,6 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
-	"dnsguard/internal/netsim"
 )
 
 var (
@@ -28,27 +27,9 @@ var (
 	_ engine.BatchWriter = (*SocketIO)(nil)
 )
 
-// tapScratch pools the netsim.Packet slices ReadBatch converts from.
-var tapScratch = sync.Pool{New: func() any { return new([]netsim.Packet) }}
-
-// ReadBatch implements engine.BatchReader over the tap's batch read: a
-// per-packet header copy, no payload copy.
+// ReadBatch implements engine.BatchReader: the tap's own batch read.
 func (t TapIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
-	sp := tapScratch.Get().(*[]netsim.Packet)
-	if cap(*sp) < len(pkts) {
-		*sp = make([]netsim.Packet, len(pkts))
-	}
-	scratch := (*sp)[:len(pkts)]
-	n, err := t.Tap.ReadBatch(scratch, timeout)
-	for i := 0; i < n; i++ {
-		pkts[i] = Packet{Src: scratch[i].Src, Dst: scratch[i].Dst, Payload: scratch[i].Payload}
-		scratch[i] = netsim.Packet{} // drop the payload ref before pooling
-	}
-	tapScratch.Put(sp)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	return t.Tap.ReadBatch(pkts, timeout)
 }
 
 // WriteBatch implements engine.BatchWriter: each packet is injected as its

@@ -168,7 +168,7 @@ func (g *Remote) Healthz() error {
 // is the keyring epoch the caller requires (the fleet's current epoch; 0
 // accepts any). Conditions: not closed, lifecycle serving or warming (a
 // draining site must shed weight, not attract it), keyring epoch current,
-// and the ingress backlog below half the configured queue depth.
+// and the ingress backlog below half the depth the engine's queues run at.
 func (g *Remote) Ready(minEpoch uint64) error {
 	if g.closed.Load() {
 		return fmt.Errorf("%w: closed", ErrNotReady)
@@ -185,7 +185,7 @@ func (g *Remote) Ready(minEpoch uint64) error {
 	for i := 0; i < g.eng.Shards(); i++ {
 		backlog += g.eng.QueueDepth(i)
 	}
-	if max := g.cfg.QueueDepth * g.cfg.Shards / 2; backlog > max {
+	if max := g.eng.QueueBound() * g.eng.Shards() / 2; backlog > max {
 		return fmt.Errorf("%w: ingress backlog %d over threshold %d", ErrNotReady, backlog, max)
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi"
 )
 
 func TestLifecycleDrainQuiesces(t *testing.T) {
@@ -110,4 +111,56 @@ func TestLifecycleReadinessGates(t *testing.T) {
 	if err := g.Ready(0); !errors.Is(err, ErrNotReady) {
 		t.Errorf("closed guard Ready = %v, want ErrNotReady", err)
 	}
+}
+
+// Ready's backlog bound comes from the depth the engine's queues run at, so
+// a fan-out guard that left QueueDepth at its default is not failed by the
+// first queued packet — only by a backlog over half that depth.
+func TestReadyBacklogBoundAtDefaultDepth(t *testing.T) {
+	hold := false
+	var env netapi.Env
+	f := newRootFixture(t, func(c *RemoteConfig) {
+		c.Shards = 2 // one tap, two shards: the fan-out
+		env = c.Env
+		c.Observer = func(int, Packet) {
+			for hold { // a worker stuck on its packet: its queue only fills
+				env.Sleep(time.Millisecond)
+			}
+		}
+	})
+	g := f.guard
+	attacker := f.net.AddHost("attacker", mustAddr("203.0.113.66"))
+	q, _ := dnswire.NewQuery(7, dnswire.MustName("mail.foo.com"), dnswire.TypeA).PackUDP(512)
+	// One source per shard.
+	var srcs [2]netip.AddrPort
+	for i := 1; !srcs[0].IsValid() || !srcs[1].IsValid(); i++ {
+		a := netip.AddrFrom4([4]byte{172, 16, 9, byte(i)})
+		srcs[g.Engine().ShardOf(a)] = netip.AddrPortFrom(a, 1234)
+	}
+	f.run(t, func() {
+		defer func() { hold = false }()
+		hold = true
+		// The first packet occupies shard 0's worker; the second waits.
+		for i := 0; i < 2; i++ {
+			_ = attacker.SendRaw(srcs[0], mustAP("198.41.0.4:53"), q)
+		}
+		f.sched.Sleep(50 * time.Millisecond)
+		if n := g.Engine().QueueDepth(0); n != 1 {
+			t.Fatalf("shard 0 backlog = %d, want 1", n)
+		}
+		if err := g.Ready(0); err != nil {
+			t.Errorf("one queued packet: %v", err)
+		}
+		// Half the two queues' depth and then some, spread over both so
+		// neither fills: shard 1's worker takes one, the rest wait.
+		half := g.Engine().QueueBound() * g.Engine().Shards() / 2
+		for i := 0; i < half+2; i++ {
+			_ = attacker.SendRaw(srcs[i%2], mustAP("198.41.0.4:53"), q)
+		}
+		f.sched.Sleep(50 * time.Millisecond)
+		if err := g.Ready(0); !errors.Is(err, ErrNotReady) {
+			t.Errorf("backlog %d + %d: Ready = %v, want ErrNotReady",
+				g.Engine().QueueDepth(0), g.Engine().QueueDepth(1), err)
+		}
+	})
 }

@@ -162,14 +162,6 @@ func (l *Local) Close() {
 	_ = l.cfg.IO.Close()
 }
 
-// KnowsCookie reports whether a live cookie for dst is cached (tests).
-func (l *Local) KnowsCookie(dst netip.AddrPort) bool {
-	l.mu.Lock()
-	lc, ok := l.cookies[dst]
-	l.mu.Unlock()
-	return ok && l.cfg.Env.Now() < lc.expires
-}
-
 func (l *Local) now() time.Duration { return l.cfg.Env.Now() }
 
 func (l *Local) captureLoop() {

@@ -56,18 +56,20 @@ type RemoteConfig struct {
 	// IO is the packet-capture interface for the protected address space.
 	// Shorthand for a one-entry IOs; exactly one of IO / IOs is required.
 	IO PacketIO
-	// IOs are multiple capture interfaces (e.g. SO_REUSEPORT siblings from
-	// netapi.UDPReuseEnv); the engine runs one reader per entry. Replies
-	// always leave through IOs[0].
+	// IOs are the capture interfaces: one per shard (what
+	// netapi.UDPReuseEnv returns where sockets can be steered) or one for
+	// all shards; NewRemote refuses any other count. Handing over one per
+	// shard asserts that the environment steers every datagram of a source
+	// to the same interface; the engine does not check. Replies always
+	// leave through IOs[0].
 	IOs []PacketIO
 	// Shards is the dataplane worker count; every per-source structure
 	// (pending NAT table, rate limiters, verifier) is owned by one shard. 0
-	// and 1 mean one shard. With one interface per shard, each reporting
-	// stable kernel flow steering (netapi.FlowStableConn, e.g. SO_REUSEPORT
-	// siblings) or there being only one, a shard reads its own interface and
-	// handles packets in that loop with no queue hop; otherwise a source-hash
-	// fan-out feeds the shards, which is what netsim gets and what keeps its
-	// replays deterministic (engine package comment).
+	// and 1 mean one shard. With one interface per shard, a shard reads its
+	// own interface and handles packets in that loop with no queue hop; with
+	// one interface for several shards its reader fans out by source hash,
+	// which is what netsim gets and what keeps its replays deterministic
+	// (engine package comment).
 	Shards int
 	// QueueDepth bounds each shard's ingress queue (fan-out only). 0 means
 	// the engine default.

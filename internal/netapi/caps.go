@@ -11,41 +11,23 @@ import "net/netip"
 //
 //	capability        realnet                      netsim                       absent ⇒
 //	----------        -------                      ------                       --------
-//	NewQueue          chan-backed Queue            vclock BoundedQueue          NewChanQueue fallback (set unconditionally)
-//	ListenUDPReuse    SO_REUSEPORT (or shared fd)  deterministic fan-out shim   nil func: single-socket ingest only
+//	NewQueue          absent                       vclock BoundedQueue          NewChanQueue (set unconditionally)
+//	ListenUDPReuse    n SO_REUSEPORT sockets, or   absent (one tap per host)    nil func: single-socket ingest only
+//	                  one where there is none
 //	Cooperative       false (OS goroutines)        true (coroutines, vclock)    false: OS blocking allowed
-//	Batch             true (recvmmsg on Linux,     true (event-free queue       false: AsBatch still works via the
-//	                  read-loop elsewhere)         drain)                       portable per-datagram loop
-//
-// Flow stability is a per-conn property, not an Env capability: conns from
-// ListenUDPReuse may implement FlowStableConn to advertise kernel per-flow
-// steering (realnet's SO_REUSEPORT sockets report true; its shared-fd
-// fallback and netsim's fan-out shim report false). Callers that need it
-// probe each conn, not the Env.
 type Caps struct {
 	// NewQueue constructs a scheduler-aware bounded Queue. Never nil: when
 	// the Env does not implement QueueEnv this falls back to NewChanQueue,
 	// which is correct for any preemptive environment.
 	NewQueue func(capacity int) Queue
-	// ListenUDPReuse binds n datagram endpoints to one address, or nil
-	// when the Env has no multi-socket ingest (UDPReuseEnv not
-	// implemented).
+	// ListenUDPReuse binds n datagram endpoints to one address where the
+	// environment steers a flow to one of them, and one endpoint where it
+	// cannot (UDPReuseEnv). Nil when the Env has no multi-socket ingest.
 	ListenUDPReuse func(addr netip.AddrPort, n int) ([]UDPConn, error)
 	// Cooperative reports that procs are cooperative coroutines on a
 	// shared virtual clock and must never block through OS primitives
 	// (CooperativeEnv semantics; false for preemptive environments).
 	Cooperative bool
-	// Batch reports that the Env's UDP conns implement BatchConn natively,
-	// amortizing per-datagram cost. AsBatch works either way; this only
-	// tells callers whether batching buys more than a convenience loop.
-	Batch bool
-}
-
-// BatchEnv is an optional Env capability marker: BatchIO reports that the
-// environment's UDP conns implement BatchConn natively. Capabilities uses it
-// to fill Caps.Batch.
-type BatchEnv interface {
-	BatchIO() bool
 }
 
 // Capabilities probes env for every optional capability and returns the
@@ -61,9 +43,6 @@ func Capabilities(env Env) Caps {
 	}
 	if ce, ok := env.(CooperativeEnv); ok {
 		caps.Cooperative = ce.CooperativeScheduling()
-	}
-	if be, ok := env.(BatchEnv); ok {
-		caps.Batch = be.BatchIO()
 	}
 	return caps
 }

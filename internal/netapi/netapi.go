@@ -15,20 +15,17 @@
 //
 //	capability       interface        realnet                       netsim
 //	----------       ---------        -------                       ------
-//	bounded queues   QueueEnv         chan-backed queue             vclock BoundedQueue (proc-blocking)
-//	reuse-port       UDPReuseEnv      SO_REUSEPORT, shared-fd       deterministic fan-out shim
-//	                                  fallback
+//	bounded queues   QueueEnv         absent: NewChanQueue          vclock BoundedQueue (proc-blocking)
+//	reuse-port       UDPReuseEnv      n SO_REUSEPORT sockets; one   absent: a host has one tap
+//	                                  socket where there is none
 //	cooperative      CooperativeEnv   false — OS goroutines,        true — coroutines on the virtual
 //	scheduling                        blocking allowed              clock; OS blocking deadlocks
-//	batch I/O        BatchEnv +       native: recvmmsg/sendmmsg     native: event-free drain of the
-//	                 BatchConn        on Linux, read loop           delivery queue
-//	                                  elsewhere
 //
-// Every capability has a portable fallback, so absence never means "cannot":
-// no QueueEnv falls back to NewChanQueue, no UDPReuseEnv means single-socket
-// ingest, no BatchConn is bridged by AsBatch's per-datagram loop. What the
-// capabilities buy is performance (batch I/O, kernel flow steering) or
-// correctness under a specific scheduler (vclock queues in netsim).
+// Absence never means "cannot": no QueueEnv falls back to NewChanQueue and
+// no UDPReuseEnv means single-socket ingest. Batch I/O is a property of a
+// conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
+// recvmmsg/sendmmsg on Linux, a read loop elsewhere; netsim: an event-free
+// drain of the delivery queue) or bridges it with a per-datagram loop.
 package netapi
 
 import (
@@ -96,8 +93,8 @@ type Queue interface {
 }
 
 // QueueEnv is an optional Env capability: construction of scheduler-aware
-// bounded queues. Both realnet and netsim implement it; code that requires it
-// type-asserts and may fall back to direct dispatch when absent.
+// bounded queues. netsim implements it; an Env without it gets NewChanQueue,
+// which is correct for any preemptive environment.
 type QueueEnv interface {
 	NewQueue(capacity int) Queue
 }
@@ -115,27 +112,23 @@ type CooperativeEnv interface {
 	CooperativeScheduling() bool
 }
 
-// UDPReuseEnv is an optional Env capability: bind n datagram endpoints to the
-// same address so one reader can run per engine shard. realnet implements it
-// with SO_REUSEPORT where available (fallback: one socket shared by n
-// handles — concurrent ReadFrom on a UDP socket is safe); netsim implements a
-// fan-out shim over the host's single receive queue. All returned conns
-// report the same LocalAddr; closing each handle once releases the binding.
+// UDPReuseEnv is an optional Env capability: bind up to n datagram endpoints
+// to the same address so each engine shard can read its own. It returns n
+// conns where the environment steers every datagram of a flow to one of them
+// (realnet with SO_REUSEPORT: the kernel's 4-tuple hash) and a single conn
+// where it cannot; the count tells the caller which it got. All returned
+// conns report the same LocalAddr.
 type UDPReuseEnv interface {
 	ListenUDPReuse(addr netip.AddrPort, n int) ([]UDPConn, error)
 }
 
-// FlowStableConn is an optional UDPConn capability: it reports whether every
-// datagram of one flow is delivered to this same conn for the conn's
-// lifetime. Kernel SO_REUSEPORT steering qualifies — the 4-tuple hash pins a
-// flow to one socket of the group (realnet marks those conns true). A single
-// socket read through several refcounted handles, or a userspace fan-out
-// over one receive queue (netsim's reuse shim), does not: any handle can
-// observe any flow. Several engine shards each read their own conn directly
-// only when every conn reports true; a conn that does not implement the
-// interface is treated as not flow-stable.
-type FlowStableConn interface {
-	FlowStable() bool
+// Packet is a raw datagram as a capture point sees it: a middlebox knows
+// both addresses. Simulator taps, the engine and the guard's handlers all
+// name this one type.
+type Packet struct {
+	Src     netip.AddrPort
+	Dst     netip.AddrPort
+	Payload []byte
 }
 
 // UDPConn is a datagram endpoint.

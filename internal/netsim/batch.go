@@ -14,15 +14,7 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-var (
-	_ netapi.BatchEnv  = (*Host)(nil)
-	_ netapi.BatchConn = (*UDPConn)(nil)
-	_ netapi.BatchConn = (*reuseConn)(nil)
-)
-
-// BatchIO implements netapi.BatchEnv: simulated sockets drain their
-// delivery queue natively.
-func (h *Host) BatchIO() bool { return true }
+var _ netapi.BatchConn = (*UDPConn)(nil)
 
 // ReadBatch implements netapi.BatchConn. Delivered clones are copied into
 // the slab and recycled, so a batch-reading consumer returns in-flight
@@ -58,23 +50,6 @@ func (c *UDPConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 		}
 	}
 	return len(msgs), nil
-}
-
-// ReadBatch implements netapi.BatchConn on reuse handles; all handles drain
-// the one shared queue, like their single reads.
-func (c *reuseConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
-	if c.closed {
-		return 0, netapi.ErrClosed
-	}
-	return c.shared.conn.ReadBatch(msgs, timeout)
-}
-
-// WriteBatch implements netapi.BatchConn.
-func (c *reuseConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
-	if c.closed {
-		return 0, netapi.ErrClosed
-	}
-	return c.shared.conn.WriteBatch(msgs)
 }
 
 // storeSimDatagram copies a delivered packet into the slot under the slab

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -46,71 +45,5 @@ func TestHostNewQueuePoliciesAndBlocking(t *testing.T) {
 	s.Run(0)
 	if got != "e" {
 		t.Fatalf("last item = %v, want e", got)
-	}
-}
-
-// ListenUDPReuse on the simulator fans one binding out to n handles; each
-// datagram wakes exactly one blocked reader, and the port is released only
-// after every handle closes.
-func TestListenUDPReuseFanOut(t *testing.T) {
-	s, n := newNet(time.Millisecond)
-	rx := n.AddHost("rx", addr("10.0.0.1"))
-	tx := n.AddHost("tx", addr("10.0.0.2"))
-
-	conns, err := rx.ListenUDPReuse(ap("10.0.0.1:53"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(conns) != 3 {
-		t.Fatalf("got %d conns, want 3", len(conns))
-	}
-	for _, c := range conns {
-		if c.LocalAddr() != ap("10.0.0.1:53") {
-			t.Fatalf("LocalAddr = %v", c.LocalAddr())
-		}
-	}
-
-	received := make([]int, 3)
-	for i, c := range conns {
-		i, c := i, c
-		s.Go("reader", func() {
-			for {
-				if _, _, err := c.ReadFrom(netapi.NoTimeout); err != nil {
-					return
-				}
-				received[i]++
-			}
-		})
-	}
-	s.Go("sender", func() {
-		conn, err := tx.ListenUDP(netip.AddrPort{})
-		if err != nil {
-			t.Errorf("ListenUDP: %v", err)
-			return
-		}
-		for i := 0; i < 6; i++ {
-			if err := conn.WriteTo([]byte{byte(i)}, ap("10.0.0.1:53")); err != nil {
-				t.Errorf("WriteTo: %v", err)
-			}
-			tx.Sleep(time.Millisecond)
-		}
-		tx.Sleep(10 * time.Millisecond)
-		for _, c := range conns {
-			c.Close()
-		}
-	})
-	s.Run(0)
-
-	total := 0
-	for _, r := range received {
-		total += r
-	}
-	if total != 6 {
-		t.Fatalf("delivered %d datagrams across handles (%v), want 6", total, received)
-	}
-
-	// All handles closed: the port must be free to rebind.
-	if _, err := rx.ListenUDP(ap("10.0.0.1:53")); err != nil {
-		t.Fatalf("rebind after close: %v", err)
 	}
 }

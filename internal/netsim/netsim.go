@@ -41,7 +41,6 @@ type Network struct {
 	defLatency time.Duration
 	latency    map[hostPair]time.Duration
 	loss       map[hostPair]float64
-	defLoss    float64
 	faults     map[hostPair]Faults
 	defFaults  Faults
 	parts      map[hostPair]bool
@@ -76,14 +75,6 @@ type NetStats struct {
 // plain reads are safe; snapshot between vclock runs, not during one.
 func (n *Network) MetricsInto(r *metrics.Registry) {
 	metrics.RegisterUint64Fields(r, "netsim_", &n.Stats)
-}
-
-// LinkMetricsInto registers the a→b direction's LinkStats under prefix
-// (e.g. "netsim_link_client_guard_"): <prefix>sent, <prefix>lost,
-// <prefix>duplicated, <prefix>reordered, <prefix>corrupted,
-// <prefix>partition_drops.
-func (n *Network) LinkMetricsInto(r *metrics.Registry, a, b *Host, prefix string) {
-	metrics.RegisterUint64Fields(r, prefix, n.linkStatsFor(a, b))
 }
 
 // New creates an empty network on sched with a default one-way link latency.
@@ -137,10 +128,6 @@ func (n *Network) SetLoss(a, b *Host, rate float64) {
 	n.loss[hostPair{a, b}] = rate
 }
 
-// SetDefaultLoss sets the loss probability applied to links without an
-// explicit override.
-func (n *Network) SetDefaultLoss(rate float64) { n.defLoss = rate }
-
 func (n *Network) latencyBetween(a, b *Host) time.Duration {
 	if a == b {
 		return 0
@@ -152,10 +139,7 @@ func (n *Network) latencyBetween(a, b *Host) time.Duration {
 }
 
 func (n *Network) lossBetween(a, b *Host) float64 {
-	if r, ok := n.loss[hostPair{a, b}]; ok {
-		return r
-	}
-	return n.defLoss
+	return n.loss[hostPair{a, b}]
 }
 
 // ownerOf resolves the host that receives traffic for addr: explicit claims
@@ -177,11 +161,7 @@ func (n *Network) ownerOf(addr netip.Addr) *Host {
 }
 
 // Packet is a raw datagram as seen by taps and protocol handlers.
-type Packet struct {
-	Src     netip.AddrPort
-	Dst     netip.AddrPort
-	Payload []byte
-}
+type Packet = netapi.Packet
 
 // ProtoHandler receives non-UDP transport payloads (e.g. simulated TCP
 // segments) addressed to a host. Handlers run as event callbacks and must not

@@ -15,23 +15,14 @@ import (
 // empty: the largest possible UDP payload.
 const maxDatagram = 65536
 
-var (
-	_ netapi.BatchEnv  = (*Env)(nil)
-	_ netapi.BatchConn = (*udpConn)(nil)
-	_ netapi.BatchConn = (*sharedHandle)(nil)
-)
-
-// BatchIO implements netapi.BatchEnv. It reports true only when this build
-// has the mmsg fast path (Linux); elsewhere batch calls still work but
-// amortize buffer management, not kernel crossings.
-func (e *Env) BatchIO() bool { return osBatchIO }
+var _ netapi.BatchConn = (*udpConn)(nil)
 
 // ReadBatch implements netapi.BatchConn.
 func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	if osBatchIO {
+	if haveMmsg {
 		return c.readBatchOS(msgs, timeout)
 	}
 	return c.readBatchLoop(msgs, timeout)
@@ -42,7 +33,7 @@ func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	if osBatchIO {
+	if haveMmsg {
 		return c.writeBatchOS(msgs)
 	}
 	return c.writeBatchLoop(msgs)
@@ -89,20 +80,4 @@ func (c *udpConn) writeBatchLoop(msgs []netapi.Datagram) (int, error) {
 		}
 	}
 	return len(msgs), nil
-}
-
-// ReadBatch implements netapi.BatchConn on the shared-socket fallback handle.
-func (h *sharedHandle) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
-	if h.isClosed() {
-		return 0, netapi.ErrClosed
-	}
-	return h.shared.conn.ReadBatch(msgs, timeout)
-}
-
-// WriteBatch implements netapi.BatchConn on the shared-socket fallback handle.
-func (h *sharedHandle) WriteBatch(msgs []netapi.Datagram) (int, error) {
-	if h.isClosed() {
-		return 0, netapi.ErrClosed
-	}
-	return h.shared.conn.WriteBatch(msgs)
 }

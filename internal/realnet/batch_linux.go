@@ -22,7 +22,7 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-const osBatchIO = true
+const haveMmsg = true
 
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the per-message
 // byte count the kernel writes back. The explicit pad fixes the 64-byte
@@ -73,8 +73,8 @@ func (c *udpConn) initOS() error {
 
 // acquire locks the socket's cached state for one call, sized for n
 // messages. A second caller on the same socket and direction at the same
-// time (handles of the shared-fd fallback, shards flushing replies through
-// one socket) gets a private state instead of waiting for the first one's
+// time (shards flushing replies through one socket, several procs reading
+// one) gets a private state instead of waiting for the first one's
 // call, which may be parked in the netpoller, to end.
 func (st *mmsgState) acquire(n int) *mmsgState {
 	if !st.mu.TryLock() {

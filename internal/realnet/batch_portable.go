@@ -8,14 +8,14 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-const osBatchIO = false
+const haveMmsg = false
 
 type osBatch struct{}
 
 func (c *udpConn) initOS() error { return nil }
 
 // The portable build has no native mmsg path; these stubs are never reached
-// (ReadBatch/WriteBatch branch on osBatchIO) but keep the call sites
+// (ReadBatch/WriteBatch branch on haveMmsg) but keep the call sites
 // compiling identically on every platform.
 
 func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (int, error) {

@@ -58,8 +58,8 @@ func TestBatchRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchConcurrentReaders: procs reading one socket at once — the
-// shared-fd fallback's handles do — must not share syscall state. The cached
+// TestBatchConcurrentReaders: procs reading one socket at once, which the
+// conn contract allows, must not share syscall state. The cached
 // state goes to whichever caller finds it free; the others read through a
 // private one instead of waiting for a blocking read to end. Run under
 // -race.

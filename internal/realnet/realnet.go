@@ -88,17 +88,7 @@ func newUDPConn(conn *net.UDPConn) (*udpConn, error) {
 	return c, nil
 }
 
-var (
-	_ netapi.UDPConn        = (*udpConn)(nil)
-	_ netapi.FlowStableConn = (*udpConn)(nil)
-)
-
-// FlowStable reports true: a singly-bound kernel socket receives every
-// datagram of every flow addressed to it, and in an SO_REUSEPORT group
-// (reuseport_linux.go) the kernel's 4-tuple hash pins each flow to one
-// member socket for the socket's lifetime. The non-flow-stable realnet case
-// is the shared-fd fallback, whose handles override this (sharedHandle).
-func (c *udpConn) FlowStable() bool { return true }
+var _ netapi.UDPConn = (*udpConn)(nil)
 
 // SetReadBuffer sets the socket's kernel receive buffer (SO_RCVBUF).
 // Optional capability probed by interface assertion; load generators raise

@@ -13,14 +13,14 @@ import (
 
 // soReusePort is SO_REUSEPORT, absent from the frozen syscall package. The
 // value is 15 on every Linux ABI except MIPS (excluded by build tag, where
-// ListenUDPReuse falls back to the shared-socket path).
+// ListenUDPReuse binds one socket).
 const soReusePort = 15
 
 // listenReusePort binds n sockets to the same address with SO_REUSEPORT, so
 // the kernel hashes inbound datagrams across them and each engine reader
 // gets its own receive queue. When addr asks for an ephemeral port, the
 // first bind picks it and the rest reuse it.
-func listenReusePort(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
+func (e *Env) listenReusePort(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
 	lc := net.ListenConfig{
 		Control: func(network, address string, c syscall.RawConn) error {
 			var serr error

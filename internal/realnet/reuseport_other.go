@@ -3,14 +3,13 @@
 package realnet
 
 import (
-	"fmt"
 	"net/netip"
 
 	"dnsguard/internal/netapi"
 )
 
-// listenReusePort is unavailable without SO_REUSEPORT; ListenUDPReuse falls
-// back to one socket shared by n handles.
-func listenReusePort(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
-	return nil, fmt.Errorf("realnet: SO_REUSEPORT unsupported on this platform: %w", netapi.ErrAddrInUse)
+// listenReusePort binds one plain socket: without SO_REUSEPORT nothing
+// steers a flow to one of several.
+func (e *Env) listenReusePort(addr netip.AddrPort, _ int) ([]netapi.UDPConn, error) {
+	return e.listenOne(addr)
 }

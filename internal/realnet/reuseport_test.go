@@ -10,9 +10,9 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-// ListenUDPReuse must deliver every datagram exactly once across the n
-// handles, whichever path (SO_REUSEPORT or shared-socket fallback) the
-// platform took, and all handles must report the same bound address.
+// ListenUDPReuse must deliver every datagram exactly once across the sockets
+// it returns (n with SO_REUSEPORT, one without), and all of them must report
+// the same bound address.
 func TestListenUDPReuseDelivery(t *testing.T) {
 	env := New()
 	conns, err := env.ListenUDPReuse(netip.MustParseAddrPort("127.0.0.1:0"), 4)
@@ -83,8 +83,7 @@ func TestListenUDPReuseDelivery(t *testing.T) {
 }
 
 func TestChanQueuePolicies(t *testing.T) {
-	env := New()
-	q := env.NewQueue(2)
+	q := netapi.Capabilities(New()).NewQueue(2)
 	if !q.Put(1) || !q.Put(2) {
 		t.Fatal("puts under capacity rejected")
 	}

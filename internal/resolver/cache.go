@@ -142,12 +142,6 @@ func (c *Cache) Get(now time.Duration, name dnswire.Name, rtype dnswire.Type) (r
 	return aged, dnswire.RCodeNoError, false, true
 }
 
-// Has reports whether a live positive entry exists.
-func (c *Cache) Has(now time.Duration, name dnswire.Name, rtype dnswire.Type) bool {
-	rrs, _, neg, ok := c.Get(now, name, rtype)
-	return ok && !neg && len(rrs) > 0
-}
-
 // Flush removes everything.
 func (c *Cache) Flush() {
 	c.mu.Lock()

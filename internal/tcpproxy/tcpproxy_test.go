@@ -345,8 +345,10 @@ func TestProxyMaxConcurrent(t *testing.T) {
 // TestClientSprayFootprint: the per-client buckets are a table of
 // clientsTracked entries built with the proxy — 4096 × 40 bytes and 8192 index
 // slots of 8, 224 KiB — so connections from 100 000 client addresses, each its
-// first, add nothing to it, and a client that stays busy through the spray
-// keeps its bucket, spent: only the idlest are evicted.
+// first, allocate nothing, and a client that stays busy through the spray
+// keeps its bucket, spent: only the idlest are evicted. The bound on the spray
+// is a count of allocations; the heap delta beside it moves with whatever
+// else the process is doing and is only logged.
 func TestClientSprayFootprint(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -369,22 +371,24 @@ func TestClientSprayFootprint(t *testing.T) {
 	}
 	built := heap()
 	const clients = 100000
-	for i := 0; i < clients; i++ {
+	i := 0
+	allocs := testing.AllocsPerRun(clients-1, func() { // one warm-up call, then clients-1
 		if !p.buckets.Allow(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), 0) {
 			t.Fatalf("client %d refused its first connection", i)
 		}
 		if i%1000 == 0 && p.buckets.Allow(busy, 0) {
 			t.Fatalf("after %d other clients the busy one has a fresh bucket", i)
 		}
-	}
+		i++
+	})
 	after := heap()
 	const limit = 1 << 18
 	t.Logf("proxy: %d KiB of heap; %d clients: %d KiB more", (built-before)>>10, clients, (after-built)>>10)
 	if built-before > limit {
 		t.Errorf("a proxy is %d KiB of heap, want <= %d KiB", (built-before)>>10, limit>>10)
 	}
-	if after-built > 4<<10 {
-		t.Errorf("%d client addresses added %d KiB of heap, want none", clients, (after-built)>>10)
+	if allocs != 0 {
+		t.Errorf("a never-seen client address allocates %.2f times, want 0: the table grew", allocs)
 	}
 	runtime.KeepAlive(p)
 }

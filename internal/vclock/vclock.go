@@ -32,7 +32,6 @@ type Scheduler struct {
 	ctl     chan struct{} // proc -> scheduler handoff
 	running *Proc         // proc currently holding the execution token
 	stopped bool
-	idleFn  func() bool // optional: called when the event queue drains
 }
 
 // New returns a Scheduler whose clock starts at zero and whose random source
@@ -202,22 +201,12 @@ func (s *Scheduler) Run(until time.Duration) time.Duration {
 		case e.fn != nil:
 			e.fn()
 		}
-		if len(s.events) == 0 && s.idleFn != nil && !s.stopped {
-			if !s.idleFn() {
-				s.idleFn = nil
-			}
-		}
 	}
 	return s.now
 }
 
 // Stop makes Run return after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// OnIdle registers fn to be invoked whenever the event queue drains while Run
-// is active. If fn returns false it is unregistered. It is used by harnesses
-// that feed the simulation incrementally.
-func (s *Scheduler) OnIdle(fn func() bool) { s.idleFn = fn }
 
 // Pending reports the number of queued events, mostly for tests.
 func (s *Scheduler) Pending() int { return len(s.events) }

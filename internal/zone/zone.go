@@ -18,11 +18,10 @@ import (
 
 // Errors reported by zone construction and parsing.
 var (
-	ErrNoSOA       = errors.New("zone: missing SOA record at apex")
-	ErrOutOfZone   = errors.New("zone: record out of zone")
-	ErrParse       = errors.New("zone: parse error")
-	ErrDupCNAME    = errors.New("zone: CNAME cannot coexist with other data")
-	ErrNoSuchThing = errors.New("zone: no such record")
+	ErrNoSOA     = errors.New("zone: missing SOA record at apex")
+	ErrOutOfZone = errors.New("zone: record out of zone")
+	ErrParse     = errors.New("zone: parse error")
+	ErrDupCNAME  = errors.New("zone: CNAME cannot coexist with other data")
 )
 
 type rrKey struct {
