@@ -91,25 +91,30 @@ state-check:
 	@! grep -nE 'map\[(uint16|netip\.Addr(Port)?)\]' internal/guard/remote.go internal/guard/nat.go internal/guard/health.go internal/tcpproxy/*.go
 
 # Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
-# budget"): each one's size as bench/rig builds it, its dependency count and
-# its ten largest packages by symbol size, then the test that keeps net/http,
-# crypto/tls and encoding/json out of all three.
+# budget"): each one's size as bench/rig builds it, its dependency count,
+# `static` or the ELF interpreter it asks for, and its ten largest packages
+# by symbol size, then the test that keeps net/http, crypto/tls and
+# encoding/json out of all three (and net, runtime/cgo and a dynamic
+# dnsguardd on Linux amd64/arm64).
 image-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && for d in dnsguardd ansd lrsd; do \
 		$(GO) build -buildvcs=false -o "$$dir/" ./cmd/$$d || exit 1; \
-		echo "$$d: $$(wc -c < "$$dir/$$d") bytes, $$($(GO) list -deps ./cmd/$$d | wc -l) packages"; \
+		interp=$$(readelf -l "$$dir/$$d" 2>/dev/null | sed -n 's/.*program interpreter: \(.*\)\]/\1/p'); \
+		echo "$$d: $$(wc -c < "$$dir/$$d") bytes, $$($(GO) list -deps ./cmd/$$d | wc -l) packages, $${interp:-static}"; \
 		$(GO) tool nm -size "$$dir/$$d" | awk 'NF >= 4 { s = $$4; sub(/[\[(].*/, "", s); n = split(s, a, "/"); sub(/\..*/, "", a[n]); \
 			p = a[1]; for (i = 2; i <= n; i++) p = p "/" a[i]; size[p] += $$2 } \
 			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
 	done
 	$(GO) test ./cmd/dnsguardd -run='^TestImagePinned$$' -count=1 -v
 
-# What a daemon runs differently off Linux — one socket for all shards
-# (realnet/reuseport_other.go), the read-loop batch I/O
-# (realnet/batch_portable.go) — no other target compiles: vet it for one
-# such platform and build it for two more. Cross-compiling needs no network.
+# What a daemon runs differently off Linux amd64/arm64 — realnet's net-based
+# sockets (realnet/portable.go): one socket for all shards, one datagram per
+# syscall — no other target compiles: vet it for two such platforms, one of
+# them Linux, and build it for two more. Cross-compiling needs no network.
 portable-check:
 	GOOS=darwin GOARCH=arm64 CGO_ENABLED=0 $(GO) vet ./...
+	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) vet ./...
+	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 

@@ -31,7 +31,7 @@ func run() error {
 	zonePath := flag.String("zone", "", "comma-separated zone master file(s) (required)")
 	listen := flag.String("listen", "127.0.0.1:5353", "UDP/TCP listen address")
 	enableTCP := flag.Bool("tcp", true, "also serve DNS over TCP")
-	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
+	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	flag.Parse()
 
 	if *zonePath == "" {
@@ -77,7 +77,7 @@ func run() error {
 		metrics.RuntimeInto(reg)
 		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
-			return fmt.Errorf("serving metrics: %w", err)
+			return fmt.Errorf("serving -metrics-addr: %w", err)
 		}
 		hooks.Metrics = l
 		fmt.Printf("ansd: metrics on http://%v/metrics (probes /healthz /readyz)\n", l.Addr())

@@ -1,22 +1,33 @@
 package main
 
 import (
+	"debug/elf"
+	"io"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestImagePinned keeps the daemons' binaries — two-thirds of the guard's
 // resident memory — clear of the HTTP/TLS stack: a new endpoint is a row in
-// internal/metrics' responder table, not an import of net/http.
+// internal/metrics' responder table, not an import of net/http. On Linux
+// amd64 and arm64, where realnet opens its sockets with syscall, it also
+// keeps out the net package, whose cgo resolver links libc and ld.so into a
+// default build (DESIGN.md §19): dnsguardd built as `go build` builds it
+// must be static.
 func TestImagePinned(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
+	native := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
 	banned := func(pkg string) bool {
 		switch pkg {
 		case "crypto/tls", "crypto/x509", "encoding/json", "mime", "compress/gzip":
 			return true
+		case "net", "runtime/cgo", "vendor/golang.org/x/net/dns/dnsmessage":
+			return native
 		}
 		return pkg == "net/http" || strings.HasPrefix(pkg, "net/http/") ||
 			strings.HasPrefix(pkg, "vendor/golang.org/x/net/http")
@@ -33,5 +44,19 @@ func TestImagePinned(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d packages", daemon, len(deps))
+	}
+	if !native {
+		return
+	}
+	f, err := elf.Open(filepath.Join(buildDaemons(t, "dnsguardd"), "dnsguardd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, p := range f.Progs {
+		if p.Type == elf.PT_INTERP {
+			interp, _ := io.ReadAll(p.Open())
+			t.Errorf("dnsguardd asks for an interpreter, %s: it is linked dynamically", strings.TrimRight(string(interp), "\x00"))
+		}
 	}
 }

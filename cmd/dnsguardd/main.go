@@ -25,11 +25,11 @@
 // -keyring-reload polls the file and adopts newer epochs.
 //
 // With -shards N > 1 the guard runs N dataplane workers, each fed by its own
-// SO_REUSEPORT socket on the public address (kernel-hashed per flow); where
-// SO_REUSEPORT is unavailable one socket's reader feeds all N. -batch M
+// SO_REUSEPORT socket on the public address (kernel-hashed per flow) on
+// Linux amd64/arm64; elsewhere one socket's reader feeds all N. -batch M
 // lets each read and write syscall move up to M datagrams (recvmmsg/sendmmsg
-// on Linux, a read loop elsewhere); -batch 1 is the same loop taking one
-// datagram per read.
+// on Linux amd64/arm64, a read loop elsewhere); -batch 1 is the same loop
+// taking one datagram per read.
 package main
 
 import (
@@ -62,7 +62,7 @@ func run() error {
 	threshold := flag.Float64("threshold", 0, "activation threshold in req/s (0 = always on)")
 	withProxy := flag.Bool("proxy", true, "run the TCP proxy for redirected/truncated requesters")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
-	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
+	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
 	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source cache TTL (0 = default 1m, negative = no cache); does not select a code path")
@@ -239,7 +239,7 @@ func run() error {
 			g.Healthz,
 			func() error { return g.Ready(0) })
 		if err != nil {
-			return fmt.Errorf("serving metrics: %w", err)
+			return fmt.Errorf("serving -metrics-addr: %w", err)
 		}
 		hooks.Metrics = l
 		fmt.Printf("dnsguardd: metrics on http://%v/metrics (probes /healthz /readyz)\n", l.Addr())

@@ -7,6 +7,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,6 +166,25 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Errorf("guard_mitigation_enabled = %q under -mitigate", got)
 	}
 	scrape(t, base+"/debug/vars")
+}
+
+// TestMetricsAddrLiteral: -metrics-addr is an ip:port, like -listen. No
+// daemon resolves a name, so a host name stops each one at start-up with an
+// error that names the flag.
+func TestMetricsAddrLiteral(t *testing.T) {
+	bin := buildDaemons(t, "ansd", "dnsguardd", "lrsd")
+	for _, args := range [][]string{
+		{"ansd", "-zone", zoneFile, "-listen", "127.0.0.1:0"},
+		{"dnsguardd", "-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com", "-stats", "0"},
+		{"lrsd", "-listen", "127.0.0.1:0"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, args[0]), append(args[1:], "-metrics-addr", "localhost:9090")...).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), "-metrics-addr") {
+			t.Errorf("%s -metrics-addr localhost:9090: %v; want a start-up error naming the flag, output:\n%s", args[0], err, out)
+		}
+	}
 }
 
 // TestCrashRestartSmoke is the end-to-end check behind DESIGN.md §11: obtain

@@ -39,7 +39,7 @@ func run() error {
 	maxBackoff := flag.Duration("max-backoff", 0, "backoff ceiling (0 = 8x -backoff)")
 	queryTimeout := flag.Duration("query-timeout", 0, "total per-query budget across all retries (0 = unbounded)")
 	tcpRetryAfter := flag.Int("tcp-retry-after", 0, "retry over TCP after this many failed UDP rounds (0 = never)")
-	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this address: plain HTTP/1, one request per connection (empty = off)")
+	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	metricsDump := flag.Duration("metrics-dump", 0, "dump metrics to stderr at this interval (0 = off)")
 	flag.Parse()
 
@@ -104,7 +104,7 @@ func run() error {
 		metrics.RuntimeInto(reg)
 		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
-			return fmt.Errorf("serving metrics: %w", err)
+			return fmt.Errorf("serving -metrics-addr: %w", err)
 		}
 		hooks.Metrics = l
 		fmt.Printf("lrsd: metrics on http://%v/metrics (probes /healthz /readyz)\n", l.Addr())

@@ -32,7 +32,6 @@ package dnsguard
 
 import (
 	"io"
-	"net"
 	"time"
 
 	"dnsguard/internal/ans"
@@ -322,14 +321,14 @@ type MetricSample = metrics.Sample
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
-// ServeMetricsHealth serves the registry over HTTP on addr: /metrics is the
-// deterministic "name value" text form, /debug/vars the expvar-style JSON
-// object, and /healthz and /readyz are Kubernetes-style probes — nil probe
-// results render as 200 "ok", errors as 503 with the error text (so curl
-// explains why a site is out of rotation); nil funcs always pass. GET and HEAD
-// only, one request per connection, no TLS. It returns the bound listener
-// (close it to stop serving).
-func ServeMetricsHealth(addr string, r *Metrics, healthz, readyz func() error) (net.Listener, error) {
+// ServeMetricsHealth serves the registry over HTTP on addr, a literal ip:port:
+// /metrics is the deterministic "name value" text form, /debug/vars the
+// expvar-style JSON object, and /healthz and /readyz are Kubernetes-style
+// probes — nil probe results render as 200 "ok", errors as 503 with the error
+// text (so curl explains why a site is out of rotation); nil funcs always
+// pass. GET and HEAD only, one request per connection, no TLS. Close the
+// returned listener to stop serving.
+func ServeMetricsHealth(addr string, r *Metrics, healthz, readyz func() error) (netapi.Listener, error) {
 	return metrics.ServeHealth(addr, r, healthz, readyz)
 }
 

@@ -6,7 +6,7 @@
 package daemon
 
 import (
-	"net"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -27,7 +27,7 @@ type Hooks struct {
 	// is nil): close servers, print final stats.
 	Shutdown func()
 	// Metrics is the metrics/health HTTP listener, closed after Shutdown.
-	Metrics net.Listener
+	Metrics io.Closer
 	// Logf receives progress lines ("draining", "reload failed: …");
 	// nil discards them.
 	Logf func(format string, args ...any)

@@ -5,11 +5,13 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"io"
-	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"time"
+
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/realnet"
 )
 
 // The -metrics-addr listener answers a fixed table of GET endpoints, one
@@ -46,29 +48,24 @@ func probe(path string, check func() error) endpoint {
 	}}
 }
 
-// refuse is the page for a request the table has no answer to.
-func refuse(status string) endpoint {
-	return endpoint{"", textType, func(b *bytes.Buffer) string { b.WriteString(status + "\n"); return status }}
-}
-
-// Serve listens on addr and serves /metrics (sorted "name value" text) and
-// /debug/vars (the same snapshot as one JSON object) from a goroutine until
-// the returned listener is closed; its Close returns once that goroutine and
+// ServeHealth listens on addr, a literal ip:port, and serves /metrics
+// (sorted "name value" text), /debug/vars (the same snapshot as one JSON
+// object) and the probes orchestrators and catchment fronts poll: /healthz,
+// liveness, and /readyz, 200 only when the component should receive traffic
+// (guard lifecycle serving, keyring epoch current, ingress backlog under
+// threshold); a nil func always passes. It serves from a goroutine until the
+// returned listener is closed, whose Close returns once that goroutine and
 // every connection it started are done.
-func Serve(addr string, r *Registry) (net.Listener, error) {
-	return serve(addr, r)
-}
-
-// ServeHealth is Serve plus the probes orchestrators and catchment fronts
-// poll: /healthz, liveness, and /readyz, 200 only when the component should
-// receive traffic (guard lifecycle serving, keyring epoch current, ingress
-// backlog under threshold). A nil func always passes.
-func ServeHealth(addr string, r *Registry, healthz, readyz func() error) (net.Listener, error) {
+func ServeHealth(addr string, r *Registry, healthz, readyz func() error) (netapi.Listener, error) {
 	return serve(addr, r, probe("/healthz", healthz), probe("/readyz", readyz))
 }
 
-func serve(addr string, r *Registry, probes ...endpoint) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
+func serve(addr string, r *Registry, probes ...endpoint) (netapi.Listener, error) {
+	ap, err := netip.ParseAddrPort(addr)
+	var ln netapi.Listener
+	if err == nil {
+		ln, err = realnet.New().ListenTCP(ap)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
@@ -82,12 +79,12 @@ func serve(addr string, r *Registry, probes ...endpoint) (net.Listener, error) {
 }
 
 type responder struct {
-	net.Listener
+	netapi.Listener
 	table    []endpoint
 	deadline time.Duration
 	conns    sync.WaitGroup // the accept loop and the connections it started
 	mu       sync.Mutex
-	open     list.List // of net.Conn, longest open first, maxConns at most
+	open     list.List // of netapi.Conn, longest open first, maxConns at most
 }
 
 func (s *responder) Close() error {
@@ -103,8 +100,8 @@ func (s *responder) Close() error {
 func (s *responder) acceptLoop() {
 	defer s.conns.Done()
 	for {
-		c, err := s.Accept()
-		closed := errors.Is(err, net.ErrClosed)
+		c, err := s.Accept(netapi.NoTimeout)
+		closed := errors.Is(err, netapi.ErrClosed)
 		if err != nil && !closed { // out of descriptors, most likely: let some close
 			time.Sleep(50 * time.Millisecond)
 			continue
@@ -112,7 +109,7 @@ func (s *responder) acceptLoop() {
 		s.mu.Lock()
 		// Closed: everyone out. Full: the one open longest makes way.
 		for s.open.Len() > 0 && (closed || s.open.Len() == maxConns) {
-			s.open.Remove(s.open.Front()).(net.Conn).Close()
+			s.open.Remove(s.open.Front()).(netapi.Conn).Close()
 		}
 		if closed {
 			s.mu.Unlock()
@@ -125,7 +122,7 @@ func (s *responder) acceptLoop() {
 	}
 }
 
-func (s *responder) handle(c net.Conn, seat *list.Element) {
+func (s *responder) handle(c netapi.Conn, seat *list.Element) {
 	defer s.conns.Done()
 	defer func() {
 		c.Close()
@@ -133,12 +130,12 @@ func (s *responder) handle(c net.Conn, seat *list.Element) {
 		s.open.Remove(seat) // does nothing to a seat already taken away
 		s.mu.Unlock()
 	}()
-	_ = c.SetDeadline(time.Now().Add(s.deadline)) // a TCP connection takes one
+	defer time.AfterFunc(s.deadline, func() { c.Close() }).Stop() // cuts reads and writes alike
 	method, path, refusal, err := readRequest(c)
 	if err != nil {
 		return // the peer stalled, hung up or was displaced: nothing to say
 	}
-	e := refuse(refusal)
+	e := endpoint{"", textType, func(b *bytes.Buffer) string { b.WriteString(refusal + "\n"); return refusal }}
 	for _, row := range s.table {
 		if row.path == path {
 			e = row
@@ -157,7 +154,7 @@ func (s *responder) handle(c net.Conn, seat *list.Element) {
 // most, and parses the request line. refusal is the answer when the table has
 // no row for path, which is "" (never a row's) for a request refused whatever
 // it asks for. err: the connection gave out before the head did.
-func readRequest(c io.Reader) (method, path, refusal string, err error) {
+func readRequest(c netapi.Conn) (method, path, refusal string, err error) {
 	buf := make([]byte, maxHead/16) // room for what a client sends unprompted
 	for n := 0; ; {
 		if n == maxHead {
@@ -166,7 +163,7 @@ func readRequest(c io.Reader) (method, path, refusal string, err error) {
 		if n == len(buf) {
 			buf = append(buf, buf...) // twice the room
 		}
-		m, err := c.Read(buf[n:])
+		m, err := c.Read(buf[n:], netapi.NoTimeout)
 		tail := buf[max(n-2, 0) : n+m] // the blank line may straddle two reads
 		n += m
 		if bytes.Contains(tail, []byte("\n\r\n")) || bytes.Contains(tail, []byte("\n\n")) {

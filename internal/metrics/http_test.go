@@ -8,12 +8,15 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dnsguard/internal/realnet"
 )
 
 // The responder is checked through the standard library's client wherever
@@ -39,7 +42,7 @@ func fetch(t *testing.T, method, url string) (*http.Response, string) {
 
 // raw sends req as it stands and returns everything the responder says
 // before it closes the connection.
-func raw(t *testing.T, addr net.Addr, req string) string {
+func raw(t *testing.T, addr netip.AddrPort, req string) string {
 	t.Helper()
 	c, err := net.Dial("tcp", addr.String())
 	if err != nil {
@@ -140,8 +143,8 @@ func TestResponderConformance(t *testing.T) {
 		}
 	}
 
-	// Serve mounts no probes, and an empty registry is an empty page.
-	plain, err := Serve("127.0.0.1:0", NewRegistry())
+	// Without probes there are none, and an empty registry is an empty page.
+	plain, err := serve("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,12 @@ func TestResponderConformance(t *testing.T) {
 		t.Errorf("empty registry /debug/vars = %d %q, want 200 {}", resp.StatusCode, body)
 	}
 	if resp, _ := fetch(t, "GET", base+"/healthz"); resp.StatusCode != 404 {
-		t.Errorf("/healthz under Serve = %d, want 404", resp.StatusCode)
+		t.Errorf("/healthz with no probes = %d, want 404", resp.StatusCode)
+	}
+	// The address is a literal: nothing here resolves a name.
+	if ln, err := serve("localhost:0", NewRegistry()); err == nil {
+		ln.Close()
+		t.Error("serve(\"localhost:0\") bound a listener; want a parse error")
 	}
 }
 
@@ -200,7 +208,7 @@ func TestResponderSequentialAndConcurrentGets(t *testing.T) {
 // startResponder is serve with a deadline a test can wait out.
 func startResponder(t *testing.T, deadline time.Duration, table ...endpoint) *responder {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := realnet.New().ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestDelta(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("guard_remote_received").Add(9)
-	ln, err := Serve("127.0.0.1:0", r)
+	ln, err := serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import "net/netip"
 //	capability        realnet                      netsim                       absent ⇒
 //	----------        -------                      ------                       --------
 //	NewQueue          absent                       vclock BoundedQueue          NewChanQueue (set unconditionally)
-//	ListenUDPReuse    n SO_REUSEPORT sockets, or   absent (one tap per host)    nil func: single-socket ingest only
-//	                  one where there is none
+//	ListenUDPReuse    n SO_REUSEPORT sockets on    absent (one tap per host)    nil func: single-socket ingest only
+//	                  Linux amd64/arm64, else one
 //	Cooperative       false (OS goroutines)        true (coroutines, vclock)    false: OS blocking allowed
 type Caps struct {
 	// NewQueue constructs a scheduler-aware bounded Queue. Never nil: when

@@ -4,8 +4,8 @@
 //
 // Two implementations exist: internal/netsim (a deterministic discrete-event
 // simulator on a virtual clock, used by all experiments) and internal/realnet
-// (thin adapters over the net and time packages, used by the cmd/ daemons and
-// the realservers example). Code written against Env runs unchanged on both.
+// (OS sockets, via syscall on Linux amd64/arm64 and net elsewhere, for the
+// cmd/ daemons and the realservers example). Env code runs unchanged on both.
 //
 // # Optional capabilities
 //
@@ -16,15 +16,15 @@
 //	capability       interface        realnet                       netsim
 //	----------       ---------        -------                       ------
 //	bounded queues   QueueEnv         absent: NewChanQueue          vclock BoundedQueue (proc-blocking)
-//	reuse-port       UDPReuseEnv      n SO_REUSEPORT sockets; one   absent: a host has one tap
-//	                                  socket where there is none
+//	reuse-port       UDPReuseEnv      n SO_REUSEPORT sockets (Linux absent: a host has one tap
+//	                                  amd64/arm64); one elsewhere
 //	cooperative      CooperativeEnv   false — OS goroutines,        true — coroutines on the virtual
 //	scheduling                        blocking allowed              clock; OS blocking deadlocks
 //
 // Absence never means "cannot": no QueueEnv falls back to NewChanQueue and
 // no UDPReuseEnv means single-socket ingest. Batch I/O is a property of a
 // conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
-// recvmmsg/sendmmsg on Linux, a read loop elsewhere; netsim: an event-free
+// recvmmsg/sendmmsg on Linux amd64/arm64, a read loop elsewhere; netsim: a
 // drain of the delivery queue) or bridges it with a per-datagram loop.
 package netapi
 

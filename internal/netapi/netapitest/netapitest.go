@@ -2,10 +2,12 @@
 // environments. Every behavioral contract the rest of the repository leans
 // on — timeout semantics (NoTimeout blocks, zero polls, ErrTimeout/ErrClosed
 // matched with errors.Is), ephemeral-port binding, queue admission policy,
-// and the BatchConn slab rules (no wait-to-fill, truncate-to-cap,
-// allocate-when-empty) — is pinned here and run against both internal/netsim
-// and internal/realnet, so a divergence between the simulator and the real
-// stack fails a test instead of surfacing as a production-only bug.
+// the BatchConn slab rules (no wait-to-fill, truncate-to-cap,
+// allocate-when-empty) and the same timeout and close rules for streams
+// (a refused dial is ErrRefused, the peer's clean close ErrClosed) — is
+// pinned here and run against both internal/netsim and internal/realnet, so
+// a divergence between the simulator and the real stack fails a test
+// instead of surfacing as a production-only bug.
 //
 // Backends with cooperative schedulers (netsim) run each check inside a
 // scheduler proc, where t.Fatalf's runtime.Goexit would wedge the virtual
@@ -27,8 +29,9 @@ import (
 type Backend struct {
 	// Name labels the subtests.
 	Name string
-	// Addr is an address the environment can bind UDP sockets on (the
-	// host's own address under netsim, a loopback address under realnet).
+	// Addr is an address the environment can bind UDP sockets and TCP
+	// listeners on (the host's own address under netsim, with a TCP stack
+	// attached; a loopback address under realnet).
 	Addr netip.Addr
 	// Run executes fn with a fresh Env in a context where netapi blocking
 	// calls are legal — the test goroutine for preemptive backends, a
@@ -45,6 +48,13 @@ func Run(t *testing.T, b Backend) {
 	t.Run("RoundTrip", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testRoundTrip(t, b, env) }) })
 	t.Run("Close", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testClose(t, b, env) }) })
 	t.Run("Queue", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testQueue(t, b, env) }) })
+	t.Run("StreamRoundTrip", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamRoundTrip(t, b, env) }) })
+	t.Run("StreamAcceptPoll", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamAcceptPoll(t, b, env) }) })
+	t.Run("StreamReadPoll", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamReadPoll(t, b, env) }) })
+	t.Run("StreamTimeout", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamTimeout(t, b, env) }) })
+	t.Run("StreamRefused", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamRefused(t, b, env) }) })
+	t.Run("StreamPeerClose", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamPeerClose(t, b, env) }) })
+	t.Run("StreamClose", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamClose(t, b, env) }) })
 	for _, mode := range []batchMode{{"Native", netapi.AsBatch}, {"Loop", loopBatch}} {
 		mode := mode
 		t.Run("BatchRead/"+mode.name, func(t *testing.T) {
@@ -393,5 +403,204 @@ func testBatchWrite(t *testing.T, b Backend, env netapi.Env, mode batchMode) {
 		if src != sender.LocalAddr() {
 			t.Errorf("datagram %d source = %v, want %v", i, src, sender.LocalAddr())
 		}
+	}
+}
+
+// streamPair listens on the backend's address, dials the listener and
+// accepts: the listener, the dialed end and the accepted end, or nils after
+// reporting why. The caller closes all three.
+func streamPair(t *testing.T, b Backend, env netapi.Env) (netapi.Listener, netapi.Conn, netapi.Conn) {
+	t.Helper()
+	l, err := env.ListenTCP(netip.AddrPortFrom(b.Addr, 0))
+	if err != nil {
+		t.Errorf("ListenTCP(%v:0): %v", b.Addr, err)
+		return nil, nil, nil
+	}
+	client, err := env.DialTCP(l.Addr())
+	if err != nil {
+		l.Close()
+		t.Errorf("DialTCP(%v): %v", l.Addr(), err)
+		return nil, nil, nil
+	}
+	server, err := l.Accept(5 * time.Second)
+	if err != nil {
+		client.Close()
+		l.Close()
+		t.Errorf("Accept: %v", err)
+		return nil, nil, nil
+	}
+	return l, client, server
+}
+
+// readAll reads until want bytes have arrived.
+func readAll(c netapi.Conn, want int) ([]byte, error) {
+	buf := make([]byte, 0, want)
+	for len(buf) < want {
+		n, err := c.Read(buf[len(buf):want], 5*time.Second)
+		if err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+n]
+	}
+	return buf, nil
+}
+
+func testStreamRoundTrip(t *testing.T, b Backend, env netapi.Env) {
+	l, client, server := streamPair(t, b, env)
+	if l == nil {
+		return
+	}
+	defer l.Close()
+	defer client.Close()
+	defer server.Close()
+	if server.RemoteAddr() != client.LocalAddr() || client.RemoteAddr() != server.LocalAddr() {
+		t.Errorf("ends disagree: client %v→%v, server %v→%v",
+			client.LocalAddr(), client.RemoteAddr(), server.LocalAddr(), server.RemoteAddr())
+	}
+	for _, dir := range []struct {
+		name     string
+		from, to netapi.Conn
+	}{{"client→server", client, server}, {"server→client", server, client}} {
+		msg := []byte("conformance stream " + dir.name)
+		if n, err := dir.from.Write(msg); n != len(msg) || err != nil {
+			t.Errorf("%s Write = (%d, %v), want (%d, nil)", dir.name, n, err, len(msg))
+			return
+		}
+		if got, err := readAll(dir.to, len(msg)); err != nil || !bytes.Equal(got, msg) {
+			t.Errorf("%s read %q, %v; want %q", dir.name, got, err, msg)
+		}
+	}
+}
+
+// testStreamAcceptPoll and testStreamReadPoll: a zero timeout sees what is
+// already there, the rule a deadline of exactly now breaks for streams as it
+// does for datagrams.
+func testStreamAcceptPoll(t *testing.T, b Backend, env netapi.Env) {
+	l, err := env.ListenTCP(netip.AddrPortFrom(b.Addr, 0))
+	if err != nil {
+		t.Errorf("ListenTCP: %v", err)
+		return
+	}
+	defer l.Close()
+	if c, err := l.Accept(0); !errors.Is(err, netapi.ErrTimeout) {
+		t.Errorf("Accept(0) with nothing pending = (%v, %v), want errors.Is ErrTimeout", c, err)
+		if c != nil {
+			c.Close()
+		}
+	}
+	client, err := env.DialTCP(l.Addr())
+	if err != nil {
+		t.Errorf("DialTCP: %v", err)
+		return
+	}
+	defer client.Close()
+	env.Sleep(settle)
+	server, err := l.Accept(0)
+	if err != nil {
+		t.Errorf("Accept(0) with a connection pending: %v", err)
+		return
+	}
+	server.Close()
+}
+
+func testStreamReadPoll(t *testing.T, b Backend, env netapi.Env) {
+	l, client, server := streamPair(t, b, env)
+	if l == nil {
+		return
+	}
+	defer l.Close()
+	defer client.Close()
+	defer server.Close()
+	buf := make([]byte, 16)
+	if n, err := server.Read(buf, 0); !errors.Is(err, netapi.ErrTimeout) {
+		t.Errorf("Read(0) with nothing buffered = (%d, %v), want errors.Is ErrTimeout", n, err)
+	}
+	if _, err := client.Write([]byte("poll")); err != nil {
+		t.Errorf("Write: %v", err)
+		return
+	}
+	env.Sleep(settle)
+	if n, err := server.Read(buf, 0); err != nil || string(buf[:n]) != "poll" {
+		t.Errorf("Read(0) with bytes buffered = %q, %v; want \"poll\", nil", buf[:n], err)
+	}
+}
+
+func testStreamTimeout(t *testing.T, b Backend, env netapi.Env) {
+	l, client, server := streamPair(t, b, env)
+	if l == nil {
+		return
+	}
+	defer l.Close()
+	defer client.Close()
+	defer server.Close()
+	const wait = 30 * time.Millisecond
+	start := env.Now()
+	if c, err := l.Accept(wait); !errors.Is(err, netapi.ErrTimeout) {
+		t.Errorf("timed Accept = (%v, %v), want errors.Is ErrTimeout", c, err)
+	}
+	if n, err := server.Read(make([]byte, 16), wait); !errors.Is(err, netapi.ErrTimeout) {
+		t.Errorf("timed Read = (%d, %v), want errors.Is ErrTimeout", n, err)
+	}
+	if elapsed := env.Now() - start; elapsed < 2*wait {
+		t.Errorf("two timed calls returned after %v, before their %v timeouts", elapsed, 2*wait)
+	}
+}
+
+func testStreamRefused(t *testing.T, b Backend, env netapi.Env) {
+	l, err := env.ListenTCP(netip.AddrPortFrom(b.Addr, 0))
+	if err != nil {
+		t.Errorf("ListenTCP: %v", err)
+		return
+	}
+	closed := l.Addr()
+	l.Close()
+	if c, err := env.DialTCP(closed); !errors.Is(err, netapi.ErrRefused) {
+		t.Errorf("DialTCP to a closed port = (%v, %v), want errors.Is ErrRefused", c, err)
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
+// testStreamPeerClose: the bytes before the peer's clean close are read,
+// then ErrClosed, never io.EOF.
+func testStreamPeerClose(t *testing.T, b Backend, env netapi.Env) {
+	l, client, server := streamPair(t, b, env)
+	if l == nil {
+		return
+	}
+	defer l.Close()
+	defer server.Close()
+	if _, err := client.Write([]byte("bye")); err != nil {
+		t.Errorf("Write: %v", err)
+	}
+	client.Close()
+	if got, err := readAll(server, 3); err != nil || string(got) != "bye" {
+		t.Errorf("read before the peer's close = %q, %v; want \"bye\"", got, err)
+	}
+	if n, err := server.Read(make([]byte, 16), 5*time.Second); !errors.Is(err, netapi.ErrClosed) {
+		t.Errorf("Read after the peer's clean close = (%d, %v), want errors.Is ErrClosed", n, err)
+	}
+}
+
+// testStreamClose: Close from another proc unblocks an indefinitely blocked
+// Accept and Read with ErrClosed.
+func testStreamClose(t *testing.T, b Backend, env netapi.Env) {
+	l, client, server := streamPair(t, b, env)
+	if l == nil {
+		return
+	}
+	defer client.Close()
+	env.Go("closer", func() {
+		env.Sleep(20 * time.Millisecond)
+		_ = l.Close()
+		env.Sleep(20 * time.Millisecond)
+		_ = server.Close()
+	})
+	if c, err := l.Accept(netapi.NoTimeout); !errors.Is(err, netapi.ErrClosed) {
+		t.Errorf("blocked Accept on closed listener = (%v, %v), want errors.Is ErrClosed", c, err)
+	}
+	if n, err := server.Read(make([]byte, 16), netapi.NoTimeout); !errors.Is(err, netapi.ErrClosed) {
+		t.Errorf("blocked Read on closed conn = (%d, %v), want errors.Is ErrClosed", n, err)
 	}
 }

@@ -1,19 +1,17 @@
 //go:build linux && (amd64 || arm64)
 
-// Linux mmsg fast path: one recvmmsg/sendmmsg kernel crossing moves a whole
-// slab of datagrams. Raw syscall.Syscall6 against the stdlib syscall
-// numbers, driven through RawConn.Read/Write so the calls integrate with the
-// runtime netpoller and honor deadlines. Gated to amd64/arm64, where
-// syscall.Msghdr's layout (8-byte pointers, uint64 iovlen) matches the
-// kernel's struct mmsghdr stride of 64 bytes with one trailing uint32.
+// Linux mmsg path: one recvmmsg/sendmmsg kernel crossing moves a whole slab
+// of datagrams. Raw syscall.Syscall6 against the stdlib syscall numbers,
+// run through the socket's poller callbacks (socket_linux.go). Gated to
+// amd64/arm64, where syscall.Msghdr's layout (8-byte pointers, uint64
+// iovlen) matches the kernel's struct mmsghdr stride of 64 bytes with one
+// trailing uint32.
 
 package realnet
 
 import (
 	"fmt"
-	"net"
 	"net/netip"
-	"os"
 	"sync"
 	"syscall"
 	"time"
@@ -21,8 +19,6 @@ import (
 
 	"dnsguard/internal/netapi"
 )
-
-const haveMmsg = true
 
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the per-message
 // byte count the kernel writes back. The explicit pad fixes the 64-byte
@@ -34,7 +30,7 @@ type mmsghdr struct {
 }
 
 // mmsgState is what one direction of a socket points the kernel at: header
-// array, sockaddr array, one iovec per message, plus the RawConn callback
+// array, sockaddr array, one iovec per message, plus the poller callback
 // and the fields it communicates through. The callback is built once, so a
 // steady-state batch call allocates nothing.
 type mmsgState struct {
@@ -43,32 +39,10 @@ type mmsgState struct {
 	names []syscall.RawSockaddrAny
 	iovs  []syscall.Iovec
 
-	call  func(fd uintptr) bool // recvmmsg or sendmmsg, bound on first use
-	n     int                   // messages in this call
-	poll  bool                  // recv: the first EAGAIN is the answer
-	done  int                   // messages the kernel moved
-	opErr error
-}
-
-// osBatch is the socket's cached syscall state: the RawConn, the family its
-// sockaddrs are written in, and one mmsgState per direction.
-type osBatch struct {
-	rc         syscall.RawConn
-	is6        bool
-	recv, send mmsgState
-}
-
-func (c *udpConn) initOS() error {
-	rc, err := c.conn.SyscallConn()
-	if err != nil {
-		return err
-	}
-	c.os.rc = rc
-	// A socket bound over IPv6 (incl. the dual-stack wildcard) takes
-	// 4-in-6 mapped sockaddrs for IPv4 destinations, exactly as the net
-	// package arranges internally.
-	c.os.is6 = c.conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil
-	return nil
+	attempt
+	call func(fd uintptr) bool // recvmmsg or sendmmsg, bound on first use
+	n    int                   // messages in this call
+	done int                   // messages the kernel moved
 }
 
 // acquire locks the socket's cached state for one call, sized for n
@@ -87,66 +61,48 @@ func (st *mmsgState) acquire(n int) *mmsgState {
 		st.iovs = make([]syscall.Iovec, n)
 	}
 	st.hdrs, st.names, st.iovs = st.hdrs[:n], st.names[:n], st.iovs[:n]
-	st.n, st.done, st.opErr = n, 0, nil
+	st.n, st.done, st.attempt = n, 0, attempt{}
 	return st
 }
 
-// recvmmsg is the RawConn.Read callback. MSG_DONTWAIT keeps the syscall
-// non-blocking regardless of socket mode; blocking semantics come from the
-// netpoller (Read parks on EAGAIN until readable or deadline). A poll never
-// parks: the first EAGAIN is the answer.
 func (st *mmsgState) recvmmsg(fd uintptr) bool {
 	for {
 		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 			uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(st.n),
 			syscall.MSG_DONTWAIT, 0, 0)
-		switch errno {
-		case 0:
-			st.done = int(r1)
-			return true
-		case syscall.EINTR:
-			continue
-		case syscall.EAGAIN:
-			if st.poll {
-				st.opErr = netapi.ErrTimeout
-				return true
+		if errno != syscall.EINTR {
+			if errno == 0 {
+				st.done = int(r1)
 			}
-			return false
-		default:
-			st.opErr = os.NewSyscallError("recvmmsg", errno)
-			return true
+			return st.settle("recvmmsg", errno)
 		}
 	}
 }
 
-// sendmmsg is the RawConn.Write callback.
 func (st *mmsgState) sendmmsg(fd uintptr) bool {
 	for st.done < st.n {
 		r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&st.hdrs[st.done])), uintptr(st.n-st.done),
 			syscall.MSG_DONTWAIT, 0, 0)
-		switch errno {
-		case 0:
-			if r1 == 0 {
-				return false
-			}
-			st.done += int(r1)
-		case syscall.EINTR:
-		case syscall.EAGAIN:
-			return false
+		switch {
+		case errno == syscall.EINTR:
+		case errno == 0 && r1 == 0:
+			return false // nothing went: wait for room
+		case errno != 0:
+			return st.settle("sendmmsg", errno)
 		default:
-			st.opErr = os.NewSyscallError("sendmmsg", errno)
-			return true
+			st.done += int(r1)
 		}
 	}
 	return true
 }
 
-func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
-	if err := c.setReadDeadline(timeout); err != nil {
-		return 0, err
+// ReadBatch implements netapi.BatchConn: the whole slab in one recvmmsg.
+func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
+	if len(msgs) == 0 {
+		return 0, nil
 	}
-	st := c.os.recv.acquire(len(msgs))
+	st := c.recv.acquire(len(msgs))
 	defer st.mu.Unlock()
 	if st.call == nil {
 		st.call = st.recvmmsg
@@ -167,11 +123,11 @@ func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (in
 		}}
 	}
 	st.poll = timeout == 0
-	if err := c.os.rc.Read(st.call); err != nil {
-		return 0, mapErr(err)
+	if err := c.call(false, timeout, st.call); err != nil {
+		return 0, err
 	}
-	if st.opErr != nil {
-		return 0, st.opErr
+	if st.err != nil {
+		return 0, st.err
 	}
 	for i := 0; i < st.done; i++ {
 		d := &msgs[i]
@@ -183,15 +139,20 @@ func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (in
 	return st.done, nil
 }
 
-func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
-	st := c.os.send.acquire(len(msgs))
+// WriteBatch implements netapi.BatchConn: the whole slab in one sendmmsg,
+// more only when the socket buffer fills.
+func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
+	if len(msgs) == 0 {
+		return 0, nil
+	}
+	st := c.send.acquire(len(msgs))
 	defer st.mu.Unlock()
 	if st.call == nil {
 		st.call = st.sendmmsg
 	}
 	for i := range msgs {
 		d := &msgs[i]
-		nameLen, err := putSockaddr(&st.names[i], d.Addr, c.os.is6)
+		nameLen, err := putSockaddr(&st.names[i], d.Addr, c.is6)
 		if err != nil {
 			return 0, err
 		}
@@ -207,10 +168,10 @@ func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	if err := c.os.rc.Write(st.call); err != nil {
-		return st.done, mapErr(err)
+	if err := c.call(true, netapi.NoTimeout, st.call); err != nil {
+		return st.done, err
 	}
-	return st.done, st.opErr
+	return st.done, st.err
 }
 
 // putSockaddr renders dst into sa in the family the socket speaks and

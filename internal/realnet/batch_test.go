@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,35 +28,105 @@ func loopbackPair(t *testing.T) (a, b netapi.UDPConn) {
 	return a, b
 }
 
-// TestBatchRoundAllocs pins the batch calls at no allocation per call: the
-// RawConn, the address family and one syscall state per direction are cached
-// on the socket, so a WriteBatch and the ReadBatch that drains it cost what
-// the kernel charges and nothing on the heap.
+// TestBatchRoundAllocs pins the socket calls at what the netapi contract
+// makes them allocate: the RawConn callbacks, the address family and one
+// syscall state per direction are cached on the socket, so a WriteBatch and
+// the ReadBatch that drains it, a WriteTo, and a TCP Write and the Read
+// that drains it cost what the kernel charges and nothing on the heap;
+// ReadFrom costs the one copy the caller owns. Per-packet garbage here would
+// be paid on every query the guard forwards.
 func TestBatchRoundAllocs(t *testing.T) {
 	a, b := loopbackPair(t)
 	ab, bb := netapi.AsBatch(a), netapi.AsBatch(b)
 	const batch = 8
+	payload := []byte("0123456789abcdef0123456789abcdef")
 	out := make([]netapi.Datagram, batch)
 	for i := range out {
-		out[i].Set([]byte("0123456789abcdef0123456789abcdef"), b.LocalAddr())
+		out[i].Set(payload, b.LocalAddr())
 	}
 	in := netapi.NewSlab(batch, 512)
-	round := func() {
-		if n, err := ab.WriteBatch(out); n != batch || err != nil {
-			t.Fatalf("WriteBatch = (%d, %v)", n, err)
-		}
-		for got := 0; got < batch; {
+	drain := func(want int) {
+		for got := 0; got < want; {
 			n, err := bb.ReadBatch(in, time.Second)
 			if err != nil {
-				t.Fatalf("ReadBatch after %d of %d: %v", got, batch, err)
+				t.Fatalf("ReadBatch after %d of %d: %v", got, want, err)
 			}
 			got += n
 		}
 	}
-	round() // sizes the cached syscall state
-	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Errorf("one WriteBatch + ReadBatch round allocates %.1f/op, want 0", n)
+	round := func() {
+		if n, err := ab.WriteBatch(out); n != batch || err != nil {
+			t.Fatalf("WriteBatch = (%d, %v)", n, err)
+		}
+		drain(batch)
 	}
+	writeTo := func() {
+		if err := a.WriteTo(payload, b.LocalAddr()); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+	}
+	readFrom := func() {
+		writeTo()
+		if p, _, err := b.ReadFrom(time.Second); err != nil || len(p) != len(payload) {
+			t.Fatalf("ReadFrom = %d bytes, %v", len(p), err)
+		}
+	}
+	client, server := streamPair(t)
+	buf := make([]byte, len(payload))
+	stream := func() {
+		if n, err := client.Write(payload); n != len(payload) || err != nil {
+			t.Fatalf("TCP Write = (%d, %v)", n, err)
+		}
+		for got := 0; got < len(payload); {
+			n, err := server.Read(buf[got:], time.Second)
+			if err != nil {
+				t.Fatalf("TCP Read after %d of %d bytes: %v", got, len(payload), err)
+			}
+			got += n
+		}
+	}
+	round()    // sizes the cached syscall state
+	readFrom() // fills the scratch pool
+	stream()   // clears the connect deadline
+	// The portable build pins the batch round only: net's WriteTo allocates.
+	native := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
+	for _, pin := range []struct {
+		name   string
+		run    func()
+		want   float64
+		native bool
+	}{
+		{"WriteBatch + ReadBatch round", round, 0, false},
+		{"WriteTo", func() { writeTo(); drain(1) }, 0, true},
+		{"WriteTo + ReadFrom", readFrom, 1, true},
+		{"TCP Write + Read round", stream, 0, true},
+	} {
+		if pin.native && !native {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, pin.run); n != pin.want {
+			t.Errorf("%s allocates %.1f/op, want %v", pin.name, n, pin.want)
+		}
+	}
+}
+
+func streamPair(t *testing.T) (client, server netapi.Conn) {
+	t.Helper()
+	env := New()
+	l, err := env.ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if client, err = env.DialTCP(l.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if server, err = l.Accept(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	return client, server
 }
 
 // TestBatchConcurrentReaders: procs reading one socket at once, which the

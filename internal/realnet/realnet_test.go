@@ -1,4 +1,4 @@
-package realnet
+package realnet_test
 
 import (
 	"errors"
@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/ans"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/realnet"
 	"dnsguard/internal/zone"
 )
 
@@ -22,7 +23,7 @@ www 300 IN A 198.51.100.10
 `
 
 func TestUDPLoopback(t *testing.T) {
-	env := New()
+	env := realnet.New()
 	server, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestUDPLoopback(t *testing.T) {
 }
 
 func TestUDPReadTimeout(t *testing.T) {
-	env := New()
+	env := realnet.New()
 	conn, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestUDPReadTimeout(t *testing.T) {
 }
 
 func TestTCPLoopback(t *testing.T) {
-	env := New()
+	env := realnet.New()
 	l, err := env.ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestTCPLoopback(t *testing.T) {
 // TestRealANSServesQueries runs the full authoritative server over real
 // loopback sockets (UDP and TCP) — the deployment cmd/ansd uses.
 func TestRealANSServesQueries(t *testing.T) {
-	env := New()
+	env := realnet.New()
 	srv, err := ans.New(ans.Config{
 		Env:       env,
 		Addr:      netip.MustParseAddrPort("127.0.0.1:0"),
