@@ -3,6 +3,7 @@
 # the source table and the guard's span-writing handlers.
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
 .PHONY: all build test check vet race loc bench-check api-check state-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
@@ -15,8 +16,10 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# gofmt walks bench/ too, which `go vet ./...` does not see.
 vet:
 	$(GO) vet ./...
+	@out=$$($(GOFMT) -l .); test -z "$$out" || { echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; }
 
 # The dataplane packages run again at 1, 2 and 4 Ps: their liveness bugs have
 # been ones a single core cannot show.
@@ -95,7 +98,8 @@ state-check:
 # `static` or the ELF interpreter it asks for, and its ten largest packages
 # by symbol size, then the test that keeps net/http, crypto/tls and
 # encoding/json out of all three (and net, runtime/cgo and a dynamic
-# dnsguardd on Linux amd64/arm64).
+# dnsguardd on Linux amd64/arm64), and the one that keeps the simulator and
+# the harnesses out of every product package.
 image-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && for d in dnsguardd ansd lrsd; do \
 		$(GO) build -buildvcs=false -o "$$dir/" ./cmd/$$d || exit 1; \
@@ -105,7 +109,7 @@ image-check:
 			p = a[1]; for (i = 2; i <= n; i++) p = p "/" a[i]; size[p] += $$2 } \
 			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
 	done
-	$(GO) test ./cmd/dnsguardd -run='^TestImagePinned$$' -count=1 -v
+	$(GO) test ./cmd/dnsguardd -run='^(TestImagePinned|TestProductSimulatorFree)$$' -count=1 -v
 
 # What a daemon runs differently off Linux amd64/arm64 — realnet's net-based
 # sockets (realnet/portable.go): one socket for all shards, one datagram per

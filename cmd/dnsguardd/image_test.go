@@ -60,3 +60,31 @@ func TestImagePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestProductSimulatorFree keeps what a deployment runs apart from what only
+// simulations and experiments run: no package a daemon is built from depends
+// on the simulator, its clock, or the harnesses above them. A simulated tap
+// is handed to the guard as a PacketIO, so the guard has no need to name it.
+func TestProductSimulatorFree(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	args := []string{"list", "-f", "{{.ImportPath}}{{range .Deps}} {{.}}{{end}}"}
+	for _, p := range []string{"guard", "engine", "realnet", "metrics", "cookie", "dnswire", "ratelimit",
+		"srctab", "tcpproxy", "ans", "zone", "resolver", "daemon", "netapi"} {
+		args = append(args, "dnsguard/internal/"+p)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		deps := strings.Fields(line)
+		for _, dep := range deps[1:] {
+			switch strings.TrimPrefix(dep, "dnsguard/internal/") {
+			case "netsim", "tcpsim", "vclock", "workload", "fleet", "experiments":
+				t.Errorf("%s depends on %s", deps[0], dep)
+			}
+		}
+	}
+}

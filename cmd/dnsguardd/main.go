@@ -43,7 +43,6 @@ import (
 
 	"dnsguard"
 	"dnsguard/internal/daemon"
-	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
 )
 
@@ -169,9 +168,9 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("binding %v: %w", pub, err)
 	}
-	ios := make([]guard.PacketIO, len(conns))
+	ios := make([]dnsguard.PacketIO, len(conns))
 	for i, c := range conns {
-		ios[i] = &guard.SocketIO{Conn: c}
+		ios[i] = &dnsguard.SocketIO{Conn: c}
 	}
 	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 		Env:                 env,

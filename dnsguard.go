@@ -281,11 +281,13 @@ type LocalGuard = guard.Local
 // NewLocalGuard creates an LRS-side guard; call Start to run it.
 func NewLocalGuard(cfg LocalGuardConfig) (*LocalGuard, error) { return guard.NewLocal(cfg) }
 
-// PacketIO is the guard's packet capture interface.
+// PacketIO is the guard's packet capture interface. A simulated host's tap
+// (SimHost.OpenTap) is one as it is; a real socket is one through SocketIO.
 type PacketIO = guard.PacketIO
 
-// TapIO adapts a simulated host's tap to PacketIO.
-type TapIO = guard.TapIO
+// SocketIO adapts a bound UDP socket to PacketIO. Use it by pointer,
+// &SocketIO{Conn: c}, one per socket: it owns the slab its reads fill.
+type SocketIO = guard.SocketIO
 
 // TCPProxyConfig configures the guard's TCP proxy.
 type TCPProxyConfig = tcpproxy.Config

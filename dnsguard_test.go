@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dnsguard/internal/dnswire"
-	"dnsguard/internal/guard"
 )
 
 const testZone = `
@@ -48,7 +47,7 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 	}
 	g, err := NewRemoteGuard(RemoteGuardConfig{
 		Env:        guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
 		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
 		Zone:       MustName("example.com"),
@@ -76,7 +75,7 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 	}
 	lg, err := NewLocalGuard(LocalGuardConfig{
 		Env:        lgHost,
-		IO:         TapIO{Tap: lgTap},
+		IO:         lgTap,
 		ClientAddr: lrsHost.Addr(),
 		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
 			return lgHost.InjectTo(lrsHost, src, dst, payload)
@@ -176,7 +175,7 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	}
 	g, err := NewRemoteGuard(RemoteGuardConfig{
 		Env:        env,
-		IO:         &guard.SocketIO{Conn: guardSock},
+		IOs:        []PacketIO{&SocketIO{Conn: guardSock}},
 		PublicAddr: guardSock.LocalAddr(),
 		ANSAddr:    srv.Addr(),
 		Zone:       MustName("example.com"),

@@ -81,7 +81,7 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 		}
 		g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 			Env:        gh,
-			IO:         dnsguard.TapIO{Tap: tap},
+			IOs:        []dnsguard.PacketIO{tap},
 			PublicAddr: public,
 			ANSAddr:    ansAddr,
 			Zone:       dnsguard.MustName("foo.com"),

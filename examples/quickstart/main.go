@@ -65,7 +65,7 @@ func run() error {
 	}
 	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 		Env:        guardHost,
-		IO:         dnsguard.TapIO{Tap: tap},
+		IOs:        []dnsguard.PacketIO{tap},
 		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
 		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
 		Zone:       dnsguard.MustName("foo.com"),

@@ -16,7 +16,6 @@ import (
 
 	"dnsguard"
 	"dnsguard/internal/dnswire"
-	"dnsguard/internal/guard"
 )
 
 const fooZone = `
@@ -69,7 +68,7 @@ func run() error {
 	}
 	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
 		Env:        env,
-		IO:         &guard.SocketIO{Conn: guardSock},
+		IOs:        []dnsguard.PacketIO{&dnsguard.SocketIO{Conn: guardSock}},
 		PublicAddr: guardSock.LocalAddr(),
 		ANSAddr:    srv.Addr(),
 		Zone:       dnsguard.MustName("foo.com"),

@@ -116,7 +116,6 @@ func putQBatch(b *qbatch) {
 func (e *Engine) runShard(i int, br BatchReader) {
 	sh := e.shards[i]
 	ing := &e.ingest[i].IngestStats
-	h := e.handlers[i]
 	pkts := make([]Packet, e.cfg.Batch)
 	for {
 		n, err := br.ReadBatch(pkts, netapi.NoTimeout)
@@ -126,7 +125,7 @@ func (e *Engine) runShard(i int, br BatchReader) {
 		atomic.AddUint64(&ing.Reads, 1)
 		atomic.AddUint64(&ing.Packets, uint64(n))
 		atomic.AddUint64(&sh.stats.Handled, uint64(n))
-		e.dispatchBatch(i, h, pkts[:n])
+		e.dispatchBatch(i, pkts[:n])
 	}
 }
 
@@ -200,50 +199,38 @@ func (e *Engine) runReader(br BatchReader) {
 
 // runWorker drains shard i's ingress queue into its handler.
 func (e *Engine) runWorker(i int) {
-	h := e.handlers[i]
 	queue := e.shards[i].queue
 	for {
 		v, err := queue.Get(netapi.NoTimeout)
 		if err != nil {
 			return
 		}
-		e.handleGroup(i, h, v.(*qbatch))
+		e.handleGroup(i, v.(*qbatch))
 	}
 }
 
 // handleGroup accounts and dispatches one dequeued group on shard i, then
 // returns it to the pool.
-func (e *Engine) handleGroup(i int, h Handler, b *qbatch) {
+func (e *Engine) handleGroup(i int, b *qbatch) {
 	sh := e.shards[i]
 	sh.wait.Observe(e.cfg.Env.Now() - b.enqueued)
 	atomic.AddUint64(&sh.stats.Handled, uint64(len(b.pkts)))
-	e.dispatchBatch(i, h, b.pkts)
+	e.dispatchBatch(i, b.pkts)
 	putQBatch(b)
 }
 
-// dispatchBatch hands pkts to shard i's handler one by one inside the
-// handler's batch bracket (see BatchHandler). h is the loop's cached
-// handler; under supervision the current handler is re-read so a restarted
-// shard is honored, each packet runs inside the recover boundary, and a
-// restart that replaced the handler moves the bracket onto the replacement.
-func (e *Engine) dispatchBatch(i int, h Handler, pkts []Packet) {
-	supervised := e.cfg.Supervisor.Enabled
-	if supervised {
-		h = e.Handler(i)
-	}
+// dispatchBatch hands pkts to shard i's current handler one by one inside
+// its batch bracket (see BatchHandler), each packet through the recover
+// boundary of dispatch. A supervised restart that replaced the handler moves
+// the bracket onto the replacement.
+func (e *Engine) dispatchBatch(i int, pkts []Packet) {
+	h := e.Handler(i)
 	bh, _ := h.(BatchHandler)
 	if bh != nil {
 		bh.BeginBatch(len(pkts))
 	}
 	for k, pkt := range pkts {
-		if !supervised {
-			if e.cfg.Observer != nil {
-				e.cfg.Observer(i, pkt)
-			}
-			h.HandlePacket(pkt)
-			continue
-		}
-		replaced := e.dispatchSupervised(i, h, pkt)
+		replaced := e.dispatch(i, h, pkt)
 		if rest := len(pkts) - k - 1; replaced && rest > 0 {
 			if bh != nil {
 				bh.EndBatch()

@@ -114,12 +114,11 @@ type Config struct {
 	Name string
 	// Observer, when non-nil, is called in the shard's context (the worker,
 	// or the direct shard loop) right before the handler sees each packet.
-	// Test hook for affinity assertions; keep it cheap. With supervision
-	// enabled it runs inside the shard's recover boundary, which makes it
-	// the panic-injection hook too.
+	// Test hook for affinity assertions; keep it cheap. It runs inside the
+	// shard's recover boundary, which makes it the panic-injection hook too.
 	Observer func(shard int, pkt Packet)
-	// Supervisor gates shard supervision (recover boundary, packet
-	// quarantine, restart budget, trip policy). The zero value disables it.
+	// Supervisor gates shard supervision (packet quarantine, restart budget,
+	// trip policy). The zero value re-raises a handler panic.
 	Supervisor SupervisorConfig
 	// HashSeed, when non-zero, replaces the per-engine random shard hash
 	// with a fixed FNV-1a keyed by this value, so the source→shard mapping
@@ -277,6 +276,15 @@ func (e *Engine) Shards() int { return e.cfg.Shards }
 // Direct reports whether each shard reads its own interface (shard identity =
 // delivering interface) rather than sitting behind the source-hash fan-out.
 func (e *Engine) Direct() bool { return e.direct }
+
+// IO returns the interface shard i reads, which is the one its replies should
+// leave through: interface i on a direct engine, the lone one in the fan-out.
+func (e *Engine) IO(i int) PacketIO {
+	if e.direct {
+		return e.cfg.IOs[i]
+	}
+	return e.cfg.IOs[0]
+}
 
 // Handler returns shard i's current handler: the value cfg.NewHandler
 // returned, unless a supervised restart has since replaced it.

@@ -11,10 +11,12 @@ package engine
 // and — when one shard keeps dying — trips it into an explicit degraded mode
 // (drop or pass-through) instead of burning CPU on a crash loop.
 //
-// Supervision is strictly opt-in. With SupervisorConfig.Enabled false the
-// dispatch path is byte-for-byte the pre-supervision code: no recover
-// boundary, no handler indirection, so deterministic simulations that
-// predate this layer replay unchanged.
+// Every packet crosses the one recover boundary in dispatch; Enabled selects
+// what a caught panic does. Enabled, it quarantines, restarts and trips as
+// above. Disabled, the panic is raised again inside the boundary, so an
+// unsupervised dataplane dies as a bare handler call would, with the
+// handler's frames in its trace. Neither setting changes what a packet that
+// does not panic does, so deterministic simulations replay alike under both.
 
 import (
 	"encoding/hex"
@@ -43,8 +45,8 @@ const (
 
 // SupervisorConfig gates and parameterizes shard supervision.
 type SupervisorConfig struct {
-	// Enabled turns supervision on. The zero value keeps the dataplane's
-	// historical behavior: a handler panic crashes the worker proc.
+	// Enabled turns supervision on. The zero value re-raises a handler
+	// panic, which crashes the process.
 	Enabled bool
 	// MaxRestarts is the restart budget within RestartWindow; exceeding it
 	// trips the shard. 0 means 5.
@@ -157,12 +159,13 @@ func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 	atomic.AddUint64(&e.sup.stats.PanicsQuarantined, 1)
 }
 
-// dispatchSupervised is the supervised analogue of the direct
-// Observer+HandlePacket call on shard's current handler h: panics are
-// contained to this one packet. The Observer runs inside the recover
-// boundary, which doubles as the panic-injection hook for tests. It reports
-// whether a restart replaced h, so the caller can move its batch bracket.
-func (e *Engine) dispatchSupervised(shard int, h Handler, pkt Packet) (replaced bool) {
+// dispatch runs the Observer and then shard's current handler h on one
+// packet inside the recover boundary. Under supervision a panic is contained
+// to this one packet; without it the panic is raised again. The Observer runs
+// inside the boundary, which doubles as the panic-injection hook for tests.
+// It reports whether a restart replaced h, so the caller can move its batch
+// bracket.
+func (e *Engine) dispatch(shard int, h Handler, pkt Packet) (replaced bool) {
 	ss := &e.sup.shards[shard]
 	if ss.tripped.Load() {
 		e.dispatchTripped(shard, pkt)
@@ -170,6 +173,9 @@ func (e *Engine) dispatchSupervised(shard int, h Handler, pkt Packet) (replaced 
 	}
 	defer func() {
 		if r := recover(); r != nil {
+			if !e.cfg.Supervisor.Enabled {
+				panic(r)
+			}
 			e.quarantinePacket(shard, pkt, r)
 			replaced = e.restartShard(shard)
 		}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"net/netip"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -100,6 +103,45 @@ func TestSupervisorPanicIsolatesShard(t *testing.T) {
 	st := e.Supervision()
 	if st.PanicsQuarantined != 1 || st.ShardsTripped != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// crashHandler panics on a poison packet from inside HandlePacket itself.
+type crashHandler struct{}
+
+func (crashHandler) HandlePacket(pkt Packet) { panicOnPoison(0, pkt) }
+
+// Without supervision a handler panic is fatal, as it is for any goroutine:
+// the recover boundary every packet crosses raises it again. The engine runs
+// in a re-executed copy of the test binary, which must exit non-zero with
+// the handler's method in its trace.
+func TestUnsupervisedPanicCrashes(t *testing.T) {
+	if os.Getenv("ENGINE_CRASH_CHILD") == "1" {
+		io := newFakeIO(1)
+		e, err := New(Config{
+			Env:        realnet.New(),
+			IOs:        []PacketIO{io},
+			NewHandler: func(int) Handler { return crashHandler{} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		io.ch <- Packet{Src: srcAP(1), Payload: poison}
+		time.Sleep(10 * time.Second)
+		t.Fatal("the engine survived a handler panic")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnsupervisedPanicCrashes$")
+	cmd.Env = append(os.Environ(), "ENGINE_CRASH_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("child exited with %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	for _, want := range []string{"panic: poison packet", "engine.crashHandler.HandlePacket"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("crash output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

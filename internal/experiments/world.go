@@ -215,7 +215,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	gcfg := guard.RemoteConfig{
 		Env:                 gh,
-		IO:                  guard.TapIO{Tap: tap},
+		IOs:                 []guard.PacketIO{tap},
 		PublicAddr:          publicANSAddr,
 		ANSAddr:             privateANS,
 		Zone:                dnswire.MustName("foo.com"),

@@ -222,7 +222,7 @@ func (f *Fleet) newGuard(i int, auth *cookie.Authenticator) (*guard.Remote, erro
 	}
 	gcfg := guard.RemoteConfig{
 		Env:           host,
-		IO:            guard.TapIO{Tap: siteTap},
+		IOs:           []guard.PacketIO{siteTap},
 		Shards:        1, // inline per site: the fleet's parallelism is across sites
 		Auth:          auth,
 		ShardHashSeed: splitmix(f.cfg.Seed ^ uint64(i+1)*0x9E3779B97F4A7C15),

@@ -43,7 +43,7 @@ func (f *Fleet) upgradeSite(site int, downtime time.Duration) {
 
 	// 2. Graceful drain: refuse new cookie exchanges, flush the dataplane,
 	// give pending ANS exchanges their window. Bounded on the virtual clock
-	// by the engine backlog and PendingTimeout, so no context deadline.
+	// by the engine backlog and the NAT-table entry life, so no context deadline.
 	_ = old.Drain(context.Background())
 
 	// 3. Tear the old instance down. The down flag keeps the front honest

@@ -14,11 +14,14 @@ import (
 )
 
 // chanIO is a channel-backed PacketIO: the real-scheduler test stand-in for
-// one SO_REUSEPORT member socket feeding one direct shard.
+// one SO_REUSEPORT member socket feeding one direct shard. It records the
+// destination of every datagram written through it.
 type chanIO struct {
 	ch     chan Packet
 	closed chan struct{}
 	once   sync.Once
+	mu     sync.Mutex
+	sent   []netip.AddrPort
 }
 
 func newChanIO() *chanIO {
@@ -34,7 +37,18 @@ func (c *chanIO) Read(timeout time.Duration) (Packet, error) {
 	}
 }
 
-func (c *chanIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error { return nil }
+func (c *chanIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sent = append(c.sent, dst)
+	return nil
+}
+
+func (c *chanIO) sentTo() []netip.AddrPort {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]netip.AddrPort(nil), c.sent...)
+}
 
 func (c *chanIO) Close() error {
 	c.once.Do(func() { close(c.closed) })
@@ -149,6 +163,67 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	}
 }
 
+// TestDirectShardRepliesThroughItsSocket pins where a direct shard's replies
+// leave: through the interface the shard reads. Both kinds of reply do — the
+// grant the worker flushes at the end of its batch, and the answer the
+// upstream loop relays from the ANS. Interface 0 sees nothing of a source
+// read on interface 1.
+func TestDirectShardRepliesThroughItsSocket(t *testing.T) {
+	env := realnet.New()
+	ansConn := echoANS(t, env)
+	ios := []*chanIO{newChanIO(), newChanIO()}
+	g, err := NewRemote(RemoteConfig{
+		Env:        env,
+		IOs:        []PacketIO{ios[0], ios[1]},
+		Shards:     2,
+		PublicAddr: mustAP("192.0.2.1:53"),
+		ANSAddr:    ansConn.LocalAddr(),
+		Zone:       dnswire.MustName("foo.com"),
+		Fallback:   SchemeDNS,
+		Auth:       testAuth(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	src := netip.AddrPortFrom(netip.MustParseAddr("203.0.113.9"), 5353)
+	fab, err := FabricateNSName(cookie.NSCodec{}, g.cfg.Auth.Mint(src.Addr()), dnswire.MustName("www.foo.com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitReplies := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(ios[0].sentTo())+len(ios[1].sentTo()) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d replies, want %d (stats %+v)", len(ios[0].sentTo())+len(ios[1].sentTo()), n, g.Stats.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i, name := range []dnswire.Name{dnswire.MustName("www.foo.com"), fab} {
+		wire, err := dnswire.NewQuery(uint16(i+1), name, dnswire.TypeA).PackUDP(512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ios[1].ch <- Packet{Src: src, Dst: mustAP("192.0.2.1:53"), Payload: wire}
+		awaitReplies(i + 1)
+	}
+	if st := g.Stats.Load(); st.NewcomerGrants != 1 || st.ForwardedToANS != 1 || st.RepliesToClient != 2 {
+		t.Fatalf("want one grant and one relayed answer, stats %+v", st)
+	}
+	if got := ios[0].sentTo(); len(got) != 0 {
+		t.Errorf("interface 0 sent %v for a source read on interface 1", got)
+	}
+	if got := ios[1].sentTo(); len(got) != 2 || got[0] != src || got[1] != src {
+		t.Errorf("interface 1 sent %v, want the grant and the answer to %v", got, src)
+	}
+}
+
 // TestFanOutGuardOverOneSocket is the arrangement a multi-shard guard gets
 // where sockets cannot be steered: one real socket, two shards. Its one
 // reader must hash every source onto one shard and keep it there, and every
@@ -172,7 +247,7 @@ func TestFanOutGuardOverOneSocket(t *testing.T) {
 		Auth:                testAuth(),
 		ActivationThreshold: 1e6, // never active: every query is relayed
 		ShardHashSeed:       7,   // 127.0.0.1–8 land on both shards
-		Observer: func(shard int, pkt Packet) {
+		observer: func(shard int, pkt Packet) {
 			mu.Lock()
 			defer mu.Unlock()
 			if seen[pkt.Src.Addr()] == nil {

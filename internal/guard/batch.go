@@ -21,18 +21,17 @@ var _ engine.BatchHandler = (*remoteShard)(nil)
 func (s *remoteShard) BeginBatch(int) { s.bv.Reset(s.g.cfg.Auth) }
 
 // EndBatch implements engine.BatchHandler: flush the replies the batch's
-// packets produced, in arrival order, through the capture interface's batch
-// writer when it has one.
+// packets produced, in arrival order, through the shard's interface — its
+// batch writer when it has one, else one write per reply.
 func (s *remoteShard) EndBatch() {
 	if len(s.outbuf) == 0 {
 		return
 	}
-	g := s.g
-	if bw, ok := g.cfg.IO.(engine.BatchWriter); ok {
+	if bw, ok := s.io.(engine.BatchWriter); ok {
 		_ = bw.WriteBatch(s.outbuf)
 	} else {
 		for _, p := range s.outbuf {
-			_ = g.cfg.IO.WriteFromTo(p.Src, p.Dst, p.Payload)
+			_ = s.io.WriteFromTo(p.Src, p.Dst, p.Payload)
 		}
 	}
 	for i := range s.outbuf {
@@ -44,7 +43,7 @@ func (s *remoteShard) EndBatch() {
 // reply emits a guard-originated response from a worker-context handler: the
 // packed reply is queued for EndBatch's flush. Reply sites that run outside
 // worker context (the upstream loop) have no bracket and must keep calling
-// g.reply.
+// s.replyNow.
 func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
 	if wire, err := msg.PackUDP(dnswire.MaxUDPSize); err == nil {
 		s.queueReply(from, to, wire)
@@ -52,7 +51,7 @@ func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
 }
 
 // queueReply buffers wire, which must stay untouched until EndBatch has
-// flushed it. Stats and CPU charges accrue here, exactly as in g.replyWire.
+// flushed it. Stats and CPU charges accrue here, exactly as in s.replyWire.
 func (s *remoteShard) queueReply(from, to netip.AddrPort, wire []byte) {
 	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
 	s.g.charge(s.g.cfg.Costs.PacketOp)

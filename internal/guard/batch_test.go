@@ -85,7 +85,7 @@ func TestEgressSlabHoldsABatch(t *testing.T) {
 	run := func(bracket int) []string {
 		io := &recordIO{}
 		h := newShardHarness(t, func(cfg *RemoteConfig) {
-			cfg.IO = io
+			cfg.IOs = []PacketIO{io}
 			cfg.Zone = dnswire.MustName("foo.com")
 		})
 		if cap(h.s.egress) != dnswire.MaxUDPSize {

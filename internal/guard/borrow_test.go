@@ -292,7 +292,7 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 	}
 	g, err := NewRemote(RemoteConfig{
 		Env:                 memEnv{Env: realnet.New(), up: up},
-		IO:                  io,
+		IOs:                 []PacketIO{io},
 		Batch:               8,
 		FastPathTTL:         time.Hour,
 		PublicAddr:          pub.addr,
@@ -602,7 +602,7 @@ func TestRemoteFootprint(t *testing.T) {
 	}
 	g, err := NewRemote(RemoteConfig{
 		Env:                 env,
-		IO:                  &SocketIO{Conn: guardSock},
+		IOs:                 []PacketIO{&SocketIO{Conn: guardSock}},
 		Batch:               32,
 		FastPathTTL:         time.Minute,
 		PublicAddr:          guardSock.LocalAddr(),

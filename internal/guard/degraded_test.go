@@ -114,7 +114,7 @@ func newDegradedDNS(t *testing.T, seed int64) *degradedFixture {
 	}
 	g, err := NewRemote(RemoteConfig{
 		Env:        f.guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),
@@ -178,7 +178,7 @@ func newDegradedTCP(t *testing.T, seed int64) *degradedFixture {
 	}
 	g, err := NewRemote(RemoteConfig{
 		Env:        f.guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),
@@ -260,7 +260,7 @@ func newDegradedModified(t *testing.T, seed int64) *degradedFixture {
 	}
 	g, err := NewRemote(RemoteConfig{
 		Env:        f.guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),
@@ -287,7 +287,7 @@ func newDegradedModified(t *testing.T, seed int64) *degradedFixture {
 	}
 	lg, err := NewLocal(LocalConfig{
 		Env:        lgHost,
-		IO:         TapIO{Tap: lgTap},
+		IO:         lgTap,
 		ClientAddr: f.lrs.Addr(),
 		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
 			return lgHost.InjectTo(f.lrs, src, dst, payload)

@@ -74,7 +74,7 @@ func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
 	io := &sinkIO{}
 	cfg := RemoteConfig{
 		Env:         host,
-		IO:          io,
+		IOs:         []PacketIO{io},
 		PublicAddr:  mustAP("198.41.0.4:53"),
 		ANSAddr:     mustAP("10.99.0.2:53"),
 		Zone:        dnswire.Root,
@@ -355,7 +355,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	sio := &SocketIO{Conn: guardSock}
 	hs := newShardHarness(t, func(cfg *RemoteConfig) {
 		roomy(cfg)
-		cfg.IO = sio
+		cfg.IOs = []PacketIO{sio}
 		cfg.PublicAddr = guardSock.LocalAddr()
 	})
 	squery := hs.nsQueryWire(t, client.LocalAddr().Addr(), "www.foo.com", 0x44)
@@ -394,7 +394,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	// out, referral in, re-encoded reply out.
 	hps := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.ActivationThreshold = 1e12
-		cfg.IO = sio
+		cfg.IOs = []PacketIO{sio}
 		cfg.PublicAddr = guardSock.LocalAddr()
 	})
 	spcycle := func() {

@@ -51,7 +51,8 @@ type HealthConfig struct {
 	// 0 means 2s.
 	Cooldown time.Duration
 	// SweepInterval is the period of the pending-table reaper that turns
-	// expired entries into timeout signals. 0 means PendingTimeout / 2.
+	// expired entries into timeout signals. 0 means half a NAT-table entry's
+	// life, 1.5 s.
 	SweepInterval time.Duration
 	// FailOpen selects the policy when every upstream's breaker is open:
 	// true forwards to the primary anyway (fail-open), false sheds the

@@ -123,7 +123,7 @@ func TestGuardRestartRecovery(t *testing.T) {
 		key[0] = 0xEE
 		g2, err := NewRemote(RemoteConfig{
 			Env:        guardHost,
-			IO:         TapIO{Tap: tap},
+			IOs:        []PacketIO{tap},
 			PublicAddr: mustAP("192.0.2.1:53"),
 			ANSAddr:    mustAP("10.99.0.2:53"),
 			Zone:       dnswire.MustName("foo.com"),
@@ -162,7 +162,7 @@ func TestGuardPendingTableBounded(t *testing.T) {
 	// Deliberately break the guard→ANS path so pending entries linger.
 	f := newLeafFixture(t, func(c *RemoteConfig) {
 		c.ANSAddr = mustAP("10.99.0.99:53") // nothing there
-		c.PendingTimeout = 100 * time.Millisecond
+		c.pendingTimeout = 100 * time.Millisecond
 	})
 	auth := f.guard.cfg.Auth
 	nc := cookie.NSCodec{}

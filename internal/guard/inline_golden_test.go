@@ -59,10 +59,9 @@ func TestInlineDataplaneCounterGolden(t *testing.T) {
 
 	g, err := NewRemote(RemoteConfig{
 		Env:           guardHost,
-		IO:            TapIO{Tap: tap},
+		IOs:           []PacketIO{tap},
 		Shards:        1,
 		Batch:         1,
-		QueueDepth:    64,
 		FastPathTTL:   time.Hour,
 		ShardHashSeed: 1,
 		PublicAddr:    mustAP("192.0.2.1:53"),

@@ -86,7 +86,7 @@ func TestGuardRejectsSpoofedUpstreamAnswers(t *testing.T) {
 	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:        guardHost,
-		IO:         guard.TapIO{Tap: tap},
+		IOs:        []guard.PacketIO{tap},
 		PublicAddr: netip.MustParseAddrPort("198.41.0.4:53"),
 		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
 		Zone:       dnswire.Root,

@@ -53,7 +53,7 @@ func newLeafFixture(t *testing.T, mutate func(*RemoteConfig)) *leafFixture {
 	}
 	cfg := RemoteConfig{
 		Env:        guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),

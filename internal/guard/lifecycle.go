@@ -104,9 +104,9 @@ func (g *Remote) drainGate() bool {
 
 // Drain takes the guard from serving to quiesced: new unverified flows are
 // refused (engine drain + the newcomer gate), the dataplane queues flush,
-// and in-flight NAT exchanges get PendingTimeout to complete before the
-// stragglers are dropped (counted as PendingDropped). Returns nil once
-// quiesced; ctx.Err() if the context expires first, leaving the guard
+// and in-flight NAT exchanges get a NAT-table entry's life (3 s) to end
+// before the stragglers are dropped (counted as PendingDropped). Returns nil
+// once quiesced; ctx.Err() if the context expires first, leaving the guard
 // draining so the caller can retry or Resume. Safe to call from a netsim
 // proc — all waiting is via Env.Sleep.
 func (g *Remote) Drain(ctx context.Context) error {
@@ -116,8 +116,8 @@ func (g *Remote) Drain(ctx context.Context) error {
 		return err
 	}
 	// Let in-flight exchanges complete or time out: the longest any pending
-	// NAT entry can legitimately live is PendingTimeout.
-	deadline := g.now() + g.cfg.PendingTimeout
+	// NAT entry can legitimately live is pendingTimeout.
+	deadline := g.now() + g.cfg.pendingTimeout
 	for g.PendingEntries() > 0 && g.now() < deadline {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -114,7 +114,7 @@ func TestLifecycleReadinessGates(t *testing.T) {
 }
 
 // Ready's backlog bound comes from the depth the engine's queues run at, so
-// a fan-out guard that left QueueDepth at its default is not failed by the
+// a fan-out guard that left queueDepth at its default is not failed by the
 // first queued packet — only by a backlog over half that depth.
 func TestReadyBacklogBoundAtDefaultDepth(t *testing.T) {
 	hold := false
@@ -122,7 +122,7 @@ func TestReadyBacklogBoundAtDefaultDepth(t *testing.T) {
 	f := newRootFixture(t, func(c *RemoteConfig) {
 		c.Shards = 2 // one tap, two shards: the fan-out
 		env = c.Env
-		c.Observer = func(int, Packet) {
+		c.observer = func(int, Packet) {
 			for hold { // a worker stuck on its packet: its queue only fills
 				env.Sleep(time.Millisecond)
 			}

@@ -57,7 +57,7 @@ func newModifiedFixture(t *testing.T, guarded bool) *modifiedFixture {
 		}
 		g, err := NewRemote(RemoteConfig{
 			Env:        guardHost,
-			IO:         TapIO{Tap: tap},
+			IOs:        []PacketIO{tap},
 			PublicAddr: public,
 			ANSAddr:    mustAP("10.99.0.2:53"),
 			Zone:       dnswire.MustName("foo.com"),
@@ -101,7 +101,7 @@ func newModifiedFixture(t *testing.T, guarded bool) *modifiedFixture {
 	}
 	lg, err := NewLocal(LocalConfig{
 		Env:        lgHost,
-		IO:         TapIO{Tap: lgTap},
+		IO:         lgTap,
 		ClientAddr: f.lrs.Addr(),
 		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
 			return lgHost.InjectTo(f.lrs, src, dst, payload)

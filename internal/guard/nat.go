@@ -70,7 +70,7 @@ type pendSlot struct {
 // allocated then, so a guard whose ANS answers never pays for maxPending.
 // Slot 0, never issued (an ID of 0 reads as "unset" in too many places),
 // closes the ring of in-flight entries, oldest first, which is soonest to
-// expire first — every entry of a guard lives PendingTimeout, stamped under
+// expire first — every entry of a guard lives pendingTimeout, stamped under
 // the lock that lists it — so finding the expired is looking at the head.
 // Nothing here depends on what a peer sends but the index in lookup, which is
 // bounds-checked; the caller's mutex guards all of it.
@@ -274,7 +274,7 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 			return
 		}
 	}
-	entry.expires = now + g.cfg.PendingTimeout
+	entry.expires = now + g.cfg.pendingTimeout
 	id, e := s.pend.insert()
 	// The entry's buffers are filled before the lock is released: the
 	// upstream loop may take it the moment it is.
@@ -414,7 +414,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 			s.answerChild(entry, rcode, resp)
 		} else {
 			resp.ID = entry.origID
-			g.reply(entry.replyFrom, entry.clientSrc, resp)
+			s.replyNow(entry.replyFrom, entry.clientSrc, resp)
 		}
 	}
 	s.mu.Lock()
@@ -430,7 +430,7 @@ func (s *remoteShard) relay(entry *pendEntry, v dnswire.View) bool {
 	wire, ok := v.Repack(s.upBuf[:0], dnswire.MaxUDPSize)
 	if ok {
 		wire[0], wire[1] = byte(entry.origID>>8), byte(entry.origID)
-		s.g.replyWire(entry.replyFrom, entry.clientSrc, wire)
+		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
 	}
 	return ok
 }
@@ -458,7 +458,7 @@ func (s *remoteShard) spliceChild(entry *pendEntry, rcode dnswire.RCode, v dnswi
 		0x84, byte(rcode), // QR|AA, opcode 0, rcode
 		0, 1, 0, byte(len(glue)/16), 0, 0, 0, 0)
 	buf = append(append(buf, entry.qwire...), glue...)
-	s.g.replyWire(entry.replyFrom, entry.clientSrc, buf)
+	s.replyWire(entry.replyFrom, entry.clientSrc, buf)
 	return true
 }
 
@@ -524,23 +524,25 @@ func (s *remoteShard) answerChild(entry *pendEntry, rcode dnswire.RCode, resp *d
 		// NODATA for the child: nothing useful to fabricate.
 		out.Flags.RCode = dnswire.RCodeServFail
 	}
-	g.reply(entry.replyFrom, entry.clientSrc, out)
+	s.replyNow(entry.replyFrom, entry.clientSrc, out)
 }
 
-// reply packs and emits a guard-originated response.
-func (g *Remote) reply(from, to netip.AddrPort, msg *dnswire.Message) {
+// replyNow packs and emits a guard-originated response from the upstream
+// loop, which has no batch bracket to queue it in.
+func (s *remoteShard) replyNow(from, to netip.AddrPort, msg *dnswire.Message) {
 	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
 	if err != nil {
 		return
 	}
-	g.replyWire(from, to, wire)
+	s.replyWire(from, to, wire)
 }
 
-// replyWire emits an already-packed guard response.
-func (g *Remote) replyWire(from, to netip.AddrPort, wire []byte) {
-	atomic.AddUint64(&g.Stats.RepliesToClient, 1)
-	g.charge(g.cfg.Costs.PacketOp)
-	_ = g.cfg.IO.WriteFromTo(from, to, wire)
+// replyWire emits an already-packed guard response through the shard's
+// interface, so it leaves from the socket its query came in on.
+func (s *remoteShard) replyWire(from, to netip.AddrPort, wire []byte) {
+	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
+	s.g.charge(s.g.cfg.Costs.PacketOp)
+	_ = s.io.WriteFromTo(from, to, wire)
 }
 
 func hasNS(rrs []dnswire.RR) bool {

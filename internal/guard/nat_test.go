@@ -138,8 +138,8 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 	rio := &raceIO{t: t, replied: make(map[uint32]bool)}
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.Env = raceEnv{skewEnv{cfg.Env, &skew}}
-		cfg.IO = rio
-		cfg.PendingTimeout = time.Second
+		cfg.IOs = []PacketIO{rio}
+		cfg.pendingTimeout = time.Second
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1e12, PerSourceBurst: 1e12, TrackedSources: 16}
 		if health {
 			// Fail open: the breaker trips and probes, the forwards go on.
@@ -184,7 +184,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 	// notice its buffers being overwritten. A handler that still reads an
 	// entry it has recycled is a data race here, or 0xA5 in a reply.
 	background(func() { scribblePool(s) })
-	// The operator: a drain waits PendingTimeout out on the clock everybody
+	// The operator: a drain waits pendingTimeout out on the clock everybody
 	// reads, drops what is left, and serving resumes.
 	if drains {
 		background(func() {
@@ -280,7 +280,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 				runtime.Gosched()
 			}
 			if i%100 == 0 {
-				skew.Add(int64(g.cfg.PendingTimeout / 3)) // entries expire under everybody's hands
+				skew.Add(int64(g.cfg.pendingTimeout / 3)) // entries expire under everybody's hands
 			}
 			if i == 700 {
 				restart()
@@ -293,7 +293,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 			k++
 			send(k|raceMute, 'm')
 		}
-		skew.Add(int64(g.cfg.PendingTimeout))
+		skew.Add(int64(g.cfg.pendingTimeout))
 		if health {
 			// Nobody answers now, so the sweeper's timeouts open the breaker
 			// and its probe goes through forward beside this goroutine's.
@@ -302,7 +302,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 				if time.Now().After(deadline) {
 					t.Fatal("the sweeper never probed an upstream whose every query timed out")
 				}
-				skew.Add(int64(g.cfg.PendingTimeout / 8))
+				skew.Add(int64(g.cfg.pendingTimeout / 8))
 				runtime.Gosched()
 			}
 		}
@@ -315,7 +315,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 	wg.Wait()
 	close(up.ch)
 	<-ansDone
-	skew.Add(int64(g.cfg.PendingTimeout))
+	skew.Add(int64(g.cfg.pendingTimeout))
 	s.sweepPending(g.now())
 
 	st := g.Stats.Load()
@@ -370,7 +370,7 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Env = skewEnv{cfg.Env, &skew} })
 	const early = 1000
 	fillPending(t, h, 0, early)
-	skew.Add(int64(h.g.cfg.PendingTimeout / 2))
+	skew.Add(int64(h.g.cfg.pendingTimeout / 2))
 	fillPending(t, h, early, maxPending-early)
 	if n, st := h.g.PendingEntries(), h.g.Stats.Load(); n != maxPending || st.ForwardedToANS != maxPending || st.PendingDropped != 0 {
 		t.Fatalf("%d pending after %d forwards: %+v", n, maxPending, st)
@@ -388,7 +388,7 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 		t.Errorf("%d forwards into a full table looked at %d slots, want one each: %+v", refused, got, st)
 	}
 
-	skew.Add(int64(h.g.cfg.PendingTimeout / 2)) // the early ones expire, to the nanosecond
+	skew.Add(int64(h.g.cfg.pendingTimeout / 2)) // the early ones expire, to the nanosecond
 	steps = h.s.pend.steps
 	h.handle(pkt)
 	if got, st := h.s.pend.steps-steps, h.g.Stats.Load(); got != early+1 || st.PendingDropped != refused+early ||

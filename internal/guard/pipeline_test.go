@@ -531,12 +531,12 @@ func shapeRows() []shapeRow {
 		{"upstream/expired", nil, func(r *shapeRun) {
 			verifiedForward(r, "www.foo.com")
 			resp := r.echo(dnswire.RCodeNXDomain)
-			r.skew.Add(int64(r.h.g.cfg.PendingTimeout))
+			r.skew.Add(int64(r.h.g.cfg.pendingTimeout))
 			r.upstream("after the timeout", ans(r), resp)
 			r.upstream("again", ans(r), resp)
 			verifiedForward(r, "www.foo.com")
 			ref := referral(r)
-			r.skew.Add(int64(r.h.g.cfg.PendingTimeout))
+			r.skew.Add(int64(r.h.g.cfg.pendingTimeout))
 			r.upstream("referral after the timeout", ans(r), ref)
 		}},
 		{"upstream/stray-id", nil, func(r *shapeRun) {
@@ -559,7 +559,7 @@ func shapeRows() []shapeRow {
 			cfg.Health = HealthConfig{Enabled: true, TimeoutThreshold: 1}
 		}, func(r *shapeRun) {
 			verifiedForward(r, "www.foo.com")
-			r.skew.Add(int64(r.h.g.cfg.PendingTimeout))
+			r.skew.Add(int64(r.h.g.cfg.pendingTimeout))
 			r.step("sweep", func() { r.h.s.healthTick(r.h.g.now()) })
 			r.query("breaker open", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x1240))
 			r.skew.Add(int64(r.h.g.cfg.Health.Cooldown))

@@ -53,15 +53,13 @@ type CPUWorker interface {
 type RemoteConfig struct {
 	// Env supplies clock and sockets.
 	Env netapi.Env
-	// IO is the packet-capture interface for the protected address space.
-	// Shorthand for a one-entry IOs; exactly one of IO / IOs is required.
-	IO PacketIO
-	// IOs are the capture interfaces: one per shard (what
+	// IOs are the capture interfaces for the protected address space,
+	// required: a simulated host's tap, or one SocketIO per shard (what
 	// netapi.UDPReuseEnv returns where sockets can be steered) or one for
 	// all shards; NewRemote refuses any other count. Handing over one per
 	// shard asserts that the environment steers every datagram of a source
-	// to the same interface; the engine does not check. Replies always
-	// leave through IOs[0].
+	// to the same interface; the engine does not check. A shard's replies
+	// leave through the interface it reads.
 	IOs []PacketIO
 	// Shards is the dataplane worker count; every per-source structure
 	// (pending NAT table, rate limiters, verifier) is owned by one shard. 0
@@ -71,9 +69,6 @@ type RemoteConfig struct {
 	// which is what netsim gets and what keeps its replays deterministic
 	// (engine package comment).
 	Shards int
-	// QueueDepth bounds each shard's ingress queue (fan-out only). 0 means
-	// the engine default.
-	QueueDepth int
 	// Batch is the most datagrams one read may return, on the capture
 	// interface and on each shard's upstream socket. 0 and 1 mean one
 	// datagram per read. The loops are the same at every value; larger
@@ -92,13 +87,6 @@ type RemoteConfig struct {
 	// or below the key-rotation grace period: a cached credential is
 	// honored until its TTL even across a Rotate.
 	FastPathTTL time.Duration
-	// FastPathSources bounds the verified-source cache per shard.
-	// 0 means the engine default.
-	FastPathSources int
-	// Observer, when non-nil, is called in worker context with the owning
-	// shard right before each packet is handled. Diagnostic hook; tests
-	// use it to assert per-source shard affinity.
-	Observer func(shard int, pkt Packet)
 	// PublicAddr is the ANS's advertised address, which the guard
 	// intercepts and answers from.
 	PublicAddr netip.AddrPort
@@ -143,8 +131,6 @@ type RemoteConfig struct {
 	// ActivationThreshold is the input rate (req/s) above which spoof
 	// detection engages; 0 means always on (§IV-C uses the ANS capacity).
 	ActivationThreshold float64
-	// PendingTimeout bounds NAT-table entries for in-flight ANS queries.
-	PendingTimeout time.Duration
 	// AnswerCacheTTL bounds the non-referral answer cache (message 5
 	// results reused for message 7). 0 means 10 s; negative disables the
 	// cache entirely (every message 7 consults the ANS, the paper's
@@ -166,6 +152,15 @@ type RemoteConfig struct {
 	// MitigationConfig and mitigate.go). Disabled by default: the guard
 	// then keeps the paper's static activation behavior exactly.
 	Mitigation MitigationConfig
+
+	// Settings only tests change; every deployment keeps the defaults. They
+	// bound each shard's fan-out ingress queue (0 means the engine's 512), set
+	// a NAT-table entry's life (0 means 3 s), and hook each packet in its
+	// shard's context before it is handled (engine.Config.Observer; nil means
+	// none).
+	queueDepth     int
+	pendingTimeout time.Duration
+	observer       func(shard int, pkt Packet)
 }
 
 // nsTTL is the TTL (seconds) of fabricated records and wire cookies: one week
@@ -182,18 +177,12 @@ func (c *RemoteConfig) resolve() error {
 	switch {
 	case c.Env == nil:
 		return errors.New("guard: RemoteConfig.Env is required")
-	case c.IO == nil && len(c.IOs) == 0:
-		return errors.New("guard: RemoteConfig.IO (or IOs) is required")
+	case len(c.IOs) == 0:
+		return errors.New("guard: RemoteConfig.IOs is required")
 	case c.Auth == nil:
 		return errors.New("guard: RemoteConfig.Auth is required")
 	case !c.PublicAddr.IsValid() || !c.ANSAddr.IsValid():
 		return errors.New("guard: PublicAddr and ANSAddr are required")
-	}
-	if len(c.IOs) == 0 {
-		c.IOs = []PacketIO{c.IO}
-	}
-	if c.IO == nil {
-		c.IO = c.IOs[0]
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -213,8 +202,8 @@ func (c *RemoteConfig) resolve() error {
 	orDefault(&c.RL2.PerSourceRate, d2.PerSourceRate)
 	orDefault(&c.RL2.PerSourceBurst, d2.PerSourceBurst)
 	orDefault(&c.RL2.TrackedSources, d2.TrackedSources)
-	if c.PendingTimeout <= 0 {
-		c.PendingTimeout = 3 * time.Second
+	if c.pendingTimeout <= 0 {
+		c.pendingTimeout = 3 * time.Second
 	}
 	if c.AnswerCacheTTL == 0 {
 		c.AnswerCacheTTL = 10 * time.Second
@@ -223,7 +212,7 @@ func (c *RemoteConfig) resolve() error {
 		c.Health.Enabled = true
 	}
 	if c.Health.Enabled {
-		c.Health.fillDefaults(c.PendingTimeout)
+		c.Health.fillDefaults(c.pendingTimeout)
 	}
 	if c.Mitigation.Enabled {
 		c.Mitigation.normalize()
@@ -335,6 +324,7 @@ type Remote struct {
 type remoteShard struct {
 	g        *Remote
 	id       int
+	io       PacketIO // the interface the shard reads (engine.IO); its replies leave through it
 	upstream netapi.UDPConn
 	health   *shardHealth // nil unless cfg.Health.Enabled
 
@@ -445,17 +435,16 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		sup.OnPass = func(shard int, pkt Packet) { g.shards[shard].passthrough(pkt) }
 	}
 	eng, err := engine.New(engine.Config{
-		Env:             cfg.Env,
-		IOs:             cfg.IOs,
-		Shards:          cfg.Shards,
-		QueueDepth:      cfg.QueueDepth,
-		Batch:           cfg.Batch,
-		FastPathTTL:     cfg.FastPathTTL,
-		FastPathSources: cfg.FastPathSources,
-		Name:            "guard",
-		Observer:        cfg.Observer,
-		Supervisor:      sup,
-		HashSeed:        cfg.ShardHashSeed,
+		Env:         cfg.Env,
+		IOs:         cfg.IOs,
+		Shards:      cfg.Shards,
+		QueueDepth:  cfg.queueDepth,
+		Batch:       cfg.Batch,
+		FastPathTTL: cfg.FastPathTTL,
+		Name:        "guard",
+		Observer:    cfg.observer,
+		Supervisor:  sup,
+		HashSeed:    cfg.ShardHashSeed,
 		NewHandler: func(i int) engine.Handler {
 			s := &remoteShard{
 				g:       g,
@@ -479,6 +468,9 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		return nil, fmt.Errorf("guard: %w", err)
 	}
 	g.eng = eng
+	for i, s := range g.shards {
+		s.io = eng.IO(i)
+	}
 	return g, nil
 }
 

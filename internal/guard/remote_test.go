@@ -87,7 +87,7 @@ func newRootFixture(t *testing.T, mutate func(*RemoteConfig)) *rootFixture {
 	}
 	cfg := RemoteConfig{
 		Env:        guardHost,
-		IO:         TapIO{Tap: tap},
+		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("198.41.0.4:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.Root,

@@ -1,0 +1,97 @@
+package guard
+
+import (
+	"net/netip"
+	"sync"
+	"time"
+
+	"dnsguard/internal/dnswire"
+	"dnsguard/internal/engine"
+	"dnsguard/internal/netapi"
+)
+
+// SocketIO adapts a bound UDP socket to PacketIO for real deployments: the
+// guard binds the protected service address directly, so every read's
+// destination is the socket's own address and replies always originate from
+// it. The fabricated-IP variant (which needs a whole subnet) is therefore
+// unavailable over SocketIO; use the NS-name, TCP, or modified schemes. A
+// simulated host's tap needs no adapter: *netsim.Tap is a PacketIO as it is.
+//
+// Use it by pointer (&SocketIO{Conn: c}): the adapter owns the ingest slab
+// its reader fills — Batch slots of dnswire.MaxDatagram+1 bytes, the one
+// packet buffer a shard owns on the ingress side — and hands it out in place,
+// so a read copies nothing and allocates nothing. Payloads are lent, not
+// given (engine.BatchReader): what a read returns is valid until the next
+// read. It therefore serves one reading proc at a time — the engine runs
+// exactly one per interface. Writes may come from any proc; their scratch is
+// pooled.
+type SocketIO struct {
+	Conn netapi.UDPConn
+
+	slab []netapi.Datagram // ingest slab, allocated by the first read
+}
+
+var (
+	_ PacketIO           = (*SocketIO)(nil)
+	_ engine.BatchReader = (*SocketIO)(nil)
+	_ engine.BatchWriter = (*SocketIO)(nil)
+)
+
+// Read implements PacketIO: a one-slot ReadBatch, under the same borrow rule.
+func (s *SocketIO) Read(timeout time.Duration) (Packet, error) {
+	var one [1]Packet
+	if _, err := s.ReadBatch(one[:], timeout); err != nil {
+		return Packet{}, err
+	}
+	return one[0], nil
+}
+
+// WriteFromTo implements PacketIO; src must be the socket's own address
+// (userspace cannot spoof), so it is ignored.
+func (s *SocketIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
+	return s.Conn.WriteTo(payload, dst)
+}
+
+// Close implements PacketIO.
+func (s *SocketIO) Close() error { return s.Conn.Close() }
+
+// socketViews pools write-side Datagram slices (slot buffers grown on demand
+// by Datagram.Set).
+var socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
+
+// ReadBatch implements engine.BatchReader: one BatchConn read into the
+// adapter's slab, handed out in place. A slot is one byte larger than the
+// largest datagram the guard accepts, so a longer datagram arrives with
+// len(Payload) > dnswire.MaxDatagram and the handlers drop it as oversize.
+func (s *SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
+	if len(s.slab) < len(pkts) {
+		s.slab = netapi.NewSlab(len(pkts), dnswire.MaxDatagram+1)
+	}
+	slab := s.slab[:len(pkts)]
+	n, err := netapi.AsBatch(s.Conn).ReadBatch(slab, timeout)
+	if err != nil {
+		return 0, err
+	}
+	local := s.Conn.LocalAddr()
+	for i := 0; i < n; i++ {
+		pkts[i] = Packet{Src: slab[i].Addr, Dst: local, Payload: slab[i].Payload()}
+	}
+	return n, nil
+}
+
+// WriteBatch implements engine.BatchWriter; as with WriteFromTo, the source
+// address is the socket's own and cannot be spoofed from userspace, so only
+// each packet's destination is used.
+func (s *SocketIO) WriteBatch(pkts []Packet) error {
+	vp := socketViews.Get().(*[]netapi.Datagram)
+	if cap(*vp) < len(pkts) {
+		*vp = make([]netapi.Datagram, len(pkts))
+	}
+	views := (*vp)[:len(pkts)]
+	for i, p := range pkts {
+		views[i].Set(p.Payload, p.Dst)
+	}
+	_, err := netapi.AsBatch(s.Conn).WriteBatch(views)
+	socketViews.Put(vp)
+	return err
+}

@@ -126,7 +126,7 @@ func TestShardPanicIsolatedByGuardSupervision(t *testing.T) {
 	f := newRootFixture(t, func(c *RemoteConfig) {
 		c.Shards = 2
 		c.Supervision = engine.SupervisorConfig{Enabled: true}
-		c.Observer = func(shard int, pkt Packet) {
+		c.observer = func(shard int, pkt Packet) {
 			if pkt.Src.Addr() == poison {
 				panic("injected shard fault")
 			}
@@ -194,7 +194,7 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 			Cooldown:         500 * time.Millisecond,
 			SweepInterval:    100 * time.Millisecond,
 		}
-		c.PendingTimeout = 200 * time.Millisecond
+		c.pendingTimeout = 200 * time.Millisecond
 	})
 
 	// Secondary ANS: a replica serving the same zone on the fallback addr.
@@ -234,7 +234,7 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 			send(i)
 			f.sched.Sleep(50 * time.Millisecond)
 		}
-		// Past PendingTimeout + a sweep: the reaper turns them into
+		// Past pendingTimeout + a sweep: the reaper turns them into
 		// timeout signals and the breaker opens.
 		f.sched.Sleep(500 * time.Millisecond)
 		openState = f.guard.BreakerState(0, primary)

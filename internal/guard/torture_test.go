@@ -15,6 +15,14 @@ import (
 	"dnsguard/internal/zone"
 )
 
+// A simulated host's tap goes to the guard as it is, so its methods are
+// pinned here: were ReadBatch's signature to drift, the engine would quietly
+// read the tap one datagram at a time.
+var (
+	_ engine.PacketIO    = (*netsim.Tap)(nil)
+	_ engine.BatchReader = (*netsim.Tap)(nil)
+)
+
 // TestShardedGuardTorture floods an 8-shard guard with all three schemes at
 // once — fabricated NS-name cookies, IP cookies, and the explicit cookie
 // extension — plus newcomers and garbage, over links injecting loss,
@@ -53,11 +61,11 @@ func TestShardedGuardTorture(t *testing.T) {
 	shardOf := make(map[netip.Addr]map[int]bool)
 	g, err := NewRemote(RemoteConfig{
 		Env:         guardHost,
-		IO:          TapIO{Tap: tap},
+		IOs:         []PacketIO{tap},
 		Shards:      8,
-		QueueDepth:  64,
+		queueDepth:  64,
 		FastPathTTL: time.Hour,
-		Observer: func(shard int, pkt Packet) {
+		observer: func(shard int, pkt Packet) {
 			a := pkt.Src.Addr()
 			if shardOf[a] == nil {
 				shardOf[a] = make(map[int]bool)
@@ -231,11 +239,11 @@ func TestSurvivabilityTorture(t *testing.T) {
 	poison := mustAddr("198.18.0.250")
 	g, err := NewRemote(RemoteConfig{
 		Env:         guardHost,
-		IO:          TapIO{Tap: tap},
+		IOs:         []PacketIO{tap},
 		Shards:      8,
-		QueueDepth:  64,
+		queueDepth:  64,
 		FastPathTTL: time.Hour,
-		Observer: func(shard int, pkt Packet) {
+		observer: func(shard int, pkt Packet) {
 			if pkt.Src.Addr() == poison {
 				panic("torture: injected handler fault")
 			}
@@ -249,7 +257,7 @@ func TestSurvivabilityTorture(t *testing.T) {
 			SweepInterval:    50 * time.Millisecond,
 		},
 		Supervision:    engine.SupervisorConfig{Enabled: true, MaxRestarts: 50},
-		PendingTimeout: 100 * time.Millisecond,
+		pendingTimeout: 100 * time.Millisecond,
 		Zone:           dnswire.MustName("foo.com"),
 		Subnet:         netip.MustParsePrefix("192.0.2.0/24"),
 		Fallback:       SchemeDNS,

@@ -101,13 +101,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want int
 	}{
 		{0, 0},
-		{-time.Microsecond, 0},           // clock regression lands low, not lost
-		{time.Microsecond, 0},            // bounds are inclusive upper edges
-		{time.Microsecond + 1, 1},        // just past a bound moves up a bucket
+		{-time.Microsecond, 0},    // clock regression lands low, not lost
+		{time.Microsecond, 0},     // bounds are inclusive upper edges
+		{time.Microsecond + 1, 1}, // just past a bound moves up a bucket
 		{2 * time.Microsecond, 1},
 		{3 * time.Microsecond, 2},
 		{4 * time.Microsecond, 2},
-		{5 * time.Microsecond, 3},        // overflow bucket
+		{5 * time.Microsecond, 3}, // overflow bucket
 		{time.Hour, 3},
 	}
 	for _, tc := range cases {

@@ -73,7 +73,7 @@ func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:        guardHost,
-		IO:         guard.TapIO{Tap: tap},
+		IOs:        []guard.PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),

@@ -105,7 +105,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:           guardHost,
-		IO:            guard.TapIO{Tap: tap},
+		IOs:           []guard.PacketIO{tap},
 		Shards:        cfg.Shards,
 		ShardHashSeed: labHashSeed,
 		PublicAddr:    netip.MustParseAddrPort("192.0.2.1:53"),

@@ -121,7 +121,7 @@ func guardedWorld(t *testing.T, fallback guard.Scheme, mode ANSSimMode) (*world,
 	var key [cookie.KeySize]byte
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:        guardHost,
-		IO:         guard.TapIO{Tap: tap},
+		IOs:        []guard.PacketIO{tap},
 		PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.MustName("foo.com"),
