@@ -160,7 +160,7 @@ func run() error {
 	if want("campaigns") {
 		experiments.Rule(out, "Campaign packs — layered auto-mitigation acceptance")
 		start := time.Now()
-		rows, err := experiments.Campaigns(experiments.CampaignsOptions{})
+		rows, err := experiments.Campaigns()
 		if err != nil {
 			return fmt.Errorf("campaigns: %w", err)
 		}

@@ -16,8 +16,8 @@
 // restarted guard keeps honoring pre-restart cookies; -key-rotate sets the
 // rotation period (persisted rotations keep the previous epoch valid);
 // -ans-fallback lists secondary ANS addresses for breaker-driven failover;
-// -overload-policy picks fail-open or fail-closed when a shard trips or
-// every upstream is dark.
+// -overload-policy picks fail-open or fail-closed when a shard trips or, with
+// -ans-fallback, every upstream is dark.
 //
 // Fleet flags: -keyring-follow opens -state-file as a read-only follower
 // handle on a shared keyring (one owner rotates, every follower verifies
@@ -71,7 +71,7 @@ func run() error {
 	keyringFollow := flag.Bool("keyring-follow", false, "open -state-file as a read-only follower handle on a fleet-shared keyring (the owner rotates; this guard only reloads)")
 	keyringReload := flag.Duration("keyring-reload", 0, "poll -state-file at this interval and adopt newer epochs (fleet followers tracking the owner's rotations)")
 	ansFallback := flag.String("ans-fallback", "", "comma-separated secondary ANS addresses, tried in order when the primary's breaker opens")
-	overload := flag.String("overload-policy", "drop", "when a shard trips or every upstream is down: drop (fail-closed) or pass (fail-open)")
+	overload := flag.String("overload-policy", "drop", "when a shard trips, or every upstream's breaker is open (breakers run only with -ans-fallback): drop (fail-closed) or pass (fail-open)")
 	mitigate := flag.Bool("mitigate", false, "run the layered auto-mitigation selector (overrides -threshold while escalated)")
 	mitigateInterval := flag.Duration("mitigate-interval", 0, "selector sampling interval (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain SIGTERM triggers (0 = exit without draining)")

@@ -233,8 +233,9 @@ const (
 // RemoteGuardConfig configures the ANS-side guard.
 type RemoteGuardConfig = guard.RemoteConfig
 
-// GuardHealthConfig configures upstream ANS health tracking and failover
-// (per-shard circuit breakers over the ordered upstream list).
+// GuardHealthConfig selects the overload policy of upstream ANS failover: the
+// per-shard circuit breakers over the ordered upstream list, which run when
+// RemoteGuardConfig.ANSFallbacks is non-empty.
 type GuardHealthConfig = guard.HealthConfig
 
 // SupervisorConfig configures dataplane shard supervision: panic quarantine,

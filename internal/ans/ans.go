@@ -36,8 +36,6 @@ type Config struct {
 	Zone *zone.Zone
 	// Zones serves multiple zones from one server (longest-apex match).
 	Zones *ZoneSet
-	// UDPSize is the maximum UDP response size; 0 means 512.
-	UDPSize int
 	// CPU, when non-nil, is charged CostPerQuery for every request.
 	CPU CPUWorker
 	// CostPerQuery is the simulated service time per request.
@@ -105,9 +103,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.Zones = zs
 	}
-	if cfg.UDPSize <= 0 {
-		cfg.UDPSize = dnswire.MaxUDPSize
-	}
 	return &Server{cfg: cfg}, nil
 }
 
@@ -160,7 +155,7 @@ func (s *Server) serveUDP() {
 		if resp == nil {
 			continue
 		}
-		wire, err := resp.PackUDP(s.cfg.UDPSize)
+		wire, err := resp.PackUDP(dnswire.MaxUDPSize)
 		if err != nil {
 			continue
 		}

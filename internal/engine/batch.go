@@ -46,9 +46,7 @@ type BatchWriter interface {
 // lets a handler amortize per-batch work (one cookie-keyring snapshot, one
 // coalesced egress flush) and lets it defer work to EndBatch knowing
 // EndBatch will come. Both calls run in the owning shard's context. A
-// supervised restart that reuses the handler (Resetter) leaves its bracket
-// open; one that replaces the handler mid-batch closes the bracket on the
-// old handler and opens one on its replacement before the next packet.
+// supervised restart mid-batch leaves the bracket open.
 type BatchHandler interface {
 	Handler
 	BeginBatch(n int)
@@ -219,27 +217,17 @@ func (e *Engine) handleGroup(i int, b *qbatch) {
 	putQBatch(b)
 }
 
-// dispatchBatch hands pkts to shard i's current handler one by one inside
-// its batch bracket (see BatchHandler), each packet through the recover
-// boundary of dispatch. A supervised restart that replaced the handler moves
-// the bracket onto the replacement.
+// dispatchBatch hands pkts to shard i's handler one by one inside its batch
+// bracket (see BatchHandler), each packet through the recover boundary of
+// dispatch.
 func (e *Engine) dispatchBatch(i int, pkts []Packet) {
-	h := e.Handler(i)
+	h := e.handlers[i]
 	bh, _ := h.(BatchHandler)
 	if bh != nil {
 		bh.BeginBatch(len(pkts))
 	}
-	for k, pkt := range pkts {
-		replaced := e.dispatch(i, h, pkt)
-		if rest := len(pkts) - k - 1; replaced && rest > 0 {
-			if bh != nil {
-				bh.EndBatch()
-			}
-			h = e.Handler(i)
-			if bh, _ = h.(BatchHandler); bh != nil {
-				bh.BeginBatch(rest)
-			}
-		}
+	for _, pkt := range pkts {
+		e.dispatch(i, h, pkt)
 	}
 	if bh != nil {
 		bh.EndBatch()

@@ -92,10 +92,17 @@ func TestDrainWaitsForBacklog(t *testing.T) {
 	defer e.Close()
 
 	// Park 8 packets behind a blocked handler so the queues hold a backlog.
+	// All 8 are enqueued before Drain: a packet read after it is shed.
 	for i := 0; i < 8; i++ {
 		io.ch <- Packet{Src: srcAP(i), Payload: []byte{byte(i)}}
 	}
-	waitShardDepth(t, e, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats(0).Enqueued+e.Stats(1).Enqueued < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("enqueued %d packets, want 8", e.Stats(0).Enqueued+e.Stats(1).Enqueued)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	done := make(chan error, 1)
 	go func() { done <- e.Drain(context.Background()) }()

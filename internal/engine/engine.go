@@ -88,8 +88,8 @@ type Config struct {
 	// environment steers every datagram of a source to the same interface,
 	// as SO_REUSEPORT siblings do; the engine does not check.
 	IOs []PacketIO
-	// NewHandler constructs the handler for shard i (called once per shard
-	// before Start returns).
+	// NewHandler constructs the handler for shard i, called once per shard by
+	// New: a shard keeps its handler for the engine's life.
 	NewHandler func(shard int) Handler
 	// Shards is the worker count. 0 and 1 mean one shard. How packets reach a
 	// shard follows from len(IOs) and Shards; nothing selects it.
@@ -104,14 +104,9 @@ type Config struct {
 	// and its lock, over the packets that were already waiting.
 	Batch int
 	// FastPathTTL is the verified-source cache's TTL. 0 means no cache
-	// (MarkVerifiedOn is a no-op and every probe misses, uncounted).
+	// (MarkVerifiedOn is a no-op and every probe misses, uncounted). A shard
+	// caches at most fastPathSources sources.
 	FastPathTTL time.Duration
-	// FastPathSources bounds the cache per shard. 0 means 4096.
-	FastPathSources int
-	// Name prefixes proc names ("<name>-capture", "<name>-worker-3").
-	// Empty means "engine". The proc reading a lone interface is named
-	// "<name>-capture" to match the pre-engine guard's proc name exactly.
-	Name string
 	// Observer, when non-nil, is called in the shard's context (the worker,
 	// or the direct shard loop) right before the handler sees each packet.
 	// Test hook for affinity assertions; keep it cheap. It runs inside the
@@ -150,17 +145,17 @@ func (c *Config) fillDefaults() error {
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}
-	if c.FastPathSources <= 0 {
-		c.FastPathSources = 4096
-	}
-	if c.Name == "" {
-		c.Name = "engine"
-	}
-	if c.Supervisor.Enabled {
-		c.Supervisor.fillDefaults()
-	}
 	return nil
 }
+
+const (
+	// fastPathSources bounds each shard's verified-source cache.
+	fastPathSources = 4096
+	// procPrefix prefixes proc names ("guard-capture", "guard-worker-3"). The
+	// proc reading a lone interface is "guard-capture", the pre-engine guard's
+	// proc name, which recorded simulations replay against.
+	procPrefix = "guard"
+)
 
 // ShardStats counts one shard's dataplane activity. Fields are written
 // atomically (readers and the shard worker race under real clocks).
@@ -197,8 +192,7 @@ type ingestSink struct {
 // Engine is the running dataplane. Create with New, then Start.
 type Engine struct {
 	cfg      Config
-	handlers []Handler
-	hmu      sync.RWMutex  // guards handlers; written only by shard restarts
+	handlers []Handler     // fixed for the engine's life
 	shards   []*shardState // one allocation per shard: no shared cachelines
 	ingest   []*ingestSink // one per interface, likewise isolated
 	sup      supervisor
@@ -258,7 +252,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.handlers {
 		e.handlers[i] = cfg.NewHandler(i)
 		sh := &shardState{wait: metrics.NewHistogram()}
-		sh.verified.init(cfg.FastPathSources)
+		sh.verified.init(fastPathSources)
 		if !e.direct {
 			sh.queue = caps.NewQueue(cfg.QueueDepth)
 		}
@@ -286,21 +280,6 @@ func (e *Engine) IO(i int) PacketIO {
 	return e.cfg.IOs[0]
 }
 
-// Handler returns shard i's current handler: the value cfg.NewHandler
-// returned, unless a supervised restart has since replaced it.
-func (e *Engine) Handler(i int) Handler {
-	e.hmu.RLock()
-	defer e.hmu.RUnlock()
-	return e.handlers[i]
-}
-
-// setHandler replaces shard i's handler during a supervised restart.
-func (e *Engine) setHandler(i int, h Handler) {
-	e.hmu.Lock()
-	e.handlers[i] = h
-	e.hmu.Unlock()
-}
-
 // ShardOf maps a source address to its owning shard in the fan-out, where
 // affinity is the correctness contract: every packet from one source is
 // handled by one shard, so per-source guard state never crosses workers. On a
@@ -326,16 +305,15 @@ func (e *Engine) ShardOf(src netip.Addr) int {
 }
 
 // Start spawns the engine's procs. A direct engine runs one shard loop per
-// interface (a lone one keeps the historical proc name "<name>-capture", which
-// recorded simulations replay against); the fan-out runs a worker per shard
-// and the one reader, under that same name.
+// interface (a lone one is "guard-capture"); the fan-out runs a worker per
+// shard and the one reader, under that same name.
 func (e *Engine) Start() {
 	if e.direct {
 		for i, io := range e.cfg.IOs {
 			i, br := i, batchReader(io)
-			name := fmt.Sprintf("%s-shard-%d", e.cfg.Name, i)
+			name := fmt.Sprintf("%s-shard-%d", procPrefix, i)
 			if e.cfg.Shards == 1 {
-				name = e.cfg.Name + "-capture"
+				name = procPrefix + "-capture"
 			}
 			e.spawn(name, func() { e.runShard(i, br) })
 		}
@@ -345,10 +323,10 @@ func (e *Engine) Start() {
 	// is deterministic, and workers must exist before the reader can enqueue.
 	for i := range e.shards {
 		i := i
-		e.spawn(fmt.Sprintf("%s-worker-%d", e.cfg.Name, i), func() { e.runWorker(i) })
+		e.spawn(fmt.Sprintf("%s-worker-%d", procPrefix, i), func() { e.runWorker(i) })
 	}
 	br := batchReader(e.cfg.IOs[0])
-	e.spawn(e.cfg.Name+"-capture", func() { e.runReader(br) })
+	e.spawn(procPrefix+"-capture", func() { e.runReader(br) })
 }
 
 // spawn launches a tracked engine proc so Close can join it on preemptive

@@ -266,20 +266,19 @@ func TestBackpressureDropOldestForVerified(t *testing.T) {
 }
 
 func TestVerifiedSourceCache(t *testing.T) {
-	env := realnet.New()
+	env := &manualEnv{Env: realnet.New()}
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	e, err := New(Config{
-		Env:             env,
-		IOs:             []PacketIO{newFakeIO(1)},
-		Shards:          2,
-		FastPathTTL:     50 * time.Millisecond,
-		FastPathSources: 2,
-		NewHandler:      rg.newHandler,
+		Env:         env,
+		IOs:         []PacketIO{newFakeIO(1)},
+		Shards:      2,
+		FastPathTTL: 50 * time.Millisecond,
+		NewHandler:  rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := srcAP(1).Addr(), srcAP(2).Addr(), srcAP(3).Addr()
+	a := srcAP(1).Addr()
 
 	if _, ok := e.VerifiedCredOn(e.ShardOf(a), a); ok {
 		t.Fatal("hit on empty cache")
@@ -295,7 +294,7 @@ func TestVerifiedSourceCache(t *testing.T) {
 	}
 
 	// TTL expiry.
-	time.Sleep(60 * time.Millisecond)
+	env.now += 60 * time.Millisecond
 	if _, ok := e.VerifiedCredOn(e.ShardOf(a), a); ok {
 		t.Fatal("hit after TTL expiry")
 	}
@@ -303,21 +302,19 @@ func TestVerifiedSourceCache(t *testing.T) {
 	// Capacity bound is per shard: overfill one shard and the oldest goes.
 	shard := e.ShardOf(a)
 	same := []netip.Addr{a}
-	for i := 10; len(same) < 3; i++ {
+	for i := 10; len(same) <= fastPathSources; i++ {
 		addr := srcAP(i).Addr()
 		if e.ShardOf(addr) == shard {
 			same = append(same, addr)
 		}
 	}
-	_ = b
-	_ = c
 	for i, addr := range same {
-		e.MarkVerifiedOn(e.ShardOf(addr), addr, fmt.Sprintf("cred-%d", i))
+		e.MarkVerifiedOn(shard, addr, fmt.Sprintf("cred-%d", i))
 	}
-	if _, ok := e.VerifiedCredOn(e.ShardOf(same[0]), same[0]); ok {
+	if _, ok := e.VerifiedCredOn(shard, same[0]); ok {
 		t.Fatal("oldest entry survived a full shard")
 	}
-	if _, ok := e.VerifiedCredOn(e.ShardOf(same[2]), same[2]); !ok {
+	if _, ok := e.VerifiedCredOn(shard, same[len(same)-1]); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	if got := e.FastPath().Evictions; got != 1 {

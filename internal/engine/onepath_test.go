@@ -176,37 +176,27 @@ func TestOnePathDifferential(t *testing.T) {
 
 // bracketHandler enforces the BatchHandler contract from the handler's side:
 // HandlePacket only inside a BeginBatch/EndBatch pair, at most n packets per
-// bracket, no nesting, every bracket closed, and no packet after a restart
-// replaced it. Its fields are touched only in the owning shard's context
-// (a replacement is constructed there too); violations are reported through
-// the rig.
+// bracket, no nesting, and every bracket closed. Its fields are touched only
+// in the owning shard's context; violations are reported through the rig.
 type bracketHandler struct {
-	rig     *bracketRig
-	shard   int
-	open    bool
-	want    int
-	seen    int
-	retired bool
+	rig    *bracketRig
+	shard  int
+	open   bool
+	want   int
+	seen   int
+	resets int
 }
 
 type bracketRig struct {
 	t       *testing.T
 	handled atomic.Uint64
-	mu      sync.Mutex
-	all     []*bracketHandler
-	cur     map[int]*bracketHandler
+	all     []*bracketHandler // constructed by New, before any shard runs
 }
 
 func (r *bracketRig) newHandler(resetter bool) func(int) Handler {
 	return func(shard int) Handler {
 		h := &bracketHandler{rig: r, shard: shard}
-		r.mu.Lock()
 		r.all = append(r.all, h)
-		if old := r.cur[shard]; old != nil {
-			old.retired = true
-		}
-		r.cur[shard] = h
-		r.mu.Unlock()
 		if resetter {
 			return resettableBracket{h}
 		}
@@ -223,9 +213,9 @@ func (h *bracketHandler) BeginBatch(n int) {
 
 func (h *bracketHandler) HandlePacket(Packet) {
 	h.seen++
-	if !h.open || h.seen > h.want || h.retired {
-		h.rig.t.Errorf("shard %d: HandlePacket #%d with open=%v retired=%v, bracket of %d",
-			h.shard, h.seen, h.open, h.retired, h.want)
+	if !h.open || h.seen > h.want {
+		h.rig.t.Errorf("shard %d: HandlePacket #%d with open=%v, bracket of %d",
+			h.shard, h.seen, h.open, h.want)
 	}
 	h.rig.handled.Add(1)
 }
@@ -237,28 +227,31 @@ func (h *bracketHandler) EndBatch() {
 	h.open = false
 }
 
-// resettableBracket is a bracketHandler that survives supervised restarts.
+// resettableBracket is a bracketHandler that counts its supervised resets.
 type resettableBracket struct{ *bracketHandler }
 
-func (resettableBracket) ResetShard() {}
+func (r resettableBracket) ResetShard() { r.resets++ }
 
 // Every HandlePacket runs inside a bracket — packets off the socket, queue
-// groups — and a supervised restart in the middle of a slab keeps it so,
-// whether the restart reuses the handler (Resetter) or replaces it.
+// groups — and a supervised restart in the middle of a slab keeps it so: the
+// shard keeps its handler, reset in place if it is a Resetter.
 func TestBatchBracketContract(t *testing.T) {
 	for _, m := range topologies {
 		for _, resetter := range []bool{false, true} {
 			for _, batch := range []int{1, 8} {
 				name := fmt.Sprintf("%s/resetter=%v/batch=%d", m.name, resetter, batch)
 				t.Run(name, func(t *testing.T) {
-					const perIO, poisonEvery = 64, 5
+					// Three poison packets per interface, mid-slab at batch
+					// 8: no shard restarts often enough to trip.
+					const perIO = 64
+					poisoned := map[int]bool{2: true, 21: true, 42: true}
 					clean := 0
 					ios := make([]PacketIO, m.ios)
 					for i := range ios {
 						var script []Packet
 						for k := 0; k < perIO; k++ {
 							p := Packet{Src: srcAP(k % 9), Dst: srcAP(0), Payload: []byte{byte(k)}}
-							if k%poisonEvery == 2 { // mid-slab at batch 8
+							if poisoned[k] {
 								p.Payload = poison
 							} else {
 								clean++
@@ -267,7 +260,7 @@ func TestBatchBracketContract(t *testing.T) {
 						}
 						ios[i] = newScriptIO(script)
 					}
-					rg := &bracketRig{t: t, cur: make(map[int]*bracketHandler)}
+					rg := &bracketRig{t: t}
 					e, err := New(Config{
 						Env:        realnet.New(),
 						IOs:        ios,
@@ -275,7 +268,7 @@ func TestBatchBracketContract(t *testing.T) {
 						Batch:      batch,
 						NewHandler: rg.newHandler(resetter),
 						Observer:   panicOnPoison,
-						Supervisor: SupervisorConfig{Enabled: true, MaxRestarts: 1000},
+						Supervisor: SupervisorConfig{Enabled: true},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -288,20 +281,21 @@ func TestBatchBracketContract(t *testing.T) {
 						t.Errorf("handled %d packets, want %d", got, clean)
 					}
 					restarts := e.Supervision().ShardRestarts
-					if restarts == 0 {
-						t.Error("poison packets caused no restarts")
+					if want := uint64(3 * m.ios); restarts != want {
+						t.Errorf("%d restarts, want %d", restarts, want)
 					}
-					wantHandlers := m.shards
-					if !resetter {
-						wantHandlers += int(restarts)
+					if len(rg.all) != m.shards {
+						t.Errorf("%d handlers constructed for %d shards", len(rg.all), m.shards)
 					}
-					if len(rg.all) != wantHandlers {
-						t.Errorf("%d handlers constructed over %d restarts, want %d", len(rg.all), restarts, wantHandlers)
-					}
+					resets := 0
 					for _, h := range rg.all {
+						resets += h.resets
 						if h.open {
 							t.Errorf("shard %d: a bracket was left open", h.shard)
 						}
+					}
+					if resetter && resets != int(restarts) {
+						t.Errorf("%d resets over %d restarts", resets, restarts)
 					}
 				})
 			}

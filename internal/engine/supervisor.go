@@ -48,13 +48,8 @@ type SupervisorConfig struct {
 	// Enabled turns supervision on. The zero value re-raises a handler
 	// panic, which crashes the process.
 	Enabled bool
-	// MaxRestarts is the restart budget within RestartWindow; exceeding it
-	// trips the shard. 0 means 5.
-	MaxRestarts int
-	// RestartWindow is the rolling window for the restart budget. 0 means
-	// one minute.
-	RestartWindow time.Duration
-	// Trip selects the degraded mode for a shard over budget.
+	// Trip selects the degraded mode for a shard over its restart budget:
+	// more than maxRestarts restarts within restartWindow.
 	Trip TripPolicy
 	// OnPass delivers a tripped shard's packets under TripPass. It runs in
 	// worker context inside its own recover boundary; nil degrades TripPass
@@ -62,17 +57,14 @@ type SupervisorConfig struct {
 	OnPass func(shard int, pkt Packet)
 }
 
-// quarantineCap bounds the quarantined-packet ring (oldest evicted first).
-const quarantineCap = 32
-
-func (sc *SupervisorConfig) fillDefaults() {
-	if sc.MaxRestarts <= 0 {
-		sc.MaxRestarts = 5
-	}
-	if sc.RestartWindow <= 0 {
-		sc.RestartWindow = time.Minute
-	}
-}
+const (
+	// quarantineCap bounds the quarantined-packet ring (oldest evicted first).
+	quarantineCap = 32
+	// maxRestarts is a shard's restart budget within the rolling
+	// restartWindow; exceeding it trips the shard.
+	maxRestarts   = 5
+	restartWindow = time.Minute
+)
 
 // SupervisionStats counts supervision events engine-wide. Fields are written
 // atomically; RegisterUint64Fields exports them (e.g. shard_restarts →
@@ -99,8 +91,8 @@ type QuarantinedPacket struct {
 // Resetter is an optional Handler capability consumed by supervision: a
 // restarting shard calls ResetShard to discard per-packet state (pending
 // tables, rate limiters) while keeping resources whose lifetime outlives a
-// restart (upstream sockets and the procs reading them). Handlers without it
-// are replaced wholesale via Config.NewHandler.
+// restart (upstream sockets and the procs reading them). The handler itself
+// stays: a restart resets it in place.
 type Resetter interface {
 	ResetShard()
 }
@@ -159,17 +151,15 @@ func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 	atomic.AddUint64(&e.sup.stats.PanicsQuarantined, 1)
 }
 
-// dispatch runs the Observer and then shard's current handler h on one
-// packet inside the recover boundary. Under supervision a panic is contained
-// to this one packet; without it the panic is raised again. The Observer runs
-// inside the boundary, which doubles as the panic-injection hook for tests.
-// It reports whether a restart replaced h, so the caller can move its batch
-// bracket.
-func (e *Engine) dispatch(shard int, h Handler, pkt Packet) (replaced bool) {
+// dispatch runs the Observer and then shard's handler h on one packet inside
+// the recover boundary. Under supervision a panic is contained to this one
+// packet; without it the panic is raised again. The Observer runs inside the
+// boundary, which doubles as the panic-injection hook for tests.
+func (e *Engine) dispatch(shard int, h Handler, pkt Packet) {
 	ss := &e.sup.shards[shard]
 	if ss.tripped.Load() {
 		e.dispatchTripped(shard, pkt)
-		return false
+		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -177,14 +167,13 @@ func (e *Engine) dispatch(shard int, h Handler, pkt Packet) (replaced bool) {
 				panic(r)
 			}
 			e.quarantinePacket(shard, pkt, r)
-			replaced = e.restartShard(shard)
+			e.restartShard(shard)
 		}
 	}()
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(shard, pkt)
 	}
 	h.HandlePacket(pkt)
-	return false
 }
 
 // dispatchTripped applies the trip policy to one packet.
@@ -203,15 +192,13 @@ func (e *Engine) dispatchTripped(shard int, pkt Packet) {
 	atomic.AddUint64(&e.sup.stats.TrippedDrops, 1)
 }
 
-// restartShard gives shard its restart: per-packet handler state is
-// discarded (Resetter, or wholesale handler replacement) and the shard's
-// slice of the verified-source cache is flushed — a panic mid-update could
-// have left either inconsistent. Exhausting the restart budget inside the
-// rolling window trips the shard instead. Runs in the owning worker's
-// context, inside the dispatch recover. It reports whether the shard now has
-// a new handler object (false for a Resetter, and for a trip).
-func (e *Engine) restartShard(shard int) (replaced bool) {
-	sc := &e.cfg.Supervisor
+// restartShard gives shard its restart: the shard's slice of the
+// verified-source cache is flushed and a Resetter handler discards its
+// per-packet state in place — a panic mid-update could have left either
+// inconsistent. Exhausting the restart budget inside the rolling window trips
+// the shard instead. Runs in the owning worker's context, inside the dispatch
+// recover.
+func (e *Engine) restartShard(shard int) {
 	ss := &e.sup.shards[shard]
 	now := e.cfg.Env.Now()
 	atomic.AddUint64(&e.sup.stats.ShardRestarts, 1)
@@ -219,14 +206,14 @@ func (e *Engine) restartShard(shard int) (replaced bool) {
 	// Prune restart times that have aged out of the rolling window.
 	keep := ss.recent[:0]
 	for _, t := range ss.recent {
-		if now-t < sc.RestartWindow {
+		if now-t < restartWindow {
 			keep = append(keep, t)
 		}
 	}
 	ss.recent = append(keep, now)
-	if len(ss.recent) > sc.MaxRestarts {
+	if len(ss.recent) > maxRestarts {
 		e.tripShard(shard)
-		return false
+		return
 	}
 
 	// Fresh state. A panic during reset means the handler cannot recover
@@ -237,12 +224,9 @@ func (e *Engine) restartShard(shard int) (replaced bool) {
 		}
 	}()
 	e.shards[shard].verified.flush()
-	if r, ok := e.Handler(shard).(Resetter); ok {
+	if r, ok := e.handlers[shard].(Resetter); ok {
 		r.ResetShard()
-		return false
 	}
-	e.setHandler(shard, e.cfg.NewHandler(shard))
-	return true
 }
 
 func (e *Engine) tripShard(shard int) {

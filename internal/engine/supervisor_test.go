@@ -80,10 +80,9 @@ func TestSupervisorPanicIsolatesShard(t *testing.T) {
 	if e.ShardTripped(e.ShardOf(victim.Addr())) {
 		t.Fatal("one panic tripped the shard")
 	}
-	// Plain handlers don't implement Resetter, so the restart replaced the
-	// victim shard's handler: 4 initial constructions + 1 replacement.
-	if got := newCalls.Load(); got != 5 {
-		t.Fatalf("NewHandler called %d times, want 5", got)
+	// A restart keeps the shard's handler: one construction per shard.
+	if got := newCalls.Load(); got != 4 {
+		t.Fatalf("NewHandler called %d times, want 4", got)
 	}
 
 	q := e.Quarantined()
@@ -145,8 +144,8 @@ func TestUnsupervisedPanicCrashes(t *testing.T) {
 	}
 }
 
-// resettableHandler implements Resetter: supervised restarts must call
-// ResetShard instead of constructing a replacement handler.
+// resettableHandler implements Resetter: a supervised restart calls
+// ResetShard on the handler the shard already has.
 type resettableHandler struct {
 	recHandler
 	resets *atomic.Uint64
@@ -154,7 +153,7 @@ type resettableHandler struct {
 
 func (h *resettableHandler) ResetShard() { h.resets.Add(1) }
 
-func TestSupervisorPrefersResetterOverReplacement(t *testing.T) {
+func TestSupervisorRestartResetsInPlace(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	var newCalls, resets atomic.Uint64
 	io := newFakeIO(16)
@@ -172,7 +171,6 @@ func TestSupervisorPrefersResetterOverReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := e.Handler(0)
 	e.Start()
 	defer e.Close()
 
@@ -184,10 +182,7 @@ func TestSupervisorPrefersResetterOverReplacement(t *testing.T) {
 		t.Fatalf("ResetShard called %d times, want 1", got)
 	}
 	if newCalls.Load() != 1 {
-		t.Fatal("restart replaced a Resetter handler")
-	}
-	if e.Handler(0) != orig {
-		t.Fatal("handler identity changed across a Resetter restart")
+		t.Fatal("restart constructed a handler")
 	}
 	if e.shards[0].verified.size() != 0 {
 		t.Fatal("restart did not flush the shard's verified-source cache")
@@ -215,11 +210,9 @@ func TestSupervisorTripPolicies(t *testing.T) {
 				NewHandler: rg.newHandler,
 				Observer:   panicOnPoison,
 				Supervisor: SupervisorConfig{
-					Enabled:       true,
-					MaxRestarts:   2,
-					RestartWindow: time.Hour,
-					Trip:          tc.trip,
-					OnPass:        func(shard int, pkt Packet) { passed.Add(1) },
+					Enabled: true,
+					Trip:    tc.trip,
+					OnPass:  func(shard int, pkt Packet) { passed.Add(1) },
 				},
 			})
 			if err != nil {
@@ -228,7 +221,7 @@ func TestSupervisorTripPolicies(t *testing.T) {
 			e.Start()
 			defer e.Close()
 
-			for i := 0; i < 3; i++ {
+			for i := 0; i <= maxRestarts; i++ {
 				io.ch <- Packet{Src: srcAP(1), Payload: poison}
 			}
 			waitSup(t, e, func(s SupervisionStats) bool { return s.ShardsTripped == 1 })
@@ -315,17 +308,18 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	env := &freezableEnv{Env: realnet.New()}
 	e, err := New(Config{
-		Env:             env,
-		IOs:             []PacketIO{newFakeIO(1)},
-		Shards:          2,
-		FastPathTTL:     50 * time.Microsecond, // expire constantly mid-race
-		FastPathSources: 8,                     // force capacity eviction too
-		NewHandler:      rg.newHandler,
+		Env:         env,
+		IOs:         []PacketIO{newFakeIO(1)},
+		Shards:      2,
+		FastPathTTL: 50 * time.Microsecond, // expire constantly mid-race
+		NewHandler:  rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make([]netip.Addr, 16)
+	// Three times what both shards hold: the shards fill and take over
+	// their oldest entries mid-race too.
+	addrs := make([]netip.Addr, 3*2*fastPathSources)
 	for i := range addrs {
 		addrs[i] = srcAP(i).Addr()
 	}
@@ -334,7 +328,7 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 3000; i++ {
+			for i := 0; i < len(addrs); i++ {
 				a := addrs[(g+i)%len(addrs)]
 				switch i % 3 {
 				case 0:

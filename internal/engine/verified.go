@@ -17,7 +17,7 @@ import (
 // compares that against what the packet presents: an MD5 computation becomes
 // a byte compare, and the cookie stays bound to the requester's address
 // (§III-D). It is the paper's per-source cookie table, bounded: entries
-// expire, a shard holds at most FastPathSources of them, oldest insert
+// expire, a shard holds at most fastPathSources of them, oldest insert
 // evicted first, and only a completed verification inserts.
 //
 // A shard's slice lives on that shard's private shardState, counters

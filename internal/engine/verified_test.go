@@ -18,16 +18,15 @@ type manualEnv struct {
 
 func (m *manualEnv) Now() time.Duration { return m.now }
 
-func newCacheEngine(t *testing.T, sources int) (*Engine, *manualEnv) {
+func newCacheEngine(t *testing.T) (*Engine, *manualEnv) {
 	t.Helper()
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	env := &manualEnv{Env: realnet.New()}
 	e, err := New(Config{
-		Env:             env,
-		IOs:             []PacketIO{newFakeIO(1)},
-		FastPathTTL:     time.Minute,
-		FastPathSources: sources,
-		NewHandler:      rg.newHandler,
+		Env:         env,
+		IOs:         []PacketIO{newFakeIO(1)},
+		FastPathTTL: time.Minute,
+		NewHandler:  rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +39,12 @@ func newCacheEngine(t *testing.T, sources int) (*Engine, *manualEnv) {
 // slice it kept the slot of its first insert, so the next overflow evicted it
 // live through that stale slot while the dead entries ahead of it stayed.
 func TestVerifiedReinsertKeepsPlace(t *testing.T) {
-	e, env := newCacheEngine(t, 3)
-	a, b, c, d := srcAP(1).Addr(), srcAP(2).Addr(), srcAP(3).Addr(), srcAP(4).Addr()
-	for _, src := range []netip.Addr{a, b, c} {
-		e.MarkVerifiedOn(0, src, "cred")
+	e, env := newCacheEngine(t)
+	a, b, d := srcAP(1).Addr(), srcAP(2).Addr(), srcAP(3).Addr()
+	e.MarkVerifiedOn(0, a, "cred")
+	e.MarkVerifiedOn(0, b, "cred")
+	for i := 0; i < fastPathSources-2; i++ {
+		e.MarkVerifiedOn(0, srcAP(100+i).Addr(), "cred")
 	}
 	env.now = time.Minute + time.Second
 	if e.VerifiedCredMatchOn(0, a, []byte("cred")) {
@@ -60,8 +61,8 @@ func TestVerifiedReinsertKeepsPlace(t *testing.T) {
 	if e.shards[0].verified.has(b, 0) {
 		t.Error("the oldest entry survived a full cache")
 	}
-	if fp := e.FastPath(); fp.Evictions != 0 || fp.Inserts != 5 {
-		t.Errorf("evictions %d inserts %d, want 0 (the entry taken had expired) and 5", fp.Evictions, fp.Inserts)
+	if fp := e.FastPath(); fp.Evictions != 0 || fp.Inserts != fastPathSources+2 {
+		t.Errorf("evictions %d inserts %d, want 0 (the entry taken had expired) and %d", fp.Evictions, fp.Inserts, fastPathSources+2)
 	}
 }
 
@@ -72,7 +73,7 @@ func TestVerifiedReinsertKeepsPlace(t *testing.T) {
 // it, because the map never exceeded its capacity.
 func TestVerifiedSteadyPopulationAllocs(t *testing.T) {
 	const sources = 256
-	e, env := newCacheEngine(t, sources)
+	e, env := newCacheEngine(t)
 	cred := []byte("ns:pr00000000")
 	round := func() {
 		env.now += time.Minute + time.Second
@@ -106,8 +107,8 @@ func TestVerifiedSteadyPopulationAllocs(t *testing.T) {
 // over the oldest entry and allocates nothing — credential included, which
 // is stored inline — and neither does any probe.
 func TestVerifiedColdMarkAllocs(t *testing.T) {
-	const sources = 256
-	e, _ := newCacheEngine(t, sources)
+	const sources = fastPathSources
+	e, _ := newCacheEngine(t)
 	next := 0
 	cold := func() netip.Addr { next++; return srcAP(next).Addr() }
 	longest := "ns:" + strings.Repeat("x", 63)
@@ -115,7 +116,7 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 		e.MarkVerifiedOn(0, cold(), longest)
 	}
 	wire, other, scratch := []byte(longest), []byte("ns:other"), []byte(longest)
-	if n := testing.AllocsPerRun(10*sources, func() {
+	if n := testing.AllocsPerRun(2560, func() {
 		src := cold()
 		if next%2 == 0 {
 			e.MarkVerifiedOn(0, src, longest)

@@ -25,27 +25,14 @@ type CampaignRow struct {
 	Pass     bool
 }
 
-// CampaignsOptions tunes the pack runs; the zero value reproduces the
-// checked-in goldens (seed 7, 2 shards, pack-default rates).
-type CampaignsOptions struct {
-	Seed   int64
-	Shards int
-}
-
-// Campaigns runs every shipped pack in the lab world and returns one
-// acceptance row per pack. A row passes when the selector's high-water rung
-// equals the pack's documented terminal rung.
-func Campaigns(opts CampaignsOptions) ([]CampaignRow, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 7
-	}
+// Campaigns runs every shipped pack in the lab world at the seed of the
+// checked-in goldens and returns one acceptance row per pack. A row passes
+// when the selector's high-water rung equals the pack's documented terminal
+// rung.
+func Campaigns() ([]CampaignRow, error) {
 	var rows []CampaignRow
 	for _, pack := range workload.Packs() {
-		res, err := workload.RunCampaignLab(workload.CampaignLabConfig{
-			Pack:   pack,
-			Seed:   opts.Seed,
-			Shards: opts.Shards,
-		})
+		res, err := workload.RunCampaignLab(workload.CampaignLabConfig{Pack: pack, Seed: 7})
 		if err != nil {
 			return nil, fmt.Errorf("pack %s: %w", pack.Name, err)
 		}

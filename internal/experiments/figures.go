@@ -342,19 +342,18 @@ type Figure7bPoint struct {
 // Figure7bOptions tunes the sweep.
 type Figure7bOptions struct {
 	AttackRates []float64
-	Concurrency int
 	Warmup      time.Duration
 	Window      time.Duration
 }
+
+// figure7bConcurrency is the TCP requests in flight under Figure 7(b)'s flood.
+const figure7bConcurrency = 50
 
 func (o *Figure7bOptions) fill() {
 	if len(o.AttackRates) == 0 {
 		for r := 0.0; r <= 250000; r += 25000 {
 			o.AttackRates = append(o.AttackRates, r)
 		}
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 50
 	}
 	if o.Warmup <= 0 {
 		o.Warmup = 300 * time.Millisecond
@@ -371,7 +370,7 @@ func Figure7b(opts Figure7bOptions) ([]Figure7bPoint, error) {
 	opts.fill()
 	points := make([]Figure7bPoint, 0, len(opts.AttackRates))
 	for _, rate := range opts.AttackRates {
-		tput, err := figure7Cell(opts.Concurrency, rate, opts.Warmup, opts.Window)
+		tput, err := figure7Cell(figure7bConcurrency, rate, opts.Warmup, opts.Window)
 		if err != nil {
 			return nil, fmt.Errorf("figure 7b rate=%v: %w", rate, err)
 		}

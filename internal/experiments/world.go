@@ -43,10 +43,11 @@ ns1 3600 IN A 192.0.2.1
 www 300 IN A 198.51.100.10
 `
 
+// worldSeed drives all simulation randomness and the guard's cookie key.
+const worldSeed = 2006
+
 // WorldConfig describes one simulated testbed.
 type WorldConfig struct {
-	// Seed drives all simulation randomness.
-	Seed int64
 	// OneWayWAN is the client↔guard one-way latency. The paper's testbed
 	// LAN RTT is 0.4 ms (one-way 200 µs); the latency experiment uses a
 	// WAN RTT of 10.9 ms.
@@ -113,16 +114,13 @@ type World struct {
 
 // NewWorld assembles the testbed described by cfg.
 func NewWorld(cfg WorldConfig) (*World, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 2006
-	}
 	if cfg.OneWayWAN <= 0 {
 		cfg.OneWayWAN = 200 * time.Microsecond // paper LAN RTT 0.4 ms
 	}
 	if cfg.Scheme == 0 {
 		cfg.Scheme = guard.SchemeDNS
 	}
-	sched := vclock.New(cfg.Seed)
+	sched := vclock.New(worldSeed)
 	network := netsim.New(sched, cfg.OneWayWAN)
 	w := &World{
 		Sched:  sched,
@@ -208,7 +206,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	var key [cookie.KeySize]byte
-	key[0] = byte(cfg.Seed)
+	key[0] = byte(worldSeed & 0xFF)
 	auth, err := cookie.Open(cookie.Options{Key: &key})
 	if err != nil {
 		return nil, err

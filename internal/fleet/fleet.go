@@ -20,10 +20,9 @@ import (
 type Config struct {
 	// Net is the simulated network the fleet is built in. Required.
 	Net *netsim.Network
-	// Sites is the number of guard instances. Required (>= 1).
+	// Sites is the number of guard instances, of equal catchment capacity.
+	// Required (>= 1).
 	Sites int
-	// Weights are the sites' relative catchment capacities; nil means all 1.
-	Weights []float64
 	// Seed keys the catchment hash and the per-guard shard hash.
 	Seed uint64
 	// PublicAddr is the anycast service address every site answers for.
@@ -50,9 +49,6 @@ type Config struct {
 	// Gossip switches keyring distribution from controller push to
 	// peer-to-peer anti-entropy between the sites (see gossip.go).
 	Gossip GossipConfig
-	// Guard, when non-nil, adjusts each site's config before the guard is
-	// created (rate limiters, mitigation, costs...).
-	Guard func(site int, cfg *guard.RemoteConfig)
 }
 
 // Site is one guard instance plus its host and private metrics registry.
@@ -128,14 +124,9 @@ func New(cfg Config) (*Fleet, error) {
 	if !cfg.PublicAddr.IsValid() || !cfg.Subnet.IsValid() || !cfg.ANSAddr.IsValid() {
 		return nil, errors.New("fleet: PublicAddr, Subnet, ANSAddr are required")
 	}
-	if cfg.Weights == nil {
-		cfg.Weights = make([]float64, cfg.Sites)
-		for i := range cfg.Weights {
-			cfg.Weights[i] = 1
-		}
-	}
-	if len(cfg.Weights) != cfg.Sites {
-		return nil, errors.New("fleet: len(Weights) must equal Sites")
+	weights := make([]float64, cfg.Sites)
+	for i := range weights {
+		weights[i] = 1
 	}
 	if cfg.Zone == "" {
 		cfg.Zone = dnswire.MustName("foo.com")
@@ -152,15 +143,13 @@ func New(cfg Config) (*Fleet, error) {
 
 	f := &Fleet{
 		cfg:         cfg,
-		catch:       NewCatchment(splitmix(cfg.Seed^0xFEE7C47C), cfg.Weights...),
+		catch:       NewCatchment(splitmix(cfg.Seed^0xFEE7C47C), weights...),
 		controller:  controller,
 		down:        make([]bool, cfg.Sites),
 		lastSite:    make(map[netip.Addr]int),
 		seededAt:    make(map[uint64]time.Duration),
 		convergedAt: make(map[uint64]time.Duration),
 	}
-	f.cfg.Gossip.normalize()
-
 	f.front = cfg.Net.AddHost("front", cfg.PublicAddr.Addr())
 	f.front.ClaimPrefix(cfg.Subnet)
 	f.front.SetQueueCap(1 << 16)
@@ -213,14 +202,14 @@ func (f *Fleet) statePath(i int) string {
 
 // newGuard constructs site i's guard instance on its existing host — used at
 // fleet build time and again by rolling upgrades, so a replacement instance
-// is configured exactly like the original (including the Config.Guard hook).
+// is configured exactly like the original.
 func (f *Fleet) newGuard(i int, auth *cookie.Authenticator) (*guard.Remote, error) {
 	host := f.sites[i].Host
 	siteTap, err := host.OpenTap()
 	if err != nil {
 		return nil, err
 	}
-	gcfg := guard.RemoteConfig{
+	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:           host,
 		IOs:           []guard.PacketIO{siteTap},
 		Shards:        1, // inline per site: the fleet's parallelism is across sites
@@ -232,11 +221,7 @@ func (f *Fleet) newGuard(i int, auth *cookie.Authenticator) (*guard.Remote, erro
 		Subnet:        f.cfg.Subnet,
 		Fallback:      guard.SchemeDNS,
 		FastPathTTL:   f.cfg.FastPathTTL,
-	}
-	if f.cfg.Guard != nil {
-		f.cfg.Guard(i, &gcfg)
-	}
-	g, err := guard.NewRemote(gcfg)
+	})
 	if err != nil {
 		return nil, err
 	}

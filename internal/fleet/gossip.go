@@ -11,7 +11,7 @@ package fleet
 // N-1 peers, and any connected component agrees on the maximum epoch after
 // at most N-1 intervals plus one pull round-trip.
 //
-// The wire protocol (UDP on each site's own address, default port 7946):
+// The wire protocol (UDP on each site's own address, port 7946):
 //
 //	digest  0x01 | epoch:8          periodic advertisement
 //	pull    0x02                    "you are ahead of me; send your ring"
@@ -43,21 +43,15 @@ import (
 type GossipConfig struct {
 	// Enabled switches keyring distribution from controller push to gossip.
 	Enabled bool
-	// Interval is the digest period (default 100ms).
-	Interval time.Duration
-	// Port is the UDP port each site's gossip endpoint binds (default 7946,
-	// memberlist's).
-	Port uint16
 }
 
-func (c *GossipConfig) normalize() {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.Port == 0 {
-		c.Port = 7946
-	}
-}
+const (
+	// gossipInterval is the digest period.
+	gossipInterval = 100 * time.Millisecond
+	// gossipPort is the UDP port each site's gossip endpoint binds
+	// (memberlist's).
+	gossipPort = 7946
+)
 
 // GossipStats counts anti-entropy activity fleet-wide.
 type GossipStats struct {
@@ -129,7 +123,7 @@ func (f *Fleet) startGossip() error {
 
 // gossipAddr is site i's gossip endpoint.
 func (f *Fleet) gossipAddr(i int) netip.AddrPort {
-	return netip.AddrPortFrom(siteAddr(i), f.cfg.Gossip.Port)
+	return netip.AddrPortFrom(siteAddr(i), gossipPort)
 }
 
 // gossipSendLoop advertises site i's keyring epoch every interval to a
@@ -140,7 +134,7 @@ func (f *Fleet) gossipSendLoop(i int) {
 	h := f.sites[i].Host
 	n := len(f.sites)
 	for round := 0; ; round++ {
-		h.Sleep(f.cfg.Gossip.Interval)
+		h.Sleep(gossipInterval)
 		if f.stopped {
 			return
 		}
@@ -302,8 +296,7 @@ func (f *Fleet) GossipConvergence() (epoch uint64, rounds int, ok bool) {
 			continue
 		}
 		epoch = e
-		iv := f.cfg.Gossip.Interval
-		rounds = int((done - at + iv - 1) / iv)
+		rounds = int((done - at + gossipInterval - 1) / gossipInterval)
 		ok = true
 	}
 	return epoch, rounds, ok

@@ -25,10 +25,11 @@ type LabConfig struct {
 	Sources int
 	// Rate overrides the pack's population rate (0: pack default).
 	Rate float64
-	// Tail extends the simulation past Pack.End so in-flight replies drain
-	// before the final accounting. 0 means 1s.
-	Tail time.Duration
 }
+
+// labTail extends the simulation past Pack.End so in-flight replies drain
+// before the final accounting.
+const labTail = time.Second
 
 // LabResult is everything a test or experiment asserts on after a fleet run.
 type LabResult struct {
@@ -105,9 +106,6 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 	}
 	if cfg.Rate > 0 {
 		pack.Rate = cfg.Rate
-	}
-	if cfg.Tail <= 0 {
-		cfg.Tail = time.Second
 	}
 	sched := vclock.New(cfg.Seed)
 	net := netsim.New(sched, 200*time.Microsecond)
@@ -207,7 +205,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 		})
 	}
 
-	horizon := pack.End + cfg.Tail
+	horizon := pack.End + labTail
 	sched.Run(horizon)
 
 	if err := flt.Err(); err != nil {

@@ -638,6 +638,18 @@ func TestRemoteFootprint(t *testing.T) {
 	runtime.KeepAlive(g)
 }
 
+// heapAllocated reports the bytes the process has ever allocated on the heap.
+// A small object counts only once the span it came from leaves its P's cache,
+// so the count lags: the collection first flushes every cache. Without it a
+// collection finishing inside a measurement would charge the measurement with
+// whatever the set-up before it allocated.
+func heapAllocated() uint64 {
+	runtime.GC()
+	s := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	runtimemetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // TestLegitTrafficHeapFlat: legitimate traffic makes no garbage. 20 000
 // newcomer sessions — grant, cookie query built from the grant as a resolver
 // would, referral with glue, message 6 — then 200 000 verified cycles from
@@ -687,17 +699,14 @@ func TestLegitTrafficHeapFlat(t *testing.T) {
 		cycle(i)
 	}
 	session(0) // sizes the entry pool and the reply queue
-	allocated := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtimemetrics.Read(allocated)
-	before := allocated[0].Value.Uint64()
+	before := heapAllocated()
 	for i := 1; i <= sessions; i++ {
 		session(i)
 	}
 	for i := 0; i < cycles; i++ {
 		cycle(sessions - i%repeaters)
 	}
-	runtimemetrics.Read(allocated)
-	grown := allocated[0].Value.Uint64() - before
+	grown := heapAllocated() - before
 	packets := uint64(3*sessions + 2*cycles)
 	st := h.g.Stats.Load()
 	if n := uint64(sessions + 1); st.NewcomerGrants != n || st.CookieValid != n+uint64(cycles) ||
@@ -730,14 +739,11 @@ func TestRelayTrafficHeapFlat(t *testing.T) {
 		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
 	}
 	cycle(0) // sizes the entry pool
-	allocated := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtimemetrics.Read(allocated)
-	before := allocated[0].Value.Uint64()
+	before := heapAllocated()
 	for i := 1; i <= cycles; i++ {
 		cycle(i)
 	}
-	runtimemetrics.Read(allocated)
-	grown := allocated[0].Value.Uint64() - before
+	grown := heapAllocated() - before
 	packets := uint64(2 * cycles)
 	if st, n := h.g.Stats.Load(), uint64(cycles+1); st.Passthrough != n || st.ForwardedToANS != n || st.RepliesToClient != n ||
 		h.io.n != len(resp) || st.Malformed+st.UpstreamStrays+st.UpstreamSpoofed != 0 {
@@ -795,9 +801,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 	}
 	h.handle(Packet{Src: legit(0), Dst: h.g.cfg.PublicAddr, Payload: plain}) // sizes the reply queue
 	warm := h.g.Stats.Load()
-	allocated := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtimemetrics.Read(allocated)
-	before := allocated[0].Value.Uint64()
+	before := heapAllocated()
 	for i := 0; i < attack; i++ {
 		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 4444)
 		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: thirds[i%3]})
@@ -805,8 +809,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 			cycle(i / 10)
 		}
 	}
-	runtimemetrics.Read(allocated)
-	grown := allocated[0].Value.Uint64() - before
+	grown := heapAllocated() - before
 	packets := uint64(attack + 2*(attack/10))
 	st, third := h.g.Stats.Load(), uint64(attack/3)
 	if st.CookieInvalid != 2*third || st.NewcomerGrants-warm.NewcomerGrants != third ||

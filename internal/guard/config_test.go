@@ -87,6 +87,17 @@ func TestRemoteConfigPartialLimiters(t *testing.T) {
 	}
 }
 
+// A negative activation threshold is refused. It used to turn detection off
+// silently: the estimator never ran, and Active held only at exactly 0, so
+// the guard relayed every packet unfiltered.
+func TestRemoteConfigRefusesNegativeThreshold(t *testing.T) {
+	cfg := minimalRemoteConfig(realnet.New(), newChanIO())
+	cfg.ActivationThreshold = -1
+	if _, err := NewRemote(cfg); err == nil {
+		t.Fatal("NewRemote accepted ActivationThreshold -1")
+	}
+}
+
 // bindFailEnv fails the failAt-th ListenUDP (counting from 0) and counts the
 // upstream sockets it handed out that are still open.
 type bindFailEnv struct {

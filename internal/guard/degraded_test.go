@@ -292,7 +292,6 @@ func newDegradedModified(t *testing.T, seed int64) *degradedFixture {
 		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
 			return lgHost.InjectTo(f.lrs, src, dst, payload)
 		},
-		ExchangeTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

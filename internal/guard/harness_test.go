@@ -340,6 +340,11 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Errorf("the relayed referral is %d bytes, want %d: %+v", hp.io.n, relayed, st)
 	}
 
+	if raceEnabled {
+		// SocketIO's write scratch is pooled, and the pool drops some of it.
+		t.Log("the SocketIO rows are counted without -race only")
+		return
+	}
 	env := realnet.New()
 	lo := netip.MustParseAddrPort("127.0.0.1:0")
 	guardSock, err := env.ListenUDP(lo)

@@ -12,9 +12,9 @@ package guard
 // (the configured ANSAddr first, then ANSFallbacks):
 //
 //   - closed:    traffic flows; consecutive timeouts are counted.
-//   - open:      TimeoutThreshold consecutive timeouts trip the breaker;
-//                traffic shifts to the next closed upstream in order.
-//   - half-open: after Cooldown an open upstream receives one synthetic SOA
+//   - open:      3 consecutive timeouts trip the breaker; traffic shifts to
+//                the next closed upstream in order.
+//   - half-open: 2 s after it opened an upstream receives one synthetic SOA
 //                probe (a query the guard mints itself, consumed internally —
 //                no client ever sees it). Success closes the breaker, so the
 //                primary is restored as soon as it answers; a probe timeout
@@ -26,9 +26,10 @@ package guard
 // per shard, matching the engine's no-cross-shard-locks discipline; shards
 // discover an outage independently within one threshold of timeouts each.
 //
-// Everything here is strictly opt-in: with HealthConfig.Enabled false no
-// sweeper proc is spawned and forward short-circuits to the single
-// configured ANSAddr, preserving the deterministic single-shard replay.
+// All of it runs only where there is somewhere to fail over to: without
+// RemoteConfig.ANSFallbacks no sweeper proc is spawned and forward
+// short-circuits to the single configured ANSAddr, preserving the
+// deterministic single-shard replay.
 
 import (
 	"net/netip"
@@ -39,38 +40,31 @@ import (
 	"dnsguard/internal/dnswire"
 )
 
-// HealthConfig parameterizes upstream health tracking and failover.
+// HealthConfig parameterizes upstream health tracking and failover, which
+// run when RemoteConfig.ANSFallbacks names somewhere to fail over to.
 type HealthConfig struct {
-	// Enabled turns the breaker and the per-shard health sweeper on. It is
-	// implied by a non-empty RemoteConfig.ANSFallbacks.
-	Enabled bool
-	// TimeoutThreshold is how many consecutive upstream timeouts open the
-	// breaker. 0 means 3.
-	TimeoutThreshold int
-	// Cooldown is how long an open breaker waits before a half-open probe.
-	// 0 means 2s.
-	Cooldown time.Duration
-	// SweepInterval is the period of the pending-table reaper that turns
-	// expired entries into timeout signals. 0 means half a NAT-table entry's
-	// life, 1.5 s.
-	SweepInterval time.Duration
 	// FailOpen selects the policy when every upstream's breaker is open:
 	// true forwards to the primary anyway (fail-open), false sheds the
 	// request (fail-closed, the default).
 	FailOpen bool
+
+	// Filled by RemoteConfig.resolve; only tests set them first. enabled
+	// turns the breaker and the per-shard health sweeper on (tests run them
+	// without a fallback); threshold and cooldown replace breakerThreshold
+	// and breakerCooldown.
+	enabled   bool
+	threshold int
+	cooldown  time.Duration
 }
 
-func (hc *HealthConfig) fillDefaults(pendingTimeout time.Duration) {
-	if hc.TimeoutThreshold <= 0 {
-		hc.TimeoutThreshold = 3
-	}
-	if hc.Cooldown <= 0 {
-		hc.Cooldown = 2 * time.Second
-	}
-	if hc.SweepInterval <= 0 {
-		hc.SweepInterval = pendingTimeout / 2
-	}
-}
+const (
+	// breakerThreshold is how many consecutive upstream timeouts open a
+	// breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker waits before its half-open
+	// probe.
+	breakerCooldown = 2 * time.Second
+)
 
 // breakerState is one upstream's circuit-breaker state.
 type breakerState int
@@ -138,7 +132,7 @@ func (h *shardHealth) noteTimeout(addr netip.AddrPort, now time.Duration) {
 	switch u.state {
 	case breakerClosed:
 		u.consec++
-		if u.consec >= h.g.cfg.Health.TimeoutThreshold {
+		if u.consec >= h.g.cfg.Health.threshold {
 			u.state = breakerOpen
 			u.openedAt = now
 			atomic.AddUint64(&h.g.Stats.BreakerOpens, 1)
@@ -176,7 +170,7 @@ func (h *shardHealth) dueProbes(now time.Duration) []netip.AddrPort {
 	var due []netip.AddrPort
 	for i := range h.ups {
 		u := &h.ups[i]
-		if u.state == breakerOpen && now-u.openedAt >= h.g.cfg.Health.Cooldown {
+		if u.state == breakerOpen && now-u.openedAt >= h.g.cfg.Health.cooldown {
 			u.state = breakerHalfOpen
 			due = append(due, u.addr)
 		}
@@ -224,12 +218,13 @@ func (g *Remote) isUpstreamAddr(src netip.AddrPort) bool {
 }
 
 // healthLoop is one shard's sweeper proc ("guard-health[-i]", spawned only
-// when health is enabled): it reaps expired pending entries into timeout
-// signals and launches half-open probes for cooled-down breakers.
+// when health is enabled): every half a NAT-table entry's life it reaps
+// expired pending entries into timeout signals and launches half-open probes
+// for cooled-down breakers.
 func (s *remoteShard) healthLoop() {
 	g := s.g
 	for !g.closed.Load() {
-		g.cfg.Env.Sleep(g.cfg.Health.SweepInterval)
+		g.cfg.Env.Sleep(g.cfg.pendingTimeout / 2)
 		if g.closed.Load() {
 			return
 		}

@@ -31,9 +31,6 @@ type LocalConfig struct {
 	// Deliver hands an inbound packet on to the real LRS (the guard
 	// intercepts its address).
 	Deliver func(src, dst netip.AddrPort, payload []byte) error
-	// ExchangeTimeout bounds the cookie exchange (message 2/3) before
-	// held queries are released unstamped. 0 means 500ms.
-	ExchangeTimeout time.Duration
 }
 
 const (
@@ -48,12 +45,14 @@ const (
 	notCapableTTL = 60 * time.Second
 	// maxHeld bounds queries buffered per destination during an exchange.
 	maxHeld = 64
+	// exchangeTimeout bounds the cookie exchange (message 2/3) before held
+	// queries are released unstamped.
+	exchangeTimeout = 500 * time.Millisecond
 )
 
-// resolve is the one pass over a config: it reports the first missing
-// required field, then fills the defaulted one. NewLocal runs it on its own
-// copy and nothing else does.
-func (c *LocalConfig) resolve() error {
+// validate reports the first missing required field. NewLocal runs it and
+// nothing else does.
+func (c *LocalConfig) validate() error {
 	switch {
 	case c.Env == nil || c.IO == nil:
 		return errors.New("guard: LocalConfig.Env and IO are required")
@@ -61,9 +60,6 @@ func (c *LocalConfig) resolve() error {
 		return errors.New("guard: LocalConfig.ClientAddr is required")
 	case c.Deliver == nil:
 		return errors.New("guard: LocalConfig.Deliver is required")
-	}
-	if c.ExchangeTimeout <= 0 {
-		c.ExchangeTimeout = 500 * time.Millisecond
 	}
 	return nil
 }
@@ -135,7 +131,7 @@ func (l *Local) MetricsInto(r *metrics.Registry) { l.Stats.MetricsInto(r) }
 
 // NewLocal validates cfg and creates the guard.
 func NewLocal(cfg LocalConfig) (*Local, error) {
-	if err := cfg.resolve(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Local{
@@ -267,7 +263,7 @@ func (l *Local) sendCookieRequest(dst netip.AddrPort, template *dnswire.Message,
 	src := netip.AddrPortFrom(l.cfg.ClientAddr, exchangePort)
 	_ = l.cfg.IO.WriteFromTo(src, dst, wire)
 	l.cfg.Env.Go("localguard-timeout", func() {
-		l.cfg.Env.Sleep(l.cfg.ExchangeTimeout)
+		l.cfg.Env.Sleep(exchangeTimeout)
 		l.expireExchange(dst, ex)
 	})
 }
@@ -284,7 +280,7 @@ func (l *Local) expireExchange(dst netip.AddrPort, ex *exchangeState) {
 		return // already resolved
 	}
 	delete(l.exchanges, dst)
-	grace := 4 * l.cfg.ExchangeTimeout
+	grace := 4 * exchangeTimeout
 	l.late[ex.id] = lateExchange{dst: dst, expires: l.now() + grace}
 	l.cfg.Env.Go("localguard-late-reap", func() {
 		l.cfg.Env.Sleep(grace)

@@ -9,7 +9,7 @@
 //	LayerThreshold    the configured ActivationThreshold behavior (§IV-C)
 //	LayerCookies      spoof detection forced on regardless of input rate
 //	LayerTCPFallback  cookies, and newcomers are TC-redirected to TCP
-//	LayerSourceLimit  all of the above with limiters tightened StrictFactor×
+//	LayerSourceLimit  all of the above with limiters tightened strictFactor×
 //
 // Each attack class has a documented terminal rung — the point past which
 // more mitigation costs legitimate traffic without further protecting the
@@ -21,11 +21,11 @@
 // the tightened global/per-source limiters are terminal.
 //
 // Escalation and de-escalation are both hysteretic: climb one rung after
-// EscalateAfter consecutive hot samples, descend one rung after
+// escalateAfter consecutive hot samples, descend one rung after
 // DeescalateAfter consecutive confidently-calm samples (every signal below
-// CalmFactor of its trigger) and only after MinHold at the current rung. A
+// calmFactor of its trigger) and only after MinHold at the current rung. A
 // re-escalation shortly after a descent is flap evidence: the next hold is
-// extended FlapHoldFactor×, so an attacker cannot oscillate the guard by
+// extended flapHoldFactor×, so an attacker cannot oscillate the guard by
 // pulsing its flood.
 package guard
 
@@ -139,28 +139,30 @@ type MitigationConfig struct {
 	// names per sample above which hot flood pressure classifies as water
 	// torture rather than a spoofed flood. 0 means 64.
 	DiverseNames float64
-	// CalmFactor scales every threshold for the de-escalation check: a
-	// sample is confidently calm only when all signals sit below
-	// CalmFactor×threshold. Samples in the gray zone between hold the
-	// current rung. 0 means 0.25.
-	CalmFactor float64
-	// EscalateAfter is the consecutive hot samples required to climb one
-	// rung. 0 means 2.
-	EscalateAfter int
 	// DeescalateAfter is the consecutive calm samples required to descend
 	// one rung. 0 means 5.
 	DeescalateAfter int
 	// MinHold is the minimum dwell at a rung before descending. 0 means 2s.
 	MinHold time.Duration
 	// FlapWindow: a re-escalation within this of the last descent counts as
-	// a flap and extends the next hold. 0 means 10s.
+	// a flap and extends the next hold flapHoldFactor×. 0 means 10s.
 	FlapWindow time.Duration
-	// FlapHoldFactor multiplies MinHold for the flap-extended hold. 0 means 4.
-	FlapHoldFactor int
-	// StrictFactor divides every limiter rate and burst at LayerSourceLimit.
-	// 0 means 10.
-	StrictFactor float64
 }
+
+const (
+	// calmFactor scales every threshold for the de-escalation check: a
+	// sample is confidently calm only when all signals sit below
+	// calmFactor×threshold. Samples in the gray zone between hold the
+	// current rung.
+	calmFactor = 0.25
+	// escalateAfter is the consecutive hot samples required to climb one
+	// rung.
+	escalateAfter = 2
+	// flapHoldFactor multiplies MinHold for the flap-extended hold.
+	flapHoldFactor = 4
+	// strictFactor divides every limiter rate and burst at LayerSourceLimit.
+	strictFactor = 10
+)
 
 func (c *MitigationConfig) normalize() {
 	if c.Interval <= 0 {
@@ -175,12 +177,6 @@ func (c *MitigationConfig) normalize() {
 	if c.DiverseNames <= 0 {
 		c.DiverseNames = 64
 	}
-	if c.CalmFactor <= 0 || c.CalmFactor >= 1 {
-		c.CalmFactor = 0.25
-	}
-	if c.EscalateAfter <= 0 {
-		c.EscalateAfter = 2
-	}
 	if c.DeescalateAfter <= 0 {
 		c.DeescalateAfter = 5
 	}
@@ -189,12 +185,6 @@ func (c *MitigationConfig) normalize() {
 	}
 	if c.FlapWindow <= 0 {
 		c.FlapWindow = 10 * time.Second
-	}
-	if c.FlapHoldFactor <= 0 {
-		c.FlapHoldFactor = 4
-	}
-	if c.StrictFactor <= 1 {
-		c.StrictFactor = 10
 	}
 }
 
@@ -254,7 +244,7 @@ func newMitigator(cfg MitigationConfig) *mitigator {
 }
 
 // classify maps a sample to an attack class with every threshold scaled by
-// f (1 for the hot check, CalmFactor for the confidently-calm check).
+// f (1 for the hot check, calmFactor for the confidently-calm check).
 // Priority: poisoning over water torture over spoofed flood — the rarer,
 // more specific signal wins. Raw input volume alone only classifies while
 // the guard is passthrough-blind (below LayerCookies nothing populates the
@@ -297,17 +287,17 @@ func (m *mitigator) step(now time.Duration, s mitSample) {
 	case layer < term:
 		m.calm = 0
 		m.hot++
-		if m.hot >= m.cfg.EscalateAfter {
+		if m.hot >= escalateAfter {
 			m.escalate(now)
 		}
 	case layer > term:
 		m.hot = 0
 		// Hysteresis: when the sample is merely not-hot (gray zone between
-		// CalmFactor×threshold and threshold) hold the rung without
+		// calmFactor×threshold and threshold) hold the rung without
 		// advancing either counter. A hot sample of a lower-terminal class
 		// does count toward descent — the guard is over-mitigated for what
 		// it now sees.
-		if class == ClassNone && m.classify(s, m.cfg.CalmFactor) != ClassNone {
+		if class == ClassNone && m.classify(s, calmFactor) != ClassNone {
 			return
 		}
 		m.calm++
@@ -324,7 +314,7 @@ func (m *mitigator) escalate(now time.Duration) {
 		// Flap suppression: climbing right after a descent means the
 		// attack paused just long enough to lure us down. Extend the next
 		// hold so the oscillation cannot continue at the attacker's tempo.
-		m.holdUntil = now + time.Duration(m.cfg.FlapHoldFactor)*m.cfg.MinHold
+		m.holdUntil = now + flapHoldFactor*m.cfg.MinHold
 		atomic.AddUint64(&m.stats.FlapHolds, 1)
 	}
 	l := m.layer.Add(1)
@@ -509,7 +499,7 @@ func (s *remoteShard) syncLimiters() {
 	s.strict = strict
 	rl1, rl2 := s.g.cfg.RL1, s.g.cfg.RL2
 	if strict {
-		f := s.g.cfg.Mitigation.StrictFactor
+		const f = strictFactor
 		rl1.PerSourceRate /= f
 		rl1.PerSourceBurst /= f
 		rl1.GlobalRate /= f

@@ -17,13 +17,9 @@ func mitCfg() MitigationConfig {
 		FloodRate:       1000,
 		PoisonRate:      50,
 		DiverseNames:    64,
-		CalmFactor:      0.25,
-		EscalateAfter:   2,
 		DeescalateAfter: 3,
 		MinHold:         400 * time.Millisecond,
 		FlapWindow:      2 * time.Second,
-		FlapHoldFactor:  4,
-		StrictFactor:    10,
 	}
 	return cfg
 }
@@ -297,15 +293,15 @@ func labelName(i int) string {
 func TestResetShardKeepsStrictLimits(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.Mitigation.Enabled = true
-		cfg.Mitigation.StrictFactor = 4
-		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 4, PerSourceBurst: 4, TrackedSources: 16}
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: strictFactor, PerSourceBurst: strictFactor, TrackedSources: 16}
 	})
 	h.g.mitMode.Store(mitForceActive)
 	h.g.mitStrict.Store(true)
 	src := mustAP("10.0.0.53:4444")
 	pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 1)}
 	// The harness clock stands still: of four verified requests a burst of
-	// 4/4 = 1 token forwards one, the normal burst of 4 all of them.
+	// strictFactor/strictFactor = 1 token forwards one, the normal burst of
+	// strictFactor all of them.
 	burst := func() uint64 {
 		before := h.g.Stats.Load().ForwardedToANS
 		for i := 0; i < 4; i++ {

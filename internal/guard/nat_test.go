@@ -143,7 +143,7 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1e12, PerSourceBurst: 1e12, TrackedSources: 16}
 		if health {
 			// Fail open: the breaker trips and probes, the forwards go on.
-			cfg.Health = HealthConfig{Enabled: true, TimeoutThreshold: 8, Cooldown: time.Nanosecond, FailOpen: true}
+			cfg.Health = HealthConfig{FailOpen: true, enabled: true, threshold: 8, cooldown: time.Nanosecond}
 		}
 	})
 	g, s := h.g, h.s

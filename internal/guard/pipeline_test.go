@@ -556,13 +556,13 @@ func shapeRows() []shapeRow {
 			r.upstream("referral with a trailing byte", ans(r), append(referral(r), 0xff))
 		}},
 		{"upstream/fail-closed", func(cfg *RemoteConfig) {
-			cfg.Health = HealthConfig{Enabled: true, TimeoutThreshold: 1}
+			cfg.Health = HealthConfig{enabled: true, threshold: 1}
 		}, func(r *shapeRun) {
 			verifiedForward(r, "www.foo.com")
 			r.skew.Add(int64(r.h.g.cfg.pendingTimeout))
 			r.step("sweep", func() { r.h.s.healthTick(r.h.g.now()) })
 			r.query("breaker open", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x1240))
-			r.skew.Add(int64(r.h.g.cfg.Health.Cooldown))
+			r.skew.Add(int64(breakerCooldown))
 			r.step("probe", func() { r.h.s.healthTick(r.h.g.now()) })
 			r.upstream("probe answered", ans(r), r.echo(dnswire.RCodeNoError))
 			r.query("breaker closed", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x1241))

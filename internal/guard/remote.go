@@ -44,9 +44,11 @@ func (s Scheme) String() string {
 	}
 }
 
-// CPUWorker charges simulated CPU time; netsim.(*CPU) implements it.
+// CPUWorker charges simulated CPU time at interrupt priority: the guard's
+// datapath ran in the kernel (iptables/softirq) on the paper's testbed, so it
+// preempts userspace work like the TCP proxy. netsim.(*CPU) implements it.
 type CPUWorker interface {
-	Work(d time.Duration)
+	WorkPreempt(d time.Duration)
 }
 
 // RemoteConfig parameterizes the ANS-side guard.
@@ -94,12 +96,12 @@ type RemoteConfig struct {
 	// path to it).
 	ANSAddr netip.AddrPort
 	// ANSFallbacks are ordered secondary ANS addresses (e.g. a hidden
-	// replica) tried in sequence when the primary's circuit breaker opens.
-	// A non-empty list implies Health.Enabled.
+	// replica) tried in sequence when the primary's circuit breaker opens. A
+	// non-empty list turns on the per-shard upstream circuit breaker and the
+	// pending-table sweeper feeding it; an empty one keeps the historical
+	// proc set exactly.
 	ANSFallbacks []netip.AddrPort
-	// Health configures the per-shard upstream circuit breaker and the
-	// pending-table sweeper feeding it. The zero value disables both,
-	// preserving the historical proc set exactly.
+	// Health selects the breaker's overload policy.
 	Health HealthConfig
 	// Supervision configures dataplane shard supervision (recover boundary,
 	// quarantine, restart budget, trip policy) — see engine.SupervisorConfig.
@@ -129,7 +131,8 @@ type RemoteConfig struct {
 	// take the defaults of ratelimit.DefaultLimiter2Config likewise.
 	RL2 ratelimit.Limiter2Config
 	// ActivationThreshold is the input rate (req/s) above which spoof
-	// detection engages; 0 means always on (§IV-C uses the ANS capacity).
+	// detection engages; 0 means always on (§IV-C uses the ANS capacity). A
+	// negative threshold is refused.
 	ActivationThreshold float64
 	// AnswerCacheTTL bounds the non-referral answer cache (message 5
 	// results reused for message 7). 0 means 10 s; negative disables the
@@ -183,6 +186,8 @@ func (c *RemoteConfig) resolve() error {
 		return errors.New("guard: RemoteConfig.Auth is required")
 	case !c.PublicAddr.IsValid() || !c.ANSAddr.IsValid():
 		return errors.New("guard: PublicAddr and ANSAddr are required")
+	case c.ActivationThreshold < 0:
+		return fmt.Errorf("guard: negative ActivationThreshold %v (0 means always on)", c.ActivationThreshold)
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -208,11 +213,12 @@ func (c *RemoteConfig) resolve() error {
 	if c.AnswerCacheTTL == 0 {
 		c.AnswerCacheTTL = 10 * time.Second
 	}
-	if len(c.ANSFallbacks) > 0 {
-		c.Health.Enabled = true
+	c.Health.enabled = c.Health.enabled || len(c.ANSFallbacks) > 0
+	if c.Health.threshold <= 0 {
+		c.Health.threshold = breakerThreshold
 	}
-	if c.Health.Enabled {
-		c.Health.fillDefaults(c.pendingTimeout)
+	if c.Health.cooldown <= 0 {
+		c.Health.cooldown = breakerCooldown
 	}
 	if c.Mitigation.Enabled {
 		c.Mitigation.normalize()
@@ -308,7 +314,7 @@ type Remote struct {
 	mit         *mitigator
 	mitMode     atomic.Int32 // mitAuto / mitForcePass / mitForceActive
 	mitFallback atomic.Int32 // 0 or an imposed Scheme
-	mitStrict   atomic.Bool  // limiters tightened StrictFactor×
+	mitStrict   atomic.Bool  // limiters tightened strictFactor×
 
 	// answers is the shared non-referral answer cache (locks internally).
 	answers *resolver.Cache
@@ -326,7 +332,7 @@ type remoteShard struct {
 	id       int
 	io       PacketIO // the interface the shard reads (engine.IO); its replies leave through it
 	upstream netapi.UDPConn
-	health   *shardHealth // nil unless cfg.Health.Enabled
+	health   *shardHealth // nil unless cfg.Health.enabled
 
 	// rl1 and rl2 are the worker's: it alone charges and resets them (in
 	// place: ResetShard, syncLimiters); metrics closures read only their
@@ -441,7 +447,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		QueueDepth:  cfg.queueDepth,
 		Batch:       cfg.Batch,
 		FastPathTTL: cfg.FastPathTTL,
-		Name:        "guard",
 		Observer:    cfg.observer,
 		Supervisor:  sup,
 		HashSeed:    cfg.ShardHashSeed,
@@ -457,7 +462,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}
-			if cfg.Health.Enabled {
+			if cfg.Health.enabled {
 				s.health = newShardHealth(g)
 			}
 			g.shards[i] = s
@@ -507,7 +512,7 @@ func (g *Remote) Start() error {
 		}
 		g.cfg.Env.Go(name, s.upstreamLoop)
 	}
-	if g.cfg.Health.Enabled {
+	if g.cfg.Health.enabled {
 		for _, s := range g.shards {
 			s := s
 			name := "guard-health"
@@ -615,23 +620,11 @@ func (g *Remote) Active() bool {
 	return g.cfg.ActivationThreshold == 0 || g.active.Load()
 }
 
-// preempter is optionally implemented by CPU models that distinguish
-// interrupt-priority packet work from ordinary jobs (netsim.CPU does).
-type preempter interface {
-	WorkPreempt(d time.Duration)
-}
-
 func (g *Remote) charge(d time.Duration) {
 	if g.cfg.CPU == nil || d <= 0 {
 		return
 	}
-	// The guard's datapath ran in the kernel (iptables/softirq) on the
-	// paper's testbed: it preempts userspace work like the TCP proxy.
-	if p, ok := g.cfg.CPU.(preempter); ok {
-		p.WorkPreempt(d)
-		return
-	}
-	g.cfg.CPU.Work(d)
+	g.cfg.CPU.WorkPreempt(d)
 }
 
 func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }

@@ -188,12 +188,6 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 	f := newRootFixture(t, func(c *RemoteConfig) {
 		c.Auth = auth
 		c.ANSFallbacks = []netip.AddrPort{secondary}
-		c.Health = HealthConfig{
-			Enabled:          true,
-			TimeoutThreshold: 3,
-			Cooldown:         500 * time.Millisecond,
-			SweepInterval:    100 * time.Millisecond,
-		}
 		c.pendingTimeout = 200 * time.Millisecond
 	})
 
@@ -229,8 +223,8 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 		closes, secSeen, primExtra uint64
 	)
 	f.run(t, func() {
-		// TimeoutThreshold verified queries into the black hole.
-		for i := 0; i < 3; i++ {
+		// breakerThreshold verified queries into the black hole.
+		for i := 0; i < breakerThreshold; i++ {
 			send(i)
 			f.sched.Sleep(50 * time.Millisecond)
 		}
@@ -249,10 +243,10 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 		failovers = atomic.LoadUint64(&f.guard.Stats.Failovers)
 		secSeen = atomic.LoadUint64(&secSrv.Stats.UDPQueries)
 
-		// Primary returns; after the cooldown a half-open SOA probe
+		// Primary returns; after the 2 s cooldown a half-open SOA probe
 		// closes the breaker again.
 		f.net.Heal(guardHost, primHost)
-		f.sched.Sleep(1500 * time.Millisecond)
+		f.sched.Sleep(breakerCooldown + 500*time.Millisecond)
 		restoredState = f.guard.BreakerState(0, primary)
 		probes = atomic.LoadUint64(&f.guard.Stats.ProbesSent)
 		closes = atomic.LoadUint64(&f.guard.Stats.BreakerCloses)

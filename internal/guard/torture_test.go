@@ -248,15 +248,10 @@ func TestSurvivabilityTorture(t *testing.T) {
 				panic("torture: injected handler fault")
 			}
 		},
-		PublicAddr:   mustAP("192.0.2.1:53"),
-		ANSAddr:      mustAP("10.99.0.2:53"),
-		ANSFallbacks: []netip.AddrPort{mustAP("10.99.0.3:53")},
-		Health: HealthConfig{
-			TimeoutThreshold: 3,
-			Cooldown:         200 * time.Millisecond,
-			SweepInterval:    50 * time.Millisecond,
-		},
-		Supervision:    engine.SupervisorConfig{Enabled: true, MaxRestarts: 50},
+		PublicAddr:     mustAP("192.0.2.1:53"),
+		ANSAddr:        mustAP("10.99.0.2:53"),
+		ANSFallbacks:   []netip.AddrPort{mustAP("10.99.0.3:53")},
+		Supervision:    engine.SupervisorConfig{Enabled: true},
 		pendingTimeout: 100 * time.Millisecond,
 		Zone:           dnswire.MustName("foo.com"),
 		Subnet:         netip.MustParsePrefix("192.0.2.0/24"),

@@ -52,9 +52,6 @@ type Config struct {
 	// policy) makes UDP unusable but the path still carries streams.
 	// Zero disables UDP-failure TCP retry (truncation fallback is always on).
 	TCPRetryAfter int
-	// DisableCache turns the cache off entirely (the paper's cache-miss
-	// throughput experiments disable cookie caching this way).
-	DisableCache bool
 	// Seed makes query-ID generation deterministic in simulations.
 	Seed int64
 }
@@ -218,16 +215,10 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (Result, erro
 func (r *Resolver) now() time.Duration { return r.cfg.Env.Now() }
 
 func (r *Resolver) cacheGet(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, dnswire.RCode, bool, bool) {
-	if r.cfg.DisableCache {
-		return nil, 0, false, false
-	}
 	return r.cache.Get(r.now(), name, t)
 }
 
 func (r *Resolver) cachePut(name dnswire.Name, t dnswire.Type, rrs []dnswire.RR) {
-	if r.cfg.DisableCache {
-		return
-	}
 	r.cache.Put(r.now(), name, t, rrs)
 }
 
@@ -264,16 +255,10 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, depth int) ([
 		case respAnswer:
 			return r.acceptAnswer(resp, qname, qtype, depth)
 		case respNXDomain:
-			ttl := negativeTTL(resp)
-			if !r.cfg.DisableCache {
-				r.cache.PutNegative(r.now(), qname, qtype, dnswire.RCodeNXDomain, ttl)
-			}
+			r.cache.PutNegative(r.now(), qname, qtype, dnswire.RCodeNXDomain, negativeTTL(resp))
 			return nil, dnswire.RCodeNXDomain, nil
 		case respNoData:
-			ttl := negativeTTL(resp)
-			if !r.cfg.DisableCache {
-				r.cache.PutNegative(r.now(), qname, qtype, dnswire.RCodeNoError, ttl)
-			}
+			r.cache.PutNegative(r.now(), qname, qtype, dnswire.RCodeNoError, negativeTTL(resp))
 			return nil, dnswire.RCodeNoError, nil
 		case respReferral:
 			child, nsset := referralTarget(resp)
@@ -340,14 +325,12 @@ type serverRef struct {
 // bestServers finds the deepest cached zone cut enclosing qname; falls back
 // to root hints.
 func (r *Resolver) bestServers(qname dnswire.Name) (dnswire.Name, []serverRef) {
-	if !r.cfg.DisableCache {
-		for z := qname; ; z = z.Parent() {
-			if rrs, _, neg, ok := r.cacheGet(z, dnswire.TypeNS); ok && !neg && len(rrs) > 0 {
-				return z, nsNames(rrs)
-			}
-			if z.IsRoot() {
-				break
-			}
+	for z := qname; ; z = z.Parent() {
+		if rrs, _, neg, ok := r.cacheGet(z, dnswire.TypeNS); ok && !neg && len(rrs) > 0 {
+			return z, nsNames(rrs)
+		}
+		if z.IsRoot() {
+			break
 		}
 	}
 	refs := make([]serverRef, len(r.cfg.RootHints))

@@ -232,21 +232,6 @@ func TestResolveCacheExpiry(t *testing.T) {
 	})
 }
 
-func TestResolveDisableCache(t *testing.T) {
-	f := newFixture(t, func(c *Config) { c.DisableCache = true })
-	f.run(t, func() {
-		_, _ = f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
-		res, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
-		if err != nil {
-			t.Errorf("Resolve: %v", err)
-			return
-		}
-		if res.Upstream != 3 {
-			t.Errorf("upstream = %d, want 3 with cache disabled", res.Upstream)
-		}
-	})
-}
-
 func TestResolveGluelessDelegation(t *testing.T) {
 	f := newFixture(t, nil)
 	f.run(t, func() {

@@ -1,7 +1,7 @@
 // Package workload implements the traffic endpoints of the paper's
 // evaluation (§IV): the authors' ANS simulator (fixed answer, ~110K req/s),
-// scheme-aware LRS simulators (closed-loop or paced, with the 10 ms wait /
-// 2 s BIND-style stall behaviors), and spoofing attackers.
+// scheme-aware LRS simulators (closed-loop or paced, with the 10 ms wait),
+// and spoofing attackers.
 package workload
 
 import (
@@ -40,8 +40,6 @@ type ANSSimConfig struct {
 	Addr netip.AddrPort
 	// Mode selects answer or referral responses.
 	Mode ANSSimMode
-	// AnswerAddr is the address returned in answers/glue.
-	AnswerAddr netip.Addr
 	// TTL applied to all records. The throughput experiments use 0 so
 	// LRS caches never absorb load.
 	TTL uint32
@@ -51,6 +49,9 @@ type ANSSimConfig struct {
 	// Cost is the per-request service time.
 	Cost time.Duration
 }
+
+// anssimAnswer is the address the simulator returns in answers and glue.
+var anssimAnswer = netip.MustParseAddr("203.0.113.80")
 
 // ANSSim is the paper's ANS simulator: it answers every DNS question with
 // the same fixed response as fast as its CPU allows.
@@ -69,9 +70,6 @@ func NewANSSim(cfg ANSSimConfig) (*ANSSim, error) {
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeAnswer
-	}
-	if !cfg.AnswerAddr.IsValid() {
-		cfg.AnswerAddr = netip.MustParseAddr("203.0.113.80")
 	}
 	return &ANSSim{cfg: cfg}, nil
 }
@@ -119,12 +117,12 @@ func (s *ANSSim) serve() {
 				dnswire.NewRR(qname, s.cfg.TTL, &dnswire.NSData{Host: nsName}),
 			}
 			resp.Additional = []dnswire.RR{
-				dnswire.NewRR(nsName, s.cfg.TTL, &dnswire.AData{Addr: s.cfg.AnswerAddr}),
+				dnswire.NewRR(nsName, s.cfg.TTL, &dnswire.AData{Addr: anssimAnswer}),
 			}
 		default:
 			resp.Flags.AA = true
 			resp.Answers = []dnswire.RR{
-				dnswire.NewRR(qname, s.cfg.TTL, &dnswire.AData{Addr: s.cfg.AnswerAddr}),
+				dnswire.NewRR(qname, s.cfg.TTL, &dnswire.AData{Addr: anssimAnswer}),
 			}
 		}
 		wire, err := resp.PackUDP(dnswire.MaxUDPSize)

@@ -75,15 +75,18 @@ type AttackerConfig struct {
 	// swept responses (the real ANS address for an on-path-knowledge
 	// attacker, anything else to model a blind off-path one).
 	SpoofSrc netip.AddrPort
-	// IDSweepSpan bounds the transaction-ID range AttackKaminsky cycles
-	// through. 0 means 512 — low IDs, where the guard's LIFO ID pool
-	// concentrates live entries.
-	IDSweepSpan int
-	// Tick batches packet emission (one wakeup per tick). 0 means 1ms.
-	Tick time.Duration
 	// Duration bounds the flood; 0 means until the simulation horizon.
 	Duration time.Duration
 }
+
+const (
+	// idSweepSpan bounds the transaction-ID range AttackKaminsky cycles
+	// through: low IDs, where the guard's LIFO ID pool concentrates live
+	// entries.
+	idSweepSpan = 512
+	// attackTick batches packet emission (one wakeup per tick).
+	attackTick = time.Millisecond
+)
 
 // Attacker floods a target with spoofed DNS requests at a fixed rate.
 type Attacker struct {
@@ -116,12 +119,6 @@ func NewAttacker(cfg AttackerConfig) (*Attacker, error) {
 	}
 	if cfg.SpoofPool <= 0 {
 		cfg.SpoofPool = 65536
-	}
-	if cfg.IDSweepSpan <= 0 {
-		cfg.IDSweepSpan = 512
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
 	}
 	if cfg.Kind == AttackKaminsky && (cfg.Upstream == nil || !cfg.SpoofSrc.IsValid()) {
 		return nil, errors.New("workload: AttackKaminsky requires Upstream and SpoofSrc")
@@ -211,14 +208,14 @@ func (a *Attacker) run() {
 		if a.cfg.EndRate > 0 && a.cfg.Duration > 0 {
 			rate += (a.cfg.EndRate - a.cfg.Rate) * (elapsed.Seconds() / a.cfg.Duration.Seconds())
 		}
-		carry += rate * a.cfg.Tick.Seconds()
+		carry += rate * attackTick.Seconds()
 		n := int(carry)
 		carry -= float64(n)
 		for i := 0; i < n; i++ {
 			spoofIdx = (spoofIdx + 1) % a.cfg.SpoofPool
 			a.emit(spoofIdx)
 		}
-		env.Sleep(a.cfg.Tick)
+		env.Sleep(attackTick)
 	}
 }
 
@@ -227,7 +224,7 @@ func (a *Attacker) emit(spoofIdx int) {
 	switch a.cfg.Kind {
 	case AttackKaminsky:
 		id := uint16(a.sweepID)
-		a.sweepID = (a.sweepID + 1) % a.cfg.IDSweepSpan
+		a.sweepID = (a.sweepID + 1) % idSweepSpan
 		a.payload[0], a.payload[1] = byte(id>>8), byte(id)
 		_ = a.cfg.Host.SendRaw(a.cfg.SpoofSrc, a.cfg.Upstream(), a.payload)
 	case AttackRandomSub:

@@ -16,7 +16,7 @@ func runPack(t *testing.T, name string) CampaignLabResult {
 	if !ok {
 		t.Fatalf("unknown pack %q", name)
 	}
-	res, err := RunCampaignLab(CampaignLabConfig{Pack: pack, Seed: 7, Shards: 2})
+	res, err := RunCampaignLab(CampaignLabConfig{Pack: pack, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

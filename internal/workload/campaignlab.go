@@ -26,14 +26,15 @@ type CampaignLabConfig struct {
 	Pack Pack
 	// Seed keys the virtual clock and the campaign PRNGs.
 	Seed int64
-	// Rate overrides the pack's reference intensity (0: pack default).
-	Rate float64
-	// Shards is the guard's dataplane width. 0 means 2.
-	Shards int
-	// Tail extends the simulation past the last phase so de-escalation and
-	// drain are observable. 0 means 2.5s.
-	Tail time.Duration
 }
+
+const (
+	// labShards is the guard's dataplane width.
+	labShards = 2
+	// labTail extends the simulation past the last phase so de-escalation
+	// and drain are observable.
+	labTail = 2500 * time.Millisecond
+)
 
 // CampaignLabResult is everything a test or experiment asserts on.
 type CampaignLabResult struct {
@@ -72,12 +73,6 @@ func (r CampaignLabResult) Goodput() float64 {
 // bit-identical result every time.
 func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	var res CampaignLabResult
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Tail <= 0 {
-		cfg.Tail = 2500 * time.Millisecond
-	}
 	sched := vclock.New(cfg.Seed)
 	net := netsim.New(sched, 200*time.Microsecond)
 
@@ -106,7 +101,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:           guardHost,
 		IOs:           []guard.PacketIO{tap},
-		Shards:        cfg.Shards,
+		Shards:        labShards,
 		ShardHashSeed: labHashSeed,
 		PublicAddr:    netip.MustParseAddrPort("192.0.2.1:53"),
 		ANSAddr:       netip.MustParseAddrPort("10.99.0.2:53"),
@@ -128,11 +123,9 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 			FloodRate:       600,
 			PoisonRate:      40,
 			DiverseNames:    48,
-			EscalateAfter:   2,
 			DeescalateAfter: 3,
 			MinHold:         400 * time.Millisecond,
 			FlapWindow:      2 * time.Second,
-			StrictFactor:    10,
 		},
 	})
 	if err != nil {
@@ -164,7 +157,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	}
 
 	atkHost := net.AddHost("attacker", netip.MustParseAddr("203.0.113.66"))
-	phases := cfg.Pack.Build(PackParams{Rate: cfg.Rate})
+	phases := cfg.Pack.Build(PackParams{})
 	camp, err := NewCampaign(CampaignConfig{
 		Host:     atkHost,
 		Target:   netip.MustParseAddrPort("192.0.2.1:53"),
@@ -179,7 +172,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	}
 	camp.Start()
 
-	horizon := PackEnd(phases) + cfg.Tail
+	horizon := PackEnd(phases) + labTail
 	sched.Run(horizon)
 
 	r := metrics.NewRegistry()

@@ -79,24 +79,16 @@ type ClientConfig struct {
 	// Interval, when positive, paces requests (one per interval);
 	// otherwise the client runs closed-loop as fast as responses return.
 	Interval time.Duration
-	// StallOnTimeout, when positive, pauses the client after a timeout —
-	// BIND's 2 s retransmission behavior that collapses Figure 5.
-	StallOnTimeout time.Duration
-	// CPU and CostPerRequest model client-side processing (charged every
-	// request).
-	CPU            CPUWorker
-	CostPerRequest time.Duration
-	// TCPCost is additional client-side CPU charged only when a request
-	// actually runs over TCP — the LRS's TCP path costs ~2 ms/request,
-	// capping it at 0.5K req/s in Figure 5.
+	// CPU, when non-nil, is charged TCPCost.
+	CPU CPUWorker
+	// TCPCost is client-side CPU charged only when a request actually runs
+	// over TCP — the LRS's TCP path costs ~2 ms/request, capping it at 0.5K
+	// req/s in Figure 5.
 	TCPCost time.Duration
 	// DirectTCP skips the UDP truncation redirect and dials TCP
 	// immediately (the Figure 7 methodology: "the DNS guard instructs
 	// the LRS simulator to use TCP for each DNS request").
 	DirectTCP bool
-	// Requests bounds total iterations; 0 means run until the simulation
-	// horizon.
-	Requests int
 	// Latency, when non-nil, records each successful request's latency;
 	// experiments share one histogram across a client fleet to report
 	// percentiles next to throughput.
@@ -172,22 +164,17 @@ func (c *Client) Forget() {
 	c.hasCookie = false
 }
 
+// run issues requests until the simulation horizon.
 func (c *Client) run() {
-	for i := 0; c.cfg.Requests == 0 || i < c.cfg.Requests; i++ {
+	for {
 		iterStart := c.cfg.Env.Now()
 		if c.cfg.Mode == ModeMiss {
 			c.Forget()
 		}
-		err := c.request()
-		switch {
-		case err == nil:
+		if c.request() == nil {
 			c.LastLatency = c.cfg.Env.Now() - iterStart
 			if c.cfg.Latency != nil {
 				c.cfg.Latency.Observe(c.LastLatency)
-			}
-		case errors.Is(err, netapi.ErrTimeout):
-			if c.cfg.StallOnTimeout > 0 {
-				c.cfg.Env.Sleep(c.cfg.StallOnTimeout)
 			}
 		}
 		if c.cfg.Interval > 0 {
@@ -203,9 +190,6 @@ func (c *Client) run() {
 // request performs one full scheme interaction.
 func (c *Client) request() error {
 	c.Stats.Attempts++
-	if c.cfg.CPU != nil && c.cfg.CostPerRequest > 0 {
-		c.cfg.CPU.Work(c.cfg.CostPerRequest)
-	}
 	var err error
 	switch c.cfg.Kind {
 	case KindPlain:

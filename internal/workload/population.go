@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net/netip"
 	"time"
@@ -28,42 +29,44 @@ import (
 // is precisely "what happens to already-verified clients when they land on a
 // cold site".
 //
-// The population's host claims Prefix, so guard replies to any source
+// The population's host claims popPrefix, so guard replies to any source
 // address route back to its tap, where a classifier proc counts answers,
 // referral grants, and refusals.
 
-// popPort is the source port every population flow uses. One port keeps the
-// per-source identity purely in the address, which is what the guard's
-// verified-source cache and the catchment hash key on.
-const popPort = 33000
+const (
+	// popPort is the source port every population flow uses. One port keeps
+	// the per-source identity purely in the address, which is what the
+	// guard's verified-source cache and the catchment hash key on.
+	popPort = 33000
+	// popTick batches flow emission (one wakeup per tick).
+	popTick = 5 * time.Millisecond
+)
+
+var (
+	// popPrefix is the address pool sources are drawn from.
+	popPrefix = netip.MustParsePrefix("10.128.0.0/9")
+	// popQName is the question each flow re-presents.
+	popQName = dnswire.MustName("www.foo.com")
+)
 
 // PopulationConfig parameterizes a population generator.
 type PopulationConfig struct {
 	// Host is the simulated machine aggregating the population; it claims
-	// Prefix for reply routing and owns the tap. Required.
+	// popPrefix for reply routing and owns the tap. Required.
 	Host *netsim.Host
-	// Prefix is the address pool sources are drawn from. Its host range
-	// must cover Sources. Default 10.128.0.0/9.
-	Prefix netip.Prefix
-	// Sources is the number of distinct client addresses (Zipf ranks).
-	// Required.
+	// Sources is the number of distinct client addresses (Zipf ranks), at
+	// most what popPrefix holds. Required.
 	Sources int
 	// Rate is the aggregate flow arrival rate in flows/second. Required.
 	Rate float64
 	// Target is the fleet's public (anycast) service address. Required.
 	Target netip.AddrPort
-	// QName is the question each flow re-presents. Default www.foo.com.
-	QName dnswire.Name
 	// Auth mints each source's cookie — a handle on the fleet-shared
 	// keyring, modeling clients that completed the bootstrap dance against
 	// any site earlier. Required.
 	Auth *cookie.Authenticator
 	// Seed keys the population's PRNG.
 	Seed uint64
-	// Tick batches flow emission (one wakeup per tick). Default 5ms.
-	Tick time.Duration
-	// Start delays the first flow.
-	Start time.Duration
 	// Duration bounds emission; 0 means until the simulation horizon.
 	Duration time.Duration
 }
@@ -113,28 +116,15 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 	if cfg.Sources <= 0 || cfg.Rate <= 0 {
 		return nil, errors.New("workload: PopulationConfig.Sources and Rate must be positive")
 	}
-	if !cfg.Prefix.IsValid() {
-		cfg.Prefix = netip.MustParsePrefix("10.128.0.0/9")
-	}
-	if !cfg.Prefix.Addr().Is4() {
-		return nil, errors.New("workload: PopulationConfig.Prefix must be IPv4")
-	}
-	hostBits := 32 - cfg.Prefix.Bits()
-	if hostBits >= 32 || cfg.Sources > (1<<hostBits)-2 {
-		return nil, errors.New("workload: PopulationConfig.Prefix host range cannot cover Sources")
-	}
-	if cfg.QName == "" {
-		cfg.QName = dnswire.MustName("www.foo.com")
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 5 * time.Millisecond
+	if n := 1<<(32-popPrefix.Bits()) - 2; cfg.Sources > n {
+		return nil, fmt.Errorf("workload: PopulationConfig.Sources over the %d addresses of %v", n, popPrefix)
 	}
 	p := &Population{
 		cfg:  cfg,
 		rng:  cfg.Seed,
 		tmpl: make(map[int]*popTemplate),
 	}
-	b := cfg.Prefix.Masked().Addr().As4()
+	b := popPrefix.Addr().As4()
 	p.base = uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 	// Zipf(θ=1) via the cumulative harmonic series and binary search: pure
 	// float64 additions, so the draw sequence is bit-identical everywhere
@@ -143,8 +133,8 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 	for i := 1; i <= cfg.Sources; i++ {
 		p.harm[i] = p.harm[i-1] + 1/float64(i)
 	}
-	p.expNegL = math.Exp(-cfg.Rate * cfg.Tick.Seconds())
-	cfg.Host.ClaimPrefix(cfg.Prefix)
+	p.expNegL = math.Exp(-cfg.Rate * popTick.Seconds())
+	cfg.Host.ClaimPrefix(popPrefix)
 	tap, err := cfg.Host.OpenTap()
 	if err != nil {
 		return nil, err
@@ -191,7 +181,7 @@ func (p *Population) uniform() float64 {
 }
 
 // poisson draws the number of flow arrivals in one tick (Knuth's product-of-
-// uniforms method; λ = Rate·Tick is small by construction).
+// uniforms method; λ = Rate·popTick is small by construction).
 func (p *Population) poisson() int {
 	k, prod := 0, 1.0
 	for {
@@ -221,9 +211,6 @@ func (p *Population) zipfRank() int {
 
 func (p *Population) run() {
 	env := p.cfg.Host
-	if p.cfg.Start > 0 {
-		env.Sleep(p.cfg.Start)
-	}
 	start := env.Now()
 	for !p.stopped {
 		if p.cfg.Duration > 0 && env.Now()-start >= p.cfg.Duration {
@@ -232,7 +219,7 @@ func (p *Population) run() {
 		for n := p.poisson(); n > 0; n-- {
 			p.emit(p.zipfRank())
 		}
-		env.Sleep(p.cfg.Tick)
+		env.Sleep(popTick)
 	}
 }
 
@@ -242,7 +229,7 @@ func (p *Population) emit(r int) {
 	t := p.tmpl[r]
 	if epoch := p.cfg.Auth.Epoch(); t == nil || epoch-t.epoch > 1 {
 		src := p.Addr(r)
-		fab, err := guard.FabricateNSName(cookie.NSCodec{}, p.cfg.Auth.Mint(src), p.cfg.QName)
+		fab, err := guard.FabricateNSName(cookie.NSCodec{}, p.cfg.Auth.Mint(src), popQName)
 		if err != nil {
 			return
 		}

@@ -186,10 +186,9 @@ func TestPopulationConfigValidation(t *testing.T) {
 		t.Error("nil Auth accepted")
 	}
 	bad = base
-	bad.Prefix = netip.MustParsePrefix("10.0.0.0/30")
-	bad.Sources = 100
+	bad.Sources = 1 << 23
 	if _, err := NewPopulation(bad); err == nil {
-		t.Error("undersized prefix accepted")
+		t.Error("more sources than the prefix holds accepted")
 	}
 	if _, err := NewPopulation(base); err != nil {
 		t.Errorf("valid config rejected: %v", err)

@@ -70,7 +70,7 @@ func TestANSSimAnswerMode(t *testing.T) {
 func TestANSSimReferralMode(t *testing.T) {
 	w := newWorld()
 	h := w.net.AddHost("ans", mustAddr("10.0.0.2"))
-	sim, err := NewANSSim(ANSSimConfig{Env: h, Addr: mustAP("10.0.0.2:53"), Mode: ModeReferral, AnswerAddr: mustAddr("192.88.99.1")})
+	sim, err := NewANSSim(ANSSimConfig{Env: h, Addr: mustAP("10.0.0.2:53"), Mode: ModeReferral})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +226,20 @@ func TestClientMissModeRedoesHandshake(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Env: ch, Kind: KindModified, Mode: ModeMiss,
 		Target: mustAP("192.0.2.1:53"), QName: dnswire.MustName("www.foo.com"),
-		Requests: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	w.sched.Run(time.Minute)
+	w.sched.Go("test", func() {
+		for i := 0; i < 5; i++ {
+			c.Forget() // what the run loop does in miss mode
+			if _, err := c.RunOnce(); err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+		}
+	})
+	w.sched.Run(0)
 	if c.Stats.Completed != 5 {
 		t.Fatalf("completed = %d", c.Stats.Completed)
 	}
@@ -272,29 +279,5 @@ func TestAttackerRateAndSpoofDiversity(t *testing.T) {
 	}
 	if len(received) != 1000 {
 		t.Fatalf("distinct sources = %d, want 1000", len(received))
-	}
-}
-
-func TestPacedClientStallsOnTimeout(t *testing.T) {
-	w := newWorld()
-	// No server: every request times out; with stall 100ms and wait 10ms,
-	// ~9 attempts fit in a second.
-	w.net.AddHost("dead", mustAddr("10.0.0.2"))
-	ch := w.net.AddHost("lrs", mustAddr("10.0.0.53"))
-	c, err := NewClient(ClientConfig{
-		Env: ch, Kind: KindPlain, Target: mustAP("10.0.0.2:53"),
-		Wait: 10 * time.Millisecond, Interval: time.Millisecond,
-		StallOnTimeout: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	w.sched.Run(time.Second)
-	if c.Stats.Attempts < 8 || c.Stats.Attempts > 11 {
-		t.Fatalf("attempts = %d, want ~9 (stall behavior)", c.Stats.Attempts)
-	}
-	if c.Stats.Timeouts != c.Stats.Attempts {
-		t.Fatalf("timeouts = %d of %d", c.Stats.Timeouts, c.Stats.Attempts)
 	}
 }
