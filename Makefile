@@ -6,7 +6,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc bench-check api-check state-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc loc-diff bench-check api-check state-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -34,6 +34,19 @@ loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
 		d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1; if (d !~ /^bench(\/|$$)/) r += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d root\n%7d total\n", r, t }'
+
+# `make loc` at REF beside the working tree: per directory the non-test Go
+# lines at REF, here, and the difference, then the same `root` and total
+# rows. REF is read with git ls-tree and git show: nothing is checked out.
+loc-diff:
+	@test -n "$(REF)" || { echo "usage: make loc-diff REF=<commit>"; exit 1; }
+	@{ git ls-tree -r --name-only '$(REF)' | grep '\.go$$' | grep -v '_test\.go$$' | while read -r f; do \
+		echo "1 $$(git show '$(REF)':"$$f" | wc -l) $$f"; done; \
+	  git ls-files '*.go' | grep -v '_test\.go$$' | while read -r f; do echo "2 $$(wc -l < "$$f") $$f"; done; } | awk '{ \
+		d = $$3; if (!sub("/[^/]*$$", "", d)) d = "."; n[d, $$1] += $$2; seen[d] = 1; t[$$1] += $$2; if (d !~ /^bench(\/|$$)/) r[$$1] += $$2 } \
+		END { printf "%7s %7s %7s\n", "ref", "now", "diff"; \
+			for (d in seen) printf "%7d %7d %+7d %s\n", n[d, 1], n[d, 2], n[d, 2] - n[d, 1], d | "sort -k4"; close("sort -k4"); \
+			printf "%7d %7d %+7d root\n%7d %7d %+7d total\n", r[1], r[2], r[2] - r[1], t[1], t[2], t[2] - t[1] }'
 
 # bench/ is its own module, so `go build ./...` and `go test ./...` never
 # see it: this is what notices an internal/ change breaking the benchmark.

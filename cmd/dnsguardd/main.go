@@ -64,7 +64,7 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
-	fastPathTTL := flag.Duration("fastpath-ttl", 0, "verified-source cache TTL (0 = default 1m, negative = no cache); does not select a code path")
+	fastPathTTL := flag.Duration("fastpath-ttl", time.Minute, "verified-source cache TTL (0 or negative = no cache); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
 	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never); rotations are persisted to -state-file")
@@ -178,7 +178,7 @@ func run() error {
 		PublicAddr:          conns[0].LocalAddr(),
 		Shards:              nShards,
 		Batch:               *batch,
-		FastPathTTL:         effectiveFastPathTTL(*fastPathTTL),
+		FastPathTTL:         *fastPathTTL,
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
 		Health:              dnsguard.GuardHealthConfig{FailOpen: failOpen},
@@ -323,18 +323,4 @@ func run() error {
 	}
 	daemon.Wait(hooks)
 	return nil
-}
-
-// effectiveFastPathTTL maps the -fastpath-ttl flag onto the library's
-// RemoteConfig semantics, where 0 disables the cache (the
-// deterministic-reproduction configuration). The daemon's documented
-// default is the cache ON at one minute; a negative flag turns it off.
-func effectiveFastPathTTL(flagTTL time.Duration) time.Duration {
-	switch {
-	case flagTTL < 0:
-		return 0
-	case flagTTL == 0:
-		return time.Minute
-	}
-	return flagTTL
 }

@@ -116,24 +116,19 @@ func (p *parser) name() (Name, error) {
 }
 
 // canonicalName converts decoded wire labels into a canonical Name. Name's
-// invariant is "lowercase dotted string", so a wire label containing a '.'
-// byte has no faithful representation — re-encoding it would split at the dot
-// and change the name. Such labels (legal in raw DNS, never emitted for
-// hostnames) are rejected as malformed, as are labels that blow past the
-// length limits once lowercased (lowercasing invalid UTF-8 can expand bytes).
-// Funneling through ParseName guarantees every Name the decoder hands out
-// survives a Pack/Unpack round trip unchanged.
+// invariant is a dotted string, so a wire label containing a '.' byte has no
+// faithful representation — re-encoding it would split at the dot and change
+// the name. Such labels (legal in raw DNS, never emitted for hostnames) are
+// rejected as malformed. Folding ASCII case octet for octet keeps the lengths
+// the decoder has checked, so every Name it hands out survives a Pack/Unpack
+// round trip unchanged.
 func canonicalName(labels []string) (Name, error) {
 	for _, l := range labels {
 		if strings.Contains(l, ".") {
 			return "", fmt.Errorf("%w: label contains '.'", ErrMalformed)
 		}
 	}
-	n, err := ParseName(strings.Join(labels, "."))
-	if err != nil {
-		return "", fmt.Errorf("%w: non-canonical name: %v", ErrMalformed, err)
-	}
-	return n, nil
+	return Name(lowerASCII(strings.Join(labels, "."))), nil
 }
 
 func (p *parser) question() (Question, error) {

@@ -6,9 +6,11 @@ import (
 	"strings"
 )
 
-// Name is a fully-qualified domain name in canonical form: lowercase, dotted,
-// without a trailing dot. The root name is ".". Construct Names with
-// ParseName (or MustName in tests/fixtures) so invariants hold.
+// Name is a fully-qualified domain name in canonical form: dotted, without a
+// trailing dot, its ASCII letters in lower case and every other octet as it
+// came (RFC 4343 §3: DNS folds case in ASCII only, and an octet ≥ 0x80 is not
+// a letter). The root name is ".". Construct Names with ParseName (or
+// MustName in tests/fixtures) so invariants hold.
 type Name string
 
 // Root is the DNS root name.
@@ -27,8 +29,7 @@ func ParseName(s string) (Name, error) {
 	if s == "" || s == "." {
 		return Root, nil
 	}
-	s = strings.TrimSuffix(s, ".")
-	s = strings.ToLower(s)
+	s = lowerASCII(strings.TrimSuffix(s, "."))
 	wire := 1 // terminating zero octet
 	for _, label := range strings.Split(s, ".") {
 		switch {
@@ -43,6 +44,24 @@ func ParseName(s string) (Name, error) {
 		return "", fmt.Errorf("%w: %q", ErrNameTooLong, s)
 	}
 	return Name(s), nil
+}
+
+// lowerASCII folds A–Z to a–z byte by byte and leaves every other byte as it
+// is. strings.ToLower and strings.Map would also fold non-ASCII letters and
+// turn each invalid UTF-8 byte into U+FFFD, rewriting the name.
+func lowerASCII(s string) string {
+	for i := 0; i < len(s); i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			b := []byte(s)
+			for ; i < len(b); i++ {
+				if 'A' <= b[i] && b[i] <= 'Z' {
+					b[i] += 'a' - 'A'
+				}
+			}
+			return string(b)
+		}
+	}
+	return s
 }
 
 // MustName is ParseName that panics on error; for constants and tests.

@@ -37,6 +37,22 @@ func TestParseName(t *testing.T) {
 	}
 }
 
+// Names fold case in ASCII only (RFC 4343 §3): a letter past ASCII, an
+// invalid UTF-8 byte and KELVIN SIGN are octets of the name, kept as they
+// came, while A–Z fold.
+func TestParseNameFoldsASCIIOnly(t *testing.T) {
+	for in, want := range map[string]Name{
+		"\xc3\x89ww.foo.com": "\xc3\x89ww.foo.com", // É, not é
+		"\xffww.foo.com":     "\xffww.foo.com",     // not U+FFFD
+		"\xe2\x84\xaakk.com": "\xe2\x84\xaakk.com", // KELVIN SIGN, not k
+		"WWW.Foo.COM":        "www.foo.com",
+	} {
+		if got, err := ParseName(in); err != nil || got != want {
+			t.Errorf("ParseName(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+}
+
 func TestParseNameTotalLength(t *testing.T) {
 	// 4 labels of 63 bytes = 4*64+1 = 257 wire bytes > 255.
 	long := strings.Repeat(strings.Repeat("a", 63)+".", 4)

@@ -14,14 +14,14 @@ package dnswire
 //     slice it returns may be retained past the packet's handling; anything
 //     that must outlive the packet is copied into caller-owned storage.
 //   - ParseView accepts a strict subset of what Unpack accepts: an
-//     uncompressed question name whose labels are plain ASCII with no '.'
-//     bytes. On any accepted input, ID/flags/counts/question agree with
-//     Unpack's (a View's raw label bytes may differ from the canonical
-//     Name only by ASCII case, which byte-wise lowercasing folds — the
-//     ASCII restriction is what makes that equal to Unpack's Unicode
-//     lowercasing). Everything else — compression, exotic label bytes,
-//     truncation — reports ok=false and the caller falls back to Unpack,
-//     which either materializes the message or classifies it malformed.
+//     uncompressed question name with no '.' byte in a label. On any
+//     accepted input, ID/flags/counts/question agree with Unpack's (a View's
+//     raw label bytes may differ from the canonical Name only by ASCII case,
+//     which byte-wise lowercasing folds exactly as Unpack does, RFC 4343 §3;
+//     an octet ≥ 0x80 is the same on both sides). Everything else —
+//     compression, dotted labels, truncation — reports ok=false and the
+//     caller falls back to Unpack, which either materializes the message or
+//     classifies it malformed.
 //   - ParseView covers the header and first question only. End reports the
 //     offset past the question; callers that need "nothing but a question"
 //     (the guard's pass-through shape check) compare End to the datagram
@@ -43,8 +43,7 @@ type View struct {
 
 // ParseView parses the header and first question of b in place. ok is false
 // when b cannot be viewed zero-copy — too short, QDCOUNT zero, a compressed
-// or non-ASCII or dotted-label question name, or a name past the length
-// limits. ok=false says nothing about validity: the caller decides between
+// or dotted-label question name, or a name past the length limits. ok=false says nothing about validity: the caller decides between
 // Unpack and a malformed verdict.
 func ParseView(b []byte) (View, bool) {
 	if len(b) < headerLen || len(b) > MaxMessageSize {
@@ -140,7 +139,7 @@ func UnpackQuestion(b []byte) (Question, int, error) {
 
 // skipName checks the name at off by the decoder's rules — labels in bounds,
 // the 255-octet limit, with compressed set pointers that go strictly backward
-// — and the View's: every label plain ASCII without a '.' byte. It returns
+// — and the View's: no label holds a '.' byte. It returns
 // the offset past the name where it lies (past its first pointer, if any) and
 // the name's length on the wire written out in full, terminator included.
 func skipName(b []byte, off int, compressed bool) (next, wire int, ok bool) {
@@ -161,7 +160,7 @@ func skipName(b []byte, off int, compressed bool) (next, wire int, ok bool) {
 				return 0, 0, false
 			}
 			for _, x := range b[off+1 : off+1+c] {
-				if x >= 0x80 || x == '.' {
+				if x == '.' {
 					return 0, 0, false
 				}
 			}

@@ -102,8 +102,7 @@ func TestViewRejects(t *testing.T) {
 			// is never viewable regardless of target.
 			return append(b[:12], 0xC0, 0x0C, 0, 1, 0, 1)
 		}),
-		"non-ascii label": mutate(func(b []byte) []byte { b[13] = 0x80; return b }),
-		"dotted label":    mutate(func(b []byte) []byte { b[13] = '.'; return b }),
+		"dotted label": mutate(func(b []byte) []byte { b[13] = '.'; return b }),
 	}
 	for name, wire := range cases {
 		if _, ok := ParseView(wire); ok {
@@ -312,7 +311,6 @@ func TestRecordWalk(t *testing.T) {
 		"a rdlength 5":            mutate(func(b []byte) []byte { b[56] = 5; return append(b, 0) }),
 		"owner points forward":    mutate(func(b []byte) []byte { b[46] = 0x39; return b }),
 		"owner points at itself":  mutate(func(b []byte) []byte { b[46] = 45; return b }),
-		"non-ascii ns target":     mutate(func(b []byte) []byte { b[41] = 0xE9; return b }),
 		"dotted ns target":        mutate(func(b []byte) []byte { b[41] = '.'; return b }),
 		"reserved label type":     mutate(func(b []byte) []byte { b[40] = 0x42; return b }),
 		"txt string past rdata":   mutate(func(b []byte) []byte { b[47], b[48], b[57] = 0, byte(TypeTXT), 4; return b }),
@@ -324,10 +322,12 @@ func TestRecordWalk(t *testing.T) {
 		}
 	}
 	// What the refusals above must not be mistaken for: shapes the walk does
-	// cover. A TXT whose strings tile the rdata, and a pointer into a header.
+	// cover. A TXT whose strings tile the rdata, a pointer into a header, and
+	// a name octet that is no ASCII letter, which Unpack keeps as it is.
 	for name, b := range map[string][]byte{
-		"txt strings tile": mutate(func(b []byte) []byte { b[47], b[48], b[57] = 0, byte(TypeTXT), 3; return b }),
-		"owner in header":  mutate(func(b []byte) []byte { b[46] = 4; return b }),
+		"txt strings tile":    mutate(func(b []byte) []byte { b[47], b[48], b[57] = 0, byte(TypeTXT), 3; return b }),
+		"owner in header":     mutate(func(b []byte) []byte { b[46] = 4; return b }),
+		"non-ascii ns target": mutate(func(b []byte) []byte { b[41] = 0xE9; return b }),
 	} {
 		if !checkWalkAgreement(t, b) {
 			t.Errorf("%s: the walk refuses it", name)

@@ -70,7 +70,7 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st := e.Stats(i)
 		handled += st.Handled
-		if st.Enqueued != 0 || st.ShedNew != 0 || st.ShedOld != 0 {
+		if st.Enqueued != 0 || st.ShedNew != 0 {
 			t.Errorf("shard %d has queue-path counts %+v on a direct engine", i, st)
 		}
 	}

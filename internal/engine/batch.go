@@ -107,10 +107,9 @@ func putQBatch(b *qbatch) {
 
 // runShard is the reader-is-the-worker loop of a direct engine: every packet
 // interface i delivers belongs to shard i by definition, so the slab is
-// dispatched in place with no queue hop and no admission classification (the
-// kernel socket buffer is the backpressure). The read blocks until a datagram
-// or Close: an idle shard costs nothing, and no timer event enters a
-// simulated schedule.
+// dispatched in place with no queue hop (the kernel socket buffer is the
+// backpressure). The read blocks until a datagram or Close: an idle shard
+// costs nothing, and no timer event enters a simulated schedule.
 func (e *Engine) runShard(i int, br BatchReader) {
 	sh := e.shards[i]
 	ing := &e.ingest[i].IngestStats
@@ -127,16 +126,14 @@ func (e *Engine) runShard(i int, br BatchReader) {
 	}
 }
 
-// runReader is the fan-out reader: one ReadBatch per wakeup, packets
-// grouped by (shard, admission class) and each group enqueued as one item.
-// Verified-source groups evict the oldest queued group on a saturated queue,
-// unverified groups are tail-dropped whole; counters move by group size.
+// runReader is the fan-out reader: one ReadBatch per wakeup, packets grouped
+// by shard and each group enqueued as one item. It judges nothing: a full or
+// closed queue tail-drops the group whole (ShedNew), as a direct shard's
+// socket buffer drops what arrives; counters move by group size.
 func (e *Engine) runReader(br BatchReader) {
 	ing := &e.ingest[0].IngestStats
 	pkts := make([]Packet, e.cfg.Batch)
-	// groups[2*shard] collects the read's verified-class packets for that
-	// shard, groups[2*shard+1] the unverified class.
-	groups := make([]*qbatch, 2*e.cfg.Shards)
+	groups := make([]*qbatch, e.cfg.Shards)
 	for {
 		n, err := br.ReadBatch(pkts, netapi.NoTimeout)
 		if err != nil {
@@ -145,47 +142,24 @@ func (e *Engine) runReader(br BatchReader) {
 		atomic.AddUint64(&ing.Reads, 1)
 		atomic.AddUint64(&ing.Packets, uint64(n))
 		now := e.cfg.Env.Now()
-		for i := 0; i < n; i++ {
-			shard := e.ShardOf(pkts[i].Src.Addr())
-			slot := 2 * shard
-			if !e.shards[shard].verified.has(pkts[i].Src.Addr(), now) {
-				slot++
-			}
-			b := groups[slot]
+		for _, pkt := range pkts[:n] {
+			shard := e.ShardOf(pkt.Src.Addr())
+			b := groups[shard]
 			if b == nil {
 				b = qbatchPool.Get().(*qbatch)
 				b.enqueued = now
-				groups[slot] = b
+				groups[shard] = b
 			}
-			b.add(pkts[i])
+			b.add(pkt)
 		}
-		for slot, b := range groups {
+		for shard, b := range groups {
 			if b == nil {
 				continue
 			}
-			groups[slot] = nil
-			sh := e.shards[slot/2]
-			st := &sh.stats
-			m := uint64(len(b.pkts))
-			if slot%2 == 0 {
-				if ev, did := sh.queue.PutEvict(b); did {
-					if ev == any(b) {
-						// Closed queue: the group bounced back unbuffered.
-						atomic.AddUint64(&st.ShedNew, m)
-						putQBatch(b)
-						continue
-					}
-					old := ev.(*qbatch)
-					atomic.AddUint64(&st.ShedOld, uint64(len(old.pkts)))
-					putQBatch(old)
-				}
-				atomic.AddUint64(&st.Enqueued, m)
-			} else if e.draining.Load() {
-				// Draining: no new unverified flows; in-flight verified
-				// traffic keeps its admission path until the queues flush.
-				atomic.AddUint64(&st.DrainShed, m)
-				putQBatch(b)
-			} else if sh.queue.Put(b) {
+			groups[shard] = nil
+			st := &e.shards[shard].stats
+			m := uint64(len(b.pkts)) // a queued group is the worker's at once
+			if e.shards[shard].queue.Put(b) {
 				atomic.AddUint64(&st.Enqueued, m)
 			} else {
 				atomic.AddUint64(&st.ShedNew, m)

@@ -66,10 +66,9 @@ func (f *floodIO) Close() error {
 // TestCloseUnderBatchIngest closes the engine while the batch reader is
 // mid-slab and shard queues are full of pooled groups. Run under -race this
 // pins the shutdown ownership contract the qbatch pool relies on: a
-// group the closed queue bounced must be recycled exactly once, never
-// handed to a worker afterwards, and Close must join every proc instead of
-// racing their final pool puts. Regression test for the closed-queue
-// PutEvict drop that leaked slabs (and over-counted Enqueued) at shutdown.
+// group a closed queue refused must be recycled exactly once, never handed
+// to a worker afterwards, and Close must join every proc instead of racing
+// their final pool puts.
 func TestCloseUnderBatchIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
@@ -95,18 +94,17 @@ func TestCloseUnderBatchIngest(t *testing.T) {
 		}
 		e.Close()
 
-		// Shed/handled accounting must balance what was enqueued: a bounced
-		// group that was also counted Enqueued would break this invariant.
-		var enq, handled, shedOld uint64
+		// Workers empty a closed queue before they exit, so once Close has
+		// joined them every enqueued packet was handled: a refused group that
+		// was also counted Enqueued would break this.
+		var enq, handled uint64
 		for i := 0; i < e.Shards(); i++ {
 			st := e.Stats(i)
 			enq += st.Enqueued
 			handled += st.Handled
-			shedOld += st.ShedOld
 		}
-		if handled+shedOld < enq {
-			t.Fatalf("iter %d: enqueued %d > handled %d + shed_old %d — packets vanished at shutdown",
-				iter, enq, handled, shedOld)
+		if handled != enq {
+			t.Fatalf("iter %d: enqueued %d, handled %d — packets vanished at shutdown", iter, enq, handled)
 		}
 	}
 }

@@ -16,12 +16,9 @@
 //     and dispatches in place — no queue hop, nothing crosses shards; and
 //     fan-out, one interface for several shards, where its one reader hashes
 //     each source onto a bounded per-shard ingress queue;
-//   - explicit backpressure in the fan-out: traffic from unverified sources
-//     is tail-dropped when a queue fills (drop-newest — a spoofed flood
-//     sheds itself), while traffic from recently-verified sources evicts
-//     the oldest queued packet instead (drop-oldest — legitimate retries
-//     supersede their own stale predecessors), each policy with its own
-//     counter; a direct shard's backpressure is the kernel socket buffer;
+//   - backpressure that judges nothing: a full fan-out queue tail-drops what
+//     arrives (counted as ShedNew), as a direct shard's kernel socket buffer
+//     does; which packet deserves service is the handler's decision alone;
 //   - a TTL'd, capacity-bounded verified-source cache mapping a source
 //     address to the credential it last verified, so handlers can replace
 //     the full MD5 verification with a byte compare for warm sources (the
@@ -41,7 +38,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -160,11 +156,9 @@ const (
 // ShardStats counts one shard's dataplane activity. Fields are written
 // atomically (readers and the shard worker race under real clocks).
 type ShardStats struct {
-	Enqueued  uint64 // packets accepted onto the shard queue (fan-out)
-	ShedNew   uint64 // unverified packets tail-dropped at a full queue
-	ShedOld   uint64 // stale packets evicted to admit verified traffic
-	Handled   uint64 // packets the shard handler consumed
-	DrainShed uint64 // unverified packets refused while the engine drains
+	Enqueued uint64 // packets accepted onto the shard queue (fan-out)
+	ShedNew  uint64 // packets tail-dropped at a full or closed queue
+	Handled  uint64 // packets the shard handler consumed
 }
 
 // shardState is everything one shard touches on the packet hot path, one
@@ -200,7 +194,6 @@ type Engine struct {
 	direct   bool // interface i is shard i: one shard loop each, no queues
 	coop     bool // Env schedules cooperatively: Close must not OS-join procs
 	closed   atomic.Bool
-	draining atomic.Bool
 	wg       sync.WaitGroup // tracks reader and worker procs for Close
 }
 
@@ -339,49 +332,6 @@ func (e *Engine) spawn(name string, fn func()) {
 	})
 }
 
-// drainPollInterval paces Drain's backlog polls. Small against the
-// millisecond-scale event timelines the simulator runs, invisible against a
-// real restart.
-const drainPollInterval = 200 * time.Microsecond
-
-// Draining reports whether the engine is refusing new unverified flows.
-func (e *Engine) Draining() bool { return e.draining.Load() }
-
-// Drain quiesces the dataplane without closing it: new unverified flows are
-// refused at ingest (counted per shard as DrainShed) while verified traffic
-// keeps flowing, then Drain blocks until every shard's ingress queue is
-// empty — the moment the last queued packet has reached its handler. It
-// returns nil once the backlog is flushed (or the engine is closed) and
-// ctx.Err() if the context expires first; either way the engine stays in the
-// draining state until Resume or Close. Call from a proc context: Drain paces
-// itself with Env.Sleep.
-func (e *Engine) Drain(ctx context.Context) error {
-	e.draining.Store(true)
-	for {
-		if e.closed.Load() || e.backlog() == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.cfg.Env.Sleep(drainPollInterval)
-	}
-}
-
-// Resume lifts a drain: unverified flows are admitted again. A restarted
-// engine never needs this — Drain's flag dies with the instance — but an
-// aborted upgrade does.
-func (e *Engine) Resume() { e.draining.Store(false) }
-
-// backlog totals the packets parked in ingress queues.
-func (e *Engine) backlog() int {
-	t := 0
-	for i := range e.shards {
-		t += e.QueueDepth(i)
-	}
-	return t
-}
-
 // Close stops the dataplane: capture interfaces close (readers exit) and
 // queues close (workers exit after draining). On preemptive environments
 // Close then joins every engine proc, so a caller that closes the engine
@@ -455,6 +405,16 @@ func (e *Engine) QueueDepth(i int) int {
 	return e.shards[i].queue.Len()
 }
 
+// Backlog totals the packets parked in the ingress queues: what the fan-out
+// has accepted and no handler has seen yet (always 0 on a direct engine).
+func (e *Engine) Backlog() int {
+	t := 0
+	for i := range e.shards {
+		t += e.QueueDepth(i)
+	}
+	return t
+}
+
 // QueueBound reports the depth each shard's ingress queue is bounded at:
 // Config.QueueDepth, or the default it left to the engine.
 func (e *Engine) QueueBound() int { return e.cfg.QueueDepth }
@@ -486,22 +446,8 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	}
 	r.FuncUint(prefix+"enqueued", sum(func(s *ShardStats) *uint64 { return &s.Enqueued }))
 	r.FuncUint(prefix+"shed_new", sum(func(s *ShardStats) *uint64 { return &s.ShedNew }))
-	r.FuncUint(prefix+"shed_old", sum(func(s *ShardStats) *uint64 { return &s.ShedOld }))
 	r.FuncUint(prefix+"handled", sum(func(s *ShardStats) *uint64 { return &s.Handled }))
-	r.FuncUint(prefix+"drain_shed", sum(func(s *ShardStats) *uint64 { return &s.DrainShed }))
-	r.FuncUint(prefix+"draining", func() uint64 {
-		if e.draining.Load() {
-			return 1
-		}
-		return 0
-	})
-	r.Func(prefix+"queue_depth", func() float64 {
-		var t int
-		for i := range e.shards {
-			t += e.QueueDepth(i)
-		}
-		return float64(t)
-	})
+	r.Func(prefix+"queue_depth", func() float64 { return float64(e.Backlog()) })
 	r.FuncUint(prefix+"fast_path_hits", func() uint64 { return e.FastPath().Hits })
 	r.FuncUint(prefix+"fast_path_misses", func() uint64 { return e.FastPath().Misses })
 	r.FuncUint(prefix+"fast_path_inserts", func() uint64 { return e.FastPath().Inserts })

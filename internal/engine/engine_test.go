@@ -218,12 +218,15 @@ func TestBackpressureDropNewestForUnverified(t *testing.T) {
 	close(rg.block)
 	waitCount(t, &rg.count, 3)
 	st := e.Stats(sh)
-	if st.Enqueued != 3 || st.ShedOld != 0 {
-		t.Fatalf("stats = %+v, want Enqueued=3 ShedOld=0", st)
+	if st.Enqueued != 3 {
+		t.Fatalf("stats = %+v, want Enqueued=3", st)
 	}
 }
 
-func TestBackpressureDropOldestForVerified(t *testing.T) {
+// A source in the verified cache gets no admission of its own: its packets
+// meet a full fan-out queue as any other source's do, tail-dropped and
+// counted in ShedNew. Which packet deserves service is the handler's call.
+func TestBackpressureDropsCachedSourceToo(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int), block: make(chan struct{})}
 	io := newFakeIO(0)
 	e, err := New(Config{
@@ -247,21 +250,19 @@ func TestBackpressureDropOldestForVerified(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		io.ch <- Packet{Src: srcAP(7), Payload: []byte{byte(i)}}
 	}
-	waitShard(t, e, sh, func(st ShardStats) bool { return st.ShedOld == 3 })
-	close(rg.block)
-	// Worker consumes its in-flight packet plus the 2 queue survivors; the
-	// evicted 3 never reach the handler.
-	waitCount(t, &rg.count, 3)
-	st := e.Stats(sh)
-	if st.Enqueued != 6 || st.ShedNew != 0 {
-		t.Fatalf("stats = %+v, want Enqueued=6 ShedNew=0", st)
+	waitShard(t, e, sh, func(st ShardStats) bool { return st.ShedNew == 3 })
+	if n := e.Backlog(); n != 2 {
+		t.Fatalf("Backlog = %d with a full queue of 2, want 2", n)
 	}
-	// Drop-oldest means the LAST payloads survive.
-	rg.mu.Lock()
-	n := len(rg.bySrc[srcAP(7).Addr()])
-	rg.mu.Unlock()
-	if n != 3 {
-		t.Fatalf("handler saw %d packets, want 3", n)
+	close(rg.block)
+	// The worker consumes its in-flight packet and the 2 queued ones; the 3
+	// that arrived at a full queue never reach the handler.
+	waitCount(t, &rg.count, 3)
+	if st := e.Stats(sh); st.Enqueued != 3 {
+		t.Fatalf("stats = %+v, want Enqueued=3", st)
+	}
+	if n := e.Backlog(); n != 0 {
+		t.Fatalf("Backlog = %d after the worker caught up, want 0", n)
 	}
 }
 
@@ -428,7 +429,6 @@ func TestMetricsInto(t *testing.T) {
 		"guard_engine_handled":           1,
 		"guard_engine_enqueued":          1,
 		"guard_engine_shed_new":          0,
-		"guard_engine_shed_old":          0,
 		"guard_engine_fast_path_hits":    1,
 		"guard_engine_fast_path_inserts": 1,
 		"guard_engine_fast_path_sources": 1,

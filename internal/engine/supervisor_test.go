@@ -302,8 +302,9 @@ func (f *freezableEnv) freeze() {
 }
 
 // TTL expiry deletes cache entries from inside VerifiedCredOn while other
-// procs concurrently promote the same sources (MarkVerifiedOn) and classify
-// admissions (has). Run under -race this pins down the locking contract.
+// procs concurrently promote the same sources (MarkVerifiedOn) and the
+// scrape counts them (size). Run under -race this pins down the locking
+// contract.
 func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	env := &freezableEnv{Env: realnet.New()}
@@ -336,7 +337,7 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 				case 1:
 					e.VerifiedCredOn(e.ShardOf(a), a) // expiry path deletes in place
 				default:
-					e.shards[e.ShardOf(a)].verified.has(a, e.cfg.Env.Now())
+					e.shards[e.ShardOf(a)].verified.size()
 				}
 			}
 		}(g)

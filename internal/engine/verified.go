@@ -24,8 +24,9 @@ import (
 // included, so marking or probing never writes a cacheline another shard
 // writes. Handlers name the slice by their own shard id (the *On calls):
 // on a direct engine the delivering interface owns the source, not
-// ShardOf(src). The mutex is there because in the fan-out the reader
-// classifies admissions (has) while the owning worker marks and probes.
+// ShardOf(src). Only the owning shard marks and probes; the mutex is there
+// because the metrics scrape (size) and tests reach a slice from other
+// goroutines.
 type verifiedShard struct {
 	mu  sync.Mutex
 	tab *srctab.Table[verifiedEntry] // FIFO: a hit or a re-mark keeps its place
@@ -148,15 +149,6 @@ func (e *Engine) VerifiedCredOn(shard int, src netip.Addr) (cred string, ok bool
 		v.mu.Unlock()
 	}
 	return cred, ok
-}
-
-// has is the queue-admission classification: does src currently hold a live
-// verified entry? Called by the fan-out reader; does not touch hit/miss counters.
-func (v *verifiedShard) has(src netip.Addr, now time.Duration) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ent := v.tab.Get(src.As16())
-	return ent != nil && ent.expires > now
 }
 
 // flush discards every entry, used when a supervised restart rebuilds the

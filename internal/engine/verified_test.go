@@ -58,7 +58,7 @@ func TestVerifiedReinsertKeepsPlace(t *testing.T) {
 	if !e.VerifiedCredMatchOn(0, d, []byte("cred")) {
 		t.Error("the newest source is not cached")
 	}
-	if e.shards[0].verified.has(b, 0) {
+	if e.shards[0].verified.tab.Get(b.As16()) != nil {
 		t.Error("the oldest entry survived a full cache")
 	}
 	if fp := e.FastPath(); fp.Evictions != 0 || fp.Inserts != fastPathSources+2 {

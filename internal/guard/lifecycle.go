@@ -102,18 +102,22 @@ func (g *Remote) drainGate() bool {
 		LifecycleState(g.lcState.Load()) != LifecycleWarming
 }
 
-// Drain takes the guard from serving to quiesced: new unverified flows are
-// refused (engine drain + the newcomer gate), the dataplane queues flush,
-// and in-flight NAT exchanges get a NAT-table entry's life (3 s) to end
-// before the stragglers are dropped (counted as PendingDropped). Returns nil
-// once quiesced; ctx.Err() if the context expires first, leaving the guard
-// draining so the caller can retry or Resume. Safe to call from a netsim
-// proc — all waiting is via Env.Sleep.
+// Drain takes the guard from serving to quiesced: the newcomer gate refuses
+// new cookie exchanges (drainGate, the one drain rule in both ingest
+// arrangements) while cookie-verified traffic is served, the fan-out's
+// ingress queues empty into the handlers, and in-flight NAT exchanges get a
+// NAT-table entry's life (3 s) to end before the stragglers are dropped
+// (counted as PendingDropped). Returns nil once quiesced; ctx.Err() if the
+// context expires first, leaving the guard draining so the caller can retry
+// or Resume. Safe to call from a netsim proc — all waiting is via Env.Sleep.
 func (g *Remote) Drain(ctx context.Context) error {
 	g.setLifecycle(LifecycleDraining)
 	atomic.AddUint64(&g.lc.Drains, 1)
-	if err := g.eng.Drain(ctx); err != nil {
-		return err
+	for g.eng.Backlog() > 0 && !g.closed.Load() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		g.cfg.Env.Sleep(lifecyclePoll)
 	}
 	// Let in-flight exchanges complete or time out: the longest any pending
 	// NAT entry can legitimately live is pendingTimeout.
@@ -133,12 +137,9 @@ func (g *Remote) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Resume aborts a drain: the engine re-admits unverified flows and the
-// guard returns to serving.
-func (g *Remote) Resume() {
-	g.eng.Resume()
-	g.setLifecycle(LifecycleServing)
-}
+// Resume aborts a drain: the guard returns to serving and grants newcomers
+// cookies again.
+func (g *Remote) Resume() { g.setLifecycle(LifecycleServing) }
 
 // BeginRestart marks the quiesced instance as tearing down (call just
 // before Close). Purely observational — Close works from any state — but
@@ -168,7 +169,8 @@ func (g *Remote) Healthz() error {
 // is the keyring epoch the caller requires (the fleet's current epoch; 0
 // accepts any). Conditions: not closed, lifecycle serving or warming (a
 // draining site must shed weight, not attract it), keyring epoch current,
-// and the ingress backlog below half the depth the engine's queues run at.
+// and the fan-out's ingress backlog (Engine.Backlog) below half the depth
+// its queues run at; a direct guard has no queues and never fails on it.
 func (g *Remote) Ready(minEpoch uint64) error {
 	if g.closed.Load() {
 		return fmt.Errorf("%w: closed", ErrNotReady)
@@ -181,11 +183,7 @@ func (g *Remote) Ready(minEpoch uint64) error {
 	if epoch := g.cfg.Auth.Epoch(); epoch < minEpoch {
 		return fmt.Errorf("%w: keyring epoch %d behind fleet epoch %d", ErrNotReady, epoch, minEpoch)
 	}
-	backlog := 0
-	for i := 0; i < g.eng.Shards(); i++ {
-		backlog += g.eng.QueueDepth(i)
-	}
-	if max := g.eng.QueueBound() * g.eng.Shards() / 2; backlog > max {
+	if backlog, max := g.eng.Backlog(), g.eng.QueueBound()*g.eng.Shards()/2; backlog > max {
 		return fmt.Errorf("%w: ingress backlog %d over threshold %d", ErrNotReady, backlog, max)
 	}
 	return nil

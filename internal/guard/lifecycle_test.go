@@ -164,3 +164,65 @@ func TestReadyBacklogBoundAtDefaultDepth(t *testing.T) {
 		}
 	})
 }
+
+// Drain does not return while the fan-out holds a backlog: a packet parked
+// in an ingress queue has not met the newcomer gate yet. A context that ends
+// first ends the wait with its error and leaves the guard draining; once the
+// worker catches up, what was parked meets the gate and Drain quiesces.
+func TestDrainWaitsForBacklog(t *testing.T) {
+	hold := false
+	var env netapi.Env
+	f := newRootFixture(t, func(c *RemoteConfig) {
+		c.Shards = 2 // one tap, two shards: the fan-out
+		env = c.Env
+		c.observer = func(int, Packet) {
+			for hold { // a worker stuck on its packet: its queue only fills
+				env.Sleep(time.Millisecond)
+			}
+		}
+	})
+	g := f.guard
+	attacker := f.net.AddHost("attacker", mustAddr("203.0.113.66"))
+	q, _ := dnswire.NewQuery(7, dnswire.MustName("mail.foo.com"), dnswire.TypeA).PackUDP(512)
+	src := netip.AddrPortFrom(mustAddr("172.16.9.1"), 1234)
+	f.run(t, func() {
+		defer func() { hold = false }()
+		hold = true
+		// The first packet occupies its shard's worker; two wait behind it.
+		for i := 0; i < 3; i++ {
+			_ = attacker.SendRaw(src, mustAP("198.41.0.4:53"), q)
+		}
+		f.sched.Sleep(50 * time.Millisecond)
+		if n := g.Engine().Backlog(); n != 2 {
+			t.Errorf("Backlog = %d, want 2", n)
+			return
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := g.Drain(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("Drain with an ended context and a parked backlog = %v, want context.Canceled", err)
+		}
+		if g.Lifecycle() != LifecycleDraining {
+			t.Errorf("lifecycle after an abandoned drain = %v, want draining (the caller decides)", g.Lifecycle())
+		}
+		done, drainErr := false, error(nil)
+		f.sched.Go("drain", func() { drainErr = g.Drain(context.Background()); done = true })
+		f.sched.Sleep(50 * time.Millisecond)
+		if done {
+			t.Errorf("Drain returned (%v) with a parked backlog", drainErr)
+			return
+		}
+		hold = false
+		f.sched.Sleep(50 * time.Millisecond)
+		if !done || drainErr != nil {
+			t.Errorf("Drain after the backlog emptied: done %v, err %v", done, drainErr)
+		}
+		if g.Lifecycle() != LifecycleQuiesced || g.Engine().Backlog() != 0 {
+			t.Errorf("lifecycle %v, backlog %d: want quiesced and empty", g.Lifecycle(), g.Engine().Backlog())
+		}
+		if st := g.LifecycleStats(); st.DrainDropped != 3 || g.Stats.Load().NewcomerGrants != 0 {
+			t.Errorf("lifecycle stats %+v, grants %d: want the 3 parked newcomers refused by the gate",
+				st, g.Stats.Load().NewcomerGrants)
+		}
+	})
+}

@@ -326,7 +326,8 @@ func shapeRows() []shapeRow {
 			r.query("opt again", shapeClient, pub(r), withOPT(0x123d))
 		}},
 		{"ns-cookie/non-ascii-label", nil, func(r *shapeRun) {
-			// A first label the view refuses (a byte ≥ 0x80 after the cookie).
+			// A byte ≥ 0x80 after the cookie: an octet of the label, kept as it
+			// came (RFC 4343 §3).
 			q := nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x123e)
 			q[len(q)-4-len("\x03foo\x03com\x00")-1] = 0xE9
 			r.query("latin-1 byte", shapeClient, pub(r), q)
@@ -490,9 +491,9 @@ func shapeRows() []shapeRow {
 			r.upstream("record-less, upper echo", ans(r), upperName(r.echo(dnswire.RCodeNoError)))
 		}},
 		{"upstream/kelvin-echo", nil, func(r *shapeRun) {
-			// Unpack lowercases names as Unicode: U+212A KELVIN SIGN is a 'k'.
-			// The echo compare is on decoded questions wherever the bytes are
-			// not plain ASCII, so this echo is accepted as it always was.
+			// U+212A KELVIN SIGN is three octets, not a 'k': names fold case
+			// in ASCII only (RFC 4343 §3), so this is no echo of the question
+			// asked and the entry stays pending.
 			verifiedForward(r, "kkk.foo.com")
 			e := r.echo(dnswire.RCodeNXDomain)
 			kelvin := append(append(append([]byte(nil), e[:12]...), 5, 'k', 0xE2, 0x84, 0xAA, 'k'), e[16:]...)
@@ -811,7 +812,7 @@ func shapeRows() []shapeRow {
 			q[14] = 0xE9
 			r.query("latin-1 byte", shapeClient, pub(r), q)
 			q = plain(r, "www.c5.foo.com", 0x31b1)
-			q[17], q[18] = 0xC3, 0x89 // É in the child label: lowercased as Unicode
+			q[17], q[18] = 0xC3, 0x89 // É in the child label: kept, not folded to é
 			r.query("upper-case e acute for the child label", shapeClient, pub(r), q)
 			q = plain(r, "www.c5.foo.com", 0x31b2)
 			copy(q[12:], "\xc0\x0c") // a name that points at itself

@@ -83,11 +83,12 @@ type RemoteConfig struct {
 	// passed a cookie check is remembered with its credential for this
 	// long, replacing the next MAC verification with a byte compare. The
 	// presented credential is still compared — a spoofed address alone
-	// gains nothing. 0 means no cache: every request pays its MAC (the
-	// deterministic-reproduction configuration). It does not select a code
-	// path — every packet takes the same handlers at any value. Keep it at
-	// or below the key-rotation grace period: a cached credential is
-	// honored until its TTL even across a Rotate.
+	// gains nothing. 0 or negative means no cache, as for dnsguardd's
+	// -fastpath-ttl: every request pays its MAC. It selects no code path and
+	// no admission: every packet takes the same handlers at any value, and a
+	// full fan-out queue drops a cached source's packets like any other's.
+	// Keep it at or below the key-rotation grace period: a cached credential
+	// is honored until its TTL even across a Rotate.
 	FastPathTTL time.Duration
 	// PublicAddr is the ANS's advertised address, which the guard
 	// intercepts and answers from.

@@ -39,7 +39,6 @@ func TestSnakeCase(t *testing.T) {
 		"Reordered":      "reordered",
 		// engine
 		"ShedNew":      "shed_new",
-		"ShedOld":      "shed_old",
 		"FastPathHits": "fast_path_hits",
 	}
 	for in, want := range cases {

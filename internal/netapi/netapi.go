@@ -22,7 +22,8 @@
 //	scheduling                        blocking allowed              clock; OS blocking deadlocks
 //
 // Absence never means "cannot": no QueueEnv falls back to NewChanQueue and
-// no UDPReuseEnv means single-socket ingest. Batch I/O is a property of a
+// no UDPReuseEnv means single-socket ingest. Every Queue, whoever builds it,
+// has one admission policy: tail drop. Batch I/O is a property of a
 // conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
 // recvmmsg/sendmmsg on Linux amd64/arm64, a read loop elsewhere; netsim: a
 // drain of the delivery queue) or bridges it with a per-datagram loop.
@@ -67,23 +68,18 @@ type Env interface {
 }
 
 // Queue is a bounded FIFO mailbox whose Get blocks the calling proc in an
-// env-appropriate way. Under the simulator, procs may only block through
+// env-appropriate way. What arrives at a full or closed queue is refused,
+// never swapped for what is queued: a queue decides nothing about which item
+// deserves the room. Under the simulator, procs may only block through
 // vclock primitives — a Go channel receive inside a netsim proc deadlocks the
 // scheduler — so any component that needs an inter-proc queue (the engine's
 // per-shard ingress queues) must obtain one from the Env instead of using
 // channels directly.
 type Queue interface {
 	// Put appends v, waking one blocked Get. Reports false when the queue
-	// is full (tail drop / drop-newest) or closed.
+	// is full (tail drop) or closed; v then stays the caller's, which is
+	// the one way back for an item the queue did not take.
 	Put(v any) bool
-	// PutEvict appends v; when full it evicts the oldest buffered item
-	// instead of dropping v (drop-oldest). Reports the evicted item. On a
-	// closed queue nothing can be buffered, so v itself is reported as
-	// evicted — ownership returns to the caller, which can distinguish
-	// rejection from a normal eviction by identity (evicted == v). The
-	// pre-close behavior of silently discarding v lost track of pooled
-	// items and let callers double-count accepted work during shutdown.
-	PutEvict(v any) (evicted any, didEvict bool)
 	// Get removes the oldest item, blocking per netapi timeout rules
 	// (NoTimeout blocks; zero polls; ErrTimeout/ErrClosed on failure).
 	Get(timeout time.Duration) (any, error)

@@ -227,13 +227,10 @@ func testQueue(t *testing.T, b Backend, env netapi.Env) {
 	if q.Put(3) {
 		t.Error("Put into full queue reported true; tail-drop is the contract")
 	}
-	if ev, did := q.PutEvict(4); !did || ev != 1 {
-		t.Errorf("PutEvict on full queue = (%v, %v), want oldest item (1, true)", ev, did)
-	}
 	if q.Len() != 2 {
-		t.Errorf("Len = %d after evicting put into capacity-2 queue, want 2", q.Len())
+		t.Errorf("Len = %d after a refused put into a capacity-2 queue, want 2", q.Len())
 	}
-	for i, want := range []int{2, 4} {
+	for i, want := range []int{1, 2} {
 		got, err := q.Get(0)
 		if err != nil || got != want {
 			t.Errorf("Get #%d = (%v, %v), want (%d, nil)", i, got, err, want)

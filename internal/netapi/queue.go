@@ -53,27 +53,6 @@ func (q *chanQueue) Put(v any) bool {
 	return true
 }
 
-func (q *chanQueue) PutEvict(v any) (evicted any, didEvict bool) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		// Closed: bounce v back to the caller as the "evicted" item (see the
-		// netapi.Queue contract) so pooled items are never silently dropped.
-		return v, true
-	}
-	if q.n == len(q.items) {
-		evicted, didEvict = q.items[q.head], true
-		q.items[q.head] = nil
-		q.head = (q.head + 1) % len(q.items)
-		q.n--
-	}
-	q.items[(q.head+q.n)%len(q.items)] = v
-	q.n++
-	q.mu.Unlock()
-	q.wake()
-	return evicted, didEvict
-}
-
 func (q *chanQueue) Get(timeout time.Duration) (any, error) {
 	var timer *time.Timer
 	var expire <-chan time.Time

@@ -25,14 +25,6 @@ type simQueue struct {
 
 func (s *simQueue) Put(v any) bool { return s.q.Put(v) }
 
-func (s *simQueue) PutEvict(v any) (any, bool) {
-	if s.q.Closed() {
-		// netapi.Queue contract: a closed queue bounces v back as evicted.
-		return v, true
-	}
-	return s.q.PutEvict(v)
-}
-
 func (s *simQueue) Get(timeout time.Duration) (any, error) {
 	v, err := s.q.Get(timeout)
 	if err != nil {

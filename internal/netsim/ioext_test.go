@@ -22,9 +22,6 @@ func TestHostNewQueuePoliciesAndBlocking(t *testing.T) {
 	if q.Put("c") {
 		t.Fatal("drop-newest: put beyond capacity accepted")
 	}
-	if ev, did := q.PutEvict("d"); !did || ev != "a" {
-		t.Fatalf("PutEvict = (%v, %v), want (a, true)", ev, did)
-	}
 
 	// Get must park the proc on the virtual clock, not a Go channel.
 	var got any

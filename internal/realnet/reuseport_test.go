@@ -90,14 +90,11 @@ func TestChanQueuePolicies(t *testing.T) {
 	if q.Put(3) {
 		t.Fatal("drop-newest: put beyond capacity accepted")
 	}
-	if ev, did := q.PutEvict(4); !did || ev != 1 {
-		t.Fatalf("PutEvict = (%v, %v), want (1, true)", ev, did)
+	if v, err := q.Get(0); err != nil || v != 1 {
+		t.Fatalf("Get = (%v, %v), want (1, nil)", v, err)
 	}
 	if v, err := q.Get(0); err != nil || v != 2 {
 		t.Fatalf("Get = (%v, %v), want (2, nil)", v, err)
-	}
-	if v, err := q.Get(0); err != nil || v != 4 {
-		t.Fatalf("Get = (%v, %v), want (4, nil)", v, err)
 	}
 	if _, err := q.Get(0); !errors.Is(err, netapi.ErrTimeout) {
 		t.Fatalf("empty poll err = %v, want ErrTimeout", err)

@@ -82,35 +82,6 @@ func (q *Queue[T]) Put(v T) bool {
 	return true
 }
 
-// PutEvict appends v to the queue like Put, but when the capacity bound is
-// reached it evicts the oldest buffered item to make room instead of dropping
-// v (drop-oldest policy, for traffic classes where the newest item is worth
-// more than the stalest). It returns the evicted item and whether an eviction
-// happened; evictions are not counted in Dropped. A Put to a closed queue
-// still discards v.
-func (q *Queue[T]) PutEvict(v T) (evicted T, didEvict bool) {
-	var zero T
-	if q.closed {
-		return zero, false
-	}
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.fired {
-			continue
-		}
-		w.item, w.ok, w.fired = v, true, true
-		q.sched.schedule(q.sched.now, w.proc, nil)
-		return zero, false
-	}
-	if q.cap > 0 && len(q.items) >= q.cap {
-		evicted, didEvict = q.items[0], true
-		q.items = q.items[1:]
-	}
-	q.items = append(q.items, v)
-	return evicted, didEvict
-}
-
 // Get removes and returns the oldest item. It blocks the calling proc until
 // an item is available, the queue is closed (ErrClosed), or timeout elapses
 // (ErrTimeout). A timeout of NoTimeout blocks indefinitely; a timeout of zero
@@ -169,6 +140,3 @@ func (q *Queue[T]) Close() {
 	}
 	q.waiters = nil
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }

@@ -185,59 +185,6 @@ func TestBoundedQueueDrops(t *testing.T) {
 	}
 }
 
-func TestBoundedQueuePutEvict(t *testing.T) {
-	s := New(1)
-	q := NewBoundedQueue[int](s, 2)
-	q.Put(1)
-	q.Put(2)
-	ev, did := q.PutEvict(3)
-	if !did || ev != 1 {
-		t.Fatalf("PutEvict = (%d, %v), want (1, true)", ev, did)
-	}
-	if q.Dropped() != 0 {
-		t.Fatalf("evictions counted as drops: %d", q.Dropped())
-	}
-	// FIFO order after eviction: 2, then 3.
-	var got []int
-	s.Go("drain", func() {
-		for i := 0; i < 2; i++ {
-			v, err := q.Get(NoTimeout)
-			if err != nil {
-				t.Errorf("Get: %v", err)
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Run(0)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("drained %v, want [2 3]", got)
-	}
-}
-
-func TestBoundedQueuePutEvictHandsToWaiter(t *testing.T) {
-	s := New(1)
-	q := NewBoundedQueue[int](s, 1)
-	var got int
-	s.Go("waiter", func() {
-		v, err := q.Get(NoTimeout)
-		if err != nil {
-			t.Errorf("Get: %v", err)
-			return
-		}
-		got = v
-	})
-	s.Go("producer", func() {
-		if _, did := q.PutEvict(7); did {
-			t.Error("eviction with a blocked waiter present")
-		}
-	})
-	s.Run(0)
-	if got != 7 {
-		t.Fatalf("waiter got %d, want 7", got)
-	}
-}
-
 func TestRunUntilHorizon(t *testing.T) {
 	s := New(1)
 	fired := 0
