@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"dnsguard"
@@ -121,9 +122,9 @@ func run() error {
 		fmt.Printf("%-16s %-44s %8v upstream=%d\n", name, last, time.Since(start).Round(time.Microsecond), r.Upstream)
 	}
 
-	st := g.Stats
+	// The guard and the proxy still run: read their counters atomically.
 	fmt.Printf("\nguard: %d TC redirects; proxy: %d requests relayed over verified TCP\n",
-		st.TCRedirects, proxy.Stats.Requests)
+		g.Stats.Load().TCRedirects, atomic.LoadUint64(&proxy.Stats.Requests))
 	fmt.Println("every request reached the ANS through a completed TCP handshake —")
 	fmt.Println("the source addresses are proven, not trusted.")
 	return nil

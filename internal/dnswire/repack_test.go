@@ -36,9 +36,15 @@ func repackCases() map[string]struct {
 		// opaque record: n of rdata make 58+n packed.
 		return rawMessage(0x8000, q, 0, 1, 1, rawRR(q, TypeNS, "\x03ns1\x03foo\x03com\x00"), rawRR("\x00", 99, strings.Repeat("p", n)))
 	}
-	// The longest name fills the table to one short of full.
+	// The longest name, and a name of it and target, which the table held
+	// whole when it had 128 entries and 129 did not fit.
 	many := func(target string) []byte {
 		return rawMessage(0x8000, longName, 1, 0, 0, rawRR("\xc0\x0c", TypeCNAME, target))
+	}
+	// The longest name twice over, and target: 254 labels and target's. Past
+	// 256 the table is full, where at 512 the second name is already cut.
+	manyMore := func(target string) []byte {
+		return rawMessage(0x8000, longName, 2, 0, 0, rawRR("\xc0\x0c", TypeCNAME, strings.Repeat("\x01d", 127)+"\x00"), rawRR("\xc0\x0c", TypeCNAME, target))
 	}
 	twoQuestions := append(rawMessage(0x8000, q, 0, 0, 0), "\xc0\x0c\x00\x01\x00\x01"...)
 	twoQuestions[5] = 2
@@ -58,6 +64,12 @@ func repackCases() map[string]struct {
 	sameLength := make([]string, 16)
 	for i := range sameLength {
 		sameLength[i] = rawRR(strings.ToUpper(oneLength(min(i+1, 6))), 99, "")
+	}
+	// Four names of 97 labels that differ in the last: of every length of
+	// names alike but for it, the one whose lookups cost the most before 512
+	// octets are written.
+	longLength := func(i int) string {
+		return strings.ToUpper(strings.Repeat("\x01a", 96) + "\x01" + string(rune('b'+i)) + "\x00")
 	}
 	return map[string]struct {
 		wire []byte
@@ -89,10 +101,12 @@ func repackCases() map[string]struct {
 			rawRR("\x03COM\x00", TypeNS, "\x00"), rawRR("\xc0\x0c", TypeNS, "\x01a\xc0\x11")), true},
 		"a pointer into the header": {rawMessage(0x8000, q, 1, 0, 0, rawRR("\xc0\x04", TypeA, "\xc6\x33\x64\x07")), true},
 		"packs into 512":            {pad(454), true},
-		"packs into 513":            {pad(455), false},
+		"packs into 513":            {pad(455), true},
 		"ipv4-mapped aaaa":          {rawMessage(0x8000, q, 1, 0, 0, rawRR("\xc0\x0c", TypeAAAA, "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xc6\x33\x64\x07")), true},
 		"128 labels written out":    {many("\x01x\x00"), true},
-		"129 labels written out":    {many("\x01x\x01y\x00"), false},
+		"129 labels written out":    {many("\x01x\x01y\x00"), true},
+		"256 labels written out":    {manyMore("\x01x\x01y\x00"), true},
+		"257 labels written out":    {manyMore("\x01x\x01y\x01z\x00"), true},
 		"two questions":             {twoQuestions, false},
 		"a trailing octet":          {append(rawMessage(0x8000, q, 0, 0, 0), 0), false},
 		// 3981 octets, every one of the records' a name's: fourteen times the
@@ -101,14 +115,21 @@ func repackCases() map[string]struct {
 		// It matches the first entry every time. These two search the table.
 		"table scan":          {rawMessage(0x8000, longName, 20, 0, 0, suffixes...), true},
 		"names of one length": {rawMessage(0x8000, oneLength(0), 16, 0, 0, sameLength...), true},
+		"long names of one length": {rawMessage(0x8000, longLength(0), 3, 0, 0,
+			rawRR(longLength(1), 99, ""), rawRR(longLength(2), 99, ""), rawRR(longLength(3), 99, "")), true},
+		// The longest name, then 127 labels none of its suffixes matches: every
+		// lookup looks at every entry, and the table grows to 246.
+		"a full table scanned": {rawMessage(0x8000, longName, 1, 0, 0, rawRR(strings.Repeat("\x01c", 127)+"\x00", 99, "")), true},
 	}
 }
 
-// checkRepackAgreement holds Repack to its one statement on b: where it
-// reports ok, Unpack accepts b and Pack writes those octets — PackUDP(512)
-// too, when they fit — behind whatever dst held; ok at a limit is ok at the
-// result's own length and not one under; and nothing is written past a limit.
-// It returns what Repack reports at a limit of 512.
+// checkRepackAgreement holds Repack to its one statement on b: it takes what
+// the walk vouches for and nothing else, and what it writes at a limit is
+// what Unpack → PackUDP write at that limit — the whole message, or one cut
+// short with TC set — behind whatever dst held, writing nothing past the
+// limit. It may refuse where PackUDP does, the question alone over the limit,
+// and over 512 octets where its table of names fills; at 512 it may not. It
+// returns what Repack reports at a limit of 512.
 func checkRepackAgreement(t *testing.T, b []byte) (ok bool) {
 	t.Helper()
 	v, viewable := ParseView(b)
@@ -122,48 +143,59 @@ func checkRepackAgreement(t *testing.T, b []byte) (ok bool) {
 			buf[i] = guard
 		}
 		out, ok := v.Repack(buf[:3], limit)
-		if dirty = len(out); dirty > 3+limit || buf[3+limit] != guard || !bytes.Equal(buf[:3], []byte{guard, guard, guard}) {
-			t.Fatalf("Repack with limit %d wrote %d octets, or outside them\n%.256x", limit, dirty-3, b)
+		if len(out) > 3+limit || buf[3+limit] != guard || !bytes.Equal(buf[:3], []byte{guard, guard, guard}) {
+			t.Fatalf("Repack with limit %d wrote %d octets, or outside them\n%.256x", limit, len(out)-3, b)
 		}
+		dirty = 3 + limit // a record cut short was written up to the limit
+
 		return out[3:], ok
 	}
-	got, ok := repack(MaxMessageSize)
-	got = append([]byte(nil), got...)
+	walked := v.Records(func(Record) {})
 	m, err := Unpack(b)
-	if !ok {
-		if _, ok := repack(MaxUDPSize); ok {
-			t.Fatalf("Repack refuses at 65535 octets and not at 512\n%.256x", b)
-		}
-		return false
+	if walked && err != nil {
+		t.Fatalf("the walk vouches for a message Unpack rejects: %v\n%.256x", err, b)
 	}
-	if err != nil {
-		t.Fatalf("Repack takes a message Unpack rejects: %v\n%.256x", err, b)
-	}
-	want, err := m.Pack()
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("Repack and Unpack → Pack disagree (%v):\nrepack %.256x\npack   %.256x\nof     %.256x", err, got, want, b)
-	}
-	if at, ok := repack(len(want)); !ok || !bytes.Equal(at, want) {
-		t.Fatalf("Repack refuses its own %d octets as the limit\n%.256x", len(want), b)
-	}
-	if _, ok := repack(len(want) - 1); ok {
-		t.Fatalf("Repack fits %d octets in %d\n%.256x", len(want), len(want)-1, b)
-	}
-	if len(want) <= MaxUDPSize {
-		if udp, err := m.PackUDP(MaxUDPSize); err != nil || !bytes.Equal(udp, want) {
-			t.Fatalf("PackUDP(512) of %d octets: %.256x (%v)", len(want), udp, err)
+	limits := []int{MaxMessageSize, MaxUDPSize}
+	if walked {
+		if whole, err := m.Pack(); err == nil {
+			limits = append(limits, len(whole), len(whole)-1, len(whole)-len(whole)/3, 12+len(v.QuestionWire()))
 		}
 	}
-	return len(want) <= MaxUDPSize
+	for _, limit := range limits {
+		got, ok := repack(limit)
+		if !walked {
+			if ok {
+				t.Fatalf("Repack takes at %d octets a message the walk refuses\n%.256x", limit, b)
+			}
+			continue
+		}
+		want, err := m.PackUDP(limit)
+		switch {
+		case ok && err != nil:
+			t.Fatalf("Repack writes in %d octets what PackUDP refuses (%v):\nrepack %.256x\nof     %.256x", limit, err, got, b)
+		case ok && !bytes.Equal(got, want):
+			t.Fatalf("Repack and Unpack → PackUDP disagree at %d octets:\nrepack  %.256x\npackudp %.256x\nof      %.256x", limit, got, want, b)
+		case !ok && err == nil && limit <= MaxUDPSize:
+			t.Fatalf("Repack refuses at %d octets what PackUDP writes:\npackudp %.256x\nof      %.256x", limit, want, b)
+		}
+	}
+	return walked
 }
 
 // TestRepack: the hand-built cases are taken or refused as listed and agree
-// with the codec; so does every seed of the fuzz corpus; and none allocates,
-// taken or refused, given room for the limit.
+// with the codec at every limit tried; so does every seed of the fuzz corpus;
+// and none allocates, taken or refused, given room for the limit.
 func TestRepack(t *testing.T) {
 	for name, c := range repackCases() {
 		if got := checkRepackAgreement(t, c.wire); got != c.ok {
 			t.Errorf("%s: Repack ok = %v, want %v", name, got, c.ok)
+		}
+	}
+	// Past 512 octets the table of names can fill, and then Repack refuses.
+	for name, ok := range map[string]bool{"256 labels written out": true, "257 labels written out": false} {
+		v, _ := ParseView(repackCases()[name].wire)
+		if _, got := v.Repack(nil, MaxMessageSize); got != ok {
+			t.Errorf("%s: Repack ok = %v at %d octets, want %v", name, got, MaxMessageSize, ok)
 		}
 	}
 	dst := make([]byte, 0, MaxUDPSize)
@@ -191,25 +223,30 @@ func TestRepack(t *testing.T) {
 // TestRepackWorstCase: on captures that are all names, each walked, folded and
 // looked up whole, what Repack does beyond one pass over its input — table
 // entries looked at and octets compared against names already written, which
-// the encoder counts — is bounded by its output, not by what it is sent: 32
+// the encoder counts — is bounded by its output, not by what it is sent: 96
 // per octet of the limit. The first capture finds every name at the table's
 // first entry (9 793), the second behind 63 to 82 entries that its length
 // rules out (10 561), the third behind six of its own length that differ in
-// the last label, the worst a lookup by length can be made to do (13 816).
-// Without the lengths — every entry written before the name compared, which
-// is as correct — the last two cost 42 195 and 62 623, six times the codec by
-// the clock: the bound is what the second table buys.
+// the last label (13 816). The table holds every label start 512 octets can
+// hold, up to 250, so the last two grow it that far: the fourth looks at every
+// entry for each label it writes (30 749), and the fifth, of names of 97
+// labels that differ in the last, is the worst of every such length (41 310).
+// Lookups are at most 250, each looks at no more entries than it follows,
+// and compares only those of its own length: the bound holds with room. Without
+// the lengths — every entry written before the name compared, which is as
+// correct — the second and third cost 42 195 and 62 623 in a table of 128,
+// six times the codec by the clock: the bound is what the second table buys.
 func TestRepackWorstCase(t *testing.T) {
-	for _, name := range []string{"pathological", "table scan", "names of one length"} {
+	for _, name := range []string{"pathological", "table scan", "names of one length", "a full table scanned", "long names of one length"} {
 		b := repackCases()[name].wire
 		v, _ := ParseView(b)
-		p := v.repack(make([]byte, 0, MaxUDPSize), MaxUDPSize)
+		p := v.repack(make([]byte, 0, MaxUDPSize), v.ID(), v.RawFlags(), v.QuestionWire(), nil, MaxUDPSize)
 		if !p.ok {
 			t.Fatalf("%s: refused", name)
 		}
 		t.Logf("%s, %d octets in, %d out: %d looked at or compared", name, len(b), len(p.dst), p.work)
-		if p.work > 32*MaxUDPSize {
-			t.Errorf("%s: Repack looks at or compares %d entries and octets, want <= %d", name, p.work, 32*MaxUDPSize)
+		if p.work > 96*MaxUDPSize {
+			t.Errorf("%s: Repack looks at or compares %d entries and octets, want <= %d", name, p.work, 96*MaxUDPSize)
 		}
 	}
 }

@@ -19,16 +19,15 @@ package dnswire
 //     raw label bytes may differ from the canonical Name only by ASCII case,
 //     which byte-wise lowercasing folds exactly as Unpack does, RFC 4343 §3;
 //     an octet ≥ 0x80 is the same on both sides). Everything else —
-//     compression, dotted labels, truncation — reports ok=false and the
-//     caller falls back to Unpack, which either materializes the message or
-//     classifies it malformed.
+//     no question, a compressed or dotted question name, truncation —
+//     reports ok=false, and a reader of the wire treats it as malformed.
 //   - ParseView covers the header and first question only. End reports the
 //     offset past the question; callers that need "nothing but a question"
-//     (the guard's pass-through shape check) compare End to the datagram
-//     length and the three RR counts to zero rather than trusting the View
-//     to have seen the whole message.
-//   - Records walks the rest under the same contract: what it vouches for
-//     Unpack accepts, with the same records; a refusal means "unpack it".
+//     compare End to the datagram length and the three RR counts to zero
+//     rather than trusting the View to have seen the whole message.
+//   - Records walks the rest under the same contract, both ways: what it
+//     vouches for Unpack accepts, with the same records, and a message of one
+//     question that Unpack accepts it vouches for. A refusal is malformed.
 
 // headerLen is the fixed DNS message header size.
 const headerLen = 12
@@ -43,8 +42,7 @@ type View struct {
 
 // ParseView parses the header and first question of b in place. ok is false
 // when b cannot be viewed zero-copy — too short, QDCOUNT zero, a compressed
-// or dotted-label question name, or a name past the length limits. ok=false says nothing about validity: the caller decides between
-// Unpack and a malformed verdict.
+// or dotted-label question name, or a name past the length limits.
 func ParseView(b []byte) (View, bool) {
 	if len(b) < headerLen || len(b) > MaxMessageSize {
 		return View{}, false
@@ -114,8 +112,8 @@ func (v View) QClass() Class {
 func (v View) QuestionWire() []byte { return v.buf[headerLen:v.end] }
 
 // End returns the offset just past the first question. A query that is
-// exactly one question — the shape the guard handles without a Message — has
-// End equal to the datagram length and zero ANCount/NSCount/ARCount.
+// exactly one question has End equal to the datagram length and zero
+// ANCount/NSCount/ARCount.
 func (v View) End() int { return v.end }
 
 // Question materializes the first question as Unpack would decode it —
@@ -189,15 +187,15 @@ const (
 
 // Record is one resource record as Records found it, Off to End of the
 // message. Owner is the owner name as it lies, through its terminator or its
-// first compression pointer: one that opens with the octet 00 is the root, one
-// that opens with a label is not, one that opens with a pointer may be either.
-// Owner and RData are borrowed from the View's buffer, under its no-escape
-// rule.
+// first compression pointer; OwnerLen is its length written out in full,
+// terminator included, so 1 for the root however the name is written. Owner
+// and RData are borrowed from the View's buffer, under its no-escape rule.
 type Record struct {
 	Section  int
 	Type     Type
 	TTL      uint32
 	Owner    []byte
+	OwnerLen int
 	RData    []byte
 	Off, End int
 }
@@ -215,16 +213,17 @@ func (v View) Records(visit func(Record)) bool {
 	}
 	for sec, n := range [...]uint16{v.ANCount(), v.NSCount(), v.ARCount()} {
 		for ; n > 0; n-- {
-			hdr, _, ok := skipName(b, off, true)
+			hdr, owner, ok := skipName(b, off, true)
 			if !ok || hdr+10 > len(b) {
 				return false
 			}
 			r := Record{
-				Section: sec,
-				Type:    Type(uint16(b[hdr])<<8 | uint16(b[hdr+1])),
-				TTL:     uint32(b[hdr+4])<<24 | uint32(b[hdr+5])<<16 | uint32(b[hdr+6])<<8 | uint32(b[hdr+7]),
-				Owner:   b[off:hdr],
-				Off:     off,
+				Section:  sec,
+				Type:     Type(uint16(b[hdr])<<8 | uint16(b[hdr+1])),
+				TTL:      uint32(b[hdr+4])<<24 | uint32(b[hdr+5])<<16 | uint32(b[hdr+6])<<8 | uint32(b[hdr+7]),
+				Owner:    b[off:hdr],
+				OwnerLen: owner,
+				Off:      off,
 			}
 			data := hdr + 10
 			if off = data + int(b[hdr+8])<<8 + int(b[hdr+9]); off > len(b) || !rdataShaped(b, r.Type, data, off) {
@@ -279,9 +278,12 @@ func rdataShaped(b []byte, t Type, data, end int) bool {
 	return data+fixed == end
 }
 
-const repackNames = 128 // the label starts one Repack remembers
+// repackNames is how many label starts one encoding remembers: more than 512
+// octets of output can hold, whose 500 after the header start 250 labels at
+// most, so at that limit the table never fills.
+const repackNames = 256
 
-// repacker is Repack's encoder. For builder's map of names to offsets it lists
+// repacker is RepackAs's encoder. For builder's map of names to offsets it lists
 // the label starts it wrote: where, and the name's length in full from there on,
 // which keeps a lookup off the name being written, one without an end yet.
 // Comparing only against entries written before the name would do that too,
@@ -297,34 +299,52 @@ type repacker struct {
 	at        [repackNames]uint16
 	wire      [repackNames]uint8
 	ok        bool
-	work      int // table entries looked at and octets compared: what TestRepackWorstCase bounds
+	over      bool // ok went false for want of room: what follows the last whole record is cut
+	work      int  // table entries looked at and octets compared: what TestRepackWorstCase bounds
 }
 
-// Repack appends to dst what Unpack → Pack write for the message under v: the
-// Z bits clear; every name — the question's, a record's owner, those in NS,
-// CNAME, PTR, MX and SOA rdata — in lower case and compressed by builder.name's
-// rule; other rdata as it lies; RDLENGTH to match. It builds no Message and,
-// given room for limit octets in dst, allocates nothing. It reports false,
-// "unpack it", dst void, when the walk refuses the message, over repackNames
-// labels are written out, or the result is over limit octets: truncation
-// stays PackUDP's. It writes no octet past the limit, which bounds its work on
-// hostile input: a name costs two octets of output or more, two walks of its
-// 255 at most, and per label a scan of the table's lengths and a compare with
-// the entries of its own, names that fit in the output together: under 32
-// steps per octet of limit, counted in work (TestRepackWorstCase).
+// Repack is RepackAs for the message under v as it is: its ID, its flags with
+// the Z bits clear, its question and every record.
 func (v View) Repack(dst []byte, limit int) ([]byte, bool) {
-	p := v.repack(dst, limit)
+	return v.RepackAs(dst, v.ID(), v.RawFlags()&^0x70, v.QuestionWire(), nil, limit)
+}
+
+// RepackAs appends to dst what PackUDP(limit) writes for a message of the
+// given ID and flags word, the question q — an uncompressed name, its type and
+// class — and the records of v that keep selects, every one if keep is nil:
+// every name — the question's, a record's owner, those in NS, CNAME, PTR, MX
+// and SOA rdata — in lower case and compressed by builder.name's rule; other
+// rdata as it lies; RDLENGTH and the counts to match. Over limit octets it
+// keeps the longest run of those records that fits, counts only them and sets
+// TC, as PackUDP does: compression points only backward, so records cut from
+// the end change none before them. It builds no Message and, given room for
+// limit octets in dst, allocates nothing. It reports false, dst void, when the
+// walk refuses v, when the question alone is over the limit, or when over
+// repackNames labels are written out, which within 512 octets none can be: at
+// that limit, what the walk vouches for it writes. It writes no octet past the
+// limit, which bounds its work on hostile input: a name costs two octets of
+// output or more, two walks of its 255 at most, and per label a scan of the
+// table's lengths and a compare with the entries of its own, names that fit
+// in the output together: under 96 steps per octet of limit, counted in work
+// (TestRepackWorstCase).
+func (v View) RepackAs(dst []byte, id, flags uint16, q []byte, keep func(Record) bool, limit int) ([]byte, bool) {
+	p := v.repack(dst, id, flags, q, keep, limit)
 	return p.dst, p.ok
 }
 
-func (v View) repack(dst []byte, limit int) repacker {
-	b := v.buf
-	p := repacker{src: b, dst: dst, base: len(dst), max: len(dst) + limit, ok: true}
-	p.put([]byte{b[0], b[1], b[2], b[3] &^ 0x70})
-	p.put(b[4:headerLen])
-	p.name(headerLen)
-	p.put(b[v.end-4 : v.end])
+func (v View) repack(dst []byte, id, flags uint16, q []byte, keep func(Record) bool, limit int) repacker {
+	p := repacker{src: q, dst: dst, base: len(dst), max: len(dst) + limit, ok: true}
+	p.put([]byte{byte(id >> 8), byte(id), byte(flags >> 8), byte(flags), 0, 1, 0, 0, 0, 0, 0, 0})
+	end := p.name(0)
+	if p.put(q[end : end+4]); !p.ok {
+		return p
+	}
+	b, fit, counts := v.buf, len(p.dst), [3]int{}
+	p.src = b
 	walked := v.Records(func(r Record) {
+		if !p.ok || keep != nil && !keep(r) {
+			return
+		}
 		data := r.End - len(r.RData)
 		p.name(r.Off)
 		p.put(b[data-10 : data])
@@ -337,17 +357,32 @@ func (v View) repack(dst []byte, limit int) repacker {
 		p.put(b[data:r.End])
 		if n := len(p.dst) - rdata; p.ok {
 			p.dst[rdata-2], p.dst[rdata-1] = byte(n>>8), byte(n)
+			fit, counts[r.Section] = len(p.dst), counts[r.Section]+1
 		}
 	})
-	p.ok = p.ok && walked
+	if p.ok = walked && (p.ok || p.over); !p.ok {
+		return p
+	}
+	if p.over {
+		p.dst = p.dst[:fit]
+		p.dst[p.base+2] |= 0x02 // TC
+	}
+	for i, n := range counts {
+		p.dst[p.base+6+2*i], p.dst[p.base+7+2*i] = byte(n>>8), byte(n)
+	}
 	return p
 }
 
 // put appends x, if the encoding is still good and x fits.
 func (p *repacker) put(x []byte) {
-	if p.ok = p.ok && len(p.dst)+len(x) <= p.max; p.ok {
-		p.dst = append(p.dst, x...)
+	if !p.ok {
+		return
 	}
+	if p.over = len(p.dst)+len(x) > p.max; p.over {
+		p.ok = false
+		return
+	}
+	p.dst = append(p.dst, x...)
 }
 
 // name appends the name at src[off:], one the walk vouched for, as builder.name

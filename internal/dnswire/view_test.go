@@ -206,15 +206,16 @@ func FuzzViewAgreement(f *testing.F) {
 	})
 }
 
-// checkWalkAgreement is the walk's accept-subset contract on one input: if
-// the walk vouches for b, Unpack accepts it, with the same section counts
-// and, record by record, the same section, type, TTL and — for an A
-// record — address. That the walk vouches at all says it ended where b does,
-// which is where Unpack must. The extents tile b from the question on; an
-// owner that opens with 00 is the root to Unpack and one that opens with a
-// label is not; and a record owned by the octet 00 of a type the codec does
-// not interpret is, repacked alone, the bytes of its extent: what lets the
-// guard forward an OPT as it lies.
+// checkWalkAgreement is the walk's contract with Unpack on one input, both
+// ways. If the walk vouches for b, Unpack accepts it, with the same section
+// counts and, record by record, the same section, type, TTL, the owner's
+// length written out — so the root where Unpack reads the root — and, for an
+// A record, address. That the walk vouches at all says it ended where b does,
+// which is where Unpack must. The extents tile b from the question on; and a
+// record owned by the octet 00 of a type the codec does not interpret is,
+// repacked alone, the bytes of its extent. If the walk refuses a message
+// ParseView takes with one question, Unpack refuses it too: what the walk
+// refuses is malformed.
 func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 	t.Helper()
 	v, ok := ParseView(b)
@@ -222,10 +223,14 @@ func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 		return false
 	}
 	var recs []Record
-	if !v.Records(func(r Record) { recs = append(recs, r) }) {
+	walked = v.Records(func(r Record) { recs = append(recs, r) })
+	m, err := Unpack(b)
+	if !walked {
+		if err == nil && v.QDCount() == 1 {
+			t.Fatalf("the walk refuses a message of one question Unpack accepts\n%x", b)
+		}
 		return false
 	}
-	m, err := Unpack(b)
 	if err != nil {
 		t.Fatalf("the walk vouches for a message Unpack rejects: %v\n%x", err, b)
 	}
@@ -247,8 +252,8 @@ func checkWalkAgreement(t *testing.T, b []byte) (walked bool) {
 				t.Fatalf("record %d: extent %d..%d with a %d-byte owner and %d of rdata, after a record ending at %d", i, r.Off, r.End, len(r.Owner), len(r.RData), at)
 			}
 			at = r.End
-			if first := r.Owner[0]; first < 0xC0 && (first == 0) != (rr.Name == Root) {
-				t.Fatalf("record %d: owner %x lies as root = %v, Unpack reads %q", i, r.Owner, first == 0, rr.Name)
+			if r.OwnerLen != rr.Name.WireLen() {
+				t.Fatalf("record %d: owner %x is %d octets written out, Unpack reads %q", i, r.Owner, r.OwnerLen, rr.Name)
 			}
 			if _, opaque := rr.Data.(*Raw); opaque && r.Owner[0] == 0 {
 				alone, err := (&Message{Additional: []RR{rr}}).Pack()
@@ -336,7 +341,8 @@ func TestRecordWalk(t *testing.T) {
 }
 
 // FuzzWalkAgreement holds the record walk to its contract on arbitrary
-// bytes: whatever it vouches for, Unpack accepts and reads the same.
+// bytes: whatever it vouches for, Unpack accepts and reads the same, and
+// whatever of one question it refuses, Unpack refuses.
 func FuzzWalkAgreement(f *testing.F) {
 	addWireSeeds(f, func(b []byte) { f.Add(b) })
 	f.Fuzz(func(t *testing.T, b []byte) { checkWalkAgreement(t, b) })

@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"sync/atomic"
 
-	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 )
 
@@ -40,18 +39,10 @@ func (s *remoteShard) EndBatch() {
 	s.outbuf, s.egress = s.outbuf[:0], s.egress[:0] // flushed: the slab's bytes are nobody's
 }
 
-// reply emits a guard-originated response from a worker-context handler: the
-// packed reply is queued for EndBatch's flush. Reply sites that run outside
-// worker context (the upstream loop) have no bracket and must keep calling
-// s.replyNow.
-func (s *remoteShard) reply(from, to netip.AddrPort, msg *dnswire.Message) {
-	if wire, err := msg.PackUDP(dnswire.MaxUDPSize); err == nil {
-		s.queueReply(from, to, wire)
-	}
-}
-
-// queueReply buffers wire, which must stay untouched until EndBatch has
-// flushed it. Stats and CPU charges accrue here, exactly as in s.replyWire.
+// queueReply buffers wire, a reply from a worker-context handler, which must
+// stay untouched until EndBatch has flushed it. Stats and CPU charges accrue
+// here, exactly as in s.replyWire, which the upstream loop, with no bracket to
+// queue in, sends through.
 func (s *remoteShard) queueReply(from, to netip.AddrPort, wire []byte) {
 	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
 	s.g.charge(s.g.cfg.Costs.PacketOp)

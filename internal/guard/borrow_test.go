@@ -531,7 +531,7 @@ func TestOversizeIngressDropped(t *testing.T) {
 
 // TestOversizeUpstreamDropped: an upstream datagram over the limit — even a
 // well-formed answer to the pending question from the right address — is
-// dropped unparsed and leaves the pending entry for an answer that fits.
+// dropped as malformed and leaves the pending entry for an answer that fits.
 func TestOversizeUpstreamDropped(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = 1e12 })
 	src := mustAP("10.0.0.53:5555")
@@ -547,9 +547,10 @@ func TestOversizeUpstreamDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.g.Stats.Load()
+	want := h.g.Stats.Load()
+	want.UpstreamMalformed++
 	h.s.handleUpstream(padTo(t, fwd.Response(), dnswire.MaxDatagram+1), h.g.cfg.ANSAddr)
-	if h.g.PendingEntries() != 1 || h.io.wrote != 0 || h.g.Stats.Load() != before {
+	if h.g.PendingEntries() != 1 || h.io.wrote != 0 || h.g.Stats.Load() != want {
 		t.Fatalf("oversize upstream datagram was acted on: pending %d, replies %d, stats %+v",
 			h.g.PendingEntries(), h.io.wrote, h.g.Stats.Load())
 	}

@@ -126,15 +126,31 @@ func (h *shardHarness) nsQueryWire(t testing.TB, src netip.Addr, child string, i
 	return wire
 }
 
-// appendNXDomain and appendReferral turn fwd, a query the guard forwarded,
-// into what the ANS sends back, in dst: an empty NXDOMAIN, or the referral
-// real servers send — the question's NS record, its target's address as glue,
-// an AAAA beside it — by hand, so the tests that count allocations make none.
+// appendNXDomain, appendNXDomainSOA, appendAnswer and appendReferral turn
+// fwd, a query the guard forwarded, into what the ANS sends back, in dst: an
+// empty NXDOMAIN, one with the zone's SOA, an address for the question, or
+// the referral real servers send — the question's NS record, its target's
+// address as glue, an AAAA beside it — by hand, so the tests that count
+// allocations make none.
 func appendNXDomain(dst, fwd []byte) []byte {
 	dst = append(dst[:0], fwd...)
 	dst[2] |= 0x80
 	dst[3] |= byte(dnswire.RCodeNXDomain)
 	return dst
+}
+
+func appendNXDomainSOA(dst, fwd []byte) []byte {
+	dst = appendNXDomain(dst, fwd)
+	dst[9] = 1 // the zone's SOA, its names pointing at foo.com in the question
+	dst = append(dst, 0xC0, 16, 0, byte(dnswire.TypeSOA), 0, 1, 0, 0, 0, 60, 0, 33, 3, 'n', 's', '1', 0xC0, 16, 4, 'h', 'o', 's', 't', 0xC0, 16)
+	return append(dst, 0, 0, 0, 7, 0, 0, 0x0e, 0x10, 0, 0, 2, 0x58, 0, 1, 0x51, 0x80, 0, 0, 0, 60)
+}
+
+func appendAnswer(dst, fwd []byte) []byte {
+	dst = append(dst[:0], fwd...)
+	dst[2] |= 0x80
+	dst[7] = 1
+	return append(dst, 0xC0, 12, 0, byte(dnswire.TypeA), 0, 1, 0, 0, 1, 0x2c, 0, 4, 198, 51, 100, 10)
 }
 
 func appendReferral(dst, fwd []byte) []byte {
@@ -188,11 +204,11 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 	}
 	forged, forgedOPTs := withRecords(plain, 0, 0, 1, other), withRecords(plain, 0, 0, 3, optRR, other, optOptions)
 	valid, byLabel := cycle(withRecords(plain, 0, 0, 1, own)), cycle(named)
-	for _, c := range []struct {
-		name string
-		run  func()
-		ran  func(d RemoteStats) bool // what 201 runs must have added to the counters
-	}{
+	// The cookie record owned by a pointer to the question name's last octet,
+	// the root; and an address record beside the cookie, forwarded with it.
+	pointerOwned := rawRR("\xc0\x18", dnswire.TypeTXT, 1, 0, -1, string(own[11:]))
+	address := rawRR("\x00", dnswire.TypeA, 1, 60, -1, "\xc6\x33\x64\x07")
+	pinAllocs(t, rig, h, []allocCase{
 		{"a forged TXT cookie", func() { send(forged) },
 			func(d RemoteStats) bool { return d.CookieInvalid == 201 && d.ForwardedToANS == 0 }},
 		{"a forged TXT cookie between OPTs", func() { send(forgedOPTs) },
@@ -221,7 +237,26 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
 		{"a first contact with an OPT", answered(withRecords(plain, 0, 0, 1, optOptions)),
 			func(d RemoteStats) bool { return d.NewcomerGrants == 201 && d.RepliesToClient == 201 }},
-	} {
+		{"a valid TXT cookie owned by a pointer", cycle(withRecords(plain, 0, 0, 1, pointerOwned)),
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
+		{"a valid TXT cookie beside an address record", cycle(withRecords(plain, 0, 0, 2, own, address)),
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
+	})
+}
+
+// allocCase is one shape TestFastPathWireAllocs pins at zero allocations:
+// what a run does, and what 201 runs must have added to the counters.
+type allocCase struct {
+	name string
+	run  func()
+	ran  func(d RemoteStats) bool
+}
+
+// pinAllocs runs each case 201 times on h, the first to warm up, and checks
+// that the other 200 allocate nothing and that all of them ran as meant.
+func pinAllocs(t *testing.T, rig string, h *shardHarness, cases []allocCase) {
+	t.Helper()
+	for _, c := range cases {
 		before := h.g.Stats.Load()
 		if n := testing.AllocsPerRun(200, c.run); n != 0 {
 			t.Errorf("%s: %s allocates %.1f/op, want 0", rig, c.name, n)
@@ -339,6 +374,63 @@ func TestFastPathWireAllocs(t *testing.T) {
 	if st := hp.g.Stats.Load(); hp.io.n != relayed || st.RepliesToClient != 202 {
 		t.Errorf("the relayed referral is %d bytes, want %d: %+v", hp.io.n, relayed, st)
 	}
+
+	// The shapes the guard once built a Message for, each read and written as
+	// wire now: a relayed response over 512 bytes, cut; message 6 for NXDOMAIN
+	// with its SOA, and for an answer, with its IP cookie and the table insert;
+	// message 7 answered from the table, and forwarded with its answer relayed;
+	// a query of two questions, dropped.
+	pad := make([]byte, 500)
+	overLimit := func(dst, fwd []byte) []byte {
+		dst = appendReferral(dst, fwd)
+		dst[11]++
+		dst = append(dst, 0, 0, 99, 0, 1, 0, 0, 0, 0, byte(len(pad)>>8), byte(len(pad)))
+		return append(dst, pad...)
+	}
+	pinAllocs(t, "stub I/O, inactive", hp, []allocCase{
+		{"a relayed response over 512 bytes", func() {
+			hp.handle(ppkt)
+			resp = overLimit(resp, hp.up.buf[:hp.up.n])
+			hp.s.handleUpstream(resp, hp.g.cfg.ANSAddr)
+		}, func(d RemoteStats) bool { return d.RepliesToClient == 201 && hp.io.buf[2]&2 != 0 }},
+	})
+	hi := newShardHarness(t, func(cfg *RemoteConfig) {
+		roomy(cfg)
+		cfg.Subnet = shapeSubnet
+	})
+	cookieAddr, err := hi.g.ipc.Encode(hi.g.cfg.Auth.Mint(src.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, ftp := hi.nsQueryWire(t, src.Addr(), "www.foo.com", 0x48), mustPack(t, dnswire.NewQuery(0x49, dnswire.MustName("ftp.foo.com"), dnswire.TypeA))
+	two := append(append([]byte(nil), plain...), 3, 'f', 't', 'p', 0xC0, 16, 0, 1, 0, 1)
+	two[5] = 2
+	exchange := func(to netip.AddrPort, query []byte, answer func(dst, fwd []byte) []byte) func() {
+		return func() {
+			hi.handle(Packet{Src: src, Dst: to, Payload: query})
+			if answer != nil {
+				resp = answer(resp, hi.up.buf[:hi.up.n])
+				hi.s.handleUpstream(resp, hi.g.cfg.ANSAddr)
+			}
+		}
+	}
+	public, cookieIP := hi.g.cfg.PublicAddr, netip.AddrPortFrom(cookieAddr, 53)
+	pinAllocs(t, "stub I/O, with a subnet", hi, []allocCase{
+		{"message 6 for NXDOMAIN with its SOA", exchange(public, named, appendNXDomainSOA),
+			func(d RemoteStats) bool {
+				return d.RepliesToClient == 201 && hi.io.buf[3]&0xF == byte(dnswire.RCodeNXDomain)
+			}},
+		{"message 6 for an answer, with its IP cookie and table insert", exchange(public, named, appendAnswer),
+			func(d RemoteStats) bool { return d.RepliesToClient == 201 && hi.io.buf[7] == 1 }},
+		{"message 7 answered from the table", exchange(cookieIP, plain, nil),
+			func(d RemoteStats) bool { return d.AnswerCacheHits == 201 && d.RepliesToClient == 201 }},
+		{"message 7 forwarded, its answer relayed", exchange(cookieIP, ftp, appendAnswer),
+			func(d RemoteStats) bool {
+				return d.ForwardedToANS == 201 && d.RepliesToClient == 201 && d.AnswerCacheHits == 0
+			}},
+		{"a query of two questions, dropped", exchange(public, two, nil),
+			func(d RemoteStats) bool { return d.Malformed == 201 && d.RepliesToClient == 0 }},
+	})
 
 	if raceEnabled {
 		// SocketIO's write scratch is pooled, and the pool drops some of it.

@@ -267,10 +267,11 @@ func (s *remoteShard) sweepPending(now time.Duration) []netip.AddrPort {
 // probe rides the ordinary pending table, so the response is held to the
 // same source and question-echo checks as real traffic — a spoofed "probe
 // answer" cannot close the breaker.
+// It is written as the guard writes every query it asks: RD off, class IN.
 func (s *remoteShard) sendProbe(upstream netip.AddrPort) {
 	g := s.g
-	probe := dnswire.NewQuery(0, g.cfg.Zone, dnswire.TypeSOA)
-	probe.Flags.RD = false
+	probe := append([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, g.zoneWire...)
+	probe = append(probe, 0, byte(dnswire.TypeSOA), 0, byte(dnswire.ClassINET))
 	atomic.AddUint64(&g.Stats.ProbesSent, 1)
-	s.forwardPacked(pendEntry{kind: pendProbe, upstream: upstream}, probe)
+	s.forward(pendEntry{kind: pendProbe, upstream: upstream}, probe, nil)
 }

@@ -4,12 +4,12 @@ package guard
 // registered in its shard's pending table under a fresh transaction ID, and
 // every datagram the ANS sends back is matched against that table before it
 // becomes a reply. An entry holds questions the way the wire does — as spans
-// of bytes it owns — so forwarding and answering a question that needs no
-// records builds no Message and allocates nothing, nor does a referral, whose
-// records dnswire's walk vouches for and message 6 takes only addresses from,
-// nor a response relayed whole, records and all, which View.Repack re-encodes
-// from wire to wire as Unpack → PackUDP would. A Message is built where message
-// 6 copies records or only Unpack can read.
+// of bytes it owns. A response is read only as dnswire's view and record walk
+// read it, and one they refuse is malformed; what the guard sends on of it —
+// a response relayed whole, message 6's authority records — dnswire's
+// re-encoder writes from wire to wire as the codec would, and the rest
+// of message 6 is written by splice. Nothing here builds a Message or, once
+// warm, allocates.
 
 import (
 	"net/netip"
@@ -39,7 +39,7 @@ type pendEntry struct {
 	upstream  netip.AddrPort // where the query went; the response must come from here
 	expires   time.Duration
 	qwire     []byte // pendChild: the client's question span, name in canonical case — message 6's question
-	fwdWire   []byte // the forwarded question span, canonical; responses must echo it. Empty: none sent, none accepted
+	fwdWire   []byte // the forwarded question span, canonical; responses must echo it
 }
 
 // maxPending bounds each shard's NAT table (the pre-engine global bound,
@@ -47,7 +47,7 @@ type pendEntry struct {
 const maxPending = 4096
 
 // flagsZMask covers the reserved Z bits, the one part of the flags word that
-// dnswire.Unpack→Pack does not round-trip (packFlags writes them as zero).
+// the codec does not round-trip (it writes them as zero).
 const flagsZMask = 0x0070
 
 // pendChunk is how many slots the table grows by: what a shard that never
@@ -168,52 +168,21 @@ func appendFolded(dst, b []byte) []byte {
 	return dst
 }
 
-// loneQuestion reports whether v covers the whole n-byte datagram with
-// exactly one question and no record.
-func loneQuestion(v dnswire.View, n int) bool {
-	return v.QDCount() == 1 && v.ANCount() == 0 && v.NSCount() == 0 &&
-		v.ARCount() == 0 && v.End() == n
-}
-
-// rootOPT reports whether r is an OPT record owned by the root written as the
-// single octet 00. The codec does not interpret an OPT, so Unpack→Pack gives
-// such a record back byte for byte.
-func rootOPT(r dnswire.Record) bool { return r.Owner[0] == 0 && r.Type == dnswire.TypeOPT }
-
-// questionsWire packs qs as Pack writes a message's question section.
-func questionsWire(qs []dnswire.Question) []byte {
-	wire, err := (&dnswire.Message{Questions: qs}).Pack()
-	if err != nil {
-		return nil
-	}
-	return wire[12:]
-}
-
-// wireNameLen returns the length of the name that opens b, terminator
-// included: a name this guard packed or one ParseView accepted, uncompressed
-// and in bounds.
-func wireNameLen(b []byte) int {
-	n := 1
-	for b[n-1] != 0 {
-		n += 1 + int(b[n-1])
-	}
-	return n
-}
-
-// firstQuestion returns the first question span of wire, a message whose
-// first name wireNameLen can measure, or nil if it has no question.
+// firstQuestion returns the question span of wire, a query this guard wrote:
+// one question, its name uncompressed.
 func firstQuestion(wire []byte) []byte {
-	if wire[4]|wire[5] == 0 {
-		return nil
+	n := 13
+	for wire[n-1] != 0 {
+		n += 1 + int(wire[n-1])
 	}
-	return wire[12 : 12+wireNameLen(wire[12:])+4]
+	return wire[12 : n+4]
 }
 
 // echoes reports whether q, the question span of an upstream response, is
 // the forwarded span want in any ASCII case of the name. Type and class
 // follow the name and compare as they are: 0x41 there is not a letter.
 func echoes(q, want []byte) bool {
-	if len(q) != len(want) || len(q) == 0 {
+	if len(q) != len(want) {
 		return false
 	}
 	for i, c := range q {
@@ -225,15 +194,6 @@ func echoes(q, want []byte) bool {
 		}
 	}
 	return true
-}
-
-// forwardPacked is forward for handlers that built their query as a Message.
-func (s *remoteShard) forwardPacked(entry pendEntry, msg *dnswire.Message) {
-	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return
-	}
-	s.forward(entry, wire, nil)
 }
 
 // forward sends wire, a packed query, to the current upstream — the
@@ -316,14 +276,16 @@ func (s *remoteShard) upstreamLoop() {
 }
 
 // handleUpstream validates and relays one ANS datagram. A datagram is
-// consumed only when it (a) comes from a configured upstream, (b) carries
-// the ID of a pending entry, (c) echoes the question the guard forwarded
-// under that ID — ID alone is 16 bits of entropy, trivially sweepable by an
-// off-path attacker who learns the upstream port — and (d) comes from the
-// upstream that entry was sent to. payload is borrowed: it is read within the
-// call, never retained. What the checks cost is bounded whatever an upstream
-// sends: one walk of at most 4096 bytes, and for a response relayed whole a
-// re-encode that stops at the 512th byte it writes (see View.Repack).
+// consumed only when it (a) comes from a configured upstream, (b) is a
+// response the view and the record walk take, (c) carries the ID of a pending
+// entry, (d) echoes the question the guard forwarded under that ID — ID alone
+// is 16 bits of entropy, trivially sweepable by an off-path attacker who
+// learns the upstream port — and (e) comes from the upstream that entry was
+// sent to. The first check it fails counts it: (b) as UpstreamMalformed, (c)
+// as UpstreamStrays, the others as UpstreamSpoofed. payload is borrowed: it
+// is read within the call, never retained. What the checks cost is bounded
+// whatever an upstream sends: one walk of at most 4096 bytes, and a re-encode
+// that stops at the 512th byte it writes (see View.RepackAs).
 func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	g := s.g
 	g.charge(g.cfg.Costs.PacketOp)
@@ -332,24 +294,15 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
 	}
-	if len(payload) > dnswire.MaxDatagram || len(payload) < 3 || payload[2]&0x80 == 0 {
-		return // over the UDP ceiling (a full receive slot), or not a response: not parsed
-	}
 	// A response the walk vouches for — one viewable question, and records,
-	// if any, of the shapes Unpack demands — is well-formed without a
-	// Message: resp stays nil until a shape that needs records copied asks
-	// for one. In passing the walk notes all message 6 takes from a referral:
-	// once an NS record has named servers, their addresses, each as the
-	// record giving it to the question's name, class IN whatever the glue's.
-	// Anything else is unpacked — validated whole — before the table is read.
-	v, viewable := dnswire.ParseView(payload)
-	var resp *dnswire.Message
-	var echo []byte
-	if viewable {
-		echo = v.QuestionWire()
-	}
+	// if any, of the shapes Unpack demands — is well-formed; anything else,
+	// over the UDP ceiling (a full receive slot) or not a response, is not.
+	// In passing the walk notes all message 6 takes from a referral: once an
+	// NS record has named servers, their addresses, each as the record giving
+	// it to the question's name, class IN whatever the glue's.
 	ns, glue := false, s.upBuf[dnswire.MaxUDPSize:dnswire.MaxUDPSize]
-	walked := viewable && v.Records(func(r dnswire.Record) {
+	v, ok := dnswire.ParseView(payload)
+	if !ok || len(payload) > dnswire.MaxDatagram || !v.QR() || !v.Records(func(r dnswire.Record) {
 		switch {
 		case r.Section == dnswire.SectionAuthority && r.Type == dnswire.TypeNS:
 			ns = true
@@ -358,17 +311,11 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 				byte(r.TTL>>24), byte(r.TTL>>16), byte(r.TTL>>8), byte(r.TTL), 0, 4)
 			glue = append(glue, r.RData...)
 		}
-	})
-	if !walked {
-		var err error
-		if resp, err = dnswire.Unpack(payload); err != nil {
-			return
-		}
-		if !viewable && len(resp.Questions) > 0 {
-			echo = questionsWire(resp.Questions[:1])
-		}
+	}) {
+		atomic.AddUint64(&g.Stats.UpstreamMalformed, 1)
+		return
 	}
-	id := uint16(payload[0])<<8 | uint16(payload[1])
+	id := v.ID()
 	s.mu.Lock()
 	entry := s.pend.lookup(id)
 	if entry == nil {
@@ -378,7 +325,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
 		return
 	}
-	if !echoes(echo, entry.fwdWire) || src != entry.upstream {
+	if !echoes(v.QuestionWire(), entry.fwdWire) || src != entry.upstream {
 		// Right ID but wrong question — or right everything from the
 		// wrong upstream (one configured ANS cannot vouch for another).
 		// Spoofed or corrupted either way; keep the entry so the
@@ -395,146 +342,68 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// ID, and question echo all checked above.
 		s.health.noteSuccess(src)
 	}
-	rcode := dnswire.RCode(payload[3] & 0xF)
 	switch {
 	case expired:
 		atomic.AddUint64(&g.Stats.PendingDropped, 1)
 	case entry.kind == pendProbe:
 		// Half-open probe answered: the noteSuccess above already
 		// closed the breaker. Nothing to relay.
-	case walked && entry.kind == pendChild && s.spliceChild(entry, rcode, v, glue):
-	case walked && entry.kind != pendChild && s.relay(entry, v): // pendPassthrough, pendDirect
-	default:
-		if resp == nil { // records to copy: now the datagram is worth a Message
-			if resp, _ = dnswire.Unpack(payload); resp == nil {
-				break // not reached: the walk accepts nothing Unpack refuses
-			}
-		}
-		if entry.kind == pendChild {
-			s.answerChild(entry, rcode, resp)
-		} else {
-			resp.ID = entry.origID
-			s.replyNow(entry.replyFrom, entry.clientSrc, resp)
-		}
+	case entry.kind == pendChild:
+		s.spliceChild(entry, v, glue)
+	default: // pendPassthrough, pendDirect: relayed whole under the client's ID
+		wire, _ := v.RepackAs(s.upBuf[:0], entry.origID, v.RawFlags()&^flagsZMask, v.QuestionWire(), nil, dnswire.MaxUDPSize)
+		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
 	}
 	s.mu.Lock()
 	s.pend.release(id)
 	s.mu.Unlock()
 }
 
-// relay is reply for a response the walk vouched for, relayed whole under the
-// client's ID: what Unpack → PackUDP make of it, re-encoded into the head of
-// upBuf. It reports false, nothing sent, where Repack does: over 512 bytes,
-// which PackUDP truncates, or a message only the codec can judge.
-func (s *remoteShard) relay(entry *pendEntry, v dnswire.View) bool {
-	wire, ok := v.Repack(s.upBuf[:0], dnswire.MaxUDPSize)
-	if ok {
-		wire[0], wire[1] = byte(entry.origID>>8), byte(entry.origID)
-		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
-	}
-	return ok
-}
-
-// spliceChild is answerChild for a response the walk vouched for, when
-// message 6 copies no record of it whole: NXDOMAIN without an authority
-// section stays NXDOMAIN, and a response without answers is a referral — the
-// fabricated name's addresses are the real next-level servers' glue
-// addresses (§III-B.1) — or, without glue, SERVFAIL; the bytes are PackUDP's.
-// It reports false, nothing sent, for what needs answerChild's Message:
-// authority to copy, an answer to turn into an IP cookie, truncation.
-func (s *remoteShard) spliceChild(entry *pendEntry, rcode dnswire.RCode, v dnswire.View, glue []byte) bool {
-	switch {
-	case rcode == dnswire.RCodeNXDomain && v.NSCount() == 0:
-		glue = nil
-	case rcode == dnswire.RCodeNXDomain || v.ANCount() != 0 || 12+len(entry.qwire)+len(glue) > dnswire.MaxUDPSize:
-		return false
-	case len(glue) > 0:
-		rcode = dnswire.RCodeNoError
-	default:
-		rcode = dnswire.RCodeServFail
-	}
-	buf := append(s.upBuf[:0],
-		byte(entry.origID>>8), byte(entry.origID),
-		0x84, byte(rcode), // QR|AA, opcode 0, rcode
-		0, 1, 0, byte(len(glue)/16), 0, 0, 0, 0)
-	buf = append(append(buf, entry.qwire...), glue...)
-	s.replyWire(entry.replyFrom, entry.clientSrc, buf)
-	return true
-}
-
-// answerChild turns the ANS's answer for the restored child query (message
-// 5) into the response for the fabricated name (message 6), as a Message:
-// for a response the walk refused, or whose records it copies.
-func (s *remoteShard) answerChild(entry *pendEntry, rcode dnswire.RCode, resp *dnswire.Message) {
+// spliceChild turns the ANS's answer to the restored child query (message 5)
+// into the answer for the fabricated name (message 6): a QR|AA header under
+// the client's ID, the client's question with its name folded, and
+//   - for NXDOMAIN, the authority section as the re-encoder writes it;
+//   - for a referral — no answer, an NS record in the authority section — the
+//     real next-level servers' glue addresses as the fabricated name's
+//     (§III-B.1), cut at the last that fits in 512 bytes with TC set; without
+//     glue, or without answers otherwise, SERVFAIL;
+//   - for an answer, the IP cookie (§III-B.2) as the fabricated name's one A
+//     record, with the answer kept in the answer table for message 7; without
+//     a subnet to encode it in, SERVFAIL.
+//
+// The bytes are the codec's for the message 6 the guard once built as a
+// Message.
+func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte) {
 	g := s.g
-	question, _, _ := dnswire.UnpackQuestion(entry.qwire)
-	out := &dnswire.Message{
-		ID:        entry.origID,
-		Flags:     dnswire.Flags{QR: true, AA: true},
-		Questions: []dnswire.Question{question},
-	}
-	fabName := question.Name
-
-	switch {
-	case rcode == dnswire.RCodeNXDomain:
-		out.Flags.RCode = dnswire.RCodeNXDomain
-		out.Authority = resp.Authority
-	case len(resp.Answers) == 0 && hasNS(resp.Authority):
-		// Referral: the fabricated name's addresses are the real
-		// next-level servers' glue addresses (§III-B.1).
-		for _, rr := range resp.Additional {
-			if rr.Type == dnswire.TypeA {
-				out.Answers = append(out.Answers,
-					dnswire.NewRR(fabName, rr.TTL, rr.Data))
-			}
-		}
-		if len(out.Answers) == 0 {
-			out.Flags.RCode = dnswire.RCodeServFail
-		}
-	case len(resp.Answers) > 0:
-		// Non-referral: answer with the IP cookie (§III-B.2) and cache
-		// the real answer for message 7.
-		if !g.cfg.Subnet.IsValid() {
-			out.Flags.RCode = dnswire.RCodeServFail
-			break
-		}
-		g.charge(g.cfg.Costs.CookieCheck) // second cookie computation
-		c := g.cfg.Auth.Mint(entry.clientSrc.Addr())
-		addr, err := g.ipc.Encode(c)
-		if err != nil {
-			out.Flags.RCode = dnswire.RCodeServFail
-			break
-		}
-		if g.cfg.AnswerCacheTTL > 0 {
-			ttl := uint32(g.cfg.AnswerCacheTTL / time.Second)
-			cached := make([]dnswire.RR, len(resp.Answers))
-			copy(cached, resp.Answers)
-			for i := range cached {
-				if cached[i].TTL > ttl {
-					cached[i].TTL = ttl
-				}
-			}
-			child, _, _ := dnswire.UnpackQuestion(entry.fwdWire)
-			g.answers.Put(g.now(), child.Name, question.Type, cached)
-		}
-		out.Answers = []dnswire.RR{
-			dnswire.NewRR(fabName, nsTTL, &dnswire.AData{Addr: addr}),
-		}
-	default:
-		// NODATA for the child: nothing useful to fabricate.
-		out.Flags.RCode = dnswire.RCodeServFail
-	}
-	s.replyNow(entry.replyFrom, entry.clientSrc, out)
-}
-
-// replyNow packs and emits a guard-originated response from the upstream
-// loop, which has no batch bracket to queue it in.
-func (s *remoteShard) replyNow(from, to netip.AddrPort, msg *dnswire.Message) {
-	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
+	if dnswire.RCode(v.RawFlags()&0xF) == dnswire.RCodeNXDomain {
+		wire, _ := v.RepackAs(s.upBuf[:0], entry.origID, 0x8400|uint16(dnswire.RCodeNXDomain), entry.qwire,
+			func(r dnswire.Record) bool { return r.Section == dnswire.SectionAuthority }, dnswire.MaxUDPSize)
+		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
 		return
 	}
-	s.replyWire(from, to, wire)
+	buf := append(s.upBuf[:0], byte(entry.origID>>8), byte(entry.origID), 0x84, byte(dnswire.RCodeServFail), 0, 1, 0, 0, 0, 0, 0, 0)
+	buf = append(buf, entry.qwire...)
+	switch {
+	case v.ANCount() == 0 && len(glue) > 0:
+		n := min(len(glue), dnswire.MaxUDPSize-len(buf)) / 16
+		buf[3], buf[7] = byte(dnswire.RCodeNoError), byte(n)
+		if 16*n < len(glue) {
+			buf[2] |= 2 // TC
+		}
+		buf = append(buf, glue[:16*n]...)
+	case v.ANCount() != 0 && g.cfg.Subnet.IsValid():
+		g.charge(g.cfg.Costs.CookieCheck) // second cookie computation
+		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
+		if err != nil {
+			break
+		}
+		g.answers.put(g.now(), entry.fwdWire, v)
+		a, ttl := addr.As4(), nsTTL
+		buf[3], buf[7] = byte(dnswire.RCodeNoError), 1
+		buf = append(buf, 0xC0, 12, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassINET),
+			byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 4, a[0], a[1], a[2], a[3])
+	}
+	s.replyWire(entry.replyFrom, entry.clientSrc, buf)
 }
 
 // replyWire emits an already-packed guard response through the shard's
@@ -543,13 +412,4 @@ func (s *remoteShard) replyWire(from, to netip.AddrPort, wire []byte) {
 	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
 	s.g.charge(s.g.cfg.Costs.PacketOp)
 	_ = s.io.WriteFromTo(from, to, wire)
-}
-
-func hasNS(rrs []dnswire.RR) bool {
-	for _, rr := range rrs {
-		if rr.Type == dnswire.TypeNS {
-			return true
-		}
-	}
-	return false
 }

@@ -27,9 +27,13 @@ import (
 // that had them, 6962bd0, beside a wire fast path (the referral and newcomer
 // rows at the end of the table: 1f736d1, the last commit that built message 6
 // and the newcomer's reply as Messages); it is not regenerated when the
-// pipeline changes, only when a row is added. The verified cache must not
-// change a byte of it: the table is replayed with the cache off and with a
-// one-minute TTL. Only the cache's own counters differ, recorded per TTL.
+// pipeline changes, only when a row is added. When the guard came to read and
+// write only wire, the rows whose datagrams the view or the record walk
+// refuses were re-recorded on purpose, each naming its reason: RFC 9619 (a
+// count of questions other than one), question-less, or UpstreamMalformed (a
+// response refused is now counted). The verified cache must not change a
+// byte of it: the table is replayed with the cache off and with a one-minute
+// TTL. Only the cache's own counters differ, recorded per TTL.
 
 const shapesFile = "testdata/pipeline_shapes.txt"
 
@@ -54,6 +58,7 @@ func (e skewEnv) Now() time.Duration { return e.Env.Now() + time.Duration(e.skew
 // every datagram the row feeds the shard (the fuzz targets seed from it).
 type shapeRun struct {
 	t    testing.TB
+	name string
 	h    *shardHarness
 	skew atomic.Int64
 	out  strings.Builder
@@ -85,11 +90,26 @@ func (r *shapeRun) query(label string, src netip.AddrPort, dst netip.AddrPort, w
 	r.step(label, func() { r.h.handle(Packet{Src: src, Dst: dst, Payload: append([]byte(nil), wire...)}) })
 }
 
+// upstream feeds the shard one datagram from the ANS side and checks that it
+// moved exactly one of the upstream outcomes, or none if it answered a health
+// probe.
 func (r *shapeRun) upstream(label string, from netip.AddrPort, wire []byte) {
 	if r.seen != nil {
 		r.seen(true, wire)
 	}
+	probe := false
+	r.h.s.inFlight(func(id uint16, e *pendEntry) {
+		probe = probe || len(wire) >= 2 && id == uint16(wire[0])<<8|uint16(wire[1]) && e.kind == pendProbe
+	})
+	before := r.h.g.Stats.Load()
 	r.step(label, func() { r.h.s.handleUpstream(append([]byte(nil), wire...), from) })
+	after := r.h.g.Stats.Load()
+	moved := after.RepliesToClient - before.RepliesToClient + after.PendingDropped - before.PendingDropped +
+		after.UpstreamStrays - before.UpstreamStrays + after.UpstreamSpoofed - before.UpstreamSpoofed +
+		after.UpstreamMalformed - before.UpstreamMalformed
+	if moved != 1 && !(probe && moved == 0) {
+		r.t.Errorf("%s: upstream datagram %q moved %d outcomes, want exactly one: %+v", r.name, label, moved, after)
+	}
 }
 
 // forwarded decodes the last datagram sent upstream.
@@ -334,6 +354,8 @@ func shapeRows() []shapeRow {
 			r.upstream("nxdomain", ans(r), r.echo(dnswire.RCodeNXDomain))
 		}},
 		{"ns-cookie/two-questions", nil, func(r *shapeRun) {
+			// Re-recorded, RFC 9619: a count of questions other than one is a
+			// format error, dropped as malformed.
 			m, err := dnswire.Unpack(nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x123f))
 			if err != nil {
 				r.t.Fatal(err)
@@ -404,8 +426,12 @@ func shapeRows() []shapeRow {
 			r.upstream("record-less, z bit", ans(r), resp)
 		}},
 		{"passthrough/question-less", relayOnly, func(r *shapeRun) {
+			// Re-recorded when the guard came to read only wire: a query with
+			// no question is malformed, not relayed, for no echo of its answer
+			// could pass. The answer to the forward it once had, under ID 1,
+			// is malformed too.
 			r.query("query", shapeClient, pub(r), mustPack(r.t, &dnswire.Message{ID: 0xBEF3}))
-			r.upstream("echo", ans(r), r.echo(dnswire.RCodeNoError))
+			r.upstream("echo", ans(r), mustPack(r.t, &dnswire.Message{ID: 1, Flags: dnswire.Flags{QR: true}}))
 		}},
 		{"passthrough/with-opt", relayOnly, func(r *shapeRun) {
 			m := dnswire.NewQuery(0xBEF4, dnswire.MustName("www.foo.com"), dnswire.TypeA)
@@ -511,6 +537,8 @@ func shapeRows() []shapeRow {
 			folded := r.echo(dnswire.RCodeNXDomain)
 			folded[len(folded)-3] = 0x21
 			r.upstream("type differing by 0x20", ans(r), folded)
+			// Re-recorded, UpstreamMalformed: a response with no question is
+			// one the view refuses.
 			noQ := r.echo(dnswire.RCodeNXDomain)[:12]
 			noQ[5] = 0
 			r.upstream("no question", ans(r), noQ)
@@ -548,6 +576,8 @@ func shapeRows() []shapeRow {
 			ref := referral(r)
 			ref[1] ^= 0x40
 			r.upstream("unknown id, with records", ans(r), ref)
+			// Re-recorded, UpstreamMalformed: these four the view or the walk
+			// refuse, and they are now counted.
 			r.upstream("garbage", ans(r), []byte{1, 2, 3})
 			q := r.echo(dnswire.RCodeNXDomain)
 			q[2] &^= 0x80
@@ -636,6 +666,8 @@ func shapeRows() []shapeRow {
 				rawRR("\xc0\x3b", dnswire.TypeA, 1, 700, -1, "\xc6\x33\x64\x08")))
 		}},
 		{"upstream/referral-bad-rdlength", nil, func(r *shapeRun) {
+			// Re-recorded, UpstreamMalformed: all but the genuine one are
+			// responses the walk refuses, now counted.
 			verifiedForward(r, "www.foo.com")
 			glue := rawRR("\xc0\x29", dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07")
 			ns := func(rdlen int, rdata string) []byte {
@@ -656,7 +688,8 @@ func shapeRows() []shapeRow {
 			verifiedForward(r, "www.foo.com")
 			ns := rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10")
 			glue := func(owner string) []byte { return rawRR(owner, dnswire.TypeA, 1, 600, -1, "\xc6\x33\x64\x07") }
-			// The glue record starts at 47 (0x2f).
+			// The glue record starts at 47 (0x2f). Re-recorded,
+			// UpstreamMalformed: the first five are refused, now counted.
 			r.upstream("forward pointer", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x40")))
 			r.upstream("pointer at itself", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x2f")))
 			r.upstream("pointer loop", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\x01a\xc0\x2f")))
@@ -667,6 +700,9 @@ func shapeRows() []shapeRow {
 			r.upstream("the genuine one", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns, glue("\xc0\x29")))
 		}},
 		{"upstream/referral-names-only-unpack-reads", nil, func(r *shapeRun) {
+			// Re-recorded, UpstreamMalformed and RFC 9619: the dotted owner is
+			// refused, now counted, and so is the response of two questions,
+			// which the walk refuses.
 			verifiedForward(r, "www.foo.com")
 			ns := rawRR("\xc0\x0c", dnswire.TypeNS, 1, 3600, -1, "\x03ns1\xc0\x10")
 			r.upstream("latin-1 glue owner", ans(r), r.rawResponse(dnswire.RCodeNoError, 0, 1, 1, ns,
@@ -787,6 +823,7 @@ func shapeRows() []shapeRow {
 			r.query("type and class 0x415a", shapeClient, pub(r), q)
 		}},
 		{"newcomer/two-questions", inFooCom, func(r *shapeRun) {
+			// Re-recorded, RFC 9619: dropped as malformed, not granted.
 			two := func(id uint16, first, second string) []byte {
 				m := dnswire.NewQuery(id, dnswire.MustName(first), dnswire.TypeA)
 				m.Questions = append(m.Questions, dnswire.Question{Name: dnswire.MustName(second), Type: dnswire.TypeMX, Class: dnswire.ClassINET})
@@ -965,6 +1002,7 @@ func shapeRows() []shapeRow {
 			r.query("the genuine one", shapeClient, pub(r), q(0x4048))
 		}},
 		{"modified/two-questions", nil, func(r *shapeRun) {
+			// Re-recorded, RFC 9619: dropped as malformed, valid or not.
 			two := func(id uint16, c cookie.Cookie) []byte {
 				m := dnswire.NewQuery(id, dnswire.MustName("www.foo.com"), dnswire.TypeA)
 				m.Questions = append(m.Questions, dnswire.Question{Name: dnswire.MustName("second.foo.com"), Type: dnswire.TypeMX, Class: dnswire.ClassINET})
@@ -1049,6 +1087,7 @@ func shapeRows() []shapeRow {
 		{"cookie-request/questions-crossing-512", nil, func(r *shapeRun) {
 			// Each name is 241 bytes on the wire: two questions are 502 bytes of
 			// message, 530 with the cookie record; three are over on their own.
+			// Re-recorded, RFC 9619: two and three are dropped as malformed.
 			long := func(c string) dnswire.Question {
 				return dnswire.Question{Name: dnswire.MustName(strings.Repeat(strings.Repeat(c, 59)+".", 3) + strings.Repeat(c, 59)), Type: dnswire.TypeA, Class: dnswire.ClassINET}
 			}
@@ -1105,6 +1144,8 @@ func shapeRows() []shapeRow {
 			padded := func(size int) []byte {
 				return r.rawResponse(dnswire.RCodeNoError, 0, 0, 1, rawRR("\x00", 99, 1, 0, -1, strings.Repeat("p", size-40)))
 			}
+			// Re-recorded, UpstreamMalformed: the datagram over the limit is
+			// now counted.
 			r.upstream("one byte over", ans(r), padded(dnswire.MaxDatagram+1))
 			r.note("pending after it: %d", r.h.g.PendingEntries())
 			r.upstream("at the limit", ans(r), padded(dnswire.MaxDatagram))
@@ -1262,7 +1303,7 @@ func renderShapes(t *testing.T, ttl time.Duration, seen func(upstream bool, wire
 
 // runShapeRow drives one row through a fresh shard at the given cache TTL.
 func runShapeRow(t testing.TB, row shapeRow, ttl time.Duration, seen func(upstream bool, wire []byte)) *shapeRun {
-	r := &shapeRun{t: t, seen: seen}
+	r := &shapeRun{t: t, name: row.name, seen: seen}
 	r.h = newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.Env = skewEnv{cfg.Env, &r.skew}
 		cfg.Zone = dnswire.MustName("com")

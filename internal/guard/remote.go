@@ -16,7 +16,6 @@ import (
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
-	"dnsguard/internal/resolver"
 )
 
 // Scheme selects how the guard bootstraps cookie-less requesters.
@@ -135,10 +134,11 @@ type RemoteConfig struct {
 	// detection engages; 0 means always on (§IV-C uses the ANS capacity). A
 	// negative threshold is refused.
 	ActivationThreshold float64
-	// AnswerCacheTTL bounds the non-referral answer cache (message 5
-	// results reused for message 7). 0 means 10 s; negative disables the
-	// cache entirely (every message 7 consults the ANS, the paper's
-	// 4-packet cache-hit accounting).
+	// AnswerCacheTTL caps the TTLs of the answer table, message 5's answers
+	// kept as wire for message 7 (answers.go): an answer is kept until its
+	// least TTL, so capped, runs out. 0 means 10 s; negative, and anything
+	// under a second, keeps nothing (every message 7 consults the ANS, the
+	// paper's 4-packet cache-hit accounting).
 	AnswerCacheTTL time.Duration
 	// KeyRotation, when positive, rotates the cookie key on that period
 	// (the paper suggests weekly, matching the cookie TTL so each
@@ -238,25 +238,29 @@ func orDefault[T comparable](v *T, d T) {
 // RemoteStats counts guard activity; the experiment harness reads these.
 // Fields are written with atomic operations (shard workers and the upstream
 // loops run concurrently under real clocks); read individual fields with
-// atomic.LoadUint64, or take a consistent-enough copy via Load.
+// atomic.LoadUint64, or take a consistent-enough copy via Load. Every
+// datagram an upstream socket reads moves exactly one of RepliesToClient,
+// PendingDropped, UpstreamStrays, UpstreamSpoofed and UpstreamMalformed, but
+// an answered health probe, which moves none.
 type RemoteStats struct {
-	Received        uint64 // packets read from the capture interface
-	Passthrough     uint64 // relayed while spoof detection inactive
-	Malformed       uint64
-	NewcomerGrants  uint64 // fabricated NS / TC / cookie responses sent
-	RL1Dropped      uint64 // cookie responses suppressed by Rate-Limiter1
-	CookieValid     uint64 // requests whose cookie verified
-	CookieInvalid   uint64 // spoofed requests dropped
-	RL2Dropped      uint64 // verified requests over the nominal rate
-	FastPathHits    uint64 // verifications short-circuited by the source cache
-	ForwardedToANS  uint64
-	AnswerCacheHits uint64
-	RepliesToClient uint64
-	TCRedirects     uint64
-	PendingDropped  uint64 // NAT table overflow/expiry losses
-	UpstreamStrays  uint64 // duplicated/unmatched ANS responses discarded
-	UpstreamSpoofed uint64 // upstream datagrams failing source/question checks
-	KeyRotations    uint64
+	Received          uint64 // packets read from the capture interface
+	Passthrough       uint64 // relayed while spoof detection inactive
+	Malformed         uint64 // queries the view or the record walk refuses, or over MaxDatagram
+	NewcomerGrants    uint64 // fabricated NS / TC / cookie responses sent
+	RL1Dropped        uint64 // cookie responses suppressed by Rate-Limiter1
+	CookieValid       uint64 // requests whose cookie verified
+	CookieInvalid     uint64 // spoofed requests dropped
+	RL2Dropped        uint64 // verified requests over the nominal rate
+	FastPathHits      uint64 // verifications short-circuited by the source cache
+	ForwardedToANS    uint64
+	AnswerCacheHits   uint64 // message 7 answered from the answer table
+	RepliesToClient   uint64
+	TCRedirects       uint64
+	PendingDropped    uint64 // NAT table overflow/expiry losses
+	UpstreamStrays    uint64 // duplicated/unmatched ANS responses discarded
+	UpstreamSpoofed   uint64 // upstream datagrams failing source/question checks
+	UpstreamMalformed uint64 // upstream datagrams not a response the view and the walk take, or over MaxDatagram
+	KeyRotations      uint64
 
 	// Upstream health / failover (HealthConfig; zero when disabled).
 	UpstreamTimeouts uint64 // pending entries reaped as upstream timeouts
@@ -317,8 +321,8 @@ type Remote struct {
 	mitFallback atomic.Int32 // 0 or an imposed Scheme
 	mitStrict   atomic.Bool  // limiters tightened strictFactor×
 
-	// answers is the shared non-referral answer cache (locks internally).
-	answers *resolver.Cache
+	// answers is the guard-wide answer table (answers.go; locks internally).
+	answers *answerTable
 
 	// Stats is updated as the guard runs (atomically; see RemoteStats).
 	Stats RemoteStats
@@ -422,12 +426,14 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		cfg:     cfg,
 		ipc:     cookie.IPCodec{Subnet: cfg.Subnet},
 		rate:    ratelimit.NewRateEstimator(10, 100*time.Millisecond),
-		answers: resolver.NewCache(4096),
+		answers: newAnswerTable(cfg.AnswerCacheTTL),
 		mit:     newMitigator(cfg.Mitigation),
 	}
 	g.nsPrefixLen = len(g.nsc.EncodeLabel(cookie.Cookie{}))
-	zoneQ := questionsWire([]dnswire.Question{{Name: cfg.Zone}})
-	g.zoneWire = zoneQ[:len(zoneQ)-4]
+	for _, l := range cfg.Zone.Labels() {
+		g.zoneWire = append(append(g.zoneWire, byte(len(l))), l...)
+	}
+	g.zoneWire = append(g.zoneWire, 0)
 	if cfg.Mitigation.Enabled {
 		// Derive the initial control flags from the ladder bottom
 		// (passthrough) so the armed guard starts fully open and works its
@@ -670,51 +676,32 @@ func (s *remoteShard) handle(pkt Packet) {
 	if s.oversize(pkt.Payload) {
 		return
 	}
-	// Scheme 1b: queries addressed to a cookie IP inside the guard subnet.
-	toCookieIP := g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr())
-	// Anywhere but at a cookie IP, a query the view and the record walk vouch
-	// for — a lone question has no record to walk — is judged and handled
-	// from its bytes as they lie; anything else is unpacked first — validated
-	// whole — and handled from its canonical questions, packed. Either way one
-	// body serves each decision.
-	var (
-		msg *dnswire.Message
-		qd  = 1
-		qs  []byte // the question section, its first name uncompressed
-		ck  = txtCookie{optsOnly: true}
-	)
-	if v, ok := dnswire.ParseView(pkt.Payload); ok && !toCookieIP && !v.QR() && (loneQuestion(v, len(pkt.Payload)) || ck.walk(v)) {
-		qs = v.QuestionWire()
-	} else {
-		var err error
-		if msg, err = dnswire.Unpack(pkt.Payload); err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
-			atomic.AddUint64(&g.Stats.Malformed, 1)
-			return
-		}
-		if toCookieIP {
-			s.handleIPCookie(pkt, msg)
-			return
-		}
-		ck = txtCookie{}
-		if ck.c, _, _, ck.found = FindCookie(msg); !ck.found || ck.c.IsZero() {
-			if qd, qs = len(msg.Questions), questionsWire(msg.Questions); qs == nil {
-				return
-			}
-		}
+	// A query is judged and handled from its bytes as they lie, and only if
+	// the view takes it and the record walk vouches for it. Anything else is
+	// malformed: that includes a count of questions other than one, which RFC
+	// 9619 makes a format error and which is dropped rather than answered, as
+	// an answer would need Rate-Limiter1's budget like any reply to an
+	// unverified source.
+	var ck txtCookie
+	v, ok := dnswire.ParseView(pkt.Payload)
+	if !ok || v.QR() || !ck.walk(v) {
+		atomic.AddUint64(&g.Stats.Malformed, 1)
+		return
 	}
-	switch {
+	switch q := v.QuestionWire(); {
+	case g.cfg.Subnet.IsValid() && pkt.Dst.Addr() != g.cfg.PublicAddr.Addr() && g.cfg.Subnet.Contains(pkt.Dst.Addr()):
+		s.handleIPCookie(pkt, v) // scheme 1b: a query to a cookie IP inside the guard subnet
 	case ck.found && !ck.c.IsZero():
-		s.handleModified(pkt, msg, ck)
+		s.handleModified(pkt, v, ck)
 	case ck.found:
-		s.grantCookie(pkt, qd, qs) // message 2: cookie request
+		s.grantCookie(pkt, q) // message 2: cookie request
 	default:
 		// No cookie record, so the first label decides: a cookie label is
-		// message 3, of which the first question alone is answered, anything
-		// else a newcomer, whose questions are all echoed.
-		if cred, ok := nsCred(s, qs[1:1+int(qs[0])]); ok {
-			s.handleNSCookie(pkt, qs[:wireNameLen(qs)+4], cred)
+		// message 3, anything else a newcomer.
+		if cred, ok := nsCred(s, v.FirstLabel()); ok {
+			s.handleNSCookie(pkt, q, cred)
 		} else {
-			s.handleNewcomer(pkt, qd, qs)
+			s.handleNewcomer(pkt, q)
 		}
 	}
 }
@@ -732,43 +719,36 @@ func (s *remoteShard) oversize(payload []byte) bool {
 }
 
 // passthrough relays traffic while spoof detection is inactive. What reaches
-// the ANS is what Unpack and PackUDP would make of the query: canonical case,
-// reserved bits clear, at most 512 bytes. A query the view takes is re-encoded
-// so from wire to wire, whatever records it carries; only one Repack refuses
-// is unpacked.
+// the ANS is what the codec would make of the query — canonical case,
+// reserved bits clear, at most 512 bytes — re-encoded from wire to wire,
+// whatever records it carries. A query the view or the walk refuses is
+// malformed, among them one with no question, whose answer no echo check
+// could ever pass.
 func (s *remoteShard) passthrough(pkt Packet) {
 	g := s.g
 	if s.oversize(pkt.Payload) {
 		return
 	}
-	entry := pendEntry{kind: pendPassthrough, clientSrc: pkt.Src, replyFrom: pkt.Dst}
-	if v, ok := dnswire.ParseView(pkt.Payload); ok && !v.QR() {
-		if wire, ok := v.Repack(s.wireBuf[:0], dnswire.MaxUDPSize); ok {
-			atomic.AddUint64(&g.Stats.Passthrough, 1)
-			entry.origID = v.ID()
-			s.forward(entry, wire, nil)
-			return
-		}
+	v, ok := dnswire.ParseView(pkt.Payload)
+	var wire []byte
+	if ok = ok && !v.QR(); ok {
+		wire, ok = v.Repack(s.wireBuf[:0], dnswire.MaxUDPSize)
 	}
-	msg, err := dnswire.Unpack(pkt.Payload)
-	if err != nil || msg.Flags.QR {
+	if !ok {
 		atomic.AddUint64(&g.Stats.Malformed, 1)
 		return
 	}
 	atomic.AddUint64(&g.Stats.Passthrough, 1)
-	entry.origID = msg.ID
-	s.forwardPacked(entry, msg)
+	s.forward(pendEntry{kind: pendPassthrough, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
 }
 
-// handleNewcomer boots a cookie-less requester per the fallback scheme. qs is
-// the query's question section, qd questions the first of which opens qs
-// uncompressed: one question as the view found it, its name in any case, or
-// a message's canonical questions as Pack writes them. The reply — grant, TC
-// redirect or REFUSED — is what PackUDP makes of Response() and the grant's
-// NS record: the query's ID and RD bit, qs with the first name folded, the
-// record's owner and target tail as pointers into that name. It is appended
-// to the egress slab; nothing here allocates.
-func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
+// handleNewcomer boots a cookie-less requester per the fallback scheme. q is
+// the query's question as the view found it, its name in any case. The reply
+// — grant, TC redirect or REFUSED — is what the codec writes for Response()
+// and the grant's NS record: the query's ID and RD bit, q with the name folded,
+// the record's owner and target tail as pointers into that name. It is
+// appended to the egress slab; nothing here allocates.
+func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 	g := s.g
 	if g.drainGate() {
 		// Draining/quiesced: no new cookie exchanges — this instance may not
@@ -777,12 +757,12 @@ func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 		atomic.AddUint64(&g.lc.DrainDropped, 1)
 		return
 	}
-	nameLen := wireNameLen(qs)
+	nameLen := len(q) - 4
 	// The reply goes up at the slab's end — the ID, QR, RD as asked, the name
 	// folded — and is the slab's only once queued: a drop leaves it behind.
 	start := len(s.egress)
-	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, byte(qd>>8), byte(qd), 0, 0, 0, 0, 0, 0)
-	b = appendFolded(b, qs[:nameLen])
+	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+	b = appendFolded(b, q[:nameLen])
 	name := b[start+12:]
 	if g.cfg.Mitigation.Enabled {
 		// Feed the selector's name-diversity sketch before the limiter so
@@ -822,8 +802,10 @@ func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		b[start+9] = 1 // NSCOUNT: the record, below
 	}
-	b = append(b, qs[nameLen:]...)
+	b = append(b, q[nameLen:]...)
 	if record := len(b); b[start+9] != 0 {
+		// One question and one record fit in 512 octets: a name is 255 at
+		// most, the record's label 63.
 		label, ttl := name[child:child+1+int(name[child])], nsTTL
 		b = append(b, 0xC0|byte((12+child)>>8), byte(12+child), 0, byte(dnswire.TypeNS), 0, byte(dnswire.ClassINET),
 			byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 0, byte(g.nsPrefixLen)+label[0])
@@ -834,14 +816,6 @@ func (s *remoteShard) handleNewcomer(pkt Packet, qd int, qs []byte) {
 			b = append(b, 0xC0|byte((12+zoneAt)>>8), byte(12+zoneAt))
 		}
 		b[record+11] = byte(len(b) - record - 12) // RDLENGTH
-		// Questions enough to crowd the record out: truncated, as PackUDP would.
-		if len(b)-start > dnswire.MaxUDPSize {
-			b = b[:record]
-			b[start+2], b[start+9] = b[start+2]|2, 0
-		}
-	}
-	if len(b)-start > dnswire.MaxUDPSize {
-		return // the questions alone are over the limit: PackUDP refuses, nothing is sent
 	}
 	s.egress = b
 	s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
@@ -920,21 +894,30 @@ func (s *remoteShard) handleNSCookie(pkt Packet, q, cred []byte) {
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)
-	// Message 4, as PackUDP(NewQuery(0, child, qtype)) with RD off would
-	// pack it: the first label without its cookie, the name in canonical
-	// case, the client's type, class IN whatever the client's class.
-	cookieLen, nameLen := len(cred)-3, len(q)-4
-	wire := append(s.wireBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
-	wire = append(wire, q[0]-byte(cookieLen))
-	wire = appendFolded(wire, q[1+cookieLen:nameLen])
-	wire = append(wire, q[nameLen], q[nameLen+1], 0, 1)
-	s.wireBuf = wire[:0]
+	// Message 4: the first label without its cookie.
+	wire := s.childQuery(q, len(cred)-3)
 	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(pkt.Payload[0])<<8 | uint16(pkt.Payload[1])}, wire, q)
 }
 
-// handleIPCookie processes a query addressed to a cookie address
-// (message 7): the destination IP is the credential.
-func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
+// childQuery writes into the shard's scratch the query the guard asks the ANS
+// for q, a question as sent with its first label's first strip octets cut: as
+// the codec writes NewQuery(0, name, qtype) with RD off — the name in
+// canonical case, the client's type, class IN whatever the client's class.
+func (s *remoteShard) childQuery(q []byte, strip int) []byte {
+	nameLen := len(q) - 4
+	wire := append(s.wireBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, q[0]-byte(strip))
+	wire = appendFolded(wire, q[1+strip:nameLen])
+	wire = append(wire, q[nameLen], q[nameLen+1], 0, 1)
+	s.wireBuf = wire[:0]
+	return wire
+}
+
+// handleIPCookie processes a query addressed to a cookie address (message
+// 7): the destination IP is the credential. A fresh answer to its question in
+// the answer table is the reply, queued on the egress slab; otherwise it is
+// forwarded as message 4 is, its name whole. Nothing here allocates once the
+// slab is warm.
+func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
 	g := s.g
 	dst16 := pkt.Dst.Addr().As16()
 	cred := append(append(s.credBuf[:0], "ip:"...), dst16[:]...)
@@ -951,28 +934,24 @@ func (s *remoteShard) handleIPCookie(pkt Packet, msg *dnswire.Message) {
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return
 	}
-	q := msg.Question()
-	// Serve from the answer cache when message 5's result is still fresh.
-	if rrs, _, neg, ok := g.answersGet(q.Name, q.Type); ok && !neg {
+	q, start := v.QuestionWire(), len(s.egress)
+	// QR|AA, RD as the query asked.
+	if b, ok := g.answers.reply(s.egress, g.now(), q, v.ID(), 0x8400|uint16(pkt.Payload[2]&1)<<8); ok {
 		atomic.AddUint64(&g.Stats.AnswerCacheHits, 1)
-		resp := msg.Response()
-		resp.Flags.AA = true
-		resp.Answers = rrs
-		s.reply(pkt.Dst, pkt.Src, resp)
+		s.egress = b
+		s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
 		return
 	}
-	fwd := dnswire.NewQuery(0, q.Name, q.Type)
-	fwd.Flags.RD = false
-	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, fwd)
+	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(q, 0), nil)
 }
 
 // grantCookie answers message 2, a query whose cookie record holds the zero
-// cookie, with message 3, through Rate-Limiter1. qd and qs are the query's
-// questions as handleNewcomer takes them. The reply is what PackUDP makes of
-// Response() and AttachCookie's record — the query's ID and RD bit, qs with
-// the first name folded, the source's cookie — appended to the egress slab;
-// nothing here allocates. Unlike the newcomer's grant it is not drain-gated.
-func (s *remoteShard) grantCookie(pkt Packet, qd int, qs []byte) {
+// cookie, with message 3, through Rate-Limiter1. q is the query's question as
+// handleNewcomer takes it. The reply is what the codec writes for Response()
+// and AttachCookie's record — the query's ID and RD bit, q with the name folded,
+// the source's cookie — appended to the egress slab; nothing here allocates.
+// Unlike the newcomer's grant it is not drain-gated.
+func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 	g := s.g
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
@@ -980,34 +959,22 @@ func (s *remoteShard) grantCookie(pkt Packet, qd int, qs []byte) {
 	}
 	g.charge(g.cfg.Costs.CookieGrant)
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-	start, nameLen, ttl, c := len(s.egress), wireNameLen(qs), nsTTL, s.bv.Mint(pkt.Src.Addr())
-	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, byte(qd>>8), byte(qd), 0, 0, 0, 0, 0, 1)
-	b = append(appendFolded(b, qs[:nameLen]), qs[nameLen:]...)
-	record := len(b)
+	start, nameLen, ttl, c := len(s.egress), len(q)-4, nsTTL, s.bv.Mint(pkt.Src.Addr())
+	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
+	b = append(appendFolded(b, q[:nameLen]), q[nameLen:]...)
 	b = append(b, 0, 0, byte(dnswire.TypeTXT), 0, byte(dnswire.ClassINET),
 		byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 1+cookie.Size, cookie.Size)
 	b = append(b, c[:]...)
-	if len(b)-start > dnswire.MaxUDPSize {
-		// Questions enough to crowd the record out: truncated, as PackUDP would.
-		b = b[:record]
-		b[start+2], b[start+11] = b[start+2]|2, 0
-	}
-	if len(b)-start > dnswire.MaxUDPSize {
-		return // the questions alone are over the limit: PackUDP refuses, nothing is sent
-	}
 	s.egress = b
 	s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
 }
 
 // handleModified processes a query carrying its cookie in the explicit
-// extension (Figure 3): verify, then forward without the cookie record. msg
-// is the query if it had to be unpacked to be read, nil if the walk found ck;
-// a forgery ends here either way, and one the walk found has allocated
-// nothing. A verified query the walk found is forwarded by splice when what
-// remains is the question and root-owned OPTs within 512 bytes — byte for
-// byte what StripCookie → PackUDP writes — and is unpacked only then
-// otherwise.
-func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, ck txtCookie) {
+// extension (Figure 3): verify, then forward without the cookie record — the
+// query re-encoded as the codec wrote it with the record stripped: reserved
+// bits clear, every name folded and compressed, cut at 512 bytes with TC set.
+// Nothing here allocates, forgery or forward.
+func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
 	g := s.g
 	cred := append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)
 	if !s.verified(pkt.Src.Addr(), cred) {
@@ -1024,35 +991,7 @@ func (s *remoteShard) handleModified(pkt Packet, msg *dnswire.Message, ck txtCoo
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)
-	p := pkt.Payload
-	entry := pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(p[0])<<8 | uint16(p[1])}
-	if msg == nil && ck.optsOnly && len(p)-(ck.end-ck.off) <= dnswire.MaxUDPSize {
-		// The header with the reserved bits clear and one additional record
-		// fewer, the name folded, the other records as they lie.
-		nameEnd, ar := 12+wireNameLen(p[12:]), uint16(p[10])<<8|uint16(p[11])-1
-		wire := append(s.wireBuf[:0], p[:10]...)
-		wire = appendFolded(append(wire, byte(ar>>8), byte(ar)), p[12:nameEnd])
-		wire = append(append(wire, p[nameEnd:ck.off]...), p[ck.end:]...)
-		wire[3] &^= flagsZMask
-		s.wireBuf = wire[:0]
-		s.forward(entry, wire, nil)
-		return
-	}
-	if msg == nil {
-		if msg, _ = dnswire.Unpack(p); msg == nil {
-			return // not reached: the walk accepts nothing Unpack refuses
-		}
-	}
-	fwd := *msg
-	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
-	_, _ = StripCookie(&fwd)
-	s.forwardPacked(entry, &fwd)
-}
-
-// answersGet consults the non-referral answer cache unless it is disabled.
-func (g *Remote) answersGet(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, dnswire.RCode, bool, bool) {
-	if g.cfg.AnswerCacheTTL < 0 {
-		return nil, 0, false, false
-	}
-	return g.answers.Get(g.now(), name, t)
+	wire, _ := v.RepackAs(s.wireBuf[:0], v.ID(), v.RawFlags()&^flagsZMask, v.QuestionWire(),
+		func(r dnswire.Record) bool { return r.Off != ck.off }, dnswire.MaxUDPSize)
+	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
 }

@@ -15,9 +15,51 @@ import (
 // The oracles: what the pipeline did with a query, and with an answer for a
 // rewritten cookie query, when each was a Message — Unpack, the handler body
 // of the last commit that built one (1f736d1 for the newcomer and message 6,
-// 90e9534 for the modified scheme and for queries with records), PackUDP.
-// FuzzSpliceAgreement holds the span-writing handlers to them, byte for byte
-// and counter for counter.
+// 90e9534 for the modified scheme and for queries with records), PackUDP —
+// with the rule the wire handlers brought: a datagram the view or the record
+// walk refuses is malformed, so only one of one question, not compressed, is
+// read. FuzzSpliceAgreement holds the handlers, which read and write only
+// wire, to them, byte for byte and counter for counter: what the codec would
+// write, on every shape the guard accepts.
+
+// questionsWire packs qs as Pack writes a message's question section.
+func questionsWire(qs []dnswire.Question) []byte {
+	wire, err := (&dnswire.Message{Questions: qs}).Pack()
+	if err != nil {
+		return nil
+	}
+	return wire[12:]
+}
+
+// stripCookie removes the cookie extension from m.
+func stripCookie(m *dnswire.Message) {
+	if _, _, i, ok := FindCookie(m); ok {
+		m.Additional = append(m.Additional[:i], m.Additional[i+1:]...)
+	}
+}
+
+// oracleReply queues msg, packed, for the batch's flush.
+func oracleReply(s *remoteShard, from, to netip.AddrPort, msg *dnswire.Message) {
+	if wire, err := msg.PackUDP(dnswire.MaxUDPSize); err == nil {
+		s.queueReply(from, to, wire)
+	}
+}
+
+// oracleForward forwards msg, packed.
+func oracleForward(s *remoteShard, entry pendEntry, msg *dnswire.Message) {
+	if wire, err := msg.PackUDP(dnswire.MaxUDPSize); err == nil {
+		s.forward(entry, wire, nil)
+	}
+}
+
+// accepted is the rule the oracles judge a datagram by: the codec takes it,
+// and the view takes it with one question, of which the walk then vouches
+// for the rest (TestRecordWalk).
+func accepted(b []byte) (*dnswire.Message, bool) {
+	msg, err := dnswire.Unpack(b)
+	_, viewable := dnswire.ParseView(b)
+	return msg, len(b) <= dnswire.MaxDatagram && viewable && err == nil && len(msg.Questions) == 1
+}
 
 // oracleSketch is nameSketch.observe as it hashed a canonical Name.
 func oracleSketch(n *nameSketch, name dnswire.Name) {
@@ -42,7 +84,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		resp := msg.Response()
 		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), nsTTL)
-		s.reply(pkt.Dst, pkt.Src, resp)
+		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
 	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
@@ -62,8 +104,8 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 	g.charge(g.cfg.Costs.Rewrite)
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
-	_, _ = StripCookie(&fwd)
-	s.forwardPacked(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
+	stripCookie(&fwd)
+	oracleForward(s, pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
 }
 
 // oracleIngress is handle for a datagram to the public address of an active
@@ -71,8 +113,8 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 // reply a Message.
 func oracleIngress(s *remoteShard, pkt Packet) {
 	g := s.g
-	msg, err := dnswire.Unpack(pkt.Payload)
-	if len(pkt.Payload) > dnswire.MaxDatagram || err != nil || msg.Flags.QR || len(msg.Questions) == 0 {
+	msg, ok := accepted(pkt.Payload)
+	if !ok || msg.Flags.QR {
 		atomic.AddUint64(&g.Stats.Malformed, 1)
 		return
 	}
@@ -81,7 +123,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		return
 	}
 	if cred, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
-		s.handleNSCookie(pkt, questionsWire(msg.Questions[:1]), cred)
+		s.handleNSCookie(pkt, questionsWire(msg.Questions), cred)
 		return
 	}
 	if g.drainGate() {
@@ -101,7 +143,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	if !qname.IsSubdomainOf(g.cfg.Zone) && qname != g.cfg.Zone {
 		resp := msg.Response()
 		resp.Flags.RCode = dnswire.RCodeRefused
-		s.reply(pkt.Dst, pkt.Src, resp)
+		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
 	if useTCP {
@@ -110,7 +152,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
 		resp := msg.Response()
 		resp.Flags.TC = true
-		s.reply(pkt.Dst, pkt.Src, resp)
+		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
 	g.charge(g.cfg.Costs.CookieGrant)
@@ -120,7 +162,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
 		resp := msg.Response()
 		resp.Flags.TC = true
-		s.reply(pkt.Dst, pkt.Src, resp)
+		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
@@ -128,19 +170,17 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	resp.Authority = []dnswire.RR{
 		dnswire.NewRR(child, nsTTL, &dnswire.NSData{Host: fabName}),
 	}
-	s.reply(pkt.Dst, pkt.Src, resp)
-	return
+	oracleReply(s, pkt.Dst, pkt.Src, resp)
 }
 
 // oracleUpstream is handleUpstream for a datagram from the configured ANS
-// with every response unpacked and message 6 always answerChild's Message.
+// with every response unpacked and message 6 always oracleAnswerChild's
+// Message.
 func oracleUpstream(s *remoteShard, payload []byte) {
 	g := s.g
-	if len(payload) > dnswire.MaxDatagram {
-		return
-	}
-	resp, err := dnswire.Unpack(payload)
-	if err != nil || !resp.Flags.QR {
+	resp, ok := accepted(payload)
+	if !ok || !resp.Flags.QR {
+		atomic.AddUint64(&g.Stats.UpstreamMalformed, 1)
 		return
 	}
 	id := uint16(payload[0])<<8 | uint16(payload[1])
@@ -149,15 +189,58 @@ func oracleUpstream(s *remoteShard, payload []byte) {
 		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
 		return
 	}
-	if len(resp.Questions) == 0 || !echoes(questionsWire(resp.Questions[:1]), entry.fwdWire) {
+	if !echoes(questionsWire(resp.Questions), entry.fwdWire) {
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
 	}
 	s.pend.take(id)
 	if entry.kind == pendChild {
-		s.answerChild(entry, dnswire.RCode(payload[3]&0xF), resp)
+		oracleAnswerChild(s, entry, dnswire.RCode(payload[3]&0xF), resp)
 	}
 	s.pend.release(id)
+}
+
+// oracleAnswerChild is message 6 as 1f736d1 built it, a Message from the
+// ANS's answer to the restored child query (message 5). What it kept of an
+// answer for message 7 is not compared: the twins send no message 7.
+func oracleAnswerChild(s *remoteShard, entry *pendEntry, rcode dnswire.RCode, resp *dnswire.Message) {
+	g := s.g
+	question, _, _ := dnswire.UnpackQuestion(entry.qwire)
+	out := &dnswire.Message{
+		ID:        entry.origID,
+		Flags:     dnswire.Flags{QR: true, AA: true},
+		Questions: []dnswire.Question{question},
+	}
+	hasNS := false
+	for _, rr := range resp.Authority {
+		hasNS = hasNS || rr.Type == dnswire.TypeNS
+	}
+	switch {
+	case rcode == dnswire.RCodeNXDomain:
+		out.Flags.RCode = dnswire.RCodeNXDomain
+		out.Authority = resp.Authority
+	case len(resp.Answers) == 0 && hasNS:
+		for _, rr := range resp.Additional {
+			if rr.Type == dnswire.TypeA {
+				out.Answers = append(out.Answers, dnswire.NewRR(question.Name, rr.TTL, rr.Data))
+			}
+		}
+		if len(out.Answers) == 0 {
+			out.Flags.RCode = dnswire.RCodeServFail
+		}
+	case len(resp.Answers) > 0 && g.cfg.Subnet.IsValid():
+		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
+		if err != nil {
+			out.Flags.RCode = dnswire.RCodeServFail
+			break
+		}
+		out.Answers = []dnswire.RR{dnswire.NewRR(question.Name, nsTTL, &dnswire.AData{Addr: addr})}
+	default:
+		out.Flags.RCode = dnswire.RCodeServFail
+	}
+	if wire, err := out.PackUDP(dnswire.MaxUDPSize); err == nil {
+		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
+	}
 }
 
 // spliceTwin is a guard under test and its oracle, fed the same packets.

@@ -67,47 +67,25 @@ func FindCookie(m *dnswire.Message) (cookie.Cookie, uint32, int, bool) {
 }
 
 // txtCookie is the modified scheme's cookie as a query carries it (Figure 3b):
-// the value, and for one the record walk found, where its record lies.
+// the value, and where its record lies.
 type txtCookie struct {
-	c        cookie.Cookie
-	found    bool
-	off, end int  // the record's extent in the datagram
-	optsOnly bool // every other record is a root-owned OPT as it lies
+	c     cookie.Cookie
+	found bool
+	off   int // the record's offset in the datagram
 }
 
 // walk looks for v's cookie record by FindCookie's rule — the first
-// additional-section TXT owned by the root whose first string is a cookie's
-// length, class ignored — on the query's bytes as they lie, and reports
-// whether the query can be handled from what it found: the walk vouches for
-// the message, and no such TXT met before the cookie has an owner that opens
-// with a compression pointer, which may be the root or not and only Unpack
-// reads.
+// additional-section TXT owned by the root, however the owner is written,
+// whose first string is a cookie's length, class ignored — on the query's
+// bytes as they lie, and reports whether the walk vouches for the message.
 func (ck *txtCookie) walk(v dnswire.View) bool {
-	decided := true
 	return v.Records(func(r dnswire.Record) {
-		candidate := !ck.found && r.Section == dnswire.SectionAdditional && r.Type == dnswire.TypeTXT &&
-			len(r.RData) > 0 && int(r.RData[0]) == cookie.Size
-		switch {
-		case candidate && r.Owner[0] == 0:
-			ck.found, ck.off, ck.end = true, r.Off, r.End
+		if !ck.found && r.Section == dnswire.SectionAdditional && r.Type == dnswire.TypeTXT &&
+			r.OwnerLen == 1 && len(r.RData) > 0 && int(r.RData[0]) == cookie.Size {
+			ck.found, ck.off = true, r.Off
 			copy(ck.c[:], r.RData[1:])
-		case candidate && r.Owner[0] >= 0xC0:
-			decided = false
-		case !rootOPT(r):
-			ck.optsOnly = false
 		}
-	}) && decided
-}
-
-// StripCookie removes the cookie extension from m, reporting whether one was
-// present and its value.
-func StripCookie(m *dnswire.Message) (cookie.Cookie, bool) {
-	c, _, i, ok := FindCookie(m)
-	if !ok {
-		return cookie.Cookie{}, false
-	}
-	m.Additional = append(m.Additional[:i], m.Additional[i+1:]...)
-	return c, true
+	})
 }
 
 // FabricateNSName builds the cookie-bearing server name for a child zone:

@@ -1,0 +1,55 @@
+package guard
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestGuardSpeaksWireOnly keeps the remote guard's packet path on one reader
+// and one writer of DNS: the view and record walk read, the re-encoder and
+// the splices write. No non-test file but local.go, the modified-DNS guard in
+// front of a resolver, and wire.go, the cookie record's codec helpers that it
+// and the tools share, names the Message codec — Unpack, UnpackQuestion,
+// NewQuery, NewRR, Message, Pack or PackUDP — and none imports the resolver,
+// whose cache held the answers the guard now keeps as wire.
+func TestGuardSpeaksWireOnly(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := map[string]bool{"Unpack": true, "UnpackQuestion": true, "NewQuery": true, "NewRR": true, "Message": true}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "dnsguard/internal/resolver" {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
+			}
+		}
+		if path == "local.go" || path == "wire.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			if name := sel.Sel.Name; name == "Pack" || name == "PackUDP" || pkg != nil && pkg.Name == "dnswire" && codec[name] {
+				t.Errorf("%s names %s: the guard reads and writes wire", fset.Position(sel.Pos()), name)
+			}
+			return true
+		})
+	}
+}
