@@ -150,7 +150,7 @@ func TestMetricsSmoke(t *testing.T) {
 	series := scrape(t, base+"/metrics")
 	for _, name := range []string{
 		"guard_remote_received", "guard_remote_cookie_valid", "guard_remote_upstream_spoofed",
-		"guard_rl1_allowed", "tcpproxy_accepted", "guard_remote_pending",
+		"guard_remote_rl1_dropped", "tcpproxy_accepted", "guard_remote_pending",
 		"guard_engine_shards", "guard_engine_handled", "guard_engine_shed_new",
 		"guard_engine_queue_depth", "guard_engine_shard1_handled",
 		"guard_mitigation_layer", "guard_mitigation_escalations",

@@ -8,10 +8,7 @@
 // the single-packet paths — both funnel into ringState.compute.
 package cookie
 
-import (
-	"crypto/subtle"
-	"net/netip"
-)
+import "net/netip"
 
 // BatchVerifier verifies many cookies against one keyring snapshot. Obtain
 // with NewBatchVerifier, call Reset(a) at the start of each batch, then any
@@ -37,14 +34,10 @@ func (v *BatchVerifier) Reset(a *Authenticator) {
 	v.ring = a.snapshot()
 }
 
-func (v *BatchVerifier) compute(e uint64, src netip.Addr) Cookie {
-	return v.ring.compute(e, src)
-}
-
 // Mint returns the cookie for src under the snapshot's current epoch,
 // matching Authenticator.Mint against the same keyring.
 func (v *BatchVerifier) Mint(src netip.Addr) Cookie {
-	return v.compute(v.ring.epoch, src)
+	return v.ring.compute(v.ring.epoch, src)
 }
 
 // Verify is Authenticator.Verify against the snapshot.
@@ -64,19 +57,5 @@ func (v *BatchVerifier) VerifyLabelBytes(nc NSCodec, src netip.Addr, label []byt
 
 // VerifyIP is IPCodec.Verify against the snapshot.
 func (v *BatchVerifier) VerifyIP(ic IPCodec, src netip.Addr, addr netip.Addr) bool {
-	if !ic.Subnet.Contains(addr) {
-		return false
-	}
-	got := addr.As16()
-	for _, e := range [2]uint64{v.ring.epoch, v.ring.epoch - 1} {
-		want, err := ic.Encode(v.compute(e, src))
-		if err != nil {
-			continue
-		}
-		w := want.As16()
-		if subtle.ConstantTimeCompare(w[:], got[:]) == 1 {
-			return true
-		}
-	}
-	return false
+	return verifyIP(v.ring, ic, src, addr)
 }

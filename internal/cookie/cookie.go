@@ -330,11 +330,15 @@ func (ic IPCodec) Encode(c Cookie) (netip.Addr, error) {
 // Verify reports whether addr is the cookie address for src. Address
 // comparisons are constant-time.
 func (ic IPCodec) Verify(a *Authenticator, src netip.Addr, addr netip.Addr) bool {
+	return verifyIP(a.snapshot(), ic, src, addr)
+}
+
+// verifyIP is IPCodec.Verify against an explicit ring snapshot.
+func verifyIP(r *ringState, ic IPCodec, src netip.Addr, addr netip.Addr) bool {
 	if !ic.Subnet.Contains(addr) {
 		return false
 	}
 	got := addr.As16()
-	r := a.snapshot()
 	// Try both epochs: the address carries no epoch parity bit.
 	for _, e := range [2]uint64{r.epoch, r.epoch - 1} {
 		want, err := ic.Encode(r.compute(e, src))

@@ -826,19 +826,19 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 
 // TestSourceStateFootprint bounds everything a one-shard guard keeps per
 // source, from before it is built to after 50 000 never-repeating newcomer
-// sessions (grant, cookie query, answer) have filled and churned all four
+// sessions (grant, cookie query, answer) have filled and churned all three
 // tables. With the default bounds the tables are, in bytes per entry plus 8
 // per index slot at two slots per entry rounded up to a power of two
 // (DESIGN.md, "Per-source state"):
 //
 //	RL1      4096 × 40 + 8192 × 8           = 224 KiB
-//	top-k    1024 × (40 + 4 + 28) + 2048 × 8 =  88 KiB
 //	RL2      8192 × 40 + 16384 × 8          = 448 KiB
 //	verified 4096 × 104 + 8192 × 8          = 480 KiB
 //
-// 1240 KiB, which the limit rounds up to 1.5 MiB to leave room for the rest
-// of the guard (the NAT table's first chunk, scratch buffers, the keyring). As
-// maps of heap objects the same four held 3.5 MiB. None of it may be memory
+// 1152 KiB, which the limit rounds up to 1448 KiB to leave room for the rest
+// of the guard (the NAT table's first chunk, scratch buffers, the keyring).
+// As maps of heap objects these three and a top-k sketch held 3.5 MiB. None
+// of it may be memory
 // the collector scans: that is bounded separately, at what the rest of the
 // guard accounts for.
 //
@@ -891,7 +891,7 @@ func TestSourceStateFootprint(t *testing.T) {
 		t.Fatalf("verified cache: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
 	}
 	total1, scan1 := heap()
-	const limit, scanLimit = 3 << 19, 1 << 15
+	const limit, scanLimit = 1448 << 10, 1 << 15
 	t.Logf("guard and %d sessions: %d KiB of heap, %d KiB of it scannable", sessions, (total1-total0)>>10, (scan1-scan0)>>10)
 	if grown := total1 - total0; grown > limit {
 		t.Errorf("guard and %d newcomer sessions added %d KiB of heap, want <= %d KiB", sessions, grown>>10, limit>>10)

@@ -375,7 +375,7 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 		}
 		s.emptyPending() // nobody answers: make room for the next bracket's forwards
 	}
-	if st := g.Stats.Load(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped+st.PendingDropped != 0 {
+	if st := g.Stats.Load(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped != 0 || st.PendingDropped != st.ForwardedToANS {
 		t.Errorf("after 303 key changes, 151 of them adopted: epoch %d, %+v", auth.Epoch(), st)
 	}
 	t.Logf("%d brackets, %d with a key change inside, %d verdicts decided by the epochs around them", brackets, raced, decided)

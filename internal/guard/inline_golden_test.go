@@ -25,8 +25,8 @@ const inlineGoldenPath = "testdata/inline_counters.golden"
 
 // TestInlineDataplaneCounterGolden pins the shards=1/batch=1 inline dataplane
 // byte-for-byte: it replays a fixed mixed-scheme netsim scenario and checks
-// the guard's metrics export — every guard_remote_*, guard_rl*_*,
-// guard_engine_* and mitigation series — against a golden captured from the
+// the guard's metrics export — every guard_remote_*, guard_engine_* and
+// mitigation series — against a golden captured from the
 // PRE-affine-ingest dataplane (before the per-shard counter restructuring).
 // Every golden line must appear in the export with exactly its recorded
 // value, so any change to admission order, counter placement, or metrics

@@ -131,7 +131,7 @@ func (g *Remote) Drain(ctx context.Context) error {
 	// Stragglers past their window are dropped, same accounting as an
 	// upstream that never answered.
 	for _, s := range g.shards {
-		atomic.AddUint64(&g.Stats.PendingDropped, s.emptyPending())
+		s.emptyPending()
 	}
 	g.setLifecycle(LifecycleQuiesced)
 	return nil

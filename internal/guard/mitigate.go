@@ -489,8 +489,9 @@ func (g *Remote) effectiveFallback() Scheme {
 // syncLimiters applies the selector's limiter-tightening control in worker
 // context — the limiters are worker-owned, so resetting them from the
 // selector proc would race the hot path. One atomic load per packet when
-// nothing changed. A transition empties both limiters in place, counters
-// included, and allocates nothing.
+// nothing changed. A transition empties both limiters' tables in place and
+// allocates nothing; what they dropped is counted in RemoteStats, which no
+// transition touches.
 func (s *remoteShard) syncLimiters() {
 	strict := s.g.mitStrict.Load()
 	if s.strict == strict {

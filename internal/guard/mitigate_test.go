@@ -1,10 +1,12 @@
 package guard
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/metrics"
 	"dnsguard/internal/ratelimit"
 )
 
@@ -315,5 +317,66 @@ func TestResetShardKeepsStrictLimits(t *testing.T) {
 	h.s.ResetShard()
 	if got := burst(); got != 1 {
 		t.Errorf("after a shard restart at source-limit %d of 4 verified requests passed Rate-Limiter2, want 1", got)
+	}
+}
+
+// TestExportedCountersNeverDecrease: what the guard exports as a count only
+// grows. A strict/normal limiter transition and a supervised shard restart
+// empty tables in place, and neither may take back a count already scraped;
+// only the gauges — the NAT-table size, queue depths, the verified cache's
+// size, the selector's rung and class, the lifecycle state, the shard count
+// and histogram quantiles — move both ways.
+func TestExportedCountersNeverDecrease(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Mitigation.Enabled = true
+		cfg.RL1 = ratelimit.Limiter1Config{PerSourceRate: 1, PerSourceBurst: 1, GlobalRate: 1e6, GlobalBurst: 1e6, TrackedSources: 16}
+		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1, TrackedSources: 16}
+	})
+	h.g.mitMode.Store(mitForceActive)
+	reg := metrics.NewRegistry()
+	h.g.MetricsInto(reg)
+
+	// The harness clock stands still: a grant and an RL1 drop, then a verified
+	// query left pending and an RL2 drop.
+	src := mustAP("10.0.0.53:4444")
+	plain := mustPack(t, dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	named := h.nsQueryWire(t, src.Addr(), "www.foo.com", 2)
+	for _, wire := range [][]byte{plain, plain, named, named} {
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: wire})
+	}
+	if st := h.g.Stats.Load(); st.NewcomerGrants != 1 || st.RL1Dropped != 1 || st.CookieValid != 2 || st.ForwardedToANS != 1 || st.RL2Dropped != 1 {
+		t.Fatalf("want a grant, an RL1 drop, a forward and an RL2 drop: %+v", st)
+	}
+	before := reg.Snapshot()
+	h.g.mitStrict.Store(true)
+	h.s.syncLimiters()
+	h.s.ResetShard()
+	after := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		after[s.Name] = s.Value
+	}
+
+	gauge := func(name string) bool {
+		switch name {
+		case "guard_remote_pending", "guard_engine_fast_path_sources", "guard_mitigation_layer",
+			"guard_mitigation_class", "guard_lifecycle_state", "guard_engine_shards":
+			return true
+		}
+		for _, suffix := range []string{"queue_depth", "_p50_ns", "_p90_ns", "_p99_ns"} {
+			if strings.HasSuffix(name, suffix) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range before {
+		if v, ok := after[s.Name]; !ok {
+			t.Errorf("%s is no longer exported", s.Name)
+		} else if v < s.Value && !gauge(s.Name) {
+			t.Errorf("%s went from %v to %v across a limiter transition and a shard restart", s.Name, s.Value, v)
+		}
+	}
+	if st := h.g.Stats.Load(); st.PendingDropped != 1 || h.g.PendingEntries() != 0 {
+		t.Errorf("the restart left %d pending and counted %d dropped, want 0 and 1", h.g.PendingEntries(), st.PendingDropped)
 	}
 }

@@ -145,14 +145,16 @@ func (t *pendTable) reap(now time.Duration) *pendEntry {
 }
 
 // emptyPending frees every entry in flight, whatever time it has left, and
-// returns how many there were. A slot on loan stays its holder's to release.
-func (s *remoteShard) emptyPending() (n uint64) {
+// counts each but a health probe as PendingDropped, as sweepPending does. A
+// slot on loan stays its holder's to release.
+func (s *remoteShard) emptyPending() {
 	s.mu.Lock()
-	for s.pend.reap(1<<63-1) != nil {
-		n++
+	for e := s.pend.reap(1<<63 - 1); e != nil; e = s.pend.reap(1<<63 - 1) {
+		if e.kind != pendProbe {
+			atomic.AddUint64(&s.g.Stats.PendingDropped, 1)
+		}
 	}
 	s.mu.Unlock()
-	return n
 }
 
 // appendFolded appends b to dst with ASCII uppercase folded to lowercase.

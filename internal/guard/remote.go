@@ -340,8 +340,7 @@ type remoteShard struct {
 	health   *shardHealth // nil unless cfg.Health.enabled
 
 	// rl1 and rl2 are the worker's: it alone charges and resets them (in
-	// place: ResetShard, syncLimiters); metrics closures read only their
-	// atomic counters.
+	// place: ResetShard, syncLimiters).
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
 
@@ -372,10 +371,10 @@ type remoteShard struct {
 }
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
-// every per-packet structure (NAT entries, rate limiters — any of which the
-// panic may have left mid-update) while keeping the upstream socket, its
-// reader proc, and the breaker state, whose lifetimes span restarts. Runs in
-// the owning worker's context.
+// every per-packet structure (NAT entries, each counted as PendingDropped,
+// and rate limiters — any of which the panic may have left mid-update) while
+// keeping the upstream socket, its reader proc, and the breaker state, whose
+// lifetimes span restarts. Runs in the owning worker's context.
 func (s *remoteShard) ResetShard() {
 	s.emptyPending()
 	s.rl1.Reset(s.g.cfg.RL1, s.g.now())
@@ -386,28 +385,12 @@ func (s *remoteShard) ResetShard() {
 	s.strict = false
 }
 
-// MetricsInto registers the guard's counters, rate-limiter counters, a live
-// NAT-table-size gauge, and the dataplane's guard_engine_* series on r. The
-// guard_rl1_* / guard_rl2_* names are stable across shard counts: with one
-// shard they read the limiter directly, otherwise they sum across shards.
+// MetricsInto registers the guard's counters, a live NAT-table-size gauge,
+// and the dataplane's guard_engine_* series on r. What the rate limiters
+// stopped is RemoteStats.RL1Dropped and RL2Dropped; what Rate-Limiter2
+// admitted is CookieValid less RL2Dropped.
 func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.Stats.MetricsInto(r)
-	// Limiter series sum across shards. With one shard the sum is the
-	// limiter itself, keeping the series names stable across shard counts.
-	sum := func(f func(*remoteShard) uint64) func() uint64 {
-		return func() uint64 {
-			var t uint64
-			for _, s := range g.shards {
-				t += f(s)
-			}
-			return t
-		}
-	}
-	r.FuncUint("guard_rl1_allowed", sum(func(s *remoteShard) uint64 { a, _ := s.rl1.Stats(); return a }))
-	r.FuncUint("guard_rl1_denied", sum(func(s *remoteShard) uint64 { _, d := s.rl1.Stats(); return d }))
-	r.FuncUint("guard_rl1_topk_evictions", sum(func(s *remoteShard) uint64 { return s.rl1.TopKEvictions() }))
-	r.FuncUint("guard_rl2_allowed", sum(func(s *remoteShard) uint64 { a, _ := s.rl2.Stats(); return a }))
-	r.FuncUint("guard_rl2_denied", sum(func(s *remoteShard) uint64 { _, d := s.rl2.Stats(); return d }))
 	r.Func("guard_remote_pending", func() float64 {
 		return float64(g.PendingEntries())
 	})

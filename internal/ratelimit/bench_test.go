@@ -40,7 +40,7 @@ func BenchmarkLimiter2Cold(b *testing.B) {
 }
 
 // BenchmarkLimiter1Cold is a cookie-less newcomer flood: each response is to
-// a never-seen source, so the bucket table and the top-k sketch both evict.
+// a never-seen source, so every charge evicts.
 func BenchmarkLimiter1Cold(b *testing.B) {
 	l := NewLimiter1(DefaultLimiter1Config(), 0)
 	for i := 0; i < 8192; i++ {

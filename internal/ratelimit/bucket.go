@@ -3,10 +3,8 @@
 //
 //   - TokenBucket: classic rate + burst policing on a caller-supplied clock
 //     (virtual time in simulations, wall time in daemons);
-//   - TopK: a space-saving heavy-hitter sketch tracking the top requesters;
 //   - Limiter1: polices cookie responses so the guarded ANS cannot be used
-//     as a traffic reflector (tracks top requesters, per-source + global
-//     budgets);
+//     as a traffic reflector (per-source + global budgets);
 //   - Limiter2: per-host nominal rate limiting for verified (non-spoofed)
 //     requesters, bounding what a cookie-holding attacker or zombie farm can
 //     push through the guard.
@@ -47,29 +45,18 @@ func (l *level) refill(rate, burst float64, now time.Duration) {
 	l.last = now
 }
 
-func (l *level) allowN(rate, burst float64, now time.Duration, n float64) bool {
+func (l *level) allow(rate, burst float64, now time.Duration) bool {
 	l.refill(rate, burst, now)
-	if l.tokens < n {
+	if l.tokens < 1 {
 		return false
 	}
-	l.tokens -= n
+	l.tokens--
 	return true
 }
 
 // Allow consumes one token if available and reports whether the event
 // conforms to the configured rate.
-func (b *TokenBucket) Allow(now time.Duration) bool { return b.AllowN(now, 1) }
-
-// AllowN consumes n tokens if available.
-func (b *TokenBucket) AllowN(now time.Duration, n float64) bool {
-	return b.allowN(b.rate, b.burst, now, n)
-}
-
-// Tokens reports the current token count after refilling to now.
-func (b *TokenBucket) Tokens(now time.Duration) float64 {
-	b.refill(b.rate, b.burst, now)
-	return b.tokens
-}
+func (b *TokenBucket) Allow(now time.Duration) bool { return b.allow(b.rate, b.burst, now) }
 
 // RateEstimator measures an aggregate event rate over a sliding window of
 // fixed-size buckets. The guard uses it for threshold activation: spoof

@@ -2,7 +2,6 @@ package ratelimit
 
 import (
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/srctab"
@@ -38,7 +37,7 @@ func (l *Buckets) Allow(src netip.Addr, now time.Duration) bool {
 	if !found {
 		*b = level{l.burst, now}
 	}
-	return b.allowN(l.rate, l.burst, now, 1)
+	return b.allow(l.rate, l.burst, now)
 }
 
 // Limiter1Config parameterizes Limiter1.
@@ -48,12 +47,13 @@ type Limiter1Config struct {
 	PerSourceRate float64
 	// PerSourceBurst tokens of burst per source.
 	PerSourceBurst float64
-	// GlobalRate caps total cookie responses/sec, bounding worst-case
-	// reflected traffic regardless of source diversity.
+	// GlobalRate caps the cookie responses/sec of one limiter, bounding
+	// worst-case reflected traffic regardless of source diversity. The guard
+	// runs one limiter per shard, so the cap is per shard.
 	GlobalRate float64
 	// GlobalBurst tokens of global burst.
 	GlobalBurst float64
-	// TrackedSources bounds per-source state (LRU) and the top-k sketch.
+	// TrackedSources bounds per-source state (LRU).
 	TrackedSources int
 }
 
@@ -71,14 +71,13 @@ func DefaultLimiter1Config() Limiter1Config {
 // Limiter1 polices cookie responses (the guard's replies to unverified
 // requesters). Because each such response is triggered by a possibly-spoofed
 // request, Limiter1 is what keeps the guard from amplifying or reflecting
-// attack traffic: it tracks the top requesters and throttles responses to
-// them, plus a global ceiling (§III-F, §III-G).
+// attack traffic: a per-source budget plus a global ceiling (§III-F,
+// §III-G). The paper's "top requesters" are the per-source buckets: a heavy
+// requester is always among the most recently used, so the LRU never evicts
+// it and its bucket throttles it.
 type Limiter1 struct {
-	global  TokenBucket
-	perSrc  Buckets
-	top     TopK
-	allowed atomic.Uint64
-	denied  atomic.Uint64
+	global TokenBucket
+	perSrc Buckets
 }
 
 // NewLimiter1 builds a Limiter1 starting at now.
@@ -88,41 +87,18 @@ func NewLimiter1(cfg Limiter1Config, now time.Duration) *Limiter1 {
 	return l
 }
 
-// Reset returns the limiter to what NewLimiter1(cfg, now) builds, counters
-// included, in place: its tables are reused unless cfg.TrackedSources
-// changed. Not safe concurrently with AllowResponse.
+// Reset returns the limiter to what NewLimiter1(cfg, now) builds, in place:
+// its table is reused unless cfg.TrackedSources changed. Not safe
+// concurrently with AllowResponse.
 func (l *Limiter1) Reset(cfg Limiter1Config, now time.Duration) {
 	l.global = *NewTokenBucket(cfg.GlobalRate, cfg.GlobalBurst, now)
 	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
-	l.top.reset(cfg.TrackedSources / 4)
-	l.allowed.Store(0)
-	l.denied.Store(0)
 }
 
 // AllowResponse reports whether a cookie response to src may be sent at now.
 func (l *Limiter1) AllowResponse(src netip.Addr, now time.Duration) bool {
-	l.top.Observe(src)
-	if !l.perSrc.Allow(src, now) || !l.global.Allow(now) {
-		l.denied.Add(1)
-		return false
-	}
-	l.allowed.Add(1)
-	return true
+	return l.perSrc.Allow(src, now) && l.global.Allow(now)
 }
-
-// TopRequesters returns the current heaviest cookie requesters.
-func (l *Limiter1) TopRequesters(n int) []netip.Addr { return l.top.Top(n) }
-
-// Stats reports allowed and denied response counts. Safe to call from a
-// metrics scraper concurrent with AllowResponse.
-func (l *Limiter1) Stats() (allowed, denied uint64) {
-	return l.allowed.Load(), l.denied.Load()
-}
-
-// TopKEvictions reports the top-k sketch's eviction count; callers that
-// aggregate several limiters (one per dataplane shard) sum these under a
-// single series.
-func (l *Limiter1) TopKEvictions() uint64 { return l.top.Evictions() }
 
 // Limiter2Config parameterizes Limiter2.
 type Limiter2Config struct {
@@ -150,9 +126,7 @@ func DefaultLimiter2Config() Limiter2Config {
 // from non-spoofed DoS (attackers who legitimately obtained a cookie, or
 // zombie farms using their real addresses).
 type Limiter2 struct {
-	perSrc  Buckets
-	allowed atomic.Uint64
-	denied  atomic.Uint64
+	perSrc Buckets
 }
 
 // NewLimiter2 builds a Limiter2 starting at now.
@@ -165,25 +139,12 @@ func NewLimiter2(cfg Limiter2Config, now time.Duration) *Limiter2 {
 // Reset is Limiter1.Reset for Limiter2.
 func (l *Limiter2) Reset(cfg Limiter2Config) {
 	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
-	l.allowed.Store(0)
-	l.denied.Store(0)
 }
 
 // AllowRequest reports whether a verified request from src may be forwarded
 // to the ANS at now.
 func (l *Limiter2) AllowRequest(src netip.Addr, now time.Duration) bool {
-	if !l.perSrc.Allow(src, now) {
-		l.denied.Add(1)
-		return false
-	}
-	l.allowed.Add(1)
-	return true
-}
-
-// Stats reports allowed and denied request counts. Safe to call from a
-// metrics scraper concurrent with AllowRequest.
-func (l *Limiter2) Stats() (allowed, denied uint64) {
-	return l.allowed.Load(), l.denied.Load()
+	return l.perSrc.Allow(src, now)
 }
 
 // Sources reports how many per-source buckets are live.

@@ -1,8 +1,8 @@
 // Package srctab is the guard's one per-source table: a fixed-capacity,
 // open-addressed hash table from a source address to a small pointer-free
 // value, with an intrusive list that gives exact LRU or exact FIFO eviction.
-// Rate-Limiter1, Rate-Limiter2, the top-k sketch's key index and the
-// verified-source cache all sit on it (DESIGN.md, "Per-source state").
+// Rate-Limiter1, Rate-Limiter2 and the verified-source cache all sit on it
+// (DESIGN.md, "Per-source state").
 //
 // A table is two allocations made by New — one []entry, one index array —
 // and with a pointer-free V neither holds a pointer, so the collector never
