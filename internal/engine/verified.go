@@ -32,15 +32,15 @@ type verifiedShard struct {
 	tab *srctab.Table[verifiedEntry] // FIFO: a hit or a re-mark keeps its place
 }
 
-// maxCred is the longest credential the guard can form, "ns:" and a 63-byte
-// label; "ip:" and "ck:" carry 16 bytes. Stored inline, it leaves an entry
-// without a pointer.
-const maxCred = 3 + 63
+// MaxCred is the longest credential the guard forms: "ip:" or "ck:" and 16
+// bytes ("ns:" and the NS codec's 10-byte label is shorter). Stored inline,
+// it leaves an entry without a pointer.
+const MaxCred = 3 + 16
 
 type verifiedEntry struct {
 	expires time.Duration
 	n       uint8
-	cred    [maxCred]byte
+	cred    [MaxCred]byte
 }
 
 func (v *verifiedShard) init(capacity int) {
@@ -64,7 +64,7 @@ func (e *Engine) MarkVerifiedOn(shard int, src netip.Addr, cred string) {
 }
 
 func markVerified[T string | []byte](e *Engine, shard int, src netip.Addr, cred T) {
-	if e.cfg.FastPathTTL <= 0 || len(cred) > maxCred {
+	if e.cfg.FastPathTTL <= 0 || len(cred) > MaxCred {
 		return
 	}
 	now := e.cfg.Env.Now()

@@ -111,7 +111,7 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 	e, _ := newCacheEngine(t)
 	next := 0
 	cold := func() netip.Addr { next++; return srcAP(next).Addr() }
-	longest := "ns:" + strings.Repeat("x", 63)
+	longest := "ck:" + strings.Repeat("x", MaxCred-3)
 	for i := 0; i < sources; i++ {
 		e.MarkVerifiedOn(0, cold(), longest)
 	}
@@ -141,6 +141,6 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 	src := cold()
 	e.MarkVerifiedOn(0, src, longest+"x")
 	if _, ok := e.VerifiedCredOn(0, src); ok {
-		t.Error("a credential longer than maxCred was cached")
+		t.Error("a credential longer than MaxCred was cached")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"runtime"
 	runtimemetrics "runtime/metrics"
 	"sort"
@@ -827,15 +828,15 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 // TestSourceStateFootprint bounds everything a one-shard guard keeps per
 // source, from before it is built to after 50 000 never-repeating newcomer
 // sessions (grant, cookie query, answer) have filled and churned all three
-// tables. With the default bounds the tables are, in bytes per entry plus 8
+// tables. With the default bounds the tables are, in bytes per entry plus 4
 // per index slot at two slots per entry rounded up to a power of two
-// (DESIGN.md, "Per-source state"):
+// (DESIGN.md, "Per-source state"; TestStateBudget pins them):
 //
-//	RL1      4096 × 40 + 8192 × 8           = 224 KiB
-//	RL2      8192 × 40 + 16384 × 8          = 448 KiB
-//	verified 4096 × 104 + 8192 × 8          = 480 KiB
+//	RL1      4096 × 40 + 8192 × 4           = 192 KiB
+//	RL2      8192 × 40 + 16384 × 4          = 384 KiB
+//	verified 4096 × 56 + 8192 × 4           = 256 KiB
 //
-// 1152 KiB, which the limit rounds up to 1448 KiB to leave room for the rest
+// 832 KiB, which the limit rounds up to 1128 KiB to leave room for the rest
 // of the guard (the NAT table's first chunk, scratch buffers, the keyring).
 // As maps of heap objects these three and a top-k sketch held 3.5 MiB. None
 // of it may be memory
@@ -891,7 +892,7 @@ func TestSourceStateFootprint(t *testing.T) {
 		t.Fatalf("verified cache: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
 	}
 	total1, scan1 := heap()
-	const limit, scanLimit = 1448 << 10, 1 << 15
+	const limit, scanLimit = 1128 << 10, 1 << 15
 	t.Logf("guard and %d sessions: %d KiB of heap, %d KiB of it scannable", sessions, (total1-total0)>>10, (scan1-scan0)>>10)
 	if grown := total1 - total0; grown > limit {
 		t.Errorf("guard and %d newcomer sessions added %d KiB of heap, want <= %d KiB", sessions, grown>>10, limit>>10)
@@ -912,6 +913,74 @@ func TestSourceStateFootprint(t *testing.T) {
 		t.Errorf("%d unanswered forwards added %d KiB of heap, want <= %d KiB", dark, grown>>10, darkLimit>>10)
 	}
 	runtime.KeepAlive(h)
+}
+
+// TestStateBudget pins the three per-source tables a default shard builds —
+// each one's entry and index slot (reflect's Size, which is unsafe.Sizeof)
+// and the bytes its two arrays hold — to what DESIGN.md §18 and §19 quote:
+//
+//	RL1      4096 × 40 + 8192 × 4   = 192 KiB
+//	RL2      8192 × 40 + 16384 × 4  = 384 KiB
+//	verified 4096 × 56 + 8192 × 4   = 256 KiB
+//
+// 832 KiB a shard, with each table's list sentinel.
+func TestStateBudget(t *testing.T) {
+	h := newShardHarness(t, nil)
+	field := func(v reflect.Value, path ...string) reflect.Value {
+		for _, name := range path {
+			v = reflect.Indirect(v).FieldByName(name)
+		}
+		return reflect.Indirect(v)
+	}
+	total := 0
+	for _, c := range []struct {
+		name              string
+		tab               reflect.Value
+		entry, cap, slots int
+	}{
+		{"RL1", field(reflect.ValueOf(h.s), "rl1", "perSrc", "tab"), 40, 4096, 8192},
+		{"RL2", field(reflect.ValueOf(h.s), "rl2", "perSrc", "tab"), 40, 8192, 16384},
+		{"verified", field(field(reflect.ValueOf(h.g.eng), "shards").Index(0), "verified", "tab"), 56, 4096, 8192},
+	} {
+		entries, index := field(c.tab, "entries"), field(c.tab, "index")
+		entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
+		if entry != c.entry || slot != 4 || entries.Len() != c.cap+1 || index.Len() != c.slots {
+			t.Errorf("%s: %d entries of %d bytes and %d index slots of %d, want %d of %d and %d of 4",
+				c.name, entries.Len(), entry, index.Len(), slot, c.cap+1, c.entry, c.slots)
+		}
+		total += entries.Len()*entry + index.Len()*slot
+	}
+	if total>>10 != 832 {
+		t.Errorf("the source tables hold %d KiB a shard, want 832", total>>10)
+	}
+}
+
+// TestCredentialsFitTheCache: every credential form the guard builds — the
+// NS label's at the codec's length, "ip:" and a fabricated address, "ck:"
+// and a cookie — fits engine.MaxCred, so it is formed in the shard's scratch
+// without growing it, and the verified cache keeps it and matches it. The
+// cache refuses a longer credential with no counter: were a form to outgrow
+// the bound, the fast path would switch off silently, and this test fails.
+func TestCredentialsFitTheCache(t *testing.T) {
+	h := newShardHarness(t, nil)
+	s, src := h.s, netip.MustParseAddr("192.0.2.7")
+	c := h.g.cfg.Auth.Mint(src)
+	dst16 := netip.MustParseAddr("10.53.0.9").As16()
+	for name, form := range map[string]func() []byte{
+		"ns": func() []byte { cred, _ := nsCred(s, h.g.nsc.EncodeLabel(c)+"www"); return cred },
+		"ip": func() []byte { return append(append(s.credBuf[:0], "ip:"...), dst16[:]...) },
+		"ck": func() []byte { return append(append(s.credBuf[:0], "ck:"...), c[:]...) },
+	} {
+		cred := form()
+		if len(cred) == 0 || len(cred) > engine.MaxCred || &cred[0] != &s.credBuf[:1][0] {
+			t.Errorf("%s: credential %q (%d bytes) does not fit the %d-byte scratch", name, cred, len(cred), engine.MaxCred)
+			continue
+		}
+		h.g.eng.MarkVerifiedCredOn(s.id, src, cred)
+		if !h.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
+			t.Errorf("%s: the cache does not match the %d-byte credential it was given", name, len(cred))
+		}
+	}
 }
 
 // TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch and

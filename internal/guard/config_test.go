@@ -3,12 +3,14 @@ package guard
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
+	"dnsguard/internal/srctab"
 )
 
 func minimalRemoteConfig(env netapi.Env, ios ...PacketIO) RemoteConfig {
@@ -95,6 +97,26 @@ func TestRemoteConfigRefusesNegativeThreshold(t *testing.T) {
 	cfg.ActivationThreshold = -1
 	if _, err := NewRemote(cfg); err == nil {
 		t.Fatal("NewRemote accepted ActivationThreshold -1")
+	}
+}
+
+// A limiter table over srctab.MaxCap is refused, naming the bound, rather
+// than clamped to a table smaller than the config says.
+func TestRemoteConfigRefusesTablesOverMaxCap(t *testing.T) {
+	for _, over := range []func(*RemoteConfig){
+		func(c *RemoteConfig) { c.RL1.TrackedSources = srctab.MaxCap + 1 },
+		func(c *RemoteConfig) { c.RL2.TrackedSources = srctab.MaxCap + 1 },
+	} {
+		cfg := minimalRemoteConfig(realnet.New(), newChanIO())
+		over(&cfg)
+		if _, err := NewRemote(cfg); err == nil || !strings.Contains(err.Error(), "MaxCap 32767") {
+			t.Errorf("NewRemote(RL1 %d, RL2 %d) = %v, want an error naming MaxCap 32767", cfg.RL1.TrackedSources, cfg.RL2.TrackedSources, err)
+		}
+	}
+	cfg := minimalRemoteConfig(realnet.New(), newChanIO())
+	cfg.RL1.TrackedSources, cfg.RL2.TrackedSources = srctab.MaxCap, srctab.MaxCap
+	if _, err := NewRemote(cfg); err != nil {
+		t.Errorf("tables of MaxCap sources: %v", err)
 	}
 }
 

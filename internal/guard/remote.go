@@ -16,6 +16,7 @@ import (
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
+	"dnsguard/internal/srctab"
 )
 
 // Scheme selects how the guard bootstraps cookie-less requesters.
@@ -189,6 +190,10 @@ func (c *RemoteConfig) resolve() error {
 		return errors.New("guard: PublicAddr and ANSAddr are required")
 	case c.ActivationThreshold < 0:
 		return fmt.Errorf("guard: negative ActivationThreshold %v (0 means always on)", c.ActivationThreshold)
+	case c.RL1.TrackedSources > srctab.MaxCap:
+		return fmt.Errorf("guard: RL1.TrackedSources %d over srctab.MaxCap %d", c.RL1.TrackedSources, srctab.MaxCap)
+	case c.RL2.TrackedSources > srctab.MaxCap:
+		return fmt.Errorf("guard: RL2.TrackedSources %d over srctab.MaxCap %d", c.RL2.TrackedSources, srctab.MaxCap)
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -448,7 +453,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				bv:      cookie.NewBatchVerifier(),
 				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
-				credBuf: make([]byte, 0, 3+max(g.nsPrefixLen, 16)),
+				credBuf: make([]byte, 0, engine.MaxCred),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}

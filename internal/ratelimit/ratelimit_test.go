@@ -118,10 +118,10 @@ func TestLimiter1ThrottlesPerSource(t *testing.T) {
 }
 
 func TestLimiter1GlobalCeiling(t *testing.T) {
-	cfg := Limiter1Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, GlobalRate: 100, GlobalBurst: 10, TrackedSources: 1 << 16}
+	cfg := Limiter1Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, GlobalRate: 100, GlobalBurst: 10, TrackedSources: 1000}
 	l := NewLimiter1(cfg, 0)
 	allowed := 0
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < cfg.TrackedSources; i++ {
 		src := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
 		if l.AllowResponse(src, 0) {
 			allowed++

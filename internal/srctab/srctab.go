@@ -10,7 +10,10 @@
 // is not synchronized.
 package srctab
 
-import "hash/maphash"
+import (
+	"fmt"
+	"hash/maphash"
+)
 
 // Key is a source's identity: netip.Addr.As16, the same bytes a cookie is
 // bound to (an IPv4 source and its 4-in-6 twin are one source; zones are
@@ -25,6 +28,16 @@ type Order bool
 const (
 	FIFO Order = false
 	LRU  Order = true
+)
+
+// An index slot is a 17-bit tag, the low bits of the key's hash, then a
+// 15-bit entry number, so a table holds at most MaxCap sources. The largest
+// index has 2^16 slots: a tag holds every home and one bit more to filter a
+// probe.
+const (
+	refBits = 15
+	MaxCap  = 1<<refBits - 1
+	tagMask = 1<<(32-refBits) - 1
 )
 
 type entry[V any] struct {
@@ -43,19 +56,23 @@ type Table[V any] struct {
 	// entries[0] is the list sentinel (.older is the newest source, .newer
 	// the oldest); sources live in entries[1:].
 	entries []entry[V]
-	// index is linear-probed and at most half full. A slot is hash<<32 |
-	// entry number, 0 when empty: a probe compares hashes before it touches
-	// an entry, and a deletion closes its gap by shifting later slots back
-	// (no tombstones) using the stored hashes alone.
-	index []uint64
+	// index is linear-probed and at most half full. A slot is tag<<refBits |
+	// entry number, 0 when empty, and its home is tag & mask: a probe
+	// compares tags before it touches an entry, and a deletion closes its gap
+	// by shifting later slots back (no tombstones) using the stored tags alone.
+	index []uint32
 	mask  uint32
 	used  uint32 // entries[1:used+1] have held a source since the last Reset
 	free  uint32 // deleted entries, chained through older
 	n     int
 }
 
-// New returns an empty table for capacity sources (at least 1).
+// New returns an empty table for capacity sources (at least 1). It panics
+// if capacity is over MaxCap: a caller that would be clamped must say so.
 func New[V any](capacity int, order Order) *Table[V] {
+	if capacity > MaxCap {
+		panic(fmt.Sprintf("srctab: capacity %d over MaxCap %d", capacity, MaxCap))
+	}
 	capacity = max(capacity, 1)
 	slots := 2
 	for slots < 2*capacity {
@@ -65,7 +82,7 @@ func New[V any](capacity int, order Order) *Table[V] {
 		seed:    maphash.MakeSeed(),
 		order:   order,
 		entries: make([]entry[V], capacity+1),
-		index:   make([]uint64, slots),
+		index:   make([]uint32, slots),
 		mask:    uint32(slots - 1),
 	}
 }
@@ -81,17 +98,17 @@ func (t *Table[V]) Reset() {
 	t.used, t.free, t.n = 0, 0, 0
 }
 
-// find probes for k: its hash, and either its slot and entry number or the
+// find probes for k: its tag, and either its slot and entry number or the
 // empty slot that ends its probe run and 0.
-func (t *Table[V]) find(k Key) (h, slot, ref uint32) {
-	h = uint32(maphash.Bytes(t.seed, k[:]) >> 32)
-	for slot = h & t.mask; ; slot = (slot + 1) & t.mask {
+func (t *Table[V]) find(k Key) (tag, slot, ref uint32) {
+	tag = uint32(maphash.Bytes(t.seed, k[:])>>32) & tagMask
+	for slot = tag & t.mask; ; slot = (slot + 1) & t.mask {
 		s := t.index[slot]
 		if s == 0 {
-			return h, slot, 0
+			return tag, slot, 0
 		}
-		if uint32(s>>32) == h && t.entries[uint32(s)].key == k {
-			return h, slot, uint32(s)
+		if s>>refBits == tag && t.entries[s&MaxCap].key == k {
+			return tag, slot, s & MaxCap
 		}
 	}
 }
@@ -105,7 +122,7 @@ func (t *Table[V]) vacate(slot uint32) {
 		if s == 0 {
 			break
 		}
-		if home := uint32(s>>32) & t.mask; (j-home)&t.mask >= (j-slot)&t.mask {
+		if home := s >> refBits & t.mask; (j-home)&t.mask >= (j-slot)&t.mask {
 			t.index[slot] = s
 			slot = j
 		}
@@ -138,7 +155,7 @@ func (t *Table[V]) Get(k Key) *V {
 // never-seen sources allocates nothing; the evicted value is left in place
 // for the caller to read before overwriting. Otherwise a new value is zero.
 func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
-	h, slot, ref := t.find(k)
+	tag, slot, ref := t.find(k)
 	if ref != 0 {
 		e := &t.entries[ref]
 		if t.order == LRU && e.newer != 0 {
@@ -153,7 +170,7 @@ func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
 		_, old, _ := t.find(t.entries[ref].key)
 		t.vacate(old)
 		t.unlink(&t.entries[ref])
-		for slot = h & t.mask; t.index[slot] != 0; slot = (slot + 1) & t.mask {
+		for slot = tag & t.mask; t.index[slot] != 0; slot = (slot + 1) & t.mask {
 		}
 	case t.free != 0:
 		ref = t.free
@@ -168,7 +185,7 @@ func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
 		clear(t.entries[ref : ref+1]) // val may be left over from before a Delete or Reset
 	}
 	e.key = k
-	t.index[slot] = uint64(h)<<32 | uint64(ref)
+	t.index[slot] = tag<<refBits | ref
 	t.linkNewest(ref)
 	return &e.val, false, evicted
 }

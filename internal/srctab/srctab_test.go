@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -112,12 +113,27 @@ func key(i uint32) Key {
 
 // run drives a table and the model with one op per 3 bytes of script —
 // op, key, value — drawing keys from a space a little larger than the
-// capacity so hits, misses, evictions and deletes all occur.
+// capacity so hits, misses, evictions and deletes all occur. A table larger
+// than a key byte can name is first filled to within 16 sources of its
+// capacity, so the script churns it at its bound, with entry numbers and
+// homes spread over the whole index.
 func run(tb testing.TB, capacity int, order Order, script []byte) {
 	t, m := New[uint64](capacity, order), newModel(capacity, order)
+	for i := 0; t.Cap() > 255 && i < t.Cap()-16; i++ {
+		k := key(1<<24 | uint32(i))
+		p, _, _ := t.Put(k)
+		*p = uint64(i)
+		m.put(k, uint64(i))
+	}
 	space := uint32(2*t.Cap() + 1)
+	drive(tb, t, m, script, func(b byte) Key { return key(uint32(b) % space) })
+}
+
+// drive runs script on t and m, naming keys through keyOf, and checks the
+// two agree after every operation.
+func drive(tb testing.TB, t *Table[uint64], m *model, script []byte, keyOf func(byte) Key) {
 	for i := 0; i+2 < len(script); i += 3 {
-		k, val := key(uint32(script[i+1])%space), uint64(script[i+2])+1
+		k, val := keyOf(script[i+1]), uint64(script[i+2])+1
 		switch op := script[i] % 8; {
 		case op < 4:
 			p, found, evicted := t.Put(k)
@@ -139,7 +155,7 @@ func run(tb testing.TB, capacity int, order Order, script []byte) {
 		default:
 			if script[i+1] == 0 { // rare, or nothing ever fills
 				t.Reset()
-				*m = *newModel(capacity, order)
+				*m = *newModel(m.cap, m.order)
 			}
 		}
 		check(tb, t, m)
@@ -147,14 +163,18 @@ func run(tb testing.TB, capacity int, order Order, script []byte) {
 }
 
 // TestDifferential: the table against the reference model in both orders, at
-// the smallest capacities and a non-power-of-two, on scripts heavy in deletes
-// (which is also what expiry is).
+// the smallest capacities, a non-power-of-two, the verified cache's 4096 and
+// MaxCap, on scripts heavy in deletes (which is also what expiry is).
 func TestDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, capacity := range []int{0, 1, 2, 3, 13, 100} {
+	for _, capacity := range []int{0, 1, 2, 3, 13, 100, 4096, MaxCap} {
+		rounds, ops := 20, 400
+		if capacity > 255 {
+			rounds, ops = 1, 100 // a check walks every source
+		}
 		for _, order := range []Order{FIFO, LRU} {
-			for round := 0; round < 20; round++ {
-				script := make([]byte, 3*400)
+			for round := 0; round < rounds; round++ {
+				script := make([]byte, 3*ops)
 				rng.Read(script)
 				run(t, capacity, order, script)
 			}
@@ -163,11 +183,46 @@ func TestDifferential(t *testing.T) {
 }
 
 func FuzzSrcTable(f *testing.F) {
-	f.Add(uint8(1), true, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 3, 3})
-	f.Add(uint8(3), false, []byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 1, 9, 0, 4, 4, 6, 1, 0})
-	f.Fuzz(func(t *testing.T, capacity uint8, lru bool, script []byte) {
-		run(t, int(capacity), Order(lru), script)
+	f.Add(uint16(1), true, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 3, 3})
+	f.Add(uint16(3), false, []byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 1, 9, 0, 4, 4, 6, 1, 0})
+	f.Add(uint16(4096), false, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 130, 3, 0, 200, 4, 6, 2, 0})
+	f.Add(uint16(MaxCap), true, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 130, 3, 0, 200, 4, 6, 2, 0})
+	f.Fuzz(func(t *testing.T, capacity uint16, lru bool, script []byte) {
+		run(t, min(int(capacity), MaxCap), Order(lru), script)
 	})
+}
+
+// TestSharedTags drives tables through keys found, under each table's own
+// seed, to share a tag — so their home too, and a probe's tag compare passes
+// for every one of them and only the key compare tells them apart — beside
+// keys that share only the home, so vacate must read each occupant's home
+// from its stored tag to keep the run reachable. There are more keys than the
+// table holds, so Put evicts through them too.
+func TestSharedTags(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, capacity := range []int{8, 64} {
+		for _, order := range []Order{FIFO, LRU} {
+			tab, m := New[uint64](capacity, order), newModel(capacity, order)
+			byTag := map[uint32][]Key{}
+			var shared []Key
+			for i := uint32(0); len(shared) < 6; i++ {
+				tag, _, _ := tab.find(key(i))
+				if byTag[tag] = append(byTag[tag], key(i)); len(byTag[tag]) == 6 {
+					shared = byTag[tag]
+				}
+			}
+			tag, _, _ := tab.find(shared[0])
+			keys := append([]Key(nil), shared...)
+			for i := uint32(1 << 30); len(keys) < capacity+6; i++ {
+				if other, _, _ := tab.find(key(i)); other != tag && other&tab.mask == tag&tab.mask {
+					keys = append(keys, key(i))
+				}
+			}
+			script := make([]byte, 3*4000)
+			rng.Read(script)
+			drive(t, tab, m, script, func(b byte) Key { return keys[int(b)%len(keys)] })
+		}
+	}
 }
 
 // TestAdversarialKeys: key sets an attacker would pick to collide under a
@@ -212,6 +267,17 @@ func TestAdversarialKeys(t *testing.T) {
 			t.Errorf("%s: longest probe run %d slots, want <= 128", name, longest)
 		}
 	}
+}
+
+// TestNewRefusesOverMaxCap: a capacity the index cannot number panics,
+// naming the bound, rather than building a smaller table than was asked for.
+func TestNewRefusesOverMaxCap(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "MaxCap 32767") {
+			t.Errorf("New(MaxCap+1) panicked with %q, want the bound named", r)
+		}
+	}()
+	New[uint64](MaxCap+1, LRU)
 }
 
 // TestTwins: an IPv4 source and its 4-in-6 form are one key — the identity a

@@ -344,7 +344,7 @@ func TestProxyMaxConcurrent(t *testing.T) {
 
 // TestClientSprayFootprint: the per-client buckets are a table of
 // clientsTracked entries built with the proxy — 4096 × 40 bytes and 8192 index
-// slots of 8, 224 KiB — so connections from 100 000 client addresses, each its
+// slots of 4, 192 KiB — so connections from 100 000 client addresses, each its
 // first, allocate nothing, and a client that stays busy through the spray
 // keeps its bucket, spent: only the idlest are evicted. The bound on the spray
 // is a count of allocations; the heap delta beside it moves with whatever
@@ -382,7 +382,7 @@ func TestClientSprayFootprint(t *testing.T) {
 		i++
 	})
 	after := heap()
-	const limit = 1 << 18
+	const limit = 224 << 10
 	t.Logf("proxy: %d KiB of heap; %d clients: %d KiB more", (built-before)>>10, clients, (after-built)>>10)
 	if built-before > limit {
 		t.Errorf("a proxy is %d KiB of heap, want <= %d KiB", (built-before)>>10, limit>>10)
