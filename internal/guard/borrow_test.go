@@ -923,7 +923,14 @@ func TestSourceStateFootprint(t *testing.T) {
 //	RL2      8192 × 40 + 16384 × 4  = 384 KiB
 //	verified 4096 × 56 + 8192 × 4   = 256 KiB
 //
-// 832 KiB a shard, with each table's list sentinel.
+// 832 KiB a shard, with each table's list sentinel; and the LRS-side guard's
+// two tables:
+//
+//	servers   4096 × 56 + 8192 × 4  = 256 KiB
+//	exchanges 64 × 64               =   4 KiB
+//
+// 260 KiB, and the copies of the queries an exchange in flight holds: at most
+// maxHeld of at most MaxDatagram bytes each, let go when the exchange ends.
 func TestStateBudget(t *testing.T) {
 	h := newShardHarness(t, nil)
 	field := func(v reflect.Value, path ...string) reflect.Value {
@@ -952,6 +959,26 @@ func TestStateBudget(t *testing.T) {
 	}
 	if total>>10 != 832 {
 		t.Errorf("the source tables hold %d KiB a shard, want 832", total>>10)
+	}
+
+	l, err := NewLocal(LocalConfig{Env: h.g.cfg.Env, IO: &sinkIO{}, ClientAddr: mustAddr("10.0.0.53"),
+		Deliver: func(src, dst netip.AddrPort, payload []byte) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := field(reflect.ValueOf(l), "servers")
+	entries, index := field(servers, "entries"), field(servers, "index")
+	entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
+	if entry != 56 || slot != 4 || entries.Len() != 4097 || index.Len() != 8192 {
+		t.Errorf("servers: %d entries of %d bytes and %d index slots of %d, want 4097 of 56 and 8192 of 4",
+			entries.Len(), entry, index.Len(), slot)
+	}
+	exchanges := field(reflect.ValueOf(l), "exchanges")
+	if size := int(exchanges.Type().Elem().Size()); size != 64 || exchanges.Len() != 64 {
+		t.Errorf("exchanges: %d of %d bytes, want 64 of 64", exchanges.Len(), size)
+	}
+	if total := entries.Len()*entry + index.Len()*slot + int(exchanges.Type().Size()); total>>10 != 260 {
+		t.Errorf("the LRS-side guard's tables hold %d KiB, want 260", total>>10)
 	}
 }
 
@@ -990,7 +1017,11 @@ func TestLimiterToggleAllocs(t *testing.T) {
 	src := netip.MustParseAddr("10.0.0.53")
 	if n := testing.AllocsPerRun(10, func() {
 		h.s.rl2.AllowRequest(src, 0)
-		h.g.mitStrict.Store(!h.s.strict)
+		rung := LayerSourceLimit
+		if h.s.strict {
+			rung = LayerCookies
+		}
+		h.g.mit.layer.Store(int32(rung))
 		h.s.syncLimiters()
 		if h.s.rl2.Sources() != 0 {
 			t.Fatal("a strict/normal transition left sources in Rate-Limiter2")

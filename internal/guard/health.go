@@ -81,6 +81,7 @@ type upstreamHealth struct {
 	state    breakerState
 	consec   int           // consecutive timeouts while closed
 	openedAt time.Duration // when the breaker last opened (or a probe failed)
+	timeouts uint32        // counted by countTimeout, not yet fed (atomic)
 }
 
 // shardHealth is one shard's breaker over the ordered upstream list. Guarded
@@ -120,27 +121,36 @@ func (h *shardHealth) pick() (netip.AddrPort, bool) {
 	return netip.AddrPort{}, false
 }
 
-// noteTimeout feeds one upstream timeout (an expired pending entry, probe or
-// regular) into the breaker.
-func (h *shardHealth) noteTimeout(addr netip.AddrPort, now time.Duration) {
+// countTimeout counts one upstream timeout (an expired pending entry, probe
+// or regular) against addr for noteTimeouts. It runs under the shard's NAT
+// lock and takes no other: the addresses never change, the count is atomic.
+func (h *shardHealth) countTimeout(addr netip.AddrPort) {
+	if u := h.find(addr); u != nil {
+		atomic.AddUint32(&u.timeouts, 1)
+	}
+}
+
+// noteTimeouts feeds the timeouts counted since its last call into the
+// breaker, as many consecutive timeouts of each upstream.
+func (h *shardHealth) noteTimeouts(now time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	u := h.find(addr)
-	if u == nil {
-		return
-	}
-	switch u.state {
-	case breakerClosed:
-		u.consec++
-		if u.consec >= h.g.cfg.Health.threshold {
+	for i := range h.ups {
+		u := &h.ups[i]
+		switch n := int(atomic.SwapUint32(&u.timeouts, 0)); {
+		case n == 0:
+		case u.state == breakerClosed:
+			u.consec += n
+			if u.consec >= h.g.cfg.Health.threshold {
+				u.state = breakerOpen
+				u.openedAt = now
+				atomic.AddUint64(&h.g.Stats.BreakerOpens, 1)
+			}
+		case u.state == breakerHalfOpen:
+			// The probe died too: back to open for another cooldown.
 			u.state = breakerOpen
 			u.openedAt = now
-			atomic.AddUint64(&h.g.Stats.BreakerOpens, 1)
 		}
-	case breakerHalfOpen:
-		// The probe died too: back to open for another cooldown.
-		u.state = breakerOpen
-		u.openedAt = now
 	}
 }
 
@@ -233,33 +243,14 @@ func (s *remoteShard) healthLoop() {
 }
 
 // healthTick is one pass of the sweeper: expired entries become timeout
-// signals, cooled-down breakers get their probe.
+// signals, cooled-down breakers get their probe. Without the sweeper an
+// expired entry lingered until the table filled; the breaker needs the
+// timeout signal promptly.
 func (s *remoteShard) healthTick(now time.Duration) {
-	for _, up := range s.sweepPending(now) {
-		s.health.noteTimeout(up, now)
-	}
+	s.sweepPending(now)
 	for _, addr := range s.health.dueProbes(now) {
 		s.sendProbe(addr)
 	}
-}
-
-// sweepPending removes every expired pending entry, oldest first, and
-// returns the upstream each was waiting on. Without the sweeper an expired
-// entry lingered until the table filled; the breaker needs the timeout
-// signal promptly.
-func (s *remoteShard) sweepPending(now time.Duration) []netip.AddrPort {
-	g := s.g
-	var dead []netip.AddrPort
-	s.mu.Lock()
-	for e := s.pend.reap(now); e != nil; e = s.pend.reap(now) {
-		dead = append(dead, e.upstream)
-		atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
-		if e.kind != pendProbe {
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
-		}
-	}
-	s.mu.Unlock()
-	return dead
 }
 
 // sendProbe emits the half-open probe: a synthetic SOA query for the zone

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/srctab"
 )
 
 // LocalConfig parameterizes the LRS-side guard (modified-DNS scheme,
@@ -46,8 +48,17 @@ const (
 	// maxHeld bounds queries buffered per destination during an exchange.
 	maxHeld = 64
 	// exchangeTimeout bounds the cookie exchange (message 2/3) before held
-	// queries are released unstamped.
+	// queries are released unstamped; lateGrace is how long after that a
+	// delayed message 3 is still learned.
 	exchangeTimeout = 500 * time.Millisecond
+	lateGrace       = 4 * exchangeTimeout
+	// maxServers bounds the server records, least recently asked evicted
+	// first, as a remote shard's verified cache bounds sources. maxExchanges
+	// bounds the exchanges in flight, each exchangeTimeout at most: 128 first
+	// contacts a second, twice the rate that turns a full server table over
+	// in one legacy verdict's life (maxServers / notCapableTTL = 68/s).
+	maxServers   = 4096
+	maxExchanges = 64
 )
 
 // validate reports the first missing required field. NewLocal runs it and
@@ -86,22 +97,31 @@ func (s *LocalStats) MetricsInto(r *metrics.Registry) {
 	metrics.RegisterUint64Fields(r, "guard_local_", s)
 }
 
-type learnedCookie struct {
+// server is what the guard knows of a server, under its address (only
+// port-53 queries are stamped). kind says which of the rest holds: a cookie
+// until expires, a legacy verdict until expires, or the exchange id in
+// flight. A verdict a timeout gave keeps id (no exchange has id 0).
+type server struct {
+	kind    uint8
+	id      uint16
 	c       cookie.Cookie
 	expires time.Duration
 }
 
-type exchangeState struct {
-	id      uint16
-	held    []Packet
-	started time.Duration
-}
+const (
+	srvCookie uint8 = iota + 1 // 0: a record just made, nothing known yet
+	srvLegacy
+	srvAsking
+)
 
-// lateExchange remembers a timed-out exchange so that a reordered or
-// jitter-delayed message 3 can still teach us the cookie.
-type lateExchange struct {
-	dst     netip.AddrPort
-	expires time.Duration
+// exchange is one cookie exchange, in the slot its ID indexes, live from
+// message 2 until message 3 or the timeout. It owns copies of the queries it
+// holds and lets them go when it ends.
+type exchange struct {
+	id   uint16
+	live bool
+	dst  netip.AddrPort
+	held []Packet
 }
 
 // Local is the LRS-side guard: transparent to the LRS, it stamps outbound
@@ -112,15 +132,12 @@ type Local struct {
 	cfg    LocalConfig
 	closed atomic.Bool
 
-	// mu guards the cookie/exchange tables, shared between the capture
-	// loop and the exchange-timeout procs under real clocks.
-	mu         sync.Mutex
-	cookies    map[netip.AddrPort]learnedCookie
-	notCapable map[netip.AddrPort]time.Duration
-	exchanges  map[netip.AddrPort]*exchangeState
-	byID       map[uint16]netip.AddrPort
-	late       map[uint16]lateExchange
-	nextID     uint16
+	// mu guards the two tables, shared between the capture loop and the
+	// exchange-timeout procs under real clocks.
+	mu        sync.Mutex
+	servers   *srctab.Table[server]
+	exchanges [maxExchanges]exchange
+	nextID    uint16
 
 	// Stats is updated as the guard runs (atomically; see LocalStats).
 	Stats LocalStats
@@ -134,14 +151,7 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Local{
-		cfg:        cfg,
-		cookies:    make(map[netip.AddrPort]learnedCookie),
-		notCapable: make(map[netip.AddrPort]time.Duration),
-		exchanges:  make(map[netip.AddrPort]*exchangeState),
-		byID:       make(map[uint16]netip.AddrPort),
-		late:       make(map[uint16]lateExchange),
-	}, nil
+	return &Local{cfg: cfg, servers: srctab.New[server](maxServers, srctab.LRU)}, nil
 }
 
 // Start spawns the guard's capture proc.
@@ -203,30 +213,53 @@ func (l *Local) handleOutbound(pkt Packet) {
 		return
 	}
 	now := l.now()
-	dst := pkt.Dst
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lc, ok := l.cookies[dst]; ok && now < lc.expires {
-		l.stampAndSend(pkt, msg, lc.c)
-		return
+	srv, found, _ := l.servers.Put(srctab.Key(pkt.Dst.Addr().As16()))
+	if !found {
+		*srv = server{} // a full table leaves the record it evicted in place
 	}
-	if exp, ok := l.notCapable[dst]; ok && now < exp {
+	switch ex := &l.exchanges[srv.id%maxExchanges]; {
+	case srv.kind == srvCookie && now < srv.expires:
+		l.stampAndSend(pkt, msg, srv.c)
+	case srv.kind == srvLegacy && now < srv.expires:
 		l.passthrough(pkt)
-		return
+	case srv.kind == srvAsking && ex.live && ex.id == srv.id && ex.dst == pkt.Dst:
+		l.hold(ex, pkt)
+	default:
+		// First contact: run the exchange if a slot is free; hold the query.
+		if ex = l.newExchange(pkt.Dst); ex != nil {
+			*srv = server{kind: srvAsking, id: ex.id}
+			l.sendCookieRequest(ex, msg)
+		}
+		l.hold(ex, pkt)
 	}
-	// First contact: hold the query and run the cookie exchange.
-	ex, running := l.exchanges[dst]
-	if !running {
-		ex = &exchangeState{started: now}
-		l.exchanges[dst] = ex
-		l.sendCookieRequest(dst, msg, ex)
+}
+
+// newExchange issues the next ID but 0 whose slot is free and returns the
+// slot for an exchange with dst; nil when every slot is live.
+func (l *Local) newExchange(dst netip.AddrPort) *exchange {
+	for range maxExchanges {
+		if l.nextID++; l.nextID == 0 {
+			l.nextID++
+		}
+		if ex := &l.exchanges[l.nextID%maxExchanges]; !ex.live {
+			ex.id, ex.live, ex.dst = l.nextID, true, dst
+			return ex
+		}
 	}
-	if len(ex.held) >= maxHeld {
+	return nil
+}
+
+// hold keeps a copy of pkt until ex ends: pkt.Payload is lent by the read.
+// Without a slot (ex nil) or with maxHeld queries held, pkt leaves unstamped.
+func (l *Local) hold(ex *exchange, pkt Packet) {
+	if ex == nil || len(ex.held) >= maxHeld {
 		atomic.AddUint64(&l.Stats.HeldOverflow, 1)
 		l.passthrough(pkt)
 		return
 	}
-	ex.held = append(ex.held, pkt)
+	ex.held = append(ex.held, Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: bytes.Clone(pkt.Payload)})
 }
 
 func (l *Local) passthrough(pkt Packet) {
@@ -248,60 +281,41 @@ func (l *Local) stampAndSend(pkt Packet, msg *dnswire.Message, c cookie.Cookie) 
 // sendCookieRequest emits message 2: the same question with an all-zero
 // cookie, from the LRS's address on the guard's dedicated port so message 3
 // comes back to the guard. The caller must hold l.mu.
-func (l *Local) sendCookieRequest(dst netip.AddrPort, template *dnswire.Message, ex *exchangeState) {
-	l.nextID++
-	ex.id = l.nextID
-	l.byID[ex.id] = dst
+func (l *Local) sendCookieRequest(ex *exchange, template *dnswire.Message) {
 	req := dnswire.NewQuery(ex.id, template.Question().Name, template.Question().Type)
 	req.Flags.RD = false
 	AttachCookie(req, cookie.Cookie{}, 0)
-	wire, err := req.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return
+	if wire, err := req.PackUDP(dnswire.MaxUDPSize); err == nil {
+		atomic.AddUint64(&l.Stats.Exchanges, 1)
+		_ = l.cfg.IO.WriteFromTo(netip.AddrPortFrom(l.cfg.ClientAddr, exchangePort), ex.dst, wire)
 	}
-	atomic.AddUint64(&l.Stats.Exchanges, 1)
-	src := netip.AddrPortFrom(l.cfg.ClientAddr, exchangePort)
-	_ = l.cfg.IO.WriteFromTo(src, dst, wire)
+	id := ex.id
 	l.cfg.Env.Go("localguard-timeout", func() {
 		l.cfg.Env.Sleep(exchangeTimeout)
-		l.expireExchange(dst, ex)
+		l.expire(id)
 	})
 }
 
-// expireExchange gives up on a cookie exchange: the server is remembered as
-// legacy and held queries are released unstamped. The transaction ID stays
-// registered for a grace window so a message 3 delayed past the timeout (by
-// jitter or reordering) can still be learned and the legacy verdict undone.
-func (l *Local) expireExchange(dst netip.AddrPort, ex *exchangeState) {
+// expire gives up on exchange id if it is still live: the server is
+// remembered as legacy, under id for a late message 3, and held queries are
+// released unstamped.
+func (l *Local) expire(id uint16) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur, ok := l.exchanges[dst]
-	if !ok || cur != ex {
+	ex := &l.exchanges[id%maxExchanges]
+	if !ex.live || ex.id != id {
 		return // already resolved
 	}
-	delete(l.exchanges, dst)
-	grace := 4 * exchangeTimeout
-	l.late[ex.id] = lateExchange{dst: dst, expires: l.now() + grace}
-	l.cfg.Env.Go("localguard-late-reap", func() {
-		l.cfg.Env.Sleep(grace)
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if le, ok := l.late[ex.id]; ok && le.dst == dst {
-			delete(l.late, ex.id)
-			if d, ok := l.byID[ex.id]; ok && d == dst {
-				delete(l.byID, ex.id)
-			}
-		}
-	})
 	atomic.AddUint64(&l.Stats.LegacyServers, 1)
-	l.notCapable[dst] = l.now() + notCapableTTL
-	for _, pkt := range ex.held {
-		l.passthrough(pkt)
-	}
+	l.settle(ex, server{kind: srvLegacy, id: id, expires: l.now() + notCapableTTL})
 }
 
-// handleExchangeResponse consumes message 3 (or a legacy server's plain
-// answer to the cookie request).
+// handleExchangeResponse consumes message 3, or a legacy server's plain
+// answer to the cookie request, for a live exchange or one that timed out
+// within lateGrace. A cookie learned late replaces the legacy verdict the
+// timeout left, so the next query is stamped instead of passed through for
+// notCapableTTL (up to a minute of degraded service); a late answer without
+// one confirms it.
 func (l *Local) handleExchangeResponse(pkt Packet) {
 	resp, err := dnswire.Unpack(pkt.Payload)
 	if err != nil || !resp.Flags.QR {
@@ -309,66 +323,52 @@ func (l *Local) handleExchangeResponse(pkt Packet) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	dst, ok := l.byID[resp.ID]
-	if !ok || dst != pkt.Src {
+	now, ex := l.now(), &l.exchanges[resp.ID%maxExchanges]
+	srv := l.servers.Get(srctab.Key(pkt.Src.Addr().As16()))
+	late := !ex.live || ex.id != resp.ID || ex.dst != pkt.Src
+	// A timeout's verdict keeps its exchange's id and expires notCapableTTL
+	// after it.
+	if late && (srv == nil || srv.kind != srvLegacy || srv.id == 0 || srv.id != resp.ID ||
+		pkt.Src.Port() != 53 || now >= srv.expires-notCapableTTL+lateGrace) {
 		atomic.AddUint64(&l.Stats.ExchangeStrays, 1)
 		return
 	}
-	ex, ok := l.exchanges[dst]
-	if !ok || ex.id != resp.ID {
-		l.handleLateExchangeResponse(dst, resp)
-		return
-	}
-	delete(l.exchanges, dst)
-	delete(l.byID, resp.ID)
 	c, ttl, _, has := FindCookie(resp)
-	if !has || c.IsZero() {
-		// A legacy server answered the bare question: it is not
-		// cookie-capable.
+	switch {
+	case (!has || c.IsZero()) && late:
+		srv.id = 0 // the verdict stands
+	case !has || c.IsZero():
+		// A legacy server answered the bare question: not cookie-capable.
 		atomic.AddUint64(&l.Stats.LegacyServers, 1)
-		l.notCapable[dst] = l.now() + notCapableTTL
-		for _, held := range ex.held {
-			l.passthrough(held)
+		l.settle(ex, server{kind: srvLegacy, expires: now + notCapableTTL})
+	default:
+		life := min(time.Duration(ttl)*time.Second, cookieTTLCap)
+		if life <= 0 {
+			life = cookieTTLCap
 		}
-		return
-	}
-	life := time.Duration(ttl) * time.Second
-	if life <= 0 || life > cookieTTLCap {
-		life = cookieTTLCap
-	}
-	l.cookies[dst] = learnedCookie{c: c, expires: l.now() + life}
-	atomic.AddUint64(&l.Stats.CookiesLearned, 1)
-	for _, held := range ex.held {
-		if msg, err := dnswire.Unpack(held.Payload); err == nil {
-			l.stampAndSend(held, msg, c)
+		atomic.AddUint64(&l.Stats.CookiesLearned, 1)
+		rec := server{kind: srvCookie, c: c, expires: now + life}
+		if late {
+			atomic.AddUint64(&l.Stats.LateCookies, 1)
+			*srv = rec
+		} else {
+			l.settle(ex, rec)
 		}
 	}
 }
 
-// handleLateExchangeResponse learns from a message 3 that arrived after its
-// exchange timed out: the held queries are long gone (released unstamped),
-// but the cookie is still good, and the premature legacy verdict must be
-// reversed so the next query is stamped instead of passed through for
-// notCapableTTL (up to a minute of degraded service). The caller must hold
-// l.mu.
-func (l *Local) handleLateExchangeResponse(dst netip.AddrPort, resp *dnswire.Message) {
-	le, ok := l.late[resp.ID]
-	if !ok || le.dst != dst || l.now() >= le.expires {
-		atomic.AddUint64(&l.Stats.ExchangeStrays, 1)
-		return
+// settle ends ex: the server's record becomes rec, and the queries ex held
+// leave, stamped with rec's cookie or unstamped. The caller holds l.mu.
+func (l *Local) settle(ex *exchange, rec server) {
+	ex.live = false
+	srv, _, _ := l.servers.Put(srctab.Key(ex.dst.Addr().As16()))
+	*srv = rec
+	for _, pkt := range ex.held {
+		if rec.kind != srvCookie {
+			l.passthrough(pkt)
+		} else if msg, err := dnswire.Unpack(pkt.Payload); err == nil {
+			l.stampAndSend(pkt, msg, rec.c)
+		}
 	}
-	delete(l.late, resp.ID)
-	delete(l.byID, resp.ID)
-	c, ttl, _, has := FindCookie(resp)
-	if !has || c.IsZero() {
-		return // legacy verdict was correct after all
-	}
-	life := time.Duration(ttl) * time.Second
-	if life <= 0 || life > cookieTTLCap {
-		life = cookieTTLCap
-	}
-	l.cookies[dst] = learnedCookie{c: c, expires: l.now() + life}
-	delete(l.notCapable, dst)
-	atomic.AddUint64(&l.Stats.CookiesLearned, 1)
-	atomic.AddUint64(&l.Stats.LateCookies, 1)
+	ex.held = nil
 }

@@ -404,19 +404,13 @@ func (n *nameSketch) drain() float64 {
 
 // Selector-side plumbing on the guard ---------------------------------------
 
-// Control modes the selector can impose on the activation decision.
-const (
-	mitAuto        int32 = iota // defer to ActivationThreshold (the paper's behavior)
-	mitForcePass                // relay everything (ladder bottom)
-	mitForceActive              // spoof detection on regardless of input rate
-)
-
 // Mitigation returns a snapshot of the layered auto-mitigation selector
 // (zero-valued, layer passthrough, when the selector is disarmed).
 func (g *Remote) Mitigation() MitigationState { return g.mit.snapshot() }
 
 // mitigateLoop is the "guard-mitigate" proc: sample the guard counters
-// every Interval, advance the ladder, apply the rung's controls.
+// every Interval and advance the ladder. The rung it leaves is the guard's
+// whole control state: Active, effectiveFallback and syncLimiters read it.
 func (g *Remote) mitigateLoop() {
 	prev := g.Stats.Load()
 	prevShed := g.shedNew()
@@ -441,7 +435,6 @@ func (g *Remote) mitigateLoop() {
 			names:   g.mit.sketch.drain(),
 		}
 		g.mit.step(now, s)
-		g.applyMitigation()
 		prev, prevShed, prevT = cur, shed, now
 	}
 }
@@ -456,44 +449,32 @@ func (g *Remote) shedNew() uint64 {
 	return t
 }
 
-// applyMitigation maps the current rung onto the guard's control surface.
-// Everything here is an atomic flag read by the dataplane; the limiter swap
-// itself happens lazily in worker context (see syncLimiters).
-func (g *Remote) applyMitigation() {
-	layer := MitigationLayer(g.mit.layer.Load())
-	switch {
-	case layer >= LayerCookies:
-		g.mitMode.Store(mitForceActive)
-	case layer == LayerPassthrough:
-		g.mitMode.Store(mitForcePass)
-	default:
-		g.mitMode.Store(mitAuto)
+// rung is the ladder's rung while the selector is armed. A disarmed guard is
+// at LayerThreshold for good: the paper's static behavior, no override.
+func (g *Remote) rung() MitigationLayer {
+	if !g.cfg.Mitigation.Enabled {
+		return LayerThreshold
 	}
-	if layer >= LayerTCPFallback {
-		g.mitFallback.Store(int32(SchemeTCP))
-	} else {
-		g.mitFallback.Store(0)
-	}
-	g.mitStrict.Store(layer >= LayerSourceLimit)
+	return MitigationLayer(g.mit.layer.Load())
 }
 
-// effectiveFallback is the configured scheme unless the selector has imposed
-// TCP fallback.
+// effectiveFallback is the configured scheme below LayerTCPFallback and TCP
+// from it up.
 func (g *Remote) effectiveFallback() Scheme {
-	if v := g.mitFallback.Load(); v != 0 {
-		return Scheme(v)
+	if g.rung() >= LayerTCPFallback {
+		return SchemeTCP
 	}
 	return g.cfg.Fallback
 }
 
-// syncLimiters applies the selector's limiter-tightening control in worker
+// syncLimiters applies LayerSourceLimit's tightened limiters in worker
 // context — the limiters are worker-owned, so resetting them from the
 // selector proc would race the hot path. One atomic load per packet when
 // nothing changed. A transition empties both limiters' tables in place and
 // allocates nothing; what they dropped is counted in RemoteStats, which no
 // transition touches.
 func (s *remoteShard) syncLimiters() {
-	strict := s.g.mitStrict.Load()
+	strict := s.g.rung() >= LayerSourceLimit
 	if s.strict == strict {
 		return
 	}

@@ -297,8 +297,7 @@ func TestResetShardKeepsStrictLimits(t *testing.T) {
 		cfg.Mitigation.Enabled = true
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: strictFactor, PerSourceBurst: strictFactor, TrackedSources: 16}
 	})
-	h.g.mitMode.Store(mitForceActive)
-	h.g.mitStrict.Store(true)
+	h.g.mit.layer.Store(int32(LayerSourceLimit))
 	src := mustAP("10.0.0.53:4444")
 	pkt := Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 1)}
 	// The harness clock stands still: of four verified requests a burst of
@@ -332,7 +331,7 @@ func TestExportedCountersNeverDecrease(t *testing.T) {
 		cfg.RL1 = ratelimit.Limiter1Config{PerSourceRate: 1, PerSourceBurst: 1, GlobalRate: 1e6, GlobalBurst: 1e6, TrackedSources: 16}
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1, TrackedSources: 16}
 	})
-	h.g.mitMode.Store(mitForceActive)
+	h.g.mit.layer.Store(int32(LayerCookies))
 	reg := metrics.NewRegistry()
 	h.g.MetricsInto(reg)
 
@@ -348,7 +347,7 @@ func TestExportedCountersNeverDecrease(t *testing.T) {
 		t.Fatalf("want a grant, an RL1 drop, a forward and an RL2 drop: %+v", st)
 	}
 	before := reg.Snapshot()
-	h.g.mitStrict.Store(true)
+	h.g.mit.layer.Store(int32(LayerSourceLimit))
 	h.s.syncLimiters()
 	h.s.ResetShard()
 	after := map[string]float64{}

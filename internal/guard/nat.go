@@ -144,17 +144,44 @@ func (t *pendTable) reap(now time.Duration) *pendEntry {
 	return &t.slot(id).pendEntry
 }
 
-// emptyPending frees every entry in flight, whatever time it has left, and
-// counts each but a health probe as PendingDropped, as sweepPending does. A
-// slot on loan stays its holder's to release.
-func (s *remoteShard) emptyPending() {
-	s.mu.Lock()
-	for e := s.pend.reap(1<<63 - 1); e != nil; e = s.pend.reap(1<<63 - 1) {
+// reapPending frees, oldest first, every entry in flight that has expired by
+// now, and with all — a drain, a shard restart — every other too. Whoever
+// reaps it, an entry ends by one rule: any but a health probe is
+// PendingDropped, and one that expired is an upstream timeout, counted and,
+// under health tracking, counted against its upstream. A slot on loan stays
+// its holder's to release. The caller holds s.mu, and feeds the counts to the
+// breaker (noteTimeouts) once it has released it.
+func (s *remoteShard) reapPending(now time.Duration, all bool) {
+	g, until := s.g, now
+	if all {
+		until = 1<<63 - 1
+	}
+	for e := s.pend.reap(until); e != nil; e = s.pend.reap(until) {
 		if e.kind != pendProbe {
-			atomic.AddUint64(&s.g.Stats.PendingDropped, 1)
+			atomic.AddUint64(&g.Stats.PendingDropped, 1)
+		}
+		if now >= e.expires {
+			atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
+			if s.health != nil {
+				s.health.countTimeout(e.upstream)
+			}
 		}
 	}
+}
+
+// sweepPending reaps what has expired by now, as the health sweeper does;
+// emptyPending reaps every entry in flight, whatever time it has left.
+func (s *remoteShard) sweepPending(now time.Duration) { s.sweep(now, false) }
+func (s *remoteShard) emptyPending()                  { s.sweep(s.g.now(), true) }
+
+// sweep is reapPending under s.mu, and the breaker fed once it is released.
+func (s *remoteShard) sweep(now time.Duration, all bool) {
+	s.mu.Lock()
+	s.reapPending(now, all)
 	s.mu.Unlock()
+	if s.health != nil {
+		s.health.noteTimeouts(now)
+	}
 }
 
 // appendFolded appends b to dst with ASCII uppercase folded to lowercase.
@@ -227,8 +254,9 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 	if s.pend.live >= maxPending {
 		// At capacity: make room of what has expired, and refuse only if the
 		// table is full of live queries.
-		for s.pend.reap(now) != nil {
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
+		s.reapPending(now, false)
+		if s.health != nil {
+			defer s.health.noteTimeouts(now)
 		}
 		if s.pend.live >= maxPending {
 			s.mu.Unlock()

@@ -403,6 +403,36 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 	}
 }
 
+// TestExpiredEntryIsATimeout: an entry whose life ran out ends the same way
+// whoever reaps it. Here the primary ANS is dark for a whole table of
+// queries, a health probe among them, and a forward into the full table
+// reaps them before the sweeper runs: each is an upstream timeout fed to the
+// breaker, each but the probe a dropped query. The primary's breaker is open
+// by the time the sweeper looks, and the next forward fails over.
+func TestExpiredEntryIsATimeout(t *testing.T) {
+	var skew atomic.Int64
+	fallback := mustAP("10.99.0.3:53")
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Env = skewEnv{cfg.Env, &skew}
+		cfg.ANSFallbacks = []netip.AddrPort{fallback}
+	})
+	primary := h.g.cfg.ANSAddr
+	h.s.sendProbe(primary)
+	fillPending(t, h, 0, maxPending-1)
+	skew.Add(int64(h.g.cfg.pendingTimeout))
+	fillPending(t, h, maxPending, 1)
+	h.s.healthTick(h.g.now())
+	if st := h.g.Stats.Load(); st.UpstreamTimeouts != maxPending || st.PendingDropped != maxPending-1 ||
+		st.BreakerOpens != 1 || h.g.BreakerState(0, primary) != int(breakerOpen) {
+		t.Fatalf("a full table of expired entries reaped by a forward: %+v, primary's breaker %d, want %d timeouts, %d dropped, the breaker open",
+			st, h.g.BreakerState(0, primary), maxPending, maxPending-1)
+	}
+	fillPending(t, h, maxPending+1, 1)
+	if st := h.g.Stats.Load(); st.Failovers != 1 || h.up.dst != fallback {
+		t.Errorf("the forward after the primary's breaker opened went to %v, %d failovers; want %v, 1", h.up.dst, st.Failovers, fallback)
+	}
+}
+
 // TestPendTableIDSequence pins the IDs the table issues to the ID pool's it
 // replaced, which every recorded forward carries: 1, 2, 3 … from a high-water
 // mark, a released ID reused before the mark moves, the last released first,

@@ -893,7 +893,7 @@ func shapeRows() []shapeRow {
 			}
 			r.query("ladder bottom: relayed", shapeClient, pub(r), plain(r, "www.foo.com", 0x31e0))
 			sketch()
-			r.h.g.mitMode.Store(mitForceActive)
+			r.h.g.mit.layer.Store(int32(LayerCookies))
 			r.query("www.foo.com", shapeClient, pub(r), plain(r, "www.foo.com", 0x31e1))
 			sketch()
 			r.query("the same in upper case", shapeClient, pub(r), upperName(plain(r, "www.foo.com", 0x31e2)))

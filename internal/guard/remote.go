@@ -267,7 +267,8 @@ type RemoteStats struct {
 	UpstreamMalformed uint64 // upstream datagrams not a response the view and the walk take, or over MaxDatagram
 	KeyRotations      uint64
 
-	// Upstream health / failover (HealthConfig; zero when disabled).
+	// Upstream health / failover (HealthConfig; zero when disabled, but
+	// UpstreamTimeouts, which any reap of an expired entry counts).
 	UpstreamTimeouts uint64 // pending entries reaped as upstream timeouts
 	BreakerOpens     uint64 // breakers tripped by consecutive timeouts
 	BreakerCloses    uint64 // breakers restored by a verified response
@@ -318,13 +319,9 @@ type Remote struct {
 	lc      LifecycleStats
 
 	// Layered auto-mitigation selector state (mitigate.go). mit is always
-	// non-nil; the three control atomics stay at their zero values (mitAuto,
-	// no fallback override, non-strict) whenever the selector is disarmed,
-	// which makes every override check below a no-op.
-	mit         *mitigator
-	mitMode     atomic.Int32 // mitAuto / mitForcePass / mitForceActive
-	mitFallback atomic.Int32 // 0 or an imposed Scheme
-	mitStrict   atomic.Bool  // limiters tightened strictFactor×
+	// non-nil; its rung is the guard's one control state while
+	// cfg.Mitigation.Enabled, and read by nothing otherwise (Remote.rung).
+	mit *mitigator
 
 	// answers is the guard-wide answer table (answers.go; locks internally).
 	answers *answerTable
@@ -353,8 +350,8 @@ type remoteShard struct {
 	mu   sync.Mutex
 	pend pendTable
 
-	// strict mirrors the selector's mitStrict flag into worker context;
-	// syncLimiters compares and resets the limiters on transitions.
+	// strict is whether the limiters hold LayerSourceLimit's configuration;
+	// syncLimiters compares it with the rung and resets them on transitions.
 	strict bool
 
 	// Batch-bracket state, touched only by the shard's worker between
@@ -422,12 +419,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		g.zoneWire = append(append(g.zoneWire, byte(len(l))), l...)
 	}
 	g.zoneWire = append(g.zoneWire, 0)
-	if cfg.Mitigation.Enabled {
-		// Derive the initial control flags from the ladder bottom
-		// (passthrough) so the armed guard starts fully open and works its
-		// way up; disarmed guards never touch the flags.
-		g.applyMitigation()
-	}
 	g.shards = make([]*remoteShard, cfg.Shards)
 	sup := cfg.Supervision
 	if sup.Enabled && sup.Trip == engine.TripPass && sup.OnPass == nil {
@@ -603,13 +594,13 @@ func (g *Remote) Close() {
 
 // Active reports whether spoof detection is currently engaged. The layered
 // mitigation selector, when armed, can override the threshold decision in
-// either direction: the ladder bottom relays everything, cookie rungs and
-// above force detection on.
+// either direction: the ladder bottom, where an armed guard starts, relays
+// everything, cookie rungs and above force detection on.
 func (g *Remote) Active() bool {
-	switch g.mitMode.Load() {
-	case mitForcePass:
+	switch r := g.rung(); {
+	case r == LayerPassthrough:
 		return false
-	case mitForceActive:
+	case r >= LayerCookies:
 		return true
 	}
 	return g.cfg.ActivationThreshold == 0 || g.active.Load()
@@ -844,41 +835,58 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 	return cred, true
 }
 
-// verified consults the verified-source cache: true when src recently
-// verified exactly cred, in which case the MAC check may be skipped. The
-// credential compare is the security boundary — the cache never turns a
-// bare source address into trust — and it is constant-time (engine.probe).
-// With the cache off (FastPathTTL 0) every call is a miss and every request
-// pays its MAC; nothing else about the pipeline depends on the setting.
+// admit is the one admission step of a request that presents a credential
+// (Figure 4: the cookie checker, then Rate-Limiter2). cred is in the shard's
+// scratch, its tag naming its form: "ns:" and a cookie label (message 3),
+// "ip:" and the address the query was sent to (message 7), "ck:" and the
+// modified scheme's cookie. A source that recently verified exactly cred is
+// vouched for by the verified-source cache, which skips the MAC: the
+// credential compare is the security boundary — the cache never turns a bare
+// source address into trust — and it is constant-time (engine.probe). With
+// the cache off (FastPathTTL 0) every request pays its MAC. Otherwise the MAC
+// the tag names runs, and what verifies is cached. A credential that passes
+// counts CookieValid and is charged to the source's Rate-Limiter2 bucket.
+// admit reports whether the request goes on; nothing here allocates.
 //
-// The lookup is shard-explicit: this handler owns shard s.id, and on a direct
+// The cache is shard-explicit: this handler owns shard s.id, and on a direct
 // engine the owning shard is the delivering socket's, not the source hash's,
 // whose cache partition a different worker owns.
-func (s *remoteShard) verified(src netip.Addr, cred []byte) bool {
-	if !s.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
+func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
+	g, src := s.g, pkt.Src.Addr()
+	if g.eng.VerifiedCredMatchOn(s.id, src, cred) {
+		atomic.AddUint64(&g.Stats.FastPathHits, 1)
+	} else {
+		g.charge(g.cfg.Costs.CookieCheck)
+		var ok bool
+		switch cred[0] {
+		case 'n': // "ns:"
+			ok = s.bv.VerifyLabelBytes(g.nsc, src, cred[3:])
+		case 'i': // "ip:"
+			ok = s.bv.VerifyIP(g.ipc, src, pkt.Dst.Addr())
+		default: // "ck:"
+			ok = s.bv.Verify(src, cookie.Cookie(cred[3:]))
+		}
+		if !ok {
+			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+			return false
+		}
+		g.eng.MarkVerifiedCredOn(s.id, src, cred)
+	}
+	atomic.AddUint64(&g.Stats.CookieValid, 1)
+	if !s.rl2.AllowRequest(src, g.now()) {
+		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return false
 	}
-	atomic.AddUint64(&s.g.Stats.FastPathHits, 1)
 	return true
 }
 
-// handleNSCookie processes a query for a fabricated name (message 3): verify,
+// handleNSCookie processes a query for a fabricated name (message 3): admit,
 // restore, forward (message 4). q is the question as sent — name, type,
 // class, the name in any case — and cred what nsCred made of its first label.
 // Nothing here allocates, cache hit, miss or forged label.
 func (s *remoteShard) handleNSCookie(pkt Packet, q, cred []byte) {
 	g := s.g
-	if !s.verified(pkt.Src.Addr(), cred) {
-		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.VerifyLabelBytes(g.nsc, pkt.Src.Addr(), cred[3:]) {
-			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
-			return
-		}
-		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
-	}
-	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+	if !s.admit(pkt, cred) {
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)
@@ -901,25 +909,14 @@ func (s *remoteShard) childQuery(q []byte, strip int) []byte {
 }
 
 // handleIPCookie processes a query addressed to a cookie address (message
-// 7): the destination IP is the credential. A fresh answer to its question in
-// the answer table is the reply, queued on the egress slab; otherwise it is
-// forwarded as message 4 is, its name whole. Nothing here allocates once the
-// slab is warm.
+// 7): the destination IP is the credential admit checks. A fresh answer to
+// its question in the answer table is the reply, queued on the egress slab;
+// otherwise it is forwarded as message 4 is, its name whole. Nothing here
+// allocates once the slab is warm.
 func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
 	g := s.g
 	dst16 := pkt.Dst.Addr().As16()
-	cred := append(append(s.credBuf[:0], "ip:"...), dst16[:]...)
-	if !s.verified(pkt.Src.Addr(), cred) {
-		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.VerifyIP(g.ipc, pkt.Src.Addr(), pkt.Dst.Addr()) {
-			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
-			return
-		}
-		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
-	}
-	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+	if !s.admit(pkt, append(append(s.credBuf[:0], "ip:"...), dst16[:]...)) {
 		return
 	}
 	q, start := v.QuestionWire(), len(s.egress)
@@ -958,24 +955,13 @@ func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 }
 
 // handleModified processes a query carrying its cookie in the explicit
-// extension (Figure 3): verify, then forward without the cookie record — the
+// extension (Figure 3): admit, then forward without the cookie record — the
 // query re-encoded as the codec wrote it with the record stripped: reserved
 // bits clear, every name folded and compressed, cut at 512 bytes with TC set.
 // Nothing here allocates, forgery or forward.
 func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
 	g := s.g
-	cred := append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)
-	if !s.verified(pkt.Src.Addr(), cred) {
-		g.charge(g.cfg.Costs.CookieCheck)
-		if !s.bv.Verify(pkt.Src.Addr(), ck.c) {
-			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
-			return
-		}
-		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
-	}
-	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+	if !s.admit(pkt, append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)) {
 		return
 	}
 	g.charge(g.cfg.Costs.Rewrite)

@@ -88,7 +88,9 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		return
 	}
 	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
-	if !s.verified(pkt.Src.Addr(), cred) {
+	if g.eng.VerifiedCredMatchOn(s.id, pkt.Src.Addr(), cred) {
+		atomic.AddUint64(&g.Stats.FastPathHits, 1)
+	} else {
 		g.charge(g.cfg.Costs.CookieCheck)
 		if !s.bv.Verify(pkt.Src.Addr(), c) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
@@ -264,7 +266,7 @@ func newSpliceTwin(t testing.TB) *spliceTwin {
 	}
 	tw := &spliceTwin{t: t, got: newShardHarness(t, cfg), want: newShardHarness(t, cfg)}
 	for _, h := range []*shardHarness{tw.got, tw.want} {
-		h.g.mitMode.Store(mitForceActive)
+		h.g.mit.layer.Store(int32(LayerCookies))
 	}
 	return tw
 }
