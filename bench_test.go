@@ -19,7 +19,6 @@ import (
 	"dnsguard/internal/experiments"
 	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
-	"dnsguard/internal/workload"
 )
 
 // --- Table II: request latency --------------------------------------------
@@ -155,62 +154,6 @@ func BenchmarkFigure7b_ProxyUnderFlood(b *testing.B) {
 		}
 		b.ReportMetric(points[0].Throughput, "req/s@0")
 		b.ReportMetric(points[1].Throughput, "req/s@250K")
-		break
-	}
-}
-
-// --- Ablations ---------------------------------------------------------------
-// DESIGN.md calls out two design choices worth isolating: the guard's
-// answer cache for the fabricated-IP variant, and SYN cookies on the TCP
-// listener. Both are toggled here against the same workload.
-
-func BenchmarkAblation_AnswerCache(b *testing.B) {
-	// The fabricated-IP variant's answer cache (message 5 results reused
-	// for message 7) offloads the ANS: measure ANS queries per completed
-	// client request with the cache on and off. Client throughput is
-	// ANS-bound either way; the cache's effect is upstream load.
-	measure := func(disable bool) (float64, float64) {
-		w, err := experiments.NewWorld(experiments.WorldConfig{
-			DisableAnswerCache: disable,
-			RL1Unlimited:       true,
-			ANSTTL:             60, // cacheable answers; the throughput rigs use TTL 0
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients := make([]*workload.Client, 96)
-		for i := range clients {
-			c, err := workload.NewClient(workload.ClientConfig{
-				Env: w.LRSHost, Kind: workload.KindFabIP, Mode: workload.ModeHit,
-				Target: w.Public, Wait: 10 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			clients[i] = c
-			c.Start()
-		}
-		count := func() uint64 {
-			var sum uint64
-			for _, c := range clients {
-				sum += c.Stats.Completed
-			}
-			return sum
-		}
-		rate := w.MeasureRate(150*time.Millisecond, 450*time.Millisecond, count)
-		ansPerReq := 0.0
-		if c := count(); c > 0 {
-			ansPerReq = float64(w.ANSSim.Served) / float64(c)
-		}
-		return rate, ansPerReq
-	}
-	for i := 0; i < b.N; i++ {
-		with, withLoad := measure(false)
-		without, withoutLoad := measure(true)
-		b.ReportMetric(with, "withCache_req/s")
-		b.ReportMetric(without, "withoutCache_req/s")
-		b.ReportMetric(withLoad, "withCache_ANSq/req")
-		b.ReportMetric(withoutLoad, "withoutCache_ANSq/req")
 		break
 	}
 }

@@ -8,8 +8,8 @@ func Example() {
 	}
 	// Output:
 	// == first resolution (cache miss: the cookie dance) ==
-	// answer: www.foo.com 10 IN A 198.51.100.10
-	// latency: 30.2ms (3 RTT: fabricated NS, cookie query, cookie-IP query)
+	// answer: www.foo.com 300 IN A 198.51.100.10
+	// latency: 30.4ms (3 RTT: fabricated NS, cookie query, cookie-IP query)
 	// upstream queries: 3
 	//
 	// == second resolution, 400s later (answer TTL expired, cookies cached) ==
@@ -22,6 +22,6 @@ func Example() {
 	// cookies granted:    1
 	// cookies verified:   3
 	// spoofed dropped:    0
-	// forwarded to ANS:   2
-	// ANS saw queries:    2
+	// forwarded to ANS:   3
+	// ANS saw queries:    3
 }

@@ -205,10 +205,9 @@ func Figure6(opts Figure6Options) ([]Figure6Point, error) {
 
 func figure6Cell(attackRate float64, guardOn bool, opts Figure6Options) (float64, float64, uint64, error) {
 	w, err := NewWorld(WorldConfig{
-		GuardOff:           !guardOn,
-		Scheme:             guard.SchemeDNS,
-		DisableAnswerCache: true,
-		RL1Unlimited:       true,
+		GuardOff:     !guardOn,
+		Scheme:       guard.SchemeDNS,
+		RL1Unlimited: true,
 	})
 	if err != nil {
 		return 0, 0, 0, err

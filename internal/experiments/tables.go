@@ -213,9 +213,8 @@ func TableIII(opts TableIIIOptions) ([]TableIIIRow, error) {
 
 func tableIIICell(label SchemeLabel, mode workload.ClientMode, opts TableIIIOptions) (float64, CellDetail, error) {
 	w, err := worldFor(label, WorldConfig{
-		DisableAnswerCache: true,
-		ProxyCostSegments:  10,
-		RL1Unlimited:       true,
+		ProxyCostSegments: 10,
+		RL1Unlimited:      true,
 	})
 	if err != nil {
 		return 0, CellDetail{}, err

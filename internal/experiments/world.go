@@ -63,10 +63,6 @@ type WorldConfig struct {
 	// ReferralANS puts the ANS simulator in referral mode (root/TLD
 	// shape) instead of answer mode.
 	ReferralANS bool
-	// ANSTTL sets the ANS simulator's answer TTL. The throughput
-	// experiments leave it 0 (uncacheable, per the paper); the ablation
-	// benchmark raises it so the guard's answer cache can engage.
-	ANSTTL uint32
 	// Threshold is the guard's activation threshold (0 = always on).
 	Threshold float64
 	// WithProxy starts the TCP proxy on the public address.
@@ -90,9 +86,6 @@ type WorldConfig struct {
 	TCPClientPrefixes []netip.Prefix
 	// Uncosted disables CPU charging (pure latency measurements).
 	Uncosted bool
-	// DisableAnswerCache makes message 7 always consult the ANS,
-	// matching the paper's 4-packet cache-hit accounting.
-	DisableAnswerCache bool
 }
 
 // World is one assembled testbed.
@@ -167,7 +160,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			Env:  ansEnv,
 			Addr: ansAddr,
 			Mode: mode,
-			TTL:  cfg.ANSTTL,
 			CPU:  cpuOrNil(cfg, ansEnv),
 			Cost: w.Costs.Server.ANSSim,
 		})
@@ -230,9 +222,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		gcfg.RL1 = ratelimit.Limiter1Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, GlobalRate: 1e12, GlobalBurst: 1e12, TrackedSources: 1024}
 	} else if cfg.RL1Generous {
 		gcfg.RL1 = ratelimit.Limiter1Config{PerSourceRate: 2000, PerSourceBurst: 400, GlobalRate: 1e9, GlobalBurst: 1e9, TrackedSources: 4096}
-	}
-	if cfg.DisableAnswerCache {
-		gcfg.AnswerCacheTTL = -1
 	}
 	if !cfg.Uncosted {
 		gcfg.CPU = gh.CPU()

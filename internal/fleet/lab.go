@@ -112,7 +112,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 
 	ansHost := net.AddHost("ans", netip.MustParseAddr("10.99.0.2"))
 	sim, err := workload.NewANSSim(workload.ANSSimConfig{
-		Env: ansHost, Addr: netip.MustParseAddrPort("10.99.0.2:53"), Mode: workload.ModeAnswer, TTL: 0,
+		Env: ansHost, Addr: netip.MustParseAddrPort("10.99.0.2:53"), Mode: workload.ModeAnswer,
 	})
 	if err != nil {
 		return res, err

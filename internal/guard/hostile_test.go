@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -195,10 +196,17 @@ func TestGuardPendingTableBounded(t *testing.T) {
 // TestAutomaticKeyRotation runs the guard with a short rotation period and
 // verifies that (a) rotations happen, (b) a cookie minted in generation g
 // still verifies during generation g+1 and is rejected in g+2 — the
-// paper's weekly schedule in miniature.
+// paper's weekly schedule in miniature — with the verified-source cache off
+// and at the longest TTL NewRemote accepts, the rotation period.
 func TestAutomaticKeyRotation(t *testing.T) {
+	for _, ttl := range []time.Duration{0, 30 * time.Second} {
+		t.Run(fmt.Sprintf("FastPathTTL=%v", ttl), func(t *testing.T) { automaticKeyRotation(t, ttl) })
+	}
+}
+
+func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 	f := newLeafFixture(t, func(c *RemoteConfig) {
-		c.KeyRotation = 30 * time.Second
+		c.KeyRotation, c.FastPathTTL = 30*time.Second, fastPathTTL
 	})
 	auth := f.guard.cfg.Auth
 	nc := cookie.NSCodec{}

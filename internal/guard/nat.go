@@ -398,8 +398,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 //     (§III-B.1), cut at the last that fits in 512 bytes with TC set; without
 //     glue, or without answers otherwise, SERVFAIL;
 //   - for an answer, the IP cookie (§III-B.2) as the fabricated name's one A
-//     record, with the answer kept in the answer table for message 7; without
-//     a subnet to encode it in, SERVFAIL.
+//     record; without a subnet to encode it in, SERVFAIL.
 //
 // The bytes are the codec's for the message 6 the guard once built as a
 // Message.
@@ -427,7 +426,6 @@ func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte)
 		if err != nil {
 			break
 		}
-		g.answers.put(g.now(), entry.fwdWire, v)
 		a, ttl := addr.As4(), nsTTL
 		buf[3], buf[7] = byte(dnswire.RCodeNoError), 1
 		buf = append(buf, 0xC0, 12, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassINET),

@@ -31,9 +31,11 @@ import (
 // write only wire, the rows whose datagrams the view or the record walk
 // refuses were re-recorded on purpose, each naming its reason: RFC 9619 (a
 // count of questions other than one), question-less, or UpstreamMalformed (a
-// response refused is now counted). The verified cache must not change a
-// byte of it: the table is replayed with the cache off and with a one-minute
-// TTL. Only the cache's own counters differ, recorded per TTL.
+// response refused is now counted). When message 7 came to be forwarded
+// always, the ip-cookie/message-7 row was re-recorded: its first message 7
+// is the ANS's to answer now, not an answer table's. The verified cache must
+// not change a byte of the recording: the table is replayed with the cache
+// off and with a one-minute TTL. Only the cache's own counters differ, recorded per TTL.
 
 const shapesFile = "testdata/pipeline_shapes.txt"
 
@@ -398,7 +400,8 @@ func shapeRows() []shapeRow {
 				r.t.Fatalf("no IP cookie in message 6: %v %v", reply, err)
 			}
 			cookieIP := netip.AddrPortFrom(reply.Answers[0].Data.(*dnswire.AData).Addr, 53)
-			r.query("to the cookie address, cached answer", shapeClient, cookieIP, plain(r, "www.foo.com", 0x3030))
+			r.query("to the cookie address", shapeClient, cookieIP, plain(r, "www.foo.com", 0x3030))
+			r.upstream("answer", ans(r), answer(r))
 			r.query("to the cookie address, other name", shapeClient, cookieIP, plain(r, "ftp.foo.com", 0x3031))
 			r.upstream("answer", ans(r), answer(r))
 			r.query("to a wrong address", shapeClient, netip.AddrPortFrom(mustAddr("203.0.113.200"), 53), plain(r, "www.foo.com", 0x3032))
@@ -1371,4 +1374,42 @@ func TestPipelineShapes(t *testing.T) {
 		}
 	}
 	t.Fatalf("%s: %d lines, recording has %d", shapesFile, len(gl), len(wl))
+}
+
+// TestUpstreamAnswerReachesOnlyItsClient: an upstream answer is spliced into
+// the message 6 of the client whose query it answers, and goes no further.
+// Client A's message 3 is answered by a forgery that passes the ID and echo
+// checks, with a planted address; client B's message 7 for the same name is
+// then forwarded like any verified query, and B gets the ANS's answer.
+func TestUpstreamAnswerReachesOnlyItsClient(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Subnet = shapeSubnet })
+	a, b := mustAP("10.0.0.1:4444"), mustAP("10.0.0.2:4444")
+	planted := []byte{192, 0, 2, 66}
+
+	h.handle(Packet{Src: a, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, a.Addr(), "www.foo.com", 0x51)})
+	forged := appendAnswer(nil, h.up.buf[:h.up.n])
+	copy(forged[len(forged)-4:], planted)
+	h.s.handleUpstream(forged, h.g.cfg.ANSAddr)
+	if h.io.to != a || h.io.buf[7] != 1 {
+		t.Fatalf("A's message 6: to %v with %d answers, want %v with its IP cookie", h.io.to, h.io.buf[7], a)
+	}
+
+	cookieAddr, err := h.g.ipc.Encode(h.g.cfg.Auth.Mint(b.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.g.Stats.Load()
+	h.handle(Packet{Src: b, Dst: netip.AddrPortFrom(cookieAddr, 53), Payload: mustPack(t, dnswire.NewQuery(0x52, dnswire.MustName("www.foo.com"), dnswire.TypeA))})
+	if st := h.g.Stats.Load(); st.ForwardedToANS != before.ForwardedToANS+1 || st.RepliesToClient != before.RepliesToClient {
+		t.Fatalf("B's message 7: forwarded %d, replied %d; want it forwarded and not answered",
+			st.ForwardedToANS-before.ForwardedToANS, st.RepliesToClient-before.RepliesToClient)
+	}
+	h.s.handleUpstream(appendAnswer(nil, h.up.buf[:h.up.n]), h.g.cfg.ANSAddr)
+	reply, err := dnswire.Unpack(h.io.buf[:h.io.n])
+	if err != nil || h.io.to != b || reply.ID != 0x52 || len(reply.Answers) != 1 {
+		t.Fatalf("B's message 10: to %v, %v, %v", h.io.to, reply, err)
+	}
+	if got := reply.Answers[0].Data.(*dnswire.AData).Addr; got != mustAddr("198.51.100.10") {
+		t.Errorf("B was answered %v, want the ANS's 198.51.100.10", got)
+	}
 }

@@ -87,8 +87,9 @@ type RemoteConfig struct {
 	// -fastpath-ttl: every request pays its MAC. It selects no code path and
 	// no admission: every packet takes the same handlers at any value, and a
 	// full fan-out queue drops a cached source's packets like any other's.
-	// Keep it at or below the key-rotation grace period: a cached credential
-	// is honored until its TTL even across a Rotate.
+	// A cached credential is honored until its TTL even across a Rotate, so
+	// with KeyRotation set a FastPathTTL above it is refused: a credential
+	// then outlives the two-generation ring by at most one period.
 	FastPathTTL time.Duration
 	// PublicAddr is the ANS's advertised address, which the guard
 	// intercepts and answers from.
@@ -135,12 +136,6 @@ type RemoteConfig struct {
 	// detection engages; 0 means always on (§IV-C uses the ANS capacity). A
 	// negative threshold is refused.
 	ActivationThreshold float64
-	// AnswerCacheTTL caps the TTLs of the answer table, message 5's answers
-	// kept as wire for message 7 (answers.go): an answer is kept until its
-	// least TTL, so capped, runs out. 0 means 10 s; negative, and anything
-	// under a second, keeps nothing (every message 7 consults the ANS, the
-	// paper's 4-packet cache-hit accounting).
-	AnswerCacheTTL time.Duration
 	// KeyRotation, when positive, rotates the cookie key on that period
 	// (the paper suggests weekly, matching the cookie TTL so each
 	// verification still costs one MD5 — §III-E).
@@ -194,6 +189,8 @@ func (c *RemoteConfig) resolve() error {
 		return fmt.Errorf("guard: RL1.TrackedSources %d over srctab.MaxCap %d", c.RL1.TrackedSources, srctab.MaxCap)
 	case c.RL2.TrackedSources > srctab.MaxCap:
 		return fmt.Errorf("guard: RL2.TrackedSources %d over srctab.MaxCap %d", c.RL2.TrackedSources, srctab.MaxCap)
+	case c.KeyRotation > 0 && c.FastPathTTL > c.KeyRotation:
+		return fmt.Errorf("guard: FastPathTTL %v over KeyRotation %v: a cached credential would outlive the key ring", c.FastPathTTL, c.KeyRotation)
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -215,9 +212,6 @@ func (c *RemoteConfig) resolve() error {
 	orDefault(&c.RL2.TrackedSources, d2.TrackedSources)
 	if c.pendingTimeout <= 0 {
 		c.pendingTimeout = 3 * time.Second
-	}
-	if c.AnswerCacheTTL == 0 {
-		c.AnswerCacheTTL = 10 * time.Second
 	}
 	c.Health.enabled = c.Health.enabled || len(c.ANSFallbacks) > 0
 	if c.Health.threshold <= 0 {
@@ -258,7 +252,6 @@ type RemoteStats struct {
 	RL2Dropped        uint64 // verified requests over the nominal rate
 	FastPathHits      uint64 // verifications short-circuited by the source cache
 	ForwardedToANS    uint64
-	AnswerCacheHits   uint64 // message 7 answered from the answer table
 	RepliesToClient   uint64
 	TCRedirects       uint64
 	PendingDropped    uint64 // NAT table overflow/expiry losses
@@ -322,9 +315,6 @@ type Remote struct {
 	// non-nil; its rung is the guard's one control state while
 	// cfg.Mitigation.Enabled, and read by nothing otherwise (Remote.rung).
 	mit *mitigator
-
-	// answers is the guard-wide answer table (answers.go; locks internally).
-	answers *answerTable
 
 	// Stats is updated as the guard runs (atomically; see RemoteStats).
 	Stats RemoteStats
@@ -408,11 +398,10 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	}
 	now := cfg.Env.Now()
 	g := &Remote{
-		cfg:     cfg,
-		ipc:     cookie.IPCodec{Subnet: cfg.Subnet},
-		rate:    ratelimit.NewRateEstimator(10, 100*time.Millisecond),
-		answers: newAnswerTable(cfg.AnswerCacheTTL),
-		mit:     newMitigator(cfg.Mitigation),
+		cfg:  cfg,
+		ipc:  cookie.IPCodec{Subnet: cfg.Subnet},
+		rate: ratelimit.NewRateEstimator(10, 100*time.Millisecond),
+		mit:  newMitigator(cfg.Mitigation),
 	}
 	g.nsPrefixLen = len(g.nsc.EncodeLabel(cookie.Cookie{}))
 	for _, l := range cfg.Zone.Labels() {
@@ -909,25 +898,16 @@ func (s *remoteShard) childQuery(q []byte, strip int) []byte {
 }
 
 // handleIPCookie processes a query addressed to a cookie address (message
-// 7): the destination IP is the credential admit checks. A fresh answer to
-// its question in the answer table is the reply, queued on the egress slab;
-// otherwise it is forwarded as message 4 is, its name whole. Nothing here
-// allocates once the slab is warm.
+// 7): the destination IP is the credential admit checks. A verified query is
+// forwarded as message 4 is, its name whole (message 8), and the ANS's answer
+// relayed (messages 9 and 10): the four packets Table III counts for a cache
+// hit. Nothing here allocates.
 func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
-	g := s.g
 	dst16 := pkt.Dst.Addr().As16()
 	if !s.admit(pkt, append(append(s.credBuf[:0], "ip:"...), dst16[:]...)) {
 		return
 	}
-	q, start := v.QuestionWire(), len(s.egress)
-	// QR|AA, RD as the query asked.
-	if b, ok := g.answers.reply(s.egress, g.now(), q, v.ID(), 0x8400|uint16(pkt.Payload[2]&1)<<8); ok {
-		atomic.AddUint64(&g.Stats.AnswerCacheHits, 1)
-		s.egress = b
-		s.queueReply(pkt.Dst, pkt.Src, b[start:len(b):len(b)])
-		return
-	}
-	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(q, 0), nil)
+	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(v.QuestionWire(), 0), nil)
 }
 
 // grantCookie answers message 2, a query whose cookie record holds the zero

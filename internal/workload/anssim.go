@@ -40,9 +40,6 @@ type ANSSimConfig struct {
 	Addr netip.AddrPort
 	// Mode selects answer or referral responses.
 	Mode ANSSimMode
-	// TTL applied to all records. The throughput experiments use 0 so
-	// LRS caches never absorb load.
-	TTL uint32
 	// CPU, when non-nil, is charged Cost per request (~9.1 µs for the
 	// paper's 110K req/s simulator).
 	CPU CPUWorker
@@ -54,7 +51,8 @@ type ANSSimConfig struct {
 var anssimAnswer = netip.MustParseAddr("203.0.113.80")
 
 // ANSSim is the paper's ANS simulator: it answers every DNS question with
-// the same fixed response as fast as its CPU allows.
+// the same fixed response as fast as its CPU allows. Every record carries TTL
+// 0, so no cache between it and the load absorbs any of the load.
 type ANSSim struct {
 	cfg  ANSSimConfig
 	conn netapi.UDPConn
@@ -114,15 +112,15 @@ func (s *ANSSim) serve() {
 				nsName = dnswire.MustName("ns1.invalid")
 			}
 			resp.Authority = []dnswire.RR{
-				dnswire.NewRR(qname, s.cfg.TTL, &dnswire.NSData{Host: nsName}),
+				dnswire.NewRR(qname, 0, &dnswire.NSData{Host: nsName}),
 			}
 			resp.Additional = []dnswire.RR{
-				dnswire.NewRR(nsName, s.cfg.TTL, &dnswire.AData{Addr: anssimAnswer}),
+				dnswire.NewRR(nsName, 0, &dnswire.AData{Addr: anssimAnswer}),
 			}
 		default:
 			resp.Flags.AA = true
 			resp.Answers = []dnswire.RR{
-				dnswire.NewRR(qname, s.cfg.TTL, &dnswire.AData{Addr: anssimAnswer}),
+				dnswire.NewRR(qname, 0, &dnswire.AData{Addr: anssimAnswer}),
 			}
 		}
 		wire, err := resp.PackUDP(dnswire.MaxUDPSize)

@@ -77,7 +77,7 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	net := netsim.New(sched, 200*time.Microsecond)
 
 	ansHost := net.AddHost("ans", netip.MustParseAddr("10.99.0.2"))
-	sim, err := NewANSSim(ANSSimConfig{Env: ansHost, Addr: netip.MustParseAddrPort("10.99.0.2:53"), Mode: ModeAnswer, TTL: 0})
+	sim, err := NewANSSim(ANSSimConfig{Env: ansHost, Addr: netip.MustParseAddrPort("10.99.0.2:53"), Mode: ModeAnswer})
 	if err != nil {
 		return res, err
 	}

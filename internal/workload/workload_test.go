@@ -38,7 +38,7 @@ func newWorld() *world {
 func TestANSSimAnswerMode(t *testing.T) {
 	w := newWorld()
 	h := w.net.AddHost("ans", mustAddr("10.0.0.2"))
-	sim, err := NewANSSim(ANSSimConfig{Env: h, Addr: mustAP("10.0.0.2:53"), TTL: 0})
+	sim, err := NewANSSim(ANSSimConfig{Env: h, Addr: mustAP("10.0.0.2:53")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func guardedWorld(t *testing.T, fallback guard.Scheme, mode ANSSimMode) (*world,
 	t.Helper()
 	w := newWorld()
 	ansHost := w.net.AddHost("ans", mustAddr("10.99.0.2"))
-	sim, err := NewANSSim(ANSSimConfig{Env: ansHost, Addr: mustAP("10.99.0.2:53"), Mode: mode, TTL: 0})
+	sim, err := NewANSSim(ANSSimConfig{Env: ansHost, Addr: mustAP("10.99.0.2:53"), Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

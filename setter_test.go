@@ -19,7 +19,6 @@ import (
 var setterAllowlist = map[string]string{
 	"experiments.Figure6Options.Clients":  "tests shrink the requester count for run time",
 	"experiments.TableIIIOptions.Clients": "tests shrink the requester count for run time",
-	"experiments.WorldConfig.ANSTTL":      "the root ablation benchmark sweeps the record TTL",
 	"tcpsim.Config.OnSegment":             "a segment-count hook for the TCP tests",
 }
 
