@@ -64,7 +64,7 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
-	fastPathTTL := flag.Duration("fastpath-ttl", time.Minute, "verified-source cache TTL (0 or negative = no cache); does not select a code path")
+	fastPathTTL := flag.Duration("fastpath-ttl", time.Minute, "how long a verified credential is kept in its source's Rate-Limiter2 record (0 or negative = none kept); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
 	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never; -fastpath-ttl may not exceed it); rotations are persisted to -state-file")

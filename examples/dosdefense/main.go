@@ -89,7 +89,9 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 			Auth:       auth,
 			CPU:        gh.CPU(),
 			Costs:      costs.Guard,
-			RL2:        dnsguard.Limiter2Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, TrackedSources: 1024},
+			// 1024 records a shard: each is a verified source's bucket and,
+			// with a FastPathTTL, its credential.
+			RL2: dnsguard.Limiter2Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, TrackedSources: 1024},
 		})
 		if err != nil {
 			return 0, err

@@ -5,11 +5,12 @@
 // line-rate floods while the ANS behind it collapses; operational follow-ups
 // (Rizvi et al.'s layered root defense, Wei & Heidemann's spoof studies)
 // absorb anycast-scale floods by partitioning per-source state and giving
-// recently-vetted sources a cheap admission path. The engine provides both:
+// recently-vetted sources a cheap admission path. The engine provides the
+// partition (the cheap path is the guard's, in the state a shard owns):
 //
 //   - N worker shards, each owning all per-source guard state (pending-NAT
-//     table, cookie verifier, rate limiters), so the hot path takes no
-//     cross-shard locks;
+//     table, cookie verifier, rate limiters and the verified sources'
+//     records), so the hot path takes no cross-shard locks;
 //   - two ingest arrangements, told apart by counting what the caller hands
 //     over (Config.IOs): direct, one interface per shard, where interface i is
 //     shard i and each shard runs one blocking read loop on its own socket
@@ -19,11 +20,6 @@
 //   - backpressure that judges nothing: a full fan-out queue tail-drops what
 //     arrives (counted as ShedNew), as a direct shard's kernel socket buffer
 //     does; which packet deserves service is the handler's decision alone;
-//   - a TTL'd, capacity-bounded verified-source cache mapping a source
-//     address to the credential it last verified, so handlers can replace
-//     the full MD5 verification with a byte compare for warm sources (the
-//     handler still compares the presented credential — a spoofed address
-//     alone gains nothing);
 //   - per-shard counter sinks on private cachelines: nothing on the packet
 //     hot path writes a cacheline another shard writes; engine-wide totals
 //     are aggregated only at metrics-scrape time.
@@ -48,6 +44,7 @@ import (
 
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/srctab"
 )
 
 // Packet is a raw datagram as the dataplane sees it.
@@ -99,9 +96,12 @@ type Config struct {
 	// slabs amortize the read call, and in the fan-out the queue operation
 	// and its lock, over the packets that were already waiting.
 	Batch int
-	// FastPathTTL is the verified-source cache's TTL. 0 means no cache
-	// (MarkVerifiedOn is a no-op and every probe misses, uncounted). A shard
-	// caches at most fastPathSources sources.
+	// FastPathTTL is the verified-source cache's TTL. 0 means no cache: no
+	// table is built, MarkVerifiedOn is a no-op and every probe misses. A
+	// shard caches at most fastPathSources sources.
+	//
+	// Deprecated: only bench/layers sets it; the guard keeps verified
+	// sources in Rate-Limiter2's records. It goes with ROADMAP item 1(a).
 	FastPathTTL time.Duration
 	// Observer, when non-nil, is called in the shard's context (the worker,
 	// or the direct shard loop) right before the handler sees each packet.
@@ -166,8 +166,7 @@ type ShardStats struct {
 // atomic counter sinks sit at the head of the struct; pad at the tail keeps
 // a neighboring allocation's hot head off this shard's last line.
 type shardState struct {
-	stats ShardStats    // this shard's dataplane counters
-	fast  FastPathStats // this shard's verified-cache counters
+	stats ShardStats // this shard's dataplane counters
 
 	verified verifiedShard
 	queue    netapi.Queue // ingress queue (fan-out; nil on a direct shard)
@@ -210,21 +209,6 @@ func (s *IngestStats) add(o IngestStats) {
 	s.Packets += o.Packets
 }
 
-// FastPathStats counts verified-source cache activity.
-type FastPathStats struct {
-	Hits      uint64 // a probe found a live entry, matching or not
-	Misses    uint64 // no entry, expired entry, or cache disabled
-	Inserts   uint64
-	Evictions uint64 // capacity-bound evictions (TTL expiry not counted)
-}
-
-func (s *FastPathStats) add(o FastPathStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Inserts += o.Inserts
-	s.Evictions += o.Evictions
-}
-
 // New validates cfg, constructs the per-shard handlers, and returns the
 // engine (not yet started).
 func New(cfg Config) (*Engine, error) {
@@ -245,7 +229,9 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.handlers {
 		e.handlers[i] = cfg.NewHandler(i)
 		sh := &shardState{wait: metrics.NewHistogram()}
-		sh.verified.init(fastPathSources)
+		if cfg.FastPathTTL > 0 {
+			sh.verified.tab = srctab.New[verifiedEntry](fastPathSources, srctab.FIFO)
+		}
 		if !e.direct {
 			sh.queue = caps.NewQueue(cfg.QueueDepth)
 		}
@@ -373,19 +359,6 @@ func (e *Engine) StatsAll() []ShardStats {
 	return out
 }
 
-// FastPath returns the engine-wide verified-source cache counters, summed
-// across the per-shard sinks at call time. The per-shard split keeps the
-// cache's hot-path writes off shared cachelines; this is the scrape-time
-// aggregation.
-func (e *Engine) FastPath() FastPathStats {
-	var t FastPathStats
-	for _, sh := range e.shards {
-		s := metrics.SnapshotUint64(&sh.fast)
-		t.add(s)
-	}
-	return t
-}
-
 // Ingest returns the engine-wide capture-read counters, summed across the
 // per-interface sinks at call time.
 func (e *Engine) Ingest() IngestStats {
@@ -421,7 +394,7 @@ func (e *Engine) QueueBound() int { return e.cfg.QueueDepth }
 
 // MetricsInto registers the engine's series on r under prefix (e.g.
 // "guard_engine_"): aggregate enqueued/shed/handled/queue_depth
-// counters, verified-source cache counters, and per-shard shard<i>_* series
+// counters, ingest counters, and per-shard shard<i>_* series
 // including the queue-wait histogram. Aggregates sum the per-shard and
 // per-interface sinks at scrape time — the hot path never writes a shared
 // counter.
@@ -435,23 +408,12 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 		}
 		return 0
 	})
-	sum := func(field func(*ShardStats) *uint64) func() uint64 {
-		return func() uint64 {
-			var t uint64
-			for _, sh := range e.shards {
-				t += atomic.LoadUint64(field(&sh.stats))
-			}
-			return t
-		}
+	stats := make([]*ShardStats, len(e.shards))
+	for i, sh := range e.shards {
+		stats[i] = &sh.stats
 	}
-	r.FuncUint(prefix+"enqueued", sum(func(s *ShardStats) *uint64 { return &s.Enqueued }))
-	r.FuncUint(prefix+"shed_new", sum(func(s *ShardStats) *uint64 { return &s.ShedNew }))
-	r.FuncUint(prefix+"handled", sum(func(s *ShardStats) *uint64 { return &s.Handled }))
+	metrics.RegisterUint64Fields(r, prefix, stats...) // enqueued, shed_new, handled
 	r.Func(prefix+"queue_depth", func() float64 { return float64(e.Backlog()) })
-	r.FuncUint(prefix+"fast_path_hits", func() uint64 { return e.FastPath().Hits })
-	r.FuncUint(prefix+"fast_path_misses", func() uint64 { return e.FastPath().Misses })
-	r.FuncUint(prefix+"fast_path_inserts", func() uint64 { return e.FastPath().Inserts })
-	r.FuncUint(prefix+"fast_path_evictions", func() uint64 { return e.FastPath().Evictions })
 	r.FuncUint(prefix+"ingest_reads", func() uint64 { return e.Ingest().Reads })
 	r.FuncUint(prefix+"ingest_packets", func() uint64 { return e.Ingest().Packets })
 	// Supervision series (shard_restarts, panics_quarantined, …) are
@@ -465,11 +427,4 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 		r.Func(p+"queue_depth", func() float64 { return float64(e.QueueDepth(i)) })
 		r.RegisterHistogram(p+"wait", e.shards[i].wait)
 	}
-	r.Func(prefix+"fast_path_sources", func() float64 {
-		var t int
-		for _, sh := range e.shards {
-			t += sh.verified.size()
-		}
-		return float64(t)
-	})
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,9 +319,6 @@ func TestVerifiedSourceCache(t *testing.T) {
 	if _, ok := e.VerifiedCredOn(shard, same[len(same)-1]); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if got := e.FastPath().Evictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
 
 	// Disabled cache: everything is a silent miss.
 	off, err := New(Config{
@@ -405,11 +403,10 @@ func TestMetricsInto(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	io := newFakeIO(8)
 	e, err := New(Config{
-		Env:         realnet.New(),
-		IOs:         []PacketIO{io},
-		Shards:      2,
-		FastPathTTL: time.Hour,
-		NewHandler:  rg.newHandler,
+		Env:        realnet.New(),
+		IOs:        []PacketIO{io},
+		Shards:     2,
+		NewHandler: rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,23 +416,25 @@ func TestMetricsInto(t *testing.T) {
 	e.Start()
 	defer e.Close()
 
-	e.MarkVerifiedOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr(), "c")
-	e.VerifiedCredOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr())
 	io.ch <- Packet{Src: srcAP(1), Payload: []byte{1}}
 	waitCount(t, &rg.count, 1)
 
 	for series, want := range map[string]float64{
-		"guard_engine_shards":            2,
-		"guard_engine_handled":           1,
-		"guard_engine_enqueued":          1,
-		"guard_engine_shed_new":          0,
-		"guard_engine_fast_path_hits":    1,
-		"guard_engine_fast_path_inserts": 1,
-		"guard_engine_fast_path_sources": 1,
-		"guard_engine_queue_depth":       0,
+		"guard_engine_shards":      2,
+		"guard_engine_handled":     1,
+		"guard_engine_enqueued":    1,
+		"guard_engine_shed_new":    0,
+		"guard_engine_queue_depth": 0,
 	} {
 		if v, ok := r.Get(series); !ok || v != want {
 			t.Errorf("%s = (%v, %v), want %v", series, v, ok, want)
+		}
+	}
+	// The fast-path series are the guard's: it registers them from
+	// Rate-Limiter2's records, and two registrations of a name panic.
+	for _, s := range r.Snapshot() {
+		if strings.HasPrefix(s.Name, "guard_engine_fast_path_") {
+			t.Errorf("the engine registers %s", s.Name)
 		}
 	}
 	// Per-shard series exist for both shards, including wait histograms.

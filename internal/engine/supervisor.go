@@ -192,9 +192,8 @@ func (e *Engine) dispatchTripped(shard int, pkt Packet) {
 	atomic.AddUint64(&e.sup.stats.TrippedDrops, 1)
 }
 
-// restartShard gives shard its restart: the shard's slice of the
-// verified-source cache is flushed and a Resetter handler discards its
-// per-packet state in place — a panic mid-update could have left either
+// restartShard gives shard its restart: a Resetter handler discards its
+// per-packet state in place — a panic mid-update could have left it
 // inconsistent. Exhausting the restart budget inside the rolling window trips
 // the shard instead. Runs in the owning worker's context, inside the dispatch
 // recover.
@@ -223,7 +222,6 @@ func (e *Engine) restartShard(shard int) {
 			e.tripShard(shard)
 		}
 	}()
-	e.shards[shard].verified.flush()
 	if r, ok := e.handlers[shard].(Resetter); ok {
 		r.ResetShard()
 	}

@@ -174,7 +174,6 @@ func TestSupervisorRestartResetsInPlace(t *testing.T) {
 	e.Start()
 	defer e.Close()
 
-	e.MarkVerifiedOn(e.ShardOf(srcAP(1).Addr()), srcAP(1).Addr(), "warm") // flushed by the restart below
 	io.ch <- Packet{Src: srcAP(1), Payload: poison}
 	waitSup(t, e, func(s SupervisionStats) bool { return s.ShardRestarts == 1 })
 
@@ -183,9 +182,6 @@ func TestSupervisorRestartResetsInPlace(t *testing.T) {
 	}
 	if newCalls.Load() != 1 {
 		t.Fatal("restart constructed a handler")
-	}
-	if e.shards[0].verified.size() != 0 {
-		t.Fatal("restart did not flush the shard's verified-source cache")
 	}
 }
 

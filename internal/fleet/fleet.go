@@ -38,7 +38,7 @@ type Config struct {
 	// Key seeds the fleet-shared keyring deterministically; the zero value
 	// generates a random ring.
 	Key [cookie.KeySize]byte
-	// FastPathTTL is each guard's verified-source cache TTL (0: no cache).
+	// FastPathTTL is how long each guard keeps a verified credential (0: none).
 	// It does not select a code path.
 	FastPathTTL time.Duration
 	// StateDir, when non-empty, gives every site a persisted keyring at

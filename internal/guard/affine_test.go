@@ -79,12 +79,11 @@ func echoANS(t *testing.T, env *realnet.Env) netapi.UDPConn {
 	return conn
 }
 
-// TestAffineGuardShardExplicitFastPath pins the guard's shard-explicit
-// verified-cache wiring: on a direct engine a source's owning shard is the
-// delivering socket's, which can disagree with the engine's source hash.
-// The handler must promote into and consult its own shard's cache partition
-// (MarkVerifiedOn/VerifiedCredOn with the handler's id) — promoting by source
-// hash would store the credential in a partition the owning worker never
+// TestAffineGuardShardExplicitFastPath pins where a verified credential is
+// kept: on a direct engine a source's owning shard is the delivering
+// socket's, which can disagree with the engine's source hash. The handler
+// stores it in and consults its own shard's Rate-Limiter2 records — storing
+// by source hash would put the credential where the owning worker never
 // reads, silently disabling the fast path in exactly the deployment
 // (per-shard SO_REUSEPORT sockets) the sharded dataplane exists for.
 func TestAffineGuardShardExplicitFastPath(t *testing.T) {
@@ -148,11 +147,11 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	// The credential must live in the delivering shard's partition, and only
 	// there — presence in the hash shard would mean the handler wrote
 	// through the source-hashing legacy path.
-	if _, ok := eng.VerifiedCredOn(socket, src.Addr()); !ok {
-		t.Errorf("credential missing from owning shard %d's cache", socket)
+	if n := atomic.LoadUint64(&g.shards[socket].rl2.Stats.Sources); n != 1 {
+		t.Errorf("owning shard %d holds %d credentials, want 1", socket, n)
 	}
-	if _, ok := eng.VerifiedCredOn(hashShard, src.Addr()); ok {
-		t.Errorf("credential leaked into hash shard %d's cache", hashShard)
+	if n := atomic.LoadUint64(&g.shards[hashShard].rl2.Stats.Sources); n != 0 {
+		t.Errorf("credential leaked into hash shard %d's records", hashShard)
 	}
 
 	// The second query over the same socket must hit the fast path.

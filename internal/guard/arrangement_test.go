@@ -19,6 +19,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/vclock"
 	"dnsguard/internal/zone"
 )
@@ -118,7 +119,8 @@ type arrResult struct {
 // runArrangement replays steps through a two-shard guard in front of a
 // simulated root ANS — reading one interface, or one per shard with each
 // datagram sent to its owner's — and starts a Drain before step drainAt.
-func runArrangement(t *testing.T, direct bool, ttl time.Duration, steps []arrStep, drainAt int) arrResult {
+// rl2 configures Rate-Limiter2; the zero value takes the defaults.
+func runArrangement(t *testing.T, direct bool, ttl time.Duration, rl2 ratelimit.Limiter2Config, steps []arrStep, drainAt int) arrResult {
 	t.Helper()
 	sched := vclock.New(5)
 	network := netsim.New(sched, 100*time.Microsecond)
@@ -140,6 +142,7 @@ func runArrangement(t *testing.T, direct bool, ttl time.Duration, steps []arrSte
 		Env:           host,
 		Shards:        2,
 		FastPathTTL:   ttl,
+		RL2:           rl2,
 		ShardHashSeed: 11,
 		PublicAddr:    mustAP("198.41.0.4:53"),
 		ANSAddr:       mustAP("10.99.0.2:53"),
@@ -189,8 +192,8 @@ func TestArrangementsAgree(t *testing.T) {
 	steps := arrSchedule(t, 1, 600)
 	for _, ttl := range []time.Duration{0, time.Minute} {
 		t.Run(fmt.Sprintf("FastPathTTL=%v", ttl), func(t *testing.T) {
-			fan := runArrangement(t, false, ttl, steps, len(steps)/2)
-			dir := runArrangement(t, true, ttl, steps, len(steps)/2)
+			fan := runArrangement(t, false, ttl, ratelimit.Limiter2Config{}, steps, len(steps)/2)
+			dir := runArrangement(t, true, ttl, ratelimit.Limiter2Config{}, steps, len(steps)/2)
 			if fan.state != LifecycleQuiesced || dir.state != LifecycleQuiesced {
 				t.Fatalf("lifecycle fan-out %v, direct %v: want both quiesced", fan.state, dir.state)
 			}
@@ -219,4 +222,24 @@ func TestArrangementsAgree(t *testing.T) {
 			}
 		})
 	}
+	// A record that holds no credential charges Rate-Limiter2 exactly as one
+	// that does: with a limiter tight enough to drop and records few enough
+	// to evict, FastPathTTL 0 (every request pays its MAC) and 1 min (most
+	// match a stored credential) admit and drop the same requests.
+	t.Run("RL2 at FastPathTTL=0s and 1m0s", func(t *testing.T) {
+		tight := ratelimit.Limiter2Config{PerSourceRate: 50, PerSourceBurst: 3, TrackedSources: 8}
+		off := runArrangement(t, true, 0, tight, steps, len(steps))
+		on := runArrangement(t, true, time.Minute, tight, steps, len(steps))
+		if off.stats.RL2Dropped == 0 || on.stats.FastPathHits == 0 || off.stats.FastPathHits != 0 {
+			t.Fatalf("the schedule does not exercise both: RL2Dropped %d, FastPathHits %d at 0s and %d at 1m",
+				off.stats.RL2Dropped, off.stats.FastPathHits, on.stats.FastPathHits)
+		}
+		if on.stats.RL2Dropped != off.stats.RL2Dropped || on.stats.CookieValid != off.stats.CookieValid {
+			t.Errorf("RL2Dropped %d and CookieValid %d at 0s, %d and %d at 1m",
+				off.stats.RL2Dropped, off.stats.CookieValid, on.stats.RL2Dropped, on.stats.CookieValid)
+		}
+		if !reflect.DeepEqual(on.egress, off.egress) {
+			t.Error("the guard's egress differs between FastPathTTL 0s and 1m")
+		}
+	})
 }

@@ -261,7 +261,7 @@ type borrowOutcome struct {
 	egress  [][]string // per step: datagrams written to clients, sorted
 	forward [][]string // per step: datagrams written upstream, transaction ID zeroed, sorted
 	stats   RemoteStats
-	fast    engine.FastPathStats
+	fast    ratelimit.CredStats
 	pending []string // NAT-table entries without their transaction IDs, sorted
 }
 
@@ -329,7 +329,7 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 		o.forward = append(o.forward, sortedDgrams(up.takeOut(), true))
 	}
 	o.stats = g.Stats.Load()
-	o.fast = g.Engine().FastPath()
+	o.fast = g.fastPath()
 	s := g.shards[0]
 	s.inFlight(func(_ uint16, e *pendEntry) {
 		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d qwire=%x fwdWire=%x up=%v",
@@ -827,18 +827,18 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 
 // TestSourceStateFootprint bounds everything a one-shard guard keeps per
 // source, from before it is built to after 50 000 never-repeating newcomer
-// sessions (grant, cookie query, answer) have filled and churned all three
+// sessions (grant, cookie query, answer) have filled and churned both
 // tables. With the default bounds the tables are, in bytes per entry plus 4
 // per index slot at two slots per entry rounded up to a power of two
 // (DESIGN.md, "Per-source state"; TestStateBudget pins them):
 //
 //	RL1      4096 × 40 + 8192 × 4           = 192 KiB
-//	RL2      8192 × 40 + 16384 × 4          = 384 KiB
-//	verified 4096 × 56 + 8192 × 4           = 256 KiB
+//	RL2      4096 × 72 + 8192 × 4           = 320 KiB
 //
-// 832 KiB, which the limit rounds up to 1128 KiB to leave room for the rest
+// 512 KiB, which the limit rounds up to 808 KiB to leave room for the rest
 // of the guard (the NAT table's first chunk, scratch buffers, the keyring).
-// As maps of heap objects these three and a top-k sketch held 3.5 MiB. None
+// As maps of heap objects the limiters, a verified cache and a top-k sketch
+// held 3.5 MiB. None
 // of it may be memory
 // the collector scans: that is bounded separately, at what the rest of the
 // guard accounts for.
@@ -888,11 +888,11 @@ func TestSourceStateFootprint(t *testing.T) {
 	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RepliesToClient != 2*sessions {
 		t.Fatalf("sessions did not run to completion: %+v", st)
 	}
-	if fp := h.g.eng.FastPath(); fp.Inserts != sessions || fp.Evictions != sessions-4096 {
-		t.Fatalf("verified cache: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
+	if fp := h.g.fastPath(); fp.Inserts != sessions || fp.Evictions != sessions-4096 {
+		t.Fatalf("verified records: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
 	}
 	total1, scan1 := heap()
-	const limit, scanLimit = 1128 << 10, 1 << 15
+	const limit, scanLimit = 808 << 10, 1 << 15
 	t.Logf("guard and %d sessions: %d KiB of heap, %d KiB of it scannable", sessions, (total1-total0)>>10, (scan1-scan0)>>10)
 	if grown := total1 - total0; grown > limit {
 		t.Errorf("guard and %d newcomer sessions added %d KiB of heap, want <= %d KiB", sessions, grown>>10, limit>>10)
@@ -915,16 +915,16 @@ func TestSourceStateFootprint(t *testing.T) {
 	runtime.KeepAlive(h)
 }
 
-// TestStateBudget pins the three per-source tables a default shard builds —
+// TestStateBudget pins the two per-source tables a default shard builds —
 // each one's entry and index slot (reflect's Size, which is unsafe.Sizeof)
 // and the bytes its two arrays hold — to what DESIGN.md §18 and §19 quote:
 //
 //	RL1      4096 × 40 + 8192 × 4   = 192 KiB
-//	RL2      8192 × 40 + 16384 × 4  = 384 KiB
-//	verified 4096 × 56 + 8192 × 4   = 256 KiB
+//	RL2      4096 × 72 + 8192 × 4   = 320 KiB
 //
-// 832 KiB a shard, with each table's list sentinel; and the LRS-side guard's
-// two tables:
+// 512 KiB a shard, with each table's list sentinel, and no table in the
+// engine: Rate-Limiter2's records are the shard's verified sources. Then the
+// LRS-side guard's two tables:
 //
 //	servers   4096 × 56 + 8192 × 4  = 256 KiB
 //	exchanges 64 × 64               =   4 KiB
@@ -946,8 +946,7 @@ func TestStateBudget(t *testing.T) {
 		entry, cap, slots int
 	}{
 		{"RL1", field(reflect.ValueOf(h.s), "rl1", "perSrc", "tab"), 40, 4096, 8192},
-		{"RL2", field(reflect.ValueOf(h.s), "rl2", "perSrc", "tab"), 40, 8192, 16384},
-		{"verified", field(field(reflect.ValueOf(h.g.eng), "shards").Index(0), "verified", "tab"), 56, 4096, 8192},
+		{"RL2", field(reflect.ValueOf(h.s), "rl2", "tab"), 72, 4096, 8192},
 	} {
 		entries, index := field(c.tab, "entries"), field(c.tab, "index")
 		entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
@@ -957,8 +956,11 @@ func TestStateBudget(t *testing.T) {
 		}
 		total += entries.Len()*entry + index.Len()*slot
 	}
-	if total>>10 != 832 {
-		t.Errorf("the source tables hold %d KiB a shard, want 832", total>>10)
+	if total>>10 != 512 {
+		t.Errorf("the source tables hold %d KiB a shard, want 512", total>>10)
+	}
+	if tab := reflect.ValueOf(h.g.eng).Elem().FieldByName("shards").Index(0).Elem().FieldByName("verified").FieldByName("tab"); !tab.IsNil() {
+		t.Error("the engine built a verified-source table for the guard")
 	}
 
 	l, err := NewLocal(LocalConfig{Env: h.g.cfg.Env, IO: &sinkIO{}, ClientAddr: mustAddr("10.0.0.53"),
@@ -984,10 +986,11 @@ func TestStateBudget(t *testing.T) {
 
 // TestCredentialsFitTheCache: every credential form the guard builds — the
 // NS label's at the codec's length, "ip:" and a fabricated address, "ck:"
-// and a cookie — fits engine.MaxCred, so it is formed in the shard's scratch
-// without growing it, and the verified cache keeps it and matches it. The
-// cache refuses a longer credential with no counter: were a form to outgrow
-// the bound, the fast path would switch off silently, and this test fails.
+// and a cookie — fits ratelimit.MaxCred, so it is formed in the shard's
+// scratch without growing it, and the source's Rate-Limiter2 record keeps
+// it and matches it. A record refuses a longer credential with no counter:
+// were a form to outgrow the bound, the fast path would switch off silently,
+// and this test fails.
 func TestCredentialsFitTheCache(t *testing.T) {
 	h := newShardHarness(t, nil)
 	s, src := h.s, netip.MustParseAddr("192.0.2.7")
@@ -999,19 +1002,22 @@ func TestCredentialsFitTheCache(t *testing.T) {
 		"ck": func() []byte { return append(append(s.credBuf[:0], "ck:"...), c[:]...) },
 	} {
 		cred := form()
-		if len(cred) == 0 || len(cred) > engine.MaxCred || &cred[0] != &s.credBuf[:1][0] {
-			t.Errorf("%s: credential %q (%d bytes) does not fit the %d-byte scratch", name, cred, len(cred), engine.MaxCred)
+		if len(cred) == 0 || len(cred) > ratelimit.MaxCred || &cred[0] != &s.credBuf[:1][0] {
+			t.Errorf("%s: credential %q (%d bytes) does not fit the %d-byte scratch", name, cred, len(cred), ratelimit.MaxCred)
 			continue
 		}
-		h.g.eng.MarkVerifiedCredOn(s.id, src, cred)
-		if !h.g.eng.VerifiedCredMatchOn(s.id, src, cred) {
-			t.Errorf("%s: the cache does not match the %d-byte credential it was given", name, len(cred))
+		s.rl2.Lookup(src, cred, 0, time.Minute)
+		s.rl2.Charge(cred, 0)
+		if !s.rl2.Lookup(src, cred, 0, time.Minute) {
+			t.Errorf("%s: the record does not match the %d-byte credential it was given", name, len(cred))
 		}
 	}
 }
 
-// TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch and
-// a supervised shard restart empty the limiters in place.
+// TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch
+// empties Rate-Limiter1 in place and starts a Rate-Limiter2 epoch, which
+// keeps the records; a supervised shard restart empties both. Neither
+// allocates.
 func TestLimiterToggleAllocs(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Mitigation.Enabled = true })
 	src := netip.MustParseAddr("10.0.0.53")
@@ -1023,13 +1029,16 @@ func TestLimiterToggleAllocs(t *testing.T) {
 		}
 		h.g.mit.layer.Store(int32(rung))
 		h.s.syncLimiters()
-		if h.s.rl2.Sources() != 0 {
-			t.Fatal("a strict/normal transition left sources in Rate-Limiter2")
+		if h.s.rl2.Sources() != 1 {
+			t.Fatal("a strict/normal transition dropped Rate-Limiter2's records")
 		}
 	}); n != 0 {
 		t.Errorf("strict/normal toggle allocates %.1f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, h.s.ResetShard); n != 0 {
 		t.Errorf("ResetShard allocates %.1f times, want 0", n)
+	}
+	if h.s.rl2.Sources() != 0 {
+		t.Error("ResetShard left records in Rate-Limiter2")
 	}
 }

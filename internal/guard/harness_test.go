@@ -336,7 +336,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		s := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)}), 5353)
 		first[i] = Packet{Src: s, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, s.Addr(), "www.foo.com", 0x45)}
 	}
-	before, fast, i := h.g.Stats.Load(), h.g.eng.FastPath(), 0
+	before, fast, i := h.g.Stats.Load(), h.g.fastPath(), 0
 	if n := testing.AllocsPerRun(strangers-1, func() {
 		h.handle(Packet{Src: first[i].Src, Dst: first[i].Dst, Payload: plain})
 		h.handle(first[i])
@@ -347,7 +347,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Errorf("a newcomer's session (grant, first verification, referral) allocates %.1f/op, want 0", n)
 	}
 	st := h.g.Stats.Load()
-	if got := h.g.eng.FastPath().Inserts - fast.Inserts; st.NewcomerGrants-before.NewcomerGrants != strangers ||
+	if got := h.g.fastPath().Inserts - fast.Inserts; st.NewcomerGrants-before.NewcomerGrants != strangers ||
 		st.CookieValid-before.CookieValid != strangers || st.FastPathHits != before.FastPathHits || got != strangers {
 		t.Errorf("the %d sessions were not each a grant and a first verification: %+v, %d cache inserts", strangers, st, got)
 	}

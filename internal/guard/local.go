@@ -53,7 +53,7 @@ const (
 	exchangeTimeout = 500 * time.Millisecond
 	lateGrace       = 4 * exchangeTimeout
 	// maxServers bounds the server records, least recently asked evicted
-	// first, as a remote shard's verified cache bounds sources. maxExchanges
+	// first, as a remote shard's Rate-Limiter2 bounds verified sources. maxExchanges
 	// bounds the exchanges in flight, each exchangeTimeout at most: 128 first
 	// contacts a second, twice the rate that turns a full server table over
 	// in one legacy verdict's life (maxServers / notCapableTTL = 68/s).

@@ -1299,7 +1299,7 @@ func renderShapes(t *testing.T, ttl time.Duration, seen func(upstream bool, wire
 			fmt.Fprintf(&r.out, "    %s\n", p)
 		}
 		bodies = append(bodies, r.out.String())
-		caches = append(caches, strings.TrimSpace(fmt.Sprintf("FastPathHits=%d %s", st.FastPathHits, nonZero(r.h.g.eng.FastPath(), ""))))
+		caches = append(caches, strings.TrimSpace(fmt.Sprintf("FastPathHits=%d %s", st.FastPathHits, nonZero(r.h.g.fastPath(), "Sources"))))
 	}
 	return bodies, caches
 }

@@ -79,12 +79,15 @@ type RemoteConfig struct {
 	// waiting. Per-packet semantics (admission policy, supervision,
 	// observer, all counters) do not depend on it.
 	Batch int
-	// FastPathTTL is the verified-source cache's TTL: a source that just
-	// passed a cookie check is remembered with its credential for this
-	// long, replacing the next MAC verification with a byte compare. The
-	// presented credential is still compared — a spoofed address alone
-	// gains nothing. 0 or negative means no cache, as for dnsguardd's
-	// -fastpath-ttl: every request pays its MAC. It selects no code path and
+	// FastPathTTL is how long a verified credential is kept: a source that
+	// just passed a cookie check has its credential stored in its
+	// Rate-Limiter2 record for this long, replacing the next MAC
+	// verification with a byte compare. The presented credential is still
+	// compared — a spoofed address alone gains nothing. RL2.TrackedSources
+	// bounds the records, and so the credentials kept: one table bounds
+	// both. 0 or negative means no credential is kept, as for dnsguardd's
+	// -fastpath-ttl: every request pays its MAC, and Rate-Limiter2 charges
+	// it exactly as it would a match. It selects no code path and
 	// no admission: every packet takes the same handlers at any value, and a
 	// full fan-out queue drops a cached source's packets like any other's.
 	// A cached credential is honored until its TTL even across a Rotate, so
@@ -331,8 +334,8 @@ type remoteShard struct {
 	upstream netapi.UDPConn
 	health   *shardHealth // nil unless cfg.Health.enabled
 
-	// rl1 and rl2 are the worker's: it alone charges and resets them (in
-	// place: ResetShard, syncLimiters).
+	// rl1 and rl2, whose records are the shard's verified sources, are the
+	// worker's: it alone charges and resets them (ResetShard, syncLimiters).
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
 
@@ -364,7 +367,8 @@ type remoteShard struct {
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
 // every per-packet structure (NAT entries, each counted as PendingDropped,
-// and rate limiters — any of which the panic may have left mid-update) while
+// and rate limiters, verified sources' credentials with them — any of which
+// the panic may have left mid-update) while
 // keeping the upstream socket, its reader proc, and the breaker state, whose
 // lifetimes span restarts. Runs in the owning worker's context.
 func (s *remoteShard) ResetShard() {
@@ -380,7 +384,8 @@ func (s *remoteShard) ResetShard() {
 // MetricsInto registers the guard's counters, a live NAT-table-size gauge,
 // and the dataplane's guard_engine_* series on r. What the rate limiters
 // stopped is RemoteStats.RL1Dropped and RL2Dropped; what Rate-Limiter2
-// admitted is CookieValid less RL2Dropped.
+// admitted is CookieValid less RL2Dropped. The guard_engine_fast_path_*
+// series count the credentials in Rate-Limiter2's records.
 func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.Stats.MetricsInto(r)
 	r.Func("guard_remote_pending", func() float64 {
@@ -389,6 +394,11 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.mitMetricsInto(r)
 	g.lifecycleMetricsInto(r)
 	g.eng.MetricsInto(r, "guard_engine_")
+	recs := make([]*ratelimit.CredStats, len(g.shards))
+	for i, s := range g.shards {
+		recs[i] = &s.rl2.Stats
+	}
+	metrics.RegisterUint64Fields(r, "guard_engine_fast_path_", recs...)
 }
 
 // NewRemote validates cfg and creates the guard (not yet started).
@@ -416,15 +426,14 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		sup.OnPass = func(shard int, pkt Packet) { g.shards[shard].passthrough(pkt) }
 	}
 	eng, err := engine.New(engine.Config{
-		Env:         cfg.Env,
-		IOs:         cfg.IOs,
-		Shards:      cfg.Shards,
-		QueueDepth:  cfg.queueDepth,
-		Batch:       cfg.Batch,
-		FastPathTTL: cfg.FastPathTTL,
-		Observer:    cfg.observer,
-		Supervisor:  sup,
-		HashSeed:    cfg.ShardHashSeed,
+		Env:        cfg.Env,
+		IOs:        cfg.IOs,
+		Shards:     cfg.Shards,
+		QueueDepth: cfg.queueDepth,
+		Batch:      cfg.Batch,
+		Observer:   cfg.observer,
+		Supervisor: sup,
+		HashSeed:   cfg.ShardHashSeed,
 		NewHandler: func(i int) engine.Handler {
 			s := &remoteShard{
 				g:       g,
@@ -433,7 +442,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				bv:      cookie.NewBatchVerifier(),
 				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
-				credBuf: make([]byte, 0, engine.MaxCred),
+				credBuf: make([]byte, 0, ratelimit.MaxCred),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}
@@ -527,8 +536,8 @@ func (g *Remote) PendingEntries() int {
 	return total
 }
 
-// Engine exposes the dataplane (shard mapping, backpressure stats, the
-// verified-source cache). Read-only use.
+// Engine exposes the dataplane (shard mapping, backpressure stats).
+// Read-only use.
 func (g *Remote) Engine() *engine.Engine { return g.eng }
 
 // rotateLoop changes the cookie key every KeyRotation period. Cookies from
@@ -825,24 +834,25 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 }
 
 // admit is the one admission step of a request that presents a credential
-// (Figure 4: the cookie checker, then Rate-Limiter2). cred is in the shard's
-// scratch, its tag naming its form: "ns:" and a cookie label (message 3),
-// "ip:" and the address the query was sent to (message 7), "ck:" and the
-// modified scheme's cookie. A source that recently verified exactly cred is
-// vouched for by the verified-source cache, which skips the MAC: the
-// credential compare is the security boundary — the cache never turns a bare
-// source address into trust — and it is constant-time (engine.probe). With
-// the cache off (FastPathTTL 0) every request pays its MAC. Otherwise the MAC
-// the tag names runs, and what verifies is cached. A credential that passes
-// counts CookieValid and is charged to the source's Rate-Limiter2 bucket.
-// admit reports whether the request goes on; nothing here allocates.
+// (Figure 4: the cookie checker, then Rate-Limiter2), on one lookup of the
+// source's Rate-Limiter2 record and no lock. cred is in the shard's scratch,
+// its tag naming its form: "ns:" and a cookie label (message 3), "ip:" and
+// the address the query was sent to (message 7), "ck:" and the modified
+// scheme's cookie. A record that holds exactly cred, live, vouches for the
+// source and the MAC is skipped: the credential compare is the security
+// boundary — a record never turns a bare source address into trust — and it
+// is constant-time (Limiter2.Lookup). With FastPathTTL 0 no record holds a
+// credential and every request pays its MAC. Otherwise the MAC the tag names
+// runs, and what verifies is stored. A credential that passes counts
+// CookieValid and is charged to the same record. admit reports whether the
+// request goes on; only a request that verified creates or reorders a
+// record, and nothing here allocates.
 //
-// The cache is shard-explicit: this handler owns shard s.id, and on a direct
-// engine the owning shard is the delivering socket's, not the source hash's,
-// whose cache partition a different worker owns.
+// The records are the handler's own: on a direct engine the shard owning a
+// source is the delivering socket's, not the source hash's.
 func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
 	g, src := s.g, pkt.Src.Addr()
-	if g.eng.VerifiedCredMatchOn(s.id, src, cred) {
+	if s.rl2.Lookup(src, cred, g.now(), g.cfg.FastPathTTL) {
 		atomic.AddUint64(&g.Stats.FastPathHits, 1)
 	} else {
 		g.charge(g.cfg.Costs.CookieCheck)
@@ -859,10 +869,9 @@ func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return false
 		}
-		g.eng.MarkVerifiedCredOn(s.id, src, cred)
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(src, g.now()) {
+	if !s.rl2.Charge(cred, g.now()) {
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return false
 	}

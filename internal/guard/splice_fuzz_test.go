@@ -88,7 +88,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		return
 	}
 	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
-	if g.eng.VerifiedCredMatchOn(s.id, pkt.Src.Addr(), cred) {
+	if s.rl2.Lookup(pkt.Src.Addr(), cred, g.now(), g.cfg.FastPathTTL) {
 		atomic.AddUint64(&g.Stats.FastPathHits, 1)
 	} else {
 		g.charge(g.cfg.Costs.CookieCheck)
@@ -96,10 +96,9 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
 		}
-		g.eng.MarkVerifiedCredOn(s.id, pkt.Src.Addr(), cred)
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
+	if !s.rl2.Charge(cred, g.now()) {
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return
 	}
@@ -282,7 +281,7 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 		}
 		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\ncache %+v\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
-			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), h.g.eng.FastPath(), pendingDump(h.s), words)
+			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), h.g.fastPath(), pendingDump(h.s), words)
 	}
 	if got, want := state(tw.got), state(tw.want); got != want {
 		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)

@@ -36,21 +36,25 @@ func SnapshotUint64[S any](s *S) S {
 	return out
 }
 
-// RegisterUint64Fields registers every exported uint64 field of *s on r as a
-// Func series named prefix + SnakeCase(FieldName), reading the live field
-// atomically at scrape time. The struct must outlive the registry's use.
-func RegisterUint64Fields[S any](r *Registry, prefix string, s *S) {
-	v := reflect.ValueOf(s).Elem()
-	t := v.Type()
+// RegisterUint64Fields registers every exported uint64 field of S on r as a
+// Func series named prefix + SnakeCase(FieldName), reading that field of
+// each of ss atomically at scrape time and summing them: one struct, or one
+// per shard. The structs must outlive the registry's use.
+func RegisterUint64Fields[S any](r *Registry, prefix string, ss ...*S) {
+	t := reflect.TypeFor[S]()
 	for i := 0; i < t.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Uint64 || !f.CanInterface() {
-			continue
+		if f := t.Field(i); f.Type.Kind() == reflect.Uint64 && f.IsExported() {
+			ps := make([]*uint64, len(ss))
+			for j, s := range ss {
+				ps[j] = reflect.ValueOf(s).Elem().Field(i).Addr().Interface().(*uint64)
+			}
+			r.FuncUint(prefix+SnakeCase(f.Name), func() (sum uint64) {
+				for _, p := range ps {
+					sum += atomic.LoadUint64(p)
+				}
+				return sum
+			})
 		}
-		p := f.Addr().Interface().(*uint64)
-		r.FuncUint(prefix+SnakeCase(t.Field(i).Name), func() uint64 {
-			return atomic.LoadUint64(p)
-		})
 	}
 }
 

@@ -7,7 +7,8 @@
 //     as a traffic reflector (per-source + global budgets);
 //   - Limiter2: per-host nominal rate limiting for verified (non-spoofed)
 //     requesters, bounding what a cookie-holding attacker or zombie farm can
-//     push through the guard.
+//     push through the guard, in one record per source that also holds the
+//     credential the source last proved.
 package ratelimit
 
 import "time"

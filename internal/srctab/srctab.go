@@ -1,13 +1,13 @@
 // Package srctab is the guard's one per-source table: a fixed-capacity,
 // open-addressed hash table from a source address to a small pointer-free
 // value, with an intrusive list that gives exact LRU or exact FIFO eviction.
-// Rate-Limiter1, Rate-Limiter2 and the verified-source cache all sit on it
-// (DESIGN.md, "Per-source state").
+// Rate-Limiter1's buckets and Rate-Limiter2's verified-source records sit on
+// it (DESIGN.md, "Per-source state").
 //
 // A table is two allocations made by New — one []entry, one index array —
 // and with a pointer-free V neither holds a pointer, so the collector never
 // scans per-source state however many sources an attacker sprays. A table
-// is not synchronized.
+// is not synchronized, and Get writes too: it remembers its probe.
 package srctab
 
 import (
@@ -65,6 +65,12 @@ type Table[V any] struct {
 	used  uint32 // entries[1:used+1] have held a source since the last Reset
 	free  uint32 // deleted entries, chained through older
 	n     int
+	// last is where Get left its key: its slot and entry number, or the
+	// empty slot that ends its probe run and 0.
+	last struct {
+		key            Key
+		tag, slot, ref uint32
+	}
 }
 
 // New returns an empty table for capacity sources (at least 1). It panics
@@ -142,12 +148,15 @@ func (t *Table[V]) linkNewest(ref uint32) {
 	s.older = ref
 }
 
-// Get returns k's value, or nil. It never reorders.
+// Get returns k's value, or nil. It never reorders, and it remembers where
+// it probed for a Keep that may follow.
 func (t *Table[V]) Get(k Key) *V {
-	if _, _, ref := t.find(k); ref != 0 {
-		return &t.entries[ref].val
+	t.last.key = k
+	t.last.tag, t.last.slot, t.last.ref = t.find(k)
+	if t.last.ref == 0 {
+		return nil
 	}
-	return nil
+	return &t.entries[t.last.ref].val
 }
 
 // Put returns k's value, inserting k as the newest source if it was not
@@ -155,7 +164,15 @@ func (t *Table[V]) Get(k Key) *V {
 // never-seen sources allocates nothing; the evicted value is left in place
 // for the caller to read before overwriting. Otherwise a new value is zero.
 func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
-	tag, slot, ref := t.find(k)
+	t.Get(k)
+	return t.Keep()
+}
+
+// Keep is Put for the key the last Get looked up, without probing again, so
+// a caller can decide between the two on what Get found. Nothing may change
+// the table in between.
+func (t *Table[V]) Keep() (v *V, found, evicted bool) {
+	k, tag, slot, ref := t.last.key, t.last.tag, t.last.slot, t.last.ref
 	if ref != 0 {
 		e := &t.entries[ref]
 		if t.order == LRU && e.newer != 0 {

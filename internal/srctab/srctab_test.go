@@ -136,7 +136,17 @@ func drive(tb testing.TB, t *Table[uint64], m *model, script []byte, keyOf func(
 		k, val := keyOf(script[i+1]), uint64(script[i+2])+1
 		switch op := script[i] % 8; {
 		case op < 4:
-			p, found, evicted := t.Put(k)
+			put := t.Put
+			if op == 3 { // Get, then Keep where it probed
+				put = func(k Key) (*uint64, bool, bool) {
+					v := t.Get(k)
+					if want, ok := m.get(k); ok != (v != nil) || ok && *v != want {
+						tb.Fatalf("op %d: Get(%x) = %v, model %d, %v", i/3, k, v, want, ok)
+					}
+					return t.Keep()
+				}
+			}
+			p, found, evicted := put(k)
 			old, wantFound, wantEvicted := m.put(k, val)
 			if found != wantFound || evicted != wantEvicted || *p != old {
 				tb.Fatalf("op %d: Put(%x) = %d, %v, %v; model %d, %v, %v", i/3, k, *p, found, evicted, old, wantFound, wantEvicted)

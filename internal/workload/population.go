@@ -36,7 +36,7 @@ import (
 const (
 	// popPort is the source port every population flow uses. One port keeps
 	// the per-source identity purely in the address, which is what the
-	// guard's verified-source cache and the catchment hash key on.
+	// guard's verified-source records and the catchment hash key on.
 	popPort = 33000
 	// popTick batches flow emission (one wakeup per tick).
 	popTick = 5 * time.Millisecond
