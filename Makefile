@@ -132,10 +132,13 @@ image-check:
 # sockets (realnet/portable.go): one socket for all shards, one datagram per
 # syscall — no other target compiles: vet it for two such platforms, one of
 # them Linux, and build it for two more. Cross-compiling needs no network.
+# linux/386 also runs natively on an amd64 host, so the portable sockets run
+# the realnet tests there, the netapi conformance suite among them.
 portable-check:
 	GOOS=darwin GOARCH=arm64 CGO_ENABLED=0 $(GO) vet ./...
 	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) vet ./...
 	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) build ./...
+	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) test ./internal/realnet ./internal/netapi/...
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 

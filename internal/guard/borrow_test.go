@@ -87,11 +87,12 @@ type memDgram struct {
 }
 
 // memConn is an in-memory datagram socket with netapi.BatchConn slab
-// semantics: reads copy queued datagrams into the caller's slots (cut to the
-// slot's capacity), writes are recorded. With poison set it overwrites the
-// whole slab it is handed before filling it, as a kernel reusing the slots
-// would. answer, when set, plays the peer: called on every write, what it
-// returns is queued for reading.
+// semantics: reads store queued datagrams in the caller's slots
+// (Datagram.Store: head or spill, cut to the slot's capacity), writes are
+// recorded. With poison set it overwrites the whole slab it is handed, heads
+// and spills, before filling it, as a kernel reusing the slots would. answer,
+// when set, plays the peer: called on every write, what it returns is queued
+// for reading.
 type memConn struct {
 	addr   netip.AddrPort
 	poison bool
@@ -160,9 +161,10 @@ func (c *memConn) ReadBatch(msgs []netapi.Datagram, _ time.Duration) (int, error
 	}
 	if c.poison {
 		for i := range msgs {
-			b := msgs[i].Buf[:cap(msgs[i].Buf)]
-			for k := range b {
-				b[k] = poisonByte
+			for _, b := range [][]byte{msgs[i].Buf[:cap(msgs[i].Buf)], msgs[i].Spill[:cap(msgs[i].Spill)]} {
+				for k := range b {
+					b[k] = poisonByte
+				}
 			}
 		}
 	}
@@ -170,10 +172,7 @@ func (c *memConn) ReadBatch(msgs []netapi.Datagram, _ time.Duration) (int, error
 	for n < len(msgs) && len(c.in) > 0 {
 		d := c.in[0]
 		c.in = c.in[1:]
-		if len(d.b) > cap(msgs[n].Buf) {
-			d.b = d.b[:cap(msgs[n].Buf)]
-		}
-		msgs[n].Set(d.b, d.addr)
+		msgs[n].Store(d.b, d.addr)
 		n++
 	}
 	return n, nil
@@ -389,6 +388,9 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 	response.b[2] |= 0x80 // QR set: not a query
 	oversize := plain(92, "www")
 	oversize.b = append(oversize.b, make([]byte, dnswire.MaxDatagram+1-len(oversize.b))...)
+	// A well-formed query over netapi.SlabHead bytes is served from its
+	// slot's spill.
+	long := memDgram{padTo(t, dnswire.NewQuery(0x193, dnswire.MustName("www."+zone), dnswire.TypeA), 700), src(93)}
 	var forged cookie.Cookie
 	for i := range forged {
 		forged[i] = byte(0x40 + i)
@@ -399,7 +401,7 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 		// Newcomers, with the unparseable in between so every slot of the
 		// slab holds a different shape.
 		{plain(1, "www"), garbage, txtOPTs(8, "www", cookie.Cookie{}), plain(2, "ref"), oversize, plain(3, "mute"), response,
-			txtCookie(4, "www", cookie.Cookie{})},
+			txtCookie(4, "www", cookie.Cookie{}), long},
 		// First verification of each credential; forged ones beside them.
 		{nsCookie(1, "www", mint(1)), nsCookie(5, "www", forged), nsCookie(2, "ref", mint(2)), txtCookie(4, "www", mint(4)),
 			txtCookie(6, "www", forged), nsCookie(3, "mute", mint(3)), upper(txtOPTs(8, "www", mint(8)))},
@@ -412,7 +414,7 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 	}
 	withOPT := func(d memDgram) memDgram { return memDgram{withRecords(d.b, 0, 0, 1, optRR), d.addr} }
 	relay := [][]memDgram{
-		{plain(1, "www"), upper(plain(2, "www")), garbage, plain(3, "mute"), oversize, plain(4, "ref"), withOPT(plain(6, "mute"))},
+		{plain(1, "www"), upper(plain(2, "www")), garbage, plain(3, "mute"), oversize, plain(4, "ref"), withOPT(plain(6, "mute")), long},
 		{plain(1, "www"), response, plain(5, "mute"), plain(2, "ref"), withOPT(plain(6, "www"))},
 	}
 	for _, tc := range []struct {
@@ -563,10 +565,12 @@ func TestOversizeUpstreamDropped(t *testing.T) {
 
 // TestRemoteFootprint bounds what running a one-shard, Batch-32 guard on
 // real loopback sockets adds to the heap once both of its packet slabs
-// exist: 2 × 32 slots of MaxDatagram+1 bytes are ≈ 256 KiB, where 64 KiB
-// slots were 4 MiB. The baseline is the constructed guard: its source tables
-// are allocated whole at construction (TestSourceStateFootprint bounds them)
-// and are not packet memory.
+// exist: 2 × 32 slots of a 512-byte head and a 4097-byte spill are 288 KiB
+// allocated, where 64 KiB slots were 4 MiB. Of that, short datagrams keep
+// only the heads resident, 32 KiB (TestStateBudget pins the layout). The
+// baseline is the constructed guard: its source tables are allocated whole at
+// construction (TestSourceStateFootprint bounds them) and are not packet
+// memory.
 func TestRemoteFootprint(t *testing.T) {
 	env := realnet.New()
 	lo := netip.MustParseAddrPort("127.0.0.1:0")
@@ -931,6 +935,10 @@ func TestSourceStateFootprint(t *testing.T) {
 //
 // 260 KiB, and the copies of the queries an exchange in flight holds: at most
 // maxHeld of at most MaxDatagram bytes each, let go when the exchange ends.
+// Last, a shard's receive slabs (recvSlab) at Batch 32:
+//
+//	heads     32 × 512, one after another = 16 KiB
+//	spills    32 × 4097                   = 128 KiB, touched by long datagrams
 func TestStateBudget(t *testing.T) {
 	h := newShardHarness(t, nil)
 	field := func(v reflect.Value, path ...string) reflect.Value {
@@ -981,6 +989,21 @@ func TestStateBudget(t *testing.T) {
 	}
 	if total := entries.Len()*entry + index.Len()*slot + int(exchanges.Type().Size()); total>>10 != 260 {
 		t.Errorf("the LRS-side guard's tables hold %d KiB, want 260", total>>10)
+	}
+
+	slab, heads := recvSlab(32), 0
+	for i, d := range slab {
+		heads += cap(d.Buf)
+		if cap(d.Buf) != netapi.SlabHead || cap(d.Spill) != dnswire.MaxDatagram+1 {
+			t.Errorf("receive slot %d: head %d and spill %d bytes, want %d and %d",
+				i, cap(d.Buf), cap(d.Spill), netapi.SlabHead, dnswire.MaxDatagram+1)
+		}
+		if stride := reflect.ValueOf(d.Buf).Pointer() - reflect.ValueOf(slab[0].Buf).Pointer(); i > 0 && stride != uintptr(i*netapi.SlabHead) {
+			t.Errorf("receive slot %d's head lies %d bytes past slot 0's, want %d", i, stride, i*netapi.SlabHead)
+		}
+	}
+	if heads != 16<<10 {
+		t.Errorf("a receive slab's heads hold %d bytes, want 16 KiB", heads)
 	}
 }
 

@@ -285,7 +285,7 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 func (s *remoteShard) upstreamLoop() {
 	g := s.g
 	// One slab reused for every read — the one packet buffer the shard owns
-	// on the upstream side, Batch slots of MaxDatagram+1 bytes. On Linux
+	// on the upstream side, a receive slab of Batch slots. On Linux
 	// the reads collapse into recvmmsg. With Batch == 1 the slab has a
 	// single slot, and a full slab makes ReadBatch exactly one blocking
 	// read per call (the zero-timeout drain never runs), so the per-packet
@@ -293,7 +293,7 @@ func (s *remoteShard) upstreamLoop() {
 	// borrows the payload: slab slots are the loop's to overwrite on the
 	// next read.
 	bc := netapi.AsBatch(s.upstream)
-	slab := netapi.NewSlab(g.cfg.Batch, dnswire.MaxDatagram+1)
+	slab := recvSlab(g.cfg.Batch)
 	for {
 		n, err := bc.ReadBatch(slab, netapi.NoTimeout)
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 // simulated host's tap needs no adapter: *netsim.Tap is a PacketIO as it is.
 //
 // Use it by pointer (&SocketIO{Conn: c}): the adapter owns the ingest slab
-// its reader fills — Batch slots of dnswire.MaxDatagram+1 bytes, the one
-// packet buffer a shard owns on the ingress side — and hands it out in place,
+// its reader fills — a receive slab of Batch slots (recvSlab), the one packet
+// buffer a shard owns on the ingress side — and hands it out in place,
 // so a read copies nothing and allocates nothing. Payloads are lent, not
 // given (engine.BatchReader): what a read returns is valid until the next
 // read. It therefore serves one reading proc at a time — the engine runs
@@ -59,13 +59,19 @@ func (s *SocketIO) Close() error { return s.Conn.Close() }
 // by Datagram.Set).
 var socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
 
+// recvSlab allocates one of a shard's two receive slabs, n slots each one
+// byte larger than the largest datagram the guard accepts: a longer datagram
+// arrives with len(Payload) > dnswire.MaxDatagram and the handlers drop it as
+// oversize. A slot's first netapi.SlabHead bytes lie beside the next slot's,
+// and the rest of it is touched only by a datagram longer than that, so
+// short datagrams keep n × SlabHead bytes of a slab resident.
+func recvSlab(n int) []netapi.Datagram { return netapi.NewSlab(n, dnswire.MaxDatagram+1) }
+
 // ReadBatch implements engine.BatchReader: one BatchConn read into the
-// adapter's slab, handed out in place. A slot is one byte larger than the
-// largest datagram the guard accepts, so a longer datagram arrives with
-// len(Payload) > dnswire.MaxDatagram and the handlers drop it as oversize.
+// adapter's slab, handed out in place.
 func (s *SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	if len(s.slab) < len(pkts) {
-		s.slab = netapi.NewSlab(len(pkts), dnswire.MaxDatagram+1)
+		s.slab = recvSlab(len(pkts))
 	}
 	slab := s.slab[:len(pkts)]
 	n, err := netapi.AsBatch(s.Conn).ReadBatch(slab, timeout)

@@ -345,14 +345,15 @@ func testBatchSlab(t *testing.T, b Backend, env netapi.Env, mode batchMode) {
 	// else reports it: a slot of capacity L holding L bytes means "L or
 	// more arrived". The guard sizes slots one byte over its datagram limit
 	// and reads a full slot as oversize, so every backend must agree on all
-	// three sides of L.
+	// three sides of L, and on all three sides of the slot's head, where a
+	// payload moves from Buf to Spill.
 	const L = 4097
 	big := make([]byte, L+1)
 	for i := range big {
 		big[i] = byte(i)
 	}
 	slot := netapi.NewSlab(1, L)
-	for _, size := range []int{L - 1, L, L + 1} {
+	for _, size := range []int{netapi.SlabHead - 1, netapi.SlabHead, netapi.SlabHead + 1, L - 1, L, L + 1} {
 		if err := sender.WriteTo(big[:size], receiver.LocalAddr()); err != nil {
 			t.Errorf("WriteTo %d bytes: %v", size, err)
 			return
@@ -365,6 +366,36 @@ func testBatchSlab(t *testing.T, b Backend, env netapi.Env, mode batchMode) {
 		want := big[:min(size, L)]
 		if slot[0].N != len(want) || !bytes.Equal(slot[0].Payload(), want) {
 			t.Errorf("%d bytes into a %d-byte slot: N = %d, want %d with the leading bytes intact", size, L, slot[0].N, len(want))
+		}
+	}
+
+	// Short and long datagrams in one batch: each slot's payload is its own,
+	// byte for byte, whether it lies in the head or the spill.
+	sizes := []int{100, 1000, netapi.SlabHead, L}
+	sent := make([][]byte, len(sizes))
+	for k, size := range sizes {
+		sent[k] = make([]byte, size)
+		for i := range sent[k] {
+			sent[k][i] = byte(i*(k+3) + k)
+		}
+		if err := sender.WriteTo(sent[k], receiver.LocalAddr()); err != nil {
+			t.Errorf("WriteTo %d bytes: %v", size, err)
+			return
+		}
+	}
+	env.Sleep(settle)
+	slab := netapi.NewSlab(len(sizes), L)
+	for total := 0; total < len(sizes); {
+		n, err := bc.ReadBatch(slab[total:], 5*time.Second)
+		if err != nil {
+			t.Errorf("mixed batch: ReadBatch after %d of %d: %v", total, len(sizes), err)
+			return
+		}
+		total += n
+	}
+	for k := range sizes {
+		if !bytes.Equal(slab[k].Payload(), sent[k]) {
+			t.Errorf("mixed batch, slot %d: %d bytes read, want the %d sent", k, slab[k].N, len(sent[k]))
 		}
 	}
 }

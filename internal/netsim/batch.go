@@ -27,14 +27,16 @@ func (c *UDPConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int,
 	if err != nil {
 		return 0, mapQueueErr(err)
 	}
-	storeSimDatagram(&msgs[0], pkt)
+	msgs[0].Store(pkt.Payload, pkt.Src)
+	recycleBytes(pkt.Payload)
 	n := 1
 	for n < len(msgs) {
 		pkt, err := c.q.Get(0)
 		if err != nil {
 			break
 		}
-		storeSimDatagram(&msgs[n], pkt)
+		msgs[n].Store(pkt.Payload, pkt.Src)
+		recycleBytes(pkt.Payload)
 		n++
 	}
 	return n, nil
@@ -45,29 +47,11 @@ func (c *UDPConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int,
 // calls would schedule.
 func (c *UDPConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 	for i := range msgs {
-		if err := c.WriteTo(msgs[i].Buf[:msgs[i].N], msgs[i].Addr); err != nil {
+		if err := c.WriteTo(msgs[i].Payload(), msgs[i].Addr); err != nil {
 			return i, err
 		}
 	}
 	return len(msgs), nil
-}
-
-// storeSimDatagram copies a delivered packet into the slot under the slab
-// contract (reuse capacity, truncate to cap, allocate only when empty) and
-// recycles the network's clone.
-func storeSimDatagram(d *netapi.Datagram, pkt Packet) {
-	p := pkt.Payload
-	if c := cap(d.Buf); c == 0 {
-		d.Buf = append([]byte(nil), p...)
-	} else {
-		if len(p) > c {
-			p = p[:c]
-		}
-		d.Buf = append(d.Buf[:0], p...)
-	}
-	d.N = len(p)
-	d.Addr = pkt.Src
-	recycleBytes(pkt.Payload)
 }
 
 // ReadBatch fills pkts with up to len(pkts) captured datagrams: the first

@@ -30,14 +30,15 @@ type mmsghdr struct {
 }
 
 // mmsgState is what one direction of a socket points the kernel at: header
-// array, sockaddr array, one iovec per message, plus the poller callback
-// and the fields it communicates through. The callback is built once, so a
-// steady-state batch call allocates nothing.
+// array, sockaddr array, two iovecs per message (a read's head and spill; a
+// write uses the first), plus the poller callback and the fields it
+// communicates through. The callback is built once, so a steady-state batch
+// call allocates nothing.
 type mmsgState struct {
 	mu    sync.Mutex
 	hdrs  []mmsghdr
 	names []syscall.RawSockaddrAny
-	iovs  []syscall.Iovec
+	iovs  [][2]syscall.Iovec
 
 	attempt
 	call func(fd uintptr) bool // recvmmsg or sendmmsg, bound on first use
@@ -58,7 +59,7 @@ func (st *mmsgState) acquire(n int) *mmsgState {
 	if cap(st.hdrs) < n {
 		st.hdrs = make([]mmsghdr, n)
 		st.names = make([]syscall.RawSockaddrAny, n)
-		st.iovs = make([]syscall.Iovec, n)
+		st.iovs = make([][2]syscall.Iovec, n)
 	}
 	st.hdrs, st.names, st.iovs = st.hdrs[:n], st.names[:n], st.iovs[:n]
 	st.n, st.done, st.attempt = n, 0, attempt{}
@@ -98,6 +99,9 @@ func (st *mmsgState) sendmmsg(fd uintptr) bool {
 }
 
 // ReadBatch implements netapi.BatchConn: the whole slab in one recvmmsg.
+// Each message scatters into its slot's head and then the spill past the
+// head's length, so a datagram that fits the head writes no spill byte; one
+// that does not has its head copied to the front of the spill.
 func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -109,17 +113,24 @@ func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int,
 	}
 	for i := range msgs {
 		d := &msgs[i]
-		if cap(d.Buf) == 0 {
+		if cap(d.Buf) == 0 && cap(d.Spill) == 0 {
 			d.Buf = make([]byte, maxDatagram)
 		}
-		buf := d.Buf[:cap(d.Buf)]
-		st.iovs[i] = syscall.Iovec{Base: &buf[0], Len: uint64(len(buf))}
+		head := d.Buf[:cap(d.Buf)]
+		iov := &st.iovs[i]
+		iov[0] = syscall.Iovec{Base: unsafe.SliceData(head), Len: uint64(len(head))}
+		iovlen := uint64(1)
+		if cap(d.Spill) > len(head) {
+			tail := d.Spill[len(head):cap(d.Spill)]
+			iov[1] = syscall.Iovec{Base: &tail[0], Len: uint64(len(tail))}
+			iovlen = 2
+		}
 		st.names[i] = syscall.RawSockaddrAny{}
 		st.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
 			Name:    (*byte)(unsafe.Pointer(&st.names[i])),
 			Namelen: syscall.SizeofSockaddrAny,
-			Iov:     &st.iovs[i],
-			Iovlen:  1,
+			Iov:     &iov[0],
+			Iovlen:  iovlen,
 		}}
 	}
 	st.poll = timeout == 0
@@ -131,8 +142,11 @@ func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int,
 	}
 	for i := 0; i < st.done; i++ {
 		d := &msgs[i]
-		n := int(st.hdrs[i].n)
-		d.Buf = d.Buf[:cap(d.Buf)][:n]
+		n, head := int(st.hdrs[i].n), cap(d.Buf)
+		if n > head {
+			copy(d.Spill[:head], d.Buf[:head])
+		}
+		d.Buf = d.Buf[:min(n, head)]
 		d.N = n
 		d.Addr = anyToAddrPort(&st.names[i])
 	}
@@ -156,15 +170,12 @@ func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		var base *byte
-		if d.N > 0 {
-			base = &d.Buf[0]
-		}
-		st.iovs[i] = syscall.Iovec{Base: base, Len: uint64(d.N)}
+		p := d.Payload()
+		st.iovs[i][0] = syscall.Iovec{Base: unsafe.SliceData(p), Len: uint64(len(p))}
 		st.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
 			Name:    (*byte)(unsafe.Pointer(&st.names[i])),
 			Namelen: nameLen,
-			Iov:     &st.iovs[i],
+			Iov:     &st.iovs[i][0],
 			Iovlen:  1,
 		}}
 	}

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -182,5 +183,65 @@ func TestBatchConcurrentReaders(t *testing.T) {
 		if err := <-errs; !errors.Is(err, netapi.ErrClosed) {
 			t.Errorf("reader ended with %v, want ErrClosed", err)
 		}
+	}
+}
+
+// TestShortDatagramsLeaveSpill: a datagram that fits its slot's head writes
+// no byte of the slot's spill, so a slab that reads only short datagrams
+// keeps only its heads resident; a longer one lands whole in its own spill
+// and leaves the other slots' spills alone.
+func TestShortDatagramsLeaveSpill(t *testing.T) {
+	a, b := loopbackPair(t)
+	bb := netapi.AsBatch(b)
+	const sentinel = 0x5A
+	slab := netapi.NewSlab(4, 4097)
+	for i := range slab {
+		for k := range slab[i].Spill {
+			slab[i].Spill[k] = sentinel
+		}
+	}
+	send := func(sizes ...int) [][]byte {
+		t.Helper()
+		sent := make([][]byte, len(sizes))
+		for j, size := range sizes {
+			sent[j] = make([]byte, size)
+			for k := range sent[j] {
+				sent[j][k] = byte(k + j)
+			}
+			if err := a.WriteTo(sent[j], b.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for got := 0; got < len(sizes); {
+			n, err := bb.ReadBatch(slab[got:len(sizes)], time.Second)
+			if err != nil {
+				t.Fatalf("ReadBatch after %d of %d: %v", got, len(sizes), err)
+			}
+			got += n
+		}
+		for j := range sent {
+			if !bytes.Equal(slab[j].Payload(), sent[j]) {
+				t.Errorf("slot %d: %d bytes read, want the %d sent", j, slab[j].N, len(sent[j]))
+			}
+		}
+		return sent
+	}
+	untouched := func(i int, from int) bool {
+		for _, c := range slab[i].Spill[from:] {
+			if c != sentinel {
+				return false
+			}
+		}
+		return true
+	}
+	send(40, 200, netapi.SlabHead-1, netapi.SlabHead)
+	for i := range slab {
+		if !untouched(i, 0) {
+			t.Errorf("slot %d: a %d-byte datagram wrote into the spill", i, slab[i].N)
+		}
+	}
+	sent := send(40, netapi.SlabHead+1)
+	if !untouched(0, 0) || !untouched(1, len(sent[1])) || !untouched(2, 0) || !untouched(3, 0) {
+		t.Error("a long datagram wrote past its own payload in the spills")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"sync"
 	"time"
 
 	"dnsguard/internal/netapi"
@@ -67,6 +68,11 @@ func deadline(timeout time.Duration) time.Time {
 
 type udpConn struct {
 	conn *net.UDPConn
+	// readMu is held from a read's deadline to the read's end. A net read
+	// deadline belongs to the socket, not the call: unguarded, a poll's
+	// deadline would cut a concurrent blocking read short, and a blocking
+	// reader's cleared deadline would turn a poll into a blocking read.
+	readMu sync.Mutex
 }
 
 // SetReadBuffer sets the socket's kernel receive buffer (SO_RCVBUF).
@@ -77,36 +83,43 @@ func (c *udpConn) SetReadBuffer(bytes int) error {
 }
 
 // ReadBatch implements netapi.BatchConn: one read under the caller's
-// timeout, then polls for whatever else is already buffered.
+// timeout, then polls for whatever else is already buffered, all under the
+// socket's read lock. A poll that finds another reader holding it returns
+// ErrTimeout at once, as the mmsg path's polls never wait; a timed read, in
+// contrast, can wait behind a blocking one past its timeout.
 func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	if err := c.readInto(&msgs[0], timeout); err != nil {
+	if timeout != 0 {
+		c.readMu.Lock()
+	} else if !c.readMu.TryLock() {
+		return 0, netapi.ErrTimeout
+	}
+	defer c.readMu.Unlock()
+	scratch := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(scratch)
+	if err := c.readInto(*scratch, &msgs[0], timeout); err != nil {
 		return 0, err
 	}
 	n := 1
-	for n < len(msgs) && c.readInto(&msgs[n], 0) == nil {
+	for n < len(msgs) && c.readInto(*scratch, &msgs[n], 0) == nil {
 		n++
 	}
 	return n, nil
 }
 
-// readInto reads one datagram directly into the slot's buffer; a datagram
-// longer than cap(Buf) is truncated by the kernel, per the slab contract.
-func (c *udpConn) readInto(d *netapi.Datagram, timeout time.Duration) error {
+// readInto reads one datagram into scratch, which holds any UDP payload,
+// and stores it in the slot under the slab contract (Datagram.Store).
+func (c *udpConn) readInto(scratch []byte, d *netapi.Datagram, timeout time.Duration) error {
 	if err := c.conn.SetReadDeadline(deadline(timeout)); err != nil {
 		return mapErr(err)
 	}
-	if cap(d.Buf) == 0 {
-		d.Buf = make([]byte, maxDatagram)
-	}
-	buf := d.Buf[:cap(d.Buf)]
-	n, src, err := c.conn.ReadFromUDPAddrPort(buf)
+	n, src, err := c.conn.ReadFromUDPAddrPort(scratch)
 	if err != nil {
 		return mapErr(err)
 	}
-	d.Buf, d.N, d.Addr = buf[:n], n, unmap(src)
+	d.Store(scratch[:n], unmap(src))
 	return nil
 }
 

@@ -88,13 +88,15 @@ func (e *Env) ListenUDPReuse(addr netip.AddrPort, n int) ([]netapi.UDPConn, erro
 	return conns, nil
 }
 
-// maxDatagram is the buffer size allocated for slab slots the caller left
-// empty: the largest possible UDP payload.
+// maxDatagram is the largest possible UDP payload: the size of the read
+// scratch, and of the buffer the mmsg path allocates for a slab slot the
+// caller left empty.
 const maxDatagram = 65536
 
-// readBufPool recycles the max-datagram scratch buffers ReadFrom reads into:
-// the caller gets an exact-size copy (the netapi contract), and the 64 KiB
-// scratch is reused across reads and across sockets.
+// readBufPool recycles the max-datagram scratch buffers ReadFrom reads into
+// (and, in the portable build, every read): the caller gets an exact-size
+// copy (the netapi contract), and the 64 KiB scratch is reused across reads
+// and across sockets.
 var readBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, maxDatagram)
