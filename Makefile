@@ -1,6 +1,7 @@
 # dnsguard build/verify entry points. `make check` is the full local gate:
 # vet, the race-enabled suite, and a short fuzz smoke on the dnswire decoders,
-# the source table and the guard's span-writing handlers.
+# the source table, Rate-Limiter1's buckets and the guard's span-writing
+# handlers.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzRepackAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guard -run='^$$' -fuzz='^FuzzSpliceAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srctab -run='^$$' -fuzz='^FuzzSrcTable$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ratelimit -run='^$$' -fuzz='^FuzzBucketsAgree$$' -fuzztime=$(FUZZTIME)
 
 # Run every shipped campaign pack in the deterministic lab (2 shards, fixed
 # seed) plus the mitigation-selector transition table: the adversarial gate
@@ -113,10 +115,13 @@ state-check:
 # Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
 # budget"): each one's size as bench/rig builds it, its dependency count,
 # `static` or the ELF interpreter it asks for, and its ten largest packages
-# by symbol size, then the test that keeps net/http, crypto/tls and
-# encoding/json out of all three (and net, runtime/cgo and a dynamic
-# dnsguardd on Linux amd64/arm64), and the one that keeps the simulator and
-# the harnesses out of every product package.
+# by symbol size. On Linux it then starts the dnsguardd it built (one shard,
+# batch 32, no proxy), prints what /proc/<pid>/status says it holds at idle —
+# RssFile is the binary's share, RssAnon the heap and stacks — and stops it.
+# Last, the test that keeps net/http, crypto/tls and encoding/json out of all
+# three (and net, runtime/cgo and a dynamic dnsguardd on Linux amd64/arm64),
+# and the one that keeps the simulator and the harnesses out of every product
+# package.
 image-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && for d in dnsguardd ansd lrsd; do \
 		$(GO) build -buildvcs=false -o "$$dir/" ./cmd/$$d || exit 1; \
@@ -125,7 +130,13 @@ image-check:
 		$(GO) tool nm -size "$$dir/$$d" | awk 'NF >= 4 { s = $$4; sub(/[\[(].*/, "", s); n = split(s, a, "/"); sub(/\..*/, "", a[n]); \
 			p = a[1]; for (i = 2; i <= n; i++) p = p "/" a[i]; size[p] += $$2 } \
 			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
-	done
+	done; \
+	if [ "$$(uname -s)" = Linux ]; then \
+		"$$dir/dnsguardd" -listen 127.0.0.1:0 -ans 127.0.0.1:9 -zone foo.com -shards 1 -batch 32 -proxy=false -stats 0 >"$$dir/log" 2>&1 & pid=$$!; \
+		for i in $$(seq 50); do grep -q 'guarding zone' "$$dir/log" && break; sleep 0.1; done; \
+		echo "dnsguardd idle: $$(grep -E '^(VmHWM|RssAnon|RssFile|Threads):' /proc/$$pid/status | tr -s ' \t' ' ' | paste -sd ' ' -)"; \
+		kill $$pid; wait $$pid || { cat "$$dir/log"; exit 1; }; \
+	fi
 	$(GO) test ./cmd/dnsguardd -run='^(TestImagePinned|TestProductSimulatorFree)$$' -count=1 -v
 
 # What a daemon runs differently off Linux amd64/arm64 — realnet's net-based

@@ -919,6 +919,47 @@ func TestSourceStateFootprint(t *testing.T) {
 	runtime.KeepAlive(h)
 }
 
+// TestSourceStateRecycles is TestSourceStateFootprint's sessions on a clock
+// that moves, at the benchmark's 4 000 newcomer sessions a second for two
+// seconds. A newcomer's Rate-Limiter1 bucket is charged once, at its grant,
+// and is back at its burst 1 ÷ PerSourceRate = 10 ms later, when it decides
+// what an absent bucket would: the next newcomer takes its entry. So the
+// table writes about the 40 entries of the newcomers granted within the last
+// 10 ms, not all 4096 of its bound, and decides every grant as before.
+func TestSourceStateRecycles(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.FastPathTTL = time.Minute })
+	plain, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := reflect.ValueOf(h.s).Elem().FieldByName("rl1").Elem().FieldByName("perSrc").FieldByName("tab").Elem()
+	written := func() int { return int(tab.FieldByName("used").Uint()) }
+	const sessions, perSec = 8000, 4000
+	most := 0
+	resp := make([]byte, 0, dnswire.MaxUDPSize)
+	h.sched.Go("sessions", func() {
+		for i := 0; i < sessions; i++ {
+			src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 5353)
+			h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: plain})
+			h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, src.Addr(), "www.foo.com", 2)})
+			resp = append(resp[:0], h.up.buf[:h.up.n]...)
+			resp[2] |= 0x80
+			h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+			most = max(most, written()) // a mitigation transition would empty the table
+			h.sched.Sleep(time.Second / perSec)
+		}
+	})
+	h.sched.Run(sessions/perSec*time.Second + time.Second)
+	st := h.g.Stats.Load()
+	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RL1Dropped != 0 {
+		t.Fatalf("sessions did not run to completion: %+v", st)
+	}
+	t.Logf("%d sessions at %d/s: Rate-Limiter1 wrote %d entries", sessions, perSec, most)
+	if most > 64 {
+		t.Errorf("Rate-Limiter1 wrote %d entries for %d one-shot newcomers at %d/s, want <= 64", most, sessions, perSec)
+	}
+}
+
 // TestStateBudget pins the two per-source tables a default shard builds —
 // each one's entry and index slot (reflect's Size, which is unsafe.Sizeof)
 // and the bytes its two arrays hold — to what DESIGN.md §18 and §19 quote:

@@ -60,10 +60,11 @@ func (io *sinkIO) Close() error { return nil }
 // network — with stub I/O on both sides, so tests can compare exact wires
 // and count allocations without simulator noise.
 type shardHarness struct {
-	g  *Remote
-	s  *remoteShard
-	io *sinkIO
-	up *sinkConn
+	g     *Remote
+	s     *remoteShard
+	io    *sinkIO
+	up    *sinkConn
+	sched *vclock.Scheduler // the guard's clock: it stands still unless a test runs it
 }
 
 func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
@@ -90,7 +91,7 @@ func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
 	}
 	up := &sinkConn{}
 	g.shards[0].upstream = up
-	return &shardHarness{g: g, s: g.shards[0], io: io, up: up}
+	return &shardHarness{g: g, s: g.shards[0], io: io, up: up, sched: sched}
 }
 
 // inFlight shows visit the shard's pending entries, oldest first.

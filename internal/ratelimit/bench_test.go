@@ -40,7 +40,8 @@ func BenchmarkLimiter2Cold(b *testing.B) {
 }
 
 // BenchmarkLimiter1Cold is a cookie-less newcomer flood: each response is to
-// a never-seen source, so every charge evicts.
+// a never-seen source, so every charge reads the oldest entry and takes it
+// over — the table is full, and from 10 ms in every bucket has refilled.
 func BenchmarkLimiter1Cold(b *testing.B) {
 	l := NewLimiter1(DefaultLimiter1Config(), 0)
 	for i := 0; i < 8192; i++ {

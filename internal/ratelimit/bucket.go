@@ -35,15 +35,29 @@ func NewTokenBucket(ratePerSec, burst float64, now time.Duration) *TokenBucket {
 	return &TokenBucket{rate: ratePerSec, burst: burst, level: level{burst, now}}
 }
 
-func (l *level) refill(rate, burst float64, now time.Duration) {
+// at is the tokens the level holds at now, capped at burst: what refill
+// leaves, and what refilled compares, in one expression.
+func (l *level) at(rate, burst float64, now time.Duration) float64 {
 	if now <= l.last {
-		return
+		return l.tokens
 	}
-	l.tokens += rate * (now - l.last).Seconds()
-	if l.tokens > burst {
-		l.tokens = burst
+	tokens := l.tokens + rate*(now-l.last).Seconds()
+	if tokens > burst {
+		tokens = burst
 	}
-	l.last = now
+	return tokens
+}
+
+func (l *level) refill(rate, burst float64, now time.Duration) {
+	if now > l.last {
+		l.tokens, l.last = l.at(rate, burst, now), now
+	}
+}
+
+// refilled reports whether the level is back at burst by now. From then on
+// it decides exactly what a new bucket would, so a table may drop it.
+func (l *level) refilled(rate, burst float64, now time.Duration) bool {
+	return l.at(rate, burst, now) >= burst
 }
 
 func (l *level) allow(rate, burst float64, now time.Duration) bool {

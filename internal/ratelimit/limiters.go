@@ -11,9 +11,11 @@ import (
 
 // Buckets is a bounded table of per-source token buckets with least-
 // recently-used eviction, so an attacker spraying spoofed sources cannot
-// exhaust guard memory. A source's entry is its level alone; the rate and
-// burst every source shares live here, once. The zero value is unusable
-// until Reset; not safe for concurrent use.
+// exhaust guard memory. It keeps a bucket only while the bucket still
+// limits its source: one back at its burst decides what an absent one
+// would, so the next new source takes its entry. A source's entry is its
+// level alone; the rate and burst every source shares live here, once. The
+// zero value is unusable until Reset; not safe for concurrent use.
 type Buckets struct {
 	rate, burst float64
 	tab         *srctab.Table[level]
@@ -37,11 +39,19 @@ func renew[V any](tab **srctab.Table[V], tracked int) {
 }
 
 // Allow charges src one token, starting a full bucket for a source not
-// tracked. A full table gives the new source the least recently used entry,
-// so a flood of never-seen sources — every spoofed packet, once the table
-// is full — costs no allocation.
+// tracked. The new source takes the least recently used entry when that
+// entry's bucket has refilled by now, or when the table is full; only while
+// the oldest bucket still limits its source does it take a fresh entry. So
+// a flood of never-seen sources — every spoofed packet — costs no
+// allocation, and one-shot sources rotate through about rate-of-newcomers ÷
+// rate entries rather than the whole table.
 func (l *Buckets) Allow(src netip.Addr, now time.Duration) bool {
-	b, found, _ := l.tab.Put(src.As16())
+	reuse := false
+	if l.tab.Get(src.As16()) == nil {
+		old := l.tab.Oldest()
+		reuse = old != nil && old.refilled(l.rate, l.burst, now)
+	}
+	b, found, _ := l.tab.Keep(reuse)
 	if !found {
 		*b = level{l.burst, now}
 	}
@@ -80,9 +90,11 @@ func DefaultLimiter1Config() Limiter1Config {
 // requesters). Because each such response is triggered by a possibly-spoofed
 // request, Limiter1 is what keeps the guard from amplifying or reflecting
 // attack traffic: a per-source budget plus a global ceiling (§III-F,
-// §III-G). The paper's "top requesters" are the per-source buckets: a heavy
-// requester is always among the most recently used, so the LRU never evicts
-// it and its bucket throttles it.
+// §III-G). The paper's "top requesters" are the per-source buckets still
+// below their burst: a heavy requester is always among the most recently
+// used and its bucket is never back at its burst, so neither the LRU nor a
+// newcomer takes its entry and its bucket throttles it. A source answered
+// once keeps its entry only until its bucket refills.
 type Limiter1 struct {
 	global TokenBucket
 	perSrc Buckets
@@ -232,7 +244,7 @@ func (l *Limiter2) Lookup(src netip.Addr, cred []byte, now, ttl time.Duration) b
 // Unless the Lookup matched, cred is stored for its ttl, if it fits:
 // truncated, a shorter credential could match it.
 func (l *Limiter2) Charge(cred []byte, now time.Duration) bool {
-	r, found, evicted := l.tab.Keep()
+	r, found, evicted := l.tab.Keep(false)
 	if evicted && r.n > 0 {
 		atomic.AddUint64(&l.Stats.Sources, ^uint64(0))
 		if r.expires > now {

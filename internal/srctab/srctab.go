@@ -159,19 +159,31 @@ func (t *Table[V]) Get(k Key) *V {
 	return &t.entries[t.last.ref].val
 }
 
+// Oldest returns the value of the source eviction takes next, or nil if the
+// table is empty. It never reorders.
+func (t *Table[V]) Oldest() *V {
+	if t.n == 0 {
+		return nil
+	}
+	return &t.entries[t.entries[0].newer].val
+}
+
 // Put returns k's value, inserting k as the newest source if it was not
 // found. A full table evicts the oldest source for it, so a flood of
 // never-seen sources allocates nothing; the evicted value is left in place
 // for the caller to read before overwriting. Otherwise a new value is zero.
 func (t *Table[V]) Put(k Key) (v *V, found, evicted bool) {
 	t.Get(k)
-	return t.Keep()
+	return t.Keep(false)
 }
 
 // Keep is Put for the key the last Get looked up, without probing again, so
-// a caller can decide between the two on what Get found. Nothing may change
-// the table in between.
-func (t *Table[V]) Keep() (v *V, found, evicted bool) {
+// a caller can decide between the two on what Get (and Oldest) found.
+// Nothing may change the table in between. With reuseOldest a key not found
+// takes the oldest source's entry, as in a full table, whenever there is
+// one: a caller that knows the oldest value is spent keeps the table at the
+// size of what it still needs.
+func (t *Table[V]) Keep(reuseOldest bool) (v *V, found, evicted bool) {
 	k, tag, slot, ref := t.last.key, t.last.tag, t.last.slot, t.last.ref
 	if ref != 0 {
 		e := &t.entries[ref]
@@ -182,7 +194,7 @@ func (t *Table[V]) Keep() (v *V, found, evicted bool) {
 		return &e.val, true, false
 	}
 	switch {
-	case t.n == t.Cap():
+	case t.n == t.Cap() || reuseOldest && t.n > 0:
 		evicted, ref = true, t.entries[0].newer
 		_, old, _ := t.find(t.entries[ref].key)
 		t.vacate(old)

@@ -34,9 +34,10 @@ func (m *model) get(k Key) (uint64, bool) {
 	return 0, false
 }
 
-// put mirrors Table.Put; old is the value Put leaves in place: the key's own
-// when found, the evicted source's when evicted, zero otherwise.
-func (m *model) put(k Key, val uint64) (old uint64, found, evicted bool) {
+// put mirrors Table.Get then Keep(reuseOldest); old is the value Keep leaves
+// in place: the key's own when found, the evicted source's when evicted,
+// zero otherwise.
+func (m *model) put(k Key, val uint64, reuseOldest bool) (old uint64, found, evicted bool) {
 	if el, ok := m.m[k]; ok {
 		if m.order == LRU {
 			m.l.MoveToFront(el)
@@ -45,7 +46,7 @@ func (m *model) put(k Key, val uint64) (old uint64, found, evicted bool) {
 		old, e.val = e.val, val
 		return old, true, false
 	}
-	if len(m.m) == m.cap {
+	if len(m.m) == m.cap || reuseOldest && len(m.m) > 0 {
 		back := m.l.Back()
 		e := m.l.Remove(back).(*modelEntry)
 		delete(m.m, e.key)
@@ -123,7 +124,7 @@ func run(tb testing.TB, capacity int, order Order, script []byte) {
 		k := key(1<<24 | uint32(i))
 		p, _, _ := t.Put(k)
 		*p = uint64(i)
-		m.put(k, uint64(i))
+		m.put(k, uint64(i), false)
 	}
 	space := uint32(2*t.Cap() + 1)
 	drive(tb, t, m, script, func(b byte) Key { return key(uint32(b) % space) })
@@ -137,17 +138,21 @@ func drive(tb testing.TB, t *Table[uint64], m *model, script []byte, keyOf func(
 		switch op := script[i] % 8; {
 		case op < 4:
 			put := t.Put
-			if op == 3 { // Get, then Keep where it probed
+			reuse := op == 2
+			if op >= 2 { // Get, then Keep where it probed; op 2 reuses the oldest entry
 				put = func(k Key) (*uint64, bool, bool) {
 					v := t.Get(k)
 					if want, ok := m.get(k); ok != (v != nil) || ok && *v != want {
 						tb.Fatalf("op %d: Get(%x) = %v, model %d, %v", i/3, k, v, want, ok)
 					}
-					return t.Keep()
+					if o, back := t.Oldest(), m.l.Back(); (o == nil) != (back == nil) || o != nil && *o != back.Value.(*modelEntry).val {
+						tb.Fatalf("op %d: Oldest = %v, model %v", i/3, o, back)
+					}
+					return t.Keep(reuse)
 				}
 			}
 			p, found, evicted := put(k)
-			old, wantFound, wantEvicted := m.put(k, val)
+			old, wantFound, wantEvicted := m.put(k, val, reuse)
 			if found != wantFound || evicted != wantEvicted || *p != old {
 				tb.Fatalf("op %d: Put(%x) = %d, %v, %v; model %d, %v, %v", i/3, k, *p, found, evicted, old, wantFound, wantEvicted)
 			}
@@ -196,6 +201,7 @@ func FuzzSrcTable(f *testing.F) {
 	f.Add(uint16(1), true, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 3, 3})
 	f.Add(uint16(3), false, []byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 1, 9, 0, 4, 4, 6, 1, 0})
 	f.Add(uint16(4096), false, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 130, 3, 0, 200, 4, 6, 2, 0})
+	f.Add(uint16(8), true, []byte{0, 1, 1, 0, 2, 2, 2, 3, 3, 2, 1, 4, 2, 4, 5, 4, 1, 0, 2, 5, 6, 2, 5, 7})
 	f.Add(uint16(MaxCap), true, []byte{0, 1, 1, 0, 2, 2, 4, 1, 0, 0, 130, 3, 0, 200, 4, 6, 2, 0})
 	f.Fuzz(func(t *testing.T, capacity uint16, lru bool, script []byte) {
 		run(t, min(int(capacity), MaxCap), Order(lru), script)

@@ -137,7 +137,8 @@ func (p *Proxy) MetricsInto(r *metrics.Registry) {
 
 // clientsTracked bounds the per-client token buckets, least recently seen
 // evicted first: the limiters' default. A spray of client addresses costs no
-// memory, and resets nobody's bucket but the idlest client's.
+// memory, and resets nobody's bucket but the idlest client's; a client whose
+// bucket is back at its burst gives its entry to the next new one.
 const clientsTracked = 4096
 
 // New validates cfg and creates a proxy (not yet started).

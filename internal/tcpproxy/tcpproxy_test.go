@@ -1,7 +1,9 @@
 package tcpproxy
 
 import (
+	"math"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -349,6 +351,13 @@ func TestProxyMaxConcurrent(t *testing.T) {
 // keeps its bucket, spent: only the idlest are evicted. The bound on the spray
 // is a count of allocations; the heap delta beside it moves with whatever
 // else the process is doing and is only logged.
+//
+// On a clock that moves, the spray comes at 4 000 clients a second: a
+// one-shot client's bucket is back at its burst 1 ÷ ConnRate = 20 ms after its
+// connection, and the next new client takes its entry, so the table writes
+// about the 80 entries of the clients seen within the last 20 ms. A client
+// busier than ConnRate is never back at its burst, keeps its entry and is
+// held to its rate.
 func TestClientSprayFootprint(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -391,4 +400,31 @@ func TestClientSprayFootprint(t *testing.T) {
 		t.Errorf("a never-seen client address allocates %.2f times, want 0: the table grew", allocs)
 	}
 	runtime.KeepAlive(p)
+
+	p, err = New(Config{Env: host, Listen: mustAP("192.0.2.1:53"), ANSAddr: mustAP("10.99.0.2:53")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perSec = 4000
+	step := time.Second / perSec
+	busyAllowed := 0
+	for i := 0; i < clients; i++ {
+		now := time.Duration(i) * step
+		if !p.buckets.Allow(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), now) {
+			t.Fatalf("client %d refused its first connection", i)
+		}
+		if i%10 == 0 && p.buckets.Allow(busy, now) { // 400 connections a second
+			busyAllowed++
+		}
+	}
+	written := int(reflect.ValueOf(&p.buckets).Elem().FieldByName("tab").Elem().FieldByName("used").Uint())
+	bound := int(math.Ceil(perSec/p.cfg.ConnRate)) + 8
+	spent := time.Duration(clients) * step
+	t.Logf("%d clients at %d/s: %d entries written; the busy client allowed %d of %d", clients, perSec, written, busyAllowed, clients/10)
+	if written > bound {
+		t.Errorf("%d clients at %d/s wrote %d entries, want <= %d", clients, perSec, written, bound)
+	}
+	if most := int(p.cfg.ConnBurst + p.cfg.ConnRate*spent.Seconds()); busyAllowed > most+1 {
+		t.Errorf("the busy client was allowed %d connections in %v, want <= %d: its bucket was recycled", busyAllowed, spent, most+1)
+	}
 }
