@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzWalkAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzRepackAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guard -run='^$$' -fuzz='^FuzzSpliceAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cookie -run='^$$' -fuzz='^FuzzMD5MatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srctab -run='^$$' -fuzz='^FuzzSrcTable$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ratelimit -run='^$$' -fuzz='^FuzzBucketsAgree$$' -fuzztime=$(FUZZTIME)
 
@@ -144,12 +145,13 @@ image-check:
 # syscall — no other target compiles: vet it for two such platforms, one of
 # them Linux, and build it for two more. Cross-compiling needs no network.
 # linux/386 also runs natively on an amd64 host, so the portable sockets run
-# the realnet tests there, the netapi conformance suite among them.
+# the realnet tests there, the netapi conformance suite among them, and the
+# cookie tests draw their keys from crypto/rand, the portable key source.
 portable-check:
 	GOOS=darwin GOARCH=arm64 CGO_ENABLED=0 $(GO) vet ./...
 	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) vet ./...
 	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) build ./...
-	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) test ./internal/realnet ./internal/netapi/...
+	GOOS=linux GOARCH=386 CGO_ENABLED=0 $(GO) test ./internal/realnet ./internal/netapi/... ./internal/cookie
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 

@@ -16,7 +16,9 @@ import (
 // amd64 and arm64, where realnet opens its sockets with syscall, it also
 // keeps out the net package, whose cgo resolver links libc and ld.so into a
 // default build (DESIGN.md §19): dnsguardd built as `go build` builds it
-// must be static.
+// must be static. There, too, it keeps out the FIPS 140-3 module that
+// crypto/md5 and crypto/rand import (the cookie MAC and its keys are
+// in-tree), all but the alias and subtle packages crypto/subtle needs.
 func TestImagePinned(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
@@ -26,7 +28,13 @@ func TestImagePinned(t *testing.T) {
 		switch pkg {
 		case "crypto/tls", "crypto/x509", "encoding/json", "mime", "compress/gzip":
 			return true
-		case "net", "runtime/cgo", "vendor/golang.org/x/net/dns/dnsmessage":
+		case "net", "runtime/cgo", "vendor/golang.org/x/net/dns/dnsmessage",
+			"crypto/md5", "crypto/rand", "math/big":
+			return native
+		case "crypto/internal/fips140/alias", "crypto/internal/fips140/subtle":
+			return false
+		}
+		if strings.HasPrefix(pkg, "crypto/internal/fips140") {
 			return native
 		}
 		return pkg == "net/http" || strings.HasPrefix(pkg, "net/http/") ||

@@ -5,9 +5,11 @@
 //
 // where key76 is a 76-byte secret held only by the guard and MAC is a
 // pluggable keyed hash (MACScheme). The default — and the paper's — scheme
-// is MD5 over key76 ‖ src_ip (76 + 4 = 80 bytes, MD5's minimum padded input
-// block in the paper's accounting); a SipHash-2-4 scheme is available for
-// deployments that want the verify cost below the per-packet syscall floor.
+// is MD5 over key76 ‖ src_ip (76 + 4 = 80 bytes, which MD5 pads to two
+// 64-byte blocks; the first is all key, so the ring absorbs it once per key
+// and a cookie costs the one block of the paper's accounting, md5.go); a
+// SipHash-2-4 scheme is available for deployments that want the verify cost
+// below the per-packet syscall floor.
 // The 16-byte value c is used three ways:
 //
 //   - the full 16 bytes travel in a TXT record for the modified-DNS scheme;
@@ -37,7 +39,6 @@
 package cookie
 
 import (
-	"crypto/rand"
 	"crypto/subtle"
 	"encoding/hex"
 	"errors"
@@ -70,13 +71,31 @@ type Cookie [Size]byte
 type ringState struct {
 	epoch uint64           // current key epoch; epoch-1 is still accepted
 	keys  [2][KeySize]byte // keys[epoch&1] is the key for that epoch parity
+	mid   [2][4]uint32     // mid[i] = md5Mid(&keys[i]), the key block absorbed
 	mac   MACScheme
+}
+
+// newRing builds a ring; every ring is built here, so a key's MD5 midstate
+// is always the key's.
+func newRing(epoch uint64, keys [2][KeySize]byte, mac MACScheme) *ringState {
+	r := &ringState{epoch: epoch, keys: keys, mac: mac}
+	for i := range keys {
+		r.mid[i] = md5Mid(&r.keys[i])
+	}
+	return r
+}
+
+// next is the ring with key installed as the following epoch.
+func (r *ringState) next(key [KeySize]byte) *ringState {
+	keys := r.keys
+	keys[(r.epoch+1)&1] = key
+	return newRing(r.epoch+1, keys, r.mac)
 }
 
 // zeroRing backs zero-value Authenticators and un-Reset BatchVerifiers: the
 // all-zero keyring under the default scheme, which no constructor ever
 // publishes, so nothing real verifies against it.
-var zeroRing = &ringState{mac: MD5}
+var zeroRing = newRing(0, [2][KeySize]byte{}, MD5)
 
 // compute mints the cookie for src under epoch e of the ring: the scheme's
 // MAC with the first bit overwritten by the epoch parity (§III-E). The
@@ -87,7 +106,7 @@ func (r *ringState) compute(e uint64, src netip.Addr) Cookie {
 	key := &r.keys[e&1]
 	switch r.mac.(type) {
 	case md5Scheme:
-		md5MAC(key, src, &c)
+		md5Finish(r.mid[e&1], key, src, &c)
 	case sipScheme:
 		sipMAC(key, src, &c)
 	default:
@@ -146,7 +165,7 @@ func (a *Authenticator) Epoch() uint64 { return a.snapshot().epoch }
 // the disk ring never lags the live one.
 func (a *Authenticator) Rotate() error {
 	var key [KeySize]byte
-	if _, err := rand.Read(key[:]); err != nil {
+	if err := readKey(&key); err != nil {
 		return fmt.Errorf("cookie: rotating key: %w", err)
 	}
 	a.mu.Lock()
@@ -154,9 +173,7 @@ func (a *Authenticator) Rotate() error {
 	if a.follow {
 		return ErrFollowHandle
 	}
-	cur := a.snapshot()
-	next := &ringState{epoch: cur.epoch + 1, keys: cur.keys, mac: cur.mac}
-	next.keys[next.epoch&1] = key
+	next := a.snapshot().next(key)
 	if a.bound != "" {
 		if err := writeKeyState(a.bound, next.state()); err != nil {
 			return fmt.Errorf("cookie: persisting rotation: %w", err)
@@ -171,10 +188,7 @@ func (a *Authenticator) Rotate() error {
 func (a *Authenticator) RotateWithKey(key [KeySize]byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cur := a.snapshot()
-	next := &ringState{epoch: cur.epoch + 1, keys: cur.keys, mac: cur.mac}
-	next.keys[next.epoch&1] = key
-	a.ring.Store(next)
+	a.ring.Store(a.snapshot().next(key))
 }
 
 // Mint returns the cookie for src under the current epoch.

@@ -67,6 +67,34 @@ func TestDifferentKeysDifferentCookies(t *testing.T) {
 	}
 }
 
+// TestFreshRingsNeverShareAKey draws keys from the platform's source —
+// getrandom(2) on the native build, crypto/rand elsewhere — through Open and
+// Rotate: no two fresh rings, and no rotation, may repeat a key.
+func TestFreshRingsNeverShareAKey(t *testing.T) {
+	seen := map[[KeySize]byte]bool{{}: true}
+	fresh := func(k [KeySize]byte) {
+		if seen[k] {
+			t.Fatalf("key %x drawn twice (or all zero)", k)
+		}
+		seen[k] = true
+	}
+	for i := 0; i < 8; i++ {
+		a, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := a.State()
+		if st.Keys[0] != st.Keys[1] {
+			t.Fatal("a fresh ring's two slots differ")
+		}
+		fresh(st.Keys[0])
+		if err := a.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		fresh(a.State().Keys[1])
+	}
+}
+
 func TestRotationAcceptsPreviousGeneration(t *testing.T) {
 	a := testAuth()
 	src := netip.MustParseAddr("192.0.2.55")

@@ -48,6 +48,56 @@ func TestRotatePersistFailureRollsBack(t *testing.T) {
 	}
 }
 
+// TestReloadReportsPersistFailure is Rotate's ordering contract for
+// Reload: when the adopted ring cannot be persisted, Reload returns the
+// error and the live ring stays as it was. The handle follows the owner's
+// file and is bound to a second one, so the read succeeds and the persist
+// fails for any user, root included.
+func TestReloadReportsPersistFailure(t *testing.T) {
+	dir := t.TempDir()
+	owned := filepath.Join(dir, "keyring")
+	owner, err := Open(Options{StateFile: owned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(Options{StateFile: owned, Follow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := filepath.Join(dir, "sub", "keyring")
+	if err := os.Mkdir(filepath.Dir(bound), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.BindStateFile(bound); err != nil {
+		t.Fatal(err)
+	}
+	c0 := a.Mint(crashSrc)
+	if err := owner.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Dir(bound)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reload(); err == nil {
+		t.Fatal("Reload succeeded with an unwritable state dir")
+	}
+	if a.Epoch() != 0 || a.Mint(crashSrc) != c0 || !a.Verify(crashSrc, c0) {
+		t.Fatalf("live ring changed despite the failed persist (epoch %d)", a.Epoch())
+	}
+
+	// A state behind the live ring is still ignored without error.
+	b, err := Open(Options{StateFile: owned, Follow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Adopt(KeyState{Epoch: 9}) {
+		t.Fatal("Adopt refused a newer epoch")
+	}
+	if err := b.Reload(); err != nil || b.Epoch() != 9 {
+		t.Fatalf("Reload of a stale state: err %v, epoch %d; want nil, 9", err, b.Epoch())
+	}
+}
+
 // TestCrashBetweenMainAndReplica kills the site after the main state file
 // committed epoch N+1 but before the .bak replica caught up (still at N).
 // The reopened ring must carry epoch N+1 (monotone) and still verify the

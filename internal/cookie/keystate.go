@@ -100,30 +100,40 @@ var ErrFollowHandle = errors.New("cookie: keyring follow handle cannot rotate; t
 // (reported as false) leaves the live ring untouched so the disk ring never
 // lags the live one.
 func (a *Authenticator) Adopt(st KeyState) bool {
+	ok, _ := a.adopt(st)
+	return ok
+}
+
+// adopt is Adopt that also says why a state was not installed: a nil error
+// with false is a stale epoch, an error is an unknown scheme or a failed
+// persist.
+func (a *Authenticator) adopt(st KeyState) (bool, error) {
 	mac, err := MACByName(st.Scheme)
 	if err != nil {
-		return false
+		return false, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if st.Epoch < a.snapshot().epoch {
-		return false
+		return false, nil
 	}
-	next := &ringState{epoch: st.Epoch, keys: st.Keys, mac: mac}
+	next := newRing(st.Epoch, st.Keys, mac)
 	if a.bound != "" {
 		if err := writeKeyState(a.bound, next.state()); err != nil {
-			return false
+			return false, fmt.Errorf("cookie: persisting adopted keyring: %w", err)
 		}
 	}
 	a.ring.Store(next)
-	return true
+	return true, nil
 }
 
 // Reload re-reads the state file the authenticator follows (Options.Follow)
 // or is bound to, and adopts it. The shared-file flavour of fleet key
 // distribution: the owner rotates and rewrites the file, followers poll
 // Reload. A state whose epoch is behind the live one is ignored without
-// error — the owner's write may simply not have landed yet.
+// error — the owner's write may simply not have landed yet. A bound
+// authenticator that cannot persist the adopted ring keeps its live ring
+// and returns the error.
 func (a *Authenticator) Reload() error {
 	a.mu.Lock()
 	path := a.source
@@ -138,8 +148,8 @@ func (a *Authenticator) Reload() error {
 	if err != nil {
 		return err
 	}
-	a.Adopt(st)
-	return nil
+	_, err = a.adopt(st)
+	return err
 }
 
 // ReadKeyState parses a keyring state file.

@@ -5,7 +5,6 @@ package cookie
 // Options value.
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"os"
@@ -97,13 +96,13 @@ func fresh(opts Options) (*Authenticator, error) {
 	var key [KeySize]byte
 	if opts.Key != nil {
 		key = *opts.Key
-	} else if _, err := rand.Read(key[:]); err != nil {
+	} else if err := readKey(&key); err != nil {
 		return nil, fmt.Errorf("cookie: generating key: %w", err)
 	}
 	a := &Authenticator{}
 	// Until the first rotation both slots hold the same key so epoch
 	// parity never rejects a fresh cookie.
-	a.ring.Store(&ringState{keys: [2][KeySize]byte{key, key}, mac: mac})
+	a.ring.Store(newRing(0, [2][KeySize]byte{key, key}, mac))
 	return a, nil
 }
 
@@ -122,7 +121,7 @@ func restore(st KeyState, fallback MACScheme) (*Authenticator, error) {
 		mac = MD5
 	}
 	a := &Authenticator{}
-	a.ring.Store(&ringState{epoch: st.Epoch, keys: st.Keys, mac: mac})
+	a.ring.Store(newRing(st.Epoch, st.Keys, mac))
 	return a, nil
 }
 

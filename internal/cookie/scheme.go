@@ -1,11 +1,11 @@
 package cookie
 
 // Pluggable cookie MAC schemes. The paper fixes the cookie MAC as MD5 over
-// key76 ‖ src_ip (§III-E's 80-byte single-block argument); MACScheme keeps
-// that computation the default while letting deployments swap in a cheaper
-// keyed hash. The guard's whole deployability case is that one verification
-// stays below the per-packet syscall cost, and on modern cores a short-input
-// SipHash beats MD5 by a wide margin — bench's cookie.verify_*_ns rows
+// key76 ‖ src_ip (§III-E); MACScheme keeps that computation the default
+// while letting deployments swap in a cheaper keyed hash. The guard's whole
+// deployability case is that one verification stays below the per-packet
+// syscall cost, and on modern cores a short-input SipHash beats MD5 by a
+// wide margin — bench's cookie.verify_*_ns rows
 // record both beside realnet.write_b1_ns, the measured syscall floor.
 //
 // A scheme computes the raw 16-byte MAC only. Epoch-parity stamping of the
@@ -13,7 +13,6 @@ package cookie
 // scheme composes with key rotation identically.
 
 import (
-	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -58,7 +57,8 @@ func MACByName(name string) (MACScheme, error) {
 }
 
 // srcBytes packs src the way every scheme hashes it: As4 for IPv4 and
-// 4-in-6 sources (the paper's 76+4 = 80-byte block), As16 otherwise.
+// 4-in-6 sources (the paper's 76+4 = 80-byte input, two MD5 blocks once
+// padded), As16 otherwise.
 func srcBytes(src netip.Addr, b *[16]byte) int {
 	if src.Is4() || src.Is4In6() {
 		a := src.As4()
@@ -73,17 +73,10 @@ type md5Scheme struct{}
 
 func (md5Scheme) Name() string { return "md5" }
 
-func (s md5Scheme) MAC(key *[KeySize]byte, src netip.Addr, c *Cookie) { md5MAC(key, src, c) }
-
-// md5MAC hashes key ‖ src into c over a stack buffer, producing exactly the
-// bytes of md5.Sum(key76 ‖ As4/As16(src)).
-func md5MAC(key *[KeySize]byte, src netip.Addr, c *Cookie) {
-	var buf [KeySize + 16]byte
-	copy(buf[:KeySize], key[:])
-	var sb [16]byte
-	n := KeySize + srcBytes(src, &sb)
-	copy(buf[KeySize:], sb[:])
-	*c = md5.Sum(buf[:n])
+// MAC runs both MD5 blocks: a ring keeps the first block's state per key
+// and finishes from it (md5.go).
+func (md5Scheme) MAC(key *[KeySize]byte, src netip.Addr, c *Cookie) {
+	md5Finish(md5Mid(key), key, src, c)
 }
 
 // sipScheme is SipHash-2-4-128.

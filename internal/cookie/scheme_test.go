@@ -44,6 +44,31 @@ func TestSipHash128Vectors(t *testing.T) {
 	}
 }
 
+// md5Ref is the paper's cookie computed by crypto/md5: MD5(key76 ‖ src_ip),
+// src packed As4 for IPv4 and 4-in-6 and As16 otherwise, with the first bit
+// overwritten by the epoch parity.
+func md5Ref(key [KeySize]byte, src netip.Addr, parity uint64) Cookie {
+	in := append([]byte(nil), key[:]...)
+	if src.Is4() || src.Is4In6() {
+		b := src.As4()
+		in = append(in, b[:]...)
+	} else {
+		b := src.As16()
+		in = append(in, b[:]...)
+	}
+	ref := md5.Sum(in)
+	ref[0] = ref[0]&0x7F | uint8(parity&1)<<7
+	return ref
+}
+
+// md5RefSources are the sources TestMD5SchemeMatchesReference checks and
+// FuzzMD5MatchesReference's corpus starts from.
+var md5RefSources = []netip.Addr{
+	netip.MustParseAddr("10.1.2.3"),
+	netip.MustParseAddr("192.0.2.250"),
+	netip.MustParseAddr("2001:db8::1234"),
+}
+
 // TestMD5SchemeMatchesReference checks the default scheme against the
 // paper's formula computed independently: c = MD5(key76 ‖ src_ip) with the
 // first bit overwritten by the epoch parity. This is the cross-check that
@@ -57,26 +82,78 @@ func TestMD5SchemeMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []netip.Addr{
-		netip.MustParseAddr("10.1.2.3"),
-		netip.MustParseAddr("192.0.2.250"),
-		netip.MustParseAddr("2001:db8::1234"),
-	} {
-		var in []byte
-		in = append(in, key[:]...)
-		if src.Is4() {
-			b := src.As4()
-			in = append(in, b[:]...)
-		} else {
-			b := src.As16()
-			in = append(in, b[:]...)
-		}
-		ref := md5.Sum(in)
-		ref[0] = ref[0] & 0x7F // epoch 0 parity
-		if got := a.Mint(src); got != Cookie(ref) {
+	for _, src := range md5RefSources {
+		if got, ref := a.Mint(src), md5Ref(key, src, 0); got != ref {
 			t.Errorf("Mint(%v) = %x, want reference MD5 %x", src, got, ref)
 		}
 	}
+}
+
+// FuzzMD5MatchesReference checks the in-tree MD5 against crypto/md5 for any
+// key and any IPv4, IPv6 or 4-in-6 source, on a ring built by each
+// constructor — Open with a key, Open from a state file, RotateWithKey and
+// Adopt — so a constructor that leaves a key's midstate stale or unset
+// fails. Both of a ring's key slots are checked: the current epoch's by
+// Mint, the previous epoch's by Verify. MD5.MAC, the two-block path for a
+// caller holding only a key, is checked too.
+func FuzzMD5MatchesReference(f *testing.F) {
+	key := make([]byte, KeySize)
+	for i := range key {
+		key[i] = byte(i * 3)
+	}
+	for _, src := range append(md5RefSources, netip.MustParseAddr("::ffff:10.1.2.3")) {
+		f.Add(key, src.AsSlice())
+	}
+	f.Fuzz(func(t *testing.T, keyIn, srcIn []byte) {
+		src, ok := netip.AddrFromSlice(srcIn)
+		if !ok {
+			t.Skip("not a 4- or 16-byte address")
+		}
+		var key, other [KeySize]byte
+		copy(key[:], keyIn)
+		for i := range other {
+			other[i] = ^key[i]
+		}
+		var c Cookie
+		MD5.MAC(&key, src, &c)
+		// md5Ref stamps a parity bit: give it the MAC's own first bit.
+		if want := md5Ref(key, src, uint64(c[0]>>7)); c != want {
+			t.Fatalf("MD5.MAC(%x, %v) = %x, want md5 %x", key, src, c, want)
+		}
+
+		path := filepath.Join(t.TempDir(), "keyring")
+		if err := writeKeyState(path, KeyState{Epoch: 3, Keys: [2][KeySize]byte{other, key}}); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := Open(Options{StateFile: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotated := keyed(other)
+		rotated.RotateWithKey(key)
+		adopted := keyed(other)
+		if !adopted.Adopt(KeyState{Epoch: 6, Keys: [2][KeySize]byte{key, other}}) {
+			t.Fatal("Adopt refused a newer epoch")
+		}
+		for name, a := range map[string]*Authenticator{
+			"Open(Key)":       keyed(key),
+			"Open(StateFile)": fromFile,
+			"RotateWithKey":   rotated,
+			"Adopt":           adopted,
+		} {
+			e := a.Epoch()
+			got, want := a.Mint(src), md5Ref(key, src, e)
+			if got != want {
+				t.Fatalf("%s: Mint(%v) = %x, want md5 %x", name, src, got, want)
+			}
+			if !a.Verify(src, got) {
+				t.Fatalf("%s: Verify(%v) refused its own cookie", name, src)
+			}
+			if e > 0 && !a.Verify(src, md5Ref(other, src, e-1)) {
+				t.Fatalf("%s: Verify(%v) refused the previous epoch's md5 cookie", name, src)
+			}
+		}
+	})
 }
 
 func TestMACByName(t *testing.T) {
