@@ -7,7 +7,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc loc-diff bench-check api-check state-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc loc-diff bench-check api-check state-check reach-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -113,6 +113,44 @@ state-check:
 	@! grep -nE 'map\[(uint16|netip\.Addr(Port)?|(srctab\.)?Key|\[16\]byte)\]' $$(ls internal/ratelimit/*.go \
 		internal/srctab/*.go internal/tcpproxy/*.go | grep -v '_test\.go$$')
 
+# No func or method of the guard, the engine or the metrics package exists
+# for tests alone: every main package — cmd/*, examples/* and the bench
+# module, which is only read — is built with inlining off and the linker's
+# dependency dump, and a non-test func or method none of them links fails the
+# gate. Type parameters are stripped (nsCred[go.shape.[]uint8] is nsCred), a
+# method counts with or without its pointer receiver, and the funcdata
+# symbols the linker shares between functions (.arginfo1, .stkobj, ...) do
+# not count as links. REACH_TESTONLY is what only tests may call; an entry
+# that a program links, or that names nothing, fails the gate too.
+#   Remote.BreakerState, LifecycleStats, Engine.StatsAll, ShardTripped,
+#   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get: what a test
+#   reads of a guard, an engine or a registry without a scrape;
+#   Remote.Resume: undoes Drain, for the lifecycle tests.
+REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.LifecycleStats guard.Remote.Resume \
+	engine.Engine.StatsAll engine.Engine.ShardTripped engine.Engine.Quarantined \
+	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get
+
+reach-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.Dir}}{{end}}' ./cmd/... ./examples/...) bench; do \
+		$(GO) -C "$$p" build -gcflags=all=-l -ldflags=-dumpdep -o /dev/null . 2>"$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+		cat "$$dir/out" >> "$$dir/dep"; \
+	done && \
+	awk -v allow="$(REACH_TESTONLY)" ' \
+		function norm(s) { while (match(s, /\[[^][]*\]/)) s = substr(s, 1, RSTART - 1) substr(s, RSTART + RLENGTH); gsub(/[(*)]/, "", s); return s } \
+		BEGIN { n = split(allow, a, " "); for (i = 1; i <= n; i++) ok["dnsguard/internal/" a[i]] = 1 } \
+		FNR == NR { n = split($$0, a, / -> /); for (i = 1; i <= n; i++) \
+			if (a[i] ~ /^dnsguard\/internal\// && a[i] !~ /\.(arginfo[0-9]*|argliveinfo|stkobj|opendefer|args_stackmap|wrapinfo)$$/) { \
+				s = norm(a[i]); sub(/-fm$$/, "", s); while (!(s in seen)) { seen[s] = 1; if (!sub(/\.[^.\/]*$$/, "", s)) break } } \
+			next } \
+		/^func / { p = FILENAME; sub(/\/[^\/]*$$/, "", p); sub(/.*\//, "", p); l = substr($$0, 6); r = ""; \
+			if (l ~ /^\(/) { r = substr(l, 2, index(l, ")") - 2); sub(/.* /, "", r); r = norm(r) "."; l = substr(l, index(l, ")") + 2) } \
+			sub(/[[(].*/, "", l); if (l == "init" || l == "_") next; d = "dnsguard/internal/" p "." r l; declared[d] = 1; \
+			if (d in ok) { if (d in seen) { print "reach-check: " d " is linked; drop it from REACH_TESTONLY"; bad = 1 } } \
+			else if (!(d in seen)) { print "reach-check: " d " is linked by no program"; bad = 1 } } \
+		END { for (d in ok) if (!(d in declared)) { print "reach-check: REACH_TESTONLY names " d ", which is not declared"; bad = 1 }; exit bad }' \
+		"$$dir/dep" $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/guard ./internal/engine ./internal/metrics)
+
 # Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
 # budget"): each one's size as bench/rig builds it, its dependency count,
 # `static` or the ELF interpreter it asks for, and its ten largest packages
@@ -155,7 +193,7 @@ portable-check:
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 
-check: vet race bench-check api-check state-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+check: vet race bench-check api-check state-check reach-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

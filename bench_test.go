@@ -303,17 +303,8 @@ func BenchmarkGuardPipeline_CookieQuery(b *testing.B) {
 }
 
 // --- Micro-benchmarks: metrics primitives ------------------------------------
-// The registry sits on every daemon's hot path (atomic adds inline, Func
-// adapters only at scrape time); these bound the per-event cost.
-
-func BenchmarkMetricsCounterInc(b *testing.B) {
-	r := metrics.NewRegistry()
-	c := r.Counter("bench_counter")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
+// A histogram observation sits on the hot path (Func adapters run only at
+// scrape time); this bounds its per-event cost.
 
 func BenchmarkMetricsHistogramObserve(b *testing.B) {
 	h := metrics.NewHistogram()

@@ -73,7 +73,6 @@ func run() error {
 	ansFallback := flag.String("ans-fallback", "", "comma-separated secondary ANS addresses, tried in order when the primary's breaker opens")
 	overload := flag.String("overload-policy", "drop", "when a shard trips, or every upstream's breaker is open (breakers run only with -ans-fallback): drop (fail-closed) or pass (fail-open)")
 	mitigate := flag.Bool("mitigate", false, "run the layered auto-mitigation selector (overrides -threshold while escalated)")
-	mitigateInterval := flag.Duration("mitigate-interval", 0, "selector sampling interval (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain SIGTERM triggers (0 = exit without draining)")
 	flag.Parse()
 
@@ -188,10 +187,7 @@ func run() error {
 		Auth:                auth,
 		KeyRotation:         *keyRotate,
 		ActivationThreshold: *threshold,
-		Mitigation: dnsguard.MitigationConfig{
-			Enabled:  *mitigate,
-			Interval: *mitigateInterval,
-		},
+		Mitigation:          dnsguard.MitigationConfig{Enabled: *mitigate},
 	})
 	if err != nil {
 		return err

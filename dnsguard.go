@@ -272,16 +272,6 @@ type MitigationStats = guard.MitigationStats
 // (*RemoteGuard).Mitigation.
 type MitigationState = guard.MitigationState
 
-// LocalGuardConfig configures the LRS-side guard.
-type LocalGuardConfig = guard.LocalConfig
-
-// LocalGuard is the LRS-side guard for the modified-DNS scheme: it stamps
-// outgoing queries with cached cookies, transparently to the LRS.
-type LocalGuard = guard.Local
-
-// NewLocalGuard creates an LRS-side guard; call Start to run it.
-func NewLocalGuard(cfg LocalGuardConfig) (*LocalGuard, error) { return guard.NewLocal(cfg) }
-
 // PacketIO is the guard's packet capture interface. A simulated host's tap
 // (SimHost.OpenTap) is one as it is; a real socket is one through SocketIO.
 type PacketIO = guard.PacketIO

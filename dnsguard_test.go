@@ -62,31 +62,9 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The LRS sits behind the LRS-side guard of the modified-DNS scheme
-	// (§III-D): its gateway outbound, the claimant of its address inbound, so
-	// the resolver's queries reach the remote guard carrying a cookie.
+	// The LRS asks the guard directly: the DNS scheme's fabricated NS name,
+	// then the IP cookie under Subnet, admit it (§III-B).
 	lrsHost := sim.AddHost("lrs", netip.MustParseAddr("10.0.0.53"))
-	lgHost := sim.AddHost("local-guard", netip.MustParseAddr("10.0.0.254"))
-	lrsHost.SetGateway(lgHost)
-	lgHost.ClaimAddr(lrsHost.Addr())
-	lgTap, err := lgHost.OpenTap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLocalGuard(LocalGuardConfig{
-		Env:        lgHost,
-		IO:         lgTap,
-		ClientAddr: lrsHost.Addr(),
-		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
-			return lgHost.InjectTo(lrsHost, src, dst, payload)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Start(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := NewResolver(ResolverConfig{
 		Env:       lrsHost,
 		RootHints: []netip.AddrPort{netip.MustParseAddrPort("192.0.2.1:53")},
@@ -140,11 +118,8 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 	})
 	sched.Run(time.Minute)
 
-	if g.Stats.CookieValid == 0 || srv.Stats.UDPQueries == 0 {
+	if g.Stats.NewcomerGrants == 0 || g.Stats.CookieValid == 0 || srv.Stats.UDPQueries == 0 {
 		t.Fatalf("guard=%+v ans=%+v", g.Stats, srv.Stats)
-	}
-	if lg.Stats.CookiesLearned != 1 || lg.Stats.Stamped == 0 || lg.Stats.Delivered == 0 {
-		t.Fatalf("local guard=%+v, want one cookie learned, queries stamped, replies delivered", lg.Stats)
 	}
 }
 

@@ -968,15 +968,8 @@ func TestSourceStateRecycles(t *testing.T) {
 //	RL2      4096 × 72 + 8192 × 4   = 320 KiB
 //
 // 512 KiB a shard, with each table's list sentinel, and no table in the
-// engine: Rate-Limiter2's records are the shard's verified sources. Then the
-// LRS-side guard's two tables:
-//
-//	servers   4096 × 56 + 8192 × 4  = 256 KiB
-//	exchanges 64 × 64               =   4 KiB
-//
-// 260 KiB, and the copies of the queries an exchange in flight holds: at most
-// maxHeld of at most MaxDatagram bytes each, let go when the exchange ends.
-// Last, a shard's receive slabs (recvSlab) at Batch 32:
+// engine: Rate-Limiter2's records are the shard's verified sources. Then a
+// shard's receive slabs (recvSlab) at Batch 32:
 //
 //	heads     32 × 512, one after another = 16 KiB
 //	spills    32 × 4097                   = 128 KiB, touched by long datagrams
@@ -1010,26 +1003,6 @@ func TestStateBudget(t *testing.T) {
 	}
 	if tab := reflect.ValueOf(h.g.eng).Elem().FieldByName("shards").Index(0).Elem().FieldByName("verified").FieldByName("tab"); !tab.IsNil() {
 		t.Error("the engine built a verified-source table for the guard")
-	}
-
-	l, err := NewLocal(LocalConfig{Env: h.g.cfg.Env, IO: &sinkIO{}, ClientAddr: mustAddr("10.0.0.53"),
-		Deliver: func(src, dst netip.AddrPort, payload []byte) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers := field(reflect.ValueOf(l), "servers")
-	entries, index := field(servers, "entries"), field(servers, "index")
-	entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
-	if entry != 56 || slot != 4 || entries.Len() != 4097 || index.Len() != 8192 {
-		t.Errorf("servers: %d entries of %d bytes and %d index slots of %d, want 4097 of 56 and 8192 of 4",
-			entries.Len(), entry, index.Len(), slot)
-	}
-	exchanges := field(reflect.ValueOf(l), "exchanges")
-	if size := int(exchanges.Type().Elem().Size()); size != 64 || exchanges.Len() != 64 {
-		t.Errorf("exchanges: %d of %d bytes, want 64 of 64", exchanges.Len(), size)
-	}
-	if total := entries.Len()*entry + index.Len()*slot + int(exchanges.Type().Size()); total>>10 != 260 {
-		t.Errorf("the LRS-side guard's tables hold %d KiB, want 260", total>>10)
 	}
 
 	slab, heads := recvSlab(32), 0

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"errors"
+	"math"
 	"net/netip"
 	"strings"
 	"testing"
@@ -98,6 +99,22 @@ func TestRemoteConfigRefusesNegativeThreshold(t *testing.T) {
 	cfg.ActivationThreshold = -1
 	if _, err := NewRemote(cfg); err == nil {
 		t.Fatal("NewRemote accepted ActivationThreshold -1")
+	}
+}
+
+// A NaN or +Inf activation threshold is refused, naming the value. Both
+// passed the negative check, and both turned detection off for good: no rate
+// r makes r > NaN or r > +Inf true, so Active never became true.
+func TestRemoteConfigRefusesNonFiniteThreshold(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		name string
+	}{{math.NaN(), "NaN"}, {math.Inf(1), "+Inf"}} {
+		cfg := minimalRemoteConfig(realnet.New(), newChanIO())
+		cfg.ActivationThreshold = c.v
+		if _, err := NewRemote(cfg); err == nil || !strings.Contains(err.Error(), "ActivationThreshold "+c.name) {
+			t.Errorf("NewRemote(ActivationThreshold %v) = %v, want an error naming %s", c.v, err, c.name)
+		}
 	}
 }
 

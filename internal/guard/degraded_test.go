@@ -66,9 +66,12 @@ type degradedFixture struct {
 	lrs      *netsim.Host
 	attacker *netsim.Host
 	res      *resolver.Resolver
+	// lookup is the legitimate requester: tries attempts at www.foo.com,
+	// nil when one of them is answered with its address.
+	lookup func(tries int) error
 
 	// wanPeers are the client-side hosts whose link to the guard crosses
-	// the hostile WAN (the LRS itself, or its local guard).
+	// the hostile WAN.
 	wanPeers  []*netsim.Host
 	guardHost *netsim.Host
 }
@@ -142,7 +145,7 @@ func newDegradedDNS(t *testing.T, seed int64) *degradedFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.res = res
+	f.res, f.lookup = res, f.resolveUnderFaults
 	f.attacker = network.AddHost("attacker", mustAddr("203.0.113.66"))
 	return f
 }
@@ -223,15 +226,15 @@ func newDegradedTCP(t *testing.T, seed int64) *degradedFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.res = res
+	f.res, f.lookup = res, f.resolveUnderFaults
 	f.attacker = network.AddHost("attacker", mustAddr("203.0.113.66"))
 	return f
 }
 
-// newDegradedModified builds the full Figure 3 deployment: LRS behind a
-// local guard stamping modified-DNS cookies, remote guard in front of the
-// ANS (with the DNS scheme, subnet included, as the newcomer fallback so a
-// timed-out exchange still has a working path).
+// newDegradedModified builds the modified-DNS deployment of Figure 3: the
+// remote guard in front of the ANS, with the DNS scheme (subnet included) as
+// the fallback for queries that carry no cookie, and a requester on the LRS
+// host running the scheme's other half.
 func newDegradedModified(t *testing.T, seed int64) *degradedFixture {
 	t.Helper()
 	sched := vclock.New(seed)
@@ -277,41 +280,12 @@ func newDegradedModified(t *testing.T, seed int64) *degradedFixture {
 	f.guard = g
 
 	f.lrs = network.AddHost("lrs", mustAddr("10.0.0.53"))
-	lgHost := network.AddHost("local-guard", mustAddr("10.0.0.254"))
-	network.SetLatency(f.lrs, lgHost, 50*time.Microsecond)
-	f.lrs.SetGateway(lgHost)
-	lgHost.ClaimAddr(f.lrs.Addr())
-	lgTap, err := lgHost.OpenTap()
-	if err != nil {
-		t.Fatal(err)
+	f.wanPeers = []*netsim.Host{f.lrs}
+	r := newRequester(t, f)
+	f.lookup = func(tries int) error {
+		_, err := r.lookup(dnswire.MustName("www.foo.com"), mustAddr("198.51.100.10"), tries)
+		return err
 	}
-	lg, err := NewLocal(LocalConfig{
-		Env:        lgHost,
-		IO:         lgTap,
-		ClientAddr: f.lrs.Addr(),
-		Deliver: func(src, dst netip.AddrPort, payload []byte) error {
-			return lgHost.InjectTo(f.lrs, src, dst, payload)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	f.wanPeers = []*netsim.Host{lgHost}
-	res, err := resolver.New(resolver.Config{
-		Env:       f.lrs,
-		RootHints: []netip.AddrPort{mustAP("192.0.2.1:53")},
-		Timeout:   500 * time.Millisecond,
-		Retries:   6,
-		Backoff:   100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.res = res
 	f.attacker = network.AddHost("attacker", mustAddr("203.0.113.66"))
 	return f
 }
@@ -361,8 +335,8 @@ func runDegraded(t *testing.T, f *degradedFixture, pol netsim.Faults, fwdOnly bo
 		if got := f.fooNS.Stats.UDPQueries; got != 0 {
 			t.Errorf("ANS saw %d UDP queries from a purely spoofed flood, want 0 (guard %+v)", got, f.guard.Stats)
 		}
-		if err := f.resolveUnderFaults(3); err != nil {
-			t.Errorf("legit resolution failed under faults: %v (resolver %+v guard %+v)", err, f.res.Stats, f.guard.Stats)
+		if err := f.lookup(3); err != nil {
+			t.Errorf("legit resolution failed under faults: %v (guard %+v)", err, f.guard.Stats)
 		}
 	})
 	f.sched.Run(30 * time.Minute)
@@ -390,7 +364,11 @@ func TestDegradedTCPScheme(t *testing.T) {
 func TestDegradedModifiedScheme(t *testing.T) {
 	for i, fc := range faultClasses {
 		t.Run(fc.name, func(t *testing.T) {
-			runDegraded(t, newDegradedModified(t, 3000+int64(i)), fc.f, fc.fwdOnly)
+			f := newDegradedModified(t, 3000+int64(i))
+			runDegraded(t, f, fc.f, fc.fwdOnly)
+			if f.guard.Stats.NewcomerGrants == 0 || f.guard.Stats.CookieValid == 0 {
+				t.Errorf("no cookie granted and verified — the modified path was not taken (guard %+v)", f.guard.Stats)
+			}
 		})
 	}
 }

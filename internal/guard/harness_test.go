@@ -179,7 +179,7 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 	own, other := txtRR(h.g.cfg.Auth.Mint(src.Addr())), txtRR(h.g.cfg.Auth.Mint(mustAddr("10.66.0.1")))
 	// Every query is built before anything is counted. The ANS answers a
 	// forward's question and leaves its OPTs out: an empty NXDOMAIN, or for a
-	// verified request relayed as it is (pendDirect) a referral.
+	// verified request relayed as it is (pendRelay) a referral.
 	resp := make([]byte, 0, dnswire.MaxUDPSize)
 	answeredWith := func(answer func(dst, fwd []byte) []byte, wire []byte) func() {
 		return func() {

@@ -23,10 +23,9 @@ import (
 type pendKind uint8
 
 const (
-	pendPassthrough pendKind = iota + 1
-	pendChild                // rewritten cookie query (message 4); answer fabricates message 6
-	pendDirect               // verified request relayed as-is (messages 5/8)
-	pendProbe                // guard-minted half-open health probe; consumed internally
+	pendRelay pendKind = iota + 1 // passthrough or verified request (messages 5/8); answer relayed whole
+	pendChild                     // rewritten cookie query (message 4); answer fabricates message 6
+	pendProbe                     // guard-minted half-open health probe; consumed internally
 )
 
 // pendEntry is one in-flight upstream query. qwire and fwdWire are buffers the
@@ -380,7 +379,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// closed the breaker. Nothing to relay.
 	case entry.kind == pendChild:
 		s.spliceChild(entry, v, glue)
-	default: // pendPassthrough, pendDirect: relayed whole under the client's ID
+	default: // pendRelay: relayed whole under the client's ID
 		wire, _ := v.RepackAs(s.upBuf[:0], entry.origID, v.RawFlags()&^flagsZMask, v.QuestionWire(), nil, dnswire.MaxUDPSize)
 		s.replyWire(entry.replyFrom, entry.clientSrc, wire)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,8 @@ func (c *RemoteConfig) resolve() error {
 		return errors.New("guard: PublicAddr and ANSAddr are required")
 	case c.ActivationThreshold < 0:
 		return fmt.Errorf("guard: negative ActivationThreshold %v (0 means always on)", c.ActivationThreshold)
+	case math.IsNaN(c.ActivationThreshold) || math.IsInf(c.ActivationThreshold, 0):
+		return fmt.Errorf("guard: ActivationThreshold %v is not a rate: no input rate exceeds it", c.ActivationThreshold)
 	case c.RL1.TrackedSources > srctab.MaxCap:
 		return fmt.Errorf("guard: RL1.TrackedSources %d over srctab.MaxCap %d", c.RL1.TrackedSources, srctab.MaxCap)
 	case c.RL2.TrackedSources > srctab.MaxCap:
@@ -716,7 +719,7 @@ func (s *remoteShard) passthrough(pkt Packet) {
 		return
 	}
 	atomic.AddUint64(&g.Stats.Passthrough, 1)
-	s.forward(pendEntry{kind: pendPassthrough, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
+	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
 }
 
 // handleNewcomer boots a cookie-less requester per the fallback scheme. q is
@@ -916,7 +919,7 @@ func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
 	if !s.admit(pkt, append(append(s.credBuf[:0], "ip:"...), dst16[:]...)) {
 		return
 	}
-	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(v.QuestionWire(), 0), nil)
+	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(v.QuestionWire(), 0), nil)
 }
 
 // grantCookie answers message 2, a query whose cookie record holds the zero
@@ -956,5 +959,5 @@ func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
 	g.charge(g.cfg.Costs.Rewrite)
 	wire, _ := v.RepackAs(s.wireBuf[:0], v.ID(), v.RawFlags()&^flagsZMask, v.QuestionWire(),
 		func(r dnswire.Record) bool { return r.Off != ck.off }, dnswire.MaxUDPSize)
-	s.forward(pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
+	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
 }

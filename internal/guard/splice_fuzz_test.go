@@ -106,7 +106,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
 	stripCookie(&fwd)
-	oracleForward(s, pendEntry{kind: pendDirect, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
+	oracleForward(s, pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: msg.ID}, &fwd)
 }
 
 // oracleIngress is handle for a datagram to the public address of an active

@@ -10,10 +10,10 @@
 // TCP redirect (truncation flag; the TCP proxy itself is
 // internal/tcpproxy), and the modified-DNS explicit cookie extension.
 //
-// Local is the guard deployed in front of a local recursive server (LRS)
-// for the modified-DNS scheme: it stamps outgoing queries with cached
-// cookies, performs the cookie exchange on first contact, and is invisible
-// to the LRS.
+// The modified scheme's other half, beside the local recursive server (LRS),
+// is not a product here: AttachCookie and FindCookie are what a requester
+// needs to run the cookie exchange and stamp its queries, and the simulated
+// requester in internal/workload does so.
 package guard
 
 import (

@@ -12,11 +12,11 @@ import (
 
 // TestGuardSpeaksWireOnly keeps the remote guard's packet path on one reader
 // and one writer of DNS: the view and record walk read, the re-encoder and
-// the splices write. No non-test file but local.go, the modified-DNS guard in
-// front of a resolver, and wire.go, the cookie record's codec helpers that it
-// and the tools share, names the Message codec — Unpack, UnpackQuestion,
-// NewQuery, NewRR, Message, Pack or PackUDP — and none imports the resolver,
-// whose cache held the answers the guard now keeps as wire.
+// the splices write. No non-test file but wire.go, the cookie record's codec
+// helpers that requesters and the tools use, names the Message codec —
+// Unpack, UnpackQuestion, NewQuery, NewRR, Message, Pack or PackUDP — and none
+// imports the resolver, whose cache held the answers the guard now keeps as
+// wire.
 func TestGuardSpeaksWireOnly(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -37,7 +37,7 @@ func TestGuardSpeaksWireOnly(t *testing.T) {
 				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
 			}
 		}
-		if path == "local.go" || path == "wire.go" {
+		if path == "wire.go" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -13,7 +13,7 @@ import (
 // endpoints stay mounted alongside them.
 func TestHealthHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("probe_series").Add(3)
+	r.Func("probe_series", constant(3))
 	healthy := true
 	reason := errors.New("keyring epoch 2 behind fleet epoch 3")
 	ready := false

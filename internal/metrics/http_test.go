@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func raw(t *testing.T, addr netip.AddrPort, req string) string {
 
 func TestResponderConformance(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("guard_remote_received").Add(9)
+	r.Func("guard_remote_received", constant(9))
 	r.Func("ratio", math.NaN)
 	notReady := errors.New("keyring epoch 2 behind fleet epoch 3")
 	probes := 0
@@ -172,7 +173,8 @@ func TestResponderConformance(t *testing.T) {
 // far fewer than maxConns, they are left alone and answered when used.
 func TestResponderSequentialAndConcurrentGets(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits")
+	var hits atomic.Uint64
+	r.FuncUint("hits", hits.Load)
 	ln, err := ServeHealth("127.0.0.1:0", r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +188,7 @@ func TestResponderSequentialAndConcurrentGets(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				c.Inc()
+				hits.Add(1)
 				resp, err := client.Get("http://" + ln.Addr().String() + "/debug/vars")
 				if err != nil {
 					t.Error(err)

@@ -34,8 +34,8 @@ func MergeHistogram(dst, src *Histogram) error {
 	return nil
 }
 
-// Merged snapshots every registry and combines same-named series: counters,
-// gauges, and func adapters sum their values; histograms merge bucket-wise
+// Merged snapshots every registry and combines same-named series: Func
+// adapters sum their values; histograms merge bucket-wise
 // first and then emit their derived series (_count/_sum_ns/quantiles/_le_*),
 // so the merged quantiles are computed over the combined distribution rather
 // than averaged per-registry. The result is sorted by name.

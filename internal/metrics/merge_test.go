@@ -17,14 +17,25 @@ func mergedValue(t *testing.T, samples []Sample, name string) float64 {
 	return 0
 }
 
+// constant is a Func reading v.
+func constant(v float64) func() float64 { return func() float64 { return v } }
+
+// observed is a histogram registered on r under name, holding one
+// observation of d.
+func observed(r *Registry, name string, d time.Duration) {
+	h := NewHistogram()
+	r.RegisterHistogram(name, h)
+	h.Observe(d)
+}
+
 func TestMergedSumsCounters(t *testing.T) {
 	a, b, c := NewRegistry(), NewRegistry(), NewRegistry()
-	a.Counter("received").Add(10)
-	b.Counter("received").Add(32)
-	c.Counter("received").Add(0)
-	a.Counter("only_a").Add(7)
-	b.Gauge("depth").Set(4)
-	c.Gauge("depth").Set(-1)
+	a.Func("received", constant(10))
+	b.Func("received", constant(32))
+	c.Func("received", constant(0))
+	a.Func("only_a", constant(7))
+	b.Func("depth", constant(4))
+	c.Func("depth", constant(-1))
 	a.FuncUint("handled", func() uint64 { return 5 })
 	b.FuncUint("handled", func() uint64 { return 6 })
 
@@ -36,7 +47,7 @@ func TestMergedSumsCounters(t *testing.T) {
 		t.Errorf("only_a = %v, want 7", got)
 	}
 	if got := mergedValue(t, m, "depth"); got != 3 {
-		t.Errorf("depth = %v, want 3 (gauges sum)", got)
+		t.Errorf("depth = %v, want 3 (negative values sum too)", got)
 	}
 	if got := mergedValue(t, m, "handled"); got != 11 {
 		t.Errorf("handled = %v, want 11", got)
@@ -51,7 +62,9 @@ func TestMergedSumsCounters(t *testing.T) {
 
 func TestMergedHistogramsCombineDistributions(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	ha, hb := a.Histogram("wait"), b.Histogram("wait")
+	ha, hb := NewHistogram(), NewHistogram()
+	a.RegisterHistogram("wait", ha)
+	b.RegisterHistogram("wait", hb)
 	// 90 fast observations in one registry, 10 slow in the other: the merged
 	// p99 must land in the slow region, which per-registry averaging of
 	// quantiles could never produce.
@@ -101,11 +114,11 @@ func TestMergeHistogramBoundsMismatch(t *testing.T) {
 
 func TestMergedPanicsOnMixedKinds(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("x").Inc()
-	b.Histogram("x").Observe(time.Microsecond)
+	a.Func("x", constant(1))
+	observed(b, "x", time.Microsecond)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Merged did not panic on counter/histogram kind clash")
+			t.Fatal("Merged did not panic on scalar/histogram kind clash")
 		}
 	}()
 	Merged(a, b)
@@ -113,13 +126,14 @@ func TestMergedPanicsOnMixedKinds(t *testing.T) {
 
 func TestMergedInto(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("guard_remote_received").Add(3)
-	b.Counter("guard_remote_received").Add(4)
-	a.Histogram("guard_wait").Observe(time.Microsecond)
-	b.Histogram("guard_wait").Observe(time.Microsecond)
+	received := 3.0
+	a.Func("guard_remote_received", func() float64 { return received })
+	b.Func("guard_remote_received", constant(4))
+	observed(a, "guard_wait", time.Microsecond)
+	observed(b, "guard_wait", time.Microsecond)
 
 	top := NewRegistry()
-	top.Counter("fleet_sites").Add(2)
+	top.Func("fleet_sites", constant(2))
 	MergedInto(top, "fleet_", a, b)
 
 	var sb strings.Builder
@@ -137,7 +151,7 @@ func TestMergedInto(t *testing.T) {
 		}
 	}
 	// The roll-up is live: source registries keep moving after registration.
-	a.Counter("guard_remote_received").Add(10)
+	received += 10
 	if v, ok := top.Get("fleet_guard_remote_received"); !ok || v != 17 {
 		t.Errorf("live roll-up = %v (ok=%v), want 17", v, ok)
 	}

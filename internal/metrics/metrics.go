@@ -1,5 +1,5 @@
 // Package metrics is the guard-wide observability substrate: a
-// dependency-free registry of atomic counters, gauges, and fixed-bucket
+// dependency-free registry of read-only series adapters and fixed-bucket
 // latency histograms with deterministic snapshot and export.
 //
 // The paper's entire evaluation (Tables I–III, Figures 5–7) is expressed in
@@ -9,14 +9,16 @@
 // spoof measurement) triggers every mitigation layer off live measurement.
 // This package gives every component one substrate for those numbers:
 //
-//   - Counter and Gauge are lock-free atomics usable from any goroutine,
-//     including the guard's capture and upstream loops under real clocks;
+//   - the counts stay where the code that makes them keeps them, in stats
+//     structs of atomically written fields: Func and FuncUint register a
+//     closure that reads one at snapshot time, and RegisterUint64Fields
+//     registers every uint64 field of a struct that way;
 //   - Histogram buckets latencies into log-spaced bins spanning the paper's
-//     µs-to-s range and reports quantiles by interpolation;
-//   - Registry names metrics, accepts read-only snapshot adapters for
-//     pre-existing stats structs (so their exported fields keep working),
-//     and exports everything as sorted expvar-style "name value" text or
-//     JSON — deterministic output for tests and diffable scrapes.
+//     µs-to-s range and reports quantiles by interpolation; its owner
+//     observes into it and attaches it with RegisterHistogram;
+//   - Registry names those series and exports everything as sorted
+//     expvar-style "name value" text or JSON — deterministic output for
+//     tests and diffable scrapes.
 //
 // Naming convention: lower_snake_case, prefixed by component
 // ("guard_remote_", "resolver_", "tcpproxy_", ...); histogram-derived
@@ -31,40 +33,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
-
-// Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use; share it by pointer (it must not be copied after first use).
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value (e.g. live connections, table
-// sizes). The zero value is ready to use; share it by pointer.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reports the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Sample is one exported series value at snapshot time.
 type Sample struct {
@@ -77,14 +48,6 @@ type metric interface {
 	sample(name string, emit func(Sample))
 }
 
-func (c *Counter) sample(name string, emit func(Sample)) {
-	emit(Sample{name, float64(c.Value())})
-}
-
-func (g *Gauge) sample(name string, emit func(Sample)) {
-	emit(Sample{name, float64(g.Value())})
-}
-
 // funcMetric adapts a read-only closure — the snapshot adapter used to
 // export pre-existing stats struct fields without migrating their type.
 type funcMetric func() float64
@@ -94,8 +57,7 @@ func (f funcMetric) sample(name string, emit func(Sample)) {
 }
 
 // Registry is a named set of metrics. All methods are safe for concurrent
-// use; getters create on first use and return the existing metric (of the
-// same kind) thereafter.
+// use; registering a name twice panics.
 type Registry struct {
 	mu sync.RWMutex
 	m  map[string]metric
@@ -104,26 +66,6 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{m: make(map[string]metric)}
-}
-
-// Counter returns the counter registered under name, creating it if needed.
-// Panics if name is already registered as a different kind.
-func (r *Registry) Counter(name string) *Counter {
-	c, _ := lookupOrCreate(r, name, func() *Counter { return &Counter{} })
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, _ := lookupOrCreate(r, name, func() *Gauge { return &Gauge{} })
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the default log-spaced latency buckets (1 µs … ~17 s) if needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	h, _ := lookupOrCreate(r, name, NewHistogram)
-	return h
 }
 
 // RegisterHistogram attaches a caller-owned histogram under name, so
@@ -156,33 +98,9 @@ func (r *Registry) FuncUint(name string, fn func() uint64) {
 	r.Func(name, func() float64 { return float64(fn()) })
 }
 
-// lookupOrCreate returns the metric under name, creating it with mk when
-// absent. It panics when name holds a metric of a different concrete type.
-func lookupOrCreate[M metric](r *Registry, name string, mk func() M) (M, bool) {
-	r.mu.RLock()
-	existing, ok := r.m[name]
-	r.mu.RUnlock()
-	if !ok {
-		r.mu.Lock()
-		existing, ok = r.m[name]
-		if !ok {
-			m := mk()
-			r.m[name] = m
-			r.mu.Unlock()
-			return m, true
-		}
-		r.mu.Unlock()
-	}
-	m, ok := existing.(M)
-	if !ok {
-		panic(fmt.Sprintf("metrics: %q already registered as %T", name, existing))
-	}
-	return m, false
-}
-
 // Snapshot returns every sample, sorted by name — deterministic for a given
-// set of metric values. Counters and gauges are read atomically; Func
-// adapters are invoked.
+// set of metric values. Func adapters are invoked; histograms expand to
+// their derived series.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.m))

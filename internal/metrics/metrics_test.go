@@ -9,38 +9,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("guard_received")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if again := r.Counter("guard_received"); again != c {
-		t.Fatalf("second Counter() returned a different instance")
-	}
-	g := r.Gauge("tcpproxy_live")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
-}
-
+// A name holds one series: a Func under a histogram's name panics.
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	r.RegisterHistogram("x", NewHistogram())
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("Gauge(\"x\") after Counter(\"x\") did not panic")
+			t.Fatalf("Func(\"x\") after RegisterHistogram(\"x\") did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.Func("x", constant(0))
 }
 
 func TestFuncAdapter(t *testing.T) {
@@ -57,9 +40,13 @@ func TestFuncAdapter(t *testing.T) {
 }
 
 // TestConcurrentIncrements is the -race workhorse: many goroutines hammer
-// the same counters, gauges, and histogram while snapshots run.
+// one atomic field behind a FuncUint and one histogram while snapshots run.
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
+	var n atomic.Uint64
+	h := NewHistogram()
+	r.FuncUint("shared_counter", n.Load)
+	r.RegisterHistogram("shared_hist", h)
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -67,12 +54,8 @@ func TestConcurrentIncrements(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("shared_counter")
-			g := r.Gauge("shared_gauge")
-			h := r.Histogram("shared_hist")
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
+				n.Add(1)
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%500 == 0 {
 					r.Snapshot()
@@ -81,14 +64,11 @@ func TestConcurrentIncrements(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared_counter").Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
+	if got, _ := r.Get("shared_counter"); got != workers*perWorker {
+		t.Fatalf("counter = %v, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("shared_gauge").Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", got, workers*perWorker)
-	}
-	if got := r.Histogram("shared_hist").Count(); got != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
+	if got, _ := r.Get("shared_hist_count"); got != workers*perWorker {
+		t.Fatalf("histogram count = %v, want %d", got, workers*perWorker)
 	}
 }
 
@@ -151,10 +131,13 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestSnapshotDeterministicOrdering(t *testing.T) {
 	r := NewRegistry()
 	// Register in deliberately unsorted order.
-	r.Counter("zeta")
-	r.Gauge("alpha")
-	r.Counter("mid")
-	r.Histogram("beta").Observe(3 * time.Microsecond)
+	zero := constant(0)
+	r.Func("zeta", zero)
+	r.Func("alpha", zero)
+	r.Func("mid", zero)
+	h := NewHistogram()
+	r.RegisterHistogram("beta", h)
+	h.Observe(3 * time.Microsecond)
 
 	first := r.Snapshot()
 	names := make([]string, len(first))
@@ -177,8 +160,8 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 
 func TestWriteTextAndJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_counter").Add(2)
-	r.Gauge("a_gauge").Set(-1)
+	r.Func("b_counter", constant(2))
+	r.Func("a_gauge", constant(-1))
 
 	var text bytes.Buffer
 	if err := r.WriteText(&text); err != nil {
@@ -225,9 +208,10 @@ func TestWriteTextAndJSON(t *testing.T) {
 
 func TestDelta(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n")
+	var n float64
+	r.Func("n", func() float64 { return n })
 	before := r.Snapshot()
-	c.Add(7)
+	n += 7
 	after := r.Snapshot()
 	d := Delta(before, after)
 	if len(d) != 1 || d[0].Name != "n" || d[0].Value != 7 {
@@ -237,7 +221,7 @@ func TestDelta(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("guard_remote_received").Add(9)
+	r.Func("guard_remote_received", constant(9))
 	ln, err := serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +258,7 @@ func TestHTTPHandler(t *testing.T) {
 
 func TestDumpEvery(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x").Inc()
+	r.Func("x", constant(1))
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := writerFunc(func(p []byte) (int, error) {

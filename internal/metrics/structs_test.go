@@ -27,10 +27,6 @@ func TestSnakeCase(t *testing.T) {
 		"UpstreamSpoofed": "upstream_spoofed",
 		"CacheHits":       "cache_hits",
 		"KeyRotations":    "key_rotations",
-		// guard.LocalStats
-		"Intercepted":    "intercepted",
-		"CookiesLearned": "cookies_learned",
-		"ExchangeStrays": "exchange_strays",
 		// netsim stats
 		"Delivered":      "delivered",
 		"NoRoute":        "no_route",

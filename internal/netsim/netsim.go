@@ -169,17 +169,12 @@ type Packet = netapi.Packet
 type ProtoHandler func(src, dst netip.AddrPort, payload any)
 
 // send routes one transport payload from srcHost. UDP payloads must be
-// []byte. bypassGateway is set for re-injected traffic so middleboxes do not
-// loop. directTo, when non-nil, skips routing and delivers to that host.
-func (n *Network) send(proto uint8, srcHost *Host, src, dst netip.AddrPort, payload any, bypassGateway bool, directTo *Host) error {
+// []byte. directTo, when non-nil, skips routing and delivers to that host.
+func (n *Network) send(proto uint8, srcHost *Host, src, dst netip.AddrPort, payload any, directTo *Host) error {
 	n.Stats.Sent++
 	target := directTo
 	if target == nil {
-		if gw := srcHost.gateway; gw != nil && !bypassGateway && gw != srcHost {
-			target = gw
-		} else {
-			target = n.ownerOf(dst.Addr())
-		}
+		target = n.ownerOf(dst.Addr())
 	}
 	if target == nil {
 		n.Stats.NoRoute++
@@ -208,7 +203,6 @@ type Host struct {
 	ports    map[uint16]int // bound-port refcounts (O(1) ephemeral allocation)
 	tap      *Tap
 	protos   map[uint8]ProtoHandler
-	gateway  *Host
 	tcp      TCPProvider
 	nextPort uint16
 	queueCap int
@@ -248,11 +242,6 @@ func (h *Host) CPU() *CPU { return h.cpu }
 // SetQueueCap overrides the receive-queue bound used by subsequently created
 // sockets and taps.
 func (h *Host) SetQueueCap(c int) { h.queueCap = c }
-
-// SetGateway routes every datagram this host originates through gw's tap,
-// modelling an on-path middlebox (the paper's local DNS guard). Traffic the
-// gateway re-injects must use SendRaw or InjectTo to avoid looping.
-func (h *Host) SetGateway(gw *Host) { h.gateway = gw }
 
 // ClaimPrefix directs all traffic addressed within p to this host, taking
 // precedence over native owners. This is how the remote DNS guard intercepts
@@ -362,15 +351,15 @@ func (h *Host) HandleProto(proto uint8, fn ProtoHandler) { h.protos[proto] = fn 
 
 // SendProto transmits a transport payload from this host. Used by tcpsim.
 func (h *Host) SendProto(proto uint8, src, dst netip.AddrPort, payload any) error {
-	return h.net.send(proto, h, src, dst, payload, false, nil)
+	return h.net.send(proto, h, src, dst, payload, nil)
 }
 
-// SendRaw injects a UDP datagram with an arbitrary source address, bypassing
-// any gateway on this host. This is the spoofing primitive used by attack
-// generators and by middleboxes re-injecting intercepted traffic.
+// SendRaw injects a UDP datagram with an arbitrary source address. This is
+// the spoofing primitive used by attack generators and by middleboxes
+// re-injecting intercepted traffic.
 func (h *Host) SendRaw(src, dst netip.AddrPort, payload []byte) error {
 	h.Stats.UDPSent++
-	return h.net.send(ProtoUDP, h, src, dst, cloneBytes(payload), true, nil)
+	return h.net.send(ProtoUDP, h, src, dst, cloneBytes(payload), nil)
 }
 
 // InjectTo delivers a datagram directly to target, skipping routing and
@@ -378,7 +367,7 @@ func (h *Host) SendRaw(src, dst netip.AddrPort, payload []byte) error {
 // natively owns the destination address.
 func (h *Host) InjectTo(target *Host, src, dst netip.AddrPort, payload []byte) error {
 	h.Stats.UDPSent++
-	return h.net.send(ProtoUDP, h, src, dst, cloneBytes(payload), true, target)
+	return h.net.send(ProtoUDP, h, src, dst, cloneBytes(payload), target)
 }
 
 // deliver hands an arriving payload to the right endpoint on this host.
@@ -445,7 +434,7 @@ func (c *UDPConn) WriteTo(b []byte, to netip.AddrPort) error {
 		return netapi.ErrClosed
 	}
 	c.host.Stats.UDPSent++
-	return c.host.net.send(ProtoUDP, c.host, c.local, to, cloneBytes(b), false, nil)
+	return c.host.net.send(ProtoUDP, c.host, c.local, to, cloneBytes(b), nil)
 }
 
 // LocalAddr implements netapi.UDPConn.
@@ -468,8 +457,8 @@ func (c *UDPConn) Close() error {
 }
 
 // Tap receives every datagram delivered to this host that no explicit socket
-// claimed — including traffic for claimed prefixes and gateway-intercepted
-// traffic. It is the guard's packet-capture interface.
+// claimed — including traffic for claimed prefixes. It is the guard's
+// packet-capture interface.
 type Tap struct {
 	host   *Host
 	q      *vclock.Queue[Packet]

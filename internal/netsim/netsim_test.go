@@ -171,49 +171,6 @@ func TestSendRawSpoofsSource(t *testing.T) {
 	}
 }
 
-func TestGatewayInterceptsOutbound(t *testing.T) {
-	s, n := newNet(time.Millisecond)
-	lrs := n.AddHost("lrs", addr("10.0.0.1"))
-	gw := n.AddHost("localguard", addr("10.0.0.254"))
-	ans := n.AddHost("ans", addr("1.2.3.4"))
-	lrs.SetGateway(gw)
-
-	var viaGw, ansGot bool
-	s.Go("gw", func() {
-		tap, _ := gw.OpenTap()
-		pkt, err := tap.Read(netapi.NoTimeout)
-		if err != nil {
-			t.Errorf("gw read: %v", err)
-			return
-		}
-		viaGw = true
-		// Forward on, preserving the original source (transparent middlebox).
-		if err := gw.SendRaw(pkt.Src, pkt.Dst, pkt.Payload); err != nil {
-			t.Errorf("forward: %v", err)
-		}
-	})
-	s.Go("ans", func() {
-		conn, _ := ans.ListenUDP(ap("1.2.3.4:53"))
-		_, src, err := conn.ReadFrom(netapi.NoTimeout)
-		if err != nil {
-			t.Errorf("ans read: %v", err)
-			return
-		}
-		if src.Addr() != addr("10.0.0.1") {
-			t.Errorf("ans saw src %v, want original 10.0.0.1", src)
-		}
-		ansGot = true
-	})
-	s.Go("lrs", func() {
-		conn, _ := lrs.ListenUDP(netip.AddrPortFrom(lrs.Addr(), 0))
-		_ = conn.WriteTo([]byte("q"), ap("1.2.3.4:53"))
-	})
-	s.Run(0)
-	if !viaGw || !ansGot {
-		t.Fatalf("viaGw=%v ansGot=%v, want both", viaGw, ansGot)
-	}
-}
-
 func TestLossDropsDeterministically(t *testing.T) {
 	s, n := newNet(time.Millisecond)
 	a := n.AddHost("a", addr("10.0.0.1"))

@@ -8,6 +8,7 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/guard"
+	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/vclock"
 )
@@ -111,6 +112,13 @@ func guardedWorld(t *testing.T, fallback guard.Scheme, mode ANSSimMode) (*world,
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
+	return w, guardANS(t, w, ansHost, fallback)
+}
+
+// guardANS puts a remote guard for foo.com at 192.0.2.1 in front of the ANS
+// on ansHost, at 10.99.0.2:53.
+func guardANS(t *testing.T, w *world, ansHost *netsim.Host, fallback guard.Scheme) *guard.Remote {
+	t.Helper()
 	guardHost := w.net.AddHost("guard", mustAddr("10.99.0.1"))
 	guardHost.ClaimPrefix(netip.MustParsePrefix("192.0.2.0/24"))
 	w.net.SetLatency(guardHost, ansHost, 50*time.Microsecond)
@@ -135,7 +143,7 @@ func guardedWorld(t *testing.T, fallback guard.Scheme, mode ANSSimMode) (*world,
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return w, g
+	return g
 }
 
 func TestClientNSNameAgainstGuard(t *testing.T) {
@@ -217,6 +225,108 @@ func TestClientModifiedAgainstGuard(t *testing.T) {
 	w.sched.Run(0)
 	if g.Stats.NewcomerGrants != 1 || g.Stats.CookieValid != 5 {
 		t.Fatalf("guard stats = %+v", g.Stats)
+	}
+}
+
+// TestClientModifiedOneCookiePerANS is Table I's storage row for the
+// modified scheme, on the requester that runs its LRS half: one exchange's
+// cookie admits stamped queries for two names from the same source, and the
+// ANS behind the guard sees both queries without the cookie record.
+func TestClientModifiedOneCookiePerANS(t *testing.T) {
+	w := newWorld()
+	ansHost := w.net.AddHost("ans", mustAddr("10.99.0.2"))
+	conn, err := ansHost.ListenUDP(mustAP("10.99.0.2:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []*dnswire.Message
+	w.sched.Go("ans", func() {
+		for {
+			payload, src, err := conn.ReadFrom(netapi.NoTimeout)
+			if err != nil {
+				return
+			}
+			q, err := dnswire.Unpack(payload)
+			if err != nil {
+				t.Errorf("the ANS got % x: %v", payload, err)
+				continue
+			}
+			seen = append(seen, q)
+			resp := q.Response()
+			resp.Answers = []dnswire.RR{dnswire.NewRR(q.Question().Name, 0, &dnswire.AData{Addr: anssimAnswer})}
+			wire, err := resp.Pack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = conn.WriteTo(wire, src)
+		}
+	})
+	g := guardANS(t, w, ansHost, guard.SchemeDNS)
+	c, err := NewClient(ClientConfig{
+		Env: w.net.AddHost("lrs", mustAddr("10.0.0.53")), Kind: KindModified, Mode: ModeHit,
+		Target: mustAP("192.0.2.1:53"), QName: dnswire.MustName("www.foo.com"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []dnswire.Name{dnswire.MustName("www.foo.com"), dnswire.MustName("mail.foo.com")}
+	w.sched.Go("test", func() {
+		for _, name := range names {
+			c.cfg.QName = name // the LRS asks the same ANS for another name
+			if _, err := c.RunOnce(); err != nil {
+				t.Errorf("%v: %v (guard %+v)", name, err, g.Stats)
+				return
+			}
+		}
+	})
+	w.sched.Run(0)
+	if g.Stats.NewcomerGrants != 1 || g.Stats.CookieValid != 2 {
+		t.Errorf("two names from one source: %d grants and %d cookies valid, want 1 and 2", g.Stats.NewcomerGrants, g.Stats.CookieValid)
+	}
+	if len(seen) != len(names) {
+		t.Fatalf("the ANS saw %d queries, want %d", len(seen), len(names))
+	}
+	for i, q := range seen {
+		if q.Question().Name != names[i] {
+			t.Errorf("the ANS's query %d asks %v, want %v", i, q.Question().Name, names[i])
+		}
+		if _, _, _, has := guard.FindCookie(q); has {
+			t.Errorf("the ANS's query %d carries the cookie record: %v", i, q.Additional)
+		}
+	}
+}
+
+// TestClientModifiedLegacyANS is Table I's deployment row for the modified
+// scheme: a requester that runs its LRS half still resolves through an ANS
+// no guard protects. The ANS answers the exchange query itself, with no
+// cookie, and that answer completes the request.
+func TestClientModifiedLegacyANS(t *testing.T) {
+	w := newWorld()
+	h := w.net.AddHost("ans", mustAddr("10.0.0.2"))
+	sim, err := NewANSSim(ANSSimConfig{Env: h, Addr: mustAP("10.0.0.2:53")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(ClientConfig{
+		Env: w.net.AddHost("lrs", mustAddr("10.0.0.53")), Kind: KindModified, Mode: ModeHit,
+		Target: mustAP("10.0.0.2:53"), QName: dnswire.MustName("www.foo.com"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sched.Go("test", func() {
+		if _, err := c.RunOnce(); err != nil {
+			t.Errorf("RunOnce against an unguarded ANS: %v", err)
+		}
+	})
+	w.sched.Run(0)
+	if c.Stats.Completed != 1 || sim.Served != 1 || c.hasCookie {
+		t.Errorf("completed %d, the ANS served %d, cookie held %v: want the exchange query answered directly, once, and no cookie",
+			c.Stats.Completed, sim.Served, c.hasCookie)
 	}
 }
 
