@@ -7,7 +7,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc loc-diff bench-check api-check state-check reach-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc loc-diff bench-check benchtab-check api-check state-check reach-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -54,6 +54,16 @@ loc-diff:
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# Every table and figure of the paper as the simulator reproduces it,
+# checked against the recording in benchtab_output.txt digit for digit: only
+# the wall-clock "(measured in …)" lines may differ. About 2½ minutes.
+benchtab-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/benchtab > "$$dir/out" && \
+	sed 's/^(measured in .*)$$/(measured in …)/' benchtab_output.txt > "$$dir/want" && \
+	sed 's/^(measured in .*)$$/(measured in …)/' "$$dir/out" > "$$dir/got" && \
+	diff -u "$$dir/want" "$$dir/got"
 
 # Short deterministic-ish smoke on each fuzz target; regressions in the
 # checked-in corpus (testdata/fuzz/...) fail `make test` already, this adds
@@ -193,7 +203,7 @@ portable-check:
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 
-check: vet race bench-check api-check state-check reach-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+check: vet race bench-check benchtab-check api-check state-check reach-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

@@ -14,10 +14,12 @@ import (
 	"os"
 	"strings"
 
-	"dnsguard"
+	"dnsguard/internal/ans"
 	"dnsguard/internal/daemon"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/metrics"
+	"dnsguard/internal/realnet"
+	"dnsguard/internal/zone"
 )
 
 func main() {
@@ -37,13 +39,16 @@ func run() error {
 	if *zonePath == "" {
 		return fmt.Errorf("-zone is required")
 	}
-	zones := dnsguard.MustZoneSet()
+	zones, err := ans.NewZoneSet()
+	if err != nil {
+		return err
+	}
 	for _, path := range strings.Split(*zonePath, ",") {
 		text, err := os.ReadFile(strings.TrimSpace(path))
 		if err != nil {
 			return fmt.Errorf("reading zone: %w", err)
 		}
-		z, err := dnsguard.ParseZone(string(text), dnswire.Root)
+		z, err := zone.Parse(string(text), dnswire.Root)
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", path, err)
 		}
@@ -56,8 +61,8 @@ func run() error {
 		return fmt.Errorf("parsing -listen: %w", err)
 	}
 
-	srv, err := dnsguard.NewANS(dnsguard.ANSConfig{
-		Env:       dnsguard.NewEnv(),
+	srv, err := ans.New(ans.Config{
+		Env:       realnet.New(),
 		Addr:      addr,
 		Zones:     zones,
 		EnableTCP: *enableTCP,
@@ -72,10 +77,10 @@ func run() error {
 
 	var hooks daemon.Hooks
 	if *metricsAddr != "" {
-		reg := dnsguard.NewMetrics()
+		reg := metrics.NewRegistry()
 		srv.Stats.MetricsInto(reg)
 		metrics.RuntimeInto(reg)
-		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
+		l, err := metrics.ServeHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
 			return fmt.Errorf("serving -metrics-addr: %w", err)
 		}

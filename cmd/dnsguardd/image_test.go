@@ -70,17 +70,17 @@ func TestImagePinned(t *testing.T) {
 }
 
 // TestProductSimulatorFree keeps what a deployment runs apart from what only
-// simulations and experiments run: no package a daemon is built from depends
-// on the simulator, its clock, or the harnesses above them. A simulated tap
-// is handed to the guard as a PacketIO, so the guard has no need to name it.
+// simulations and experiments run: no daemon depends on the simulator, its
+// clock, its cost model, or the harnesses above them. A simulated tap is
+// handed to the guard as a PacketIO, and a simulated guard's CPU is charged
+// by a meter around it (workload.GuardMeter), so the guard names neither.
 func TestProductSimulatorFree(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
 	args := []string{"list", "-f", "{{.ImportPath}}{{range .Deps}} {{.}}{{end}}"}
-	for _, p := range []string{"guard", "engine", "realnet", "metrics", "cookie", "dnswire", "ratelimit",
-		"srctab", "tcpproxy", "ans", "zone", "resolver", "daemon", "netapi"} {
-		args = append(args, "dnsguard/internal/"+p)
+	for _, d := range []string{"dnsguardd", "ansd", "lrsd"} {
+		args = append(args, "dnsguard/cmd/"+d)
 	}
 	out, err := exec.Command("go", args...).Output()
 	if err != nil {
@@ -90,7 +90,7 @@ func TestProductSimulatorFree(t *testing.T) {
 		deps := strings.Fields(line)
 		for _, dep := range deps[1:] {
 			switch strings.TrimPrefix(dep, "dnsguard/internal/") {
-			case "netsim", "tcpsim", "vclock", "workload", "fleet", "experiments":
+			case "netsim", "tcpsim", "vclock", "cpumodel", "workload", "fleet", "experiments":
 				t.Errorf("%s depends on %s", deps[0], dep)
 			}
 		}

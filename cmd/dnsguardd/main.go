@@ -41,9 +41,15 @@ import (
 	"strings"
 	"time"
 
-	"dnsguard"
+	"dnsguard/internal/cookie"
 	"dnsguard/internal/daemon"
+	"dnsguard/internal/dnswire"
+	"dnsguard/internal/engine"
+	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/realnet"
+	"dnsguard/internal/tcpproxy"
 )
 
 func main() {
@@ -79,7 +85,7 @@ func run() error {
 	if *zoneName == "" {
 		return fmt.Errorf("-zone is required")
 	}
-	apex, err := dnsguard.ParseName(*zoneName)
+	apex, err := dnswire.ParseName(*zoneName)
 	if err != nil {
 		return fmt.Errorf("parsing -zone: %w", err)
 	}
@@ -91,12 +97,12 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("parsing -ans: %w", err)
 	}
-	var scheme dnsguard.Scheme
+	var scheme guard.Scheme
 	switch *schemeName {
 	case "dns":
-		scheme = dnsguard.SchemeDNS
+		scheme = guard.SchemeDNS
 	case "tcp":
-		scheme = dnsguard.SchemeTCP
+		scheme = guard.SchemeTCP
 	default:
 		return fmt.Errorf("unknown -scheme %q", *schemeName)
 	}
@@ -128,12 +134,12 @@ func run() error {
 	if *keyringReload > 0 && *stateFile == "" {
 		return fmt.Errorf("-keyring-reload requires -state-file")
 	}
-	mac, err := dnsguard.MACSchemeByName(*cookieMAC)
+	mac, err := cookie.MACByName(*cookieMAC)
 	if err != nil {
 		return fmt.Errorf("parsing -cookie-mac: %w", err)
 	}
-	env := dnsguard.NewEnv()
-	auth, err := dnsguard.OpenKeyringWith(dnsguard.KeyringOptions{
+	env := realnet.New()
+	auth, err := cookie.Open(cookie.Options{
 		StateFile: *stateFile,
 		Follow:    *keyringFollow,
 		MAC:       mac,
@@ -150,15 +156,15 @@ func run() error {
 	case *stateFile != "":
 		fmt.Printf("dnsguardd: keyring %s (epoch %d, mac %s)\n", *stateFile, auth.Epoch(), auth.MAC().Name())
 	}
-	trip := dnsguard.TripDrop
+	trip := engine.TripDrop
 	if failOpen {
-		trip = dnsguard.TripPass
+		trip = engine.TripPass
 	}
 
 	// One SO_REUSEPORT socket per shard where the environment can bind them,
 	// each read by its own shard; one socket otherwise, whose reader fans out
 	// to the shards.
-	caps := dnsguard.Capabilities(env)
+	caps := netapi.Capabilities(env)
 	if caps.ListenUDPReuse == nil {
 		return fmt.Errorf("environment cannot bind sharded sockets")
 	}
@@ -167,11 +173,11 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("binding %v: %w", pub, err)
 	}
-	ios := make([]dnsguard.PacketIO, len(conns))
+	ios := make([]guard.PacketIO, len(conns))
 	for i, c := range conns {
-		ios[i] = &dnsguard.SocketIO{Conn: c}
+		ios[i] = &guard.SocketIO{Conn: c}
 	}
-	g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
+	g, err := guard.NewRemote(guard.RemoteConfig{
 		Env:                 env,
 		IOs:                 ios,
 		PublicAddr:          conns[0].LocalAddr(),
@@ -180,14 +186,14 @@ func run() error {
 		FastPathTTL:         *fastPathTTL,
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
-		Health:              dnsguard.GuardHealthConfig{FailOpen: failOpen},
-		Supervision:         dnsguard.SupervisorConfig{Enabled: true, Trip: trip},
+		Health:              guard.HealthConfig{FailOpen: failOpen},
+		Supervision:         engine.SupervisorConfig{Enabled: true, Trip: trip},
 		Zone:                apex,
 		Fallback:            scheme,
 		Auth:                auth,
 		KeyRotation:         *keyRotate,
 		ActivationThreshold: *threshold,
-		Mitigation:          dnsguard.MitigationConfig{Enabled: *mitigate},
+		Mitigation:          guard.MitigationConfig{Enabled: *mitigate},
 	})
 	if err != nil {
 		return err
@@ -202,9 +208,9 @@ func run() error {
 	fmt.Printf("dnsguardd: guarding zone %s on %v → ANS %v (scheme %v, threshold %.0f, shards %d, batch %d, ingest %s)\n",
 		apex, conns[0].LocalAddr(), ans, scheme, *threshold, nShards, max(*batch, 1), ingest)
 
-	var proxy *dnsguard.TCPProxy
+	var proxy *tcpproxy.Proxy
 	if *withProxy {
-		proxy, err = dnsguard.NewTCPProxy(dnsguard.TCPProxyConfig{
+		proxy, err = tcpproxy.New(tcpproxy.Config{
 			Env:     env,
 			Listen:  conns[0].LocalAddr(),
 			ANSAddr: ans,
@@ -219,7 +225,7 @@ func run() error {
 		fmt.Printf("dnsguardd: TCP proxy on %v\n", conns[0].LocalAddr())
 	}
 
-	reg := dnsguard.NewMetrics()
+	reg := metrics.NewRegistry()
 	g.MetricsInto(reg)
 	if proxy != nil {
 		proxy.MetricsInto(reg)
@@ -230,7 +236,7 @@ func run() error {
 		// process liveness, /readyz the catchment-readmission gate (guard
 		// lifecycle serving, ingress backlog under threshold).
 		metrics.RuntimeInto(reg)
-		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg,
+		l, err := metrics.ServeHealth(*metricsAddr, reg,
 			g.Healthz,
 			func() error { return g.Ready(0) })
 		if err != nil {
@@ -274,7 +280,7 @@ func run() error {
 					s.ForwardedToANS, s.UpstreamSpoofed)
 			}
 		}()
-		go dnsguard.DumpMetricsEvery(reg, 6**statsEvery, os.Stderr, stop)
+		go metrics.DumpEvery(reg, 6**statsEvery, os.Stderr, stop)
 	}
 
 	// SIGHUP reloads the keyring from -state-file (followers adopt the

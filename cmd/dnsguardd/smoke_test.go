@@ -139,9 +139,10 @@ func scrape(t *testing.T, url string) map[string]string {
 
 // TestMetricsSmoke boots a guarded ANS with -metrics-addr and checks that the
 // guard's series are served: end-to-end proof the observability layer is
-// wired through the daemon's flags.
+// wired through the daemon's flags. Then, on a second guard, each kind of
+// work the guard counts moves by exactly what a run of dnsq queries costs it.
 func TestMetricsSmoke(t *testing.T) {
-	bin := buildDaemons(t, "ansd", "dnsguardd")
+	bin := buildDaemons(t, "ansd", "dnsguardd", "dnsq")
 	ans := bootANS(t, bin)
 	guard := start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", ans, "-zone", "foo.com",
 		"-shards", "2", "-mitigate", "-metrics-addr", "127.0.0.1:0", "-stats", "0")
@@ -166,6 +167,34 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Errorf("guard_mitigation_enabled = %q under -mitigate", got)
 	}
 	scrape(t, base+"/debug/vars")
+
+	// n modified-scheme queries on one cookie file: the first obtains the
+	// cookie (message 2, a grant) and its query is verified by MAC, the rest
+	// by the credential the first left; each is rewritten, forwarded and its
+	// answer relayed. Then an apex query, which is redirected to TCP.
+	const n = 4
+	guard = start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", ans, "-zone", "foo.com",
+		"-metrics-addr", "127.0.0.1:0", "-stats", "0")
+	addr, base := guard.await(t, guardBanner), "http://"+guard.await(t, metricsBanner)
+	before, cookieFile := scrape(t, base+"/metrics"), filepath.Join(t.TempDir(), "cookie")
+	for i := 0; i <= n; i++ {
+		args := []string{"-server", addr, "-timeout", "2s", "-cookie-file", cookieFile, "www.foo.com", "A"}
+		if i == n {
+			args = []string{"-server", addr, "-timeout", "2s", "foo.com", "SOA"}
+		}
+		if out, err := exec.Command(filepath.Join(bin, "dnsq"), args...).CombinedOutput(); err != nil {
+			t.Fatalf("dnsq %v: %v\n%s", args, err, out)
+		}
+	}
+	after := scrape(t, base+"/metrics")
+	for name, want := range map[string]int{"guard_work_read": 2*n + 2, "guard_work_written": 2*n + 2,
+		"guard_work_checks": 1, "guard_work_grants": 1, "guard_work_tc_replies": 1, "guard_work_rewrites": n} {
+		b, errB := strconv.Atoi(before[name])
+		a, errA := strconv.Atoi(after[name])
+		if errB != nil || errA != nil || a-b != want {
+			t.Errorf("%s went from %q to %q; want a move of %d", name, before[name], after[name], want)
+		}
+	}
 }
 
 // TestMetricsAddrLiteral: -metrics-addr is an ip:port, like -listen. No

@@ -14,12 +14,11 @@ import (
 	"os"
 	"strings"
 	"time"
-)
 
-import (
-	"dnsguard"
 	"dnsguard/internal/daemon"
 	"dnsguard/internal/metrics"
+	"dnsguard/internal/realnet"
+	"dnsguard/internal/resolver"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func run() error {
 	metricsDump := flag.Duration("metrics-dump", 0, "dump metrics to stderr at this interval (0 = off)")
 	flag.Parse()
 
-	env := dnsguard.NewEnv()
+	env := realnet.New()
 	var roots []netip.AddrPort
 	for _, h := range strings.Split(*hints, ",") {
 		ap, err := netip.ParseAddrPort(strings.TrimSpace(h))
@@ -62,7 +61,7 @@ func run() error {
 			allowed = append(allowed, pfx)
 		}
 	}
-	res, err := dnsguard.NewResolver(dnsguard.ResolverConfig{
+	res, err := resolver.New(resolver.Config{
 		Env:           env,
 		RootHints:     roots,
 		Timeout:       *timeout,
@@ -80,7 +79,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("parsing -listen: %w", err)
 	}
-	srv, err := dnsguard.NewLRS(dnsguard.LRSConfig{
+	srv, err := resolver.NewServer(resolver.ServerConfig{
 		Env:            env,
 		Addr:           addr,
 		Resolver:       res,
@@ -96,13 +95,13 @@ func run() error {
 	fmt.Printf("lrsd: recursive service on %v, %d root hints (timeout %v, %d retries)\n",
 		srv.Addr(), len(roots), eff.Timeout, eff.Retries)
 
-	reg := dnsguard.NewMetrics()
+	reg := metrics.NewRegistry()
 	res.MetricsInto(reg)
 	srv.Stats.MetricsInto(reg)
 	var hooks daemon.Hooks
 	if *metricsAddr != "" {
 		metrics.RuntimeInto(reg)
-		l, err := dnsguard.ServeMetricsHealth(*metricsAddr, reg, nil, nil)
+		l, err := metrics.ServeHealth(*metricsAddr, reg, nil, nil)
 		if err != nil {
 			return fmt.Errorf("serving -metrics-addr: %w", err)
 		}
@@ -111,7 +110,7 @@ func run() error {
 	}
 	stop := make(chan struct{})
 	if *metricsDump > 0 {
-		go dnsguard.DumpMetricsEvery(reg, *metricsDump, os.Stderr, stop)
+		go metrics.DumpEvery(reg, *metricsDump, os.Stderr, stop)
 	}
 	hooks.Logf = func(format string, args ...any) {
 		fmt.Printf("lrsd: "+format+"\n", args...)

@@ -1,7 +1,12 @@
 package dnsguard
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,14 +51,15 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := NewRemoteGuard(RemoteGuardConfig{
-		Env:        guardHost,
-		IOs:        []PacketIO{tap},
-		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
-		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
-		Zone:       MustName("example.com"),
-		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
-		Fallback:   SchemeDNS,
-		Auth:       auth,
+		Env:         guardHost,
+		IOs:         []PacketIO{tap},
+		PublicAddr:  netip.MustParseAddrPort("192.0.2.1:53"),
+		ANSAddr:     netip.MustParseAddrPort("10.99.0.2:53"),
+		Zone:        MustName("example.com"),
+		Subnet:      netip.MustParsePrefix("192.0.2.0/24"),
+		Fallback:    SchemeDNS,
+		Auth:        auth,
+		Supervision: SupervisorConfig{Enabled: true, Trip: TripDrop},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +130,15 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 }
 
 // TestPublicAPIRealSockets runs guard + ANS + proxy + resolver over real
-// loopback sockets with the TCP scheme — the full real-mode path.
+// loopback sockets with the TCP scheme — the full real-mode path — with the
+// guard built, supervised and observed as a daemon outside this module would
+// build it from the facade: metrics served and dumped, the guard's counted
+// work among them.
 func TestPublicAPIRealSockets(t *testing.T) {
 	env := NewEnv()
+	if Capabilities(env).Cooperative {
+		t.Fatal("real sockets report cooperative scheduling")
+	}
 	z, err := ParseZone(testZone, MustName(""))
 	if err != nil {
 		t.Fatal(err)
@@ -144,18 +156,23 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth, err := OpenKeyringWith(KeyringOptions{})
+	mac, err := MACSchemeByName("md5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := OpenKeyringWith(KeyringOptions{MAC: mac})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewRemoteGuard(RemoteGuardConfig{
-		Env:        env,
-		IOs:        []PacketIO{&SocketIO{Conn: guardSock}},
-		PublicAddr: guardSock.LocalAddr(),
-		ANSAddr:    srv.Addr(),
-		Zone:       MustName("example.com"),
-		Fallback:   SchemeTCP,
-		Auth:       auth,
+		Env:         env,
+		IOs:         []PacketIO{&SocketIO{Conn: guardSock}},
+		PublicAddr:  guardSock.LocalAddr(),
+		ANSAddr:     srv.Addr(),
+		Zone:        MustName("example.com"),
+		Fallback:    SchemeTCP,
+		Auth:        auth,
+		Supervision: SupervisorConfig{Enabled: true, Trip: TripPass},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +214,41 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	}
 	if proxy.Stats.Requests == 0 {
 		t.Fatalf("proxy relayed nothing: %+v", proxy.Stats)
+	}
+
+	// The guard counted the truncation replies it sent, and says so on
+	// /metrics and in the periodic dump.
+	reg := NewMetrics()
+	g.MetricsInto(reg)
+	want := fmt.Sprintf("guard_work_tc_replies %d", g.Stats.Load().TCRedirects)
+	if strings.HasSuffix(want, " 0") {
+		t.Fatalf("the guard sent no TC reply: %+v", g.Stats.Load())
+	}
+	l, err := ServeMetricsHealth("127.0.0.1:0", reg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fmt.Fprint(c, "GET /metrics HTTP/1.1\r\nHost: guard\r\n\r\n")
+	if body, err := io.ReadAll(c); err != nil || !strings.Contains(string(body), "\n"+want+"\n") {
+		t.Errorf("/metrics lacks %q (%v):\n%s", want, err, body)
+	}
+	pr, pw := io.Pipe()
+	stop := make(chan struct{})
+	defer pr.Close()
+	defer close(stop)
+	go DumpMetricsEvery(reg, time.Millisecond, pw, stop)
+	sc, seen := bufio.NewScanner(pr), false
+	for n := 0; n < 1000 && !seen && sc.Scan(); n++ {
+		seen = sc.Text() == want
+	}
+	if !seen {
+		t.Errorf("the metrics dump lacks %q", want)
 	}
 }
 

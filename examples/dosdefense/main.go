@@ -79,7 +79,9 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		g, err := dnsguard.NewRemoteGuard(dnsguard.RemoteGuardConfig{
+		// The meter charges the guard host's CPU for the work the guard
+		// counts, at the calibrated 2006 costs.
+		g, _, err := workload.MeterGuard(dnsguard.RemoteGuardConfig{
 			Env:        gh,
 			IOs:        []dnsguard.PacketIO{tap},
 			PublicAddr: public,
@@ -87,12 +89,10 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 			Zone:       dnsguard.MustName("foo.com"),
 			Fallback:   dnsguard.SchemeDNS,
 			Auth:       auth,
-			CPU:        gh.CPU(),
-			Costs:      costs.Guard,
 			// 1024 records a shard: each is a verified source's bucket and,
 			// with a FastPathTTL, its credential.
 			RL2: dnsguard.Limiter2Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, TrackedSources: 1024},
-		})
+		}, costs.Guard)
 		if err != nil {
 			return 0, err
 		}

@@ -52,6 +52,17 @@ func writeCellDetail(w io.Writer, label string, d CellDetail) {
 	fmt.Fprintf(w, "    %-4s Δvalid=%d Δinvalid=%d Δrl1drop=%d Δfwd=%d  p50=%.2fms p90=%.2fms p99=%.2fms\n",
 		label, d.CookieValid, d.CookieInvalid, d.RL1Dropped, d.Forwarded,
 		ms(d.P50), ms(d.P90), ms(d.P99))
+	per := func(n uint64) float64 { return float64(n) / float64(max(d.Completed, 1)) }
+	p := d.Paper
+	fmt.Fprintf(w, "         per request: %.2f datagrams, %.2f checks, %.2f grants",
+		per(d.Work.Read+d.Work.Written), per(d.Work.Checks), per(d.Work.Grants))
+	if p.Datagrams > 0 {
+		fmt.Fprintf(w, "; §IV-D: %d, %d, %d", p.Datagrams, p.Checks, p.Grants)
+	}
+	if p.Deviation != "" {
+		fmt.Fprintf(w, " (%s)", p.Deviation)
+	}
+	fmt.Fprintln(w)
 }
 
 // WriteFigure5 renders the Figure 5 series.

@@ -144,7 +144,33 @@ type CellDetail struct {
 	RL1Dropped    uint64
 	Forwarded     uint64 // requests relayed to the ANS
 	P50, P90, P99 time.Duration
+	// Completed is the requests the clients completed over the window, Work
+	// the guard's counted work over it (the guard_work_* series), and Paper
+	// what §IV-D counts for one request on the cell's path.
+	Completed uint64
+	Work      guard.Work
+	Paper     PaperWork
 }
+
+// PaperWork is what §IV-D counts one request on a Table III path costs the
+// guard: datagrams through it, cookie checks and cookie grants, none on the
+// TCP path, which it prices as proxy segments. Deviation names where this
+// guard's counts differ, and why; empty, they match.
+type PaperWork struct {
+	Datagrams, Checks, Grants int
+	Deviation                 string
+}
+
+// paperWork is §IV-D's accounting per path, miss then hit.
+var paperWork = map[SchemeLabel][2]PaperWork{
+	LabelNSName: {{6, 1, 1, ""}, {4, 1, 0, ""}},
+	LabelFabIP: {{8, 3, 1, "+2 datagrams, messages 8 and 9: message 7 is always forwarded, see EXPERIMENTS.md"},
+		{4, 1, 0, ""}},
+	LabelTCP:      {{Deviation: tcpWork}, {Deviation: tcpWork}},
+	LabelModified: {{6, 1, 1, ""}, {4, 1, 0, ""}},
+}
+
+const tcpWork = "a TCP request is the proxy's, priced per request as segments; the guard counts its UDP query and TC reply"
 
 // deltaUint extracts one series from a metrics.Delta result.
 func deltaUint(d []metrics.Sample, name string) uint64 {
@@ -271,6 +297,19 @@ func tableIIICell(label SchemeLabel, mode workload.ClientMode, opts TableIIIOpti
 		P50:           hist.Quantile(0.50),
 		P90:           hist.Quantile(0.90),
 		P99:           hist.Quantile(0.99),
+		Completed:     c1 - c0,
+		Work: guard.Work{
+			Read:      deltaUint(d, "guard_work_read"),
+			Written:   deltaUint(d, "guard_work_written"),
+			Checks:    deltaUint(d, "guard_work_checks"),
+			Grants:    deltaUint(d, "guard_work_grants"),
+			TCReplies: deltaUint(d, "guard_work_tc_replies"),
+			Rewrites:  deltaUint(d, "guard_work_rewrites"),
+		},
+		Paper: paperWork[label][0],
+	}
+	if mode == workload.ModeHit {
+		detail.Paper = paperWork[label][1]
 	}
 	return rate, detail, nil
 }

@@ -98,6 +98,7 @@ type World struct {
 	LRS2Host   *netsim.Host
 	AttackHost *netsim.Host
 	Guard      *guard.Remote
+	Meter      *workload.GuardMeter // charges the guard's work to GuardHost's CPU; nil when uncosted
 	Proxy      *tcpproxy.Proxy
 	ANSSim     *workload.ANSSim
 	BIND       *ans.Server
@@ -223,11 +224,12 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	} else if cfg.RL1Generous {
 		gcfg.RL1 = ratelimit.Limiter1Config{PerSourceRate: 2000, PerSourceBurst: 400, GlobalRate: 1e9, GlobalBurst: 1e9, TrackedSources: 4096}
 	}
-	if !cfg.Uncosted {
-		gcfg.CPU = gh.CPU()
-		gcfg.Costs = w.Costs.Guard
+	var g *guard.Remote
+	if cfg.Uncosted {
+		g, err = guard.NewRemote(gcfg)
+	} else {
+		g, w.Meter, err = workload.MeterGuard(gcfg, w.Costs.Guard)
 	}
-	g, err := guard.NewRemote(gcfg)
 	if err != nil {
 		return nil, err
 	}

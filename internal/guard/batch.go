@@ -40,11 +40,10 @@ func (s *remoteShard) EndBatch() {
 }
 
 // queueReply buffers wire, a reply from a worker-context handler, which must
-// stay untouched until EndBatch has flushed it. Stats and CPU charges accrue
-// here, exactly as in s.replyWire, which the upstream loop, with no bracket to
-// queue in, sends through.
+// stay untouched until EndBatch has flushed it. It counts here, as s.replyWire
+// does for the upstream loop, which has no bracket to queue in.
 func (s *remoteShard) queueReply(from, to netip.AddrPort, wire []byte) {
 	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
-	s.g.charge(s.g.cfg.Costs.PacketOp)
+	atomic.AddUint64(&s.work.Written, 1)
 	s.outbuf = append(s.outbuf, Packet{Src: from, Dst: to, Payload: wire})
 }

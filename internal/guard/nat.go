@@ -275,7 +275,9 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 	s.mu.Unlock()
 	wire[0], wire[1] = byte(id>>8), byte(id)
 	atomic.AddUint64(&g.Stats.ForwardedToANS, 1)
-	g.charge(g.cfg.Costs.PacketOp)
+	if entry.kind != pendProbe {
+		atomic.AddUint64(&s.work.Written, 1)
+	}
 	_ = s.upstream.WriteTo(wire, entry.upstream)
 }
 
@@ -317,7 +319,7 @@ func (s *remoteShard) upstreamLoop() {
 // that stops at the 512th byte it writes (see View.RepackAs).
 func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	g := s.g
-	g.charge(g.cfg.Costs.PacketOp)
+	atomic.AddUint64(&s.upWork.Read, 1)
 	if !g.isUpstreamAddr(src) {
 		// Off-path datagram: only configured upstreams send here.
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
@@ -420,7 +422,7 @@ func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte)
 		}
 		buf = append(buf, glue[:16*n]...)
 	case v.ANCount() != 0 && g.cfg.Subnet.IsValid():
-		g.charge(g.cfg.Costs.CookieCheck) // second cookie computation
+		atomic.AddUint64(&s.upWork.Checks, 1) // second cookie computation
 		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
 		if err != nil {
 			break
@@ -437,6 +439,6 @@ func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte)
 // interface, so it leaves from the socket its query came in on.
 func (s *remoteShard) replyWire(from, to netip.AddrPort, wire []byte) {
 	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
-	s.g.charge(s.g.cfg.Costs.PacketOp)
+	atomic.AddUint64(&s.upWork.Written, 1)
 	_ = s.io.WriteFromTo(from, to, wire)
 }

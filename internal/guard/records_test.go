@@ -2,6 +2,7 @@ package guard
 
 import (
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,24 +21,22 @@ func (g *Remote) fastPath() (t ratelimit.CredStats) {
 	return t
 }
 
-// macCounter is a CPUWorker that counts the charges of one cost: with only
-// Costs.CookieCheck set, how many MACs the guard ran.
-type macCounter struct{ n int }
+// macCounter reads how many MACs a shard's worker ran: its own count of
+// cookie checks.
+type macCounter struct{ w *Work }
 
-func (m *macCounter) WorkPreempt(time.Duration) { m.n++ }
+func (m macCounter) n() uint64 { return atomic.LoadUint64(&m.w.Checks) }
 
 // recordHarness is a one-shard guard whose Rate-Limiter2 holds tracked
 // records of burst tokens, with every MAC counted in macs.
-func recordHarness(t *testing.T, tracked int, burst float64, mitigation bool) (*shardHarness, *macCounter) {
+func recordHarness(t *testing.T, tracked int, burst float64, mitigation bool) (*shardHarness, macCounter) {
 	t.Helper()
-	macs := &macCounter{}
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.FastPathTTL = time.Minute
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: burst, TrackedSources: tracked}
-		cfg.CPU, cfg.Costs.CookieCheck = macs, time.Nanosecond
 		cfg.Mitigation.Enabled = mitigation
 	})
-	return h, macs
+	return h, macCounter{&h.s.work}
 }
 
 // verifiedQuery is a cookie query from src carrying src's own cookie.
@@ -67,8 +66,8 @@ func TestVerifiedRecordEviction(t *testing.T) {
 		h.handle(h.verifiedQuery(t, src))
 	}
 	st := h.g.Stats.Load()
-	if st.RL2Dropped != 1 || st.CookieValid != burst+tracked || st.FastPathHits != burst || macs.n != tracked {
-		t.Fatalf("filling the records: %+v, %d MACs", st, macs.n)
+	if st.RL2Dropped != 1 || st.CookieValid != burst+tracked || st.FastPathHits != burst || macs.n() != tracked {
+		t.Fatalf("filling the records: %+v, %d MACs", st, macs.n())
 	}
 
 	// A fifth verified source takes the least recent record.
@@ -84,13 +83,13 @@ func TestVerifiedRecordEviction(t *testing.T) {
 
 	// The evicted source pays one MAC, and its next burst is whole: burst
 	// requests pass, the one after is refused.
-	before, beforeMACs := h.g.Stats.Load(), macs.n
+	before, beforeMACs := h.g.Stats.Load(), macs.n()
 	for i := 0; i <= burst; i++ {
 		h.handle(first)
 	}
 	st = h.g.Stats.Load()
-	if macs.n != beforeMACs+1 || st.FastPathHits != before.FastPathHits+burst {
-		t.Errorf("the evicted source: %d MACs and %d fast-path hits, want 1 and %d", macs.n-beforeMACs, st.FastPathHits-before.FastPathHits, burst)
+	if macs.n() != beforeMACs+1 || st.FastPathHits != before.FastPathHits+burst {
+		t.Errorf("the evicted source: %d MACs and %d fast-path hits, want 1 and %d", macs.n()-beforeMACs, st.FastPathHits-before.FastPathHits, burst)
 	}
 	if st.CookieValid != before.CookieValid+burst+1 || st.RL2Dropped != before.RL2Dropped+1 {
 		t.Errorf("the evicted source's %d requests: %d valid, %d dropped by Rate-Limiter2, want %d and 1",
@@ -124,23 +123,23 @@ func TestToggleKeepsCredentials(t *testing.T) {
 		}
 		h.s.syncLimiters()
 	}
-	if st := h.g.Stats.Load(); st.CookieValid != 1 || st.FastPathHits != 0 || macs.n != 1 {
-		t.Fatalf("verifying: %+v, %d MACs", st, macs.n)
+	if st := h.g.Stats.Load(); st.CookieValid != 1 || st.FastPathHits != 0 || macs.n() != 1 {
+		t.Fatalf("verifying: %+v, %d MACs", st, macs.n())
 	}
 	before := h.g.Stats.Load()
 	h.handle(pkt)
 	st := h.g.Stats.Load()
-	if st.CookieValid != before.CookieValid+1 || st.FastPathHits != before.FastPathHits+1 || macs.n != 1 {
+	if st.CookieValid != before.CookieValid+1 || st.FastPathHits != before.FastPathHits+1 || macs.n() != 1 {
 		t.Fatalf("after strict → normal → strict: CookieValid +%d, FastPathHits +%d, %d MACs; want +1, +1, 1",
-			st.CookieValid-before.CookieValid, st.FastPathHits-before.FastPathHits, macs.n)
+			st.CookieValid-before.CookieValid, st.FastPathHits-before.FastPathHits, macs.n())
 	}
 	// That request was the first of the new epoch's strict burst of 2.
 	const strictBurst = 2
 	for i := 1; i <= strictBurst; i++ {
 		h.handle(pkt)
 	}
-	if st := h.g.Stats.Load(); st.RL2Dropped != 1 || st.CookieValid != before.CookieValid+strictBurst+1 || macs.n != 1 {
+	if st := h.g.Stats.Load(); st.RL2Dropped != 1 || st.CookieValid != before.CookieValid+strictBurst+1 || macs.n() != 1 {
 		t.Errorf("%d requests at the strict burst of %d: %d dropped by Rate-Limiter2, %d MACs; want 1 and 1",
-			strictBurst+1, strictBurst, st.RL2Dropped, macs.n)
+			strictBurst+1, strictBurst, st.RL2Dropped, macs.n())
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dnsguard/internal/cookie"
-	"dnsguard/internal/cpumodel"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/metrics"
@@ -43,13 +42,6 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("scheme(%d)", int(s))
 	}
-}
-
-// CPUWorker charges simulated CPU time at interrupt priority: the guard's
-// datapath ran in the kernel (iptables/softirq) on the paper's testbed, so it
-// preempts userspace work like the TCP proxy. netsim.(*CPU) implements it.
-type CPUWorker interface {
-	WorkPreempt(d time.Duration)
 }
 
 // RemoteConfig parameterizes the ANS-side guard.
@@ -144,10 +136,6 @@ type RemoteConfig struct {
 	// (the paper suggests weekly, matching the cookie TTL so each
 	// verification still costs one MD5 — §III-E).
 	KeyRotation time.Duration
-	// CPU, when non-nil, is charged per Costs for every operation.
-	CPU CPUWorker
-	// Costs are the per-operation charges (see cpumodel.Default2006).
-	Costs cpumodel.GuardCosts
 	// ShardHashSeed, when non-zero, fixes the source→shard hash (see
 	// engine.Config.HashSeed). Deterministic simulations set it so
 	// multi-shard runs replay bit-identically; production keeps 0.
@@ -289,6 +277,18 @@ func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
 	metrics.RegisterUint64Fields(r, "guard_remote_", s)
 }
 
+// Work counts what one loop of a shard did, by the kinds of work §IV-D prices
+// a request with: datagrams read and written; cookie checks, each MAC admit
+// runs and message 6's IP cookie, the fabricated-IP path's second cookie
+// computation; grants, a cookie minted into message 2 or 3; truncation
+// replies; and rewrites, message 4's restored question or a forward stripped
+// of its cookie record. A shard's worker and its upstream loop each count
+// their own, so every field has one writer; a health probe is no request's
+// work and counts nowhere. The guard_work_* series sum them.
+type Work struct {
+	Read, Written, Checks, Grants, TCReplies, Rewrites uint64
+}
+
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
 // internal/engine dataplane: source addresses hash to shards, and each shard
 // owns every per-source structure (rate limiters, pending NAT table,
@@ -341,6 +341,9 @@ type remoteShard struct {
 	// worker's: it alone charges and resets them (ResetShard, syncLimiters).
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
+
+	// work is the worker's count of its work, upWork the upstream loop's.
+	work, upWork Work
 
 	// mu guards the NAT table.
 	mu   sync.Mutex
@@ -397,12 +400,17 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.mitMetricsInto(r)
 	g.lifecycleMetricsInto(r)
 	g.eng.MetricsInto(r, "guard_engine_")
-	recs := make([]*ratelimit.CredStats, len(g.shards))
+	recs, works := make([]*ratelimit.CredStats, len(g.shards)), make([]*Work, 0, 2*len(g.shards))
 	for i, s := range g.shards {
-		recs[i] = &s.rl2.Stats
+		recs[i], works = &s.rl2.Stats, append(works, &s.work, &s.upWork)
 	}
 	metrics.RegisterUint64Fields(r, "guard_engine_fast_path_", recs...)
+	metrics.RegisterUint64Fields(r, "guard_work_", works...)
 }
+
+// Work returns the live counts of shard i's worker and upstream loop; read
+// their fields atomically.
+func (g *Remote) Work(i int) (worker, upstream *Work) { return &g.shards[i].work, &g.shards[i].upWork }
 
 // NewRemote validates cfg and creates the guard (not yet started).
 func NewRemote(cfg RemoteConfig) (*Remote, error) {
@@ -607,13 +615,6 @@ func (g *Remote) Active() bool {
 	return g.cfg.ActivationThreshold == 0 || g.active.Load()
 }
 
-func (g *Remote) charge(d time.Duration) {
-	if g.cfg.CPU == nil || d <= 0 {
-		return
-	}
-	g.cfg.CPU.WorkPreempt(d)
-}
-
 func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }
 
 // HandlePacket runs the Figure 4 pipeline for one intercepted datagram; the
@@ -622,7 +623,7 @@ func (s *remoteShard) HandlePacket(pkt Packet) {
 	g := s.g
 	s.syncLimiters()
 	atomic.AddUint64(&g.Stats.Received, 1)
-	g.charge(g.cfg.Costs.PacketOp)
+	atomic.AddUint64(&s.work.Read, 1)
 	g.updateActivation()
 	s.handle(pkt)
 }
@@ -763,22 +764,18 @@ func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 	switch n := int(name[child]); {
 	case at != zoneAt || !bytes.Equal(name[at:], g.zoneWire):
 		b[start+3] = byte(dnswire.RCodeRefused)
-	case zoneAt == 0 || g.effectiveFallback() == SchemeTCP || g.isTCPClient(pkt.Src.Addr()):
-		// TC redirect: also used for apex queries, which have no child
-		// name to fabricate.
-		g.charge(g.cfg.Costs.TCReply)
+	case zoneAt == 0 || g.effectiveFallback() == SchemeTCP || g.isTCPClient(pkt.Src.Addr()) ||
+		g.nsPrefixLen+n > dnswire.MaxLabelLen || g.nsPrefixLen+nameLen-child > dnswire.MaxNameWireLen:
+		// TC redirect: also used for apex queries, which have no child name
+		// to fabricate, and for a label or name too long to carry a cookie.
+		atomic.AddUint64(&s.work.TCReplies, 1)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
 		b[start+2] |= 2 // TC
-	case g.nsPrefixLen+n > dnswire.MaxLabelLen || g.nsPrefixLen+nameLen-child > dnswire.MaxNameWireLen:
-		// Label or name too long to carry a cookie; fall back to TCP.
-		g.charge(g.cfg.Costs.CookieGrant)
-		atomic.AddUint64(&g.Stats.TCRedirects, 1)
-		b[start+2] |= 2
 	default:
 		// DNS-based: fabricate "child NS <cookie+label>" with a long TTL and
 		// no glue, so the LRS must come back through us to resolve it.
-		g.charge(g.cfg.Costs.CookieGrant)
+		atomic.AddUint64(&s.work.Grants, 1)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		b[start+9] = 1 // NSCOUNT: the record, below
 	}
@@ -858,7 +855,7 @@ func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
 	if s.rl2.Lookup(src, cred, g.now(), g.cfg.FastPathTTL) {
 		atomic.AddUint64(&g.Stats.FastPathHits, 1)
 	} else {
-		g.charge(g.cfg.Costs.CookieCheck)
+		atomic.AddUint64(&s.work.Checks, 1)
 		var ok bool
 		switch cred[0] {
 		case 'n': // "ns:"
@@ -886,11 +883,10 @@ func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
 // class, the name in any case — and cred what nsCred made of its first label.
 // Nothing here allocates, cache hit, miss or forged label.
 func (s *remoteShard) handleNSCookie(pkt Packet, q, cred []byte) {
-	g := s.g
 	if !s.admit(pkt, cred) {
 		return
 	}
-	g.charge(g.cfg.Costs.Rewrite)
+	atomic.AddUint64(&s.work.Rewrites, 1)
 	// Message 4: the first label without its cookie.
 	wire := s.childQuery(q, len(cred)-3)
 	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(pkt.Payload[0])<<8 | uint16(pkt.Payload[1])}, wire, q)
@@ -934,7 +930,7 @@ func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
 		return
 	}
-	g.charge(g.cfg.Costs.CookieGrant)
+	atomic.AddUint64(&s.work.Grants, 1)
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 	start, nameLen, ttl, c := len(s.egress), len(q)-4, nsTTL, s.bv.Mint(pkt.Src.Addr())
 	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
@@ -952,11 +948,10 @@ func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 // bits clear, every name folded and compressed, cut at 512 bytes with TC set.
 // Nothing here allocates, forgery or forward.
 func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
-	g := s.g
 	if !s.admit(pkt, append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)) {
 		return
 	}
-	g.charge(g.cfg.Costs.Rewrite)
+	atomic.AddUint64(&s.work.Rewrites, 1)
 	wire, _ := v.RepackAs(s.wireBuf[:0], v.ID(), v.RawFlags()&^flagsZMask, v.QuestionWire(),
 		func(r dnswire.Record) bool { return r.Off != ck.off }, dnswire.MaxUDPSize)
 	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)

@@ -9,6 +9,7 @@ import (
 
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/metrics"
 	"dnsguard/internal/ratelimit"
 )
 
@@ -80,7 +81,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 			atomic.AddUint64(&g.Stats.RL1Dropped, 1)
 			return
 		}
-		g.charge(g.cfg.Costs.CookieGrant)
+		atomic.AddUint64(&s.work.Grants, 1)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		resp := msg.Response()
 		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), nsTTL)
@@ -91,7 +92,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 	if s.rl2.Lookup(pkt.Src.Addr(), cred, g.now(), g.cfg.FastPathTTL) {
 		atomic.AddUint64(&g.Stats.FastPathHits, 1)
 	} else {
-		g.charge(g.cfg.Costs.CookieCheck)
+		atomic.AddUint64(&s.work.Checks, 1)
 		if !s.bv.Verify(pkt.Src.Addr(), c) {
 			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
 			return
@@ -102,7 +103,7 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return
 	}
-	g.charge(g.cfg.Costs.Rewrite)
+	atomic.AddUint64(&s.work.Rewrites, 1)
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
 	stripCookie(&fwd)
@@ -148,7 +149,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		return
 	}
 	if useTCP {
-		g.charge(g.cfg.Costs.TCReply)
+		atomic.AddUint64(&s.work.TCReplies, 1)
 		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
 		resp := msg.Response()
@@ -156,16 +157,20 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
-	g.charge(g.cfg.Costs.CookieGrant)
 	c := s.bv.Mint(pkt.Src.Addr())
 	fabName, err := FabricateNSName(g.nsc, c, child)
 	if err != nil {
+		// A label too long to carry a cookie: a TC reply, the grant for
+		// that, and no cookie minted into it.
+		atomic.AddUint64(&s.work.TCReplies, 1)
+		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 		atomic.AddUint64(&g.Stats.TCRedirects, 1)
 		resp := msg.Response()
 		resp.Flags.TC = true
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
+	atomic.AddUint64(&s.work.Grants, 1)
 	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
 	resp := msg.Response()
 	resp.Authority = []dnswire.RR{
@@ -179,6 +184,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 // Message.
 func oracleUpstream(s *remoteShard, payload []byte) {
 	g := s.g
+	atomic.AddUint64(&s.upWork.Read, 1)
 	resp, ok := accepted(payload)
 	if !ok || !resp.Flags.QR {
 		atomic.AddUint64(&g.Stats.UpstreamMalformed, 1)
@@ -230,6 +236,7 @@ func oracleAnswerChild(s *remoteShard, entry *pendEntry, rcode dnswire.RCode, re
 			out.Flags.RCode = dnswire.RCodeServFail
 		}
 	case len(resp.Answers) > 0 && g.cfg.Subnet.IsValid():
+		atomic.AddUint64(&s.upWork.Checks, 1)
 		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
 		if err != nil {
 			out.Flags.RCode = dnswire.RCodeServFail
@@ -279,9 +286,11 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 		for i := range words {
 			words[i] = h.g.mit.sketch.words[i].Load()
 		}
-		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\ncache %+v\npending %v\nsketch %x",
+		worker, upstream := h.g.Work(0)
+		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\nwork %+v %+v\ncache %+v\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
-			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), h.g.fastPath(), pendingDump(h.s), words)
+			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), metrics.SnapshotUint64(worker), metrics.SnapshotUint64(upstream),
+			h.g.fastPath(), pendingDump(h.s), words)
 	}
 	if got, want := state(tw.got), state(tw.want); got != want {
 		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)
@@ -310,6 +319,7 @@ func (tw *spliceTwin) ingress(data []byte) {
 	oracleIngress(tw.want.s, pkt)
 	tw.want.s.EndBatch()
 	atomic.AddUint64(&tw.want.g.Stats.Received, 1)
+	atomic.AddUint64(&tw.want.s.work.Read, 1)
 	pkt.Payload = append([]byte(nil), data...)
 	tw.got.handle(pkt)
 	tw.compare("query", data)

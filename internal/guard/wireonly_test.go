@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,5 +52,46 @@ func TestGuardSpeaksWireOnly(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestGuardChargesNoCPU keeps the simulator's cost model out of the guard:
+// the guard counts its work (Work) and what prices it sits around its
+// sockets. No non-test file imports cpumodel or declares or calls a CPU hook
+// — a CPUWorker, a WorkPreempt, a charge — and RemoteConfig has no CPU or
+// Costs field.
+func TestGuardChargesNoCPU(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "dnsguard/internal/cpumodel" {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				switch id.Name {
+				case "CPUWorker", "WorkPreempt", "charge", "cpumodel":
+					t.Errorf("%s names %s: the guard counts its work and charges none", fset.Position(id.Pos()), id.Name)
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range []string{"CPU", "Costs"} {
+		if _, ok := reflect.TypeFor[RemoteConfig]().FieldByName(name); ok {
+			t.Errorf("RemoteConfig has a %s field", name)
+		}
 	}
 }
