@@ -123,22 +123,31 @@ state-check:
 	@! grep -nE 'map\[(uint16|netip\.Addr(Port)?|(srctab\.)?Key|\[16\]byte)\]' $$(ls internal/ratelimit/*.go \
 		internal/srctab/*.go internal/tcpproxy/*.go | grep -v '_test\.go$$')
 
-# No func or method of the guard, the engine or the metrics package exists
-# for tests alone: every main package — cmd/*, examples/* and the bench
-# module, which is only read — is built with inlining off and the linker's
-# dependency dump, and a non-test func or method none of them links fails the
-# gate. Type parameters are stripped (nsCred[go.shape.[]uint8] is nsCred), a
-# method counts with or without its pointer receiver, and the funcdata
-# symbols the linker shares between functions (.arginfo1, .stkobj, ...) do
-# not count as links. REACH_TESTONLY is what only tests may call; an entry
-# that a program links, or that names nothing, fails the gate too.
+# No func or method of a package a daemon links exists for tests alone: every
+# main package — cmd/*, examples/* and the bench module, which is only read —
+# is built with inlining off and the linker's dependency dump, and a non-test
+# func or method of an internal package in the dependencies of dnsguardd, ansd
+# or lrsd that none of them links fails the gate. Type parameters are
+# stripped (nsCred[go.shape.[]uint8] is nsCred), a method counts with or
+# without its pointer receiver, and the funcdata symbols the linker shares
+# between functions (.arginfo1, .stkobj, ...) do not count as links.
+# REACH_TESTONLY is what only tests may call; an entry that a program links,
+# or that names nothing, fails the gate too.
 #   Remote.BreakerState, LifecycleStats, Engine.StatsAll, ShardTripped,
 #   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get: what a test
 #   reads of a guard, an engine or a registry without a scrape;
-#   Remote.Resume: undoes Drain, for the lifecycle tests.
+#   Remote.Resume: undoes Drain, for the lifecycle tests;
+#   Limiter2.Sources: the limiter and guard record tests count RL2's sources;
+#   Name.WireLen, UnpackQuestion: TestWireLen, TestUnpackQuestion, and the
+#   view and walk tests measuring and decoding against Unpack;
+#   Resolver.Cache, Cache.Flush: guard and resolver tests empty or seed a
+#   resolver's cache to force a re-resolution.
 REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.LifecycleStats guard.Remote.Resume \
 	engine.Engine.StatsAll engine.Engine.ShardTripped engine.Engine.Quarantined \
-	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get
+	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get \
+	ratelimit.Limiter2.Sources dnswire.Name.WireLen dnswire.UnpackQuestion \
+	resolver.Resolver.Cache resolver.Cache.Flush
+DAEMONS = ./cmd/dnsguardd ./cmd/ansd ./cmd/lrsd
 
 reach-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -159,7 +168,7 @@ reach-check:
 			if (d in ok) { if (d in seen) { print "reach-check: " d " is linked; drop it from REACH_TESTONLY"; bad = 1 } } \
 			else if (!(d in seen)) { print "reach-check: " d " is linked by no program"; bad = 1 } } \
 		END { for (d in ok) if (!(d in declared)) { print "reach-check: REACH_TESTONLY names " d ", which is not declared"; bad = 1 }; exit bad }' \
-		"$$dir/dep" $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/guard ./internal/engine ./internal/metrics)
+		"$$dir/dep" $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' $$($(GO) list -deps $(DAEMONS) | grep '^dnsguard/internal/'))
 
 # Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
 # budget"): each one's size as bench/rig builds it, its dependency count,

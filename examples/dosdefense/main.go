@@ -56,10 +56,9 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 		ansHost = sim.AddHost("ans", public.Addr())
 		ansAddr = public
 	}
-	ansSim, err := workload.NewANSSim(workload.ANSSimConfig{
-		Env: ansHost, Addr: ansAddr,
-		CPU: ansHost.CPU(), Cost: costs.Server.ANSSim, // 110K req/s ceiling
-	})
+	// The meter charges the ANS host's CPU for each query the simulator
+	// reads: a 110K req/s ceiling.
+	ansSim, _, err := workload.MeterANSSim(workload.ANSSimConfig{Env: ansHost, Addr: ansAddr}, costs.Server)
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,7 @@
 // Package ans implements an authoritative DNS name server over a netapi.Env:
 // UDP with RFC 1035 truncation and DNS-over-TCP with length framing. It
 // serves a zone.Zone and models the paper's protected ANS (BIND 9.3.1 on the
-// testbed). A per-request CPU cost can be attached so simulations reproduce
-// the server's measured capacity (14K req/s UDP for BIND, 110K req/s for the
-// authors' ANS simulator).
+// testbed).
 package ans
 
 import (
@@ -19,12 +17,6 @@ import (
 	"dnsguard/internal/zone"
 )
 
-// CPUWorker charges simulated CPU time; netsim.(*CPU) implements it. A nil
-// worker means requests are processed instantaneously (real-socket mode).
-type CPUWorker interface {
-	Work(d time.Duration)
-}
-
 // Config parameterizes a Server.
 type Config struct {
 	// Env supplies clock and sockets.
@@ -36,10 +28,6 @@ type Config struct {
 	Zone *zone.Zone
 	// Zones serves multiple zones from one server (longest-apex match).
 	Zones *ZoneSet
-	// CPU, when non-nil, is charged CostPerQuery for every request.
-	CPU CPUWorker
-	// CostPerQuery is the simulated service time per request.
-	CostPerQuery time.Duration
 	// TTLOverride, when non-nil, replaces every response TTL. The paper's
 	// Figure 5 experiment sets it to 0 to disable caching.
 	TTLOverride *uint32
@@ -220,9 +208,6 @@ func (s *Server) serveConn(conn netapi.Conn) {
 // returns the response message (nil to drop). It is exported so the guard
 // and tests can drive the server in-process.
 func (s *Server) HandleQuery(payload []byte) *dnswire.Message {
-	if s.cfg.CPU != nil && s.cfg.CostPerQuery > 0 {
-		s.cfg.CPU.Work(s.cfg.CostPerQuery)
-	}
 	q, err := dnswire.Unpack(payload)
 	if err != nil || q.Flags.QR || len(q.Questions) == 0 {
 		atomic.AddUint64(&s.Stats.Malformed, 1)

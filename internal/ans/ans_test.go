@@ -187,41 +187,6 @@ func TestServeRefusesNonINET(t *testing.T) {
 	}
 }
 
-func TestServeChargesCPU(t *testing.T) {
-	var cpu *netsim.CPU
-	sched := vclock.New(1)
-	net := netsim.New(sched, time.Millisecond)
-	ansHost := net.AddHost("ans", netip.MustParseAddr("1.2.3.4"))
-	client := net.AddHost("client", netip.MustParseAddr("10.0.0.1"))
-	cpu = ansHost.CPU()
-	srv, err := New(Config{
-		Env: ansHost, Addr: ansAddr(),
-		Zone:         zone.MustParse(fooText, dnswire.Root),
-		CPU:          cpu,
-		CostPerQuery: 71 * time.Microsecond, // BIND-like 14K/s
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		id := uint16(i)
-		sched.Go("client", func() {
-			conn, _ := client.ListenUDP(netip.AddrPortFrom(client.Addr(), 0))
-			defer conn.Close()
-			wire, _ := dnswire.NewQuery(id, dnswire.MustName("www.foo.com"), dnswire.TypeA).PackUDP(512)
-			_ = conn.WriteTo(wire, ansAddr())
-			_, _, _ = conn.ReadFrom(time.Second)
-		})
-	}
-	sched.Run(0)
-	if got := cpu.BusyTime(); got != 710*time.Microsecond {
-		t.Fatalf("busy = %v, want 710µs", got)
-	}
-}
-
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("accepted empty config")

@@ -55,7 +55,8 @@ func (v *BatchVerifier) VerifyLabelBytes(nc NSCodec, src netip.Addr, label []byt
 	return verifyLabel(v.ring, nc, src, label)
 }
 
-// VerifyIP is IPCodec.Verify against the snapshot.
+// VerifyIP reports whether addr is ic's cookie address for src under the
+// snapshot.
 func (v *BatchVerifier) VerifyIP(ic IPCodec, src netip.Addr, addr netip.Addr) bool {
 	return verifyIP(v.ring, ic, src, addr)
 }

@@ -48,7 +48,7 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Encode: %v", stage, err)
 			}
-			if got, want := v.VerifyIP(ic, src, addr), ic.Verify(a, src, addr); got != want || !got {
+			if got, want := v.VerifyIP(ic, src, addr), verifyIP(a.snapshot(), ic, src, addr); got != want || !got {
 				t.Fatalf("%s: VerifyIP(%v) batch=%v single=%v", stage, src, got, want)
 			}
 		}
@@ -59,7 +59,7 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 	pre := a.Mint(srcs[0])
 	var key2 [KeySize]byte
 	key2[0] = 0xAA
-	a.RotateWithKey(key2)
+	rotateWithKey(a, key2)
 	check("epoch1")
 	v := NewBatchVerifier()
 	v.Reset(a)

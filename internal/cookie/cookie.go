@@ -149,10 +149,6 @@ func (a *Authenticator) snapshot() *ringState {
 // MAC returns the authenticator's cookie MAC scheme.
 func (a *Authenticator) MAC() MACScheme { return a.snapshot().mac }
 
-// Generation returns the current key epoch truncated to its historical
-// uint8 form (the parity bit is what the wire format carries).
-func (a *Authenticator) Generation() uint8 { return uint8(a.Epoch()) }
-
 // Epoch returns the current key epoch. Epochs only grow — across rotations
 // and, when the keyring is persisted, across restarts.
 func (a *Authenticator) Epoch() uint64 { return a.snapshot().epoch }
@@ -181,14 +177,6 @@ func (a *Authenticator) Rotate() error {
 	}
 	a.ring.Store(next)
 	return nil
-}
-
-// RotateWithKey is Rotate with a caller-supplied key, for deterministic
-// tests.
-func (a *Authenticator) RotateWithKey(key [KeySize]byte) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ring.Store(a.snapshot().next(key))
 }
 
 // Mint returns the cookie for src under the current epoch.
@@ -341,13 +329,8 @@ func (ic IPCodec) Encode(c Cookie) (netip.Addr, error) {
 	return netip.AddrFrom4([4]byte{byte(host >> 24), byte(host >> 16), byte(host >> 8), byte(host)}), nil
 }
 
-// Verify reports whether addr is the cookie address for src. Address
-// comparisons are constant-time.
-func (ic IPCodec) Verify(a *Authenticator, src netip.Addr, addr netip.Addr) bool {
-	return verifyIP(a.snapshot(), ic, src, addr)
-}
-
-// verifyIP is IPCodec.Verify against an explicit ring snapshot.
+// verifyIP reports whether addr is ic's cookie address for src under the
+// current or previous epoch of ring r. Address comparisons are constant-time.
 func verifyIP(r *ringState, ic IPCodec, src netip.Addr, addr netip.Addr) bool {
 	if !ic.Subnet.Contains(addr) {
 		return false

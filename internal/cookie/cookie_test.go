@@ -20,6 +20,13 @@ func mustOpen(opts Options) *Authenticator {
 
 func keyed(key [KeySize]byte) *Authenticator { return mustOpen(Options{Key: &key}) }
 
+// rotateWithKey is Rotate with a chosen key, for deterministic epochs.
+func rotateWithKey(a *Authenticator, key [KeySize]byte) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ring.Store(a.snapshot().next(key))
+}
+
 func testAuth() *Authenticator {
 	var key [KeySize]byte
 	for i := range key {
@@ -102,7 +109,7 @@ func TestRotationAcceptsPreviousGeneration(t *testing.T) {
 
 	var k1 [KeySize]byte
 	k1[10] = 1
-	a.RotateWithKey(k1)
+	rotateWithKey(a, k1)
 	if !a.Verify(src, old) {
 		t.Fatal("previous-generation cookie rejected after one rotation")
 	}
@@ -116,7 +123,7 @@ func TestRotationAcceptsPreviousGeneration(t *testing.T) {
 
 	var k2 [KeySize]byte
 	k2[20] = 2
-	a.RotateWithKey(k2)
+	rotateWithKey(a, k2)
 	if a.Verify(src, old) {
 		t.Fatal("stale cookie (two rotations old) accepted")
 	}
@@ -132,7 +139,7 @@ func TestGenerationBitMatchesParity(t *testing.T) {
 		t.Fatalf("gen-0 cookie has generation bit %d", got)
 	}
 	var k [KeySize]byte
-	a.RotateWithKey(k)
+	rotateWithKey(a, k)
 	if got := a.Mint(src)[0] >> 7; got != 1 {
 		t.Fatalf("gen-1 cookie has generation bit %d", got)
 	}
@@ -197,13 +204,13 @@ func TestNSLabelSurvivesRotation(t *testing.T) {
 	label := nc.EncodeLabel(a.Mint(src))
 	var k [KeySize]byte
 	k[3] = 9
-	a.RotateWithKey(k)
+	rotateWithKey(a, k)
 	if !nc.VerifyLabel(a, src, label) {
 		t.Fatal("label from previous generation rejected")
 	}
 	var k2 [KeySize]byte
 	k2[4] = 8
-	a.RotateWithKey(k2)
+	rotateWithKey(a, k2)
 	if nc.VerifyLabel(a, src, label) {
 		t.Fatal("label two generations old accepted")
 	}
@@ -237,13 +244,13 @@ func TestIPCodecEncodeVerify(t *testing.T) {
 	if last == 0 || last == 255 {
 		t.Fatalf("cookie address %v uses network/broadcast byte", addr)
 	}
-	if !ic.Verify(a, src, addr) {
+	if !verifyIP(a.snapshot(), ic, src, addr) {
 		t.Fatal("Verify rejected own encoding")
 	}
-	if ic.Verify(a, netip.MustParseAddr("10.20.30.41"), addr) {
+	if verifyIP(a.snapshot(), ic, netip.MustParseAddr("10.20.30.41"), addr) {
 		t.Fatal("Verify accepted wrong source")
 	}
-	if ic.Verify(a, src, netip.MustParseAddr("9.9.9.9")) {
+	if verifyIP(a.snapshot(), ic, src, netip.MustParseAddr("9.9.9.9")) {
 		t.Fatal("Verify accepted address outside subnet")
 	}
 }
@@ -278,8 +285,8 @@ func TestIPCodecSurvivesRotation(t *testing.T) {
 	addr, _ := ic.Encode(a.Mint(src))
 	var k [KeySize]byte
 	k[9] = 3
-	a.RotateWithKey(k)
-	if !ic.Verify(a, src, addr) {
+	rotateWithKey(a, k)
+	if !verifyIP(a.snapshot(), ic, src, addr) {
 		t.Fatal("IP cookie from previous generation rejected")
 	}
 }

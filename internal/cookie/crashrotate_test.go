@@ -114,8 +114,8 @@ func TestCrashBetweenMainAndReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.RotateWithKey(detKey(1))
-	if err := a.SaveStateFile(path); err != nil {
+	rotateWithKey(a, detKey(1))
+	if err := writeKeyState(path, a.State()); err != nil {
 		t.Fatal(err)
 	}
 	cNew := a.Mint(crashSrc)
@@ -195,8 +195,8 @@ func TestCorruptMainRecoversFromReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.RotateWithKey(detKey(4))
-			if err := a.SaveStateFile(path); err != nil {
+			rotateWithKey(a, detKey(4))
+			if err := writeKeyState(path, a.State()); err != nil {
 				t.Fatal(err)
 			}
 			// Crash point: main committed epoch 1, replica still epoch 0,
@@ -255,7 +255,7 @@ func TestBothCopiesCorruptFailsClosed(t *testing.T) {
 func TestChecksumDetectsTamper(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
 	a := keyed(detKey(5))
-	if err := a.SaveStateFile(path); err != nil {
+	if err := writeKeyState(path, a.State()); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)

@@ -67,8 +67,8 @@ func TestOpenKeyringHandleRequiresExistingFile(t *testing.T) {
 
 func TestAdoptNeverRegresses(t *testing.T) {
 	a := keyed(testKey(1))
-	a.RotateWithKey(testKey(2))
-	a.RotateWithKey(testKey(3)) // epoch 2
+	rotateWithKey(a, testKey(2))
+	rotateWithKey(a, testKey(3)) // epoch 2
 	stale := KeyState{Epoch: 1}
 	if a.Adopt(stale) {
 		t.Fatal("Adopt accepted a stale epoch")

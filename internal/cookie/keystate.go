@@ -72,12 +72,6 @@ func (a *Authenticator) BindStateFile(path string) error {
 	return writeKeyState(path, a.snapshot().state())
 }
 
-// SaveStateFile writes the current keyring to path (atomic tmp + rename,
-// mode 0600) without binding.
-func (a *Authenticator) SaveStateFile(path string) error {
-	return writeKeyState(path, a.State())
-}
-
 // Fleet-shared keyrings. A guard fleet (anycast sites behind one service
 // address) must verify each other's cookies: a catchment shift hands a
 // verified client to a cold site, and the cold site can only re-admit it

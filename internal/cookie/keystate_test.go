@@ -15,8 +15,8 @@ import (
 func TestKeyringSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
 	a := keyed(detKey(0))
-	a.RotateWithKey(detKey(1)) // current ≠ previous
-	if err := a.SaveStateFile(path); err != nil {
+	rotateWithKey(a, detKey(1)) // current ≠ previous
+	if err := writeKeyState(path, a.State()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,9 +126,9 @@ func TestStateFileRoundTripsExactRing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keyring")
 	a := keyed(detKey(7))
 	for i := 0; i < 5; i++ {
-		a.RotateWithKey(detKey(10 + i))
+		rotateWithKey(a, detKey(10+i))
 	}
-	if err := a.SaveStateFile(path); err != nil {
+	if err := writeKeyState(path, a.State()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ReadKeyState(path)

@@ -47,10 +47,10 @@ func TestRotationAcceptsExactlyTwoGenerations(t *testing.T) {
 	minted := make([]map[netip.Addr]Cookie, rotations+1)
 	for gen := 0; gen <= rotations; gen++ {
 		if gen > 0 {
-			auth.RotateWithKey(detKey(gen))
+			rotateWithKey(auth, detKey(gen))
 		}
-		if int(auth.Generation()) != gen {
-			t.Fatalf("generation = %d after %d rotations", auth.Generation(), gen)
+		if int(auth.Epoch()) != gen {
+			t.Fatalf("epoch = %d after %d rotations", auth.Epoch(), gen)
 		}
 		minted[gen] = make(map[netip.Addr]Cookie, len(addrs))
 		for _, src := range addrs {
@@ -79,7 +79,7 @@ func TestRotationAcceptsExactlyTwoGenerations(t *testing.T) {
 
 func TestRotationRejectsForgeries(t *testing.T) {
 	auth := keyed(detKey(0))
-	auth.RotateWithKey(detKey(1)) // make current ≠ previous
+	rotateWithKey(auth, detKey(1)) // make current ≠ previous
 	addrs := detAddrs()
 	rng := rand.New(rand.NewSource(31337))
 
@@ -123,7 +123,7 @@ func TestRotationNSLabelAcceptsBothGenerations(t *testing.T) {
 	for _, src := range addrs {
 		prev[src] = nc.EncodeLabel(auth.Mint(src))
 	}
-	auth.RotateWithKey(detKey(1))
+	rotateWithKey(auth, detKey(1))
 	for _, src := range addrs {
 		cur := nc.EncodeLabel(auth.Mint(src))
 		if !nc.VerifyLabel(auth, src, cur) {
@@ -134,8 +134,8 @@ func TestRotationNSLabelAcceptsBothGenerations(t *testing.T) {
 		}
 	}
 	// Two rotations later the old labels are dead.
-	auth.RotateWithKey(detKey(2))
-	auth.RotateWithKey(detKey(3))
+	rotateWithKey(auth, detKey(2))
+	rotateWithKey(auth, detKey(3))
 	rejected := 0
 	for _, src := range addrs {
 		if !nc.VerifyLabel(auth, src, prev[src]) {
@@ -164,19 +164,19 @@ func TestRotationIPCookieAcceptsBothGenerations(t *testing.T) {
 		}
 		prev[src] = a
 	}
-	auth.RotateWithKey(detKey(1))
+	rotateWithKey(auth, detKey(1))
 	for _, src := range addrs {
 		cur, err := ic.Encode(auth.Mint(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ic.Verify(auth, src, cur) {
+		if !verifyIP(auth.snapshot(), ic, src, cur) {
 			t.Fatalf("current-generation address for %v rejected", src)
 		}
-		if !ic.Verify(auth, src, prev[src]) {
+		if !verifyIP(auth.snapshot(), ic, src, prev[src]) {
 			t.Fatalf("previous-generation address for %v rejected", src)
 		}
-		if out := netip.MustParseAddr("203.0.113.9"); ic.Verify(auth, src, out) {
+		if out := netip.MustParseAddr("203.0.113.9"); verifyIP(auth.snapshot(), ic, src, out) {
 			t.Fatalf("address outside the subnet verified for %v", src)
 		}
 	}

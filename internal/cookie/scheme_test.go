@@ -91,7 +91,7 @@ func TestMD5SchemeMatchesReference(t *testing.T) {
 
 // FuzzMD5MatchesReference checks the in-tree MD5 against crypto/md5 for any
 // key and any IPv4, IPv6 or 4-in-6 source, on a ring built by each
-// constructor — Open with a key, Open from a state file, RotateWithKey and
+// constructor — Open with a key, Open from a state file, a rotation and
 // Adopt — so a constructor that leaves a key's midstate stale or unset
 // fails. Both of a ring's key slots are checked: the current epoch's by
 // Mint, the previous epoch's by Verify. MD5.MAC, the two-block path for a
@@ -130,7 +130,7 @@ func FuzzMD5MatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		rotated := keyed(other)
-		rotated.RotateWithKey(key)
+		rotateWithKey(rotated, key)
 		adopted := keyed(other)
 		if !adopted.Adopt(KeyState{Epoch: 6, Keys: [2][KeySize]byte{key, other}}) {
 			t.Fatal("Adopt refused a newer epoch")
@@ -138,7 +138,7 @@ func FuzzMD5MatchesReference(f *testing.F) {
 		for name, a := range map[string]*Authenticator{
 			"Open(Key)":       keyed(key),
 			"Open(StateFile)": fromFile,
-			"RotateWithKey":   rotated,
+			"rotation":        rotated,
 			"Adopt":           adopted,
 		} {
 			e := a.Epoch()
@@ -188,7 +188,7 @@ func TestSchemeRoundTrip(t *testing.T) {
 		}
 		var next [KeySize]byte
 		next[0] = 9
-		a.RotateWithKey(next)
+		rotateWithKey(a, next)
 		if !a.Verify(src, c) {
 			t.Fatalf("%s: previous-epoch cookie rejected inside the grace window", mac.Name())
 		}

@@ -66,9 +66,6 @@ func (v View) ID() uint16 { return uint16(v.buf[0])<<8 | uint16(v.buf[1]) }
 // RawFlags returns the flags word exactly as it appears on the wire.
 func (v View) RawFlags() uint16 { return uint16(v.buf[2])<<8 | uint16(v.buf[3]) }
 
-// Flags decodes the flags word.
-func (v View) Flags() Flags { return unpackFlags(v.RawFlags()) }
-
 // QR reports the response bit.
 func (v View) QR() bool { return v.buf[2]&0x80 != 0 }
 
@@ -84,27 +81,11 @@ func (v View) NSCount() uint16 { return uint16(v.buf[8])<<8 | uint16(v.buf[9]) }
 // ARCount returns the additional count.
 func (v View) ARCount() uint16 { return uint16(v.buf[10])<<8 | uint16(v.buf[11]) }
 
-// QNameWire returns the first question's name as raw wire bytes (labels
-// plus terminator), borrowed from the underlying buffer.
-func (v View) QNameWire() []byte { return v.buf[headerLen : headerLen+v.nameLen] }
-
 // FirstLabel returns the first label's bytes (no length octet), borrowed.
 // Empty for the root name.
 func (v View) FirstLabel() []byte {
 	c := int(v.buf[headerLen])
 	return v.buf[headerLen+1 : headerLen+1+c]
-}
-
-// QType returns the first question's type.
-func (v View) QType() Type {
-	o := headerLen + v.nameLen
-	return Type(uint16(v.buf[o])<<8 | uint16(v.buf[o+1]))
-}
-
-// QClass returns the first question's class.
-func (v View) QClass() Class {
-	o := headerLen + v.nameLen + 2
-	return Class(uint16(v.buf[o])<<8 | uint16(v.buf[o+1]))
 }
 
 // QuestionWire returns the first question's full span (name, type, class)
@@ -115,13 +96,6 @@ func (v View) QuestionWire() []byte { return v.buf[headerLen:v.end] }
 // exactly one question has End equal to the datagram length and zero
 // ANCount/NSCount/ARCount.
 func (v View) End() int { return v.end }
-
-// Question materializes the first question as Unpack would decode it —
-// canonical lowercase Name. It allocates.
-func (v View) Question() (Question, error) {
-	q, _, err := UnpackQuestion(v.QuestionWire())
-	return q, err
-}
 
 // UnpackQuestion decodes one question record from the start of b — the flat
 // span QuestionWire returns, or one a caller copied out of a View — and

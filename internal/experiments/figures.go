@@ -87,9 +87,9 @@ func figure5Cell(attackRate float64, guardOn bool, opts Figure5Options) (float64
 	// stalled lane does not zero the whole LRS.
 	const lanes = 8
 	clients := make([]*workload.Client, 0, 2*lanes)
-	mk := func(env *netsim.Host, kind workload.ClientKind, tcpCost time.Duration) error {
+	mk := func(env *netsim.Host, kind workload.ClientKind) error {
 		for i := 0; i < lanes; i++ {
-			c, err := workload.NewClient(workload.ClientConfig{
+			c, _, err := workload.MeterClient(workload.ClientConfig{
 				Env:      env,
 				Kind:     kind,
 				Mode:     workload.ModeHit,
@@ -97,9 +97,7 @@ func figure5Cell(attackRate float64, guardOn bool, opts Figure5Options) (float64
 				QName:    qname,
 				Wait:     2 * time.Second, // BIND's retransmission timer
 				Interval: lanes * time.Millisecond,
-				CPU:      env.CPU(),
-				TCPCost:  tcpCost,
-			})
+			}, w.Costs.Server)
 			if err != nil {
 				return err
 			}
@@ -108,10 +106,10 @@ func figure5Cell(attackRate float64, guardOn bool, opts Figure5Options) (float64
 		}
 		return nil
 	}
-	if err := mk(w.LRSHost, workload.KindNSName, 0); err != nil {
+	if err := mk(w.LRSHost, workload.KindNSName); err != nil {
 		return 0, 0, err
 	}
-	if err := mk(w.LRS2Host, workload.KindTCP, w.Costs.Server.LRSTCPClient); err != nil {
+	if err := mk(w.LRS2Host, workload.KindTCP); err != nil {
 		return 0, 0, err
 	}
 	if attackRate > 0 {

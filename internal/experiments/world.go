@@ -69,9 +69,9 @@ type WorldConfig struct {
 	WithProxy bool
 	// ProxyMaxDuration overrides the proxy's 5×RTT duration cap.
 	ProxyMaxDuration time.Duration
-	// ProxyCostSegments, when positive (and the world is costed),
-	// charges the guard CPU segments×TCPSegment×(1+live×slope) per
-	// proxied request — the kernel-TCP service model.
+	// ProxyCostSegments, when positive (and the world is costed), is how
+	// many kernel TCP segments workload.MeterProxy charges the guard host
+	// per proxied request.
 	ProxyCostSegments int
 	// RL1Unlimited lifts Rate-Limiter1 entirely (throughput experiments
 	// drive one LRS source far past any sane per-source cookie-response
@@ -123,6 +123,12 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		Public: publicANSAddr,
 	}
 
+	// The servers' meters; an uncosted world's charge nothing.
+	costs := w.Costs
+	if cfg.Uncosted {
+		costs = cpumodel.Costs{}
+	}
+
 	// The protected server.
 	var ansEnv *netsim.Host
 	if cfg.GuardOff {
@@ -137,14 +143,12 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	if cfg.UseBIND {
 		zero := uint32(0)
-		srv, err := ans.New(ans.Config{
-			Env:          ansEnv,
-			Addr:         ansAddr,
-			Zone:         zone.MustParse(fooZoneText, dnswire.Root),
-			CPU:          cpuOrNil(cfg, ansEnv),
-			CostPerQuery: w.Costs.Server.BINDUDP,
-			TTLOverride:  &zero,
-		})
+		srv, _, err := workload.MeterBIND(ans.Config{
+			Env:         ansEnv,
+			Addr:        ansAddr,
+			Zone:        zone.MustParse(fooZoneText, dnswire.Root),
+			TTLOverride: &zero,
+		}, costs.Server)
 		if err != nil {
 			return nil, err
 		}
@@ -157,13 +161,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		if cfg.ReferralANS {
 			mode = workload.ModeReferral
 		}
-		sim, err := workload.NewANSSim(workload.ANSSimConfig{
+		sim, _, err := workload.MeterANSSim(workload.ANSSimConfig{
 			Env:  ansEnv,
 			Addr: ansAddr,
 			Mode: mode,
-			CPU:  cpuOrNil(cfg, ansEnv),
-			Cost: w.Costs.Server.ANSSim,
-		})
+		}, costs.Server)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +241,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.Guard = g
 
 	if cfg.WithProxy {
-		pcfg := tcpproxy.Config{
+		p, _, err := workload.MeterProxy(tcpproxy.Config{
 			Env:           gh,
 			Listen:        publicANSAddr,
 			ANSAddr:       privateANS,
@@ -248,17 +250,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			ConnRate:      1e9,
 			ConnBurst:     1e9,
 			MaxConcurrent: 1 << 16,
-		}
-		if !cfg.Uncosted && cfg.ProxyCostSegments > 0 {
-			gc := w.Costs.Guard
-			base := time.Duration(cfg.ProxyCostSegments) * gc.TCPSegment
-			pcfg.CPU = gh.CPU()
-			pcfg.CostPerRequest = func(live int) time.Duration {
-				f := 1 + gc.ConnTableSlope*float64(live)
-				return time.Duration(float64(base) * f)
-			}
-		}
-		p, err := tcpproxy.New(pcfg)
+		}, cfg.ProxyCostSegments, costs.Guard)
 		if err != nil {
 			return nil, err
 		}
@@ -268,13 +260,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		w.Proxy = p
 	}
 	return w, nil
-}
-
-func cpuOrNil(cfg WorldConfig, h *netsim.Host) workload.CPUWorker {
-	if cfg.Uncosted {
-		return nil
-	}
-	return h.CPU()
 }
 
 // RunPhase advances the simulation to absolute virtual time t.

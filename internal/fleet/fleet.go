@@ -308,13 +308,6 @@ func (f *Fleet) Rotate() error {
 	return nil
 }
 
-// RotateWithKey is Rotate with a caller-supplied key, for deterministic
-// simulations under controller push.
-func (f *Fleet) RotateWithKey(key [cookie.KeySize]byte) {
-	f.controller.RotateWithKey(key)
-	f.push()
-}
-
 func (f *Fleet) push() {
 	st := f.controller.State()
 	for _, s := range f.sites {

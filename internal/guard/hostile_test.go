@@ -151,7 +151,7 @@ func TestGuardRestartRecovery(t *testing.T) {
 		}
 		// ...or its cache still points at the dead cookie: flush (a real
 		// LRS's records expire) and retry.
-		f.res.FlushCache()
+		f.res.Cache().Flush()
 		if _, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA); err != nil {
 			t.Errorf("resolve after guard restart: %v", err)
 		}

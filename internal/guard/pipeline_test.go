@@ -147,7 +147,8 @@ func upperName(wire []byte) []byte {
 	if !ok {
 		panic("upperName: not viewable")
 	}
-	name := v.QNameWire()
+	q := v.QuestionWire()
+	name := q[:len(q)-4]
 	for i, c := range name {
 		if c >= 'a' && c <= 'z' {
 			name[i] = c - ('a' - 'A')

@@ -332,9 +332,10 @@ func (tw *spliceTwin) ingress(data []byte) {
 func (tw *spliceTwin) upstream(data []byte) {
 	client := shapeClient
 	name, qtype := []byte("\x03www\x03foo\x03com\x00"), []byte{0, 1}
-	if v, ok := dnswire.ParseView(data); ok && len(v.FirstLabel()) > 0 &&
-		len(v.FirstLabel())+tw.got.g.nsPrefixLen <= dnswire.MaxLabelLen && len(v.QNameWire())+tw.got.g.nsPrefixLen <= dnswire.MaxNameWireLen {
-		name, qtype = v.QNameWire(), v.QuestionWire()[len(v.QNameWire()):][:2]
+	if v, ok := dnswire.ParseView(data); ok && len(v.FirstLabel()) > 0 {
+		if qw := v.QuestionWire(); len(v.FirstLabel())+tw.got.g.nsPrefixLen <= dnswire.MaxLabelLen && len(qw)-4+tw.got.g.nsPrefixLen <= dnswire.MaxNameWireLen {
+			name, qtype = qw[:len(qw)-4], qw[len(qw)-4:][:2]
+		}
 	}
 	q := append(tw.query[:0], 0x12, 0x34, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, name[0]+byte(tw.got.g.nsPrefixLen))
 	q = tw.got.g.nsc.AppendLabel(q, tw.got.g.cfg.Auth.Mint(client.Addr()))

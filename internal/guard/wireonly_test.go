@@ -4,8 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -55,43 +56,70 @@ func TestGuardSpeaksWireOnly(t *testing.T) {
 	}
 }
 
-// TestGuardChargesNoCPU keeps the simulator's cost model out of the guard:
-// the guard counts its work (Work) and what prices it sits around its
-// sockets. No non-test file imports cpumodel or declares or calls a CPU hook
-// — a CPUWorker, a WorkPreempt, a charge — and RemoteConfig has no CPU or
-// Costs field.
+// TestGuardChargesNoCPU keeps the simulator's cost model out of every
+// package a daemon links: the simulator prices work at a host's sockets
+// (workload's meters), and no product package knows a price. No non-test
+// file of an internal package in the daemons' dependencies imports cpumodel,
+// names WorkPreempt, declares a CPUWorker or any interface with a
+// Work(time.Duration) method, or declares a struct field named CPU or Cost*.
 func TestGuardChargesNoCPU(t *testing.T) {
-	paths, err := filepath.Glob("*.go")
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}}{{range .GoFiles}} {{$.Dir}}/{{.}}{{end}}",
+		"dnsguard/cmd/dnsguardd", "dnsguard/cmd/ansd", "dnsguard/cmd/lrsd").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list: %v", err)
 	}
 	fset := token.NewFileSet()
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
+	seen := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		files := strings.Fields(line)
+		if !strings.HasPrefix(files[0], "dnsguard/internal/") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "dnsguard/internal/cpumodel" {
-				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
+		seen++
+		for _, path := range files[1:] {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				switch id.Name {
-				case "CPUWorker", "WorkPreempt", "charge", "cpumodel":
-					t.Errorf("%s names %s: the guard counts its work and charges none", fset.Position(id.Pos()), id.Name)
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "dnsguard/internal/cpumodel" {
+					t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
 				}
 			}
-			return true
-		})
-	}
-	for _, name := range []string{"CPU", "Costs"} {
-		if _, ok := reflect.TypeFor[RemoteConfig]().FieldByName(name); ok {
-			t.Errorf("RemoteConfig has a %s field", name)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if n.Name == "WorkPreempt" {
+						t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
+					}
+				case *ast.TypeSpec:
+					if n.Name.Name == "CPUWorker" {
+						t.Errorf("%s declares %s", fset.Position(n.Pos()), n.Name.Name)
+					}
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						if ft, ok := m.Type.(*ast.FuncType); ok && len(m.Names) == 1 && m.Names[0].Name == "Work" &&
+							len(ft.Params.List) == 1 && types.ExprString(ft.Params.List[0].Type) == "time.Duration" {
+							t.Errorf("%s declares a Work(time.Duration) hook", fset.Position(m.Pos()))
+						}
+					}
+				case *ast.StructType:
+					for _, fld := range n.Fields.List {
+						for _, id := range fld.Names {
+							if id.Name == "CPU" || strings.HasPrefix(id.Name, "Cost") {
+								t.Errorf("%s declares a field %s", fset.Position(id.Pos()), id.Name)
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
+	}
+	if seen == 0 {
+		t.Error("go list named no internal package of the daemons")
 	}
 }

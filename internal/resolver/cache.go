@@ -149,13 +149,6 @@ func (c *Cache) Flush() {
 	c.entries = make(map[cacheKey]cacheEntry)
 }
 
-// Len reports live entry count (including expired not yet reaped).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats reports hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

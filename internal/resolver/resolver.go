@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,9 +187,6 @@ func (r *Resolver) Config() Config { return r.cfg }
 
 // Cache exposes the resolver's cache (for tests and cache-priming).
 func (r *Resolver) Cache() *Cache { return r.cache }
-
-// FlushCache drops all cached data.
-func (r *Resolver) FlushCache() { r.cache.Flush() }
 
 // Resolve answers (qname, qtype) by walking the delegation hierarchy.
 func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (Result, error) {
@@ -491,6 +489,9 @@ func (r *Resolver) serverAddr(host dnswire.Name, depth int) (netip.Addr, error) 
 }
 
 // exchange performs one UDP query/response with TCP fallback on truncation.
+// A datagram is the response only when it comes from server, has QR set, and
+// carries the query's ID and question (RFC 5452 §9.1); the resolver waits on
+// past anything else.
 func (r *Resolver) exchange(server netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, timeout time.Duration) (*dnswire.Message, error) {
 	conn, err := r.cfg.Env.ListenUDP(netip.AddrPort{})
 	if err != nil {
@@ -516,7 +517,7 @@ func (r *Resolver) exchange(server netip.AddrPort, qname dnswire.Name, qtype dns
 			atomic.AddUint64(&r.Stats.Timeouts, 1)
 			return nil, ErrTimeout
 		}
-		payload, _, err := conn.ReadFrom(remain)
+		payload, from, err := conn.ReadFrom(remain)
 		if err != nil {
 			if errors.Is(err, netapi.ErrTimeout) {
 				atomic.AddUint64(&r.Stats.Timeouts, 1)
@@ -524,12 +525,12 @@ func (r *Resolver) exchange(server netip.AddrPort, qname dnswire.Name, qtype dns
 			}
 			return nil, err
 		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != id || !resp.Flags.QR {
-			continue // stray or forged datagram; keep waiting
+		if from != server {
+			continue // off-path datagram; keep waiting
 		}
-		if len(resp.Questions) > 0 && (resp.Questions[0].Name != qname || resp.Questions[0].Type != qtype) {
-			continue
+		resp, err := dnswire.Unpack(payload)
+		if err != nil || resp.ID != id || !resp.Flags.QR || !slices.Equal(resp.Questions, q.Questions) {
+			continue // stray or forged datagram; keep waiting
 		}
 		if resp.Flags.TC {
 			atomic.AddUint64(&r.Stats.TCPFallbacks, 1)

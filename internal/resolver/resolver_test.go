@@ -396,9 +396,9 @@ func TestLRSServerAndStub(t *testing.T) {
 	outsider := f.net.AddHost("outsider", netip.MustParseAddr("172.16.0.9"))
 
 	f.sched.Go("stub", func() {
-		resp, err := StubQuery(stub, srv.Addr(), dnswire.MustName("www.foo.com"), dnswire.TypeA, 77, time.Second)
+		resp, err := stubQuery(stub, srv.Addr(), dnswire.MustName("www.foo.com"), dnswire.TypeA, 77, time.Second)
 		if err != nil {
-			t.Errorf("StubQuery: %v", err)
+			t.Errorf("stub query: %v", err)
 			return
 		}
 		if !resp.Flags.RA || len(resp.Answers) != 1 {
@@ -406,7 +406,7 @@ func TestLRSServerAndStub(t *testing.T) {
 		}
 	})
 	f.sched.Go("outsider", func() {
-		resp, err := StubQuery(outsider, srv.Addr(), dnswire.MustName("www.foo.com"), dnswire.TypeA, 78, time.Second)
+		resp, err := stubQuery(outsider, srv.Addr(), dnswire.MustName("www.foo.com"), dnswire.TypeA, 78, time.Second)
 		if err != nil {
 			t.Errorf("outsider query: %v", err)
 			return
@@ -455,8 +455,8 @@ func TestCacheEvictionBound(t *testing.T) {
 		rr := dnswire.NewRR(name, 600, &dnswire.AData{Addr: netip.MustParseAddr("1.1.1.1")})
 		c.Put(0, name, dnswire.TypeA, []dnswire.RR{rr})
 	}
-	if c.Len() > 64 {
-		t.Fatalf("len = %d, want <= 64", c.Len())
+	if len(c.entries) > 64 {
+		t.Fatalf("len = %d, want <= 64", len(c.entries))
 	}
 }
 
@@ -477,5 +477,100 @@ func TestCacheZeroTTLNotStoredDespiteMinTTL(t *testing.T) {
 	c.Put(0, name, dnswire.TypeA, []dnswire.RR{rr})
 	if _, _, _, ok := c.Get(20*time.Second, name, dnswire.TypeA); !ok {
 		t.Fatal("TTL-1 record not floored to MinTTL")
+	}
+}
+
+// TestExchangeTakesOnlyTheServersReply: an off-path host that learns the
+// resolver's query port sends the query's ID and question, with an answer of
+// its own, from its own address before the server answers. The resolver
+// takes the server's answer (RFC 5452 §9.1).
+func TestExchangeTakesOnlyTheServersReply(t *testing.T) {
+	sched := vclock.New(5)
+	network := netsim.New(sched, time.Millisecond)
+	server := network.AddHost("server", netip.MustParseAddr("198.41.0.4"))
+	offPath := network.AddHost("off-path", netip.MustParseAddr("203.0.113.66"))
+	lrs := network.AddHost("lrs", netip.MustParseAddr("10.0.0.53"))
+	res, err := New(Config{Env: lrs, RootHints: []netip.AddrPort{netip.MustParseAddrPort("198.41.0.4:53")},
+		Timeout: time.Second, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverConn, err := server.ListenUDP(netip.MustParseAddrPort("198.41.0.4:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forger, err := offPath.ListenUDP(netip.MustParseAddrPort("203.0.113.66:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Go("server", func() {
+		q, from, err := serverConn.ReadFrom(time.Second)
+		if err != nil {
+			t.Errorf("server: %v", err)
+			return
+		}
+		_ = forger.WriteTo(answerWith(t, q, "6.6.6.6"), from)
+		server.Sleep(10 * time.Millisecond)
+		_ = serverConn.WriteTo(answerWith(t, q, "198.51.100.10"), from)
+	})
+	var got Result
+	sched.Go("test", func() {
+		got, err = res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
+	})
+	sched.Run(time.Minute)
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	if len(got.Answers) != 1 || got.Answers[0].Data.(*dnswire.AData).Addr != netip.MustParseAddr("198.51.100.10") {
+		t.Errorf("answers = %v, want the server's 198.51.100.10", got.Answers)
+	}
+}
+
+// answerWith is the authoritative answer to query q: its question, one A
+// record of addr.
+func answerWith(t *testing.T, q []byte, addr string) []byte {
+	m, err := dnswire.Unpack(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := m.Response()
+	r.Flags.AA = true
+	r.Answers = []dnswire.RR{dnswire.NewRR(m.Question().Name, 60, &dnswire.AData{Addr: netip.MustParseAddr(addr)})}
+	wire, err := r.PackUDP(dnswire.MaxUDPSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// stubQuery is a stub resolver: one recursive UDP query to an LRS.
+func stubQuery(env netapi.Env, lrs netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, id uint16, timeout time.Duration) (*dnswire.Message, error) {
+	conn, err := env.ListenUDP(netip.AddrPort{})
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	wire, err := dnswire.NewQuery(id, qname, qtype).PackUDP(dnswire.MaxUDPSize)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.WriteTo(wire, lrs); err != nil {
+		return nil, err
+	}
+	deadline := env.Now() + timeout
+	for {
+		remain := deadline - env.Now()
+		if remain <= 0 {
+			return nil, netapi.ErrTimeout
+		}
+		payload, _, err := conn.ReadFrom(remain)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := dnswire.Unpack(payload)
+		if err != nil || resp.ID != id || !resp.Flags.QR {
+			continue
+		}
+		return resp, nil
 	}
 }

@@ -71,7 +71,7 @@ func TestBackoffRetriesSurviveHeavyLoss(t *testing.T) {
 			if _, err := res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA); err == nil {
 				succeeded++
 			}
-			res.FlushCache()
+			res.Cache().Flush()
 		}
 	})
 	sched.Run(time.Hour)

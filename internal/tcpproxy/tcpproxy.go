@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,22 +46,10 @@ type Config struct {
 	// MaxConcurrent bounds simultaneous proxied connections. 0 means
 	// 8192.
 	MaxConcurrent int
-	// CPU, when non-nil, is charged CostPerRequest for every proxied
-	// request (the simulator's kernel-TCP service time).
-	CPU CPUWorker
-	// CostPerRequest computes the service cost given the current number
-	// of live connections — connection-table management makes it grow
-	// with concurrency (Figure 7a).
-	CostPerRequest func(live int) time.Duration
 }
 
 // upstreamTimeout bounds the ANS's answer time.
 const upstreamTimeout = 2 * time.Second
-
-// CPUWorker charges simulated CPU time; netsim.(*CPU) implements it.
-type CPUWorker interface {
-	Work(d time.Duration)
-}
 
 func (c *Config) fillDefaults() error {
 	if c.Env == nil {
@@ -173,8 +162,7 @@ func (p *Proxy) Close() {
 	}
 }
 
-// Live reports currently proxied connections (drives the connection-table
-// cost factor in experiments).
+// Live reports currently proxied connections.
 func (p *Proxy) Live() int { return int(p.live.Load()) }
 
 func (p *Proxy) acceptLoop() {
@@ -240,16 +228,15 @@ func (p *Proxy) serve(conn netapi.Conn) {
 }
 
 // relay forwards one request frame to the ANS over UDP and writes the
-// response back on the TCP connection.
+// response back on the TCP connection. A datagram is the response only when
+// it comes from the ANS, has QR set, and carries the request's ID and
+// question (RFC 5452 §9.1); the proxy waits on past anything else.
 func (p *Proxy) relay(conn netapi.Conn, frame []byte) bool {
 	req, err := dnswire.Unpack(frame)
 	if err != nil || req.Flags.QR {
 		return false
 	}
 	atomic.AddUint64(&p.Stats.Requests, 1)
-	if p.cfg.CPU != nil && p.cfg.CostPerRequest != nil {
-		p.cfg.CPU.Work(p.cfg.CostPerRequest(int(p.live.Load())))
-	}
 	udp, err := p.cfg.Env.ListenUDP(netip.AddrPort{})
 	if err != nil {
 		return false
@@ -265,13 +252,16 @@ func (p *Proxy) relay(conn netapi.Conn, frame []byte) bool {
 			atomic.AddUint64(&p.Stats.UpstreamDrops, 1)
 			return false
 		}
-		payload, _, err := udp.ReadFrom(remain)
+		payload, from, err := udp.ReadFrom(remain)
 		if err != nil {
 			atomic.AddUint64(&p.Stats.UpstreamDrops, 1)
 			return false
 		}
+		if from != p.cfg.ANSAddr {
+			continue
+		}
 		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != req.ID {
+		if err != nil || resp.ID != req.ID || !resp.Flags.QR || !slices.Equal(resp.Questions, req.Questions) {
 			continue
 		}
 		out, err := dnswire.AppendTCPFrame(nil, payload)

@@ -428,3 +428,88 @@ func TestClientSprayFootprint(t *testing.T) {
 		t.Errorf("the busy client was allowed %d connections in %v, want <= %d: its bucket was recycled", busyAllowed, spent, most+1)
 	}
 }
+
+// TestRelayTakesOnlyTheANSReply: an off-path host that learns the proxy's
+// upstream port sends the request's ID and question, with an answer of its
+// own, from its own address before the ANS answers. The proxy relays the
+// ANS's answer (RFC 5452 §9.1).
+func TestRelayTakesOnlyTheANSReply(t *testing.T) {
+	sched := vclock.New(7)
+	network := netsim.New(sched, time.Millisecond)
+	ansHost := network.AddHost("ans", mustAddr("10.99.0.2"))
+	offPath := network.AddHost("off-path", mustAddr("203.0.113.66"))
+	proxyHost := network.AddHost("proxy", mustAddr("192.0.2.1"))
+	client := network.AddHost("client", mustAddr("10.0.0.53"))
+	tcpsim.Install(proxyHost, tcpsim.Config{})
+	tcpsim.Install(client, tcpsim.Config{})
+	p, err := New(Config{Env: proxyHost, Listen: mustAP("192.0.2.1:53"), ANSAddr: mustAP("10.99.0.2:53")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ansConn, err := ansHost.ListenUDP(mustAP("10.99.0.2:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forger, err := offPath.ListenUDP(mustAP("203.0.113.66:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(q []byte, addr string) []byte {
+		m, err := dnswire.Unpack(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.Response()
+		r.Answers = []dnswire.RR{dnswire.NewRR(m.Question().Name, 60, &dnswire.AData{Addr: mustAddr(addr)})}
+		wire, err := r.PackUDP(dnswire.MaxUDPSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	sched.Go("ans", func() {
+		q, from, err := ansConn.ReadFrom(time.Second)
+		if err != nil {
+			t.Errorf("ANS: %v", err)
+			return
+		}
+		_ = forger.WriteTo(answer(q, "6.6.6.6"), from)
+		ansHost.Sleep(10 * time.Millisecond)
+		_ = ansConn.WriteTo(answer(q, "198.51.100.10"), from)
+	})
+	var got *dnswire.Message
+	sched.Go("client", func() {
+		conn, err := client.DialTCP(mustAP("192.0.2.1:53"))
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		defer conn.Close()
+		wire, _ := dnswire.NewQuery(9, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+		frame, _ := dnswire.AppendTCPFrame(nil, wire)
+		if _, err := conn.Write(frame); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		var sc dnswire.FrameScanner
+		buf := make([]byte, 4096)
+		for got == nil {
+			n, err := conn.Read(buf, 5*time.Second)
+			if err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			sc.Add(buf[:n])
+			if msg, ok, _ := sc.Next(); ok {
+				got, _ = dnswire.Unpack(msg)
+			}
+		}
+	})
+	sched.Run(time.Minute)
+	if got == nil || len(got.Answers) != 1 || got.Answers[0].Data.(*dnswire.AData).Addr != mustAddr("198.51.100.10") {
+		t.Errorf("relayed %v, want the ANS's 198.51.100.10", got)
+	}
+}

@@ -8,16 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"time"
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 )
-
-// CPUWorker charges simulated CPU time; netsim.(*CPU) implements it.
-type CPUWorker interface {
-	Work(d time.Duration)
-}
 
 // ANSSimMode selects the shape of the simulator's fixed answer.
 type ANSSimMode int
@@ -40,11 +34,6 @@ type ANSSimConfig struct {
 	Addr netip.AddrPort
 	// Mode selects answer or referral responses.
 	Mode ANSSimMode
-	// CPU, when non-nil, is charged Cost per request (~9.1 µs for the
-	// paper's 110K req/s simulator).
-	CPU CPUWorker
-	// Cost is the per-request service time.
-	Cost time.Duration
 }
 
 // anssimAnswer is the address the simulator returns in answers and glue.
@@ -95,9 +84,6 @@ func (s *ANSSim) serve() {
 		payload, src, err := s.conn.ReadFrom(netapi.NoTimeout)
 		if err != nil {
 			return
-		}
-		if s.cfg.CPU != nil && s.cfg.Cost > 0 {
-			s.cfg.CPU.Work(s.cfg.Cost)
 		}
 		q, err := dnswire.Unpack(payload)
 		if err != nil || q.Flags.QR || len(q.Questions) == 0 {

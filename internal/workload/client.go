@@ -79,12 +79,6 @@ type ClientConfig struct {
 	// Interval, when positive, paces requests (one per interval);
 	// otherwise the client runs closed-loop as fast as responses return.
 	Interval time.Duration
-	// CPU, when non-nil, is charged TCPCost.
-	CPU CPUWorker
-	// TCPCost is client-side CPU charged only when a request actually runs
-	// over TCP — the LRS's TCP path costs ~2 ms/request, capping it at 0.5K
-	// req/s in Figure 5.
-	TCPCost time.Duration
 	// DirectTCP skips the UDP truncation redirect and dials TCP
 	// immediately (the Figure 7 methodology: "the DNS guard instructs
 	// the LRS simulator to use TCP for each DNS request").
@@ -374,9 +368,6 @@ func (c *Client) requestTCP() error {
 			// but this client only measures the TCP path.
 			return fmt.Errorf("workload: expected TC or answers, got rcode %v", resp.Flags.RCode)
 		}
-	}
-	if c.cfg.CPU != nil && c.cfg.TCPCost > 0 {
-		c.cfg.CPU.Work(c.cfg.TCPCost)
 	}
 	conn, err := c.cfg.Env.DialTCP(c.cfg.Target)
 	if err != nil {

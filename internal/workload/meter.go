@@ -6,11 +6,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnsguard/internal/ans"
 	"dnsguard/internal/cpumodel"
 	"dnsguard/internal/guard"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/tcpproxy"
 )
+
+// The simulator prices work at a host's sockets: no program charges CPU. A
+// metered host stands in for a program's netsim host, and it and the UDP
+// sockets it opens call the program's meter at each socket call. A meter
+// charges the host's CPU there what the program did since its last charge:
+// GuardMeter what the guard counted, ServerMeter a fixed price per call.
+type meter interface {
+	opening()   // before the host opens a UDP socket
+	dialing()   // before the host dials a TCP connection
+	reading()   // before a read of one of its UDP sockets
+	read(n int) // as such a read returns n datagrams
+	writing()   // before a write to one of its UDP sockets
+}
 
 // GuardMeter prices a simulated guard's work on its host's CPU. The guard
 // charges nothing: it counts what each of its loops did (guard.Work). The
@@ -81,10 +96,10 @@ func (m *GuardMeter) spend(loop int, d time.Duration) {
 	m.cpu.WorkPreempt(d)
 }
 
-// read charges loop for the n datagrams a read of its returned, as it
+// received charges loop for the n datagrams a read of its returned, as it
 // returns: the loop counts each as Read when it handles it, and handles it
 // at the time its receive took.
-func (m *GuardMeter) read(loop, n int) { m.spend(loop, time.Duration(n)*m.costs.PacketOp) }
+func (m *GuardMeter) received(loop, n int) { m.spend(loop, time.Duration(n)*m.costs.PacketOp) }
 
 // charge charges loop for the rest of what it counted since its last charge,
 // kind by kind in the order a packet's work is done: a loop that handled one
@@ -108,14 +123,125 @@ func (m *GuardMeter) charge(loop int) {
 	}
 }
 
-// meteredHost is the guard's Env: the host, every capability the engine
-// probes with it, and upstream sockets behind the meter.
+// The guard's upstream sockets are the only ones it opens: the upstream loop
+// reads them, the worker writes them.
+func (m *GuardMeter) opening()   {}
+func (m *GuardMeter) dialing()   {}
+func (m *GuardMeter) reading()   { m.charge(meterUpstream) }
+func (m *GuardMeter) read(n int) { m.received(meterUpstream, n) }
+func (m *GuardMeter) writing()   { m.charge(meterWorker) }
+
+// ServerMeter prices a simulated server's work on its host's CPU at the
+// cpumodel prices of the server's measured capacity, through
+// netsim.CPU.Work: ordinary work, which the guard's WorkPreempt preempts
+// (Figure 7b). It charges a fixed price per socket call, as the call is
+// made: for each datagram a UDP read returns, as the read returns; before
+// each UDP socket the server opens; before each TCP connection it dials.
+type ServerMeter struct {
+	cpu              *netsim.CPU
+	perRead, perDial time.Duration
+	perSocket        func() time.Duration // nil: opening a socket is free
+	charged          time.Duration
+}
+
+// Charged reports what the meter has charged so far.
+func (m *ServerMeter) Charged() time.Duration { return m.charged }
+
+func (m *ServerMeter) spend(d time.Duration) {
+	m.charged += d
+	m.cpu.Work(d)
+}
+
+func (m *ServerMeter) opening() {
+	if m.perSocket != nil {
+		m.spend(m.perSocket())
+	}
+}
+func (m *ServerMeter) dialing()   { m.spend(m.perDial) }
+func (m *ServerMeter) reading()   {}
+func (m *ServerMeter) read(n int) { m.spend(time.Duration(n) * m.perRead) }
+func (m *ServerMeter) writing()   {}
+
+// meterServer puts a ServerMeter that charges perRead and perDial between
+// *env, which must be a netsim host, and the program built on it.
+func meterServer(env *netapi.Env, perRead, perDial time.Duration) (*ServerMeter, error) {
+	host, ok := (*env).(*netsim.Host)
+	if !ok {
+		return nil, errors.New("workload: a server meter takes a program on a netsim host")
+	}
+	m := &ServerMeter{cpu: host.CPU(), perRead: perRead, perDial: perDial}
+	*env = meteredHost{host, m}
+	return m, nil
+}
+
+// MeterBIND builds the authoritative server cfg describes, whose Env must be
+// a netsim host, behind a meter that charges the host costs.BINDUDP for each
+// query its UDP socket reads.
+func MeterBIND(cfg ans.Config, costs cpumodel.ServerCosts) (*ans.Server, *ServerMeter, error) {
+	m, err := meterServer(&cfg.Env, costs.BINDUDP, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := ans.New(cfg)
+	return s, m, err
+}
+
+// MeterANSSim builds the ANS simulator cfg describes, whose Env must be a
+// netsim host, behind a meter that charges the host costs.ANSSim for each
+// query its socket reads.
+func MeterANSSim(cfg ANSSimConfig, costs cpumodel.ServerCosts) (*ANSSim, *ServerMeter, error) {
+	m, err := meterServer(&cfg.Env, costs.ANSSim, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := NewANSSim(cfg)
+	return s, m, err
+}
+
+// MeterProxy builds the TCP proxy cfg describes, whose Env must be a netsim
+// host, behind a meter that charges the host for each request the proxy
+// relays, as it opens the request's upstream socket, segments kernel TCP
+// segments, each dearer by costs.ConnTableSlope for every connection the
+// proxy holds open (the connection-table cost of Figure 7a).
+func MeterProxy(cfg tcpproxy.Config, segments int, costs cpumodel.GuardCosts) (*tcpproxy.Proxy, *ServerMeter, error) {
+	m, err := meterServer(&cfg.Env, 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := tcpproxy.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	base := time.Duration(segments) * costs.TCPSegment
+	m.perSocket = func() time.Duration {
+		f := 1 + costs.ConnTableSlope*float64(p.Live())
+		return time.Duration(float64(base) * f)
+	}
+	return p, m, nil
+}
+
+// MeterClient builds the LRS client cfg describes, whose Env must be a
+// netsim host, behind a meter that charges the host costs.LRSTCPClient for
+// each request it sends over TCP, as it dials: the LRS's TCP path, which
+// caps one LRS at 0.5K req/s in Figure 5.
+func MeterClient(cfg ClientConfig, costs cpumodel.ServerCosts) (*Client, *ServerMeter, error) {
+	m, err := meterServer(&cfg.Env, 0, costs.LRSTCPClient)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := NewClient(cfg)
+	return c, m, err
+}
+
+// meteredHost is a metered program's Env: the host, every capability a
+// program probes it for, and its UDP sockets and TCP dials behind the meter.
 type meteredHost struct {
 	*netsim.Host
-	m *GuardMeter
+	m meter
 }
 
 func (h meteredHost) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
+	h.m.opening()
 	c, err := h.Host.ListenUDP(addr)
 	if err != nil {
 		return nil, err
@@ -123,22 +249,35 @@ func (h meteredHost) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
 	return meteredConn{c.(*netsim.UDPConn), h.m}, nil
 }
 
-// meteredConn is a shard's upstream socket: the upstream loop reads it, the
-// worker writes it.
+func (h meteredHost) DialTCP(raddr netip.AddrPort) (netapi.Conn, error) {
+	h.m.dialing()
+	return h.Host.DialTCP(raddr)
+}
+
+// meteredConn is a UDP socket a metered host opened.
 type meteredConn struct {
 	*netsim.UDPConn
-	m *GuardMeter
+	m meter
+}
+
+func (c meteredConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
+	c.m.reading()
+	b, from, err := c.UDPConn.ReadFrom(timeout)
+	if err == nil {
+		c.m.read(1)
+	}
+	return b, from, err
 }
 
 func (c meteredConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
-	c.m.charge(meterUpstream)
+	c.m.reading()
 	n, err := c.UDPConn.ReadBatch(msgs, timeout)
-	c.m.read(meterUpstream, n)
+	c.m.read(n)
 	return n, err
 }
 
 func (c meteredConn) WriteTo(b []byte, to netip.AddrPort) error {
-	c.m.charge(meterWorker)
+	c.m.writing()
 	return c.UDPConn.WriteTo(b, to)
 }
 
@@ -152,7 +291,7 @@ type meteredTap struct {
 func (t meteredTap) ReadBatch(pkts []netapi.Packet, timeout time.Duration) (int, error) {
 	t.m.charge(meterWorker)
 	n, err := t.Tap.ReadBatch(pkts, timeout)
-	t.m.read(meterWorker, n)
+	t.m.received(meterWorker, n)
 	return n, err
 }
 

@@ -8,8 +8,6 @@ package zone
 import (
 	"errors"
 	"fmt"
-	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -77,13 +75,6 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	return nil
 }
 
-// MustAdd is Add that panics, for fixtures.
-func (z *Zone) MustAdd(rr dnswire.RR) {
-	if err := z.Add(rr); err != nil {
-		panic(err)
-	}
-}
-
 // SOA returns the apex SOA record.
 func (z *Zone) SOA() (dnswire.RR, error) {
 	rrs := z.rrsets[rrKey{z.Origin, dnswire.TypeSOA}]
@@ -104,21 +95,6 @@ func (z *Zone) Validate() error {
 	return nil
 }
 
-// Lookup returns the records of the exact rrset, or nil.
-func (z *Zone) Records(name dnswire.Name, t dnswire.Type) []dnswire.RR {
-	return z.rrsets[rrKey{name, t}]
-}
-
-// Names returns all owner names, sorted, mostly for tests and dumps.
-func (z *Zone) Names() []dnswire.Name {
-	out := make([]dnswire.Name, 0, len(z.names))
-	for n := range z.names {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AnswerKind classifies an authoritative lookup result.
 type AnswerKind int
 
@@ -134,21 +110,6 @@ const (
 	// type; Authority carries SOA.
 	KindNoData
 )
-
-func (k AnswerKind) String() string {
-	switch k {
-	case KindAnswer:
-		return "answer"
-	case KindReferral:
-		return "referral"
-	case KindNXDomain:
-		return "nxdomain"
-	case KindNoData:
-		return "nodata"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // Answer is the result of an authoritative lookup, ready to be copied into
 // the corresponding DNS message sections.
@@ -242,9 +203,6 @@ func (z *Zone) negative(kind AnswerKind) Answer {
 	}
 	return ans
 }
-
-// ParseAddr is a small helper shared by fixtures.
-func ParseAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // atoiTTL parses a TTL field.
 func atoiTTL(s string) (uint32, error) {

@@ -10,20 +10,27 @@ import (
 
 func n(s string) dnswire.Name { return dnswire.MustName(s) }
 
+// mustAdd is Add for a fixture's records, which it takes.
+func mustAdd(z *Zone, rr dnswire.RR) {
+	if err := z.Add(rr); err != nil {
+		panic(err)
+	}
+}
+
 // comZone models the paper's "com" ANS: authoritative for com, delegating
 // foo.com.
 func comZone(t *testing.T) *Zone {
 	t.Helper()
 	z := New(n("com"))
-	z.MustAdd(dnswire.NewRR(n("com"), 86400, &dnswire.SOAData{
+	mustAdd(z, dnswire.NewRR(n("com"), 86400, &dnswire.SOAData{
 		MName: n("a.gtld.example"), RName: n("hostmaster.com"),
 		Serial: 1, Refresh: 7200, Retry: 600, Expire: 360000, Minimum: 60,
 	}))
-	z.MustAdd(dnswire.NewRR(n("com"), 86400, &dnswire.NSData{Host: n("a.gtld.example")}))
-	z.MustAdd(dnswire.NewRR(n("foo.com"), 86400, &dnswire.NSData{Host: n("ns1.foo.com")}))
-	z.MustAdd(dnswire.NewRR(n("foo.com"), 86400, &dnswire.NSData{Host: n("ns2.foo.com")}))
-	z.MustAdd(dnswire.NewRR(n("ns1.foo.com"), 86400, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}))
-	z.MustAdd(dnswire.NewRR(n("ns2.foo.com"), 86400, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.2")}))
+	mustAdd(z, dnswire.NewRR(n("com"), 86400, &dnswire.NSData{Host: n("a.gtld.example")}))
+	mustAdd(z, dnswire.NewRR(n("foo.com"), 86400, &dnswire.NSData{Host: n("ns1.foo.com")}))
+	mustAdd(z, dnswire.NewRR(n("foo.com"), 86400, &dnswire.NSData{Host: n("ns2.foo.com")}))
+	mustAdd(z, dnswire.NewRR(n("ns1.foo.com"), 86400, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}))
+	mustAdd(z, dnswire.NewRR(n("ns2.foo.com"), 86400, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.2")}))
 	return z
 }
 
@@ -31,15 +38,15 @@ func comZone(t *testing.T) *Zone {
 func fooZone(t *testing.T) *Zone {
 	t.Helper()
 	z := New(n("foo.com"))
-	z.MustAdd(dnswire.NewRR(n("foo.com"), 3600, &dnswire.SOAData{
+	mustAdd(z, dnswire.NewRR(n("foo.com"), 3600, &dnswire.SOAData{
 		MName: n("ns1.foo.com"), RName: n("admin.foo.com"),
 		Serial: 5, Refresh: 7200, Retry: 600, Expire: 360000, Minimum: 60,
 	}))
-	z.MustAdd(dnswire.NewRR(n("foo.com"), 3600, &dnswire.NSData{Host: n("ns1.foo.com")}))
-	z.MustAdd(dnswire.NewRR(n("ns1.foo.com"), 3600, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}))
-	z.MustAdd(dnswire.NewRR(n("www.foo.com"), 300, &dnswire.AData{Addr: netip.MustParseAddr("198.51.100.10")}))
-	z.MustAdd(dnswire.NewRR(n("alias.foo.com"), 300, &dnswire.CNAMEData{Target: n("www.foo.com")}))
-	z.MustAdd(dnswire.NewRR(n("a.b.foo.com"), 300, &dnswire.AData{Addr: netip.MustParseAddr("198.51.100.20")}))
+	mustAdd(z, dnswire.NewRR(n("foo.com"), 3600, &dnswire.NSData{Host: n("ns1.foo.com")}))
+	mustAdd(z, dnswire.NewRR(n("ns1.foo.com"), 3600, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}))
+	mustAdd(z, dnswire.NewRR(n("www.foo.com"), 300, &dnswire.AData{Addr: netip.MustParseAddr("198.51.100.10")}))
+	mustAdd(z, dnswire.NewRR(n("alias.foo.com"), 300, &dnswire.CNAMEData{Target: n("www.foo.com")}))
+	mustAdd(z, dnswire.NewRR(n("a.b.foo.com"), 300, &dnswire.AData{Addr: netip.MustParseAddr("198.51.100.20")}))
 	return z
 }
 
@@ -152,7 +159,7 @@ func TestAddRejectsOutOfZone(t *testing.T) {
 
 func TestAddRejectsCNAMEConflict(t *testing.T) {
 	z := New(n("foo.com"))
-	z.MustAdd(dnswire.NewRR(n("x.foo.com"), 60, &dnswire.AData{Addr: netip.MustParseAddr("1.1.1.1")}))
+	mustAdd(z, dnswire.NewRR(n("x.foo.com"), 60, &dnswire.AData{Addr: netip.MustParseAddr("1.1.1.1")}))
 	err := z.Add(dnswire.NewRR(n("x.foo.com"), 60, &dnswire.CNAMEData{Target: n("y.foo.com")}))
 	if !errors.Is(err, ErrDupCNAME) {
 		t.Fatalf("err = %v", err)
@@ -295,7 +302,7 @@ multi IN A 192.0.2.2
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	rrs := z.Records(n("multi.example"), dnswire.TypeA)
+	rrs := z.rrsets[rrKey{n("multi.example"), dnswire.TypeA}]
 	if len(rrs) != 2 {
 		t.Fatalf("multi A records = %v, want 2 (owner inheritance)", rrs)
 	}
