@@ -128,7 +128,7 @@ state-check:
 # is built with inlining off and the linker's dependency dump, and a non-test
 # func or method of an internal package in the dependencies of dnsguardd, ansd
 # or lrsd that none of them links fails the gate. Type parameters are
-# stripped (nsCred[go.shape.[]uint8] is nsCred), a method counts with or
+# stripped (nsLabel[go.shape.[]uint8] is nsLabel), a method counts with or
 # without its pointer receiver, and the funcdata symbols the linker shares
 # between functions (.arginfo1, .stkobj, ...) do not count as links.
 # REACH_TESTONLY is what only tests may call; an entry that a program links,
@@ -137,7 +137,7 @@ state-check:
 #   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get: what a test
 #   reads of a guard, an engine or a registry without a scrape;
 #   Remote.Resume: undoes Drain, for the lifecycle tests;
-#   Limiter2.Sources: the limiter and guard record tests count RL2's sources;
+#   Limiter2.Sources: the limiter and guard tests count RL2's sources;
 #   Name.WireLen, UnpackQuestion: TestWireLen, TestUnpackQuestion, and the
 #   view and walk tests measuring and decoding against Unpack;
 #   Resolver.Cache, Cache.Flush: guard and resolver tests empty or seed a

@@ -1,7 +1,8 @@
 // Command dnsguardd runs the DNS guard over real sockets, in front of a
 // real authoritative server: it binds the public service address, verifies
 // cookies on every incoming request, and relays only verified requests to
-// the protected ANS.
+// the protected ANS. Every cookie pays its MAC: the guard keeps no verified
+// credentials, only each verified source's Rate-Limiter2 bucket.
 //
 // Over userspace sockets the guard supports the NS-name, TCP-redirect, and
 // modified-DNS schemes (the fabricated-IP variant needs a whole intercepted
@@ -70,10 +71,9 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
 	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
 	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
-	fastPathTTL := flag.Duration("fastpath-ttl", time.Minute, "how long a verified credential is kept in its source's Rate-Limiter2 record (0 or negative = none kept); does not select a code path")
 	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
-	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never; -fastpath-ttl may not exceed it); rotations are persisted to -state-file")
+	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never); rotations are persisted to -state-file")
 	keyringFollow := flag.Bool("keyring-follow", false, "open -state-file as a read-only follower handle on a fleet-shared keyring (the owner rotates; this guard only reloads)")
 	keyringReload := flag.Duration("keyring-reload", 0, "poll -state-file at this interval and adopt newer epochs (fleet followers tracking the owner's rotations)")
 	ansFallback := flag.String("ans-fallback", "", "comma-separated secondary ANS addresses, tried in order when the primary's breaker opens")
@@ -183,7 +183,6 @@ func run() error {
 		PublicAddr:          conns[0].LocalAddr(),
 		Shards:              nShards,
 		Batch:               *batch,
-		FastPathTTL:         *fastPathTTL,
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
 		Health:              guard.HealthConfig{FailOpen: failOpen},

@@ -169,9 +169,9 @@ func TestMetricsSmoke(t *testing.T) {
 	scrape(t, base+"/debug/vars")
 
 	// n modified-scheme queries on one cookie file: the first obtains the
-	// cookie (message 2, a grant) and its query is verified by MAC, the rest
-	// by the credential the first left; each is rewritten, forwarded and its
-	// answer relayed. Then an apex query, which is redirected to TCP.
+	// cookie (message 2, a grant); each query is verified by its own MAC,
+	// rewritten, forwarded and its answer relayed. Then an apex query, which
+	// is redirected to TCP.
 	const n = 4
 	guard = start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", ans, "-zone", "foo.com",
 		"-metrics-addr", "127.0.0.1:0", "-stats", "0")
@@ -188,7 +188,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	after := scrape(t, base+"/metrics")
 	for name, want := range map[string]int{"guard_work_read": 2*n + 2, "guard_work_written": 2*n + 2,
-		"guard_work_checks": 1, "guard_work_grants": 1, "guard_work_tc_replies": 1, "guard_work_rewrites": n} {
+		"guard_work_checks": n, "guard_work_grants": 1, "guard_work_tc_replies": 1, "guard_work_rewrites": n} {
 		b, errB := strconv.Atoi(before[name])
 		a, errA := strconv.Atoi(after[name])
 		if errB != nil || errA != nil || a-b != want {
@@ -249,6 +249,24 @@ func TestCrashRestartSmoke(t *testing.T) {
 	query(addr, "post-restart")
 	if got := scrape(t, base+"/metrics")["guard_remote_cookie_valid"]; got == "" || got == "0" {
 		t.Errorf("guard_remote_cookie_valid = %q after restart: the pre-crash cookie did not verify", got)
+	}
+}
+
+// TestKeyRotateBoots: a rotation period under a minute is a deployment like
+// any other. dnsguardd once refused -key-rotate 30s at start-up, because the
+// verified credentials it kept for a minute by default would have outlived
+// the key ring; now every cookie pays its MAC, and a cookie query through
+// the guard is answered.
+func TestKeyRotateBoots(t *testing.T) {
+	bin := buildDaemons(t, "ansd", "dnsguardd", "dnsq")
+	ans := bootANS(t, bin)
+	guard := start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", ans, "-zone", "foo.com",
+		"-stats", "0", "-key-rotate", "30s")
+	addr := guard.await(t, guardBanner)
+	out, err := exec.Command(filepath.Join(bin, "dnsq"), "-server", addr, "-timeout", "2s",
+		"-cookie-file", filepath.Join(t.TempDir(), "cookie"), "www.foo.com", "A").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "198.51.100.10") {
+		t.Errorf("dnsq through dnsguardd -key-rotate 30s: %v\n%s", err, out)
 	}
 }
 

@@ -88,8 +88,7 @@ func cell(attackRate float64, guarded bool) (float64, error) {
 			Zone:       dnsguard.MustName("foo.com"),
 			Fallback:   dnsguard.SchemeDNS,
 			Auth:       auth,
-			// 1024 records a shard: each is a verified source's bucket and,
-			// with a FastPathTTL, its credential.
+			// 1024 buckets a shard, one a verified source.
 			RL2: dnsguard.Limiter2Config{PerSourceRate: 1e9, PerSourceBurst: 1e9, TrackedSources: 1024},
 		}, costs.Guard)
 		if err != nil {

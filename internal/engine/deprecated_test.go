@@ -11,11 +11,13 @@ import (
 )
 
 // TestVerifiedCacheOnlyForBench keeps the engine's verified-source cache
-// for the one caller it has left: the guard keeps its verified sources in
-// Rate-Limiter2's records, and bench/layers times the cache until it moves
-// to them (ROADMAP item 1(a)), when verified.go goes. No non-test Go file
-// of the module outside bench/ calls MarkVerifiedOn, VerifiedCredMatchOn or
-// VerifiedCredOn, or sets FastPathTTL in an engine.Config literal.
+// for the one caller it has left: the guard keeps no verified credentials,
+// and bench/layers times the cache until its rows go (ROADMAP item 1(a)),
+// when verified.go goes. No non-test Go file of the module outside bench/
+// calls MarkVerifiedOn, VerifiedCredMatchOn or VerifiedCredOn, or sets
+// FastPathTTL in an engine.Config literal; and no Go file outside bench/ and
+// this package, tests included, sets the ignored guard.RemoteConfig
+// FastPathTTL, in a literal or by assignment.
 func TestVerifiedCacheOnlyForBench(t *testing.T) {
 	deprecated := map[string]bool{"MarkVerifiedOn": true, "VerifiedCredMatchOn": true, "VerifiedCredOn": true}
 	root := filepath.Join("..", "..")
@@ -31,9 +33,10 @@ func TestVerifiedCacheOnlyForBench(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
+		test := strings.HasSuffix(path, "_test.go")
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -43,16 +46,28 @@ func TestVerifiedCacheOnlyForBench(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && deprecated[sel.Sel.Name] {
-					t.Errorf("%s calls %s: the guard's verified sources are Rate-Limiter2's records", fset.Position(n.Pos()), sel.Sel.Name)
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && deprecated[sel.Sel.Name] && !test {
+					t.Errorf("%s calls %s: the guard keeps no verified credentials", fset.Position(n.Pos()), sel.Sel.Name)
 				}
 			case *ast.CompositeLit:
 				sel, _ := n.Type.(*ast.SelectorExpr)
 				id, _ := n.Type.(*ast.Ident)
 				isConfig := sel != nil && sel.Sel.Name == "Config" && isIdent(sel.X, "engine") || inEngine && id != nil && id.Name == "Config"
 				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok && isConfig && isIdent(kv.Key, "FastPathTTL") {
-						t.Errorf("%s sets engine.Config.FastPathTTL: the guard's verified sources are Rate-Limiter2's records", fset.Position(kv.Pos()))
+					if kv, ok := el.(*ast.KeyValueExpr); !ok || !isIdent(kv.Key, "FastPathTTL") {
+						continue
+					}
+					switch {
+					case isConfig && !test:
+						t.Errorf("%s sets engine.Config.FastPathTTL: the guard keeps no verified credentials", fset.Position(el.Pos()))
+					case !isConfig && !inEngine:
+						t.Errorf("%s sets guard.RemoteConfig.FastPathTTL, which the guard ignores", fset.Position(el.Pos()))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok && sel.Sel.Name == "FastPathTTL" && !inEngine {
+						t.Errorf("%s sets guard.RemoteConfig.FastPathTTL, which the guard ignores", fset.Position(l.Pos()))
 					}
 				}
 			}

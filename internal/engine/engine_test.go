@@ -430,8 +430,8 @@ func TestMetricsInto(t *testing.T) {
 			t.Errorf("%s = (%v, %v), want %v", series, v, ok, want)
 		}
 	}
-	// The fast-path series are the guard's: it registers them from
-	// Rate-Limiter2's records, and two registrations of a name panic.
+	// The verified cache is bench/layers' alone: the engine exports no
+	// series of it.
 	for _, s := range r.Snapshot() {
 		if strings.HasPrefix(s.Name, "guard_engine_fast_path_") {
 			t.Errorf("the engine registers %s", s.Name)

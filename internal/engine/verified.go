@@ -6,14 +6,13 @@ import (
 	"sync"
 	"time"
 
-	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/srctab"
 )
 
 // The verified-source cache maps a source to the credential it last proved.
-// The guard keeps its verified sources in Rate-Limiter2's records instead
-// (ratelimit.Limiter2); this is left for bench/layers, which times it, and
-// goes when that moves to the records (ROADMAP item 1(a)). A shard's slice
+// The guard keeps no such cache: every cookie it is shown pays its MAC. This
+// is left for bench/layers, which times it, and goes with the rows that time
+// it (ROADMAP item 1(a)). A shard's slice
 // exists only with a FastPathTTL and holds at most fastPathSources entries,
 // oldest insert evicted first; the mutex is for tests that race it.
 type verifiedShard struct {
@@ -21,21 +20,26 @@ type verifiedShard struct {
 	tab *srctab.Table[verifiedEntry] // FIFO: a hit or a re-mark keeps its place
 }
 
+// MaxCred is the longest credential the cache holds: "ip:" or "ck:" and 16
+// bytes, the longest a guard forms ("ns:" and the NS codec's 10-byte label
+// is 13). Stored inline, it leaves an entry without a pointer.
+const MaxCred = 3 + 16
+
 type verifiedEntry struct {
 	expires time.Duration
 	n       uint8
-	cred    [ratelimit.MaxCred]byte
+	cred    [MaxCred]byte
 }
 
 // MarkVerifiedOn records on shard's slice of the cache that src just proved
 // knowledge of cred. A no-op when the cache is off (FastPathTTL 0); a
-// credential longer than ratelimit.MaxCred is not cached.
+// credential longer than MaxCred is not cached.
 //
-// Deprecated: only bench/layers calls it; the guard keeps verified sources
-// in Rate-Limiter2's records. It goes with ROADMAP item 1(a).
+// Deprecated: only bench/layers calls it; the guard keeps no verified
+// sources. It goes with ROADMAP item 1(a).
 func (e *Engine) MarkVerifiedOn(shard int, src netip.Addr, cred string) {
 	v := &e.shards[shard].verified
-	if v.tab == nil || len(cred) > ratelimit.MaxCred {
+	if v.tab == nil || len(cred) > MaxCred {
 		return
 	}
 	now := e.cfg.Env.Now()

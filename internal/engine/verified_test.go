@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
-	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
 )
 
@@ -120,7 +119,7 @@ func TestVerifiedColdMarkAllocs(t *testing.T) {
 	e, _ := newCacheEngine(t)
 	next := 0
 	cold := func() netip.Addr { next++; return srcAP(next).Addr() }
-	longest := "ck:" + strings.Repeat("x", ratelimit.MaxCred-3)
+	longest := "ck:" + strings.Repeat("x", MaxCred-3)
 	for i := 0; i < sources; i++ {
 		e.MarkVerifiedOn(0, cold(), longest)
 	}

@@ -38,9 +38,6 @@ type Config struct {
 	// Key seeds the fleet-shared keyring deterministically; the zero value
 	// generates a random ring.
 	Key [cookie.KeySize]byte
-	// FastPathTTL is how long each guard keeps a verified credential (0: none).
-	// It does not select a code path.
-	FastPathTTL time.Duration
 	// StateDir, when non-empty, gives every site a persisted keyring at
 	// StateDir/site<i>.keyring: rotations and adoptions are written through,
 	// and a rolling upgrade (EventUpgrade) reopens the file so cookies minted
@@ -220,7 +217,6 @@ func (f *Fleet) newGuard(i int, auth *cookie.Authenticator) (*guard.Remote, erro
 		Zone:          f.cfg.Zone,
 		Subnet:        f.cfg.Subnet,
 		Fallback:      guard.SchemeDNS,
-		FastPathTTL:   f.cfg.FastPathTTL,
 	})
 	if err != nil {
 		return nil, err

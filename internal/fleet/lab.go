@@ -47,14 +47,12 @@ type LabResult struct {
 	// assignment changed across Pack.ShiftAt (assignment snapshots one
 	// millisecond before and after the shift).
 	MovedSources int
-	// ColdValidAtShift / ColdFastAtShift snapshot the shift-target site's
-	// accepted-verified and fast-path counters just after the shift;
-	// ColdReverified is the number of *full* cookie verifications the cold
-	// site performed after the shift — the moved population re-admitting
-	// through the fleet-shared keyring rather than a re-challenge storm.
-	// All zero when Pack.ShiftSite < 0.
+	// ColdValidAtShift snapshots the shift-target site's verified-cookie
+	// count just after the shift; ColdReverified is the number of cookies
+	// the cold site verified after the shift — the moved population
+	// re-admitting through the fleet-shared keyring rather than a
+	// re-challenge storm. Both zero when Pack.ShiftSite < 0.
 	ColdValidAtShift uint64
-	ColdFastAtShift  uint64
 	ColdReverified   uint64
 	// Upgrades counts completed zero-downtime site upgrades.
 	Upgrades int
@@ -81,7 +79,6 @@ func (r LabResult) Totals() guard.RemoteStats {
 		t.Received += s.Received
 		t.CookieValid += s.CookieValid
 		t.CookieInvalid += s.CookieInvalid
-		t.FastPathHits += s.FastPathHits
 		t.NewcomerGrants += s.NewcomerGrants
 		t.RL1Dropped += s.RL1Dropped
 		t.RL2Dropped += s.RL2Dropped
@@ -133,17 +130,16 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 	var key [cookie.KeySize]byte
 	key[0] = 0x6D
 	flt, err := New(Config{
-		Net:         net,
-		Sites:       pack.Sites,
-		Seed:        splitmix(uint64(cfg.Seed) ^ 0xF1EE7),
-		PublicAddr:  netip.MustParseAddrPort("192.0.2.1:53"),
-		Subnet:      netip.MustParsePrefix("192.0.2.0/24"),
-		ANSAddr:     netip.MustParseAddrPort("10.99.0.2:53"),
-		Zone:        dnswire.MustName("foo.com"),
-		Key:         key,
-		FastPathTTL: time.Second,
-		StateDir:    stateDir,
-		Gossip:      GossipConfig{Enabled: pack.Gossip},
+		Net:        net,
+		Sites:      pack.Sites,
+		Seed:       splitmix(uint64(cfg.Seed) ^ 0xF1EE7),
+		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
+		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
+		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
+		Zone:       dnswire.MustName("foo.com"),
+		Key:        key,
+		StateDir:   stateDir,
+		Gossip:     GossipConfig{Enabled: pack.Gossip},
 	})
 	if err != nil {
 		return res, err
@@ -198,9 +194,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 		net.At(pack.ShiftAt+time.Millisecond, func() {
 			after = popAssignments(flt, pop)
 			if pack.ShiftSite >= 0 {
-				st := flt.Site(pack.ShiftSite).Guard.Stats.Load()
-				res.ColdValidAtShift = st.CookieValid
-				res.ColdFastAtShift = st.FastPathHits
+				res.ColdValidAtShift = flt.Site(pack.ShiftSite).Guard.Stats.Load().CookieValid
 			}
 		})
 	}
@@ -217,10 +211,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 		}
 	}
 	if pack.ShiftSite >= 0 {
-		st := flt.Site(pack.ShiftSite).Guard.Stats.Load()
-		// Full verifications after the shift = accepted minus fast-path hits,
-		// differenced across the shift snapshot.
-		res.ColdReverified = (st.CookieValid - res.ColdValidAtShift) - (st.FastPathHits - res.ColdFastAtShift)
+		res.ColdReverified = flt.Site(pack.ShiftSite).Guard.Stats.Load().CookieValid - res.ColdValidAtShift
 	}
 
 	r := metrics.NewRegistry()

@@ -79,12 +79,12 @@ func echoANS(t *testing.T, env *realnet.Env) netapi.UDPConn {
 	return conn
 }
 
-// TestAffineGuardShardExplicitFastPath pins where a verified credential is
-// kept: on a direct engine a source's owning shard is the delivering
-// socket's, which can disagree with the engine's source hash. The handler
-// stores it in and consults its own shard's Rate-Limiter2 records — storing
-// by source hash would put the credential where the owning worker never
-// reads, silently disabling the fast path in exactly the deployment
+// TestAffineGuardShardExplicitFastPath pins where a verified source is
+// checked and charged: on a direct engine a source's owning shard is the
+// delivering socket's, which can disagree with the engine's source hash. The
+// handler runs the MAC and charges its own shard's Rate-Limiter2 — charging
+// by source hash would put the bucket where the owning worker never reads,
+// silently lifting the per-source limit in exactly the deployment
 // (per-shard SO_REUSEPORT sockets) the sharded dataplane exists for.
 func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	env := realnet.New()
@@ -92,15 +92,14 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 
 	ios := []*chanIO{newChanIO(), newChanIO()}
 	g, err := NewRemote(RemoteConfig{
-		Env:         env,
-		IOs:         []PacketIO{ios[0], ios[1]},
-		Shards:      2,
-		FastPathTTL: time.Hour,
-		PublicAddr:  mustAP("192.0.2.1:53"),
-		ANSAddr:     ansConn.LocalAddr(),
-		Zone:        dnswire.MustName("foo.com"),
-		Fallback:    SchemeDNS,
-		Auth:        testAuth(),
+		Env:        env,
+		IOs:        []PacketIO{ios[0], ios[1]},
+		Shards:     2,
+		PublicAddr: mustAP("192.0.2.1:53"),
+		ANSAddr:    ansConn.LocalAddr(),
+		Zone:       dnswire.MustName("foo.com"),
+		Fallback:   SchemeDNS,
+		Auth:       testAuth(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +140,29 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 		}
 	}
 
+	// Each query is forwarded after its charge, and the worker then leaves
+	// the limiter alone until the next one.
 	ios[socket].ch <- query(1)
-	waitStat("CookieValid", &g.Stats.CookieValid, 1)
+	waitStat("ForwardedToANS", &g.Stats.ForwardedToANS, 1)
 
-	// The credential must live in the delivering shard's partition, and only
-	// there — presence in the hash shard would mean the handler wrote
-	// through the source-hashing legacy path.
-	if n := atomic.LoadUint64(&g.shards[socket].rl2.Stats.Sources); n != 1 {
-		t.Errorf("owning shard %d holds %d credentials, want 1", socket, n)
+	// The bucket must live in the delivering shard's limiter, and only there
+	// — presence in the hash shard would mean the handler charged through
+	// the source-hashing legacy path.
+	if n := g.shards[socket].rl2.Sources(); n != 1 {
+		t.Errorf("owning shard %d's Rate-Limiter2 holds %d sources, want 1", socket, n)
 	}
-	if n := atomic.LoadUint64(&g.shards[hashShard].rl2.Stats.Sources); n != 0 {
-		t.Errorf("credential leaked into hash shard %d's records", hashShard)
+	if n := g.shards[hashShard].rl2.Sources(); n != 0 {
+		t.Errorf("the source leaked into hash shard %d's Rate-Limiter2", hashShard)
 	}
 
-	// The second query over the same socket must hit the fast path.
+	// The second query over the same socket pays its own MAC there.
 	ios[socket].ch <- query(2)
-	waitStat("CookieValid", &g.Stats.CookieValid, 2)
-	if hits := atomic.LoadUint64(&g.Stats.FastPathHits); hits != 1 {
-		t.Errorf("FastPathHits = %d, want 1", hits)
+	waitStat("ForwardedToANS", &g.Stats.ForwardedToANS, 2)
+	if n := atomic.LoadUint64(&g.shards[socket].work.Checks); n != 2 {
+		t.Errorf("owning shard %d ran %d MACs, want 2", socket, n)
+	}
+	if n := atomic.LoadUint64(&g.shards[hashShard].work.Checks); n != 0 {
+		t.Errorf("hash shard %d ran %d MACs, want 0", hashShard, n)
 	}
 }
 

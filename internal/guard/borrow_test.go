@@ -260,7 +260,6 @@ type borrowOutcome struct {
 	egress  [][]string // per step: datagrams written to clients, sorted
 	forward [][]string // per step: datagrams written upstream, transaction ID zeroed, sorted
 	stats   RemoteStats
-	fast    ratelimit.CredStats
 	pending []string // NAT-table entries without their transaction IDs, sorted
 }
 
@@ -294,7 +293,6 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 		Env:                 memEnv{Env: realnet.New(), up: up},
 		IOs:                 []PacketIO{io},
 		Batch:               8,
-		FastPathTTL:         time.Hour,
 		PublicAddr:          pub.addr,
 		ANSAddr:             mustAP("10.99.0.2:53"),
 		Zone:                dnswire.MustName("foo.com"),
@@ -328,7 +326,6 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 		o.forward = append(o.forward, sortedDgrams(up.takeOut(), true))
 	}
 	o.stats = g.Stats.Load()
-	o.fast = g.fastPath()
 	s := g.shards[0]
 	s.inFlight(func(_ uint16, e *pendEntry) {
 		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d qwire=%x fwdWire=%x up=%v",
@@ -439,9 +436,6 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 			if got.stats != want.stats {
 				t.Errorf("counters differ under poison:\ngot  %+v\nwant %+v", got.stats, want.stats)
 			}
-			if got.fast != want.fast {
-				t.Errorf("verified-cache counters differ under poison: got %+v, want %+v", got.fast, want.fast)
-			}
 			if fmt.Sprint(got.pending) != fmt.Sprint(want.pending) {
 				t.Errorf("NAT table differs under poison:\ngot  %v\nwant %v", got.pending, want.pending)
 			}
@@ -453,8 +447,8 @@ func TestBorrowedPayloadPoison(t *testing.T) {
 				t.Errorf("script too tame: %+v, %d pending", st, len(want.pending))
 			}
 			if tc.threshold == 0 {
-				if st.NewcomerGrants < 4 || st.CookieValid < 8 || st.CookieInvalid != 2 || st.FastPathHits < 5 || want.fast.Inserts < 4 {
-					t.Errorf("active script missed a shape: %+v, cache %+v", st, want.fast)
+				if st.NewcomerGrants < 4 || st.CookieValid < 8 || st.CookieInvalid != 2 {
+					t.Errorf("active script missed a shape: %+v", st)
 				}
 			} else if st.Passthrough < 7 {
 				t.Errorf("relay script relayed %d", st.Passthrough)
@@ -610,7 +604,6 @@ func TestRemoteFootprint(t *testing.T) {
 		Env:                 env,
 		IOs:                 []PacketIO{&SocketIO{Conn: guardSock}},
 		Batch:               32,
-		FastPathTTL:         time.Minute,
 		PublicAddr:          guardSock.LocalAddr(),
 		ANSAddr:             ansConn.LocalAddr(),
 		Zone:                dnswire.MustName("foo.com"),
@@ -659,7 +652,7 @@ func heapAllocated() uint64 {
 // TestLegitTrafficHeapFlat: legitimate traffic makes no garbage. 20 000
 // newcomer sessions — grant, cookie query built from the grant as a resolver
 // would, referral with glue, message 6 — then 200 000 verified cycles from
-// sources the cache holds, through one guard, and the bytes the process has
+// 2048 sources that verified before, through one guard, and the bytes the process has
 // ever allocated grow by less than one per packet: nothing a collector would
 // have to come for, however long the guard runs.
 func TestLegitTrafficHeapFlat(t *testing.T) {
@@ -669,7 +662,6 @@ func TestLegitTrafficHeapFlat(t *testing.T) {
 	}
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.Zone = dnswire.MustName("foo.com")
-		cfg.FastPathTTL = time.Minute
 		// The harness clock stands still: no limiter may run dry.
 		cfg.RL1 = ratelimit.DefaultLimiter1Config()
 		cfg.RL1.GlobalRate, cfg.RL1.GlobalBurst = 1e12, 1e12
@@ -716,7 +708,7 @@ func TestLegitTrafficHeapFlat(t *testing.T) {
 	packets := uint64(3*sessions + 2*cycles)
 	st := h.g.Stats.Load()
 	if n := uint64(sessions + 1); st.NewcomerGrants != n || st.CookieValid != n+uint64(cycles) ||
-		st.RepliesToClient != 2*n+uint64(cycles) || st.FastPathHits != uint64(cycles) {
+		st.RepliesToClient != 2*n+uint64(cycles) {
 		t.Fatalf("the traffic did not run to completion: %+v", st)
 	}
 	t.Logf("%d packets, %d bytes allocated", packets, grown)
@@ -774,7 +766,6 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 	}
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.Zone = dnswire.MustName("foo.com")
-		cfg.FastPathTTL = time.Minute
 		// The harness clock stands still: every first contact is granted, the
 		// most a newcomer can cost, and no legitimate source runs dry.
 		cfg.RL1 = ratelimit.DefaultLimiter1Config()
@@ -803,7 +794,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
 	}
 	for i := 0; i < repeaters; i++ {
-		cycle(i) // first verification: sizes the entry pool, fills the cache
+		cycle(i) // first verification: sizes the entry pool, fills Rate-Limiter2
 	}
 	h.handle(Packet{Src: legit(0), Dst: h.g.cfg.PublicAddr, Payload: plain}) // sizes the reply queue
 	warm := h.g.Stats.Load()
@@ -819,7 +810,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 	packets := uint64(attack + 2*(attack/10))
 	st, third := h.g.Stats.Load(), uint64(attack/3)
 	if st.CookieInvalid != 2*third || st.NewcomerGrants-warm.NewcomerGrants != third ||
-		st.CookieValid-warm.CookieValid != uint64(attack/10) || st.FastPathHits-warm.FastPathHits != uint64(attack/10) ||
+		st.CookieValid-warm.CookieValid != uint64(attack/10) ||
 		st.RepliesToClient-warm.RepliesToClient != third+uint64(attack/10) || st.Malformed+st.RL1Dropped+st.RL2Dropped != 0 {
 		t.Fatalf("the traffic did not run as meant: %+v", st)
 	}
@@ -868,7 +859,6 @@ func TestSourceStateFootprint(t *testing.T) {
 	}
 	total0, scan0 := heap()
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
-		cfg.FastPathTTL = time.Minute
 		// The harness clock stands still: lift the global ceiling so all
 		// 50 000 grants pass Rate-Limiter1 and reach its tables.
 		cfg.RL1 = ratelimit.DefaultLimiter1Config()
@@ -892,8 +882,8 @@ func TestSourceStateFootprint(t *testing.T) {
 	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RepliesToClient != 2*sessions {
 		t.Fatalf("sessions did not run to completion: %+v", st)
 	}
-	if fp := h.g.fastPath(); fp.Inserts != sessions || fp.Evictions != sessions-4096 {
-		t.Fatalf("verified records: %+v, want %d inserts and %d evictions", fp, sessions, sessions-4096)
+	if n := h.s.rl2.Sources(); n != 4096 {
+		t.Fatalf("Rate-Limiter2 holds %d sources, want all 4096 it tracks: on a clock that stands still no bucket refills", n)
 	}
 	total1, scan1 := heap()
 	const limit, scanLimit = 808 << 10, 1 << 15
@@ -927,15 +917,18 @@ func TestSourceStateFootprint(t *testing.T) {
 // table writes about the 40 entries of the newcomers granted within the last
 // 10 ms, not all 4096 of its bound, and decides every grant as before.
 func TestSourceStateRecycles(t *testing.T) {
-	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.FastPathTTL = time.Minute })
+	h := newShardHarness(t, nil)
 	plain, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := reflect.ValueOf(h.s).Elem().FieldByName("rl1").Elem().FieldByName("perSrc").FieldByName("tab").Elem()
-	written := func() int { return int(tab.FieldByName("used").Uint()) }
+	tabs := [2]reflect.Value{
+		reflect.ValueOf(h.s).Elem().FieldByName("rl1").Elem().FieldByName("perSrc").FieldByName("tab").Elem(),
+		reflect.ValueOf(h.s).Elem().FieldByName("rl2").Elem().FieldByName("perSrc").FieldByName("tab").Elem(),
+	}
+	written := func(i int) int { return int(tabs[i].FieldByName("used").Uint()) }
 	const sessions, perSec = 8000, 4000
-	most := 0
+	var most [2]int
 	resp := make([]byte, 0, dnswire.MaxUDPSize)
 	h.sched.Go("sessions", func() {
 		for i := 0; i < sessions; i++ {
@@ -945,7 +938,8 @@ func TestSourceStateRecycles(t *testing.T) {
 			resp = append(resp[:0], h.up.buf[:h.up.n]...)
 			resp[2] |= 0x80
 			h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
-			most = max(most, written()) // a mitigation transition would empty the table
+			// A mitigation transition would empty the tables.
+			most = [2]int{max(most[0], written(0)), max(most[1], written(1))}
 			h.sched.Sleep(time.Second / perSec)
 		}
 	})
@@ -954,9 +948,11 @@ func TestSourceStateRecycles(t *testing.T) {
 	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RL1Dropped != 0 {
 		t.Fatalf("sessions did not run to completion: %+v", st)
 	}
-	t.Logf("%d sessions at %d/s: Rate-Limiter1 wrote %d entries", sessions, perSec, most)
-	if most > 64 {
-		t.Errorf("Rate-Limiter1 wrote %d entries for %d one-shot newcomers at %d/s, want <= 64", most, sessions, perSec)
+	t.Logf("%d sessions at %d/s: Rate-Limiter1 wrote %d entries, Rate-Limiter2 %d", sessions, perSec, most[0], most[1])
+	for i, n := range most {
+		if n > 64 {
+			t.Errorf("Rate-Limiter%d wrote %d entries for %d one-shot sources at %d/s, want <= 64", i+1, n, sessions, perSec)
+		}
 	}
 }
 
@@ -965,10 +961,10 @@ func TestSourceStateRecycles(t *testing.T) {
 // and the bytes its two arrays hold — to what DESIGN.md §18 and §19 quote:
 //
 //	RL1      4096 × 40 + 8192 × 4   = 192 KiB
-//	RL2      4096 × 72 + 8192 × 4   = 320 KiB
+//	RL2      4096 × 40 + 8192 × 4   = 192 KiB
 //
-// 512 KiB a shard, with each table's list sentinel, and no table in the
-// engine: Rate-Limiter2's records are the shard's verified sources. Then a
+// 384 KiB a shard, with each table's list sentinel, and no table in the
+// engine: the guard keeps no verified credentials. Then a
 // shard's receive slabs (recvSlab) at Batch 32:
 //
 //	heads     32 × 512, one after another = 16 KiB
@@ -988,7 +984,7 @@ func TestStateBudget(t *testing.T) {
 		entry, cap, slots int
 	}{
 		{"RL1", field(reflect.ValueOf(h.s), "rl1", "perSrc", "tab"), 40, 4096, 8192},
-		{"RL2", field(reflect.ValueOf(h.s), "rl2", "tab"), 72, 4096, 8192},
+		{"RL2", field(reflect.ValueOf(h.s), "rl2", "perSrc", "tab"), 40, 4096, 8192},
 	} {
 		entries, index := field(c.tab, "entries"), field(c.tab, "index")
 		entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
@@ -998,8 +994,8 @@ func TestStateBudget(t *testing.T) {
 		}
 		total += entries.Len()*entry + index.Len()*slot
 	}
-	if total>>10 != 512 {
-		t.Errorf("the source tables hold %d KiB a shard, want 512", total>>10)
+	if total>>10 != 384 {
+		t.Errorf("the source tables hold %d KiB a shard, want 384", total>>10)
 	}
 	if tab := reflect.ValueOf(h.g.eng).Elem().FieldByName("shards").Index(0).Elem().FieldByName("verified").FieldByName("tab"); !tab.IsNil() {
 		t.Error("the engine built a verified-source table for the guard")
@@ -1021,39 +1017,8 @@ func TestStateBudget(t *testing.T) {
 	}
 }
 
-// TestCredentialsFitTheCache: every credential form the guard builds — the
-// NS label's at the codec's length, "ip:" and a fabricated address, "ck:"
-// and a cookie — fits ratelimit.MaxCred, so it is formed in the shard's
-// scratch without growing it, and the source's Rate-Limiter2 record keeps
-// it and matches it. A record refuses a longer credential with no counter:
-// were a form to outgrow the bound, the fast path would switch off silently,
-// and this test fails.
-func TestCredentialsFitTheCache(t *testing.T) {
-	h := newShardHarness(t, nil)
-	s, src := h.s, netip.MustParseAddr("192.0.2.7")
-	c := h.g.cfg.Auth.Mint(src)
-	dst16 := netip.MustParseAddr("10.53.0.9").As16()
-	for name, form := range map[string]func() []byte{
-		"ns": func() []byte { cred, _ := nsCred(s, h.g.nsc.EncodeLabel(c)+"www"); return cred },
-		"ip": func() []byte { return append(append(s.credBuf[:0], "ip:"...), dst16[:]...) },
-		"ck": func() []byte { return append(append(s.credBuf[:0], "ck:"...), c[:]...) },
-	} {
-		cred := form()
-		if len(cred) == 0 || len(cred) > ratelimit.MaxCred || &cred[0] != &s.credBuf[:1][0] {
-			t.Errorf("%s: credential %q (%d bytes) does not fit the %d-byte scratch", name, cred, len(cred), ratelimit.MaxCred)
-			continue
-		}
-		s.rl2.Lookup(src, cred, 0, time.Minute)
-		s.rl2.Charge(cred, 0)
-		if !s.rl2.Lookup(src, cred, 0, time.Minute) {
-			t.Errorf("%s: the record does not match the %d-byte credential it was given", name, len(cred))
-		}
-	}
-}
-
-// TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch
-// empties Rate-Limiter1 in place and starts a Rate-Limiter2 epoch, which
-// keeps the records; a supervised shard restart empties both. Neither
+// TestLimiterToggleAllocs: the mitigation ladder's strict/normal switch and
+// a supervised shard restart each empty both limiters in place. Neither
 // allocates.
 func TestLimiterToggleAllocs(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Mitigation.Enabled = true })
@@ -1066,8 +1031,8 @@ func TestLimiterToggleAllocs(t *testing.T) {
 		}
 		h.g.mit.layer.Store(int32(rung))
 		h.s.syncLimiters()
-		if h.s.rl2.Sources() != 1 {
-			t.Fatal("a strict/normal transition dropped Rate-Limiter2's records")
+		if h.s.rl2.Sources() != 0 {
+			t.Fatal("a strict/normal transition left sources in Rate-Limiter2")
 		}
 	}); n != 0 {
 		t.Errorf("strict/normal toggle allocates %.1f times, want 0", n)
@@ -1075,7 +1040,9 @@ func TestLimiterToggleAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(10, h.s.ResetShard); n != 0 {
 		t.Errorf("ResetShard allocates %.1f times, want 0", n)
 	}
+	h.s.rl2.AllowRequest(src, 0)
+	h.s.ResetShard()
 	if h.s.rl2.Sources() != 0 {
-		t.Error("ResetShard left records in Rate-Limiter2")
+		t.Error("ResetShard left sources in Rate-Limiter2")
 	}
 }

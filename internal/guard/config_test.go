@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
@@ -114,24 +113,6 @@ func TestRemoteConfigRefusesNonFiniteThreshold(t *testing.T) {
 		cfg.ActivationThreshold = c.v
 		if _, err := NewRemote(cfg); err == nil || !strings.Contains(err.Error(), "ActivationThreshold "+c.name) {
 			t.Errorf("NewRemote(ActivationThreshold %v) = %v, want an error naming %s", c.v, err, c.name)
-		}
-	}
-}
-
-// A FastPathTTL over a positive KeyRotation is refused, naming both: the
-// verified-source cache honors a credential until its TTL whatever the key
-// ring holds, so a generation-0 NS cookie verified once was still admitted
-// two rotations later, from the cache.
-func TestRemoteConfigRefusesFastPathTTLOverKeyRotation(t *testing.T) {
-	cfg := minimalRemoteConfig(realnet.New(), newChanIO())
-	cfg.KeyRotation, cfg.FastPathTTL = 30*time.Second, time.Hour
-	if _, err := NewRemote(cfg); err == nil || !strings.Contains(err.Error(), "FastPathTTL 1h0m0s over KeyRotation 30s") {
-		t.Errorf("NewRemote(FastPathTTL 1h, KeyRotation 30s) = %v, want an error naming both", err)
-	}
-	for _, ok := range []struct{ rotate, ttl time.Duration }{{30 * time.Second, 30 * time.Second}, {0, time.Hour}} {
-		cfg.KeyRotation, cfg.FastPathTTL = ok.rotate, ok.ttl
-		if _, err := NewRemote(cfg); err != nil {
-			t.Errorf("NewRemote(FastPathTTL %v, KeyRotation %v): %v", ok.ttl, ok.rotate, err)
 		}
 	}
 }

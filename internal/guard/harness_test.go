@@ -74,13 +74,12 @@ func newShardHarness(t testing.TB, mutate func(*RemoteConfig)) *shardHarness {
 	host := network.AddHost("guard", mustAddr("198.41.0.4"))
 	io := &sinkIO{}
 	cfg := RemoteConfig{
-		Env:         host,
-		IOs:         []PacketIO{io},
-		PublicAddr:  mustAP("198.41.0.4:53"),
-		ANSAddr:     mustAP("10.99.0.2:53"),
-		Zone:        dnswire.Root,
-		Auth:        testAuth(),
-		FastPathTTL: time.Hour,
+		Env:        host,
+		IOs:        []PacketIO{io},
+		PublicAddr: mustAP("198.41.0.4:53"),
+		ANSAddr:    mustAP("10.99.0.2:53"),
+		Zone:       dnswire.Root,
+		Auth:       testAuth(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -167,8 +166,7 @@ func appendReferral(dst, fwd []byte) []byte {
 
 // recordQueryAllocs pins at zero allocations what the guard does with a query
 // that carries records, judged from the record walk: a forged TXT cookie
-// dropped, a valid one verified — by MAC and by the cache — and forwarded by
-// splice, bare and between OPTs, its answer — empty, or a referral relayed
+// dropped, a valid one verified and forwarded by splice, bare and between OPTs, its answer — empty, or a referral relayed
 // whole — sent on, message 2 answered with message 3, and an EDNS0 resolver's
 // cookie-name query and first contact. send delivers a query from src; replied
 // is called wherever a reply has just left for it.
@@ -214,24 +212,14 @@ func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.Addr
 			func(d RemoteStats) bool { return d.CookieInvalid == 201 && d.ForwardedToANS == 0 }},
 		{"a forged TXT cookie between OPTs", func() { send(forgedOPTs) },
 			func(d RemoteStats) bool { return d.CookieInvalid == 201 && d.ForwardedToANS == 0 }},
-		{"a valid TXT cookie the cache holds", valid,
-			func(d RemoteStats) bool {
-				return d.CookieValid == 201 && d.FastPathHits >= 200 && d.RepliesToClient == 201
-			}},
+		{"a valid TXT cookie", valid,
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
 		{"a valid TXT cookie between OPTs", cycle(withRecords(plain, 0, 0, 3, optRR, own, optOptions)),
-			func(d RemoteStats) bool {
-				return d.CookieValid == 201 && d.FastPathHits == 201 && d.RepliesToClient == 201
-			}},
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
 		{"a valid TXT cookie answered with a referral", answeredWith(appendReferral, withRecords(plain, 0, 0, 1, own)),
-			func(d RemoteStats) bool {
-				return d.CookieValid == 201 && d.FastPathHits == 201 && d.RepliesToClient == 201
-			}},
-		// The cache holds one credential a source: presenting the label and the
-		// record in turn, each finds the other there and pays its MAC.
-		{"a valid TXT cookie the cache does not hold", func() { byLabel(); valid() },
-			func(d RemoteStats) bool {
-				return d.CookieValid == 402 && d.FastPathHits == 0 && d.RepliesToClient == 402
-			}},
+			func(d RemoteStats) bool { return d.CookieValid == 201 && d.RepliesToClient == 201 }},
+		{"the cookie label and the TXT cookie in turn", func() { byLabel(); valid() },
+			func(d RemoteStats) bool { return d.CookieValid == 402 && d.RepliesToClient == 402 }},
 		{"message 2", answered(withRecords(plain, 0, 0, 1, txtRR(cookie.Cookie{}))),
 			func(d RemoteStats) bool { return d.NewcomerGrants == 201 && d.RepliesToClient == 201 }},
 		{"a cookie-name query with an OPT", cycle(withRecords(named, 0, 0, 1, optRR)),
@@ -276,9 +264,9 @@ func pinAllocs(t *testing.T, rig string, h *shardHarness, cases []allocCase) {
 
 // TestFastPathWireAllocs pins everything legitimate traffic does, and every
 // reject, at zero allocations against stub I/O: the verified cycle — cookie
-// query in, rewritten forward out, response in, fabricated reply out — for an
-// empty response and for a referral with glue, the same cycle for a source
-// the cache has never seen (MAC, cache insert), the newcomer grant, the
+// query in, MAC, rewritten forward out, response in, fabricated reply out —
+// for an empty response and for a referral with glue, the same cycle for a
+// source Rate-Limiter2 has never seen (its first bucket), the newcomer grant, the
 // queries with records of recordQueryAllocs, and the inactive guard's relay of
 // a query and the referral that answers it. The last cases replace the stub
 // capture interface with a real SocketIO on a loopback socket, so the count
@@ -314,7 +302,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 			resp = a.answer(resp, h.up.buf[:h.up.n])
 			h.s.handleUpstream(resp, ans)
 		}
-		// Warm: the first exchange pays the MAC, installs the verified entry
+		// Warm: the first exchange starts the source's Rate-Limiter2 bucket
 		// and sizes the entry-pool buffers.
 		cycle()
 		if n := testing.AllocsPerRun(200, cycle); n != 0 {
@@ -326,7 +314,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	}
 
 	// Sources nobody has seen: each run is one's whole session — the grant,
-	// then its first cookie query, which pays the MAC and enters the cache.
+	// then its first cookie query, which pays the MAC and starts a bucket.
 	const strangers = 201
 	plain, err := dnswire.NewQuery(0x43, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
 	if err != nil {
@@ -337,7 +325,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		s := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)}), 5353)
 		first[i] = Packet{Src: s, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, s.Addr(), "www.foo.com", 0x45)}
 	}
-	before, fast, i := h.g.Stats.Load(), h.g.fastPath(), 0
+	before, i := h.g.Stats.Load(), 0
 	if n := testing.AllocsPerRun(strangers-1, func() {
 		h.handle(Packet{Src: first[i].Src, Dst: first[i].Dst, Payload: plain})
 		h.handle(first[i])
@@ -348,9 +336,8 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Errorf("a newcomer's session (grant, first verification, referral) allocates %.1f/op, want 0", n)
 	}
 	st := h.g.Stats.Load()
-	if got := h.g.fastPath().Inserts - fast.Inserts; st.NewcomerGrants-before.NewcomerGrants != strangers ||
-		st.CookieValid-before.CookieValid != strangers || st.FastPathHits != before.FastPathHits || got != strangers {
-		t.Errorf("the %d sessions were not each a grant and a first verification: %+v, %d cache inserts", strangers, st, got)
+	if st.NewcomerGrants-before.NewcomerGrants != strangers || st.CookieValid-before.CookieValid != strangers {
+		t.Errorf("the %d sessions were not each a grant and a first verification: %+v", strangers, st)
 	}
 
 	recordQueryAllocs(t, "stub I/O", h, src, func(wire []byte) {
@@ -473,14 +460,15 @@ func TestFastPathWireAllocs(t *testing.T) {
 				t.Fatalf("message 6 for %s is %d bytes on the client socket, want %d", a.name, got, a.reply)
 			}
 		}
-		cycle() // first exchange: installs the verified entry, allocates the slab
+		cycle() // first exchange: starts the source's bucket, allocates the slab
 		cycle()
-		hits := hs.g.Stats.Load().FastPathHits
+		macs := macCounter{&hs.s.work}
+		before := macs.n()
 		if n := testing.AllocsPerRun(200, cycle); n != 0 {
 			t.Errorf("verified NS cycle answered %s through SocketIO on loopback allocates %.1f/op, want 0", a.name, n)
 		}
-		if got := hs.g.Stats.Load().FastPathHits - hits; got != 201 {
-			t.Errorf("%d of 201 socket cycles hit the verified cache", got)
+		if got := macs.n() - before; got != 201 {
+			t.Errorf("201 socket cycles ran %d MACs, want one each", got)
 		}
 	}
 	// The inactive guard on the same sockets: query in, re-encoded forward

@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -196,18 +195,10 @@ func TestGuardPendingTableBounded(t *testing.T) {
 // TestAutomaticKeyRotation runs the guard with a short rotation period and
 // verifies that (a) rotations happen, (b) a cookie minted in generation g
 // still verifies during generation g+1 and is rejected in g+2 — the
-// paper's weekly schedule in miniature — with the verified-source cache off
-// and at the longest TTL NewRemote accepts, the rotation period.
+// paper's weekly schedule in miniature: every query pays its MAC, so no
+// earlier verification carries a cookie past the ring.
 func TestAutomaticKeyRotation(t *testing.T) {
-	for _, ttl := range []time.Duration{0, 30 * time.Second} {
-		t.Run(fmt.Sprintf("FastPathTTL=%v", ttl), func(t *testing.T) { automaticKeyRotation(t, ttl) })
-	}
-}
-
-func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
-	f := newLeafFixture(t, func(c *RemoteConfig) {
-		c.KeyRotation, c.FastPathTTL = 30*time.Second, fastPathTTL
-	})
+	f := newLeafFixture(t, func(c *RemoteConfig) { c.KeyRotation = 30 * time.Second })
 	auth := f.guard.cfg.Auth
 	nc := cookie.NSCodec{}
 	client := f.net.AddHost("client", mustAddr("198.18.0.9"))
@@ -260,8 +251,7 @@ func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 // goroutine changes the guard's keys 300 times, by Rotate and by AdoptKeys
 // in turn (the fleet controller rotating the shared ring and pushing it),
 // while the shard's worker runs brackets that present the client's cookie of
-// every recent epoch, as a TXT record and as a name's label, with the cache
-// off. BeginBatch snapshots the ring once, so within a bracket every verdict
+// every recent epoch, as a TXT record and as a name's label. BeginBatch snapshots the ring once, so within a bracket every verdict
 // on an epoch's cookie is the same, whichever form carries it and however the
 // rotations fall; a cookie minted under the snapshot's epoch or the one
 // before verifies, and no other does. The worker cannot see which ring a
@@ -270,7 +260,6 @@ func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 // -race -cpu 1,2,4.
 func TestRotationDuringBatchVerify(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
-		cfg.FastPathTTL = 0 // every verdict is the MAC's
 		cfg.RL2.PerSourceRate, cfg.RL2.PerSourceBurst, cfg.RL2.TrackedSources = 1, 1e12, 16
 	})
 	g, s, auth := h.g, h.s, h.g.cfg.Auth

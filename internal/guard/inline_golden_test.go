@@ -62,7 +62,6 @@ func TestInlineDataplaneCounterGolden(t *testing.T) {
 		IOs:           []PacketIO{tap},
 		Shards:        1,
 		Batch:         1,
-		FastPathTTL:   time.Hour,
 		ShardHashSeed: 1,
 		PublicAddr:    mustAP("192.0.2.1:53"),
 		ANSAddr:       mustAP("10.99.0.2:53"),
@@ -170,7 +169,7 @@ func TestInlineDataplaneCounterGolden(t *testing.T) {
 
 	// Sanity floor so an accidentally-empty golden can't silently pass.
 	st := g.Stats.Load()
-	if st.Received == 0 || st.CookieValid == 0 || st.FastPathHits == 0 || st.ForwardedToANS == 0 {
+	if st.Received == 0 || st.CookieValid == 0 || st.ForwardedToANS == 0 {
 		t.Errorf("scenario too weak to pin the pipeline: %+v", st)
 	}
 }

@@ -470,9 +470,8 @@ func (g *Remote) effectiveFallback() Scheme {
 // syncLimiters applies LayerSourceLimit's tightened limiters in worker
 // context — the limiters are worker-owned, so resetting them from the
 // selector proc would race the hot path. One atomic load per packet when
-// nothing changed. A transition empties Rate-Limiter1's table in place and
-// starts a Rate-Limiter2 epoch, which keeps the verified sources' records;
-// it allocates nothing. What they dropped is in RemoteStats, which no
+// nothing changed. A transition empties both limiters' tables in place; it
+// allocates nothing. What they dropped is in RemoteStats, which no
 // transition touches.
 func (s *remoteShard) syncLimiters() {
 	strict := s.g.rung() >= LayerSourceLimit
@@ -491,7 +490,7 @@ func (s *remoteShard) syncLimiters() {
 		rl2.PerSourceBurst /= f
 	}
 	s.rl1.Reset(rl1, s.g.now())
-	s.rl2.Retune(rl2)
+	s.rl2.Reset(rl2)
 }
 
 // mitMetricsInto registers the guard_mitigation_* series. Registered

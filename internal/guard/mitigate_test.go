@@ -357,7 +357,7 @@ func TestExportedCountersNeverDecrease(t *testing.T) {
 
 	gauge := func(name string) bool {
 		switch name {
-		case "guard_remote_pending", "guard_engine_fast_path_sources", "guard_mitigation_layer",
+		case "guard_remote_pending", "guard_mitigation_layer",
 			"guard_mitigation_class", "guard_lifecycle_state", "guard_engine_shards":
 			return true
 		}

@@ -72,20 +72,10 @@ type RemoteConfig struct {
 	// waiting. Per-packet semantics (admission policy, supervision,
 	// observer, all counters) do not depend on it.
 	Batch int
-	// FastPathTTL is how long a verified credential is kept: a source that
-	// just passed a cookie check has its credential stored in its
-	// Rate-Limiter2 record for this long, replacing the next MAC
-	// verification with a byte compare. The presented credential is still
-	// compared — a spoofed address alone gains nothing. RL2.TrackedSources
-	// bounds the records, and so the credentials kept: one table bounds
-	// both. 0 or negative means no credential is kept, as for dnsguardd's
-	// -fastpath-ttl: every request pays its MAC, and Rate-Limiter2 charges
-	// it exactly as it would a match. It selects no code path and
-	// no admission: every packet takes the same handlers at any value, and a
-	// full fan-out queue drops a cached source's packets like any other's.
-	// A cached credential is honored until its TTL even across a Rotate, so
-	// with KeyRotation set a FastPathTTL above it is refused: a credential
-	// then outlives the two-generation ring by at most one period.
+	// FastPathTTL is ignored: the guard keeps no verified credentials, and
+	// every cookie it is shown pays its MAC.
+	//
+	// Deprecated: only bench/layers sets it. It goes with ROADMAP item 1(a).
 	FastPathTTL time.Duration
 	// PublicAddr is the ANS's advertised address, which the guard
 	// intercepts and answers from.
@@ -183,8 +173,6 @@ func (c *RemoteConfig) resolve() error {
 		return fmt.Errorf("guard: RL1.TrackedSources %d over srctab.MaxCap %d", c.RL1.TrackedSources, srctab.MaxCap)
 	case c.RL2.TrackedSources > srctab.MaxCap:
 		return fmt.Errorf("guard: RL2.TrackedSources %d over srctab.MaxCap %d", c.RL2.TrackedSources, srctab.MaxCap)
-	case c.KeyRotation > 0 && c.FastPathTTL > c.KeyRotation:
-		return fmt.Errorf("guard: FastPathTTL %v over KeyRotation %v: a cached credential would outlive the key ring", c.FastPathTTL, c.KeyRotation)
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -244,7 +232,6 @@ type RemoteStats struct {
 	CookieValid       uint64 // requests whose cookie verified
 	CookieInvalid     uint64 // spoofed requests dropped
 	RL2Dropped        uint64 // verified requests over the nominal rate
-	FastPathHits      uint64 // verifications short-circuited by the source cache
 	ForwardedToANS    uint64
 	RepliesToClient   uint64
 	TCRedirects       uint64
@@ -278,9 +265,9 @@ func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
 }
 
 // Work counts what one loop of a shard did, by the kinds of work §IV-D prices
-// a request with: datagrams read and written; cookie checks, each MAC admit
-// runs and message 6's IP cookie, the fabricated-IP path's second cookie
-// computation; grants, a cookie minted into message 2 or 3; truncation
+// a request with: datagrams read and written; cookie checks, the MAC each
+// presented cookie pays and message 6's IP cookie, the fabricated-IP path's
+// second cookie computation; grants, a cookie minted into message 2 or 3; truncation
 // replies; and rewrites, message 4's restored question or a forward stripped
 // of its cookie record. A shard's worker and its upstream loop each count
 // their own, so every field has one writer; a health probe is no request's
@@ -337,8 +324,8 @@ type remoteShard struct {
 	upstream netapi.UDPConn
 	health   *shardHealth // nil unless cfg.Health.enabled
 
-	// rl1 and rl2, whose records are the shard's verified sources, are the
-	// worker's: it alone charges and resets them (ResetShard, syncLimiters).
+	// rl1 and rl2 are the worker's: it alone charges and resets them
+	// (ResetShard, syncLimiters).
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
 
@@ -361,20 +348,17 @@ type remoteShard struct {
 	outbuf []Packet
 	egress []byte
 
-	// credBuf and wireBuf are worker-context scratch for the presented
-	// credential and the rewritten or re-encoded forward; upBuf is
-	// upstream-loop-context scratch for a fabricated or re-encoded reply, 512
-	// bytes, and behind them the glue gathered for message 6. The two
-	// contexts never share a buffer.
-	credBuf []byte
+	// wireBuf is worker-context scratch for the rewritten or re-encoded
+	// forward; upBuf is upstream-loop-context scratch for a fabricated or
+	// re-encoded reply, 512 bytes, and behind them the glue gathered for
+	// message 6. The two contexts never share a buffer.
 	wireBuf []byte
 	upBuf   []byte
 }
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
 // every per-packet structure (NAT entries, each counted as PendingDropped,
-// and rate limiters, verified sources' credentials with them — any of which
-// the panic may have left mid-update) while
+// and rate limiters — any of which the panic may have left mid-update) while
 // keeping the upstream socket, its reader proc, and the breaker state, whose
 // lifetimes span restarts. Runs in the owning worker's context.
 func (s *remoteShard) ResetShard() {
@@ -390,8 +374,7 @@ func (s *remoteShard) ResetShard() {
 // MetricsInto registers the guard's counters, a live NAT-table-size gauge,
 // and the dataplane's guard_engine_* series on r. What the rate limiters
 // stopped is RemoteStats.RL1Dropped and RL2Dropped; what Rate-Limiter2
-// admitted is CookieValid less RL2Dropped. The guard_engine_fast_path_*
-// series count the credentials in Rate-Limiter2's records.
+// admitted is CookieValid less RL2Dropped.
 func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.Stats.MetricsInto(r)
 	r.Func("guard_remote_pending", func() float64 {
@@ -400,11 +383,10 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 	g.mitMetricsInto(r)
 	g.lifecycleMetricsInto(r)
 	g.eng.MetricsInto(r, "guard_engine_")
-	recs, works := make([]*ratelimit.CredStats, len(g.shards)), make([]*Work, 0, 2*len(g.shards))
-	for i, s := range g.shards {
-		recs[i], works = &s.rl2.Stats, append(works, &s.work, &s.upWork)
+	works := make([]*Work, 0, 2*len(g.shards))
+	for _, s := range g.shards {
+		works = append(works, &s.work, &s.upWork)
 	}
-	metrics.RegisterUint64Fields(r, "guard_engine_fast_path_", recs...)
 	metrics.RegisterUint64Fields(r, "guard_work_", works...)
 }
 
@@ -453,7 +435,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
 				bv:      cookie.NewBatchVerifier(),
 				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
-				credBuf: make([]byte, 0, ratelimit.MaxCred),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
 				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}
@@ -679,8 +660,8 @@ func (s *remoteShard) handle(pkt Packet) {
 	default:
 		// No cookie record, so the first label decides: a cookie label is
 		// message 3, anything else a newcomer.
-		if cred, ok := nsCred(s, v.FirstLabel()); ok {
-			s.handleNSCookie(pkt, q, cred)
+		if label, ok := nsLabel(g, v.FirstLabel()); ok {
+			s.handleNSCookie(pkt, q, label)
 		} else {
 			s.handleNewcomer(pkt, q)
 		}
@@ -808,17 +789,14 @@ func (g *Remote) isTCPClient(src netip.Addr) bool {
 	return false
 }
 
-// nsCred reports whether first, a name's first label, opens with a cookie
+// nsLabel reports whether first, a name's first label, opens with a cookie
 // label (the codec's prefix and hex digits, in either case, with at least
 // one byte of the original label after them — NSCodec.IsCookieLabel's accept
-// set) and returns the credential it presents, "ns:" and the label in lower
-// case, in the shard's scratch.
-func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
-	g := s.g
+// set) and returns that cookie label as sent.
+func nsLabel[T string | []byte](g *Remote, first T) (T, bool) {
 	if len(first) <= g.nsPrefixLen {
-		return nil, false
+		return first[:0], false
 	}
-	cred := append(s.credBuf[:0], "ns:"...)
 	for i := 0; i < g.nsPrefixLen; i++ {
 		c := first[i]
 		if c >= 'A' && c <= 'Z' {
@@ -826,52 +804,31 @@ func nsCred[T string | []byte](s *remoteShard, first T) ([]byte, bool) {
 		}
 		if i < len(nsPrefix) && c != nsPrefix[i] ||
 			i >= len(nsPrefix) && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return nil, false
+			return first[:0], false
 		}
-		cred = append(cred, c)
 	}
-	return cred, true
+	return first[:g.nsPrefixLen], true
 }
 
-// admit is the one admission step of a request that presents a credential
-// (Figure 4: the cookie checker, then Rate-Limiter2), on one lookup of the
-// source's Rate-Limiter2 record and no lock. cred is in the shard's scratch,
-// its tag naming its form: "ns:" and a cookie label (message 3), "ip:" and
-// the address the query was sent to (message 7), "ck:" and the modified
-// scheme's cookie. A record that holds exactly cred, live, vouches for the
-// source and the MAC is skipped: the credential compare is the security
-// boundary — a record never turns a bare source address into trust — and it
-// is constant-time (Limiter2.Lookup). With FastPathTTL 0 no record holds a
-// credential and every request pays its MAC. Otherwise the MAC the tag names
-// runs, and what verifies is stored. A credential that passes counts
-// CookieValid and is charged to the same record. admit reports whether the
-// request goes on; only a request that verified creates or reorders a
-// record, and nothing here allocates.
+// admit is the one admission step of a request that presents a cookie
+// (Figure 4: the cookie checker, then Rate-Limiter2). The caller has run the
+// MAC its cookie's form names, and ok is its verdict: every request pays
+// one, as §III-E prices a verification. A request that verified counts
+// CookieValid and is charged to its source's Rate-Limiter2 bucket. admit
+// reports whether the request goes on; only a request that verified creates
+// or reorders a bucket, and nothing here allocates.
 //
-// The records are the handler's own: on a direct engine the shard owning a
+// The buckets are the handler's own: on a direct engine the shard owning a
 // source is the delivering socket's, not the source hash's.
-func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
-	g, src := s.g, pkt.Src.Addr()
-	if s.rl2.Lookup(src, cred, g.now(), g.cfg.FastPathTTL) {
-		atomic.AddUint64(&g.Stats.FastPathHits, 1)
-	} else {
-		atomic.AddUint64(&s.work.Checks, 1)
-		var ok bool
-		switch cred[0] {
-		case 'n': // "ns:"
-			ok = s.bv.VerifyLabelBytes(g.nsc, src, cred[3:])
-		case 'i': // "ip:"
-			ok = s.bv.VerifyIP(g.ipc, src, pkt.Dst.Addr())
-		default: // "ck:"
-			ok = s.bv.Verify(src, cookie.Cookie(cred[3:]))
-		}
-		if !ok {
-			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
-			return false
-		}
+func (s *remoteShard) admit(src netip.Addr, ok bool) bool {
+	g := s.g
+	atomic.AddUint64(&s.work.Checks, 1)
+	if !ok {
+		atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+		return false
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.Charge(cred, g.now()) {
+	if !s.rl2.AllowRequest(src, g.now()) {
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return false
 	}
@@ -880,15 +837,16 @@ func (s *remoteShard) admit(pkt Packet, cred []byte) bool {
 
 // handleNSCookie processes a query for a fabricated name (message 3): admit,
 // restore, forward (message 4). q is the question as sent — name, type,
-// class, the name in any case — and cred what nsCred made of its first label.
-// Nothing here allocates, cache hit, miss or forged label.
-func (s *remoteShard) handleNSCookie(pkt Packet, q, cred []byte) {
-	if !s.admit(pkt, cred) {
+// class, the name in any case — and label the cookie label nsLabel found
+// opening its first label. Nothing here allocates, valid or forged label.
+func (s *remoteShard) handleNSCookie(pkt Packet, q, label []byte) {
+	src := pkt.Src.Addr()
+	if !s.admit(src, s.bv.VerifyLabelBytes(s.g.nsc, src, label)) {
 		return
 	}
 	atomic.AddUint64(&s.work.Rewrites, 1)
 	// Message 4: the first label without its cookie.
-	wire := s.childQuery(q, len(cred)-3)
+	wire := s.childQuery(q, len(label))
 	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(pkt.Payload[0])<<8 | uint16(pkt.Payload[1])}, wire, q)
 }
 
@@ -906,13 +864,13 @@ func (s *remoteShard) childQuery(q []byte, strip int) []byte {
 }
 
 // handleIPCookie processes a query addressed to a cookie address (message
-// 7): the destination IP is the credential admit checks. A verified query is
+// 7): the destination IP is the cookie admit checks. A verified query is
 // forwarded as message 4 is, its name whole (message 8), and the ANS's answer
 // relayed (messages 9 and 10): the four packets Table III counts for a cache
 // hit. Nothing here allocates.
 func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
-	dst16 := pkt.Dst.Addr().As16()
-	if !s.admit(pkt, append(append(s.credBuf[:0], "ip:"...), dst16[:]...)) {
+	src := pkt.Src.Addr()
+	if !s.admit(src, s.bv.VerifyIP(s.g.ipc, src, pkt.Dst.Addr())) {
 		return
 	}
 	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, s.childQuery(v.QuestionWire(), 0), nil)
@@ -948,7 +906,8 @@ func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 // bits clear, every name folded and compressed, cut at 512 bytes with TC set.
 // Nothing here allocates, forgery or forward.
 func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
-	if !s.admit(pkt, append(append(s.credBuf[:0], "ck:"...), ck.c[:]...)) {
+	src := pkt.Src.Addr()
+	if !s.admit(src, s.bv.Verify(src, ck.c)) {
 		return
 	}
 	atomic.AddUint64(&s.work.Rewrites, 1)

@@ -23,8 +23,9 @@ import (
 // so a read copies nothing and allocates nothing. Payloads are lent, not
 // given (engine.BatchReader): what a read returns is valid until the next
 // read. It therefore serves one reading proc at a time — the engine runs
-// exactly one per interface. Writes may come from any proc; their scratch is
-// pooled.
+// exactly one per interface. Writes may come from any proc and copy
+// nothing: a batch write lends the socket each reply where it lies, through
+// pooled slot headers.
 type SocketIO struct {
 	Conn netapi.UDPConn
 
@@ -55,8 +56,8 @@ func (s *SocketIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
 // Close implements PacketIO.
 func (s *SocketIO) Close() error { return s.Conn.Close() }
 
-// socketViews pools write-side Datagram slices (slot buffers grown on demand
-// by Datagram.Set).
+// socketViews pools write-side Datagram slices: headers only, each slot
+// cleared before it goes back, so the pool keeps no reply alive.
 var socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
 
 // recvSlab allocates one of a shard's two receive slabs, n slots each one
@@ -87,7 +88,8 @@ func (s *SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) 
 
 // WriteBatch implements engine.BatchWriter; as with WriteFromTo, the source
 // address is the socket's own and cannot be spoofed from userspace, so only
-// each packet's destination is used.
+// each packet's destination is used. Each payload is lent to the socket for
+// the call, not copied.
 func (s *SocketIO) WriteBatch(pkts []Packet) error {
 	vp := socketViews.Get().(*[]netapi.Datagram)
 	if cap(*vp) < len(pkts) {
@@ -95,9 +97,10 @@ func (s *SocketIO) WriteBatch(pkts []Packet) error {
 	}
 	views := (*vp)[:len(pkts)]
 	for i, p := range pkts {
-		views[i].Set(p.Payload, p.Dst)
+		views[i] = netapi.Datagram{Buf: p.Payload, N: len(p.Payload), Addr: p.Dst}
 	}
 	_, err := netapi.AsBatch(s.Conn).WriteBatch(views)
+	clear(views)
 	socketViews.Put(vp)
 	return err
 }

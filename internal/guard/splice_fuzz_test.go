@@ -88,18 +88,13 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
-	cred := append(append(s.credBuf[:0], "ck:"...), c[:]...)
-	if s.rl2.Lookup(pkt.Src.Addr(), cred, g.now(), g.cfg.FastPathTTL) {
-		atomic.AddUint64(&g.Stats.FastPathHits, 1)
-	} else {
-		atomic.AddUint64(&s.work.Checks, 1)
-		if !s.bv.Verify(pkt.Src.Addr(), c) {
-			atomic.AddUint64(&g.Stats.CookieInvalid, 1)
-			return
-		}
+	atomic.AddUint64(&s.work.Checks, 1)
+	if !s.bv.Verify(pkt.Src.Addr(), c) {
+		atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+		return
 	}
 	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.Charge(cred, g.now()) {
+	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
 		return
 	}
@@ -124,8 +119,8 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		oracleModified(s, pkt, msg, c)
 		return
 	}
-	if cred, ok := nsCred(s, msg.Question().Name.FirstLabel()); ok {
-		s.handleNSCookie(pkt, questionsWire(msg.Questions), cred)
+	if label, ok := nsLabel(g, msg.Question().Name.FirstLabel()); ok {
+		s.handleNSCookie(pkt, questionsWire(msg.Questions), []byte(label))
 		return
 	}
 	if g.drainGate() {
@@ -287,10 +282,10 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 			words[i] = h.g.mit.sketch.words[i].Load()
 		}
 		worker, upstream := h.g.Work(0)
-		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\nwork %+v %+v\ncache %+v\npending %v\nsketch %x",
+		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\nwork %+v %+v\nrl2 sources %d\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
 			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), metrics.SnapshotUint64(worker), metrics.SnapshotUint64(upstream),
-			h.g.fastPath(), pendingDump(h.s), words)
+			h.s.rl2.Sources(), pendingDump(h.s), words)
 	}
 	if got, want := state(tw.got), state(tw.want); got != want {
 		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)
@@ -367,7 +362,7 @@ func (tw *spliceTwin) upstream(data []byte) {
 // bench/gen writes for it, forged and (first byte odd) valid.
 func FuzzSpliceAgreement(f *testing.F) {
 	for _, row := range shapeRows() {
-		runShapeRow(f, row, 0, func(upstream bool, wire []byte) { f.Add(upstream, wire) })
+		runShapeRow(f, row, func(upstream bool, wire []byte) { f.Add(upstream, wire) })
 	}
 	f.Add(true, []byte("\x0c\x05\x80\x00\x00\x01\x00\x00\x00\x01\x00\x01\x02c5\x03foo\x03com\x00\x00\x01\x00\x01"+
 		"\xc0\x0c\x00\x02\x00\x01\x00\x00\x0e\x10\x00\x05\x02ns\xc0\x0c\xc0\x28\x00\x01\x00\x01\x00\x00\x0e\x10\x00\x04\xc6\x33\x64\x06"))

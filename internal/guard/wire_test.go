@@ -145,8 +145,9 @@ func TestFabricateNSNameRejectsOversizeLabel(t *testing.T) {
 }
 
 // TestNSCredMatchesParseFabricatedName: the pipeline classifies a first label
-// with nsCred, on wire bytes or on a decoded name; ParseFabricatedName is the
-// reference it must agree with, on the verdict and on the credential.
+// with nsLabel, on wire bytes or on a decoded name; ParseFabricatedName is the
+// reference it must agree with, on the verdict and, but for case, on the
+// cookie label.
 func TestNSCredMatchesParseFabricatedName(t *testing.T) {
 	h := newShardHarness(t, nil)
 	valid := h.g.nsc.EncodeLabel(testAuth().Mint(mustAddr("10.0.0.53")))
@@ -173,15 +174,15 @@ func TestNSCredMatchesParseFabricatedName(t *testing.T) {
 				continue
 			}
 			label, _, want := ParseFabricatedName(h.g.nsc, qname)
-			cred, got := nsCred(h.s, qname.FirstLabel())
-			if got != want || got && string(cred) != "ns:"+label {
-				t.Errorf("%q: nsCred = (%q, %v), ParseFabricatedName = (%q, %v)", qname, cred, got, label, want)
+			found, got := nsLabel(h.g, qname.FirstLabel())
+			if got != want || got && !strings.EqualFold(found, label) {
+				t.Errorf("%q: nsLabel = (%q, %v), ParseFabricatedName = (%q, %v)", qname, found, got, label, want)
 			}
 			// On the wire as sent, where it is ASCII: any case.
 			if isASCII(sent) {
-				cred, got = nsCred(h.s, []byte(sent))
-				if got != want || got && string(cred) != "ns:"+label {
-					t.Errorf("%q on the wire: nsCred = (%q, %v), want (%q, %v)", sent, cred, got, label, want)
+				found, got := nsLabel(h.g, []byte(sent))
+				if got != want || got && !strings.EqualFold(string(found), label) {
+					t.Errorf("%q on the wire: nsLabel = (%q, %v), want (%q, %v)", sent, found, got, label, want)
 				}
 			}
 		}

@@ -7,8 +7,7 @@
 //     as a traffic reflector (per-source + global budgets);
 //   - Limiter2: per-host nominal rate limiting for verified (non-spoofed)
 //     requesters, bounding what a cookie-holding attacker or zombie farm can
-//     push through the guard, in one record per source that also holds the
-//     credential the source last proved.
+//     push through the guard.
 package ratelimit
 
 import "time"

@@ -1,9 +1,7 @@
 package ratelimit
 
 import (
-	"crypto/subtle"
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/srctab"
@@ -128,9 +126,7 @@ type Limiter2Config struct {
 	PerSourceRate float64
 	// PerSourceBurst tokens of burst per source.
 	PerSourceBurst float64
-	// TrackedSources bounds the verified sources a limiter keeps (LRU): one
-	// record each, holding both the source's bucket and the credential it
-	// last proved, so it is the bound on both.
+	// TrackedSources bounds per-source state (LRU).
 	TrackedSources int
 }
 
@@ -144,49 +140,14 @@ func DefaultLimiter2Config() Limiter2Config {
 	}
 }
 
-// MaxCred is the longest credential a record holds: "ip:" or "ck:" and 16
-// bytes, the longest the guard forms ("ns:" and the NS codec's 10-byte label
-// is 13). Stored inline, it leaves a record without a pointer.
-const MaxCred = 3 + 16
-
-// record is what the guard keeps of one verified source: its level, charged
-// in limiter epoch epoch, and the first n bytes of cred, the credential it
-// last proved (none while n is 0), honored until expires.
-type record struct {
-	level
-	expires time.Duration
-	epoch   uint8
-	n       uint8
-	cred    [MaxCred]byte
-}
-
-// CredStats counts what a Limiter2's stored credentials did. No reset takes
-// a count back; Sources is a gauge.
-type CredStats struct {
-	Hits      uint64 // a lookup found a live credential, matching or not
-	Misses    uint64 // it found none
-	Inserts   uint64 // a verified credential stored where none was live
-	Evictions uint64 // a record with a live credential evicted for another source
-	Sources   uint64 // records holding a credential, expired ones not yet looked up included
-}
-
 // Limiter2 polices verified requests per source host, protecting the ANS
 // from non-spoofed DoS (attackers who legitimately obtained a cookie, or
-// zombie farms using their real addresses). It is also the table of
-// verified sources: a source's record holds its bucket and the credential it
-// last proved, so Figure 4's cookie check and the charge after it find the
-// source once. Not safe for concurrent use but for Stats.
+// zombie farms using their real addresses). Its per-source buckets are
+// Rate-Limiter1's kind: a source charged once holds an entry only until its
+// bucket refills, so sources that verify once and never return share a few
+// entries. Not safe for concurrent use.
 type Limiter2 struct {
-	// Stats is written atomically: read it with atomic loads.
-	Stats CredStats
-
-	rate, burst float64
-	epoch       uint8
-	tab         *srctab.Table[record]
-	// ttl and match are what the last Lookup was given and found, for the
-	// Charge that follows it.
-	ttl   time.Duration
-	match bool
+	perSrc Buckets
 }
 
 // NewLimiter2 builds a Limiter2 starting at now.
@@ -196,81 +157,19 @@ func NewLimiter2(cfg Limiter2Config, now time.Duration) *Limiter2 {
 	return l
 }
 
-// Reset returns the limiter to what NewLimiter2 builds, in place, but for
-// the counts: its table is reused unless cfg.TrackedSources changed.
+// Reset returns the limiter to what NewLimiter2 builds, in place: its table
+// is reused unless cfg.TrackedSources changed. A source charged before
+// restarts at the new burst, which is what a strict/normal mitigation
+// toggle and a supervised shard restart ask for.
 func (l *Limiter2) Reset(cfg Limiter2Config) {
-	l.Retune(cfg)
-	renew(&l.tab, cfg.TrackedSources)
-	atomic.StoreUint64(&l.Stats.Sources, 0)
+	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
 }
 
-// Retune sets the rate and burst every source shares and keeps every record
-// and credential: a level charged before restarts at the new burst at its
-// next charge, as if the table had been emptied, in O(1). The epoch is a
-// byte, so a record left uncharged through 256 retunes keeps its level.
-func (l *Limiter2) Retune(cfg Limiter2Config) {
-	l.rate, l.burst = cfg.PerSourceRate, max(cfg.PerSourceBurst, 1)
-	l.epoch++
-}
-
-// Lookup finds src's record, creating and reordering nothing: a source that
-// never verified costs a probe of index slots. With a ttl it reports whether
-// the record holds cred, live, in a constant-time compare (an early exit
-// would leak the stored credential to an attacker presenting guesses), and
-// drops a credential found expired; with none nothing matches or counts.
-// Nothing may use the limiter between a Lookup and its Charge.
-func (l *Limiter2) Lookup(src netip.Addr, cred []byte, now, ttl time.Duration) bool {
-	r := l.tab.Get(src.As16())
-	if l.ttl, l.match = ttl, false; ttl <= 0 {
-		return false
-	}
-	if r != nil && r.n > 0 && r.expires <= now {
-		r.n = 0
-		atomic.AddUint64(&l.Stats.Sources, ^uint64(0))
-	}
-	if r == nil || r.n == 0 {
-		atomic.AddUint64(&l.Stats.Misses, 1)
-		return false
-	}
-	atomic.AddUint64(&l.Stats.Hits, 1)
-	l.match = subtle.ConstantTimeCompare(r.cred[:r.n], cred) == 1
-	return l.match
-}
-
-// Charge takes one token from the source the last Lookup found, whose
-// request passed the cookie check, and reports whether it may go on to the
-// ANS at now. A new record — a full table gives it the least recently
-// charged one's — and one charged in an earlier epoch start at full burst.
-// Unless the Lookup matched, cred is stored for its ttl, if it fits:
-// truncated, a shorter credential could match it.
-func (l *Limiter2) Charge(cred []byte, now time.Duration) bool {
-	r, found, evicted := l.tab.Keep(false)
-	if evicted && r.n > 0 {
-		atomic.AddUint64(&l.Stats.Sources, ^uint64(0))
-		if r.expires > now {
-			atomic.AddUint64(&l.Stats.Evictions, 1)
-		}
-	}
-	if !found {
-		*r = record{level: level{l.burst, now}, epoch: l.epoch}
-	} else if r.epoch != l.epoch {
-		r.level, r.epoch = level{l.burst, now}, l.epoch
-	}
-	if l.ttl > 0 && !l.match && len(cred) <= MaxCred {
-		if r.n == 0 {
-			atomic.AddUint64(&l.Stats.Sources, 1)
-			atomic.AddUint64(&l.Stats.Inserts, 1)
-		}
-		r.expires, r.n = now+l.ttl, uint8(copy(r.cred[:], cred))
-	}
-	return r.allow(l.rate, l.burst, now)
-}
-
-// AllowRequest charges src as a source verified by other means.
+// AllowRequest charges src, whose request passed the cookie check, one
+// token and reports whether the request may go on to the ANS at now.
 func (l *Limiter2) AllowRequest(src netip.Addr, now time.Duration) bool {
-	l.Lookup(src, nil, now, 0)
-	return l.Charge(nil, now)
+	return l.perSrc.Allow(src, now)
 }
 
-// Sources reports how many records the limiter holds.
-func (l *Limiter2) Sources() int { return l.tab.Len() }
+// Sources reports how many sources the limiter holds.
+func (l *Limiter2) Sources() int { return l.perSrc.tab.Len() }

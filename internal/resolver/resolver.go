@@ -579,19 +579,21 @@ func (r *Resolver) exchangeTCP(server netip.AddrPort, qname dnswire.Name, qtype 
 			}
 			return nil, err
 		}
+		// One read may carry several frames: every complete one is judged
+		// before the next read.
 		sc.Add(buf[:n])
-		msg, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
+		for {
+			msg, ok, err := sc.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			if resp, err := dnswire.Unpack(msg); err == nil && resp.ID == id {
+				return resp, nil
+			}
 		}
-		if !ok {
-			continue
-		}
-		resp, err := dnswire.Unpack(msg)
-		if err != nil || resp.ID != id {
-			continue
-		}
-		return resp, nil
 	}
 }
 

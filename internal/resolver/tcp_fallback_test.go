@@ -8,6 +8,7 @@ import (
 	"dnsguard/internal/ans"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/realnet"
 	"dnsguard/internal/tcpsim"
 	"dnsguard/internal/vclock"
 	"dnsguard/internal/zone"
@@ -79,5 +80,61 @@ func TestResolverTruncationFallback(t *testing.T) {
 	}
 	if srv.Stats.Truncated != 1 {
 		t.Fatalf("truncated = %d, want 1", srv.Stats.Truncated)
+	}
+}
+
+// twoFrameServer answers one TCP query on loopback with two frames in one
+// write: a response whose ID is not the query's, then the one whose is.
+func twoFrameServer(t *testing.T, env *realnet.Env) netip.AddrPort {
+	t.Helper()
+	ln, err := env.ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept(5 * time.Second)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var sc dnswire.FrameScanner
+		buf := make([]byte, 512)
+		for {
+			n, err := conn.Read(buf, 5*time.Second)
+			if err != nil {
+				return
+			}
+			sc.Add(buf[:n])
+			if q, ok, _ := sc.Next(); ok {
+				q[2] |= 0x80
+				wrong := append([]byte(nil), q...)
+				wrong[1] ^= 1
+				out, _ := dnswire.AppendTCPFrame(nil, wrong)
+				out, _ = dnswire.AppendTCPFrame(out, q)
+				conn.Write(out)
+				conn.Read(buf, 5*time.Second) // hold the connection until the client closes it
+				return
+			}
+		}
+	}()
+	return ln.Addr()
+}
+
+// TestExchangeTCPTakesEveryFrame: when the answer arrives in the same read
+// as a frame with another ID, the exchange takes it from what it already
+// holds instead of waiting for a read that never comes.
+func TestExchangeTCPTakesEveryFrame(t *testing.T) {
+	env := realnet.New()
+	server := twoFrameServer(t, env)
+	r, err := New(Config{Env: env, RootHints: []netip.AddrPort{server}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 2 * time.Second
+	start := time.Now()
+	resp, err := r.exchangeTCP(server, dnswire.MustName("www.foo.com"), dnswire.TypeA, timeout)
+	if took := time.Since(start); err != nil || took > timeout/2 {
+		t.Fatalf("exchangeTCP = (%v, %v) after %v; want the second frame well before the %v timeout", resp, err, took, timeout)
 	}
 }

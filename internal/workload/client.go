@@ -398,19 +398,21 @@ func (c *Client) requestTCP() error {
 		if err != nil {
 			return err
 		}
+		// One read may carry several frames: every complete one is judged
+		// before the next read.
 		sc.Add(buf[:n])
-		msg, ok, err := sc.Next()
-		if err != nil {
-			return err
+		for {
+			msg, ok, err := sc.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if tresp, err := dnswire.Unpack(msg); err == nil && tresp.ID == q.ID {
+				return nil
+			}
 		}
-		if !ok {
-			continue
-		}
-		tresp, err := dnswire.Unpack(msg)
-		if err != nil || tresp.ID != q.ID {
-			continue
-		}
-		return nil
 	}
 }
 

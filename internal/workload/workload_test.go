@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/guard"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/realnet"
 	"dnsguard/internal/vclock"
 )
 
@@ -389,5 +390,52 @@ func TestAttackerRateAndSpoofDiversity(t *testing.T) {
 	}
 	if len(received) != 1000 {
 		t.Fatalf("distinct sources = %d, want 1000", len(received))
+	}
+}
+
+// TestClientTCPTakesEveryFrame: the LRS simulator's TCP request, answered on
+// loopback with a frame of another ID and then its own in one write, takes
+// its answer from what it already holds instead of waiting for a read that
+// never comes.
+func TestClientTCPTakesEveryFrame(t *testing.T) {
+	env := realnet.New()
+	ln, err := env.ListenTCP(mustAP("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept(5 * time.Second)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var sc dnswire.FrameScanner
+		buf := make([]byte, 512)
+		for {
+			n, err := conn.Read(buf, 5*time.Second)
+			if err != nil {
+				return
+			}
+			sc.Add(buf[:n])
+			if q, ok, _ := sc.Next(); ok {
+				q[2] |= 0x80
+				wrong := append([]byte(nil), q...)
+				wrong[1] ^= 1
+				out, _ := dnswire.AppendTCPFrame(nil, wrong)
+				out, _ = dnswire.AppendTCPFrame(out, q)
+				conn.Write(out)
+				conn.Read(buf, 5*time.Second) // hold the connection until the client closes it
+				return
+			}
+		}
+	}()
+	const wait = 2 * time.Second
+	c, err := NewClient(ClientConfig{Env: env, Kind: KindTCP, DirectTCP: true, Target: ln.Addr(), Wait: wait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took, err := c.RunOnce(); err != nil || took > wait/2 {
+		t.Fatalf("RunOnce = (%v, %v); want the second frame well before the %v wait", took, err, wait)
 	}
 }
