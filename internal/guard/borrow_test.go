@@ -652,9 +652,9 @@ func heapAllocated() uint64 {
 // TestLegitTrafficHeapFlat: legitimate traffic makes no garbage. 20 000
 // newcomer sessions — grant, cookie query built from the grant as a resolver
 // would, referral with glue, message 6 — then 200 000 verified cycles from
-// 2048 sources that verified before, through one guard, and the bytes the process has
-// ever allocated grow by less than one per packet: nothing a collector would
-// have to come for, however long the guard runs.
+// 2048 sources that verified before, through one guard, and the bytes the
+// process has ever allocated grow by less than one per packet: nothing a
+// collector would have to come for, however long the guard runs.
 func TestLegitTrafficHeapFlat(t *testing.T) {
 	sessions, cycles := 20000, 200000
 	if testing.Short() {
@@ -915,7 +915,9 @@ func TestSourceStateFootprint(t *testing.T) {
 // and is back at its burst 1 ÷ PerSourceRate = 10 ms later, when it decides
 // what an absent bucket would: the next newcomer takes its entry. So the
 // table writes about the 40 entries of the newcomers granted within the last
-// 10 ms, not all 4096 of its bound, and decides every grant as before.
+// 10 ms, not all 4096 of its bound, and decides every grant as before. Each
+// session's cookie query charges Rate-Limiter2 once, and its bucket is back
+// at its burst in 1 ÷ 2000 s: that table writes two or three entries.
 func TestSourceStateRecycles(t *testing.T) {
 	h := newShardHarness(t, nil)
 	plain, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()

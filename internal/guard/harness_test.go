@@ -166,9 +166,10 @@ func appendReferral(dst, fwd []byte) []byte {
 
 // recordQueryAllocs pins at zero allocations what the guard does with a query
 // that carries records, judged from the record walk: a forged TXT cookie
-// dropped, a valid one verified and forwarded by splice, bare and between OPTs, its answer — empty, or a referral relayed
-// whole — sent on, message 2 answered with message 3, and an EDNS0 resolver's
-// cookie-name query and first contact. send delivers a query from src; replied
+// dropped, a valid one verified and forwarded by splice, bare and between
+// OPTs, its answer — empty, or a referral relayed whole — sent on, message 2
+// answered with message 3, and an EDNS0 resolver's cookie-name query and
+// first contact. send delivers a query from src; replied
 // is called wherever a reply has just left for it.
 func recordQueryAllocs(t *testing.T, rig string, h *shardHarness, src netip.AddrPort, send func(wire []byte), replied func()) {
 	t.Helper()
@@ -266,9 +267,9 @@ func pinAllocs(t *testing.T, rig string, h *shardHarness, cases []allocCase) {
 // reject, at zero allocations against stub I/O: the verified cycle — cookie
 // query in, MAC, rewritten forward out, response in, fabricated reply out —
 // for an empty response and for a referral with glue, the same cycle for a
-// source Rate-Limiter2 has never seen (its first bucket), the newcomer grant, the
-// queries with records of recordQueryAllocs, and the inactive guard's relay of
-// a query and the referral that answers it. The last cases replace the stub
+// source Rate-Limiter2 has never seen (its first bucket), the newcomer grant,
+// the queries with records of recordQueryAllocs, and the inactive guard's
+// relay of a query and the referral that answers it. The last cases replace the stub
 // capture interface with a real SocketIO on a loopback socket, so the count
 // includes the ingest read and the reply write a deployed guard makes.
 func TestFastPathWireAllocs(t *testing.T) {

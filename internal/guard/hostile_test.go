@@ -251,9 +251,10 @@ func TestAutomaticKeyRotation(t *testing.T) {
 // goroutine changes the guard's keys 300 times, by Rotate and by AdoptKeys
 // in turn (the fleet controller rotating the shared ring and pushing it),
 // while the shard's worker runs brackets that present the client's cookie of
-// every recent epoch, as a TXT record and as a name's label. BeginBatch snapshots the ring once, so within a bracket every verdict
-// on an epoch's cookie is the same, whichever form carries it and however the
-// rotations fall; a cookie minted under the snapshot's epoch or the one
+// every recent epoch, as a TXT record and as a name's label. BeginBatch
+// snapshots the ring once, so within a bracket every verdict on an epoch's
+// cookie is the same, whichever form carries it and however the rotations
+// fall; a cookie minted under the snapshot's epoch or the one
 // before verifies, and no other does. The worker cannot see which ring a
 // bracket took, only the epochs before and after BeginBatch that bound it, so
 // the last two claims are checked for the epochs that bound decides. Run with
