@@ -7,6 +7,7 @@ package guard
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -118,8 +119,9 @@ type arrResult struct {
 // runArrangement replays steps through a two-shard guard in front of a
 // simulated root ANS — reading one interface, or one per shard with each
 // datagram sent to its owner's — and starts a Drain before step drainAt.
-// rl2 configures Rate-Limiter2; the zero value takes the defaults.
-func runArrangement(t *testing.T, direct bool, rl2 ratelimit.Limiter2Config, steps []arrStep, drainAt int) arrResult {
+// ttl sets the FastPathTTL the guard ignores; rl2 configures Rate-Limiter2,
+// the zero value taking the defaults.
+func runArrangement(t *testing.T, direct bool, ttl time.Duration, rl2 ratelimit.Limiter2Config, steps []arrStep, drainAt int) arrResult {
 	t.Helper()
 	sched := vclock.New(5)
 	network := netsim.New(sched, 100*time.Microsecond)
@@ -140,6 +142,7 @@ func runArrangement(t *testing.T, direct bool, rl2 ratelimit.Limiter2Config, ste
 	cfg := RemoteConfig{
 		Env:           host,
 		Shards:        2,
+		FastPathTTL:   ttl,
 		RL2:           rl2,
 		ShardHashSeed: 11,
 		PublicAddr:    mustAP("198.41.0.4:53"),
@@ -189,43 +192,63 @@ func runArrangement(t *testing.T, direct bool, rl2 ratelimit.Limiter2Config, ste
 // TestArrangementsAgree: fan-out and direct ingress handle the same
 // schedule identically, counters, lifecycle and egress, with a drain begun
 // halfway and with a Rate-Limiter2 tight enough to drop and its table small
-// enough to recycle.
+// enough to recycle; and FastPathTTL, which the guard ignores, changes
+// nothing at 0 or at 1 min.
 func TestArrangementsAgree(t *testing.T) {
 	steps := arrSchedule(t, 1, 600)
-	agree := func(name string, rl2 ratelimit.Limiter2Config, drainAt int) (fan, dir arrResult) {
-		fan = runArrangement(t, false, rl2, steps, drainAt)
-		dir = runArrangement(t, true, rl2, steps, drainAt)
+	agree := func(t *testing.T, ttl time.Duration, rl2 ratelimit.Limiter2Config, drainAt int) (fan, dir arrResult) {
+		t.Helper()
+		fan = runArrangement(t, false, ttl, rl2, steps, drainAt)
+		dir = runArrangement(t, true, ttl, rl2, steps, drainAt)
 		if fan.stats != dir.stats {
-			t.Errorf("%s: RemoteStats differ:\n fan-out %+v\n direct  %+v", name, fan.stats, dir.stats)
+			t.Errorf("RemoteStats differ:\n fan-out %+v\n direct  %+v", fan.stats, dir.stats)
 		}
 		if fan.lifecycle != dir.lifecycle {
-			t.Errorf("%s: LifecycleStats differ: fan-out %+v, direct %+v", name, fan.lifecycle, dir.lifecycle)
+			t.Errorf("LifecycleStats differ: fan-out %+v, direct %+v", fan.lifecycle, dir.lifecycle)
 		}
 		if fan.validAtDrain != dir.validAtDrain {
-			t.Errorf("%s: CookieValid when the drain began: fan-out %d, direct %d", name, fan.validAtDrain, dir.validAtDrain)
+			t.Errorf("CookieValid when the drain began: fan-out %d, direct %d", fan.validAtDrain, dir.validAtDrain)
 		}
 		for src, got := range fan.egress {
 			if want := dir.egress[src]; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: egress to %v: fan-out %d datagrams, direct %d, or their bytes differ", name, src, len(got), len(want))
+				t.Errorf("egress to %v: fan-out %d datagrams, direct %d, or their bytes differ", src, len(got), len(want))
 			}
 		}
 		for src, want := range dir.egress {
 			if _, ok := fan.egress[src]; !ok {
-				t.Errorf("%s: egress to %v: fan-out none, direct %d datagrams", name, src, len(want))
+				t.Errorf("egress to %v: fan-out none, direct %d datagrams", src, len(want))
 			}
 		}
 		return fan, dir
 	}
-	fan, dir := agree("drained", ratelimit.Limiter2Config{}, len(steps)/2)
-	if fan.state != LifecycleQuiesced || dir.state != LifecycleQuiesced {
-		t.Fatalf("lifecycle fan-out %v, direct %v: want both quiesced", fan.state, dir.state)
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("FastPathTTL=%v", ttl), func(t *testing.T) {
+			fan, dir := agree(t, ttl, ratelimit.Limiter2Config{}, len(steps)/2)
+			if fan.state != LifecycleQuiesced || dir.state != LifecycleQuiesced {
+				t.Fatalf("lifecycle fan-out %v, direct %v: want both quiesced", fan.state, dir.state)
+			}
+			if dir.lifecycle.DrainDropped == 0 || dir.stats.CookieValid <= dir.validAtDrain {
+				t.Fatalf("the schedule does not exercise the drain: %+v, CookieValid %d at the drain, %d at the end",
+					dir.lifecycle, dir.validAtDrain, dir.stats.CookieValid)
+			}
+		})
 	}
-	if dir.lifecycle.DrainDropped == 0 || dir.stats.CookieValid <= dir.validAtDrain {
-		t.Fatalf("the schedule does not exercise the drain: %+v, CookieValid %d at the drain, %d at the end",
-			dir.lifecycle, dir.validAtDrain, dir.stats.CookieValid)
-	}
-	_, dir = agree("tight RL2", ratelimit.Limiter2Config{PerSourceRate: 50, PerSourceBurst: 3, TrackedSources: 8}, len(steps))
-	if dir.stats.RL2Dropped == 0 {
-		t.Error("the schedule does not exercise Rate-Limiter2: nothing dropped")
-	}
+	// Every request pays its MAC whatever FastPathTTL says: with a limiter
+	// tight enough to drop and records few enough to recycle, the
+	// arrangements agree, and FastPathTTL 0 and 1 min admit and drop the
+	// same requests and send the same bytes.
+	t.Run("RL2 at FastPathTTL=0s and 1m0s", func(t *testing.T) {
+		tight := ratelimit.Limiter2Config{PerSourceRate: 50, PerSourceBurst: 3, TrackedSources: 8}
+		_, off := agree(t, 0, tight, len(steps))
+		on := runArrangement(t, true, time.Minute, tight, steps, len(steps))
+		if off.stats.RL2Dropped == 0 {
+			t.Fatal("the schedule does not exercise Rate-Limiter2: nothing dropped")
+		}
+		if on.stats != off.stats {
+			t.Errorf("RemoteStats differ:\n 0s %+v\n 1m %+v", off.stats, on.stats)
+		}
+		if !reflect.DeepEqual(on.egress, off.egress) {
+			t.Error("the guard's egress differs between FastPathTTL 0s and 1m")
+		}
+	})
 }

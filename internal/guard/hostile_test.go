@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -196,9 +197,18 @@ func TestGuardPendingTableBounded(t *testing.T) {
 // verifies that (a) rotations happen, (b) a cookie minted in generation g
 // still verifies during generation g+1 and is rejected in g+2 — the
 // paper's weekly schedule in miniature: every query pays its MAC, so no
-// earlier verification carries a cookie past the ring.
+// earlier verification carries a cookie past the ring, with the ignored
+// FastPathTTL at 0 and at the rotation period.
 func TestAutomaticKeyRotation(t *testing.T) {
-	f := newLeafFixture(t, func(c *RemoteConfig) { c.KeyRotation = 30 * time.Second })
+	for _, ttl := range []time.Duration{0, 30 * time.Second} {
+		t.Run(fmt.Sprintf("FastPathTTL=%v", ttl), func(t *testing.T) { automaticKeyRotation(t, ttl) })
+	}
+}
+
+func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
+	f := newLeafFixture(t, func(c *RemoteConfig) {
+		c.KeyRotation, c.FastPathTTL = 30*time.Second, fastPathTTL
+	})
 	auth := f.guard.cfg.Auth
 	nc := cookie.NSCodec{}
 	client := f.net.AddHost("client", mustAddr("198.18.0.9"))

@@ -75,7 +75,8 @@ type RemoteConfig struct {
 	// FastPathTTL is ignored: the guard keeps no verified credentials, and
 	// every cookie it is shown pays its MAC.
 	//
-	// Deprecated: only bench/layers sets it. It goes with ROADMAP item 1(a).
+	// Deprecated: only bench/layers, and the guard's tests that show it
+	// ignored, set it. It goes with ROADMAP item 1(a).
 	FastPathTTL time.Duration
 	// PublicAddr is the ANS's advertised address, which the guard
 	// intercepts and answers from.
