@@ -134,8 +134,9 @@ state-check:
 # REACH_TESTONLY is what only tests may call; an entry that a program links,
 # or that names nothing, fails the gate too.
 #   Remote.BreakerState, LifecycleStats, Engine.StatsAll, ShardTripped,
-#   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get: what a test
-#   reads of a guard, an engine or a registry without a scrape;
+#   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get,
+#   Registry.WriteJSON: what a test reads of a guard, an engine or a registry
+#   without a scrape (the responder appends /debug/vars into its own buffer);
 #   Remote.Resume: undoes Drain, for the lifecycle tests;
 #   Limiter2.Sources: the limiter and guard tests count RL2's sources;
 #   Name.WireLen, UnpackQuestion: TestWireLen, TestUnpackQuestion, and the
@@ -144,7 +145,7 @@ state-check:
 #   resolver's cache to force a re-resolution.
 REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.LifecycleStats guard.Remote.Resume \
 	engine.Engine.StatsAll engine.Engine.ShardTripped engine.Engine.Quarantined \
-	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get \
+	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get metrics.Registry.WriteJSON \
 	ratelimit.Limiter2.Sources dnswire.Name.WireLen dnswire.UnpackQuestion \
 	resolver.Resolver.Cache resolver.Cache.Flush
 DAEMONS = ./cmd/dnsguardd ./cmd/ansd ./cmd/lrsd
@@ -175,7 +176,10 @@ reach-check:
 # `static` or the ELF interpreter it asks for, and its ten largest packages
 # by symbol size. On Linux it then starts the dnsguardd it built (one shard,
 # batch 32, no proxy), prints what /proc/<pid>/status says it holds at idle —
-# RssFile is the binary's share, RssAnon the heap and stacks — and stops it.
+# RssFile is the binary's share, RssAnon the heap and stacks — scrapes its
+# /metrics 100 times, prints the same again with the heap objects the scrapes
+# allocated, stops it, and fails if a scrape cost more than 24 heap objects
+# (cmd/dnsguardd's scrapeObjects, the bound TestScrapeCost holds too).
 # Last, the test that keeps net/http, crypto/tls and encoding/json out of all
 # three (and net, runtime/cgo and a dynamic dnsguardd on Linux amd64/arm64),
 # and the one that keeps the simulator and the harnesses out of every product
@@ -190,10 +194,18 @@ image-check:
 			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
 	done; \
 	if [ "$$(uname -s)" = Linux ]; then \
-		"$$dir/dnsguardd" -listen 127.0.0.1:0 -ans 127.0.0.1:9 -zone foo.com -shards 1 -batch 32 -proxy=false -stats 0 >"$$dir/log" 2>&1 & pid=$$!; \
-		for i in $$(seq 50); do grep -q 'guarding zone' "$$dir/log" && break; sleep 0.1; done; \
-		echo "dnsguardd idle: $$(grep -E '^(VmHWM|RssAnon|RssFile|Threads):' /proc/$$pid/status | tr -s ' \t' ' ' | paste -sd ' ' -)"; \
+		"$$dir/dnsguardd" -listen 127.0.0.1:0 -ans 127.0.0.1:9 -zone foo.com -shards 1 -batch 32 -proxy=false -stats 0 \
+			-metrics-addr 127.0.0.1:0 >"$$dir/log" 2>&1 & pid=$$!; \
+		for i in $$(seq 50); do grep -q 'metrics on' "$$dir/log" && break; sleep 0.1; done; \
+		url=$$(sed -n 's|.*metrics on \(http://[^ ]*\).*|\1|p' "$$dir/log"); \
+		status() { grep -E '^(VmHWM|RssAnon|RssFile|Threads):' /proc/$$pid/status | tr -s ' \t' ' ' | paste -sd ' ' -; }; \
+		objects() { curl -sf "$$url" | awk '$$1 == "runtime_heap_allocs_objects_total" { print $$2 }'; }; \
+		echo "dnsguardd idle: $$(status)"; \
+		a0=$$(objects); for i in $$(seq 100); do curl -sf -o /dev/null "$$url"; done; a1=$$(objects); \
+		echo "dnsguardd after 100 scrapes: $$(status), heap objects $$a0 -> $$a1"; \
 		kill $$pid; wait $$pid || { cat "$$dir/log"; exit 1; }; \
+		[ -n "$$a0" ] && [ -n "$$a1" ] && [ $$((a1 - a0)) -le $$((24 * 101)) ] || \
+			{ echo "image-check: 101 scrapes allocated $$((a1 - a0)) heap objects, over 24 each"; exit 1; }; \
 	fi
 	$(GO) test ./cmd/dnsguardd -run='^(TestImagePinned|TestProductSimulatorFree)$$' -count=1 -v
 

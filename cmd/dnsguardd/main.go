@@ -39,7 +39,9 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/cookie"
@@ -248,11 +250,13 @@ func run() error {
 	defer close(stop)
 	if *keyringReload > 0 {
 		go func() {
+			t := time.NewTicker(*keyringReload)
+			defer t.Stop()
 			for {
 				select {
 				case <-stop:
 					return
-				case <-time.After(*keyringReload):
+				case <-t.C:
 				}
 				before := auth.Epoch()
 				if err := auth.Reload(); err != nil {
@@ -267,16 +271,28 @@ func run() error {
 	}
 	if *statsEvery > 0 {
 		go func() {
+			s := &g.Stats
+			fields := [...]struct {
+				label string
+				n     *uint64
+			}{{"dnsguardd: recv=", &s.Received}, {" grants=", &s.NewcomerGrants}, {" valid=", &s.CookieValid},
+				{" invalid=", &s.CookieInvalid}, {" rl1drop=", &s.RL1Dropped}, {" fwd=", &s.ForwardedToANS},
+				{" spoofed=", &s.UpstreamSpoofed}}
+			var line []byte
+			t := time.NewTicker(*statsEvery)
+			defer t.Stop()
 			for {
 				select {
 				case <-stop:
 					return
-				case <-time.After(*statsEvery):
+				case <-t.C:
 				}
-				s := g.Stats.Load()
-				fmt.Printf("dnsguardd: recv=%d grants=%d valid=%d invalid=%d rl1drop=%d fwd=%d spoofed=%d\n",
-					s.Received, s.NewcomerGrants, s.CookieValid, s.CookieInvalid, s.RL1Dropped,
-					s.ForwardedToANS, s.UpstreamSpoofed)
+				line = line[:0]
+				for _, f := range fields {
+					line = strconv.AppendUint(append(line, f.label...), atomic.LoadUint64(f.n), 10)
+				}
+				line = append(line, '\n')
+				_, _ = os.Stdout.Write(line)
 			}
 		}()
 		go metrics.DumpEvery(reg, 6**statsEvery, os.Stderr, stop)

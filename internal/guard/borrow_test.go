@@ -562,9 +562,8 @@ func TestOversizeUpstreamDropped(t *testing.T) {
 // exist: 2 × 32 slots of a 512-byte head and a 4097-byte spill are 288 KiB
 // allocated, where 64 KiB slots were 4 MiB. Of that, short datagrams keep
 // only the heads resident, 32 KiB (TestStateBudget pins the layout). The
-// baseline is the constructed guard: its source tables are allocated whole at
-// construction (TestSourceStateFootprint bounds them) and are not packet
-// memory.
+// baseline is the constructed guard, and a relaying guard builds no source
+// table (TestRelayBuildsNoSourceTable).
 func TestRemoteFootprint(t *testing.T) {
 	env := realnet.New()
 	lo := netip.MustParseAddrPort("127.0.0.1:0")
@@ -924,6 +923,9 @@ func TestSourceStateRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The tables are built at the first charge: charge each limiter once.
+	h.s.rl1.AllowResponse(mustAddr("192.0.2.1"), 0)
+	h.s.rl2.AllowRequest(mustAddr("192.0.2.1"), 0)
 	tabs := [2]reflect.Value{
 		reflect.ValueOf(h.s).Elem().FieldByName("rl1").Elem().FieldByName("perSrc").FieldByName("tab").Elem(),
 		reflect.ValueOf(h.s).Elem().FieldByName("rl2").Elem().FieldByName("perSrc").FieldByName("tab").Elem(),
@@ -958,9 +960,10 @@ func TestSourceStateRecycles(t *testing.T) {
 	}
 }
 
-// TestStateBudget pins the two per-source tables a default shard builds —
-// each one's entry and index slot (reflect's Size, which is unsafe.Sizeof)
-// and the bytes its two arrays hold — to what DESIGN.md §18 and §19 quote:
+// TestStateBudget pins the two per-source tables a default shard builds at
+// its first charges — each one's entry and index slot (reflect's Size, which
+// is unsafe.Sizeof) and the bytes its two arrays hold — to what DESIGN.md §18
+// and §19 quote:
 //
 //	RL1      4096 × 40 + 8192 × 4   = 192 KiB
 //	RL2      4096 × 40 + 8192 × 4   = 192 KiB
@@ -973,6 +976,9 @@ func TestSourceStateRecycles(t *testing.T) {
 //	spills    32 × 4097                   = 128 KiB, touched by long datagrams
 func TestStateBudget(t *testing.T) {
 	h := newShardHarness(t, nil)
+	// The tables are built at the first charge: charge each limiter once.
+	h.s.rl1.AllowResponse(mustAddr("192.0.2.1"), 0)
+	h.s.rl2.AllowRequest(mustAddr("192.0.2.1"), 0)
 	field := func(v reflect.Value, path ...string) reflect.Value {
 		for _, name := range path {
 			v = reflect.Indirect(v).FieldByName(name)
@@ -1016,6 +1022,43 @@ func TestStateBudget(t *testing.T) {
 	}
 	if heads != 16<<10 {
 		t.Errorf("a receive slab's heads hold %d bytes, want 16 KiB", heads)
+	}
+}
+
+// TestRelayBuildsNoSourceTable: a guard kept below its activation threshold
+// relays and charges no source, so neither Rate-Limiter table is built;
+// the first charge builds Rate-Limiter1's.
+func TestRelayBuildsNoSourceTable(t *testing.T) {
+	built := func(h *shardHarness) (rl1, rl2 bool) {
+		s := reflect.ValueOf(h.s).Elem()
+		return !s.FieldByName("rl1").Elem().FieldByName("perSrc").FieldByName("tab").IsNil(),
+			!s.FieldByName("rl2").Elem().FieldByName("perSrc").FieldByName("tab").IsNil()
+	}
+	query := mustPack(t, dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	resp := make([]byte, 0, dnswire.MaxUDPSize)
+	const n = 1000
+	h := newShardHarness(t, relayOnly)
+	for i := 0; i < n; i++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), 5353)
+		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: query})
+		resp = appendAnswer(resp, h.up.buf[:h.up.n])
+		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
+	}
+	if st := h.g.Stats.Load(); st.Passthrough != n || st.RepliesToClient != n {
+		t.Fatalf("%d queries were not all relayed: %+v", n, st)
+	}
+	if rl1, rl2 := built(h); rl1 || rl2 {
+		t.Errorf("a relaying guard built a source table: Rate-Limiter1 %v, Rate-Limiter2 %v", rl1, rl2)
+	}
+	h.s.ResetShard()
+	if rl1, rl2 := built(h); rl1 || rl2 {
+		t.Errorf("ResetShard built a source table: Rate-Limiter1 %v, Rate-Limiter2 %v", rl1, rl2)
+	}
+
+	h = newShardHarness(t, nil)
+	h.handle(Packet{Src: mustAP("10.0.0.1:5353"), Dst: h.g.cfg.PublicAddr, Payload: query})
+	if rl1, rl2 := built(h); h.g.Stats.Load().NewcomerGrants != 1 || !rl1 || rl2 {
+		t.Errorf("after one grant: Rate-Limiter1 built %v, Rate-Limiter2 %v; want true, false", rl1, rl2)
 	}
 }
 

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -117,25 +117,34 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// sample emits the derived series for a histogram: _count, _sum_ns, the
-// interpolated p50/p90/p99, and one cumulative _le_<bound> line per
-// non-empty prefix of buckets.
-func (h *Histogram) sample(name string, emit func(Sample)) {
-	emit(Sample{name + "_count", float64(h.count.Load())})
-	emit(Sample{name + "_sum_ns", float64(h.sum.Load())})
-	emit(Sample{name + "_p50_ns", float64(h.Quantile(0.50))})
-	emit(Sample{name + "_p90_ns", float64(h.Quantile(0.90))})
-	emit(Sample{name + "_p99_ns", float64(h.Quantile(0.99))})
+// seriesNames names what h exports under name: _count, _sum_ns, _p50_ns,
+// _p90_ns, _p99_ns, then _le_<bound>us per bucket and _le_inf for overflow.
+func (h *Histogram) seriesNames(name string) []string {
+	names := []string{name + "_count", name + "_sum_ns", name + "_p50_ns", name + "_p90_ns", name + "_p99_ns"}
+	for _, b := range h.bounds {
+		names = append(names, name+"_le_"+strconv.FormatInt(b.Microseconds(), 10)+"us")
+	}
+	return append(names, name+"_le_inf")
+}
+
+// histMetric is a histogram with its seriesNames built once. It emits the
+// count, the sum, the interpolated p50/p90/p99, and one cumulative _le_ line
+// per non-empty prefix of buckets.
+type histMetric struct {
+	*Histogram
+	names []string
+}
+
+func (m histMetric) sample(_ string, emit func(Sample)) {
+	emit(Sample{m.names[0], float64(m.count.Load())})
+	emit(Sample{m.names[1], float64(m.sum.Load())})
+	emit(Sample{m.names[2], float64(m.Quantile(0.50))})
+	emit(Sample{m.names[3], float64(m.Quantile(0.90))})
+	emit(Sample{m.names[4], float64(m.Quantile(0.99))})
 	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum == 0 {
-			continue // skip empty leading buckets to keep exports short
+	for i := range m.counts {
+		if cum += m.counts[i].Load(); cum != 0 { // empty leading buckets keep exports short
+			emit(Sample{m.names[5+i], float64(cum)})
 		}
-		label := "inf"
-		if i < len(h.bounds) {
-			label = fmt.Sprintf("%dus", h.bounds[i].Microseconds())
-		}
-		emit(Sample{name + "_le_" + label, float64(cum)})
 	}
 }

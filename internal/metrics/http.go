@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,25 +26,23 @@ const (
 	textType     = "text/plain; charset=utf-8"
 )
 
-// endpoint is one row of the table. render writes the body and returns the
-// status, so a probe runs once and Content-Length is exact.
+// endpoint is one row of the table. render appends the body to b and returns
+// it with the status, so a probe runs once and Content-Length is exact.
 type endpoint struct {
 	path, contentType string
-	render            func(body *bytes.Buffer) (status string)
+	render            func(b []byte) ([]byte, string)
 }
 
 // probe answers 200 "ok" when check is nil or passes, else 503 with the
 // error text, so an operator's curl says why the site is out of rotation.
 func probe(path string, check func() error) endpoint {
-	return endpoint{path, textType, func(b *bytes.Buffer) string {
+	return endpoint{path, textType, func(b []byte) ([]byte, string) {
 		if check != nil {
 			if err := check(); err != nil {
-				fmt.Fprintln(b, err)
-				return "503 Service Unavailable"
+				return append(append(b, err.Error()...), '\n'), "503 Service Unavailable"
 			}
 		}
-		b.WriteString("ok\n")
-		return "200 OK"
+		return append(b, "ok\n"...), "200 OK"
 	}}
 }
 
@@ -70,8 +68,8 @@ func serve(addr string, r *Registry, probes ...endpoint) (netapi.Listener, error
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
 	s := &responder{Listener: ln, deadline: connDeadline, table: append([]endpoint{
-		{"/metrics", textType, func(b *bytes.Buffer) string { _ = r.WriteText(b); return "200 OK" }},
-		{"/debug/vars", "application/json; charset=utf-8", func(b *bytes.Buffer) string { _ = r.WriteJSON(b); return "200 OK" }},
+		{"/metrics", textType, func(b []byte) ([]byte, string) { return r.appendText(b), "200 OK" }},
+		{"/debug/vars", "application/json; charset=utf-8", func(b []byte) ([]byte, string) { return r.appendJSON(b), "200 OK" }},
 	}, probes...)}
 	s.conns.Add(1)
 	go s.acceptLoop()
@@ -85,6 +83,7 @@ type responder struct {
 	conns    sync.WaitGroup // the accept loop and the connections it started
 	mu       sync.Mutex
 	open     list.List // of netapi.Conn, longest open first, maxConns at most
+	free     [][]byte  // the buffers of connections gone, maxConns at most
 }
 
 func (s *responder) Close() error {
@@ -115,72 +114,90 @@ func (s *responder) acceptLoop() {
 			s.mu.Unlock()
 			return
 		}
-		seat := s.open.PushBack(c)
+		seat, buf := s.open.PushBack(c), []byte(nil)
+		if n := len(s.free); n > 0 {
+			buf, s.free = s.free[n-1], s.free[:n-1]
+		}
 		s.mu.Unlock()
 		s.conns.Add(1)
-		go s.handle(c, seat)
+		go s.handle(c, seat, buf)
 	}
 }
 
-func (s *responder) handle(c netapi.Conn, seat *list.Element) {
+// handle answers in buf, taken from the free list and given back: the body is
+// rendered over the request head, and the answer's head appended after it.
+func (s *responder) handle(c netapi.Conn, seat *list.Element, buf []byte) {
 	defer s.conns.Done()
 	defer func() {
-		c.Close()
 		s.mu.Lock()
 		s.open.Remove(seat) // does nothing to a seat already taken away
+		if len(s.free) < maxConns {
+			s.free = append(s.free, buf[:0])
+		}
 		s.mu.Unlock()
+		c.Close()
 	}()
 	defer time.AfterFunc(s.deadline, func() { c.Close() }).Stop() // cuts reads and writes alike
-	method, path, refusal, err := readRequest(c)
+	buf, method, path, status, err := readRequest(c, buf)
 	if err != nil {
 		return // the peer stalled, hung up or was displaced: nothing to say
 	}
-	e := endpoint{"", textType, func(b *bytes.Buffer) string { b.WriteString(refusal + "\n"); return refusal }}
+	// The body is rendered over the request: read what it says first.
+	e, head := endpoint{contentType: textType}, string(method) == "HEAD"
 	for _, row := range s.table {
-		if row.path == path {
+		if row.path == string(path) {
 			e = row
 		}
 	}
-	var body bytes.Buffer
-	status := e.render(&body)
-	head := fmt.Appendf(nil, "HTTP/1.1 %s\r\nDate: %s\r\nAllow: GET, HEAD\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
-		status, time.Now().UTC().Format("Mon, 02 Jan 2006 15:04:05 GMT"), e.contentType, body.Len())
-	if _, err := c.Write(head); err == nil && method != "HEAD" {
-		_, _ = c.Write(body.Bytes()) // a peer that left gets no answer
+	body := append(append(buf[:0], status...), '\n')
+	if e.render != nil {
+		body, status = e.render(buf[:0])
+	}
+	buf = append(append(append(body, "HTTP/1.1 "...), status...), "\r\nDate: "...)
+	buf = time.Now().UTC().AppendFormat(buf, "Mon, 02 Jan 2006 15:04:05 GMT")
+	buf = append(append(buf, "\r\nAllow: GET, HEAD\r\nContent-Type: "...), e.contentType...)
+	buf = strconv.AppendInt(append(buf, "\r\nContent-Length: "...), int64(len(body)), 10)
+	buf = append(buf, "\r\nConnection: close\r\n\r\n"...)
+	if _, err := c.Write(buf[len(body):]); err == nil && !head {
+		_, _ = c.Write(buf[:len(body)]) // a peer that left gets no answer
 	}
 }
 
-// readRequest reads a request head through its blank line, maxHead bytes at
-// most, and parses the request line. refusal is the answer when the table has
-// no row for path, which is "" (never a row's) for a request refused whatever
-// it asks for. err: the connection gave out before the head did.
-func readRequest(c netapi.Conn) (method, path, refusal string, err error) {
-	buf := make([]byte, maxHead/16) // room for what a client sends unprompted
+// readRequest reads a request head into buf, grown if need be, through its
+// blank line, maxHead bytes at most, and parses the request line. refusal is
+// the answer when the table has no row for path, which is "" for a request
+// refused whatever it asks for. err: the connection gave out before the head.
+func readRequest(c netapi.Conn, buf []byte) (_, method, path []byte, refusal string, err error) {
+	if buf = buf[:cap(buf)]; len(buf) == 0 {
+		buf = make([]byte, maxHead/16) // room for what a client sends unprompted
+	}
 	for n := 0; ; {
 		if n == maxHead {
-			return "", "", "431 Request Header Fields Too Large", nil
+			return buf, nil, nil, "431 Request Header Fields Too Large", nil
 		}
 		if n == len(buf) {
 			buf = append(buf, buf...) // twice the room
 		}
-		m, err := c.Read(buf[n:], netapi.NoTimeout)
+		m, err := c.Read(buf[n:min(len(buf), maxHead)], netapi.NoTimeout)
 		tail := buf[max(n-2, 0) : n+m] // the blank line may straddle two reads
 		n += m
 		if bytes.Contains(tail, []byte("\n\r\n")) || bytes.Contains(tail, []byte("\n\n")) {
 			break
 		}
 		if err != nil {
-			return "", "", "", err
+			return buf, nil, nil, "", err
 		}
 	}
 	line, _, _ := bytes.Cut(buf, []byte("\n"))
-	f := strings.Split(strings.TrimSuffix(string(line), "\r"), " ")
-	if len(f) != 3 || f[0] == "" || !strings.HasPrefix(f[1], "/") || !strings.HasPrefix(f[2], "HTTP/1.") {
-		return "", "", "400 Bad Request", nil
+	method, rest, _ := bytes.Cut(bytes.TrimSuffix(line, []byte("\r")), []byte(" "))
+	path, proto, _ := bytes.Cut(rest, []byte(" "))
+	if len(method) == 0 || !bytes.HasPrefix(path, []byte("/")) || !bytes.HasPrefix(proto, []byte("HTTP/1.")) ||
+		bytes.IndexByte(proto, ' ') >= 0 {
+		return buf, nil, nil, "400 Bad Request", nil
 	}
-	if f[0] != "GET" && f[0] != "HEAD" {
-		return f[0], "", "405 Method Not Allowed", nil
+	if string(method) != "GET" && string(method) != "HEAD" {
+		return buf, method, nil, "405 Method Not Allowed", nil
 	}
-	path, _, _ = strings.Cut(f[1], "?")
-	return f[0], path, "404 Not Found", nil
+	path, _, _ = bytes.Cut(path, []byte("?"))
+	return buf, method, path, "404 Not Found", nil
 }

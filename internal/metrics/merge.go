@@ -2,7 +2,8 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -47,11 +48,11 @@ func Merged(regs ...*Registry) []Sample {
 	sums := make(map[string]float64)
 	hists := make(map[string]*Histogram)
 	for _, r := range regs {
-		r.mu.RLock()
-		for name, m := range r.m {
-			if h, ok := m.(*Histogram); ok {
+		r.mu.Lock()
+		for i, name := range r.names {
+			if h, ok := r.ms[i].(histMetric); ok {
 				if _, clash := sums[name]; clash {
-					r.mu.RUnlock()
+					r.mu.Unlock()
 					panic(fmt.Sprintf("metrics: merged series %q is both histogram and scalar", name))
 				}
 				acc := hists[name]
@@ -59,29 +60,29 @@ func Merged(regs ...*Registry) []Sample {
 					acc = NewHistogramBounds(append([]time.Duration(nil), h.bounds...))
 					hists[name] = acc
 				}
-				if err := MergeHistogram(acc, h); err != nil {
-					r.mu.RUnlock()
+				if err := MergeHistogram(acc, h.Histogram); err != nil {
+					r.mu.Unlock()
 					panic(err.Error())
 				}
 				continue
 			}
-			m.sample(name, func(s Sample) {
+			r.ms[i].sample(name, func(s Sample) {
 				if _, clash := hists[s.Name]; clash {
 					panic(fmt.Sprintf("metrics: merged series %q is both histogram and scalar", s.Name))
 				}
 				sums[s.Name] += s.Value
 			})
 		}
-		r.mu.RUnlock()
+		r.mu.Unlock()
 	}
 	var out []Sample
 	for name, v := range sums {
 		out = append(out, Sample{name, v})
 	}
 	for name, h := range hists {
-		h.sample(name, func(s Sample) { out = append(out, s) })
+		histMetric{h, h.seriesNames(name)}.sample(name, func(s Sample) { out = append(out, s) })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Sample) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -90,12 +91,7 @@ func Merged(regs ...*Registry) []Sample {
 // series under prefix+name. The roll-up is registered as a single entry
 // named prefix; registering two roll-ups with the same prefix panics.
 func MergedInto(r *Registry, prefix string, regs ...*Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[prefix]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered", prefix))
-	}
-	r.m[prefix] = mergedMetric{prefix: prefix, regs: regs}
+	r.add(prefix, mergedMetric{prefix: prefix, regs: regs})
 }
 
 // mergedMetric is the registry entry behind MergedInto: one registered name

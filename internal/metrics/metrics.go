@@ -30,8 +30,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -56,16 +57,33 @@ func (f funcMetric) sample(name string, emit func(Sample)) {
 	emit(Sample{name, f()})
 }
 
-// Registry is a named set of metrics. All methods are safe for concurrent
-// use; registering a name twice panics.
+// Registry is a named set of metrics, sorted by name as they register. All
+// methods are safe for concurrent use; registering a name twice panics. A
+// snapshot reuses the registry's buffer, so a scrape allocates nothing.
 type Registry struct {
-	mu sync.RWMutex
-	m  map[string]metric
+	mu      sync.Mutex
+	names   []string // sorted
+	ms      []metric // ms[i] is registered under names[i]
+	samples []Sample // the last snapshot
+	emit    func(Sample)
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{m: make(map[string]metric)}
+	r := new(Registry)
+	r.emit = func(s Sample) { r.samples = append(r.samples, s) }
+	return r
+}
+
+// add registers m under name, in name order. Panics if name is taken.
+func (r *Registry) add(name string, m metric) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, found := slices.BinarySearch(r.names, name)
+	if found {
+		panic(fmt.Sprintf("metrics: %q already registered", name))
+	}
+	r.names, r.ms = slices.Insert(r.names, i, name), slices.Insert(r.ms, i, m)
 }
 
 // RegisterHistogram attaches a caller-owned histogram under name, so
@@ -73,24 +91,14 @@ func NewRegistry() *Registry {
 // them without routing construction through the registry. Panics if name is
 // already registered.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[name]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered", name))
-	}
-	r.m[name] = h
+	r.add(name, histMetric{h, h.seriesNames(name)})
 }
 
 // Func registers a read-only snapshot adapter under name: fn is called at
 // every snapshot. Use it to export fields of pre-existing stats structs
 // (loaded atomically by the caller) without changing their type.
 func (r *Registry) Func(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[name]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered", name))
-	}
-	r.m[name] = funcMetric(fn)
+	r.add(name, funcMetric(fn))
 }
 
 // FuncUint is Func for the common case of a uint64 counter field.
@@ -98,23 +106,23 @@ func (r *Registry) FuncUint(name string, fn func() uint64) {
 	r.Func(name, func() float64 { return float64(fn()) })
 }
 
+// snapshot is Snapshot into r.samples, which it reuses; r.mu must be held.
+func (r *Registry) snapshot() []Sample {
+	r.samples = r.samples[:0]
+	for i, m := range r.ms {
+		m.sample(r.names[i], r.emit)
+	}
+	slices.SortFunc(r.samples, func(a, b Sample) int { return strings.Compare(a.Name, b.Name) })
+	return r.samples
+}
+
 // Snapshot returns every sample, sorted by name — deterministic for a given
 // set of metric values. Func adapters are invoked; histograms expand to
 // their derived series.
 func (r *Registry) Snapshot() []Sample {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.m))
-	for name := range r.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	samples := make([]Sample, 0, len(names))
-	for _, name := range names {
-		r.m[name].sample(name, func(s Sample) { samples = append(samples, s) })
-	}
-	r.mu.RUnlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Name < samples[j].Name })
-	return samples
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.snapshot())
 }
 
 // Get returns the snapshot value of one series (histograms expand to their
@@ -131,12 +139,45 @@ func (r *Registry) Get(name string) (float64, bool) {
 // WriteText writes the snapshot as expvar-style "name value" lines, sorted
 // by name. Integral values print without a decimal point.
 func (r *Registry) WriteText(w io.Writer) error {
-	for _, s := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s %s\n", s.Name, formatValue(s.Value)); err != nil {
-			return err
+	_, err := w.Write(r.appendText(nil))
+	return err
+}
+
+// WriteJSON writes the snapshot as a single JSON object keyed by series
+// name, keys in sorted order, a non-finite value as null (JSON has no NaN).
+func (r *Registry) WriteJSON(w io.Writer) error {
+	_, err := w.Write(r.appendJSON(nil))
+	return err
+}
+
+// appendText appends what WriteText writes to b.
+func (r *Registry) appendText(b []byte) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.snapshot() {
+		b = append(append(b, s.Name...), ' ')
+		b = append(appendValue(b, s.Value), '\n')
+	}
+	return b
+}
+
+// appendJSON appends what WriteJSON writes to b.
+func (r *Registry) appendJSON(b []byte) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b = append(b, '{')
+	for i, s := range r.snapshot() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendJSONString(b, s.Name), ':')
+		if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+			b = append(b, "null"...)
+		} else {
+			b = appendValue(b, s.Value)
 		}
 	}
-	return nil
+	return append(b, '}', '\n')
 }
 
 // DumpEvery writes the registry as text to w every interval until stop is
@@ -146,35 +187,16 @@ func (r *Registry) WriteText(w io.Writer) error {
 func DumpEvery(r *Registry, interval time.Duration, w io.Writer, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	var b []byte
 	for {
 		select {
 		case <-t.C:
-			fmt.Fprintln(w, "-- metrics --")
-			_ = r.WriteText(w)
+			b = r.appendText(append(b[:0], "-- metrics --\n"...))
+			_, _ = w.Write(b)
 		case <-stop:
 			return
 		}
 	}
-}
-
-// WriteJSON writes the snapshot as a single JSON object keyed by series
-// name, keys in sorted order, a non-finite value as null (JSON has no NaN).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b := []byte{'{'}
-	for i, s := range r.Snapshot() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, s.Name)
-		b = append(b, ':')
-		if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
-			b = append(b, "null"...)
-		} else {
-			b = append(b, formatValue(s.Value)...)
-		}
-	}
-	_, err := w.Write(append(b, '}', '\n'))
-	return err
 }
 
 // appendJSONString quotes s as encoding/json does, short of its HTML
@@ -186,7 +208,7 @@ func appendJSONString(b []byte, s string) []byte {
 		case c == '"' || c == '\\':
 			b = append(b, '\\', byte(c))
 		case c < 0x20:
-			b = fmt.Appendf(b, `\u%04x`, c)
+			b = append(b, '\\', 'u', '0', '0', "0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xf])
 		default:
 			b = utf8.AppendRune(b, c)
 		}
@@ -194,11 +216,12 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-func formatValue(v float64) string {
+// appendValue appends v, integral values without a decimal point.
+func appendValue(b []byte, v float64) []byte {
 	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Delta computes per-series differences between two snapshots taken from the

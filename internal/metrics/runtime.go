@@ -19,11 +19,10 @@ var runtimeSeries = [...]struct{ key, name string }{
 }
 
 // runtimeMetric reads every runtimeSeries entry in one runtime/metrics.Read
-// per snapshot; that call does not stop the world.
-type runtimeMetric struct{}
+// per snapshot, into samples it keeps; that call does not stop the world.
+type runtimeMetric [len(runtimeSeries)]metrics.Sample
 
-func (runtimeMetric) sample(_ string, emit func(Sample)) {
-	var s [len(runtimeSeries)]metrics.Sample
+func (s *runtimeMetric) sample(_ string, emit func(Sample)) {
 	for i := range s {
 		s[i].Name = runtimeSeries[i].key
 	}
@@ -41,8 +40,4 @@ func (runtimeMetric) sample(_ string, emit func(Sample)) {
 // RuntimeInto registers the runtime_* gauges on r, read at scrape time. It
 // is for a daemon's own HTTP registry: the figures differ from run to run,
 // so registries whose export is compared against golden files leave it out.
-func RuntimeInto(r *Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.m["runtime"] = runtimeMetric{}
-}
+func RuntimeInto(r *Registry) { r.add("runtime", new(runtimeMetric)) }

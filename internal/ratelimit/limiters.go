@@ -13,26 +13,23 @@ import (
 // limits its source: one back at its burst decides what an absent one
 // would, so the next new source takes its entry. A source's entry is its
 // level alone; the rate and burst every source shares live here, once. The
-// zero value is unusable until Reset; not safe for concurrent use.
+// table is built at the first Allow, so a limiter that never charges a
+// source holds none. The zero value is unusable until Reset; not safe for
+// concurrent use.
 type Buckets struct {
 	rate, burst float64
+	tracked     int
 	tab         *srctab.Table[level]
 }
 
-// Reset empties the table (reusing it when the bound is unchanged) and sets
-// the shared rate and burst.
+// Reset sets the shared rate and burst and empties the table in place. A
+// table built for another bound is dropped; the next Allow builds one.
 func (l *Buckets) Reset(rate, burst float64, tracked int) {
-	l.rate, l.burst = rate, max(burst, 1)
-	renew(&l.tab, tracked)
-}
-
-// renew empties *tab in place, or builds an LRU table of tracked sources if
-// the bound changed.
-func renew[V any](tab **srctab.Table[V], tracked int) {
-	if tracked = max(tracked, 1); *tab == nil || (*tab).Cap() != tracked {
-		*tab = srctab.New[V](tracked, srctab.LRU)
+	l.rate, l.burst, l.tracked = rate, max(burst, 1), max(tracked, 1)
+	if l.tab != nil && l.tab.Cap() == l.tracked {
+		l.tab.Reset()
 	} else {
-		(*tab).Reset()
+		l.tab = nil
 	}
 }
 
@@ -44,6 +41,9 @@ func renew[V any](tab **srctab.Table[V], tracked int) {
 // allocation, and one-shot sources rotate through about rate-of-newcomers ÷
 // rate entries rather than the whole table.
 func (l *Buckets) Allow(src netip.Addr, now time.Duration) bool {
+	if l.tab == nil {
+		l.tab = srctab.New[level](l.tracked, srctab.LRU)
+	}
 	reuse := false
 	if l.tab.Get(src.As16()) == nil {
 		old := l.tab.Oldest()
@@ -106,8 +106,8 @@ func NewLimiter1(cfg Limiter1Config, now time.Duration) *Limiter1 {
 }
 
 // Reset returns the limiter to what NewLimiter1(cfg, now) builds, in place:
-// its table is reused unless cfg.TrackedSources changed. Not safe
-// concurrently with AllowResponse.
+// a table it has built is emptied and kept unless cfg.TrackedSources
+// changed. Not safe concurrently with AllowResponse.
 func (l *Limiter1) Reset(cfg Limiter1Config, now time.Duration) {
 	l.global = *NewTokenBucket(cfg.GlobalRate, cfg.GlobalBurst, now)
 	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
@@ -157,10 +157,10 @@ func NewLimiter2(cfg Limiter2Config, now time.Duration) *Limiter2 {
 	return l
 }
 
-// Reset returns the limiter to what NewLimiter2 builds, in place: its table
-// is reused unless cfg.TrackedSources changed. A source charged before
-// restarts at the new burst, which is what a strict/normal mitigation
-// toggle and a supervised shard restart ask for.
+// Reset returns the limiter to what NewLimiter2 builds, in place: a table
+// it has built is emptied and kept unless cfg.TrackedSources changed. A
+// source charged before restarts at the new burst, which is what a
+// strict/normal mitigation toggle and a supervised shard restart ask for.
 func (l *Limiter2) Reset(cfg Limiter2Config) {
 	l.perSrc.Reset(cfg.PerSourceRate, cfg.PerSourceBurst, cfg.TrackedSources)
 }
@@ -172,4 +172,9 @@ func (l *Limiter2) AllowRequest(src netip.Addr, now time.Duration) bool {
 }
 
 // Sources reports how many sources the limiter holds.
-func (l *Limiter2) Sources() int { return l.perSrc.tab.Len() }
+func (l *Limiter2) Sources() int {
+	if l.perSrc.tab == nil {
+		return 0
+	}
+	return l.perSrc.tab.Len()
+}

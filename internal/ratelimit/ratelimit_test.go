@@ -309,3 +309,39 @@ func TestLimiterResetInPlace(t *testing.T) {
 		t.Error("rl2 after Reset to burst 1: want exactly one request allowed")
 	}
 }
+
+// TestTablesBuiltAtFirstCharge: a limiter builds its source table at its
+// first charge, not at construction; Reset keeps a built table while the
+// bound holds and drops it when the bound changes, for the next charge to
+// build at the new bound.
+func TestTablesBuiltAtFirstCharge(t *testing.T) {
+	c1, c2 := DefaultLimiter1Config(), DefaultLimiter2Config()
+	l1, l2 := NewLimiter1(c1, 0), NewLimiter2(c2, 0)
+	if l1.perSrc.tab != nil || l2.perSrc.tab != nil || l2.Sources() != 0 {
+		t.Fatal("a new limiter built its source table")
+	}
+	l1.Reset(c1, 0)
+	l2.Reset(c2)
+	if l1.perSrc.tab != nil || l2.perSrc.tab != nil {
+		t.Fatal("Reset built a source table")
+	}
+	l1.AllowResponse(ip(1), 0)
+	l2.AllowRequest(ip(1), 0)
+	built := l2.perSrc.tab
+	if l1.perSrc.tab == nil || built == nil || l2.Sources() != 1 {
+		t.Fatalf("after one charge: rl1 table %v, rl2 table %v with %d sources", l1.perSrc.tab != nil, built != nil, l2.Sources())
+	}
+	l2.Reset(c2)
+	if l2.perSrc.tab != built || l2.Sources() != 0 {
+		t.Fatal("Reset at the same bound did not empty the built table in place")
+	}
+	c2.TrackedSources /= 2
+	l2.Reset(c2)
+	if l2.perSrc.tab != nil {
+		t.Fatal("Reset to a new bound kept the table")
+	}
+	l2.AllowRequest(ip(1), 0)
+	if l2.perSrc.tab.Cap() != c2.TrackedSources {
+		t.Errorf("rebuilt table holds %d sources, want %d", l2.perSrc.tab.Cap(), c2.TrackedSources)
+	}
+}

@@ -33,7 +33,7 @@ type putLevel struct {
 
 func (l *putBuckets) Reset(rate, burst float64, tracked int) {
 	l.rate, l.burst = rate, max(burst, 1)
-	renew(&l.tab, tracked)
+	l.tab = srctab.New[putLevel](max(tracked, 1), srctab.LRU)
 }
 
 func (l *putBuckets) Retune(rate, burst float64) {

@@ -590,7 +590,8 @@ func (r *Resolver) exchangeTCP(server netip.AddrPort, qname dnswire.Name, qtype 
 			if !ok {
 				break
 			}
-			if resp, err := dnswire.Unpack(msg); err == nil && resp.ID == id {
+			// The UDP exchange's rule: QR set, same ID and question.
+			if resp, err := dnswire.Unpack(msg); err == nil && resp.ID == id && resp.Flags.QR && slices.Equal(resp.Questions, q.Questions) {
 				return resp, nil
 			}
 		}

@@ -83,9 +83,9 @@ func TestResolverTruncationFallback(t *testing.T) {
 	}
 }
 
-// twoFrameServer answers one TCP query on loopback with two frames in one
-// write: a response whose ID is not the query's, then the one whose is.
-func twoFrameServer(t *testing.T, env *realnet.Env) netip.AddrPort {
+// tcpAnswerer answers one TCP query on loopback with what answer makes of
+// it, in one write, and holds the connection until the client closes it.
+func tcpAnswerer(t *testing.T, env *realnet.Env, answer func(q []byte) []byte) netip.AddrPort {
 	t.Helper()
 	ln, err := env.ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
@@ -107,18 +107,26 @@ func twoFrameServer(t *testing.T, env *realnet.Env) netip.AddrPort {
 			}
 			sc.Add(buf[:n])
 			if q, ok, _ := sc.Next(); ok {
-				q[2] |= 0x80
-				wrong := append([]byte(nil), q...)
-				wrong[1] ^= 1
-				out, _ := dnswire.AppendTCPFrame(nil, wrong)
-				out, _ = dnswire.AppendTCPFrame(out, q)
-				conn.Write(out)
-				conn.Read(buf, 5*time.Second) // hold the connection until the client closes it
+				conn.Write(answer(q))
+				conn.Read(buf, 5*time.Second)
 				return
 			}
 		}
 	}()
 	return ln.Addr()
+}
+
+// twoFrameServer answers with two frames in one write: a response whose ID
+// is not the query's, then the one whose is.
+func twoFrameServer(t *testing.T, env *realnet.Env) netip.AddrPort {
+	return tcpAnswerer(t, env, func(q []byte) []byte {
+		q[2] |= 0x80
+		wrong := append([]byte(nil), q...)
+		wrong[1] ^= 1
+		out, _ := dnswire.AppendTCPFrame(nil, wrong)
+		out, _ = dnswire.AppendTCPFrame(out, q)
+		return out
+	})
 }
 
 // TestExchangeTCPTakesEveryFrame: when the answer arrives in the same read
@@ -136,5 +144,34 @@ func TestExchangeTCPTakesEveryFrame(t *testing.T) {
 	resp, err := r.exchangeTCP(server, dnswire.MustName("www.foo.com"), dnswire.TypeA, timeout)
 	if took := time.Since(start); err != nil || took > timeout/2 {
 		t.Fatalf("exchangeTCP = (%v, %v) after %v; want the second frame well before the %v timeout", resp, err, took, timeout)
+	}
+}
+
+// TestExchangeTCPWantsAResponse: over TCP an answer passes the UDP exchange's
+// rule — QR set, same ID and question (RFC 5452 §9.1). The query echoed back
+// with QR clear, then the answer, in one write: the exchange returns the
+// answer's record, not the echo.
+func TestExchangeTCPWantsAResponse(t *testing.T) {
+	env := realnet.New()
+	want := netip.MustParseAddr("192.0.2.80")
+	server := tcpAnswerer(t, env, func(q []byte) []byte {
+		m, err := dnswire.Unpack(q)
+		if err != nil {
+			return nil
+		}
+		resp := m.Response()
+		resp.Answers = []dnswire.RR{dnswire.NewRR(m.Questions[0].Name, 300, &dnswire.AData{Addr: want})}
+		wire, _ := resp.Pack()
+		out, _ := dnswire.AppendTCPFrame(nil, q)
+		out, _ = dnswire.AppendTCPFrame(out, wire)
+		return out
+	})
+	r, err := New(Config{Env: env, RootHints: []netip.AddrPort{server}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := r.exchangeTCP(server, dnswire.MustName("www.foo.com"), dnswire.TypeA, 2*time.Second)
+	if err != nil || len(resp.Answers) != 1 || resp.Answers[0].Data.(*dnswire.AData).Addr != want {
+		t.Fatalf("exchangeTCP = (%v, %v); want the answer %v, not the echoed query", resp, err, want)
 	}
 }

@@ -345,11 +345,11 @@ func TestProxyMaxConcurrent(t *testing.T) {
 }
 
 // TestClientSprayFootprint: the per-client buckets are a table of
-// clientsTracked entries built with the proxy — 4096 × 40 bytes and 8192 index
-// slots of 4, 192 KiB — so connections from 100 000 client addresses, each its
-// first, allocate nothing, and a client that stays busy through the spray
-// keeps its bucket, spent: only the idlest are evicted. The bound on the spray
-// is a count of allocations; the heap delta beside it moves with whatever
+// clientsTracked entries built at the first client — 4096 × 40 bytes and 8192
+// index slots of 4, 192 KiB — so connections from 100 000 client addresses,
+// each its first, allocate nothing, and a client that stays busy through the
+// spray keeps its bucket, spent: only the idlest are evicted. The bound on the
+// spray is a count of allocations; the heap delta beside it moves with whatever
 // else the process is doing and is only logged.
 //
 // On a clock that moves, the spray comes at 4 000 clients a second: a

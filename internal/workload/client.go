@@ -409,7 +409,7 @@ func (c *Client) requestTCP() error {
 			if !ok {
 				break
 			}
-			if tresp, err := dnswire.Unpack(msg); err == nil && tresp.ID == q.ID {
+			if tresp, err := dnswire.Unpack(msg); err == nil && tresp.ID == q.ID && tresp.Flags.QR {
 				return nil
 			}
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -393,17 +394,15 @@ func TestAttackerRateAndSpoofDiversity(t *testing.T) {
 	}
 }
 
-// TestClientTCPTakesEveryFrame: the LRS simulator's TCP request, answered on
-// loopback with a frame of another ID and then its own in one write, takes
-// its answer from what it already holds instead of waiting for a read that
-// never comes.
-func TestClientTCPTakesEveryFrame(t *testing.T) {
-	env := realnet.New()
+// tcpAnswerer answers one TCP query on loopback with what answer makes of
+// it, in one write, and holds the connection until the client closes it.
+func tcpAnswerer(t *testing.T, env *realnet.Env, answer func(q []byte) []byte) netip.AddrPort {
+	t.Helper()
 	ln, err := env.ListenTCP(mustAP("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept(5 * time.Second)
 		if err != nil {
@@ -419,23 +418,54 @@ func TestClientTCPTakesEveryFrame(t *testing.T) {
 			}
 			sc.Add(buf[:n])
 			if q, ok, _ := sc.Next(); ok {
-				q[2] |= 0x80
-				wrong := append([]byte(nil), q...)
-				wrong[1] ^= 1
-				out, _ := dnswire.AppendTCPFrame(nil, wrong)
-				out, _ = dnswire.AppendTCPFrame(out, q)
-				conn.Write(out)
-				conn.Read(buf, 5*time.Second) // hold the connection until the client closes it
+				conn.Write(answer(q))
+				conn.Read(buf, 5*time.Second)
 				return
 			}
 		}
 	}()
+	return ln.Addr()
+}
+
+// TestClientTCPTakesEveryFrame: the LRS simulator's TCP request, answered on
+// loopback with a frame of another ID and then its own in one write, takes
+// its answer from what it already holds instead of waiting for a read that
+// never comes.
+func TestClientTCPTakesEveryFrame(t *testing.T) {
+	env := realnet.New()
+	target := tcpAnswerer(t, env, func(q []byte) []byte {
+		q[2] |= 0x80
+		wrong := append([]byte(nil), q...)
+		wrong[1] ^= 1
+		out, _ := dnswire.AppendTCPFrame(nil, wrong)
+		out, _ = dnswire.AppendTCPFrame(out, q)
+		return out
+	})
 	const wait = 2 * time.Second
-	c, err := NewClient(ClientConfig{Env: env, Kind: KindTCP, DirectTCP: true, Target: ln.Addr(), Wait: wait})
+	c, err := NewClient(ClientConfig{Env: env, Kind: KindTCP, DirectTCP: true, Target: target, Wait: wait})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if took, err := c.RunOnce(); err != nil || took > wait/2 {
 		t.Fatalf("RunOnce = (%v, %v); want the second frame well before the %v wait", took, err, wait)
+	}
+}
+
+// TestClientTCPWantsAResponse: a frame with the query's ID but QR clear — the
+// query echoed back — is not an answer over TCP, as it is not over UDP: the
+// request times out.
+func TestClientTCPWantsAResponse(t *testing.T) {
+	env := realnet.New()
+	target := tcpAnswerer(t, env, func(q []byte) []byte {
+		out, _ := dnswire.AppendTCPFrame(nil, q)
+		return out
+	})
+	const wait = 300 * time.Millisecond
+	c, err := NewClient(ClientConfig{Env: env, Kind: KindTCP, DirectTCP: true, Target: target, Wait: wait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took, err := c.RunOnce(); !errors.Is(err, netapi.ErrTimeout) {
+		t.Fatalf("RunOnce on an echoed query = (%v, %v); want a timeout", took, err)
 	}
 }
