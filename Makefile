@@ -174,16 +174,17 @@ reach-check:
 # Most of what a daemon keeps resident is its own binary (DESIGN.md, "State
 # budget"): each one's size as bench/rig builds it, its dependency count,
 # `static` or the ELF interpreter it asks for, and its ten largest packages
-# by symbol size. On Linux it then starts the dnsguardd it built (one shard,
+# by symbol size; then the sizes of dnsguardd's LOAD segments (text, rodata,
+# data), which an idle guard holds whole as RssFile. On Linux it then starts the dnsguardd it built (one shard,
 # batch 32, no proxy), prints what /proc/<pid>/status says it holds at idle —
 # RssFile is the binary's share, RssAnon the heap and stacks — scrapes its
 # /metrics 100 times, prints the same again with the heap objects the scrapes
 # allocated, stops it, and fails if a scrape cost more than 24 heap objects
 # (cmd/dnsguardd's scrapeObjects, the bound TestScrapeCost holds too).
 # Last, the test that keeps net/http, crypto/tls and encoding/json out of all
-# three (and net, runtime/cgo and a dynamic dnsguardd on Linux amd64/arm64),
-# and the one that keeps the simulator and the harnesses out of every product
-# package.
+# three (and net, runtime/cgo, a dynamic dnsguardd and a dnsguardd that links
+# fmt, flag or reflect on Linux amd64/arm64), and the one that keeps the
+# simulator and the harnesses out of every product package.
 image-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && for d in dnsguardd ansd lrsd; do \
 		$(GO) build -buildvcs=false -o "$$dir/" ./cmd/$$d || exit 1; \
@@ -193,6 +194,9 @@ image-check:
 			p = a[1]; for (i = 2; i <= n; i++) p = p "/" a[i]; size[p] += $$2 } \
 			END { for (p in size) printf "%9d %s\n", size[p], p | "sort -rn | head -10" }'; \
 	done; \
+	readelf -lW "$$dir/dnsguardd" | awk '$$1 == "LOAD" { print $$5, $$6 }' | { t=0; s=""; while read f m; do \
+		s="$$s $$((f / 1024))/$$((m / 1024))"; t=$$((t + f)); done; \
+		echo "dnsguardd LOAD segments, KiB on file/in memory:$$s; $$((t / 1024)) KiB on file"; }; \
 	if [ "$$(uname -s)" = Linux ]; then \
 		"$$dir/dnsguardd" -listen 127.0.0.1:0 -ans 127.0.0.1:9 -zone foo.com -shards 1 -batch 32 -proxy=false -stats 0 \
 			-metrics-addr 127.0.0.1:0 >"$$dir/log" 2>&1 & pid=$$!; \

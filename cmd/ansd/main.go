@@ -87,9 +87,7 @@ func run() error {
 		hooks.Metrics = l
 		fmt.Printf("ansd: metrics on http://%v/metrics (probes /healthz /readyz)\n", l.Addr())
 	}
-	hooks.Logf = func(format string, args ...any) {
-		fmt.Printf("ansd: "+format+"\n", args...)
-	}
+	hooks.Log = func(msg string) { fmt.Println("ansd: " + msg) }
 	hooks.Shutdown = func() {
 		srv.Close()
 		fmt.Printf("ansd: served %d UDP / %d TCP queries\n", srv.Stats.UDPQueries, srv.Stats.TCPQueries)

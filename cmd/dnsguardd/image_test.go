@@ -18,7 +18,8 @@ import (
 // default build (DESIGN.md §19): dnsguardd built as `go build` builds it
 // must be static. There, too, it keeps out the FIPS 140-3 module that
 // crypto/md5 and crypto/rand import (the cookie MAC and its keys are
-// in-tree), all but the alias and subtle packages crypto/subtle needs.
+// in-tree), all but the alias and subtle packages crypto/subtle needs, and
+// it keeps fmt, flag and reflect unlinked (DESIGN.md §19).
 func TestImagePinned(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
@@ -67,7 +68,33 @@ func TestImagePinned(t *testing.T) {
 			t.Errorf("dnsguardd asks for an interpreter, %s: it is linked dynamically", strings.TrimRight(string(interp), "\x00"))
 		}
 	}
+	// What dnsguardd links, not only what it imports: encoding/binary and
+	// encoding/hex import reflect and fmt, and the linker drops all of those
+	// but reflect's package init. A start-up error or a stats name that goes
+	// through fmt or reflect again brings back about 95 KB of them.
+	syms, err := f.Symbols()
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := map[string]uint64{}
+	total := uint64(0)
+	for _, s := range syms {
+		for _, pkg := range []string{"fmt.", "flag.", "internal/fmtsort.", "reflect."} {
+			if strings.HasPrefix(s.Name, pkg) {
+				linked[pkg] += s.Size
+				total += s.Size
+			}
+		}
+	}
+	t.Logf("dnsguardd links %d bytes of fmt, flag, internal/fmtsort and reflect", total)
+	if total > imageFmtBudget {
+		t.Errorf("dnsguardd links %d bytes of fmt, flag, internal/fmtsort and reflect (%v), want <= %d", total, linked, imageFmtBudget)
+	}
 }
+
+// imageFmtBudget bounds the bytes of fmt, flag, internal/fmtsort and reflect
+// symbols in dnsguardd: reflect's package init is 277 of them.
+const imageFmtBudget = 512
 
 // TestProductSimulatorFree keeps what a deployment runs apart from what only
 // simulations and experiments run: no daemon depends on the simulator, its

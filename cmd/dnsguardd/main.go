@@ -31,12 +31,20 @@
 // lets each read and write syscall move up to M datagrams (recvmmsg/sendmmsg
 // on Linux amd64/arm64, a read loop elsewhere); -batch 1 is the same loop
 // taking one datagram per read.
+//
+// Flags follow Go's flag package, which dnsguardd does not link (it would
+// bring fmt and reflect into the guard's image; DESIGN.md §19): -name value,
+// -name=value, and either with two dashes; a bool flag alone is true, and
+// takes a value only as -name=value. Parsing stops at the first argument
+// that is not a flag, or after "--". An unknown flag or a bad value prints
+// flag's error and the usage and exits 2; -h or -help prints the usage, every
+// flag with its default, and exits 0.
 package main
 
 import (
 	"context"
-	"flag"
-	"fmt"
+	"errors"
+	"math"
 	"net/netip"
 	"os"
 	"strconv"
@@ -48,6 +56,7 @@ import (
 	"dnsguard/internal/daemon"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
+	"dnsguard/internal/errs"
 	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
@@ -57,106 +66,134 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "dnsguardd: %v\n", err)
+		os.Stderr.WriteString("dnsguardd: " + err.Error() + "\n")
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	listen := flag.String("listen", "127.0.0.1:5355", "public service address the guard binds")
-	ansAddr := flag.String("ans", "127.0.0.1:5353", "protected ANS address")
-	zoneName := flag.String("zone", "", "apex of the protected zone (required)")
-	schemeName := flag.String("scheme", "dns", "fallback scheme for cookie-less requesters: dns or tcp")
-	threshold := flag.Float64("threshold", 0, "activation threshold in req/s (0 = always on)")
-	withProxy := flag.Bool("proxy", true, "run the TCP proxy for redirected/truncated requesters")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
-	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
-	shards := flag.Int("shards", 1, "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
-	batch := flag.Int("batch", 1, "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
-	stateFile := flag.String("state-file", "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
-	cookieMAC := flag.String("cookie-mac", "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
-	keyRotate := flag.Duration("key-rotate", 0, "cookie key rotation period (0 = never); rotations are persisted to -state-file")
-	keyringFollow := flag.Bool("keyring-follow", false, "open -state-file as a read-only follower handle on a fleet-shared keyring (the owner rotates; this guard only reloads)")
-	keyringReload := flag.Duration("keyring-reload", 0, "poll -state-file at this interval and adopt newer epochs (fleet followers tracking the owner's rotations)")
-	ansFallback := flag.String("ans-fallback", "", "comma-separated secondary ANS addresses, tried in order when the primary's breaker opens")
-	overload := flag.String("overload-policy", "drop", "when a shard trips, or every upstream's breaker is open (breakers run only with -ans-fallback): drop (fail-closed) or pass (fail-open)")
-	mitigate := flag.Bool("mitigate", false, "run the layered auto-mitigation selector (overrides -threshold while escalated)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain SIGTERM triggers (0 = exit without draining)")
-	flag.Parse()
+// options holds what dnsguardd's flags set.
+type options struct {
+	listen, ansAddr, zoneName, schemeName, metricsAddr string
+	stateFile, cookieMAC, ansFallback, overload        string
+	threshold                                          float64
+	withProxy, keyringFollow, mitigate                 bool
+	statsEvery, keyRotate, keyringReload, drainTimeout time.Duration
+	shards, batch                                      int
+}
 
-	if *zoneName == "" {
-		return fmt.Errorf("-zone is required")
+// flags defines dnsguardd's flags over o, each set to its default, in name
+// order: the order -h lists them in.
+func (o *options) flags() flagSet {
+	var fs flagSet
+	fs.add("ans", &o.ansAddr, "127.0.0.1:5353", "protected ANS address")
+	fs.add("ans-fallback", &o.ansFallback, "", "comma-separated secondary ANS addresses, tried in order when the primary's breaker opens")
+	fs.add("batch", &o.batch, "1", "most datagrams one read or write syscall may move (1 = one datagram per read, same loop)")
+	fs.add("cookie-mac", &o.cookieMAC, "", "cookie MAC scheme: md5 (paper default) or siphash; applies to new keyrings and to legacy state files with no scheme tag (tagged files keep their scheme)")
+	fs.add("drain-timeout", &o.drainTimeout, "10s", "bound on the graceful drain SIGTERM triggers (0 = exit without draining)")
+	fs.add("key-rotate", &o.keyRotate, "0s", "cookie key rotation period (0 = never); rotations are persisted to -state-file")
+	fs.add("keyring-follow", &o.keyringFollow, "false", "open -state-file as a read-only follower handle on a fleet-shared keyring (the owner rotates; this guard only reloads)")
+	fs.add("keyring-reload", &o.keyringReload, "0s", "poll -state-file at this interval and adopt newer epochs (fleet followers tracking the owner's rotations)")
+	fs.add("listen", &o.listen, "127.0.0.1:5355", "public service address the guard binds")
+	fs.add("metrics-addr", &o.metricsAddr, "", "serve GET /metrics, /debug/vars, /healthz and /readyz on this ip:port: plain HTTP/1, one request per connection (empty = off)")
+	fs.add("mitigate", &o.mitigate, "false", "run the layered auto-mitigation selector (overrides -threshold while escalated)")
+	fs.add("overload-policy", &o.overload, "drop", "when a shard trips, or every upstream's breaker is open (breakers run only with -ans-fallback): drop (fail-closed) or pass (fail-open)")
+	fs.add("proxy", &o.withProxy, "true", "run the TCP proxy for redirected/truncated requesters")
+	fs.add("scheme", &o.schemeName, "dns", "fallback scheme for cookie-less requesters: dns or tcp")
+	fs.add("shards", &o.shards, "1", "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
+	fs.add("state-file", &o.stateFile, "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
+	fs.add("stats", &o.statsEvery, "10s", "stats reporting interval (0 = off)")
+	fs.add("threshold", &o.threshold, "0", "activation threshold in req/s (0 = always on)")
+	fs.add("zone", &o.zoneName, "", "apex of the protected zone (required)")
+	return fs
+}
+
+func run() error {
+	var o options
+	fs := o.flags()
+	// As flag.Parse: the usage on stderr, after the error if -h did not ask.
+	if _, err := fs.parse(os.Args[1:]); err == errHelp {
+		os.Stderr.WriteString(fs.usage(os.Args[0]))
+		os.Exit(0)
+	} else if err != nil {
+		os.Stderr.WriteString(err.Error() + "\n" + fs.usage(os.Args[0]))
+		os.Exit(2)
 	}
-	apex, err := dnswire.ParseName(*zoneName)
-	if err != nil {
-		return fmt.Errorf("parsing -zone: %w", err)
+
+	if o.zoneName == "" {
+		return errors.New("-zone is required")
 	}
-	pub, err := netip.ParseAddrPort(*listen)
+	apex, err := dnswire.ParseName(o.zoneName)
 	if err != nil {
-		return fmt.Errorf("parsing -listen: %w", err)
+		return errs.Wrap("parsing -zone: "+err.Error(), err)
 	}
-	ans, err := netip.ParseAddrPort(*ansAddr)
+	pub, err := netip.ParseAddrPort(o.listen)
 	if err != nil {
-		return fmt.Errorf("parsing -ans: %w", err)
+		return errs.Wrap("parsing -listen: "+err.Error(), err)
+	}
+	ans, err := netip.ParseAddrPort(o.ansAddr)
+	if err != nil {
+		return errs.Wrap("parsing -ans: "+err.Error(), err)
 	}
 	var scheme guard.Scheme
-	switch *schemeName {
+	switch o.schemeName {
 	case "dns":
 		scheme = guard.SchemeDNS
 	case "tcp":
 		scheme = guard.SchemeTCP
 	default:
-		return fmt.Errorf("unknown -scheme %q", *schemeName)
+		return errors.New("unknown -scheme " + strconv.Quote(o.schemeName))
 	}
 
 	var failOpen bool
-	switch *overload {
+	switch o.overload {
 	case "drop":
 	case "pass":
 		failOpen = true
 	default:
-		return fmt.Errorf("unknown -overload-policy %q (want drop or pass)", *overload)
+		return errors.New("unknown -overload-policy " + strconv.Quote(o.overload) + " (want drop or pass)")
 	}
 	var fallbacks []netip.AddrPort
-	if *ansFallback != "" {
-		for _, s := range strings.Split(*ansFallback, ",") {
+	if o.ansFallback != "" {
+		for _, s := range strings.Split(o.ansFallback, ",") {
 			ap, err := netip.ParseAddrPort(strings.TrimSpace(s))
 			if err != nil {
-				return fmt.Errorf("parsing -ans-fallback %q: %w", s, err)
+				return errs.Wrap("parsing -ans-fallback "+strconv.Quote(s)+": "+err.Error(), err)
 			}
 			fallbacks = append(fallbacks, ap)
 		}
 	}
-	if *keyringFollow && *stateFile == "" {
-		return fmt.Errorf("-keyring-follow requires -state-file")
+	if o.keyringFollow && o.stateFile == "" {
+		return errors.New("-keyring-follow requires -state-file")
 	}
-	if *keyringFollow && *keyRotate > 0 {
-		return fmt.Errorf("-keyring-follow and -key-rotate are mutually exclusive: the ring's owner rotates, followers reload")
+	if o.keyringFollow && o.keyRotate > 0 {
+		return errors.New("-keyring-follow and -key-rotate are mutually exclusive: the ring's owner rotates, followers reload")
 	}
-	if *keyringReload > 0 && *stateFile == "" {
-		return fmt.Errorf("-keyring-reload requires -state-file")
+	if o.keyringReload > 0 && o.stateFile == "" {
+		return errors.New("-keyring-reload requires -state-file")
 	}
-	mac, err := cookie.MACByName(*cookieMAC)
+	mac, err := cookie.MACByName(o.cookieMAC)
 	if err != nil {
-		return fmt.Errorf("parsing -cookie-mac: %w", err)
+		return errs.Wrap("parsing -cookie-mac: "+err.Error(), err)
 	}
 	env := realnet.New()
 	auth, err := cookie.Open(cookie.Options{
-		StateFile: *stateFile,
-		Follow:    *keyringFollow,
+		StateFile: o.stateFile,
+		Follow:    o.keyringFollow,
 		MAC:       mac,
 	})
 	switch {
-	case err != nil && *keyringFollow:
-		return fmt.Errorf("opening -state-file as follower: %w", err)
-	case err != nil && *stateFile != "":
-		return fmt.Errorf("opening -state-file: %w", err)
+	case err != nil && o.keyringFollow:
+		return errs.Wrap("opening -state-file as follower: "+err.Error(), err)
+	case err != nil && o.stateFile != "":
+		return errs.Wrap("opening -state-file: "+err.Error(), err)
 	case err != nil:
 		return err
-	case *keyringFollow:
-		fmt.Printf("dnsguardd: keyring %s (epoch %d, mac %s, follower)\n", *stateFile, auth.Epoch(), auth.MAC().Name())
-	case *stateFile != "":
-		fmt.Printf("dnsguardd: keyring %s (epoch %d, mac %s)\n", *stateFile, auth.Epoch(), auth.MAC().Name())
+	case o.stateFile != "":
+		follower := ""
+		if o.keyringFollow {
+			follower = ", follower"
+		}
+		say("keyring " + o.stateFile + " (epoch " + strconv.FormatUint(auth.Epoch(), 10) + ", mac " + auth.MAC().Name() + follower + ")")
 	}
 	trip := engine.TripDrop
 	if failOpen {
@@ -168,12 +205,12 @@ func run() error {
 	// to the shards.
 	caps := netapi.Capabilities(env)
 	if caps.ListenUDPReuse == nil {
-		return fmt.Errorf("environment cannot bind sharded sockets")
+		return errors.New("environment cannot bind sharded sockets")
 	}
-	nShards := max(*shards, 1)
+	nShards := max(o.shards, 1)
 	conns, err := caps.ListenUDPReuse(pub, nShards)
 	if err != nil {
-		return fmt.Errorf("binding %v: %w", pub, err)
+		return errs.Wrap("binding "+pub.String()+": "+err.Error(), err)
 	}
 	ios := make([]guard.PacketIO, len(conns))
 	for i, c := range conns {
@@ -184,7 +221,7 @@ func run() error {
 		IOs:                 ios,
 		PublicAddr:          conns[0].LocalAddr(),
 		Shards:              nShards,
-		Batch:               *batch,
+		Batch:               o.batch,
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
 		Health:              guard.HealthConfig{FailOpen: failOpen},
@@ -192,9 +229,9 @@ func run() error {
 		Zone:                apex,
 		Fallback:            scheme,
 		Auth:                auth,
-		KeyRotation:         *keyRotate,
-		ActivationThreshold: *threshold,
-		Mitigation:          guard.MitigationConfig{Enabled: *mitigate},
+		KeyRotation:         o.keyRotate,
+		ActivationThreshold: o.threshold,
+		Mitigation:          guard.MitigationConfig{Enabled: o.mitigate},
 	})
 	if err != nil {
 		return err
@@ -206,11 +243,12 @@ func run() error {
 	if g.Engine().Direct() {
 		ingest = "direct"
 	}
-	fmt.Printf("dnsguardd: guarding zone %s on %v → ANS %v (scheme %v, threshold %.0f, shards %d, batch %d, ingest %s)\n",
-		apex, conns[0].LocalAddr(), ans, scheme, *threshold, nShards, max(*batch, 1), ingest)
+	say("guarding zone " + string(apex) + " on " + conns[0].LocalAddr().String() + " → ANS " + ans.String() +
+		" (scheme " + scheme.String() + ", threshold " + strconv.FormatFloat(o.threshold, 'f', 0, 64) +
+		", shards " + strconv.Itoa(nShards) + ", batch " + strconv.Itoa(max(o.batch, 1)) + ", ingest " + ingest + ")")
 
 	var proxy *tcpproxy.Proxy
-	if *withProxy {
+	if o.withProxy {
 		proxy, err = tcpproxy.New(tcpproxy.Config{
 			Env:     env,
 			Listen:  conns[0].LocalAddr(),
@@ -218,12 +256,12 @@ func run() error {
 			RTT:     50 * time.Millisecond,
 		})
 		if err != nil {
-			return fmt.Errorf("starting TCP proxy: %w", err)
+			return errs.Wrap("starting TCP proxy: "+err.Error(), err)
 		}
 		if err := proxy.Start(); err != nil {
-			return fmt.Errorf("starting TCP proxy: %w", err)
+			return errs.Wrap("starting TCP proxy: "+err.Error(), err)
 		}
-		fmt.Printf("dnsguardd: TCP proxy on %v\n", conns[0].LocalAddr())
+		say("TCP proxy on " + conns[0].LocalAddr().String())
 	}
 
 	reg := metrics.NewRegistry()
@@ -232,25 +270,25 @@ func run() error {
 		proxy.MetricsInto(reg)
 	}
 	var hooks daemon.Hooks
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		// The metrics listener doubles as the health endpoint: /healthz is
 		// process liveness, /readyz the catchment-readmission gate (guard
 		// lifecycle serving, ingress backlog under threshold).
 		metrics.RuntimeInto(reg)
-		l, err := metrics.ServeHealth(*metricsAddr, reg,
+		l, err := metrics.ServeHealth(o.metricsAddr, reg,
 			g.Healthz,
 			func() error { return g.Ready(0) })
 		if err != nil {
-			return fmt.Errorf("serving -metrics-addr: %w", err)
+			return errs.Wrap("serving -metrics-addr: "+err.Error(), err)
 		}
 		hooks.Metrics = l
-		fmt.Printf("dnsguardd: metrics on http://%v/metrics (probes /healthz /readyz)\n", l.Addr())
+		say("metrics on http://" + l.Addr().String() + "/metrics (probes /healthz /readyz)")
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	if *keyringReload > 0 {
+	if o.keyringReload > 0 {
 		go func() {
-			t := time.NewTicker(*keyringReload)
+			t := time.NewTicker(o.keyringReload)
 			defer t.Stop()
 			for {
 				select {
@@ -260,16 +298,16 @@ func run() error {
 				}
 				before := auth.Epoch()
 				if err := auth.Reload(); err != nil {
-					fmt.Fprintf(os.Stderr, "dnsguardd: keyring reload: %v\n", err)
+					os.Stderr.WriteString("dnsguardd: keyring reload: " + err.Error() + "\n")
 					continue
 				}
 				if e := auth.Epoch(); e != before {
-					fmt.Printf("dnsguardd: keyring advanced to epoch %d\n", e)
+					say("keyring advanced to epoch " + strconv.FormatUint(e, 10))
 				}
 			}
 		}()
 	}
-	if *statsEvery > 0 {
+	if o.statsEvery > 0 {
 		go func() {
 			s := &g.Stats
 			fields := [...]struct {
@@ -279,7 +317,7 @@ func run() error {
 				{" invalid=", &s.CookieInvalid}, {" rl1drop=", &s.RL1Dropped}, {" fwd=", &s.ForwardedToANS},
 				{" spoofed=", &s.UpstreamSpoofed}}
 			var line []byte
-			t := time.NewTicker(*statsEvery)
+			t := time.NewTicker(o.statsEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -295,38 +333,38 @@ func run() error {
 				_, _ = os.Stdout.Write(line)
 			}
 		}()
-		go metrics.DumpEvery(reg, 6**statsEvery, os.Stderr, stop)
+		// A registry dump every sixth stats line; the period saturates
+		// rather than wrapping negative, which NewTicker refuses.
+		go metrics.DumpEvery(reg, min(o.statsEvery, math.MaxInt64/6)*6, os.Stderr, stop)
 	}
 
 	// SIGHUP reloads the keyring from -state-file (followers adopt the
 	// owner's rotations on demand instead of waiting out -keyring-reload);
 	// SIGTERM/SIGINT drain gracefully — refuse new cookie exchanges, flush
 	// the dataplane, let pending ANS exchanges finish — before closing.
-	if *stateFile != "" {
+	if o.stateFile != "" {
 		hooks.Reload = func() error {
 			before := auth.Epoch()
 			if err := auth.Reload(); err != nil {
-				return fmt.Errorf("keyring reload: %w", err)
+				return errs.Wrap("keyring reload: "+err.Error(), err)
 			}
 			if e := auth.Epoch(); e != before {
-				fmt.Printf("dnsguardd: keyring advanced to epoch %d\n", e)
+				say("keyring advanced to epoch " + strconv.FormatUint(e, 10))
 			}
 			return nil
 		}
 	}
-	if *drainTimeout > 0 {
+	if o.drainTimeout > 0 {
 		hooks.Drain = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 			defer cancel()
 			if err := g.Drain(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "dnsguardd: drain: %v\n", err)
+				os.Stderr.WriteString("dnsguardd: drain: " + err.Error() + "\n")
 			}
 		}
-		hooks.DrainTimeout = *drainTimeout + time.Second
+		hooks.DrainTimeout = o.drainTimeout + time.Second
 	}
-	hooks.Logf = func(format string, args ...any) {
-		fmt.Printf("dnsguardd: "+format+"\n", args...)
-	}
+	hooks.Log = say
 	hooks.Shutdown = func() {
 		g.Close()
 		if proxy != nil {
@@ -334,10 +372,14 @@ func run() error {
 		}
 		s := g.Stats.Load()
 		sup := g.Engine().Supervision()
-		fmt.Printf("dnsguardd: final stats: recv=%d valid=%d invalid=%d dropped(rl1=%d rl2=%d) spoofed=%d restarts=%d breaker(open=%d close=%d)\n",
-			s.Received, s.CookieValid, s.CookieInvalid, s.RL1Dropped, s.RL2Dropped, s.UpstreamSpoofed,
-			sup.ShardRestarts, s.BreakerOpens, s.BreakerCloses)
+		n := func(v uint64) string { return strconv.FormatUint(v, 10) }
+		say("final stats: recv=" + n(s.Received) + " valid=" + n(s.CookieValid) + " invalid=" + n(s.CookieInvalid) +
+			" dropped(rl1=" + n(s.RL1Dropped) + " rl2=" + n(s.RL2Dropped) + ") spoofed=" + n(s.UpstreamSpoofed) +
+			" restarts=" + n(sup.ShardRestarts) + " breaker(open=" + n(s.BreakerOpens) + " close=" + n(s.BreakerCloses) + ")")
 	}
 	daemon.Wait(hooks)
 	return nil
 }
+
+// say prints one line of the daemon's progress on stdout.
+func say(msg string) { os.Stdout.WriteString("dnsguardd: " + msg + "\n") }

@@ -379,6 +379,18 @@ func TestIdleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLongStatsPeriod: the registry dump runs every six -stats periods, a
+// period that saturates. When it was 6 × -stats, -stats 555555h wrapped it
+// negative and the dump's time.NewTicker panicked as the guard started.
+func TestLongStatsPeriod(t *testing.T) {
+	bin := buildDaemons(t, "dnsguardd")
+	guard := start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com",
+		"-stats", "555555h", "-metrics-addr", "127.0.0.1:0")
+	base := "http://" + guard.await(t, metricsBanner)
+	time.Sleep(100 * time.Millisecond) // the dump's goroutine has started
+	scrape(t, base+"/healthz")
+}
+
 // TestScrapeCost: 200 scrapes of /metrics cost a guard at most scrapeObjects
 // heap objects each and 512 KiB of peak resident set in all. When each
 // scrape allocated its snapshot, its text and its buffers, the collector

@@ -112,9 +112,7 @@ func run() error {
 	if *metricsDump > 0 {
 		go metrics.DumpEvery(reg, *metricsDump, os.Stderr, stop)
 	}
-	hooks.Logf = func(format string, args ...any) {
-		fmt.Printf("lrsd: "+format+"\n", args...)
-	}
+	hooks.Log = func(msg string) { fmt.Println("lrsd: " + msg) }
 	hooks.Shutdown = func() {
 		close(stop)
 		srv.Close()

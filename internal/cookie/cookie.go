@@ -42,11 +42,12 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnsguard/internal/errs"
 )
 
 // KeySize is the guard's secret key length in bytes.
@@ -162,7 +163,7 @@ func (a *Authenticator) Epoch() uint64 { return a.snapshot().epoch }
 func (a *Authenticator) Rotate() error {
 	var key [KeySize]byte
 	if err := readKey(&key); err != nil {
-		return fmt.Errorf("cookie: rotating key: %w", err)
+		return errs.Wrap("cookie: rotating key: "+err.Error(), err)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -172,7 +173,7 @@ func (a *Authenticator) Rotate() error {
 	next := a.snapshot().next(key)
 	if a.bound != "" {
 		if err := writeKeyState(a.bound, next.state()); err != nil {
-			return fmt.Errorf("cookie: persisting rotation: %w", err)
+			return errs.Wrap("cookie: persisting rotation: "+err.Error(), err)
 		}
 	}
 	a.ring.Store(next)
@@ -308,7 +309,7 @@ type IPCodec struct {
 func (ic IPCodec) Range() (uint32, error) {
 	bits := ic.Subnet.Addr().BitLen() - ic.Subnet.Bits()
 	if bits < 2 {
-		return 0, fmt.Errorf("%w: %v", ErrBadSubnet, ic.Subnet)
+		return 0, errs.Wrap(ErrBadSubnet.Error()+": "+ic.Subnet.String(), ErrBadSubnet)
 	}
 	if bits > 24 {
 		bits = 24 // cap so hosts fit comfortably in uint32 arithmetic

@@ -8,11 +8,12 @@
 package cookie
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"syscall"
 	"unsafe"
+
+	"dnsguard/internal/errs"
 )
 
 // readKey fills key from the kernel's CSPRNG.
@@ -46,7 +47,7 @@ func fillKey(key *[KeySize]byte, read func([]byte) (int, syscall.Errno)) error {
 			}
 			n = len(b)
 		default:
-			return fmt.Errorf("getrandom: %w", errno)
+			return errs.Wrap("getrandom: "+errno.Error(), errno)
 		}
 	}
 	*key = b
@@ -61,7 +62,7 @@ func readURandom(b []byte) error {
 	}
 	defer f.Close()
 	if _, err := io.ReadFull(f, b); err != nil {
-		return fmt.Errorf("reading /dev/urandom: %w", err)
+		return errs.Wrap("reading /dev/urandom: "+err.Error(), err)
 	}
 	return nil
 }

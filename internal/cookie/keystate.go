@@ -30,12 +30,13 @@ package cookie
 import (
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"dnsguard/internal/errs"
 )
 
 // keyStateMagic is the state file's first line.
@@ -114,7 +115,7 @@ func (a *Authenticator) adopt(st KeyState) (bool, error) {
 	next := newRing(st.Epoch, st.Keys, mac)
 	if a.bound != "" {
 		if err := writeKeyState(a.bound, next.state()); err != nil {
-			return false, fmt.Errorf("cookie: persisting adopted keyring: %w", err)
+			return false, errs.Wrap("cookie: persisting adopted keyring: "+err.Error(), err)
 		}
 	}
 	a.ring.Store(next)
@@ -148,28 +149,31 @@ func (a *Authenticator) Reload() error {
 
 // ReadKeyState parses a keyring state file.
 func ReadKeyState(path string) (KeyState, error) {
+	bad := func(detail string, err error) error {
+		return errs.Wrap("cookie: keyring "+path+": "+detail, err)
+	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return KeyState{}, fmt.Errorf("cookie: keyring %s: %w", path, err)
+		return KeyState{}, bad(err.Error(), err)
 	}
 	var st KeyState
 	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
 	if len(lines) < 4 || len(lines) > 6 || strings.TrimSpace(lines[0]) != keyStateMagic {
-		return KeyState{}, fmt.Errorf("cookie: keyring %s: not a %q file", path, keyStateMagic)
+		return KeyState{}, bad("not a "+strconv.Quote(keyStateMagic)+" file", nil)
 	}
 	if last := strings.Fields(lines[len(lines)-1]); len(last) > 0 && last[0] == "sum" {
 		// Current writers append a CRC-32 of the preceding lines; a file
 		// without the sum predates it and is accepted as-is.
 		if len(last) != 2 {
-			return KeyState{}, fmt.Errorf("cookie: keyring %s: malformed line %q", path, lines[len(lines)-1])
+			return KeyState{}, bad("malformed line "+strconv.Quote(lines[len(lines)-1]), nil)
 		}
 		want, err := strconv.ParseUint(last[1], 16, 32)
 		if err != nil {
-			return KeyState{}, fmt.Errorf("cookie: keyring %s: sum: %w", path, err)
+			return KeyState{}, bad("sum: "+err.Error(), err)
 		}
 		body := strings.Join(lines[:len(lines)-1], "\n") + "\n"
 		if got := crc32.ChecksumIEEE([]byte(body)); got != uint32(want) {
-			return KeyState{}, fmt.Errorf("cookie: keyring %s: checksum mismatch (want %08x, got %08x): torn or corrupt state", path, uint32(want), got)
+			return KeyState{}, bad("checksum mismatch (want "+hex32(uint32(want))+", got "+hex32(got)+"): torn or corrupt state", nil)
 		}
 		lines = lines[:len(lines)-1]
 	}
@@ -177,36 +181,34 @@ func ReadKeyState(path string) (KeyState, error) {
 	for _, line := range lines[1:] {
 		fields := strings.Fields(line)
 		if len(fields) != 2 || seen[fields[0]] {
-			return KeyState{}, fmt.Errorf("cookie: keyring %s: malformed line %q", path, line)
+			return KeyState{}, bad("malformed line "+strconv.Quote(line), nil)
 		}
 		seen[fields[0]] = true
 		switch fields[0] {
 		case "epoch":
 			st.Epoch, err = strconv.ParseUint(fields[1], 10, 64)
 			if err != nil {
-				return KeyState{}, fmt.Errorf("cookie: keyring %s: epoch: %w", path, err)
+				return KeyState{}, bad("epoch: "+err.Error(), err)
 			}
 		case "key-even", "key-odd":
-			raw, err := hex.DecodeString(fields[1])
-			if err != nil || len(raw) != KeySize {
-				return KeyState{}, fmt.Errorf("cookie: keyring %s: %s is not %d hex bytes", path, fields[0], KeySize)
-			}
 			idx := 0
 			if fields[0] == "key-odd" {
 				idx = 1
 			}
-			copy(st.Keys[idx][:], raw)
+			if !decodeKey(&st.Keys[idx], fields[1]) {
+				return KeyState{}, bad(fields[0]+" is not "+strconv.Itoa(KeySize)+" hex bytes", nil)
+			}
 		case "mac":
 			if _, err := MACByName(fields[1]); err != nil {
-				return KeyState{}, fmt.Errorf("cookie: keyring %s: %w", path, err)
+				return KeyState{}, bad(err.Error(), err)
 			}
 			st.Scheme = fields[1]
 		default:
-			return KeyState{}, fmt.Errorf("cookie: keyring %s: unknown field %q", path, fields[0])
+			return KeyState{}, bad("unknown field "+strconv.Quote(fields[0]), nil)
 		}
 	}
 	if !seen["epoch"] || !seen["key-even"] || !seen["key-odd"] {
-		return KeyState{}, fmt.Errorf("cookie: keyring %s: missing fields", path)
+		return KeyState{}, bad("missing fields", nil)
 	}
 	return st, nil
 }
@@ -216,15 +218,36 @@ func ReadKeyState(path string) (KeyState, error) {
 // rings keep the exact historical byte layout.
 func keyStateBlob(st KeyState) string {
 	var b strings.Builder
-	fmt.Fprintln(&b, keyStateMagic)
-	fmt.Fprintf(&b, "epoch %d\n", st.Epoch)
-	fmt.Fprintf(&b, "key-even %s\n", hex.EncodeToString(st.Keys[0][:]))
-	fmt.Fprintf(&b, "key-odd %s\n", hex.EncodeToString(st.Keys[1][:]))
+	b.WriteString(keyStateMagic + "\nepoch " + strconv.FormatUint(st.Epoch, 10) + "\n")
+	b.WriteString("key-even " + hex.EncodeToString(st.Keys[0][:]) + "\n")
+	b.WriteString("key-odd " + hex.EncodeToString(st.Keys[1][:]) + "\n")
 	if st.Scheme != "" && st.Scheme != "md5" {
-		fmt.Fprintf(&b, "mac %s\n", st.Scheme)
+		b.WriteString("mac " + st.Scheme + "\n")
 	}
 	body := b.String()
-	return body + fmt.Sprintf("sum %08x\n", crc32.ChecksumIEEE([]byte(body)))
+	return body + "sum " + hex32(crc32.ChecksumIEEE([]byte(body))) + "\n"
+}
+
+// hex32 renders v as eight lower-case hex digits, the sum line's format.
+func hex32(v uint32) string {
+	s := strconv.FormatUint(uint64(v), 16)
+	return "00000000"[len(s):] + s
+}
+
+// decodeKey parses a key line's 2·KeySize hex digits into *key. It parses
+// with strconv, not encoding/hex, whose error type formats with fmt.
+func decodeKey(key *[KeySize]byte, s string) bool {
+	if len(s) != 2*KeySize {
+		return false
+	}
+	for i := range key {
+		v, err := strconv.ParseUint(s[2*i:2*i+2], 16, 8)
+		if err != nil {
+			return false
+		}
+		key[i] = byte(v)
+	}
+	return true
 }
 
 // writeKeyState atomically replaces path with st and refreshes the `.bak`

@@ -6,8 +6,9 @@ package cookie
 
 import (
 	"errors"
-	"fmt"
 	"os"
+
+	"dnsguard/internal/errs"
 )
 
 // Options configures Open. The zero value creates a fresh random keyring
@@ -97,7 +98,7 @@ func fresh(opts Options) (*Authenticator, error) {
 	if opts.Key != nil {
 		key = *opts.Key
 	} else if err := readKey(&key); err != nil {
-		return nil, fmt.Errorf("cookie: generating key: %w", err)
+		return nil, errs.Wrap("cookie: generating key: "+err.Error(), err)
 	}
 	a := &Authenticator{}
 	// Until the first rotation both slots hold the same key so epoch
@@ -136,7 +137,7 @@ func openKeyringFile(opts Options) (*Authenticator, error) {
 		if err != nil {
 			bak, bakErr := ReadKeyState(path + keyStateBackup)
 			if bakErr != nil {
-				return nil, fmt.Errorf("%w (backup: %v)", err, bakErr)
+				return nil, errs.Wrap(err.Error()+" (backup: "+bakErr.Error()+")", err)
 			}
 			st = bak
 		}
@@ -149,7 +150,7 @@ func openKeyringFile(opts Options) (*Authenticator, error) {
 		}
 		return a, nil
 	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("cookie: keyring %s: %w", path, err)
+		return nil, errs.Wrap("cookie: keyring "+path+": "+err.Error(), err)
 	}
 	// No main file. A surviving replica means the ring existed and the main
 	// file was lost mid-replace: recover it rather than create fresh keys.

@@ -14,9 +14,10 @@ package cookie
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math/bits"
 	"net/netip"
+	"strconv"
 )
 
 // MACScheme is a keyed MAC over a request's source address: the pluggable
@@ -53,7 +54,7 @@ func MACByName(name string) (MACScheme, error) {
 	case "siphash":
 		return SipHash, nil
 	}
-	return nil, fmt.Errorf("cookie: unknown MAC scheme %q (want md5 or siphash)", name)
+	return nil, errors.New("cookie: unknown MAC scheme " + strconv.Quote(name) + " (want md5 or siphash)")
 }
 
 // srcBytes packs src the way every scheme hashes it: As4 for IPv4 and

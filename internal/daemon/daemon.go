@@ -28,9 +28,9 @@ type Hooks struct {
 	Shutdown func()
 	// Metrics is the metrics/health HTTP listener, closed after Shutdown.
 	Metrics io.Closer
-	// Logf receives progress lines ("draining", "reload failed: …");
-	// nil discards them.
-	Logf func(format string, args ...any)
+	// Log receives progress lines ("draining", "reload: …"); nil discards
+	// them.
+	Log func(msg string)
 }
 
 // Wait blocks until the daemon should exit, handling signals per Hooks:
@@ -45,27 +45,27 @@ func Wait(h Hooks) {
 
 // wait is Wait over an injected signal channel (tested directly).
 func wait(sig chan os.Signal, h Hooks) {
-	logf := h.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	log := h.Log
+	if log == nil {
+		log = func(string) {}
 	}
 	for s := range sig {
 		if s == syscall.SIGHUP {
 			if h.Reload == nil {
-				logf("SIGHUP ignored (no reload hook)")
+				log("SIGHUP ignored (no reload hook)")
 				continue
 			}
 			if err := h.Reload(); err != nil {
-				logf("reload: %v", err)
+				log("reload: " + err.Error())
 			} else {
-				logf("reloaded")
+				log("reloaded")
 			}
 			continue
 		}
 		break // SIGINT / SIGTERM
 	}
 	if h.Drain != nil {
-		logf("draining")
+		log("draining")
 		done := make(chan struct{})
 		go func() { h.Drain(); close(done) }()
 		var bound <-chan time.Time
@@ -77,10 +77,10 @@ func wait(sig chan os.Signal, h Hooks) {
 		select {
 		case <-done:
 		case <-bound:
-			logf("drain timed out after %v; shutting down", h.DrainTimeout)
+			log("drain timed out after " + h.DrainTimeout.String() + "; shutting down")
 		case s := <-sig:
 			if s != syscall.SIGHUP {
-				logf("second signal during drain; shutting down")
+				log("second signal during drain; shutting down")
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func TestWaitReloadErrorNotFatal(t *testing.T) {
 	go func() {
 		wait(sig, Hooks{
 			Reload: func() error { return errors.New("keyring corrupt") },
-			Logf:   func(f string, a ...any) { msgs = append(msgs, f) },
+			Log:    func(m string) { msgs = append(msgs, m) },
 		})
 		close(done)
 	}()
@@ -67,7 +67,7 @@ func TestWaitReloadErrorNotFatal(t *testing.T) {
 	}
 	found := false
 	for _, m := range msgs {
-		if m == "reload: %v" {
+		if m == "reload: keyring corrupt" {
 			found = true
 		}
 	}

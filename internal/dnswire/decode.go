@@ -2,9 +2,11 @@ package dnswire
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
+
+	"dnsguard/internal/errs"
 )
 
 // Decoding errors. All decode failures wrap ErrMalformed so hostile input can
@@ -15,6 +17,11 @@ var (
 	ErrForwardPointer = errors.New("dnswire: forward compression pointer")
 )
 
+// malformed returns an ErrMalformed whose text ends in detail.
+func malformed(detail string) error {
+	return errs.Wrap(ErrMalformed.Error()+": "+detail, ErrMalformed)
+}
+
 type parser struct {
 	buf []byte
 	off int
@@ -24,7 +31,7 @@ func (p *parser) remaining() int { return len(p.buf) - p.off }
 
 func (p *parser) u8() (uint8, error) {
 	if p.remaining() < 1 {
-		return 0, fmt.Errorf("%w: truncated u8", ErrMalformed)
+		return 0, malformed("truncated u8")
 	}
 	v := p.buf[p.off]
 	p.off++
@@ -33,7 +40,7 @@ func (p *parser) u8() (uint8, error) {
 
 func (p *parser) u16() (uint16, error) {
 	if p.remaining() < 2 {
-		return 0, fmt.Errorf("%w: truncated u16", ErrMalformed)
+		return 0, malformed("truncated u16")
 	}
 	v := uint16(p.buf[p.off])<<8 | uint16(p.buf[p.off+1])
 	p.off += 2
@@ -42,7 +49,7 @@ func (p *parser) u16() (uint16, error) {
 
 func (p *parser) u32() (uint32, error) {
 	if p.remaining() < 4 {
-		return 0, fmt.Errorf("%w: truncated u32", ErrMalformed)
+		return 0, malformed("truncated u32")
 	}
 	v := uint32(p.buf[p.off])<<24 | uint32(p.buf[p.off+1])<<16 |
 		uint32(p.buf[p.off+2])<<8 | uint32(p.buf[p.off+3])
@@ -52,7 +59,7 @@ func (p *parser) u32() (uint32, error) {
 
 func (p *parser) take(n int) ([]byte, error) {
 	if n < 0 || p.remaining() < n {
-		return nil, fmt.Errorf("%w: truncated field (%d bytes wanted)", ErrMalformed, n)
+		return nil, malformed("truncated field (" + strconv.Itoa(n) + " bytes wanted)")
 	}
 	b := p.buf[p.off : p.off+n]
 	p.off += n
@@ -70,7 +77,7 @@ func (p *parser) name() (Name, error) {
 	minPtr := p.off // every pointer must go strictly before this
 	for {
 		if off >= len(p.buf) {
-			return "", fmt.Errorf("%w: name runs past end", ErrMalformed)
+			return "", malformed("name runs past end")
 		}
 		c := int(p.buf[off])
 		switch {
@@ -84,7 +91,7 @@ func (p *parser) name() (Name, error) {
 			return canonicalName(labels)
 		case c < 64: // ordinary label
 			if off+1+c > len(p.buf) {
-				return "", fmt.Errorf("%w: label runs past end", ErrMalformed)
+				return "", malformed("label runs past end")
 			}
 			total += c + 1
 			if total+1 > MaxNameWireLen {
@@ -94,7 +101,7 @@ func (p *parser) name() (Name, error) {
 			off += 1 + c
 		case c >= 0xC0: // compression pointer
 			if off+1 >= len(p.buf) {
-				return "", fmt.Errorf("%w: truncated pointer", ErrMalformed)
+				return "", malformed("truncated pointer")
 			}
 			ptr := (c&0x3F)<<8 | int(p.buf[off+1])
 			if !jumped {
@@ -109,8 +116,8 @@ func (p *parser) name() (Name, error) {
 			}
 			minPtr = ptr
 			off = ptr
-		default:
-			return "", fmt.Errorf("%w: reserved label type 0x%02x", ErrMalformed, c)
+		default: // 0x40–0xbf, always two hex digits
+			return "", malformed("reserved label type 0x" + strconv.FormatUint(uint64(c), 16))
 		}
 	}
 }
@@ -125,7 +132,7 @@ func (p *parser) name() (Name, error) {
 func canonicalName(labels []string) (Name, error) {
 	for _, l := range labels {
 		if strings.Contains(l, ".") {
-			return "", fmt.Errorf("%w: label contains '.'", ErrMalformed)
+			return "", malformed("label contains '.'")
 		}
 	}
 	return Name(lowerASCII(strings.Join(labels, "."))), nil
@@ -169,7 +176,7 @@ func (p *parser) rr() (RR, error) {
 		return RR{}, err
 	}
 	if p.remaining() < int(rdlen) {
-		return RR{}, fmt.Errorf("%w: rdata runs past end", ErrMalformed)
+		return RR{}, malformed("rdata runs past end")
 	}
 	end := p.off + int(rdlen)
 	data, err := p.rdata(Type(t), int(rdlen))
@@ -177,7 +184,7 @@ func (p *parser) rr() (RR, error) {
 		return RR{}, err
 	}
 	if p.off != end {
-		return RR{}, fmt.Errorf("%w: rdata length mismatch for %v", ErrMalformed, Type(t))
+		return RR{}, malformed("rdata length mismatch for " + Type(t).String())
 	}
 	return RR{Name: n, Type: Type(t), Class: Class(class), TTL: ttl, Data: data}, nil
 }
@@ -258,7 +265,7 @@ func (p *parser) rdata(t Type, rdlen int) (RData, error) {
 				return nil, err
 			}
 			if p.off+int(l) > end {
-				return nil, fmt.Errorf("%w: TXT string runs past rdata", ErrMalformed)
+				return nil, malformed("TXT string runs past rdata")
 			}
 			s, err := p.take(int(l))
 			if err != nil {
@@ -320,7 +327,7 @@ func Unpack(b []byte) (*Message, error) {
 		}
 	}
 	if p.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, p.remaining())
+		return nil, malformed(strconv.Itoa(p.remaining()) + " trailing bytes")
 	}
 	return m, nil
 }

@@ -2,8 +2,10 @@ package dnswire
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
+	"strconv"
+
+	"dnsguard/internal/errs"
 )
 
 // Encoding errors.
@@ -27,7 +29,7 @@ func (b *builder) bytes(p []byte) { b.buf = append(b.buf, p...) }
 
 func (b *builder) addr4(a netip.Addr) {
 	if !a.Is4() && !a.Is4In6() {
-		b.fail(fmt.Errorf("%w: %v is not IPv4", ErrBadAddress, a))
+		b.fail(errs.Wrap(ErrBadAddress.Error()+": "+a.String()+" is not IPv4", ErrBadAddress))
 		return
 	}
 	v4 := a.As4()
@@ -39,7 +41,7 @@ func (b *builder) addr4(a netip.Addr) {
 // reads must pack.
 func (b *builder) addr16(a netip.Addr) {
 	if !a.Is6() {
-		b.fail(fmt.Errorf("%w: %v is not IPv6", ErrBadAddress, a))
+		b.fail(errs.Wrap(ErrBadAddress.Error()+": "+a.String()+" is not IPv6", ErrBadAddress))
 		return
 	}
 	v6 := a.As16()
@@ -148,7 +150,7 @@ func (m *Message) PackUDP(limit int) ([]byte, error) {
 		case len(trunc.Answers) > 0:
 			trunc.Answers = trunc.Answers[:len(trunc.Answers)-1]
 		default:
-			return nil, fmt.Errorf("dnswire: question alone exceeds %d bytes: %w", limit, ErrMessageTooLarge)
+			return nil, errs.Wrap("dnswire: question alone exceeds "+strconv.Itoa(limit)+" bytes: "+ErrMessageTooLarge.Error(), ErrMessageTooLarge)
 		}
 		if b, err = trunc.Pack(); err != nil {
 			return nil, err

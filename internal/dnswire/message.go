@@ -1,8 +1,9 @@
 package dnswire
 
 import (
-	"fmt"
+	"encoding/hex"
 	"net/netip"
+	"strconv"
 	"strings"
 )
 
@@ -59,7 +60,7 @@ type Question struct {
 }
 
 func (q Question) String() string {
-	return fmt.Sprintf("%s %s %s", q.Name, q.Class, q.Type)
+	return string(q.Name) + " " + q.Class.String() + " " + q.Type.String()
 }
 
 // RR is a resource record. Data's concrete type corresponds to Type; records
@@ -73,7 +74,12 @@ type RR struct {
 }
 
 func (r RR) String() string {
-	return fmt.Sprintf("%s %d %s %s %s", r.Name, r.TTL, r.Class, r.Type, r.Data)
+	data := "%!s(<nil>)" // what fmt's %s printed for a record without data
+	if r.Data != nil {
+		data = r.Data.String()
+	}
+	return string(r.Name) + " " + strconv.FormatUint(uint64(r.TTL), 10) + " " + r.Class.String() + " " +
+		r.Type.String() + " " + data
 }
 
 // RData is the typed payload of a resource record.
@@ -120,7 +126,7 @@ type MXData struct {
 }
 
 func (d *MXData) encode(b *builder) { b.u16(d.Pref); b.name(d.Host, true) }
-func (d *MXData) String() string    { return fmt.Sprintf("%d %s", d.Pref, d.Host) }
+func (d *MXData) String() string    { return strconv.Itoa(int(d.Pref)) + " " + string(d.Host) }
 
 // SOAData is a start-of-authority record payload.
 type SOAData struct {
@@ -144,7 +150,8 @@ func (d *SOAData) encode(b *builder) {
 }
 
 func (d *SOAData) String() string {
-	return fmt.Sprintf("%s %s %d %d %d %d %d", d.MName, d.RName, d.Serial, d.Refresh, d.Retry, d.Expire, d.Minimum)
+	n := func(v uint32) string { return " " + strconv.FormatUint(uint64(v), 10) }
+	return string(d.MName) + " " + string(d.RName) + n(d.Serial) + n(d.Refresh) + n(d.Retry) + n(d.Expire) + n(d.Minimum)
 }
 
 // TXTData is a text record payload: one or more character strings of up to
@@ -162,7 +169,7 @@ func (d *TXTData) encode(b *builder) {
 func (d *TXTData) String() string {
 	parts := make([]string, len(d.Strings))
 	for i, s := range d.Strings {
-		parts[i] = fmt.Sprintf("%q", s)
+		parts[i] = strconv.Quote(string(s))
 	}
 	return strings.Join(parts, " ")
 }
@@ -171,7 +178,9 @@ func (d *TXTData) String() string {
 type Raw struct{ Data []byte }
 
 func (d *Raw) encode(b *builder) { b.bytes(d.Data) }
-func (d *Raw) String() string    { return fmt.Sprintf("\\# %d %x", len(d.Data), d.Data) }
+func (d *Raw) String() string {
+	return `\# ` + strconv.Itoa(len(d.Data)) + " " + hex.EncodeToString(d.Data)
+}
 
 // Message is a full DNS message.
 type Message struct {
@@ -203,18 +212,20 @@ func (m *Message) Response() *Message {
 
 func (m *Message) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "id=%d qr=%v aa=%v tc=%v rcode=%v", m.ID, m.Flags.QR, m.Flags.AA, m.Flags.TC, m.Flags.RCode)
+	sb.WriteString("id=" + strconv.Itoa(int(m.ID)) + " qr=" + strconv.FormatBool(m.Flags.QR) +
+		" aa=" + strconv.FormatBool(m.Flags.AA) + " tc=" + strconv.FormatBool(m.Flags.TC) +
+		" rcode=" + m.Flags.RCode.String())
 	for _, q := range m.Questions {
-		fmt.Fprintf(&sb, "\n;; Q: %s", q)
+		sb.WriteString("\n;; Q: " + q.String())
 	}
 	for _, r := range m.Answers {
-		fmt.Fprintf(&sb, "\n;; AN: %s", r)
+		sb.WriteString("\n;; AN: " + r.String())
 	}
 	for _, r := range m.Authority {
-		fmt.Fprintf(&sb, "\n;; AU: %s", r)
+		sb.WriteString("\n;; AU: " + r.String())
 	}
 	for _, r := range m.Additional {
-		fmt.Fprintf(&sb, "\n;; AD: %s", r)
+		sb.WriteString("\n;; AD: " + r.String())
 	}
 	return sb.String()
 }

@@ -2,8 +2,10 @@ package dnswire
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
+
+	"dnsguard/internal/errs"
 )
 
 // Name is a fully-qualified domain name in canonical form: dotted, without a
@@ -34,14 +36,14 @@ func ParseName(s string) (Name, error) {
 	for _, label := range strings.Split(s, ".") {
 		switch {
 		case label == "":
-			return "", fmt.Errorf("%w in %q", ErrEmptyLabel, s)
+			return "", errs.Wrap(ErrEmptyLabel.Error()+" in "+strconv.Quote(s), ErrEmptyLabel)
 		case len(label) > MaxLabelLen:
-			return "", fmt.Errorf("%w: %q", ErrLabelTooLong, label)
+			return "", errs.Wrap(ErrLabelTooLong.Error()+": "+strconv.Quote(label), ErrLabelTooLong)
 		}
 		wire += 1 + len(label)
 	}
 	if wire > MaxNameWireLen {
-		return "", fmt.Errorf("%w: %q", ErrNameTooLong, s)
+		return "", errs.Wrap(ErrNameTooLong.Error()+": "+strconv.Quote(s), ErrNameTooLong)
 	}
 	return Name(s), nil
 }

@@ -2,7 +2,7 @@ package dnswire
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // ErrFrameTooLarge reports a TCP length prefix exceeding the protocol cap.
@@ -41,7 +41,7 @@ func (s *FrameScanner) Next() (msg []byte, ok bool, err error) {
 	msg = append([]byte(nil), s.buf[2:2+n]...)
 	s.buf = s.buf[2+n:]
 	if len(msg) < 12 {
-		return nil, false, fmt.Errorf("%w: frame of %d bytes is shorter than a DNS header", ErrMalformed, len(msg))
+		return nil, false, malformed("frame of " + strconv.Itoa(len(msg)) + " bytes is shorter than a DNS header")
 	}
 	return msg, true, nil
 }

@@ -9,7 +9,7 @@
 // hostile sources.
 package dnswire
 
-import "fmt"
+import "strconv"
 
 // Type is a DNS resource-record type code.
 type Type uint16
@@ -51,7 +51,7 @@ func (t Type) String() string {
 	case TypeANY:
 		return "ANY"
 	default:
-		return fmt.Sprintf("TYPE%d", uint16(t))
+		return "TYPE" + strconv.Itoa(int(t))
 	}
 }
 
@@ -65,7 +65,7 @@ func (c Class) String() string {
 	if c == ClassINET {
 		return "IN"
 	}
-	return fmt.Sprintf("CLASS%d", uint16(c))
+	return "CLASS" + strconv.Itoa(int(c))
 }
 
 // Opcode is the DNS operation code.
@@ -102,7 +102,7 @@ func (r RCode) String() string {
 	case RCodeRefused:
 		return "REFUSED"
 	default:
-		return fmt.Sprintf("RCODE%d", uint8(r))
+		return "RCODE" + strconv.Itoa(int(r))
 	}
 }
 

@@ -35,9 +35,9 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"hash/maphash"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,7 +133,7 @@ func (c *Config) fillDefaults() error {
 		c.Shards = 1
 	}
 	if n := len(c.IOs); n != 1 && n != c.Shards {
-		return fmt.Errorf("engine: %d interfaces for %d shards: want one per shard or one for all", n, c.Shards)
+		return errors.New("engine: " + strconv.Itoa(n) + " interfaces for " + strconv.Itoa(c.Shards) + " shards: want one per shard or one for all")
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 512
@@ -160,6 +160,9 @@ type ShardStats struct {
 	ShedNew  uint64 // packets tail-dropped at a full or closed queue
 	Handled  uint64 // packets the shard handler consumed
 }
+
+// ShardStatsNames names ShardStats' fields in order (summed and per shard).
+var ShardStatsNames = []string{"enqueued", "shed_new", "handled"}
 
 // shardState is everything one shard touches on the packet hot path, one
 // heap allocation per shard so no two shards write the same cacheline. The
@@ -290,7 +293,7 @@ func (e *Engine) Start() {
 	if e.direct {
 		for i, io := range e.cfg.IOs {
 			i, br := i, batchReader(io)
-			name := fmt.Sprintf("%s-shard-%d", procPrefix, i)
+			name := procPrefix + "-shard-" + strconv.Itoa(i)
 			if e.cfg.Shards == 1 {
 				name = procPrefix + "-capture"
 			}
@@ -302,7 +305,7 @@ func (e *Engine) Start() {
 	// is deterministic, and workers must exist before the reader can enqueue.
 	for i := range e.shards {
 		i := i
-		e.spawn(fmt.Sprintf("%s-worker-%d", procPrefix, i), func() { e.runWorker(i) })
+		e.spawn(procPrefix+"-worker-"+strconv.Itoa(i), func() { e.runWorker(i) })
 	}
 	br := batchReader(e.cfg.IOs[0])
 	e.spawn(procPrefix+"-capture", func() { e.runReader(br) })
@@ -412,18 +415,18 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	for i, sh := range e.shards {
 		stats[i] = &sh.stats
 	}
-	metrics.RegisterUint64Fields(r, prefix, stats...) // enqueued, shed_new, handled
+	metrics.RegisterUint64Fields(r, prefix, ShardStatsNames, stats...)
 	r.Func(prefix+"queue_depth", func() float64 { return float64(e.Backlog()) })
 	r.FuncUint(prefix+"ingest_reads", func() uint64 { return e.Ingest().Reads })
 	r.FuncUint(prefix+"ingest_packets", func() uint64 { return e.Ingest().Packets })
 	// Supervision series (shard_restarts, panics_quarantined, …) are
 	// registered unconditionally: a flat zero from an unsupervised engine is
 	// more operable than a series that appears only after the first panic.
-	metrics.RegisterUint64Fields(r, prefix, &e.sup.stats)
+	metrics.RegisterUint64Fields(r, prefix, SupervisionStatsNames, &e.sup.stats)
 	for i := range e.shards {
 		i := i
-		p := fmt.Sprintf("%sshard%d_", prefix, i)
-		metrics.RegisterUint64Fields(r, p, &e.shards[i].stats)
+		p := prefix + "shard" + strconv.Itoa(i) + "_"
+		metrics.RegisterUint64Fields(r, p, ShardStatsNames, &e.shards[i].stats)
 		r.Func(p+"queue_depth", func() float64 { return float64(e.QueueDepth(i)) })
 		r.RegisterHistogram(p+"wait", e.shards[i].wait)
 	}

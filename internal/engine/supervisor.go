@@ -20,7 +20,6 @@ package engine
 
 import (
 	"encoding/hex"
-	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -75,6 +74,12 @@ type SupervisionStats struct {
 	ShardsTripped      uint64 // shards that exhausted their restart budget
 	TrippedDrops       uint64 // packets dropped by a tripped shard
 	TrippedPassthrough uint64 // packets handed to OnPass by a tripped shard
+}
+
+// SupervisionStatsNames names SupervisionStats' fields in order (<prefix>*).
+var SupervisionStatsNames = []string{
+	"shard_restarts", "panics_quarantined", "shards_tripped", "tripped_drops",
+	"tripped_passthrough",
 }
 
 // QuarantinedPacket is one packet that panicked a shard handler, preserved
@@ -132,6 +137,20 @@ func (e *Engine) Quarantined() []QuarantinedPacket {
 	return out
 }
 
+// panicText renders a panic value as fmt.Sprint renders the ones handlers
+// panic with: an error, a string, or a value with a String method.
+func panicText(v any) string {
+	switch v := v.(type) {
+	case error:
+		return v.Error()
+	case string:
+		return v
+	case interface{ String() string }:
+		return v.String()
+	}
+	return "panic value with no text"
+}
+
 // quarantinePacket records pkt and the panic value in the bounded ring.
 func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 	qp := QuarantinedPacket{
@@ -139,7 +158,7 @@ func (e *Engine) quarantinePacket(shard int, pkt Packet, panicVal any) {
 		At:         e.cfg.Env.Now(),
 		Src:        pkt.Src,
 		Dst:        pkt.Dst,
-		PanicValue: fmt.Sprint(panicVal),
+		PanicValue: panicText(panicVal),
 		Dump:       hex.Dump(pkt.Payload),
 	}
 	e.sup.qmu.Lock()

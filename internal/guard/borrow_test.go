@@ -1091,3 +1091,26 @@ func TestLimiterToggleAllocs(t *testing.T) {
 		t.Error("ResetShard left sources in Rate-Limiter2")
 	}
 }
+
+// TestStatsSnapshotsAllocateNothing: the mitigation loop reads the guard's
+// counters and every shard's tail-drops each interval, so an armed guard
+// that sees no traffic must not allocate for them. A snapshot is a copy on
+// the caller's stack.
+func TestStatsSnapshotsAllocateNothing(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Shards = 2
+		cfg.Mitigation.Enabled = true
+	})
+	for _, c := range []struct {
+		name string
+		read func()
+	}{
+		{"RemoteStats.Load", func() { _ = h.g.Stats.Load() }},
+		{"Engine.Stats", func() { _ = h.g.eng.Stats(1) }},
+		{"shedNew", func() { _ = h.g.shedNew() }},
+	} {
+		if n := testing.AllocsPerRun(100, c.read); n != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", c.name, n)
+		}
+	}
+}

@@ -24,10 +24,11 @@ package guard
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"dnsguard/internal/errs"
 	"dnsguard/internal/metrics"
 )
 
@@ -64,7 +65,7 @@ func (s LifecycleState) String() string {
 	case LifecycleWarming:
 		return "warming"
 	}
-	return fmt.Sprintf("LifecycleState(%d)", int32(s))
+	return "LifecycleState(" + strconv.Itoa(int(s)) + ")"
 }
 
 // LifecycleStats counts lifecycle activity (atomic fields, exported as
@@ -74,6 +75,9 @@ type LifecycleStats struct {
 	Drains       uint64 // Drain calls that entered draining
 	DrainDropped uint64 // newcomer queries refused while draining/quiesced
 }
+
+// LifecycleStatsNames names LifecycleStats' fields in order (guard_lifecycle_*).
+var LifecycleStatsNames = []string{"transitions", "drains", "drain_dropped"}
 
 // lifecyclePoll paces Drain's quiesce polls (virtual time under netsim).
 const lifecyclePoll = 200 * time.Microsecond
@@ -173,21 +177,24 @@ func (g *Remote) Healthz() error {
 // its queues run at; a direct guard has no queues and never fails on it.
 func (g *Remote) Ready(minEpoch uint64) error {
 	if g.closed.Load() {
-		return fmt.Errorf("%w: closed", ErrNotReady)
+		return notReady("closed")
 	}
 	switch st := g.Lifecycle(); st {
 	case LifecycleServing, LifecycleWarming:
 	default:
-		return fmt.Errorf("%w: lifecycle %s", ErrNotReady, st)
+		return notReady("lifecycle " + st.String())
 	}
 	if epoch := g.cfg.Auth.Epoch(); epoch < minEpoch {
-		return fmt.Errorf("%w: keyring epoch %d behind fleet epoch %d", ErrNotReady, epoch, minEpoch)
+		return notReady("keyring epoch " + strconv.FormatUint(epoch, 10) + " behind fleet epoch " + strconv.FormatUint(minEpoch, 10))
 	}
 	if backlog, max := g.eng.Backlog(), g.eng.QueueBound()*g.eng.Shards()/2; backlog > max {
-		return fmt.Errorf("%w: ingress backlog %d over threshold %d", ErrNotReady, backlog, max)
+		return notReady("ingress backlog " + strconv.Itoa(backlog) + " over threshold " + strconv.Itoa(max))
 	}
 	return nil
 }
+
+// notReady returns an ErrNotReady whose text ends in why.
+func notReady(why string) error { return errs.Wrap(ErrNotReady.Error()+": "+why, ErrNotReady) }
 
 // LifecycleStats returns an atomically-read copy of the lifecycle counters.
 func (g *Remote) LifecycleStats() LifecycleStats {
@@ -197,5 +204,5 @@ func (g *Remote) LifecycleStats() LifecycleStats {
 // lifecycleMetricsInto registers the guard_lifecycle_* series.
 func (g *Remote) lifecycleMetricsInto(r *metrics.Registry) {
 	r.FuncUint("guard_lifecycle_state", func() uint64 { return uint64(g.lcState.Load()) })
-	metrics.RegisterUint64Fields(r, "guard_lifecycle_", &g.lc)
+	metrics.RegisterUint64Fields(r, "guard_lifecycle_", LifecycleStatsNames, &g.lc)
 }

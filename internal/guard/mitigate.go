@@ -30,9 +30,9 @@
 package guard
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -69,7 +69,7 @@ func (c AttackClass) String() string {
 	case ClassPoisoning:
 		return "poisoning"
 	default:
-		return fmt.Sprintf("class(%d)", int32(c))
+		return "class(" + strconv.Itoa(int(c)) + ")"
 	}
 }
 
@@ -99,7 +99,7 @@ func (l MitigationLayer) String() string {
 	case LayerSourceLimit:
 		return "source-limit"
 	default:
-		return fmt.Sprintf("layer(%d)", int32(l))
+		return "layer(" + strconv.Itoa(int(l)) + ")"
 	}
 }
 
@@ -197,6 +197,12 @@ type MitigationStats struct {
 	SpoofFloodIntervals   uint64 // samples classified spoof-flood
 	WaterTortureIntervals uint64 // samples classified water-torture
 	PoisoningIntervals    uint64 // samples classified poisoning
+}
+
+// MitigationStatsNames names MitigationStats' fields in order (guard_mitigation_*).
+var MitigationStatsNames = []string{
+	"samples", "escalations", "deescalations", "flap_holds",
+	"spoof_flood_intervals", "water_torture_intervals", "poisoning_intervals",
 }
 
 // MitigationState is a read-only snapshot of the selector, exposed through
@@ -506,5 +512,5 @@ func (g *Remote) mitMetricsInto(r *metrics.Registry) {
 	r.Func("guard_mitigation_layer", func() float64 { return float64(g.mit.layer.Load()) })
 	r.Func("guard_mitigation_max_layer", func() float64 { return float64(g.mit.maxLayer.Load()) })
 	r.Func("guard_mitigation_class", func() float64 { return float64(g.mit.class.Load()) })
-	metrics.RegisterUint64Fields(r, "guard_mitigation_", &g.mit.stats)
+	metrics.RegisterUint64Fields(r, "guard_mitigation_", MitigationStatsNames, &g.mit.stats)
 }

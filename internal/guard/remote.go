@@ -3,9 +3,9 @@ package guard
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +13,7 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
+	"dnsguard/internal/errs"
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
@@ -40,7 +41,7 @@ func (s Scheme) String() string {
 	case SchemeTCP:
 		return "tcp-based"
 	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
+		return "scheme(" + strconv.Itoa(int(s)) + ")"
 	}
 }
 
@@ -167,13 +168,13 @@ func (c *RemoteConfig) resolve() error {
 	case !c.PublicAddr.IsValid() || !c.ANSAddr.IsValid():
 		return errors.New("guard: PublicAddr and ANSAddr are required")
 	case c.ActivationThreshold < 0:
-		return fmt.Errorf("guard: negative ActivationThreshold %v (0 means always on)", c.ActivationThreshold)
+		return errors.New("guard: negative ActivationThreshold " + strconv.FormatFloat(c.ActivationThreshold, 'g', -1, 64) + " (0 means always on)")
 	case math.IsNaN(c.ActivationThreshold) || math.IsInf(c.ActivationThreshold, 0):
-		return fmt.Errorf("guard: ActivationThreshold %v is not a rate: no input rate exceeds it", c.ActivationThreshold)
+		return errors.New("guard: ActivationThreshold " + strconv.FormatFloat(c.ActivationThreshold, 'g', -1, 64) + " is not a rate: no input rate exceeds it")
 	case c.RL1.TrackedSources > srctab.MaxCap:
-		return fmt.Errorf("guard: RL1.TrackedSources %d over srctab.MaxCap %d", c.RL1.TrackedSources, srctab.MaxCap)
+		return errors.New("guard: RL1.TrackedSources " + strconv.Itoa(c.RL1.TrackedSources) + " over srctab.MaxCap " + strconv.Itoa(srctab.MaxCap))
 	case c.RL2.TrackedSources > srctab.MaxCap:
-		return fmt.Errorf("guard: RL2.TrackedSources %d over srctab.MaxCap %d", c.RL2.TrackedSources, srctab.MaxCap)
+		return errors.New("guard: RL2.TrackedSources " + strconv.Itoa(c.RL2.TrackedSources) + " over srctab.MaxCap " + strconv.Itoa(srctab.MaxCap))
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -252,6 +253,16 @@ type RemoteStats struct {
 	FailClosedDrops  uint64 // forwards shed with every breaker open
 }
 
+// RemoteStatsNames names RemoteStats' fields in order (guard_remote_*).
+var RemoteStatsNames = []string{
+	"received", "passthrough", "malformed", "newcomer_grants", "rl1_dropped",
+	"cookie_valid", "cookie_invalid", "rl2_dropped", "forwarded_to_ans",
+	"replies_to_client", "tc_redirects", "pending_dropped", "upstream_strays",
+	"upstream_spoofed", "upstream_malformed", "key_rotations",
+	"upstream_timeouts", "breaker_opens", "breaker_closes", "probes_sent",
+	"failovers", "fail_closed_drops",
+}
+
 // Load returns an atomically-field-read copy of the stats. Each field is
 // individually exact; the set is not a single consistent cut, which is fine
 // for monitoring and for quiesced test assertions.
@@ -262,7 +273,7 @@ func (s *RemoteStats) Load() RemoteStats {
 // MetricsInto registers every counter as a guard_remote_* series reading
 // the live fields, so exports track the struct without copying it.
 func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
-	metrics.RegisterUint64Fields(r, "guard_remote_", s)
+	metrics.RegisterUint64Fields(r, "guard_remote_", RemoteStatsNames, s)
 }
 
 // Work counts what one loop of a shard did, by the kinds of work §IV-D prices
@@ -276,6 +287,9 @@ func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
 type Work struct {
 	Read, Written, Checks, Grants, TCReplies, Rewrites uint64
 }
+
+// WorkNames names Work's fields in order (guard_work_*).
+var WorkNames = []string{"read", "written", "checks", "grants", "tc_replies", "rewrites"}
 
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
 // internal/engine dataplane: source addresses hash to shards, and each shard
@@ -388,7 +402,7 @@ func (g *Remote) MetricsInto(r *metrics.Registry) {
 	for _, s := range g.shards {
 		works = append(works, &s.work, &s.upWork)
 	}
-	metrics.RegisterUint64Fields(r, "guard_work_", works...)
+	metrics.RegisterUint64Fields(r, "guard_work_", WorkNames, works...)
 }
 
 // Work returns the live counts of shard i's worker and upstream loop; read
@@ -447,7 +461,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("guard: %w", err)
+		return nil, errs.Wrap("guard: "+err.Error(), err)
 	}
 	g.eng = eng
 	for i, s := range g.shards {
@@ -468,7 +482,7 @@ func (g *Remote) Start() error {
 				_ = bound.upstream.Close()
 				bound.upstream = nil
 			}
-			return fmt.Errorf("guard: binding upstream socket: %w", err)
+			return errs.Wrap("guard: binding upstream socket: "+err.Error(), err)
 		}
 		// Best-effort: widen the kernel receive buffer where the conn
 		// exposes it. ANS replies arrive in bursts while the shard worker is
@@ -485,7 +499,7 @@ func (g *Remote) Start() error {
 		s := s
 		name := "guard-upstream"
 		if len(g.shards) > 1 {
-			name = fmt.Sprintf("guard-upstream-%d", s.id)
+			name = "guard-upstream-" + strconv.Itoa(s.id)
 		}
 		g.cfg.Env.Go(name, s.upstreamLoop)
 	}
@@ -494,7 +508,7 @@ func (g *Remote) Start() error {
 			s := s
 			name := "guard-health"
 			if len(g.shards) > 1 {
-				name = fmt.Sprintf("guard-health-%d", s.id)
+				name = "guard-health-" + strconv.Itoa(s.id)
 			}
 			g.cfg.Env.Go(name, s.healthLoop)
 		}

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"container/list"
 	"errors"
-	"fmt"
 	"net/netip"
 	"strconv"
 	"sync"
 	"time"
 
+	"dnsguard/internal/errs"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/realnet"
 )
@@ -65,7 +65,7 @@ func serve(addr string, r *Registry, probes ...endpoint) (netapi.Listener, error
 		ln, err = realnet.New().ListenTCP(ap)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
+		return nil, errs.Wrap("metrics: listen "+addr+": "+err.Error(), err)
 	}
 	s := &responder{Listener: ln, deadline: connDeadline, table: append([]endpoint{
 		{"/metrics", textType, func(b []byte) ([]byte, string) { return r.appendText(b), "200 OK" }},

@@ -1,8 +1,9 @@
 package metrics
 
 import (
-	"fmt"
+	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -20,11 +21,11 @@ import (
 // produce a momentarily torn view (same caveat as Histogram snapshots).
 func MergeHistogram(dst, src *Histogram) error {
 	if len(dst.bounds) != len(src.bounds) {
-		return fmt.Errorf("metrics: merge histogram: bucket count mismatch (%d vs %d)", len(dst.bounds), len(src.bounds))
+		return errors.New("metrics: merge histogram: bucket count mismatch (" + strconv.Itoa(len(dst.bounds)) + " vs " + strconv.Itoa(len(src.bounds)) + ")")
 	}
 	for i := range dst.bounds {
 		if dst.bounds[i] != src.bounds[i] {
-			return fmt.Errorf("metrics: merge histogram: bound %d mismatch (%v vs %v)", i, dst.bounds[i], src.bounds[i])
+			return errors.New("metrics: merge histogram: bound " + strconv.Itoa(i) + " mismatch (" + dst.bounds[i].String() + " vs " + src.bounds[i].String() + ")")
 		}
 	}
 	for i := range src.counts {
@@ -53,7 +54,7 @@ func Merged(regs ...*Registry) []Sample {
 			if h, ok := r.ms[i].(histMetric); ok {
 				if _, clash := sums[name]; clash {
 					r.mu.Unlock()
-					panic(fmt.Sprintf("metrics: merged series %q is both histogram and scalar", name))
+					panic("metrics: merged series " + strconv.Quote(name) + " is both histogram and scalar")
 				}
 				acc := hists[name]
 				if acc == nil {
@@ -68,7 +69,7 @@ func Merged(regs ...*Registry) []Sample {
 			}
 			r.ms[i].sample(name, func(s Sample) {
 				if _, clash := hists[s.Name]; clash {
-					panic(fmt.Sprintf("metrics: merged series %q is both histogram and scalar", s.Name))
+					panic("metrics: merged series " + strconv.Quote(s.Name) + " is both histogram and scalar")
 				}
 				sums[s.Name] += s.Value
 			})

@@ -12,7 +12,7 @@
 //   - the counts stay where the code that makes them keeps them, in stats
 //     structs of atomically written fields: Func and FuncUint register a
 //     closure that reads one at snapshot time, and RegisterUint64Fields
-//     registers every uint64 field of a struct that way;
+//     registers every field of a stats struct that way;
 //   - Histogram buckets latencies into log-spaced bins spanning the paper's
 //     µs-to-s range and reports quantiles by interpolation; its owner
 //     observes into it and attaches it with RegisterHistogram;
@@ -27,7 +27,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -81,7 +80,7 @@ func (r *Registry) add(name string, m metric) {
 	defer r.mu.Unlock()
 	i, found := slices.BinarySearch(r.names, name)
 	if found {
-		panic(fmt.Sprintf("metrics: %q already registered", name))
+		panic("metrics: " + strconv.Quote(name) + " already registered")
 	}
 	r.names, r.ms = slices.Insert(r.names, i, name), slices.Insert(r.ms, i, m)
 }

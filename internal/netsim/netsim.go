@@ -70,11 +70,17 @@ type NetStats struct {
 	PartitionDrops uint64 // dropped on a partitioned link
 }
 
+// NetStatsNames names NetStats' fields in order (netsim_*).
+var NetStatsNames = []string{
+	"sent", "delivered", "lost", "no_route", "no_socket", "duplicated",
+	"reordered", "corrupted", "partition_drops",
+}
+
 // MetricsInto registers network-wide counters as netsim_* series. The
 // simulator is cooperatively scheduled (one real goroutine at a time), so
 // plain reads are safe; snapshot between vclock runs, not during one.
 func (n *Network) MetricsInto(r *metrics.Registry) {
-	metrics.RegisterUint64Fields(r, "netsim_", &n.Stats)
+	metrics.RegisterUint64Fields(r, "netsim_", NetStatsNames, &n.Stats)
 }
 
 // New creates an empty network on sched with a default one-way link latency.

@@ -10,7 +10,7 @@
 package realnet
 
 import (
-	"fmt"
+	"errors"
 	"net/netip"
 	"sync"
 	"syscall"
@@ -190,7 +190,7 @@ func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 func putSockaddr(sa *syscall.RawSockaddrAny, dst netip.AddrPort, is6 bool) (uint32, error) {
 	addr := dst.Addr()
 	if !addr.IsValid() {
-		return 0, fmt.Errorf("realnet: invalid destination %v", dst)
+		return 0, errors.New("realnet: invalid destination " + dst.String())
 	}
 	if is6 {
 		sa6 := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
@@ -200,7 +200,7 @@ func putSockaddr(sa *syscall.RawSockaddrAny, dst netip.AddrPort, is6 bool) (uint
 		return syscall.SizeofSockaddrInet6, nil
 	}
 	if !addr.Unmap().Is4() {
-		return 0, fmt.Errorf("realnet: IPv6 destination %v on IPv4 socket", dst)
+		return 0, errors.New("realnet: IPv6 destination " + dst.String() + " on IPv4 socket")
 	}
 	sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
 	*sa4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: addr.Unmap().As4()}

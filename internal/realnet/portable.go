@@ -8,7 +8,6 @@ package realnet
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -16,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"dnsguard/internal/errs"
 	"dnsguard/internal/netapi"
 )
 
@@ -24,7 +24,7 @@ const reusePort = false
 func listenUDP(addr netip.AddrPort, _ bool) (*udpConn, error) {
 	conn, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(addr))
 	if err != nil {
-		return nil, fmt.Errorf("realnet: %w", err)
+		return nil, errs.Wrap("realnet: "+err.Error(), err)
 	}
 	return &udpConn{conn: conn}, nil
 }
@@ -205,7 +205,7 @@ func mapErr(err error) error {
 	default:
 		var opErr *net.OpError
 		if errors.As(err, &opErr) && opErr.Op == "dial" {
-			return fmt.Errorf("%w: %v", netapi.ErrRefused, err)
+			return errs.Wrap(netapi.ErrRefused.Error()+": "+err.Error(), netapi.ErrRefused)
 		}
 		return err
 	}

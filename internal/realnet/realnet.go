@@ -17,8 +17,9 @@ package realnet
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"net/netip"
+	"strconv"
 	"sync"
 	"time"
 
@@ -68,7 +69,7 @@ func (e *Env) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
 // caller's shards.
 func (e *Env) ListenUDPReuse(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("realnet: ListenUDPReuse: n must be >= 1, got %d", n)
+		return nil, errors.New("realnet: ListenUDPReuse: n must be >= 1, got " + strconv.Itoa(n))
 	}
 	if !reusePort {
 		n = 1

@@ -10,13 +10,13 @@ package realnet
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"os"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"dnsguard/internal/errs"
 	"dnsguard/internal/netapi"
 )
 
@@ -138,7 +138,7 @@ func (s *sock) listen(typ int, addr netip.AddrPort, opt int) (is6 bool, err erro
 		fd, err = socket(typ, false)
 	}
 	if err != nil {
-		return false, fmt.Errorf("realnet: socket: %w", err)
+		return false, errs.Wrap("realnet: socket: "+err.Error(), err)
 	}
 	if opt != 0 {
 		err = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, opt, 1)
@@ -151,7 +151,7 @@ func (s *sock) listen(typ int, addr netip.AddrPort, opt int) (is6 bool, err erro
 	}
 	if err != nil {
 		syscall.Close(fd)
-		return false, fmt.Errorf("realnet: bind %v: %w", addr, err)
+		return false, errs.Wrap("realnet: bind "+addr.String()+": "+err.Error(), err)
 	}
 	s.open(fd)
 	s.local = localAddr(fd)
@@ -223,7 +223,7 @@ func (e *Env) DialTCP(raddr netip.AddrPort) (netapi.Conn, error) {
 	is6 := !raddr.Addr().Unmap().Is4()
 	fd, err := socket(syscall.SOCK_STREAM, is6)
 	if err != nil {
-		return nil, fmt.Errorf("realnet: socket: %w", err)
+		return nil, errs.Wrap("realnet: socket: "+err.Error(), err)
 	}
 	c := newTCPConn(fd, raddr)
 	var a attempt
@@ -260,9 +260,9 @@ func (e *Env) DialTCP(raddr netip.AddrPort) (netapi.Conn, error) {
 	}
 	c.Close()
 	if errors.Is(err, netapi.ErrTimeout) {
-		return nil, fmt.Errorf("realnet: connect %v: %w", raddr, err)
+		return nil, errs.Wrap("realnet: connect "+raddr.String()+": "+err.Error(), err)
 	}
-	return nil, fmt.Errorf("%w: connect %v: %v", netapi.ErrRefused, raddr, err)
+	return nil, errs.Wrap(netapi.ErrRefused.Error()+": connect "+raddr.String()+": "+err.Error(), netapi.ErrRefused)
 }
 
 // ListenTCP implements netapi.Env.

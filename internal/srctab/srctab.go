@@ -11,8 +11,8 @@
 package srctab
 
 import (
-	"fmt"
 	"hash/maphash"
+	"strconv"
 )
 
 // Key is a source's identity: netip.Addr.As16, the same bytes a cookie is
@@ -77,7 +77,7 @@ type Table[V any] struct {
 // if capacity is over MaxCap: a caller that would be clamped must say so.
 func New[V any](capacity int, order Order) *Table[V] {
 	if capacity > MaxCap {
-		panic(fmt.Sprintf("srctab: capacity %d over MaxCap %d", capacity, MaxCap))
+		panic("srctab: capacity " + strconv.Itoa(capacity) + " over MaxCap " + strconv.Itoa(MaxCap))
 	}
 	capacity = max(capacity, 1)
 	slots := 2

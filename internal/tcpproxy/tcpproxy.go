@@ -13,13 +13,13 @@ package tcpproxy
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/errs"
 	"dnsguard/internal/metrics"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/ratelimit"
@@ -144,7 +144,7 @@ func New(cfg Config) (*Proxy, error) {
 func (p *Proxy) Start() error {
 	l, err := p.cfg.Env.ListenTCP(p.cfg.Listen)
 	if err != nil {
-		return fmt.Errorf("tcpproxy: listen %v: %w", p.cfg.Listen, err)
+		return errs.Wrap("tcpproxy: listen "+p.cfg.Listen.String()+": "+err.Error(), err)
 	}
 	p.listener = l
 	p.cfg.Env.Go("tcpproxy-accept", p.acceptLoop)
