@@ -26,8 +26,9 @@
 // -keyring-reload polls the file and adopts newer epochs.
 //
 // With -shards N > 1 the guard runs N dataplane workers, each fed by its own
-// SO_REUSEPORT socket on the public address (kernel-hashed per flow) on
-// Linux amd64/arm64; elsewhere one socket's reader feeds all N. -batch M
+// SO_REUSEPORT socket on the public address (kernel-hashed per flow); a
+// platform without SO_REUSEPORT (anything but Linux amd64/arm64) exits with
+// realnet.ErrNoReusePort. -batch M
 // lets each read and write syscall move up to M datagrams (recvmmsg/sendmmsg
 // on Linux amd64/arm64, a read loop elsewhere); -batch 1 is the same loop
 // taking one datagram per read.
@@ -99,7 +100,7 @@ func (o *options) flags() flagSet {
 	fs.add("overload-policy", &o.overload, "drop", "when a shard trips, or every upstream's breaker is open (breakers run only with -ans-fallback): drop (fail-closed) or pass (fail-open)")
 	fs.add("proxy", &o.withProxy, "true", "run the TCP proxy for redirected/truncated requesters")
 	fs.add("scheme", &o.schemeName, "dns", "fallback scheme for cookie-less requesters: dns or tcp")
-	fs.add("shards", &o.shards, "1", "dataplane worker shards (each with its own SO_REUSEPORT socket where the platform has them)")
+	fs.add("shards", &o.shards, "1", "dataplane worker shards, each with its own SO_REUSEPORT socket (more than 1 needs SO_REUSEPORT)")
 	fs.add("state-file", &o.stateFile, "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	fs.add("stats", &o.statsEvery, "10s", "stats reporting interval (0 = off)")
 	fs.add("threshold", &o.threshold, "0", "activation threshold in req/s (0 = always on)")
@@ -200,9 +201,9 @@ func run() error {
 		trip = engine.TripPass
 	}
 
-	// One SO_REUSEPORT socket per shard where the environment can bind them,
-	// each read by its own shard; one socket otherwise, whose reader fans out
-	// to the shards.
+	// One SO_REUSEPORT socket per shard, each read by its own shard; where
+	// the platform cannot steer a flow to one of several sockets, more than
+	// one shard is refused.
 	caps := netapi.Capabilities(env)
 	if caps.ListenUDPReuse == nil {
 		return errors.New("environment cannot bind sharded sockets")
@@ -239,13 +240,9 @@ func run() error {
 	if err := g.Start(); err != nil {
 		return err
 	}
-	ingest := "fan-out"
-	if g.Engine().Direct() {
-		ingest = "direct"
-	}
 	say("guarding zone " + string(apex) + " on " + conns[0].LocalAddr().String() + " → ANS " + ans.String() +
 		" (scheme " + scheme.String() + ", threshold " + strconv.FormatFloat(o.threshold, 'f', 0, 64) +
-		", shards " + strconv.Itoa(nShards) + ", batch " + strconv.Itoa(max(o.batch, 1)) + ", ingest " + ingest + ")")
+		", shards " + strconv.Itoa(nShards) + ", batch " + strconv.Itoa(max(o.batch, 1)) + ")")
 
 	var proxy *tcpproxy.Proxy
 	if o.withProxy {
@@ -273,7 +270,7 @@ func run() error {
 	if o.metricsAddr != "" {
 		// The metrics listener doubles as the health endpoint: /healthz is
 		// process liveness, /readyz the catchment-readmission gate (guard
-		// lifecycle serving, ingress backlog under threshold).
+		// lifecycle serving, keyring epoch current).
 		metrics.RuntimeInto(reg)
 		l, err := metrics.ServeHealth(o.metricsAddr, reg,
 			g.Healthz,

@@ -153,7 +153,7 @@ func TestMetricsSmoke(t *testing.T) {
 		"guard_remote_received", "guard_remote_cookie_valid", "guard_remote_upstream_spoofed",
 		"guard_remote_rl1_dropped", "tcpproxy_accepted", "guard_remote_pending",
 		"guard_engine_shards", "guard_engine_handled", "guard_engine_shed_new",
-		"guard_engine_queue_depth", "guard_engine_shard1_handled",
+		"guard_engine_shard1_shed_new", "guard_engine_shard1_handled",
 		"guard_mitigation_layer", "guard_mitigation_escalations",
 	} {
 		if _, ok := series[name]; !ok {
@@ -309,8 +309,8 @@ func TestIdleShardsSleep(t *testing.T) {
 	guard := start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com",
 		"-shards", "2", "-stats", "0")
 	guard.await(t, guardBanner)
-	if !strings.Contains(guard.output(), "shards 2, batch 1, ingest direct)") {
-		t.Fatalf("two SO_REUSEPORT sockets for two shards are not read directly; output:\n%s", guard.output())
+	if !strings.Contains(guard.output(), "shards 2, batch 1)") {
+		t.Fatalf("the banner names no two shards; output:\n%s", guard.output())
 	}
 	time.Sleep(200 * time.Millisecond) // start-up settles: the proxy binds, the runtime parks its threads
 	before := ctxtSwitches(t, guard.cmd.Process.Pid)

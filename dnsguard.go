@@ -62,11 +62,10 @@ type Env = netapi.Env
 // system's network stack.
 func NewEnv() Env { return realnet.New() }
 
-// Caps describes the optional capabilities of an Env: queue construction,
-// SO_REUSEPORT-style sharded binds, cooperative scheduling, and native batch
-// datagram I/O. Every field is usable as returned — optional interfaces are
-// replaced by portable fallbacks where they exist, and nil only where no
-// fallback is possible (see the netapi capability matrix).
+// Caps describes the optional capabilities of an Env: SO_REUSEPORT-style
+// sharded binds (nil where the Env has none; a simulated host splits its
+// capture with OpenTaps instead) and cooperative scheduling (see the netapi
+// capability matrix).
 type Caps = netapi.Caps
 
 // Capabilities inspects env once and returns its capability set; call it

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,32 +26,27 @@ func newFakeIOs(n, buf int) ([]PacketIO, []*fakeIO) {
 	return ios, raw
 }
 
-// A direct shard's identity is the delivering socket, not the source hash: a
-// packet fed to socket k must be handled by shard k even when ShardOf(src)
-// disagrees, with no queue hop.
+// A shard's identity is the delivering socket: a packet fed to socket k is
+// handled by shard k, with no queue hop, whatever its source.
 func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	ios, raw := newFakeIOs(4, 16)
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        ios,
-		Shards:     4,
 		NewHandler: rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Direct() {
-		t.Fatal("one IO per shard must be read directly")
-	}
 	e.Start()
 	defer e.Close()
 
-	// Deliver each source to the socket that *disagrees* with its hash.
+	// Deliver each source to a socket no hash of it would pick.
 	sent := make(map[netip.Addr]int)
 	for i := 0; i < 32; i++ {
 		src := srcAP(i)
-		socket := (e.ShardOf(src.Addr()) + 1) % 4
+		socket := (i*3 + 1) % 4
 		sent[src.Addr()] = socket
 		raw[socket].ch <- Packet{Src: src, Payload: []byte{1}}
 	}
@@ -62,16 +57,15 @@ func TestAffineShardIsDeliveringSocket(t *testing.T) {
 	for addr, socket := range sent {
 		got := rg.bySrc[addr]
 		if len(got) != 1 || got[0] != socket {
-			t.Errorf("src %v delivered to socket %d handled by shards %v (hash says %d)",
-				addr, socket, got, e.ShardOf(addr))
+			t.Errorf("src %v delivered to socket %d handled by shards %v", addr, socket, got)
 		}
 	}
 	var handled uint64
 	for i := 0; i < 4; i++ {
 		st := e.Stats(i)
 		handled += st.Handled
-		if st.Enqueued != 0 || st.ShedNew != 0 {
-			t.Errorf("shard %d has queue-path counts %+v on a direct engine", i, st)
+		if st.ShedNew != 0 {
+			t.Errorf("shard %d sheds %d from an interface that counts no drops", i, st.ShedNew)
 		}
 	}
 	if handled != 32 {
@@ -107,14 +101,10 @@ func TestDirectShardBlocksWhenIdle(t *testing.T) {
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        []PacketIO{ios[0], ios[1]},
-		Shards:     2,
 		NewHandler: rg.newHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.Direct() {
-		t.Fatal("one IO per shard must be read directly")
 	}
 	e.Start()
 	defer e.Close()
@@ -129,62 +119,42 @@ func TestDirectShardBlocksWhenIdle(t *testing.T) {
 	}
 }
 
-// The topology is a function of two counts: direct with one interface per
-// shard, fan-out from exactly one reader with one interface for several
-// shards, and an error for any other shape.
+// The topology is a function of one count: a shard and its loop per
+// interface, a lone one named as the pre-engine capture proc, and no
+// interface at all an error.
 func TestTopologyRule(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	env := &procCountEnv{Env: realnet.New()}
-	for _, c := range []struct {
-		ios, shards int
-		direct, ok  bool
-	}{
-		{1, 0, true, true},
-		{1, 1, true, true},
-		{2, 2, true, true},
-		{1, 2, false, true},
-		{1, 8, false, true},
-		{3, 2, false, false},
-		{2, 1, false, false},
-		{2, 4, false, false},
-	} {
-		name := fmt.Sprintf("%d IOs, %d shards", c.ios, c.shards)
-		ios, _ := newFakeIOs(c.ios, 4)
-		e, err := New(Config{Env: env, IOs: ios, Shards: c.shards, NewHandler: rg.newHandler})
-		if !c.ok {
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d interfaces for %d shards", c.ios, c.shards)) {
-				t.Errorf("%s: New error = %v, want one naming both counts", name, err)
-			}
-			continue
-		}
+	if _, err := New(Config{Env: env, NewHandler: rg.newHandler}); err == nil {
+		t.Error("New accepted no interface")
+	}
+	for n := 1; n <= 3; n++ {
+		ios, _ := newFakeIOs(n, 4)
+		e, err := New(Config{Env: env, IOs: ios, NewHandler: rg.newHandler})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%d IOs: %v", n, err)
 		}
-		if e.Direct() != c.direct {
-			t.Errorf("%s: direct = %v, want %v", name, e.Direct(), c.direct)
+		if e.Shards() != n {
+			t.Errorf("%d IOs: %d shards", n, e.Shards())
 		}
-		for i := 0; i < e.Shards(); i++ {
-			if hasQueue := e.shards[i].queue != nil; hasQueue == c.direct {
-				t.Errorf("%s: shard %d queue present = %v", name, i, hasQueue)
+		for i := 0; i < n; i++ {
+			if e.IO(i) != ios[i] {
+				t.Errorf("%d IOs: shard %d reads another interface", n, i)
 			}
 		}
 		env.names = nil
 		e.Start()
 		e.Close()
-		readers, workers := 0, 0
-		for _, n := range env.names {
-			if strings.Contains(n, "-worker-") {
-				workers++
-			} else {
-				readers++
+		want := []string{"guard-capture"}
+		if n > 1 {
+			want = nil
+			for i := 0; i < n; i++ {
+				want = append(want, fmt.Sprintf("guard-shard-%d", i))
 			}
 		}
-		wantWorkers := 0
-		if !c.direct {
-			wantWorkers = e.Shards()
-		}
-		if readers != c.ios || workers != wantWorkers {
-			t.Errorf("%s: procs %v, want %d reading and %d workers", name, env.names, c.ios, wantWorkers)
+		slices.Sort(env.names)
+		if !slices.Equal(env.names, want) {
+			t.Errorf("%d IOs: procs %v, want %v", n, env.names, want)
 		}
 	}
 }
@@ -214,7 +184,6 @@ func TestAffineTorture(t *testing.T) {
 	e, err := New(Config{
 		Env:        realnet.New(),
 		IOs:        ios,
-		Shards:     shards,
 		NewHandler: rg.newHandler,
 		Observer:   panicOnPoison,
 		Supervisor: SupervisorConfig{Enabled: true},

@@ -63,28 +63,24 @@ func (f *floodIO) Close() error {
 	return nil
 }
 
-// TestCloseUnderBatchIngest closes the engine while the batch reader is
-// mid-slab and shard queues are full of pooled groups. Run under -race this
-// pins the shutdown ownership contract the qbatch pool relies on: a
-// group a closed queue refused must be recycled exactly once, never handed
-// to a worker afterwards, and Close must join every proc instead of racing
-// their final pool puts.
+// TestCloseUnderBatchIngest closes a four-shard engine while every shard
+// is mid-slab in a flood. Run under -race this pins the shutdown contract:
+// Close joins every shard loop instead of racing its last dispatch, and once
+// it returns every packet a loop read was handled.
 func TestCloseUnderBatchIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
 		e, err := New(Config{
 			Env:        realnet.New(),
-			IOs:        []PacketIO{newFloodIO()},
-			Shards:     4,
+			IOs:        []PacketIO{newFloodIO(), newFloodIO(), newFloodIO(), newFloodIO()},
 			Batch:      8,
-			QueueDepth: 16,
 			NewHandler: rg.newHandler,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.Start()
-		// Let the flood saturate the queues, then tear down mid-stream.
+		// Let the flood reach the handlers, then tear down mid-stream.
 		deadline := time.Now().Add(time.Second)
 		for rg.count.Load() < 256 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
@@ -94,38 +90,30 @@ func TestCloseUnderBatchIngest(t *testing.T) {
 		}
 		e.Close()
 
-		// Workers empty a closed queue before they exit, so once Close has
-		// joined them every enqueued packet was handled: a refused group that
-		// was also counted Enqueued would break this.
-		var enq, handled uint64
+		var handled uint64
 		for i := 0; i < e.Shards(); i++ {
-			st := e.Stats(i)
-			enq += st.Enqueued
-			handled += st.Handled
+			handled += e.Stats(i).Handled
 		}
-		if handled != enq {
-			t.Fatalf("iter %d: enqueued %d, handled %d — packets vanished at shutdown", iter, enq, handled)
+		if read := e.Ingest().Packets; handled != read || rg.count.Load() != read {
+			t.Fatalf("iter %d: read %d, counted %d handled, handlers saw %d — packets vanished at shutdown",
+				iter, read, handled, rg.count.Load())
 		}
 	}
 }
 
-// TestCloseUnderAffineIngest is the same teardown storm on the direct
-// topology: per-shard read loops, closed mid-flood.
+// TestCloseUnderAffineIngest is the same teardown storm on two shards, each
+// loop on its own interface, closed mid-flood.
 func TestCloseUnderAffineIngest(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		rg := &rig{bySrc: make(map[netip.Addr][]int)}
 		e, err := New(Config{
 			Env:        realnet.New(),
 			IOs:        []PacketIO{newFloodIO(), newFloodIO()},
-			Shards:     2,
 			Batch:      8,
 			NewHandler: rg.newHandler,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !e.Direct() {
-			t.Fatal("one IO per shard must be read directly")
 		}
 		e.Start()
 		deadline := time.Now().Add(time.Second)

@@ -8,7 +8,7 @@ import (
 )
 
 // These benchmarks isolate the false-sharing fix behind the per-shard
-// counter restructuring: ShardStats is 40 bytes, so a packed []ShardStats
+// counter restructuring: IngestStats is 16 bytes, so a packed []IngestStats
 // puts shard 0's and shard 1's hot counters on the same 64-byte cache line,
 // and two workers incrementing "their own" counters ping-pong that line
 // between cores. The padded layout mirrors the engine's shardState — each
@@ -29,8 +29,8 @@ const benchCounterShards = 2
 // benchPaddedShard mirrors shardState's counter layout: hot atomics at the
 // struct head, a cache line of tail padding, one heap allocation per shard.
 type benchPaddedShard struct {
-	stats ShardStats
-	_     [64]byte
+	ingest IngestStats
+	_      [64]byte
 }
 
 func benchHammer(b *testing.B, counter func(shard int) *uint64) {
@@ -55,10 +55,10 @@ func benchHammer(b *testing.B, counter func(shard int) *uint64) {
 }
 
 // BenchmarkShardCounterPacked is the pre-rewrite layout: one contiguous
-// slice of ShardStats, adjacent shards sharing cache lines.
+// slice of IngestStats, adjacent shards sharing cache lines.
 func BenchmarkShardCounterPacked(b *testing.B) {
-	stats := make([]ShardStats, benchCounterShards)
-	benchHammer(b, func(shard int) *uint64 { return &stats[shard].Handled })
+	stats := make([]IngestStats, benchCounterShards)
+	benchHammer(b, func(shard int) *uint64 { return &stats[shard].Packets })
 }
 
 // BenchmarkShardCounterPadded is the engine's current layout: per-shard
@@ -68,5 +68,5 @@ func BenchmarkShardCounterPadded(b *testing.B) {
 	for i := range shards {
 		shards[i] = &benchPaddedShard{}
 	}
-	benchHammer(b, func(shard int) *uint64 { return &shards[shard].stats.Handled })
+	benchHammer(b, func(shard int) *uint64 { return &shards[shard].ingest.Packets })
 }

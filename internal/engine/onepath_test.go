@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netsim"
 	"dnsguard/internal/realnet"
+	"dnsguard/internal/vclock"
 )
 
 // scriptIO delivers a fixed packet sequence and then blocks until closed.
@@ -67,17 +69,51 @@ func (r readOnlyIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
 }
 func (r readOnlyIO) Close() error { return r.s.Close() }
 
-// topologies is one set of interfaces per arrangement of loops; the engine
-// picks the arrangement from the counts.
+// topologies are the ways a test hands packets to interfaces, a shard per
+// interface: all to one, round robin over two (one source can reach both),
+// and over three by a netsim host's source hash (Host.TapOf), as its taps
+// would get them.
 var topologies = []struct {
-	name   string
-	shards int
-	ios    int
-	direct bool
+	name string
+	ios  int
+	// steer picks the interface of the seq-th packet, from src.
+	steer func(seq int, src netip.Addr) int
 }{
-	{"inline", 1, 1, true}, // direct: the one shard loop on the one interface
-	{"affine", 2, 2, true}, // direct: a shard loop per interface
-	{"hash", 3, 1, false},  // fan-out: one reader loop, a worker loop per shard
+	{"inline", 1, func(int, netip.Addr) int { return 0 }},
+	{"affine", 2, func(seq int, _ netip.Addr) int { return seq % 2 }},
+	{"hash", 3, func(_ int, src netip.Addr) int { return tapHash.TapOf(src) }},
+}
+
+// tapHash is a host with three taps: TapOf is the simulator's steering.
+var tapHash = func() *netsim.Host {
+	h := netsim.New(vclock.New(1), 0).AddHost("steer", netip.MustParseAddr("10.255.0.1"))
+	if _, err := h.OpenTaps(3); err != nil {
+		panic(err)
+	}
+	return h
+}()
+
+// deal hands pkts to m.ios scripts as m steers them.
+func deal(m int, pkts []Packet) [][]Packet {
+	scripts := make([][]Packet, topologies[m].ios)
+	for i, p := range pkts {
+		k := topologies[m].steer(i, p.Src.Addr())
+		scripts[k] = append(scripts[k], p)
+	}
+	return scripts
+}
+
+// srcOn is the k-th of the sources that topology m steers to interface io
+// when each is its packet's only sequence number.
+func srcOn(m, io, k int) netip.AddrPort {
+	for i := 0; ; i++ {
+		if src := srcAP(i); topologies[m].steer(io, src.Addr()) == io {
+			if k == 0 {
+				return src
+			}
+			k--
+		}
+	}
 }
 
 // orderHandler appends each handled packet's sequence number (its payload
@@ -94,10 +130,8 @@ func (h orderHandler) HandlePacket(pkt Packet) {
 
 // One scripted sequence through a Read-only interface and through a
 // BatchReader at slab sizes 1 and 8 must reach the handlers in the same
-// per-shard order with the same shard counters, direct and fanned out: the
-// slab size changes how many datagrams a read returns and nothing else.
-// Every source is unverified, so the fan-out's (shard, class) grouping cannot
-// reorder packets of different classes within a read.
+// per-shard order with the same shard counters, in every topology: the slab
+// size changes how many datagrams a read returns and nothing else.
 func TestOnePathDifferential(t *testing.T) {
 	const total = 96
 	variants := []struct {
@@ -114,14 +148,18 @@ func TestOnePathDifferential(t *testing.T) {
 		order [][]byte
 		stats []ShardStats
 	}
-	for _, m := range topologies {
+	for mi, m := range topologies {
 		t.Run(m.name, func(t *testing.T) {
 			var ref outcome
 			for vi, v := range variants {
-				scripts := make([][]Packet, m.ios)
-				for i := 0; i < total; i++ {
-					scripts[i%m.ios] = append(scripts[i%m.ios],
-						Packet{Src: srcAP(i % 17), Payload: []byte{byte(i)}})
+				pkts := make([]Packet, total)
+				for i := range pkts {
+					pkts[i] = Packet{Src: srcAP(i % 17), Payload: []byte{byte(i)}}
+				}
+				scripts := deal(mi, pkts)
+				fullSlabs := 0
+				for _, sc := range scripts {
+					fullSlabs += (len(sc) + 7) / 8
 				}
 				ios := make([]PacketIO, m.ios)
 				for i := range ios {
@@ -131,21 +169,16 @@ func TestOnePathDifferential(t *testing.T) {
 						ios[i] = s
 					}
 				}
-				order := make([][]byte, m.shards)
+				order := make([][]byte, m.ios)
 				var count atomic.Uint64
 				e, err := New(Config{
 					Env:        realnet.New(),
 					IOs:        ios,
-					Shards:     m.shards,
 					Batch:      v.batch,
-					HashSeed:   7,
 					NewHandler: func(i int) Handler { return orderHandler{&order[i], &count} },
 				})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if e.Direct() != m.direct {
-					t.Fatalf("%s: direct = %v", v.name, e.Direct())
 				}
 				e.Start()
 				waitCount(t, &count, total)
@@ -158,7 +191,7 @@ func TestOnePathDifferential(t *testing.T) {
 				if (v.readOnly || v.batch == 1) && ing.Reads != ing.Packets {
 					t.Errorf("%s: %d reads for %d packets, want one datagram per read", v.name, ing.Reads, ing.Packets)
 				}
-				if !v.readOnly && v.batch == 8 && ing.Reads != uint64(m.ios*(total/m.ios/8)) {
+				if !v.readOnly && v.batch == 8 && ing.Reads != uint64(fullSlabs) {
 					t.Errorf("%s: %d reads, want full slabs", v.name, ing.Reads)
 				}
 				got := outcome{order, e.StatsAll()}
@@ -232,11 +265,11 @@ type resettableBracket struct{ *bracketHandler }
 
 func (r resettableBracket) ResetShard() { r.resets++ }
 
-// Every HandlePacket runs inside a bracket — packets off the socket, queue
-// groups — and a supervised restart in the middle of a slab keeps it so: the
-// shard keeps its handler, reset in place if it is a Resetter.
+// Every HandlePacket runs inside a bracket, and a supervised restart in the
+// middle of a slab keeps it so: the shard keeps its handler, reset in place
+// if it is a Resetter.
 func TestBatchBracketContract(t *testing.T) {
-	for _, m := range topologies {
+	for mi, m := range topologies {
 		for _, resetter := range []bool{false, true} {
 			for _, batch := range []int{1, 8} {
 				name := fmt.Sprintf("%s/resetter=%v/batch=%d", m.name, resetter, batch)
@@ -250,7 +283,7 @@ func TestBatchBracketContract(t *testing.T) {
 					for i := range ios {
 						var script []Packet
 						for k := 0; k < perIO; k++ {
-							p := Packet{Src: srcAP(k % 9), Dst: srcAP(0), Payload: []byte{byte(k)}}
+							p := Packet{Src: srcOn(mi, i, k%9), Dst: srcAP(0), Payload: []byte{byte(k)}}
 							if poisoned[k] {
 								p.Payload = poison
 							} else {
@@ -264,7 +297,6 @@ func TestBatchBracketContract(t *testing.T) {
 					e, err := New(Config{
 						Env:        realnet.New(),
 						IOs:        ios,
-						Shards:     m.shards,
 						Batch:      batch,
 						NewHandler: rg.newHandler(resetter),
 						Observer:   panicOnPoison,
@@ -284,8 +316,8 @@ func TestBatchBracketContract(t *testing.T) {
 					if want := uint64(3 * m.ios); restarts != want {
 						t.Errorf("%d restarts, want %d", restarts, want)
 					}
-					if len(rg.all) != m.shards {
-						t.Errorf("%d handlers constructed for %d shards", len(rg.all), m.shards)
+					if len(rg.all) != m.ios {
+						t.Errorf("%d handlers constructed for %d shards", len(rg.all), m.ios)
 					}
 					resets := 0
 					for _, h := range rg.all {

@@ -44,11 +44,10 @@ func waitSup(t *testing.T, e *Engine, ok func(SupervisionStats) bool) {
 func TestSupervisorPanicIsolatesShard(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	var newCalls atomic.Uint64
-	io := newFakeIO(64)
+	ios, raw := newFakeIOs(4, 64)
 	e, err := New(Config{
-		Env:    realnet.New(),
-		IOs:    []PacketIO{io},
-		Shards: 4,
+		Env: realnet.New(),
+		IOs: ios,
 		NewHandler: func(shard int) Handler {
 			newCalls.Add(1)
 			return rg.newHandler(shard)
@@ -62,22 +61,19 @@ func TestSupervisorPanicIsolatesShard(t *testing.T) {
 	e.Start()
 	defer e.Close()
 
-	// Pick two sources on different shards.
-	victim := srcAP(1)
-	other := victim
-	for i := 2; e.ShardOf(other.Addr()) == e.ShardOf(victim.Addr()); i++ {
-		other = srcAP(i)
-	}
+	// Two sources on different shards: the victim's socket is shard 1's.
+	victim, other := srcAP(1), srcAP(2)
+	const victimShard = 1
 
-	io.ch <- Packet{Src: victim, Dst: srcAP(100), Payload: poison}
+	raw[victimShard].ch <- Packet{Src: victim, Dst: srcAP(100), Payload: poison}
 	waitSup(t, e, func(s SupervisionStats) bool { return s.ShardRestarts == 1 })
 
 	// Both shards — including the restarted one — keep serving.
-	io.ch <- Packet{Src: victim, Payload: []byte{1}}
-	io.ch <- Packet{Src: other, Payload: []byte{2}}
+	raw[victimShard].ch <- Packet{Src: victim, Payload: []byte{1}}
+	raw[2].ch <- Packet{Src: other, Payload: []byte{2}}
 	waitCount(t, &rg.count, 2)
 
-	if e.ShardTripped(e.ShardOf(victim.Addr())) {
+	if e.ShardTripped(victimShard) {
 		t.Fatal("one panic tripped the shard")
 	}
 	// A restart keeps the shard's handler: one construction per shard.
@@ -90,8 +86,8 @@ func TestSupervisorPanicIsolatesShard(t *testing.T) {
 		t.Fatalf("quarantine holds %d packets, want 1", len(q))
 	}
 	qp := q[0]
-	if qp.Shard != e.ShardOf(victim.Addr()) || qp.Src != victim {
-		t.Fatalf("quarantined %+v, want shard %d src %v", qp, e.ShardOf(victim.Addr()), victim)
+	if qp.Shard != victimShard || qp.Src != victim {
+		t.Fatalf("quarantined %+v, want shard %d src %v", qp, victimShard, victim)
 	}
 	if !strings.Contains(qp.PanicValue, "poison") {
 		t.Fatalf("panic value %q missing cause", qp.PanicValue)
@@ -252,18 +248,17 @@ func TestCloseJoinsProcsNoGoroutineLeak(t *testing.T) {
 	rg := &rig{bySrc: make(map[netip.Addr][]int)}
 	before := runtime.NumGoroutine()
 	for iter := 0; iter < 10; iter++ {
-		io := newFakeIO(8)
+		ios, raw := newFakeIOs(4, 8)
 		e, err := New(Config{
 			Env:        realnet.New(),
-			IOs:        []PacketIO{io},
-			Shards:     4,
+			IOs:        ios,
 			NewHandler: rg.newHandler,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.Start()
-		io.ch <- Packet{Src: srcAP(iter), Payload: []byte{1}}
+		raw[iter%4].ch <- Packet{Src: srcAP(iter), Payload: []byte{1}}
 		e.Close()
 	}
 	// Close returns after wg.Wait, but the goroutines' final teardown can
@@ -306,8 +301,7 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	env := &freezableEnv{Env: realnet.New()}
 	e, err := New(Config{
 		Env:         env,
-		IOs:         []PacketIO{newFakeIO(1)},
-		Shards:      2,
+		IOs:         []PacketIO{newFakeIO(1), newFakeIO(1)},
 		FastPathTTL: 50 * time.Microsecond, // expire constantly mid-race
 		NewHandler:  rg.newHandler,
 	})
@@ -329,11 +323,11 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 				a := addrs[(g+i)%len(addrs)]
 				switch i % 3 {
 				case 0:
-					e.MarkVerifiedOn(e.ShardOf(a), a, "cred")
+					e.MarkVerifiedOn(shardOf(a, 2), a, "cred")
 				case 1:
-					e.VerifiedCredOn(e.ShardOf(a), a) // expiry path deletes in place
+					e.VerifiedCredOn(shardOf(a, 2), a) // expiry path deletes in place
 				default:
-					e.shards[e.ShardOf(a)].verified.size()
+					e.shards[shardOf(a, 2)].verified.size()
 				}
 			}
 		}(g)
@@ -343,8 +337,8 @@ func TestVerifiedCacheExpiryRacesPromotion(t *testing.T) {
 	// The clock is stopped so the 50 µs TTL cannot lapse between the two
 	// calls when the scheduler preempts this goroutine.
 	env.freeze()
-	e.MarkVerifiedOn(e.ShardOf(addrs[0]), addrs[0], "final")
-	if cred, ok := e.VerifiedCredOn(e.ShardOf(addrs[0]), addrs[0]); !ok || cred != "final" {
+	e.MarkVerifiedOn(shardOf(addrs[0], 2), addrs[0], "final")
+	if cred, ok := e.VerifiedCredOn(shardOf(addrs[0], 2), addrs[0]); !ok || cred != "final" {
 		t.Fatalf("VerifiedCred = (%q, %v) after race storm", cred, ok)
 	}
 }

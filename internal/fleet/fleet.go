@@ -23,7 +23,7 @@ type Config struct {
 	// Sites is the number of guard instances, of equal catchment capacity.
 	// Required (>= 1).
 	Sites int
-	// Seed keys the catchment hash and the per-guard shard hash.
+	// Seed keys the catchment hash.
 	Seed uint64
 	// PublicAddr is the anycast service address every site answers for.
 	// Required.
@@ -207,16 +207,14 @@ func (f *Fleet) newGuard(i int, auth *cookie.Authenticator) (*guard.Remote, erro
 		return nil, err
 	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
-		Env:           host,
-		IOs:           []guard.PacketIO{siteTap},
-		Shards:        1, // inline per site: the fleet's parallelism is across sites
-		Auth:          auth,
-		ShardHashSeed: splitmix(f.cfg.Seed ^ uint64(i+1)*0x9E3779B97F4A7C15),
-		PublicAddr:    f.cfg.PublicAddr,
-		ANSAddr:       f.cfg.ANSAddr,
-		Zone:          f.cfg.Zone,
-		Subnet:        f.cfg.Subnet,
-		Fallback:      guard.SchemeDNS,
+		Env:        host,
+		IOs:        []guard.PacketIO{siteTap}, // one shard a site: the fleet's parallelism is across sites
+		Auth:       auth,
+		PublicAddr: f.cfg.PublicAddr,
+		ANSAddr:    f.cfg.ANSAddr,
+		Zone:       f.cfg.Zone,
+		Subnet:     f.cfg.Subnet,
+		Fallback:   guard.SchemeDNS,
 	})
 	if err != nil {
 		return nil, err

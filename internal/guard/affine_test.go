@@ -80,12 +80,12 @@ func echoANS(t *testing.T, env *realnet.Env) netapi.UDPConn {
 }
 
 // TestAffineGuardShardExplicitFastPath pins where a verified source is
-// checked and charged: on a direct engine a source's owning shard is the
-// delivering socket's, which can disagree with the engine's source hash. The
-// handler runs the MAC and charges its own shard's Rate-Limiter2 — charging
-// by source hash would put the bucket where the owning worker never reads,
-// silently lifting the per-source limit in exactly the deployment
-// (per-shard SO_REUSEPORT sockets) the sharded dataplane exists for.
+// checked and charged: a source's owning shard is the delivering socket's.
+// The handler runs the MAC and charges its own shard's Rate-Limiter2 —
+// charging any other shard's would put the bucket where the owning worker
+// never reads, silently lifting the per-source limit in exactly the
+// deployment (per-shard SO_REUSEPORT sockets) the sharded dataplane exists
+// for.
 func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	env := realnet.New()
 	ansConn := echoANS(t, env)
@@ -108,15 +108,10 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	eng := g.Engine()
-	if !eng.Direct() {
-		t.Fatal("two sockets for two shards must be read directly")
-	}
 
-	// A source whose hash shard disagrees with its delivering socket.
+	// The source arrives on socket 1; shard 0 must never see it.
 	src := netip.AddrPortFrom(netip.MustParseAddr("203.0.113.77"), 5353)
-	hashShard := eng.ShardOf(src.Addr())
-	socket := 1 - hashShard
+	const socket, otherShard = 1, 0
 
 	fab, err := FabricateNSName(cookie.NSCodec{}, g.cfg.Auth.Mint(src.Addr()), dnswire.MustName("www.foo.com"))
 	if err != nil {
@@ -145,14 +140,13 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	ios[socket].ch <- query(1)
 	waitStat("ForwardedToANS", &g.Stats.ForwardedToANS, 1)
 
-	// The bucket must live in the delivering shard's limiter, and only there
-	// — presence in the hash shard would mean the handler charged through
-	// the source-hashing legacy path.
+	// The bucket must live in the delivering shard's limiter, and only
+	// there.
 	if n := g.shards[socket].rl2.Sources(); n != 1 {
 		t.Errorf("owning shard %d's Rate-Limiter2 holds %d sources, want 1", socket, n)
 	}
-	if n := g.shards[hashShard].rl2.Sources(); n != 0 {
-		t.Errorf("the source leaked into hash shard %d's Rate-Limiter2", hashShard)
+	if n := g.shards[otherShard].rl2.Sources(); n != 0 {
+		t.Errorf("the source leaked into shard %d's Rate-Limiter2", otherShard)
 	}
 
 	// The second query over the same socket pays its own MAC there.
@@ -161,8 +155,8 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	if n := atomic.LoadUint64(&g.shards[socket].work.Checks); n != 2 {
 		t.Errorf("owning shard %d ran %d MACs, want 2", socket, n)
 	}
-	if n := atomic.LoadUint64(&g.shards[hashShard].work.Checks); n != 0 {
-		t.Errorf("hash shard %d ran %d MACs, want 0", hashShard, n)
+	if n := atomic.LoadUint64(&g.shards[otherShard].work.Checks); n != 0 {
+		t.Errorf("shard %d ran %d MACs, want 0", otherShard, n)
 	}
 }
 
@@ -224,86 +218,5 @@ func TestDirectShardRepliesThroughItsSocket(t *testing.T) {
 	}
 	if got := ios[1].sentTo(); len(got) != 2 || got[0] != src || got[1] != src {
 		t.Errorf("interface 1 sent %v, want the grant and the answer to %v", got, src)
-	}
-}
-
-// TestFanOutGuardOverOneSocket is the arrangement a multi-shard guard gets
-// where sockets cannot be steered: one real socket, two shards. Its one
-// reader must hash every source onto one shard and keep it there, and every
-// query must still be answered.
-func TestFanOutGuardOverOneSocket(t *testing.T) {
-	env := realnet.New()
-	ansConn := echoANS(t, env)
-	sock, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	seen := make(map[netip.Addr]map[int]bool)
-	g, err := NewRemote(RemoteConfig{
-		Env:                 env,
-		IOs:                 []PacketIO{&SocketIO{Conn: sock}},
-		Shards:              2,
-		PublicAddr:          sock.LocalAddr(),
-		ANSAddr:             ansConn.LocalAddr(),
-		Zone:                dnswire.MustName("foo.com"),
-		Auth:                testAuth(),
-		ActivationThreshold: 1e6, // never active: every query is relayed
-		ShardHashSeed:       7,   // 127.0.0.1–8 land on both shards
-		observer: func(shard int, pkt Packet) {
-			mu.Lock()
-			defer mu.Unlock()
-			if seen[pkt.Src.Addr()] == nil {
-				seen[pkt.Src.Addr()] = make(map[int]bool)
-			}
-			seen[pkt.Src.Addr()][shard] = true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.Engine().Direct() {
-		t.Fatal("one socket for two shards must fan out")
-	}
-
-	wire, err := dnswire.NewQuery(1, dnswire.MustName("www.foo.com"), dnswire.TypeA).PackUDP(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := make(map[int]bool)
-	for i := 1; i <= 8; i++ {
-		addr := netip.AddrFrom4([4]byte{127, 0, 0, byte(i)})
-		c, err := env.ListenUDP(netip.AddrPortFrom(addr, 0))
-		if err != nil {
-			continue // a host whose loopback is 127.0.0.1 alone
-		}
-		defer c.Close()
-		covered[g.Engine().ShardOf(addr)] = true
-		for q := 0; q < 3; q++ {
-			if err := c.WriteTo(wire, sock.LocalAddr()); err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := c.ReadFrom(5 * time.Second)
-			if err != nil || len(b) < 3 || b[2]&0x80 == 0 {
-				t.Fatalf("source %v query %d: answer %x, err %v", addr, q, b, err)
-			}
-		}
-	}
-	if len(covered) < 2 {
-		t.Skip("this host binds too few loopback addresses to reach both shards")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for addr, shards := range seen {
-		if len(shards) != 1 || !shards[g.Engine().ShardOf(addr)] {
-			t.Errorf("source %v seen by shards %v, want only %d", addr, shards, g.Engine().ShardOf(addr))
-		}
-	}
-	if len(seen) < 2 {
-		t.Errorf("observer saw %d sources", len(seen))
 	}
 }

@@ -1,6 +1,6 @@
 // Per-shard batch bracket. The engine wraps every run of HandlePacket calls
-// in BeginBatch/EndBatch — a slab off the socket, a queue group, a handed-off
-// packet; one packet at Batch 1 — and the shard amortizes two hot-path costs
+// in BeginBatch/EndBatch — a slab off the socket or tap, one packet at
+// Batch 1 — and the shard amortizes two hot-path costs
 // over the bracket: the cookie keyring is snapshotted once, and the replies
 // its packets produce leave in one coalesced BatchWriter call.
 package guard

@@ -5,8 +5,12 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/metrics"
+	"dnsguard/internal/netsim"
+	"dnsguard/internal/vclock"
 )
 
 // TestGuardBatchedDataplane runs the guarded-root scenario at Batch 1 and 8 —
@@ -111,5 +115,61 @@ func TestEgressSlabHoldsABatch(t *testing.T) {
 	one, many := run(1), run(12)
 	if len(one) != 12 || fmt.Sprint(many) != fmt.Sprint(one) {
 		t.Errorf("a bracket of 12 flushed\n%v\none bracket each\n%v", many, one)
+	}
+}
+
+// TestTapDropsReachShedNew: overload stays visible. A burst of newcomers
+// arriving at one instant overflows a one-shard guard's tap of 8 slots; what
+// the tap tail-dropped is what guard_engine_shed_new reports and what the
+// mitigation sampler counts into its input rate, and it is what the host
+// says it dropped.
+func TestTapDropsReachShedNew(t *testing.T) {
+	sched := vclock.New(7)
+	network := netsim.New(sched, time.Millisecond)
+	host := network.AddHost("guard", mustAddr("10.99.0.1"))
+	host.ClaimAddr(mustAddr("198.41.0.4"))
+	host.SetQueueCap(8)
+	tap, err := host.OpenTap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewRemote(RemoteConfig{
+		Env:        host,
+		IOs:        []PacketIO{tap},
+		PublicAddr: mustAP("198.41.0.4:53"),
+		ANSAddr:    mustAP("10.99.0.2:53"),
+		Zone:       dnswire.Root,
+		Auth:       testAuth(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	g.MetricsInto(reg)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	attacker := network.AddHost("attacker", mustAddr("203.0.113.66"))
+	q := mustPack(t, dnswire.NewQuery(7, dnswire.MustName("www.foo.com"), dnswire.TypeA))
+	sched.Go("flood", func() {
+		for i := 0; i < 64; i++ {
+			src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{172, 16, 0, byte(i)}), 1234)
+			_ = attacker.SendRaw(src, mustAP("198.41.0.4:53"), q)
+		}
+		sched.Sleep(100 * time.Millisecond)
+		g.Close()
+	})
+	sched.Run(time.Second)
+
+	dropped := host.Stats.RecvDropped
+	shed, _ := reg.Get("guard_engine_shed_new")
+	if dropped == 0 || uint64(shed) != dropped {
+		t.Errorf("guard_engine_shed_new = %v, the host dropped %d: want equal and > 0", shed, dropped)
+	}
+	if got := g.shedNew(); got != dropped {
+		t.Errorf("the mitigation sampler counts %d shed, the host dropped %d", got, dropped)
+	}
+	if st := g.Stats.Load(); st.Received+dropped != 64 {
+		t.Errorf("received %d and shed %d of 64", st.Received, dropped)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netsim"
 	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
 )
@@ -1095,10 +1096,10 @@ func TestLimiterToggleAllocs(t *testing.T) {
 // TestStatsSnapshotsAllocateNothing: the mitigation loop reads the guard's
 // counters and every shard's tail-drops each interval, so an armed guard
 // that sees no traffic must not allocate for them. A snapshot is a copy on
-// the caller's stack.
+// the caller's stack, and a tap's drop count a load.
 func TestStatsSnapshotsAllocateNothing(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
-		cfg.Shards = 2
+		cfg.IOs = openTaps(t, cfg.Env.(*netsim.Host), 2)
 		cfg.Mitigation.Enabled = true
 	})
 	for _, c := range []struct {

@@ -58,17 +58,16 @@ func TestInlineDataplaneCounterGolden(t *testing.T) {
 	}
 
 	g, err := NewRemote(RemoteConfig{
-		Env:           guardHost,
-		IOs:           []PacketIO{tap},
-		Shards:        1,
-		Batch:         1,
-		ShardHashSeed: 1,
-		PublicAddr:    mustAP("192.0.2.1:53"),
-		ANSAddr:       mustAP("10.99.0.2:53"),
-		Zone:          dnswire.MustName("foo.com"),
-		Subnet:        netip.MustParsePrefix("192.0.2.0/24"),
-		Fallback:      SchemeDNS,
-		Auth:          testAuth(),
+		Env:        guardHost,
+		IOs:        []PacketIO{tap},
+		Shards:     1,
+		Batch:      1,
+		PublicAddr: mustAP("192.0.2.1:53"),
+		ANSAddr:    mustAP("10.99.0.2:53"),
+		Zone:       dnswire.MustName("foo.com"),
+		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
+		Fallback:   SchemeDNS,
+		Auth:       testAuth(),
 	})
 	if err != nil {
 		t.Fatal(err)

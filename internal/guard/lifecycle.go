@@ -9,14 +9,13 @@ package guard
 //	                      warming  → serving     (new instance)
 //
 // Draining refuses new cookie exchanges (newcomers) while continuing to
-// serve cookie-verified traffic, flushes the dataplane queues, and lets
-// in-flight NAT exchanges complete or time out. Quiesced means the instance
-// holds no in-flight client state and can be torn down. The replacement
-// instance starts Warming: it serves traffic (so a catchment front that
-// routes early loses nothing) but advertises not-ready until its keyring
-// epoch is current and its queues are settled; the front restores the
-// site's weight only then (see fleet's readiness gate and the /readyz
-// endpoint in cmd/dnsguardd).
+// serve cookie-verified traffic, and lets in-flight NAT exchanges complete
+// or time out. Quiesced means the instance holds no in-flight client state
+// and can be torn down. The replacement instance starts Warming: it serves
+// traffic (so a catchment front that routes early loses nothing) but
+// advertises not-ready until its keyring epoch is current; the front
+// restores the site's weight only then (see fleet's readiness gate and the
+// /readyz endpoint in cmd/dnsguardd).
 //
 // States are exported as guard_lifecycle_* series: the state gauge, the
 // transition counter, drains started, and newcomers refused by a drain.
@@ -107,22 +106,15 @@ func (g *Remote) drainGate() bool {
 }
 
 // Drain takes the guard from serving to quiesced: the newcomer gate refuses
-// new cookie exchanges (drainGate, the one drain rule in both ingest
-// arrangements) while cookie-verified traffic is served, the fan-out's
-// ingress queues empty into the handlers, and in-flight NAT exchanges get a
-// NAT-table entry's life (3 s) to end before the stragglers are dropped
-// (counted as PendingDropped). Returns nil once quiesced; ctx.Err() if the
-// context expires first, leaving the guard draining so the caller can retry
-// or Resume. Safe to call from a netsim proc — all waiting is via Env.Sleep.
+// new cookie exchanges (drainGate, the one drain rule) while cookie-verified
+// traffic is served, and in-flight NAT exchanges get a NAT-table entry's
+// life (3 s) to end before the stragglers are dropped (counted as
+// PendingDropped). Returns nil once quiesced; ctx.Err() if the context
+// expires first, leaving the guard draining so the caller can retry or
+// Resume. Safe to call from a netsim proc — all waiting is via Env.Sleep.
 func (g *Remote) Drain(ctx context.Context) error {
 	g.setLifecycle(LifecycleDraining)
 	atomic.AddUint64(&g.lc.Drains, 1)
-	for g.eng.Backlog() > 0 && !g.closed.Load() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		g.cfg.Env.Sleep(lifecyclePoll)
-	}
 	// Let in-flight exchanges complete or time out: the longest any pending
 	// NAT entry can legitimately live is pendingTimeout.
 	deadline := g.now() + g.cfg.pendingTimeout
@@ -151,8 +143,7 @@ func (g *Remote) Resume() { g.setLifecycle(LifecycleServing) }
 func (g *Remote) BeginRestart() { g.setLifecycle(LifecycleRestarting) }
 
 // WarmStart marks a freshly constructed replacement instance as warming:
-// it serves traffic but Ready gates on the keyring epoch and queue depth
-// until MarkServing.
+// it serves traffic but Ready gates on the keyring epoch until MarkServing.
 func (g *Remote) WarmStart() { g.setLifecycle(LifecycleWarming) }
 
 // MarkServing completes a warm-up: the instance advertises full readiness.
@@ -172,9 +163,8 @@ func (g *Remote) Healthz() error {
 // gate: nil only when the guard should receive catchment weight. minEpoch
 // is the keyring epoch the caller requires (the fleet's current epoch; 0
 // accepts any). Conditions: not closed, lifecycle serving or warming (a
-// draining site must shed weight, not attract it), keyring epoch current,
-// and the fan-out's ingress backlog (Engine.Backlog) below half the depth
-// its queues run at; a direct guard has no queues and never fails on it.
+// draining site must shed weight, not attract it), and keyring epoch
+// current.
 func (g *Remote) Ready(minEpoch uint64) error {
 	if g.closed.Load() {
 		return notReady("closed")
@@ -186,9 +176,6 @@ func (g *Remote) Ready(minEpoch uint64) error {
 	}
 	if epoch := g.cfg.Auth.Epoch(); epoch < minEpoch {
 		return notReady("keyring epoch " + strconv.FormatUint(epoch, 10) + " behind fleet epoch " + strconv.FormatUint(minEpoch, 10))
-	}
-	if backlog, max := g.eng.Backlog(), g.eng.QueueBound()*g.eng.Shards()/2; backlog > max {
-		return notReady("ingress backlog " + strconv.Itoa(backlog) + " over threshold " + strconv.Itoa(max))
 	}
 	return nil
 }

@@ -2,8 +2,8 @@ package guard
 
 // Lifecycle contract: Drain refuses new cookie exchanges while verified
 // traffic completes, quiesces the NAT table, and drives the state machine
-// serving→draining→quiesced; Resume reopens; Ready gates on lifecycle,
-// keyring epoch, and backlog.
+// serving→draining→quiesced; Resume reopens; Ready gates on lifecycle and
+// keyring epoch.
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dnsguard/internal/dnswire"
-	"dnsguard/internal/netapi"
 )
 
 func TestLifecycleDrainQuiesces(t *testing.T) {
@@ -113,116 +112,42 @@ func TestLifecycleReadinessGates(t *testing.T) {
 	}
 }
 
-// Ready's backlog bound comes from the depth the engine's queues run at, so
-// a fan-out guard that left queueDepth at its default is not failed by the
-// first queued packet — only by a backlog over half that depth.
-func TestReadyBacklogBoundAtDefaultDepth(t *testing.T) {
-	hold := false
-	var env netapi.Env
+// Drain waits for the NAT table, bounded by the caller's context: a context
+// that has ended returns its error and leaves the guard draining with the
+// entry in place — the caller decides — and a drain that may wait quiesces
+// once the entry's life has run out, dropping it.
+func TestDrainHonorsContext(t *testing.T) {
 	f := newRootFixture(t, func(c *RemoteConfig) {
-		c.Shards = 2 // one tap, two shards: the fan-out
-		env = c.Env
-		c.observer = func(int, Packet) {
-			for hold { // a worker stuck on its packet: its queue only fills
-				env.Sleep(time.Millisecond)
-			}
-		}
+		c.ActivationThreshold = 1e6 // never active: a query is relayed through a NAT entry
 	})
 	g := f.guard
-	attacker := f.net.AddHost("attacker", mustAddr("203.0.113.66"))
+	client := f.net.AddHost("client", mustAddr("203.0.113.7"))
 	q, _ := dnswire.NewQuery(7, dnswire.MustName("mail.foo.com"), dnswire.TypeA).PackUDP(512)
-	// One source per shard.
-	var srcs [2]netip.AddrPort
-	for i := 1; !srcs[0].IsValid() || !srcs[1].IsValid(); i++ {
-		a := netip.AddrFrom4([4]byte{172, 16, 9, byte(i)})
-		srcs[g.Engine().ShardOf(a)] = netip.AddrPortFrom(a, 1234)
-	}
 	f.run(t, func() {
-		defer func() { hold = false }()
-		hold = true
-		// The first packet occupies shard 0's worker; the second waits.
-		for i := 0; i < 2; i++ {
-			_ = attacker.SendRaw(srcs[0], mustAP("198.41.0.4:53"), q)
-		}
+		f.net.Partition(f.hosts["guard"], f.hosts["root-ans"]) // the ANS never answers
+		_ = client.SendRaw(netip.AddrPortFrom(client.Addr(), 1234), mustAP("198.41.0.4:53"), q)
 		f.sched.Sleep(50 * time.Millisecond)
-		if n := g.Engine().QueueDepth(0); n != 1 {
-			t.Fatalf("shard 0 backlog = %d, want 1", n)
-		}
-		if err := g.Ready(0); err != nil {
-			t.Errorf("one queued packet: %v", err)
-		}
-		// Half the two queues' depth and then some, spread over both so
-		// neither fills: shard 1's worker takes one, the rest wait.
-		half := g.Engine().QueueBound() * g.Engine().Shards() / 2
-		for i := 0; i < half+2; i++ {
-			_ = attacker.SendRaw(srcs[i%2], mustAP("198.41.0.4:53"), q)
-		}
-		f.sched.Sleep(50 * time.Millisecond)
-		if err := g.Ready(0); !errors.Is(err, ErrNotReady) {
-			t.Errorf("backlog %d + %d: Ready = %v, want ErrNotReady",
-				g.Engine().QueueDepth(0), g.Engine().QueueDepth(1), err)
-		}
-	})
-}
-
-// Drain does not return while the fan-out holds a backlog: a packet parked
-// in an ingress queue has not met the newcomer gate yet. A context that ends
-// first ends the wait with its error and leaves the guard draining; once the
-// worker catches up, what was parked meets the gate and Drain quiesces.
-func TestDrainWaitsForBacklog(t *testing.T) {
-	hold := false
-	var env netapi.Env
-	f := newRootFixture(t, func(c *RemoteConfig) {
-		c.Shards = 2 // one tap, two shards: the fan-out
-		env = c.Env
-		c.observer = func(int, Packet) {
-			for hold { // a worker stuck on its packet: its queue only fills
-				env.Sleep(time.Millisecond)
-			}
-		}
-	})
-	g := f.guard
-	attacker := f.net.AddHost("attacker", mustAddr("203.0.113.66"))
-	q, _ := dnswire.NewQuery(7, dnswire.MustName("mail.foo.com"), dnswire.TypeA).PackUDP(512)
-	src := netip.AddrPortFrom(mustAddr("172.16.9.1"), 1234)
-	f.run(t, func() {
-		defer func() { hold = false }()
-		hold = true
-		// The first packet occupies its shard's worker; two wait behind it.
-		for i := 0; i < 3; i++ {
-			_ = attacker.SendRaw(src, mustAP("198.41.0.4:53"), q)
-		}
-		f.sched.Sleep(50 * time.Millisecond)
-		if n := g.Engine().Backlog(); n != 2 {
-			t.Errorf("Backlog = %d, want 2", n)
+		if n := g.PendingEntries(); n != 1 {
+			t.Errorf("pending entries = %d, want the relayed query's 1", n)
 			return
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if err := g.Drain(ctx); !errors.Is(err, context.Canceled) {
-			t.Errorf("Drain with an ended context and a parked backlog = %v, want context.Canceled", err)
+			t.Errorf("Drain with an ended context = %v, want context.Canceled", err)
 		}
-		if g.Lifecycle() != LifecycleDraining {
-			t.Errorf("lifecycle after an abandoned drain = %v, want draining (the caller decides)", g.Lifecycle())
+		if g.Lifecycle() != LifecycleDraining || g.PendingEntries() != 1 {
+			t.Errorf("after an abandoned drain: lifecycle %v, %d pending; want draining, 1",
+				g.Lifecycle(), g.PendingEntries())
 		}
-		done, drainErr := false, error(nil)
-		f.sched.Go("drain", func() { drainErr = g.Drain(context.Background()); done = true })
-		f.sched.Sleep(50 * time.Millisecond)
-		if done {
-			t.Errorf("Drain returned (%v) with a parked backlog", drainErr)
-			return
+		if err := g.Drain(context.Background()); err != nil {
+			t.Errorf("Drain: %v", err)
 		}
-		hold = false
-		f.sched.Sleep(50 * time.Millisecond)
-		if !done || drainErr != nil {
-			t.Errorf("Drain after the backlog emptied: done %v, err %v", done, drainErr)
+		if g.Lifecycle() != LifecycleQuiesced || g.PendingEntries() != 0 {
+			t.Errorf("lifecycle %v, %d pending: want quiesced and empty", g.Lifecycle(), g.PendingEntries())
 		}
-		if g.Lifecycle() != LifecycleQuiesced || g.Engine().Backlog() != 0 {
-			t.Errorf("lifecycle %v, backlog %d: want quiesced and empty", g.Lifecycle(), g.Engine().Backlog())
-		}
-		if st := g.LifecycleStats(); st.DrainDropped != 3 || g.Stats.Load().NewcomerGrants != 0 {
-			t.Errorf("lifecycle stats %+v, grants %d: want the 3 parked newcomers refused by the gate",
-				st, g.Stats.Load().NewcomerGrants)
+		if st := g.Stats.Load(); st.PendingDropped != 1 {
+			t.Errorf("PendingDropped = %d, want the stranded entry's 1", st.PendingDropped)
 		}
 	})
 }

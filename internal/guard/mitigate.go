@@ -445,8 +445,9 @@ func (g *Remote) mitigateLoop() {
 	}
 }
 
-// shedNew sums engine tail-drops across shards: packets the flood pushed off
-// the queues before the guard ever counted them as Received.
+// shedNew sums the capture interfaces' tail-drops across shards: packets
+// the flood pushed off their receive queues before the guard ever counted
+// them as Received.
 func (g *Remote) shedNew() uint64 {
 	var t uint64
 	for i := 0; i < g.eng.Shards(); i++ {

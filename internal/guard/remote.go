@@ -49,27 +49,23 @@ func (s Scheme) String() string {
 type RemoteConfig struct {
 	// Env supplies clock and sockets.
 	Env netapi.Env
-	// IOs are the capture interfaces for the protected address space,
-	// required: a simulated host's tap, or one SocketIO per shard (what
-	// netapi.UDPReuseEnv returns where sockets can be steered) or one for
-	// all shards; NewRemote refuses any other count. Handing over one per
-	// shard asserts that the environment steers every datagram of a source
-	// to the same interface; the engine does not check. A shard's replies
-	// leave through the interface it reads.
+	// IOs are the capture interfaces for the protected address space, one
+	// per shard, required: a simulated host's taps (netsim.Host.OpenTaps),
+	// or the SocketIOs over what netapi.UDPReuseEnv binds. Handing over
+	// several asserts that the environment steers every datagram of a
+	// source to the same interface; the engine does not check. A shard's
+	// replies leave through the interface it reads.
 	IOs []PacketIO
-	// Shards is the dataplane worker count; every per-source structure
-	// (pending NAT table, rate limiters, verifier) is owned by one shard. 0
-	// and 1 mean one shard. With one interface per shard, a shard reads its
-	// own interface and handles packets in that loop with no queue hop; with
-	// one interface for several shards its reader fans out by source hash,
-	// which is what netsim gets and what keeps its replays deterministic
-	// (engine package comment).
+	// Shards is the dataplane worker count, which is len(IOs): 0 means
+	// that, and any other value is refused. Every per-source structure
+	// (pending NAT table, rate limiters, verifier) is owned by one shard,
+	// which reads its own interface and handles packets in that loop.
 	Shards int
 	// Batch is the most datagrams one read may return, on the capture
 	// interface and on each shard's upstream socket. 0 and 1 mean one
 	// datagram per read. The loops are the same at every value; larger
-	// values amortize the read syscall, the shard queue hop, the keyring
-	// snapshot, and the egress writes over the packets that were already
+	// values amortize the read syscall, the keyring snapshot, and the
+	// egress writes over the packets that were already
 	// waiting. Per-packet semantics (admission policy, supervision,
 	// observer, all counters) do not depend on it.
 	Batch int
@@ -128,21 +124,15 @@ type RemoteConfig struct {
 	// (the paper suggests weekly, matching the cookie TTL so each
 	// verification still costs one MD5 — §III-E).
 	KeyRotation time.Duration
-	// ShardHashSeed, when non-zero, fixes the source→shard hash (see
-	// engine.Config.HashSeed). Deterministic simulations set it so
-	// multi-shard runs replay bit-identically; production keeps 0.
-	ShardHashSeed uint64
 	// Mitigation arms the layered auto-mitigation selector (see
 	// MitigationConfig and mitigate.go). Disabled by default: the guard
 	// then keeps the paper's static activation behavior exactly.
 	Mitigation MitigationConfig
 
 	// Settings only tests change; every deployment keeps the defaults. They
-	// bound each shard's fan-out ingress queue (0 means the engine's 512), set
-	// a NAT-table entry's life (0 means 3 s), and hook each packet in its
-	// shard's context before it is handled (engine.Config.Observer; nil means
-	// none).
-	queueDepth     int
+	// set a NAT-table entry's life (0 means 3 s) and hook each packet in its
+	// shard's context before it is handled (engine.Config.Observer; nil
+	// means none).
 	pendingTimeout time.Duration
 	observer       func(shard int, pkt Packet)
 }
@@ -176,8 +166,11 @@ func (c *RemoteConfig) resolve() error {
 	case c.RL2.TrackedSources > srctab.MaxCap:
 		return errors.New("guard: RL2.TrackedSources " + strconv.Itoa(c.RL2.TrackedSources) + " over srctab.MaxCap " + strconv.Itoa(srctab.MaxCap))
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
+	if c.Shards == 0 {
+		c.Shards = len(c.IOs)
+	}
+	if c.Shards != len(c.IOs) {
+		return errors.New("guard: RemoteConfig.Shards " + strconv.Itoa(c.Shards) + " for " + strconv.Itoa(len(c.IOs)) + " interfaces: want one interface per shard")
 	}
 	if c.Batch <= 0 {
 		c.Batch = 1
@@ -292,10 +285,10 @@ type Work struct {
 var WorkNames = []string{"read", "written", "checks", "grants", "tc_replies", "rewrites"}
 
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
-// internal/engine dataplane: source addresses hash to shards, and each shard
-// owns every per-source structure (rate limiters, pending NAT table,
-// transaction-ID pool, upstream socket), so the hot path takes no cross-shard
-// locks. With Shards == 1 the engine runs inline and the guard behaves —
+// internal/engine dataplane: each shard reads the capture interface its
+// sources are steered to and owns every per-source structure (rate limiters,
+// pending NAT table, transaction-ID pool, upstream socket), so the hot path
+// takes no cross-shard locks. With Shards == 1 the engine runs inline and the guard behaves —
 // event for event — like the original single-loop implementation.
 type Remote struct {
 	cfg RemoteConfig
@@ -436,12 +429,9 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	eng, err := engine.New(engine.Config{
 		Env:        cfg.Env,
 		IOs:        cfg.IOs,
-		Shards:     cfg.Shards,
-		QueueDepth: cfg.queueDepth,
 		Batch:      cfg.Batch,
 		Observer:   cfg.observer,
 		Supervisor: sup,
-		HashSeed:   cfg.ShardHashSeed,
 		NewHandler: func(i int) engine.Handler {
 			s := &remoteShard{
 				g:       g,
@@ -543,7 +533,8 @@ func (g *Remote) PendingEntries() int {
 	return total
 }
 
-// Engine exposes the dataplane (shard mapping, backpressure stats).
+// Engine exposes the dataplane (shard interfaces, shard and supervision
+// stats).
 // Read-only use.
 func (g *Remote) Engine() *engine.Engine { return g.eng }
 
@@ -614,7 +605,7 @@ func (g *Remote) Active() bool {
 func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }
 
 // HandlePacket runs the Figure 4 pipeline for one intercepted datagram; the
-// engine calls it on the worker owning pkt.Src's shard.
+// engine calls it in the loop of the shard whose interface delivered it.
 func (s *remoteShard) HandlePacket(pkt Packet) {
 	g := s.g
 	s.syncLimiters()

@@ -81,13 +81,8 @@ func newRootFixture(t *testing.T, mutate func(*RemoteConfig)) *rootFixture {
 	f.hosts["guard"] = guardHost
 	guardHost.ClaimAddr(mustAddr("198.41.0.4"))
 	network.SetLatency(guardHost, rootHost, 100*time.Microsecond)
-	tap, err := guardHost.OpenTap()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := RemoteConfig{
 		Env:        guardHost,
-		IOs:        []PacketIO{tap},
 		PublicAddr: mustAP("198.41.0.4:53"),
 		ANSAddr:    mustAP("10.99.0.2:53"),
 		Zone:       dnswire.Root,
@@ -97,6 +92,7 @@ func newRootFixture(t *testing.T, mutate func(*RemoteConfig)) *rootFixture {
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	cfg.IOs = openTaps(t, guardHost, max(cfg.Shards, 1)) // one unless mutate asked for more
 	g, err := NewRemote(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -133,11 +133,12 @@ func TestShardPanicIsolatedByGuardSupervision(t *testing.T) {
 		}
 	})
 	eng := f.guard.Engine()
-	poisonShard := eng.ShardOf(poison)
-	// A clean source that hashes to the SAME shard as the poison packet:
-	// proves the restarted shard itself keeps serving, not just siblings.
+	guardHost := f.hosts["guard"]
+	poisonShard := guardHost.TapOf(poison)
+	// A clean source steered to the SAME shard as the poison packet: proves
+	// the restarted shard itself keeps serving, not just siblings.
 	sibling := mustAddr("203.0.113.1")
-	for i := 2; eng.ShardOf(sibling) != poisonShard; i++ {
+	for i := 2; guardHost.TapOf(sibling) != poisonShard; i++ {
 		sibling = netip.AddrFrom4([4]byte{203, 0, 113, byte(i)})
 	}
 

@@ -23,14 +23,28 @@ var (
 	_ engine.BatchReader = (*netsim.Tap)(nil)
 )
 
+// openTaps opens n taps on host, one per shard, as the guard takes them.
+func openTaps(t testing.TB, host *netsim.Host, n int) []PacketIO {
+	t.Helper()
+	taps, err := host.OpenTaps(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ios := make([]PacketIO, n)
+	for i, tap := range taps {
+		ios[i] = tap
+	}
+	return ios
+}
+
 // TestShardedGuardTorture floods an 8-shard guard with all three schemes at
 // once — fabricated NS-name cookies, IP cookies, and the explicit cookie
 // extension — plus newcomers and garbage, over links injecting loss,
 // duplication, reordering, corruption, and jitter. It asserts the shard
 // contract end to end: every source is handled by exactly the shard its
-// address hashes to, multiple shards carry load, verified traffic still
-// reaches the ANS, and nothing unverified leaks. `make check` runs it under
-// -race, which also exercises the queued dataplane's cross-proc handoffs.
+// host steers its address to, multiple shards carry load, verified traffic
+// still reaches the ANS, and nothing unverified leaks. `make check` runs it
+// under -race.
 func TestShardedGuardTorture(t *testing.T) {
 	sched := vclock.New(1234)
 	network := netsim.New(sched, 5*time.Millisecond)
@@ -50,20 +64,15 @@ func TestShardedGuardTorture(t *testing.T) {
 	guardHost := network.AddHost("guard", mustAddr("10.99.0.1"))
 	guardHost.ClaimPrefix(netip.MustParsePrefix("192.0.2.0/24"))
 	network.SetLatency(guardHost, ansHost, 100*time.Microsecond)
-	tap, err := guardHost.OpenTap()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ios := openTaps(t, guardHost, 8)
 
-	// shardOf records which worker handled each source; the final assertion
-	// compares it against the engine's hash. vclock serializes procs, so a
-	// plain map is race-free under the simulator.
+	// shardOf records which shard handled each source; the final assertion
+	// compares it against the tap the host steers the source to. vclock
+	// serializes procs, so a plain map is race-free under the simulator.
 	shardOf := make(map[netip.Addr]map[int]bool)
 	g, err := NewRemote(RemoteConfig{
-		Env:        guardHost,
-		IOs:        []PacketIO{tap},
-		Shards:     8,
-		queueDepth: 64,
+		Env: guardHost,
+		IOs: ios,
 		observer: func(shard int, pkt Packet) {
 			a := pkt.Src.Addr()
 			if shardOf[a] == nil {
@@ -158,8 +167,8 @@ func TestShardedGuardTorture(t *testing.T) {
 		}
 		for shard := range shards {
 			used[shard] = true
-			if want := eng.ShardOf(src); shard != want {
-				t.Errorf("source %v handled on shard %d, hash says %d", src, shard, want)
+			if want := guardHost.TapOf(src); shard != want {
+				t.Errorf("source %v handled on shard %d, its tap is %d", src, shard, want)
 			}
 		}
 	}
@@ -227,17 +236,12 @@ func TestSurvivabilityTorture(t *testing.T) {
 	guardHost.ClaimPrefix(netip.MustParsePrefix("192.0.2.0/24"))
 	network.SetLatency(guardHost, ansHost, 100*time.Microsecond)
 	network.SetLatency(guardHost, secHost, 100*time.Microsecond)
-	tap, err := guardHost.OpenTap()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ios := openTaps(t, guardHost, 8)
 
 	poison := mustAddr("198.18.0.250")
 	g, err := NewRemote(RemoteConfig{
-		Env:        guardHost,
-		IOs:        []PacketIO{tap},
-		Shards:     8,
-		queueDepth: 64,
+		Env: guardHost,
+		IOs: ios,
 		observer: func(shard int, pkt Packet) {
 			if pkt.Src.Addr() == poison {
 				panic("torture: injected handler fault")

@@ -85,10 +85,9 @@ func (r *Registry) add(name string, m metric) {
 	r.names, r.ms = slices.Insert(r.names, i, name), slices.Insert(r.ms, i, m)
 }
 
-// RegisterHistogram attaches a caller-owned histogram under name, so
-// components that pre-create histograms (one per engine shard) can expose
-// them without routing construction through the registry. Panics if name is
-// already registered.
+// RegisterHistogram attaches a caller-owned histogram under name, so a
+// component that pre-creates its histograms can expose them without routing
+// construction through the registry. Panics if name is already registered.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.add(name, histMetric{h, h.seriesNames(name)})
 }

@@ -15,16 +15,14 @@
 //
 //	capability       interface        realnet                       netsim
 //	----------       ---------        -------                       ------
-//	bounded queues   QueueEnv         absent: NewChanQueue          vclock BoundedQueue (proc-blocking)
-//	reuse-port       UDPReuseEnv      n SO_REUSEPORT sockets (Linux absent: a host has one tap
-//	                                  amd64/arm64); one elsewhere
+//	reuse-port       UDPReuseEnv      n SO_REUSEPORT sockets (Linux absent: Host.OpenTaps splits
+//	                                  amd64/arm64); n > 1 fails     a host's capture instead
+//	                                  elsewhere
 //	cooperative      CooperativeEnv   false — OS goroutines,        true — coroutines on the virtual
 //	scheduling                        blocking allowed              clock; OS blocking deadlocks
 //
-// Absence never means "cannot": no QueueEnv falls back to NewChanQueue and
-// no UDPReuseEnv means single-socket ingest. Every Queue, whoever builds it,
-// has one admission policy: tail drop. Batch I/O is a property of a
-// conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
+// No UDPReuseEnv means one socket and one shard. Batch I/O is a property of
+// a conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
 // recvmmsg/sendmmsg on Linux amd64/arm64, a read loop elsewhere; netsim: a
 // drain of the delivery queue) or bridges it with a per-datagram loop.
 package netapi
@@ -67,34 +65,6 @@ type Env interface {
 	ListenTCP(addr netip.AddrPort) (Listener, error)
 }
 
-// Queue is a bounded FIFO mailbox whose Get blocks the calling proc in an
-// env-appropriate way. What arrives at a full or closed queue is refused,
-// never swapped for what is queued: a queue decides nothing about which item
-// deserves the room. Under the simulator, procs may only block through
-// vclock primitives — a Go channel receive inside a netsim proc deadlocks the
-// scheduler — so any component that needs an inter-proc queue (the engine's
-// per-shard ingress queues) must obtain one from the Env instead of using
-// channels directly.
-type Queue interface {
-	// Put appends v, waking one blocked Get. Reports false when the queue
-	// is full (tail drop) or closed; v then stays the caller's, which is
-	// the one way back for an item the queue did not take.
-	Put(v any) bool
-	// Get removes the oldest item, blocking per netapi timeout rules
-	// (NoTimeout blocks; zero polls; ErrTimeout/ErrClosed on failure).
-	Get(timeout time.Duration) (any, error)
-	// Len reports the number of buffered items.
-	Len() int
-	Close()
-}
-
-// QueueEnv is an optional Env capability: construction of scheduler-aware
-// bounded queues. netsim implements it; an Env without it gets NewChanQueue,
-// which is correct for any preemptive environment.
-type QueueEnv interface {
-	NewQueue(capacity int) Queue
-}
-
 // CooperativeEnv is an optional Env capability describing the scheduling
 // discipline. CooperativeScheduling reports true when procs are cooperative
 // coroutines on a shared virtual clock (netsim): such a proc must never
@@ -108,12 +78,11 @@ type CooperativeEnv interface {
 	CooperativeScheduling() bool
 }
 
-// UDPReuseEnv is an optional Env capability: bind up to n datagram endpoints
-// to the same address so each engine shard can read its own. It returns n
-// conns where the environment steers every datagram of a flow to one of them
-// (realnet with SO_REUSEPORT: the kernel's 4-tuple hash) and a single conn
-// where it cannot; the count tells the caller which it got. All returned
-// conns report the same LocalAddr.
+// UDPReuseEnv is an optional Env capability: bind n datagram endpoints to
+// the same address so each engine shard can read its own, where the
+// environment steers every datagram of a flow to one of them (realnet with
+// SO_REUSEPORT: the kernel's 4-tuple hash). It returns exactly n conns or an
+// error; all of them report the same LocalAddr.
 type UDPReuseEnv interface {
 	ListenUDPReuse(addr netip.AddrPort, n int) ([]UDPConn, error)
 }

@@ -1,9 +1,9 @@
 // Package netapitest is the cross-backend conformance suite for netapi
 // environments. Every behavioral contract the rest of the repository leans
 // on — timeout semantics (NoTimeout blocks, zero polls, ErrTimeout/ErrClosed
-// matched with errors.Is), ephemeral-port binding, queue admission policy,
-// the BatchConn slab rules (no wait-to-fill, truncate-to-cap,
-// allocate-when-empty) and the same timeout and close rules for streams
+// matched with errors.Is), ephemeral-port binding, the BatchConn slab rules
+// (no wait-to-fill, truncate-to-cap, allocate-when-empty) and the same
+// timeout and close rules for streams
 // (a refused dial is ErrRefused, the peer's clean close ErrClosed) — is
 // pinned here and run against both internal/netsim and internal/realnet, so
 // a divergence between the simulator and the real stack fails a test
@@ -47,7 +47,6 @@ func Run(t *testing.T, b Backend) {
 	t.Run("TimeoutElapses", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testTimeoutElapses(t, b, env) }) })
 	t.Run("RoundTrip", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testRoundTrip(t, b, env) }) })
 	t.Run("Close", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testClose(t, b, env) }) })
-	t.Run("Queue", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testQueue(t, b, env) }) })
 	t.Run("StreamRoundTrip", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamRoundTrip(t, b, env) }) })
 	t.Run("StreamAcceptPoll", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamAcceptPoll(t, b, env) }) })
 	t.Run("StreamReadPoll", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamReadPoll(t, b, env) }) })
@@ -213,49 +212,6 @@ func testClose(t *testing.T, b Backend, env netapi.Env) {
 	slab := netapi.NewSlab(2, 64)
 	if _, err := netapi.AsBatch(c).ReadBatch(slab, 0); !errors.Is(err, netapi.ErrClosed) {
 		t.Errorf("batch read on closed socket: err = %v, want errors.Is ErrClosed", err)
-	}
-}
-
-func testQueue(t *testing.T, b Backend, env netapi.Env) {
-	q := netapi.Capabilities(env).NewQueue(2)
-	if _, err := q.Get(0); !errors.Is(err, netapi.ErrTimeout) {
-		t.Errorf("Get(0) on empty queue: err = %v, want errors.Is ErrTimeout", err)
-	}
-	if !q.Put(1) || !q.Put(2) {
-		t.Error("Put into non-full queue reported false")
-	}
-	if q.Put(3) {
-		t.Error("Put into full queue reported true; tail-drop is the contract")
-	}
-	if q.Len() != 2 {
-		t.Errorf("Len = %d after a refused put into a capacity-2 queue, want 2", q.Len())
-	}
-	for i, want := range []int{1, 2} {
-		got, err := q.Get(0)
-		if err != nil || got != want {
-			t.Errorf("Get #%d = (%v, %v), want (%d, nil)", i, got, err, want)
-		}
-	}
-	// A blocked Get must be woken by a Put from another proc.
-	env.Go("producer", func() {
-		env.Sleep(10 * time.Millisecond)
-		q.Put(7)
-	})
-	if got, err := q.Get(5 * time.Second); err != nil || got != 7 {
-		t.Errorf("blocked Get = (%v, %v), want (7, nil)", got, err)
-	}
-	// Close drains buffered items before reporting ErrClosed, and rejects
-	// further Puts.
-	q.Put(8)
-	q.Close()
-	if got, err := q.Get(0); err != nil || got != 8 {
-		t.Errorf("Get after Close = (%v, %v); buffered items must drain first", got, err)
-	}
-	if _, err := q.Get(0); !errors.Is(err, netapi.ErrClosed) {
-		t.Errorf("Get on drained closed queue: err = %v, want errors.Is ErrClosed", err)
-	}
-	if q.Put(9) {
-		t.Error("Put into closed queue reported true")
 	}
 }
 

@@ -92,15 +92,6 @@ func (c *CPU) Account(d time.Duration) {
 // BusyTime returns the total CPU time consumed so far.
 func (c *CPU) BusyTime() time.Duration { return c.busy }
 
-// Backlog returns how far the CPU timeline extends past the current instant.
-func (c *CPU) Backlog() time.Duration {
-	b := c.busyUntil - c.sched.Now()
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
 // UtilizationMeter samples a CPU's busy time over an interval.
 type UtilizationMeter struct {
 	cpu       *CPU

@@ -13,6 +13,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -207,7 +208,7 @@ type Host struct {
 	ips      []netip.Addr
 	udp      map[netip.AddrPort]*UDPConn
 	ports    map[uint16]int // bound-port refcounts (O(1) ephemeral allocation)
-	tap      *Tap
+	taps     []*Tap         // what OpenTaps installed, split by TapOf
 	protos   map[uint8]ProtoHandler
 	tcp      TCPProvider
 	nextPort uint16
@@ -402,13 +403,15 @@ func (h *Host) deliver(proto uint8, src, dst netip.AddrPort, payload any) {
 		}
 		return
 	}
-	if h.tap != nil && !h.tap.closed {
-		h.net.Stats.Delivered++
-		if !h.tap.q.Put(pkt) {
-			h.Stats.RecvDropped++
-			recycleBytes(b)
+	if len(h.taps) > 0 {
+		if t := h.taps[h.TapOf(src.Addr())]; !t.closed {
+			h.net.Stats.Delivered++
+			if !t.q.Put(pkt) {
+				h.Stats.RecvDropped++
+				recycleBytes(b)
+			}
+			return
 		}
-		return
 	}
 	h.Stats.NoSocket++
 	h.net.Stats.NoSocket++
@@ -462,23 +465,60 @@ func (c *UDPConn) Close() error {
 	return nil
 }
 
-// Tap receives every datagram delivered to this host that no explicit socket
-// claimed — including traffic for claimed prefixes. It is the guard's
-// packet-capture interface.
+// Tap receives the datagrams delivered to this host that no explicit socket
+// claimed — including traffic for claimed prefixes — from the sources TapOf
+// assigns it. It is the guard's packet-capture interface: one per shard, as
+// one SO_REUSEPORT socket per shard is on a real host.
 type Tap struct {
 	host   *Host
 	q      *vclock.Queue[Packet]
 	closed bool
 }
 
-// OpenTap installs the host's tap. Only one tap may exist per host.
+// OpenTap installs the host's one tap: OpenTaps(1).
 func (h *Host) OpenTap() (*Tap, error) {
-	if h.tap != nil && !h.tap.closed {
-		return nil, fmt.Errorf("netsim: %s already has a tap: %w", h.name, netapi.ErrAddrInUse)
+	taps, err := h.OpenTaps(1)
+	if err != nil {
+		return nil, err
 	}
-	t := &Tap{host: h, q: vclock.NewBoundedQueue[Packet](h.net.sched, h.queueCap)}
-	h.tap = t
-	return t, nil
+	return taps[0], nil
+}
+
+// OpenTaps installs n taps that split what the host intercepts by source
+// address (TapOf), each with its own bounded queue and drop count, as the
+// kernel splits a reuseport group's datagrams among its sockets. A host has
+// one set of taps at a time: opening another while one is live fails.
+func (h *Host) OpenTaps(n int) ([]*Tap, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("netsim: %s: %d taps", h.name, n)
+	}
+	for _, t := range h.taps {
+		if !t.closed {
+			return nil, fmt.Errorf("netsim: %s already has a tap: %w", h.name, netapi.ErrAddrInUse)
+		}
+	}
+	h.taps = make([]*Tap, n)
+	for i := range h.taps {
+		h.taps[i] = &Tap{host: h, q: vclock.NewBoundedQueue[Packet](h.net.sched, h.queueCap)}
+	}
+	return slices.Clone(h.taps), nil
+}
+
+// TapOf is the index of the tap that receives datagrams from src: a fixed,
+// unseeded FNV-1a hash of the address (no port: every datagram of a
+// requester reaches one tap) modulo the number of taps, 0 with one or none.
+// A simulation has no adversary to probe the mapping, and a fixed one
+// replays bit-identically.
+func (h *Host) TapOf(src netip.Addr) int {
+	if len(h.taps) < 2 {
+		return 0
+	}
+	hash := uint64(0xcbf29ce484222325)
+	for _, b := range src.As16() {
+		hash ^= uint64(b)
+		hash *= 0x100000001b3
+	}
+	return int(hash % uint64(len(h.taps)))
 }
 
 // Read blocks until a packet arrives, the timeout elapses, or the tap closes.
@@ -499,9 +539,6 @@ func (t *Tap) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
 	}
 	return t.host.SendRaw(src, dst, payload)
 }
-
-// Pending reports queued packets (backlog) on the tap.
-func (t *Tap) Pending() int { return t.q.Len() }
 
 // Dropped reports packets tail-dropped from the tap queue.
 func (t *Tap) Dropped() uint64 { return t.q.Dropped() }

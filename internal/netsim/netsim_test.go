@@ -237,6 +237,68 @@ func TestBoundedQueueTailDrop(t *testing.T) {
 	}
 }
 
+// OpenTaps splits a host's capture by source address: every datagram of a
+// source reaches the tap TapOf names, each tap tail-drops on its own, and a
+// host holds one live set of taps at a time.
+func TestOpenTapsSplitBySource(t *testing.T) {
+	s, n := newNet(time.Millisecond)
+	a := n.AddHost("a", addr("10.0.0.1"))
+	b := n.AddHost("b", addr("10.0.0.2"))
+	b.ClaimPrefix(netip.MustParsePrefix("192.0.2.0/24"))
+	b.SetQueueCap(4)
+	if _, err := b.OpenTaps(0); err == nil {
+		t.Fatal("OpenTaps(0) succeeded")
+	}
+	taps, err := b.OpenTaps(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.OpenTap(); !errors.Is(err, netapi.ErrAddrInUse) {
+		t.Fatalf("a second tap beside live ones: err = %v, want ErrAddrInUse", err)
+	}
+	const sources, each = 24, 3
+	s.Go("send", func() {
+		for i := 0; i < sources; i++ {
+			src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}), 5353)
+			for k := 0; k < each; k++ {
+				_ = a.SendRaw(src, ap("192.0.2.1:53"), []byte{byte(i)})
+			}
+		}
+	})
+	s.Run(0)
+
+	var got, dropped uint64
+	perTap := make([]int, len(taps))
+	for i, tap := range taps {
+		dropped += tap.Dropped()
+		for {
+			pkt, err := tap.Read(0)
+			if err != nil {
+				break
+			}
+			got++
+			perTap[i]++
+			if want := b.TapOf(pkt.Src.Addr()); want != i {
+				t.Errorf("source %v read on tap %d, TapOf says %d", pkt.Src, i, want)
+			}
+		}
+	}
+	for i, k := range perTap {
+		if k == 0 {
+			t.Errorf("tap %d received nothing from %d sources", i, sources)
+		}
+	}
+	if got+dropped != sources*each || dropped != b.Stats.RecvDropped || dropped == 0 {
+		t.Errorf("read %d, taps dropped %d, host dropped %d: want %d in all, every drop the host's", got, dropped, b.Stats.RecvDropped, sources*each)
+	}
+	for _, tap := range taps {
+		tap.Close()
+	}
+	if _, err := b.OpenTap(); err != nil {
+		t.Errorf("OpenTap after the taps closed: %v", err)
+	}
+}
+
 func TestNoRouteAndNoSocketCounters(t *testing.T) {
 	s, n := newNet(time.Millisecond)
 	a := n.AddHost("a", addr("10.0.0.1"))

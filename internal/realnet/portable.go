@@ -2,7 +2,8 @@
 
 // The portable build: every platform but Linux on amd64 and arm64 reaches
 // its sockets through the net package, moves one datagram per syscall (a
-// batch is a read loop) and binds one socket for all shards.
+// batch is a read loop) and binds no SO_REUSEPORT group, so it runs one
+// shard.
 
 package realnet
 

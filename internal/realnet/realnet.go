@@ -7,7 +7,7 @@
 // opened with syscall and parked on the runtime poller through os.NewFile,
 // with no net package in between, and a datagram slab moves in one
 // recvmmsg/sendmmsg; every other platform goes through the net package
-// (portable.go), one datagram per syscall and one socket for all shards.
+// (portable.go), one datagram per syscall and one socket, so one shard.
 //
 // Limitations relative to the simulator are inherent to userspace sockets
 // and documented in DESIGN.md: source addresses cannot be spoofed, the guard
@@ -63,16 +63,21 @@ func (e *Env) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
 	return c, nil
 }
 
+// ErrNoReusePort is ListenUDPReuse's answer to more than one socket on a
+// platform where this package binds no SO_REUSEPORT group (every one but
+// Linux amd64 and arm64): the kernel could not steer a flow to one of them.
+var ErrNoReusePort = errors.New("realnet: SO_REUSEPORT is unavailable on this platform: one socket, one shard")
+
 // ListenUDPReuse implements netapi.UDPReuseEnv: n sockets bound to addr with
 // SO_REUSEPORT, so the kernel steers each flow to one of them, on Linux
-// amd64 and arm64, and one socket elsewhere — one reader for all of the
-// caller's shards.
+// amd64 and arm64. Elsewhere n > 1 fails with ErrNoReusePort rather than
+// binding fewer sockets than the caller has shards.
 func (e *Env) ListenUDPReuse(addr netip.AddrPort, n int) ([]netapi.UDPConn, error) {
 	if n < 1 {
 		return nil, errors.New("realnet: ListenUDPReuse: n must be >= 1, got " + strconv.Itoa(n))
 	}
-	if !reusePort {
-		n = 1
+	if n > 1 && !reusePort {
+		return nil, ErrNoReusePort
 	}
 	conns := make([]netapi.UDPConn, 0, n)
 	for len(conns) < n {

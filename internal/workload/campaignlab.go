@@ -15,10 +15,6 @@ import (
 	"dnsguard/internal/vclock"
 )
 
-// labHashSeed fixes the guard's source→shard hash in lab worlds so
-// multi-shard campaign runs replay bit-identically.
-const labHashSeed = 0x5EEDC0DEDB15C0DE
-
 // CampaignLabConfig parameterizes one campaign-pack run against a guarded
 // world with an armed mitigation selector and a small legitimate fleet.
 type CampaignLabConfig struct {
@@ -29,7 +25,7 @@ type CampaignLabConfig struct {
 }
 
 const (
-	// labShards is the guard's dataplane width.
+	// labShards is the guard's dataplane width: one tap per shard.
 	labShards = 2
 	// labTail extends the simulation past the last phase so de-escalation
 	// and drain are observable.
@@ -88,9 +84,13 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	guardHost := net.AddHost("guard", netip.MustParseAddr("10.99.0.1"))
 	guardHost.ClaimPrefix(netip.MustParsePrefix("192.0.2.0/24"))
 	guardHost.SetQueueCap(1 << 16)
-	tap, err := guardHost.OpenTap()
+	taps, err := guardHost.OpenTaps(labShards)
 	if err != nil {
 		return res, err
+	}
+	ios := make([]guard.PacketIO, len(taps))
+	for i, tap := range taps {
+		ios[i] = tap
 	}
 	var key [cookie.KeySize]byte
 	key[0] = 0x6D
@@ -99,16 +99,14 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 		return res, err
 	}
 	g, err := guard.NewRemote(guard.RemoteConfig{
-		Env:           guardHost,
-		IOs:           []guard.PacketIO{tap},
-		Shards:        labShards,
-		ShardHashSeed: labHashSeed,
-		PublicAddr:    netip.MustParseAddrPort("192.0.2.1:53"),
-		ANSAddr:       netip.MustParseAddrPort("10.99.0.2:53"),
-		Zone:          dnswire.MustName("foo.com"),
-		Subnet:        netip.MustParsePrefix("192.0.2.0/24"),
-		Fallback:      guard.SchemeDNS,
-		Auth:          auth,
+		Env:        guardHost,
+		IOs:        ios,
+		PublicAddr: netip.MustParseAddrPort("192.0.2.1:53"),
+		ANSAddr:    netip.MustParseAddrPort("10.99.0.2:53"),
+		Zone:       dnswire.MustName("foo.com"),
+		Subnet:     netip.MustParsePrefix("192.0.2.0/24"),
+		Fallback:   guard.SchemeDNS,
+		Auth:       auth,
 		// The threshold rung defers to this; lab attack rates sit well
 		// above it, the fleet's ~150 req/s well below.
 		ActivationThreshold: 800,

@@ -72,7 +72,7 @@ func MeterGuard(cfg guard.RemoteConfig, costs cpumodel.GuardCosts) (*guard.Remot
 	if ok && len(cfg.IOs) == 1 {
 		tap, ok = cfg.IOs[0].(*netsim.Tap)
 	}
-	if !ok || tap == nil || cfg.Shards > 1 {
+	if !ok || tap == nil {
 		return nil, nil, errors.New("workload: MeterGuard takes a one-shard guard on a netsim host and its tap")
 	}
 	m := &GuardMeter{cpu: host.CPU(), costs: costs}

@@ -18,9 +18,9 @@ import (
 
 // TestMeterKeepsCapabilities: the meter stands between the guard and its
 // host, tap and upstream sockets, and takes none of what the engine and the
-// guard probe them for away — bounded queues (QueueEnv) and cooperative
-// scheduling on the Env, batch reads and writes on the tap and the sockets.
-// A guard it cannot attribute every call of is refused.
+// guard probe them for away — cooperative scheduling on the Env, batch reads
+// and writes and the drop count on the tap, batch I/O on the sockets. A
+// guard it cannot attribute every call of is refused.
 func TestMeterKeepsCapabilities(t *testing.T) {
 	w := newWorld()
 	host := w.net.AddHost("guard", mustAddr("10.99.0.1"))
@@ -30,9 +30,6 @@ func TestMeterKeepsCapabilities(t *testing.T) {
 	}
 	m := &GuardMeter{}
 	env := meteredHost{host, m}
-	if _, ok := any(env).(netapi.QueueEnv); !ok {
-		t.Error("the metered Env is no QueueEnv")
-	}
 	if got, want := netapi.Capabilities(env), netapi.Capabilities(host); got.Cooperative != want.Cooperative ||
 		(got.ListenUDPReuse == nil) != (want.ListenUDPReuse == nil) {
 		t.Errorf("capabilities %+v, the host's %+v", got, want)
@@ -44,6 +41,9 @@ func TestMeterKeepsCapabilities(t *testing.T) {
 	if _, ok := io.(engine.BatchWriter); !ok {
 		t.Error("the metered tap writes no batches: the worker's flush would look like the upstream loop's writes")
 	}
+	if _, ok := io.(engine.Dropper); !ok {
+		t.Error("the metered tap counts no drops: guard_engine_shed_new would read 0 under overload")
+	}
 	c, err := env.ListenUDP(mustAP("10.99.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -53,12 +53,12 @@ func TestMeterKeepsCapabilities(t *testing.T) {
 		t.Error("the metered upstream socket is no BatchConn")
 	}
 
-	cfg := guard.RemoteConfig{Env: host, IOs: []guard.PacketIO{tap}, Shards: 2, PublicAddr: mustAP("192.0.2.1:53"),
+	cfg := guard.RemoteConfig{Env: host, IOs: []guard.PacketIO{tap, tap}, PublicAddr: mustAP("192.0.2.1:53"),
 		ANSAddr: mustAP("10.99.0.2:53"), Auth: mustOpen(cookie.Options{Key: &[cookie.KeySize]byte{1}})}
 	if _, _, err := MeterGuard(cfg, cpumodel.Default2006().Guard); err == nil {
 		t.Error("a two-shard guard was metered")
 	}
-	cfg.Shards = 1
+	cfg.IOs = cfg.IOs[:1]
 	if _, _, err := MeterGuard(cfg, cpumodel.Default2006().Guard); err != nil {
 		t.Errorf("a one-shard guard on its host's tap: %v", err)
 	}
