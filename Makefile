@@ -59,13 +59,23 @@ bench-check:
 
 # Every table and figure of the paper as the simulator reproduces it,
 # checked against the recording in benchtab_output.txt digit for digit: only
-# the wall-clock "(measured in …)" lines may differ. About 2½ minutes.
+# the wall-clock "(measured in …)" lines may differ. About 4 minutes. Then
+# benchtab's peak resident set, which it prints on stderr at exit, against
+# BENCHTAB_RSS_MIB: 305–317 MiB measured on a 2 vCPU Xeon 2.1 GHz host (go1.24.0)
+# once each simulation's procs end with it, where 4.1 GB were held when they
+# stayed parked.
+BENCHTAB_RSS_MIB = 512
+
 benchtab-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/benchtab > "$$dir/out" && \
+	$(GO) run ./cmd/benchtab > "$$dir/out" 2> "$$dir/err" || { cat "$$dir/err"; exit 1; }; \
+	cat "$$dir/err" && \
 	sed 's/^(measured in .*)$$/(measured in …)/' benchtab_output.txt > "$$dir/want" && \
 	sed 's/^(measured in .*)$$/(measured in …)/' "$$dir/out" > "$$dir/got" && \
-	diff -u "$$dir/want" "$$dir/got"
+	diff -u "$$dir/want" "$$dir/got" && \
+	rss=$$(sed -n 's/^benchtab: peak RSS \([0-9]*\) MiB$$/\1/p' "$$dir/err") && \
+	{ test -n "$$rss" && test "$$rss" -le $(BENCHTAB_RSS_MIB) || \
+		{ echo "benchtab-check: peak RSS $${rss:-not printed} MiB, want <= $(BENCHTAB_RSS_MIB)"; exit 1; }; }
 
 # Short deterministic-ish smoke on each fuzz target; regressions in the
 # checked-in corpus (testdata/fuzz/...) fail `make test` already, this adds

@@ -11,6 +11,8 @@
 //
 // Everything here runs on the virtual clock. A performance number of the
 // implementation itself comes from `go run -C bench .` (bench/README.md).
+// At exit benchtab prints its peak resident set on stderr ("benchtab: peak
+// RSS N MiB", getrusage's ru_maxrss), which `make benchtab-check` bounds.
 package main
 
 import (
@@ -26,7 +28,11 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run()
+	if rss, ok := peakRSS(); ok {
+		fmt.Fprintf(os.Stderr, "benchtab: peak RSS %d MiB\n", rss>>20)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)
 	}

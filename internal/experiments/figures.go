@@ -83,6 +83,7 @@ func figure5Cell(attackRate float64, guardOn bool, opts Figure5Options) (float64
 	if err != nil {
 		return 0, 0, err
 	}
+	defer w.Sched.Close() // a parked proc would keep the world alive
 	// Two legitimate LRSs at 1K req/s each, as 8 paced lanes apiece so one
 	// stalled lane does not zero the whole LRS.
 	const lanes = 8
@@ -210,6 +211,7 @@ func figure6Cell(attackRate float64, guardOn bool, opts Figure6Options) (float64
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	defer w.Sched.Close() // a parked proc would keep the world alive
 	kind := workload.KindModified
 	if !guardOn {
 		kind = workload.KindPlain
@@ -387,6 +389,7 @@ func figure7Cell(concurrency int, attackRate float64, warmup, window time.Durati
 	if err != nil {
 		return 0, err
 	}
+	defer w.Sched.Close() // a parked proc would keep the world alive
 	clients := make([]*workload.Client, concurrency)
 	for i := range clients {
 		c, err := workload.NewClient(workload.ClientConfig{

@@ -84,6 +84,7 @@ func TableII() ([]TableIIRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table II %s: %w", label, err)
 		}
+		defer w.Sched.Close() // a parked proc would keep the world alive
 		client, err := workload.NewClient(workload.ClientConfig{
 			Env:    w.LRSHost,
 			Kind:   label.clientKind(),
@@ -245,6 +246,7 @@ func tableIIICell(label SchemeLabel, mode workload.ClientMode, opts TableIIIOpti
 	if err != nil {
 		return 0, CellDetail{}, err
 	}
+	defer w.Sched.Close() // a parked proc would keep the world alive
 	reg := metrics.NewRegistry()
 	w.Guard.MetricsInto(reg)
 	hist := metrics.NewHistogram()

@@ -105,6 +105,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 		pack.Rate = cfg.Rate
 	}
 	sched := vclock.New(cfg.Seed)
+	defer sched.Close() // a parked proc would keep the lab alive
 	net := netsim.New(sched, 200*time.Microsecond)
 
 	ansHost := net.AddHost("ans", netip.MustParseAddr("10.99.0.2"))

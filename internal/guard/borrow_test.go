@@ -964,7 +964,8 @@ func TestSourceStateRecycles(t *testing.T) {
 // TestStateBudget pins the two per-source tables a default shard builds at
 // its first charges — each one's entry and index slot (reflect's Size, which
 // is unsafe.Sizeof) and the bytes its two arrays hold — to what DESIGN.md §18
-// and §19 quote:
+// and §19 quote. Built, each holds its whole entry array and a 64-slot
+// index; filled to its bound, its index has doubled to two slots an entry:
 //
 //	RL1      4096 × 40 + 8192 × 4   = 192 KiB
 //	RL2      4096 × 40 + 8192 × 4   = 192 KiB
@@ -986,25 +987,41 @@ func TestStateBudget(t *testing.T) {
 		}
 		return reflect.Indirect(v)
 	}
-	total := 0
-	for _, c := range []struct {
+	tabs := []struct {
 		name              string
 		tab               reflect.Value
 		entry, cap, slots int
+		charge            func(netip.Addr)
 	}{
-		{"RL1", field(reflect.ValueOf(h.s), "rl1", "perSrc", "tab"), 40, 4096, 8192},
-		{"RL2", field(reflect.ValueOf(h.s), "rl2", "perSrc", "tab"), 40, 4096, 8192},
-	} {
-		entries, index := field(c.tab, "entries"), field(c.tab, "index")
-		entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
-		if entry != c.entry || slot != 4 || entries.Len() != c.cap+1 || index.Len() != c.slots {
-			t.Errorf("%s: %d entries of %d bytes and %d index slots of %d, want %d of %d and %d of 4",
-				c.name, entries.Len(), entry, index.Len(), slot, c.cap+1, c.entry, c.slots)
-		}
-		total += entries.Len()*entry + index.Len()*slot
+		{"RL1", field(reflect.ValueOf(h.s), "rl1", "perSrc", "tab"), 40, 4096, 8192, func(a netip.Addr) { h.s.rl1.AllowResponse(a, 0) }},
+		{"RL2", field(reflect.ValueOf(h.s), "rl2", "perSrc", "tab"), 40, 4096, 8192, func(a netip.Addr) { h.s.rl2.AllowRequest(a, 0) }},
 	}
-	if total>>10 != 384 {
-		t.Errorf("the source tables hold %d KiB a shard, want 384", total>>10)
+	// The full pass charges each limiter 4096 more sources: on a clock that
+	// stands still no bucket refills, so each takes an entry of its own.
+	for _, full := range []bool{false, true} {
+		total := 0
+		for _, c := range tabs {
+			slots, sources := 64, 1
+			if full {
+				slots, sources = c.slots, c.cap
+				for i := 0; i < sources; i++ {
+					c.charge(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}))
+				}
+			}
+			entries, index := field(c.tab, "entries"), field(c.tab, "index")
+			entry, slot := int(entries.Type().Elem().Size()), int(index.Type().Elem().Size())
+			if n := int(field(c.tab, "n").Int()); n != sources {
+				t.Fatalf("%s holds %d sources, want %d", c.name, n, sources)
+			}
+			if entry != c.entry || slot != 4 || entries.Len() != c.cap+1 || index.Len() != slots {
+				t.Errorf("%s with %d sources: %d entries of %d bytes and %d index slots of %d, want %d of %d and %d of 4",
+					c.name, sources, entries.Len(), entry, index.Len(), slot, c.cap+1, c.entry, slots)
+			}
+			total += entries.Len()*entry + index.Len()*slot
+		}
+		if full && total>>10 != 384 {
+			t.Errorf("the source tables hold %d KiB a shard filled to their bound, want 384", total>>10)
+		}
 	}
 	if tab := reflect.ValueOf(h.g.eng).Elem().FieldByName("shards").Index(0).Elem().FieldByName("verified").FieldByName("tab"); !tab.IsNil() {
 		t.Error("the engine built a verified-source table for the guard")

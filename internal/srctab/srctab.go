@@ -4,10 +4,14 @@
 // Rate-Limiter1's buckets and Rate-Limiter2's verified-source records sit on
 // it (DESIGN.md, "Per-source state").
 //
-// A table is two allocations made by New — one []entry, one index array —
-// and with a pointer-free V neither holds a pointer, so the collector never
-// scans per-source state however many sources an attacker sprays. A table
-// is not synchronized, and Get writes too: it remembers its probe.
+// A table is two allocations made by New — one []entry, one index array of
+// at most 64 slots — plus at most log2(2·cap/64) index doublings, one when
+// the live count first passes each power of two from 32. With a pointer-free
+// V none holds a pointer, so the collector never scans per-source state
+// however many sources an attacker sprays, and what a table keeps resident
+// follows the sources it holds, not its bound: the index by its size, the
+// entries as they are first used. A table is not synchronized, and Get
+// writes too: it remembers its probe.
 package srctab
 
 import (
@@ -56,10 +60,11 @@ type Table[V any] struct {
 	// entries[0] is the list sentinel (.older is the newest source, .newer
 	// the oldest); sources live in entries[1:].
 	entries []entry[V]
-	// index is linear-probed and at most half full. A slot is tag<<refBits |
-	// entry number, 0 when empty, and its home is tag & mask: a probe
-	// compares tags before it touches an entry, and a deletion closes its gap
-	// by shifting later slots back (no tombstones) using the stored tags alone.
+	// index is linear-probed and at most half full, from 64 slots up to 2×cap
+	// (grow). A slot is tag<<refBits | entry number, 0 when empty, and its
+	// home is tag & mask: a probe compares tags before it touches an entry,
+	// and a deletion closes its gap by shifting later slots back (no
+	// tombstones) using the stored tags alone.
 	index []uint32
 	mask  uint32
 	used  uint32 // entries[1:used+1] have held a source since the last Reset
@@ -81,7 +86,7 @@ func New[V any](capacity int, order Order) *Table[V] {
 	}
 	capacity = max(capacity, 1)
 	slots := 2
-	for slots < 2*capacity {
+	for slots < min(2*capacity, 64) { // the index grows with the sources held
 		slots *= 2
 	}
 	return &Table[V]{
@@ -97,7 +102,7 @@ func New[V any](capacity int, order Order) *Table[V] {
 func (t *Table[V]) Len() int { return t.n }
 func (t *Table[V]) Cap() int { return len(t.entries) - 1 }
 
-// Reset empties the table in place.
+// Reset empties the table in place, keeping the index at the size it grew to.
 func (t *Table[V]) Reset() {
 	clear(t.index)
 	t.entries[0] = entry[V]{}
@@ -134,6 +139,28 @@ func (t *Table[V]) vacate(slot uint32) {
 		}
 	}
 	t.index[slot] = 0
+}
+
+// vacant returns the empty slot that ends tag's probe run.
+func (t *Table[V]) vacant(tag uint32) uint32 {
+	slot := tag & t.mask
+	for t.index[slot] != 0 {
+		slot = (slot + 1) & t.mask
+	}
+	return slot
+}
+
+// grow doubles the index, placing every occupied slot again by its stored
+// tag: no key is hashed again. An insert that would fill the index past half
+// calls it, so it never passes 2×cap rounded up to a power of two.
+func (t *Table[V]) grow() {
+	old := t.index
+	t.index, t.mask = make([]uint32, 2*len(old)), uint32(2*len(old)-1)
+	for _, s := range old {
+		if s != 0 {
+			t.index[t.vacant(s>>refBits)] = s
+		}
+	}
 }
 
 func (t *Table[V]) unlink(e *entry[V]) {
@@ -199,8 +226,7 @@ func (t *Table[V]) Keep(reuseOldest bool) (v *V, found, evicted bool) {
 		_, old, _ := t.find(t.entries[ref].key)
 		t.vacate(old)
 		t.unlink(&t.entries[ref])
-		for slot = tag & t.mask; t.index[slot] != 0; slot = (slot + 1) & t.mask {
-		}
+		slot = t.vacant(tag)
 	case t.free != 0:
 		ref = t.free
 		t.free = t.entries[ref].older
@@ -212,6 +238,10 @@ func (t *Table[V]) Keep(reuseOldest bool) (v *V, found, evicted bool) {
 	if !evicted {
 		t.n++
 		clear(t.entries[ref : ref+1]) // val may be left over from before a Delete or Reset
+		if 2*t.n > len(t.index) {
+			t.grow()
+			slot = t.vacant(tag)
+		}
 	}
 	e.key = k
 	t.index[slot] = tag<<refBits | ref

@@ -18,6 +18,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -28,20 +29,23 @@ type Scheduler struct {
 	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	nprocs  int
 	ctl     chan struct{} // proc -> scheduler handoff
 	running *Proc         // proc currently holding the execution token
 	stopped bool
+	live    Proc // sentinel of the ring of procs not yet finished, oldest first
+	closed  bool
 }
 
 // New returns a Scheduler whose clock starts at zero and whose random source
 // is seeded with seed (determinism requires all simulation randomness to come
 // from Rand).
 func New(seed int64) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		rng: rand.New(rand.NewSource(seed)),
 		ctl: make(chan struct{}),
 	}
+	s.live.prev, s.live.next = &s.live, &s.live
+	return s
 }
 
 // Now returns the current virtual time as an offset from the start of the
@@ -67,10 +71,11 @@ func (s *Scheduler) RandDuration(max time.Duration) time.Duration {
 // Proc is a simulated goroutine. Procs are created with Go and must perform
 // all blocking through the scheduler that owns them.
 type Proc struct {
-	name   string
-	sched  *Scheduler
-	resume chan struct{}
-	dead   bool
+	name       string
+	sched      *Scheduler
+	resume     chan struct{}
+	dead       bool
+	prev, next *Proc // neighbours on the scheduler's ring of live procs
 }
 
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
@@ -114,14 +119,27 @@ func (s *Scheduler) schedule(at time.Duration, p *Proc, fn func()) *event {
 // The name is used in diagnostics only. Go may be called from outside the
 // simulation (before Run) or from a running proc or callback.
 func (s *Scheduler) Go(name string, fn func()) *Proc {
-	p := &Proc{name: name, sched: s, resume: make(chan struct{})}
-	s.nprocs++
+	p := &Proc{name: name, sched: s, resume: make(chan struct{}), dead: s.closed}
+	if p.dead {
+		return p
+	}
+	p.prev, p.next = s.live.prev, &s.live
+	p.prev.next, s.live.prev = p, p
 	go func() {
 		<-p.resume // wait to be scheduled for the first time
-		fn()
-		p.dead = true
-		s.nprocs--
-		s.ctl <- struct{}{} // return the token; proc goroutine exits
+		ended := false
+		defer func() {
+			if !ended && !s.closed {
+				return // fn panicked: the program ends with the scheduler waiting
+			}
+			p.dead = true
+			p.prev.next, p.next.prev = p.next, p.prev
+			s.ctl <- struct{}{} // return the token; proc goroutine exits
+		}()
+		if !s.closed {
+			fn()
+		}
+		ended = true
 	}()
 	s.schedule(s.now, p, nil)
 	return p
@@ -160,8 +178,13 @@ func (s *Scheduler) Yield() { s.Sleep(0) }
 // park transfers control from proc p back to the scheduler loop and blocks
 // until the scheduler resumes p.
 func (s *Scheduler) park(p *Proc) {
-	s.ctl <- struct{}{}
-	<-p.resume
+	if !s.closed { // else a deferred call of a proc Close is ending
+		s.ctl <- struct{}{}
+		<-p.resume
+	}
+	if s.closed {
+		runtime.Goexit()
+	}
 }
 
 func (s *Scheduler) mustRunning(op string) *Proc {
@@ -180,7 +203,7 @@ func (s *Scheduler) Running() *Proc { return s.running }
 // A zero until means run until the event queue drains.
 func (s *Scheduler) Run(until time.Duration) time.Duration {
 	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
+	for len(s.events) > 0 && !s.stopped && !s.closed {
 		e := heap.Pop(&s.events).(event)
 		if until > 0 && e.at > until {
 			// Put it back for a future Run call and stop at the horizon.
@@ -207,6 +230,23 @@ func (s *Scheduler) Run(until time.Duration) time.Duration {
 
 // Stop makes Run return after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
+
+// Close ends every proc that has not finished — asleep, blocked in a Queue,
+// or never started — so its goroutine exits and what it holds can be
+// collected: a proc left parked keeps its stack, and through it the whole
+// simulation, for the life of the program. The procs end one at a time,
+// oldest first, each running its deferred calls; a vclock call that would
+// block ends the proc there. Call it from outside Run once the simulation's
+// results are read: nothing runs on the scheduler after.
+func (s *Scheduler) Close() {
+	s.closed = true
+	for s.live.next != &s.live {
+		s.running = s.live.next
+		s.running.resume <- struct{}{}
+		<-s.ctl
+	}
+	s.running, s.events = nil, nil
+}
 
 // Pending reports the number of queued events, mostly for tests.
 func (s *Scheduler) Pending() int { return len(s.events) }

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -266,5 +267,44 @@ func TestYieldRunsAfterQueuedEvents(t *testing.T) {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestCloseEndsParkedProcs: procs a run leaves asleep, blocked in a queue or
+// never started end at Close — oldest first, each running its deferred
+// calls, one of which blocks and is ended there — so no goroutine outlives
+// the simulation. Nothing runs on the scheduler after.
+func TestCloseEndsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(1)
+	q := NewQueue[int](s)
+	var ended []string
+	s.Go("sleeper", func() {
+		defer func() { ended = append(ended, "sleeper") }()
+		s.Sleep(time.Hour)
+		t.Error("the sleeper woke")
+	})
+	s.Go("reader", func() {
+		defer func() { ended = append(ended, "reader") }()
+		defer s.Sleep(time.Second) // blocks again while ending: ends there
+		q.Get(NoTimeout)
+		t.Error("the reader read")
+	})
+	s.Run(time.Minute)
+	s.Go("unstarted", func() { t.Error("a proc started after Close") })
+	s.Close()
+	if len(ended) != 2 || ended[0] != "sleeper" || ended[1] != "reader" {
+		t.Errorf("deferred calls ran for %v, want [sleeper reader]", ended)
+	}
+	s.After(0, func() { t.Error("an event ran after Close") })
+	s.Go("late", func() { t.Error("a proc started after Close") })
+	if end := s.Run(0); end != time.Minute {
+		t.Errorf("Run after Close moved the clock to %v", end)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after Close, %d before the simulation", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -70,6 +70,7 @@ func (r CampaignLabResult) Goodput() float64 {
 func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 	var res CampaignLabResult
 	sched := vclock.New(cfg.Seed)
+	defer sched.Close() // a parked proc would keep the lab alive
 	net := netsim.New(sched, 200*time.Microsecond)
 
 	ansHost := net.AddHost("ans", netip.MustParseAddr("10.99.0.2"))

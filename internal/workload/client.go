@@ -109,6 +109,9 @@ type Client struct {
 	hasCookie  bool
 
 	nextID uint16
+	// tcpBuf is what requestTCP reads into, made at its first exchange: a
+	// read is copied into the frame scanner before anything else runs.
+	tcpBuf []byte
 
 	// Stats is updated as the client runs.
 	Stats ClientStats
@@ -387,7 +390,10 @@ func (c *Client) requestTCP() error {
 		return err
 	}
 	var sc dnswire.FrameScanner
-	buf := make([]byte, 4096)
+	if c.tcpBuf == nil {
+		c.tcpBuf = make([]byte, 4096)
+	}
+	buf := c.tcpBuf
 	deadline := c.cfg.Env.Now() + maxDur(c.cfg.Wait, 100*time.Millisecond)
 	for {
 		remain := deadline - c.cfg.Env.Now()
