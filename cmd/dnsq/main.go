@@ -27,7 +27,6 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/guard"
-	"dnsguard/internal/netapi"
 )
 
 func main() {
@@ -63,12 +62,6 @@ func run() error {
 	}
 
 	env := dnsguard.NewEnv()
-	conn, err := env.ListenUDP(netip.AddrPort{})
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
 	var ck cookie.Cookie
 	if *cookieFile != "" {
 		if cached, err := loadCookie(*cookieFile); err == nil {
@@ -83,7 +76,7 @@ func run() error {
 	if *useCookie && ck.IsZero() {
 		req := dnswire.NewQuery(uint16(rand.Int()), qname, qtype)
 		guard.AttachCookie(req, cookie.Cookie{}, 0)
-		resp, err := exchange(env, conn, target, req, *timeout)
+		resp, err := exchange(env, target, req, *timeout, false)
 		if err != nil {
 			return fmt.Errorf("cookie exchange: %w", err)
 		}
@@ -101,7 +94,7 @@ func run() error {
 		guard.AttachCookie(q, ck, 0)
 	}
 	start := time.Now()
-	resp, err := exchange(env, conn, target, q, *timeout)
+	resp, err := exchange(env, target, q, *timeout, false)
 	if err != nil {
 		return err
 	}
@@ -109,7 +102,7 @@ func run() error {
 
 	if resp.Flags.TC {
 		fmt.Println(";; truncated: retrying over TCP")
-		resp, err = exchangeTCP(env, target, q, *timeout)
+		resp, err = exchange(env, target, q, *timeout, true)
 		if err != nil {
 			return fmt.Errorf("TCP retry: %w", err)
 		}
@@ -134,65 +127,19 @@ func run() error {
 	return nil
 }
 
-func exchange(env dnsguard.Env, conn netapi.UDPConn, to netip.AddrPort, q *dnswire.Message, timeout time.Duration) (*dnswire.Message, error) {
-	wire, err := q.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.WriteTo(wire, to); err != nil {
-		return nil, err
-	}
-	deadline := env.Now() + timeout
-	for {
-		remain := deadline - env.Now()
-		if remain <= 0 {
-			return nil, netapi.ErrTimeout
-		}
-		payload, _, err := conn.ReadFrom(remain)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != q.ID {
-			continue
-		}
-		return resp, nil
-	}
-}
-
-func exchangeTCP(env dnsguard.Env, to netip.AddrPort, q *dnswire.Message, timeout time.Duration) (*dnswire.Message, error) {
-	conn, err := env.DialTCP(to)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
+// exchange sends q to server over UDP, or over TCP when tcp is set, and
+// takes its answer by dnswire's rule.
+func exchange(env dnsguard.Env, to netip.AddrPort, q *dnswire.Message, timeout time.Duration, tcp bool) (resp *dnswire.Message, err error) {
 	wire, err := q.Pack()
 	if err != nil {
 		return nil, err
 	}
-	frame, err := dnswire.AppendTCPFrame(nil, wire)
-	if err != nil {
-		return nil, err
+	if tcp {
+		resp, _, err = dnswire.ExchangeTCP(env, to, wire, timeout, nil)
+	} else {
+		resp, _, err = dnswire.ExchangeUDP(env, to, wire, timeout)
 	}
-	if _, err := conn.Write(frame); err != nil {
-		return nil, err
-	}
-	var sc dnswire.FrameScanner
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf, timeout)
-		if err != nil {
-			return nil, err
-		}
-		sc.Add(buf[:n])
-		msg, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return dnswire.Unpack(msg)
-		}
-	}
+	return resp, err
 }
 
 // loadCookie reads a hex-encoded cookie cached by a previous -cookie-file

@@ -128,25 +128,18 @@ func run() error {
 
 		fmt.Println()
 		fmt.Println("== per-client connection rate limiting ==")
-		opened, refused := 0, 0
 		for i := 0; i < 10; i++ {
 			c, err := lrsHost.DialTCP(netip.MustParseAddrPort("192.0.2.1:53"))
 			if err != nil {
-				refused++
 				continue
 			}
-			// The proxy closes over-rate connections immediately.
-			if _, err := c.Read(buf, 5*time.Millisecond); err == nil || sched.Now() == start {
-				opened++
-			} else {
-				opened++
-			}
+			// The proxy closes over-rate connections at once; the read
+			// paces the dials either way.
+			_, _ = c.Read(buf, 5*time.Millisecond)
 			_ = c.Close()
 		}
 		fmt.Printf("10 rapid dials: proxy accepted %d, rate-rejected %d\n",
 			int(proxy.Stats.Accepted), int(proxy.Stats.RateRejected))
-		_ = opened
-		_ = refused
 	})
 	sched.Run(time.Minute)
 

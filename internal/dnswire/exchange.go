@@ -1,0 +1,109 @@
+package dnswire
+
+import (
+	"errors"
+	"net/netip"
+	"slices"
+	"time"
+
+	"dnsguard/internal/errs"
+	"dnsguard/internal/netapi"
+)
+
+// The requester's exchange: send one query and take its answer. An answer is
+// what comes from the server the query went to (a TCP connection has no other
+// peer), parses, has QR set, and carries the query's ID and question (RFC
+// 5452 §9.1: the check that keeps an off-path forger's guesses out of an
+// honest requester). Everything else is skipped, and the wait goes on until
+// one deadline, timeout after the query was sent. Each exchange opens its
+// own ephemeral socket or connection and closes it before it returns.
+//
+// The error is netapi.ErrTimeout itself, not wrapped, when no answer came by
+// the deadline; an error opening the socket or sending the query wraps its
+// cause, so a dial that timed out is not taken for the server's silence.
+
+// ExchangeUDP sends query, a packed DNS query, to server in one datagram and
+// returns the first datagram that answers it, parsed and as it arrived.
+func ExchangeUDP(env netapi.Env, server netip.AddrPort, query []byte, timeout time.Duration) (*Message, []byte, error) {
+	q, err := Unpack(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	conn, err := env.ListenUDP(netip.AddrPort{})
+	if err != nil {
+		return nil, nil, errs.Wrap("dnswire: binding query socket: "+err.Error(), err)
+	}
+	defer conn.Close()
+	if err := conn.WriteTo(query, server); err != nil {
+		return nil, nil, errs.Wrap("dnswire: sending to "+server.String()+": "+err.Error(), err)
+	}
+	return await(env, q, timeout, func(remain time.Duration) ([]byte, error) {
+		payload, from, err := conn.ReadFrom(remain)
+		if from != server {
+			return nil, err
+		}
+		return payload, err
+	})
+}
+
+// ExchangeTCP sends query, a packed DNS query, to server in one frame on a
+// fresh TCP connection and returns the first frame that answers it, parsed,
+// without its length prefix. It reads into buf, which the caller owns, or
+// into a 4 KiB buffer of its own when buf is nil; every complete frame a
+// read holds is judged before the next read.
+func ExchangeTCP(env netapi.Env, server netip.AddrPort, query []byte, timeout time.Duration, buf []byte) (*Message, []byte, error) {
+	q, err := Unpack(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	frame, err := AppendTCPFrame(nil, query)
+	if err != nil {
+		return nil, nil, err
+	}
+	conn, err := env.DialTCP(server)
+	if err != nil {
+		return nil, nil, errs.Wrap("dnswire: dialing "+server.String()+": "+err.Error(), err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		return nil, nil, errs.Wrap("dnswire: sending to "+server.String()+": "+err.Error(), err)
+	}
+	if buf == nil {
+		buf = make([]byte, 4096)
+	}
+	var sc FrameScanner
+	return await(env, q, timeout, func(remain time.Duration) ([]byte, error) {
+		if msg, ok, err := sc.Next(); ok || err != nil {
+			return msg, nil // a frame too short for a header is nil, and skipped
+		}
+		n, err := conn.Read(buf, remain)
+		sc.Add(buf[:n])
+		return nil, err
+	})
+}
+
+// await calls next until it returns an answer to q, an error, or the
+// deadline passes. next waits at most remain and returns a datagram or frame
+// to judge, or nil for nothing to judge yet.
+func await(env netapi.Env, q *Message, timeout time.Duration, next func(remain time.Duration) ([]byte, error)) (*Message, []byte, error) {
+	deadline := env.Now() + timeout
+	for {
+		remain := deadline - env.Now()
+		if remain <= 0 {
+			return nil, nil, netapi.ErrTimeout
+		}
+		b, err := next(remain)
+		switch {
+		case errors.Is(err, netapi.ErrTimeout):
+			return nil, nil, netapi.ErrTimeout
+		case err != nil:
+			return nil, nil, err
+		case b == nil:
+			continue
+		}
+		resp, err := Unpack(b)
+		if err == nil && resp.Flags.QR && resp.ID == q.ID && slices.Equal(resp.Questions, q.Questions) {
+			return resp, b, nil
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -489,113 +488,43 @@ func (r *Resolver) serverAddr(host dnswire.Name, depth int) (netip.Addr, error) 
 }
 
 // exchange performs one UDP query/response with TCP fallback on truncation.
-// A datagram is the response only when it comes from server, has QR set, and
-// carries the query's ID and question (RFC 5452 §9.1); the resolver waits on
-// past anything else.
 func (r *Resolver) exchange(server netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, timeout time.Duration) (*dnswire.Message, error) {
-	conn, err := r.cfg.Env.ListenUDP(netip.AddrPort{})
-	if err != nil {
-		return nil, fmt.Errorf("resolver: binding query socket: %w", err)
+	resp, err := r.ask(server, qname, qtype, timeout, false)
+	if err == nil && resp.Flags.TC {
+		atomic.AddUint64(&r.Stats.TCPFallbacks, 1)
+		return r.exchangeTCP(server, qname, qtype, timeout)
 	}
-	defer conn.Close()
-
-	id := uint16(r.randUint32())
-	q := dnswire.NewQuery(id, qname, qtype)
-	q.Flags.RD = false // iterative
-	wire, err := q.PackUDP(dnswire.MaxUDPSize)
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddUint64(&r.Stats.Upstream, 1)
-	if err := conn.WriteTo(wire, server); err != nil {
-		return nil, err
-	}
-	deadline := r.now() + timeout
-	for {
-		remain := deadline - r.now()
-		if remain <= 0 {
-			atomic.AddUint64(&r.Stats.Timeouts, 1)
-			return nil, ErrTimeout
-		}
-		payload, from, err := conn.ReadFrom(remain)
-		if err != nil {
-			if errors.Is(err, netapi.ErrTimeout) {
-				atomic.AddUint64(&r.Stats.Timeouts, 1)
-				return nil, ErrTimeout
-			}
-			return nil, err
-		}
-		if from != server {
-			continue // off-path datagram; keep waiting
-		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != id || !resp.Flags.QR || !slices.Equal(resp.Questions, q.Questions) {
-			continue // stray or forged datagram; keep waiting
-		}
-		if resp.Flags.TC {
-			atomic.AddUint64(&r.Stats.TCPFallbacks, 1)
-			return r.exchangeTCP(server, qname, qtype, timeout)
-		}
-		return resp, nil
-	}
+	return resp, err
 }
 
 // exchangeTCP retries the query over a fresh TCP connection.
 func (r *Resolver) exchangeTCP(server netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, timeout time.Duration) (*dnswire.Message, error) {
-	conn, err := r.cfg.Env.DialTCP(server)
-	if err != nil {
-		return nil, fmt.Errorf("resolver: TCP fallback dial: %w", err)
-	}
-	defer conn.Close()
-	id := uint16(r.randUint32())
-	q := dnswire.NewQuery(id, qname, qtype)
-	q.Flags.RD = false
+	return r.ask(server, qname, qtype, timeout, true)
+}
+
+// ask sends one iterative query under a fresh random ID, over UDP or TCP,
+// and takes the answer dnswire's exchange takes (RFC 5452 §9.1). The
+// server's silence counts as a timeout and is reported as ErrTimeout; a dial
+// that timed out comes wrapped and is not counted.
+func (r *Resolver) ask(server netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, timeout time.Duration, tcp bool) (*dnswire.Message, error) {
+	q := dnswire.NewQuery(uint16(r.randUint32()), qname, qtype)
+	q.Flags.RD = false // iterative
 	wire, err := q.Pack()
 	if err != nil {
 		return nil, err
 	}
-	frame, err := dnswire.AppendTCPFrame(nil, wire)
-	if err != nil {
-		return nil, err
-	}
 	atomic.AddUint64(&r.Stats.Upstream, 1)
-	if _, err := conn.Write(frame); err != nil {
-		return nil, err
+	var resp *dnswire.Message
+	if tcp {
+		resp, _, err = dnswire.ExchangeTCP(r.cfg.Env, server, wire, timeout, nil)
+	} else {
+		resp, _, err = dnswire.ExchangeUDP(r.cfg.Env, server, wire, timeout)
 	}
-	deadline := r.now() + timeout
-	var sc dnswire.FrameScanner
-	buf := make([]byte, 4096)
-	for {
-		remain := deadline - r.now()
-		if remain <= 0 {
-			atomic.AddUint64(&r.Stats.Timeouts, 1)
-			return nil, ErrTimeout
-		}
-		n, err := conn.Read(buf, remain)
-		if err != nil {
-			if errors.Is(err, netapi.ErrTimeout) {
-				atomic.AddUint64(&r.Stats.Timeouts, 1)
-				return nil, ErrTimeout
-			}
-			return nil, err
-		}
-		// One read may carry several frames: every complete one is judged
-		// before the next read.
-		sc.Add(buf[:n])
-		for {
-			msg, ok, err := sc.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			// The UDP exchange's rule: QR set, same ID and question.
-			if resp, err := dnswire.Unpack(msg); err == nil && resp.ID == id && resp.Flags.QR && slices.Equal(resp.Questions, q.Questions) {
-				return resp, nil
-			}
-		}
+	if err == netapi.ErrTimeout {
+		atomic.AddUint64(&r.Stats.Timeouts, 1)
+		return nil, ErrTimeout
 	}
+	return resp, err
 }
 
 // Response classification --------------------------------------------------

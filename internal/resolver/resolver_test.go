@@ -545,32 +545,10 @@ func answerWith(t *testing.T, q []byte, addr string) []byte {
 
 // stubQuery is a stub resolver: one recursive UDP query to an LRS.
 func stubQuery(env netapi.Env, lrs netip.AddrPort, qname dnswire.Name, qtype dnswire.Type, id uint16, timeout time.Duration) (*dnswire.Message, error) {
-	conn, err := env.ListenUDP(netip.AddrPort{})
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
 	wire, err := dnswire.NewQuery(id, qname, qtype).PackUDP(dnswire.MaxUDPSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.WriteTo(wire, lrs); err != nil {
-		return nil, err
-	}
-	deadline := env.Now() + timeout
-	for {
-		remain := deadline - env.Now()
-		if remain <= 0 {
-			return nil, netapi.ErrTimeout
-		}
-		payload, _, err := conn.ReadFrom(remain)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != id || !resp.Flags.QR {
-			continue
-		}
-		return resp, nil
-	}
+	resp, _, err := dnswire.ExchangeUDP(env, lrs, wire, timeout)
+	return resp, err
 }

@@ -14,7 +14,7 @@ package tcpproxy
 import (
 	"errors"
 	"net/netip"
-	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -191,13 +191,25 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
+// readBufPool recycles the 4 KiB buffers serve reads a connection into: a
+// read is copied into the frame scanner before anything else runs, so a
+// buffer is free again once its connection ends.
+var readBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 4096)
+		return &b
+	},
+}
+
 // serve relays one TCP connection until it closes, errors, or exceeds the
 // duration cap.
 func (p *Proxy) serve(conn netapi.Conn) {
 	defer conn.Close()
 	opened := p.cfg.Env.Now()
 	var sc dnswire.FrameScanner
-	buf := make([]byte, 4096)
+	bufp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bufp)
+	buf := *bufp
 	for {
 		remain := p.cfg.MaxDuration - (p.cfg.Env.Now() - opened)
 		if remain <= 0 {
@@ -228,50 +240,26 @@ func (p *Proxy) serve(conn netapi.Conn) {
 }
 
 // relay forwards one request frame to the ANS over UDP and writes the
-// response back on the TCP connection. A datagram is the response only when
-// it comes from the ANS, has QR set, and carries the request's ID and
-// question (RFC 5452 §9.1); the proxy waits on past anything else.
+// response back on the TCP connection: the request's own bytes go up, and the
+// answer dnswire.ExchangeUDP takes (RFC 5452 §9.1) comes back as it arrived.
 func (p *Proxy) relay(conn netapi.Conn, frame []byte) bool {
 	req, err := dnswire.Unpack(frame)
 	if err != nil || req.Flags.QR {
 		return false
 	}
 	atomic.AddUint64(&p.Stats.Requests, 1)
-	udp, err := p.cfg.Env.ListenUDP(netip.AddrPort{})
+	_, payload, err := dnswire.ExchangeUDP(p.cfg.Env, p.cfg.ANSAddr, frame, upstreamTimeout)
+	if err != nil {
+		atomic.AddUint64(&p.Stats.UpstreamDrops, 1)
+		return false
+	}
+	out, err := dnswire.AppendTCPFrame(nil, payload)
 	if err != nil {
 		return false
 	}
-	defer udp.Close()
-	if err := udp.WriteTo(frame, p.cfg.ANSAddr); err != nil {
+	if _, err := conn.Write(out); err != nil {
 		return false
 	}
-	deadline := p.cfg.Env.Now() + upstreamTimeout
-	for {
-		remain := deadline - p.cfg.Env.Now()
-		if remain <= 0 {
-			atomic.AddUint64(&p.Stats.UpstreamDrops, 1)
-			return false
-		}
-		payload, from, err := udp.ReadFrom(remain)
-		if err != nil {
-			atomic.AddUint64(&p.Stats.UpstreamDrops, 1)
-			return false
-		}
-		if from != p.cfg.ANSAddr {
-			continue
-		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != req.ID || !resp.Flags.QR || !slices.Equal(resp.Questions, req.Questions) {
-			continue
-		}
-		out, err := dnswire.AppendTCPFrame(nil, payload)
-		if err != nil {
-			return false
-		}
-		if _, err := conn.Write(out); err != nil {
-			return false
-		}
-		atomic.AddUint64(&p.Stats.Responses, 1)
-		return true
-	}
+	atomic.AddUint64(&p.Stats.Responses, 1)
+	return true
 }

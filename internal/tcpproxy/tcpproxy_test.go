@@ -482,30 +482,10 @@ func TestRelayTakesOnlyTheANSReply(t *testing.T) {
 	})
 	var got *dnswire.Message
 	sched.Go("client", func() {
-		conn, err := client.DialTCP(mustAP("192.0.2.1:53"))
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		defer conn.Close()
 		wire, _ := dnswire.NewQuery(9, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
-		frame, _ := dnswire.AppendTCPFrame(nil, wire)
-		if _, err := conn.Write(frame); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		var sc dnswire.FrameScanner
-		buf := make([]byte, 4096)
-		for got == nil {
-			n, err := conn.Read(buf, 5*time.Second)
-			if err != nil {
-				t.Errorf("read: %v", err)
-				return
-			}
-			sc.Add(buf[:n])
-			if msg, ok, _ := sc.Next(); ok {
-				got, _ = dnswire.Unpack(msg)
-			}
+		var err error
+		if got, _, err = dnswire.ExchangeTCP(client, mustAP("192.0.2.1:53"), wire, 5*time.Second, nil); err != nil {
+			t.Errorf("exchange: %v", err)
 		}
 	})
 	sched.Run(time.Minute)

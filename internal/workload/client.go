@@ -211,36 +211,15 @@ func (c *Client) request() error {
 	return err
 }
 
-// exchange performs one UDP query/response on a fresh ephemeral socket.
+// exchange performs one UDP query/response on a fresh ephemeral socket,
+// taking the answer dnswire.ExchangeUDP takes.
 func (c *Client) exchange(to netip.AddrPort, msg *dnswire.Message) (*dnswire.Message, error) {
-	conn, err := c.cfg.Env.ListenUDP(netip.AddrPort{})
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
 	wire, err := msg.PackUDP(dnswire.MaxUDPSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.WriteTo(wire, to); err != nil {
-		return nil, err
-	}
-	deadline := c.cfg.Env.Now() + c.cfg.Wait
-	for {
-		remain := deadline - c.cfg.Env.Now()
-		if remain <= 0 {
-			return nil, netapi.ErrTimeout
-		}
-		payload, _, err := conn.ReadFrom(remain)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := dnswire.Unpack(payload)
-		if err != nil || resp.ID != msg.ID || !resp.Flags.QR {
-			continue
-		}
-		return resp, nil
-	}
+	resp, _, err := dnswire.ExchangeUDP(c.cfg.Env, to, wire, c.cfg.Wait)
+	return resp, err
 }
 
 func (c *Client) id() uint16 {
@@ -372,54 +351,15 @@ func (c *Client) requestTCP() error {
 			return fmt.Errorf("workload: expected TC or answers, got rcode %v", resp.Flags.RCode)
 		}
 	}
-	conn, err := c.cfg.Env.DialTCP(c.cfg.Target)
+	wire, err := dnswire.NewQuery(c.id(), c.cfg.QName, dnswire.TypeA).Pack()
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	q := dnswire.NewQuery(c.id(), c.cfg.QName, dnswire.TypeA)
-	wire, err := q.Pack()
-	if err != nil {
-		return err
-	}
-	frame, err := dnswire.AppendTCPFrame(nil, wire)
-	if err != nil {
-		return err
-	}
-	if _, err := conn.Write(frame); err != nil {
-		return err
-	}
-	var sc dnswire.FrameScanner
 	if c.tcpBuf == nil {
 		c.tcpBuf = make([]byte, 4096)
 	}
-	buf := c.tcpBuf
-	deadline := c.cfg.Env.Now() + maxDur(c.cfg.Wait, 100*time.Millisecond)
-	for {
-		remain := deadline - c.cfg.Env.Now()
-		if remain <= 0 {
-			return netapi.ErrTimeout
-		}
-		n, err := conn.Read(buf, remain)
-		if err != nil {
-			return err
-		}
-		// One read may carry several frames: every complete one is judged
-		// before the next read.
-		sc.Add(buf[:n])
-		for {
-			msg, ok, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if tresp, err := dnswire.Unpack(msg); err == nil && tresp.ID == q.ID && tresp.Flags.QR {
-				return nil
-			}
-		}
-	}
+	_, _, err = dnswire.ExchangeTCP(c.cfg.Env, c.cfg.Target, wire, max(c.cfg.Wait, 100*time.Millisecond), c.tcpBuf)
+	return err
 }
 
 func firstNSTarget(rrs []dnswire.RR) (dnswire.Name, bool) {
@@ -438,11 +378,4 @@ func firstA(rrs []dnswire.RR) (netip.Addr, bool) {
 		}
 	}
 	return netip.Addr{}, false
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
