@@ -221,7 +221,6 @@ func run() error {
 		Env:                 env,
 		IOs:                 ios,
 		PublicAddr:          conns[0].LocalAddr(),
-		Shards:              nShards,
 		Batch:               o.batch,
 		ANSAddr:             ans,
 		ANSFallbacks:        fallbacks,
@@ -281,6 +280,17 @@ func run() error {
 		hooks.Metrics = l
 		say("metrics on http://" + l.Addr().String() + "/metrics (probes /healthz /readyz)")
 	}
+	// The -keyring-reload ticker and SIGHUP both reload this way.
+	reload := func() error {
+		before := auth.Epoch()
+		if err := auth.Reload(); err != nil {
+			return errs.Wrap("keyring reload: "+err.Error(), err)
+		}
+		if e := auth.Epoch(); e != before {
+			say("keyring advanced to epoch " + strconv.FormatUint(e, 10))
+		}
+		return nil
+	}
 	stop := make(chan struct{})
 	defer close(stop)
 	if o.keyringReload > 0 {
@@ -293,13 +303,8 @@ func run() error {
 					return
 				case <-t.C:
 				}
-				before := auth.Epoch()
-				if err := auth.Reload(); err != nil {
-					os.Stderr.WriteString("dnsguardd: keyring reload: " + err.Error() + "\n")
-					continue
-				}
-				if e := auth.Epoch(); e != before {
-					say("keyring advanced to epoch " + strconv.FormatUint(e, 10))
+				if err := reload(); err != nil {
+					os.Stderr.WriteString("dnsguardd: " + err.Error() + "\n")
 				}
 			}
 		}()
@@ -340,16 +345,7 @@ func run() error {
 	// SIGTERM/SIGINT drain gracefully — refuse new cookie exchanges, flush
 	// the dataplane, let pending ANS exchanges finish — before closing.
 	if o.stateFile != "" {
-		hooks.Reload = func() error {
-			before := auth.Epoch()
-			if err := auth.Reload(); err != nil {
-				return errs.Wrap("keyring reload: "+err.Error(), err)
-			}
-			if e := auth.Epoch(); e != before {
-				say("keyring advanced to epoch " + strconv.FormatUint(e, 10))
-			}
-			return nil
-		}
+		hooks.Reload = reload
 	}
 	if o.drainTimeout > 0 {
 		hooks.Drain = func() {

@@ -361,21 +361,32 @@ func vmHWM(t *testing.T, pid int) int {
 // nothing between two scrapes but those scrapes, although its stats line is
 // printed every 20 ms and the registry dumped every 120 ms. When each period
 // took a new timer and each dump rendered through fmt, a second of this made
-// about 1 500 objects.
+// about 1 500 objects. With -ans-fallback each upstream loop's read also
+// times out for a sweep of its NAT table every 1.5 s, so that guard idles
+// for two seconds: the timed read and an empty sweep allocate nothing either.
 func TestIdleAllocatesNothing(t *testing.T) {
 	bin := buildDaemons(t, "dnsguardd")
-	guard := start(t, filepath.Join(bin, "dnsguardd"), "-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com",
-		"-metrics-addr", "127.0.0.1:0", "-stats", "20ms")
-	base := "http://" + guard.await(t, metricsBanner)
-	before := allocatedObjects(t, base)
-	time.Sleep(time.Second)
-	n := allocatedObjects(t, base) - before
-	t.Logf("an idle second and two scrapes: %d objects", n)
-	if n > 2*scrapeObjects {
-		t.Errorf("an idle dnsguardd -stats 20ms allocated %d objects in 1 s, want <= %d (two scrapes)", n, 2*scrapeObjects)
-	}
-	if out := guard.output(); strings.Count(out, "dnsguardd: recv=0 grants=0") < 10 || !strings.Contains(out, "-- metrics --\n") {
-		t.Errorf("the stats line or the metrics dump was not printed:\n%s", out)
+	for _, tc := range []struct {
+		flags []string
+		idle  time.Duration
+	}{
+		{nil, time.Second},
+		{[]string{"-ans-fallback", "127.0.0.1:10"}, 2 * time.Second},
+	} {
+		args := append([]string{"-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com",
+			"-metrics-addr", "127.0.0.1:0", "-stats", "20ms"}, tc.flags...)
+		guard := start(t, filepath.Join(bin, "dnsguardd"), args...)
+		base := "http://" + guard.await(t, metricsBanner)
+		before := allocatedObjects(t, base)
+		time.Sleep(tc.idle)
+		n := allocatedObjects(t, base) - before
+		t.Logf("%q: an idle %v and two scrapes: %d objects", tc.flags, tc.idle, n)
+		if n > 2*scrapeObjects {
+			t.Errorf("an idle dnsguardd -stats 20ms %q allocated %d objects in %v, want <= %d (two scrapes)", tc.flags, n, tc.idle, 2*scrapeObjects)
+		}
+		if out := guard.output(); strings.Count(out, "dnsguardd: recv=0 grants=0") < 10 || !strings.Contains(out, "-- metrics --\n") {
+			t.Errorf("%q: the stats line or the metrics dump was not printed:\n%s", tc.flags, out)
+		}
 	}
 }
 

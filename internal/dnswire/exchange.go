@@ -3,7 +3,6 @@ package dnswire
 import (
 	"errors"
 	"net/netip"
-	"slices"
 	"time"
 
 	"dnsguard/internal/errs"
@@ -12,22 +11,25 @@ import (
 
 // The requester's exchange: send one query and take its answer. An answer is
 // what comes from the server the query went to (a TCP connection has no other
-// peer), parses, has QR set, and carries the query's ID and question (RFC
-// 5452 §9.1: the check that keeps an off-path forger's guesses out of an
-// honest requester). Everything else is skipped, and the wait goes on until
-// one deadline, timeout after the query was sent. Each exchange opens its
-// own ephemeral socket or connection and closes it before it returns.
+// peer), has QR set, carries the query's ID and question (RFC 5452 §9.1: the
+// check that keeps an off-path forger's guesses out of an honest requester),
+// and parses. The query and each candidate are judged on their views; only
+// the answer is unpacked. Everything else is skipped, and the wait goes on
+// until one deadline, timeout after the query was sent. Each exchange opens
+// its own ephemeral socket or connection and closes it before it returns.
 //
-// The error is netapi.ErrTimeout itself, not wrapped, when no answer came by
-// the deadline; an error opening the socket or sending the query wraps its
-// cause, so a dial that timed out is not taken for the server's silence.
+// The query must be one a View takes, of one question; the error is
+// ErrMalformed when it is not. The error is netapi.ErrTimeout itself, not
+// wrapped, when no answer came by the deadline; an error opening the socket
+// or sending the query wraps its cause, so a dial that timed out is not taken
+// for the server's silence.
 
 // ExchangeUDP sends query, a packed DNS query, to server in one datagram and
 // returns the first datagram that answers it, parsed and as it arrived.
 func ExchangeUDP(env netapi.Env, server netip.AddrPort, query []byte, timeout time.Duration) (*Message, []byte, error) {
-	q, err := Unpack(query)
-	if err != nil {
-		return nil, nil, err
+	q, ok := ParseView(query)
+	if !ok || q.QDCount() != 1 {
+		return nil, nil, ErrMalformed
 	}
 	conn, err := env.ListenUDP(netip.AddrPort{})
 	if err != nil {
@@ -52,9 +54,9 @@ func ExchangeUDP(env netapi.Env, server netip.AddrPort, query []byte, timeout ti
 // into a 4 KiB buffer of its own when buf is nil; every complete frame a
 // read holds is judged before the next read.
 func ExchangeTCP(env netapi.Env, server netip.AddrPort, query []byte, timeout time.Duration, buf []byte) (*Message, []byte, error) {
-	q, err := Unpack(query)
-	if err != nil {
-		return nil, nil, err
+	q, ok := ParseView(query)
+	if !ok || q.QDCount() != 1 {
+		return nil, nil, ErrMalformed
 	}
 	frame, err := AppendTCPFrame(nil, query)
 	if err != nil {
@@ -85,7 +87,7 @@ func ExchangeTCP(env netapi.Env, server netip.AddrPort, query []byte, timeout ti
 // await calls next until it returns an answer to q, an error, or the
 // deadline passes. next waits at most remain and returns a datagram or frame
 // to judge, or nil for nothing to judge yet.
-func await(env netapi.Env, q *Message, timeout time.Duration, next func(remain time.Duration) ([]byte, error)) (*Message, []byte, error) {
+func await(env netapi.Env, q View, timeout time.Duration, next func(remain time.Duration) ([]byte, error)) (*Message, []byte, error) {
 	deadline := env.Now() + timeout
 	for {
 		remain := deadline - env.Now()
@@ -101,8 +103,10 @@ func await(env netapi.Env, q *Message, timeout time.Duration, next func(remain t
 		case b == nil:
 			continue
 		}
-		resp, err := Unpack(b)
-		if err == nil && resp.Flags.QR && resp.ID == q.ID && slices.Equal(resp.Questions, q.Questions) {
+		if v, ok := ParseView(b); !ok || !v.QR() || v.ID() != q.ID() || v.QDCount() != 1 || !SameQuestion(v.QuestionWire(), q.QuestionWire()) {
+			continue
+		}
+		if resp, err := Unpack(b); err == nil {
 			return resp, b, nil
 		}
 	}

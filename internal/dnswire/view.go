@@ -92,6 +92,21 @@ func (v View) FirstLabel() []byte {
 // as wire bytes, borrowed from the underlying buffer.
 func (v View) QuestionWire() []byte { return v.buf[headerLen:v.end] }
 
+// SameQuestion reports whether a and b, two spans QuestionWire returned, are
+// one question: the names equal but for ASCII case, as Unpack folds them (RFC
+// 4343 §3), type and class equal. A length octet or one ≥ 0x80 is no letter.
+func SameQuestion(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, c := range a {
+		if c != b[i] && (i >= len(a)-4 || c|0x20 != b[i]|0x20 || c|0x20 < 'a' || c|0x20 > 'z') {
+			return false
+		}
+	}
+	return true
+}
+
 // End returns the offset just past the first question. A query that is
 // exactly one question has End equal to the datagram length and zero
 // ANCount/NSCount/ARCount.

@@ -78,6 +78,39 @@ func TestViewCasePreserved(t *testing.T) {
 	}
 }
 
+// TestSameQuestion: two question spans are one question to SameQuestion
+// exactly when UnpackQuestion makes one Question of both. The names differ in
+// case, in a byte next to the letters ('@', '[', '`', '{') or at or above
+// 0x80, in a length octet; type and class differ by a bit that would fold.
+func TestSameQuestion(t *testing.T) {
+	spans := [][]byte{
+		[]byte("\x03www\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03WwW\x03FOO\x03cOm\x00\x00\x01\x00\x01"),
+		[]byte("\x03www\x03foo\x03com\x00\x00\x21\x00\x01"),
+		[]byte("\x03www\x03foo\x03com\x00\x00\x01\x00\x21"),
+		[]byte("\x03w@w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03w`w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03w[w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03w{w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03w\xc1w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x03w\xe1w\x03foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x07www#foo\x03com\x00\x00\x01\x00\x01"),
+		[]byte("\x07www\x03foo\x03com\x00\x00\x01\x00\x01"),
+	}
+	for _, a := range spans {
+		for _, b := range spans {
+			qa, _, errA := UnpackQuestion(a)
+			qb, _, errB := UnpackQuestion(b)
+			if errA != nil || errB != nil {
+				t.Fatalf("UnpackQuestion(%q): %v; (%q): %v", a, errA, b, errB)
+			}
+			if got, want := SameQuestion(a, b), qa == qb; got != want {
+				t.Errorf("SameQuestion(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 // TestViewRejects pins the not-viewable cases: each must fall back to the
 // materializing path rather than mis-parse.
 func TestViewRejects(t *testing.T) {

@@ -27,13 +27,13 @@ package guard
 // discover an outage independently within one threshold of timeouts each.
 //
 // All of it runs only where there is somewhere to fail over to: without
-// RemoteConfig.ANSFallbacks no sweeper proc is spawned and forward
-// short-circuits to the single configured ANSAddr, preserving the
-// deterministic single-shard replay.
+// RemoteConfig.ANSFallbacks forward short-circuits to the single configured
+// ANSAddr and the upstream loop reads without a timeout, preserving the
+// deterministic single-shard replay. With it, the shard's upstream loop is
+// the breaker's one writer (healthTick); the worker reads only the states.
 
 import (
 	"net/netip"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +49,7 @@ type HealthConfig struct {
 	FailOpen bool
 
 	// Filled by RemoteConfig.resolve; only tests set them first. enabled
-	// turns the breaker and the per-shard health sweeper on (tests run them
+	// turns the breaker and the upstream loop's sweep on (tests run them
 	// without a fallback); threshold and cooldown replace breakerThreshold
 	// and breakerCooldown.
 	enabled   bool
@@ -66,11 +66,9 @@ const (
 	breakerCooldown = 2 * time.Second
 )
 
-// breakerState is one upstream's circuit-breaker state.
-type breakerState int
-
+// An upstream's circuit-breaker states.
 const (
-	breakerClosed breakerState = iota
+	breakerClosed = iota
 	breakerOpen
 	breakerHalfOpen
 )
@@ -78,28 +76,26 @@ const (
 // upstreamHealth tracks one upstream address within a shard.
 type upstreamHealth struct {
 	addr     netip.AddrPort
-	state    breakerState
+	state    atomic.Int32  // the loop writes it, pick and BreakerState read it
 	consec   int           // consecutive timeouts while closed
-	openedAt time.Duration // when the breaker last opened (or a probe failed)
-	timeouts uint32        // counted by countTimeout, not yet fed (atomic)
+	openedAt time.Duration // when the breaker last opened, or its probe failed or was refused
+	timeouts atomic.Uint32 // counted by countTimeout, not yet fed
 }
 
-// shardHealth is one shard's breaker over the ordered upstream list. Guarded
-// by its own mutex: the shard worker (pick), the health sweeper (timeouts,
-// probes), and the upstream loop (successes) all touch it.
+// shardHealth is one shard's breaker over the ordered upstream list, owned
+// by the shard's upstream loop.
 type shardHealth struct {
-	g  *Remote
-	mu sync.Mutex
+	g *Remote
 	// ups[0] is the primary (RemoteConfig.ANSAddr); the rest are the
 	// ordered ANSFallbacks.
 	ups []upstreamHealth
 }
 
 func newShardHealth(g *Remote) *shardHealth {
-	h := &shardHealth{g: g}
-	h.ups = append(h.ups, upstreamHealth{addr: g.cfg.ANSAddr})
-	for _, a := range g.cfg.ANSFallbacks {
-		h.ups = append(h.ups, upstreamHealth{addr: a})
+	h := &shardHealth{g: g, ups: make([]upstreamHealth, 1+len(g.cfg.ANSFallbacks))}
+	h.ups[0].addr = g.cfg.ANSAddr
+	for i, a := range g.cfg.ANSFallbacks {
+		h.ups[1+i].addr = a
 	}
 	return h
 }
@@ -108,10 +104,8 @@ func newShardHealth(g *Remote) *shardHealth {
 // is closed. With every breaker open the overload policy applies — fail-open
 // returns the primary, fail-closed reports no target.
 func (h *shardHealth) pick() (netip.AddrPort, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := range h.ups {
-		if h.ups[i].state == breakerClosed {
+		if h.ups[i].state.Load() == breakerClosed {
 			return h.ups[i].addr, true
 		}
 	}
@@ -126,29 +120,27 @@ func (h *shardHealth) pick() (netip.AddrPort, bool) {
 // lock and takes no other: the addresses never change, the count is atomic.
 func (h *shardHealth) countTimeout(addr netip.AddrPort) {
 	if u := h.find(addr); u != nil {
-		atomic.AddUint32(&u.timeouts, 1)
+		u.timeouts.Add(1)
 	}
 }
 
 // noteTimeouts feeds the timeouts counted since its last call into the
 // breaker, as many consecutive timeouts of each upstream.
 func (h *shardHealth) noteTimeouts(now time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := range h.ups {
 		u := &h.ups[i]
-		switch n := int(atomic.SwapUint32(&u.timeouts, 0)); {
+		switch n := int(u.timeouts.Swap(0)); {
 		case n == 0:
-		case u.state == breakerClosed:
+		case u.state.Load() == breakerClosed:
 			u.consec += n
 			if u.consec >= h.g.cfg.Health.threshold {
-				u.state = breakerOpen
+				u.state.Store(breakerOpen)
 				u.openedAt = now
 				atomic.AddUint64(&h.g.Stats.BreakerOpens, 1)
 			}
-		case u.state == breakerHalfOpen:
+		case u.state.Load() == breakerHalfOpen:
 			// The probe died too: back to open for another cooldown.
-			u.state = breakerOpen
+			u.state.Store(breakerOpen)
 			u.openedAt = now
 		}
 	}
@@ -158,34 +150,14 @@ func (h *shardHealth) noteTimeouts(now time.Duration) {
 // addr into the breaker: any state snaps back to closed, restoring the
 // upstream's place in the failover order.
 func (h *shardHealth) noteSuccess(addr netip.AddrPort) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	u := h.find(addr)
 	if u == nil {
 		return
 	}
 	u.consec = 0
-	if u.state != breakerClosed {
-		u.state = breakerClosed
+	if u.state.Swap(breakerClosed) != breakerClosed {
 		atomic.AddUint64(&h.g.Stats.BreakerCloses, 1)
 	}
-}
-
-// dueProbes transitions cooled-down open breakers to half-open and returns
-// their addresses; the caller sends one synthetic probe to each. An upstream
-// stays half-open (no repeat probes) until the probe answers or times out.
-func (h *shardHealth) dueProbes(now time.Duration) []netip.AddrPort {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var due []netip.AddrPort
-	for i := range h.ups {
-		u := &h.ups[i]
-		if u.state == breakerOpen && now-u.openedAt >= h.g.cfg.Health.cooldown {
-			u.state = breakerHalfOpen
-			due = append(due, u.addr)
-		}
-	}
-	return due
 }
 
 func (h *shardHealth) find(addr netip.AddrPort) *upstreamHealth {
@@ -204,13 +176,11 @@ func (g *Remote) BreakerState(shard int, addr netip.AddrPort) int {
 	if h == nil {
 		return -1
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	u := h.find(addr)
 	if u == nil {
 		return -1
 	}
-	return int(u.state)
+	return int(u.state.Load())
 }
 
 // isUpstreamAddr reports whether src is one of the configured upstreams —
@@ -227,29 +197,25 @@ func (g *Remote) isUpstreamAddr(src netip.AddrPort) bool {
 	return false
 }
 
-// healthLoop is one shard's sweeper proc ("guard-health[-i]", spawned only
-// when health is enabled): every half a NAT-table entry's life it reaps
-// expired pending entries into timeout signals and launches half-open probes
-// for cooled-down breakers.
-func (s *remoteShard) healthLoop() {
-	g := s.g
-	for !g.closed.Load() {
-		g.cfg.Env.Sleep(g.cfg.pendingTimeout / 2)
-		if g.closed.Load() {
-			return
-		}
-		s.healthTick(g.now())
-	}
-}
-
-// healthTick is one pass of the sweeper: expired entries become timeout
-// signals, cooled-down breakers get their probe. Without the sweeper an
-// expired entry lingered until the table filled; the breaker needs the
-// timeout signal promptly.
+// healthTick is the upstream loop's sweep: expired entries become timeout
+// signals fed to the breaker, and each open breaker that has cooled down goes
+// half-open and gets its probe. A probe the full NAT table refuses leaves its
+// breaker open for another cooldown: half-open with nothing in flight, no
+// timeout or answer could ever move it.
 func (s *remoteShard) healthTick(now time.Duration) {
+	h := s.health
 	s.sweepPending(now)
-	for _, addr := range s.health.dueProbes(now) {
-		s.sendProbe(addr)
+	h.noteTimeouts(now)
+	for i := range h.ups {
+		u := &h.ups[i]
+		if u.state.Load() != breakerOpen || now-u.openedAt < s.g.cfg.Health.cooldown {
+			continue
+		}
+		if s.sendProbe(u.addr) {
+			u.state.Store(breakerHalfOpen)
+		} else {
+			u.openedAt = now
+		}
 	}
 }
 
@@ -257,12 +223,16 @@ func (s *remoteShard) healthTick(now time.Duration) {
 // apex, minted by the guard itself and consumed internally on response. The
 // probe rides the ordinary pending table, so the response is held to the
 // same source and question-echo checks as real traffic — a spoofed "probe
-// answer" cannot close the breaker.
-// It is written as the guard writes every query it asks: RD off, class IN.
-func (s *remoteShard) sendProbe(upstream netip.AddrPort) {
+// answer" cannot close the breaker. It reports whether the table took it.
+// It is written as the guard writes every query it asks: RD off, class IN,
+// in the upstream loop's scratch, which no reply holds between datagrams.
+func (s *remoteShard) sendProbe(upstream netip.AddrPort) bool {
 	g := s.g
-	probe := append([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, g.zoneWire...)
+	probe := append(append(s.upBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), g.zoneWire...)
 	probe = append(probe, 0, byte(dnswire.TypeSOA), 0, byte(dnswire.ClassINET))
+	if !s.forward(pendEntry{kind: pendProbe, upstream: upstream}, probe, nil) {
+		return false
+	}
 	atomic.AddUint64(&g.Stats.ProbesSent, 1)
-	s.forward(pendEntry{kind: pendProbe, upstream: upstream}, probe, nil)
+	return true
 }

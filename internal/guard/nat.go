@@ -12,6 +12,7 @@ package guard
 // warm, allocates.
 
 import (
+	"errors"
 	"net/netip"
 	"sync/atomic"
 	"time"
@@ -147,9 +148,9 @@ func (t *pendTable) reap(now time.Duration) *pendEntry {
 // now, and with all — a drain, a shard restart — every other too. Whoever
 // reaps it, an entry ends by one rule: any but a health probe is
 // PendingDropped, and one that expired is an upstream timeout, counted and,
-// under health tracking, counted against its upstream. A slot on loan stays
-// its holder's to release. The caller holds s.mu, and feeds the counts to the
-// breaker (noteTimeouts) once it has released it.
+// under health tracking, counted against its upstream, for the upstream
+// loop's next sweep to feed to the breaker. A slot on loan stays its holder's
+// to release. The caller holds s.mu.
 func (s *remoteShard) reapPending(now time.Duration, all bool) {
 	g, until := s.g, now
 	if all {
@@ -168,19 +169,15 @@ func (s *remoteShard) reapPending(now time.Duration, all bool) {
 	}
 }
 
-// sweepPending reaps what has expired by now, as the health sweeper does;
-// emptyPending reaps every entry in flight, whatever time it has left.
+// sweepPending reaps what has expired by now, as the upstream loop's sweep
+// does; emptyPending reaps every entry in flight, whatever time it has left.
 func (s *remoteShard) sweepPending(now time.Duration) { s.sweep(now, false) }
 func (s *remoteShard) emptyPending()                  { s.sweep(s.g.now(), true) }
 
-// sweep is reapPending under s.mu, and the breaker fed once it is released.
 func (s *remoteShard) sweep(now time.Duration, all bool) {
 	s.mu.Lock()
 	s.reapPending(now, all)
 	s.mu.Unlock()
-	if s.health != nil {
-		s.health.noteTimeouts(now)
-	}
 }
 
 // appendFolded appends b to dst with ASCII uppercase folded to lowercase.
@@ -206,32 +203,15 @@ func firstQuestion(wire []byte) []byte {
 	return wire[12 : n+4]
 }
 
-// echoes reports whether q, the question span of an upstream response, is
-// the forwarded span want in any ASCII case of the name. Type and class
-// follow the name and compare as they are: 0x41 there is not a letter.
-func echoes(q, want []byte) bool {
-	if len(q) != len(want) {
-		return false
-	}
-	for i, c := range q {
-		if c >= 'A' && c <= 'Z' && i < len(q)-4 {
-			c += 'a' - 'A'
-		}
-		if c != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // forward sends wire, a packed query, to the current upstream — the
 // configured ANS, or whatever the shard's circuit breaker selects when
 // health tracking is on; a probe names its own — under a fresh transaction
 // ID, which it writes into wire, and registers a pending entry for the
 // response. entry is the template — the caller's kind, client, reply address
 // and original ID — and clientQ, for pendChild, the client's question span
-// in any case, which is copied, folded, into the registered entry.
-func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
+// in any case, which is copied, folded, into the registered entry. It reports
+// whether the entry was registered and the query sent.
+func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) bool {
 	g := s.g
 	if entry.kind != pendProbe {
 		entry.upstream = g.cfg.ANSAddr
@@ -240,7 +220,7 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 			if !ok {
 				// Every breaker open and the policy is fail-closed: shed.
 				atomic.AddUint64(&g.Stats.FailClosedDrops, 1)
-				return
+				return false
 			}
 			if up != g.cfg.ANSAddr {
 				atomic.AddUint64(&g.Stats.Failovers, 1)
@@ -252,15 +232,15 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 	now := g.now()
 	if s.pend.live >= maxPending {
 		// At capacity: make room of what has expired, and refuse only if the
-		// table is full of live queries.
+		// table is full of live queries. A refused probe is no query dropped:
+		// its breaker waits out another cooldown (healthTick).
 		s.reapPending(now, false)
-		if s.health != nil {
-			defer s.health.noteTimeouts(now)
-		}
 		if s.pend.live >= maxPending {
 			s.mu.Unlock()
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
-			return
+			if entry.kind != pendProbe {
+				atomic.AddUint64(&g.Stats.PendingDropped, 1)
+			}
+			return false
 		}
 	}
 	entry.expires = now + g.cfg.pendingTimeout
@@ -279,10 +259,14 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) {
 		atomic.AddUint64(&s.work.Written, 1)
 	}
 	_ = s.upstream.WriteTo(wire, entry.upstream)
+	return true
 }
 
 // upstreamLoop receives ANS responses for one shard and transforms them per
-// the pending entry's kind.
+// the pending entry's kind. Under health tracking it is also the breaker's
+// one writer: its read waits at most until the next sweep is due, every half
+// an entry's life, and it sweeps (healthTick) between reads. Without, it
+// reads with no timeout, so no timer enters a simulated schedule.
 func (s *remoteShard) upstreamLoop() {
 	g := s.g
 	// One slab reused for every read — the one packet buffer the shard owns
@@ -295,9 +279,19 @@ func (s *remoteShard) upstreamLoop() {
 	// next read.
 	bc := netapi.AsBatch(s.upstream)
 	slab := recvSlab(g.cfg.Batch)
+	wait, period := netapi.NoTimeout, g.cfg.pendingTimeout/2
+	due := g.now() + period
 	for {
-		n, err := bc.ReadBatch(slab, netapi.NoTimeout)
-		if err != nil {
+		if s.health != nil {
+			now := g.now()
+			if now >= due {
+				s.healthTick(now)
+				due = now + period
+			}
+			wait = due - now
+		}
+		n, err := bc.ReadBatch(slab, wait)
+		if err != nil && !errors.Is(err, netapi.ErrTimeout) {
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -356,7 +350,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
 		return
 	}
-	if !echoes(v.QuestionWire(), entry.fwdWire) || src != entry.upstream {
+	if !dnswire.SameQuestion(v.QuestionWire(), entry.fwdWire) || src != entry.upstream {
 		// Right ID but wrong question — or right everything from the
 		// wrong upstream (one configured ANS cannot vouch for another).
 		// Spoofed or corrupted either way; keep the entry so the

@@ -18,12 +18,12 @@ import (
 )
 
 // Hostile timing on the NAT table. Every pending entry lives in a slot of the
-// shard's table, and five parties take entries off its in-flight list: the
-// upstream handler (a response, in time or expired), the health sweeper,
-// forward's reap when the table is full, ResetShard and Drain. Whoever takes
-// an entry off owns its slot until it releases it; the tests below run all of
-// them against each other on real goroutines (make race: -race -cpu 1,2,4)
-// and check that each forwarded query ends exactly once and that no reply is
+// shard's table, and four parties take entries off its in-flight list: the
+// upstream loop (a response, in time or expired, and its sweep), forward's
+// reap when the table is full, ResetShard and Drain. Whoever takes an entry
+// off owns its slot until it releases it; the tests below run all of them
+// against each other on real goroutines (make race: -race -cpu 1,2,4) and
+// check that each forwarded query ends exactly once and that no reply is
 // built from a slot somebody else already has.
 
 // raceConn is the shard's upstream socket: each forward is copied to the
@@ -173,14 +173,11 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 			}
 		}()
 	}
-	// The sweeper.
-	background(func() {
-		if now := g.now(); health {
-			s.healthTick(now)
-		} else {
-			s.sweepPending(now)
-		}
-	})
+	// The sweeper. Under health tracking the sweep is the upstream loop's,
+	// the breaker's one writer, so the ANS below runs it between datagrams.
+	if !health {
+		background(func() { s.sweepPending(g.now()) })
+	}
 	// The scribbler: what sits in the pool belongs to nobody, so nobody may
 	// notice its buffers being overwritten. A handler that still reads an
 	// entry it has recycled is a data race here, or 0xA5 in a reply.
@@ -217,9 +214,23 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 			resp.Additional = []dnswire.RR{dnswire.NewRR(ns, 300, &dnswire.AData{Addr: mustAddr("198.51.100.7")})}
 			return upperName(mustPack(t, resp))
 		}
+		next := func() ([]byte, bool) { fwd, ok := <-up.ch; return fwd, ok }
+		if health {
+			next = func() ([]byte, bool) {
+				for {
+					s.healthTick(g.now())
+					select {
+					case fwd, ok := <-up.ch:
+						return fwd, ok
+					default:
+						runtime.Gosched()
+					}
+				}
+			}
+		}
 		var held [][]byte
 		n := 0
-		for fwd := range up.ch {
+		for fwd, ok := next(); ok; fwd, ok = next() {
 			if fwd[13] == 'm' || len(fwd) < 30 {
 				continue // a mute query, or a probe: never answered
 			}
@@ -289,19 +300,19 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 		}
 		// Fill the table with queries nobody answers, refuse some, then let
 		// all of them expire at once: the next forward reaps at capacity
-		// while the sweeper reaps the same entries and late answers arrive.
+		// while the sweep reaps the same entries and late answers arrive.
 		for i := 0; i < maxPending+32; i++ {
 			k++
 			send(k|raceMute, 'm')
 		}
 		skew.Add(int64(g.cfg.pendingTimeout))
 		if health {
-			// Nobody answers now, so the sweeper's timeouts open the breaker
-			// and its probe goes through forward beside this goroutine's.
+			// Nobody answers now, so the sweep's timeouts open the breaker and
+			// its probe goes through forward beside this goroutine's.
 			probes, deadline := atomic.LoadUint64(&g.Stats.ProbesSent), time.Now().Add(10*time.Second)
 			for atomic.LoadUint64(&g.Stats.ProbesSent) == probes {
 				if time.Now().After(deadline) {
-					t.Fatal("the sweeper never probed an upstream whose every query timed out")
+					t.Fatal("the sweep never probed an upstream whose every query timed out")
 				}
 				skew.Add(int64(g.cfg.pendingTimeout / 8))
 				runtime.Gosched()
@@ -406,9 +417,10 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 // TestExpiredEntryIsATimeout: an entry whose life ran out ends the same way
 // whoever reaps it. Here the primary ANS is dark for a whole table of
 // queries, a health probe among them, and a forward into the full table
-// reaps them before the sweeper runs: each is an upstream timeout fed to the
-// breaker, each but the probe a dropped query. The primary's breaker is open
-// by the time the sweeper looks, and the next forward fails over.
+// reaps them before the upstream loop's sweep runs: each is an upstream
+// timeout counted against the primary, each but the probe a dropped query.
+// The sweep feeds the count to the breaker, which opens, and the next
+// forward fails over.
 func TestExpiredEntryIsATimeout(t *testing.T) {
 	var skew atomic.Int64
 	fallback := mustAP("10.99.0.3:53")
@@ -430,6 +442,69 @@ func TestExpiredEntryIsATimeout(t *testing.T) {
 	fillPending(t, h, maxPending+1, 1)
 	if st := h.g.Stats.Load(); st.Failovers != 1 || h.up.dst != fallback {
 		t.Errorf("the forward after the primary's breaker opened went to %v, %d failovers; want %v, 1", h.up.dst, st.Failovers, fallback)
+	}
+}
+
+// TestRefusedProbeRetries: a probe the full NAT table refuses leaves its
+// breaker open for another cooldown. Left half-open with nothing in flight,
+// no timeout or answer could move it again, and a primary that recovered
+// would never be picked. Here the primary is dark and its breaker open; when
+// the cooldown ends the fallback's live queries fill the table, so the probe
+// finds no slot, and it is no query dropped. Once those queries have expired
+// and been swept, the next due probe goes out and its answer closes the
+// primary's breaker.
+func TestRefusedProbeRetries(t *testing.T) {
+	var skew atomic.Int64
+	fallback := mustAP("10.99.0.3:53")
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.Env = skewEnv{cfg.Env, &skew}
+		cfg.ANSFallbacks = []netip.AddrPort{fallback}
+	})
+	g, primary := h.g, h.g.cfg.ANSAddr
+	fillPending(t, h, 0, breakerThreshold)
+	skew.Add(int64(g.cfg.pendingTimeout))
+	h.s.healthTick(g.now())
+	if got := g.BreakerState(0, primary); got != int(breakerOpen) {
+		t.Fatalf("primary's breaker %d after %d timeouts, want open (%d)", got, breakerThreshold, breakerOpen)
+	}
+	fillPending(t, h, breakerThreshold, maxPending)
+	dropped := g.Stats.Load().PendingDropped
+	skew.Add(int64(breakerCooldown))
+	h.s.healthTick(g.now())
+	if got, st := g.BreakerState(0, primary), g.Stats.Load(); got != int(breakerOpen) || st.ProbesSent != 0 || st.PendingDropped != dropped {
+		t.Fatalf("a probe refused by a full table left the primary's breaker %d, %d probes sent, %d dropped; want open (%d), 0, %d",
+			got, st.ProbesSent, st.PendingDropped, breakerOpen, dropped)
+	}
+	skew.Add(int64(breakerCooldown))
+	h.s.healthTick(g.now())
+	if got, st := g.BreakerState(0, primary), g.Stats.Load(); got != int(breakerHalfOpen) || st.ProbesSent != 1 || h.up.dst != primary {
+		t.Fatalf("a cooldown after the refusal, with the table swept: primary's breaker %d, %d probes sent, the last to %v; want half-open (%d), 1, %v",
+			got, st.ProbesSent, h.up.dst, breakerHalfOpen, primary)
+	}
+	answer := append([]byte(nil), h.up.buf[:h.up.n]...)
+	answer[2] |= 0x80
+	h.s.handleUpstream(answer, primary)
+	fillPending(t, h, breakerThreshold+maxPending, 1)
+	if got := g.BreakerState(0, primary); got != int(breakerClosed) || h.up.dst != primary {
+		t.Errorf("after the probe's answer the primary's breaker is %d and a forward went to %v; want closed (%d), %v",
+			got, h.up.dst, breakerClosed, primary)
+	}
+}
+
+// TestProbeAllocatesNothing: the half-open probe is written in the upstream
+// loop's scratch and rides the table's warm slots, so sending one allocates
+// nothing.
+func TestProbeAllocatesNothing(t *testing.T) {
+	var skew atomic.Int64
+	h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.Env = skewEnv{cfg.Env, &skew} })
+	probe := func() { h.s.sendProbe(h.g.cfg.ANSAddr) }
+	for i := 0; i < 101; i++ { // as many slots as AllocsPerRun will fill
+		probe()
+	}
+	skew.Add(int64(h.g.cfg.pendingTimeout))
+	h.s.sweepPending(h.g.now())
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Errorf("a probe allocates %.1f times, want 0", n)
 	}
 }
 

@@ -83,9 +83,9 @@ type RemoteConfig struct {
 	ANSAddr netip.AddrPort
 	// ANSFallbacks are ordered secondary ANS addresses (e.g. a hidden
 	// replica) tried in sequence when the primary's circuit breaker opens. A
-	// non-empty list turns on the per-shard upstream circuit breaker and the
-	// pending-table sweeper feeding it; an empty one keeps the historical
-	// proc set exactly.
+	// non-empty list turns on the per-shard upstream circuit breaker, which
+	// each shard's upstream loop feeds from a sweep of the pending table
+	// every half an entry's life; the procs are the same either way.
 	ANSFallbacks []netip.AddrPort
 	// Health selects the breaker's overload policy.
 	Health HealthConfig
@@ -322,15 +322,16 @@ type Remote struct {
 }
 
 // remoteShard is the engine handler for one shard: the slice of guard state
-// owned by the sources that hash there. Everything except pend is touched
-// only by the shard's worker; the NAT table is shared with the shard's
-// upstream loop, hence mu.
+// owned by the sources that hash there. Everything but pend and health is
+// touched only by the shard's worker; the NAT table is shared with the
+// shard's upstream loop, hence mu, and the breaker is the loop's, the worker
+// reading only its atomic states.
 type remoteShard struct {
 	g        *Remote
 	id       int
 	io       PacketIO // the interface the shard reads (engine.IO); its replies leave through it
 	upstream netapi.UDPConn
-	health   *shardHealth // nil unless cfg.Health.enabled
+	health   *shardHealth // the upstream loop's; nil unless cfg.Health.enabled
 
 	// rl1 and rl2 are the worker's: it alone charges and resets them
 	// (ResetShard, syncLimiters).
@@ -492,16 +493,6 @@ func (g *Remote) Start() error {
 			name = "guard-upstream-" + strconv.Itoa(s.id)
 		}
 		g.cfg.Env.Go(name, s.upstreamLoop)
-	}
-	if g.cfg.Health.enabled {
-		for _, s := range g.shards {
-			s := s
-			name := "guard-health"
-			if len(g.shards) > 1 {
-				name = "guard-health-" + strconv.Itoa(s.id)
-			}
-			g.cfg.Env.Go(name, s.healthLoop)
-		}
 	}
 	if g.cfg.KeyRotation > 0 {
 		g.cfg.Env.Go("guard-rotate", g.rotateLoop)

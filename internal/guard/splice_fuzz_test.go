@@ -191,7 +191,7 @@ func oracleUpstream(s *remoteShard, payload []byte) {
 		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
 		return
 	}
-	if !echoes(questionsWire(resp.Questions), entry.fwdWire) {
+	if !dnswire.SameQuestion(questionsWire(resp.Questions), entry.fwdWire) {
 		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
 		return
 	}

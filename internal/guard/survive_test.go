@@ -17,6 +17,8 @@ package guard
 import (
 	"net/netip"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +27,7 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
+	"dnsguard/internal/netsim"
 	"dnsguard/internal/zone"
 )
 
@@ -283,5 +286,63 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 	}
 	if st.FailClosedDrops != 0 {
 		t.Fatalf("fail-closed drops = %d with a live fallback, want 0", st.FailClosedDrops)
+	}
+}
+
+// procEnv is a simulated host that records the name of every proc spawned
+// through it.
+type procEnv struct {
+	*netsim.Host
+	names []string
+}
+
+func (e *procEnv) Go(name string, fn func()) {
+	e.names = append(e.names, name)
+	e.Host.Go(name, fn)
+}
+
+// TestBreakerRunsOnTheUpstreamLoop: a guard with somewhere to fail over to
+// runs the procs a guard without does, each shard's capture loop and its
+// upstream loop, and no other: the upstream loop sweeps the NAT table and
+// probes. With the primary dark and nothing but those procs running, every
+// shard's breaker for it still opens.
+func TestBreakerRunsOnTheUpstreamLoop(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		procs  []string
+	}{
+		{1, []string{"guard-capture", "guard-upstream"}},
+		{2, []string{"guard-shard-0", "guard-shard-1", "guard-upstream-0", "guard-upstream-1"}},
+	} {
+		t.Run(strconv.Itoa(tc.shards)+" shards", func(t *testing.T) {
+			var env *procEnv
+			auth := testAuth()
+			f := newRootFixture(t, func(c *RemoteConfig) {
+				env = &procEnv{Host: c.Env.(*netsim.Host)}
+				c.Env, c.Auth, c.Shards = env, auth, tc.shards
+				c.ANSFallbacks = []netip.AddrPort{mustAP("10.99.0.3:53")}
+			})
+			if !slices.Equal(env.names, tc.procs) {
+				t.Errorf("procs %q, want %q", env.names, tc.procs)
+			}
+			f.net.Partition(f.hosts["guard"], f.hosts["root-ans"])
+			lrsPop := f.net.AddHost("lrs-pop", mustAddr("203.0.113.50"))
+			f.run(t, func() {
+				for i := 0; i < 8*breakerThreshold; i++ {
+					wire := fabricatedQuery(t, uint16(i+1), auth.Mint(surviveSrc(i).Addr()), dnswire.MustName("com"))
+					_ = lrsPop.SendRaw(surviveSrc(i), mustAP("198.41.0.4:53"), wire)
+				}
+				// Past the queries' life and the next sweep, short of a cooldown more.
+				f.sched.Sleep(f.guard.cfg.pendingTimeout*3/2 + breakerCooldown/4)
+				for i := 0; i < tc.shards; i++ {
+					if got := f.guard.BreakerState(i, f.guard.cfg.ANSAddr); got != int(breakerOpen) {
+						t.Errorf("shard %d: the dark primary's breaker is %d, want open (%d)", i, got, breakerOpen)
+					}
+				}
+			})
+			if st := f.guard.Stats.Load(); st.BreakerOpens != uint64(tc.shards) || st.ProbesSent == 0 {
+				t.Errorf("%d breakers opened and %d probes sent on %d shards, want one each and some", st.BreakerOpens, st.ProbesSent, tc.shards)
+			}
+		})
 	}
 }
