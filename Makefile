@@ -22,15 +22,16 @@ vet:
 	$(GO) vet ./...
 	@out=$$($(GOFMT) -l .); test -z "$$out" || { echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; }
 
-# The dataplane packages, and the requester's exchange (dnswire, resolver)
-# that dnsq, lrsd and dnsguardd's proxy run on real sockets, run again at 1,
-# 2 and 4 Ps: their liveness bugs have been ones a single core cannot show.
+# The dataplane packages, the requester's exchange (dnswire, resolver) that
+# dnsq, lrsd and dnsguardd's proxy run on real sockets, and the sockets'
+# one read and its readers (realnet, netapi, netsim, ans) run again at 1, 2
+# and 4 Ps: their liveness bugs have been ones a single core cannot show.
 # Under -race internal/experiments alone took 575 s and 579 s on a 2 vCPU
 # Xeon 2.1 GHz host (76 s without -race), against go test's default timeout
 # of 600 s a package: hence 30 minutes.
 race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/engine ./internal/guard ./internal/fleet ./internal/tcpproxy ./internal/ratelimit ./internal/dnswire ./internal/resolver
+	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/engine ./internal/guard ./internal/fleet ./internal/tcpproxy ./internal/ratelimit ./internal/dnswire ./internal/resolver ./internal/realnet ./internal/netapi/... ./internal/netsim ./internal/ans
 
 # Non-test Go lines per package, from the files git tracks: the figure a PR
 # that says it removed code reports in CHANGES.md, for its parent and itself.

@@ -271,7 +271,8 @@ type MitigationStats = guard.MitigationStats
 // (*RemoteGuard).Mitigation.
 type MitigationState = guard.MitigationState
 
-// PacketIO is the guard's packet capture interface. A simulated host's tap
+// PacketIO is the guard's packet capture interface, read with ReadBatch,
+// which NewRemoteGuard demands of each. A simulated host's tap
 // (SimHost.OpenTap) is one as it is; a real socket is one through SocketIO.
 type PacketIO = guard.PacketIO
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi/netapitest"
 )
 
 const testZone = `
@@ -112,7 +113,7 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 		defer conn.Close()
 		q, _ := dnswire.NewQuery(77, MustName("www.example.com"), dnswire.TypeA).PackUDP(512)
 		_ = conn.WriteTo(q, netip.MustParseAddrPort("10.0.0.53:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("stub read: %v", err)
 			return
@@ -318,7 +319,7 @@ func TestFaultInjectionFacade(t *testing.T) {
 		}
 		defer conn.Close()
 		for {
-			if _, _, err := conn.ReadFrom(200 * time.Millisecond); err != nil {
+			if _, _, err := netapitest.Recv(conn, 200*time.Millisecond); err != nil {
 				return
 			}
 		}

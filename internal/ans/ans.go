@@ -132,14 +132,22 @@ func (s *Server) Addr() netip.AddrPort {
 	return s.cfg.Addr
 }
 
+// serveUDP answers each query in the one slot it reads into, before its next
+// read overwrites it. A full slot is a datagram over dnswire.MaxDatagram, a
+// malformed query.
 func (s *Server) serveUDP() {
+	slot := netapi.NewSlab(1, dnswire.MaxDatagram+1)
 	for {
-		payload, src, err := s.udp.ReadFrom(netapi.NoTimeout)
-		if err != nil {
+		if _, err := s.udp.ReadBatch(slot, netapi.NoTimeout); err != nil {
 			return // closed
 		}
 		atomic.AddUint64(&s.Stats.UDPQueries, 1)
-		resp := s.HandleQuery(payload)
+		if slot[0].N > dnswire.MaxDatagram {
+			atomic.AddUint64(&s.Stats.Malformed, 1)
+			continue
+		}
+		src := slot[0].Addr
+		resp := s.HandleQuery(slot[0].Payload())
 		if resp == nil {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/tcpsim"
 	"dnsguard/internal/vclock"
@@ -120,7 +121,7 @@ func TestTruncationThenTCPFallback(t *testing.T) {
 		defer conn.Close()
 		wire, _ := dnswire.NewQuery(9, dnswire.MustName("big.foo.com"), dnswire.TypeTXT).PackUDP(512)
 		_ = conn.WriteTo(wire, netip.MustParseAddrPort("1.2.3.4:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("udp read: %v", err)
 			return

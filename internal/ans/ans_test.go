@@ -7,6 +7,7 @@ import (
 
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/vclock"
 	"dnsguard/internal/zone"
@@ -75,7 +76,7 @@ func query(t *testing.T, sched *vclock.Scheduler, client *netsim.Host, to netip.
 			t.Errorf("send: %v", err)
 			return
 		}
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("recv: %v", err)
 			return
@@ -164,7 +165,7 @@ func TestServeDropsMalformed(t *testing.T) {
 		conn, _ := client.ListenUDP(netip.AddrPortFrom(client.Addr(), 0))
 		defer conn.Close()
 		_ = conn.WriteTo([]byte{1, 2, 3}, ansAddr())
-		if _, _, err := conn.ReadFrom(100 * time.Millisecond); err == nil {
+		if _, _, err := netapitest.Recv(conn, 100*time.Millisecond); err == nil {
 			t.Error("got a response to garbage")
 		}
 	})

@@ -1,8 +1,10 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
+	"sync"
 	"time"
 
 	"dnsguard/internal/errs"
@@ -39,14 +41,30 @@ func ExchangeUDP(env netapi.Env, server netip.AddrPort, query []byte, timeout ti
 	if err := conn.WriteTo(query, server); err != nil {
 		return nil, nil, errs.Wrap("dnswire: sending to "+server.String()+": "+err.Error(), err)
 	}
-	return await(env, q, timeout, func(remain time.Duration) ([]byte, error) {
-		payload, from, err := conn.ReadFrom(remain)
-		if from != server {
+	slotp := answerSlots.Get().(*[]netapi.Datagram)
+	defer answerSlots.Put(slotp)
+	slot := *slotp
+	resp, answer, err := await(env, q, timeout, func(remain time.Duration) ([]byte, error) {
+		if _, err := conn.ReadBatch(slot, remain); err != nil {
 			return nil, err
 		}
-		return payload, err
+		if slot[0].Addr != server || slot[0].N > MaxDatagram {
+			return nil, nil
+		}
+		return slot[0].Payload(), nil
 	})
+	// The answer lies in the pooled slot, which the next exchange overwrites:
+	// the caller gets its own copy.
+	return resp, bytes.Clone(answer), err
 }
+
+// answerSlots pools the one-slot slabs ExchangeUDP reads into, each slot
+// MaxDatagram+1 bytes: a full slot is a datagram over the ceiling, which
+// no answer is. A datagram is judged in the slot before the next read.
+var answerSlots = sync.Pool{New: func() any {
+	slot := netapi.NewSlab(1, MaxDatagram+1)
+	return &slot
+}}
 
 // ExchangeTCP sends query, a packed DNS query, to server in one frame on a
 // fresh TCP connection and returns the first frame that answers it, parsed,

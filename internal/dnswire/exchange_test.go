@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
+	"dnsguard/internal/realnet"
 	"dnsguard/internal/tcpsim"
 	"dnsguard/internal/vclock"
 )
@@ -188,7 +190,7 @@ func (sc exScenario) run(t *testing.T, timeout time.Duration) (resp *Message, ra
 			t.Fatal(err)
 		}
 		sched.Go("server", func() {
-			q, from, err := serverConn.ReadFrom(time.Second)
+			q, from, err := netapitest.Recv(serverConn, time.Second)
 			if err != nil {
 				t.Errorf("server read: %v", err)
 				return
@@ -260,4 +262,58 @@ func (sc exScenario) serveTCP(t *testing.T, host *netsim.Host, l netapi.Listener
 		host.Sleep(20 * time.Millisecond)
 	}
 	_, _ = conn.Read(buf, time.Second) // hold the connection until the client closes it
+}
+
+// TestExchangeUDPAnswerIsOwned: ExchangeUDP reads into a pooled slot, and
+// the answer it returns must be the caller's own, not the slot the next
+// exchange reads into. Over loopback, each exchange's answer carries its own
+// address; after every later exchange, every earlier answer still reads as
+// it did when it was returned.
+func TestExchangeUDPAnswerIsOwned(t *testing.T) {
+	env := realnet.New()
+	server, err := env.ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	defer func() { server.Close(); <-done }()
+	go func() {
+		defer close(done)
+		slot := netapi.NewSlab(1, MaxDatagram+1)
+		for k := byte(1); ; k++ {
+			if _, err := server.ReadBatch(slot, netapi.NoTimeout); err != nil {
+				return
+			}
+			m, err := Unpack(slot[0].Payload())
+			if err != nil {
+				t.Errorf("server: %v", err)
+				return
+			}
+			r := m.Response()
+			r.Answers = []RR{NewRR(m.Question().Name, 60, &AData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, k})})}
+			wire, err := r.Pack()
+			if err != nil {
+				t.Errorf("server: %v", err)
+				return
+			}
+			_ = server.WriteTo(wire, slot[0].Addr)
+		}
+	}()
+	var answers, want [][]byte
+	for i := 0; i < 4; i++ {
+		q, err := NewQuery(uint16(100+i), MustName("www.foo.com"), TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, raw, err := ExchangeUDP(env, server.LocalAddr(), q, 5*time.Second)
+		if err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		answers, want = append(answers, raw), append(want, bytes.Clone(raw))
+		for j := range answers {
+			if !bytes.Equal(answers[j], want[j]) {
+				t.Fatalf("after exchange %d, answer %d reads %x, want %x as returned", i, j, answers[j], want[j])
+			}
+		}
+	}
 }

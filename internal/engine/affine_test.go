@@ -82,15 +82,11 @@ type countingIO struct {
 
 func (c *countingIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	c.reads.Add(1)
-	pkt, err := c.Read(timeout)
+	n, err := c.fakeIO.ReadBatch(pkts, timeout)
 	if errors.Is(err, netapi.ErrTimeout) {
 		c.timeouts.Add(1)
 	}
-	pkts[0] = pkt
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return n, err
 }
 
 // A direct shard whose interface is silent parks in one read and stays there:

@@ -4,10 +4,10 @@
 // it.
 //
 // Payload ownership: a capture interface lends the payloads it returns
-// until the next read on it (PacketIO.Read, BatchReader). The shard loop
-// finishes with a slab before it reads again, so it dispatches the lent
-// bytes as they are, with no copy on the ingress side. Handlers in turn only
-// borrow what HandlePacket is given.
+// until the next read on it (BatchReader). The shard loop finishes with a
+// slab before it reads again, so it dispatches the lent bytes as they are,
+// with no copy on the ingress side. Handlers in turn only borrow what
+// HandlePacket is given.
 package engine
 
 import (
@@ -17,12 +17,11 @@ import (
 	"dnsguard/internal/netapi"
 )
 
-// BatchReader is an optional PacketIO capability: fill up to len(pkts)
-// packets per call, blocking per netapi timeout rules for the first and
-// taking only what is already buffered after it (netapi.BatchConn
-// semantics; n >= 1 when err is nil). Payloads are lent like Read's: valid
-// until the next Read or ReadBatch on the interface, which may overwrite
-// them. An interface without it is read one datagram per call through Read.
+// BatchReader is a capture interface's read, the one every interface the
+// engine starts has: fill up to len(pkts) packets per call, blocking per
+// netapi timeout rules for the first and taking only what is already
+// buffered after it (n >= 1 when err is nil). Payloads are lent: valid until
+// the next ReadBatch on the interface, which may overwrite them.
 type BatchReader interface {
 	ReadBatch(pkts []Packet, timeout time.Duration) (int, error)
 }
@@ -46,27 +45,6 @@ type BatchHandler interface {
 	Handler
 	BeginBatch(n int)
 	EndBatch()
-}
-
-// readOne adapts a PacketIO without ReadBatch: each call is one Read into
-// the first slot.
-type readOne struct{ PacketIO }
-
-func (r readOne) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
-	pkt, err := r.Read(timeout)
-	if err != nil {
-		return 0, err
-	}
-	pkts[0] = pkt
-	return 1, nil
-}
-
-// batchReader returns io's own ReadBatch when it has one.
-func batchReader(io PacketIO) BatchReader {
-	if br, ok := io.(BatchReader); ok {
-		return br
-	}
-	return readOne{io}
 }
 
 // runShard is shard i's loop: every packet interface i delivers belongs to

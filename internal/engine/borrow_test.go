@@ -32,12 +32,6 @@ func (p *poisonIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) 
 	return n, err
 }
 
-func (p *poisonIO) Read(timeout time.Duration) (Packet, error) {
-	var one [1]Packet
-	_, err := p.ReadBatch(one[:], timeout)
-	return one[0], err
-}
-
 // borrowPayload is the payload packet seq carries; the sequence number rides
 // in the source address (srcAP), so a handler can tell what the bytes should
 // have been even when they were overwritten.

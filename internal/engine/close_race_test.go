@@ -30,15 +30,6 @@ func (f *floodIO) gen() Packet {
 	}
 }
 
-func (f *floodIO) Read(timeout time.Duration) (Packet, error) {
-	select {
-	case <-f.closed:
-		return Packet{}, netapi.ErrClosed
-	default:
-		return f.gen(), nil
-	}
-}
-
 func (f *floodIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	select {
 	case <-f.closed:

@@ -47,14 +47,15 @@ import (
 // Packet is a raw datagram as the dataplane sees it.
 type Packet = netapi.Packet
 
-// PacketIO is a capture interface: read intercepted datagrams, write
-// datagrams with arbitrary (owned) source addresses. netsim taps and realnet
-// sockets both adapt to it.
+// PacketIO is a capture interface: it reads intercepted datagrams through
+// its BatchReader, which every interface the engine starts has, and writes
+// datagrams with arbitrary (owned) source addresses. A netsim tap is one as
+// it is, a realnet socket through guard.SocketIO.
+//
+// ReadBatch is outside this method set only while bench/layers builds an
+// engine it never starts, for the verified cache, over an interface with no
+// read; both go with ROADMAP item 1(a), and BatchReader folds in here.
 type PacketIO interface {
-	// Read blocks until a packet arrives, the timeout elapses, or the
-	// interface closes. The payload is lent: it is valid until the next
-	// read on the interface, and a caller that keeps it longer copies it.
-	Read(timeout time.Duration) (Packet, error)
 	// WriteFromTo emits a datagram with an explicit source.
 	WriteFromTo(src, dst netip.AddrPort, payload []byte) error
 	Close() error
@@ -89,11 +90,10 @@ type Config struct {
 	// NewHandler constructs the handler for shard i, called once per shard by
 	// New: a shard keeps its handler for the engine's life.
 	NewHandler func(shard int) Handler
-	// Batch is the slab size: the most datagrams one read may return (an
-	// interface without BatchReader returns one regardless). 0 and 1 mean
-	// one datagram per read. The loop is the same at every value; larger
-	// slabs amortize the read call over the packets that were already
-	// waiting.
+	// Batch is the slab size: the most datagrams one read may return. 0
+	// and 1 mean one datagram per read. The loop is the same at every
+	// value; larger slabs amortize the read call over the packets that were
+	// already waiting.
 	Batch int
 	// FastPathTTL is the verified-source cache's TTL. 0 means no cache: no
 	// table is built, MarkVerifiedOn is a no-op and every probe misses. A
@@ -208,9 +208,10 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) IO(i int) PacketIO { return e.cfg.IOs[i] }
 
 // Start spawns one shard loop per interface; a lone one is "guard-capture".
+// It panics on an interface that is no BatchReader.
 func (e *Engine) Start() {
 	for i, io := range e.cfg.IOs {
-		i, br := i, batchReader(io)
+		i, br := i, io.(BatchReader)
 		name := procPrefix + "-shard-" + strconv.Itoa(i)
 		if len(e.shards) == 1 {
 			name = procPrefix + "-capture"

@@ -38,16 +38,17 @@ func expiry(timeout time.Duration) (<-chan time.Time, func()) {
 	return tm.C, func() { tm.Stop() }
 }
 
-func (f *fakeIO) Read(timeout time.Duration) (Packet, error) {
+// ReadBatch takes one packet a read, as a socket without a backlog would.
+func (f *fakeIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	expired, stop := expiry(timeout)
 	defer stop()
 	select {
-	case p := <-f.ch:
-		return p, nil
+	case pkts[0] = <-f.ch:
+		return 1, nil
 	case <-f.closed:
-		return Packet{}, netapi.ErrClosed
+		return 0, netapi.ErrClosed
 	case <-expired:
-		return Packet{}, netapi.ErrTimeout
+		return 0, netapi.ErrTimeout
 	}
 }
 

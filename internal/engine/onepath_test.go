@@ -47,27 +47,12 @@ func (s *scriptIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) 
 	}
 }
 
-func (s *scriptIO) Read(timeout time.Duration) (Packet, error) {
-	var one [1]Packet
-	_, err := s.ReadBatch(one[:], timeout)
-	return one[0], err
-}
-
 func (s *scriptIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error { return nil }
 
 func (s *scriptIO) Close() error {
 	s.once.Do(func() { close(s.closed) })
 	return nil
 }
-
-// readOnlyIO hides scriptIO's ReadBatch, leaving the bare PacketIO surface.
-type readOnlyIO struct{ s *scriptIO }
-
-func (r readOnlyIO) Read(timeout time.Duration) (Packet, error) { return r.s.Read(timeout) }
-func (r readOnlyIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
-	return nil
-}
-func (r readOnlyIO) Close() error { return r.s.Close() }
 
 // topologies are the ways a test hands packets to interfaces, a shard per
 // interface: all to one, round robin over two (one source can reach both),
@@ -128,21 +113,18 @@ func (h orderHandler) HandlePacket(pkt Packet) {
 	h.count.Add(1)
 }
 
-// One scripted sequence through a Read-only interface and through a
-// BatchReader at slab sizes 1 and 8 must reach the handlers in the same
-// per-shard order with the same shard counters, in every topology: the slab
-// size changes how many datagrams a read returns and nothing else.
+// One scripted sequence read at slab sizes 1 and 8 must reach the handlers
+// in the same per-shard order with the same shard counters, in every
+// topology: the slab size changes how many datagrams a read returns and
+// nothing else.
 func TestOnePathDifferential(t *testing.T) {
 	const total = 96
 	variants := []struct {
-		name     string
-		readOnly bool
-		batch    int
+		name  string
+		batch int
 	}{
-		{"read-only/1", true, 1},
-		{"read-only/8", true, 8},
-		{"batch-reader/1", false, 1},
-		{"batch-reader/8", false, 8},
+		{"slab/1", 1},
+		{"slab/8", 8},
 	}
 	type outcome struct {
 		order [][]byte
@@ -163,11 +145,7 @@ func TestOnePathDifferential(t *testing.T) {
 				}
 				ios := make([]PacketIO, m.ios)
 				for i := range ios {
-					if s := newScriptIO(scripts[i]); v.readOnly {
-						ios[i] = readOnlyIO{s}
-					} else {
-						ios[i] = s
-					}
+					ios[i] = newScriptIO(scripts[i])
 				}
 				order := make([][]byte, m.ios)
 				var count atomic.Uint64
@@ -188,10 +166,10 @@ func TestOnePathDifferential(t *testing.T) {
 				if ing.Packets != total || ing.Reads == 0 || ing.Reads > ing.Packets {
 					t.Errorf("%s: ingest = %+v, want %d packets", v.name, ing, total)
 				}
-				if (v.readOnly || v.batch == 1) && ing.Reads != ing.Packets {
+				if v.batch == 1 && ing.Reads != ing.Packets {
 					t.Errorf("%s: %d reads for %d packets, want one datagram per read", v.name, ing.Reads, ing.Packets)
 				}
-				if !v.readOnly && v.batch == 8 && ing.Reads != uint64(fullSlabs) {
+				if v.batch == 8 && ing.Reads != uint64(fullSlabs) {
 					t.Errorf("%s: %d reads, want full slabs", v.name, ing.Reads)
 				}
 				got := outcome{order, e.StatsAll()}

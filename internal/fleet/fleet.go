@@ -246,11 +246,12 @@ func (f *Fleet) Start() error {
 // that are down (failed, withdrawal not yet propagated) blackhole their
 // catchment, exactly like anycast before the routes converge.
 func (f *Fleet) route() {
+	var slot [1]netapi.Packet
 	for !f.stopped {
-		pkt, err := f.tap.Read(netapi.NoTimeout)
-		if err != nil {
+		if _, err := f.tap.ReadBatch(slot[:], netapi.NoTimeout); err != nil {
 			return // tap closed
 		}
+		pkt := slot[0]
 		src := pkt.Src.Addr()
 		site := f.catch.SiteFor(src)
 		if site < 0 || f.down[site] {

@@ -152,18 +152,21 @@ func (f *Fleet) gossipSendLoop(i int) {
 	}
 }
 
-// gossipRecvLoop dispatches incoming gossip traffic for site i.
+// gossipRecvLoop dispatches incoming gossip traffic for site i, each message
+// handled in the one slot it is read into. The slot is one byte longer than
+// the longest message, so a longer datagram fails gossipHandle's length
+// checks.
 func (f *Fleet) gossipRecvLoop(i int) {
 	conn := f.gossipConns[i]
+	slot := netapi.NewSlab(1, gossipStateLen+2)
 	for {
-		b, src, err := conn.ReadFrom(netapi.NoTimeout)
-		if err != nil {
+		if _, err := conn.ReadBatch(slot, netapi.NoTimeout); err != nil {
 			return // endpoint closed
 		}
-		if f.stopped || f.down[i] || len(b) == 0 {
+		if f.stopped || f.down[i] || slot[0].N == 0 {
 			continue
 		}
-		f.gossipHandle(i, src, b)
+		f.gossipHandle(i, slot[0].Addr, slot[0].Payload())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/realnet"
 )
 
@@ -28,12 +29,12 @@ func newChanIO() *chanIO {
 	return &chanIO{ch: make(chan Packet, 16), closed: make(chan struct{})}
 }
 
-func (c *chanIO) Read(timeout time.Duration) (Packet, error) {
+func (c *chanIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	select {
-	case p := <-c.ch:
-		return p, nil
+	case pkts[0] = <-c.ch:
+		return 1, nil
 	case <-c.closed:
-		return Packet{}, netapi.ErrClosed
+		return 0, netapi.ErrClosed
 	}
 }
 
@@ -66,7 +67,7 @@ func echoANS(t *testing.T, env *realnet.Env) netapi.UDPConn {
 	t.Cleanup(func() { conn.Close() })
 	go func() {
 		for {
-			b, src, err := conn.ReadFrom(netapi.NoTimeout)
+			b, src, err := netapitest.Recv(conn, netapi.NoTimeout)
 			if err != nil {
 				return
 			}

@@ -7,6 +7,7 @@ import (
 
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/ratelimit"
 )
 
@@ -53,7 +54,7 @@ func TestAmplificationBounds(t *testing.T) {
 			}
 			defer conn.Close()
 			_ = conn.WriteTo(req, mustAP("192.0.2.1:53"))
-			payload, _, err := conn.ReadFrom(time.Second)
+			payload, _, err := netapitest.Recv(conn, time.Second)
 			if err != nil {
 				return
 			}
@@ -87,7 +88,7 @@ func TestTCRedirectNoAmplification(t *testing.T) {
 		conn, _ := attacker.ListenUDP(netip.AddrPort{})
 		defer conn.Close()
 		_ = conn.WriteTo(req, mustAP("192.0.2.1:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			return
 		}

@@ -16,6 +16,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/engine"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/ratelimit"
 	"dnsguard/internal/realnet"
@@ -51,12 +52,6 @@ func (p *poisonIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) 
 	return n, err
 }
 
-func (p *poisonIO) Read(timeout time.Duration) (Packet, error) {
-	var one [1]Packet
-	_, err := p.ReadBatch(one[:], timeout)
-	return one[0], err
-}
-
 // The write side of the contract: a reply is the guard's — the egress slab's,
 // a scratch buffer's — only until the write returns, so after every flush
 // the bytes just written are scribbled over too. A reply the guard queued
@@ -87,7 +82,7 @@ type memDgram struct {
 	addr netip.AddrPort
 }
 
-// memConn is an in-memory datagram socket with netapi.BatchConn slab
+// memConn is an in-memory datagram socket with netapi.UDPConn slab
 // semantics: reads store queued datagrams in the caller's slots
 // (Datagram.Store: head or spill, cut to the slot's capacity), writes are
 // recorded. With poison set it overwrites the whole slab it is handed, heads
@@ -177,15 +172,6 @@ func (c *memConn) ReadBatch(msgs []netapi.Datagram, _ time.Duration) (int, error
 		n++
 	}
 	return n, nil
-}
-
-func (c *memConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	one := make([]netapi.Datagram, 1)
-	one[0].Buf = make([]byte, 0, dnswire.MaxDatagram+1)
-	if _, err := c.ReadBatch(one, timeout); err != nil {
-		return nil, netip.AddrPort{}, err
-	}
-	return one[0].Payload(), one[0].Addr, nil
 }
 
 func (c *memConn) WriteTo(b []byte, to netip.AddrPort) error {
@@ -580,7 +566,7 @@ func TestRemoteFootprint(t *testing.T) {
 	defer client.Close()
 	go func() {
 		for {
-			b, from, err := ansConn.ReadFrom(netapi.NoTimeout)
+			b, from, err := netapitest.Recv(ansConn, netapi.NoTimeout)
 			if err != nil {
 				return
 			}
@@ -621,7 +607,7 @@ func TestRemoteFootprint(t *testing.T) {
 	if err := client.WriteTo(query, guardSock.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.ReadFrom(5 * time.Second); err != nil {
+	if _, _, err := netapitest.Recv(client, 5*time.Second); err != nil {
 		t.Fatalf("no reply through the guard: %v (stats %+v)", err, g.Stats.Load())
 	}
 	if st := g.Stats.Load(); st.ForwardedToANS != 1 || st.RepliesToClient != 1 {

@@ -101,6 +101,21 @@ func TestRemoteConfigRefusesNegativeThreshold(t *testing.T) {
 	}
 }
 
+// writeOnlyIO is a capture interface with no read.
+type writeOnlyIO struct{ *chanIO }
+
+func (w writeOnlyIO) ReadBatch() {} // not engine.BatchReader's
+
+// An interface the engine could not read is refused, naming it, rather than
+// left to fail when the guard starts.
+func TestRemoteConfigRefusesUnreadableIO(t *testing.T) {
+	cfg := minimalRemoteConfig(realnet.New(), newChanIO())
+	cfg.IOs = []PacketIO{writeOnlyIO{newChanIO()}}
+	if _, err := NewRemote(cfg); err == nil || !strings.Contains(err.Error(), "IOs[0] has no ReadBatch") {
+		t.Errorf("NewRemote with an interface of no read = %v, want an error naming IOs[0]", err)
+	}
+}
+
 // A NaN or +Inf activation threshold is refused, naming the value. Both
 // passed the negative check, and both turned detection off for good: no rate
 // r makes r > NaN or r > +Inf true, so Active never became true.

@@ -23,8 +23,8 @@ type sinkConn struct {
 	wrote int
 }
 
-func (c *sinkConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	return nil, netip.AddrPort{}, netapi.ErrClosed
+func (c *sinkConn) ReadBatch([]netapi.Datagram, time.Duration) (int, error) {
+	return 0, netapi.ErrClosed
 }
 
 func (c *sinkConn) WriteTo(b []byte, to netip.AddrPort) error {
@@ -32,6 +32,13 @@ func (c *sinkConn) WriteTo(b []byte, to netip.AddrPort) error {
 	c.dst = to
 	c.wrote++
 	return nil
+}
+
+func (c *sinkConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
+	for i := range msgs {
+		c.WriteTo(msgs[i].Payload(), msgs[i].Addr)
+	}
+	return len(msgs), nil
 }
 
 func (c *sinkConn) LocalAddr() netip.AddrPort { return netip.AddrPort{} }
@@ -45,7 +52,7 @@ type sinkIO struct {
 	wrote    int
 }
 
-func (io *sinkIO) Read(timeout time.Duration) (Packet, error) { return Packet{}, netapi.ErrClosed }
+func (io *sinkIO) ReadBatch([]Packet, time.Duration) (int, error) { return 0, netapi.ErrClosed }
 
 func (io *sinkIO) WriteFromTo(from, to netip.AddrPort, payload []byte) error {
 	io.n = copy(io.buf[:], payload)
@@ -454,7 +461,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 			hs.handle(slab[0])
 			resp = a.answer(resp, hs.up.buf[:hs.up.n])
 			hs.s.handleUpstream(resp, hs.g.cfg.ANSAddr)
-			if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
+			if n, err := client.ReadBatch(replies, time.Second); n != 1 || err != nil {
 				t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
 			}
 			if got := len(replies[0].Payload()); got != a.reply {
@@ -489,7 +496,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		hps.handle(slab[0])
 		resp = appendReferral(resp, hps.up.buf[:hps.up.n])
 		hps.s.handleUpstream(resp, hps.g.cfg.ANSAddr)
-		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil || len(replies[0].Payload()) != relayed {
+		if n, err := client.ReadBatch(replies, time.Second); n != 1 || err != nil || len(replies[0].Payload()) != relayed {
 			t.Fatalf("no relayed referral of %d bytes on the client socket: (%d, %v)", relayed, n, err)
 		}
 	}
@@ -508,7 +515,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		}
 		hs.handle(slab[0])
 	}, func() {
-		if n, err := netapi.AsBatch(client).ReadBatch(replies, time.Second); n != 1 || err != nil {
+		if n, err := client.ReadBatch(replies, time.Second); n != 1 || err != nil {
 			t.Fatalf("no reply on the client socket: (%d, %v)", n, err)
 		}
 	})

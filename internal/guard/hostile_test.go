@@ -12,6 +12,7 @@ import (
 
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi/netapitest"
 )
 
 // TestGuardSurvivesHostilePackets throws mutated, truncated, and garbage
@@ -223,7 +224,7 @@ func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 			defer conn.Close()
 			wire, _ := dnswire.NewQuery(1, fab, dnswire.TypeA).PackUDP(512)
 			_ = conn.WriteTo(wire, mustAP("192.0.2.1:53"))
-			if _, _, err := conn.ReadFrom(200 * time.Millisecond); err == nil {
+			if _, _, err := netapitest.Recv(conn, 200*time.Millisecond); err == nil {
 				ok = true
 			}
 		})

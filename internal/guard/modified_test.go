@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 )
 
 // requester is the LRS half of the modified scheme (§III-D), as the simulated
@@ -48,7 +49,7 @@ func (r *requester) ask(name dnswire.Name, c cookie.Cookie) (*dnswire.Message, e
 			return nil, err
 		}
 		for deadline := r.now() + 500*time.Millisecond; r.now() < deadline; {
-			payload, _, err := r.conn.ReadFrom(deadline - r.now())
+			payload, _, err := netapitest.Recv(r.conn, deadline-r.now())
 			if err != nil {
 				break
 			}

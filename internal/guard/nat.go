@@ -273,11 +273,9 @@ func (s *remoteShard) upstreamLoop() {
 	// on the upstream side, a receive slab of Batch slots. On Linux
 	// the reads collapse into recvmmsg. With Batch == 1 the slab has a
 	// single slot, and a full slab makes ReadBatch exactly one blocking
-	// read per call (the zero-timeout drain never runs), so the per-packet
-	// event sequence of a ReadFrom loop is preserved. handleUpstream only
+	// read per call (the zero-timeout drain never runs). handleUpstream only
 	// borrows the payload: slab slots are the loop's to overwrite on the
 	// next read.
-	bc := netapi.AsBatch(s.upstream)
 	slab := recvSlab(g.cfg.Batch)
 	wait, period := netapi.NoTimeout, g.cfg.pendingTimeout/2
 	due := g.now() + period
@@ -290,7 +288,7 @@ func (s *remoteShard) upstreamLoop() {
 			}
 			wait = due - now
 		}
-		n, err := bc.ReadBatch(slab, wait)
+		n, err := s.upstream.ReadBatch(slab, wait)
 		if err != nil && !errors.Is(err, netapi.ErrTimeout) {
 			return
 		}

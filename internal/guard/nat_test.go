@@ -38,8 +38,14 @@ func (c *raceConn) WriteTo(b []byte, _ netip.AddrPort) error {
 	return nil
 }
 
-func (c *raceConn) ReadFrom(time.Duration) ([]byte, netip.AddrPort, error) {
-	return nil, netip.AddrPort{}, netapi.ErrClosed
+func (c *raceConn) ReadBatch([]netapi.Datagram, time.Duration) (int, error) {
+	return 0, netapi.ErrClosed
+}
+func (c *raceConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
+	for i := range msgs {
+		c.WriteTo(msgs[i].Payload(), msgs[i].Addr)
+	}
+	return len(msgs), nil
 }
 func (c *raceConn) LocalAddr() netip.AddrPort { return netip.AddrPort{} }
 func (c *raceConn) Close() error              { return nil }
@@ -60,8 +66,8 @@ type raceIO struct {
 	replied map[uint32]bool
 }
 
-func (io *raceIO) Read(time.Duration) (Packet, error) { return Packet{}, netapi.ErrClosed }
-func (io *raceIO) Close() error                       { return nil }
+func (io *raceIO) ReadBatch([]Packet, time.Duration) (int, error) { return 0, netapi.ErrClosed }
+func (io *raceIO) Close() error                                   { return nil }
 
 func (io *raceIO) WriteFromTo(_, to netip.AddrPort, payload []byte) error {
 	m, err := dnswire.Unpack(payload)

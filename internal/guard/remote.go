@@ -172,6 +172,11 @@ func (c *RemoteConfig) resolve() error {
 	if c.Shards != len(c.IOs) {
 		return errors.New("guard: RemoteConfig.Shards " + strconv.Itoa(c.Shards) + " for " + strconv.Itoa(len(c.IOs)) + " interfaces: want one interface per shard")
 	}
+	for i, io := range c.IOs {
+		if _, ok := io.(engine.BatchReader); !ok {
+			return errors.New("guard: RemoteConfig.IOs[" + strconv.Itoa(i) + "] has no ReadBatch: it cannot be read")
+		}
+	}
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dnsguard/internal/ans"
 	"dnsguard/internal/dnswire"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/resolver"
 	"dnsguard/internal/vclock"
@@ -334,7 +335,7 @@ func TestGuardApexQueryRedirectsToTCP(t *testing.T) {
 		// Query the root apex itself (no child label to fabricate).
 		q, _ := dnswire.NewQuery(5, dnswire.Root, dnswire.TypeNS).PackUDP(512)
 		_ = conn.WriteTo(q, mustAP("198.41.0.4:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("no response: %v", err)
 			return
@@ -361,7 +362,7 @@ func TestGuardRefusesOutOfZone(t *testing.T) {
 		defer conn.Close()
 		q, _ := dnswire.NewQuery(5, dnswire.MustName("bar.org"), dnswire.TypeA).PackUDP(512)
 		_ = conn.WriteTo(q, mustAP("192.0.2.1:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("no response: %v", err)
 			return

@@ -38,15 +38,6 @@ var (
 	_ engine.BatchWriter = (*SocketIO)(nil)
 )
 
-// Read implements PacketIO: a one-slot ReadBatch, under the same borrow rule.
-func (s *SocketIO) Read(timeout time.Duration) (Packet, error) {
-	var one [1]Packet
-	if _, err := s.ReadBatch(one[:], timeout); err != nil {
-		return Packet{}, err
-	}
-	return one[0], nil
-}
-
 // WriteFromTo implements PacketIO; src must be the socket's own address
 // (userspace cannot spoof), so it is ignored.
 func (s *SocketIO) WriteFromTo(src, dst netip.AddrPort, payload []byte) error {
@@ -68,14 +59,14 @@ var socketViews = sync.Pool{New: func() any { return new([]netapi.Datagram) }}
 // short datagrams keep n × SlabHead bytes of a slab resident.
 func recvSlab(n int) []netapi.Datagram { return netapi.NewSlab(n, dnswire.MaxDatagram+1) }
 
-// ReadBatch implements engine.BatchReader: one BatchConn read into the
+// ReadBatch implements engine.BatchReader: one read of the socket into the
 // adapter's slab, handed out in place.
 func (s *SocketIO) ReadBatch(pkts []Packet, timeout time.Duration) (int, error) {
 	if len(s.slab) < len(pkts) {
 		s.slab = recvSlab(len(pkts))
 	}
 	slab := s.slab[:len(pkts)]
-	n, err := netapi.AsBatch(s.Conn).ReadBatch(slab, timeout)
+	n, err := s.Conn.ReadBatch(slab, timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -99,7 +90,7 @@ func (s *SocketIO) WriteBatch(pkts []Packet) error {
 	for i, p := range pkts {
 		views[i] = netapi.Datagram{Buf: p.Payload, N: len(p.Payload), Addr: p.Dst}
 	}
-	_, err := netapi.AsBatch(s.Conn).WriteBatch(views)
+	_, err := s.Conn.WriteBatch(views)
 	clear(views)
 	socketViews.Put(vp)
 	return err

@@ -27,9 +27,10 @@ import (
 // internal/engine dataplane.
 type Packet = engine.Packet
 
-// PacketIO is the guard's capture interface: read intercepted datagrams,
-// write datagrams with arbitrary (owned) source addresses. netsim taps and
-// realnet sockets both adapt to it.
+// PacketIO is the guard's capture interface: read intercepted datagrams
+// with ReadBatch (engine.BatchReader, which NewRemote demands of every one),
+// write datagrams with arbitrary (owned) source addresses. A netsim tap is
+// one as it is, a realnet socket through SocketIO.
 type PacketIO = engine.PacketIO
 
 // Modified-DNS cookie extension (Figure 3b): a TXT record at the root name

@@ -15,7 +15,7 @@ import (
 // (TestScrapeCost, make image-check): the runtime counts a small object only
 // when its span leaves the P's cache, where ReadMemStats, which AllocsPerRun
 // reads, flushes every cache first.
-const scrapeAllocs = 16
+const scrapeAllocs = 14
 
 // TestScrapeAllocs: one /metrics scrape over a loopback listener, from a
 // client of raw system calls that allocates nothing, so every object

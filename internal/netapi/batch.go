@@ -1,9 +1,6 @@
 package netapi
 
-import (
-	"net/netip"
-	"time"
-)
+import "net/netip"
 
 // SlabHead is the most a slot's head holds: RFC 1035's 512-byte UDP message
 // limit, the size of nearly every DNS datagram. NewSlab lays a slab's heads
@@ -16,8 +13,8 @@ const SlabHead = 512
 // bytes the slot holds, and the peer address. A caller allocates a slab once
 // (see NewSlab), hands it to ReadBatch over and over, and reads each filled
 // slot's Payload in place. The slab's owner lends those bytes to whatever it
-// calls: they are valid until the owner's next ReadBatch on the slab, and
-// code that keeps a payload past that point copies it.
+// calls: they are valid until the owner's next ReadBatch on the slab, which
+// overwrites them, and code that keeps a payload past that point copies it.
 type Datagram struct {
 	// Buf is the slot's head. ReadBatch reuses the slot's existing
 	// capacity; when Buf and Spill both have none the implementation
@@ -102,70 +99,8 @@ func NewSlab(n, size int) []Datagram {
 	return msgs
 }
 
-// BatchConn is an optional UDPConn capability: moving several datagrams per
-// call. Backends that can amortize per-datagram cost implement it natively —
-// realnet batches kernel crossings with recvmmsg/sendmmsg on Linux, netsim
-// drains its delivery queue without touching the event schedule. Obtain one
-// with AsBatch, which falls back to a portable per-datagram loop over any
-// UDPConn, so callers can be written against BatchConn unconditionally.
-type BatchConn interface {
-	// ReadBatch fills up to len(msgs) slots and returns the number filled.
-	// It blocks per netapi timeout rules for the first datagram (NoTimeout
-	// blocks; zero polls; ErrTimeout/ErrClosed on failure) and then takes
-	// only what is already buffered — it never waits to fill the slab, so
-	// n >= 1 whenever err is nil. Filled slots are valid until the next
-	// ReadBatch on the same slab.
-	ReadBatch(msgs []Datagram, timeout time.Duration) (n int, err error)
-	// WriteBatch sends msgs[i].Payload() to msgs[i].Addr for each slot, in
-	// order, and returns the number sent. Delivery is best-effort; a
-	// non-nil error reports the first send failure.
-	WriteBatch(msgs []Datagram) (n int, err error)
-}
-
-// AsBatch returns c's native BatchConn implementation when it has one, and
-// otherwise wraps c in a portable adapter that loops ReadFrom/WriteTo (one
-// blocking read, then zero-timeout polls to drain what is buffered).
-func AsBatch(c UDPConn) BatchConn {
-	if bc, ok := c.(BatchConn); ok {
-		return bc
-	}
-	return LoopBatch(c)
-}
-
-// LoopBatch wraps any UDPConn in the portable per-datagram BatchConn
-// adapter, regardless of native support. AsBatch should be preferred;
-// LoopBatch exists so the conformance suite can pin the fallback's semantics
-// even on platforms where the native path is compiled in.
-func LoopBatch(c UDPConn) BatchConn { return loopBatch{c} }
-
-type loopBatch struct{ c UDPConn }
-
-func (l loopBatch) ReadBatch(msgs []Datagram, timeout time.Duration) (int, error) {
-	if len(msgs) == 0 {
-		return 0, nil
-	}
-	b, src, err := l.c.ReadFrom(timeout)
-	if err != nil {
-		return 0, err
-	}
-	msgs[0].Store(b, src)
-	n := 1
-	for n < len(msgs) {
-		b, src, err := l.c.ReadFrom(0)
-		if err != nil {
-			break // drained (ErrTimeout) or closed; the n we have stand
-		}
-		msgs[n].Store(b, src)
-		n++
-	}
-	return n, nil
-}
-
-func (l loopBatch) WriteBatch(msgs []Datagram) (int, error) {
-	for i := range msgs {
-		if err := l.c.WriteTo(msgs[i].Payload(), msgs[i].Addr); err != nil {
-			return i, err
-		}
-	}
-	return len(msgs), nil
-}
+// AsBatch returns c.
+//
+// Deprecated: every UDPConn reads and writes slabs; call ReadBatch and
+// WriteBatch on the conn itself. AsBatch goes with ROADMAP item 1(a).
+func AsBatch(c UDPConn) UDPConn { return c }

@@ -21,10 +21,11 @@
 //	cooperative      CooperativeEnv   false — OS goroutines,        true — coroutines on the virtual
 //	scheduling                        blocking allowed              clock; OS blocking deadlocks
 //
-// No UDPReuseEnv means one socket and one shard. Batch I/O is a property of
-// a conn, not of an Env: AsBatch returns a conn's own BatchConn (realnet:
-// recvmmsg/sendmmsg on Linux amd64/arm64, a read loop elsewhere; netsim: a
-// drain of the delivery queue) or bridges it with a per-datagram loop.
+// No UDPReuseEnv means one socket and one shard. Batch I/O is not a
+// capability: every UDPConn reads with ReadBatch into its caller's slab
+// (realnet: one recvmmsg on Linux amd64/arm64, a read loop elsewhere;
+// netsim: a drain of the delivery queue) and writes with WriteTo or
+// WriteBatch.
 package netapi
 
 import (
@@ -96,14 +97,24 @@ type Packet struct {
 	Payload []byte
 }
 
-// UDPConn is a datagram endpoint.
+// UDPConn is a datagram endpoint. It has one read: ReadBatch into a slab
+// of Datagram slots the caller owns, a single datagram being a slab of one.
+// A filled slot's payload is the caller's until its next ReadBatch into that
+// slot, which overwrites it; a caller that keeps a payload past that copies
+// it.
 type UDPConn interface {
-	// ReadFrom blocks until a datagram arrives, the timeout elapses
-	// (ErrTimeout), or the endpoint is closed (ErrClosed). The returned
-	// slice is owned by the caller.
-	ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error)
+	// ReadBatch fills up to len(msgs) slots and returns the number filled.
+	// It blocks per netapi timeout rules for the first datagram (NoTimeout
+	// blocks; zero polls; ErrTimeout/ErrClosed on failure) and then takes
+	// only what is already buffered — it never waits to fill the slab, so
+	// n >= 1 whenever err is nil.
+	ReadBatch(msgs []Datagram, timeout time.Duration) (n int, err error)
 	// WriteTo sends one datagram to to. Delivery is best-effort.
 	WriteTo(b []byte, to netip.AddrPort) error
+	// WriteBatch sends msgs[i].Payload() to msgs[i].Addr for each slot, in
+	// order, and returns the number sent. Delivery is best-effort; a
+	// non-nil error reports the first send failure.
+	WriteBatch(msgs []Datagram) (n int, err error)
 	LocalAddr() netip.AddrPort
 	Close() error
 }

@@ -1,8 +1,9 @@
 // Package netapitest is the cross-backend conformance suite for netapi
 // environments. Every behavioral contract the rest of the repository leans
 // on — timeout semantics (NoTimeout blocks, zero polls, ErrTimeout/ErrClosed
-// matched with errors.Is), ephemeral-port binding, the BatchConn slab rules
-// (no wait-to-fill, truncate-to-cap, allocate-when-empty) and the same
+// matched with errors.Is), ephemeral-port binding, the slab rules of the one
+// datagram read (no wait-to-fill, truncate-to-cap, allocate-when-empty, and a
+// payload lent until the next read into its slot) and the same
 // timeout and close rules for streams
 // (a refused dial is ErrRefused, the peer's clean close ErrClosed) — is
 // pinned here and run against both internal/netsim and internal/realnet, so
@@ -54,7 +55,8 @@ func Run(t *testing.T, b Backend) {
 	t.Run("StreamRefused", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamRefused(t, b, env) }) })
 	t.Run("StreamPeerClose", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamPeerClose(t, b, env) }) })
 	t.Run("StreamClose", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testStreamClose(t, b, env) }) })
-	for _, mode := range []batchMode{{"Native", netapi.AsBatch}, {"Loop", loopBatch}} {
+	t.Run("BatchBorrow", func(t *testing.T) { b.Run(t, func(env netapi.Env) { testBatchBorrow(t, b, env) }) })
+	for _, mode := range []batchMode{{"Native", native}, {"Loop", slotLoop}} {
 		mode := mode
 		t.Run("BatchRead/"+mode.name, func(t *testing.T) {
 			b.Run(t, func(env netapi.Env) { testBatchRead(t, b, env, mode) })
@@ -68,15 +70,49 @@ func Run(t *testing.T, b Backend) {
 	}
 }
 
-// batchMode selects how the suite obtains a BatchConn: AsBatch exercises the
-// backend's native implementation when it has one, Loop pins the portable
-// fallback's semantics even where a native path exists.
-type batchMode struct {
-	name string
-	wrap func(netapi.UDPConn) netapi.BatchConn
+// Recv reads one datagram from c into a slot of its own, which the backend
+// allocates to fit: a test's way to take a datagram it keeps.
+func Recv(c netapi.UDPConn, timeout time.Duration) ([]byte, netip.AddrPort, error) {
+	var slot [1]netapi.Datagram
+	_, err := c.ReadBatch(slot[:], timeout)
+	return slot[0].Payload(), slot[0].Addr, err
 }
 
-func loopBatch(c netapi.UDPConn) netapi.BatchConn { return netapi.LoopBatch(c) }
+// batchMode selects how the suite moves a slab: Native hands it to one
+// ReadBatch or WriteBatch, Loop one slot at a time — each slot a slab of one,
+// the first read under the caller's timeout and the rest polled, each write
+// a WriteTo. The rules hold the same both ways: a single datagram is a slab
+// of one.
+type batchMode struct {
+	name string
+	wrap func(netapi.UDPConn) netapi.UDPConn
+}
+
+func native(c netapi.UDPConn) netapi.UDPConn   { return c }
+func slotLoop(c netapi.UDPConn) netapi.UDPConn { return loop{c} }
+
+type loop struct{ netapi.UDPConn }
+
+func (l loop) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
+	for n := range msgs {
+		if _, err := l.UDPConn.ReadBatch(msgs[n:n+1], timeout); err != nil && n == 0 {
+			return 0, err
+		} else if err != nil {
+			return n, nil // drained (ErrTimeout) or closed: the n we have stand
+		}
+		timeout = 0
+	}
+	return len(msgs), nil
+}
+
+func (l loop) WriteBatch(msgs []netapi.Datagram) (int, error) {
+	for i := range msgs {
+		if err := l.WriteTo(msgs[i].Payload(), msgs[i].Addr); err != nil {
+			return i, err
+		}
+	}
+	return len(msgs), nil
+}
 
 // settle is how long the suite waits for sent datagrams to be buffered at
 // the receiver before draining them (simulated link latency, loopback
@@ -130,7 +166,7 @@ func testTimeoutPoll(t *testing.T, b Backend, env netapi.Env) {
 		return
 	}
 	defer c.Close()
-	if _, _, err := c.ReadFrom(0); !errors.Is(err, netapi.ErrTimeout) {
+	if _, _, err := Recv(c, 0); !errors.Is(err, netapi.ErrTimeout) {
 		t.Errorf("poll on empty socket: err = %v, want errors.Is ErrTimeout", err)
 	}
 	// A poll must also see a datagram that is already buffered: this is the
@@ -141,7 +177,7 @@ func testTimeoutPoll(t *testing.T, b Backend, env netapi.Env) {
 		return
 	}
 	env.Sleep(settle)
-	payload, _, err := c.ReadFrom(0)
+	payload, _, err := Recv(c, 0)
 	if err != nil || string(payload) != "poll" {
 		t.Errorf("poll with buffered datagram = %q, %v; want \"poll\", nil", payload, err)
 	}
@@ -155,7 +191,7 @@ func testTimeoutElapses(t *testing.T, b Backend, env netapi.Env) {
 	defer c.Close()
 	const wait = 30 * time.Millisecond
 	start := env.Now()
-	_, _, err := c.ReadFrom(wait)
+	_, _, err := Recv(c, wait)
 	if !errors.Is(err, netapi.ErrTimeout) {
 		t.Errorf("timed read: err = %v, want errors.Is ErrTimeout", err)
 	}
@@ -176,9 +212,9 @@ func testRoundTrip(t *testing.T, b Backend, env netapi.Env) {
 		t.Errorf("WriteTo: %v", err)
 		return
 	}
-	got, src, err := receiver.ReadFrom(5 * time.Second)
+	got, src, err := Recv(receiver, 5*time.Second)
 	if err != nil {
-		t.Errorf("ReadFrom: %v", err)
+		t.Errorf("ReadBatch: %v", err)
 		return
 	}
 	if !bytes.Equal(got, payload) {
@@ -200,18 +236,52 @@ func testClose(t *testing.T, b Backend, env netapi.Env) {
 		env.Sleep(20 * time.Millisecond)
 		_ = c.Close()
 	})
-	if _, _, err := c.ReadFrom(netapi.NoTimeout); !errors.Is(err, netapi.ErrClosed) {
+	if _, _, err := Recv(c, netapi.NoTimeout); !errors.Is(err, netapi.ErrClosed) {
 		t.Errorf("blocked read on closed socket: err = %v, want errors.Is ErrClosed", err)
 	}
-	if _, _, err := c.ReadFrom(0); !errors.Is(err, netapi.ErrClosed) {
+	if _, _, err := Recv(c, 0); !errors.Is(err, netapi.ErrClosed) {
 		t.Errorf("poll on closed socket: err = %v, want errors.Is ErrClosed", err)
 	}
 	if err := c.WriteTo([]byte("x"), c.LocalAddr()); !errors.Is(err, netapi.ErrClosed) {
 		t.Errorf("write on closed socket: err = %v, want errors.Is ErrClosed", err)
 	}
 	slab := netapi.NewSlab(2, 64)
-	if _, err := netapi.AsBatch(c).ReadBatch(slab, 0); !errors.Is(err, netapi.ErrClosed) {
+	if _, err := c.ReadBatch(slab, 0); !errors.Is(err, netapi.ErrClosed) {
 		t.Errorf("batch read on closed socket: err = %v, want errors.Is ErrClosed", err)
+	}
+}
+
+// testBatchBorrow: a read fills the caller's slot and hands out the slot's
+// own bytes, so the next read into that slot overwrites the payload the last
+// one returned, in the head and in the spill alike. Every reader that takes
+// a payload in place and copies only what it keeps past its next read leans
+// on this.
+func testBatchBorrow(t *testing.T, b Backend, env netapi.Env) {
+	sender, receiver := bind(t, b, env), bind(t, b, env)
+	if sender == nil || receiver == nil {
+		return
+	}
+	defer sender.Close()
+	defer receiver.Close()
+	slot := netapi.NewSlab(1, 2048)
+	for _, size := range []int{netapi.SlabHead, 1500} {
+		var lent []byte
+		for _, fill := range []byte{'a', 'b'} {
+			if err := sender.WriteTo(bytes.Repeat([]byte{fill}, size), receiver.LocalAddr()); err != nil {
+				t.Errorf("WriteTo: %v", err)
+				return
+			}
+			if n, err := receiver.ReadBatch(slot, 5*time.Second); n != 1 || err != nil {
+				t.Errorf("ReadBatch of %d bytes = (%d, %v)", size, n, err)
+				return
+			}
+			if lent == nil {
+				lent = slot[0].Payload()
+			}
+		}
+		if want := bytes.Repeat([]byte{'b'}, size); !bytes.Equal(lent, want) || !bytes.Equal(slot[0].Payload(), want) {
+			t.Errorf("%d bytes: the first read's payload reads %.8q… after the second read into its slot, want the second datagram's bytes", size, lent)
+		}
 	}
 }
 
@@ -375,9 +445,9 @@ func testBatchWrite(t *testing.T, b Backend, env netapi.Env, mode batchMode) {
 		return
 	}
 	for i := 0; i < sent; i++ {
-		payload, src, err := receiver.ReadFrom(5 * time.Second)
+		payload, src, err := Recv(receiver, 5*time.Second)
 		if err != nil {
-			t.Errorf("ReadFrom #%d: %v", i, err)
+			t.Errorf("ReadBatch #%d: %v", i, err)
 			return
 		}
 		want := fmt.Sprintf("batch-write-%d", i)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/vclock"
 )
 
@@ -36,7 +37,7 @@ func newFaultPair(t *testing.T, seed int64, lat time.Duration) *faultPair {
 	}
 	s.Go("drain", func() {
 		for {
-			p, _, err := conn.ReadFrom(10 * time.Second)
+			p, _, err := netapitest.Recv(conn, 10*time.Second)
 			if err == netapi.ErrTimeout {
 				continue // an outage may outlast the poll interval
 			}
@@ -353,7 +354,7 @@ func TestDefaultFaultsAndOverride(t *testing.T) {
 	}
 	s.Go("drainB", func() {
 		for {
-			if _, _, err := connB.ReadFrom(time.Second); err != nil {
+			if _, _, err := netapitest.Recv(connB, time.Second); err != nil {
 				return
 			}
 			gotB++
@@ -361,7 +362,7 @@ func TestDefaultFaultsAndOverride(t *testing.T) {
 	})
 	s.Go("drainC", func() {
 		for {
-			if _, _, err := connC.ReadFrom(time.Second); err != nil {
+			if _, _, err := netapitest.Recv(connC, time.Second); err != nil {
 				return
 			}
 			gotC++

@@ -428,15 +428,6 @@ type UDPConn struct {
 
 var _ netapi.UDPConn = (*UDPConn)(nil)
 
-// ReadFrom implements netapi.UDPConn.
-func (c *UDPConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	pkt, err := c.q.Get(timeout)
-	if err != nil {
-		return nil, netip.AddrPort{}, mapQueueErr(err)
-	}
-	return pkt.Payload, pkt.Src, nil
-}
-
 // WriteTo implements netapi.UDPConn.
 func (c *UDPConn) WriteTo(b []byte, to netip.AddrPort) error {
 	if c.closed {
@@ -521,15 +512,6 @@ func (h *Host) TapOf(src netip.Addr) int {
 	return int(hash % uint64(len(h.taps)))
 }
 
-// Read blocks until a packet arrives, the timeout elapses, or the tap closes.
-func (t *Tap) Read(timeout time.Duration) (Packet, error) {
-	pkt, err := t.q.Get(timeout)
-	if err != nil {
-		return Packet{}, mapQueueErr(err)
-	}
-	return pkt, nil
-}
-
 // WriteFromTo sends a datagram with an explicit source address; the source
 // should be an address this tap's host owns or claims (e.g. answering as the
 // protected ANS).
@@ -564,10 +546,10 @@ func mapQueueErr(err error) error {
 	}
 }
 
-// payloadPool recycles in-flight datagram buffers. Delivered payloads are
-// caller-owned (netapi.UDPConn.ReadFrom contract) and never return here; only
-// payloads the network itself drops — queue overflow, loss, partitions, no
-// socket — are recycled. Under the spoofed floods the guard is built for,
+// payloadPool recycles in-flight datagram buffers: a payload the network
+// itself drops — queue overflow, loss, partitions, no socket — and one a
+// socket's ReadBatch has copied into its caller's slot. Only a tap hands its
+// delivered payloads on. Under the spoofed floods the guard is built for,
 // drops are the common case, so this removes the per-drop allocation.
 var payloadPool sync.Pool
 

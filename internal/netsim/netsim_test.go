@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/vclock"
 )
 
@@ -32,9 +33,9 @@ func TestUDPDeliveryAndLatency(t *testing.T) {
 			t.Errorf("ListenUDP: %v", err)
 			return
 		}
-		p, src, err := conn.ReadFrom(netapi.NoTimeout)
+		p, src, err := netapitest.Recv(conn, netapi.NoTimeout)
 		if err != nil {
-			t.Errorf("ReadFrom: %v", err)
+			t.Errorf("ReadBatch: %v", err)
 			return
 		}
 		gotAt, gotPayload, gotSrc = s.Now(), p, src
@@ -109,7 +110,9 @@ func TestClaimedPrefixBeatsNativeOwner(t *testing.T) {
 			t.Errorf("OpenTap: %v", err)
 			return
 		}
-		pkt, err := tap.Read(netapi.NoTimeout)
+		slot := make([]Packet, 1)
+		_, err = tap.ReadBatch(slot, netapi.NoTimeout)
+		pkt := slot[0]
 		if err != nil {
 			t.Errorf("tap read: %v", err)
 			return
@@ -129,7 +132,7 @@ func TestClaimedPrefixBeatsNativeOwner(t *testing.T) {
 			t.Errorf("ans bind: %v", err)
 			return
 		}
-		if _, _, err := conn.ReadFrom(netapi.NoTimeout); err != nil {
+		if _, _, err := netapitest.Recv(conn, netapi.NoTimeout); err != nil {
 			t.Errorf("ans read: %v", err)
 			return
 		}
@@ -155,7 +158,7 @@ func TestSendRawSpoofsSource(t *testing.T) {
 	var src netip.AddrPort
 	s.Go("victim", func() {
 		conn, _ := victim.ListenUDP(ap("10.0.0.2:53"))
-		_, s2, err := conn.ReadFrom(netapi.NoTimeout)
+		_, s2, err := netapitest.Recv(conn, netapi.NoTimeout)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return
@@ -181,7 +184,7 @@ func TestLossDropsDeterministically(t *testing.T) {
 	s.Go("recv", func() {
 		conn, _ := b.ListenUDP(ap("10.0.0.2:53"))
 		for {
-			if _, _, err := conn.ReadFrom(50 * time.Millisecond); err != nil {
+			if _, _, err := netapitest.Recv(conn, 50*time.Millisecond); err != nil {
 				return
 			}
 			received++
@@ -216,7 +219,7 @@ func TestBoundedQueueTailDrop(t *testing.T) {
 		s.Sleep(100 * time.Millisecond) // let the queue overflow
 		got := 0
 		for {
-			if _, _, err := conn.ReadFrom(0); err != nil {
+			if _, _, err := netapitest.Recv(conn, 0); err != nil {
 				break
 			}
 			got++
@@ -272,7 +275,9 @@ func TestOpenTapsSplitBySource(t *testing.T) {
 	for i, tap := range taps {
 		dropped += tap.Dropped()
 		for {
-			pkt, err := tap.Read(0)
+			slot := make([]Packet, 1)
+			_, err := tap.ReadBatch(slot, 0)
+			pkt := slot[0]
 			if err != nil {
 				break
 			}
@@ -327,7 +332,7 @@ func TestPerLinkLatencyOverride(t *testing.T) {
 	var at time.Duration
 	s.Go("recv", func() {
 		conn, _ := b.ListenUDP(ap("10.0.0.2:53"))
-		_, _, err := conn.ReadFrom(netapi.NoTimeout)
+		_, _, err := netapitest.Recv(conn, netapi.NoTimeout)
 		if err == nil {
 			at = s.Now()
 		}
@@ -419,7 +424,7 @@ func TestSocketCloseWakesReader(t *testing.T) {
 			s.Sleep(time.Millisecond)
 			_ = conn.Close()
 		})
-		_, _, err = conn.ReadFrom(netapi.NoTimeout)
+		_, _, err = netapitest.Recv(conn, netapi.NoTimeout)
 	})
 	s.Run(0)
 	if !errors.Is(err, netapi.ErrClosed) {
@@ -433,7 +438,7 @@ func TestReadTimeout(t *testing.T) {
 	var err error
 	s.Go("reader", func() {
 		conn, _ := a.ListenUDP(ap("10.0.0.1:53"))
-		_, _, err = conn.ReadFrom(3 * time.Millisecond)
+		_, _, err = netapitest.Recv(conn, 3*time.Millisecond)
 	})
 	s.Run(0)
 	if !errors.Is(err, netapi.ErrTimeout) {

@@ -98,7 +98,7 @@ func (st *mmsgState) sendmmsg(fd uintptr) bool {
 	return true
 }
 
-// ReadBatch implements netapi.BatchConn: the whole slab in one recvmmsg.
+// ReadBatch implements netapi.UDPConn: the whole slab in one recvmmsg.
 // Each message scatters into its slot's head and then the spill past the
 // head's length, so a datagram that fits the head writes no spill byte; one
 // that does not has its head copied to the front of the spill.
@@ -153,7 +153,7 @@ func (c *udpConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int,
 	return st.done, nil
 }
 
-// WriteBatch implements netapi.BatchConn: the whole slab in one sendmmsg,
+// WriteBatch implements netapi.UDPConn: the whole slab in one sendmmsg,
 // more only when the socket buffer fills.
 func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 	if len(msgs) == 0 {

@@ -32,13 +32,13 @@ func loopbackPair(t *testing.T) (a, b netapi.UDPConn) {
 // TestBatchRoundAllocs pins the socket calls at what the netapi contract
 // makes them allocate: the RawConn callbacks, the address family and one
 // syscall state per direction are cached on the socket, so a WriteBatch and
-// the ReadBatch that drains it, a WriteTo, and a TCP Write and the Read
-// that drains it cost what the kernel charges and nothing on the heap;
-// ReadFrom costs the one copy the caller owns. Per-packet garbage here would
-// be paid on every query the guard forwards.
+// the ReadBatch that drains it, a WriteTo and the one-slot read that takes
+// it, and a TCP Write and the Read that drains it cost what the kernel
+// charges and nothing on the heap: a read fills the caller's slot and copies
+// nothing out of it. Per-packet garbage here would be paid on every query
+// the guard forwards.
 func TestBatchRoundAllocs(t *testing.T) {
 	a, b := loopbackPair(t)
-	ab, bb := netapi.AsBatch(a), netapi.AsBatch(b)
 	const batch = 8
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	out := make([]netapi.Datagram, batch)
@@ -48,7 +48,7 @@ func TestBatchRoundAllocs(t *testing.T) {
 	in := netapi.NewSlab(batch, 512)
 	drain := func(want int) {
 		for got := 0; got < want; {
-			n, err := bb.ReadBatch(in, time.Second)
+			n, err := b.ReadBatch(in, time.Second)
 			if err != nil {
 				t.Fatalf("ReadBatch after %d of %d: %v", got, want, err)
 			}
@@ -56,7 +56,7 @@ func TestBatchRoundAllocs(t *testing.T) {
 		}
 	}
 	round := func() {
-		if n, err := ab.WriteBatch(out); n != batch || err != nil {
+		if n, err := a.WriteBatch(out); n != batch || err != nil {
 			t.Fatalf("WriteBatch = (%d, %v)", n, err)
 		}
 		drain(batch)
@@ -66,10 +66,10 @@ func TestBatchRoundAllocs(t *testing.T) {
 			t.Fatalf("WriteTo: %v", err)
 		}
 	}
-	readFrom := func() {
+	takeOne := func() {
 		writeTo()
-		if p, _, err := b.ReadFrom(time.Second); err != nil || len(p) != len(payload) {
-			t.Fatalf("ReadFrom = %d bytes, %v", len(p), err)
+		if n, err := b.ReadBatch(in[:1], time.Second); n != 1 || err != nil || in[0].N != len(payload) {
+			t.Fatalf("one-slot ReadBatch = (%d, %v), %d bytes", n, err, in[0].N)
 		}
 	}
 	client, server := streamPair(t)
@@ -86,9 +86,8 @@ func TestBatchRoundAllocs(t *testing.T) {
 			got += n
 		}
 	}
-	round()    // sizes the cached syscall state
-	readFrom() // fills the scratch pool
-	stream()   // clears the connect deadline
+	round()  // sizes the cached syscall state
+	stream() // clears the connect deadline
 	// The portable build pins the batch round only: net's WriteTo allocates.
 	native := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
 	for _, pin := range []struct {
@@ -98,8 +97,7 @@ func TestBatchRoundAllocs(t *testing.T) {
 		native bool
 	}{
 		{"WriteBatch + ReadBatch round", round, 0, false},
-		{"WriteTo", func() { writeTo(); drain(1) }, 0, true},
-		{"WriteTo + ReadFrom", readFrom, 1, true},
+		{"WriteTo + one-slot ReadBatch", takeOne, 0, true},
 		{"TCP Write + Read round", stream, 0, true},
 	} {
 		if pin.native && !native {
@@ -133,11 +131,10 @@ func streamPair(t *testing.T) (client, server netapi.Conn) {
 // TestBatchConcurrentReaders: procs reading one socket at once, which the
 // conn contract allows, must not share syscall state. The cached
 // state goes to whichever caller finds it free; the others read through a
-// private one instead of waiting for a blocking read to end. Run under
-// -race.
+// private one instead of waiting for a blocking read to end. make race runs
+// it under -race at -cpu 1, 2 and 4.
 func TestBatchConcurrentReaders(t *testing.T) {
 	a, b := loopbackPair(t)
-	bb := netapi.AsBatch(b)
 	const readers, each = 4, 64
 	got := make(chan string, readers*each)
 	errs := make(chan error, readers)
@@ -145,7 +142,7 @@ func TestBatchConcurrentReaders(t *testing.T) {
 		go func() {
 			slab := netapi.NewSlab(4, 64)
 			for {
-				n, err := bb.ReadBatch(slab, netapi.NoTimeout)
+				n, err := b.ReadBatch(slab, netapi.NoTimeout)
 				if err != nil {
 					errs <- err
 					return
@@ -192,7 +189,6 @@ func TestBatchConcurrentReaders(t *testing.T) {
 // and leaves the other slots' spills alone.
 func TestShortDatagramsLeaveSpill(t *testing.T) {
 	a, b := loopbackPair(t)
-	bb := netapi.AsBatch(b)
 	const sentinel = 0x5A
 	slab := netapi.NewSlab(4, 4097)
 	for i := range slab {
@@ -213,7 +209,7 @@ func TestShortDatagramsLeaveSpill(t *testing.T) {
 			}
 		}
 		for got := 0; got < len(sizes); {
-			n, err := bb.ReadBatch(slab[got:len(sizes)], time.Second)
+			n, err := b.ReadBatch(slab[got:len(sizes)], time.Second)
 			if err != nil {
 				t.Fatalf("ReadBatch after %d of %d: %v", got, len(sizes), err)
 			}

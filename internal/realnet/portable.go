@@ -83,7 +83,18 @@ func (c *udpConn) SetReadBuffer(bytes int) error {
 	return mapErr(c.conn.SetReadBuffer(bytes))
 }
 
-// ReadBatch implements netapi.BatchConn: one read under the caller's
+// readBufPool recycles the max-datagram scratch buffers every read takes a
+// datagram into before it stores it in the caller's slot: the net package
+// reads one datagram per call, and a short buffer would cut it. The 64 KiB
+// scratch is reused across reads and across sockets.
+var readBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, maxDatagram)
+		return &b
+	},
+}
+
+// ReadBatch implements netapi.UDPConn: one read under the caller's
 // timeout, then polls for whatever else is already buffered, all under the
 // socket's read lock. A poll that finds another reader holding it returns
 // ErrTimeout at once, as the mmsg path's polls never wait; a timed read, in
@@ -124,7 +135,7 @@ func (c *udpConn) readInto(scratch []byte, d *netapi.Datagram, timeout time.Dura
 	return nil
 }
 
-// WriteBatch implements netapi.BatchConn, one datagram per syscall.
+// WriteBatch implements netapi.UDPConn, one datagram per syscall.
 func (c *udpConn) WriteBatch(msgs []netapi.Datagram) (int, error) {
 	for i := range msgs {
 		if _, err := c.conn.WriteToUDPAddrPort(msgs[i].Payload(), msgs[i].Addr); err != nil {

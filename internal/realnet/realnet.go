@@ -16,11 +16,9 @@
 package realnet
 
 import (
-	"bytes"
 	"errors"
 	"net/netip"
 	"strconv"
-	"sync"
 	"time"
 
 	"dnsguard/internal/netapi"
@@ -35,7 +33,7 @@ type Env struct {
 var (
 	_ netapi.Env         = (*Env)(nil)
 	_ netapi.UDPReuseEnv = (*Env)(nil)
-	_ netapi.BatchConn   = (*udpConn)(nil)
+	_ netapi.UDPConn     = (*udpConn)(nil)
 	_ netapi.Conn        = (*tcpConn)(nil)
 	_ netapi.Listener    = (*tcpListener)(nil)
 )
@@ -94,32 +92,10 @@ func (e *Env) ListenUDPReuse(addr netip.AddrPort, n int) ([]netapi.UDPConn, erro
 	return conns, nil
 }
 
-// maxDatagram is the largest possible UDP payload: the size of the read
-// scratch, and of the buffer the mmsg path allocates for a slab slot the
-// caller left empty.
+// maxDatagram is the largest possible UDP payload: the size of the portable
+// build's read scratch, and of the buffer the mmsg path allocates for a slab
+// slot the caller left empty.
 const maxDatagram = 65536
-
-// readBufPool recycles the max-datagram scratch buffers ReadFrom reads into
-// (and, in the portable build, every read): the caller gets an exact-size
-// copy (the netapi contract), and the 64 KiB scratch is reused across reads
-// and across sockets.
-var readBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, maxDatagram)
-		return &b
-	},
-}
-
-// ReadFrom implements netapi.UDPConn as a batch of one.
-func (c *udpConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	bufp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bufp)
-	d := [1]netapi.Datagram{{Buf: *bufp}}
-	if _, err := c.ReadBatch(d[:], timeout); err != nil {
-		return nil, netip.AddrPort{}, err
-	}
-	return bytes.Clone(d[0].Payload()), d[0].Addr, nil
-}
 
 // WriteTo implements netapi.UDPConn as a batch of one.
 func (c *udpConn) WriteTo(b []byte, to netip.AddrPort) error {

@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/ans"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/realnet"
 	"dnsguard/internal/zone"
 )
@@ -39,7 +40,7 @@ func TestUDPLoopback(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		payload, src, err := server.ReadFrom(2 * time.Second)
+		payload, src, err := netapitest.Recv(server, 2*time.Second)
 		if err != nil {
 			t.Errorf("server read: %v", err)
 			return
@@ -49,7 +50,7 @@ func TestUDPLoopback(t *testing.T) {
 	if err := client.WriteTo([]byte("ping"), server.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := client.ReadFrom(2 * time.Second)
+	payload, _, err := netapitest.Recv(client, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestUDPReadTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, _, err = conn.ReadFrom(20 * time.Millisecond)
+	_, _, err = netapitest.Recv(conn, 20*time.Millisecond)
 	if !errors.Is(err, netapi.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -143,7 +144,7 @@ func TestRealANSServesQueries(t *testing.T) {
 	if err := client.WriteTo(q, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := client.ReadFrom(2 * time.Second)
+	payload, _, err := netapitest.Recv(client, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

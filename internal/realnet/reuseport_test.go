@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 )
 
 // ListenUDPReuse must deliver every datagram exactly once across the sockets
@@ -40,7 +41,7 @@ func TestListenUDPReuseDelivery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				b, _, err := c.ReadFrom(netapi.NoTimeout)
+				b, _, err := netapitest.Recv(c, netapi.NoTimeout)
 				if err != nil {
 					return
 				}

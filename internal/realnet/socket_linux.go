@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"dnsguard/internal/errs"
 	"dnsguard/internal/netapi"
@@ -169,21 +170,13 @@ func sockaddr(ap netip.AddrPort, is6 bool) syscall.Sockaddr {
 	return sa
 }
 
-// addrPort decodes a kernel sockaddr; 4-in-6 addresses are unmapped, like
-// every address realnet reports.
-func addrPort(sa syscall.Sockaddr) netip.AddrPort {
-	switch sa := sa.(type) {
-	case *syscall.SockaddrInet4:
-		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), uint16(sa.Port))
-	case *syscall.SockaddrInet6:
-		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), uint16(sa.Port))
-	}
-	return netip.AddrPort{}
-}
-
+// localAddr is the address fd is bound to, read into a raw sockaddr and
+// decoded in place: no syscall.Sockaddr is allocated.
 func localAddr(fd int) netip.AddrPort {
-	sa, _ := syscall.Getsockname(fd)
-	return addrPort(sa)
+	var sa syscall.RawSockaddrAny
+	n := uint32(syscall.SizeofSockaddrAny)
+	syscall.RawSyscall(syscall.SYS_GETSOCKNAME, uintptr(fd), uintptr(unsafe.Pointer(&sa)), uintptr(unsafe.Pointer(&n)))
+	return anyToAddrPort(&sa)
 }
 
 type udpConn struct {
@@ -280,13 +273,15 @@ func (l *tcpListener) Addr() netip.AddrPort { return l.local }
 
 func (l *tcpListener) Accept(timeout time.Duration) (netapi.Conn, error) {
 	var nfd int
-	var sa syscall.Sockaddr
+	var sa syscall.RawSockaddrAny // the peer, decoded in place as a read's source is
 	a := attempt{poll: timeout == 0}
 	err := l.call(false, timeout, func(fd uintptr) bool {
 		for {
-			var err error
-			nfd, sa, err = syscall.Accept4(int(fd), syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
-			if errno, _ := err.(syscall.Errno); errno != syscall.EINTR && errno != syscall.ECONNABORTED {
+			n := uint32(syscall.SizeofSockaddrAny)
+			r1, _, errno := syscall.Syscall6(syscall.SYS_ACCEPT4, fd, uintptr(unsafe.Pointer(&sa)),
+				uintptr(unsafe.Pointer(&n)), syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0, 0)
+			if errno != syscall.EINTR && errno != syscall.ECONNABORTED {
+				nfd = int(r1)
 				return a.settle("accept4", errno)
 			}
 		}
@@ -297,7 +292,7 @@ func (l *tcpListener) Accept(timeout time.Duration) (netapi.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newTCPConn(nfd, addrPort(sa))
+	c := newTCPConn(nfd, anyToAddrPort(&sa))
 	c.local = localAddr(nfd)
 	return c, nil
 }

@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/ans"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/vclock"
 	"dnsguard/internal/zone"
@@ -338,7 +339,7 @@ func TestMaliciousSameZoneReferralLoopDetected(t *testing.T) {
 			return
 		}
 		for {
-			payload, src, err := conn.ReadFrom(netapi.NoTimeout)
+			payload, src, err := netapitest.Recv(conn, netapi.NoTimeout)
 			if err != nil {
 				return
 			}
@@ -504,7 +505,7 @@ func TestExchangeTakesOnlyTheServersReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Go("server", func() {
-		q, from, err := serverConn.ReadFrom(time.Second)
+		q, from, err := netapitest.Recv(serverConn, time.Second)
 		if err != nil {
 			t.Errorf("server: %v", err)
 			return

@@ -104,14 +104,21 @@ func (s *Server) allowed(src netip.Addr) bool {
 	return false
 }
 
+// serve reads each query into its one slot and unpacks it there, before the
+// next read overwrites it; a full slot is a datagram over
+// dnswire.MaxDatagram, and dropped.
 func (s *Server) serve() {
+	slot := netapi.NewSlab(1, dnswire.MaxDatagram+1)
 	for {
-		payload, src, err := s.udp.ReadFrom(netapi.NoTimeout)
-		if err != nil {
+		if _, err := s.udp.ReadBatch(slot, netapi.NoTimeout); err != nil {
 			return
 		}
 		atomic.AddUint64(&s.Stats.Queries, 1)
-		q, err := dnswire.Unpack(payload)
+		if slot[0].N > dnswire.MaxDatagram {
+			continue
+		}
+		src := slot[0].Addr
+		q, err := dnswire.Unpack(slot[0].Payload())
 		if err != nil || q.Flags.QR || len(q.Questions) == 0 {
 			continue
 		}

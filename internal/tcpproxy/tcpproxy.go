@@ -242,9 +242,11 @@ func (p *Proxy) serve(conn netapi.Conn) {
 // relay forwards one request frame to the ANS over UDP and writes the
 // response back on the TCP connection: the request's own bytes go up, and the
 // answer dnswire.ExchangeUDP takes (RFC 5452 §9.1) comes back as it arrived.
+// A request is a query of one question that the view and the record walk
+// take, so what Unpack would accept; anything else ends the connection
+// before it counts.
 func (p *Proxy) relay(conn netapi.Conn, frame []byte) bool {
-	req, err := dnswire.Unpack(frame)
-	if err != nil || req.Flags.QR {
+	if req, ok := dnswire.ParseView(frame); !ok || req.QR() || !req.Records(func(dnswire.Record) {}) {
 		return false
 	}
 	atomic.AddUint64(&p.Stats.Requests, 1)

@@ -12,7 +12,8 @@ import (
 	"dnsguard/internal/cookie"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/guard"
-
+	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/resolver"
 	"dnsguard/internal/tcpsim"
@@ -471,7 +472,7 @@ func TestRelayTakesOnlyTheANSReply(t *testing.T) {
 		return wire
 	}
 	sched.Go("ans", func() {
-		q, from, err := ansConn.ReadFrom(time.Second)
+		q, from, err := netapitest.Recv(ansConn, time.Second)
 		if err != nil {
 			t.Errorf("ANS: %v", err)
 			return
@@ -491,5 +492,77 @@ func TestRelayTakesOnlyTheANSReply(t *testing.T) {
 	sched.Run(time.Minute)
 	if got == nil || len(got.Answers) != 1 || got.Answers[0].Data.(*dnswire.AData).Addr != mustAddr("198.51.100.10") {
 		t.Errorf("relayed %v, want the ANS's 198.51.100.10", got)
+	}
+}
+
+// frameConn is the client side of relay's connection: it records what relay
+// writes back.
+type frameConn struct {
+	netapi.Conn
+	wrote int
+}
+
+func (c *frameConn) Write(b []byte) (int, error) {
+	c.wrote++
+	return len(b), nil
+}
+
+// TestRelayVerdicts pins which frames relay forwards: a query of one
+// question that the view and the record walk take. A response, a truncated
+// frame and a frame of no or two questions are refused before they count as
+// requests, and nothing goes up or comes back.
+func TestRelayVerdicts(t *testing.T) {
+	valid, err := dnswire.NewQuery(9, dnswire.MustName("www.foo.com"), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	response := append([]byte(nil), valid...)
+	response[2] |= 0x80
+	noQuestion := append([]byte(nil), valid[:12]...)
+	noQuestion[5] = 0
+	twoQuestions := append(append([]byte(nil), valid...), valid[12:]...)
+	twoQuestions[5] = 2
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		relay bool
+	}{
+		{"valid", valid, true},
+		{"QR set", response, false},
+		{"truncated", valid[:len(valid)-1], false},
+		{"0 questions", noQuestion, false},
+		{"2 questions", twoQuestions, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := vclock.New(7)
+			network := netsim.New(sched, time.Millisecond)
+			ansHost := network.AddHost("ans", mustAddr("10.99.0.2"))
+			srv, err := ans.New(ans.Config{Env: ansHost, Addr: mustAP("10.99.0.2:53"), Zone: zone.MustParse(fooZoneText, dnswire.Root)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			proxyHost := network.AddHost("proxy", mustAddr("192.0.2.1"))
+			tcpsim.Install(proxyHost, tcpsim.Config{})
+			p, err := New(Config{Env: proxyHost, Listen: mustAP("192.0.2.1:53"), ANSAddr: mustAP("10.99.0.2:53")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := &frameConn{}
+			var relayed bool
+			sched.Go("relay", func() { relayed = p.relay(conn, tc.frame) })
+			sched.Run(time.Minute)
+			sched.Close()
+			want := uint64(0)
+			if tc.relay {
+				want = 1
+			}
+			if relayed != tc.relay || p.Stats.Requests != want || srv.Stats.UDPQueries != want || uint64(conn.wrote) != want {
+				t.Errorf("relay = %v with %d requests, %d at the ANS, %d answers back; want %v and %d of each",
+					relayed, p.Stats.Requests, srv.Stats.UDPQueries, conn.wrote, tc.relay, want)
+			}
+		})
 	}
 }

@@ -79,13 +79,19 @@ func (s *ANSSim) Close() {
 	}
 }
 
+// serve unpacks each query in the one slot it reads into; a full slot is a
+// datagram over dnswire.MaxDatagram, and dropped.
 func (s *ANSSim) serve() {
+	slot := netapi.NewSlab(1, dnswire.MaxDatagram+1)
 	for {
-		payload, src, err := s.conn.ReadFrom(netapi.NoTimeout)
-		if err != nil {
+		if _, err := s.conn.ReadBatch(slot, netapi.NoTimeout); err != nil {
 			return
 		}
-		q, err := dnswire.Unpack(payload)
+		if slot[0].N > dnswire.MaxDatagram {
+			continue
+		}
+		src := slot[0].Addr
+		q, err := dnswire.Unpack(slot[0].Payload())
 		if err != nil || q.Flags.QR || len(q.Questions) == 0 {
 			continue
 		}

@@ -260,15 +260,6 @@ type meteredConn struct {
 	m meter
 }
 
-func (c meteredConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
-	c.m.reading()
-	b, from, err := c.UDPConn.ReadFrom(timeout)
-	if err == nil {
-		c.m.read(1)
-	}
-	return b, from, err
-}
-
 func (c meteredConn) ReadBatch(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	c.m.reading()
 	n, err := c.UDPConn.ReadBatch(msgs, timeout)

@@ -19,8 +19,8 @@ import (
 // TestMeterKeepsCapabilities: the meter stands between the guard and its
 // host, tap and upstream sockets, and takes none of what the engine and the
 // guard probe them for away — cooperative scheduling on the Env, batch reads
-// and writes and the drop count on the tap, batch I/O on the sockets. A
-// guard it cannot attribute every call of is refused.
+// and writes and the drop count on the tap — and meters every socket it
+// opens. A guard it cannot attribute every call of is refused.
 func TestMeterKeepsCapabilities(t *testing.T) {
 	w := newWorld()
 	host := w.net.AddHost("guard", mustAddr("10.99.0.1"))
@@ -49,8 +49,8 @@ func TestMeterKeepsCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, ok := c.(netapi.BatchConn); !ok {
-		t.Error("the metered upstream socket is no BatchConn")
+	if _, ok := c.(meteredConn); !ok {
+		t.Error("the upstream socket the metered host opened is not metered")
 	}
 
 	cfg := guard.RemoteConfig{Env: host, IOs: []guard.PacketIO{tap, tap}, PublicAddr: mustAP("192.0.2.1:53"),

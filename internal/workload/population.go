@@ -247,14 +247,15 @@ func (p *Population) emit(r int) {
 	}
 }
 
-// recv classifies every reply routed back into the population prefix.
+// recv classifies every reply routed back into the population prefix, one
+// read of its one-slot slab at a time.
 func (p *Population) recv() {
+	var slot [1]netapi.Packet
 	for {
-		pkt, err := p.tap.Read(netapi.NoTimeout)
-		if err != nil {
+		if _, err := p.tap.ReadBatch(slot[:], netapi.NoTimeout); err != nil {
 			return // tap closed
 		}
-		msg, err := dnswire.Unpack(pkt.Payload)
+		msg, err := dnswire.Unpack(slot[0].Payload)
 		if err != nil || !msg.Flags.QR {
 			p.Stats.Unparsed++
 			continue

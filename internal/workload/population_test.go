@@ -52,7 +52,9 @@ func TestPopulationEmitsVerifiableZipfStream(t *testing.T) {
 	var received uint64
 	svcHost.Go("svc", func() {
 		for {
-			pkt, err := tap.Read(-1)
+			slot := make([]netsim.Packet, 1)
+			_, err := tap.ReadBatch(slot, -1)
+			pkt := slot[0]
 			if err != nil {
 				return
 			}
@@ -137,7 +139,9 @@ func TestPopulationDeterminism(t *testing.T) {
 		var order []netip.Addr
 		svcHost.Go("svc", func() {
 			for {
-				pkt, err := tap.Read(-1)
+				slot := make([]netsim.Packet, 1)
+				_, err := tap.ReadBatch(slot, -1)
+				pkt := slot[0]
 				if err != nil {
 					return
 				}

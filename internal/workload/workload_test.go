@@ -10,6 +10,7 @@ import (
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/guard"
 	"dnsguard/internal/netapi"
+	"dnsguard/internal/netapi/netapitest"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/realnet"
 	"dnsguard/internal/vclock"
@@ -86,7 +87,7 @@ func TestANSSimReferralMode(t *testing.T) {
 		defer conn.Close()
 		q, _ := dnswire.NewQuery(3, dnswire.MustName("foo.com"), dnswire.TypeA).PackUDP(512)
 		_ = conn.WriteTo(q, mustAP("10.0.0.2:53"))
-		payload, _, err := conn.ReadFrom(time.Second)
+		payload, _, err := netapitest.Recv(conn, time.Second)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return
@@ -244,7 +245,7 @@ func TestClientModifiedOneCookiePerANS(t *testing.T) {
 	var seen []*dnswire.Message
 	w.sched.Go("ans", func() {
 		for {
-			payload, src, err := conn.ReadFrom(netapi.NoTimeout)
+			payload, src, err := netapitest.Recv(conn, netapi.NoTimeout)
 			if err != nil {
 				return
 			}
@@ -369,7 +370,7 @@ func TestAttackerRateAndSpoofDiversity(t *testing.T) {
 	w.sched.Go("victim", func() {
 		conn, _ := victim.ListenUDP(mustAP("10.0.0.2:53"))
 		for {
-			_, src, err := conn.ReadFrom(200 * time.Millisecond)
+			_, src, err := netapitest.Recv(conn, 200*time.Millisecond)
 			if err != nil {
 				return
 			}
