@@ -148,7 +148,7 @@ state-check:
 # between functions (.arginfo1, .stkobj, ...) do not count as links.
 # REACH_TESTONLY is what only tests may call; an entry that a program links,
 # or that names nothing, fails the gate too.
-#   Remote.BreakerState, LifecycleStats, Engine.StatsAll, ShardTripped,
+#   Remote.BreakerState, Engine.StatsAll, ShardTripped,
 #   Quarantined, Histogram.Count, Histogram.Sum, Registry.Get,
 #   Registry.WriteJSON: what a test reads of a guard, an engine or a registry
 #   without a scrape (the responder appends /debug/vars into its own buffer);
@@ -161,7 +161,7 @@ state-check:
 #   view and walk tests measuring and decoding against Unpack;
 #   Resolver.Cache, Cache.Flush: guard and resolver tests empty or seed a
 #   resolver's cache to force a re-resolution.
-REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.LifecycleStats guard.Remote.Resume \
+REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.Resume \
 	engine.Engine.StatsAll engine.Engine.ShardTripped engine.Engine.Quarantined \
 	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get metrics.Registry.WriteJSON \
 	metrics.Registry.RegisterHistogram \

@@ -46,24 +46,26 @@ func TestAPI(t *testing.T) {
 	if got == string(want) {
 		return
 	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	gotSet := make(map[string]bool, len(gotLines))
-	for _, l := range gotLines {
-		gotSet[l] = true
+	// The lines are compared as multisets, not sets: a method line that
+	// another type already renders, like "    method Close()", still counts.
+	count := make(map[string]int)
+	for _, l := range strings.Split(string(want), "\n") {
+		count[l]++
 	}
-	wantSet := make(map[string]bool, len(wantLines))
-	for _, l := range wantLines {
-		wantSet[l] = true
+	for _, l := range strings.Split(got, "\n") {
+		count[l]--
 	}
 	var removed, added []string
-	for _, l := range wantLines {
-		if l != "" && !gotSet[l] {
+	for _, l := range strings.Split(string(want), "\n") {
+		if l != "" && count[l] > 0 {
 			removed = append(removed, "-"+l)
+			count[l]--
 		}
 	}
-	for _, l := range gotLines {
-		if l != "" && !wantSet[l] {
+	for _, l := range strings.Split(got, "\n") {
+		if l != "" && count[l] < 0 {
 			added = append(added, "+"+l)
+			count[l]++
 		}
 	}
 	if len(removed) > 0 {

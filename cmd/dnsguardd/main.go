@@ -50,7 +50,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/cookie"
@@ -311,13 +310,6 @@ func run() error {
 	}
 	if o.statsEvery > 0 {
 		go func() {
-			s := &g.Stats
-			fields := [...]struct {
-				label string
-				n     *uint64
-			}{{"dnsguardd: recv=", &s.Received}, {" grants=", &s.NewcomerGrants}, {" valid=", &s.CookieValid},
-				{" invalid=", &s.CookieInvalid}, {" rl1drop=", &s.RL1Dropped}, {" fwd=", &s.ForwardedToANS},
-				{" spoofed=", &s.UpstreamSpoofed}}
 			var line []byte
 			t := time.NewTicker(o.statsEvery)
 			defer t.Stop()
@@ -327,9 +319,15 @@ func run() error {
 					return
 				case <-t.C:
 				}
+				s := g.Stats()
 				line = line[:0]
-				for _, f := range fields {
-					line = strconv.AppendUint(append(line, f.label...), atomic.LoadUint64(f.n), 10)
+				for _, f := range [...]struct {
+					label string
+					n     uint64
+				}{{"dnsguardd: recv=", s.Received}, {" grants=", s.NewcomerGrants}, {" valid=", s.CookieValid},
+					{" invalid=", s.CookieInvalid}, {" rl1drop=", s.RL1Dropped}, {" fwd=", s.ForwardedToANS},
+					{" spoofed=", s.UpstreamSpoofed}} {
+					line = strconv.AppendUint(append(line, f.label...), f.n, 10)
 				}
 				line = append(line, '\n')
 				_, _ = os.Stdout.Write(line)
@@ -363,7 +361,7 @@ func run() error {
 		if proxy != nil {
 			proxy.Close()
 		}
-		s := g.Stats.Load()
+		s := g.Stats()
 		sup := g.Engine().Supervision()
 		n := func(v uint64) string { return strconv.FormatUint(v, 10) }
 		say("final stats: recv=" + n(s.Received) + " valid=" + n(s.CookieValid) + " invalid=" + n(s.CookieInvalid) +

@@ -364,6 +364,8 @@ func vmHWM(t *testing.T, pid int) int {
 // about 1 500 objects. With -ans-fallback each upstream loop's read also
 // times out for a sweep of its NAT table every 1.5 s, so that guard idles
 // for two seconds: the timed read and an empty sweep allocate nothing either.
+// With -mitigate the selector sums the shards' tallies every 200 ms, which
+// allocates nothing.
 func TestIdleAllocatesNothing(t *testing.T) {
 	bin := buildDaemons(t, "dnsguardd")
 	for _, tc := range []struct {
@@ -372,6 +374,7 @@ func TestIdleAllocatesNothing(t *testing.T) {
 	}{
 		{nil, time.Second},
 		{[]string{"-ans-fallback", "127.0.0.1:10"}, 2 * time.Second},
+		{[]string{"-mitigate", "-shards", "2"}, 2 * time.Second},
 	} {
 		args := append([]string{"-listen", "127.0.0.1:0", "-ans", "127.0.0.1:9", "-zone", "foo.com",
 			"-metrics-addr", "127.0.0.1:0", "-stats", "20ms"}, tc.flags...)

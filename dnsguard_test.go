@@ -125,8 +125,8 @@ func TestPublicAPISimulatedEndToEnd(t *testing.T) {
 	})
 	sched.Run(time.Minute)
 
-	if g.Stats.NewcomerGrants == 0 || g.Stats.CookieValid == 0 || srv.Stats.UDPQueries == 0 {
-		t.Fatalf("guard=%+v ans=%+v", g.Stats, srv.Stats)
+	if g.Stats().NewcomerGrants == 0 || g.Stats().CookieValid == 0 || srv.Stats.UDPQueries == 0 {
+		t.Fatalf("guard=%+v ans=%+v", g.Stats(), srv.Stats)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	}
 	r, err := res.Resolve(MustName("www.example.com"), dnswire.TypeA)
 	if err != nil {
-		t.Fatalf("Resolve over real sockets: %v (guard %+v proxy %+v)", err, g.Stats, proxy.Stats)
+		t.Fatalf("Resolve over real sockets: %v (guard %+v proxy %+v)", err, g.Stats(), proxy.Stats)
 	}
 	if len(r.Answers) == 0 {
 		t.Fatal("no answers")
@@ -221,9 +221,9 @@ func TestPublicAPIRealSockets(t *testing.T) {
 	// /metrics and in the periodic dump.
 	reg := NewMetrics()
 	g.MetricsInto(reg)
-	want := fmt.Sprintf("guard_work_tc_replies %d", g.Stats.Load().TCRedirects)
+	want := fmt.Sprintf("guard_work_tc_replies %d", g.Stats().TCRedirects)
 	if strings.HasSuffix(want, " 0") {
-		t.Fatalf("the guard sent no TC reply: %+v", g.Stats.Load())
+		t.Fatalf("the guard sent no TC reply: %+v", g.Stats())
 	}
 	l, err := ServeMetricsHealth("127.0.0.1:0", reg, nil, nil)
 	if err != nil {

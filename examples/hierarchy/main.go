@@ -128,7 +128,7 @@ func run() error {
 			last = r.Answers[len(r.Answers)-1].String()
 		}
 		fmt.Printf("%-16s %-42s %7v  upstream=%d  rootGuardPkts=%d\n",
-			name, last, sched.Now()-start, r.Upstream, g.Stats.Received)
+			name, last, sched.Now()-start, r.Upstream, g.Stats().Received)
 	}
 
 	sched.Go("main", func() {
@@ -141,7 +141,7 @@ func run() error {
 
 	fmt.Println()
 	fmt.Printf("root guard: grants=%d verified=%d — the root was consulted exactly once,\n",
-		g.Stats.NewcomerGrants, g.Stats.CookieValid)
+		g.Stats().NewcomerGrants, g.Stats().CookieValid)
 	fmt.Println("through the cookie dance; every later query used the cached fabricated NS.")
 	return nil
 }

@@ -120,7 +120,7 @@ func run() error {
 
 	fmt.Println()
 	fmt.Println("== guard statistics ==")
-	st := g.Stats
+	st := g.Stats()
 	fmt.Printf("packets received:   %d\n", st.Received)
 	fmt.Printf("cookies granted:    %d\n", st.NewcomerGrants)
 	fmt.Printf("cookies verified:   %d\n", st.CookieValid)

@@ -124,7 +124,7 @@ func run() error {
 
 	// The guard and the proxy still run: read their counters atomically.
 	fmt.Printf("\nguard: %d TC redirects; proxy: %d requests relayed over verified TCP\n",
-		g.Stats.Load().TCRedirects, atomic.LoadUint64(&proxy.Stats.Requests))
+		g.Stats().TCRedirects, atomic.LoadUint64(&proxy.Stats.Requests))
 	fmt.Println("every request reached the ANS through a completed TCP handshake —")
 	fmt.Println("the source addresses are proven, not trusted.")
 	return nil

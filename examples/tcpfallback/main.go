@@ -145,7 +145,7 @@ func run() error {
 
 	fmt.Println()
 	fmt.Printf("guard: %d TC redirects; proxy: %d requests relayed, %d duration kills\n",
-		g.Stats.TCRedirects, proxy.Stats.Requests, proxy.Stats.DurationKills)
+		g.Stats().TCRedirects, proxy.Stats.Requests, proxy.Stats.DurationKills)
 	fmt.Printf("SYN cookies kept the listener stateless for every handshake\n")
 	return nil
 }

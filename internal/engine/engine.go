@@ -276,9 +276,7 @@ func (e *Engine) StatsAll() []ShardStats {
 func (e *Engine) Ingest() IngestStats {
 	var t IngestStats
 	for _, sh := range e.shards {
-		s := metrics.SnapshotUint64(&sh.ingest)
-		t.Reads += s.Reads
-		t.Packets += s.Packets
+		metrics.AddUint64(&t, &sh.ingest)
 	}
 	return t
 }
@@ -312,5 +310,5 @@ func (e *Engine) MetricsInto(r *metrics.Registry, prefix string) {
 	// Supervision series (shard_restarts, panics_quarantined, …) are
 	// registered unconditionally: a flat zero from an unsupervised engine is
 	// more operable than a series that appears only after the first panic.
-	metrics.RegisterUint64Fields(r, prefix, SupervisionStatsNames, &e.sup.stats)
+	metrics.RegisterUint64Fields(r, prefix, SupervisionStatsNames, e.Supervision)
 }

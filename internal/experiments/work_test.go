@@ -39,9 +39,8 @@ func TestWorkPerTableIIIPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		worker, upstream := w.Guard.Work(0)
 		total := func() guard.Work {
-			a, b := *worker, *upstream
+			a, b := w.Guard.Work(0)
 			return guard.Work{Read: a.Read + b.Read, Written: a.Written + b.Written, Checks: a.Checks + b.Checks,
 				Grants: a.Grants + b.Grants, TCReplies: a.TCReplies + b.TCReplies, Rewrites: a.Rewrites + b.Rewrites}
 		}
@@ -90,7 +89,8 @@ func TestWorkPerTableIIIPath(t *testing.T) {
 				time.Duration(k.Grants)*c.CookieGrant + time.Duration(k.TCReplies)*c.TCReply + time.Duration(k.Rewrites)*c.Rewrite
 		}
 		gotW, gotU := w.Meter.Charged()
-		if wantW, wantU := price(*worker), price(*upstream); gotW != wantW || gotU != wantU || wantW == 0 {
+		worker, upstream := w.Guard.Work(0)
+		if wantW, wantU := price(worker), price(upstream); gotW != wantW || gotU != wantU || wantW == 0 {
 			t.Errorf("%s: the meter charged the worker %v and the upstream loop %v; their counts cost %v and %v",
 				label, gotW, gotU, wantW, wantU)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"path/filepath"
-	"reflect"
 	"time"
 
 	"dnsguard/internal/cookie"
@@ -344,21 +343,9 @@ func (f *Fleet) Err() error { return f.err }
 // SiteStats returns site i's counters, including instances retired by
 // rolling upgrades.
 func (f *Fleet) SiteStats(i int) guard.RemoteStats {
-	st := f.sites[i].Guard.Stats.Load()
-	addStats(&st, f.sites[i].Retired)
+	st := f.sites[i].Guard.Stats()
+	metrics.AddUint64(&st, &f.sites[i].Retired)
 	return st
-}
-
-// addStats accumulates src's counters into dst field-wise. Reflection keeps
-// retirement honest when RemoteStats grows new counters.
-func addStats(dst *guard.RemoteStats, src guard.RemoteStats) {
-	d := reflect.ValueOf(dst).Elem()
-	s := reflect.ValueOf(src)
-	for i := 0; i < d.NumField(); i++ {
-		if d.Field(i).Kind() == reflect.Uint64 {
-			d.Field(i).SetUint(d.Field(i).Uint() + s.Field(i).Uint())
-		}
-	}
 }
 
 // MetricsInto registers the fleet's series on r: front counters, catchment

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"net/netip"
 	"os"
 	"strings"
@@ -195,7 +196,7 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 		net.At(pack.ShiftAt+time.Millisecond, func() {
 			after = popAssignments(flt, pop)
 			if pack.ShiftSite >= 0 {
-				res.ColdValidAtShift = flt.Site(pack.ShiftSite).Guard.Stats.Load().CookieValid
+				res.ColdValidAtShift = flt.Site(pack.ShiftSite).Guard.Stats().CookieValid
 			}
 		})
 	}
@@ -206,13 +207,18 @@ func RunLab(cfg LabConfig) (LabResult, error) {
 	if err := flt.Err(); err != nil {
 		return res, err
 	}
+	for i := 0; i < flt.Sites(); i++ {
+		if err := guard.CheckConservation(flt.Site(i).Guard); err != nil {
+			return res, fmt.Errorf("fleet: site %d: %w", i, err)
+		}
+	}
 	for i := range before {
 		if before[i] != after[i] {
 			res.MovedSources++
 		}
 	}
 	if pack.ShiftSite >= 0 {
-		res.ColdReverified = flt.Site(pack.ShiftSite).Guard.Stats.Load().CookieValid - res.ColdValidAtShift
+		res.ColdReverified = flt.Site(pack.ShiftSite).Guard.Stats().CookieValid - res.ColdValidAtShift
 	}
 
 	r := metrics.NewRegistry()

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dnsguard/internal/cookie"
+	"dnsguard/internal/guard"
 	"dnsguard/internal/metrics"
 )
 
@@ -52,7 +53,11 @@ func (f *Fleet) upgradeSite(site int, downtime time.Duration) {
 	old.BeginRestart()
 	f.down[site] = true
 	old.Close()
-	addStats(&s.Retired, old.Stats.Load())
+	if err := guard.CheckConservation(old); err != nil {
+		f.fail(fmt.Errorf("fleet: site %d retiring: %w", site, err))
+	}
+	retired := old.Stats()
+	metrics.AddUint64(&s.Retired, &retired)
 	s.retiredRegs = append(s.retiredRegs, s.Registry)
 
 	// The restart itself: exec, config re-read, socket rebind.

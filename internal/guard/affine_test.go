@@ -3,7 +3,6 @@ package guard
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,12 +124,12 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 		}
 		return Packet{Src: src, Dst: mustAP("192.0.2.1:53"), Payload: wire}
 	}
-	waitStat := func(name string, f *uint64, want uint64) {
+	waitForwarded := func(want uint64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for atomic.LoadUint64(f) < want {
+		for g.Stats().ForwardedToANS < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s = %d, want %d (stats %+v)", name, atomic.LoadUint64(f), want, g.Stats.Load())
+				t.Fatalf("ForwardedToANS = %d, want %d (stats %+v)", g.Stats().ForwardedToANS, want, g.Stats())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -139,7 +138,7 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 	// Each query is forwarded after its charge, and the worker then leaves
 	// the limiter alone until the next one.
 	ios[socket].ch <- query(1)
-	waitStat("ForwardedToANS", &g.Stats.ForwardedToANS, 1)
+	waitForwarded(1)
 
 	// The bucket must live in the delivering shard's limiter, and only
 	// there.
@@ -152,11 +151,11 @@ func TestAffineGuardShardExplicitFastPath(t *testing.T) {
 
 	// The second query over the same socket pays its own MAC there.
 	ios[socket].ch <- query(2)
-	waitStat("ForwardedToANS", &g.Stats.ForwardedToANS, 2)
-	if n := atomic.LoadUint64(&g.shards[socket].work.Checks); n != 2 {
+	waitForwarded(2)
+	if n := (macCounter{g.shards[socket]}).n(); n != 2 {
 		t.Errorf("owning shard %d ran %d MACs, want 2", socket, n)
 	}
-	if n := atomic.LoadUint64(&g.shards[otherShard].work.Checks); n != 0 {
+	if n := (macCounter{g.shards[otherShard]}).n(); n != 0 {
 		t.Errorf("shard %d ran %d MACs, want 0", otherShard, n)
 	}
 }
@@ -198,7 +197,7 @@ func TestDirectShardRepliesThroughItsSocket(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for len(ios[0].sentTo())+len(ios[1].sentTo()) < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d replies, want %d (stats %+v)", len(ios[0].sentTo())+len(ios[1].sentTo()), n, g.Stats.Load())
+				t.Fatalf("%d replies, want %d (stats %+v)", len(ios[0].sentTo())+len(ios[1].sentTo()), n, g.Stats())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -211,7 +210,7 @@ func TestDirectShardRepliesThroughItsSocket(t *testing.T) {
 		ios[1].ch <- Packet{Src: src, Dst: mustAP("192.0.2.1:53"), Payload: wire}
 		awaitReplies(i + 1)
 	}
-	if st := g.Stats.Load(); st.NewcomerGrants != 1 || st.ForwardedToANS != 1 || st.RepliesToClient != 2 {
+	if st := g.Stats(); st.NewcomerGrants != 1 || st.ForwardedToANS != 1 || st.RepliesToClient != 2 {
 		t.Fatalf("want one grant and one relayed answer, stats %+v", st)
 	}
 	if got := ios[0].sentTo(); len(got) != 0 {

@@ -136,7 +136,7 @@ func TestZombieWithRealAddressIsRateLimited(t *testing.T) {
 			t.Errorf("legit resolve during zombie flood: %v", err)
 		}
 	})
-	st := f.guard.Stats
+	st := f.guard.Stats()
 	if st.RL2Dropped < 4000 {
 		t.Errorf("RL2 dropped %d of 5000 zombie requests, want most", st.RL2Dropped)
 	}
@@ -166,7 +166,7 @@ func TestSubnetSprayFalseNegativeFloor(t *testing.T) {
 		f.sched.Sleep(time.Second)
 	})
 	total := rounds * 253
-	passed := f.guard.Stats.CookieValid
+	passed := f.guard.Stats().CookieValid
 	// Expected pass rate ≈ 2/254 per spray round (current + previous key
 	// generation encodings) → about 2 per round. Allow generous slack but
 	// require the floor to be roughly 1/R_y, not a hole.
@@ -174,7 +174,7 @@ func TestSubnetSprayFalseNegativeFloor(t *testing.T) {
 		t.Errorf("spray passed %d of %d (%.2f%%), far above the 1/R_y floor",
 			passed, total, 100*float64(passed)/float64(total))
 	}
-	if f.guard.Stats.CookieInvalid < uint64(total)-uint64(rounds*4) {
-		t.Errorf("invalid = %d of %d", f.guard.Stats.CookieInvalid, total)
+	if f.guard.Stats().CookieInvalid < uint64(total)-uint64(rounds*4) {
+		t.Errorf("invalid = %d of %d", f.guard.Stats().CookieInvalid, total)
 	}
 }

@@ -7,7 +7,6 @@ package guard
 
 import (
 	"net/netip"
-	"sync/atomic"
 
 	"dnsguard/internal/engine"
 )
@@ -40,10 +39,7 @@ func (s *remoteShard) EndBatch() {
 }
 
 // queueReply buffers wire, a reply from a worker-context handler, which must
-// stay untouched until EndBatch has flushed it. It counts here, as s.replyWire
-// does for the upstream loop, which has no bracket to queue in.
+// stay untouched until EndBatch has flushed it. The handler has counted it.
 func (s *remoteShard) queueReply(from, to netip.AddrPort, wire []byte) {
-	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
-	atomic.AddUint64(&s.work.Written, 1)
 	s.outbuf = append(s.outbuf, Packet{Src: from, Dst: to, Payload: wire})
 }

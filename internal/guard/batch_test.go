@@ -24,14 +24,14 @@ func TestGuardBatchedDataplane(t *testing.T) {
 		f.run(t, func() {
 			res, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
 			if err != nil {
-				t.Errorf("batch=%d: Resolve: %v (guard stats %+v)", batch, err, f.guard.Stats)
+				t.Errorf("batch=%d: Resolve: %v (guard stats %+v)", batch, err, f.guard.Stats())
 				return
 			}
 			if len(res.Answers) != 1 || res.Answers[0].Data.(*dnswire.AData).Addr != mustAddr("198.51.100.10") {
 				t.Errorf("batch=%d: answers = %v", batch, res.Answers)
 			}
 		})
-		st := f.guard.Stats.Load()
+		st := f.guard.Stats()
 		ing := f.guard.Engine().Ingest()
 		if ing.Packets != st.Received || ing.Reads == 0 || ing.Reads > ing.Packets {
 			t.Errorf("batch=%d: %d packets over %d reads, guard received %d; want every packet counted and n >= 1 per read",
@@ -64,7 +64,7 @@ func TestGuardBatchedFloodDrops(t *testing.T) {
 			t.Errorf("Resolve through flood config: %v", err)
 		}
 	})
-	st := f.guard.Stats.Load()
+	st := f.guard.Stats()
 	if st.CookieValid != 1 || st.ForwardedToANS != 1 {
 		t.Errorf("valid=%d forwarded=%d, want 1/1", st.CookieValid, st.ForwardedToANS)
 	}
@@ -169,7 +169,7 @@ func TestTapDropsReachShedNew(t *testing.T) {
 	if got := g.shedNew(); got != dropped {
 		t.Errorf("the mitigation sampler counts %d shed, the host dropped %d", got, dropped)
 	}
-	if st := g.Stats.Load(); st.Received+dropped != 64 {
+	if st := g.Stats(); st.Received+dropped != 64 {
 		t.Errorf("received %d and shed %d of 64", st.Received, dropped)
 	}
 }

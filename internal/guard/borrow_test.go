@@ -312,7 +312,7 @@ func runBorrowScript(t *testing.T, poison bool, threshold float64, steps [][]mem
 		o.egress = append(o.egress, sortedDgrams(pub.takeOut(), false))
 		o.forward = append(o.forward, sortedDgrams(up.takeOut(), true))
 	}
-	o.stats = g.Stats.Load()
+	o.stats = g.Stats()
 	s := g.shards[0]
 	s.inFlight(func(_ uint16, e *pendEntry) {
 		o.pending = append(o.pending, fmt.Sprintf("kind=%d client=%v from=%v id=%d qwire=%x fwdWire=%x up=%v",
@@ -498,7 +498,7 @@ func TestOversizeIngressDropped(t *testing.T) {
 		h := newShardHarness(t, func(cfg *RemoteConfig) { cfg.ActivationThreshold = threshold })
 		src := mustAP("10.0.0.53:4444")
 		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: over})
-		st := h.g.Stats.Load()
+		st := h.g.Stats()
 		if want := (RemoteStats{Received: 1, Malformed: 1}); st != want {
 			t.Errorf("threshold %g: oversize datagram: stats %+v, want %+v", threshold, st, want)
 		}
@@ -506,7 +506,7 @@ func TestOversizeIngressDropped(t *testing.T) {
 			t.Errorf("threshold %g: an oversize datagram drew %d forwards, %d replies", threshold, h.up.wrote, h.io.wrote)
 		}
 		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: atLimit})
-		st = h.g.Stats.Load()
+		st = h.g.Stats()
 		if st.Malformed != 1 || st.Passthrough+st.NewcomerGrants != 1 || h.up.wrote+h.io.wrote != 1 {
 			t.Errorf("threshold %g: a %d-byte datagram is inside the limit and must be served: %+v", threshold, dnswire.MaxDatagram, st)
 		}
@@ -531,12 +531,12 @@ func TestOversizeUpstreamDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := h.g.Stats.Load()
+	want := h.g.Stats()
 	want.UpstreamMalformed++
 	h.s.handleUpstream(padTo(t, fwd.Response(), dnswire.MaxDatagram+1), h.g.cfg.ANSAddr)
-	if h.g.PendingEntries() != 1 || h.io.wrote != 0 || h.g.Stats.Load() != want {
+	if h.g.PendingEntries() != 1 || h.io.wrote != 0 || h.g.Stats() != want {
 		t.Fatalf("oversize upstream datagram was acted on: pending %d, replies %d, stats %+v",
-			h.g.PendingEntries(), h.io.wrote, h.g.Stats.Load())
+			h.g.PendingEntries(), h.io.wrote, h.g.Stats())
 	}
 	h.s.handleUpstream(padTo(t, fwd.Response(), dnswire.MaxDatagram), h.g.cfg.ANSAddr)
 	if h.g.PendingEntries() != 0 || h.io.wrote != 1 {
@@ -608,9 +608,9 @@ func TestRemoteFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := netapitest.Recv(client, 5*time.Second); err != nil {
-		t.Fatalf("no reply through the guard: %v (stats %+v)", err, g.Stats.Load())
+		t.Fatalf("no reply through the guard: %v (stats %+v)", err, g.Stats())
 	}
-	if st := g.Stats.Load(); st.ForwardedToANS != 1 || st.RepliesToClient != 1 {
+	if st := g.Stats(); st.ForwardedToANS != 1 || st.RepliesToClient != 1 {
 		t.Fatalf("the packet did not cross both slabs: %+v", st)
 	}
 	after := heap()
@@ -692,7 +692,7 @@ func TestLegitTrafficHeapFlat(t *testing.T) {
 	}
 	grown := heapAllocated() - before
 	packets := uint64(3*sessions + 2*cycles)
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if n := uint64(sessions + 1); st.NewcomerGrants != n || st.CookieValid != n+uint64(cycles) ||
 		st.RepliesToClient != 2*n+uint64(cycles) {
 		t.Fatalf("the traffic did not run to completion: %+v", st)
@@ -729,7 +729,7 @@ func TestRelayTrafficHeapFlat(t *testing.T) {
 	}
 	grown := heapAllocated() - before
 	packets := uint64(2 * cycles)
-	if st, n := h.g.Stats.Load(), uint64(cycles+1); st.Passthrough != n || st.ForwardedToANS != n || st.RepliesToClient != n ||
+	if st, n := h.g.Stats(), uint64(cycles+1); st.Passthrough != n || st.ForwardedToANS != n || st.RepliesToClient != n ||
 		h.io.n != len(resp) || st.Malformed+st.UpstreamStrays+st.UpstreamSpoofed != 0 {
 		t.Fatalf("the traffic did not run to completion: %+v, a reply of %d bytes", st, h.io.n)
 	}
@@ -783,7 +783,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 		cycle(i) // first verification: sizes the entry pool, fills Rate-Limiter2
 	}
 	h.handle(Packet{Src: legit(0), Dst: h.g.cfg.PublicAddr, Payload: plain}) // sizes the reply queue
-	warm := h.g.Stats.Load()
+	warm := h.g.Stats()
 	before := heapAllocated()
 	for i := 0; i < attack; i++ {
 		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 4444)
@@ -794,7 +794,7 @@ func TestSpoofMixHeapFlat(t *testing.T) {
 	}
 	grown := heapAllocated() - before
 	packets := uint64(attack + 2*(attack/10))
-	st, third := h.g.Stats.Load(), uint64(attack/3)
+	st, third := h.g.Stats(), uint64(attack/3)
 	if st.CookieInvalid != 2*third || st.NewcomerGrants-warm.NewcomerGrants != third ||
 		st.CookieValid-warm.CookieValid != uint64(attack/10) ||
 		st.RepliesToClient-warm.RepliesToClient != third+uint64(attack/10) || st.Malformed+st.RL1Dropped+st.RL2Dropped != 0 {
@@ -864,7 +864,7 @@ func TestSourceStateFootprint(t *testing.T) {
 		resp[2] |= 0x80
 		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
 	}
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RepliesToClient != 2*sessions {
 		t.Fatalf("sessions did not run to completion: %+v", st)
 	}
@@ -883,7 +883,7 @@ func TestSourceStateFootprint(t *testing.T) {
 
 	const dark = 60000
 	fillPending(t, h, sessions, dark)
-	if st := h.g.Stats.Load(); h.g.PendingEntries() != maxPending || st.PendingDropped != dark-maxPending || st.CookieValid != sessions+dark {
+	if st := h.g.Stats(); h.g.PendingEntries() != maxPending || st.PendingDropped != dark-maxPending || st.CookieValid != sessions+dark {
 		t.Fatalf("%d pending after %d unanswered forwards: %+v", h.g.PendingEntries(), dark, st)
 	}
 	total2, _ := heap()
@@ -935,7 +935,7 @@ func TestSourceStateRecycles(t *testing.T) {
 		}
 	})
 	h.sched.Run(sessions/perSec*time.Second + time.Second)
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if st.NewcomerGrants != sessions || st.CookieValid != sessions || st.RL1Dropped != 0 {
 		t.Fatalf("sessions did not run to completion: %+v", st)
 	}
@@ -1048,7 +1048,7 @@ func TestRelayBuildsNoSourceTable(t *testing.T) {
 		resp = appendAnswer(resp, h.up.buf[:h.up.n])
 		h.s.handleUpstream(resp, h.g.cfg.ANSAddr)
 	}
-	if st := h.g.Stats.Load(); st.Passthrough != n || st.RepliesToClient != n {
+	if st := h.g.Stats(); st.Passthrough != n || st.RepliesToClient != n {
 		t.Fatalf("%d queries were not all relayed: %+v", n, st)
 	}
 	if rl1, rl2 := built(h); rl1 || rl2 {
@@ -1061,7 +1061,7 @@ func TestRelayBuildsNoSourceTable(t *testing.T) {
 
 	h = newShardHarness(t, nil)
 	h.handle(Packet{Src: mustAP("10.0.0.1:5353"), Dst: h.g.cfg.PublicAddr, Payload: query})
-	if rl1, rl2 := built(h); h.g.Stats.Load().NewcomerGrants != 1 || !rl1 || rl2 {
+	if rl1, rl2 := built(h); h.g.Stats().NewcomerGrants != 1 || !rl1 || rl2 {
 		t.Errorf("after one grant: Rate-Limiter1 built %v, Rate-Limiter2 %v; want true, false", rl1, rl2)
 	}
 }
@@ -1097,9 +1097,10 @@ func TestLimiterToggleAllocs(t *testing.T) {
 }
 
 // TestStatsSnapshotsAllocateNothing: the mitigation loop reads the guard's
-// counters and every shard's tail-drops each interval, so an armed guard
-// that sees no traffic must not allocate for them. A snapshot is a copy on
-// the caller's stack, and a tap's drop count a load.
+// counters — the sum of its shards' tallies — and every shard's tail-drops
+// each interval, so an armed guard that sees no traffic must not allocate
+// for them. A sum is a copy on the caller's stack, and a tap's drop count a
+// load.
 func TestStatsSnapshotsAllocateNothing(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.IOs = openTaps(t, cfg.Env.(*netsim.Host), 2)
@@ -1109,7 +1110,8 @@ func TestStatsSnapshotsAllocateNothing(t *testing.T) {
 		name string
 		read func()
 	}{
-		{"RemoteStats.Load", func() { _ = h.g.Stats.Load() }},
+		{"Remote.Stats", func() { _ = h.g.Stats() }},
+		{"Remote.Work", func() { _, _ = h.g.Work(1) }},
 		{"Engine.Stats", func() { _ = h.g.eng.Stats(1) }},
 		{"shedNew", func() { _ = h.g.shedNew() }},
 	} {

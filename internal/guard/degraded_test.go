@@ -333,14 +333,14 @@ func runDegraded(t *testing.T, f *degradedFixture, pol netsim.Faults, fwdOnly bo
 		f.spoofedFlood(200)
 		f.sched.Sleep(2 * time.Second) // let stragglers (jitter, dups) land
 		if got := f.fooNS.Stats.UDPQueries; got != 0 {
-			t.Errorf("ANS saw %d UDP queries from a purely spoofed flood, want 0 (guard %+v)", got, f.guard.Stats)
+			t.Errorf("ANS saw %d UDP queries from a purely spoofed flood, want 0 (guard %+v)", got, f.guard.Stats())
 		}
 		if err := f.lookup(3); err != nil {
-			t.Errorf("legit resolution failed under faults: %v (guard %+v)", err, f.guard.Stats)
+			t.Errorf("legit resolution failed under faults: %v (guard %+v)", err, f.guard.Stats())
 		}
 	})
 	f.sched.Run(30 * time.Minute)
-	if f.guard.Stats.Received == 0 {
+	if f.guard.Stats().Received == 0 {
 		t.Error("guard saw no traffic — fixture is not routing through it")
 	}
 }
@@ -366,8 +366,8 @@ func TestDegradedModifiedScheme(t *testing.T) {
 		t.Run(fc.name, func(t *testing.T) {
 			f := newDegradedModified(t, 3000+int64(i))
 			runDegraded(t, f, fc.f, fc.fwdOnly)
-			if f.guard.Stats.NewcomerGrants == 0 || f.guard.Stats.CookieValid == 0 {
-				t.Errorf("no cookie granted and verified — the modified path was not taken (guard %+v)", f.guard.Stats)
+			if f.guard.Stats().NewcomerGrants == 0 || f.guard.Stats().CookieValid == 0 {
+				t.Errorf("no cookie granted and verified — the modified path was not taken (guard %+v)", f.guard.Stats())
 			}
 		})
 	}
@@ -410,7 +410,7 @@ func TestDegradedDuplicatedCookieReplies(t *testing.T) {
 	f.setWANFaults(netsim.Faults{Duplicate: 1.0, Reorder: 0.5, ReorderDelay: 8 * time.Millisecond}, false)
 	f.sched.Go("scenario", func() {
 		if err := f.resolveUnderFaults(3); err != nil {
-			t.Errorf("resolution failed with all datagrams duplicated: %v (guard %+v)", err, f.guard.Stats)
+			t.Errorf("resolution failed with all datagrams duplicated: %v (guard %+v)", err, f.guard.Stats())
 		}
 	})
 	f.sched.Run(30 * time.Minute)
@@ -418,7 +418,7 @@ func TestDegradedDuplicatedCookieReplies(t *testing.T) {
 	// guard treats them independently (idempotent, like the real ANS), so
 	// the duplicate surfaces as either a second forward or an upstream
 	// stray, never as corrupted state.
-	if f.guard.Stats.CookieValid == 0 {
+	if f.guard.Stats().CookieValid == 0 {
 		t.Error("no cookie ever verified — handshake did not complete")
 	}
 }

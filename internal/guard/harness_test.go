@@ -63,6 +63,15 @@ func (io *sinkIO) WriteFromTo(from, to netip.AddrPort, payload []byte) error {
 
 func (io *sinkIO) Close() error { return nil }
 
+// assertConserved fails t unless g has accounted for every packet once
+// (CheckConservation). Call it at quiescence.
+func assertConserved(t testing.TB, g *Remote) {
+	t.Helper()
+	if err := CheckConservation(g); err != nil {
+		t.Error(err)
+	}
+}
+
 // shardHarness drives one shard directly — no engine start, no simulated
 // network — with stub I/O on both sides, so tests can compare exact wires
 // and count allocations without simulator noise.
@@ -254,11 +263,11 @@ type allocCase struct {
 func pinAllocs(t *testing.T, rig string, h *shardHarness, cases []allocCase) {
 	t.Helper()
 	for _, c := range cases {
-		before := h.g.Stats.Load()
+		before := h.g.Stats()
 		if n := testing.AllocsPerRun(200, c.run); n != 0 {
 			t.Errorf("%s: %s allocates %.1f/op, want 0", rig, c.name, n)
 		}
-		after := h.g.Stats.Load()
+		after := h.g.Stats()
 		var d RemoteStats
 		dv, av, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(after), reflect.ValueOf(before)
 		for i := 0; i < dv.NumField(); i++ {
@@ -287,7 +296,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: 1e6, TrackedSources: 1024}
 	}
 	clean := func(name string, h *shardHarness) {
-		if st := h.g.Stats.Load(); st.RL2Dropped+st.RL1Dropped+st.UpstreamStrays+st.UpstreamSpoofed+st.Malformed != 0 {
+		if st := h.g.Stats(); st.RL2Dropped+st.RL1Dropped+st.UpstreamStrays+st.UpstreamSpoofed+st.Malformed != 0 {
 			t.Errorf("%s: not every run ran to its reply: %+v", name, st)
 		}
 	}
@@ -333,7 +342,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		s := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)}), 5353)
 		first[i] = Packet{Src: s, Dst: h.g.cfg.PublicAddr, Payload: h.nsQueryWire(t, s.Addr(), "www.foo.com", 0x45)}
 	}
-	before, i := h.g.Stats.Load(), 0
+	before, i := h.g.Stats(), 0
 	if n := testing.AllocsPerRun(strangers-1, func() {
 		h.handle(Packet{Src: first[i].Src, Dst: first[i].Dst, Payload: plain})
 		h.handle(first[i])
@@ -343,7 +352,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a newcomer's session (grant, first verification, referral) allocates %.1f/op, want 0", n)
 	}
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if st.NewcomerGrants-before.NewcomerGrants != strangers || st.CookieValid-before.CookieValid != strangers {
 		t.Errorf("the %d sessions were not each a grant and a first verification: %+v", strangers, st)
 	}
@@ -367,7 +376,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, pcycle); n != 0 {
 		t.Errorf("passthrough relay cycle answered a referral allocates %.1f/op, want 0", n)
 	}
-	if st := hp.g.Stats.Load(); hp.io.n != relayed || st.RepliesToClient != 202 {
+	if st := hp.g.Stats(); hp.io.n != relayed || st.RepliesToClient != 202 {
 		t.Errorf("the relayed referral is %d bytes, want %d: %+v", hp.io.n, relayed, st)
 	}
 
@@ -470,7 +479,7 @@ func TestFastPathWireAllocs(t *testing.T) {
 		}
 		cycle() // first exchange: starts the source's bucket, allocates the slab
 		cycle()
-		macs := macCounter{&hs.s.work}
+		macs := macCounter{hs.s}
 		before := macs.n()
 		if n := testing.AllocsPerRun(200, cycle); n != 0 {
 			t.Errorf("verified NS cycle answered %s through SocketIO on loopback allocates %.1f/op, want 0", a.name, n)

@@ -83,16 +83,18 @@ type upstreamHealth struct {
 }
 
 // shardHealth is one shard's breaker over the ordered upstream list, owned
-// by the shard's upstream loop.
+// by the shard's upstream loop, which counts its transitions in the shard's
+// tally.
 type shardHealth struct {
-	g *Remote
+	g     *Remote
+	tally *tally
 	// ups[0] is the primary (RemoteConfig.ANSAddr); the rest are the
 	// ordered ANSFallbacks.
 	ups []upstreamHealth
 }
 
-func newShardHealth(g *Remote) *shardHealth {
-	h := &shardHealth{g: g, ups: make([]upstreamHealth, 1+len(g.cfg.ANSFallbacks))}
+func newShardHealth(g *Remote, t *tally) *shardHealth {
+	h := &shardHealth{g: g, tally: t, ups: make([]upstreamHealth, 1+len(g.cfg.ANSFallbacks))}
 	h.ups[0].addr = g.cfg.ANSAddr
 	for i, a := range g.cfg.ANSFallbacks {
 		h.ups[1+i].addr = a
@@ -136,7 +138,7 @@ func (h *shardHealth) noteTimeouts(now time.Duration) {
 			if u.consec >= h.g.cfg.Health.threshold {
 				u.state.Store(breakerOpen)
 				u.openedAt = now
-				atomic.AddUint64(&h.g.Stats.BreakerOpens, 1)
+				atomic.AddUint64(&h.tally.breakerOpens, 1)
 			}
 		case u.state.Load() == breakerHalfOpen:
 			// The probe died too: back to open for another cooldown.
@@ -156,7 +158,7 @@ func (h *shardHealth) noteSuccess(addr netip.AddrPort) {
 	}
 	u.consec = 0
 	if u.state.Swap(breakerClosed) != breakerClosed {
-		atomic.AddUint64(&h.g.Stats.BreakerCloses, 1)
+		atomic.AddUint64(&h.tally.breakerCloses, 1)
 	}
 }
 
@@ -223,16 +225,12 @@ func (s *remoteShard) healthTick(now time.Duration) {
 // apex, minted by the guard itself and consumed internally on response. The
 // probe rides the ordinary pending table, so the response is held to the
 // same source and question-echo checks as real traffic — a spoofed "probe
-// answer" cannot close the breaker. It reports whether the table took it.
+// answer" cannot close the breaker. It reports whether the table took it;
+// forward counts it as sent.
 // It is written as the guard writes every query it asks: RD off, class IN,
 // in the upstream loop's scratch, which no reply holds between datagrams.
 func (s *remoteShard) sendProbe(upstream netip.AddrPort) bool {
-	g := s.g
-	probe := append(append(s.upBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), g.zoneWire...)
+	probe := append(append(s.upBuf[:0], 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), s.g.zoneWire...)
 	probe = append(probe, 0, byte(dnswire.TypeSOA), 0, byte(dnswire.ClassINET))
-	if !s.forward(pendEntry{kind: pendProbe, upstream: upstream}, probe, nil) {
-		return false
-	}
-	atomic.AddUint64(&g.Stats.ProbesSent, 1)
-	return true
+	return s.forward(pendEntry{kind: pendProbe, upstream: upstream}, probe, nil)
 }

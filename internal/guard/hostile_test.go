@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,12 +86,12 @@ func TestUpstreamQueryDroppedUnparsed(t *testing.T) {
 		"a name only unpack reads": latin,
 		"three bytes":              fwd[:3],
 	} {
-		want := h.g.Stats.Load()
+		want := h.g.Stats()
 		if n := testing.AllocsPerRun(10, func() { h.s.handleUpstream(wire, h.g.cfg.ANSAddr) }); n != 0 {
 			t.Errorf("%s: dropping it allocates %.1f times, want 0", name, n)
 		}
 		want.UpstreamMalformed += 11 // AllocsPerRun's warm-up and its ten runs
-		if st := h.g.Stats.Load(); st != want || h.io.wrote != 0 || h.g.PendingEntries() != 1 {
+		if st := h.g.Stats(); st != want || h.io.wrote != 0 || h.g.PendingEntries() != 1 {
 			t.Errorf("%s: acted on, or not counted malformed: stats %+v, %d replies, %d pending", name, st, h.io.wrote, h.g.PendingEntries())
 		}
 	}
@@ -189,7 +188,7 @@ func TestGuardPendingTableBounded(t *testing.T) {
 	if n := f.guard.PendingEntries(); n > 4096 {
 		t.Errorf("pending table = %d entries, want bounded at 4096", n)
 	}
-	if f.guard.Stats.PendingDropped == 0 {
+	if f.guard.Stats().PendingDropped == 0 {
 		t.Error("pending-table pressure never caused drops/reaping")
 	}
 }
@@ -242,7 +241,7 @@ func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 	}
 	// Advance one rotation: still valid.
 	f.sched.Run(f.sched.Now() + 35*time.Second)
-	if f.guard.Stats.KeyRotations == 0 {
+	if f.guard.Stats().KeyRotations == 0 {
 		t.Fatal("no rotation happened")
 	}
 	if !query(fab) {
@@ -253,7 +252,7 @@ func automaticKeyRotation(t *testing.T, fastPathTTL time.Duration) {
 	if query(fab) {
 		t.Fatal("generation-0 cookie accepted in generation 2")
 	}
-	if f.guard.Stats.CookieInvalid == 0 {
+	if f.guard.Stats().CookieInvalid == 0 {
 		t.Fatal("stale cookie not counted invalid")
 	}
 }
@@ -334,9 +333,9 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 		runtime.Gosched()
 	}
 	valid := func(wire []byte) bool {
-		before := atomic.LoadUint64(&g.Stats.CookieValid)
+		before := g.Stats().CookieValid
 		s.HandlePacket(Packet{Src: shapeClient, Dst: g.cfg.PublicAddr, Payload: append([]byte(nil), wire...)})
-		return atomic.LoadUint64(&g.Stats.CookieValid) != before
+		return g.Stats().CookieValid != before
 	}
 	brackets, decided, raced := 0, 0, 0
 	for running := true; running; brackets++ {
@@ -384,7 +383,7 @@ func TestRotationDuringBatchVerify(t *testing.T) {
 		}
 		s.emptyPending() // nobody answers: make room for the next bracket's forwards
 	}
-	if st := g.Stats.Load(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped != 0 || st.PendingDropped != st.ForwardedToANS {
+	if st := g.Stats(); st.KeyRotations != 151 || auth.Epoch() != 303 || st.Malformed+st.RL2Dropped != 0 || st.PendingDropped != st.ForwardedToANS {
 		t.Errorf("after 303 key changes, 151 of them adopted: epoch %d, %+v", auth.Epoch(), st)
 	}
 	t.Logf("%d brackets, %d with a key change inside, %d verdicts decided by the epochs around them", brackets, raced, decided)

@@ -167,7 +167,7 @@ func TestInlineDataplaneCounterGolden(t *testing.T) {
 	}
 
 	// Sanity floor so an accidentally-empty golden can't silently pass.
-	st := g.Stats.Load()
+	st := g.Stats()
 	if st.Received == 0 || st.CookieValid == 0 || st.ForwardedToANS == 0 {
 		t.Errorf("scenario too weak to pin the pipeline: %+v", st)
 	}

@@ -158,7 +158,7 @@ func TestGuardRejectsSpoofedUpstreamAnswers(t *testing.T) {
 	sched.Go("test", func() {
 		r, err := res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
 		if err != nil {
-			t.Errorf("Resolve despite spoofing: %v (guard stats %+v)", err, g.Stats)
+			t.Errorf("Resolve despite spoofing: %v (guard stats %+v)", err, g.Stats())
 			return
 		}
 		if len(r.Answers) != 1 || r.Answers[0].Data.(*dnswire.AData).Addr != netip.MustParseAddr("198.51.100.10") {
@@ -174,7 +174,7 @@ func TestGuardRejectsSpoofedUpstreamAnswers(t *testing.T) {
 	if offPathSent == 0 || camp.PhaseSent(1) == 0 {
 		t.Fatalf("campaign under-emitted: phase sends %d / %d", offPathSent, camp.PhaseSent(1))
 	}
-	st := g.Stats.Load()
+	st := g.Stats()
 	// Every off-path packet is rejected at the source check, and at least
 	// one on-path swept ID must have hit a live NAT entry and been rejected
 	// by the question check — without evicting the entry (the genuine

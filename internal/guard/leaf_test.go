@@ -100,7 +100,7 @@ func TestLeafGuardNonReferralResolution(t *testing.T) {
 		res, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
 		missLatency = f.sched.Now() - start
 		if err != nil {
-			t.Errorf("Resolve: %v (guard %+v)", err, f.guard.Stats)
+			t.Errorf("Resolve: %v (guard %+v)", err, f.guard.Stats())
 			return
 		}
 		want := mustAddr("198.51.100.10")
@@ -118,7 +118,7 @@ func TestLeafGuardNonReferralResolution(t *testing.T) {
 	if missLatency < 29*time.Millisecond || missLatency > 32*time.Millisecond {
 		t.Errorf("cache-miss latency = %v, want ~30ms (3 RTT)", missLatency)
 	}
-	st := f.guard.Stats
+	st := f.guard.Stats()
 	if st.NewcomerGrants != 1 || st.CookieValid != 2 {
 		t.Errorf("stats = %+v, want 1 grant + 2 cookie validations (NS label + IP)", st)
 	}
@@ -178,7 +178,7 @@ func TestLeafGuardIPCookieWrongSourceDropped(t *testing.T) {
 		}
 		f.sched.Sleep(time.Second)
 	})
-	st := f.guard.Stats
+	st := f.guard.Stats()
 	// 253 of the sprayed addresses are wrong (the public .1 goes down the
 	// newcomer path); at most 2 can hit the attacker's own cookie address
 	// (current + previous key generation) — the 1/R_y false-negative floor
@@ -207,8 +207,8 @@ func TestLeafGuardSecondNameFabricatesAgain(t *testing.T) {
 	})
 	// Each non-referral name needs its own fabricated ANS (the storage
 	// inefficiency Table I documents for this variant).
-	if f.guard.Stats.NewcomerGrants != 2 {
-		t.Errorf("grants = %d, want 2 (one per name)", f.guard.Stats.NewcomerGrants)
+	if f.guard.Stats().NewcomerGrants != 2 {
+		t.Errorf("grants = %d, want 2 (one per name)", f.guard.Stats().NewcomerGrants)
 	}
 }
 

@@ -67,8 +67,9 @@ func (s LifecycleState) String() string {
 	return "LifecycleState(" + strconv.Itoa(int(s)) + ")"
 }
 
-// LifecycleStats counts lifecycle activity (atomic fields, exported as
-// guard_lifecycle_* series).
+// LifecycleStats counts lifecycle activity (exported as guard_lifecycle_*
+// series): the guard's own transitions and drains, and the newcomers its
+// shards refused.
 type LifecycleStats struct {
 	Transitions  uint64 // state changes since construction
 	Drains       uint64 // Drain calls that entered draining
@@ -92,7 +93,7 @@ func (g *Remote) Lifecycle() LifecycleState {
 // setLifecycle moves the state machine and counts the transition.
 func (g *Remote) setLifecycle(s LifecycleState) {
 	if g.lcState.Swap(int32(s)) != int32(s) {
-		atomic.AddUint64(&g.lc.Transitions, 1)
+		atomic.AddUint64(&g.ctl.transitions, 1)
 	}
 }
 
@@ -114,7 +115,7 @@ func (g *Remote) drainGate() bool {
 // Resume. Safe to call from a netsim proc — all waiting is via Env.Sleep.
 func (g *Remote) Drain(ctx context.Context) error {
 	g.setLifecycle(LifecycleDraining)
-	atomic.AddUint64(&g.lc.Drains, 1)
+	atomic.AddUint64(&g.ctl.drains, 1)
 	// Let in-flight exchanges complete or time out: the longest any pending
 	// NAT entry can legitimately live is pendingTimeout.
 	deadline := g.now() + g.cfg.pendingTimeout
@@ -183,13 +184,14 @@ func (g *Remote) Ready(minEpoch uint64) error {
 // notReady returns an ErrNotReady whose text ends in why.
 func notReady(why string) error { return errs.Wrap(ErrNotReady.Error()+": "+why, ErrNotReady) }
 
-// LifecycleStats returns an atomically-read copy of the lifecycle counters.
+// LifecycleStats returns the lifecycle counters, each read atomically.
 func (g *Remote) LifecycleStats() LifecycleStats {
-	return metrics.SnapshotUint64(&g.lc)
+	t := g.total()
+	return LifecycleStats{atomic.LoadUint64(&g.ctl.transitions), atomic.LoadUint64(&g.ctl.drains), t.drainDropped}
 }
 
 // lifecycleMetricsInto registers the guard_lifecycle_* series.
 func (g *Remote) lifecycleMetricsInto(r *metrics.Registry) {
 	r.FuncUint("guard_lifecycle_state", func() uint64 { return uint64(g.lcState.Load()) })
-	metrics.RegisterUint64Fields(r, "guard_lifecycle_", LifecycleStatsNames, &g.lc)
+	metrics.RegisterUint64Fields(r, "guard_lifecycle_", LifecycleStatsNames, g.LifecycleStats)
 }

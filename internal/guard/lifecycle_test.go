@@ -39,12 +39,12 @@ func TestLifecycleDrainQuiesces(t *testing.T) {
 			t.Errorf("pending entries after drain = %d, want 0", g.PendingEntries())
 		}
 		// A newcomer arriving mid-drain gets nothing: no grant, no TC.
-		grantsBefore := g.Stats.Load().NewcomerGrants
+		grantsBefore := g.Stats().NewcomerGrants
 		q, _ := dnswire.NewQuery(7, dnswire.MustName("mail.foo.com"), dnswire.TypeA).PackUDP(512)
 		src := netip.AddrPortFrom(mustAddr("172.16.9.9"), 1234)
 		_ = attacker.SendRaw(src, mustAP("198.41.0.4:53"), q)
 		f.sched.Sleep(50 * time.Millisecond)
-		if got := g.Stats.Load().NewcomerGrants; got != grantsBefore {
+		if got := g.Stats().NewcomerGrants; got != grantsBefore {
 			t.Errorf("newcomer granted during quiesce (grants %d -> %d)", grantsBefore, got)
 		}
 		if st := g.LifecycleStats(); st.DrainDropped != 1 || st.Drains != 1 {
@@ -58,7 +58,7 @@ func TestLifecycleDrainQuiesces(t *testing.T) {
 		}
 		_ = attacker.SendRaw(src, mustAP("198.41.0.4:53"), q)
 		f.sched.Sleep(50 * time.Millisecond)
-		if got := g.Stats.Load().NewcomerGrants; got != grantsBefore+1 {
+		if got := g.Stats().NewcomerGrants; got != grantsBefore+1 {
 			t.Errorf("newcomer not granted after Resume (grants %d -> %d)", grantsBefore, got)
 		}
 	})
@@ -146,7 +146,7 @@ func TestDrainHonorsContext(t *testing.T) {
 		if g.Lifecycle() != LifecycleQuiesced || g.PendingEntries() != 0 {
 			t.Errorf("lifecycle %v, %d pending: want quiesced and empty", g.Lifecycle(), g.PendingEntries())
 		}
-		if st := g.Stats.Load(); st.PendingDropped != 1 {
+		if st := g.Stats(); st.PendingDropped != 1 {
 			t.Errorf("PendingDropped = %d, want the stranded entry's 1", st.PendingDropped)
 		}
 	})

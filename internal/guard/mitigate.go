@@ -418,7 +418,7 @@ func (g *Remote) Mitigation() MitigationState { return g.mit.snapshot() }
 // every Interval and advance the ladder. The rung it leaves is the guard's
 // whole control state: Active, effectiveFallback and syncLimiters read it.
 func (g *Remote) mitigateLoop() {
-	prev := g.Stats.Load()
+	prev := g.Stats()
 	prevShed := g.shedNew()
 	prevT := g.now()
 	for !g.closed.Load() {
@@ -426,7 +426,7 @@ func (g *Remote) mitigateLoop() {
 		if g.closed.Load() {
 			return
 		}
-		cur := g.Stats.Load()
+		cur := g.Stats()
 		shed := g.shedNew()
 		now := g.now()
 		dt := (now - prevT).Seconds()
@@ -478,7 +478,7 @@ func (g *Remote) effectiveFallback() Scheme {
 // context — the limiters are worker-owned, so resetting them from the
 // selector proc would race the hot path. One atomic load per packet when
 // nothing changed. A transition empties both limiters' tables in place; it
-// allocates nothing. What they dropped is in RemoteStats, which no
+// allocates nothing. What they dropped is in the shard's tally, which no
 // transition touches.
 func (s *remoteShard) syncLimiters() {
 	strict := s.g.rung() >= LayerSourceLimit
@@ -513,5 +513,5 @@ func (g *Remote) mitMetricsInto(r *metrics.Registry) {
 	r.Func("guard_mitigation_layer", func() float64 { return float64(g.mit.layer.Load()) })
 	r.Func("guard_mitigation_max_layer", func() float64 { return float64(g.mit.maxLayer.Load()) })
 	r.Func("guard_mitigation_class", func() float64 { return float64(g.mit.class.Load()) })
-	metrics.RegisterUint64Fields(r, "guard_mitigation_", MitigationStatsNames, &g.mit.stats)
+	metrics.RegisterUint64Fields(r, "guard_mitigation_", MitigationStatsNames, func() MitigationStats { return metrics.SnapshotUint64(&g.mit.stats) })
 }

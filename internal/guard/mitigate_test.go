@@ -304,11 +304,11 @@ func TestResetShardKeepsStrictLimits(t *testing.T) {
 	// strictFactor/strictFactor = 1 token forwards one, the normal burst of
 	// strictFactor all of them.
 	burst := func() uint64 {
-		before := h.g.Stats.Load().ForwardedToANS
+		before := h.g.Stats().ForwardedToANS
 		for i := 0; i < 4; i++ {
 			h.handle(pkt)
 		}
-		return h.g.Stats.Load().ForwardedToANS - before
+		return h.g.Stats().ForwardedToANS - before
 	}
 	if got := burst(); got != 1 {
 		t.Fatalf("at source-limit %d of 4 verified requests passed Rate-Limiter2, want 1", got)
@@ -343,7 +343,7 @@ func TestExportedCountersNeverDecrease(t *testing.T) {
 	for _, wire := range [][]byte{plain, plain, named, named} {
 		h.handle(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: wire})
 	}
-	if st := h.g.Stats.Load(); st.NewcomerGrants != 1 || st.RL1Dropped != 1 || st.CookieValid != 2 || st.ForwardedToANS != 1 || st.RL2Dropped != 1 {
+	if st := h.g.Stats(); st.NewcomerGrants != 1 || st.RL1Dropped != 1 || st.CookieValid != 2 || st.ForwardedToANS != 1 || st.RL2Dropped != 1 {
 		t.Fatalf("want a grant, an RL1 drop, a forward and an RL2 drop: %+v", st)
 	}
 	before := reg.Snapshot()
@@ -375,7 +375,7 @@ func TestExportedCountersNeverDecrease(t *testing.T) {
 			t.Errorf("%s went from %v to %v across a limiter transition and a shard restart", s.Name, s.Value, v)
 		}
 	}
-	if st := h.g.Stats.Load(); st.PendingDropped != 1 || h.g.PendingEntries() != 0 {
+	if st := h.g.Stats(); st.PendingDropped != 1 || h.g.PendingEntries() != 0 {
 		t.Errorf("the restart left %d pending and counted %d dropped, want 0 and 1", h.g.PendingEntries(), st.PendingDropped)
 	}
 }

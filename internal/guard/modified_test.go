@@ -103,12 +103,12 @@ func TestModifiedSchemeEndToEnd(t *testing.T) {
 	r := newRequester(t, f)
 	f.sched.Go("test", func() {
 		if _, err := r.lookup(dnswire.MustName("www.foo.com"), mustAddr("198.51.100.10"), 1); err != nil {
-			t.Errorf("lookup: %v (guard %+v)", err, f.guard.Stats)
+			t.Errorf("lookup: %v (guard %+v)", err, f.guard.Stats())
 		}
 	})
 	f.sched.Run(30 * time.Second)
-	if f.guard.Stats.CookieValid != 1 || f.guard.Stats.NewcomerGrants != 1 {
-		t.Errorf("guard stats = %+v, want one grant and one valid cookie", f.guard.Stats)
+	if f.guard.Stats().CookieValid != 1 || f.guard.Stats().NewcomerGrants != 1 {
+		t.Errorf("guard stats = %+v, want one grant and one valid cookie", f.guard.Stats())
 	}
 	if f.fooNS.Stats.Malformed != 0 || f.fooNS.Stats.UDPQueries != 1 {
 		t.Errorf("ANS saw %d queries, %d malformed, want 1 and 0", f.fooNS.Stats.UDPQueries, f.fooNS.Stats.Malformed)
@@ -159,8 +159,8 @@ func TestModifiedSchemeSpoofedCookiesDropped(t *testing.T) {
 		}
 	})
 	f.sched.Run(30 * time.Second)
-	if f.guard.Stats.CookieInvalid != 200 {
-		t.Errorf("invalid = %d, want 200", f.guard.Stats.CookieInvalid)
+	if f.guard.Stats().CookieInvalid != 200 {
+		t.Errorf("invalid = %d, want 200", f.guard.Stats().CookieInvalid)
 	}
 	if f.fooNS.Stats.UDPQueries != 1 {
 		t.Errorf("ANS queries = %d, want 1 (forged cookies filtered)", f.fooNS.Stats.UDPQueries)

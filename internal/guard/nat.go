@@ -146,22 +146,22 @@ func (t *pendTable) reap(now time.Duration) *pendEntry {
 
 // reapPending frees, oldest first, every entry in flight that has expired by
 // now, and with all — a drain, a shard restart — every other too. Whoever
-// reaps it, an entry ends by one rule: any but a health probe is
-// PendingDropped, and one that expired is an upstream timeout, counted and,
-// under health tracking, counted against its upstream, for the upstream
+// reaps it, an entry ends by one rule: any but a health probe is reaped, a
+// client query dropped, and one that expired is an upstream timeout, counted
+// and, under health tracking, counted against its upstream, for the upstream
 // loop's next sweep to feed to the breaker. A slot on loan stays its holder's
 // to release. The caller holds s.mu.
 func (s *remoteShard) reapPending(now time.Duration, all bool) {
-	g, until := s.g, now
+	until := now
 	if all {
 		until = 1<<63 - 1
 	}
 	for e := s.pend.reap(until); e != nil; e = s.pend.reap(until) {
 		if e.kind != pendProbe {
-			atomic.AddUint64(&g.Stats.PendingDropped, 1)
+			atomic.AddUint64(&s.tally.reaped, 1)
 		}
 		if now >= e.expires {
-			atomic.AddUint64(&g.Stats.UpstreamTimeouts, 1)
+			atomic.AddUint64(&s.tally.timeouts, 1)
 			if s.health != nil {
 				s.health.countTimeout(e.upstream)
 			}
@@ -219,11 +219,11 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) bool {
 			up, ok := s.health.pick()
 			if !ok {
 				// Every breaker open and the policy is fail-closed: shed.
-				atomic.AddUint64(&g.Stats.FailClosedDrops, 1)
+				atomic.AddUint64(&s.tally.failClosed, 1)
 				return false
 			}
 			if up != g.cfg.ANSAddr {
-				atomic.AddUint64(&g.Stats.Failovers, 1)
+				atomic.AddUint64(&s.tally.failovers, 1)
 			}
 			entry.upstream = up
 		}
@@ -238,7 +238,7 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) bool {
 		if s.pend.live >= maxPending {
 			s.mu.Unlock()
 			if entry.kind != pendProbe {
-				atomic.AddUint64(&g.Stats.PendingDropped, 1)
+				atomic.AddUint64(&s.tally.pendRefused, 1)
 			}
 			return false
 		}
@@ -254,9 +254,10 @@ func (s *remoteShard) forward(entry pendEntry, wire, clientQ []byte) bool {
 	*e = entry
 	s.mu.Unlock()
 	wire[0], wire[1] = byte(id>>8), byte(id)
-	atomic.AddUint64(&g.Stats.ForwardedToANS, 1)
-	if entry.kind != pendProbe {
-		atomic.AddUint64(&s.work.Written, 1)
+	if entry.kind == pendProbe {
+		atomic.AddUint64(&s.tally.probes, 1)
+	} else {
+		atomic.AddUint64(&s.tally.forwarded, 1)
 	}
 	_ = s.upstream.WriteTo(wire, entry.upstream)
 	return true
@@ -304,17 +305,17 @@ func (s *remoteShard) upstreamLoop() {
 // entry, (d) echoes the question the guard forwarded under that ID — ID alone
 // is 16 bits of entropy, trivially sweepable by an off-path attacker who
 // learns the upstream port — and (e) comes from the upstream that entry was
-// sent to. The first check it fails counts it: (b) as UpstreamMalformed, (c)
-// as UpstreamStrays, the others as UpstreamSpoofed. payload is borrowed: it
-// is read within the call, never retained. What the checks cost is bounded
-// whatever an upstream sends: one walk of at most 4096 bytes, and a re-encode
-// that stops at the 512th byte it writes (see View.RepackAs).
+// sent to. The first check it fails counts it: (b) as malformed, (c) as a
+// stray, the others as spoofed. payload is borrowed: it is read within the
+// call, never retained. What the checks cost is bounded whatever an upstream
+// sends: one walk of at most 4096 bytes, and a re-encode that stops at the
+// 512th byte it writes (see View.RepackAs).
 func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	g := s.g
-	atomic.AddUint64(&s.upWork.Read, 1)
+	atomic.AddUint64(&s.tally.upRead, 1)
 	if !g.isUpstreamAddr(src) {
 		// Off-path datagram: only configured upstreams send here.
-		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		atomic.AddUint64(&s.tally.spoofed, 1)
 		return
 	}
 	// A response the walk vouches for — one viewable question, and records,
@@ -335,7 +336,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 			glue = append(glue, r.RData...)
 		}
 	}) {
-		atomic.AddUint64(&g.Stats.UpstreamMalformed, 1)
+		atomic.AddUint64(&s.tally.upMalformed, 1)
 		return
 	}
 	id := v.ID()
@@ -345,7 +346,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		s.mu.Unlock()
 		// Duplicated or long-delayed ANS response whose entry was
 		// already consumed — the network, not the ANS, misbehaving.
-		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
+		atomic.AddUint64(&s.tally.strays, 1)
 		return
 	}
 	if !dnswire.SameQuestion(v.QuestionWire(), entry.fwdWire) || src != entry.upstream {
@@ -354,7 +355,7 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		// Spoofed or corrupted either way; keep the entry so the
 		// genuine answer can still land.
 		s.mu.Unlock()
-		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		atomic.AddUint64(&s.tally.spoofed, 1)
 		return
 	}
 	expired := g.now() >= entry.expires
@@ -366,11 +367,12 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 		s.health.noteSuccess(src)
 	}
 	switch {
-	case expired:
-		atomic.AddUint64(&g.Stats.PendingDropped, 1)
 	case entry.kind == pendProbe:
-		// Half-open probe answered: the noteSuccess above already
-		// closed the breaker. Nothing to relay.
+		// Half-open probe answered, in time or late: the noteSuccess above
+		// already closed the breaker. Nothing to relay.
+		atomic.AddUint64(&s.tally.probeAnswers, 1)
+	case expired:
+		atomic.AddUint64(&s.tally.late, 1)
 	case entry.kind == pendChild:
 		s.spliceChild(entry, v, glue)
 	default: // pendRelay: relayed whole under the client's ID
@@ -414,7 +416,7 @@ func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte)
 		}
 		buf = append(buf, glue[:16*n]...)
 	case v.ANCount() != 0 && g.cfg.Subnet.IsValid():
-		atomic.AddUint64(&s.upWork.Checks, 1) // second cookie computation
+		atomic.AddUint64(&s.tally.ipCookies, 1) // second cookie computation
 		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
 		if err != nil {
 			break
@@ -430,7 +432,6 @@ func (s *remoteShard) spliceChild(entry *pendEntry, v dnswire.View, glue []byte)
 // replyWire emits an already-packed guard response through the shard's
 // interface, so it leaves from the socket its query came in on.
 func (s *remoteShard) replyWire(from, to netip.AddrPort, wire []byte) {
-	atomic.AddUint64(&s.g.Stats.RepliesToClient, 1)
-	atomic.AddUint64(&s.upWork.Written, 1)
+	atomic.AddUint64(&s.tally.upReplies, 1)
 	_ = s.io.WriteFromTo(from, to, wire)
 }

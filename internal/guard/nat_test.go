@@ -198,8 +198,11 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 			g.Resume()
 		})
 	}
-	// The ANS, hostile in timing and in content.
-	ansDone := make(chan struct{})
+	// The ANS, hostile in timing and in content. It stops once quit is closed
+	// and what is queued is answered: the worker has sent its last query by
+	// then, and only the ANS's own sweep still sends (probes), so the queue
+	// is not closed under a sender.
+	quit, ansDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(ansDone)
 		respond := func(fwd []byte, rcode dnswire.RCode) []byte {
@@ -220,14 +223,31 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 			resp.Additional = []dnswire.RR{dnswire.NewRR(ns, 300, &dnswire.AData{Addr: mustAddr("198.51.100.7")})}
 			return upperName(mustPack(t, resp))
 		}
-		next := func() ([]byte, bool) { fwd, ok := <-up.ch; return fwd, ok }
+		drained := func() ([]byte, bool) {
+			select {
+			case fwd := <-up.ch:
+				return fwd, true
+			default:
+				return nil, false
+			}
+		}
+		next := func() ([]byte, bool) {
+			select {
+			case fwd := <-up.ch:
+				return fwd, true
+			case <-quit:
+				return drained()
+			}
+		}
 		if health {
 			next = func() ([]byte, bool) {
 				for {
 					s.healthTick(g.now())
 					select {
-					case fwd, ok := <-up.ch:
-						return fwd, ok
+					case fwd := <-up.ch:
+						return fwd, true
+					case <-quit:
+						return drained()
 					default:
 						runtime.Gosched()
 					}
@@ -275,10 +295,10 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 		query[0], query[1] = byte(k>>8), byte(k)
 		query[digits-1] = first
 		copy(query[digits:], fmt.Sprintf("%08x", k))
-		forwarded := atomic.LoadUint64(&g.Stats.ForwardedToANS)
+		forwarded := g.Stats().ForwardedToANS
 		h.handle(Packet{Src: netip.AddrPortFrom(client, racePort(k)), Dst: g.cfg.PublicAddr, Payload: query})
 		sent++
-		if !health && atomic.LoadUint64(&g.Stats.ForwardedToANS) == forwarded {
+		if !health && g.Stats().ForwardedToANS == forwarded {
 			refused++ // a full table of live queries: counted PendingDropped, never forwarded
 		}
 	}
@@ -315,8 +335,8 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 		if health {
 			// Nobody answers now, so the sweep's timeouts open the breaker and
 			// its probe goes through forward beside this goroutine's.
-			probes, deadline := atomic.LoadUint64(&g.Stats.ProbesSent), time.Now().Add(10*time.Second)
-			for atomic.LoadUint64(&g.Stats.ProbesSent) == probes {
+			probes, deadline := g.Stats().ProbesSent, time.Now().Add(10*time.Second)
+			for g.Stats().ProbesSent == probes {
 				if time.Now().After(deadline) {
 					t.Fatal("the sweep never probed an upstream whose every query timed out")
 				}
@@ -331,12 +351,12 @@ func runPendingRace(t *testing.T, health, resets, drains bool) {
 
 	close(stop)
 	wg.Wait()
-	close(up.ch)
+	close(quit)
 	<-ansDone
 	skew.Add(int64(g.cfg.pendingTimeout))
 	s.sweepPending(g.now())
 
-	st := g.Stats.Load()
+	st := g.Stats()
 	if n := g.PendingEntries(); n != 0 {
 		t.Errorf("%d entries left in the table after everything expired and was swept", n)
 	}
@@ -390,7 +410,7 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 	fillPending(t, h, 0, early)
 	skew.Add(int64(h.g.cfg.pendingTimeout / 2))
 	fillPending(t, h, early, maxPending-early)
-	if n, st := h.g.PendingEntries(), h.g.Stats.Load(); n != maxPending || st.ForwardedToANS != maxPending || st.PendingDropped != 0 {
+	if n, st := h.g.PendingEntries(), h.g.Stats(); n != maxPending || st.ForwardedToANS != maxPending || st.PendingDropped != 0 {
 		t.Fatalf("%d pending after %d forwards: %+v", n, maxPending, st)
 	}
 
@@ -401,7 +421,7 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 	if n := testing.AllocsPerRun(refused-1, func() { h.handle(pkt) }); n != 0 {
 		t.Errorf("a forward refused by a full table allocates %.1f times, want 0", n)
 	}
-	if got, st := h.s.pend.steps-steps, h.g.Stats.Load(); got != refused || st.PendingDropped != refused ||
+	if got, st := h.s.pend.steps-steps, h.g.Stats(); got != refused || st.PendingDropped != refused ||
 		st.ForwardedToANS != maxPending || h.g.PendingEntries() != maxPending {
 		t.Errorf("%d forwards into a full table looked at %d slots, want one each: %+v", refused, got, st)
 	}
@@ -409,7 +429,7 @@ func TestForwardAtCapacitySteps(t *testing.T) {
 	skew.Add(int64(h.g.cfg.pendingTimeout / 2)) // the early ones expire, to the nanosecond
 	steps = h.s.pend.steps
 	h.handle(pkt)
-	if got, st := h.s.pend.steps-steps, h.g.Stats.Load(); got != early+1 || st.PendingDropped != refused+early ||
+	if got, st := h.s.pend.steps-steps, h.g.Stats(); got != early+1 || st.PendingDropped != refused+early ||
 		st.ForwardedToANS != maxPending+1 || h.g.PendingEntries() != maxPending-early+1 {
 		t.Errorf("the forward after %d entries expired took %d steps, want %d, and left %d pending: %+v",
 			early, got, early+1, h.g.PendingEntries(), st)
@@ -440,13 +460,13 @@ func TestExpiredEntryIsATimeout(t *testing.T) {
 	skew.Add(int64(h.g.cfg.pendingTimeout))
 	fillPending(t, h, maxPending, 1)
 	h.s.healthTick(h.g.now())
-	if st := h.g.Stats.Load(); st.UpstreamTimeouts != maxPending || st.PendingDropped != maxPending-1 ||
+	if st := h.g.Stats(); st.UpstreamTimeouts != maxPending || st.PendingDropped != maxPending-1 ||
 		st.BreakerOpens != 1 || h.g.BreakerState(0, primary) != int(breakerOpen) {
 		t.Fatalf("a full table of expired entries reaped by a forward: %+v, primary's breaker %d, want %d timeouts, %d dropped, the breaker open",
 			st, h.g.BreakerState(0, primary), maxPending, maxPending-1)
 	}
 	fillPending(t, h, maxPending+1, 1)
-	if st := h.g.Stats.Load(); st.Failovers != 1 || h.up.dst != fallback {
+	if st := h.g.Stats(); st.Failovers != 1 || h.up.dst != fallback {
 		t.Errorf("the forward after the primary's breaker opened went to %v, %d failovers; want %v, 1", h.up.dst, st.Failovers, fallback)
 	}
 }
@@ -474,16 +494,16 @@ func TestRefusedProbeRetries(t *testing.T) {
 		t.Fatalf("primary's breaker %d after %d timeouts, want open (%d)", got, breakerThreshold, breakerOpen)
 	}
 	fillPending(t, h, breakerThreshold, maxPending)
-	dropped := g.Stats.Load().PendingDropped
+	dropped := g.Stats().PendingDropped
 	skew.Add(int64(breakerCooldown))
 	h.s.healthTick(g.now())
-	if got, st := g.BreakerState(0, primary), g.Stats.Load(); got != int(breakerOpen) || st.ProbesSent != 0 || st.PendingDropped != dropped {
+	if got, st := g.BreakerState(0, primary), g.Stats(); got != int(breakerOpen) || st.ProbesSent != 0 || st.PendingDropped != dropped {
 		t.Fatalf("a probe refused by a full table left the primary's breaker %d, %d probes sent, %d dropped; want open (%d), 0, %d",
 			got, st.ProbesSent, st.PendingDropped, breakerOpen, dropped)
 	}
 	skew.Add(int64(breakerCooldown))
 	h.s.healthTick(g.now())
-	if got, st := g.BreakerState(0, primary), g.Stats.Load(); got != int(breakerHalfOpen) || st.ProbesSent != 1 || h.up.dst != primary {
+	if got, st := g.BreakerState(0, primary), g.Stats(); got != int(breakerHalfOpen) || st.ProbesSent != 1 || h.up.dst != primary {
 		t.Fatalf("a cooldown after the refusal, with the table swept: primary's breaker %d, %d probes sent, the last to %v; want half-open (%d), 1, %v",
 			got, st.ProbesSent, h.up.dst, breakerHalfOpen, primary)
 	}
@@ -615,7 +635,7 @@ func BenchmarkForwardAtCapacity(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if st := h.g.Stats.Load(); full && st.PendingDropped != uint64(b.N) || !full && st.RepliesToClient != uint64(b.N) {
+			if st := h.g.Stats(); full && st.PendingDropped != uint64(b.N) || !full && st.RepliesToClient != uint64(b.N) {
 				b.Fatalf("the forwards did not end as meant: %+v", st)
 			}
 		})

@@ -103,9 +103,9 @@ func (r *shapeRun) upstream(label string, from netip.AddrPort, wire []byte) {
 	r.h.s.inFlight(func(id uint16, e *pendEntry) {
 		probe = probe || len(wire) >= 2 && id == uint16(wire[0])<<8|uint16(wire[1]) && e.kind == pendProbe
 	})
-	before := r.h.g.Stats.Load()
+	before := r.h.g.Stats()
 	r.step(label, func() { r.h.s.handleUpstream(append([]byte(nil), wire...), from) })
-	after := r.h.g.Stats.Load()
+	after := r.h.g.Stats()
 	moved := after.RepliesToClient - before.RepliesToClient + after.PendingDropped - before.PendingDropped +
 		after.UpstreamStrays - before.UpstreamStrays + after.UpstreamSpoofed - before.UpstreamSpoofed +
 		after.UpstreamMalformed - before.UpstreamMalformed
@@ -868,7 +868,7 @@ func shapeRows() []shapeRow {
 				return mustPack(r.t, m)
 			}())
 			r.query("a verified source still gets through", shapeClient, pub(r), nsQuery(r, shapeClient.Addr(), "www.foo.com", 0x31c2))
-			r.note("drain-dropped: %d", atomic.LoadUint64(&r.h.g.lc.DrainDropped))
+			r.note("drain-dropped: %d", r.h.g.LifecycleStats().DrainDropped)
 			r.h.g.setLifecycle(LifecycleWarming)
 			r.query("warming", shapeClient, pub(r), plain(r, "www.foo.com", 0x31c3))
 		}},
@@ -1086,7 +1086,7 @@ func shapeRows() []shapeRow {
 			r.h.g.setLifecycle(LifecycleDraining)
 			r.query("message 2", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4120), 0, 0, 1, txtRR(cookie.Cookie{})))
 			r.query("valid cookie", shapeClient, pub(r), withRecords(plain(r, "www.foo.com", 0x4121), 0, 0, 1, txtRR(mint(r))))
-			r.note("drain-dropped: %d", atomic.LoadUint64(&r.h.g.lc.DrainDropped))
+			r.note("drain-dropped: %d", r.h.g.LifecycleStats().DrainDropped)
 		}},
 		{"cookie-request/questions-crossing-512", nil, func(r *shapeRun) {
 			// Each name is 241 bytes on the wire: two questions are 502 bytes of
@@ -1291,7 +1291,7 @@ func shapeRows() []shapeRow {
 func renderShapes(t *testing.T, seen func(upstream bool, wire []byte)) (bodies []string) {
 	for _, row := range shapeRows() {
 		r := runShapeRow(t, row, seen)
-		fmt.Fprintf(&r.out, "  stats: %s\n", nonZero(r.h.g.Stats.Load()))
+		fmt.Fprintf(&r.out, "  stats: %s\n", nonZero(r.h.g.Stats()))
 		pend := pendingDump(r.h.s)
 		fmt.Fprintf(&r.out, "  pending: %d\n", len(pend))
 		for _, p := range pend {
@@ -1383,9 +1383,9 @@ func TestUpstreamAnswerReachesOnlyItsClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.g.Stats.Load()
+	before := h.g.Stats()
 	h.handle(Packet{Src: b, Dst: netip.AddrPortFrom(cookieAddr, 53), Payload: mustPack(t, dnswire.NewQuery(0x52, dnswire.MustName("www.foo.com"), dnswire.TypeA))})
-	if st := h.g.Stats.Load(); st.ForwardedToANS != before.ForwardedToANS+1 || st.RepliesToClient != before.RepliesToClient {
+	if st := h.g.Stats(); st.ForwardedToANS != before.ForwardedToANS+1 || st.RepliesToClient != before.RepliesToClient {
 		t.Fatalf("B's message 7: forwarded %d, replied %d; want it forwarded and not answered",
 			st.ForwardedToANS-before.ForwardedToANS, st.RepliesToClient-before.RepliesToClient)
 	}

@@ -2,17 +2,19 @@ package guard
 
 import (
 	"net/netip"
-	"sync/atomic"
 	"testing"
 
 	"dnsguard/internal/ratelimit"
 )
 
-// macCounter reads how many MACs a shard's worker ran: its own count of
-// cookie checks.
-type macCounter struct{ w *Work }
+// macCounter reads how many MACs a shard's worker ran: its count of cookie
+// checks.
+type macCounter struct{ s *remoteShard }
 
-func (m macCounter) n() uint64 { return atomic.LoadUint64(&m.w.Checks) }
+func (m macCounter) n() uint64 {
+	worker, _ := m.s.g.Work(m.s.id)
+	return worker.Checks
+}
 
 // verifiedQuery is a cookie query from src carrying src's own cookie.
 func (h *shardHarness) verifiedQuery(t *testing.T, src netip.Addr) Packet {
@@ -30,7 +32,7 @@ func TestVerifiedRecordEviction(t *testing.T) {
 	h := newShardHarness(t, func(cfg *RemoteConfig) {
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: burst, TrackedSources: tracked}
 	})
-	macs := macCounter{&h.s.work}
+	macs := macCounter{h.s}
 	srcs := make([]netip.Addr, tracked+1)
 	for i := range srcs {
 		srcs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
@@ -44,7 +46,7 @@ func TestVerifiedRecordEviction(t *testing.T) {
 	for _, src := range srcs[1:tracked] {
 		h.handle(h.verifiedQuery(t, src))
 	}
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if st.RL2Dropped != 1 || st.CookieValid != burst+tracked || macs.n() != burst+tracked || h.s.rl2.Sources() != tracked {
 		t.Fatalf("filling the table: %+v, %d MACs, %d sources", st, macs.n(), h.s.rl2.Sources())
 	}
@@ -57,11 +59,11 @@ func TestVerifiedRecordEviction(t *testing.T) {
 
 	// The evicted source's next burst is whole: burst requests pass, the one
 	// after is refused, each with its MAC.
-	before, beforeMACs := h.g.Stats.Load(), macs.n()
+	before, beforeMACs := h.g.Stats(), macs.n()
 	for i := 0; i <= burst; i++ {
 		h.handle(first)
 	}
-	st = h.g.Stats.Load()
+	st = h.g.Stats()
 	if st.CookieValid != before.CookieValid+burst+1 || st.RL2Dropped != before.RL2Dropped+1 || macs.n() != beforeMACs+burst+1 {
 		t.Errorf("the evicted source's %d requests: %d valid, %d dropped by Rate-Limiter2, %d MACs; want %d, 1, %d",
 			burst+1, st.CookieValid-before.CookieValid, st.RL2Dropped-before.RL2Dropped, macs.n()-beforeMACs, burst+1, burst+1)
@@ -70,10 +72,10 @@ func TestVerifiedRecordEviction(t *testing.T) {
 	// A forged cookie from an address never seen charges nothing.
 	forged := h.verifiedQuery(t, srcs[2])
 	forged.Src = netip.AddrPortFrom(netip.MustParseAddr("10.9.9.9"), 5353)
-	invalid := h.g.Stats.Load().CookieInvalid
+	invalid := h.g.Stats().CookieInvalid
 	h.handle(forged)
-	if h.g.Stats.Load().CookieInvalid != invalid+1 || h.s.rl2.Sources() != tracked {
-		t.Errorf("a forged cookie: CookieInvalid %d → %d, %d sources", invalid, h.g.Stats.Load().CookieInvalid, h.s.rl2.Sources())
+	if h.g.Stats().CookieInvalid != invalid+1 || h.s.rl2.Sources() != tracked {
+		t.Errorf("a forged cookie: CookieInvalid %d → %d, %d sources", invalid, h.g.Stats().CookieInvalid, h.s.rl2.Sources())
 	}
 }
 
@@ -88,7 +90,7 @@ func TestToggleRestartsBuckets(t *testing.T) {
 		cfg.RL2 = ratelimit.Limiter2Config{PerSourceRate: 1, PerSourceBurst: strictBurst * strictFactor, TrackedSources: 16}
 		cfg.Mitigation.Enabled = true
 	})
-	macs := macCounter{&h.s.work}
+	macs := macCounter{h.s}
 	pkt := h.verifiedQuery(t, netip.MustParseAddr("10.0.0.53"))
 	h.g.mit.layer.Store(int32(LayerSourceLimit))
 	h.handle(pkt) // verified under strict limits
@@ -96,11 +98,11 @@ func TestToggleRestartsBuckets(t *testing.T) {
 		h.g.mit.layer.Store(int32(rung))
 		h.s.syncLimiters()
 	}
-	before, beforeMACs := h.g.Stats.Load(), macs.n()
+	before, beforeMACs := h.g.Stats(), macs.n()
 	for i := 0; i <= strictBurst; i++ {
 		h.handle(pkt)
 	}
-	st := h.g.Stats.Load()
+	st := h.g.Stats()
 	if st.CookieValid != before.CookieValid+strictBurst+1 || st.RL2Dropped != before.RL2Dropped+1 || macs.n() != beforeMACs+strictBurst+1 {
 		t.Errorf("%d requests at the strict burst of %d: %d valid, %d dropped by Rate-Limiter2, %d MACs; want %d, 1, %d",
 			strictBurst+1, strictBurst, st.CookieValid-before.CookieValid, st.RL2Dropped-before.RL2Dropped, macs.n()-beforeMACs, strictBurst+1, strictBurst+1)

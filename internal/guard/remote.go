@@ -216,79 +216,6 @@ func orDefault[T comparable](v *T, d T) {
 	}
 }
 
-// RemoteStats counts guard activity; the experiment harness reads these.
-// Fields are written with atomic operations (shard workers and the upstream
-// loops run concurrently under real clocks); read individual fields with
-// atomic.LoadUint64, or take a consistent-enough copy via Load. Every
-// datagram an upstream socket reads moves exactly one of RepliesToClient,
-// PendingDropped, UpstreamStrays, UpstreamSpoofed and UpstreamMalformed, but
-// an answered health probe, which moves none.
-type RemoteStats struct {
-	Received          uint64 // packets read from the capture interface
-	Passthrough       uint64 // relayed while spoof detection inactive
-	Malformed         uint64 // queries the view or the record walk refuses, or over MaxDatagram
-	NewcomerGrants    uint64 // fabricated NS / TC / cookie responses sent
-	RL1Dropped        uint64 // cookie responses suppressed by Rate-Limiter1
-	CookieValid       uint64 // requests whose cookie verified
-	CookieInvalid     uint64 // spoofed requests dropped
-	RL2Dropped        uint64 // verified requests over the nominal rate
-	ForwardedToANS    uint64
-	RepliesToClient   uint64
-	TCRedirects       uint64
-	PendingDropped    uint64 // NAT table overflow/expiry losses
-	UpstreamStrays    uint64 // duplicated/unmatched ANS responses discarded
-	UpstreamSpoofed   uint64 // upstream datagrams failing source/question checks
-	UpstreamMalformed uint64 // upstream datagrams not a response the view and the walk take, or over MaxDatagram
-	KeyRotations      uint64
-
-	// Upstream health / failover (HealthConfig; zero when disabled, but
-	// UpstreamTimeouts, which any reap of an expired entry counts).
-	UpstreamTimeouts uint64 // pending entries reaped as upstream timeouts
-	BreakerOpens     uint64 // breakers tripped by consecutive timeouts
-	BreakerCloses    uint64 // breakers restored by a verified response
-	ProbesSent       uint64 // half-open synthetic SOA probes emitted
-	Failovers        uint64 // forwards diverted to a fallback upstream
-	FailClosedDrops  uint64 // forwards shed with every breaker open
-}
-
-// RemoteStatsNames names RemoteStats' fields in order (guard_remote_*).
-var RemoteStatsNames = []string{
-	"received", "passthrough", "malformed", "newcomer_grants", "rl1_dropped",
-	"cookie_valid", "cookie_invalid", "rl2_dropped", "forwarded_to_ans",
-	"replies_to_client", "tc_redirects", "pending_dropped", "upstream_strays",
-	"upstream_spoofed", "upstream_malformed", "key_rotations",
-	"upstream_timeouts", "breaker_opens", "breaker_closes", "probes_sent",
-	"failovers", "fail_closed_drops",
-}
-
-// Load returns an atomically-field-read copy of the stats. Each field is
-// individually exact; the set is not a single consistent cut, which is fine
-// for monitoring and for quiesced test assertions.
-func (s *RemoteStats) Load() RemoteStats {
-	return metrics.SnapshotUint64(s)
-}
-
-// MetricsInto registers every counter as a guard_remote_* series reading
-// the live fields, so exports track the struct without copying it.
-func (s *RemoteStats) MetricsInto(r *metrics.Registry) {
-	metrics.RegisterUint64Fields(r, "guard_remote_", RemoteStatsNames, s)
-}
-
-// Work counts what one loop of a shard did, by the kinds of work §IV-D prices
-// a request with: datagrams read and written; cookie checks, the MAC each
-// presented cookie pays and message 6's IP cookie, the fabricated-IP path's
-// second cookie computation; grants, a cookie minted into message 2 or 3; truncation
-// replies; and rewrites, message 4's restored question or a forward stripped
-// of its cookie record. A shard's worker and its upstream loop each count
-// their own, so every field has one writer; a health probe is no request's
-// work and counts nowhere. The guard_work_* series sum them.
-type Work struct {
-	Read, Written, Checks, Grants, TCReplies, Rewrites uint64
-}
-
-// WorkNames names Work's fields in order (guard_work_*).
-var WorkNames = []string{"read", "written", "checks", "grants", "tc_replies", "rewrites"}
-
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
 // internal/engine dataplane: each shard reads the capture interface its
 // sources are steered to and owns every per-source structure (rate limiters,
@@ -311,19 +238,19 @@ type Remote struct {
 	active      atomic.Bool
 	closed      atomic.Bool
 
-	// Planned-change lifecycle (lifecycle.go): the state machine gauge and
-	// its counters. Zero value = serving, so guards that never drain are
-	// untouched.
+	// Planned-change lifecycle (lifecycle.go): the state machine gauge. Zero
+	// value = serving, so guards that never drain are untouched.
 	lcState atomic.Int32
-	lc      LifecycleStats
+
+	// ctl counts, atomically, what no packet moves: key rotations (the
+	// rotate proc, AdoptKeys) and lifecycle transitions and drains. Every
+	// other count is a shard's (tally).
+	ctl struct{ keyRotations, transitions, drains uint64 }
 
 	// Layered auto-mitigation selector state (mitigate.go). mit is always
 	// non-nil; its rung is the guard's one control state while
 	// cfg.Mitigation.Enabled, and read by nothing otherwise (Remote.rung).
 	mit *mitigator
-
-	// Stats is updated as the guard runs (atomically; see RemoteStats).
-	Stats RemoteStats
 }
 
 // remoteShard is the engine handler for one shard: the slice of guard state
@@ -343,8 +270,9 @@ type remoteShard struct {
 	rl1 *ratelimit.Limiter1
 	rl2 *ratelimit.Limiter2
 
-	// work is the worker's count of its work, upWork the upstream loop's.
-	work, upWork Work
+	// tally is the shard's count of what it did, written by its worker, its
+	// upstream loop and whoever drains its NAT table.
+	tally tally
 
 	// mu guards the NAT table.
 	mu   sync.Mutex
@@ -371,7 +299,7 @@ type remoteShard struct {
 }
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
-// every per-packet structure (NAT entries, each counted as PendingDropped,
+// every per-packet structure (NAT entries, each counted as reaped,
 // and rate limiters — any of which the panic may have left mid-update) while
 // keeping the upstream socket, its reader proc, and the breaker state, whose
 // lifetimes span restarts. Runs in the owning worker's context.
@@ -385,28 +313,28 @@ func (s *remoteShard) ResetShard() {
 	s.strict = false
 }
 
-// MetricsInto registers the guard's counters, a live NAT-table-size gauge,
+// MetricsInto registers the guard's counters — the guard_remote_* and
+// guard_work_* views of its shards' tallies — a live NAT-table-size gauge,
 // and the dataplane's guard_engine_* series on r. What the rate limiters
 // stopped is RemoteStats.RL1Dropped and RL2Dropped; what Rate-Limiter2
 // admitted is CookieValid less RL2Dropped.
 func (g *Remote) MetricsInto(r *metrics.Registry) {
-	g.Stats.MetricsInto(r)
+	metrics.RegisterUint64Fields(r, "guard_remote_", RemoteStatsNames, g.Stats)
 	r.Func("guard_remote_pending", func() float64 {
 		return float64(g.PendingEntries())
 	})
 	g.mitMetricsInto(r)
 	g.lifecycleMetricsInto(r)
 	g.eng.MetricsInto(r, "guard_engine_")
-	works := make([]*Work, 0, 2*len(g.shards))
-	for _, s := range g.shards {
-		works = append(works, &s.work, &s.upWork)
-	}
-	metrics.RegisterUint64Fields(r, "guard_work_", WorkNames, works...)
+	metrics.RegisterUint64Fields(r, "guard_work_", WorkNames, func() (sum Work) {
+		for i := range g.shards {
+			worker, upstream := g.Work(i)
+			metrics.AddUint64(&sum, &worker)
+			metrics.AddUint64(&sum, &upstream)
+		}
+		return sum
+	})
 }
-
-// Work returns the live counts of shard i's worker and upstream loop; read
-// their fields atomically.
-func (g *Remote) Work(i int) (worker, upstream *Work) { return &g.shards[i].work, &g.shards[i].upWork }
 
 // NewRemote validates cfg and creates the guard (not yet started).
 func NewRemote(cfg RemoteConfig) (*Remote, error) {
@@ -450,7 +378,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				upBuf:   make([]byte, 0, 2*dnswire.MaxUDPSize+16),
 			}
 			if cfg.Health.enabled {
-				s.health = newShardHealth(g)
+				s.health = newShardHealth(g, &s.tally)
 			}
 			g.shards[i] = s
 			return s
@@ -546,7 +474,7 @@ func (g *Remote) rotateLoop() {
 		if err := g.cfg.Auth.Rotate(); err != nil {
 			continue // keep the old key; retry next period
 		}
-		atomic.AddUint64(&g.Stats.KeyRotations, 1)
+		atomic.AddUint64(&g.ctl.keyRotations, 1)
 	}
 }
 
@@ -562,7 +490,7 @@ func (g *Remote) AdoptKeys(st cookie.KeyState) bool {
 		return false
 	}
 	if g.cfg.Auth.Epoch() != before {
-		atomic.AddUint64(&g.Stats.KeyRotations, 1)
+		atomic.AddUint64(&g.ctl.keyRotations, 1)
 	}
 	return true
 }
@@ -603,11 +531,9 @@ func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }
 // HandlePacket runs the Figure 4 pipeline for one intercepted datagram; the
 // engine calls it in the loop of the shard whose interface delivered it.
 func (s *remoteShard) HandlePacket(pkt Packet) {
-	g := s.g
 	s.syncLimiters()
-	atomic.AddUint64(&g.Stats.Received, 1)
-	atomic.AddUint64(&s.work.Read, 1)
-	g.updateActivation()
+	atomic.AddUint64(&s.tally.read, 1)
+	s.g.updateActivation()
 	s.handle(pkt)
 }
 
@@ -631,7 +557,8 @@ func (g *Remote) updateActivation() {
 func (s *remoteShard) handle(pkt Packet) {
 	g := s.g
 	if pkt.Dst.Port() != g.cfg.PublicAddr.Port() {
-		return // not DNS traffic for the protected service
+		atomic.AddUint64(&s.tally.foreign, 1) // not DNS traffic for the protected service
+		return
 	}
 	if !g.Active() {
 		s.passthrough(pkt)
@@ -649,7 +576,7 @@ func (s *remoteShard) handle(pkt Packet) {
 	var ck txtCookie
 	v, ok := dnswire.ParseView(pkt.Payload)
 	if !ok || v.QR() || !ck.walk(v) {
-		atomic.AddUint64(&g.Stats.Malformed, 1)
+		atomic.AddUint64(&s.tally.malformed, 1)
 		return
 	}
 	switch q := v.QuestionWire(); {
@@ -678,7 +605,7 @@ func (s *remoteShard) oversize(payload []byte) bool {
 	if len(payload) <= dnswire.MaxDatagram {
 		return false
 	}
-	atomic.AddUint64(&s.g.Stats.Malformed, 1)
+	atomic.AddUint64(&s.tally.malformed, 1)
 	return true
 }
 
@@ -689,7 +616,6 @@ func (s *remoteShard) oversize(payload []byte) bool {
 // malformed, among them one with no question, whose answer no echo check
 // could ever pass.
 func (s *remoteShard) passthrough(pkt Packet) {
-	g := s.g
 	if s.oversize(pkt.Payload) {
 		return
 	}
@@ -699,10 +625,10 @@ func (s *remoteShard) passthrough(pkt Packet) {
 		wire, ok = v.Repack(s.wireBuf[:0], dnswire.MaxUDPSize)
 	}
 	if !ok {
-		atomic.AddUint64(&g.Stats.Malformed, 1)
+		atomic.AddUint64(&s.tally.malformed, 1)
 		return
 	}
-	atomic.AddUint64(&g.Stats.Passthrough, 1)
+	atomic.AddUint64(&s.tally.passthrough, 1)
 	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)
 }
 
@@ -718,7 +644,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 		// Draining/quiesced: no new cookie exchanges — this instance may not
 		// live to answer them. The client retries and lands on a serving
 		// site (or this site's replacement).
-		atomic.AddUint64(&g.lc.DrainDropped, 1)
+		atomic.AddUint64(&s.tally.drainDropped, 1)
 		return
 	}
 	nameLen := len(q) - 4
@@ -734,7 +660,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 		g.mit.sketch.observe(name)
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+		atomic.AddUint64(&s.tally.rl1Dropped, 1)
 		return
 	}
 	// The name is in the zone if the zone's labels end it, from a label
@@ -746,20 +672,18 @@ func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 	}
 	switch n := int(name[child]); {
 	case at != zoneAt || !bytes.Equal(name[at:], g.zoneWire):
+		atomic.AddUint64(&s.tally.refused, 1)
 		b[start+3] = byte(dnswire.RCodeRefused)
 	case zoneAt == 0 || g.effectiveFallback() == SchemeTCP || g.isTCPClient(pkt.Src.Addr()) ||
 		g.nsPrefixLen+n > dnswire.MaxLabelLen || g.nsPrefixLen+nameLen-child > dnswire.MaxNameWireLen:
 		// TC redirect: also used for apex queries, which have no child name
 		// to fabricate, and for a label or name too long to carry a cookie.
-		atomic.AddUint64(&s.work.TCReplies, 1)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-		atomic.AddUint64(&g.Stats.TCRedirects, 1)
+		atomic.AddUint64(&s.tally.tcReplies, 1)
 		b[start+2] |= 2 // TC
 	default:
 		// DNS-based: fabricate "child NS <cookie+label>" with a long TTL and
 		// no glue, so the LRS must come back through us to resolve it.
-		atomic.AddUint64(&s.work.Grants, 1)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+		atomic.AddUint64(&s.tally.grants, 1)
 		b[start+9] = 1 // NSCOUNT: the record, below
 	}
 	b = append(b, q[nameLen:]...)
@@ -816,22 +740,20 @@ func nsLabel[T string | []byte](g *Remote, first T) (T, bool) {
 // (Figure 4: the cookie checker, then Rate-Limiter2). The caller has run the
 // MAC its cookie's form names, and ok is its verdict: every request pays
 // one, as §III-E prices a verification. A request that verified counts
-// CookieValid and is charged to its source's Rate-Limiter2 bucket. admit
+// valid and is charged to its source's Rate-Limiter2 bucket. admit
 // reports whether the request goes on; only a request that verified creates
 // or reorders a bucket, and nothing here allocates.
 //
 // The buckets are the handler's own: on a direct engine the shard owning a
 // source is the delivering socket's, not the source hash's.
 func (s *remoteShard) admit(src netip.Addr, ok bool) bool {
-	g := s.g
-	atomic.AddUint64(&s.work.Checks, 1)
 	if !ok {
-		atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+		atomic.AddUint64(&s.tally.invalid, 1)
 		return false
 	}
-	atomic.AddUint64(&g.Stats.CookieValid, 1)
-	if !s.rl2.AllowRequest(src, g.now()) {
-		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+	atomic.AddUint64(&s.tally.valid, 1)
+	if !s.rl2.AllowRequest(src, s.g.now()) {
+		atomic.AddUint64(&s.tally.rl2Dropped, 1)
 		return false
 	}
 	return true
@@ -846,7 +768,7 @@ func (s *remoteShard) handleNSCookie(pkt Packet, q, label []byte) {
 	if !s.admit(src, s.bv.VerifyLabelBytes(s.g.nsc, src, label)) {
 		return
 	}
-	atomic.AddUint64(&s.work.Rewrites, 1)
+	atomic.AddUint64(&s.tally.rewrites, 1)
 	// Message 4: the first label without its cookie.
 	wire := s.childQuery(q, len(label))
 	s.forward(pendEntry{kind: pendChild, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: uint16(pkt.Payload[0])<<8 | uint16(pkt.Payload[1])}, wire, q)
@@ -887,11 +809,10 @@ func (s *remoteShard) handleIPCookie(pkt Packet, v dnswire.View) {
 func (s *remoteShard) grantCookie(pkt Packet, q []byte) {
 	g := s.g
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+		atomic.AddUint64(&s.tally.rl1Dropped, 1)
 		return
 	}
-	atomic.AddUint64(&s.work.Grants, 1)
-	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+	atomic.AddUint64(&s.tally.grants, 1)
 	start, nameLen, ttl, c := len(s.egress), len(q)-4, nsTTL, s.bv.Mint(pkt.Src.Addr())
 	b := append(s.egress, pkt.Payload[0], pkt.Payload[1], 0x80|pkt.Payload[2]&1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
 	b = append(appendFolded(b, q[:nameLen]), q[nameLen:]...)
@@ -912,7 +833,7 @@ func (s *remoteShard) handleModified(pkt Packet, v dnswire.View, ck txtCookie) {
 	if !s.admit(src, s.bv.Verify(src, ck.c)) {
 		return
 	}
-	atomic.AddUint64(&s.work.Rewrites, 1)
+	atomic.AddUint64(&s.tally.rewrites, 1)
 	wire, _ := v.RepackAs(s.wireBuf[:0], v.ID(), v.RawFlags()&^flagsZMask, v.QuestionWire(),
 		func(r dnswire.Record) bool { return r.Off != ck.off }, dnswire.MaxUDPSize)
 	s.forward(pendEntry{kind: pendRelay, clientSrc: pkt.Src, replyFrom: pkt.Dst, origID: v.ID()}, wire, nil)

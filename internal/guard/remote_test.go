@@ -146,14 +146,14 @@ func TestGuardedRootResolution(t *testing.T) {
 	f.run(t, func() {
 		res, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
 		if err != nil {
-			t.Errorf("Resolve: %v (guard stats %+v)", err, f.guard.Stats)
+			t.Errorf("Resolve: %v (guard stats %+v)", err, f.guard.Stats())
 			return
 		}
 		if len(res.Answers) != 1 || res.Answers[0].Data.(*dnswire.AData).Addr != mustAddr("198.51.100.10") {
 			t.Errorf("answers = %v", res.Answers)
 		}
 	})
-	st := f.guard.Stats
+	st := f.guard.Stats()
 	if st.NewcomerGrants != 1 {
 		t.Errorf("grants = %d, want 1", st.NewcomerGrants)
 	}
@@ -177,14 +177,14 @@ func TestGuardedRootSiblingTLDSkipsRoot(t *testing.T) {
 		}
 		// A different name under com: the LRS has cached the fabricated
 		// com NS and its addresses, so the root guard sees nothing new.
-		before := f.guard.Stats.Received
+		before := f.guard.Stats().Received
 		if _, err := f.res.Resolve(dnswire.MustName("foo.com"), dnswire.TypeNS); err != nil {
 			t.Errorf("second: %v", err)
 			return
 		}
-		if f.guard.Stats.Received != before {
+		if f.guard.Stats().Received != before {
 			t.Errorf("root guard saw %d extra packets; cached delegation should bypass it",
-				f.guard.Stats.Received-before)
+				f.guard.Stats().Received-before)
 		}
 	})
 }
@@ -225,12 +225,12 @@ func TestGuardDropsSpoofedFlood(t *testing.T) {
 		t.Errorf("root ANS saw %d queries under spoofed flood, want 1", f.root.Stats.UDPQueries)
 	}
 	// RL1 must have suppressed most cookie grants.
-	if f.guard.Stats.RL1Dropped == 0 {
+	if f.guard.Stats().RL1Dropped == 0 {
 		t.Error("RL1 never engaged during flood")
 	}
-	if f.guard.Stats.NewcomerGrants > floodPkts/2 {
+	if f.guard.Stats().NewcomerGrants > floodPkts/2 {
 		t.Errorf("grants = %d of %d flood packets; reflector protection too weak",
-			f.guard.Stats.NewcomerGrants, floodPkts)
+			f.guard.Stats().NewcomerGrants, floodPkts)
 	}
 }
 
@@ -248,8 +248,8 @@ func TestGuardDropsForgedCookieLabels(t *testing.T) {
 		}
 		f.sched.Sleep(time.Second)
 	})
-	if f.guard.Stats.CookieInvalid != 100 {
-		t.Errorf("invalid = %d, want 100", f.guard.Stats.CookieInvalid)
+	if f.guard.Stats().CookieInvalid != 100 {
+		t.Errorf("invalid = %d, want 100", f.guard.Stats().CookieInvalid)
 	}
 	if f.root.Stats.UDPQueries != 0 {
 		t.Errorf("ANS saw %d forged queries", f.root.Stats.UDPQueries)
@@ -275,8 +275,8 @@ func TestGuardKeyRotation(t *testing.T) {
 			t.Errorf("after rotation: %v", err)
 		}
 	})
-	if f.guard.Stats.CookieInvalid != 0 {
-		t.Errorf("invalid = %d after one rotation, want 0", f.guard.Stats.CookieInvalid)
+	if f.guard.Stats().CookieInvalid != 0 {
+		t.Errorf("invalid = %d after one rotation, want 0", f.guard.Stats().CookieInvalid)
 	}
 }
 
@@ -289,11 +289,11 @@ func TestGuardThresholdActivation(t *testing.T) {
 			return
 		}
 	})
-	if f.guard.Stats.Passthrough == 0 {
+	if f.guard.Stats().Passthrough == 0 {
 		t.Error("expected passthrough below threshold")
 	}
-	if f.guard.Stats.NewcomerGrants != 0 {
-		t.Errorf("grants = %d below threshold, want 0", f.guard.Stats.NewcomerGrants)
+	if f.guard.Stats().NewcomerGrants != 0 {
+		t.Errorf("grants = %d below threshold, want 0", f.guard.Stats().NewcomerGrants)
 	}
 	if f.guard.Active() {
 		t.Error("guard active below threshold")
@@ -318,7 +318,7 @@ func TestGuardThresholdActivation(t *testing.T) {
 	if !activeDuring {
 		t.Error("guard not active during above-threshold flood")
 	}
-	if f.guard.Stats.NewcomerGrants == 0 && f.guard.Stats.RL1Dropped == 0 {
+	if f.guard.Stats().NewcomerGrants == 0 && f.guard.Stats().RL1Dropped == 0 {
 		t.Error("spoof detection never engaged")
 	}
 }

@@ -148,7 +148,7 @@ func runShards(t *testing.T, n int, rl2 ratelimit.Limiter2Config, steps []schedS
 		for i, st := range steps {
 			host.Sleep(st.gap)
 			if i == drainAt {
-				res.validAtDrain = g.Stats.Load().CookieValid
+				res.validAtDrain = g.Stats().CookieValid
 				sched.Go("drain", func() {
 					if err := g.Drain(context.Background()); err != nil {
 						t.Errorf("Drain: %v", err)
@@ -158,7 +158,8 @@ func runShards(t *testing.T, n int, rl2 ratelimit.Limiter2Config, steps []schedS
 			_ = host.InjectTo(host, st.src, cfg.PublicAddr, st.wire)
 		}
 		host.Sleep(5 * time.Second) // past any pending entry's life: Drain has quiesced
-		res.stats, res.lifecycle, res.state = g.Stats.Load(), g.LifecycleStats(), g.Lifecycle()
+		res.stats, res.lifecycle, res.state = g.Stats(), g.LifecycleStats(), g.Lifecycle()
+		assertConserved(t, g)
 		for i := 0; i < g.Engine().Shards(); i++ {
 			res.handled = append(res.handled, g.Engine().Stats(i).Handled)
 		}

@@ -78,27 +78,25 @@ func oracleModified(s *remoteShard, pkt Packet, msg *dnswire.Message, c cookie.C
 	g := s.g
 	if c.IsZero() {
 		if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
-			atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+			atomic.AddUint64(&s.tally.rl1Dropped, 1)
 			return
 		}
-		atomic.AddUint64(&s.work.Grants, 1)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+		atomic.AddUint64(&s.tally.grants, 1)
 		resp := msg.Response()
 		AttachCookie(resp, s.bv.Mint(pkt.Src.Addr()), nsTTL)
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
-	atomic.AddUint64(&s.work.Checks, 1)
 	if !s.bv.Verify(pkt.Src.Addr(), c) {
-		atomic.AddUint64(&g.Stats.CookieInvalid, 1)
+		atomic.AddUint64(&s.tally.invalid, 1)
 		return
 	}
-	atomic.AddUint64(&g.Stats.CookieValid, 1)
+	atomic.AddUint64(&s.tally.valid, 1)
 	if !s.rl2.AllowRequest(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL2Dropped, 1)
+		atomic.AddUint64(&s.tally.rl2Dropped, 1)
 		return
 	}
-	atomic.AddUint64(&s.work.Rewrites, 1)
+	atomic.AddUint64(&s.tally.rewrites, 1)
 	fwd := *msg
 	fwd.Additional = append([]dnswire.RR(nil), msg.Additional...)
 	stripCookie(&fwd)
@@ -112,7 +110,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	g := s.g
 	msg, ok := accepted(pkt.Payload)
 	if !ok || msg.Flags.QR {
-		atomic.AddUint64(&g.Stats.Malformed, 1)
+		atomic.AddUint64(&s.tally.malformed, 1)
 		return
 	}
 	if c, _, _, ok := FindCookie(msg); ok {
@@ -124,7 +122,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		return
 	}
 	if g.drainGate() {
-		atomic.AddUint64(&g.lc.DrainDropped, 1)
+		atomic.AddUint64(&s.tally.drainDropped, 1)
 		return
 	}
 	qname := msg.Question().Name
@@ -132,21 +130,20 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 		oracleSketch(&g.mit.sketch, qname)
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
-		atomic.AddUint64(&g.Stats.RL1Dropped, 1)
+		atomic.AddUint64(&s.tally.rl1Dropped, 1)
 		return
 	}
 	child, hasChild := qname.ChildOf(g.cfg.Zone)
 	useTCP := g.effectiveFallback() == SchemeTCP || !hasChild || g.isTCPClient(pkt.Src.Addr())
 	if !qname.IsSubdomainOf(g.cfg.Zone) && qname != g.cfg.Zone {
+		atomic.AddUint64(&s.tally.refused, 1)
 		resp := msg.Response()
 		resp.Flags.RCode = dnswire.RCodeRefused
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
 	if useTCP {
-		atomic.AddUint64(&s.work.TCReplies, 1)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-		atomic.AddUint64(&g.Stats.TCRedirects, 1)
+		atomic.AddUint64(&s.tally.tcReplies, 1)
 		resp := msg.Response()
 		resp.Flags.TC = true
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
@@ -157,16 +154,13 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	if err != nil {
 		// A label too long to carry a cookie: a TC reply, the grant for
 		// that, and no cookie minted into it.
-		atomic.AddUint64(&s.work.TCReplies, 1)
-		atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
-		atomic.AddUint64(&g.Stats.TCRedirects, 1)
+		atomic.AddUint64(&s.tally.tcReplies, 1)
 		resp := msg.Response()
 		resp.Flags.TC = true
 		oracleReply(s, pkt.Dst, pkt.Src, resp)
 		return
 	}
-	atomic.AddUint64(&s.work.Grants, 1)
-	atomic.AddUint64(&g.Stats.NewcomerGrants, 1)
+	atomic.AddUint64(&s.tally.grants, 1)
 	resp := msg.Response()
 	resp.Authority = []dnswire.RR{
 		dnswire.NewRR(child, nsTTL, &dnswire.NSData{Host: fabName}),
@@ -178,21 +172,20 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 // with every response unpacked and message 6 always oracleAnswerChild's
 // Message.
 func oracleUpstream(s *remoteShard, payload []byte) {
-	g := s.g
-	atomic.AddUint64(&s.upWork.Read, 1)
+	atomic.AddUint64(&s.tally.upRead, 1)
 	resp, ok := accepted(payload)
 	if !ok || !resp.Flags.QR {
-		atomic.AddUint64(&g.Stats.UpstreamMalformed, 1)
+		atomic.AddUint64(&s.tally.upMalformed, 1)
 		return
 	}
 	id := uint16(payload[0])<<8 | uint16(payload[1])
 	entry := s.pend.lookup(id)
 	if entry == nil {
-		atomic.AddUint64(&g.Stats.UpstreamStrays, 1)
+		atomic.AddUint64(&s.tally.strays, 1)
 		return
 	}
 	if !dnswire.SameQuestion(questionsWire(resp.Questions), entry.fwdWire) {
-		atomic.AddUint64(&g.Stats.UpstreamSpoofed, 1)
+		atomic.AddUint64(&s.tally.spoofed, 1)
 		return
 	}
 	s.pend.take(id)
@@ -231,7 +224,7 @@ func oracleAnswerChild(s *remoteShard, entry *pendEntry, rcode dnswire.RCode, re
 			out.Flags.RCode = dnswire.RCodeServFail
 		}
 	case len(resp.Answers) > 0 && g.cfg.Subnet.IsValid():
-		atomic.AddUint64(&s.upWork.Checks, 1)
+		atomic.AddUint64(&s.tally.ipCookies, 1)
 		addr, err := g.ipc.Encode(g.cfg.Auth.Mint(entry.clientSrc.Addr()))
 		if err != nil {
 			out.Flags.RCode = dnswire.RCodeServFail
@@ -281,11 +274,9 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 		for i := range words {
 			words[i] = h.g.mit.sketch.words[i].Load()
 		}
-		worker, upstream := h.g.Work(0)
-		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\nstats %+v drain-dropped %d\nwork %+v %+v\nrl2 sources %d\npending %v\nsketch %x",
+		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\ntally %+v\nrl2 sources %d\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],
-			h.g.Stats.Load(), atomic.LoadUint64(&h.g.lc.DrainDropped), metrics.SnapshotUint64(worker), metrics.SnapshotUint64(upstream),
-			h.s.rl2.Sources(), pendingDump(h.s), words)
+			metrics.SnapshotUint64(&h.s.tally), h.s.rl2.Sources(), pendingDump(h.s), words)
 	}
 	if got, want := state(tw.got), state(tw.want); got != want {
 		tw.t.Fatalf("%s %x: the span-writing handler\n%s\nthe Message-building one\n%s", what, input, got, want)
@@ -313,8 +304,7 @@ func (tw *spliceTwin) ingress(data []byte) {
 	tw.want.s.BeginBatch(1)
 	oracleIngress(tw.want.s, pkt)
 	tw.want.s.EndBatch()
-	atomic.AddUint64(&tw.want.g.Stats.Received, 1)
-	atomic.AddUint64(&tw.want.s.work.Read, 1)
+	atomic.AddUint64(&tw.want.s.tally.read, 1)
 	pkt.Payload = append([]byte(nil), data...)
 	tw.got.handle(pkt)
 	tw.compare("query", data)

@@ -89,7 +89,7 @@ func TestRestartWithKeyEpochsPreservesCookies(t *testing.T) {
 			}
 			f.sched.Sleep(time.Second)
 		})
-		return f.guard.Stats.Load()
+		return f.guard.Stats()
 	}
 
 	// Restart with the state file: the restored ring must re-verify the
@@ -180,7 +180,7 @@ func TestShardPanicIsolatedByGuardSupervision(t *testing.T) {
 	if len(qr) != 1 || qr[0].Src.Addr() != poison || qr[0].Shard != poisonShard {
 		t.Fatalf("quarantine = %+v, want the poison packet on shard %d", qr, poisonShard)
 	}
-	if f.guard.Stats.NewcomerGrants == 0 {
+	if f.guard.Stats().NewcomerGrants == 0 {
 		t.Fatal("restarted shard served no newcomer grants")
 	}
 }
@@ -236,7 +236,7 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 		// timeout signals and the breaker opens.
 		f.sched.Sleep(500 * time.Millisecond)
 		openState = f.guard.BreakerState(0, primary)
-		opens = atomic.LoadUint64(&f.guard.Stats.BreakerOpens)
+		opens = f.guard.Stats().BreakerOpens
 
 		// Traffic now fails over to the secondary and gets answered.
 		for i := 3; i < 6; i++ {
@@ -244,7 +244,7 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 			f.sched.Sleep(50 * time.Millisecond)
 		}
 		f.sched.Sleep(100 * time.Millisecond)
-		failovers = atomic.LoadUint64(&f.guard.Stats.Failovers)
+		failovers = f.guard.Stats().Failovers
 		secSeen = atomic.LoadUint64(&secSrv.Stats.UDPQueries)
 
 		// Primary returns; after the 2 s cooldown a half-open SOA probe
@@ -252,8 +252,8 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 		f.net.Heal(guardHost, primHost)
 		f.sched.Sleep(breakerCooldown + 500*time.Millisecond)
 		restoredState = f.guard.BreakerState(0, primary)
-		probes = atomic.LoadUint64(&f.guard.Stats.ProbesSent)
-		closes = atomic.LoadUint64(&f.guard.Stats.BreakerCloses)
+		probes = f.guard.Stats().ProbesSent
+		closes = f.guard.Stats().BreakerCloses
 
 		// Post-restore traffic goes back to the primary, not the fallback.
 		primBefore := atomic.LoadUint64(&f.root.Stats.UDPQueries)
@@ -280,7 +280,7 @@ func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 	if primExtra != 1 {
 		t.Fatalf("primary saw %d post-restore queries, want 1", primExtra)
 	}
-	st := f.guard.Stats.Load()
+	st := f.guard.Stats()
 	if st.UpstreamTimeouts < 3 {
 		t.Fatalf("upstream timeouts = %d, want >= 3", st.UpstreamTimeouts)
 	}
@@ -340,7 +340,7 @@ func TestBreakerRunsOnTheUpstreamLoop(t *testing.T) {
 					}
 				}
 			})
-			if st := f.guard.Stats.Load(); st.BreakerOpens != uint64(tc.shards) || st.ProbesSent == 0 {
+			if st := f.guard.Stats(); st.BreakerOpens != uint64(tc.shards) || st.ProbesSent == 0 {
 				t.Errorf("%d breakers opened and %d probes sent on %d shards, want one each and some", st.BreakerOpens, st.ProbesSent, tc.shards)
 			}
 		})

@@ -176,7 +176,7 @@ func TestShardedGuardTorture(t *testing.T) {
 		t.Errorf("only %d shard(s) carried traffic; want load spread", len(used))
 	}
 
-	st := g.Stats.Load()
+	st := g.Stats()
 	if st.Received == 0 || st.CookieValid == 0 || st.ForwardedToANS == 0 {
 		t.Errorf("pipeline starved: %+v", st)
 	}
@@ -197,6 +197,7 @@ func TestShardedGuardTorture(t *testing.T) {
 	if handled != st.Received {
 		t.Errorf("engine handled %d packets, guard received %d", handled, st.Received)
 	}
+	assertConserved(t, g)
 }
 
 // TestSurvivabilityTorture runs the mixed-scheme flood with the whole
@@ -318,7 +319,7 @@ func TestSurvivabilityTorture(t *testing.T) {
 		t.Errorf("%d shards tripped; budget should have absorbed the faults", sup.ShardsTripped)
 	}
 
-	st := g.Stats.Load()
+	st := g.Stats()
 	if st.BreakerOpens == 0 || st.BreakerCloses == 0 {
 		t.Errorf("breaker never cycled: opens=%d closes=%d", st.BreakerOpens, st.BreakerCloses)
 	}
@@ -350,4 +351,5 @@ func TestSurvivabilityTorture(t *testing.T) {
 		t.Errorf("handled %d != received %d + quarantined %d",
 			handled, st.Received, sup.PanicsQuarantined)
 	}
+	assertConserved(t, g)
 }

@@ -56,6 +56,64 @@ func TestGuardSpeaksWireOnly(t *testing.T) {
 	}
 }
 
+// TestCountersAreShardOwned keeps each count where one shard owns it: no
+// non-test file writes a counter through the guard — g.…, s.g.…, h.g.… —
+// with atomic.Add* or an atomic type's Add, but the guard's control counts
+// (g.ctl: key rotations, lifecycle transitions and drains), which no packet
+// moves. A shard writes its own tally (s.tally, h.tally). A planted write
+// through the guard's old stats field is the check's own control.
+func TestCountersAreShardOwned(t *testing.T) {
+	throughGuard := func(f *ast.File) (bad []ast.Expr) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var target ast.Expr
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				if pkg, _ := fn.X.(*ast.Ident); pkg != nil && pkg.Name == "atomic" && strings.HasPrefix(fn.Sel.Name, "Add") && len(call.Args) > 0 {
+					target = call.Args[0]
+					if u, ok := target.(*ast.UnaryExpr); ok && u.Op == token.AND {
+						target = u.X
+					}
+				} else if fn.Sel.Name == "Add" {
+					target = fn.X
+				}
+			}
+			if s := types.ExprString(target); target != nil && (strings.HasPrefix(s, "g.") || strings.Contains(s, ".g.")) && !strings.HasPrefix(s, "g.ctl.") {
+				bad = append(bad, target)
+			}
+			return true
+		})
+		return bad
+	}
+	fset := token.NewFileSet()
+	planted, err := parser.ParseFile(fset, "planted.go", "package guard\nfunc f(g *Remote) { atomic.AddUint64(&g.Stats.Malformed, 1) }\n", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(throughGuard(planted)) != 1 {
+		t.Fatal("the check misses a planted write through the guard")
+	}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range throughGuard(f) {
+			t.Errorf("%s writes %s through the guard: count it in the shard's tally", fset.Position(e.Pos()), types.ExprString(e))
+		}
+	}
+}
+
 // TestGuardChargesNoCPU keeps the simulator's cost model out of every
 // package a daemon links: the simulator prices work at a host's sockets
 // (workload's meters), and no product package knows a price. No non-test

@@ -21,11 +21,11 @@ func TestLongLabelTCReply(t *testing.T) {
 	if h.io.wrote != 1 || h.io.n < 12 || h.io.buf[2]&2 == 0 || h.io.buf[9] != 0 {
 		t.Fatalf("replies %d, last %x: want one, with TC and no record", h.io.wrote, h.io.buf[:h.io.n])
 	}
-	if st := h.g.Stats.Load(); st.NewcomerGrants != 1 || st.TCRedirects != 1 {
+	if st := h.g.Stats(); st.NewcomerGrants != 1 || st.TCRedirects != 1 {
 		t.Errorf("stats %+v: want one grant, one TC redirect", st)
 	}
 	worker, upstream := h.g.Work(0)
-	if *worker != (Work{Read: 1, Written: 1, TCReplies: 1}) || *upstream != (Work{}) {
-		t.Errorf("work %+v and %+v: want one read, one written, one TC reply, no grant", *worker, *upstream)
+	if worker != (Work{Read: 1, Written: 1, TCReplies: 1}) || upstream != (Work{}) {
+		t.Errorf("work %+v and %+v: want one read, one written, one TC reply, no grant", worker, upstream)
 	}
 }

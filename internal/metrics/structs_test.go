@@ -24,12 +24,25 @@ func TestSnapshotUint64(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = SnapshotUint64(s) }); n != 0 {
 		t.Fatalf("SnapshotUint64 allocates %v objects", n)
 	}
+	var sum testStats
+	AddUint64(&sum, s)
+	AddUint64(&sum, s)
+	if sum != (testStats{84, 18}) {
+		t.Fatalf("sum = %+v", sum)
+	}
+	if n := testing.AllocsPerRun(100, func() { AddUint64(&sum, s) }); n != 0 {
+		t.Fatalf("AddUint64 allocates %v objects", n)
+	}
 }
 
 func TestRegisterUint64Fields(t *testing.T) {
 	s, s2 := &testStats{}, &testStats{}
 	r := NewRegistry()
-	RegisterUint64Fields(r, "x_", testStatsNames, s, s2)
+	RegisterUint64Fields(r, "x_", testStatsNames, func() (sum testStats) {
+		AddUint64(&sum, s)
+		AddUint64(&sum, s2)
+		return sum
+	})
 	atomic.StoreUint64(&s.Received, 5)
 	atomic.StoreUint64(&s2.Received, 2)
 	if v, ok := r.Get("x_received"); !ok || v != 7 {
@@ -43,7 +56,7 @@ func TestRegisterUint64Fields(t *testing.T) {
 			t.Fatal("a name table one short registered")
 		}
 	}()
-	RegisterUint64Fields(r, "y_", testStatsNames[:1], s)
+	RegisterUint64Fields(r, "y_", testStatsNames[:1], func() testStats { return *s })
 }
 
 func TestRegisterHistogram(t *testing.T) {

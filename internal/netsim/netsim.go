@@ -81,7 +81,7 @@ var NetStatsNames = []string{
 // simulator is cooperatively scheduled (one real goroutine at a time), so
 // plain reads are safe; snapshot between vclock runs, not during one.
 func (n *Network) MetricsInto(r *metrics.Registry) {
-	metrics.RegisterUint64Fields(r, "netsim_", NetStatsNames, &n.Stats)
+	metrics.RegisterUint64Fields(r, "netsim_", NetStatsNames, func() NetStats { return n.Stats })
 }
 
 // New creates an empty network on sched with a default one-way link latency.

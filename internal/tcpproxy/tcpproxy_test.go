@@ -149,7 +149,7 @@ func TestTCPSchemeEndToEnd(t *testing.T) {
 		res, err := f.res.Resolve(dnswire.MustName("www.foo.com"), dnswire.TypeA)
 		lat = f.sched.Now() - start
 		if err != nil {
-			t.Errorf("Resolve: %v (guard %+v proxy %+v)", err, f.g.Stats, f.proxy.Stats)
+			t.Errorf("Resolve: %v (guard %+v proxy %+v)", err, f.g.Stats(), f.proxy.Stats)
 			return
 		}
 		if len(res.Answers) != 1 || res.Answers[0].Data.(*dnswire.AData).Addr != mustAddr("198.51.100.10") {
@@ -161,8 +161,8 @@ func TestTCPSchemeEndToEnd(t *testing.T) {
 	if lat < 29*time.Millisecond || lat > 33*time.Millisecond {
 		t.Errorf("latency = %v, want ~30ms (3 RTT)", lat)
 	}
-	if f.g.Stats.TCRedirects != 1 {
-		t.Errorf("redirects = %d, want 1", f.g.Stats.TCRedirects)
+	if f.g.Stats().TCRedirects != 1 {
+		t.Errorf("redirects = %d, want 1", f.g.Stats().TCRedirects)
 	}
 	if f.proxy.Stats.Requests != 1 || f.proxy.Stats.Responses != 1 {
 		t.Errorf("proxy stats = %+v", f.proxy.Stats)
@@ -196,8 +196,8 @@ func TestTCPSchemeSecondQueryStillThreeRTT(t *testing.T) {
 	if lat < 29*time.Millisecond || lat > 33*time.Millisecond {
 		t.Errorf("second-query latency = %v, want ~30ms (3 RTT, no caching win)", lat)
 	}
-	if f.g.Stats.TCRedirects != 2 {
-		t.Errorf("redirects = %d, want 2", f.g.Stats.TCRedirects)
+	if f.g.Stats().TCRedirects != 2 {
+		t.Errorf("redirects = %d, want 2", f.g.Stats().TCRedirects)
 	}
 }
 

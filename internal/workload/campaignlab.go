@@ -195,7 +195,10 @@ func RunCampaignLab(cfg CampaignLabConfig) (CampaignLabResult, error) {
 		return res, err
 	}
 
-	res.Guard = g.Stats.Load()
+	if err := guard.CheckConservation(g); err != nil {
+		return res, err
+	}
+	res.Guard = g.Stats()
 	res.Mitigation = g.Mitigation()
 	for _, c := range clients {
 		res.Fleet.Attempts += c.Stats.Attempts

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"dnsguard/internal/ans"
@@ -49,10 +48,11 @@ type meter interface {
 type GuardMeter struct {
 	cpu   *netsim.CPU
 	costs cpumodel.GuardCosts
-	// work is shard 0's loops' live counts once the guard is built, seen the
-	// counts each loop has been charged for but its reads, which are charged
-	// as they return, and charged what in all; each indexed by loop.
-	work    [2]*guard.Work
+	// g is the guard once built, whose shard 0 the meter reads the counts of;
+	// seen is the counts each loop has been charged for but its reads, which
+	// are charged as they return, and charged what in all; each indexed by
+	// loop.
+	g       *guard.Remote
 	seen    [2]guard.Work
 	charged [2]time.Duration
 }
@@ -81,7 +81,7 @@ func MeterGuard(cfg guard.RemoteConfig, costs cpumodel.GuardCosts) (*guard.Remot
 	if err != nil {
 		return nil, nil, err
 	}
-	m.work[meterWorker], m.work[meterUpstream] = g.Work(0)
+	m.g = g
 	return g, m, nil
 }
 
@@ -106,20 +106,21 @@ func (m *GuardMeter) received(loop, n int) { m.spend(loop, time.Duration(n)*m.co
 // packet since then sleeps as long, and behind the same work of the other
 // loop, as it would have had it been charged at each step.
 func (m *GuardMeter) charge(loop int) {
-	w, seen, c := m.work[loop], &m.seen[loop], m.costs
+	var w [2]guard.Work
+	w[meterWorker], w[meterUpstream] = m.g.Work(0)
+	now, seen, c := &w[loop], &m.seen[loop], m.costs
 	for _, k := range [...]struct {
 		n, seen *uint64
 		price   time.Duration
 	}{
-		{&w.Checks, &seen.Checks, c.CookieCheck},
-		{&w.Grants, &seen.Grants, c.CookieGrant},
-		{&w.TCReplies, &seen.TCReplies, c.TCReply},
-		{&w.Rewrites, &seen.Rewrites, c.Rewrite},
-		{&w.Written, &seen.Written, c.PacketOp},
+		{&now.Checks, &seen.Checks, c.CookieCheck},
+		{&now.Grants, &seen.Grants, c.CookieGrant},
+		{&now.TCReplies, &seen.TCReplies, c.TCReply},
+		{&now.Rewrites, &seen.Rewrites, c.Rewrite},
+		{&now.Written, &seen.Written, c.PacketOp},
 	} {
-		n := atomic.LoadUint64(k.n)
-		m.spend(loop, time.Duration(n-*k.seen)*k.price)
-		*k.seen = n
+		m.spend(loop, time.Duration(*k.n-*k.seen)*k.price)
+		*k.seen = *k.n
 	}
 }
 

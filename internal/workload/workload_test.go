@@ -162,7 +162,7 @@ func TestClientNSNameAgainstGuard(t *testing.T) {
 	w.sched.Go("test", func() {
 		for i := 0; i < 5; i++ {
 			if _, err := c.RunOnce(); err != nil {
-				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats)
+				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats())
 				return
 			}
 		}
@@ -172,11 +172,11 @@ func TestClientNSNameAgainstGuard(t *testing.T) {
 		t.Fatalf("completed = %d, want 5", c.Stats.Completed)
 	}
 	// Hit mode: one grant, then cookie queries only.
-	if g.Stats.NewcomerGrants != 1 {
-		t.Fatalf("grants = %d, want 1", g.Stats.NewcomerGrants)
+	if g.Stats().NewcomerGrants != 1 {
+		t.Fatalf("grants = %d, want 1", g.Stats().NewcomerGrants)
 	}
-	if g.Stats.CookieValid != 5 {
-		t.Fatalf("valid = %d, want 5", g.Stats.CookieValid)
+	if g.Stats().CookieValid != 5 {
+		t.Fatalf("valid = %d, want 5", g.Stats().CookieValid)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestClientFabIPAgainstGuard(t *testing.T) {
 	w.sched.Go("test", func() {
 		for i := 0; i < 5; i++ {
 			if _, err := c.RunOnce(); err != nil {
-				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats)
+				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats())
 				return
 			}
 		}
@@ -202,8 +202,8 @@ func TestClientFabIPAgainstGuard(t *testing.T) {
 	if c.Stats.Completed != 5 {
 		t.Fatalf("completed = %d (stats %+v)", c.Stats.Completed, c.Stats)
 	}
-	if g.Stats.NewcomerGrants != 1 {
-		t.Fatalf("grants = %d, want 1", g.Stats.NewcomerGrants)
+	if g.Stats().NewcomerGrants != 1 {
+		t.Fatalf("grants = %d, want 1", g.Stats().NewcomerGrants)
 	}
 }
 
@@ -220,14 +220,14 @@ func TestClientModifiedAgainstGuard(t *testing.T) {
 	w.sched.Go("test", func() {
 		for i := 0; i < 5; i++ {
 			if _, err := c.RunOnce(); err != nil {
-				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats)
+				t.Errorf("request %d: %v (guard %+v)", i, err, g.Stats())
 				return
 			}
 		}
 	})
 	w.sched.Run(0)
-	if g.Stats.NewcomerGrants != 1 || g.Stats.CookieValid != 5 {
-		t.Fatalf("guard stats = %+v", g.Stats)
+	if g.Stats().NewcomerGrants != 1 || g.Stats().CookieValid != 5 {
+		t.Fatalf("guard stats = %+v", g.Stats())
 	}
 }
 
@@ -278,14 +278,14 @@ func TestClientModifiedOneCookiePerANS(t *testing.T) {
 		for _, name := range names {
 			c.cfg.QName = name // the LRS asks the same ANS for another name
 			if _, err := c.RunOnce(); err != nil {
-				t.Errorf("%v: %v (guard %+v)", name, err, g.Stats)
+				t.Errorf("%v: %v (guard %+v)", name, err, g.Stats())
 				return
 			}
 		}
 	})
 	w.sched.Run(0)
-	if g.Stats.NewcomerGrants != 1 || g.Stats.CookieValid != 2 {
-		t.Errorf("two names from one source: %d grants and %d cookies valid, want 1 and 2", g.Stats.NewcomerGrants, g.Stats.CookieValid)
+	if g.Stats().NewcomerGrants != 1 || g.Stats().CookieValid != 2 {
+		t.Errorf("two names from one source: %d grants and %d cookies valid, want 1 and 2", g.Stats().NewcomerGrants, g.Stats().CookieValid)
 	}
 	if len(seen) != len(names) {
 		t.Fatalf("the ANS saw %d queries, want %d", len(seen), len(names))
@@ -356,8 +356,8 @@ func TestClientMissModeRedoesHandshake(t *testing.T) {
 	if c.Stats.Completed != 5 {
 		t.Fatalf("completed = %d", c.Stats.Completed)
 	}
-	if g.Stats.NewcomerGrants != 5 {
-		t.Fatalf("grants = %d, want 5 (miss mode re-exchanges)", g.Stats.NewcomerGrants)
+	if g.Stats().NewcomerGrants != 5 {
+		t.Fatalf("grants = %d, want 5 (miss mode re-exchanges)", g.Stats().NewcomerGrants)
 	}
 }
 
