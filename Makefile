@@ -7,7 +7,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race loc loc-diff bench-check benchtab-check api-check state-check reach-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
+.PHONY: all build test check vet race loc loc-diff bench-check bench-smoke benchtab-check api-check state-check reach-check image-check portable-check fuzz-smoke campaign-smoke fleet-smoke upgrade-smoke testdata
 
 all: build
 
@@ -59,6 +59,12 @@ loc-diff:
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# Every benchmark of the dataplane packages, run once, so that the checks a
+# benchmark makes of its own results run in `make check` and a benchmark
+# cannot rot unnoticed. About 2 seconds.
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/guard ./internal/engine ./internal/ratelimit
 
 # Every table and figure of the paper as the simulator reproduces it,
 # checked against the recording in benchtab_output.txt digit for digit: only
@@ -153,6 +159,8 @@ state-check:
 #   Registry.WriteJSON: what a test reads of a guard, an engine or a registry
 #   without a scrape (the responder appends /debug/vars into its own buffer);
 #   Remote.Resume: undoes Drain, for the lifecycle tests;
+#   Remote.Active: each shard decides on its own activation; only tests ask
+#   whether any shard is engaged;
 #   Registry.RegisterHistogram: public API (the facade's Metrics) that no
 #   program calls since the engine's queue-wait histograms went with its
 #   queues;
@@ -161,7 +169,7 @@ state-check:
 #   view and walk tests measuring and decoding against Unpack;
 #   Resolver.Cache, Cache.Flush: guard and resolver tests empty or seed a
 #   resolver's cache to force a re-resolution.
-REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.Resume \
+REACH_TESTONLY = guard.Remote.BreakerState guard.Remote.Resume guard.Remote.Active \
 	engine.Engine.StatsAll engine.Engine.ShardTripped engine.Engine.Quarantined \
 	metrics.Histogram.Count metrics.Histogram.Sum metrics.Registry.Get metrics.Registry.WriteJSON \
 	metrics.Registry.RegisterHistogram \
@@ -247,7 +255,7 @@ portable-check:
 	GOOS=freebsd GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 CGO_ENABLED=0 $(GO) build ./...
 
-check: vet race bench-check benchtab-check api-check state-check reach-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
+check: vet race bench-check bench-smoke benchtab-check api-check state-check reach-check image-check portable-check campaign-smoke fleet-smoke upgrade-smoke fuzz-smoke
 
 # Regenerate the wire-capture fuzz seeds under internal/dnswire/testdata/.
 testdata:

@@ -102,7 +102,7 @@ func (o *options) flags() flagSet {
 	fs.add("shards", &o.shards, "1", "dataplane worker shards, each with its own SO_REUSEPORT socket (more than 1 needs SO_REUSEPORT)")
 	fs.add("state-file", &o.stateFile, "", "persist the cookie keyring here; a restart with the same file keeps pre-restart cookies valid")
 	fs.add("stats", &o.statsEvery, "10s", "stats reporting interval (0 = off)")
-	fs.add("threshold", &o.threshold, "0", "activation threshold in req/s (0 = always on)")
+	fs.add("threshold", &o.threshold, "0", "activation threshold in req/s, split evenly across -shards (0 = always on)")
 	fs.add("zone", &o.zoneName, "", "apex of the protected zone (required)")
 	return fs
 }

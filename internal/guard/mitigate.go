@@ -233,7 +233,6 @@ type mitigator struct {
 	layer    atomic.Int32
 	class    atomic.Int32
 	maxLayer atomic.Int32
-	sketch   nameSketch
 	stats    MitigationStats
 
 	// step-proc-private transition state.
@@ -353,11 +352,11 @@ func (m *mitigator) snapshot() MitigationState {
 	}
 }
 
-// nameSketch estimates the distinct newcomer question names seen since the
-// last drain: a 1024-bit linear-counting bitmap over an FNV-1a hash. Shard
-// workers set bits concurrently (one CAS-or per newcomer); the selector
-// drains once per sample. The estimate only feeds a threshold compare, so
-// the ±few-percent linear-counting error is irrelevant.
+// nameSketch records the newcomer question names one shard saw since the
+// last drain: a 1024-bit linear-counting bitmap over an FNV-1a hash. The
+// shard's worker sets bits (one CAS-or per newcomer); the selector drains
+// every shard's once per sample (drainNames). The estimate only feeds a
+// threshold compare, so the ±few-percent linear-counting error is irrelevant.
 type nameSketch struct {
 	words [16]atomic.Uint64
 }
@@ -392,11 +391,18 @@ func (n *nameSketch) observe(name []byte) {
 	}
 }
 
-// drain returns the linear-counting estimate and clears the bitmap.
-func (n *nameSketch) drain() float64 {
+// drainNames clears every shard's sketch and returns the linear-counting
+// estimate of their union: the distinct names the guard saw.
+func (g *Remote) drainNames() float64 {
+	var union [16]uint64
+	for _, s := range g.shards {
+		for i := range union {
+			union[i] |= s.names.words[i].Swap(0)
+		}
+	}
 	set := 0
-	for i := range n.words {
-		set += bits.OnesCount64(n.words[i].Swap(0))
+	for _, w := range union {
+		set += bits.OnesCount64(w)
 	}
 	const m = 1024.0
 	switch {
@@ -438,7 +444,7 @@ func (g *Remote) mitigateLoop() {
 			grants:  float64(cur.NewcomerGrants-prev.NewcomerGrants+cur.RL1Dropped-prev.RL1Dropped) / dt,
 			invalid: float64(cur.CookieInvalid-prev.CookieInvalid) / dt,
 			poison:  float64(cur.UpstreamSpoofed-prev.UpstreamSpoofed+cur.UpstreamStrays-prev.UpstreamStrays) / dt,
-			names:   g.mit.sketch.drain(),
+			names:   g.drainNames(),
 		}
 		g.mit.step(now, s)
 		prev, prevShed, prevT = cur, shed, now

@@ -1,7 +1,9 @@
 package guard
 
 import (
+	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,29 +259,78 @@ func TestMitigatorFlapSuppression(t *testing.T) {
 	}
 }
 
-// TestNameSketch: distinct names raise the estimate, repeats do not, and
-// drain resets it.
+// TestNameSketch: distinct names raise the estimate, repeats do not, on one
+// shard or across two, and drain resets it.
 func TestNameSketch(t *testing.T) {
-	var sk nameSketch
+	g := &Remote{shards: []*remoteShard{{}, {}}}
 	wire := func(name string) []byte {
 		q := questionsWire([]dnswire.Question{{Name: dnswire.MustName(name)}})
 		return q[:len(q)-4]
 	}
 	one := wire("www.foo.com")
 	for i := 0; i < 1000; i++ {
-		sk.observe(one)
+		g.shards[i%2].names.observe(one)
 	}
-	if est := sk.drain(); est < 0.5 || est > 2 {
+	if est := g.drainNames(); est < 0.5 || est > 2 {
 		t.Fatalf("single repeated name estimated at %.1f, want ~1", est)
 	}
 	for i := 0; i < 400; i++ {
-		sk.observe(wire(labelName(i)))
+		g.shards[i%2].names.observe(wire(labelName(i)))
 	}
-	if est := sk.drain(); est < 300 || est > 520 {
+	if est := g.drainNames(); est < 300 || est > 520 {
 		t.Fatalf("400 distinct names estimated at %.1f, want ~400", est)
 	}
-	if est := sk.drain(); est != 0 {
+	if est := g.drainNames(); est != 0 {
 		t.Fatalf("estimate after drain = %.1f, want 0", est)
+	}
+}
+
+// TestShardStateReadWhileWritten: each shard's worker writes its name sketch
+// and activation flag while the selector's drain and Active read them from
+// another goroutine, as they do under a real clock. Run under -race.
+func TestShardStateReadWhileWritten(t *testing.T) {
+	h := newShardHarness(t, func(cfg *RemoteConfig) {
+		cfg.IOs = []PacketIO{&sinkIO{}, &sinkIO{}}
+		cfg.ActivationThreshold = 1
+		cfg.Mitigation.Enabled = true
+	})
+	h.g.mit.layer.Store(int32(LayerThreshold))
+	const n = 500
+	wires := make([][]byte, n)
+	for k := range wires {
+		wires[k] = mustPack(t, dnswire.NewQuery(uint16(k), dnswire.MustName(labelName(k)), dnswire.TypeA))
+	}
+	var wg sync.WaitGroup
+	for i, s := range h.g.shards {
+		wg.Add(1)
+		go func(src netip.AddrPort, s *remoteShard) {
+			defer wg.Done()
+			for _, wire := range wires {
+				s.BeginBatch(1)
+				s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: wire})
+				s.EndBatch()
+			}
+		}(netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 8, 0, byte(1 + i)}), 5353), s)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		h.g.drainNames()
+		h.g.Active()
+	}
+	st := h.g.Stats()
+	if st.Received != 2*n || st.NewcomerGrants+st.RL1Dropped != 2*n {
+		t.Fatalf("%d read, %d granted or dropped by Rate-Limiter1: want %d newcomers each", st.Received, st.NewcomerGrants+st.RL1Dropped, 2*n)
+	}
+	for i, s := range h.g.shards {
+		if !s.active.Load() {
+			t.Errorf("shard %d never engaged at 1 req/s", i)
+		}
 	}
 }
 

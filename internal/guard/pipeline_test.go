@@ -888,8 +888,8 @@ func shapeRows() []shapeRow {
 		}, func(r *shapeRun) {
 			sketch := func() {
 				var words []string
-				for i := range r.h.g.mit.sketch.words {
-					if w := r.h.g.mit.sketch.words[i].Load(); w != 0 {
+				for i := range r.h.s.names.words {
+					if w := r.h.s.names.words[i].Load(); w != 0 {
 						words = append(words, fmt.Sprintf("%d:%016x", i, w))
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -117,8 +118,9 @@ type RemoteConfig struct {
 	// take the defaults of ratelimit.DefaultLimiter2Config likewise.
 	RL2 ratelimit.Limiter2Config
 	// ActivationThreshold is the input rate (req/s) above which spoof
-	// detection engages; 0 means always on (§IV-C uses the ANS capacity). A
-	// negative threshold is refused.
+	// detection engages; 0 means always on (§IV-C uses the ANS capacity). It
+	// is split evenly across the shards, each engaging on the rate it reads
+	// with 0.8 hysteresis. A negative threshold is refused.
 	ActivationThreshold float64
 	// KeyRotation, when positive, rotates the cookie key on that period
 	// (the paper suggests weekly, matching the cookie TTL so each
@@ -217,11 +219,11 @@ func orDefault[T comparable](v *T, d T) {
 }
 
 // Remote is the ANS-side DNS guard. Its packet pipeline runs on an
-// internal/engine dataplane: each shard reads the capture interface its
-// sources are steered to and owns every per-source structure (rate limiters,
-// pending NAT table, transaction-ID pool, upstream socket), so the hot path
-// takes no cross-shard locks. With Shards == 1 the engine runs inline and the guard behaves —
-// event for event — like the original single-loop implementation.
+// internal/engine dataplane: the environment steers each source to one
+// shard's interface, and that shard owns every per-source structure (rate
+// limiters, pending NAT table, transaction-ID pool, upstream socket) and its
+// activation state. With Shards == 1 the guard behaves — event for event —
+// like the original single-loop implementation.
 type Remote struct {
 	cfg RemoteConfig
 	nsc cookie.NSCodec
@@ -233,9 +235,7 @@ type Remote struct {
 	zoneWire    []byte
 	eng         *engine.Engine
 	shards      []*remoteShard
-	rate        *ratelimit.RateEstimator
-	rateMu      sync.Mutex // serializes the rate estimator across shard workers
-	active      atomic.Bool
+	threshold   float64 // each shard's share of cfg.ActivationThreshold
 	closed      atomic.Bool
 
 	// Planned-change lifecycle (lifecycle.go): the state machine gauge. Zero
@@ -254,10 +254,10 @@ type Remote struct {
 }
 
 // remoteShard is the engine handler for one shard: the slice of guard state
-// owned by the sources that hash there. Everything but pend and health is
-// touched only by the shard's worker; the NAT table is shared with the
-// shard's upstream loop, hence mu, and the breaker is the loop's, the worker
-// reading only its atomic states.
+// owned by the sources the environment steers to its interface. Everything
+// but pend and health is touched only by the shard's worker; the NAT table is
+// shared with the shard's upstream loop, hence mu, and the breaker is the
+// loop's, the worker reading only its atomic states.
 type remoteShard struct {
 	g        *Remote
 	id       int
@@ -273,6 +273,13 @@ type remoteShard struct {
 	// tally is the shard's count of what it did, written by its worker, its
 	// upstream loop and whoever drains its NAT table.
 	tally tally
+
+	// rate estimates the shard's input rate and active is whether it has
+	// engaged detection on it (observeRate); names is its newcomer-name
+	// sketch, which the selector drains. Remote.Active reads active.
+	rate   *ratelimit.RateEstimator
+	active atomic.Bool
+	names  nameSketch
 
 	// mu guards the NAT table.
 	mu   sync.Mutex
@@ -299,10 +306,10 @@ type remoteShard struct {
 }
 
 // ResetShard implements engine.Resetter: a supervised shard restart discards
-// every per-packet structure (NAT entries, each counted as reaped,
-// and rate limiters — any of which the panic may have left mid-update) while
-// keeping the upstream socket, its reader proc, and the breaker state, whose
-// lifetimes span restarts. Runs in the owning worker's context.
+// every per-packet structure (NAT entries, each counted as reaped, and rate
+// limiters — any of which the panic may have left mid-update) while keeping
+// the upstream socket, its reader proc, the breaker and the activation state,
+// whose lifetimes span restarts. Runs in the owning worker's context.
 func (s *remoteShard) ResetShard() {
 	s.emptyPending()
 	s.rl1.Reset(s.g.cfg.RL1, s.g.now())
@@ -343,10 +350,10 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	}
 	now := cfg.Env.Now()
 	g := &Remote{
-		cfg:  cfg,
-		ipc:  cookie.IPCodec{Subnet: cfg.Subnet},
-		rate: ratelimit.NewRateEstimator(10, 100*time.Millisecond),
-		mit:  newMitigator(cfg.Mitigation),
+		cfg:       cfg,
+		ipc:       cookie.IPCodec{Subnet: cfg.Subnet},
+		threshold: cfg.ActivationThreshold / float64(cfg.Shards),
+		mit:       newMitigator(cfg.Mitigation),
 	}
 	g.nsPrefixLen = len(g.nsc.EncodeLabel(cookie.Cookie{}))
 	for _, l := range cfg.Zone.Labels() {
@@ -358,7 +365,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if sup.Enabled && sup.Trip == engine.TripPass && sup.OnPass == nil {
 		// Fail-open trip: a shard that exhausted its restart budget relays
 		// its sources' traffic unfiltered instead of silencing them.
-		sup.OnPass = func(shard int, pkt Packet) { g.shards[shard].passthrough(pkt) }
+		sup.OnPass = func(shard int, pkt Packet) { g.shards[shard].relayTripped(pkt) }
 	}
 	eng, err := engine.New(engine.Config{
 		Env:        cfg.Env,
@@ -372,6 +379,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 				id:      i,
 				rl1:     ratelimit.NewLimiter1(cfg.RL1, now),
 				rl2:     ratelimit.NewLimiter2(cfg.RL2, now),
+				rate:    ratelimit.NewRateEstimator(10, 100*time.Millisecond),
 				bv:      cookie.NewBatchVerifier(),
 				egress:  make([]byte, 0, cfg.Batch*dnswire.MaxUDPSize),
 				wireBuf: make([]byte, 0, dnswire.MaxUDPSize),
@@ -512,18 +520,21 @@ func (g *Remote) Close() {
 	}
 }
 
-// Active reports whether spoof detection is currently engaged. The layered
-// mitigation selector, when armed, can override the threshold decision in
-// either direction: the ladder bottom, where an armed guard starts, relays
-// everything, cookie rungs and above force detection on.
-func (g *Remote) Active() bool {
-	switch r := g.rung(); {
+// Active reports whether spoof detection is currently engaged on any shard.
+func (g *Remote) Active() bool { return slices.ContainsFunc(g.shards, (*remoteShard).detecting) }
+
+// detecting reports whether the shard's packets meet spoof detection. The
+// layered mitigation selector, when armed, overrides the threshold decision
+// in either direction: the ladder bottom, where an armed guard starts,
+// relays everything, cookie rungs and above force detection on.
+func (s *remoteShard) detecting() bool {
+	switch r := s.g.rung(); {
 	case r == LayerPassthrough:
 		return false
 	case r >= LayerCookies:
 		return true
 	}
-	return g.cfg.ActivationThreshold == 0 || g.active.Load()
+	return s.g.threshold == 0 || s.active.Load()
 }
 
 func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }
@@ -533,24 +544,33 @@ func (g *Remote) now() time.Duration { return g.cfg.Env.Now() }
 func (s *remoteShard) HandlePacket(pkt Packet) {
 	s.syncLimiters()
 	atomic.AddUint64(&s.tally.read, 1)
-	s.g.updateActivation()
+	s.observeRate()
 	s.handle(pkt)
 }
 
-func (g *Remote) updateActivation() {
-	if g.cfg.ActivationThreshold <= 0 {
+// relayTripped is the fail-open trip's handler (engine.TripPass): a shard
+// past its restart budget counts each packet read and relays it unfiltered.
+func (s *remoteShard) relayTripped(pkt Packet) {
+	atomic.AddUint64(&s.tally.read, 1)
+	s.passthrough(pkt)
+}
+
+// observeRate counts a packet in the shard's input rate, then engages
+// detection above the shard's share of the threshold and releases it below
+// 0.8 of that share.
+func (s *remoteShard) observeRate() {
+	t := s.g.threshold
+	if t <= 0 {
 		return
 	}
-	g.rateMu.Lock()
-	defer g.rateMu.Unlock()
-	now := g.now()
-	g.rate.Observe(now)
-	r := g.rate.Rate(now)
+	now := s.g.now()
+	s.rate.Observe(now)
+	r := s.rate.Rate(now)
 	switch {
-	case !g.active.Load() && r > g.cfg.ActivationThreshold:
-		g.active.Store(true)
-	case g.active.Load() && r < 0.8*g.cfg.ActivationThreshold:
-		g.active.Store(false)
+	case !s.active.Load() && r > t:
+		s.active.Store(true)
+	case s.active.Load() && r < 0.8*t:
+		s.active.Store(false)
 	}
 }
 
@@ -560,7 +580,7 @@ func (s *remoteShard) handle(pkt Packet) {
 		atomic.AddUint64(&s.tally.foreign, 1) // not DNS traffic for the protected service
 		return
 	}
-	if !g.Active() {
+	if !s.detecting() {
 		s.passthrough(pkt)
 		return
 	}
@@ -657,7 +677,7 @@ func (s *remoteShard) handleNewcomer(pkt Packet, q []byte) {
 	if g.cfg.Mitigation.Enabled {
 		// Feed the selector's name-diversity sketch before the limiter so
 		// it reflects offered newcomer load, not the post-RL1 residue.
-		g.mit.sketch.observe(name)
+		s.names.observe(name)
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&s.tally.rl1Dropped, 1)
@@ -744,8 +764,8 @@ func nsLabel[T string | []byte](g *Remote, first T) (T, bool) {
 // reports whether the request goes on; only a request that verified creates
 // or reorders a bucket, and nothing here allocates.
 //
-// The buckets are the handler's own: on a direct engine the shard owning a
-// source is the delivering socket's, not the source hash's.
+// The buckets are the shard's own: the environment steers a source to its
+// shard's interface.
 func (s *remoteShard) admit(src netip.Addr, ok bool) bool {
 	if !ok {
 		atomic.AddUint64(&s.tally.invalid, 1)

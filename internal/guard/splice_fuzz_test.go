@@ -127,7 +127,7 @@ func oracleIngress(s *remoteShard, pkt Packet) {
 	}
 	qname := msg.Question().Name
 	if g.cfg.Mitigation.Enabled {
-		oracleSketch(&g.mit.sketch, qname)
+		oracleSketch(&s.names, qname)
 	}
 	if !s.rl1.AllowResponse(pkt.Src.Addr(), g.now()) {
 		atomic.AddUint64(&s.tally.rl1Dropped, 1)
@@ -272,7 +272,7 @@ func (tw *spliceTwin) compare(what string, input []byte) {
 	state := func(h *shardHarness) string {
 		var words [16]uint64
 		for i := range words {
-			words[i] = h.g.mit.sketch.words[i].Load()
+			words[i] = h.s.names.words[i].Load()
 		}
 		return fmt.Sprintf("replies %d, last %v->%v %x\nforwards %d, last %x\ntally %+v\nrl2 sources %d\npending %v\nsketch %x",
 			h.io.wrote, h.io.from, h.io.to, h.io.buf[:h.io.n], h.up.wrote, h.up.buf[:h.up.n],

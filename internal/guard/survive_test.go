@@ -185,6 +185,60 @@ func TestShardPanicIsolatedByGuardSupervision(t *testing.T) {
 	}
 }
 
+// TestTrippedShardRelaysAndCounts: a shard tripped under engine.TripPass
+// relays its sources' queries unfiltered, counting each one read, so Received
+// sees them and every packet still ends once.
+func TestTrippedShardRelaysAndCounts(t *testing.T) {
+	poison := mustAddr("203.0.113.99")
+	f := newRootFixture(t, func(c *RemoteConfig) {
+		c.Shards = 2
+		c.Supervision = engine.SupervisorConfig{Enabled: true, Trip: engine.TripPass}
+		c.observer = func(shard int, pkt Packet) {
+			if pkt.Src.Addr() == poison {
+				panic("injected shard fault")
+			}
+		}
+	})
+	eng := f.guard.Engine()
+	guardHost := f.hosts["guard"]
+	tripped := guardHost.TapOf(poison)
+	clean := mustAddr("203.0.113.1")
+	for i := 2; guardHost.TapOf(clean) != tripped; i++ {
+		clean = netip.AddrFrom4([4]byte{203, 0, 113, byte(i)})
+	}
+
+	const n = 4
+	attacker := f.net.AddHost("attacker", mustAddr("203.0.113.66"))
+	f.run(t, func() {
+		q, _ := dnswire.NewQuery(7, dnswire.MustName("www.foo.com"), dnswire.TypeA).PackUDP(512)
+		// Panic the shard until it runs out of restarts and trips.
+		for i := 0; !eng.ShardTripped(tripped); i++ {
+			if i > 10 {
+				t.Error("the shard never tripped")
+				return
+			}
+			_ = attacker.SendRaw(netip.AddrPortFrom(poison, 1234), mustAP("198.41.0.4:53"), q)
+			f.sched.Sleep(10 * time.Millisecond)
+		}
+		for i := 0; i < n; i++ {
+			q, _ := dnswire.NewQuery(uint16(100+i), dnswire.MustName("www.foo.com"), dnswire.TypeA).PackUDP(512)
+			_ = attacker.SendRaw(netip.AddrPortFrom(clean, 1234), mustAP("198.41.0.4:53"), q)
+			f.sched.Sleep(10 * time.Millisecond)
+		}
+		f.sched.Sleep(time.Second)
+	})
+
+	if got := eng.Supervision().TrippedPassthrough; got != n {
+		t.Fatalf("%d packets handed to the tripped shard's relay, want %d", got, n)
+	}
+	st := f.guard.Stats()
+	if st.Received != n || st.Passthrough != n || st.ForwardedToANS != n || st.RepliesToClient != n {
+		t.Fatalf("received %d, relayed %d, forwarded %d, answered %d: want %d each",
+			st.Received, st.Passthrough, st.ForwardedToANS, st.RepliesToClient, n)
+	}
+	assertConserved(t, f.guard)
+}
+
 func TestANSBlackoutFailoverAndRestore(t *testing.T) {
 	auth := testAuth()
 	primary := mustAP("10.99.0.2:53")

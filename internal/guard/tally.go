@@ -125,9 +125,8 @@ func (g *Remote) Work(i int) (worker, upstream Work) {
 // each client query it forwarded was answered, answered late, reaped, or is
 // in flight. It is exact only at quiescence, with no datagram between a read
 // and its fate: a simulation between events, a guard whose loops have nothing
-// left to read. It does not hold on a shard tripped under engine.TripPass,
-// whose packets passthrough handles unread, nor after a handler panicked
-// between a packet's read and its fate.
+// left to read. It does not hold after a handler panicked between a packet's
+// read and its fate.
 func CheckConservation(g *Remote) error {
 	for i, s := range g.shards {
 		t := metrics.SnapshotUint64(&s.tally)

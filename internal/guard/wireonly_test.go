@@ -60,8 +60,10 @@ func TestGuardSpeaksWireOnly(t *testing.T) {
 // non-test file writes a counter through the guard — g.…, s.g.…, h.g.… —
 // with atomic.Add* or an atomic type's Add, but the guard's control counts
 // (g.ctl: key rotations, lifecycle transitions and drains), which no packet
-// moves. A shard writes its own tally (s.tally, h.tally). A planted write
-// through the guard's old stats field is the check's own control.
+// moves. A shard writes its own tally (s.tally, h.tally). Nor does Remote
+// declare a sync.Mutex or sync.RWMutex field: what shards would serialize on
+// is each shard's own. A planted write through the guard's old stats field
+// and a planted mutex field are the check's own controls.
 func TestCountersAreShardOwned(t *testing.T) {
 	throughGuard := func(f *ast.File) (bad []ast.Expr) {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -88,13 +90,30 @@ func TestCountersAreShardOwned(t *testing.T) {
 		})
 		return bad
 	}
+	guardMutexes := func(f *ast.File) (bad []ast.Expr) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Remote" {
+				for _, field := range ts.Type.(*ast.StructType).Fields.List {
+					if s := types.ExprString(field.Type); s == "sync.Mutex" || s == "sync.RWMutex" {
+						bad = append(bad, field.Type)
+					}
+				}
+			}
+			return true
+		})
+		return bad
+	}
 	fset := token.NewFileSet()
-	planted, err := parser.ParseFile(fset, "planted.go", "package guard\nfunc f(g *Remote) { atomic.AddUint64(&g.Stats.Malformed, 1) }\n", 0)
+	planted, err := parser.ParseFile(fset, "planted.go", "package guard\nfunc f(g *Remote) { atomic.AddUint64(&g.Stats.Malformed, 1) }\n"+
+		"type Remote struct {\n\tcfg RemoteConfig\n\trateMu sync.Mutex\n}\n", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(throughGuard(planted)) != 1 {
 		t.Fatal("the check misses a planted write through the guard")
+	}
+	if len(guardMutexes(planted)) != 1 {
+		t.Fatal("the check misses a planted mutex in Remote")
 	}
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -110,6 +129,9 @@ func TestCountersAreShardOwned(t *testing.T) {
 		}
 		for _, e := range throughGuard(f) {
 			t.Errorf("%s writes %s through the guard: count it in the shard's tally", fset.Position(e.Pos()), types.ExprString(e))
+		}
+		for _, e := range guardMutexes(f) {
+			t.Errorf("%s: Remote declares a %s: give each shard its own state", fset.Position(e.Pos()), types.ExprString(e))
 		}
 	}
 }
